@@ -1196,7 +1196,7 @@ let bench_net_engine () =
       Net.Sim_run.run
         ~faults:(Net.Sim_net.lossy ~drop ~duplicate:(drop /. 2.0) ())
         ~replicas:3 ~seed:6 ~init:0
-        ~engine:{ Net.Engine.default with Net.Engine.kind }
+        ~engine:{ Net.Engine.kind }
         ~processes:workload ()
     in
     assert (o.Net.Sim_run.monitor_violation = None);
@@ -1573,7 +1573,7 @@ let bench_net_reconfig () =
       let run ?reconfig ?reconfig_at ?metrics ?before () =
         let cl =
           Net.Sim_run.build ~replicas:3 ~shards ~keys ~window:8
-            ~engine:{ Net.Engine.default with Net.Engine.kind = engine }
+            ~engine:{ Net.Engine.kind = engine }
             ?reconfig ?reconfig_at ?metrics ~seed:31 ~init:0 ~processes:[]
             ~xprocesses ()
         in

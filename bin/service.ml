@@ -51,7 +51,7 @@ let run_sim engine seed replicas shards readers writes reads drop dup window
   in
   let o =
     Net.Sim_run.run ~faults ~replicas ~shards ~window
-      ~engine:{ Net.Engine.default with Net.Engine.kind = engine }
+      ~engine:{ Net.Engine.kind = engine }
       ?crash_replica:(if crash then Some (replicas - 1, 40.0) else None)
       ?partition_replicas:(if partition then Some (60.0, 120.0) else None)
       ?trace ~seed ~init:0
@@ -184,7 +184,7 @@ let start_cluster net ~engine ~replicas ~shards ~audit ?data_dir
   in
   let pool =
     Net.Server_pool.create ~transport:tr ~audit ~metrics
-      ~engine:{ Net.Engine.default with Net.Engine.kind = engine }
+      ~engine:{ Net.Engine.kind = engine }
       ~storage:server_store
       ~map:(Net.Shard_map.create ~shards ())
       ~domains ~me:Net.Transport.server ~replicas:replica_nodes ~init:0 ()
@@ -224,7 +224,7 @@ let run_socket_workload net ~window ~nkeys processes =
 (* smoke                                                               *)
 
 let run_smoke engine shards readers writes reads seed data_dir group_commit
-    flush_us domains gc_bytes reconfig loop show_metrics =
+    flush_us domains gc_bytes reconfig show_metrics =
   let processes = workload ~readers ~writes ~reads in
   let expected =
     List.fold_left (fun n { Registers.Vm.script; _ } -> n + List.length script)
@@ -234,17 +234,16 @@ let run_smoke engine shards readers writes reads seed data_dir group_commit
   (* --- socket transport --- *)
   Fmt.pr
     "== socket transport (Unix-domain, %d replicas, %d shard%s, %d domain%s, \
-     %s runtime, %s engine%s, crash 1) ==@."
+     %s engine%s, crash 1) ==@."
     3 shards
     (if shards = 1 then "" else "s")
     domains
     (if domains = 1 then "" else "s")
-    (match loop with Net.Socket_net.Epoll -> "epoll" | Net.Socket_net.Threads -> "threads")
     (Engine_cli.name engine)
     (if group_commit > 1 then
        Fmt.str ", group commit %d/%dus" group_commit flush_us
      else "");
-  let net = Net.Socket_net.create ~runtime:loop () in
+  let net = Net.Socket_net.create () in
   let metrics = Net.Socket_net.metrics net in
   let pool, reps =
     start_cluster net ~engine ~replicas:3 ~shards ~audit:true ?data_dir
@@ -467,7 +466,7 @@ let run_smoke engine shards readers writes reads seed data_dir group_commit
   let o =
     Net.Sim_run.run
       ~faults:(Net.Sim_net.lossy ~drop:0.15 ~duplicate:0.1 ())
-      ~engine:{ Net.Engine.default with Net.Engine.kind = engine }
+      ~engine:{ Net.Engine.kind = engine }
       ?group_commit:
         (* same batching discipline under the simulator: deferred acks
            must survive drops, duplication and a replica crash too
@@ -492,8 +491,8 @@ let run_smoke engine shards readers writes reads seed data_dir group_commit
 (* serve / client                                                      *)
 
 let run_serve dir engine replicas shards audit data_dir group_commit flush_us
-    domains gc_bytes loop show_metrics =
-  let net = Net.Socket_net.create ~runtime:loop ~dir () in
+    domains gc_bytes show_metrics =
+  let net = Net.Socket_net.create ~dir () in
   let _pool, reps =
     start_cluster net ~engine ~replicas ~shards ~audit ?data_dir ~group_commit
       ~flush_us ~domains ~gc_bytes ()
@@ -753,18 +752,6 @@ let domains_arg =
                  own store (server-d<i>), so restart a durable service \
                  with the same $(docv).")
 
-let loop_arg =
-  let rt =
-    Arg.enum
-      [ ("epoll", Net.Socket_net.Epoll); ("threads", Net.Socket_net.Threads) ]
-  in
-  Arg.(value & opt rt Net.Socket_net.Epoll
-       & info [ "loop" ] ~docv:"RUNTIME"
-           ~doc:"Socket runtime: $(b,epoll) drives non-blocking \
-                 sockets from readiness event loops (the default); \
-                 $(b,threads) is the legacy blocking-I/O runtime, one \
-                 thread per connection and per timer.")
-
 let sim_cmd =
   let replicas =
     Arg.(value & opt int 3 & info [ "replicas" ] ~doc:"Replica count.")
@@ -814,8 +801,7 @@ let smoke_cmd =
        ~doc:"Serve a workload over both transports; audit + re-check")
     Term.(const run_smoke $ Engine_cli.term $ shards $ readers $ writes
           $ reads $ seed $ data_dir $ group_commit_arg $ flush_us_arg
-          $ domains_arg $ gc_bytes_arg $ reconfig_arg $ loop_arg
-          $ metrics_flag)
+          $ domains_arg $ gc_bytes_arg $ reconfig_arg $ metrics_flag)
 
 let dir_arg =
   Arg.(required
@@ -833,7 +819,7 @@ let serve_cmd =
     (Cmd.info "serve" ~doc:"Serve the keyspace over Unix-domain sockets")
     Term.(const run_serve $ dir_arg $ Engine_cli.term $ replicas $ shards
           $ audit $ data_dir $ group_commit_arg $ flush_us_arg $ domains_arg
-          $ gc_bytes_arg $ loop_arg $ metrics_flag)
+          $ gc_bytes_arg $ metrics_flag)
 
 let client_cmd =
   let proc =

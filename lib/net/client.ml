@@ -5,6 +5,8 @@ type t = {
   server : Transport.node;
   proc : int;
   mu : Mutex.t;
+  smu : Mutex.t;  (* send order: held across detach + send, never by the
+                     reply handler *)
   cond : Condition.t;
   completed : (int, int option) Hashtbl.t;  (* seq -> result *)
   snap_completed : (int, int list) Hashtbl.t;  (* seq -> snapshot values *)
@@ -24,9 +26,7 @@ type t = {
   mutable flusher : Thread.t option;
 }
 
-(* Callers hold t.mu.  Detach the queued frames as one wire message;
-   the actual send happens outside the lock so a full socket buffer
-   can never wedge the reply handler. *)
+(* Callers hold t.mu.  Detach the queued frames as one wire message. *)
 let take_pending_locked t =
   match t.pending_rev with
   | [] -> None
@@ -40,10 +40,18 @@ let take_pending_locked t =
     Metrics.incr t.c_batches;
     Some (Wire.Batch (List.rev ms))
 
-let flush t =
-  match Mutex.protect t.mu (fun () -> take_pending_locked t) with
-  | None -> ()
-  | Some msg -> t.tr.Transport.send ~src:t.me ~dst:t.server msg
+(* Detach and send as one step under [smu], so batches reach the wire
+   in the order they were detached: a presequenced server core drops a
+   sequence number lower than one it has already admitted.  The send
+   itself happens outside [mu], so the reply handler (which takes only
+   [mu]) can never wedge behind a full socket buffer. *)
+let send_pending t take =
+  Mutex.protect t.smu (fun () ->
+      match Mutex.protect t.mu take with
+      | None -> ()
+      | Some msg -> t.tr.Transport.send ~src:t.me ~dst:t.server msg)
+
+let flush t = send_pending t (fun () -> take_pending_locked t)
 
 let connect ?metrics ?(batch_max = 32) ?(flush_every = 0.002) ~net ~server
     ~proc () =
@@ -105,6 +113,7 @@ let connect ?metrics ?(batch_max = 32) ?(flush_every = 0.002) ~net ~server
       server;
       proc;
       mu;
+      smu = Mutex.create ();
       cond;
       completed;
       snap_completed;
@@ -154,11 +163,9 @@ let req t op =
         Hashtbl.replace t.sent_at seq (Unix.gettimeofday ());
         t.pending_rev <- Wire.Req { seq; op } :: t.pending_rev;
         t.npending <- t.npending + 1;
-        if t.npending >= t.batch_max then take_pending_locked t else None)
+        t.npending >= t.batch_max)
   in
-  (match full with
-   | None -> ()
-   | Some msg -> t.tr.Transport.send ~src:t.me ~dst:t.server msg);
+  if full then flush t;
   seq
 
 let await t seq =
@@ -369,19 +376,14 @@ let close t =
      wire makes the server drop the ops of a then-dead session,
      silently.  After this section no new op can be queued (req fails
      closed) and whatever was pending is ours to send. *)
-  let last =
-    Mutex.protect t.mu (fun () ->
-        t.closed <- true;
-        (* wake every blocked await: their replies will never arrive
-           once the endpoint below is gone, and they fail closed *)
-        Condition.broadcast t.cond;
-        take_pending_locked t)
-  in
-  (match last with
-   | None -> ()
-   | Some msg -> t.tr.Transport.send ~src:t.me ~dst:t.server msg);
-  (* the flusher may still be mid-send of an earlier batch: join before
-     Bye so every op frame precedes the session teardown *)
+  send_pending t (fun () ->
+      t.closed <- true;
+      (* wake every blocked await: their replies will never arrive
+         once the endpoint below is gone, and they fail closed *)
+      Condition.broadcast t.cond;
+      take_pending_locked t);
+  (* every earlier batch went out under [smu] before ours; joining the
+     flusher just stops its thread *)
   (match t.flusher with None -> () | Some th -> Thread.join th);
   t.tr.Transport.send ~src:t.me ~dst:t.server Wire.Bye;
   (* wind down our endpoint so a later connect with the same processor

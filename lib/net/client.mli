@@ -14,7 +14,10 @@
     the [flush_every] deadline expires (a background flusher thread
     bounds the latency a lone op can pay waiting for company).  With a
     window open, that turns the request stream into a few large frames
-    per round trip instead of one syscall per op.
+    per round trip instead of one syscall per op.  Whichever thread
+    ships a batch, batches reach the wire in sequence order: a
+    {!Server_pool} core drops a request whose sequence number is below
+    one it has already admitted.
 
     One [t] must be driven by one thread at a time (the paper's
     input-correctness assumption: a processor is sequential); the

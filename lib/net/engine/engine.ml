@@ -27,16 +27,12 @@ let kind_code = function Abd -> 0 | Twobit -> 1
 let kind_of_code = function 0 -> Some Abd | 1 -> Some Twobit | _ -> None
 let pp_kind ppf k = Fmt.string ppf (kind_name k)
 
-(* An engine request: the kind plus its deliberate-bug hooks, each
-   meaningful for exactly one kind ({!Engines.create} rejects
-   mismatches).  [read_quorum] weakens the ABD read phase below
-   majority; [unordered] makes the twobit replicas apply link frames in
-   arrival order, forfeiting the FIFO guarantee the protocol's
-   correctness rests on. *)
-type spec = { kind : kind; read_quorum : int option; unordered : bool }
+(* An engine request.  The deliberate-bug hooks travel separately, as
+   one validated {!Bug.t}. *)
+type spec = { kind : kind }
 
-let abd = { kind = Abd; read_quorum = None; unordered = false }
-let twobit = { kind = Twobit; read_quorum = None; unordered = false }
+let abd = { kind = Abd }
+let twobit = { kind = Twobit }
 let default = abd
 
 type stats = {

@@ -1,28 +1,16 @@
-(* Engine factory: one {!Engine.spec} in, one packed instance out.
-   Also the single place that rejects a bug hook aimed at the wrong
-   engine — a weakened read quorum is meaningless to the twobit
-   protocol (reads take one reply by design) and unordered links are
-   meaningless to ABD (timestamps already tolerate reordering), so a
-   mismatched hook is an error, not a silent no-op. *)
+(* Engine factory: one {!Engine.spec} in, one packed instance out.  The
+   [bug] hooks were validated against the engine kind when the
+   {!Bug.t} was made; only ABD's weakened read quorum reaches an
+   engine (twobit's hook lives in the replicas). *)
 
 (* [rid_base]/[rid_stride] stripe the abd rid space per shard (see
    Quorum); the twobit engine has no rids — its replies are matched by
    link seq on the shard-indexed lid — so it ignores them. *)
-let create (spec : Engine.spec) ~transport ~me ~replicas ~lid ?storage
-    ?metrics ?rid_base ?rid_stride () =
+let create (spec : Engine.spec) ?(bug = Bug.none) ~transport ~me ~replicas
+    ~lid ?storage ?metrics ?rid_base ?rid_stride () =
   match spec.Engine.kind with
   | Engine.Abd ->
-    if spec.unordered then
-      invalid_arg
-        "Engines.create: unordered is a twobit-engine bug hook (the abd \
-         engine is reorder-tolerant by construction)";
-    Engine_abd.create ~transport ~me ~replicas ?read_quorum:spec.read_quorum
+    Engine_abd.create ~transport ~me ~replicas ?read_quorum:bug.Bug.read_quorum
       ?storage ?metrics ?rid_base ?rid_stride ()
   | Engine.Twobit ->
-    (match spec.read_quorum with
-     | Some _ ->
-       invalid_arg
-         "Engines.create: read_quorum is an abd-engine bug hook (twobit \
-          reads take a single reply by design)"
-     | None -> ());
     Engine_twobit.instance ~transport ~me ~replicas ~lid ?storage ?metrics ()

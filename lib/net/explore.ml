@@ -15,11 +15,8 @@ type config = {
   window : int;
   init : int;
   engine : Engine.kind;
-  read_quorum : int option;
-  unordered : bool;
-  torn_txn : bool;
+  bug : Bug.t;
   reconfig : (int * int) option;
-  skip_dual_write : bool;
   crashable : int list;
   max_crashes : int;
   amnesia : int list;
@@ -35,9 +32,8 @@ type config = {
 }
 
 let config ?(replicas = 3) ?(keys = 1) ?(shards = 1) ?group_size
-    ?(window = 4) ?(init = 0) ?(engine = Engine.Abd) ?read_quorum
-    ?(unordered = false) ?(torn_txn = false) ?reconfig
-    ?(skip_dual_write = false) ?(crashable = []) ?(max_crashes = 0)
+    ?(window = 4) ?(init = 0) ?(engine = Engine.Abd) ?read_quorum ?unordered
+    ?torn_txn ?reconfig ?skip_dual_write ?(crashable = []) ?(max_crashes = 0)
     ?(amnesia = [])
     ?(max_amnesia = 0) ?(durable = true) ?(cuts = []) ?(max_partitions = 0)
     ?(max_timer_fires = 64) ?(max_depth = 2_000) ?(max_schedules = max_int)
@@ -45,30 +41,15 @@ let config ?(replicas = 3) ?(keys = 1) ?(shards = 1) ?group_size
   (* Fail fast, at configuration time, on requests no run could honour:
      a deep [invalid_arg] out of [reset] would only surface once the
      explorer starts (or worse, from inside every walk). *)
-  (match read_quorum with
-   | Some q when q < 1 || q > replicas ->
-     invalid_arg
-       (Fmt.str
-          "Explore.config: read_quorum %d out of range for %d replicas \
-           (want 1..%d)"
-          q replicas replicas)
-   | _ -> ());
-  (match engine with
-   | Engine.Abd ->
-     if unordered then
-       invalid_arg
-         "Explore.config: unordered is a twobit-engine bug hook; the abd \
-          engine has no link layer to disorder"
-   | Engine.Twobit ->
-     if read_quorum <> None then
-       invalid_arg
-         "Explore.config: read_quorum is an abd-engine bug hook; the twobit \
-          engine reads from a single reply by design";
-     if amnesia <> [] && max_amnesia > 0 then
-       invalid_arg
-         "Explore.config: the twobit engine is crash-stop only — its link \
-          sequence state is volatile, so an amnesia reboot deadlocks the \
-          links; use crashable instead");
+  let bug =
+    Bug.make ?read_quorum ?unordered ?torn_txn ?skip_dual_write ~engine
+      ~replicas ~migration:(reconfig <> None) ()
+  in
+  if engine = Engine.Twobit && amnesia <> [] && max_amnesia > 0 then
+    invalid_arg
+      "Explore.config: the twobit engine is crash-stop only — its link \
+       sequence state is volatile, so an amnesia reboot deadlocks the \
+       links; use crashable instead";
   (match group_size with
    | Some g when g <= 0 ->
      invalid_arg "Explore.config: group_size must be positive"
@@ -78,11 +59,7 @@ let config ?(replicas = 3) ?(keys = 1) ?(shards = 1) ?group_size
      if key < 0 then invalid_arg "Explore.config: negative reconfig key";
      if to_shard < 0 || to_shard >= shards then
        invalid_arg "Explore.config: reconfig target shard out of range"
-   | None ->
-     if skip_dual_write then
-       invalid_arg
-         "Explore.config: skip_dual_write is the reconfiguration bug hook; \
-          it needs a reconfig migration to skip dual writes of");
+   | None -> ());
   List.iter
     (fun (xp : Sim_run.xprocess) ->
       List.iter
@@ -110,11 +87,8 @@ let config ?(replicas = 3) ?(keys = 1) ?(shards = 1) ?group_size
     window;
     init;
     engine;
-    read_quorum;
-    unordered;
-    torn_txn;
+    bug;
     reconfig;
-    skip_dual_write;
     crashable;
     max_crashes = (if crashable = [] then 0 else max_crashes);
     amnesia;
@@ -151,20 +125,12 @@ type st = {
 }
 
 let reset ?trace cfg =
-  let spec =
-    {
-      Engine.kind = cfg.engine;
-      read_quorum = cfg.read_quorum;
-      unordered = cfg.unordered;
-    }
-  in
   let cl =
     Sim_run.build ~faults:Sim_net.reliable ~replicas:cfg.replicas
       ~window:cfg.window ~shards:cfg.shards ?group_size:cfg.group_size
-      ~keys:cfg.keys ~engine:spec ~durable:cfg.durable
-      ~xprocesses:cfg.xprocesses ~torn_txn:cfg.torn_txn
-      ?reconfig:cfg.reconfig ~skip_dual_write:cfg.skip_dual_write ?trace
-      ~seed:0 ~init:cfg.init ~processes:cfg.processes ()
+      ~keys:cfg.keys ~engine:{ Engine.kind = cfg.engine } ~bug:cfg.bug
+      ~durable:cfg.durable ~xprocesses:cfg.xprocesses ?reconfig:cfg.reconfig
+      ?trace ~seed:0 ~init:cfg.init ~processes:cfg.processes ()
   in
   {
     cfg;
@@ -537,6 +503,7 @@ let xscript_tokens xscript =
        xscript)
 
 let config_note cfg =
+  let hook name = List.assoc name (Bug.fields cfg.bug) in
   Fmt.str
     "config replicas=%d keys=%d shards=%d group_size=%d window=%d init=%d \
      engine=%d read_quorum=%d unordered=%d torn_txn=%d reconfig_key=%d \
@@ -547,12 +514,10 @@ let config_note cfg =
     (Option.value ~default:0 cfg.group_size)
     cfg.window cfg.init
     (Engine.kind_code cfg.engine)
-    (Option.value ~default:0 cfg.read_quorum)
-    (if cfg.unordered then 1 else 0)
-    (if cfg.torn_txn then 1 else 0)
+    (hook "read_quorum") (hook "unordered") (hook "torn_txn")
     (match cfg.reconfig with Some (k, _) -> k | None -> -1)
     (match cfg.reconfig with Some (_, s) -> s | None -> -1)
-    (if cfg.skip_dual_write then 1 else 0)
+    (hook "skip_dual_write")
     cfg.max_crashes cfg.max_amnesia
     (if cfg.durable then 1 else 0)
     cfg.max_partitions cfg.max_timer_fires cfg.max_depth
@@ -724,10 +689,9 @@ let load ~file =
       | _ -> ())
     notes;
   let get k d = Option.value ~default:d (Hashtbl.find_opt assoc k) in
-  let rq = get "read_quorum" 0 in
-  (* engine/unordered default to abd/false so pre-engine artifacts load;
-     group_size/reconfig/skip_dual_write default to off so pre-reconfig
-     artifacts load *)
+  (* engine defaults to abd so pre-engine artifacts load; group_size,
+     reconfig and the bug hooks default to off so artifacts written
+     before them load *)
   let engine =
     match Engine.kind_of_code (get "engine" 0) with
     | Some k -> k
@@ -740,12 +704,8 @@ let load ~file =
       ~shards:(get "shards" 1)
       ?group_size:(if gs = 0 then None else Some gs)
       ~window:(get "window" 4) ~init:(get "init" 0) ~engine
-      ?read_quorum:(if rq = 0 then None else Some rq)
-      ~unordered:(get "unordered" 0 = 1)
-      ~torn_txn:(get "torn_txn" 0 = 1)
       ?reconfig:
         (if rkey < 0 then None else Some (rkey, get "reconfig_to" 0))
-      ~skip_dual_write:(get "skip_dual_write" 0 = 1)
       ~xprocesses:!xprocs ~crashable:!crashable
       ~max_crashes:(get "max_crashes" 0)
       ~amnesia:!amnesia
@@ -759,7 +719,11 @@ let load ~file =
       ~fastcheck:(get "fastcheck" 0 = 1)
       ~processes:!procs ()
   in
-  (cfg, !schedule)
+  let bug =
+    Bug.of_fields (Hashtbl.find_opt assoc) ~engine ~replicas:cfg.replicas
+      ~migration:(cfg.reconfig <> None)
+  in
+  ({ cfg with bug }, !schedule)
 
 let replay_file ~file =
   let cfg, schedule = load ~file in
@@ -812,7 +776,7 @@ let torture_run ?(engine = Engine.Abd) ~seed ~run ?trace () =
           | f -> (t, f))
         fates
   in
-  let espec = { Engine.default with Engine.kind = engine } in
+  let espec = { Engine.kind = engine } in
   (* A third of the runs swap the plain register scripts for a mixed
      batch/snapshot workload (half of those with the WAL GC frontier
      on), exercising the cross-key coordinator under the same faults.

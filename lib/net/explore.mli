@@ -46,25 +46,14 @@ type config = {
   window : int;  (** client pipelining window *)
   init : int;
   engine : Engine.kind;  (** replication protocol every shard runs *)
-  read_quorum : int option;
-      (** ABD deliberate-bug hook, see {!Quorum.create} *)
-  unordered : bool;
-      (** twobit deliberate-bug hook: replicas apply link frames in
-          arrival order, see {!Replica.create} *)
-  torn_txn : bool;
-      (** cross-key deliberate-bug hook: the server's {!Txn}
-          coordinator skips per-key locking, so a snapshot can observe
-          a torn batch — the target the torn-batch audit must catch *)
+  bug : Bug.t;
+      (** the deliberate bugs planted in the run — the targets the
+          audits must catch *)
   reconfig : (int * int) option;
       (** [(key, to_shard)]: a fault-immune control client requests a
           live migration of [key] onto [to_shard]; its delivery is one
           more schedulable event, so the handoff interleaves freely
           with the workload (see {!Reconfig}) *)
-  skip_dual_write : bool;
-      (** reconfiguration deliberate-bug hook: the incoming-group leg
-          of each dual write is dropped, so a write acked during the
-          migration is lost at cutover — the violation the audits must
-          catch (see {!Reconfig.create}) *)
   crashable : int list;  (** replicas the adversary may crash *)
   max_crashes : int;  (** crash budget per run *)
   amnesia : int list;
@@ -77,9 +66,8 @@ type config = {
   max_amnesia : int;  (** reboot budget per run *)
   durable : bool;
       (** replicas persist stores to a simulated disk before acking
-          (the default); [false] is the deliberate-bug hook this layer
-          exists to catch — an acked store can be forgotten by a
-          reboot *)
+          (the default); with [false] an acked store can be forgotten
+          by a reboot — the violation the amnesia hunts catch *)
   cuts : (int list * int list) list;
       (** candidate partitions the adversary may impose (one active at
           a time, must heal before the next) *)
@@ -123,19 +111,19 @@ val config :
 (** Defaults: 3 replicas, 1 key, 1 shard, window 4, init 0, ABD engine
     with no bug hooks, no fates, durable replicas, [max_timer_fires]
     64, [max_depth] 2000, unbounded schedules, pruning on, post-hoc
-    check off, plain workload ([xprocesses] empty).
+    check off, plain workload ([xprocesses] empty).  [read_quorum],
+    [unordered], [torn_txn] and [skip_dual_write] choose the
+    deliberate bugs; they become the [bug] field through
+    {!Bug.make}.
 
     Validated at construction (fail fast rather than deep inside
     [reset]):
-    @raise Invalid_argument if [read_quorum] is outside [1..replicas],
-    if a bug hook names the wrong engine ([unordered] with ABD,
-    [read_quorum] with twobit), if the twobit engine is paired with
-    amnesia fates (its link-sequence state is volatile — crash-stop
-    only), if [skip_dual_write] is set without a [reconfig] migration
-    to sabotage, if a [reconfig] target is out of range, if
-    [group_size] is non-positive, or if an [xprocesses] op carries
-    structurally invalid keys (see {!Txn.valid_keys}; [Keyed] keys
-    must be non-negative). *)
+    @raise Invalid_argument if {!Bug.make} rejects the hooks, if the
+    twobit engine is paired with amnesia fates (its link-sequence
+    state is volatile — crash-stop only), if a [reconfig] target is
+    out of range, if [group_size] is non-positive, or if an
+    [xprocesses] op carries structurally invalid keys (see
+    {!Txn.valid_keys}; [Keyed] keys must be non-negative). *)
 
 (** {2 Exploration} *)
 

@@ -17,23 +17,18 @@ type t = {
   c_ops : Metrics.counter array;  (* shard<i>_quorum_ops *)
 }
 
-let create ~transport ~me ~replicas ~map ?(engine = Engine.default)
-    ?read_quorum ?storage ?metrics () =
+let create ~transport ~me ~replicas ~map ?(engine = Engine.default) ?bug
+    ?storage ?metrics () =
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
-  let spec =
-    match read_quorum with
-    | None -> engine
-    | Some _ -> { engine with Engine.read_quorum = read_quorum }
-  in
   let n = Shard_map.shards map in
   {
     map;
-    spec;
+    spec = engine;
     engines =
       (* the engines share one store safely: each is the exclusive
          writer of its shard's (disjoint) global registers *)
       Array.init n (fun s ->
-          Engines.create spec ~transport ~me
+          Engines.create engine ?bug ~transport ~me
             ~replicas:(Shard_map.group map ~replicas s)
             ~lid:s ?storage ~metrics ~rid_base:s ~rid_stride:n ());
     c_ops =

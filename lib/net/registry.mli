@@ -27,17 +27,16 @@ val create :
   replicas:Transport.node list ->
   map:Shard_map.t ->
   ?engine:Engine.spec ->
-  ?read_quorum:int ->
+  ?bug:Bug.t ->
   ?storage:Storage.t ->
   ?metrics:Metrics.t ->
   unit ->
   t
 (** One engine per shard of [map], over
     {!Shard_map.group}[ map ~replicas s], built by {!Engines.create}
-    from [engine] (default {!Engine.default}, i.e. ABD).
-    [read_quorum] overrides the spec's field of the same name — the
-    ABD fault-injection hook (see {!Quorum.create}); combining it with
-    the twobit engine is an error.  [storage] is shared by every
+    from [engine] (default {!Engine.default}, i.e. ABD).  [bug]
+    (default {!Bug.none}) reaches each engine; only ABD's read-quorum
+    hook acts there.  [storage] is shared by every
     engine — safe because the shards partition the keyspace, so the
     engines' register sets are disjoint; it makes issued write
     timestamps durable across a server restart.  A [group_commit]
@@ -47,9 +46,8 @@ val create :
     drive {!Storage.flush} — {!Server} does this for its own store.  [metrics] receives
     the engine counters/histograms plus one [shard<i>_quorum_ops]
     counter per shard — the per-shard load (and skew) signal.
-    @raise Invalid_argument on a bug hook aimed at the wrong engine,
-    an out-of-range [read_quorum], or a twobit shard count beyond
-    {!Wire.max_lid}. *)
+    @raise Invalid_argument on a read quorum larger than a shard's
+    replica group, or a twobit shard count beyond {!Wire.max_lid}. *)
 
 val map : t -> Shard_map.t
 (** The current placement.  Mutable across epochs — see {!set_map}. *)

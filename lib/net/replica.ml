@@ -24,7 +24,7 @@ type t = {
   unordered : bool;
       (* deliberate-bug hook: apply link frames in arrival order,
          ignoring their sequence numbers — the twobit counterpart of
-         Quorum's ?read_quorum (see Engines.create) *)
+         Quorum's ?read_quorum (see Bug) *)
   mutable engine : int option;  (* negotiated Engine.kind_code *)
   mutable handled : int;
 }

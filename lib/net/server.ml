@@ -13,7 +13,15 @@ type session = {
   proc : E.proc;
   mutable next_seq : int;  (* next sequence number to admit *)
   stash : (int, Wire.op) Hashtbl.t;  (* out-of-order arrivals *)
-  queues : (int, (int * Wire.op) Queue.t) Hashtbl.t;
+  lane : lane;
+}
+
+(* A client node's per-key execution lanes.  They belong to the node,
+   not the session: a reconnect ([Bye] then [Hello]) reuses them, so a
+   new session's op on a key waits behind the old session's op still
+   in flight there — the processor stays sequential per key. *)
+and lane = {
+  queues : (int, (session * int * Wire.op) Queue.t) Hashtbl.t;
       (* key -> admitted, not yet started *)
   busy : (int, unit) Hashtbl.t;  (* keys with an operation executing *)
 }
@@ -33,6 +41,7 @@ type t = {
   post_override : ((unit -> unit) -> unit) option;
       (* how coordinator thunks re-enter this core (pool: worker queue) *)
   sessions : (Transport.node, session) Hashtbl.t;
+  lanes : (Transport.node, lane) Hashtbl.t;
   audit : bool;
   init : int;
   monitors : (int, int Histories.Monitor.t) Hashtbl.t;  (* per key *)
@@ -156,10 +165,19 @@ let rec exec :
     Reconfig.write t.reconfig ~key ~reg ~value:pl ~k:(fun () ->
         exec t key (cont ()) k)
 
+(* A reply goes out only while [s] is still its node's current session:
+   the op of a closed session still runs (and is audited) on the
+   node's lane, but its answer must not reach a reconnected client,
+   whose sequence numbers restart at 0. *)
+let reply t s msg =
+  match Hashtbl.find t.sessions s.src with
+  | cur when cur == s -> t.tr.Transport.send ~src:t.me ~dst:s.src msg
+  | _ | (exception Not_found) -> ()
+
 let respond t s seq result =
   t.ops_served <- t.ops_served + 1;
   Metrics.incr t.m_served;
-  t.tr.Transport.send ~src:t.me ~dst:s.src (Wire.Resp { seq; result })
+  reply t s (Wire.Resp { seq; result })
 
 (* Every client-visible operation, keyed: the legacy unkeyed ops are
    the key-0 register.  For a multi-key op this is its *routing* key —
@@ -182,12 +200,12 @@ let kind_of_op = function
   | Wire.Snap_k { keys } -> Some (Txn.Snap keys)
   | _ -> None
 
-let queue_of s key =
-  match Hashtbl.find_opt s.queues key with
+let queue_of lane key =
+  match Hashtbl.find_opt lane.queues key with
   | Some q -> q
   | None ->
     let q = Queue.create () in
-    Hashtbl.replace s.queues key q;
+    Hashtbl.replace lane.queues key q;
     q
 
 (* How coordinator thunks re-enter this core.  A standalone server
@@ -198,15 +216,16 @@ let post_of t =
   | Some p -> p
   | None -> fun f -> with_cork t f
 
-let rec start_next t s key =
+let rec start_next t lane key =
   (* a key in a migration's drain phase parks here: the op stays
      queued, and the coordinator's unpark hook re-enters once the
      cutover has installed the new placement *)
-  if (not (Hashtbl.mem s.busy key)) && Reconfig.admitting t.reconfig key then
-    match Queue.take_opt (queue_of s key) with
+  if (not (Hashtbl.mem lane.busy key)) && Reconfig.admitting t.reconfig key
+  then
+    match Queue.take_opt (queue_of lane key) with
     | None -> ()
-    | Some (seq, op) ->
-      Hashtbl.replace s.busy key ();
+    | Some (s, seq, op) ->
+      Hashtbl.replace lane.busy key ();
       arm_timer t;
       Metrics.incr t.c_shard_ops.(Registry.shard_of_key t.registry key);
       (* the generation token gates the migration's settle (pre-entry
@@ -215,18 +234,17 @@ let rec start_next t s key =
       let t0 = t.tr.Transport.now () in
       let finish () =
         Metrics.observe t.h_op (t.tr.Transport.now () -. t0);
-        Hashtbl.remove s.busy key;
+        Hashtbl.remove s.lane.busy key;
         Reconfig.op_finished t.reconfig ~key ~gen;
-        start_next t s key
+        start_next t s.lane key
       in
       let reject () =
         t.rejected <- t.rejected + 1;
         Metrics.incr t.m_rejected;
-        t.tr.Transport.send ~src:t.me ~dst:s.src
-          (Wire.Resp { seq; result = None });
-        Hashtbl.remove s.busy key;
+        reply t s (Wire.Resp { seq; result = None });
+        Hashtbl.remove s.lane.busy key;
         Reconfig.op_finished t.reconfig ~key ~gen;
-        start_next t s key
+        start_next t s.lane key
       in
       (match op with
        | Wire.Txn_k _ | Wire.Snap_k _ -> start_multi t s key seq op gen
@@ -294,9 +312,9 @@ and start_multi t s key seq op gen =
   let finish () =
     post (fun () ->
         Metrics.observe t.h_op (t.tr.Transport.now () -. t0);
-        Hashtbl.remove s.busy key;
+        Hashtbl.remove s.lane.busy key;
         Reconfig.op_finished t.reconfig ~key ~gen;
-        start_next t s key)
+        start_next t s.lane key)
   in
   let resp_thunk =
     (* the owner of the smallest key is the coordinator: it answers *)
@@ -309,17 +327,16 @@ and start_multi t s key seq op gen =
               | Some vs ->
                 t.ops_served <- t.ops_served + 1;
                 Metrics.incr t.m_served;
-                t.tr.Transport.send ~src:t.me ~dst:s.src
-                  (Wire.Resp_snap { seq; values = vs })))
+                reply t s (Wire.Resp_snap { seq; values = vs })))
     else None
   in
   Txn.key_ready t.txns ~src:s.src ~seq ~kind ~key ~exec:run_key ~finish
     ?respond:resp_thunk ()
 
 let create ~transport ?(audit = true) ?(resend_every = 0.05) ?engine
-    ?read_quorum ?storage ?metrics ?trace ?map ?(cork = false)
-    ?(presequenced = false) ?owns ?txns ?torn_txn ?post ?skip_dual_write
-    ?reconfig_enabled ~me ~replicas ~init () =
+    ?(bug = Bug.none) ?storage ?metrics ?trace ?map ?(cork = false)
+    ?(presequenced = false) ?owns ?txns ?post ?reconfig_enabled ~me ~replicas
+    ~init () =
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   let map =
     match map with Some m -> m | None -> Shard_map.create ~shards:1 ()
@@ -328,7 +345,7 @@ let create ~transport ?(audit = true) ?(resend_every = 0.05) ?engine
   let txns =
     match txns with
     | Some x -> x
-    | None -> Txn.create ?torn:torn_txn ~audit ~init ()
+    | None -> Txn.create ~torn:bug.Bug.torn_txn ~audit ~init ()
   in
   let cork_depth = ref 0 in
   let cork_buf : (Transport.node, Wire.msg list ref) Hashtbl.t =
@@ -362,11 +379,12 @@ let create ~transport ?(audit = true) ?(resend_every = 0.05) ?engine
       }
   in
   let registry =
-    Registry.create ~transport:wrapped ~me ~replicas ~map ?engine ?read_quorum
+    Registry.create ~transport:wrapped ~me ~replicas ~map ?engine ~bug
       ?storage ~metrics ()
   in
   let reconfig =
-    Reconfig.create ~registry ?enabled:reconfig_enabled ?skip_dual_write ()
+    Reconfig.create ~registry ?enabled:reconfig_enabled
+      ~skip_dual_write:bug.Bug.skip_dual_write ()
   in
   let t =
     {
@@ -383,6 +401,7 @@ let create ~transport ?(audit = true) ?(resend_every = 0.05) ?engine
       txns;
       post_override = post;
       sessions = Hashtbl.create 16;
+      lanes = Hashtbl.create 16;
       audit;
       init;
       monitors = Hashtbl.create 8;
@@ -409,7 +428,7 @@ let create ~transport ?(audit = true) ?(resend_every = 0.05) ?engine
      ops parked during the drain phase dispatch here, now routed by
      the advanced map *)
   Reconfig.set_unpark reconfig (fun key ->
-      Hashtbl.iter (fun _ s -> start_next t s key) t.sessions);
+      Hashtbl.iter (fun _ lane -> start_next t lane key) t.lanes);
   (* A restarted durable server recovers the writes it had issued;
      its fresh monitors never saw them, so a read of a recovered key
      would be flagged.  Seed each recovered key's monitor with its
@@ -469,8 +488,7 @@ let enqueue_op t s seq op =
       if t.owns (key_of_op op) then begin
         t.rejected <- t.rejected + 1;
         Metrics.incr t.m_rejected;
-        t.tr.Transport.send ~src:t.me ~dst:s.src
-          (Wire.Resp { seq; result = None })
+        reply t s (Wire.Resp { seq; result = None })
       end;
       []
     end
@@ -478,7 +496,7 @@ let enqueue_op t s seq op =
       List.filter
         (fun key ->
           if t.owns key then begin
-            Queue.add (seq, op) (queue_of s key);
+            Queue.add (s, seq, op) (queue_of s.lane key);
             true
           end
           else false)
@@ -486,7 +504,7 @@ let enqueue_op t s seq op =
   | _ ->
     let key = key_of_op op in
     if t.owns key then begin
-      Queue.add (seq, op) (queue_of s key);
+      Queue.add (s, seq, op) (queue_of s.lane key);
       [ key ]
     end
     else []
@@ -509,7 +527,7 @@ let admit t s =
       s.next_seq <- s.next_seq + 1
     | None -> continue := false
   done;
-  List.iter (fun key -> start_next t s key) (List.rev !touched)
+  List.iter (fun key -> start_next t s.lane key) (List.rev !touched)
 
 (* Group-commit driver for the server's own wts store: with a flush
    deadline, arm one transport timer and coalesce across messages;
@@ -536,15 +554,16 @@ let rec drive_flush t =
 let rec on_message_inner t ~src msg =
   match msg with
   | Wire.Hello { proc } ->
+    let lane =
+      match Hashtbl.find_opt t.lanes src with
+      | Some lane -> lane
+      | None ->
+        let lane = { queues = Hashtbl.create 4; busy = Hashtbl.create 4 } in
+        Hashtbl.replace t.lanes src lane;
+        lane
+    in
     Hashtbl.replace t.sessions src
-      {
-        src;
-        proc;
-        next_seq = 0;
-        stash = Hashtbl.create 8;
-        queues = Hashtbl.create 4;
-        busy = Hashtbl.create 4;
-      }
+      { src; proc; next_seq = 0; stash = Hashtbl.create 8; lane }
   | Wire.Req { seq; op } ->
     (match Hashtbl.find_opt t.sessions src with
      | Some s when t.presequenced ->
@@ -554,7 +573,7 @@ let rec on_message_inner t ~src msg =
           over the ops other cores own *)
        if seq >= s.next_seq then begin
          s.next_seq <- seq + 1;
-         List.iter (fun key -> start_next t s key) (enqueue_op t s seq op)
+         List.iter (fun key -> start_next t s.lane key) (enqueue_op t s seq op)
        end
      | Some s when seq >= s.next_seq ->
        Hashtbl.replace s.stash seq op;
@@ -564,7 +583,16 @@ let rec on_message_inner t ~src msg =
     ->
     Registry.on_message t.registry ~src msg
   | Wire.Batch msgs -> List.iter (fun m -> on_message_inner t ~src m) msgs
-  | Wire.Bye -> Hashtbl.remove t.sessions src
+  | Wire.Bye ->
+    Hashtbl.remove t.sessions src;
+    (* the lanes outlive the session only while they hold work *)
+    (match Hashtbl.find_opt t.lanes src with
+     | Some lane
+       when Hashtbl.length lane.busy = 0
+            && Hashtbl.fold (fun _ q idle -> idle && Queue.is_empty q)
+                 lane.queues true ->
+       Hashtbl.remove t.lanes src
+     | _ -> ())
   | Wire.Reconfig { rid; key; to_shard; epoch } ->
     (* migration control needs no session (like Stats_req); the ack is
        deferred to the coordinator's completion and may be sent from a

@@ -43,7 +43,7 @@ val create :
   ?audit:bool ->
   ?resend_every:float ->
   ?engine:Engine.spec ->
-  ?read_quorum:int ->
+  ?bug:Bug.t ->
   ?storage:Storage.t ->
   ?metrics:Metrics.t ->
   ?trace:Trace.t ->
@@ -52,9 +52,7 @@ val create :
   ?presequenced:bool ->
   ?owns:(int -> bool) ->
   ?txns:Txn.t ->
-  ?torn_txn:bool ->
   ?post:((unit -> unit) -> unit) ->
-  ?skip_dual_write:bool ->
   ?reconfig_enabled:bool ->
   me:Transport.node ->
   replicas:Transport.node list ->
@@ -65,10 +63,12 @@ val create :
     retransmission period in transport-clock units; it should exceed a
     round trip (for {!Sim_net}, a multiple of [max_delay]).
     [engine] (default ABD) picks the replication protocol every shard
-    runs — see {!Engine} and {!Engines.create}.  [read_quorum]
-    (default: majority) overrides the spec's ABD read quorum — a
-    deliberate-bug hook for {!Explore}'s regression tests,
-    see {!Quorum.create}.  [storage] makes the write timestamps the
+    runs — see {!Engine} and {!Engines.create}.  [bug] (default
+    {!Bug.none}) plants {!Explore}'s deliberate bugs: the read-quorum
+    hook in every shard engine, the torn-batch hook in the private
+    {!Txn} coordinator (not in an explicit [txns]) and the
+    skip-dual-write hook in the {!Reconfig} coordinator.  [storage]
+    makes the write timestamps the
     server issues durable: shared across every shard engine (their
     register sets are disjoint), persisted before each store broadcast
     and recovered by a restarted server, so it never re-issues a
@@ -119,20 +119,22 @@ val create :
     cross-key coordinator for atomic multi-key transactions
     ({!Wire.op.Txn_k}) and snapshot reads ({!Wire.op.Snap_k}): a
     {!Server_pool} passes one shared coordinator to all of its worker
-    cores so cross-domain batches stay atomic.  [torn_txn] (only
-    meaningful without an explicit [txns]) enables the coordinator's
-    deliberate torn-batch bug hook — see {!Txn.create}.  [post]
-    overrides how coordinator thunks re-enter this core: by default
-    they run inline under a cork; a pool passes its worker-queue
-    injection so they execute on the owning domain.
+    cores so cross-domain batches stay atomic.  [post] overrides how
+    coordinator thunks re-enter this core: by default they run inline
+    under a cork; a pool passes its worker-queue injection so they
+    execute on the owning domain.
 
     [reconfig_enabled] (default [true]) gates live key migration: when
     [false] every {!Wire.msg.Reconfig} is nacked — see
     {!Reconfig.create} for why a pool running the twobit engine over
-    multiple domains must disable it.  [skip_dual_write] (default
-    [false]) arms the reconfiguration coordinator's deliberate bug
-    hook (the incoming-group leg of each dual write is dropped) — an
-    atomicity violation {!Explore} must catch.
+    multiple domains must disable it.
+
+    Per-key execution lanes belong to the client node, not the
+    session: a reconnect ([Bye], then [Hello] from the same node)
+    reuses them, so the new session's op on a key waits for the old
+    session's op still running there.  The old op completes and is
+    audited, but its reply is dropped — only the node's current
+    session is answered.
 
     [metrics] (default: a fresh instance — pass the cluster-wide one)
     receives [ops_served]/[ops_rejected] counters, the [server_op]

@@ -58,9 +58,8 @@ let worker_loop w =
     end
   done
 
-let create ~transport ?audit ?resend_every ?engine ?read_quorum ?storage
-    ?metrics ?trace ?map ?(cork = true) ?(domains = 1) ?torn_txn
-    ?skip_dual_write ~me ~replicas ~init () =
+let create ~transport ?audit ?resend_every ?engine ?storage ?metrics ?trace
+    ?map ?(cork = true) ?(domains = 1) ~me ~replicas ~init () =
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   let map =
     match map with Some m -> m | None -> Shard_map.create ~shards:1 ()
@@ -70,7 +69,7 @@ let create ~transport ?audit ?resend_every ?engine ?read_quorum ?storage
   (* ONE multi-key coordinator shared by every core: a cross-domain
      batch is atomic because all its keys' cores lock through the same
      table, whichever domains own them *)
-  let txns = Txn.create ?torn:torn_txn ?audit ~init () in
+  let txns = Txn.create ?audit ~init () in
   (* two-bit replies are routed to workers by [lid mod domains]; during
      a migration the owner worker drives TWO engines (two lids) whose
      replies may hash to other workers, so reconfiguration is only
@@ -104,10 +103,9 @@ let create ~transport ?audit ?resend_every ?engine ?read_quorum ?storage
        through the worker queue like timer callbacks *)
     let post f = match !wref with Some w -> push w (Fn f) | None -> f () in
     let core =
-      Server.create ~transport:wt ?audit ?resend_every ?engine ?read_quorum
+      Server.create ~transport:wt ?audit ?resend_every ?engine
         ?storage:(storage d) ~metrics ?trace ~map ~cork ~presequenced:true
-        ~owns ~txns ~post ?skip_dual_write ~reconfig_enabled ~me ~replicas
-        ~init ()
+        ~owns ~txns ~post ~reconfig_enabled ~me ~replicas ~init ()
     in
     let w =
       { core; mu = Mutex.create (); cv = Condition.create ();

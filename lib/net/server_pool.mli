@@ -57,15 +57,12 @@ val create :
   ?audit:bool ->
   ?resend_every:float ->
   ?engine:Engine.spec ->
-  ?read_quorum:int ->
   ?storage:(int -> Storage.t option) ->
   ?metrics:Metrics.t ->
   ?trace:Trace.t ->
   ?map:Shard_map.t ->
   ?cork:bool ->
   ?domains:int ->
-  ?torn_txn:bool ->
-  ?skip_dual_write:bool ->
   me:Transport.node ->
   replicas:Transport.node list ->
   init:int ->
@@ -80,10 +77,9 @@ val create :
     durable pool persists under [dir/server-d<i>] and must be
     restarted with the same [domains] to recover every shard's
     timestamps.  Timer callbacks of each core are re-routed into its
-    worker queue, so cores never execute on a transport thread.
-    [torn_txn] enables the shared coordinator's deliberate torn-batch
-    bug hook (see {!Txn.create}); [skip_dual_write] arms the
-    reconfiguration coordinator's one (see {!Reconfig.create}).
+    worker queue, so cores never execute on a transport thread.  A
+    pool plants no deliberate bugs ({!Bug}): those are {!Explore}'s,
+    which drives a single simulated {!Server}.
 
     {b Reconfiguration.}  A {!Wire.msg.Reconfig} routes to the key's
     owner worker, which runs the whole migration on its own registry;

@@ -101,10 +101,10 @@ type cluster = {
 }
 
 let build ?(faults = Sim_net.reliable) ?(replicas = 3) ?(window = 4)
-    ?(shards = 1) ?group_size ?keys ?(engine = Engine.default) ?read_quorum
-    ?(durable = true) ?(snapshot_every = 32) ?gc_bytes ?group_commit
-    ?(audit = true) ?(xprocesses = []) ?torn_txn ?reconfig ?reconfig_at
-    ?skip_dual_write ?metrics ?measure ?trace ~seed ~init ~processes () =
+    ?(shards = 1) ?group_size ?keys ?(engine = Engine.default)
+    ?(bug = Bug.none) ?(durable = true) ?(snapshot_every = 32) ?gc_bytes
+    ?group_commit ?(audit = true) ?(xprocesses = []) ?reconfig ?reconfig_at
+    ?metrics ?measure ?trace ~seed ~init ~processes () =
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   let nkeys = max 1 (match keys with Some k -> k | None -> shards) in
   (* plain register processes are the [Single]-only special case *)
@@ -148,7 +148,7 @@ let build ?(faults = Sim_net.reliable) ?(replicas = 3) ?(window = 4)
     if durable then Array.init replicas (fun _ -> Storage.Disk.create ())
     else [||]
   in
-  let unordered = engine.Engine.unordered in
+  let unordered = bug.Bug.unordered in
   let fresh_replica r =
     if durable then
       Replica.create ~init
@@ -211,9 +211,8 @@ let build ?(faults = Sim_net.reliable) ?(replicas = 3) ?(window = 4)
   let resend_every = (4.0 *. faults.Sim_net.max_delay) +. 1.0 in
   let map = Shard_map.create ?group_size ~shards () in
   let server =
-    Server.create ~transport:tr ~audit ~resend_every ~engine ?read_quorum
-      ?torn_txn ?skip_dual_write ~metrics ?trace ~map ~me:Transport.server
-      ~replicas:replica_nodes ~init ()
+    Server.create ~transport:tr ~audit ~resend_every ~engine ~bug ~metrics
+      ?trace ~map ~me:Transport.server ~replicas:replica_nodes ~init ()
   in
   Sim_net.register net Transport.server (Server.on_message server);
   (* migration request: a dedicated control client whose frame is
@@ -353,16 +352,15 @@ let collect cl ~steps =
     reconfig_acked = !(cl.reconfig_ack);
   }
 
-let run ?faults ?replicas ?window ?shards ?group_size ?keys ?engine
-    ?read_quorum ?durable ?snapshot_every ?gc_bytes ?group_commit
-    ?crash_replica ?partition_replicas ?(fates = []) ?(max_steps = 2_000_000)
-    ?audit ?xprocesses ?torn_txn ?reconfig ?reconfig_at ?skip_dual_write
-    ?metrics ?measure ?trace ~seed ~init ~processes () =
+let run ?faults ?replicas ?window ?shards ?group_size ?keys ?engine ?bug
+    ?durable ?snapshot_every ?gc_bytes ?group_commit ?crash_replica
+    ?partition_replicas ?(fates = []) ?(max_steps = 2_000_000) ?audit
+    ?xprocesses ?reconfig ?reconfig_at ?metrics ?measure ?trace ~seed ~init
+    ~processes () =
   let cl =
-    build ?faults ?replicas ?window ?shards ?group_size ?keys ?engine
-      ?read_quorum ?durable ?snapshot_every ?gc_bytes ?group_commit ?audit
-      ?xprocesses ?torn_txn ?reconfig ?reconfig_at ?skip_dual_write ?metrics
-      ?measure ?trace ~seed ~init ~processes ()
+    build ?faults ?replicas ?window ?shards ?group_size ?keys ?engine ?bug
+      ?durable ?snapshot_every ?gc_bytes ?group_commit ?audit ?xprocesses
+      ?reconfig ?reconfig_at ?metrics ?measure ?trace ~seed ~init ~processes ()
   in
   (* fault schedule: the legacy shorthands desugar to fates *)
   let fates =

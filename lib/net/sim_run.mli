@@ -86,7 +86,7 @@ val run :
   ?group_size:int ->
   ?keys:int ->
   ?engine:Engine.spec ->
-  ?read_quorum:int ->
+  ?bug:Bug.t ->
   ?durable:bool ->
   ?snapshot_every:int ->
   ?gc_bytes:int ->
@@ -97,10 +97,8 @@ val run :
   ?max_steps:int ->
   ?audit:bool ->
   ?xprocesses:xprocess list ->
-  ?torn_txn:bool ->
   ?reconfig:int * int ->
   ?reconfig_at:float ->
-  ?skip_dual_write:bool ->
   ?metrics:Metrics.t ->
   ?measure:(src:int -> dst:int -> Wire.msg -> unit) ->
   ?trace:Trace.t ->
@@ -117,9 +115,10 @@ val run :
     {!Harness.Failure.random_net_fates}) applied via {!Sim_net.at}.
     [engine] picks the replication protocol (default ABD; see
     {!Engine}).  Note the twobit engine's link layer does not survive
-    amnesia fates — pair it with crash/restart only.  [read_quorum]
-    deliberately weakens the ABD read phase (see {!Quorum.create}) —
-    for explorer regression tests only.  [measure] observes every send
+    amnesia fates — pair it with crash/restart only.  [bug] (default
+    {!Bug.none}) plants the explorer's deliberate bugs: the server
+    gets every hook ({!Server.create}), the replicas the twobit
+    link-order one.  [measure] observes every send
     the server, replicas and clients make (before fault injection —
     offered, not delivered, traffic), e.g. the bench's
     bytes-on-the-wire accounting.
@@ -128,8 +127,9 @@ val run :
     store to a private {!Storage.Disk} (WAL + snapshot every
     [snapshot_every] appends, default 32) before acking, and an
     amnesia restart recovers from it; with [durable:false] an amnesia
-    restart comes back empty — the deliberate-bug hook of this layer,
-    in the [?read_quorum] mould.  [group_commit] opens each replica
+    restart comes back empty, so an acked store can be forgotten —
+    what {!Explore}'s no-durability hunts catch.  [group_commit] opens
+    each replica
     disk store with a commit queue ({!Storage.commit_config}): store
     acks are emitted from batch durability completions, with a
     deterministic per-replica flush timer arming whenever a handler
@@ -144,9 +144,7 @@ val run :
     (see {!Storage.create}); [xprocesses] (default: derived from
     [processes]) runs an extended workload with multi-key transactions
     and snapshot reads, audited by the server's shared {!Txn}
-    coordinator; [torn_txn] enables the coordinator's deliberate
-    torn-batch bug hook, the [?read_quorum]-style target for
-    {!Explore}'s regression tests.
+    coordinator.
 
     [group_size] restricts each shard to a rotating window of that
     many replicas (see {!Shard_map.group}) — with [group_size 1] and 2
@@ -157,11 +155,7 @@ val run :
     immediately at build time by default — under {!Explore} the
     request's delivery is then an ordinary schedulable event — or at
     virtual time [reconfig_at] via {!Sim_net.at}.  The ack's verdict
-    and the final epoch land in the outcome.  [skip_dual_write] arms
-    the reconfiguration coordinator's deliberate bug hook (see
-    {!Reconfig.create}) — a write acked during the migration can then
-    be lost at cutover, the violation this layer's explorer tests
-    hunt.
+    and the final epoch land in the outcome.
 
     [metrics] and [trace] are shared by the transport and the server:
     the trace (virtual-time stamped) records sends, deliveries, drops,
@@ -204,17 +198,15 @@ val build :
   ?group_size:int ->
   ?keys:int ->
   ?engine:Engine.spec ->
-  ?read_quorum:int ->
+  ?bug:Bug.t ->
   ?durable:bool ->
   ?snapshot_every:int ->
   ?gc_bytes:int ->
   ?group_commit:Storage.commit_config ->
   ?audit:bool ->
   ?xprocesses:xprocess list ->
-  ?torn_txn:bool ->
   ?reconfig:int * int ->
   ?reconfig_at:float ->
-  ?skip_dual_write:bool ->
   ?metrics:Metrics.t ->
   ?measure:(src:int -> dst:int -> Wire.msg -> unit) ->
   ?trace:Trace.t ->

@@ -1,41 +1,31 @@
-(* Unix-domain socket transport with two runtimes.
-
-   [Epoll] (the default): non-blocking sockets driven by one or more
-   {!Event_loop}s.  Each endpoint (listening node) is pinned to one
-   loop; its accepts, reads, handler invocations and timer callbacks
-   all run on that loop's thread, which is what serializes a node's
-   handlers — no per-node lock on the hot path.  Outbound connections
-   write inline from the sending thread and fall back to a per-
-   connection pending queue drained on writability when the kernel
+(* Unix-domain socket transport: non-blocking sockets driven by one or
+   more {!Event_loop}s.  Each endpoint (listening node) is pinned to
+   one loop; its accepts, reads, handler invocations and timer
+   callbacks all run on that loop's thread, which is what serializes a
+   node's handlers — no per-node lock on the hot path.  Outbound
+   connections write inline from the sending thread and fall back to a
+   per-connection pending queue drained on writability when the kernel
    buffer fills (EAGAIN), so a slow peer never blocks a sender.
 
-   [Threads]: the legacy thread-per-connection runtime (blocking
-   sockets, per-node handler mutex, one thread per timer), kept for
-   comparison benchmarks and as a fallback — select [--loop threads]
-   in bin/service.
-
-   Both runtimes share the connection table, the lossy-send contract
-   (drop rather than stall), the retry-once-on-fresh-connection
-   discipline, and the timer incarnation guard: a timer captures its
-   node's endpoint at arm time and fires only if that very endpoint
-   value (physical equality) is still registered and not stopped. *)
-
-type runtime = Threads | Epoll
+   Sends are lossy by contract (drop rather than stall) and retry once
+   on a fresh connection.  Timers carry an incarnation guard: a timer
+   captures its node's endpoint at arm time and fires only if that very
+   endpoint value (physical equality) is still registered and not
+   stopped. *)
 
 type endpoint = {
   node : int;
   lfd : Unix.file_descr;
-  hmu : Mutex.t;  (* Threads runtime: serializes handler + timers *)
   handler : src:int -> Wire.msg -> unit;
   stopped : bool Atomic.t;
   mutable lclosed : bool;  (* [lfd] closed; guarded by [t.mu] *)
-  ep_loop : Event_loop.t option;  (* Epoll runtime: the owning loop *)
-  mutable rconns : rconn list;  (* Epoll runtime; guarded by [t.mu] *)
+  ep_loop : Event_loop.t;  (* the owning loop *)
+  mutable rconns : rconn list;  (* guarded by [t.mu] *)
 }
 
-(* One accepted inbound connection (Epoll runtime): a non-blocking fd
-   plus its frame-reassembly buffer.  Only the owning loop thread
-   touches [rbuf]/[rlen]; [rclosed] transitions under [t.mu]. *)
+(* One accepted inbound connection: a non-blocking fd plus its
+   frame-reassembly buffer.  Only the owning loop thread touches
+   [rbuf]/[rlen]; [rclosed] transitions under [t.mu]. *)
 and rconn = {
   rfd : Unix.file_descr;
   rep : endpoint;
@@ -44,16 +34,15 @@ and rconn = {
   mutable rclosed : bool;
 }
 
-(* Outbound connection.  [wmu] serializes writers in both runtimes; in
-   the Epoll runtime it also guards the pending-output queue shared
-   with the drain callback on [wloop]. *)
+(* Outbound connection.  [wmu] serializes writers and guards the
+   pending-output queue shared with the drain callback on [wloop]. *)
 type conn = {
   fd : Unix.file_descr;
   wmu : Mutex.t;
   outq : (Bytes.t * int ref) Queue.t;  (* (frame, bytes already sent) *)
   mutable outq_bytes : int;
   mutable warmed : bool;  (* writability callback armed *)
-  wloop : Event_loop.t option;
+  wloop : Event_loop.t;
   mutable dead : bool;
 }
 
@@ -111,13 +100,11 @@ end
 
 type t = {
   dir : string;
-  runtime : runtime;
-  loops : Event_loop.t array;  (* [||] in the Threads runtime *)
+  loops : Event_loop.t array;
   mutable loop_threads : Thread.t list;
-  mu : Mutex.t;  (* guards the tables, [rconns] lists and thread list *)
+  mu : Mutex.t;  (* guards the tables and the [rconns] lists *)
   eps : (int, endpoint) Hashtbl.t;
   conns : (int, conn) Hashtbl.t;  (* outbound, keyed by destination *)
-  mutable threads : Thread.t list;
   mutable next_loop : int;  (* round-robin endpoint → loop assignment *)
   sndbuf : int option;
   pool : Bufpool.t;
@@ -127,7 +114,6 @@ type t = {
   c : ctrs;
 }
 
-let poll_period = 0.05
 let max_frame = Wire.max_frame
 let connect_timeout = 1.0
 
@@ -153,7 +139,7 @@ let fresh_dir () =
   in
   go 0
 
-let create ?(runtime = Epoll) ?(loops = 1) ?dir ?sndbuf ?metrics ?trace () =
+let create ?(loops = 1) ?dir ?sndbuf ?metrics ?trace () =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let dir =
     match dir with
@@ -182,21 +168,15 @@ let create ?(runtime = Epoll) ?(loops = 1) ?dir ?sndbuf ?metrics ?trace () =
       handler_service = Metrics.histogram metrics "handler_service";
     }
   in
-  let loop_arr =
-    match runtime with
-    | Threads -> [||]
-    | Epoll -> Array.init (max 1 loops) (fun _ -> Event_loop.create ())
-  in
+  let loop_arr = Array.init (max 1 loops) (fun _ -> Event_loop.create ()) in
   let t =
     {
       dir;
-      runtime;
       loops = loop_arr;
       loop_threads = [];
       mu = Mutex.create ();
       eps = Hashtbl.create 8;
       conns = Hashtbl.create 8;
-      threads = [];
       next_loop = 0;
       sndbuf;
       pool = Bufpool.create ();
@@ -212,7 +192,6 @@ let create ?(runtime = Epoll) ?(loops = 1) ?dir ?sndbuf ?metrics ?trace () =
 
 let dir t = t.dir
 let metrics t = t.metrics
-let runtime t = t.runtime
 let path t node = Filename.concat t.dir (Fmt.str "n%d.sock" node)
 
 (* [mk] is forced only when tracing is on: the event payloads
@@ -223,12 +202,10 @@ let trace_ev t mk =
   | None -> ()
   | Some tr -> Trace.record tr ~time:(Unix.gettimeofday ()) (mk ())
 
-let add_thread t th = Mutex.protect t.mu (fun () -> t.threads <- th :: t.threads)
-
 let le32 b off = Int32.to_int (Bytes.get_int32_le b off)
 
 (* ------------------------------------------------------------------ *)
-(* Epoll runtime: inbound path                                         *)
+(* Inbound path                                                        *)
 
 let close_rconn t rc =
   let doit =
@@ -241,9 +218,7 @@ let close_rconn t rc =
         end)
   in
   if doit then begin
-    (match rc.rep.ep_loop with
-     | Some l -> Event_loop.remove_fd l rc.rfd
-     | None -> ());
+    Event_loop.remove_fd rc.rep.ep_loop rc.rfd;
     (try Unix.close rc.rfd with Unix.Unix_error _ -> ());
     Bufpool.give t.pool rc.rbuf
   end
@@ -368,7 +343,7 @@ let on_readable t rc () =
       continue := false
   done
 
-let on_acceptable t ep loop () =
+let on_acceptable t ep () =
   let continue = ref true in
   while !continue do
     match Unix.accept ep.lfd with
@@ -387,91 +362,12 @@ let on_acceptable t ep loop () =
             end)
       in
       if stopped then (try Unix.close cfd with Unix.Unix_error _ -> ())
-      else Event_loop.add_read loop cfd (fun () -> on_readable t rc ())
+      else Event_loop.add_read ep.ep_loop cfd (fun () -> on_readable t rc ())
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
       continue := false
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | exception Unix.Unix_error _ -> continue := false
   done
-
-(* ------------------------------------------------------------------ *)
-(* Threads runtime: inbound path (legacy)                              *)
-
-(* Read exactly [len] bytes, polling so the thread notices [stopped]
-   without relying on close() interrupting a blocked read.  EINTR from
-   select/read is a signal, not a peer failure — retrying (the loop
-   re-runs the select) must not tear the connection down, or a stray
-   SIGCHLD would drop well-formed frames mid-read. *)
-let read_exact ep fd buf len =
-  let got = ref 0 in
-  let ok = ref true in
-  (try
-     while !ok && !got < len do
-       if Atomic.get ep.stopped then ok := false
-       else begin
-         match Unix.select [ fd ] [] [] poll_period with
-         | [], _, _ -> ()
-         | _ ->
-           (match Unix.read fd buf !got (len - !got) with
-            | 0 -> ok := false
-            | k -> got := !got + k
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
-         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-       end
-     done
-   with Unix.Unix_error _ | Sys_error _ -> ok := false);
-  !ok
-
-let recv_loop t ep cfd =
-  let hdr = Bytes.create Wire.header_size in
-  let continue = ref true in
-  while !continue do
-    if not (read_exact ep cfd hdr Wire.header_size) then continue := false
-    else begin
-      let len, src = Wire.parse_header hdr in
-      if len < 0 || len > max_frame then continue := false
-      else begin
-        let body = Bytes.create len in
-        if not (read_exact ep cfd body len) then continue := false
-        else
-          match Wire.decode (Bytes.to_string body) with
-          | Error _ ->
-            (* a framing bug or corrupted stream: count it, then kill
-               the connection — the stream can no longer be trusted *)
-            Metrics.incr t.c.decode_errors;
-            continue := false
-          | Ok msg ->
-            Metrics.incr t.c.frames_delivered;
-            trace_ev t (fun () ->
-                Trace.Deliver
-                  { src; dst = ep.node; info = Fmt.str "%a" Wire.pp msg });
-            Mutex.protect ep.hmu (fun () ->
-                if not (Atomic.get ep.stopped) then begin
-                  let t0 = Unix.gettimeofday () in
-                  ep.handler ~src msg;
-                  Metrics.observe t.c.handler_service
-                    (Unix.gettimeofday () -. t0)
-                end)
-      end
-    end
-  done;
-  try Unix.close cfd with Unix.Unix_error _ -> ()
-
-let accept_loop t ep =
-  let continue = ref true in
-  while !continue do
-    if Atomic.get ep.stopped then continue := false
-    else
-      match Unix.select [ ep.lfd ] [] [] poll_period with
-      | [], _, _ -> ()
-      | _ ->
-        (match Unix.accept ep.lfd with
-         | cfd, _ -> add_thread t (Thread.create (fun () -> recv_loop t ep cfd) ())
-         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-         | exception Unix.Unix_error _ -> continue := false)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  done;
-  try Unix.close ep.lfd with Unix.Unix_error _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Listen                                                              *)
@@ -482,30 +378,19 @@ let listen t node handler =
   let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind lfd (Unix.ADDR_UNIX p);
   Unix.listen lfd 64;
-  match t.runtime with
-  | Threads ->
-    let ep =
-      { node; lfd; hmu = Mutex.create (); handler;
-        stopped = Atomic.make false; lclosed = false; ep_loop = None;
-        rconns = [] }
-    in
-    Mutex.protect t.mu (fun () -> Hashtbl.replace t.eps node ep);
-    add_thread t (Thread.create (fun () -> accept_loop t ep) ())
-  | Epoll ->
-    Unix.set_nonblock lfd;
-    let loop =
-      Mutex.protect t.mu (fun () ->
-          let l = t.loops.(t.next_loop mod Array.length t.loops) in
-          t.next_loop <- t.next_loop + 1;
-          l)
-    in
-    let ep =
-      { node; lfd; hmu = Mutex.create (); handler;
-        stopped = Atomic.make false; lclosed = false; ep_loop = Some loop;
-        rconns = [] }
-    in
-    Mutex.protect t.mu (fun () -> Hashtbl.replace t.eps node ep);
-    Event_loop.add_read loop lfd (fun () -> on_acceptable t ep loop ())
+  Unix.set_nonblock lfd;
+  let loop =
+    Mutex.protect t.mu (fun () ->
+        let l = t.loops.(t.next_loop mod Array.length t.loops) in
+        t.next_loop <- t.next_loop + 1;
+        l)
+  in
+  let ep =
+    { node; lfd; handler; stopped = Atomic.make false; lclosed = false;
+      ep_loop = loop; rconns = [] }
+  in
+  Mutex.protect t.mu (fun () -> Hashtbl.replace t.eps node ep);
+  Event_loop.add_read loop lfd (on_acceptable t ep)
 
 (* ------------------------------------------------------------------ *)
 (* Outbound connections                                                *)
@@ -523,9 +408,7 @@ let drop_conn t dst =
   | None -> ()
   | Some c ->
     Mutex.protect c.wmu (fun () -> c.dead <- true);
-    (match c.wloop with
-     | Some l -> Event_loop.remove_fd l c.fd
-     | None -> ());
+    Event_loop.remove_fd c.wloop c.fd;
     (try Unix.close c.fd with Unix.Unix_error _ -> ())
 
 (* Connect without ever blocking the caller for long: the socket is
@@ -542,25 +425,18 @@ let try_connect t dst =
                 with Unix.Unix_error _ -> ())
    | None -> ());
   let close_quietly () = try Unix.close fd with Unix.Unix_error _ -> () in
-  let keep_nonblock () =
-    match t.runtime with Threads -> Unix.clear_nonblock fd | Epoll -> ()
-  in
   match
     Unix.set_nonblock fd;
     Unix.connect fd (Unix.ADDR_UNIX (path t dst))
   with
-  | () ->
-    keep_nonblock ();
-    Some fd
+  | () -> Some fd
   | exception Unix.Unix_error (Unix.EINPROGRESS, _, _) ->
     (* not the documented Unix-domain behaviour, but cheap to handle:
        wait (bounded) for the connect to resolve *)
     (match Unix.select [] [ fd ] [] connect_timeout with
      | _, [ _ ], _ ->
        (match Unix.getsockopt_error fd with
-        | None ->
-          keep_nonblock ();
-          Some fd
+        | None -> Some fd
         | Some _ ->
           close_quietly ();
           Metrics.incr t.c.conn_failed;
@@ -601,11 +477,7 @@ let get_conn t dst =
              (try Unix.close fd with Unix.Unix_error _ -> ());
              Some winner
            | None ->
-             let wloop =
-               match t.runtime with
-               | Threads -> None
-               | Epoll -> Some t.loops.(dst mod Array.length t.loops)
-             in
+             let wloop = t.loops.(dst mod Array.length t.loops) in
              let c =
                { fd; wmu = Mutex.create (); outq = Queue.create ();
                  outq_bytes = 0; warmed = false; wloop; dead = false }
@@ -616,28 +488,6 @@ let get_conn t dst =
 
 (* ------------------------------------------------------------------ *)
 (* Writing                                                             *)
-
-(* Like Storage's write loop: EINTR means a signal landed mid-write,
-   not that the peer failed — retry, or a stray signal tears a frame
-   in half on the wire and the receiver counts a decode error.  EAGAIN
-   (a non-blocking fd, or a blocking one on some kernels under memory
-   pressure) waits for writability instead of hot-spinning — the
-   uniform backpressure discipline of the Threads runtime. *)
-let rec write_retry fd b off len =
-  try Unix.write fd b off len with
-  | Unix.Unix_error (Unix.EINTR, _, _) -> write_retry fd b off len
-  | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-    (match Unix.select [] [ fd ] [] poll_period with
-     | _ -> ()
-     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-    write_retry fd b off len
-
-let write_all fd b =
-  let n = Bytes.length b in
-  let sent = ref 0 in
-  while !sent < n do
-    sent := !sent + write_retry fd b !sent (n - !sent)
-  done
 
 (* Non-blocking write attempt: bytes written, or [-1] on EAGAIN. *)
 let rec write_nb fd b off len =
@@ -652,9 +502,7 @@ let rec drain_locked c =
   match Queue.peek_opt c.outq with
   | None ->
     if c.warmed then begin
-      (match c.wloop with
-       | Some l -> Event_loop.set_write l c.fd None
-       | None -> ());
+      Event_loop.set_write c.wloop c.fd None;
       c.warmed <- false
     end
   | Some (b, off) ->
@@ -690,9 +538,7 @@ let rec drain_cb t dst c () =
           Hashtbl.remove t.conns dst;
           Metrics.incr t.c.conn_closed
         | _ -> ());
-    (match c.wloop with
-     | Some l -> Event_loop.remove_fd l c.fd
-     | None -> ());
+    Event_loop.remove_fd c.wloop c.fd;
     try Unix.close c.fd with Unix.Unix_error _ -> ()
   end
 
@@ -700,16 +546,14 @@ and arm_write t dst c =
   (* [wmu] held *)
   if not c.warmed then begin
     c.warmed <- true;
-    match c.wloop with
-    | Some l -> Event_loop.set_write l c.fd (Some (drain_cb t dst c))
-    | None -> ()
+    Event_loop.set_write c.wloop c.fd (Some (drain_cb t dst c))
   end
 
-(* One frame out on the Epoll runtime: inline non-blocking write when
-   nothing is queued; on a short write the remainder is queued and the
-   writability callback takes over.  The frame bytes are shared with
-   the queue — never copied. *)
-let epoll_conn_write t dst c frame =
+(* One frame out: inline non-blocking write when nothing is queued; on
+   a short write the remainder is queued and the writability callback
+   takes over.  The frame bytes are shared with the queue — never
+   copied. *)
+let conn_write t dst c frame =
   Mutex.protect c.wmu (fun () ->
       if c.dead then `Fail
       else begin
@@ -740,15 +584,6 @@ let epoll_conn_write t dst c frame =
             `Fail
         end
       end)
-
-let conn_write t dst c frame =
-  match t.runtime with
-  | Epoll -> epoll_conn_write t dst c frame
-  | Threads -> (
-    try
-      Mutex.protect c.wmu (fun () -> write_all c.fd frame);
-      `Ok
-    with Unix.Unix_error _ | Sys_error _ -> `Fail)
 
 let send t ~src ~dst msg =
   match Wire.frame ~src msg with
@@ -792,7 +627,7 @@ let send t ~src ~dst msg =
 (* ------------------------------------------------------------------ *)
 (* Timers                                                              *)
 
-(* The incarnation guard shared by both runtimes (the counterpart of
+(* The incarnation guard (the counterpart of
    Sim_run's [incarnations.(r) == rep] check): the endpoint value
    captured when the timer was armed must still be the registered one,
    and alive, at fire time — a node that was unlistened, crashed, or
@@ -818,26 +653,12 @@ let timer_fire t ~node ~armed f =
 
 let set_timer t ~node ~delay f =
   let armed = Mutex.protect t.mu (fun () -> Hashtbl.find_opt t.eps node) in
-  match t.runtime with
-  | Epoll ->
-    let loop =
-      match armed with
-      | Some { ep_loop = Some l; _ } -> l
-      | Some { ep_loop = None; _ } | None -> t.loops.(0)
-    in
-    (* scheduled on the node's own loop: the callback is serialized
-       with the node's handlers structurally *)
-    Event_loop.after loop delay (fun () -> timer_fire t ~node ~armed f)
-  | Threads ->
-    add_thread t
-      (Thread.create
-         (fun () ->
-           Thread.delay delay;
-           match armed with
-           | None -> Metrics.incr t.c.timers_dropped
-           | Some aep ->
-             Mutex.protect aep.hmu (fun () -> timer_fire t ~node ~armed f))
-         ())
+  let loop =
+    match armed with Some ep -> ep.ep_loop | None -> t.loops.(0)
+  in
+  (* scheduled on the node's own loop: the callback is serialized with
+     the node's handlers structurally *)
+  Event_loop.after loop delay (fun () -> timer_fire t ~node ~armed f)
 
 let transport t =
   {
@@ -851,23 +672,20 @@ let transport t =
 
 let stop_endpoint t ep =
   Atomic.set ep.stopped true;
-  match ep.ep_loop with
-  | None -> ()  (* Threads runtime: accept/recv loops notice [stopped] *)
-  | Some l ->
-    let close_lfd =
-      Mutex.protect t.mu (fun () ->
-          if ep.lclosed then false
-          else begin
-            ep.lclosed <- true;
-            true
-          end)
-    in
-    if close_lfd then begin
-      Event_loop.remove_fd l ep.lfd;
-      try Unix.close ep.lfd with Unix.Unix_error _ -> ()
-    end;
-    let rcs = Mutex.protect t.mu (fun () -> ep.rconns) in
-    List.iter (fun rc -> close_rconn t rc) rcs
+  let close_lfd =
+    Mutex.protect t.mu (fun () ->
+        if ep.lclosed then false
+        else begin
+          ep.lclosed <- true;
+          true
+        end)
+  in
+  if close_lfd then begin
+    Event_loop.remove_fd ep.ep_loop ep.lfd;
+    try Unix.close ep.lfd with Unix.Unix_error _ -> ()
+  end;
+  let rcs = Mutex.protect t.mu (fun () -> ep.rconns) in
+  List.iter (fun rc -> close_rconn t rc) rcs
 
 let unlisten t node =
   (match Mutex.protect t.mu (fun () -> Hashtbl.find_opt t.eps node) with
@@ -901,41 +719,23 @@ let shutdown t =
   t.loop_threads <- [];
   List.iter
     (fun ep ->
-      match ep.ep_loop with
-      | None -> ()
-      | Some _ ->
-        if not ep.lclosed then begin
-          ep.lclosed <- true;
-          try Unix.close ep.lfd with Unix.Unix_error _ -> ()
-        end;
-        List.iter
-          (fun rc ->
-            if not rc.rclosed then begin
-              rc.rclosed <- true;
-              try Unix.close rc.rfd with Unix.Unix_error _ -> ()
-            end)
-          ep.rconns)
+      if not ep.lclosed then begin
+        ep.lclosed <- true;
+        try Unix.close ep.lfd with Unix.Unix_error _ -> ()
+      end;
+      List.iter
+        (fun rc ->
+          if not rc.rclosed then begin
+            rc.rclosed <- true;
+            try Unix.close rc.rfd with Unix.Unix_error _ -> ()
+          end)
+        ep.rconns)
     eps;
   Mutex.protect t.mu (fun () ->
       Hashtbl.iter
         (fun _ c -> try Unix.close c.fd with Unix.Unix_error _ -> ())
         t.conns;
       Hashtbl.reset t.conns);
-  let rec drain () =
-    match
-      Mutex.protect t.mu (fun () ->
-          match t.threads with
-          | [] -> None
-          | th :: rest ->
-            t.threads <- rest;
-            Some th)
-    with
-    | Some th ->
-      Thread.join th;
-      drain ()
-    | None -> ()
-  in
-  drain ();
   List.iter
     (fun ep -> try Unix.unlink (path t ep.node) with Unix.Unix_error _ -> ())
     eps

@@ -1,5 +1,5 @@
 (** A real transport over Unix-domain sockets (stream, one socket per
-    node), with two runtimes behind one interface.
+    node), driven by readiness event loops.
 
     Every node — replica, server, client — binds a listening socket
     [<dir>/n<id>.sock]; {!Transport.t}[.send] connects (with per-peer
@@ -9,23 +9,20 @@
     reorder, so the quorum engine's retransmission timer only matters
     when replicas crash.
 
-    {b Runtimes.}  The default {!runtime.Epoll} runtime drives
-    non-blocking sockets from one or more {!Event_loop}s: each node is
-    pinned to a loop whose single thread runs its accepts, frame
-    reassembly, handler invocations and timer callbacks — the per-node
-    handler serialization is structural, with no lock on the hot path.
-    Inbound frames are reassembled in per-connection buffers leased
-    from a shared pool and a frame body is copied exactly once
-    (reassembly buffer → decode).  Outbound frames are written inline
-    from the sending thread; when the kernel buffer fills ([EAGAIN])
-    the remainder is queued (bounded by a backpressure cap, counted
-    drops beyond it) and drained by the owning loop on writability —
-    a slow peer costs its own queue, never a sender's thread.  The
-    legacy {!runtime.Threads} runtime (blocking sockets, one thread
-    per connection and per timer, per-node handler mutex) is retained
-    for comparison and as a fallback.
+    {b Runtime.}  Non-blocking sockets are driven from one or more
+    {!Event_loop}s: each node is pinned to a loop whose single thread
+    runs its accepts, frame reassembly, handler invocations and timer
+    callbacks — the per-node handler serialization is structural, with
+    no lock on the hot path.  Inbound frames are reassembled in
+    per-connection buffers leased from a shared pool and a frame body
+    is copied exactly once (reassembly buffer → decode).  Outbound
+    frames are written inline from the sending thread; when the kernel
+    buffer fills ([EAGAIN]) the remainder is queued (bounded by a
+    backpressure cap, counted drops beyond it) and drained by the
+    owning loop on writability — a slow peer costs its own queue,
+    never a sender's thread.
 
-    Sending never blocks on a sick peer in either runtime: outbound
+    Sending never blocks on a sick peer: outbound
     connects are non-blocking and bounded, run with no table lock
     held, and a peer that is not accepting (full backlog, hung
     process) costs the sender one counted [conn_stall] and a dropped
@@ -46,12 +43,7 @@
 
 type t
 
-type runtime =
-  | Threads  (** Legacy: blocking fds, thread per connection/timer. *)
-  | Epoll  (** Readiness loops over non-blocking fds (default). *)
-
 val create :
-  ?runtime:runtime ->
   ?loops:int ->
   ?dir:string ->
   ?sndbuf:int ->
@@ -59,10 +51,9 @@ val create :
   ?trace:Trace.t ->
   unit ->
   t
-(** [runtime] defaults to {!runtime.Epoll}; [loops] (default 1, Epoll
-    only) is the number of event-loop threads — endpoints are assigned
-    round-robin in {!listen} order, so co-hosted replicas, server and
-    clients spread across loops.  [dir] defaults to a fresh directory
+(** [loops] (default 1) is the number of event-loop threads —
+    endpoints are assigned round-robin in {!listen} order, so
+    co-hosted replicas, server and clients spread across loops.  [dir] defaults to a fresh directory
     under the system temp dir.  Ignores [SIGPIPE] process-wide (a must
     for socket servers).  [sndbuf] (default: the kernel's) sets
     [SO_SNDBUF] on every outbound connection — a test hook: a tiny
@@ -83,9 +74,6 @@ val dir : t -> string
 val metrics : t -> Metrics.t
 (** The metrics registry the transport's counters are interned in. *)
 
-val runtime : t -> runtime
-(** The runtime this transport was created with. *)
-
 val path : t -> Transport.node -> string
 (** The node's socket file, [<dir>/n<id>.sock] — useful to test for a
     live peer before connecting. *)
@@ -97,9 +85,8 @@ val listen :
   t -> Transport.node -> (src:Transport.node -> Wire.msg -> unit) -> unit
 (** Bind the node's socket and start accepting.  The handler may
     reentrantly use the transport.  Handler invocations (and the
-    node's timer callbacks) are serialized: by the endpoint's loop
-    thread under {!runtime.Epoll}, by a per-node mutex under
-    {!runtime.Threads}. *)
+    node's timer callbacks) are serialized on the endpoint's loop
+    thread. *)
 
 val unlisten : t -> Transport.node -> unit
 (** Orderly stop of a node listened on this [t]: its descriptors are
@@ -115,6 +102,5 @@ val crash : t -> Transport.node -> unit
     the rest of the cluster. *)
 
 val shutdown : t -> unit
-(** Crash every node, stop and join the event loops (or the runtime's
-    threads), close outbound connections and remove the socket
-    files. *)
+(** Crash every node, stop and join the event loops, close outbound
+    connections and remove the socket files. *)

@@ -16,7 +16,7 @@ let w v = Histories.Event.Write v
 let r = Histories.Event.Read
 let proc p script = { Registers.Vm.proc = p; script }
 
-let espec kind = { Net.Engine.default with Net.Engine.kind }
+let espec kind = { Net.Engine.kind }
 
 (* --- cross-engine conformance ------------------------------------- *)
 
@@ -218,7 +218,7 @@ let twobit_unordered_caught_shrunk_replayed () =
         Alcotest.(check bool) "engine survives the artifact" true
           (cfg''.Ex.engine = Net.Engine.Twobit);
         Alcotest.(check bool) "bug hook survives the artifact" true
-          cfg''.Ex.unordered;
+          cfg''.Ex.bug.Net.Bug.unordered;
         Alcotest.(check (list int)) "schedule survives" ce'.Ex.schedule sched;
         Alcotest.(check bool) "artifact replays to a violation" true
           (o'.Net.Sim_run.key_violations <> []))
@@ -270,21 +270,32 @@ let config_validation () =
     (Ex.config ~engine:Net.Engine.Twobit ~replicas:3 ~crashable:[ 0 ]
        ~max_crashes:1 ~processes:two_writers ())
 
+(* [Bug.make] is the one place hooks are validated: every layer below
+   takes the value it returns as given. *)
 let engines_reject_mismatched_hooks () =
-  let tr =
-    Net.Sim_net.transport
-      (Net.Sim_net.create ~seed:0 ~faults:Net.Sim_net.reliable ())
-  in
-  let mk spec =
-    Net.Engines.create spec ~transport:tr ~me:Net.Transport.server
-      ~replicas:[ 0; 1; 2 ] ~lid:0 ()
+  let mk ?read_quorum ?unordered ?skip_dual_write ?(migration = false) engine
+      =
+    Net.Bug.make ?read_quorum ?unordered ?skip_dual_write ~engine ~replicas:3
+      ~migration ()
   in
   invalid_arg_raised "abd + unordered" (fun () ->
-      mk { Net.Engine.abd with Net.Engine.unordered = true });
+      mk ~unordered:true Net.Engine.Abd);
   invalid_arg_raised "twobit + read_quorum" (fun () ->
-      mk { Net.Engine.twobit with Net.Engine.read_quorum = Some 1 });
-  ignore (mk Net.Engine.abd);
-  ignore (mk Net.Engine.twobit)
+      mk ~read_quorum:1 Net.Engine.Twobit);
+  invalid_arg_raised "skip_dual_write without a migration" (fun () ->
+      mk ~skip_dual_write:true Net.Engine.Abd);
+  ignore (mk ~read_quorum:1 Net.Engine.Abd);
+  ignore (mk ~unordered:true Net.Engine.Twobit);
+  ignore (mk ~skip_dual_write:true ~migration:true Net.Engine.Twobit);
+  (* the artifact encoding round-trips, and an absent field is off *)
+  let b = mk ~read_quorum:2 Net.Engine.Abd in
+  let decode fields =
+    Net.Bug.of_fields
+      (fun k -> List.assoc_opt k fields)
+      ~engine:Net.Engine.Abd ~replicas:3 ~migration:false
+  in
+  Alcotest.(check bool) "fields round-trip" true (decode (Net.Bug.fields b) = b);
+  Alcotest.(check bool) "no fields, no bug" true (decode [] = Net.Bug.none)
 
 (* --- the replica's link receiver ---------------------------------- *)
 

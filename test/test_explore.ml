@@ -291,7 +291,7 @@ let torn_txn_caught_shrunk_replayed () =
         E.save ~file cfg' ce';
         let cfg'', sched, o' = E.replay_file ~file in
         Alcotest.(check bool) "bug hook survives the artifact" true
-          cfg''.E.torn_txn;
+          cfg''.E.bug.Net.Bug.torn_txn;
         Alcotest.(check int) "extended workload survives" (xops cfg')
           (xops cfg'');
         Alcotest.(check (list int)) "schedule survives" ce'.E.schedule sched;
@@ -380,7 +380,8 @@ let old_artifact_loads () =
         close_out oc;
         let cfg', _, o' = E.replay_file ~file in
         Alcotest.(check int) "shards defaulted" 1 cfg'.E.shards;
-        Alcotest.(check bool) "torn_txn defaulted" false cfg'.E.torn_txn;
+        Alcotest.(check bool) "torn_txn defaulted" false
+          cfg'.E.bug.Net.Bug.torn_txn;
         Alcotest.(check bool) "no xprocesses" true (cfg'.E.xprocesses = []);
         Alcotest.(check bool) "old artifact still replays to its verdict"
           true
@@ -509,7 +510,7 @@ let reconfig_skip_dual_write_caught_shrunk_replayed () =
         E.save ~file cfg' ce';
         let cfg'', sched, o' = E.replay_file ~file in
         Alcotest.(check bool) "bug hook survives the artifact" true
-          cfg''.E.skip_dual_write;
+          cfg''.E.bug.Net.Bug.skip_dual_write;
         Alcotest.(check bool) "migration survives the artifact" true
           (cfg''.E.reconfig = Some (3, 1));
         Alcotest.(check (list int)) "schedule survives" ce'.E.schedule sched;
@@ -599,7 +600,7 @@ let pre_reconfig_artifact_loads () =
         Alcotest.(check bool) "reconfig defaulted" true
           (cfg'.E.reconfig = None);
         Alcotest.(check bool) "skip_dual_write defaulted" false
-          cfg'.E.skip_dual_write;
+          cfg'.E.bug.Net.Bug.skip_dual_write;
         Alcotest.(check bool) "old artifact still replays to its verdict"
           true
           (o'.Net.Sim_run.key_violations <> []))

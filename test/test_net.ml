@@ -1351,6 +1351,138 @@ let socket_pool_txn_snap () =
     Alcotest.failf "monitor violation on key %d: %a" key
       (Histories.Fastcheck.pp_violation Fmt.int) v
 
+let reconnect_keeps_processor_sequential () =
+  (* regression: [Bye] dropped the session together with its per-key
+     lanes, so a [Hello] from the same node started a second op on a
+     key whose first op was still in flight — the live Monitor then
+     raised "processor not sequential" out of [on_message].  Every
+     send is held in a queue and delivered only by [pump], so the
+     first write is provably in flight across the reconnect. *)
+  let held = Queue.create () in
+  let replies = ref [] in
+  let tr =
+    {
+      Net.Transport.send = (fun ~src ~dst msg -> Queue.add (src, dst, msg) held);
+      set_timer = (fun ~node:_ ~delay:_ _ -> ());
+      now = Unix.gettimeofday;
+    }
+  in
+  let server = Net.Transport.server and cl = Net.Transport.client 0 in
+  let sv =
+    Net.Server.create ~transport:tr ~audit:true ~me:server
+      ~replicas:[ 0; 1; 2 ] ~init:0 ()
+  in
+  let reps = Array.init 3 (fun _ -> Net.Replica.create ~init:0 ()) in
+  let rec pump () =
+    match Queue.take_opt held with
+    | None -> ()
+    | Some (src, dst, msg) ->
+      if dst = server then Net.Server.on_message sv ~src msg
+      else if dst = cl then replies := msg :: !replies
+      else
+        List.iter
+          (fun (d, m) -> Queue.add (dst, d, m) held)
+          (Net.Replica.handle reps.(dst) ~src msg);
+      pump ()
+  in
+  let from_client msg = Net.Server.on_message sv ~src:cl msg in
+  from_client (W.Hello { proc = 0 });
+  from_client (W.Req { seq = 0; op = W.Write_k { key = 0; value = 1 } });
+  Alcotest.(check bool) "first write in flight" true
+    (Net.Server.ops_served sv = 0 && not (Queue.is_empty held));
+  from_client W.Bye;
+  from_client (W.Hello { proc = 0 });
+  from_client (W.Req { seq = 0; op = W.Write_k { key = 0; value = 2 } });
+  pump ();
+  Alcotest.(check int) "both writes served" 2 (Net.Server.ops_served sv);
+  Alcotest.(check int) "only the live session is answered" 1
+    (List.length !replies);
+  Alcotest.(check bool) "writes ran one after the other" true
+    (Net.Server.history sv
+    = [
+        E.Invoke (0, E.Write 1); E.Respond (0, None);
+        E.Invoke (0, E.Write 2); E.Respond (0, None);
+      ]);
+  match Net.Server.violation sv with
+  | None -> ()
+  | Some v ->
+    Alcotest.failf "live audit: %a" (Histories.Fastcheck.pp_violation Fmt.int) v
+
+let socket_client_send_order () =
+  (* regression: the deadline flusher and a batch-filling request each
+     detached a batch under the client lock and sent it outside, so a
+     later batch could overtake an earlier one on the wire; a
+     presequenced pool core then silently dropped the lower sequence
+     numbers and the client hung awaiting them.  A short flush deadline
+     under a wide window makes the race likely; the watchdog turns a
+     hang into a failure by closing the clients, which fails their
+     blocked awaits. *)
+  let n = 20_000 and window = 64 and nkeys = 16 in
+  let net = Net.Socket_net.create () in
+  let tr = Net.Socket_net.transport net in
+  let replicas = [ 0; 1; 2 ] in
+  List.iter
+    (fun r ->
+      let rep = Net.Replica.create ~init:0 () in
+      Net.Socket_net.listen net r (fun ~src msg ->
+          List.iter
+            (fun (dst, m) -> tr.Net.Transport.send ~src:r ~dst m)
+            (Net.Replica.handle rep ~src msg)))
+    replicas;
+  let pool =
+    Net.Server_pool.create ~transport:tr ~audit:true
+      ~metrics:(Net.Socket_net.metrics net)
+      ~map:(Net.Shard_map.create ~shards:4 ()) ~domains:1
+      ~me:Net.Transport.server ~replicas ~init:0 ()
+  in
+  Net.Socket_net.listen net Net.Transport.server (fun ~src msg ->
+      Net.Server_pool.dispatch pool ~src msg);
+  let clients =
+    List.init 2 (fun proc ->
+        Net.Client.connect ~net ~server:Net.Transport.server ~proc
+          ~flush_every:0.0005 ())
+  in
+  let finished = Atomic.make 0 and hung = Atomic.make false in
+  let watchdog =
+    Thread.create
+      (fun () ->
+        let deadline = Unix.gettimeofday () +. 120.0 in
+        while Atomic.get finished < 2 && Unix.gettimeofday () < deadline do
+          Thread.delay 0.05
+        done;
+        if Atomic.get finished < 2 then begin
+          Atomic.set hung true;
+          List.iter Net.Client.close clients
+        end)
+      ()
+  in
+  let load proc c =
+    Thread.create
+      (fun () ->
+        (try
+           ignore
+             (Net.Client.run_keyed ~window c
+                (List.init n (fun i ->
+                     (i mod nkeys, E.Write ((1_000_000 * (proc + 1)) + i)))))
+         with Invalid_argument _ -> ());
+        Atomic.incr finished)
+      ()
+  in
+  List.iter Thread.join (List.mapi load clients);
+  Thread.join watchdog;
+  if not (Atomic.get hung) then List.iter Net.Client.close clients;
+  Net.Server_pool.stop pool;
+  let served = Net.Server_pool.ops_served pool in
+  let violations = Net.Server_pool.violations pool in
+  Net.Socket_net.shutdown net;
+  Alcotest.(check bool) "no client hung" false (Atomic.get hung);
+  Alcotest.(check int) "every write served" (2 * n) served;
+  match violations with
+  | [] -> ()
+  | (key, v) :: _ ->
+    Alcotest.failf "monitor violation on key %d: %a" key
+      (Histories.Fastcheck.pp_violation Fmt.int) v
+
 let socket_timer_stale_incarnation () =
   (* the socket counterpart of Sim_run's incarnation check: a timer
      armed against one listen incarnation must not fire into a
@@ -1464,6 +1596,8 @@ let suite =
     tc "socket: timer for gone node dropped" socket_timer_unregistered_dropped;
     tc "socket: stale timer across re-listen dropped"
       socket_timer_stale_incarnation;
+    tc "server: reconnect keeps a processor sequential"
+      reconnect_keeps_processor_sequential;
     tc "batch fast path: group commits, not singletons" batch_group_commit;
     tc "pool: mixed-shard batch over two domains" pool_mixed_shard_batch;
     tc "pool: keyed workload over sockets, two domains" socket_pool_domains;
@@ -1482,4 +1616,6 @@ let slow_suite =
       socket_connect_stall_does_not_block;
     tc_slow "socket: stats over the wire" socket_stats_over_wire;
     tc_slow "socket: tiny SO_SNDBUF backpressure" socket_tiny_sndbuf;
+    tc_slow "socket: client batches keep sequence order"
+      socket_client_send_order;
   ]

@@ -18,7 +18,7 @@ let w v = Histories.Event.Write v
 let rd = Histories.Event.Read
 let xp p script = { R.xproc = p; xscript = script }
 let k key op = R.Keyed (key, op)
-let espec kind = { Net.Engine.default with Net.Engine.kind }
+let espec kind = { Net.Engine.kind }
 let engines = [ Net.Engine.Abd; Net.Engine.Twobit ]
 
 (* the migrating key, and where it starts / goes under 2 shards *)
