@@ -467,89 +467,12 @@ let bench_snapshot () =
   Fmt.pr "  contention - lock-free, not wait-free (test/test_snapshot.ml).@.@."
 
 (* ------------------------------------------------------------------ *)
-(* The message-passing service (lib/net): socket-served ops/sec and    *)
-(* latency, and the fault-rate sweep on the simulated transport.       *)
-
-let net_start_cluster net ~replicas ~audit =
-  let tr = Net.Socket_net.transport net in
-  let replica_nodes = List.init replicas Fun.id in
-  List.iter
-    (fun r ->
-      let rep = Net.Replica.create ~init:0 () in
-      Net.Socket_net.listen net r (fun ~src msg ->
-          List.iter
-            (fun (dst, m) -> tr.Net.Transport.send ~src:r ~dst m)
-            (Net.Replica.handle rep ~src msg)))
-    replica_nodes;
-  let server =
-    Net.Server.create ~transport:tr ~audit
-      ~metrics:(Net.Socket_net.metrics net) ~me:Net.Transport.server
-      ~replicas:replica_nodes ~init:0 ()
-  in
-  Net.Socket_net.listen net Net.Transport.server (Net.Server.on_message server);
-  server
-
-let bench_net_socket ~audit =
-  let net = Net.Socket_net.create () in
-  let server = net_start_cluster net ~replicas:3 ~audit in
-  let spec =
-    { Harness.Workload.writers = 2; readers = 2; writes_each = 150;
-      reads_each = 150 }
-  in
-  let processes = Harness.Workload.unique_scripts spec in
-  let expected =
-    List.fold_left
-      (fun n { Registers.Vm.script; _ } -> n + List.length script)
-      0 processes
-  in
-  let t0 = Unix.gettimeofday () in
-  let threads =
-    List.map
-      (fun { Registers.Vm.proc; script } ->
-        Thread.create
-          (fun () ->
-            let c =
-              Net.Client.connect ~net ~server:Net.Transport.server ~proc ()
-            in
-            ignore (Net.Client.run_script ~window:8 c script);
-            Net.Client.close c)
-          ())
-      processes
-  in
-  List.iter Thread.join threads;
-  let dt = Unix.gettimeofday () -. t0 in
-  let served = Net.Server.ops_served server in
-  let ops_s = float_of_int served /. dt in
-  let tag = if audit then "audit on" else "audit off" in
-  Json.metric ~section:"net" (Fmt.str "socket ops/s (%s)" tag) ops_s;
-  Fmt.pr
-    "  socket  %-10s %6d/%d ops in %5.2fs  -> %8.0f ops/s (4 clients, \
-     window 8)@."
-    tag served expected dt ops_s;
-  (* per-operation latency: one unpipelined client, timed per call *)
-  if audit then begin
-    let c = Net.Client.connect ~net ~server:Net.Transport.server ~proc:4 () in
-    let n = 300 in
-    let sample op =
-      Array.init n (fun _ ->
-          let t0 = Unix.gettimeofday () in
-          op ();
-          (Unix.gettimeofday () -. t0) *. 1e6)
-    in
-    let reads = sample (fun () -> ignore (Net.Client.read c)) in
-    let p50 = Harness.Stats.percentile reads 50.0 in
-    let p99 = Harness.Stats.percentile reads 99.0 in
-    Json.metric ~section:"net" "socket read p50 us" p50;
-    Json.metric ~section:"net" "socket read p99 us" p99;
-    Fmt.pr "  socket  read latency   p50 %7.0f us  p99 %7.0f us@." p50 p99;
-    Net.Client.close c
-  end;
-  Net.Socket_net.shutdown net
+(* The message-passing service (lib/net): the fault-rate sweep on the  *)
+(* simulated transport, next to a shared-memory reference.  Socket     *)
+(* costs of the service as deployed are bench/e2e's.                   *)
 
 let bench_net () =
   section "net/service - the register as a replicated message-passing service";
-  bench_net_socket ~audit:true;
-  bench_net_socket ~audit:false;
   (* shared-memory reference point for the same abstraction *)
   (let reg, _w0, _w1 = Core.Shm.create ~init:0 in
    let n = 200_000 in
@@ -559,7 +482,7 @@ let bench_net () =
    done;
    let ns = (Unix.gettimeofday () -. t0) /. float_of_int n *. 1e9 in
    Json.metric ~section:"net" "shm read reference ns" ns;
-   Fmt.pr "  shared-memory reference: read %.0f ns (vs ~ms over sockets)@." ns);
+   Fmt.pr "  shared-memory reference: read %.0f ns@." ns);
   (* fault-rate sweep on the simulated transport: virtual-time cost of
      reliability as the network degrades *)
   Fmt.pr "  sim transport, 3 replicas, 2 writers + 2 readers:@.";
@@ -612,8 +535,7 @@ let bench_net () =
 (* ------------------------------------------------------------------ *)
 (* net/shard: throughput scaling of the sharded keyspace — shard count *)
 (* x pipelining window on the simulator (deterministic, the baseline   *)
-(* BENCH_003.json tracks this), shard count x client batch size over   *)
-(* real sockets.                                                       *)
+(* BENCH_003.json tracks this).                                        *)
 
 let bench_net_shard () =
   section "net/shard - sharded keyspace scaling";
@@ -652,67 +574,6 @@ let bench_net_shard () =
             (if all_ok then "" else "  [NOT ATOMIC!]"))
         [ 1; 2; 4; 8 ])
     [ 8; 16 ];
-  (* --- sockets: wall-clock ops/s as shards and client batching vary;
-     keyed windowed scripts, every key audited live --- *)
-  Fmt.pr "  socket transport, 3 replicas, 4 clients, window 16:@.";
-  List.iter
-    (fun (shards, batch_max) ->
-      let net = Net.Socket_net.create () in
-      let tr = Net.Socket_net.transport net in
-      let replica_nodes = [ 0; 1; 2 ] in
-      List.iter
-        (fun r ->
-          let rep = Net.Replica.create ~init:0 () in
-          Net.Socket_net.listen net r (fun ~src msg ->
-              List.iter
-                (fun (dst, m) -> tr.Net.Transport.send ~src:r ~dst m)
-                (Net.Replica.handle rep ~src msg)))
-        replica_nodes;
-      let server =
-        Net.Server.create ~transport:tr ~audit:true
-          ~metrics:(Net.Socket_net.metrics net)
-          ~map:(Net.Shard_map.create ~shards ())
-          ~me:Net.Transport.server ~replicas:replica_nodes ~init:0 ()
-      in
-      Net.Socket_net.listen net Net.Transport.server
-        (Net.Server.on_message server);
-      let nkeys = max shards 1 in
-      let processes =
-        Harness.Workload.unique_scripts
-          { Harness.Workload.writers = 2; readers = 2; writes_each = 100;
-            reads_each = 100 }
-      in
-      let t0 = Unix.gettimeofday () in
-      let threads =
-        List.map
-          (fun { Registers.Vm.proc; script } ->
-            Thread.create
-              (fun () ->
-                let c =
-                  Net.Client.connect ~net ~server:Net.Transport.server
-                    ~batch_max ~proc ()
-                in
-                ignore
-                  (Net.Client.run_keyed ~window:16 c
-                     (List.mapi (fun i op -> (i mod nkeys, op)) script));
-                Net.Client.close c)
-              ())
-          processes
-      in
-      List.iter Thread.join threads;
-      let dt = Unix.gettimeofday () -. t0 in
-      let served = Net.Server.ops_served server in
-      let clean = Net.Server.violations server = [] in
-      Net.Socket_net.shutdown net;
-      let ops_s = float_of_int served /. dt in
-      Json.metric ~section:"net-shard"
-        (Fmt.str "socket shards %d batch %d ops per s" shards batch_max)
-        ops_s;
-      Fmt.pr
-        "    shards %d batch %2d: %4d ops in %5.2fs -> %8.0f ops/s%s@."
-        shards batch_max served dt ops_s
-        (if clean then "" else "  [AUDIT VIOLATION!]"))
-    [ (1, 1); (1, 32); (4, 1); (4, 32) ];
   Fmt.pr "@."
 
 (* ------------------------------------------------------------------ *)
@@ -928,54 +789,6 @@ let bench_net_metrics () =
   sim_leg ~label:"reliable" ~faults:Net.Sim_net.reliable;
   sim_leg ~label:"drop 0.15"
     ~faults:(Net.Sim_net.lossy ~drop:0.15 ~duplicate:0.075 ());
-  (* --- socket transport: wall-clock RTT and service-time percentiles --- *)
-  let net = Net.Socket_net.create () in
-  let metrics = Net.Socket_net.metrics net in
-  let server = net_start_cluster net ~replicas:3 ~audit:true in
-  let processes =
-    Harness.Workload.unique_scripts
-      { Harness.Workload.writers = 2; readers = 2; writes_each = 100;
-        reads_each = 100 }
-  in
-  let threads =
-    List.map
-      (fun { Registers.Vm.proc; script } ->
-        Thread.create
-          (fun () ->
-            let c =
-              Net.Client.connect ~net ~server:Net.Transport.server ~proc ()
-            in
-            ignore (Net.Client.run_script ~window:8 c script);
-            Net.Client.close c)
-          ())
-      processes
-  in
-  List.iter Thread.join threads;
-  let served = max 1 (Net.Server.ops_served server) in
-  Net.Socket_net.shutdown net;
-  let msgs_per_op =
-    float_of_int (Net.Metrics.get metrics "frames_sent") /. float_of_int served
-  in
-  let us x = x *. 1e6 in
-  let rtt = Net.Metrics.(summarise (histogram metrics "client_rtt")) in
-  let so = Net.Metrics.(summarise (histogram metrics "server_op")) in
-  Json.metric ~section:"net-metrics" "socket msgs per op" msgs_per_op;
-  Json.metric ~section:"net-metrics" "socket client rtt p50 us"
-    (us rtt.Net.Metrics.p50);
-  Json.metric ~section:"net-metrics" "socket client rtt p99 us"
-    (us rtt.Net.Metrics.p99);
-  Json.metric ~section:"net-metrics" "socket server op p50 us"
-    (us so.Net.Metrics.p50);
-  Json.metric ~section:"net-metrics" "socket server op p99 us"
-    (us so.Net.Metrics.p99);
-  pf
-    "  socket audited   %5.1f msgs/op; client rtt p50 %6.0f p99 %6.0f us; \
-     server op p50 %6.0f p99 %6.0f us@."
-    msgs_per_op
-    (us rtt.Net.Metrics.p50)
-    (us rtt.Net.Metrics.p99)
-    (us so.Net.Metrics.p50)
-    (us so.Net.Metrics.p99);
   pf
     "  (ABD baseline: read = 2 quorum rounds, write = 1; 2 msgs per \
      replica per round + client req/resp)@.@."

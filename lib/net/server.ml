@@ -26,20 +26,33 @@ and lane = {
   busy : (int, unit) Hashtbl.t;  (* keys with an operation executing *)
 }
 
+type member = {
+  worker : int;
+  domains : int;
+  txns : Txn.t;
+  post : (unit -> unit) -> unit;
+}
+
+(* Worker ownership by the epoch-0 hash placement, NOT the live map: a
+   migrated key must stay on the worker whose core ran (and audits)
+   its history — that core's own registry routes it to the new shard's
+   engine after cutover — and reply frames keep routing there too. *)
+let worker_of_key map ~domains key =
+  Shard_map.base_shard_of_key map key mod domains
+
 type t = {
-  tr : Transport.t;  (* the corked wrapper when [cork], else [base] *)
+  tr : Transport.t;  (* the corked wrapper when [pooled], else [base] *)
   base : Transport.t;
   me : Transport.node;
   owns : int -> bool;
-  presequenced : bool;
-  cork : bool;
+  pooled : bool;
+      (* a pool member: corked sends, presequenced point-routed admission *)
   cork_depth : int ref;
   cork_buf : (Transport.node, Wire.msg list ref) Hashtbl.t;
   registry : Registry.t;
   reconfig : Reconfig.t;
   txns : Txn.t;  (* shared across all cores of a pool *)
-  post_override : ((unit -> unit) -> unit) option;
-      (* how coordinator thunks re-enter this core (pool: worker queue) *)
+  post : (unit -> unit) -> unit;  (* how coordinator thunks re-enter *)
   sessions : (Transport.node, session) Hashtbl.t;
   lanes : (Transport.node, lane) Hashtbl.t;
   audit : bool;
@@ -101,7 +114,7 @@ let flush_cork t =
   end
 
 let with_cork t f =
-  if not t.cork then f ()
+  if not t.pooled then f ()
   else begin
     incr t.cork_depth;
     Fun.protect
@@ -208,14 +221,6 @@ let queue_of lane key =
     Hashtbl.replace lane.queues key q;
     q
 
-(* How coordinator thunks re-enter this core.  A standalone server
-   runs them inline under a cork; a pool passes [?post] so they go
-   through the worker's queue and execute on the owning domain. *)
-let post_of t =
-  match t.post_override with
-  | Some p -> p
-  | None -> fun f -> with_cork t f
-
 let rec start_next t lane key =
   (* a key in a migration's drain phase parks here: the op stays
      queued, and the coordinator's unpark hook re-enters once the
@@ -277,7 +282,7 @@ let rec start_next t lane key =
    engine operations, responses and queue pumps all run on the owning
    domain. *)
 and start_multi t s key seq op gen =
-  let post = post_of t in
+  let post = t.post in
   let t0 = t.tr.Transport.now () in
   let kind =
     match kind_of_op op with Some k -> k | None -> assert false
@@ -334,18 +339,21 @@ and start_multi t s key seq op gen =
     ?respond:resp_thunk ()
 
 let create ~transport ?(audit = true) ?(resend_every = 0.05) ?engine
-    ?(bug = Bug.none) ?storage ?metrics ?trace ?map ?(cork = false)
-    ?(presequenced = false) ?owns ?txns ?post ?reconfig_enabled ~me ~replicas
+    ?(bug = Bug.none) ?storage ?metrics ?trace ?map ?member ~me ~replicas
     ~init () =
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   let map =
     match map with Some m -> m | None -> Shard_map.create ~shards:1 ()
   in
-  let owns = match owns with Some f -> f | None -> fun _ -> true in
-  let txns =
-    match txns with
-    | Some x -> x
-    | None -> Txn.create ~torn:bug.Bug.torn_txn ~audit ~init ()
+  let pooled = Option.is_some member in
+  let owns, txns, post =
+    match member with
+    | Some m ->
+      ((fun key -> worker_of_key map ~domains:m.domains key = m.worker),
+       m.txns, m.post)
+    | None ->
+      ((fun _ -> true), Txn.create ~torn:bug.Bug.torn_txn ~audit ~init (),
+       fun f -> f ())
   in
   let cork_depth = ref 0 in
   let cork_buf : (Transport.node, Wire.msg list ref) Hashtbl.t =
@@ -359,7 +367,7 @@ let create ~transport ?(audit = true) ?(resend_every = 0.05) ?engine
      recursive knot (the wrapper needs the [t] it is a field of). *)
   let self = ref None in
   let wrapped =
-    if not cork then transport
+    if not pooled then transport
     else
       {
         transport with
@@ -382,8 +390,18 @@ let create ~transport ?(audit = true) ?(resend_every = 0.05) ?engine
     Registry.create ~transport:wrapped ~me ~replicas ~map ?engine ~bug
       ?storage ~metrics ()
   in
+  (* two-bit replies are routed to workers by [lid mod domains]; during
+     a migration the owner worker drives TWO engines (two lids) whose
+     replies may hash to other workers, so reconfiguration is only
+     sound for that engine on a single domain — see Reconfig *)
+  let enabled =
+    match member with
+    | Some m when (Registry.spec registry).Engine.kind = Engine.Twobit ->
+      m.domains = 1
+    | _ -> true
+  in
   let reconfig =
-    Reconfig.create ~registry ?enabled:reconfig_enabled
+    Reconfig.create ~registry ~enabled
       ~skip_dual_write:bug.Bug.skip_dual_write ()
   in
   let t =
@@ -392,14 +410,13 @@ let create ~transport ?(audit = true) ?(resend_every = 0.05) ?engine
       base = transport;
       me;
       owns;
-      presequenced;
-      cork;
+      pooled;
       cork_depth;
       cork_buf;
       registry;
       reconfig;
       txns;
-      post_override = post;
+      post;
       sessions = Hashtbl.create 16;
       lanes = Hashtbl.create 16;
       audit;
@@ -510,10 +527,10 @@ let enqueue_op t s seq op =
     else []
 
 let admit t s =
-  (* collect the newly in-order ops, then kick each touched key once;
-     sequence numbers advance over every in-order arrival, but only
-     owned keys are queued — under a worker pool each worker sees the
-     whole session stream and executes exactly its own share *)
+  (* collect the newly in-order ops, then kick each touched key once.
+     Only a standalone core admits through the stash: a pool's router
+     point-routes each session's ops, in order, to their owning core,
+     which queues them directly (see [on_message_inner]) *)
   let touched = ref [] in
   let continue = ref true in
   while !continue do
@@ -566,7 +583,7 @@ let rec on_message_inner t ~src msg =
       { src; proc; next_seq = 0; stash = Hashtbl.create 8; lane }
   | Wire.Req { seq; op } ->
     (match Hashtbl.find_opt t.sessions src with
-     | Some s when t.presequenced ->
+     | Some s when t.pooled ->
        (* the router upstream already delivers each session's ops in
           sequence order and sends us only the ops we own: queue
           directly, no stash — sequence numbers may legitimately skip

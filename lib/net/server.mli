@@ -38,6 +38,22 @@
 
 type t
 
+(** A core's place in a {!Server_pool}, which is the only builder of
+    this value.  Its fields are facts about the pool, not switches. *)
+type member = {
+  worker : int;  (** This core's worker index, in [[0, domains)]. *)
+  domains : int;  (** The pool's worker count, at least 1. *)
+  txns : Txn.t;  (** The multi-key coordinator every core shares. *)
+  post : (unit -> unit) -> unit;
+      (** Runs a thunk on this core's worker domain. *)
+}
+
+val worker_of_key : Shard_map.t -> domains:int -> int -> int
+(** The worker of a [domains]-worker pool that owns a key: its
+    epoch-0 hash placement ({!Shard_map.base_shard_of_key}) modulo
+    [domains].  A migrated key therefore stays on the worker holding
+    its monitor, whose engines simply re-route it. *)
+
 val create :
   transport:Transport.t ->
   ?audit:bool ->
@@ -48,12 +64,7 @@ val create :
   ?metrics:Metrics.t ->
   ?trace:Trace.t ->
   ?map:Shard_map.t ->
-  ?cork:bool ->
-  ?presequenced:bool ->
-  ?owns:(int -> bool) ->
-  ?txns:Txn.t ->
-  ?post:((unit -> unit) -> unit) ->
-  ?reconfig_enabled:bool ->
+  ?member:member ->
   me:Transport.node ->
   replicas:Transport.node list ->
   init:int ->
@@ -66,7 +77,7 @@ val create :
     runs — see {!Engine} and {!Engines.create}.  [bug] (default
     {!Bug.none}) plants {!Explore}'s deliberate bugs: the read-quorum
     hook in every shard engine, the torn-batch hook in the private
-    {!Txn} coordinator (not in an explicit [txns]) and the
+    {!Txn} coordinator (not in a [member]'s shared one) and the
     skip-dual-write hook in the {!Reconfig} coordinator.  [storage]
     makes the write timestamps the
     server issues durable: shared across every shard engine (their
@@ -89,45 +100,24 @@ val create :
     shard owning every key) fixes the key → shard → replica-group
     placement for the server's lifetime.
 
-    [cork] (default [false]) coalesces outbound messages: while a
-    handler turn (an {!on_message} call, a timer callback, or an
-    explicit {!with_cork} section) is open, every send the server and
-    its engines make is buffered per destination and shipped as one
-    {!Wire.msg.Batch} frame per peer when the turn closes — the
-    fan-out of a whole client batch costs one frame per replica
-    instead of one per quorum message.  Leave it off for the
-    deterministic simulator (it changes message granularity, hence
-    schedules).  [owns] (default: every key) filters execution: the
-    server only queues and executes operations on keys it owns, the
-    partitioning lever {!Server_pool} uses to split one keyspace
-    across worker domains.  Monitor seeding from recovered [storage]
-    is filtered the same way.
-
-    [presequenced] (default [false]) declares that whoever feeds
-    {!on_message} delivers each session's requests in sequence-number
-    order and sends this core only the operations it owns.  Admission
-    then skips the reordering stash entirely: each in-order request is
-    queued on its key directly, and sequence numbers are allowed to
-    skip over the ops other cores own.  {!Server_pool.dispatch} is
-    such a feeder (a session's stream is one reliable socket, and the
-    router preserves per-source order), letting it point-route
-    requests instead of broadcasting every request to every worker.
-    Leave it off when the core sees the raw client stream — there the
-    stash is what reorders a lossy or multi-path delivery.
-
-    [txns] (default: a fresh private {!Txn} coordinator) is the
-    cross-key coordinator for atomic multi-key transactions
-    ({!Wire.op.Txn_k}) and snapshot reads ({!Wire.op.Snap_k}): a
-    {!Server_pool} passes one shared coordinator to all of its worker
-    cores so cross-domain batches stay atomic.  [post] overrides how
-    coordinator thunks re-enter this core: by default they run inline
-    under a cork; a pool passes its worker-queue injection so they
-    execute on the owning domain.
-
-    [reconfig_enabled] (default [true]) gates live key migration: when
-    [false] every {!Wire.msg.Reconfig} is nacked — see
-    {!Reconfig.create} for why a pool running the twobit engine over
-    multiple domains must disable it.
+    Without [member] the server is standalone, as {!Sim_run} and
+    {!Explore} drive it: it sees the raw client stream, reorders it
+    through a per-session stash, executes every key, sends each
+    message on its own (message granularity, hence the simulator's
+    schedules, is unchanged) and runs multi-key ops through a private
+    {!Txn} coordinator.  With [member] it is one core of a
+    {!Server_pool}, and three things follow.  Sends are corked: while
+    a handler turn (an {!on_message} call, a timer callback or a
+    {!with_cork} section) is open, they are buffered per destination
+    and leave as one {!Wire.msg.Batch} frame per peer.  Admission is
+    presequenced: {!Server_pool.dispatch} delivers each session's
+    requests in order and only those whose key this core owns
+    ({!worker_of_key}), so each is queued directly and sequence
+    numbers may skip the ops other cores own; monitor seeding from
+    recovered [storage] keeps owned keys only.  And a twobit pool of
+    more than one domain nacks every {!Wire.msg.Reconfig} — see
+    {!Reconfig.create}.  Multi-key ops use the member's shared
+    coordinator, whose thunks re-enter this core through [post].
 
     Per-key execution lanes belong to the client node, not the
     session: a reconnect ([Bye], then [Hello] from the same node)
@@ -153,8 +143,8 @@ val key_of_op : Wire.op -> int
     its {e routing} key: the first listed key (0 when the list is
     empty, so even an invalid frame has a well-defined core that
     rejects it).  This is the op → key mapping admission and execution
-    use; a router that point-routes requests (see [presequenced]) must
-    agree with it. *)
+    use; a router that point-routes requests (see [member]) must agree
+    with it. *)
 
 val keys_of_op : Wire.op -> int list
 (** Every key an operation touches, in request order: the write keys
@@ -208,12 +198,12 @@ val timed_keyed_history :
     what {!Server_pool} merges across workers by time. *)
 
 val with_cork : t -> (unit -> unit) -> unit
-(** Run [f] as one coalescing turn: with [cork] on, sends buffered
+(** Run [f] as one coalescing turn: in a pool member, sends buffered
     anywhere inside [f] (including nested {!on_message} calls) are
     flushed as per-destination batches when the outermost section
     closes.  A worker draining its whole inbox under one cork is how a
-    multi-message burst becomes a single frame per peer.  Without
-    [cork] this is just [f ()]. *)
+    multi-message burst becomes a single frame per peer.  In a
+    standalone server this is just [f ()]. *)
 
 val violation : t -> int Histories.Fastcheck.violation option
 (** First atomicity violation caught by any key's live audit, if

@@ -58,8 +58,8 @@ let worker_loop w =
     end
   done
 
-let create ~transport ?audit ?resend_every ?engine ?storage ?metrics ?trace
-    ?map ?(cork = true) ?(domains = 1) ~me ~replicas ~init () =
+let create ~transport ?audit ?engine ?storage ?metrics ?map ?(domains = 1)
+    ~me ~replicas ~init () =
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   let map =
     match map with Some m -> m | None -> Shard_map.create ~shards:1 ()
@@ -70,15 +70,6 @@ let create ~transport ?audit ?resend_every ?engine ?storage ?metrics ?trace
      batch is atomic because all its keys' cores lock through the same
      table, whichever domains own them *)
   let txns = Txn.create ?audit ~init () in
-  (* two-bit replies are routed to workers by [lid mod domains]; during
-     a migration the owner worker drives TWO engines (two lids) whose
-     replies may hash to other workers, so reconfiguration is only
-     sound for that engine on a single domain — see Reconfig *)
-  let reconfig_enabled =
-    match engine with
-    | Some { Engine.kind = Engine.Twobit; _ } -> nd = 1
-    | _ -> true
-  in
   let make d =
     (* the core's timers must run on its own domain, not on the
        transport's timer thread: re-route each callback through the
@@ -93,19 +84,14 @@ let create ~transport ?audit ?resend_every ?engine ?storage ?metrics ?trace
                 match !wref with Some w -> push w (Fn f) | None -> f ()));
       }
     in
-    (* ownership by the epoch-0 hash placement, NOT the live map: a
-       migrated key must stay on the worker whose core ran (and audits)
-       its history — that core's own registry routes it to the new
-       shard's engine after cutover *)
-    let owns key = Shard_map.base_shard_of_key map key mod nd = d in
     (* coordinator thunks must run on the owning domain, not on
        whichever domain committed the multi-key op: inject them
        through the worker queue like timer callbacks *)
     let post f = match !wref with Some w -> push w (Fn f) | None -> f () in
     let core =
-      Server.create ~transport:wt ?audit ?resend_every ?engine
-        ?storage:(storage d) ~metrics ?trace ~map ~cork ~presequenced:true
-        ~owns ~txns ~post ~reconfig_enabled ~me ~replicas ~init ()
+      Server.create ~transport:wt ?audit ?engine ?storage:(storage d) ~metrics
+        ~map ~member:{ Server.worker = d; domains = nd; txns; post } ~me
+        ~replicas ~init ()
     in
     let w =
       { core; mu = Mutex.create (); cv = Condition.create ();
@@ -125,9 +111,7 @@ let cores t = Array.map (fun w -> w.core) t.workers
 let metrics t = t.metrics
 let shards t = Shard_map.shards t.map
 let engine_spec t = Server.engine_spec t.workers.(0).core
-(* base placement on purpose: reply frames keep routing to the worker
-   that owns the key even after that worker migrated it — see [owns] *)
-let worker_of_key t key = Shard_map.base_shard_of_key t.map key mod t.nd
+let worker_of_key t key = Server.worker_of_key t.map ~domains:t.nd key
 
 (* Partition one inbound frame into at most one enqueue per worker: a
    Batch of K messages costs K pushes (and K worker wake-ups) if

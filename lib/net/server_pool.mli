@@ -2,9 +2,10 @@
     shared keyspace.
 
     The pool owns [domains] OCaml 5 [Domain]s, each running an
-    ordinary {!Server} whose [owns] predicate selects the shards
-    assigned to it ([shard mod domains] — the {!Shard_map} placement
-    already spreads keys uniformly, so workers load-balance for free).
+    ordinary {!Server} that executes only the keys assigned to it
+    ({!Server.worker_of_key}: [shard mod domains] — the {!Shard_map}
+    placement already spreads keys uniformly, so workers load-balance
+    for free).
     {!dispatch} is the single entry point the transport handler calls:
     it routes each message to the worker(s) that need it through
     per-worker mutex-striped handoff queues, and every worker drains
@@ -18,9 +19,9 @@
     worker — opening and closing a session is per-core state.
     Requests point-route to the single worker owning the op's key:
     {!dispatch} runs on one transport thread and preserves each
-    session's arrival order, so the cores run with
-    {!Server.create}[?presequenced] and never need the rest of the
-    stream (sequence numbers skip over the ops other workers own).
+    session's arrival order, so the cores run presequenced (see
+    {!Server.member}) and never need the rest of the stream (sequence
+    numbers skip over the ops other workers own).
     Quorum replies are point-routed by their register
     ([Query_reply]/[Store_ack]) or link id ([Ack2]/[Query2_reply]) to
     the owning worker; [Stats_req] is answered by worker 0 out of the
@@ -55,43 +56,41 @@ type t
 val create :
   transport:Transport.t ->
   ?audit:bool ->
-  ?resend_every:float ->
   ?engine:Engine.spec ->
   ?storage:(int -> Storage.t option) ->
   ?metrics:Metrics.t ->
-  ?trace:Trace.t ->
   ?map:Shard_map.t ->
-  ?cork:bool ->
   ?domains:int ->
   me:Transport.node ->
   replicas:Transport.node list ->
   init:int ->
   unit ->
   t
-(** Build the cores and spawn the worker domains.  Parameters are
-    {!Server.create}'s with three differences: [domains] (default 1)
-    is the worker count; [cork] (default [true]) enables per-burst
-    send coalescing in every core; [storage] maps a worker index to
-    that worker's private store — stores must be {e per-domain} (the
-    group-commit queue completes on the appending domain), so a
-    durable pool persists under [dir/server-d<i>] and must be
-    restarted with the same [domains] to recover every shard's
+(** Build the cores and spawn the worker domains.  [audit], [engine],
+    [metrics] and [map] are {!Server.create}'s, passed to every core;
+    each core is built with a {!Server.member} value, which makes it
+    corked and presequenced and shares one {!Txn} coordinator.
+    [domains] (default 1) is the worker count.  [storage] maps a
+    worker index to that worker's private store — stores must be
+    {e per-domain} (the group-commit queue completes on the appending
+    domain), so a durable pool persists under [dir/server-d<i>] and
+    must be restarted with the same [domains] to recover every shard's
     timestamps.  Timer callbacks of each core are re-routed into its
     worker queue, so cores never execute on a transport thread.  A
-    pool plants no deliberate bugs ({!Bug}): those are {!Explore}'s,
-    which drives a single simulated {!Server}.
+    pool plants no deliberate bugs ({!Bug}) and records no {!Trace}:
+    those are {!Explore}'s, which drives a single simulated
+    {!Server}.
 
     {b Reconfiguration.}  A {!Wire.msg.Reconfig} routes to the key's
-    owner worker, which runs the whole migration on its own registry;
-    ownership is by the {e epoch-0} hash placement
-    ({!Shard_map.base_shard_of_key}), so a migrated key stays on the
-    worker holding its monitor and its engines simply re-route it.
-    Worker epochs advance independently; {!Wire.msg.Epoch_req} is
-    answered by worker 0 (a stale answer costs one nack-and-retry).
-    With the two-bit engine and [domains > 1] reconfiguration is
-    disabled (every request nacked): two-bit replies route by
-    [lid mod domains] and a migration's second engine would misroute —
-    see {!Reconfig.create}. *)
+    owner worker ({!Server.worker_of_key}), which runs the whole
+    migration on its own registry; ownership is by the {e epoch-0}
+    hash placement, so a migrated key stays on the worker holding its
+    monitor and its engines simply re-route it.  Worker epochs advance
+    independently; {!Wire.msg.Epoch_req} is answered by worker 0 (a
+    stale answer costs one nack-and-retry).  With the two-bit engine
+    and [domains > 1] every core nacks reconfiguration: two-bit
+    replies route by [lid mod domains] and a migration's second engine
+    would misroute — see {!Reconfig.create}. *)
 
 val dispatch : t -> src:Transport.node -> Wire.msg -> unit
 (** Feed one incoming frame (possibly a [Batch]).  Thread-safe; called

@@ -1092,66 +1092,10 @@ let loopback_transport ~on_server ~on_client =
     now = Unix.gettimeofday;
   }
 
-let batch_group_commit () =
-  (* the batch fast path end to end: one client Batch of K same-shard
-     writes (distinct keys, so they run concurrently — same-key ops
-     serialize per-key and commit one by one), corked server,
-     group-commit store — the K wts appends must reach the backend as
-     ceil(K/batch_max) commits, each a full batch, not as K singleton
-     writes *)
-  let k = 32 and gc = 8 in
-  let st =
-    Net.Storage.create
-      ~group_commit:{ Net.Storage.batch_max = gc; flush_every = 0.0 }
-      (Net.Storage.mem_backend ())
-  in
-  let resps = ref 0 in
-  let server = ref None in
-  let tr =
-    loopback_transport
-      ~on_server:(fun ~src msg ->
-        match !server with
-        | Some sv -> Net.Server.on_message sv ~src msg
-        | None -> ())
-      ~on_client:(fun ~src:_ ~dst:_ msg ->
-        match msg with
-        | W.Resp _ -> incr resps
-        | W.Batch ms ->
-          List.iter (function W.Resp _ -> incr resps | _ -> ()) ms
-        | _ -> ())
-  in
-  let sv =
-    Net.Server.create ~transport:tr ~audit:true ~cork:true ~storage:st
-      ~me:Net.Transport.server ~replicas:[ 0; 1; 2 ] ~init:0 ()
-  in
-  server := Some sv;
-  let cl = Net.Transport.client 0 in
-  tr.Net.Transport.send ~src:cl ~dst:Net.Transport.server (W.Hello { proc = 0 });
-  tr.Net.Transport.send ~src:cl ~dst:Net.Transport.server
-    (W.Batch
-       (List.init k (fun i ->
-            W.Req { seq = i; op = W.Write_k { key = i; value = i + 1 } })));
-  Alcotest.(check int) "all writes served" k !resps;
-  Alcotest.(check int) "all writes acknowledged" k (Net.Server.ops_served sv);
-  let stats = Net.Storage.stats st in
-  Alcotest.(check bool)
-    (Fmt.str "commits %d <= ceil(K/batch_max) %d" stats.Net.Storage.batch_commits
-       ((k + gc - 1) / gc))
-    true
-    (stats.Net.Storage.batch_commits <= (k + gc - 1) / gc);
-  Alcotest.(check int) "commits are full batches" gc stats.Net.Storage.max_batch;
-  match Net.Server.violation sv with
-  | None -> ()
-  | Some v ->
-    Alcotest.failf "audit: %a" (Histories.Fastcheck.pp_violation Fmt.int) v
-
-let pool_mixed_shard_batch () =
-  (* one client Batch interleaving keys on every shard, dispatched to a
-     two-domain pool: every op must be served exactly once, per-session
-     per-key order must hold, and every per-key Monitor must stay clean *)
-  let shards = 4 and domains = 2 and nkeys = 8 and per_key = 6 in
-  let mu = Mutex.create () and cv = Condition.create () in
-  let resps = ref 0 in
+(* A [domains]-worker pool behind [loopback_transport], and the count
+   of responses the client has seen. *)
+let loopback_pool ?storage ?map ~domains () =
+  let resps = Atomic.make 0 in
   let pool = ref None in
   let tr =
     loopback_transport
@@ -1160,16 +1104,71 @@ let pool_mixed_shard_batch () =
         | Some p -> Net.Server_pool.dispatch p ~src msg
         | None -> ())
       ~on_client:(fun ~src:_ ~dst:_ msg ->
-        let count = function W.Resp _ -> incr resps | _ -> () in
-        (match msg with W.Batch ms -> List.iter count ms | m -> count m);
-        Mutex.protect mu (fun () -> Condition.broadcast cv))
+        let count = function W.Resp _ -> Atomic.incr resps | _ -> () in
+        match msg with W.Batch ms -> List.iter count ms | m -> count m)
   in
   let p =
-    Net.Server_pool.create ~transport:tr ~audit:true
-      ~map:(Net.Shard_map.create ~shards ()) ~domains
+    Net.Server_pool.create ~transport:tr ~audit:true ?storage ?map ~domains
       ~me:Net.Transport.server ~replicas:[ 0; 1; 2 ] ~init:0 ()
   in
   pool := Some p;
+  (tr, p, resps)
+
+(* Poll until [resps] reaches [n] or 10 s pass: the workers answer on
+   their own domains. *)
+let await_resps resps n =
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while Atomic.get resps < n && Unix.gettimeofday () < deadline do
+    Thread.yield ()
+  done
+
+let batch_group_commit () =
+  (* the batch fast path end to end: one client Batch of K same-shard
+     writes (distinct keys, so they run concurrently — same-key ops
+     serialize per-key and commit one by one), the corked core of a
+     1-domain pool, group-commit store — the K wts appends must reach
+     the backend as ceil(K/batch_max) commits, each a full batch, not
+     as K singleton writes *)
+  let k = 32 and gc = 8 in
+  let st =
+    Net.Storage.create
+      ~group_commit:{ Net.Storage.batch_max = gc; flush_every = 0.0 }
+      (Net.Storage.mem_backend ())
+  in
+  let tr, p, resps = loopback_pool ~storage:(fun _ -> Some st) ~domains:1 () in
+  let cl = Net.Transport.client 0 in
+  tr.Net.Transport.send ~src:cl ~dst:Net.Transport.server (W.Hello { proc = 0 });
+  tr.Net.Transport.send ~src:cl ~dst:Net.Transport.server
+    (W.Batch
+       (List.init k (fun i ->
+            W.Req { seq = i; op = W.Write_k { key = i; value = i + 1 } })));
+  await_resps resps k;
+  tr.Net.Transport.send ~src:cl ~dst:Net.Transport.server W.Bye;
+  Net.Server_pool.stop p;
+  Alcotest.(check int) "all writes served" k (Atomic.get resps);
+  Alcotest.(check int) "all writes acknowledged" k
+    (Net.Server_pool.ops_served p);
+  let stats = Net.Storage.stats st in
+  Alcotest.(check bool)
+    (Fmt.str "commits %d <= ceil(K/batch_max) %d" stats.Net.Storage.batch_commits
+       ((k + gc - 1) / gc))
+    true
+    (stats.Net.Storage.batch_commits <= (k + gc - 1) / gc);
+  Alcotest.(check int) "commits are full batches" gc stats.Net.Storage.max_batch;
+  match Net.Server_pool.violations p with
+  | [] -> ()
+  | (key, v) :: _ ->
+    Alcotest.failf "audit, key %d: %a" key
+      (Histories.Fastcheck.pp_violation Fmt.int) v
+
+let pool_mixed_shard_batch () =
+  (* one client Batch interleaving keys on every shard, dispatched to a
+     two-domain pool: every op must be served exactly once, per-session
+     per-key order must hold, and every per-key Monitor must stay clean *)
+  let shards = 4 and domains = 2 and nkeys = 8 and per_key = 6 in
+  let tr, p, resps =
+    loopback_pool ~map:(Net.Shard_map.create ~shards ()) ~domains ()
+  in
   let cl = Net.Transport.client 0 in
   tr.Net.Transport.send ~src:cl ~dst:Net.Transport.server (W.Hello { proc = 0 });
   (* round-robin over the keys so consecutive ops always change shard *)
@@ -1183,17 +1182,10 @@ let pool_mixed_shard_batch () =
               else W.Write_k { key; value = i + 1 }
             in
             W.Req { seq = i; op })));
-  let deadline = Unix.gettimeofday () +. 10.0 in
-  Mutex.lock mu;
-  while !resps < n && Unix.gettimeofday () < deadline do
-    Mutex.unlock mu;
-    Thread.yield ();
-    Mutex.lock mu
-  done;
-  Mutex.unlock mu;
+  await_resps resps n;
   tr.Net.Transport.send ~src:cl ~dst:Net.Transport.server W.Bye;
   Net.Server_pool.stop p;
-  Alcotest.(check int) "every op answered exactly once" n !resps;
+  Alcotest.(check int) "every op answered exactly once" n (Atomic.get resps);
   Alcotest.(check int) "every op served" n (Net.Server_pool.ops_served p);
   Alcotest.(check int) "no rejects" 0 (Net.Server_pool.rejected p);
   (match Net.Server_pool.violations p with

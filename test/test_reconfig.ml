@@ -383,8 +383,9 @@ let socket_close_seals_during_migration () =
 let socket_pool_reshard kind ~domains ~expect_refusal () =
   (* the worker-domain pool: static key ownership means a migration is
      only honoured when the pool can serve both shards from one worker
-     — ABD pools accept at any domain count, a multi-domain twobit pool
-     must refuse rather than wedge *)
+     — ABD pools accept at any domain count, a twobit pool on one
+     domain accepts, and a multi-domain twobit pool must refuse rather
+     than wedge *)
   let net = Net.Socket_net.create () in
   let tr = Net.Socket_net.transport net in
   let replicas = [ 0; 1; 2 ] in
@@ -456,6 +457,8 @@ let slow_suite =
       (socket_pool_reshard Net.Engine.Abd ~domains:1 ~expect_refusal:false);
     tc_slow "socket: two-domain abd pool reshards"
       (socket_pool_reshard Net.Engine.Abd ~domains:2 ~expect_refusal:false);
+    tc_slow "socket: single-domain twobit pool reshards"
+      (socket_pool_reshard Net.Engine.Twobit ~domains:1 ~expect_refusal:false);
     tc_slow "socket: two-domain twobit pool refuses"
       (socket_pool_reshard Net.Engine.Twobit ~domains:2 ~expect_refusal:true);
   ]
