@@ -68,6 +68,36 @@ module Json = struct
 end
 
 (* ------------------------------------------------------------------ *)
+(* Helpers shared by the sections below.                               *)
+
+(* [f ()] and its wall-clock seconds, floored above zero so rates stay
+   finite *)
+let timed f =
+  let t0 = Unix.gettimeofday () in
+  let x = f () in
+  (x, Float.max 1e-9 (Unix.gettimeofday () -. t0))
+
+(* a unique path under the system tmpdir; Storage.file_backend mkdirs it *)
+let fresh_dir prefix =
+  let f = Filename.temp_file prefix "" in
+  Sys.remove f;
+  f
+
+(* remove a file or directory tree, if present *)
+let rec rm_dir p =
+  if Sys.file_exists p then
+    if Sys.is_directory p then begin
+      Array.iter (fun f -> rm_dir (Filename.concat p f)) (Sys.readdir p);
+      Sys.rmdir p
+    end
+    else Sys.remove p
+
+(* the [i]-th synthetic WAL entry: 64 registers, rising timestamps *)
+let entry i =
+  { Net.Storage.reg = i mod 64; ts = i + 1;
+    pl = Registers.Tagged.make i (i land 1 = 0) }
+
+(* ------------------------------------------------------------------ *)
 (* Claim C1/C2: access counts and space, from live counters.           *)
 
 let bench_access_counts () =
@@ -231,11 +261,6 @@ let bench_crash () =
 
 let bench_modelcheck () =
   section "fig3+fig4+theorem/modelcheck - exhaustive verification";
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   let w2r2 =
     [ { Registers.Vm.proc = 0; script = [ Histories.Event.Write 10 ] };
       { Registers.Vm.proc = 1; script = [ Histories.Event.Write 20 ] };
@@ -244,13 +269,13 @@ let bench_modelcheck () =
   in
   let reg () = Core.Protocol.bloom ~init:0 ~other_init:0 () in
   let (good, total), dt =
-    time (fun () -> Modelcheck.Explorer.count_atomic ~init:0 (reg ()) w2r2)
+    timed (fun () -> Modelcheck.Explorer.count_atomic ~init:0 (reg ()) w2r2)
   in
   Fmt.pr "  theorem: %d/%d executions atomic (%.2fs, %.0f exec/s)@." good total
     dt
     (float_of_int total /. dt);
   let n, dt =
-    time (fun () ->
+    timed (fun () ->
         Modelcheck.Explorer.explore (reg ()) w2r2 ~on_leaf:(fun trace ->
             let g = Core.Gamma.analyse ~init:0 trace in
             match Core.Gamma.check_lemmas g with
@@ -259,7 +284,7 @@ let bench_modelcheck () =
   in
   Fmt.pr "  fig3/fig4: lemmas 1-2 hold on all %d executions (%.2fs)@." n dt;
   let v, dt =
-    time (fun () ->
+    timed (fun () ->
         Modelcheck.Explorer.find_violation ~init:0
           (Core.Tournament.flat ~init:0 ~other_init:0 ())
           [ { Registers.Vm.proc = 0; script = [ Histories.Event.Write 10 ] };
@@ -279,17 +304,12 @@ let bench_modelcheck () =
 
 let bench_ablations () =
   section "ablations - perturb one protocol ingredient, model-check it";
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   let w v = Histories.Event.Write v and r = Histories.Event.Read in
   let p proc script = { Registers.Vm.proc; script } in
   let w2r2 = [ p 0 [ w 10 ]; p 1 [ w 20 ]; p 2 [ r ]; p 3 [ r ] ] in
   let check name reg procs =
     let v, dt =
-      time (fun () -> Modelcheck.Explorer.find_violation ~init:0 reg procs)
+      timed (fun () -> Modelcheck.Explorer.find_violation ~init:0 reg procs)
     in
     match v with
     | Some v ->
@@ -589,38 +609,17 @@ let pool_run_once ?(nkeys = 0) ?(window = 32) ?group_commit ~domains ~shards
     let metrics = Net.Socket_net.metrics net in
     let tr = Net.Socket_net.transport net in
     let replica_nodes = [ 0; 1; 2 ] in
+    (* a corked quorum burst costs each replica one reply frame *)
     List.iter
       (fun r ->
-        let rep = Net.Replica.create ~init:0 () in
-        Net.Socket_net.listen net r (fun ~src msg ->
-            (* coalesce a handler turn's emits into one frame per
-               peer: a corked quorum burst costs one reply frame *)
-            let by_dst = Hashtbl.create 4 in
-            List.iter
-              (fun (dst, m) ->
-                match Hashtbl.find_opt by_dst dst with
-                | Some l -> l := m :: !l
-                | None -> Hashtbl.add by_dst dst (ref [ m ]))
-              (Net.Replica.handle rep ~src msg);
-            Hashtbl.iter
-              (fun dst l ->
-                match List.rev !l with
-                | [ m ] -> tr.Net.Transport.send ~src:r ~dst m
-                | msgs ->
-                  tr.Net.Transport.send ~src:r ~dst (Net.Wire.Batch msgs))
-              by_dst))
+        Net.Socket_net.listen net r
+          (Net.Replica.serve (Net.Replica.create ~init:0 ()) ~transport:tr
+             ~me:r))
       replica_nodes;
     (* durable variant: each worker gets its own wts store on real
        files with group commit — the fsync stalls are what worker
        domains overlap with execution, even on one hardware thread *)
-    let data_dir =
-      Option.map
-        (fun _ ->
-          let f = Filename.temp_file "bench_pool" "" in
-          Sys.remove f;
-          f)
-        group_commit
-    in
+    let data_dir = Option.map (fun _ -> fresh_dir "bench_pool") group_commit in
     let storage d =
       match (data_dir, group_commit) with
       | Some dir, Some g ->
@@ -670,17 +669,7 @@ let pool_run_once ?(nkeys = 0) ?(window = 32) ?group_commit ~domains ~shards
     let clean = Net.Server_pool.violations pool = [] in
     let rtt = Net.Metrics.(summarise (histogram metrics "client_rtt")) in
     Net.Socket_net.shutdown net;
-    Option.iter
-      (fun dir ->
-        let rec rm p =
-          if Sys.is_directory p then begin
-            Array.iter (fun f -> rm (Filename.concat p f)) (Sys.readdir p);
-            Sys.rmdir p
-          end
-          else Sys.remove p
-        in
-        if Sys.file_exists dir then rm dir)
-      data_dir;
+    Option.iter rm_dir data_dir;
     (float_of_int served /. dt, served, clean, rtt)
 
 let bench_net_socket_pool () =
@@ -804,11 +793,6 @@ let bench_net_explore () =
   let w v = Histories.Event.Write v in
   let r = Histories.Event.Read in
   let proc p script = { Registers.Vm.proc = p; script } in
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let x = f () in
-    (x, Float.max 1e-9 (Unix.gettimeofday () -. t0))
-  in
   (* --- exhaustive enumeration rate, with and without pruning --- *)
   let leg ~label ~prune processes =
     let cfg = Net.Explore.config ~replicas:1 ~prune ~processes () in
@@ -873,29 +857,7 @@ let bench_net_explore () =
 let bench_net_recovery () =
   section "net-recovery - WAL appends, recovery time, snapshot intervals";
   let pf = Fmt.pr in
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let x = f () in
-    (x, Float.max 1e-9 (Unix.gettimeofday () -. t0))
-  in
-  let entry i =
-    { Net.Storage.reg = i mod 64; ts = i + 1;
-      pl = Registers.Tagged.make i (i land 1 = 0) }
-  in
   let fill st n = for i = 0 to n - 1 do Net.Storage.append st (entry i) done in
-  let fresh_dir () =
-    (* a unique path under the system tmpdir; file_backend mkdirs it *)
-    let f = Filename.temp_file "bench_storage" "" in
-    Sys.remove f;
-    f
-  in
-  let rm_dir dir =
-    if Sys.file_exists dir then begin
-      Array.iter (fun f -> Sys.remove (Filename.concat dir f))
-        (Sys.readdir dir);
-      Sys.rmdir dir
-    end
-  in
   (* --- append throughput: in-memory floor vs real files --- *)
   let n = 50_000 in
   (let st = Net.Storage.create (Net.Storage.mem_backend ()) in
@@ -904,7 +866,7 @@ let bench_net_recovery () =
    Json.metric ~section:"net-recovery" "mem appends per s" rate;
    pf "  append  mem backend         %8.0f appends/s@." rate);
   let file_leg ~fsync ~label =
-    let dir = fresh_dir () in
+    let dir = fresh_dir "bench_storage" in
     let st =
       Net.Storage.create (Net.Storage.file_backend ~fsync ~dir ())
     in
@@ -924,7 +886,7 @@ let bench_net_recovery () =
   pf "  recovery time vs WAL length (file backend, no snapshot):@.";
   List.iter
     (fun len ->
-      let dir = fresh_dir () in
+      let dir = fresh_dir "bench_storage" in
       fill (Net.Storage.create (Net.Storage.file_backend ~dir ())) len;
       let st, dt =
         timed (fun () ->
@@ -943,7 +905,7 @@ let bench_net_recovery () =
   pf "  snapshot interval sweep (20000 appends, 64 registers):@.";
   List.iter
     (fun every ->
-      let dir = fresh_dir () in
+      let dir = fresh_dir "bench_storage" in
       let st =
         Net.Storage.create ~snapshot_every:every
           (Net.Storage.file_backend ~dir ())
@@ -1084,32 +1046,11 @@ let bench_net_engine () =
 let bench_net_groupcommit () =
   section "net-groupcommit - fsync amortization via batched WAL commits";
   let pf = Fmt.pr in
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let x = f () in
-    (x, Float.max 1e-9 (Unix.gettimeofday () -. t0))
-  in
-  let entry i =
-    { Net.Storage.reg = i mod 64; ts = i + 1;
-      pl = Registers.Tagged.make i (i land 1 = 0) }
-  in
-  let fresh_dir () =
-    let f = Filename.temp_file "bench_gc" "" in
-    Sys.remove f;
-    f
-  in
-  let rm_dir dir =
-    if Sys.file_exists dir then begin
-      Array.iter (fun f -> Sys.remove (Filename.concat dir f))
-        (Sys.readdir dir);
-      Sys.rmdir dir
-    end
-  in
   (* every leg runs the same shape: n appends through the store, rate
      out; group legs go through the async path + one final flush and
      must see every ack fire (persist-before-ack, not fire-and-forget) *)
   let leg ~fsync ~group_commit ~n =
-    let dir = fresh_dir () in
+    let dir = fresh_dir "bench_gc" in
     let st =
       Net.Storage.create ?group_commit
         (Net.Storage.file_backend ~fsync ~dir ())

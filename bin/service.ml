@@ -119,58 +119,7 @@ let start_cluster net ~engine ~replicas ~shards ~audit ?data_dir
             ?storage:(storage_for ("replica" ^ string_of_int r))
             ()
         in
-        (* outbound coalescing: a handler (or flush) turn's emits are
-           buffered per destination and shipped as one Batch frame per
-           peer when the turn ends — a quorum burst from a corked
-           server costs the replica one reply frame, not one per ack.
-           Handler and timer callbacks of a node are serialized by the
-           transport, so the buffer needs no lock. *)
-        let obuf : (Net.Transport.node, Net.Wire.msg list ref) Hashtbl.t =
-          Hashtbl.create 7
-        in
-        let emit (dst, m) =
-          match Hashtbl.find_opt obuf dst with
-          | Some l -> l := m :: !l
-          | None -> Hashtbl.add obuf dst (ref [ m ])
-        in
-        let ship () =
-          let items =
-            Hashtbl.fold (fun dst l acc -> (dst, List.rev !l) :: acc) obuf []
-          in
-          Hashtbl.reset obuf;
-          List.iter
-            (fun (dst, msgs) ->
-              match msgs with
-              | [ m ] -> tr.Net.Transport.send ~src:r ~dst m
-              | msgs -> tr.Net.Transport.send ~src:r ~dst (Net.Wire.Batch msgs))
-            items
-        in
-        (* group-commit flush driver: when a handled message leaves
-           entries pending, arm one flush timer per deadline (the timer
-           callback and the handler are serialized per node, so the
-           armed flag is race-free).  A zero deadline flushes before
-           the handler turn ends.  A deadline flush releases deferred
-           acks through [emit], so it ships the buffer too. *)
-        let flush_armed = ref false in
-        let rec drive () =
-          match Net.Replica.storage rep with
-          | Some st when Net.Storage.pending st > 0 ->
-            let d = Net.Storage.flush_deadline st in
-            if d <= 0.0 then Net.Storage.flush st
-            else if not !flush_armed then begin
-              flush_armed := true;
-              tr.Net.Transport.set_timer ~node:r ~delay:d (fun () ->
-                  flush_armed := false;
-                  Net.Storage.flush st;
-                  drive ();
-                  ship ())
-            end
-          | _ -> ()
-        in
-        Net.Socket_net.listen net r (fun ~src msg ->
-            Net.Replica.handle_emit rep ~src ~emit msg;
-            drive ();
-            ship ());
+        Net.Socket_net.listen net r (Net.Replica.serve rep ~transport:tr ~me:r);
         (r, rep))
       replica_nodes
   in
@@ -724,7 +673,9 @@ let group_commit_arg =
        & info [ "group-commit" ] ~docv:"N"
            ~doc:"Batch up to $(docv) WAL appends into one write+fsync \
                  per store (group commit); acks wait for their batch. \
-                 0 or 1 disables.  Only meaningful with --data-dir.")
+                 0 or 1 disables.  Socket nodes have stores only with \
+                 --data-dir; smoke's simulated leg uses this batch size \
+                 either way.")
 
 let flush_us_arg =
   Arg.(value & opt int 500

@@ -168,6 +168,19 @@ let handle t ~src msg =
   handle_emit t ~src ~emit:(fun reply -> acc := reply :: !acc) msg;
   List.rev !acc
 
+(* A socket replica node.  The flush timer is armed through the corked
+   transport, so the acks a deadline flush releases leave as one frame
+   per peer too. *)
+let serve t ~transport ~me =
+  let tr, turn = Transport.cork transport in
+  let emit (dst, m) = tr.Transport.send ~src:me ~dst m in
+  fun ~src msg ->
+    turn (fun () ->
+        handle_emit t ~src ~emit msg;
+        match t.backing with
+        | Durable st -> Storage.drive st ~transport:tr ~node:me
+        | Volatile _ -> ())
+
 let contents t =
   match t.backing with
   | Volatile regs ->

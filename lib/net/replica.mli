@@ -68,7 +68,25 @@ val handle :
 (** {!handle_emit} collecting the replies into a list.  Complete only
     when the replica is volatile or its store commits synchronously
     (no [group_commit] config): a deferred ack would be lost with the
-    collector.  Kept for the sync-store drivers and tests. *)
+    collector.  Kept for tests and synchronous test transports. *)
+
+val serve :
+  t ->
+  transport:Transport.t ->
+  me:Transport.node ->
+  src:Transport.node ->
+  Wire.msg ->
+  unit
+(** [serve rep ~transport ~me] is the replica node the socket service
+    runs, as a handler for {!Socket_net.listen} at node [me].  Each
+    handled message is one {!Transport.cork} turn: its replies leave
+    as one frame per peer.  After the turn's {!handle_emit}, a durable
+    replica's store is driven by {!Storage.drive}.  The flush timer is
+    armed through the corked transport, so the acks a deadline flush
+    releases are coalesced the same way.  Build one handler per
+    replica and node; it must be called serialized with [me]'s timers,
+    as {!Socket_net} does.  {!Sim_run} keeps its own uncorked driver,
+    which guards against crashed and restarted incarnations. *)
 
 val contents : t -> (int * (int * Wire.payload)) list
 (** Materialized registers as [(global_reg, (timestamp, payload))],

@@ -41,14 +41,12 @@ let worker_of_key map ~domains key =
   Shard_map.base_shard_of_key map key mod domains
 
 type t = {
-  tr : Transport.t;  (* the corked wrapper when [pooled], else [base] *)
-  base : Transport.t;
+  tr : Transport.t;  (* corked ([Transport.cork]) when [pooled] *)
+  turn : (unit -> unit) -> unit;  (* the cork's turn runner *)
   me : Transport.node;
   owns : int -> bool;
   pooled : bool;
       (* a pool member: corked sends, presequenced point-routed admission *)
-  cork_depth : int ref;
-  cork_buf : (Transport.node, Wire.msg list ref) Hashtbl.t;
   registry : Registry.t;
   reconfig : Reconfig.t;
   txns : Txn.t;  (* shared across all cores of a pool *)
@@ -66,7 +64,6 @@ type t = {
   mutable timer_armed : bool;
   resend_every : float;
   storage : Storage.t option;
-  mutable flush_armed : bool;
   metrics : Metrics.t;
   trace : Trace.t option;
   m_served : Metrics.counter;
@@ -83,46 +80,7 @@ let monitor_of t key =
     Hashtbl.replace t.monitors key m;
     m
 
-(* Ship a corked destination's buffered messages, batching whenever
-   there is more than one.  Chunked well under both the decoder's
-   [Wire.max_batch] and [Wire.max_frame]. *)
-let cork_chunk = 2048
-
-let flush_cork t =
-  if Hashtbl.length t.cork_buf > 0 then begin
-    let items =
-      Hashtbl.fold (fun dst l acc -> (dst, List.rev !l) :: acc) t.cork_buf []
-    in
-    Hashtbl.reset t.cork_buf;
-    List.iter
-      (fun (dst, msgs) ->
-        let rec ship = function
-          | [] -> ()
-          | [ m ] -> t.base.Transport.send ~src:t.me ~dst m
-          | ms ->
-            let rec take n acc = function
-              | rest when n = 0 -> (List.rev acc, rest)
-              | [] -> (List.rev acc, [])
-              | m :: rest -> take (n - 1) (m :: acc) rest
-            in
-            let chunk, rest = take cork_chunk [] ms in
-            t.base.Transport.send ~src:t.me ~dst (Wire.Batch chunk);
-            ship rest
-        in
-        ship msgs)
-      items
-  end
-
-let with_cork t f =
-  if not t.pooled then f ()
-  else begin
-    incr t.cork_depth;
-    Fun.protect
-      ~finally:(fun () ->
-        decr t.cork_depth;
-        if !(t.cork_depth) = 0 then flush_cork t)
-      f
-  end
+let with_cork t f = t.turn f
 
 let metrics t = t.metrics
 let registry t = t.registry
@@ -355,39 +313,12 @@ let create ~transport ?(audit = true) ?(resend_every = 0.05) ?engine
       ((fun _ -> true), Txn.create ~torn:bug.Bug.torn_txn ~audit ~init (),
        fun f -> f ())
   in
-  let cork_depth = ref 0 in
-  let cork_buf : (Transport.node, Wire.msg list ref) Hashtbl.t =
-    Hashtbl.create 8
-  in
-  (* Corked transport: while a turn is open, sends accumulate per
-     destination and go out as one [Wire.Batch] frame per peer when
-     the outermost cork closes — one syscall instead of one per
-     quorum message.  Timer callbacks get their own cork so resend
-     fan-outs and deferred flush acks coalesce too.  [self] ties the
-     recursive knot (the wrapper needs the [t] it is a field of). *)
-  let self = ref None in
-  let wrapped =
-    if not pooled then transport
-    else
-      {
-        transport with
-        Transport.send =
-          (fun ~src ~dst msg ->
-            if !cork_depth = 0 then transport.Transport.send ~src ~dst msg
-            else
-              match Hashtbl.find_opt cork_buf dst with
-              | Some l -> l := msg :: !l
-              | None -> Hashtbl.replace cork_buf dst (ref [ msg ]));
-        set_timer =
-          (fun ~node ~delay f ->
-            transport.Transport.set_timer ~node ~delay (fun () ->
-                match !self with
-                | Some t -> with_cork t f
-                | None -> f ()));
-      }
+  (* a pool member's sends are corked: one frame per peer per turn *)
+  let tr, turn =
+    if pooled then Transport.cork transport else (transport, fun f -> f ())
   in
   let registry =
-    Registry.create ~transport:wrapped ~me ~replicas ~map ?engine ~bug
+    Registry.create ~transport:tr ~me ~replicas ~map ?engine ~bug
       ?storage ~metrics ()
   in
   (* two-bit replies are routed to workers by [lid mod domains]; during
@@ -406,13 +337,11 @@ let create ~transport ?(audit = true) ?(resend_every = 0.05) ?engine
   in
   let t =
     {
-      tr = wrapped;
-      base = transport;
+      tr;
+      turn;
       me;
       owns;
       pooled;
-      cork_depth;
-      cork_buf;
       registry;
       reconfig;
       txns;
@@ -429,7 +358,6 @@ let create ~transport ?(audit = true) ?(resend_every = 0.05) ?engine
       timer_armed = false;
       resend_every;
       storage;
-      flush_armed = false;
       metrics;
       trace;
       m_served = Metrics.counter metrics "ops_served";
@@ -440,7 +368,6 @@ let create ~transport ?(audit = true) ?(resend_every = 0.05) ?engine
             Metrics.counter metrics (Fmt.str "shard%d_ops" s));
     }
   in
-  self := Some t;
   (* a cutover re-kicks every session's queue for the migrated key:
      ops parked during the drain phase dispatch here, now routed by
      the advanced map *)
@@ -546,28 +473,6 @@ let admit t s =
   done;
   List.iter (fun key -> start_next t s.lane key) (List.rev !touched)
 
-(* Group-commit driver for the server's own wts store: with a flush
-   deadline, arm one transport timer and coalesce across messages;
-   without one, commit whatever this message queued before returning
-   (still one fsync for a whole client Batch).  The server node is
-   never crash-faulted by the harnesses, so the armed flag cannot be
-   wedged by a dead-node timer skip. *)
-let rec drive_flush t =
-  match t.storage with
-  | None -> ()
-  | Some st ->
-    if Storage.pending st > 0 then begin
-      let d = Storage.flush_deadline st in
-      if d <= 0.0 then Storage.flush st
-      else if not t.flush_armed then begin
-        t.flush_armed <- true;
-        t.tr.Transport.set_timer ~node:t.me ~delay:d (fun () ->
-            t.flush_armed <- false;
-            Storage.flush st;
-            drive_flush t)
-      end
-    end
-
 let rec on_message_inner t ~src msg =
   match msg with
   | Wire.Hello { proc } ->
@@ -644,10 +549,15 @@ let rec on_message_inner t ~src msg =
   | Wire.Stats_reply _ | Wire.Store2 _ | Wire.Query2 _ | Wire.Engine_hello _
   | Wire.Reconfig_ack _ | Wire.Epoch_reply _ -> ()
 
+(* The server's own wts store is flushed by the shared driver.  The
+   server node is never crash-faulted by the harnesses, so its armed
+   flag cannot be wedged by a dead-node timer skip. *)
 let on_message t ~src msg =
-  with_cork t (fun () ->
+  t.turn (fun () ->
       on_message_inner t ~src msg;
-      drive_flush t)
+      match t.storage with
+      | Some st -> Storage.drive st ~transport:t.tr ~node:t.me
+      | None -> ())
 
 let keyed_history t = List.rev_map (fun (_, kev) -> kev) t.events_rev
 let history t = List.rev_map (fun (_, (_, ev)) -> ev) t.events_rev

@@ -84,12 +84,12 @@ val create :
     register sets are disjoint), persisted before each store broadcast
     and recovered by a restarted server, so it never re-issues a
     timestamp a replica may already hold.  When the store was opened
-    with a [group_commit] config the server drives it: a positive
+    with a [group_commit] config the server drives it with
+    {!Storage.drive} after every handled message: a positive
     {!Storage.flush_deadline} arms a transport timer that flushes the
     pending batch (coalescing wts appends across messages), a zero
-    deadline flushes at the end of every handled message — either way
-    each store broadcast waits for its timestamp's batch to be
-    durable.  A restarted server with
+    deadline flushes at the end of the message — either way each
+    store broadcast waits for its timestamp's batch to be durable.  A restarted server with
     [audit] on also seeds each recovered key's monitor with the writer
     roles' recovered values as completed concurrent writes, so a read
     of recovered state audits clean — exact when no write was in
@@ -106,10 +106,10 @@ val create :
     message on its own (message granularity, hence the simulator's
     schedules, is unchanged) and runs multi-key ops through a private
     {!Txn} coordinator.  With [member] it is one core of a
-    {!Server_pool}, and three things follow.  Sends are corked: while
-    a handler turn (an {!on_message} call, a timer callback or a
-    {!with_cork} section) is open, they are buffered per destination
-    and leave as one {!Wire.msg.Batch} frame per peer.  Admission is
+    {!Server_pool}, and three things follow.  Sends go through a
+    {!Transport.cork}: while a handler turn (an {!on_message} call, a
+    timer callback or a {!with_cork} section) is open, they are
+    buffered per destination and leave as one frame per peer.  Admission is
     presequenced: {!Server_pool.dispatch} delivers each session's
     requests in order and only those whose key this core owns
     ({!worker_of_key}), so each is queued directly and sequence
@@ -198,9 +198,9 @@ val timed_keyed_history :
     what {!Server_pool} merges across workers by time. *)
 
 val with_cork : t -> (unit -> unit) -> unit
-(** Run [f] as one coalescing turn: in a pool member, sends buffered
-    anywhere inside [f] (including nested {!on_message} calls) are
-    flushed as per-destination batches when the outermost section
+(** Run [f] as one turn of a pool member's {!Transport.cork}: sends
+    buffered anywhere inside [f] (including nested {!on_message}
+    calls) ship as one frame per destination when the outermost turn
     closes.  A worker draining its whole inbox under one cork is how a
     multi-message burst becomes a single frame per peer.  In a
     standalone server this is just [f ()]. *)

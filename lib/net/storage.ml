@@ -343,6 +343,7 @@ type t = {
   recovered_wal : int;
   torn_bytes : int;
   mutable wal_size : int;
+  mutable flush_armed : bool;  (* owned by [drive]: one timer at a time *)
 }
 
 let apply tbl e =
@@ -416,6 +417,7 @@ let create ?(snapshot_every = 0) ?(gc_bytes = 0) ?group_commit be =
     recovered_wal;
     torn_bytes;
     wal_size;
+    flush_armed = false;
   }
 
 let batch_max t = t.batch_max
@@ -515,6 +517,17 @@ let pending t =
   let n = t.npending in
   Mutex.unlock t.mu;
   n
+
+let rec drive t ~(transport : Transport.t) ~node =
+  if pending t > 0 then
+    if t.flush_deadline <= 0.0 then flush t
+    else if not t.flush_armed then begin
+      t.flush_armed <- true;
+      transport.set_timer ~node ~delay:t.flush_deadline (fun () ->
+          t.flush_armed <- false;
+          flush t;
+          drive t ~transport ~node)
+    end
 
 let pin t =
   Mutex.lock t.mu;

@@ -41,11 +41,13 @@
     in [gc_deferrals]) and discharged by the last {!unpin}, so the log
     is never reorganized under a consistent multi-key read.
 
-    The store never arms timers itself: [flush_every] is advisory,
-    exposed via {!flush_deadline} for the driver (server, sim harness,
-    service flusher) that owns the threading model.  All public
-    operations are thread-safe behind one internal mutex; completions
-    run outside it and may re-enter the store.
+    The store never arms timers by itself: [flush_every] is advisory,
+    exposed via {!flush_deadline} for the driver that owns the
+    threading model.  A socket node's driver is {!drive}, which
+    {!Server} and {!Replica.serve} call after every handler turn;
+    {!Sim_run} keeps its own incarnation-guarded replica driver.  All
+    public operations are thread-safe behind one internal mutex;
+    completions run outside it and may re-enter the store.
 
     {2 On-disk format}
 
@@ -244,6 +246,19 @@ val batch_max : t -> int
 val flush_deadline : t -> float
 (** The [flush_every] this store was opened with ([0.] when group
     commit is off) — advisory, for the driver that arms flush timers. *)
+
+val drive : t -> transport:Transport.t -> node:Transport.node -> unit
+(** The group-commit flush policy, called at the end of each of
+    [node]'s handler turns.  Nothing pending: no-op.  A zero
+    {!flush_deadline} flushes now.  A positive one arms a single
+    [transport] timer on [node] unless one is already armed; the timer
+    flushes the batch and drives again, so entries queued meanwhile
+    get their own deadline.  Acks therefore wait at most one deadline
+    past their append.  The armed flag lives in the store, so each
+    store must have exactly one driving node, and [drive] must run
+    serialized with that node's handler (as transport timers do).  A
+    crash-faulted node whose timers may be skipped would wedge the
+    flag; {!Sim_run} drives such replicas itself. *)
 
 val snapshot : t -> unit
 (** Force a snapshot now (flushes the pending batch first). *)

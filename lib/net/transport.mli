@@ -56,3 +56,19 @@ type t = {
 val null : t
 (** Discards sends, never fires timers, clock pinned at 0; for
     unit-testing state machines in isolation. *)
+
+val cork : t -> t * ((unit -> unit) -> unit)
+(** [cork base] is one node's coalescing send path: the corked
+    transport and its turn runner.  While a turn ([turn f], nested or
+    not) is open, sends are buffered per destination; when the
+    outermost turn closes, each destination gets its messages in send
+    order as one frame — the message itself when there is one, a
+    {!Wire.msg.Batch} of at most 2048 otherwise (more are split into
+    successive batches).  One syscall per peer instead of one per
+    message.  Sends outside any turn pass straight through to [base].
+    Timer callbacks armed through the corked transport each run as
+    their own turn, so a resend fan-out or the acks a deadline flush
+    releases coalesce too.  The buffer is keyed by destination: every
+    send through one corked transport must name the same [src] (the
+    node it serves).  Not locked — drive it from that node's
+    serialized handler and timers. *)

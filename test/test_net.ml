@@ -592,22 +592,25 @@ let audit_catches_corruption () =
 (* ------------------------------------------------------------------ *)
 (* Socket transport                                                    *)
 
+(* Replica nodes 0, 1 and 2 on [net], run as the service runs them;
+   [storage r] makes replica [r] durable. *)
+let socket_replicas ?(storage = fun _ -> None) net =
+  let tr = Net.Socket_net.transport net in
+  List.map
+    (fun r ->
+      let rep = Net.Replica.create ~init:0 ?storage:(storage r) () in
+      Net.Socket_net.listen net r (Net.Replica.serve rep ~transport:tr ~me:r);
+      rep)
+    [ 0; 1; 2 ]
+
+(* A standalone audited server over [socket_replicas]. *)
 let socket_cluster ?map () =
   let net = Net.Socket_net.create () in
-  let tr = Net.Socket_net.transport net in
-  let replicas = [ 0; 1; 2 ] in
-  List.iter
-    (fun r ->
-      let rep = Net.Replica.create ~init:0 () in
-      Net.Socket_net.listen net r (fun ~src msg ->
-          List.iter
-            (fun (dst, m) -> tr.Net.Transport.send ~src:r ~dst m)
-            (Net.Replica.handle rep ~src msg)))
-    replicas;
+  ignore (socket_replicas net);
   let server =
-    Net.Server.create ~transport:tr ~audit:true
+    Net.Server.create ~transport:(Net.Socket_net.transport net) ~audit:true
       ~metrics:(Net.Socket_net.metrics net) ?map ~me:Net.Transport.server
-      ~replicas ~init:0 ()
+      ~replicas:[ 0; 1; 2 ] ~init:0 ()
   in
   Net.Socket_net.listen net Net.Transport.server (Net.Server.on_message server);
   (net, server)
@@ -1114,6 +1117,20 @@ let loopback_pool ?storage ?map ~domains () =
   pool := Some p;
   (tr, p, resps)
 
+(* A [domains]-worker pool over real sockets and [socket_replicas], as
+   the service deploys it. *)
+let socket_pool ?engine ~shards ~domains () =
+  let net = Net.Socket_net.create () in
+  ignore (socket_replicas net);
+  let pool =
+    Net.Server_pool.create ~transport:(Net.Socket_net.transport net)
+      ~audit:true ~metrics:(Net.Socket_net.metrics net) ?engine
+      ~map:(Net.Shard_map.create ~shards ()) ~domains ~me:Net.Transport.server
+      ~replicas:[ 0; 1; 2 ] ~init:0 ()
+  in
+  Net.Socket_net.listen net Net.Transport.server (Net.Server_pool.dispatch pool);
+  (net, pool)
+
 (* Poll until [resps] reaches [n] or 10 s pass: the workers answer on
    their own domains. *)
 let await_resps resps n =
@@ -1215,26 +1232,8 @@ let socket_pool_domains () =
   (* the pool over real sockets: two worker domains, sharded keyspace,
      concurrent keyed clients — audits must stay clean and every op
      must be answered *)
-  let shards = 4 and nkeys = 8 in
-  let net = Net.Socket_net.create () in
-  let tr = Net.Socket_net.transport net in
-  let replicas = [ 0; 1; 2 ] in
-  List.iter
-    (fun r ->
-      let rep = Net.Replica.create ~init:0 () in
-      Net.Socket_net.listen net r (fun ~src msg ->
-          List.iter
-            (fun (dst, m) -> tr.Net.Transport.send ~src:r ~dst m)
-            (Net.Replica.handle rep ~src msg)))
-    replicas;
-  let pool =
-    Net.Server_pool.create ~transport:tr ~audit:true
-      ~metrics:(Net.Socket_net.metrics net)
-      ~map:(Net.Shard_map.create ~shards ()) ~domains:2
-      ~me:Net.Transport.server ~replicas ~init:0 ()
-  in
-  Net.Socket_net.listen net Net.Transport.server (fun ~src msg ->
-      Net.Server_pool.dispatch pool ~src msg);
+  let nkeys = 8 in
+  let net, pool = socket_pool ~shards:4 ~domains:2 () in
   let processes = spec ~readers:2 ~writes:20 ~reads:20 in
   let expected =
     List.fold_left (fun n { Registers.Vm.script; _ } -> n + List.length script)
@@ -1273,26 +1272,8 @@ let socket_pool_txn_snap () =
      over real sockets: two writers batch disjoint key pairs while two
      snapshot readers watch for torn cuts; the coordinator's own audit
      and the per-key monitors must both stay clean *)
-  let shards = 4 and rounds = 12 and snaps = 10 in
-  let net = Net.Socket_net.create () in
-  let tr = Net.Socket_net.transport net in
-  let replicas = [ 0; 1; 2 ] in
-  List.iter
-    (fun r ->
-      let rep = Net.Replica.create ~init:0 () in
-      Net.Socket_net.listen net r (fun ~src msg ->
-          List.iter
-            (fun (dst, m) -> tr.Net.Transport.send ~src:r ~dst m)
-            (Net.Replica.handle rep ~src msg)))
-    replicas;
-  let pool =
-    Net.Server_pool.create ~transport:tr ~audit:true
-      ~metrics:(Net.Socket_net.metrics net)
-      ~map:(Net.Shard_map.create ~shards ()) ~domains:2
-      ~me:Net.Transport.server ~replicas ~init:0 ()
-  in
-  Net.Socket_net.listen net Net.Transport.server (fun ~src msg ->
-      Net.Server_pool.dispatch pool ~src msg);
+  let rounds = 12 and snaps = 10 in
+  let net, pool = socket_pool ~shards:4 ~domains:2 () in
   (* writer [p] owns keys [p] and [p + 2]; batch i writes the pair
      (base*i, base*i + 1), so any atomic cut pairs them exactly *)
   let writer proc =
@@ -1410,25 +1391,7 @@ let socket_client_send_order () =
      hang into a failure by closing the clients, which fails their
      blocked awaits. *)
   let n = 20_000 and window = 64 and nkeys = 16 in
-  let net = Net.Socket_net.create () in
-  let tr = Net.Socket_net.transport net in
-  let replicas = [ 0; 1; 2 ] in
-  List.iter
-    (fun r ->
-      let rep = Net.Replica.create ~init:0 () in
-      Net.Socket_net.listen net r (fun ~src msg ->
-          List.iter
-            (fun (dst, m) -> tr.Net.Transport.send ~src:r ~dst m)
-            (Net.Replica.handle rep ~src msg)))
-    replicas;
-  let pool =
-    Net.Server_pool.create ~transport:tr ~audit:true
-      ~metrics:(Net.Socket_net.metrics net)
-      ~map:(Net.Shard_map.create ~shards:4 ()) ~domains:1
-      ~me:Net.Transport.server ~replicas ~init:0 ()
-  in
-  Net.Socket_net.listen net Net.Transport.server (fun ~src msg ->
-      Net.Server_pool.dispatch pool ~src msg);
+  let net, pool = socket_pool ~shards:4 ~domains:1 () in
   let clients =
     List.init 2 (fun proc ->
         Net.Client.connect ~net ~server:Net.Transport.server ~proc
@@ -1551,6 +1514,68 @@ let socket_tiny_sndbuf () =
     (Fmt.str "short writes parked on the queue (saw %d)" queued)
     true (queued >= 1)
 
+(* ------------------------------------------------------------------ *)
+(* The send cork                                                       *)
+
+let cork_coalesces () =
+  (* a capturing transport under [Transport.cork]: what reaches the
+     base, and when *)
+  let sent = ref [] and timers = ref [] in
+  let base =
+    {
+      Net.Transport.send =
+        (fun ~src ~dst msg -> sent := (src, dst, msg) :: !sent);
+      set_timer = (fun ~node:_ ~delay:_ f -> timers := f :: !timers);
+      now = (fun () -> 0.0);
+    }
+  in
+  let tr, turn = Net.Transport.cork base in
+  let shipped () =
+    let l = List.rev !sent in
+    sent := [];
+    l
+  in
+  let q i = W.Query { rid = i; reg = 0 } in
+  let send dst i = tr.Net.Transport.send ~src:5 ~dst (q i) in
+  let check what expected got =
+    Alcotest.(check bool) what true (got = expected)
+  in
+  send 1 0;
+  check "a send outside a turn passes straight through" [ (5, 1, q 0) ]
+    (shipped ());
+  turn (fun () ->
+      send 1 1;
+      send 2 2;
+      turn (fun () -> send 1 3);
+      check "nothing ships when an inner turn closes" [] (shipped ()));
+  check "one frame per destination, a Batch only for two or more, in order"
+    [ (5, 1, W.Batch [ q 1; q 3 ]); (5, 2, q 2) ]
+    (List.sort compare (shipped ()));
+  let n = (2 * 2048) + 1 in
+  turn (fun () ->
+      for i = 1 to n do
+        send 3 i
+      done);
+  (match shipped () with
+   | [ (5, 3, W.Batch a); (5, 3, W.Batch b); (5, 3, last) ] ->
+     Alcotest.(check (list int)) "burst split into 2048-message batches"
+       [ 2048; 2048 ] [ List.length a; List.length b ];
+     check "the split keeps send order" (List.init n (fun i -> q (i + 1)))
+       (a @ b @ [ last ])
+   | frames ->
+     Alcotest.failf "%d-message burst shipped as %d frames" n
+       (List.length frames));
+  tr.Net.Transport.set_timer ~node:5 ~delay:1.0 (fun () ->
+      send 4 1;
+      send 4 2;
+      check "a timer callback's sends wait for its turn to close" []
+        (shipped ()));
+  (match !timers with
+   | [ fire ] -> fire ()
+   | l -> Alcotest.failf "%d timers armed on the base" (List.length l));
+  check "a timer callback runs as its own turn" [ (5, 4, W.Batch [ q 1; q 2 ]) ]
+    (shipped ())
+
 let suite =
   [
     tc "wire: reject garbage" wire_rejects_garbage;
@@ -1590,6 +1615,7 @@ let suite =
       socket_timer_stale_incarnation;
     tc "server: reconnect keeps a processor sequential"
       reconnect_keeps_processor_sequential;
+    tc "cork: one frame per peer per turn" cork_coalesces;
     tc "batch fast path: group commits, not singletons" batch_group_commit;
     tc "pool: mixed-shard batch over two domains" pool_mixed_shard_batch;
     tc "pool: keyed workload over sockets, two domains" socket_pool_domains;

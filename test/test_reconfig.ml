@@ -261,32 +261,12 @@ let sim_crash_points_mid_migration () =
 (* ------------------------------------------------------------------ *)
 (* Socket legs (slow): live threads, real sockets                      *)
 
-let socket_cluster ?map () =
-  let net = Net.Socket_net.create () in
-  let tr = Net.Socket_net.transport net in
-  let replicas = [ 0; 1; 2 ] in
-  List.iter
-    (fun r ->
-      let rep = Net.Replica.create ~init:0 () in
-      Net.Socket_net.listen net r (fun ~src msg ->
-          List.iter
-            (fun (dst, m) -> tr.Net.Transport.send ~src:r ~dst m)
-            (Net.Replica.handle rep ~src msg)))
-    replicas;
-  let server =
-    Net.Server.create ~transport:tr ~audit:true
-      ~metrics:(Net.Socket_net.metrics net) ?map ~me:Net.Transport.server
-      ~replicas ~init:0 ()
-  in
-  Net.Socket_net.listen net Net.Transport.server (Net.Server.on_message server);
-  (net, server)
-
 let socket_reshard_under_hammer () =
   (* live threads hammering the key over real sockets while a control
      client resharding it: every op must be acked, the audit clean, and
      the served epoch must reflect the handoff *)
   let net, server =
-    socket_cluster ~map:(Net.Shard_map.create ~shards:2 ()) ()
+    Test_net.socket_cluster ~map:(Net.Shard_map.create ~shards:2 ()) ()
   in
   let rounds = 30 in
   let counts = Array.make 3 0 in
@@ -329,7 +309,7 @@ let socket_close_seals_during_migration () =
      Invalid_argument — deterministically, never parked forever — and
      every ack it did receive must be durable across the cutover *)
   let net, server =
-    socket_cluster ~map:(Net.Shard_map.create ~shards:2 ()) ()
+    Test_net.socket_cluster ~map:(Net.Shard_map.create ~shards:2 ()) ()
   in
   let acked = Atomic.make 0 in
   let c0 = Net.Client.connect ~net ~server:Net.Transport.server ~proc:0 () in
@@ -386,25 +366,9 @@ let socket_pool_reshard kind ~domains ~expect_refusal () =
      — ABD pools accept at any domain count, a twobit pool on one
      domain accepts, and a multi-domain twobit pool must refuse rather
      than wedge *)
-  let net = Net.Socket_net.create () in
-  let tr = Net.Socket_net.transport net in
-  let replicas = [ 0; 1; 2 ] in
-  List.iter
-    (fun r ->
-      let rep = Net.Replica.create ~init:0 () in
-      Net.Socket_net.listen net r (fun ~src msg ->
-          List.iter
-            (fun (dst, m) -> tr.Net.Transport.send ~src:r ~dst m)
-            (Net.Replica.handle rep ~src msg)))
-    replicas;
-  let pool =
-    Net.Server_pool.create ~transport:tr ~audit:true
-      ~metrics:(Net.Socket_net.metrics net) ~engine:(espec kind)
-      ~map:(Net.Shard_map.create ~shards:2 ()) ~domains
-      ~me:Net.Transport.server ~replicas ~init:0 ()
+  let net, pool =
+    Test_net.socket_pool ~engine:(espec kind) ~shards:2 ~domains ()
   in
-  Net.Socket_net.listen net Net.Transport.server (fun ~src msg ->
-      Net.Server_pool.dispatch pool ~src msg);
   let c = Net.Client.connect ~net ~server:Net.Transport.server ~proc:0 () in
   for i = 1 to 10 do
     Net.Client.write_k c ~key:hot i
