@@ -97,18 +97,21 @@ let entry i =
   { Net.Storage.reg = i mod 64; ts = i + 1;
     pl = Registers.Tagged.make i (i land 1 = 0) }
 
+(* 2 writers + 2 readers, [n] ops each, every written value unique *)
+let two_by_two n =
+  Harness.Workload.unique_scripts
+    { Harness.Workload.writers = 2; readers = 2; writes_each = n;
+      reads_each = n }
+
 (* ------------------------------------------------------------------ *)
 (* Claim C1/C2: access counts and space, from live counters.           *)
 
 let bench_access_counts () =
   section "claims/access-counts (C1, C2) - real accesses per operation";
-  let spec =
-    { Harness.Workload.writers = 2; readers = 2; writes_each = 50; reads_each = 50 }
-  in
   let trace =
     Registers.Run_coarse.run ~seed:7
       (Core.Protocol.bloom ~init:0 ~other_init:0 ())
-      (Harness.Workload.unique_scripts spec)
+      (two_by_two 50)
   in
   Fmt.pr "%a@." Harness.Stats.pp_access_summary
     (Harness.Stats.summarise_accesses trace);
@@ -510,13 +513,9 @@ let bench_net () =
     (fun drop ->
       let o =
         Net.Sim_run.run
-          ~faults:(Net.Sim_net.lossy ~drop ~duplicate:(drop /. 2.0) ())
-          ~seed:5 ~init:0
-          ~processes:
-            (Harness.Workload.unique_scripts
-               { Harness.Workload.writers = 2; readers = 2; writes_each = 40;
-                 reads_each = 40 })
-          ()
+          (Net.Sim_run.build
+             ~faults:(Net.Sim_net.lossy ~drop ~duplicate:(drop /. 2.0) ())
+             ~seed:5 ~init:0 ~processes:(two_by_two 40) ())
       in
       let lat =
         Array.of_list (List.map (fun (_, _, l) -> l) o.Net.Sim_run.latencies)
@@ -569,12 +568,9 @@ let bench_net_shard () =
       List.iter
         (fun shards ->
           let o =
-            Net.Sim_run.run ~shards ~window ~seed:21 ~init:0
-              ~processes:
-                (Harness.Workload.unique_scripts
-                   { Harness.Workload.writers = 2; readers = 2;
-                     writes_each = 60; reads_each = 60 })
-              ()
+            Net.Sim_run.run
+              (Net.Sim_run.build ~shards ~window ~seed:21 ~init:0
+                 ~processes:(two_by_two 60) ())
           in
           let ops_per_vt =
             float_of_int o.Net.Sim_run.completed /. o.Net.Sim_run.virtual_span
@@ -640,11 +636,7 @@ let pool_run_once ?(nkeys = 0) ?(window = 32) ?group_commit ~domains ~shards
     Net.Socket_net.listen net Net.Transport.server (fun ~src msg ->
         Net.Server_pool.dispatch pool ~src msg);
     let nkeys = if nkeys > 0 then nkeys else max shards 1 in
-    let processes =
-      Harness.Workload.unique_scripts
-        { Harness.Workload.writers = 2; readers = 2; writes_each = 2400;
-          reads_each = 2400 }
-    in
+    let processes = two_by_two 2400 in
     let t0 = Unix.gettimeofday () in
     let threads =
       List.map
@@ -746,12 +738,9 @@ let bench_net_metrics () =
   let sim_leg ~label ~faults =
     let metrics = Net.Metrics.create () in
     let o =
-      Net.Sim_run.run ~faults ~metrics ~seed:11 ~init:0
-        ~processes:
-          (Harness.Workload.unique_scripts
-             { Harness.Workload.writers = 2; readers = 2; writes_each = 50;
-               reads_each = 50 })
-        ()
+      Net.Sim_run.run
+        (Net.Sim_run.build ~faults ~metrics ~seed:11 ~init:0
+           ~processes:(two_by_two 50) ())
     in
     let ops = max 1 o.Net.Sim_run.completed in
     let msgs_per_op =
@@ -795,7 +784,10 @@ let bench_net_explore () =
   let proc p script = { Registers.Vm.proc = p; script } in
   (* --- exhaustive enumeration rate, with and without pruning --- *)
   let leg ~label ~prune processes =
-    let cfg = Net.Explore.config ~replicas:1 ~prune ~processes () in
+    let cfg =
+      Net.Explore.config ~replicas:1 ~prune
+        ~workload:(Net.Sim_run.singles processes) ()
+    in
     let res, dt = timed (fun () -> Net.Explore.explore cfg) in
     let s = res.Net.Explore.stats in
     let rate = float_of_int s.Modelcheck.Schedule.schedules /. dt in
@@ -821,7 +813,9 @@ let bench_net_explore () =
   (* --- broken read quorum: time to find + shrink the violation --- *)
   let broken =
     Net.Explore.config ~replicas:3 ~read_quorum:1
-      ~processes:[ proc 0 [ w 1001 ]; proc 1 [ w 2001 ]; proc 2 [ r; r ] ]
+      ~workload:
+        (Net.Sim_run.singles
+           [ proc 0 [ w 1001 ]; proc 1 [ w 2001 ]; proc 2 [ r; r ] ])
       ()
   in
   let res, dt = timed (fun () -> Net.Explore.hunt ~seed:42 broken) in
@@ -935,12 +929,9 @@ let bench_net_recovery () =
      replica handler path (virtual-time throughput, durable vs not) --- *)
   let sim ~durable =
     let o =
-      Net.Sim_run.run ~durable ~seed:13 ~init:0
-        ~processes:
-          (Harness.Workload.unique_scripts
-             { Harness.Workload.writers = 2; readers = 2; writes_each = 50;
-               reads_each = 50 })
-        ()
+      Net.Sim_run.run
+        (Net.Sim_run.build ~durable ~seed:13 ~init:0
+           ~processes:(two_by_two 50) ())
     in
     (o, float_of_int o.Net.Sim_run.completed /. o.Net.Sim_run.virtual_span)
   in
@@ -961,18 +952,15 @@ let bench_net_recovery () =
 let bench_net_engine () =
   section "net-engine - abd vs twobit: wire cost and latency per op";
   let pf = Fmt.pr in
-  let workload =
-    Harness.Workload.unique_scripts
-      { Harness.Workload.writers = 2; readers = 2; writes_each = 50;
-        reads_each = 50 }
-  in
+  let workload = two_by_two 50 in
   let leg kind ~drop =
     let o =
       Net.Sim_run.run
-        ~faults:(Net.Sim_net.lossy ~drop ~duplicate:(drop /. 2.0) ())
-        ~replicas:3 ~seed:6 ~init:0
-        ~engine:{ Net.Engine.kind }
-        ~processes:workload ()
+        (Net.Sim_run.build
+           ~faults:(Net.Sim_net.lossy ~drop ~duplicate:(drop /. 2.0) ())
+           ~replicas:3 ~seed:6 ~init:0
+           ~engine:{ Net.Engine.kind }
+           ~processes:workload ())
     in
     assert (o.Net.Sim_run.monitor_violation = None);
     assert (o.Net.Sim_run.fastcheck_ok);
@@ -1131,8 +1119,7 @@ let bench_net_txn () =
       Net.Sim_run.build ~replicas:3 ~shards ~keys ~window:8 ?snapshot_every
         ?gc_bytes ~seed ~init:0 ~processes:[] ~xprocesses ()
     in
-    let steps = Net.Sim_net.run cl.Net.Sim_run.net in
-    let o = Net.Sim_run.collect cl ~steps in
+    let o = Net.Sim_run.run cl in
     if o.Net.Sim_run.completed <> o.Net.Sim_run.expected then
       Fmt.failwith "net-txn: %d of %d acks fired" o.Net.Sim_run.completed
         o.Net.Sim_run.expected;
@@ -1333,8 +1320,7 @@ let bench_net_reconfig () =
         in
         Option.iter (fun (t, f) -> Net.Sim_net.at cl.Net.Sim_run.net t f)
           before;
-        let steps = Net.Sim_net.run cl.Net.Sim_run.net in
-        Net.Sim_run.collect cl ~steps
+        Net.Sim_run.run cl
       in
       (* probe leg: same workload, no migration — calibrates the
          mid-run virtual time and gives the undisturbed baseline *)
@@ -1415,17 +1401,9 @@ let bench_net_reconfig () =
 (* Micro benchmarks (Bechamel).                                        *)
 
 let make_trace n_ops =
-  let spec =
-    {
-      Harness.Workload.writers = 2;
-      readers = 2;
-      writes_each = n_ops / 4;
-      reads_each = n_ops / 4;
-    }
-  in
   Registers.Run_coarse.run ~seed:11
     (Core.Protocol.bloom ~init:0 ~other_init:0 ())
-    (Harness.Workload.unique_scripts spec)
+    (two_by_two (n_ops / 4))
 
 let micro_tests () =
   let reg, w0, _w1 = Core.Shm.create ~init:0 in

@@ -192,35 +192,36 @@ let run_net engine replicas shards keys window net_writers writes readers
       finish ~violated:(rep.X.violations > 0 || rep.X.stalled > 0)
     end
     else begin
-      let processes =
-        scripts
-          ~writer_procs:(List.init net_writers Fun.id)
-          ~writes
-          ~reader_procs:(List.init readers (fun i -> i + net_writers))
-          ~reads
-        |> List.filter (fun p -> p.Vm.script <> [])
-      in
-      (* with --txns/--snaps the workload switches to extended scripts:
-         each writer appends that many whole-keyspace transactions to
-         its plain writes, each reader that many whole-keyspace
-         snapshots to its plain reads (values globally unique, as both
-         the fastcheck and the torn-batch audit require) *)
-      (* with --reconfig-key the plain scripts are pinned onto the
-         migrating key (Keyed ops) so every operation races the
-         handoff — the shape the reconfig CI gates explore *)
-      let xprocesses =
-        if reconfig_key >= 0 && txns = 0 && snaps = 0 then
-          List.map
-            (fun (p : int Vm.process) ->
-              {
-                Net.Sim_run.xproc = p.Vm.proc;
-                xscript =
-                  List.map
-                    (fun op -> Net.Sim_run.Keyed (reconfig_key, op))
-                    p.Vm.script;
-              })
-            processes
-        else if txns = 0 && snaps = 0 then []
+      (* plain writer/reader scripts, unless --txns/--snaps switch to
+         the extended workload: each writer appends that many
+         whole-keyspace transactions to its plain writes, each reader
+         that many whole-keyspace snapshots to its plain reads (values
+         globally unique, as both the fastcheck and the torn-batch
+         audit require).  With --reconfig-key the plain scripts are
+         pinned onto the migrating key (Keyed ops) so every operation
+         races the handoff — the shape the reconfig CI gates explore. *)
+      let workload =
+        if txns = 0 && snaps = 0 then
+          let processes =
+            scripts
+              ~writer_procs:(List.init net_writers Fun.id)
+              ~writes
+              ~reader_procs:(List.init readers (fun i -> i + net_writers))
+              ~reads
+            |> List.filter (fun p -> p.Vm.script <> [])
+          in
+          if reconfig_key < 0 then Net.Sim_run.singles processes
+          else
+            List.map
+              (fun (p : int Vm.process) ->
+                {
+                  Net.Sim_run.xproc = p.Vm.proc;
+                  xscript =
+                    List.map
+                      (fun op -> Net.Sim_run.Keyed (reconfig_key, op))
+                      p.Vm.script;
+                })
+              processes
         else begin
           let all_keys = List.init keys Fun.id in
           let writer p =
@@ -259,12 +260,12 @@ let run_net engine replicas shards keys window net_writers writes readers
              else None)
           ~skip_dual_write
           ?read_quorum:(if broken then Some 1 else None)
-          ~unordered:broken_link ~torn_txn ~xprocesses
+          ~unordered:broken_link ~torn_txn
           ~crashable:(if crashes > 0 then List.init replicas Fun.id else [])
           ~max_crashes:crashes
           ~amnesia:(if amnesia > 0 then List.init replicas Fun.id else [])
           ~max_amnesia:amnesia ~durable:(not no_durability) ?max_schedules
-          ~max_depth ~prune:(not no_prune) ~fastcheck ~processes ()
+          ~max_depth ~prune:(not no_prune) ~fastcheck ~workload ()
       with
       | exception Invalid_argument msg ->
         (* engine/bug-hook/fate mismatches are user errors, not bugs *)
@@ -302,14 +303,9 @@ let run_net engine replicas shards keys window net_writers writes readers
              let cfg', ce' = X.shrink cfg ce in
              X.save ~file cfg' ce';
              let ops =
-               if cfg'.X.xprocesses <> [] then
-                 List.fold_left
-                   (fun n p -> n + List.length p.Net.Sim_run.xscript)
-                   0 cfg'.X.xprocesses
-               else
-                 List.fold_left
-                   (fun n p -> n + List.length p.Vm.script)
-                   0 cfg'.X.processes
+               List.fold_left
+                 (fun n p -> n + List.length p.Net.Sim_run.xscript)
+                 0 cfg'.X.workload
              in
              Fmt.pr "shrunk to %d choices over %d ops; wrote %s@."
                (List.length ce'.X.schedule) ops file);
@@ -475,7 +471,9 @@ let net_cmd =
     Arg.(value & flag
          & info [ "torture" ]
              ~doc:"Seeded randomized crash/partition/restart hammering \
-                   instead of exploration.")
+                   instead of exploration.  Each run draws its own \
+                   topology and workload, so the workload and topology \
+                   flags do not apply.")
   in
   let runs =
     Arg.(value & opt int 100 & info [ "runs" ] ~doc:"Runs for --torture.")

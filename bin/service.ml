@@ -22,22 +22,10 @@ let workload ~readers ~writes ~reads =
 
 (* per-key verdicts over a keyed history: each key is an independent
    two-writer register and must certify on its own *)
-let keyed_fastcheck ~init keyed =
-  let keys = List.sort_uniq compare (List.map fst keyed) in
+let keyed_verdicts ~init keyed =
   List.map
-    (fun key ->
-      let h = List.filter_map (fun (k, e) -> if k = key then Some e else None) keyed in
-      let verdict =
-        match Histories.Operation.of_events h with
-        | Error e -> Fmt.str "not input-correct: %a" Histories.Operation.pp_error e
-        | Ok ops ->
-          (match Histories.Fastcheck.check_unique ~init ops with
-           | Histories.Fastcheck.Atomic _ -> "atomic"
-           | Histories.Fastcheck.Violation v ->
-             Fmt.str "NOT ATOMIC: %a" (Histories.Fastcheck.pp_violation Fmt.int) v)
-      in
-      (key, verdict))
-    keys
+    (fun (k, v) -> (k, match v with Ok () -> "atomic" | Error m -> m))
+    (Net.Sim_run.fastcheck_by_key ~init keyed)
 
 (* ------------------------------------------------------------------ *)
 (* sim                                                                 *)
@@ -49,15 +37,25 @@ let run_sim engine seed replicas shards readers writes reads drop dup window
     (* sized for a whole CLI run: no wrap, so the dump is replayable *)
     Option.map (fun _ -> Net.Trace.create ~capacity:1_000_000 ()) trace_file
   in
-  let o =
-    Net.Sim_run.run ~faults ~replicas ~shards ~window
-      ~engine:{ Net.Engine.kind = engine }
-      ?crash_replica:(if crash then Some (replicas - 1, 40.0) else None)
-      ?partition_replicas:(if partition then Some (60.0, 120.0) else None)
-      ?trace ~seed ~init:0
+  let cl =
+    Net.Sim_run.build ~faults ~replicas ~shards ~window
+      ~engine:{ Net.Engine.kind = engine } ?trace ~seed ~init:0
       ~processes:(workload ~readers ~writes ~reads)
       ()
   in
+  let fates =
+    (if crash then [ (40.0, Harness.Failure.Crash (replicas - 1)) ] else [])
+    @
+    if partition then
+      [
+        ( 60.0,
+          Harness.Failure.Partition
+            (cl.Net.Sim_run.replica_nodes, [ Net.Transport.server ]) );
+        (120.0, Harness.Failure.Heal);
+      ]
+    else []
+  in
+  let o = Net.Sim_run.run ~fates cl in
   if show_history then
     Fmt.pr "%a@." (E.pp_history Fmt.int) o.Net.Sim_run.history;
   Fmt.pr "engine: %s@." (Engine_cli.name engine);
@@ -345,7 +343,7 @@ let run_smoke engine shards readers writes reads seed data_dir group_commit
       Fmt.str "VIOLATION on key %d: %a" k
         (Histories.Fastcheck.pp_violation Fmt.int) v
   in
-  let per_key = keyed_fastcheck ~init:0 keyed in
+  let per_key = keyed_verdicts ~init:0 keyed in
   let fc_ok = List.for_all (fun (_, v) -> v = "atomic") per_key in
   (* each multi-key op is answered (and counted) once *)
   let expected = expected + (4 * txn_rounds) + !reconfig_ops in
@@ -412,8 +410,8 @@ let run_smoke engine shards readers writes reads seed data_dir group_commit
     "== simulated transport (drop 15%%, dup 10%%, jitter, %s engine, replica \
      crash) ==@."
     (Engine_cli.name engine);
-  let o =
-    Net.Sim_run.run
+  let cl =
+    Net.Sim_run.build
       ~faults:(Net.Sim_net.lossy ~drop:0.15 ~duplicate:0.1 ())
       ~engine:{ Net.Engine.kind = engine }
       ?group_commit:
@@ -423,8 +421,9 @@ let run_smoke engine shards readers writes reads seed data_dir group_commit
         (if group_commit > 1 then
            Some { Net.Storage.batch_max = group_commit; flush_every = 0.5 }
          else None)
-      ~replicas:3 ~shards ~crash_replica:(2, 40.0) ~seed ~init:0 ~processes ()
+      ~replicas:3 ~shards ~seed ~init:0 ~processes ()
   in
+  let o = Net.Sim_run.run ~fates:[ (40.0, Harness.Failure.Crash 2) ] cl in
   Fmt.pr "%a@." Net.Sim_run.pp_outcome o;
   if show_metrics then
     Fmt.pr "-- sim metrics --@.%a@." Net.Metrics.pp o.Net.Sim_run.metrics;
@@ -529,7 +528,7 @@ let run_replay file init =
     2
   | keyed ->
     let n = List.length keyed in
-    let per_key = keyed_fastcheck ~init keyed in
+    let per_key = keyed_verdicts ~init keyed in
     List.iter (fun (k, v) -> Fmt.pr "replay: key %d: %s@." k v) per_key;
     let ok = List.for_all (fun (_, v) -> v = "atomic") per_key in
     Fmt.pr "replay: %d events over %d key%s: %s@." n (List.length per_key)

@@ -12,10 +12,11 @@ let () =
   in
   let processes = Harness.Workload.unique_scripts spec in
   let faults = Net.Sim_net.lossy ~drop:0.15 ~duplicate:0.1 () in
-  let o =
-    Net.Sim_run.run ~faults ~replicas:3 ~crash_replica:(2, 40.0) ~seed:42
-      ~init:0 ~processes ()
+  let cl =
+    Net.Sim_run.build ~faults ~replicas:3 ~seed:42 ~init:0 ~processes ()
   in
+  (* replica 2 crashes at virtual time 40 *)
+  let o = Net.Sim_run.run ~fates:[ (40.0, Harness.Failure.Crash 2) ] cl in
   Fmt.pr "served history (server-side order):@.";
   Fmt.pr "%a@." (Histories.Event.pp_history Fmt.int) o.Net.Sim_run.history;
   Fmt.pr "%a@." Net.Sim_run.pp_outcome o;

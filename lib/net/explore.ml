@@ -1,5 +1,4 @@
 module E = Histories.Event
-module Vm = Registers.Vm
 module Sched = Modelcheck.Schedule
 
 (* ------------------------------------------------------------------ *)
@@ -7,13 +6,11 @@ module Sched = Modelcheck.Schedule
 
 type config = {
   replicas : int;
-  processes : int Vm.process list;
-  xprocesses : Sim_run.xprocess list;
+  workload : Sim_run.xprocess list;
   keys : int;
   shards : int;
   group_size : int option;
   window : int;
-  init : int;
   engine : Engine.kind;
   bug : Bug.t;
   reconfig : (int * int) option;
@@ -24,7 +21,6 @@ type config = {
   durable : bool;
   cuts : (int list * int list) list;
   max_partitions : int;
-  max_timer_fires : int;
   max_depth : int;
   max_schedules : int;
   prune : bool;
@@ -32,12 +28,11 @@ type config = {
 }
 
 let config ?(replicas = 3) ?(keys = 1) ?(shards = 1) ?group_size
-    ?(window = 4) ?(init = 0) ?(engine = Engine.Abd) ?read_quorum ?unordered
-    ?torn_txn ?reconfig ?skip_dual_write ?(crashable = []) ?(max_crashes = 0)
-    ?(amnesia = [])
-    ?(max_amnesia = 0) ?(durable = true) ?(cuts = []) ?(max_partitions = 0)
-    ?(max_timer_fires = 64) ?(max_depth = 2_000) ?(max_schedules = max_int)
-    ?(prune = true) ?(fastcheck = false) ?(xprocesses = []) ~processes () =
+    ?(window = 4) ?(engine = Engine.Abd) ?read_quorum ?unordered ?torn_txn
+    ?reconfig ?skip_dual_write ?(crashable = []) ?(max_crashes = 0)
+    ?(amnesia = []) ?(max_amnesia = 0) ?(durable = true) ?(cuts = [])
+    ?(max_partitions = 0) ?(max_depth = 2_000) ?(max_schedules = max_int)
+    ?(prune = true) ?(fastcheck = false) ~workload () =
   (* Fail fast, at configuration time, on requests no run could honour:
      a deep [invalid_arg] out of [reset] would only surface once the
      explorer starts (or worse, from inside every walk). *)
@@ -76,16 +71,14 @@ let config ?(replicas = 3) ?(keys = 1) ?(shards = 1) ?group_size
             if not (Txn.valid_keys ks) then
               invalid_arg "Explore.config: structurally invalid Snap keys")
         xp.Sim_run.xscript)
-    xprocesses;
+    workload;
   {
     replicas;
-    processes;
-    xprocesses;
+    workload;
     keys;
     shards;
     group_size;
     window;
-    init;
     engine;
     bug;
     reconfig;
@@ -96,7 +89,6 @@ let config ?(replicas = 3) ?(keys = 1) ?(shards = 1) ?group_size
     durable;
     cuts;
     max_partitions = (if cuts = [] then 0 else max_partitions);
-    max_timer_fires;
     max_depth;
     max_schedules;
     prune;
@@ -105,6 +97,11 @@ let config ?(replicas = 3) ?(keys = 1) ?(shards = 1) ?group_size
 
 (* ------------------------------------------------------------------ *)
 (* The system presented to the generic explorer                        *)
+
+(* Every explored run starts its registers at 0, and may fire at most
+   this many timers (see [pump]). *)
+let init = 0
+let max_timer_fires = 64
 
 type action =
   | Fire of int  (* index into the Sim_net.pending snapshot *)
@@ -129,8 +126,8 @@ let reset ?trace cfg =
     Sim_run.build ~faults:Sim_net.reliable ~replicas:cfg.replicas
       ~window:cfg.window ~shards:cfg.shards ?group_size:cfg.group_size
       ~keys:cfg.keys ~engine:{ Engine.kind = cfg.engine } ~bug:cfg.bug
-      ~durable:cfg.durable ~xprocesses:cfg.xprocesses ?reconfig:cfg.reconfig
-      ?trace ~seed:0 ~init:cfg.init ~processes:cfg.processes ()
+      ~durable:cfg.durable ~xprocesses:cfg.workload ?reconfig:cfg.reconfig
+      ?trace ~seed:0 ~init ~processes:[] ()
   in
   {
     cfg;
@@ -139,7 +136,7 @@ let reset ?trace cfg =
     amnesia_left = cfg.max_amnesia;
     cuts_left = cfg.max_partitions;
     cut_active = false;
-    timer_budget = cfg.max_timer_fires;
+    timer_budget = max_timer_fires;
     actions = [||];
   }
 
@@ -261,8 +258,8 @@ let verdict st =
       let keyed = Server.keyed_history server in
       match
         List.find_opt
-          (fun (_, ok) -> not ok)
-          (Sim_run.fastcheck_by_key ~init:st.cfg.init keyed)
+          (fun (_, v) -> Result.is_error v)
+          (Sim_run.fastcheck_by_key ~init keyed)
       with
       | Some (key, _) -> Some (key, "post-hoc fastcheck rejects")
       | None -> None
@@ -384,37 +381,20 @@ let drop_nth xs n = List.filteri (fun i _ -> i <> n) xs
 
 (* Candidate workloads: drop one op from one process (whole processes
    disappear when their script empties). *)
-let workload_candidates processes =
-  List.concat
-    (List.mapi
-       (fun pi (p : int Vm.process) ->
-         List.mapi
-           (fun oi _ ->
-             let script = drop_nth p.Vm.script oi in
-             if script = [] then List.filteri (fun i _ -> i <> pi) processes
-             else
-               List.mapi
-                 (fun i q -> if i = pi then { q with Vm.script } else q)
-                 processes)
-           p.Vm.script)
-       processes)
-
-(* Same move over an extended workload: drop one [xop] from one
-   xprocess. *)
-let xworkload_candidates xprocesses =
+let smaller_workloads workload =
   List.concat
     (List.mapi
        (fun pi (p : Sim_run.xprocess) ->
          List.mapi
            (fun oi _ ->
              let xscript = drop_nth p.Sim_run.xscript oi in
-             if xscript = [] then List.filteri (fun i _ -> i <> pi) xprocesses
+             if xscript = [] then List.filteri (fun i _ -> i <> pi) workload
              else
                List.mapi
                  (fun i q -> if i = pi then { q with Sim_run.xscript } else q)
-                 xprocesses)
+                 workload)
            p.Sim_run.xscript)
-       xprocesses)
+       workload)
 
 let shrink cfg ce =
   let minimize cfg schedule =
@@ -434,16 +414,10 @@ let shrink cfg ce =
   in
   let rec fix cfg schedule =
     let candidates =
-      if cfg.xprocesses <> [] then
-        List.filter_map
-          (fun xprocesses ->
-            if xprocesses = [] then None else Some { cfg with xprocesses })
-          (xworkload_candidates cfg.xprocesses)
-      else
-        List.filter_map
-          (fun processes ->
-            if processes = [] then None else Some { cfg with processes })
-          (workload_candidates cfg.processes)
+      List.filter_map
+        (fun workload ->
+          if workload = [] then None else Some { cfg with workload })
+        (smaller_workloads cfg.workload)
     in
     let smaller =
       List.find_map
@@ -477,15 +451,9 @@ let shrink cfg ce =
    The note grammar keeps to [a-z0-9 ,|=_-] so the JSONL needs no
    escaping games on the way back in. *)
 
-let script_tokens script =
-  String.concat " "
-    (List.map
-       (function E.Read -> "r" | E.Write v -> Fmt.str "w%d" v)
-       script)
-
-(* Extended scripts keep to the same escape-free token grammar:
-   [r] / [wV] for singles, [kKr] / [kKwV] for explicitly keyed ops,
-   [tK=V,K=V] for transactions, [sK,K] for snapshots. *)
+(* Workload scripts keep to an escape-free token grammar: [r] / [wV]
+   for singles, [kKr] / [kKwV] for explicitly keyed ops, [tK=V,K=V] for
+   transactions, [sK,K] for snapshots. *)
 let xscript_tokens xscript =
   String.concat " "
     (List.map
@@ -505,14 +473,13 @@ let xscript_tokens xscript =
 let config_note cfg =
   let hook name = List.assoc name (Bug.fields cfg.bug) in
   Fmt.str
-    "config replicas=%d keys=%d shards=%d group_size=%d window=%d init=%d \
-     engine=%d read_quorum=%d unordered=%d torn_txn=%d reconfig_key=%d \
-     reconfig_to=%d skip_dual_write=%d max_crashes=%d max_amnesia=%d \
-     durable=%d max_partitions=%d max_timer_fires=%d max_depth=%d prune=%d \
-     fastcheck=%d"
+    "config replicas=%d keys=%d shards=%d group_size=%d window=%d engine=%d \
+     read_quorum=%d unordered=%d torn_txn=%d reconfig_key=%d reconfig_to=%d \
+     skip_dual_write=%d max_crashes=%d max_amnesia=%d durable=%d \
+     max_partitions=%d max_depth=%d prune=%d fastcheck=%d"
     cfg.replicas cfg.keys cfg.shards
     (Option.value ~default:0 cfg.group_size)
-    cfg.window cfg.init
+    cfg.window
     (Engine.kind_code cfg.engine)
     (hook "read_quorum") (hook "unordered") (hook "torn_txn")
     (match cfg.reconfig with Some (k, _) -> k | None -> -1)
@@ -520,7 +487,7 @@ let config_note cfg =
     (hook "skip_dual_write")
     cfg.max_crashes cfg.max_amnesia
     (if cfg.durable then 1 else 0)
-    cfg.max_partitions cfg.max_timer_fires cfg.max_depth
+    cfg.max_partitions cfg.max_depth
     (if cfg.prune then 1 else 0)
     (if cfg.fastcheck then 1 else 0)
 
@@ -544,15 +511,11 @@ let save ~file cfg ce =
          (String.concat "," (List.map string_of_int cfg.amnesia)));
   List.iter (fun cut -> note (Fmt.str "cut %s" (group_note cut))) cfg.cuts;
   List.iter
-    (fun (p : int Vm.process) ->
-      note (Fmt.str "proc %d %s" p.Vm.proc (script_tokens p.Vm.script)))
-    cfg.processes;
-  List.iter
     (fun (p : Sim_run.xprocess) ->
       note
         (Fmt.str "xproc %d %s" p.Sim_run.xproc
            (xscript_tokens p.Sim_run.xscript)))
-    cfg.xprocesses;
+    cfg.workload;
   note
     (Fmt.str "schedule %s"
        (String.concat "," (List.map string_of_int ce.schedule)));
@@ -588,15 +551,6 @@ let note_of_line line =
 
 let split_on sep s =
   List.filter (fun t -> t <> "") (String.split_on_char sep s)
-
-let parse_script tokens =
-  List.map
-    (fun tok ->
-      if tok = "r" then E.Read
-      else if String.length tok > 1 && tok.[0] = 'w' then
-        E.Write (int_of_string (String.sub tok 1 (String.length tok - 1)))
-      else failwith ("explore: bad script token " ^ tok))
-    tokens
 
 let parse_xscript tokens =
   List.map
@@ -660,6 +614,9 @@ let load ~file =
   let procs = ref [] and cuts = ref [] and crashable = ref [] in
   let amnesia = ref [] and xprocs = ref [] in
   let schedule = ref [] in
+  let xprocess p script =
+    { Sim_run.xproc = int_of_string p; xscript = parse_xscript script }
+  in
   List.iter
     (fun text ->
       match split_on ' ' text with
@@ -673,25 +630,20 @@ let load ~file =
       | [ "crashable"; l ] -> crashable := List.map int_of_string (split_on ',' l)
       | [ "amnesia"; l ] -> amnesia := List.map int_of_string (split_on ',' l)
       | [ "cut"; g ] -> cuts := !cuts @ [ parse_group g ]
-      | "proc" :: p :: script ->
-        procs :=
-          !procs @ [ { Vm.proc = int_of_string p; script = parse_script script } ]
-      | "xproc" :: p :: script ->
-        xprocs :=
-          !xprocs
-          @ [
-              {
-                Sim_run.xproc = int_of_string p;
-                xscript = parse_xscript script;
-              };
-            ]
+      (* a [proc] line is a plain script, written before every
+         workload was saved as [xproc] lines; its [r]/[wV] tokens are
+         the [Single] grammar *)
+      | "proc" :: p :: script -> procs := !procs @ [ xprocess p script ]
+      | "xproc" :: p :: script -> xprocs := !xprocs @ [ xprocess p script ]
       | [ "schedule"; l ] -> schedule := List.map int_of_string (split_on ',' l)
       | _ -> ())
     notes;
   let get k d = Option.value ~default:d (Hashtbl.find_opt assoc k) in
   (* engine defaults to abd so pre-engine artifacts load; group_size,
      reconfig and the bug hooks default to off so artifacts written
-     before them load *)
+     before them load.  Old artifacts' init and max_timer_fires fields
+     only ever held the constants, and are ignored.  Like
+     [Sim_run.build], any [xproc] line overrides the [proc] lines. *)
   let engine =
     match Engine.kind_of_code (get "engine" 0) with
     | Some k -> k
@@ -703,21 +655,21 @@ let load ~file =
     config ~replicas:(get "replicas" 3) ~keys:(get "keys" 1)
       ~shards:(get "shards" 1)
       ?group_size:(if gs = 0 then None else Some gs)
-      ~window:(get "window" 4) ~init:(get "init" 0) ~engine
+      ~window:(get "window" 4) ~engine
       ?reconfig:
         (if rkey < 0 then None else Some (rkey, get "reconfig_to" 0))
-      ~xprocesses:!xprocs ~crashable:!crashable
+      ~crashable:!crashable
       ~max_crashes:(get "max_crashes" 0)
       ~amnesia:!amnesia
       ~max_amnesia:(get "max_amnesia" 0)
       ~durable:(get "durable" 1 = 1)
       ~cuts:!cuts
       ~max_partitions:(get "max_partitions" 0)
-      ~max_timer_fires:(get "max_timer_fires" 64)
       ~max_depth:(get "max_depth" 2_000)
       ~prune:(get "prune" 1 = 1)
       ~fastcheck:(get "fastcheck" 0 = 1)
-      ~processes:!procs ()
+      ~workload:(if !xprocs <> [] then !xprocs else !procs)
+      ()
   in
   let bug =
     Bug.of_fields (Hashtbl.find_opt assoc) ~engine ~replicas:cfg.replicas
@@ -818,12 +770,12 @@ let torture_run ?(engine = Engine.Abd) ~seed ~run ?trace () =
       [ writer 0; writer 1; reader 2; reader 3 ]
     end
   in
-  let o =
-    Sim_run.run ~faults ~replicas ~window ~shards ~keys ~engine:espec ~fates
+  let cl =
+    Sim_run.build ~faults ~replicas ~window ~shards ~keys ~engine:espec
       ?gc_bytes ~xprocesses
       ~seed:(Random.State.bits rng) ~init:0 ~processes ?trace ()
   in
-  (o, fates)
+  (Sim_run.run ~fates cl, fates)
 
 let describe_failure run (o : Sim_run.outcome) =
   match (o.Sim_run.txn_violations, o.Sim_run.key_violations) with

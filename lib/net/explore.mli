@@ -18,8 +18,9 @@
     choice indices replays a run exactly.  Timers are not branch
     points: they fire deterministically, earliest first, and only when
     no delivery is pending — the classic "timeouts happen only when
-    the system stalls" abstraction — with a per-run [max_timer_fires]
-    budget so partition-retransmission loops terminate.
+    the system stalls" abstraction — with a budget of 64 timer fires
+    per run so partition-retransmission loops terminate.  Registers
+    start at 0.
 
     On a violation, {!shrink} minimizes first the schedule (ddmin over
     choice indices, using loose replay: out-of-range indices are
@@ -32,11 +33,10 @@
 
 type config = {
   replicas : int;
-  processes : int Registers.Vm.process list;
-  xprocesses : Sim_run.xprocess list;
-      (** extended workload with multi-key transactions and snapshot
-          reads; when non-empty it replaces [processes] (see
-          {!Sim_run.build}) *)
+  workload : Sim_run.xprocess list;
+      (** the client processes and their scripts: plain register ops
+          ({!Sim_run.singles}), keyed ops, multi-key transactions and
+          snapshot reads *)
   keys : int;  (** scripts round-robin over this many keys *)
   shards : int;  (** server shard count (keys hash across them) *)
   group_size : int option;
@@ -44,7 +44,6 @@ type config = {
           shards and [group_size 1] the groups are disjoint — the
           sharpest migration topology *)
   window : int;  (** client pipelining window *)
-  init : int;
   engine : Engine.kind;  (** replication protocol every shard runs *)
   bug : Bug.t;
       (** the deliberate bugs planted in the run — the targets the
@@ -72,7 +71,6 @@ type config = {
       (** candidate partitions the adversary may impose (one active at
           a time, must heal before the next) *)
   max_partitions : int;  (** partition budget per run *)
-  max_timer_fires : int;
   max_depth : int;  (** schedule length cut-off *)
   max_schedules : int;  (** leaf budget *)
   prune : bool;  (** sleep-set pruning *)
@@ -85,7 +83,6 @@ val config :
   ?shards:int ->
   ?group_size:int ->
   ?window:int ->
-  ?init:int ->
   ?engine:Engine.kind ->
   ?read_quorum:int ->
   ?unordered:bool ->
@@ -99,19 +96,18 @@ val config :
   ?durable:bool ->
   ?cuts:(int list * int list) list ->
   ?max_partitions:int ->
-  ?max_timer_fires:int ->
   ?max_depth:int ->
   ?max_schedules:int ->
   ?prune:bool ->
   ?fastcheck:bool ->
-  ?xprocesses:Sim_run.xprocess list ->
-  processes:int Registers.Vm.process list ->
+  workload:Sim_run.xprocess list ->
   unit ->
   config
-(** Defaults: 3 replicas, 1 key, 1 shard, window 4, init 0, ABD engine
-    with no bug hooks, no fates, durable replicas, [max_timer_fires]
-    64, [max_depth] 2000, unbounded schedules, pruning on, post-hoc
-    check off, plain workload ([xprocesses] empty).  [read_quorum],
+(** [workload] is required; a plain register workload is
+    [Sim_run.singles processes].  Defaults: 3 replicas, 1 key, 1 shard,
+    window 4, ABD engine with no bug hooks, no fates, durable
+    replicas, [max_depth] 2000, unbounded schedules, pruning on,
+    post-hoc check off.  [read_quorum],
     [unordered], [torn_txn] and [skip_dual_write] choose the
     deliberate bugs; they become the [bug] field through
     {!Bug.make}.
@@ -121,8 +117,8 @@ val config :
     @raise Invalid_argument if {!Bug.make} rejects the hooks, if the
     twobit engine is paired with amnesia fates (its link-sequence
     state is volatile — crash-stop only), if a [reconfig] target is
-    out of range, if [group_size] is non-positive, or if an
-    [xprocesses] op carries structurally invalid keys (see
+    out of range, if [group_size] is non-positive, or if a
+    [workload] op carries structurally invalid keys (see
     {!Txn.valid_keys}; [Keyed] keys must be non-negative). *)
 
 (** {2 Exploration} *)
@@ -175,12 +171,17 @@ val shrink : config -> counterexample -> config * counterexample
 
 val save : file:string -> config -> counterexample -> unit
 (** Dump a counterexample as Trace JSONL: note lines carrying the
-    config, workload scripts and schedule; the fully traced replay
-    (sends, deliveries, operation invokes/responds); and the verdict.
-    Self-contained — {!load} needs nothing else. *)
+    config, the workload (one [xproc] line per process) and the
+    schedule; the fully traced replay (sends, deliveries, operation
+    invokes/responds); and the verdict.  Self-contained — {!load}
+    needs nothing else. *)
 
 val load : file:string -> config * int list
-(** Parse an artifact back into its config and schedule.
+(** Parse an artifact back into its config and schedule.  Older
+    artifacts load too: missing config fields take their defaults,
+    the retired [init] and [max_timer_fires] fields are ignored, and
+    plain [proc] script lines are read as [Single] scripts unless the
+    file also has [xproc] lines, which then hold the whole workload.
     @raise Failure on files {!save} did not produce. *)
 
 val replay_file : file:string -> config * int list * Sim_run.outcome

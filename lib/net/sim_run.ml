@@ -68,24 +68,39 @@ let latencies_of timed =
   |> List.rev
 
 (* Per-key post-hoc verdicts: each key's subsequence of the server
-   history is an independent two-writer history, checked on its own. *)
+   history is an independent two-writer history, checked on its own.
+   One pass groups the events by key. *)
 let fastcheck_by_key ~init keyed =
-  let keys =
-    List.sort_uniq compare (List.map fst keyed)
-  in
+  let by_key = Hashtbl.create 16 in
+  List.iter
+    (fun (k, e) ->
+      Hashtbl.replace by_key k
+        (e :: Option.value ~default:[] (Hashtbl.find_opt by_key k)))
+    keyed;
+  Hashtbl.fold (fun k rev_h acc -> (k, List.rev rev_h) :: acc) by_key []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.map (fun (key, h) ->
+         let verdict =
+           match Histories.Operation.of_events h with
+           | Error e ->
+             Error
+               (Fmt.str "not input-correct: %a" Histories.Operation.pp_error e)
+           | Ok ops ->
+             (match Histories.Fastcheck.check_unique ~init ops with
+              | Histories.Fastcheck.Atomic _ -> Ok ()
+              | Histories.Fastcheck.Violation v ->
+                Error
+                  (Fmt.str "NOT ATOMIC: %a"
+                     (Histories.Fastcheck.pp_violation Fmt.int) v))
+         in
+         (key, verdict))
+
+(* plain register processes are the [Single]-only special case *)
+let singles processes =
   List.map
-    (fun key ->
-      let h = List.filter_map (fun (k, e) -> if k = key then Some e else None) keyed in
-      let ok =
-        match Histories.Operation.of_events h with
-        | Error _ -> false
-        | Ok ops ->
-          (match Histories.Fastcheck.check_unique ~init ops with
-           | Histories.Fastcheck.Atomic _ -> true
-           | Histories.Fastcheck.Violation _ -> false)
-      in
-      (key, ok))
-    keys
+    (fun { Registers.Vm.proc; script } ->
+      { xproc = proc; xscript = List.map (fun op -> Single op) script })
+    processes
 
 type cluster = {
   net : Sim_net.t;
@@ -107,15 +122,8 @@ let build ?(faults = Sim_net.reliable) ?(replicas = 3) ?(window = 4)
     ?metrics ?measure ?trace ~seed ~init ~processes () =
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   let nkeys = max 1 (match keys with Some k -> k | None -> shards) in
-  (* plain register processes are the [Single]-only special case *)
   let xprocesses =
-    match xprocesses with
-    | [] ->
-      List.map
-        (fun { Registers.Vm.proc; script } ->
-          { xproc = proc; xscript = List.map (fun op -> Single op) script })
-        processes
-    | xs -> xs
+    match xprocesses with [] -> singles processes | xs -> xs
   in
   let faults =
     {
@@ -323,7 +331,11 @@ let collect cl ~steps =
   let completed =
     List.length (List.filter (function E.Respond _ -> true | _ -> false) history)
   in
-  let key_fastcheck = fastcheck_by_key ~init:cl.init keyed in
+  let key_fastcheck =
+    List.map
+      (fun (k, v) -> (k, Result.is_ok v))
+      (fastcheck_by_key ~init:cl.init keyed)
+  in
   let key_violations =
     List.map
       (fun (k, v) ->
@@ -352,30 +364,7 @@ let collect cl ~steps =
     reconfig_acked = !(cl.reconfig_ack);
   }
 
-let run ?faults ?replicas ?window ?shards ?group_size ?keys ?engine ?bug
-    ?durable ?snapshot_every ?gc_bytes ?group_commit ?crash_replica
-    ?partition_replicas ?(fates = []) ?(max_steps = 2_000_000) ?audit
-    ?xprocesses ?reconfig ?reconfig_at ?metrics ?measure ?trace ~seed ~init
-    ~processes () =
-  let cl =
-    build ?faults ?replicas ?window ?shards ?group_size ?keys ?engine ?bug
-      ?durable ?snapshot_every ?gc_bytes ?group_commit ?audit ?xprocesses
-      ?reconfig ?reconfig_at ?metrics ?measure ?trace ~seed ~init ~processes ()
-  in
-  (* fault schedule: the legacy shorthands desugar to fates *)
-  let fates =
-    (match crash_replica with
-     | Some (r, time) -> [ (time, Harness.Failure.Crash r) ]
-     | None -> [])
-    @ (match partition_replicas with
-       | Some (t0, t1) ->
-         [
-           (t0, Harness.Failure.Partition (cl.replica_nodes, [ Transport.server ]));
-           (t1, Harness.Failure.Heal);
-         ]
-       | None -> [])
-    @ fates
-  in
+let run ?(fates = []) ?(max_steps = 2_000_000) cl =
   schedule_fates cl fates;
   let steps = Sim_net.run ~max_steps cl.net in
   collect cl ~steps

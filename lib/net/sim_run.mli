@@ -1,6 +1,6 @@
-(** One-call harness: run a register workload over a simulated cluster
-    under a seeded fault schedule, audit it live, and re-check the
-    served history.
+(** Run a register workload over a simulated cluster under a seeded
+    fault schedule, audit it live, and re-check the served history:
+    {!build} wires the cluster up, {!run} drives it to quiescence.
 
     Topology: [replicas] replica nodes ([0 .. r-1]), one server
     ({!Transport.server}), one client node per workload process
@@ -61,9 +61,10 @@ type outcome = {
 
     [xprocesses] generalizes the plain register scripts with the
     multi-key operations of this layer; a plain [processes] workload
-    is the [Single]-only special case.  One multi-key op answers with
-    a single reply but records one Invoke/Respond pair per touched
-    key, so [expected]/[completed] weigh it by its key count. *)
+    is the [Single]-only special case ({!singles}).  One multi-key op
+    answers with a single reply but records one Invoke/Respond pair
+    per touched key, so [expected]/[completed] weigh it by its key
+    count. *)
 
 type xop =
   | Single of int Histories.Event.op
@@ -78,94 +79,13 @@ type xop =
 
 type xprocess = { xproc : Histories.Event.proc; xscript : xop list }
 
-val run :
-  ?faults:Sim_net.faults ->
-  ?replicas:int ->
-  ?window:int ->
-  ?shards:int ->
-  ?group_size:int ->
-  ?keys:int ->
-  ?engine:Engine.spec ->
-  ?bug:Bug.t ->
-  ?durable:bool ->
-  ?snapshot_every:int ->
-  ?gc_bytes:int ->
-  ?group_commit:Storage.commit_config ->
-  ?crash_replica:(int * float) ->
-  ?partition_replicas:float * float ->
-  ?fates:(float * Harness.Failure.net_fate) list ->
-  ?max_steps:int ->
-  ?audit:bool ->
-  ?xprocesses:xprocess list ->
-  ?reconfig:int * int ->
-  ?reconfig_at:float ->
-  ?metrics:Metrics.t ->
-  ?measure:(src:int -> dst:int -> Wire.msg -> unit) ->
-  ?trace:Trace.t ->
-  seed:int ->
-  init:int ->
-  processes:int Registers.Vm.process list ->
-  unit ->
-  outcome
-(** [crash_replica (i, t)] crashes replica [i] at virtual time [t];
-    [partition_replicas (t0, t1)] severs all replicas from the server
-    during [[t0, t1)]; [fates] is the general form — a timed
-    {!Harness.Failure.net_fate} schedule
-    (crash/crash-amnesia/restart/partition/heal, e.g. from
-    {!Harness.Failure.random_net_fates}) applied via {!Sim_net.at}.
-    [engine] picks the replication protocol (default ABD; see
-    {!Engine}).  Note the twobit engine's link layer does not survive
-    amnesia fates — pair it with crash/restart only.  [bug] (default
-    {!Bug.none}) plants the explorer's deliberate bugs: the server
-    gets every hook ({!Server.create}), the replicas the twobit
-    link-order one.  [measure] observes every send
-    the server, replicas and clients make (before fault injection —
-    offered, not delivered, traffic), e.g. the bench's
-    bytes-on-the-wire accounting.
+val singles : int Registers.Vm.process list -> xprocess list
+(** Plain register scripts as an extended workload: every op becomes
+    a [Single]. *)
 
-    With [durable] (the default) each replica persists every accepted
-    store to a private {!Storage.Disk} (WAL + snapshot every
-    [snapshot_every] appends, default 32) before acking, and an
-    amnesia restart recovers from it; with [durable:false] an amnesia
-    restart comes back empty, so an acked store can be forgotten —
-    what {!Explore}'s no-durability hunts catch.  [group_commit] opens
-    each replica
-    disk store with a commit queue ({!Storage.commit_config}): store
-    acks are emitted from batch durability completions, with a
-    deterministic per-replica flush timer arming whenever a handler
-    turn leaves entries pending ([flush_every] in virtual-time units;
-    [0.] flushes at the end of each turn).  Acks and flushes are
-    guarded so a crashed node or a stale (pre-amnesia) incarnation can
-    neither speak nor write to the disk of its replacement.  Defaults: reliable network,
-    3 replicas, pipelining window 4, 1 shard (the unsharded
-    single-register service), audit on, [max_steps] 2_000_000.
+(** {2 Clusters}
 
-    [gc_bytes] opens each replica store with the WAL-size GC frontier
-    (see {!Storage.create}); [xprocesses] (default: derived from
-    [processes]) runs an extended workload with multi-key transactions
-    and snapshot reads, audited by the server's shared {!Txn}
-    coordinator.
-
-    [group_size] restricts each shard to a rotating window of that
-    many replicas (see {!Shard_map.group}) — with [group_size 1] and 2
-    shards the two replica groups are disjoint, the sharpest
-    reconfiguration topology.  [reconfig (key, to_shard)] registers a
-    dedicated fault-immune control client ({!Transport.client}[ 99])
-    that asks the server to migrate [key] onto [to_shard] (epoch 0):
-    immediately at build time by default — under {!Explore} the
-    request's delivery is then an ordinary schedulable event — or at
-    virtual time [reconfig_at] via {!Sim_net.at}.  The ack's verdict
-    and the final epoch land in the outcome.
-
-    [metrics] and [trace] are shared by the transport and the server:
-    the trace (virtual-time stamped) records sends, deliveries, drops,
-    timer fires and every operation invoke/respond with its key, and
-    can be dumped with {!Trace.dump} and replayed through the checker
-    with {!Trace.keyed_history_of_file}. *)
-
-(** {2 Controlled clusters}
-
-    {!Explore} needs the same topology {!run} wires up — replicas,
+    {!Explore} needs the same topology {!run} drives — replicas,
     server, window-pipelining clients — but with the event loop driven
     externally ({!Sim_net.pending}/{!Sim_net.fire}) instead of by
     {!Sim_net.run}.  [build] constructs the cluster without running it;
@@ -216,7 +136,71 @@ val build :
   unit ->
   cluster
 (** Wire up the cluster and enqueue every client's opening batch; no
-    event has fired yet.  Same defaults as {!run}. *)
+    event has fired yet.  Defaults: reliable network, 3 replicas,
+    pipelining window 4, 1 shard (the unsharded single-register
+    service), audit on.
+
+    [engine] picks the replication protocol (default ABD; see
+    {!Engine}).  Note the twobit engine's link layer does not survive
+    amnesia fates — pair it with crash/restart only.  [bug] (default
+    {!Bug.none}) plants the explorer's deliberate bugs: the server
+    gets every hook ({!Server.create}), the replicas the twobit
+    link-order one.  [measure] observes every send the server,
+    replicas and clients make (before fault injection — offered, not
+    delivered, traffic), e.g. the bench's bytes-on-the-wire
+    accounting.
+
+    With [durable] (the default) each replica persists every accepted
+    store to a private {!Storage.Disk} (WAL + snapshot every
+    [snapshot_every] appends, default 32) before acking, and an
+    amnesia restart recovers from it; with [durable:false] an amnesia
+    restart comes back empty, so an acked store can be forgotten —
+    what {!Explore}'s no-durability hunts catch.  [group_commit] opens
+    each replica disk store with a commit queue
+    ({!Storage.commit_config}): store acks are emitted from batch
+    durability completions, with a deterministic per-replica flush
+    timer arming whenever a handler turn leaves entries pending
+    ([flush_every] in virtual-time units; [0.] flushes at the end of
+    each turn).  Acks and flushes are guarded so a crashed node or a
+    stale (pre-amnesia) incarnation can neither speak nor write to the
+    disk of its replacement.  [gc_bytes] opens each replica store with
+    the WAL-size GC frontier (see {!Storage.create}).
+
+    [xprocesses] (default: [singles processes]; when non-empty
+    [processes] is ignored) runs an extended workload with multi-key
+    transactions and snapshot reads, audited by the server's shared
+    {!Txn} coordinator.
+
+    [group_size] restricts each shard to a rotating window of that
+    many replicas (see {!Shard_map.group}) — with [group_size 1] and 2
+    shards the two replica groups are disjoint, the sharpest
+    reconfiguration topology.  [reconfig (key, to_shard)] registers a
+    dedicated fault-immune control client ({!Transport.client}[ 99])
+    that asks the server to migrate [key] onto [to_shard] (epoch 0):
+    immediately at build time by default — under {!Explore} the
+    request's delivery is then an ordinary schedulable event — or at
+    virtual time [reconfig_at] via {!Sim_net.at}.  The ack's verdict
+    and the final epoch land in the outcome.
+
+    [metrics] and [trace] are shared by the transport and the server:
+    the trace (virtual-time stamped) records sends, deliveries, drops,
+    timer fires and every operation invoke/respond with its key, and
+    can be dumped with {!Trace.dump} and replayed through the checker
+    with {!Trace.keyed_history_of_file}. *)
+
+val run :
+  ?fates:(float * Harness.Failure.net_fate) list ->
+  ?max_steps:int ->
+  cluster ->
+  outcome
+(** Schedule [fates] ({!schedule_fates}), run the simulator to
+    quiescence or [max_steps] events (default 2_000_000), and
+    {!collect}.  [fates] is a timed {!Harness.Failure.net_fate}
+    schedule — crash, crash-amnesia, restart, partition, heal — e.g. a
+    draw from {!Harness.Failure.random_net_fates}.  [(t, Crash r)]
+    crashes replica [r] at virtual time [t]; a
+    [Partition (cl.replica_nodes, [Transport.server])] at [t0] and a
+    [Heal] at [t1] sever every replica from the server in between. *)
 
 val apply_fate : cluster -> Harness.Failure.net_fate -> unit
 (** Apply one fate to the cluster's network immediately. *)
@@ -232,11 +216,15 @@ val collect : cluster -> steps:int -> outcome
     history. *)
 
 val fastcheck_by_key :
-  init:int -> (int * int Histories.Event.t) list -> (int * bool) list
-(** Post-hoc per-key verdicts of a keyed history: each key's
-    subsequence checked independently with
-    {!Histories.Fastcheck.check_unique} (unique written values
-    required; pending operations are fine). *)
+  init:int ->
+  (int * int Histories.Event.t) list ->
+  (int * (unit, string) result) list
+(** Post-hoc per-key verdicts of a keyed history, ascending key order:
+    each key's subsequence, grouped in one pass, checked independently
+    with {!Histories.Fastcheck.check_unique} (unique written values
+    required; pending operations are fine).  [Error] carries the
+    rendered reason: ["not input-correct: ..."] or
+    ["NOT ATOMIC: ..."]. *)
 
 val pp_outcome : outcome Fmt.t
 (** One-paragraph summary (completion, verdicts, network stats). *)

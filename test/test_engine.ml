@@ -40,8 +40,9 @@ let conformance kind () =
   List.iter
     (fun seed ->
       let o =
-        Net.Sim_run.run ~faults ~replicas:3 ~shards:2 ~keys:4 ~window:4
-          ~engine:(espec kind) ~seed ~init:0 ~processes ()
+        Net.Sim_run.run
+          (Net.Sim_run.build ~faults ~replicas:3 ~shards:2 ~keys:4 ~window:4
+             ~engine:(espec kind) ~seed ~init:0 ~processes ())
       in
       Alcotest.(check int)
         (Fmt.str "seed %d: all ops complete" seed)
@@ -107,8 +108,7 @@ let xconformance () =
             ~window:4 ~engine:(espec kind) ~seed ~init:0 ~processes:[]
             ~xprocesses:xconformance_workload ()
         in
-        let steps = Net.Sim_net.run cl.Net.Sim_run.net in
-        let o = Net.Sim_run.collect cl ~steps in
+        let o = Net.Sim_run.run cl in
         let what = Fmt.str "seed %d %s" seed (Net.Engine.kind_name kind) in
         Alcotest.(check int) (what ^ ": all ops complete")
           o.Net.Sim_run.expected o.Net.Sim_run.completed;
@@ -139,8 +139,9 @@ let xconformance () =
 let twobit_cheaper_on_the_wire () =
   let processes = [ proc 0 [ w 1; r; w 2; r ]; proc 1 [ w 3; r; w 4; r ] ] in
   let run kind =
-    Net.Sim_run.run ~replicas:3 ~engine:(espec kind) ~seed:7 ~init:0
-      ~processes ()
+    Net.Sim_run.run
+      (Net.Sim_run.build ~replicas:3 ~engine:(espec kind) ~seed:7 ~init:0
+         ~processes ())
   in
   let a = run Net.Engine.Abd and t = run Net.Engine.Twobit in
   Alcotest.(check int) "abd completes" a.Net.Sim_run.expected
@@ -160,14 +161,15 @@ let twobit_cheaper_on_the_wire () =
 
 (* --- twobit under the explorer ------------------------------------ *)
 
-let two_writers = [ proc 0 [ w 7 ]; proc 1 [ w 9 ] ]
-let writer_reader = [ proc 0 [ w 7 ]; proc 2 [ r ] ]
-
-let twobit_cfg ?unordered ~processes () =
-  Ex.config ~engine:Net.Engine.Twobit ?unordered ~replicas:1 ~processes ()
+let singles = Net.Sim_run.singles
+let two_writers = singles [ proc 0 [ w 7 ]; proc 1 [ w 9 ] ]
+let writer_reader = singles [ proc 0 [ w 7 ]; proc 2 [ r ] ]
 
 let twobit_exhaustive_two_writers () =
-  let res = Ex.explore (twobit_cfg ~processes:two_writers ()) in
+  let res =
+    Ex.explore
+      (Ex.config ~engine:Net.Engine.Twobit ~replicas:1 ~workload:two_writers ())
+  in
   Alcotest.(check bool) "exhausted" true res.Ex.stats.S.exhausted;
   match res.Ex.counterexample with
   | None -> ()
@@ -177,7 +179,7 @@ let twobit_exhaustive_writer_reader () =
   let res =
     Ex.explore
       (Ex.config ~engine:Net.Engine.Twobit ~replicas:1 ~fastcheck:true
-         ~processes:writer_reader ())
+         ~workload:writer_reader ())
   in
   Alcotest.(check bool) "exhausted" true res.Ex.stats.S.exhausted;
   match res.Ex.counterexample with
@@ -193,12 +195,12 @@ let twobit_exhaustive_writer_reader () =
    mould of ABD's ?read_quorum hook.  (With 1 replica the hook is
    invisible: acked = applied, so the bug test pins the quorum gap.) *)
 let inversion_prone =
-  [ proc 0 [ w 1001 ]; proc 1 [ w 2001 ]; proc 2 [ r; r ] ]
+  singles [ proc 0 [ w 1001 ]; proc 1 [ w 2001 ]; proc 2 [ r; r ] ]
 
 let twobit_unordered_caught_shrunk_replayed () =
   let cfg =
     Ex.config ~engine:Net.Engine.Twobit ~unordered:true ~replicas:3
-      ~processes:inversion_prone ()
+      ~workload:inversion_prone ()
   in
   match (Ex.hunt ~walks:2000 ~seed:3 cfg).Ex.counterexample with
   | None -> Alcotest.fail "hunt missed the unordered-link violation"
@@ -229,7 +231,7 @@ let twobit_ordered_hunt_clean () =
   match
     (Ex.hunt ~walks:2000 ~seed:3
        (Ex.config ~engine:Net.Engine.Twobit ~replicas:3
-          ~processes:inversion_prone ()))
+          ~workload:inversion_prone ()))
       .Ex.counterexample
   with
   | None -> ()
@@ -253,22 +255,22 @@ let config_validation () =
   (* satellite: a read quorum larger than the replica set (or below 1)
      must be refused up front, not hang or fail deep inside a run *)
   invalid_arg_raised "read_quorum > replicas" (fun () ->
-      Ex.config ~replicas:3 ~read_quorum:4 ~processes:two_writers ());
+      Ex.config ~replicas:3 ~read_quorum:4 ~workload:two_writers ());
   invalid_arg_raised "read_quorum < 1" (fun () ->
-      Ex.config ~replicas:3 ~read_quorum:0 ~processes:two_writers ());
+      Ex.config ~replicas:3 ~read_quorum:0 ~workload:two_writers ());
   invalid_arg_raised "read_quorum is not a twobit hook" (fun () ->
       Ex.config ~engine:Net.Engine.Twobit ~replicas:3 ~read_quorum:1
-        ~processes:two_writers ());
+        ~workload:two_writers ());
   invalid_arg_raised "unordered is not an abd hook" (fun () ->
-      Ex.config ~replicas:3 ~unordered:true ~processes:two_writers ());
+      Ex.config ~replicas:3 ~unordered:true ~workload:two_writers ());
   invalid_arg_raised "twobit is crash-stop only" (fun () ->
       Ex.config ~engine:Net.Engine.Twobit ~replicas:3 ~amnesia:[ 0 ]
-        ~max_amnesia:1 ~processes:two_writers ());
+        ~max_amnesia:1 ~workload:two_writers ());
   (* boundary cases stay legal *)
-  ignore (Ex.config ~replicas:3 ~read_quorum:3 ~processes:two_writers ());
+  ignore (Ex.config ~replicas:3 ~read_quorum:3 ~workload:two_writers ());
   ignore
     (Ex.config ~engine:Net.Engine.Twobit ~replicas:3 ~crashable:[ 0 ]
-       ~max_crashes:1 ~processes:two_writers ())
+       ~max_crashes:1 ~workload:two_writers ())
 
 (* [Bug.make] is the one place hooks are validated: every layer below
    takes the value it returns as given. *)
@@ -376,7 +378,8 @@ let twobit_torture_long () =
 let twobit_bigger_hunt_clean () =
   let cfg =
     Ex.config ~engine:Net.Engine.Twobit ~replicas:3 ~keys:2
-      ~processes:[ proc 0 [ w 1; w 2 ]; proc 1 [ w 3 ]; proc 2 [ r; r; r ] ]
+      ~workload:
+        (singles [ proc 0 [ w 1; w 2 ]; proc 1 [ w 3 ]; proc 2 [ r; r; r ] ])
       ()
   in
   match (Ex.hunt ~walks:300 ~seed:5 cfg).Ex.counterexample with

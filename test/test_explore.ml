@@ -12,7 +12,9 @@ let tc_slow = Helpers.tc_slow
 
 let w v = Histories.Event.Write v
 let r = Histories.Event.Read
-let proc p script = { Registers.Vm.proc = p; script }
+let proc p script =
+  { Net.Sim_run.xproc = p;
+    xscript = List.map (fun op -> Net.Sim_run.Single op) script }
 
 (* Two writers, one key, one replica: small enough to enumerate every
    schedule.  (With >= 2 replicas the multi-phase quorum programs blow
@@ -30,7 +32,7 @@ let inversion_prone =
   [ proc 0 [ w 1001 ]; proc 1 [ w 2001 ]; proc 2 [ r; r ] ]
 
 let exhaustive_two_writers () =
-  let res = E.explore (E.config ~replicas:1 ~processes:two_writers ()) in
+  let res = E.explore (E.config ~replicas:1 ~workload:two_writers ()) in
   let s = res.E.stats in
   Alcotest.(check bool) "exhausted" true s.S.exhausted;
   Alcotest.(check int) "schedule count" 534 s.S.schedules;
@@ -41,7 +43,7 @@ let exhaustive_two_writers () =
 
 let exhaustive_writer_reader () =
   let res =
-    E.explore (E.config ~replicas:1 ~fastcheck:true ~processes:writer_reader ())
+    E.explore (E.config ~replicas:1 ~fastcheck:true ~workload:writer_reader ())
   in
   Alcotest.(check bool) "exhausted" true res.E.stats.S.exhausted;
   match res.E.counterexample with
@@ -50,7 +52,7 @@ let exhaustive_writer_reader () =
 
 let pruning_only_prunes () =
   (* sleep sets must cut the tree, not change its verdict *)
-  let cfg prune = E.config ~replicas:1 ~prune ~processes:two_writers () in
+  let cfg prune = E.config ~replicas:1 ~prune ~workload:two_writers () in
   let pruned = E.explore (cfg true) in
   let full = E.explore (cfg false) in
   Alcotest.(check bool) "both exhausted" true
@@ -63,12 +65,12 @@ let pruning_only_prunes () =
 let budget_respected () =
   let res =
     E.explore
-      (E.config ~replicas:1 ~max_schedules:50 ~processes:inversion_prone ())
+      (E.config ~replicas:1 ~max_schedules:50 ~workload:inversion_prone ())
   in
   Alcotest.(check bool) "not exhausted" false res.E.stats.S.exhausted;
   Alcotest.(check int) "stopped at the budget" 50 res.E.stats.S.schedules
 
-let broken cfg = E.config ~replicas:3 ~read_quorum:1 ~processes:cfg ()
+let broken workload = E.config ~replicas:3 ~read_quorum:1 ~workload ()
 
 let broken_quorum_found () =
   (* the regression this module exists for: a read quorum of 1 with 3
@@ -83,7 +85,7 @@ let broken_quorum_found () =
 let honest_quorum_clean () =
   (* same workload, honest majority quorum: the same hunt must stay
      clean *)
-  let cfg = E.config ~replicas:3 ~processes:inversion_prone () in
+  let cfg = E.config ~replicas:3 ~workload:inversion_prone () in
   let res = E.hunt ~walks:500 ~seed:42 cfg in
   match res.E.counterexample with
   | None -> ()
@@ -107,8 +109,8 @@ let shrink_and_replay_file () =
       (List.length ce'.E.schedule <= List.length ce.E.schedule);
     let ops c =
       List.fold_left
-        (fun n p -> n + List.length p.Registers.Vm.script)
-        0 c.E.processes
+        (fun n p -> n + List.length p.Net.Sim_run.xscript)
+        0 c.E.workload
     in
     Alcotest.(check bool) "workload no larger" true (ops cfg' <= ops cfg);
     (* the shrunk counterexample must itself replay to a violation *)
@@ -123,9 +125,8 @@ let shrink_and_replay_file () =
         E.save ~file cfg' ce';
         let cfg'', sched, o' = E.replay_file ~file in
         Alcotest.(check (list int)) "schedule survives" ce'.E.schedule sched;
-        Alcotest.(check int) "workload survives"
-          (List.length cfg'.E.processes)
-          (List.length cfg''.E.processes);
+        Alcotest.(check bool) "workload survives" true
+          (cfg'.E.workload = cfg''.E.workload);
         Alcotest.(check bool) "artifact replays to a violation" true
           (o'.Net.Sim_run.key_violations <> []))
 
@@ -178,7 +179,7 @@ let explore_with_fates_clean () =
       (E.config ~replicas:3 ~crashable:[ 0 ] ~max_crashes:1
          ~cuts:[ ([ 0 ], [ 1; 2 ]) ]
          ~max_partitions:1 ~max_schedules:300
-         ~processes:[ proc 0 [ w 7 ] ] ())
+         ~workload:[ proc 0 [ w 7 ] ] ())
   in
   match res.E.counterexample with
   | None -> ()
@@ -193,7 +194,7 @@ let explore_with_fates_clean () =
    and the very same bounded exploration exhausts clean. *)
 let amnesia_cfg ~durable =
   E.config ~replicas:1 ~amnesia:[ 0 ] ~max_amnesia:1 ~durable
-    ~processes:[ proc 0 [ w 7 ]; proc 2 [ r ] ]
+    ~workload:[ proc 0 [ w 7 ]; proc 2 [ r ] ]
     ()
 
 let amnesia_bug_found_and_replayable () =
@@ -241,7 +242,7 @@ let amnesia_without_reboot_budget_clean () =
   let res =
     E.explore
       (E.config ~replicas:1 ~durable:false
-         ~processes:[ proc 0 [ w 7 ]; proc 2 [ r ] ]
+         ~workload:[ proc 0 [ w 7 ]; proc 2 [ r ] ]
          ())
   in
   Alcotest.(check bool) "exhausted" true res.E.stats.S.exhausted;
@@ -263,7 +264,7 @@ let txn_xprocs =
 
 let txn_cfg ?engine ?torn_txn ?max_schedules () =
   E.config ?engine ?torn_txn ?max_schedules ~replicas:1 ~shards:2 ~keys:2
-    ~xprocesses:txn_xprocs ~processes:[] ()
+    ~workload:txn_xprocs ()
 
 let torn_txn_caught_shrunk_replayed () =
   let cfg = txn_cfg ~torn_txn:true () in
@@ -278,7 +279,7 @@ let torn_txn_caught_shrunk_replayed () =
       List.fold_left
         (fun n (p : Net.Sim_run.xprocess) ->
           n + List.length p.Net.Sim_run.xscript)
-        0 c.E.xprocesses
+        0 c.E.workload
     in
     Alcotest.(check bool) "workload no larger" true (xops cfg' <= xops cfg);
     let o = E.replay cfg' ce'.E.schedule in
@@ -319,8 +320,8 @@ let xworkload_validation () =
   let bad name xscript =
     match
       E.config ~shards:2 ~keys:2
-        ~xprocesses:[ { Net.Sim_run.xproc = 0; xscript } ]
-        ~processes:[] ()
+        ~workload:[ { Net.Sim_run.xproc = 0; xscript } ]
+        ()
     with
     | exception Invalid_argument _ -> ()
     | _ -> Alcotest.failf "%s: expected Invalid_argument" name
@@ -333,10 +334,66 @@ let xworkload_validation () =
   (* the boundary stays legal *)
   ignore (txn_cfg ())
 
+(* Rewriting a saved artifact into an older grammar. *)
+
+let read_lines file =
+  let ic = open_in file in
+  let lines = ref [] in
+  (try
+     while true do
+       lines := input_line ic :: !lines
+     done
+   with End_of_file -> close_in ic);
+  List.rev !lines
+
+let write_lines file lines =
+  let oc = open_out file in
+  List.iter (fun l -> output_string oc (l ^ "\n")) lines;
+  close_out oc
+
+let find_sub s pat =
+  let n = String.length s and m = String.length pat in
+  let rec go i =
+    if i + m > n then None
+    else if String.sub s i m = pat then Some i
+    else go (i + 1)
+  in
+  go 0
+
+(* [s] with its first [pat] replaced by [by] *)
+let subst ~pat ~by s =
+  match find_sub s pat with
+  | None -> s
+  | Some i ->
+    let j = i + String.length pat in
+    String.sub s 0 i ^ by ^ String.sub s j (String.length s - j)
+
+(* drop a [ field=V] config entry; the absent-migration sentinel is -1,
+   so the value scan accepts a leading sign *)
+let strip_field s field =
+  let pat = " " ^ field ^ "=" in
+  match find_sub s pat with
+  | None -> s
+  | Some i ->
+    let n = String.length s in
+    let j = ref (i + String.length pat) in
+    while
+      !j < n && match s.[!j] with '0' .. '9' | '-' -> true | _ -> false
+    do
+      incr j
+    done;
+    String.sub s 0 i ^ String.sub s !j (n - !j)
+
+let xproc_note = "\"text\":\"xproc "
+let as_proc_line = subst ~pat:xproc_note ~by:"\"text\":\"proc "
+
 let old_artifact_loads () =
-  (* artifacts written before this layer carry no shards/torn_txn
-     config fields and no xproc lines: loading one must default them
-     rather than fail *)
+  (* artifacts written by older versions must load and replay to their
+     verdict: (1) before the txn layer, with no shards/torn_txn config
+     fields; (2) before every workload was saved as xproc lines, with
+     plain proc lines and the retired init/max_timer_fires fields;
+     (3) with both proc and xproc lines, as migration and txn dumps
+     were, where only the xproc lines hold the workload *)
   let cfg = broken inversion_prone in
   match (E.hunt ~seed:42 cfg).E.counterexample with
   | None -> Alcotest.fail "hunt missed the broken-quorum violation"
@@ -346,46 +403,41 @@ let old_artifact_loads () =
       ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
       (fun () ->
         E.save ~file cfg ce;
-        (* rewrite the artifact into the pre-PR config grammar *)
-        let ic = open_in file in
-        let lines = ref [] in
-        (try
-           while true do
-             lines := input_line ic :: !lines
-           done
-         with End_of_file -> close_in ic);
-        let strip_field s field =
-          let pat = " " ^ field ^ "=" in
-          let n = String.length s and m = String.length pat in
-          let rec find i =
-            if i + m > n then None
-            else if String.sub s i m = pat then Some i
-            else find (i + 1)
-          in
-          match find 0 with
-          | None -> s
-          | Some i ->
-            let j = ref (i + m) in
-            while
-              !j < n && match s.[!j] with '0' .. '9' -> true | _ -> false
-            do
-              incr j
-            done;
-            String.sub s 0 i ^ String.sub s !j (n - !j)
+        let saved = read_lines file in
+        let is_xproc l = find_sub l xproc_note <> None in
+        let xprocs = List.filter is_xproc saved in
+        let pre_txn l = strip_field (strip_field l "shards") "torn_txn" in
+        let pre_xproc l =
+          as_proc_line l
+          |> subst ~pat:" engine=" ~by:" init=0 engine="
+          |> subst ~pat:" max_depth=" ~by:" max_timer_fires=64 max_depth="
         in
-        let strip s = strip_field (strip_field s "shards") "torn_txn" in
-        let oc = open_out file in
-        List.iter (fun l -> output_string oc (strip l ^ "\n"))
-          (List.rev !lines);
-        close_out oc;
-        let cfg', _, o' = E.replay_file ~file in
-        Alcotest.(check int) "shards defaulted" 1 cfg'.E.shards;
-        Alcotest.(check bool) "torn_txn defaulted" false
-          cfg'.E.bug.Net.Bug.torn_txn;
-        Alcotest.(check bool) "no xprocesses" true (cfg'.E.xprocesses = []);
-        Alcotest.(check bool) "old artifact still replays to its verdict"
-          true
-          (o'.Net.Sim_run.key_violations <> []))
+        (* every xproc line doubled as a proc line, ahead of the first *)
+        let both l =
+          if l == List.hd xprocs then List.map as_proc_line xprocs @ [ l ]
+          else [ l ]
+        in
+        let rewrites =
+          [
+            ("pre-txn", List.map pre_txn);
+            ("proc lines", List.map pre_xproc);
+            ("proc and xproc lines", List.concat_map both);
+          ]
+        in
+        List.iter
+          (fun (what, rewrite) ->
+            write_lines file (rewrite saved);
+            let cfg', sched, o' = E.replay_file ~file in
+            Alcotest.(check int) (what ^ ": shards") 1 cfg'.E.shards;
+            Alcotest.(check bool) (what ^ ": torn_txn off") false
+              cfg'.E.bug.Net.Bug.torn_txn;
+            Alcotest.(check bool) (what ^ ": workload") true
+              (cfg'.E.workload = cfg.E.workload);
+            Alcotest.(check (list int))
+              (what ^ ": schedule") ce.E.schedule sched;
+            Alcotest.(check bool) (what ^ ": replays to its verdict") true
+              (o'.Net.Sim_run.key_violations <> []))
+          rewrites)
 
 let torture_small () =
   let rep = E.torture ~runs:30 ~seed:11 () in
@@ -413,7 +465,7 @@ let bounded_hunt_bigger_config () =
      under random walks: no schedule may fail the audit *)
   let cfg =
     E.config ~replicas:3 ~keys:2
-      ~processes:[ proc 0 [ w 1; w 2 ]; proc 1 [ w 3 ]; proc 2 [ r; r; r ] ]
+      ~workload:[ proc 0 [ w 1; w 2 ]; proc 1 [ w 3 ]; proc 2 [ r; r; r ] ]
       ()
   in
   match (E.hunt ~walks:300 ~seed:3 cfg).E.counterexample with
@@ -463,10 +515,9 @@ let reconfig_write_read =
     { Net.Sim_run.xproc = 2; xscript = [ Net.Sim_run.Keyed (3, r) ] };
   ]
 
-let reconfig_cfg ?engine ?skip_dual_write ?max_schedules ~xprocesses () =
+let reconfig_cfg ?engine ?skip_dual_write ?max_schedules ~workload () =
   E.config ?engine ?skip_dual_write ?max_schedules ~replicas:2 ~shards:2
-    ~group_size:1 ~keys:4 ~window:1 ~reconfig:(3, 1) ~xprocesses
-    ~processes:[] ()
+    ~group_size:1 ~keys:4 ~window:1 ~reconfig:(3, 1) ~workload ()
 
 let reconfig_bounded_explore_clean () =
   (* a budgeted slice of the write+read enumeration on both engines;
@@ -476,7 +527,7 @@ let reconfig_bounded_explore_clean () =
       let res =
         E.explore
           (reconfig_cfg ~engine ~max_schedules:500
-             ~xprocesses:reconfig_write_read ())
+             ~workload:reconfig_write_read ())
       in
       Alcotest.(check int)
         (Net.Engine.kind_name engine ^ ": budget consumed")
@@ -490,7 +541,7 @@ let reconfig_bounded_explore_clean () =
 
 let reconfig_skip_dual_write_caught_shrunk_replayed () =
   let cfg =
-    reconfig_cfg ~skip_dual_write:true ~xprocesses:reconfig_write_read ()
+    reconfig_cfg ~skip_dual_write:true ~workload:reconfig_write_read ()
   in
   match (E.hunt ~walks:2000 ~seed:3 cfg).E.counterexample with
   | None -> Alcotest.fail "hunt missed the dropped dual-write leg"
@@ -520,7 +571,7 @@ let reconfig_honest_hunt_clean () =
   (* dual writes on: the hunt that nails the hook must come up empty *)
   match
     (E.hunt ~walks:500 ~seed:3
-       (reconfig_cfg ~xprocesses:reconfig_write_read ()))
+       (reconfig_cfg ~workload:reconfig_write_read ()))
       .E.counterexample
   with
   | None -> ()
@@ -533,15 +584,15 @@ let reconfig_validation () =
     | _ -> Alcotest.failf "%s: expected Invalid_argument" name
   in
   bad "hook without a migration" (fun () ->
-      E.config ~shards:2 ~skip_dual_write:true ~processes:two_writers ());
+      E.config ~shards:2 ~skip_dual_write:true ~workload:two_writers ());
   bad "migration target out of range" (fun () ->
-      E.config ~shards:2 ~reconfig:(0, 2) ~processes:two_writers ());
+      E.config ~shards:2 ~reconfig:(0, 2) ~workload:two_writers ());
   bad "negative migration key" (fun () ->
-      E.config ~shards:2 ~reconfig:(-1, 0) ~processes:two_writers ());
+      E.config ~shards:2 ~reconfig:(-1, 0) ~workload:two_writers ());
   bad "non-positive group size" (fun () ->
-      E.config ~shards:2 ~group_size:0 ~processes:two_writers ());
+      E.config ~shards:2 ~group_size:0 ~workload:two_writers ());
   (* the boundary stays legal *)
-  ignore (reconfig_cfg ~xprocesses:reconfig_write_only ())
+  ignore (reconfig_cfg ~workload:reconfig_write_only ())
 
 let pre_reconfig_artifact_loads () =
   (* artifacts written before this layer carry no group_size/reconfig/
@@ -555,44 +606,12 @@ let pre_reconfig_artifact_loads () =
       ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
       (fun () ->
         E.save ~file cfg ce;
-        (* rewrite the artifact into the pre-reconfig config grammar
-           (the absent-migration sentinel is -1, so the value scan must
-           accept a leading sign) *)
-        let ic = open_in file in
-        let lines = ref [] in
-        (try
-           while true do
-             lines := input_line ic :: !lines
-           done
-         with End_of_file -> close_in ic);
-        let strip_field s field =
-          let pat = " " ^ field ^ "=" in
-          let n = String.length s and m = String.length pat in
-          let rec find i =
-            if i + m > n then None
-            else if String.sub s i m = pat then Some i
-            else find (i + 1)
-          in
-          match find 0 with
-          | None -> s
-          | Some i ->
-            let j = ref (i + m) in
-            while
-              !j < n
-              && match s.[!j] with '0' .. '9' | '-' -> true | _ -> false
-            do
-              incr j
-            done;
-            String.sub s 0 i ^ String.sub s !j (n - !j)
-        in
+        (* rewrite the artifact into the pre-reconfig config grammar *)
         let strip s =
           List.fold_left strip_field s
             [ "group_size"; "reconfig_key"; "reconfig_to"; "skip_dual_write" ]
         in
-        let oc = open_out file in
-        List.iter (fun l -> output_string oc (strip l ^ "\n"))
-          (List.rev !lines);
-        close_out oc;
+        write_lines file (List.map strip (read_lines file));
         let cfg', _, o' = E.replay_file ~file in
         Alcotest.(check bool) "group_size defaulted" true
           (cfg'.E.group_size = None);
@@ -612,7 +631,7 @@ let reconfig_twobit_exhausts_clean () =
   let res =
     E.explore
       (reconfig_cfg ~engine:Net.Engine.Twobit
-         ~xprocesses:reconfig_write_only ())
+         ~workload:reconfig_write_only ())
   in
   Alcotest.(check bool) "exhausted" true res.E.stats.S.exhausted;
   Alcotest.(check int) "schedule count" 8560 res.E.stats.S.schedules;
@@ -622,7 +641,7 @@ let reconfig_twobit_exhausts_clean () =
 
 let reconfig_abd_exhausts_clean () =
   let res =
-    E.explore (reconfig_cfg ~xprocesses:reconfig_write_only ())
+    E.explore (reconfig_cfg ~workload:reconfig_write_only ())
   in
   Alcotest.(check bool) "exhausted" true res.E.stats.S.exhausted;
   Alcotest.(check int) "schedule count" 145296 res.E.stats.S.schedules;

@@ -301,6 +301,17 @@ let spec ~readers ~writes ~reads =
   Harness.Workload.unique_scripts
     { Harness.Workload.writers = 2; readers; writes_each = writes; reads_each = reads }
 
+(* fates: replica [r] crashes at [t]; every replica is severed from
+   the server during [[t0, t1)] *)
+let crash r t = (t, Harness.Failure.Crash r)
+
+let partition (cl : Net.Sim_run.cluster) (t0, t1) =
+  let servers = [ Net.Transport.server ] in
+  [
+    (t0, Harness.Failure.Partition (cl.replica_nodes, servers));
+    (t1, Harness.Failure.Heal);
+  ]
+
 let check_outcome ~what (o : Net.Sim_run.outcome) =
   (match o.monitor_violation with
    | None -> ()
@@ -310,8 +321,9 @@ let check_outcome ~what (o : Net.Sim_run.outcome) =
 
 let sim_reliable () =
   let o =
-    Net.Sim_run.run ~seed:1 ~init:0
-      ~processes:(spec ~readers:2 ~writes:4 ~reads:6) ()
+    Net.Sim_run.run
+      (Net.Sim_run.build ~seed:1 ~init:0
+         ~processes:(spec ~readers:2 ~writes:4 ~reads:6) ())
   in
   check_outcome ~what:"reliable" o;
   (* over a fault-free network nothing should ever be retransmitted *)
@@ -331,8 +343,9 @@ let sim_fault_sweep () =
     (fun i faults ->
       for seed = 0 to 9 do
         let o =
-          Net.Sim_run.run ~faults ~seed ~init:0
-            ~processes:(spec ~readers:2 ~writes:3 ~reads:5) ()
+          Net.Sim_run.run
+            (Net.Sim_run.build ~faults ~seed ~init:0
+               ~processes:(spec ~readers:2 ~writes:3 ~reads:5) ())
         in
         check_outcome ~what:(Fmt.str "schedule %d seed %d" i seed) o
       done)
@@ -344,9 +357,8 @@ let sim_windows () =
     (fun window ->
       let o =
         Net.Sim_run.run
-          ~faults:(Net.Sim_net.lossy ())
-          ~window ~seed:5 ~init:0
-          ~processes:(spec ~readers:3 ~writes:3 ~reads:4) ()
+          (Net.Sim_run.build ~faults:(Net.Sim_net.lossy ()) ~window ~seed:5
+             ~init:0 ~processes:(spec ~readers:3 ~writes:3 ~reads:4) ())
       in
       check_outcome ~what:(Fmt.str "window %d" window) o)
     [ 1; 2; 8; 32 ]
@@ -354,10 +366,9 @@ let sim_windows () =
 let sim_replica_crash () =
   for seed = 0 to 4 do
     let o =
-      Net.Sim_run.run
-        ~faults:(Net.Sim_net.lossy ~drop:0.1 ())
-        ~replicas:3 ~crash_replica:(2, 30.0) ~seed ~init:0
-        ~processes:(spec ~readers:2 ~writes:4 ~reads:6) ()
+      Net.Sim_run.run ~fates:[ crash 2 30.0 ]
+        (Net.Sim_run.build ~faults:(Net.Sim_net.lossy ~drop:0.1 ()) ~replicas:3
+           ~seed ~init:0 ~processes:(spec ~readers:2 ~writes:4 ~reads:6) ())
     in
     check_outcome ~what:(Fmt.str "crash seed %d" seed) o
   done
@@ -366,51 +377,39 @@ let sim_majority_crash_stalls () =
   (* killing two of three replicas destroys the quorum: the service
      must stall (liveness lost) but never lie (safety kept) *)
   let o =
-    Net.Sim_run.run ~replicas:3 ~crash_replica:(1, 10.0) ~seed:3 ~init:0
-      ~max_steps:30_000
-      ~processes:
-        [ { Registers.Vm.proc = 0; script = List.init 4 (fun k -> E.Write (k + 1)) };
-          { Registers.Vm.proc = 2; script = List.init 6 (fun _ -> E.Read) } ]
-      ()
-  in
-  (* also crash replica 2 slightly later via a second schedule entry:
-     emulate by crashing at the network level before the run is done *)
-  ignore o;
-  let faults = Net.Sim_net.reliable in
-  let o2 =
-    Net.Sim_run.run ~faults ~replicas:3 ~crash_replica:(1, 10.0)
-      ~partition_replicas:(10.0, 1.0e9)  (* never heals the rest *)
-      ~seed:3 ~init:0 ~max_steps:30_000
-      ~processes:
-        [ { Registers.Vm.proc = 0; script = List.init 4 (fun k -> E.Write (k + 1)) } ]
-      ()
+    Net.Sim_run.run ~fates:[ crash 1 10.0; crash 2 12.0 ] ~max_steps:30_000
+      (Net.Sim_run.build ~replicas:3 ~seed:3 ~init:0
+         ~processes:
+           [ { Registers.Vm.proc = 0;
+               script = List.init 4 (fun k -> E.Write (k + 1)) };
+             { Registers.Vm.proc = 2; script = List.init 6 (fun _ -> E.Read) } ]
+         ())
   in
   Alcotest.(check bool) "stalled, not completed" true
-    (o2.completed < o2.expected);
-  (match o2.monitor_violation with
+    (o.completed < o.expected);
+  (match o.monitor_violation with
    | None -> ()
    | Some v -> Alcotest.failf "stall must not violate atomicity: %s" v);
-  Alcotest.(check bool) "history prefix still atomic" true o2.fastcheck_ok
+  Alcotest.(check bool) "history prefix still atomic" true o.fastcheck_ok
 
 let sim_partition_heals () =
   (* sever all replicas from the server mid-run, then heal: the
      retransmission layer must finish every operation *)
-  let o =
-    Net.Sim_run.run
-      ~faults:(Net.Sim_net.lossy ~drop:0.1 ())
-      ~partition_replicas:(25.0, 120.0) ~seed:7 ~init:0
+  let cl =
+    Net.Sim_run.build ~faults:(Net.Sim_net.lossy ~drop:0.1 ()) ~seed:7 ~init:0
       ~processes:(spec ~readers:2 ~writes:3 ~reads:4) ()
   in
+  let o = Net.Sim_run.run ~fates:(partition cl (25.0, 120.0)) cl in
   check_outcome ~what:"partition+heal" o;
   Alcotest.(check bool) "partition actually bit" true
     (o.net.Net.Sim_net.blocked > 0)
 
 let sim_deterministic () =
   let go () =
-    Net.Sim_run.run
-      ~faults:(Net.Sim_net.lossy ~drop:0.2 ~duplicate:0.1 ())
-      ~crash_replica:(0, 35.0) ~seed:11 ~init:0
-      ~processes:(spec ~readers:2 ~writes:3 ~reads:4) ()
+    Net.Sim_run.run ~fates:[ crash 0 35.0 ]
+      (Net.Sim_run.build
+         ~faults:(Net.Sim_net.lossy ~drop:0.2 ~duplicate:0.1 ())
+         ~seed:11 ~init:0 ~processes:(spec ~readers:2 ~writes:3 ~reads:4) ())
   in
   let a = go () and b = go () in
   Alcotest.(check bool) "same history" true
@@ -427,9 +426,8 @@ let sim_random_schedules =
     (fun (seed, drop, duplicate) ->
       let o =
         Net.Sim_run.run
-          ~faults:(Net.Sim_net.lossy ~drop ~duplicate ())
-          ~seed ~init:0
-          ~processes:(spec ~readers:2 ~writes:2 ~reads:3) ()
+          (Net.Sim_run.build ~faults:(Net.Sim_net.lossy ~drop ~duplicate ())
+             ~seed ~init:0 ~processes:(spec ~readers:2 ~writes:2 ~reads:3) ())
       in
       o.Net.Sim_run.monitor_violation = None
       && o.Net.Sim_run.fastcheck_ok
@@ -454,8 +452,9 @@ let sim_sharded () =
   List.iter
     (fun shards ->
       let o =
-        Net.Sim_run.run ~shards ~window:8 ~seed:13 ~init:0
-          ~processes:(spec ~readers:2 ~writes:6 ~reads:9) ()
+        Net.Sim_run.run
+          (Net.Sim_run.build ~shards ~window:8 ~seed:13 ~init:0
+             ~processes:(spec ~readers:2 ~writes:6 ~reads:9) ())
       in
       check_sharded ~what:(Fmt.str "shards %d" shards) o;
       Alcotest.(check int)
@@ -468,20 +467,20 @@ let sim_sharded_faults () =
   (* the model-check, sharded: drops, duplication, a replica crash *)
   for seed = 0 to 4 do
     let o =
-      Net.Sim_run.run ~shards:4 ~window:8
-        ~faults:(Net.Sim_net.lossy ~drop:0.15 ~duplicate:0.1 ())
-        ~crash_replica:(2, 40.0) ~seed ~init:0
-        ~processes:(spec ~readers:2 ~writes:4 ~reads:6) ()
+      Net.Sim_run.run ~fates:[ crash 2 40.0 ]
+        (Net.Sim_run.build ~shards:4 ~window:8
+           ~faults:(Net.Sim_net.lossy ~drop:0.15 ~duplicate:0.1 ())
+           ~seed ~init:0 ~processes:(spec ~readers:2 ~writes:4 ~reads:6) ())
     in
     check_sharded ~what:(Fmt.str "sharded faults seed %d" seed) o
   done
 
 let sim_sharded_deterministic () =
   let go () =
-    Net.Sim_run.run ~shards:4
-      ~faults:(Net.Sim_net.lossy ~drop:0.2 ~duplicate:0.1 ())
-      ~seed:17 ~init:0
-      ~processes:(spec ~readers:2 ~writes:3 ~reads:4) ()
+    Net.Sim_run.run
+      (Net.Sim_run.build ~shards:4
+         ~faults:(Net.Sim_net.lossy ~drop:0.2 ~duplicate:0.1 ())
+         ~seed:17 ~init:0 ~processes:(spec ~readers:2 ~writes:3 ~reads:4) ())
   in
   let a = go () and b = go () in
   Alcotest.(check bool) "same history" true
@@ -492,8 +491,9 @@ let sim_shard_metrics () =
   (* per-shard counters must account for exactly the served ops *)
   let metrics = Net.Metrics.create () in
   let o =
-    Net.Sim_run.run ~shards:4 ~metrics ~window:8 ~seed:3 ~init:0
-      ~processes:(spec ~readers:2 ~writes:4 ~reads:6) ()
+    Net.Sim_run.run
+      (Net.Sim_run.build ~shards:4 ~metrics ~window:8 ~seed:3 ~init:0
+         ~processes:(spec ~readers:2 ~writes:4 ~reads:6) ())
   in
   let g = Net.Metrics.get metrics in
   let per_shard = List.init 4 (fun s -> g (Fmt.str "shard%d_ops" s)) in
@@ -510,13 +510,14 @@ let sim_metrics_reconcile () =
      quiescence sent = delivered + dropped + blocked (duplicates are
      extra sends and count on both sides) *)
   List.iter
-    (fun (what, faults, partition) ->
+    (fun (what, faults, cut) ->
       let metrics = Net.Metrics.create () in
-      ignore
-        (Net.Sim_run.run ~faults ?partition_replicas:partition ~metrics
-           ~seed:3 ~init:0
-           ~processes:(spec ~readers:2 ~writes:3 ~reads:4)
-           ());
+      let cl =
+        Net.Sim_run.build ~faults ~metrics ~seed:3 ~init:0
+          ~processes:(spec ~readers:2 ~writes:3 ~reads:4) ()
+      in
+      let fates = Option.fold ~none:[] ~some:(partition cl) cut in
+      ignore (Net.Sim_run.run ~fates cl);
       let g = Net.Metrics.get metrics in
       Alcotest.(check int)
         (what ^ ": sent = delivered + dropped + blocked")
@@ -548,10 +549,10 @@ let sim_trace_replay () =
   let trace = Net.Trace.create ~capacity:200_000 () in
   let o =
     Net.Sim_run.run
-      ~faults:(Net.Sim_net.lossy ~drop:0.15 ~duplicate:0.1 ())
-      ~trace ~seed:2 ~init:0
-      ~processes:(spec ~readers:2 ~writes:3 ~reads:4)
-      ()
+      (Net.Sim_run.build
+         ~faults:(Net.Sim_net.lossy ~drop:0.15 ~duplicate:0.1 ())
+         ~trace ~seed:2 ~init:0 ~processes:(spec ~readers:2 ~writes:3 ~reads:4)
+         ())
   in
   Alcotest.(check int) "no wrap" 0 (Net.Trace.overwritten trace);
   Alcotest.(check bool) "in-memory history matches served" true

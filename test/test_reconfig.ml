@@ -63,10 +63,10 @@ let sim_migration_under_traffic () =
       for seed = 0 to 4 do
         let what = Fmt.str "%s seed %d" (Net.Engine.kind_name kind) seed in
         let o =
-          R.run ~replicas:2 ~shards:2 ~group_size:1 ~keys:4
-            ~engine:(espec kind)
-            ~reconfig:(hot, target_shard)
-            ~xprocesses:traffic ~seed ~init:0 ~processes:[] ()
+          R.run
+            (R.build ~replicas:2 ~shards:2 ~group_size:1 ~keys:4
+               ~engine:(espec kind) ~reconfig:(hot, target_shard)
+               ~xprocesses:traffic ~seed ~init:0 ~processes:[] ())
         in
         check_migrated ~what o
       done)
@@ -80,9 +80,10 @@ let sim_migration_full_group () =
     (fun kind ->
       let what = Fmt.str "full group %s" (Net.Engine.kind_name kind) in
       let o =
-        R.run ~replicas:3 ~shards:2 ~keys:4 ~engine:(espec kind)
-          ~reconfig:(hot, target_shard)
-          ~xprocesses:traffic ~seed:11 ~init:0 ~processes:[] ()
+        R.run
+          (R.build ~replicas:3 ~shards:2 ~keys:4 ~engine:(espec kind)
+             ~reconfig:(hot, target_shard) ~xprocesses:traffic ~seed:11
+             ~init:0 ~processes:[] ())
       in
       check_migrated ~what o)
     engines
@@ -116,9 +117,10 @@ let sim_same_shard_advance () =
   (* migrating a key to the shard it already lives on is still a
      configuration change: acked ok, epoch advances, nothing moves *)
   let o =
-    R.run ~replicas:2 ~shards:2 ~group_size:1 ~keys:4
-      ~reconfig:(hot, base_shard)
-      ~xprocesses:traffic ~seed:5 ~init:0 ~processes:[] ()
+    R.run
+      (R.build ~replicas:2 ~shards:2 ~group_size:1 ~keys:4
+         ~reconfig:(hot, base_shard) ~xprocesses:traffic ~seed:5 ~init:0
+         ~processes:[] ())
   in
   check_migrated ~what:"same-shard advance" o
 
@@ -126,8 +128,9 @@ let sim_out_of_range_nacked () =
   (* a target shard outside the map is refused — nack, epoch stays 0,
      traffic unharmed *)
   let o =
-    R.run ~replicas:2 ~shards:2 ~group_size:1 ~keys:4 ~reconfig:(hot, 9)
-      ~xprocesses:traffic ~seed:5 ~init:0 ~processes:[] ()
+    R.run
+      (R.build ~replicas:2 ~shards:2 ~group_size:1 ~keys:4 ~reconfig:(hot, 9)
+         ~xprocesses:traffic ~seed:5 ~init:0 ~processes:[] ())
   in
   check_clean ~what:"out-of-range" o;
   Alcotest.(check int) "epoch unmoved" 0 o.R.epoch;
