@@ -84,7 +84,8 @@ let run_sim engine seed replicas shards readers writes reads drop dup window
 (* socket-cluster plumbing shared by smoke/serve                       *)
 
 let start_cluster net ~engine ~replicas ~shards ~audit ?data_dir
-    ?(group_commit = 0) ?(flush_us = 500) ?(domains = 1) ?(gc_bytes = 0) () =
+    ?(group_commit = 0) ?(flush_us = 500) ?(domains = 1) ?(gc_bytes = 0) ?trace
+    () =
   let tr = Net.Socket_net.transport net in
   let metrics = Net.Socket_net.metrics net in
   let replica_nodes = List.init replicas Fun.id in
@@ -130,7 +131,7 @@ let start_cluster net ~engine ~replicas ~shards ~audit ?data_dir
       (if domains <= 1 then "server" else "server-d" ^ string_of_int d)
   in
   let pool =
-    Net.Server_pool.create ~transport:tr ~audit ~metrics
+    Net.Server_pool.create ~transport:tr ~audit ~metrics ?trace
       ~engine:{ Net.Engine.kind = engine }
       ~storage:server_store
       ~map:(Net.Shard_map.create ~shards ())
@@ -192,9 +193,12 @@ let run_smoke engine shards readers writes reads seed data_dir group_commit
      else "");
   let net = Net.Socket_net.create () in
   let metrics = Net.Socket_net.metrics net in
+  (* the pool's cores keep no history: the per-key re-check below
+     reads it back from this ring, sized so the run cannot wrap it *)
+  let trace = Net.Trace.create ~capacity:1_000_000 () in
   let pool, reps =
     start_cluster net ~engine ~replicas:3 ~shards ~audit:true ?data_dir
-      ~group_commit ~flush_us ~domains ~gc_bytes ()
+      ~group_commit ~flush_us ~domains ~gc_bytes ~trace ()
   in
   let killer =
     Thread.create
@@ -328,10 +332,10 @@ let run_smoke engine shards readers writes reads seed data_dir group_commit
     (fun (_, rep) ->
       Option.iter Net.Storage.flush (Net.Replica.storage rep))
     reps;
-  (* join the worker domains before reading their histories: the pool's
+  (* join the worker domains before reading the trace: the pool's
      aggregate accessors want a quiescent pool *)
   Net.Server_pool.stop pool;
-  let keyed = Net.Server_pool.keyed_history pool in
+  let keyed = Net.Trace.keyed_history trace in
   let violations = Net.Server_pool.violations pool in
   let served = Net.Server_pool.ops_served pool in
   Net.Socket_net.shutdown net;
@@ -344,11 +348,17 @@ let run_smoke engine shards readers writes reads seed data_dir group_commit
         (Histories.Fastcheck.pp_violation Fmt.int) v
   in
   let per_key = keyed_verdicts ~init:0 keyed in
-  let fc_ok = List.for_all (fun (_, v) -> v = "atomic") per_key in
+  (* every served op records an invoke and a respond; a wrapped or
+     short trace would let the re-check pass on a partial history *)
+  let traced = Net.Trace.recorded trace in
+  let trace_ok = Net.Trace.overwritten trace = 0 && traced >= 2 * served in
+  let fc_ok = trace_ok && List.for_all (fun (_, v) -> v = "atomic") per_key in
   (* each multi-key op is answered (and counted) once *)
   let expected = expected + (4 * txn_rounds) + !reconfig_ops in
   Fmt.pr "  %d/%d ops served; live audit: %s; decode errors: %d@."
     served expected mon decode_errors;
+  Fmt.pr "  trace: %d events%s@." traced
+    (if trace_ok then "" else " — INCOMPLETE, the re-check is void");
   List.iter (fun (k, v) -> Fmt.pr "  key %d: %s@." k v) per_key;
   let txn_viol = Net.Server_pool.txn_violations pool in
   let txs = Net.Txn.stats (Net.Server_pool.txns pool) in

@@ -2,6 +2,7 @@ type 'v violation =
   | Thin_air of int
   | Duplicate_write of 'v
   | Cycle of int list
+  | Unknown_value of 'v
 
 type 'v verdict =
   | Atomic of 'v Operation.t list
@@ -15,6 +16,9 @@ let pp_violation pp_v ppf = function
   | Cycle ids ->
     Fmt.pf ppf "cyclic ordering constraints among writes %a"
       Fmt.(Dump.list int) ids
+  | Unknown_value v ->
+    Fmt.pf ppf "read returned %a: never written, or overwritten before the read \
+                began" pp_v v
 
 (* Nodes of the constraint graph: 0 is the virtual write of the initial
    value, node [i + 1] is [writes.(i)]. *)

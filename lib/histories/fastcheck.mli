@@ -25,6 +25,10 @@ type 'v violation =
   | Cycle of int list
       (** write op ids forming a cycle of ordering constraints;
           [-1] stands for the virtual initial write *)
+  | Unknown_value of 'v
+      (** reported by {!Monitor} only: a read returned a value the
+          monitor does not hold — never written, or overwritten before
+          the read began (see {!Monitor}'s pruning rule) *)
 
 type 'v verdict =
   | Atomic of 'v Operation.t list  (** witness linearization *)

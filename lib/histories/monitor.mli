@@ -14,13 +14,34 @@
       history length);
     - cycles are detected online with the Pearce–Kelly dynamic
       topological-order algorithm, so each new edge costs amortized
-      far less than a full recheck.
+      far less than a full recheck;
+    - superseded writes are forgotten, so memory stays bounded by the
+      concurrency, not by the history's length.
+
+    {b Pruning.}  Atomicity lets no read that begins after a write has
+    been overwritten return that write.  The monitor therefore drops a
+    write's node, its edges and its value once three things hold:
+    - the write has left the write frontier: a write that began after
+      it completed has itself completed;
+    - no read that is still pending began before that happened;
+    - every predecessor other than the initial value's node has
+      already been dropped, so the dropped set stays closed under
+      ancestors and no path between live writes is lost.
+
+    Edges out of a dropped write are skipped later.  A read that
+    returns a dropped value is reported as
+    {!Fastcheck.violation.Unknown_value}, at the same event where an
+    unpruned monitor would close a cycle; that verdict covers a value
+    never written too.  Other verdicts are exactly an unpruned
+    monitor's.
 
     The monitor is cross-validated against {!Fastcheck} by property
     tests: on every prefix-closed history the final verdicts agree.
 
     Precondition (as for {!Fastcheck}): written values are pairwise
-    distinct and distinct from the initial value.
+    distinct and distinct from the initial value.  Only a value still
+    live can be reported as {!Fastcheck.violation.Duplicate_write}: a
+    dropped value written again is not recognised.
 
     {[
       let m = Monitor.create ~init:0 in
@@ -51,5 +72,6 @@ val observe_all : 'v t -> 'v Event.t list -> 'v verdict
 val verdict : 'v t -> 'v verdict
 
 val stats : 'v t -> int * int
-(** (nodes, edges) of the internal constraint graph — for tests and
-    reporting. *)
+(** (nodes, edges) of the live constraint graph, the initial value's
+    node included and its implicit edges to every write excluded — for
+    tests and reporting. *)

@@ -46,7 +46,8 @@ type t = {
   me : Transport.node;
   owns : int -> bool;
   pooled : bool;
-      (* a pool member: corked sends, presequenced point-routed admission *)
+      (* a pool member: corked sends, presequenced point-routed admission,
+         no recorded history *)
   registry : Registry.t;
   reconfig : Reconfig.t;
   txns : Txn.t;  (* shared across all cores of a pool *)
@@ -58,7 +59,8 @@ type t = {
   monitors : (int, int Histories.Monitor.t) Hashtbl.t;  (* per key *)
   mutable violations_rev : (int * int Histories.Fastcheck.violation) list;
       (* first violation per key, newest first *)
-  mutable events_rev : (float * (int * int E.t)) list;  (* (key, event) *)
+  mutable events_rev : (float * (int * int E.t)) list;
+      (* (key, event); a pool member keeps none *)
   mutable ops_served : int;
   mutable rejected : int;
   mutable timer_armed : bool;
@@ -90,8 +92,8 @@ let shards t = Registry.shards t.registry
 let engine_spec t = Registry.spec t.registry
 
 let record t key ev =
-  let time = t.tr.Transport.now () in
-  t.events_rev <- (time, (key, ev)) :: t.events_rev;
+  if not t.pooled then
+    t.events_rev <- (t.tr.Transport.now (), (key, ev)) :: t.events_rev;
   (match t.trace with
    | None -> ()
    | Some tr ->
@@ -100,7 +102,7 @@ let record t key ev =
        | E.Invoke (proc, op) -> Trace.Invoke { key; proc; op }
        | E.Respond (proc, result) -> Trace.Respond { key; proc; result }
      in
-     Trace.record tr ~time kind);
+     Trace.record tr ~time:(t.tr.Transport.now ()) kind);
   if t.audit then
     match Histories.Monitor.observe (monitor_of t key) ev with
     | Histories.Monitor.Ok_so_far -> ()
@@ -562,17 +564,10 @@ let on_message t ~src msg =
 let keyed_history t = List.rev_map (fun (_, kev) -> kev) t.events_rev
 let history t = List.rev_map (fun (_, (_, ev)) -> ev) t.events_rev
 
-let key_history t key =
-  List.rev
-    (List.filter_map
-       (fun (_, (k, ev)) -> if k = key then Some ev else None)
-       t.events_rev)
-
 let keys t =
   List.sort_uniq compare (List.rev_map (fun (_, (k, _)) -> k) t.events_rev)
 
 let timed_history t = List.rev_map (fun (time, (_, ev)) -> (time, ev)) t.events_rev
-let timed_keyed_history t = List.rev t.events_rev
 let violations t = List.rev t.violations_rev
 
 let violation t =

@@ -32,9 +32,13 @@
     server-side event order is a sound witness (server-side intervals
     are contained in client-observed intervals, so it carries {e more}
     real-time precedence than any client view — if it is atomic, the
-    clients' history is too).  The first violation per key is latched;
-    recorded histories can additionally be re-checked post-hoc with
-    {!Histories.Fastcheck} provided written values are unique. *)
+    clients' history is too).  The first violation per key is latched.
+    Each monitor forgets superseded writes, so its memory stays
+    constant per key however long the server runs.  A standalone
+    server also records its history ({!history}), which can be
+    re-checked post-hoc with {!Histories.Fastcheck} provided written
+    values are unique; a {!Server_pool} core records none and is
+    re-checked from a {!Trace} instead. *)
 
 type t
 
@@ -104,9 +108,12 @@ val create :
     {!Explore} drive it: it sees the raw client stream, reorders it
     through a per-session stash, executes every key, sends each
     message on its own (message granularity, hence the simulator's
-    schedules, is unchanged) and runs multi-key ops through a private
-    {!Txn} coordinator.  With [member] it is one core of a
-    {!Server_pool}, and three things follow.  Sends go through a
+    schedules, is unchanged), runs multi-key ops through a private
+    {!Txn} coordinator and records its history ({!history}).  With
+    [member] it is one core of a {!Server_pool}, and four things
+    follow.  It records no history: the live monitors are its whole
+    audit state, and a caller that wants the events passes a
+    [trace].  Sends go through a
     {!Transport.cork}: while a handler turn (an {!on_message} call, a
     timer callback or a {!with_cork} section) is open, they are
     buffered per destination and leave as one frame per peer.  Admission is
@@ -133,7 +140,8 @@ val create :
     histograms and per-shard [shard<i>_quorum_ops]; its
     {!Metrics.wire_stats} snapshot is what a {!Wire.msg.Stats_req} is
     answered with.  With [trace], every operation invoke/respond is
-    appended to the ring, tagged with its key.  Does not block. *)
+    appended to the ring, tagged with its key; that is how a pool
+    member's history is kept.  Does not block. *)
 
 val metrics : t -> Metrics.t
 
@@ -176,14 +184,11 @@ val on_message : t -> src:Transport.node -> Wire.msg -> unit
 
 val history : t -> int Histories.Event.t list
 (** All recorded invocation/response events across all keys, oldest
-    first (the server-side serialization order). *)
+    first (the server-side serialization order).  Only a standalone
+    server records them: a pool member's history is always empty. *)
 
 val keyed_history : t -> (int * int Histories.Event.t) list
 (** Same, with each event tagged by its key. *)
-
-val key_history : t -> int -> int Histories.Event.t list
-(** The events of one key only — the history a per-key checker
-    certifies. *)
 
 val keys : t -> int list
 (** Every key that has recorded at least one event, ascending. *)
@@ -191,11 +196,6 @@ val keys : t -> int list
 val timed_history : t -> (float * int Histories.Event.t) list
 (** All events with the transport-clock instant of each — latency
     distributions are derived from this. *)
-
-val timed_keyed_history :
-  t -> (float * (int * int Histories.Event.t)) list
-(** {!keyed_history} with the transport-clock instant of each event —
-    what {!Server_pool} merges across workers by time. *)
 
 val with_cork : t -> (unit -> unit) -> unit
 (** Run [f] as one turn of a pool member's {!Transport.cork}: sends

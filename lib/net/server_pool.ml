@@ -58,8 +58,8 @@ let worker_loop w =
     end
   done
 
-let create ~transport ?audit ?engine ?storage ?metrics ?map ?(domains = 1)
-    ~me ~replicas ~init () =
+let create ~transport ?audit ?engine ?storage ?metrics ?trace ?map
+    ?(domains = 1) ~me ~replicas ~init () =
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   let map =
     match map with Some m -> m | None -> Shard_map.create ~shards:1 ()
@@ -90,7 +90,7 @@ let create ~transport ?audit ?engine ?storage ?metrics ?map ?(domains = 1)
     let post f = match !wref with Some w -> push w (Fn f) | None -> f () in
     let core =
       Server.create ~transport:wt ?audit ?engine ?storage:(storage d) ~metrics
-        ~map ~member:{ Server.worker = d; domains = nd; txns; post } ~me
+        ?trace ~map ~member:{ Server.worker = d; domains = nd; txns; post } ~me
         ~replicas ~init ()
     in
     let w =
@@ -196,14 +196,6 @@ let rejected t = sum Server.rejected t
 let violations t =
   Array.to_list t.workers
   |> List.concat_map (fun w -> Server.violations w.core)
-
-let timed_keyed t =
-  Array.to_list t.workers
-  |> List.concat_map (fun w -> Server.timed_keyed_history w.core)
-  |> List.stable_sort (fun (a, _) (b, _) -> Float.compare a b)
-
-let keyed_history t = List.map snd (timed_keyed t)
-let history t = List.map (fun (_, (_, ev)) -> ev) (timed_keyed t)
 
 let quorum_stats t =
   Array.fold_left

@@ -43,9 +43,11 @@
     configured) its own store.  The shared {!Metrics.t} is safe by
     construction (atomic counters, locked histograms).  The per-key
     monitors therefore audit exactly as in the single-core server —
-    a key's whole history lives on one worker — and the pool-level
-    accessors merge the per-worker views ({!keyed_history} by
-    transport-clock time, {!violations} by concatenation).
+    a key's whole history lives on one worker — and {!violations}
+    concatenates the per-worker views.  The cores record no history,
+    so the audit's memory is constant per key: each key's live
+    {!Histories.Monitor} forgets superseded writes.  A caller that
+    wants the events for an offline re-check passes a [trace].
 
     Aggregate accessors read worker state without stopping the pool;
     call them on a quiescent pool (workload drained, or after
@@ -59,6 +61,7 @@ val create :
   ?engine:Engine.spec ->
   ?storage:(int -> Storage.t option) ->
   ?metrics:Metrics.t ->
+  ?trace:Trace.t ->
   ?map:Shard_map.t ->
   ?domains:int ->
   me:Transport.node ->
@@ -77,9 +80,16 @@ val create :
     must be restarted with the same [domains] to recover every shard's
     timestamps.  Timer callbacks of each core are re-routed into its
     worker queue, so cores never execute on a transport thread.  A
-    pool plants no deliberate bugs ({!Bug}) and records no {!Trace}:
-    those are {!Explore}'s, which drives a single simulated
-    {!Server}.
+    pool plants no deliberate bugs ({!Bug}): those are {!Explore}'s,
+    which drives a single simulated {!Server}.
+
+    With [trace], every core appends its operation invokes and
+    responds to that one ring ({!Trace.record} is mutex-protected).
+    Each key's events come from its one owning worker, so a key's
+    events keep their order: {!Trace.keyed_history}, grouped by key,
+    is what an offline per-key re-check consumes.  Size the ring to
+    the run and check {!Trace.overwritten}: a wrapped ring is a suffix
+    window, not the history.
 
     {b Reconfiguration.}  A {!Wire.msg.Reconfig} routes to the key's
     owner worker ({!Server.worker_of_key}), which runs the whole
@@ -126,14 +136,6 @@ val rejected : t -> int
 val violations : t -> (int * int Histories.Fastcheck.violation) list
 (** First latched violation of each offending key across all workers.
     Empty iff every per-key audit accepts. *)
-
-val keyed_history : t -> (int * int Histories.Event.t) list
-(** The merged keyed history of every worker, ordered by
-    transport-clock time — what the post-hoc per-key checker
-    consumes. *)
-
-val history : t -> int Histories.Event.t list
-(** {!keyed_history} without the key tags. *)
 
 val quorum_stats : t -> Engine.stats
 (** Aggregate engine counters over every worker's shards. *)

@@ -58,8 +58,11 @@ let duplicate_write_caught () =
           [ ev_invoke 0 (write 1); ev_respond 0 None; ev_invoke 1 (write 1) ]))
 
 let thin_air_caught () =
-  Alcotest.(check bool) "thin air" false
-    (ok (feed [ ev_invoke 2 read; ev_respond 2 (Some 42) ]))
+  match feed [ ev_invoke 2 read; ev_respond 2 (Some 42) ] with
+  | M.Violation (Histories.Fastcheck.Unknown_value 42) -> ()
+  | M.Violation v ->
+    Alcotest.failf "wrong verdict: %a" (Histories.Fastcheck.pp_violation Fmt.int) v
+  | M.Ok_so_far -> Alcotest.fail "thin air accepted"
 
 let cross_reader_inversion_caught () =
   (* rule d across two readers *)
@@ -85,9 +88,10 @@ let read_before_write_caught () =
             ev_invoke 1 (write 2); ev_respond 1 None;
             ev_invoke 2 read; ev_respond 2 (Some 1) ]))
 
-let long_history_linear_growth () =
-  (* frontiers keep the edge count linear: W writes + R reads must not
-     produce O(n^2) edges *)
+let long_history_live_bound () =
+  (* each write is superseded by the next and no read is left pending,
+     so pruning keeps the live graph at the initial node plus the
+     frontier write, however long the history runs *)
   let m = M.create ~init:0 in
   let n = 2000 in
   for k = 1 to n do
@@ -99,9 +103,9 @@ let long_history_linear_growth () =
   Alcotest.(check bool) "still ok" true (ok (M.verdict m));
   let nodes, edges = M.stats m in
   Alcotest.(check bool)
-    (Fmt.str "edges linear (%d nodes, %d edges)" nodes edges)
+    (Fmt.str "live graph bounded (%d nodes, %d edges)" nodes edges)
     true
-    (edges < 10 * n)
+    (nodes <= 2 && edges <= 1)
 
 let bloom_runs_monitored_ok () =
   for seed = 1 to 100 do
@@ -128,6 +132,50 @@ let figure5_monitored_violation () =
   | M.Violation _ -> ()
   | M.Ok_so_far -> Alcotest.fail "monitor must catch Figure 5"
 
+let superseded_write_pruned () =
+  (* write 1 is overwritten by 2 while a read is pending: that read may
+     still return 1, so 1 must outlive its leaving the frontier *)
+  let m = M.create ~init:0 in
+  let observe evs = M.observe_all m evs in
+  ignore
+    (observe
+       [ ev_invoke 0 (write 1); ev_respond 0 None; ev_invoke 2 read;
+         ev_invoke 1 (write 2); ev_respond 1 None ]);
+  Alcotest.(check bool) "overlapping read of a superseded write ok" true
+    (ok (observe [ ev_respond 2 (Some 1) ]));
+  (* once write 3 completes with no read pending, 1 and 2 are gone *)
+  ignore (observe [ ev_invoke 1 (write 3); ev_respond 1 None ]);
+  Alcotest.(check int) "superseded writes dropped" 2 (fst (M.stats m));
+  (* a read begun after 1 was overwritten must not return it *)
+  match observe [ ev_invoke 2 read; ev_respond 2 (Some 1) ] with
+  | M.Violation (Histories.Fastcheck.Unknown_value 1) -> ()
+  | M.Violation v ->
+    Alcotest.failf "wrong verdict: %a" (Histories.Fastcheck.pp_violation Fmt.int) v
+  | M.Ok_so_far -> Alcotest.fail "read of an overwritten write accepted"
+
+let live_predecessor_keeps_write () =
+  (* write 2 is superseded by 3 with no read pending, but the pending
+     write 1 precedes it (a read of 1 finished before a read of 2
+     began).  Dropping 2 would lose the path 1 -> 2 -> 3, and with it
+     the cycle the last read closes by returning 1 after 3 completed *)
+  let events =
+    [ ev_invoke 0 (write 1);
+      ev_invoke 2 read; ev_respond 2 (Some 1);
+      ev_invoke 1 (write 2);
+      ev_invoke 3 read;
+      ev_respond 1 None;
+      ev_respond 3 (Some 2);
+      ev_invoke 1 (write 3); ev_respond 1 None;
+      ev_invoke 2 read; ev_respond 2 (Some 1) ]
+  in
+  Alcotest.(check bool) "not atomic offline" false
+    (Histories.Fastcheck.is_atomic ~init:0 (ops_of_events events));
+  match feed events with
+  | M.Violation (Histories.Fastcheck.Cycle _) -> ()
+  | M.Violation v ->
+    Alcotest.failf "wrong verdict: %a" (Histories.Fastcheck.pp_violation Fmt.int) v
+  | M.Ok_so_far -> Alcotest.fail "cycle through a dropped write missed"
+
 let non_sequential_rejected () =
   let m = M.create ~init:0 in
   ignore (M.observe m (ev_invoke 0 (write 1)));
@@ -146,8 +194,10 @@ let suite =
     tc "thin-air value caught" thin_air_caught;
     tc "cross-reader inversion caught (rule d)" cross_reader_inversion_caught;
     tc "read-before-write constraint caught (rule c)" read_before_write_caught;
-    tc "edge count stays linear on long histories" long_history_linear_growth;
+    tc "live graph bounded on long runs" long_history_live_bound;
     tc "correct protocol runs stay clean" bloom_runs_monitored_ok;
     tc "Figure 5 caught online" figure5_monitored_violation;
     tc "non-sequential input rejected" non_sequential_rejected;
+    tc "superseded write kept for reads" superseded_write_pruned;
+    tc "live predecessor keeps a write" live_predecessor_keeps_write;
   ]

@@ -1098,7 +1098,7 @@ let loopback_transport ~on_server ~on_client =
 
 (* A [domains]-worker pool behind [loopback_transport], and the count
    of responses the client has seen. *)
-let loopback_pool ?storage ?map ~domains () =
+let loopback_pool ?storage ?map ?trace ~domains () =
   let resps = Atomic.make 0 in
   let pool = ref None in
   let tr =
@@ -1112,8 +1112,8 @@ let loopback_pool ?storage ?map ~domains () =
         match msg with W.Batch ms -> List.iter count ms | m -> count m)
   in
   let p =
-    Net.Server_pool.create ~transport:tr ~audit:true ?storage ?map ~domains
-      ~me:Net.Transport.server ~replicas:[ 0; 1; 2 ] ~init:0 ()
+    Net.Server_pool.create ~transport:tr ~audit:true ?storage ?map ?trace
+      ~domains ~me:Net.Transport.server ~replicas:[ 0; 1; 2 ] ~init:0 ()
   in
   pool := Some p;
   (tr, p, resps)
@@ -1184,8 +1184,9 @@ let pool_mixed_shard_batch () =
      two-domain pool: every op must be served exactly once, per-session
      per-key order must hold, and every per-key Monitor must stay clean *)
   let shards = 4 and domains = 2 and nkeys = 8 and per_key = 6 in
+  let trace = Net.Trace.create () in
   let tr, p, resps =
-    loopback_pool ~map:(Net.Shard_map.create ~shards ()) ~domains ()
+    loopback_pool ~map:(Net.Shard_map.create ~shards ()) ~trace ~domains ()
   in
   let cl = Net.Transport.client 0 in
   tr.Net.Transport.send ~src:cl ~dst:Net.Transport.server (W.Hello { proc = 0 });
@@ -1211,13 +1212,17 @@ let pool_mixed_shard_batch () =
    | (key, v) :: _ ->
      Alcotest.failf "monitor violation on key %d: %a" key
        (Histories.Fastcheck.pp_violation Fmt.int) v);
-  (* cross-check the merged per-key histories offline *)
+  (* cross-check the per-key histories offline, from the shared trace;
+     an empty or wrapped one would pass vacuously *)
+  Alcotest.(check int) "trace kept whole" 0 (Net.Trace.overwritten trace);
+  Alcotest.(check bool) "two trace events per op" true
+    (Net.Trace.recorded trace >= 2 * n);
   List.iter
     (fun key ->
       let evs =
         List.filter_map
           (fun (k, ev) -> if k = key then Some ev else None)
-          (Net.Server_pool.keyed_history p)
+          (Net.Trace.keyed_history trace)
       in
       match
         Histories.Fastcheck.check_unique ~init:0
@@ -1228,6 +1233,61 @@ let pool_mixed_shard_batch () =
         Alcotest.failf "offline check, key %d: %a" key
           (Histories.Fastcheck.pp_violation Fmt.int) v)
     (List.init nkeys Fun.id)
+
+let pool_soak_constant_memory () =
+  (* the deployed pool's audit memory is constant per key: run N ops on
+     a few keys, then 9N more on the same keys, and the live heap must
+     not have grown with the op count.  A core that kept its history,
+     or a monitor that never forgot a superseded write, grows by tens
+     of words per op.  Two writers and a reader share the keys, so
+     reads overlap the writes that supersede what they return *)
+  let rounds = 50 and nkeys = 4 and window = 32 and procs = [ 0; 1; 2 ] in
+  let tr, p, resps = loopback_pool ~domains:1 () in
+  let send proc msg =
+    tr.Net.Transport.send ~src:(Net.Transport.client proc)
+      ~dst:Net.Transport.server msg
+  in
+  List.iter (fun proc -> send proc (W.Hello { proc })) procs;
+  let seq = ref 0 and sent = ref 0 in
+  let run rounds =
+    for _ = 1 to rounds do
+      List.iter
+        (fun proc ->
+          send proc
+            (W.Batch
+               (List.init window (fun i ->
+                    let seq = !seq + i in
+                    let key = seq mod nkeys in
+                    W.Req
+                      {
+                        seq;
+                        op =
+                          (if proc = 2 then W.Read_k { key }
+                           else W.Write_k { key; value = (2 * seq) + proc + 1 });
+                      }))))
+        procs;
+      seq := !seq + window;
+      sent := !sent + (window * List.length procs);
+      await_resps resps !sent
+    done
+  in
+  let live_words () =
+    Gc.compact ();
+    (Gc.stat ()).Gc.live_words
+  in
+  run rounds;
+  let base = live_words () in
+  run (9 * rounds);
+  let grown = live_words () - base in
+  List.iter (fun proc -> send proc W.Bye) procs;
+  Net.Server_pool.stop p;
+  Alcotest.(check int) "every op served" !sent (Net.Server_pool.ops_served p);
+  Alcotest.(check bool) "audit clean" true (Net.Server_pool.violations p = []);
+  Alcotest.(check bool)
+    (Fmt.str "heap grew %d words over the last %d ops (live %d before)"
+       grown (!sent * 9 / 10) base)
+    true
+    (grown * 10 < base)
 
 let socket_pool_domains () =
   (* the pool over real sockets: two worker domains, sharded keyspace,
@@ -1637,4 +1697,5 @@ let slow_suite =
     tc_slow "socket: tiny SO_SNDBUF backpressure" socket_tiny_sndbuf;
     tc_slow "socket: client batches keep sequence order"
       socket_client_send_order;
+    tc_slow "pool: audit memory constant per key" pool_soak_constant_memory;
   ]
