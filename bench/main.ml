@@ -768,7 +768,8 @@ let bench_net_metrics () =
   sim_leg ~label:"drop 0.15"
     ~faults:(Net.Sim_net.lossy ~drop:0.15 ~duplicate:0.075 ());
   pf
-    "  (ABD baseline: read = 2 quorum rounds, write = 1; 2 msgs per \
+    "  (ABD: write = 1 quorum round; read = 1, plus a write-back round \
+     when its pair is not yet known stored on a majority; 2 msgs per \
      replica per round + client req/resp)@.@."
 
 (* ------------------------------------------------------------------ *)

@@ -12,6 +12,8 @@
      mcheck net --replicas 1 --readers 0 --expect-exhausted
      mcheck net --replicas 3 --broken-read-quorum --readers 1 --reads 2 \
        --hunt --expect-violation --dump ce.jsonl
+     mcheck net --replicas 3 --skip-write-back --readers 1 --reads 2 \
+       --hunt --expect-violation --dump ce.jsonl
      mcheck net --replay ce.jsonl --expect-violation
      mcheck net --torture --runs 200 *)
 
@@ -149,7 +151,7 @@ module S = Modelcheck.Schedule
 
 let run_net engine replicas shards keys window net_writers writes readers
     reads txns snaps group_size reconfig_key reconfig_to skip_dual_write
-    broken broken_link torn_txn crashes amnesia no_durability
+    broken skip_write_back broken_link torn_txn crashes amnesia no_durability
     max_schedules max_depth no_prune fastcheck hunt walks seed torture runs
     dump replay expect_violation expect_exhausted =
   let finish ~violated =
@@ -260,7 +262,7 @@ let run_net engine replicas shards keys window net_writers writes readers
              else None)
           ~skip_dual_write
           ?read_quorum:(if broken then Some 1 else None)
-          ~unordered:broken_link ~torn_txn
+          ~skip_write_back ~unordered:broken_link ~torn_txn
           ~crashable:(if crashes > 0 then List.init replicas Fun.id else [])
           ~max_crashes:crashes
           ~amnesia:(if amnesia > 0 then List.init replicas Fun.id else [])
@@ -410,6 +412,14 @@ let net_cmd =
              ~doc:"Deliberately break the abd engine: collect from a read \
                    quorum of 1 instead of a majority.")
   in
+  let skip_write_back =
+    Arg.(value & flag
+         & info [ "skip-write-back" ]
+             ~doc:"Deliberately break the abd engine: every read returns \
+                   its freshest pair with no write-back, so the register \
+                   is only regular (two reads can see a new-old \
+                   inversion).")
+  in
   let broken_link =
     Arg.(value & flag
          & info [ "broken-link-order" ]
@@ -507,7 +517,7 @@ let net_cmd =
           $ net_writers $ writes
           $ readers $ reads $ txns $ snaps
           $ group_size $ reconfig_key $ reconfig_to $ skip_dual_write
-          $ broken $ broken_link $ torn_txn
+          $ broken $ skip_write_back $ broken_link $ torn_txn
           $ crashes $ amnesia
           $ no_durability $ max_schedules
           $ max_depth $ no_prune $ fastcheck $ hunt $ walks $ seed $ torture

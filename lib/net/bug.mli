@@ -3,11 +3,11 @@
     The explorer is trusted because it catches, shrinks and replays
     bugs planted on purpose.  Each hook breaks exactly one layer and
     takes effect in that layer's leaf argument: {!Quorum.create}'s
-    [?read_quorum], {!Replica.create}'s [?unordered], {!Txn.create}'s
-    [?torn] and {!Reconfig.create}'s [?skip_dual_write].  Everything
-    between {!Explore} and those leaves ({!Sim_run}, {!Server},
-    {!Registry}, the engine factory) carries one [Bug.t] instead of
-    four arguments.
+    [?read_quorum] and [?skip_write_back], {!Replica.create}'s
+    [?unordered], {!Txn.create}'s [?torn] and {!Reconfig.create}'s
+    [?skip_dual_write].  Everything between {!Explore} and those
+    leaves ({!Sim_run}, {!Server}, {!Registry}, the engine factory)
+    carries one [Bug.t] instead of five arguments.
 
     The record is [private]: the only ways to build one are {!none}
     and the validating {!make} (or {!of_fields}, which calls it), so a
@@ -23,6 +23,9 @@ type t = private {
   read_quorum : int option;
       (** ABD: a read's collect phase completes on this many replies
           instead of a majority *)
+  skip_write_back : bool;
+      (** ABD: every read returns its freshest pair with no write-back,
+          which leaves the register regular rather than atomic *)
   unordered : bool;
       (** twobit: replicas apply link frames in arrival order, ignoring
           their sequence numbers *)
@@ -40,6 +43,7 @@ val none : t
 
 val make :
   ?read_quorum:int ->
+  ?skip_write_back:bool ->
   ?unordered:bool ->
   ?torn_txn:bool ->
   ?skip_dual_write:bool ->
@@ -52,13 +56,14 @@ val make :
     [migration] says whether a live reconfiguration is requested.
     Every hook defaults to off.
     @raise Invalid_argument if [read_quorum] is outside [1..replicas],
-    if a hook names the wrong engine ([read_quorum] with twobit,
-    [unordered] with ABD), or if [skip_dual_write] is set without a
-    migration. *)
+    if a hook names the wrong engine ([read_quorum] or
+    [skip_write_back] with twobit, [unordered] with ABD), or if
+    [skip_dual_write] is set without a migration. *)
 
 val fields : t -> (string * int) list
 (** The artifact encoding: [read_quorum] (0 = off), [unordered],
-    [torn_txn] and [skip_dual_write] (0/1), in that order. *)
+    [torn_txn], [skip_dual_write] and [skip_write_back] (0/1), in that
+    order. *)
 
 val of_fields :
   (string -> int option) ->

@@ -28,8 +28,8 @@ module Impl = struct
     }
 end
 
-let create ~transport ~me ~replicas ?read_quorum ?storage ?metrics ?rid_base
-    ?rid_stride () =
+let create ~transport ~me ~replicas ?read_quorum ?skip_write_back ?storage
+    ?metrics ?rid_base ?rid_stride () =
   let bytes = ref 0 and cbytes = ref 0 in
   let metered =
     {
@@ -44,8 +44,8 @@ let create ~transport ~me ~replicas ?read_quorum ?storage ?metrics ?rid_base
   let t =
     {
       q =
-        Quorum.create ~transport:metered ~me ~replicas ?read_quorum ?storage
-          ?metrics ?rid_base ?rid_stride ();
+        Quorum.create ~transport:metered ~me ~replicas ?read_quorum
+          ?skip_write_back ?storage ?metrics ?rid_base ?rid_stride ();
       bytes;
       cbytes;
     }

@@ -28,17 +28,18 @@ type config = {
 }
 
 let config ?(replicas = 3) ?(keys = 1) ?(shards = 1) ?group_size
-    ?(window = 4) ?(engine = Engine.Abd) ?read_quorum ?unordered ?torn_txn
-    ?reconfig ?skip_dual_write ?(crashable = []) ?(max_crashes = 0)
-    ?(amnesia = []) ?(max_amnesia = 0) ?(durable = true) ?(cuts = [])
-    ?(max_partitions = 0) ?(max_depth = 2_000) ?(max_schedules = max_int)
-    ?(prune = true) ?(fastcheck = false) ~workload () =
+    ?(window = 4) ?(engine = Engine.Abd) ?read_quorum ?skip_write_back
+    ?unordered ?torn_txn ?reconfig ?skip_dual_write ?(crashable = [])
+    ?(max_crashes = 0) ?(amnesia = []) ?(max_amnesia = 0) ?(durable = true)
+    ?(cuts = []) ?(max_partitions = 0) ?(max_depth = 2_000)
+    ?(max_schedules = max_int) ?(prune = true) ?(fastcheck = false) ~workload
+    () =
   (* Fail fast, at configuration time, on requests no run could honour:
      a deep [invalid_arg] out of [reset] would only surface once the
      explorer starts (or worse, from inside every walk). *)
   let bug =
-    Bug.make ?read_quorum ?unordered ?torn_txn ?skip_dual_write ~engine
-      ~replicas ~migration:(reconfig <> None) ()
+    Bug.make ?read_quorum ?skip_write_back ?unordered ?torn_txn
+      ?skip_dual_write ~engine ~replicas ~migration:(reconfig <> None) ()
   in
   if engine = Engine.Twobit && amnesia <> [] && max_amnesia > 0 then
     invalid_arg
@@ -475,8 +476,8 @@ let config_note cfg =
   Fmt.str
     "config replicas=%d keys=%d shards=%d group_size=%d window=%d engine=%d \
      read_quorum=%d unordered=%d torn_txn=%d reconfig_key=%d reconfig_to=%d \
-     skip_dual_write=%d max_crashes=%d max_amnesia=%d durable=%d \
-     max_partitions=%d max_depth=%d prune=%d fastcheck=%d"
+     skip_dual_write=%d skip_write_back=%d max_crashes=%d max_amnesia=%d \
+     durable=%d max_partitions=%d max_depth=%d prune=%d fastcheck=%d"
     cfg.replicas cfg.keys cfg.shards
     (Option.value ~default:0 cfg.group_size)
     cfg.window
@@ -484,7 +485,7 @@ let config_note cfg =
     (hook "read_quorum") (hook "unordered") (hook "torn_txn")
     (match cfg.reconfig with Some (k, _) -> k | None -> -1)
     (match cfg.reconfig with Some (_, s) -> s | None -> -1)
-    (hook "skip_dual_write")
+    (hook "skip_dual_write") (hook "skip_write_back")
     cfg.max_crashes cfg.max_amnesia
     (if cfg.durable then 1 else 0)
     cfg.max_partitions cfg.max_depth

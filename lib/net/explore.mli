@@ -85,6 +85,7 @@ val config :
   ?window:int ->
   ?engine:Engine.kind ->
   ?read_quorum:int ->
+  ?skip_write_back:bool ->
   ?unordered:bool ->
   ?torn_txn:bool ->
   ?reconfig:int * int ->
@@ -107,7 +108,7 @@ val config :
     [Sim_run.singles processes].  Defaults: 3 replicas, 1 key, 1 shard,
     window 4, ABD engine with no bug hooks, no fates, durable
     replicas, [max_depth] 2000, unbounded schedules, pruning on,
-    post-hoc check off.  [read_quorum],
+    post-hoc check off.  [read_quorum], [skip_write_back],
     [unordered], [torn_txn] and [skip_dual_write] choose the
     deliberate bugs; they become the [bug] field through
     {!Bug.make}.

@@ -21,6 +21,13 @@ type stats = {
   retransmissions : int;
 }
 
+(* Per register: the highest timestamp this engine has issued (the
+   floor every later write must exceed) and the highest timestamp whose
+   store phase — a write, a [write_at] or a write-back — it has seen
+   complete.  Replicas ack a store only once it is durable and never
+   lower a timestamp, so a majority holds [stable] or newer for good. *)
+type reg_ts = { mutable issued : int; mutable stable : int }
+
 type ctrs = {
   m_queries : Metrics.counter;
   m_stores : Metrics.counter;
@@ -35,8 +42,9 @@ type t = {
   replicas : Transport.node list;
   quorum : int;
   read_quorum : int;
+  skip_write_back : bool;
   pending : (int, phase) Hashtbl.t;
-  wts : (int, int) Hashtbl.t;  (* global reg -> write timestamp *)
+  regs : (int, reg_ts) Hashtbl.t;  (* global reg -> its timestamps *)
   storage : Storage.t option;
   rid_stride : int;
   mutable next_rid : int;
@@ -47,8 +55,8 @@ type t = {
   c : ctrs;
 }
 
-let create ~transport ~me ~replicas ?read_quorum ?storage ?metrics
-    ?(rid_base = 0) ?(rid_stride = 1) () =
+let create ~transport ~me ~replicas ?read_quorum ?(skip_write_back = false)
+    ?storage ?metrics ?(rid_base = 0) ?(rid_stride = 1) () =
   if rid_stride < 1 || rid_base < 0 || rid_base >= rid_stride then
     invalid_arg "Quorum.create: rid_base/rid_stride out of range";
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
@@ -70,15 +78,18 @@ let create ~transport ~me ~replicas ?read_quorum ?storage ?metrics
       h_phase2 = Metrics.histogram metrics "quorum_phase2";
     }
   in
-  let wts = Hashtbl.create 16 in
+  let regs = Hashtbl.create 16 in
   (* recover issued write timestamps: a restarted engine must never
      reuse a timestamp it already handed to the replicas, or a newer
-     value would lose to an older one under the ts-monotone apply *)
+     value would lose to an older one under the ts-monotone apply.  No
+     store is known complete yet: the last write may have reached only
+     a minority before the restart. *)
   (match storage with
    | None -> ()
    | Some st ->
      List.iter
-       (fun (reg, (ts, _)) -> Hashtbl.replace wts reg ts)
+       (fun (reg, (ts, _)) ->
+         Hashtbl.replace regs reg { issued = ts; stable = 0 })
        (Storage.contents st));
   {
     tr = transport;
@@ -86,8 +97,9 @@ let create ~transport ~me ~replicas ?read_quorum ?storage ?metrics
     replicas;
     quorum = majority;
     read_quorum;
+    skip_write_back;
     pending = Hashtbl.create 16;
-    wts;
+    regs;
     storage;
     rid_stride;
     next_rid = rid_base;
@@ -115,6 +127,21 @@ let send_to t dst msg =
 
 let broadcast t msg = List.iter (fun r -> send_to t r msg) t.replicas
 
+(* [find], not [find_opt]: these run on every operation, and the
+   exception path allocates no option *)
+let entry t reg =
+  match Hashtbl.find t.regs reg with
+  | e -> e
+  | exception Not_found ->
+    let e = { issued = 0; stable = 0 } in
+    Hashtbl.replace t.regs reg e;
+    e
+
+(* 0 for a register this engine never stored: the initial pair every
+   replica holds *)
+let stable t reg =
+  match Hashtbl.find t.regs reg with e -> e.stable | exception Not_found -> 0
+
 let start_store t ~reg ~ts ~pl ~finish =
   let rid = fresh_rid t in
   let born = t.tr.Transport.now () in
@@ -129,8 +156,11 @@ let read t ~reg ~k =
   let rid = fresh_rid t in
   let finish (ts, pl) =
     (* write-back phase: install the freshest pair on a majority before
-       returning it, for reader-reader atomicity *)
-    start_store t ~reg ~ts ~pl ~finish:(fun () -> k pl)
+       returning it, for reader-reader atomicity.  A pair whose store
+       this engine already saw complete is on a majority, so every later
+       collect sees it (or a newer one) without another round. *)
+    if ts = stable t reg || t.skip_write_back then k pl
+    else start_store t ~reg ~ts ~pl ~finish:(fun () -> k pl)
   in
   let born = t.tr.Transport.now () in
   Hashtbl.replace t.pending rid (Collect { reg; born; replies = []; finish });
@@ -151,29 +181,31 @@ let read_ts t ~reg ~k =
 
 (* Install (ts, value) verbatim: the dual-write leg of a migration
    replays the primary engine's timestamp into the incoming group, so
-   the pair stays comparable across the handoff.  The local wts floor
+   the pair stays comparable across the handoff.  The issued floor
    is raised (never lowered) so a post-cutover write through this
    engine still dominates.  No storage append: the primary engine's
    [write] already made the same (reg, ts) durable in this node's log,
    which is what [create] recovers the floor from. *)
 let write_at t ~reg ~ts ~value ~k =
   t.writes <- t.writes + 1;
-  let cur = Option.value ~default:0 (Hashtbl.find_opt t.wts reg) in
-  if ts > cur then Hashtbl.replace t.wts reg ts;
+  let e = entry t reg in
+  if ts > e.issued then e.issued <- ts;
   start_store t ~reg ~ts ~pl:value ~finish:k
 
 let write_ts t ~reg ~value ~k =
   t.writes <- t.writes + 1;
-  let ts = 1 + Option.value ~default:0 (Hashtbl.find_opt t.wts reg) in
-  Hashtbl.replace t.wts reg ts;
+  let e = entry t reg in
+  let ts = e.issued + 1 in
+  e.issued <- ts;
   (* persist the timestamp bump before the Store leaves this node, so
-     a restarted engine recovers a wts at least as high as anything a
-     replica may already hold from us.  With a group-commit store the
-     broadcast is deferred to the batch's durability completion — the
-     in-memory wts above is already bumped, so concurrent writes to
-     other shards keep their timestamps ordered. *)
+     a restarted engine recovers an issued floor at least as high as
+     any timestamp a replica may already hold from us.  With a
+     group-commit store the broadcast is deferred to the batch's
+     durability completion — the in-memory floor above is already
+     bumped, so concurrent writes to other shards keep their
+     timestamps ordered. *)
   (* the write timestamp dominates every write-back of an earlier read
-     (those reuse timestamps <= wts, by SWMR ownership) *)
+     (those reuse timestamps <= issued, by SWMR ownership) *)
   (match t.storage with
    | None -> start_store t ~reg ~ts ~pl:value ~finish:k
    | Some st ->
@@ -212,6 +244,8 @@ let on_message t ~src msg =
          if List.length s.acks >= t.quorum then begin
            Hashtbl.remove t.pending rid;
            Metrics.observe t.c.h_phase2 (t.tr.Transport.now () -. s.born);
+           let e = entry t s.reg in
+           if s.ts > e.stable then e.stable <- s.ts;
            s.finish ()
          end
        | _ -> ())

@@ -4,15 +4,23 @@
 
     A {e write} of global register [reg] takes the next
     write-timestamp for [reg] and stores the pair on a majority.  A {e
-    read} queries a majority, picks the pair with the highest
-    timestamp, and {e writes it back} to a majority before returning —
-    the write-back is what makes the register atomic rather than
-    merely regular (without it two concurrent reader sessions can
-    exhibit a new–old inversion).  Any minority of replicas may crash,
-    and the network may drop, delay, reorder or duplicate messages:
-    lost messages are retransmitted by {!resend_pending} (driven by a
-    transport timer), and replicas are idempotent, so duplicates are
-    harmless.
+    read} queries a majority and picks the pair with the highest
+    timestamp.  Before returning it, the read must know that pair is
+    on a majority, or two reader sessions could see a new–old
+    inversion (the register would be regular, not atomic).  The engine
+    records, per register, the highest timestamp whose store phase —
+    a write, a {!write_at} or a write-back — it has seen complete;
+    replicas ack a store only once durable and never lower a
+    timestamp, so that pair stays on a majority.  A read whose
+    freshest timestamp equals that record (0, the initial pair, for a
+    register never stored) returns at once; any other read {e writes
+    the pair back} to a majority first.  That covers a write still in
+    flight, a restarted engine (the record is not recovered), and a
+    pair another engine installed on a shared group.  Any minority of
+    replicas may crash, and the network may drop, delay, reorder or
+    duplicate messages: lost messages are retransmitted by
+    {!resend_pending} (driven by a transport timer), and replicas are
+    idempotent, so duplicates are harmless.
 
     Registers are addressed by the flat index of
     {!Shard_map.global_reg}; timestamps are per-register counters
@@ -41,6 +49,7 @@ val create :
   me:Transport.node ->
   replicas:Transport.node list ->
   ?read_quorum:int ->
+  ?skip_write_back:bool ->
   ?storage:Storage.t ->
   ?metrics:Metrics.t ->
   ?rid_base:int ->
@@ -54,7 +63,9 @@ val create :
     majority, provided so the schedule explorer can regression-test
     that it detects the resulting non-atomic schedules.  Raises
     [Invalid_argument] outside [1 .. length replicas].  The store
-    quorum is always a majority.
+    quorum is always a majority.  [skip_write_back] (default [false])
+    is the other deliberate bug: every {!read} returns its freshest
+    pair with no write-back, leaving the register regular.
 
     [storage] makes the engine's write timestamps durable: each
     {!write} appends its (register, timestamp, value) to the store
@@ -83,8 +94,10 @@ val quorum_size : t -> int
 
 val read : t -> reg:int -> k:(Wire.payload -> unit) -> unit
 (** Start an atomic read of global register [reg]; [k] runs exactly
-    once, after quorum + write-back — possibly {e before} [read]
-    returns (reentrantly, under a zero-delay transport) or never (if a
+    once, after the collect quorum — at once if the freshest timestamp
+    is the highest this engine has seen stored on a majority, else
+    after a write-back round — possibly {e before} [read] returns
+    (reentrantly, under a zero-delay transport) or never (if a
     majority is permanently unreachable).  Does not block. *)
 
 val write : t -> reg:int -> value:Wire.payload -> k:(unit -> unit) -> unit

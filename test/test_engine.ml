@@ -275,22 +275,24 @@ let config_validation () =
 (* [Bug.make] is the one place hooks are validated: every layer below
    takes the value it returns as given. *)
 let engines_reject_mismatched_hooks () =
-  let mk ?read_quorum ?unordered ?skip_dual_write ?(migration = false) engine
-      =
-    Net.Bug.make ?read_quorum ?unordered ?skip_dual_write ~engine ~replicas:3
-      ~migration ()
+  let mk ?read_quorum ?skip_write_back ?unordered ?skip_dual_write
+      ?(migration = false) engine =
+    Net.Bug.make ?read_quorum ?skip_write_back ?unordered ?skip_dual_write
+      ~engine ~replicas:3 ~migration ()
   in
   invalid_arg_raised "abd + unordered" (fun () ->
       mk ~unordered:true Net.Engine.Abd);
   invalid_arg_raised "twobit + read_quorum" (fun () ->
       mk ~read_quorum:1 Net.Engine.Twobit);
+  invalid_arg_raised "twobit + skip_write_back" (fun () ->
+      mk ~skip_write_back:true Net.Engine.Twobit);
   invalid_arg_raised "skip_dual_write without a migration" (fun () ->
       mk ~skip_dual_write:true Net.Engine.Abd);
   ignore (mk ~read_quorum:1 Net.Engine.Abd);
   ignore (mk ~unordered:true Net.Engine.Twobit);
   ignore (mk ~skip_dual_write:true ~migration:true Net.Engine.Twobit);
   (* the artifact encoding round-trips, and an absent field is off *)
-  let b = mk ~read_quorum:2 Net.Engine.Abd in
+  let b = mk ~read_quorum:2 ~skip_write_back:true Net.Engine.Abd in
   let decode fields =
     Net.Bug.of_fields
       (fun k -> List.assoc_opt k fields)

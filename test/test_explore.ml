@@ -1,8 +1,8 @@
 (* The schedule explorer: exhaustive enumeration of small
    configurations must exhaust with every audit clean; the deliberate
-   broken-read-quorum variant must yield a violation whose shrunk,
-   saved trace replays to the same verdict; the raw controlled-stepping
-   API and the generic ddmin must behave. *)
+   broken-read-quorum and skipped-write-back variants must yield a
+   violation whose shrunk, saved trace replays to the same verdict; the
+   raw controlled-stepping API and the generic ddmin must behave. *)
 
 module E = Net.Explore
 module S = Modelcheck.Schedule
@@ -35,7 +35,7 @@ let exhaustive_two_writers () =
   let res = E.explore (E.config ~replicas:1 ~workload:two_writers ()) in
   let s = res.E.stats in
   Alcotest.(check bool) "exhausted" true s.S.exhausted;
-  Alcotest.(check int) "schedule count" 534 s.S.schedules;
+  Alcotest.(check int) "schedule count" 76 s.S.schedules;
   Alcotest.(check bool) "pruning fired" true (s.S.pruned > 0);
   match res.E.counterexample with
   | None -> ()
@@ -127,6 +127,35 @@ let shrink_and_replay_file () =
         Alcotest.(check (list int)) "schedule survives" ce'.E.schedule sched;
         Alcotest.(check bool) "workload survives" true
           (cfg'.E.workload = cfg''.E.workload);
+        Alcotest.(check bool) "artifact replays to a violation" true
+          (o'.Net.Sim_run.key_violations <> []))
+
+(* A read that returns its freshest pair without writing it back
+   leaves the register regular: read 1 can return a write's value from
+   the one replica its store has reached, and read 2's majority can miss
+   that replica — the same new-old inversion, with an honest quorum. *)
+let skip_write_back_caught_shrunk_replayed () =
+  let cfg =
+    E.config ~replicas:3 ~skip_write_back:true ~workload:inversion_prone ()
+  in
+  match (E.hunt ~seed:42 cfg).E.counterexample with
+  | None -> Alcotest.fail "hunt missed the skipped write-back"
+  | Some ce ->
+    let cfg', ce' = E.shrink cfg ce in
+    Alcotest.(check bool) "schedule no longer" true
+      (List.length ce'.E.schedule <= List.length ce.E.schedule);
+    let o = E.replay cfg' ce'.E.schedule in
+    Alcotest.(check bool) "shrunk schedule still violates" true
+      (o.Net.Sim_run.key_violations <> []);
+    let file = Filename.temp_file "explore-write-back" ".jsonl" in
+    Fun.protect
+      ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
+      (fun () ->
+        E.save ~file cfg' ce';
+        let cfg'', sched, o' = E.replay_file ~file in
+        Alcotest.(check bool) "bug hook survives the artifact" true
+          cfg''.E.bug.Net.Bug.skip_write_back;
+        Alcotest.(check (list int)) "schedule survives" ce'.E.schedule sched;
         Alcotest.(check bool) "artifact replays to a violation" true
           (o'.Net.Sim_run.key_violations <> []))
 
@@ -644,7 +673,7 @@ let reconfig_abd_exhausts_clean () =
     E.explore (reconfig_cfg ~workload:reconfig_write_only ())
   in
   Alcotest.(check bool) "exhausted" true res.E.stats.S.exhausted;
-  Alcotest.(check int) "schedule count" 145296 res.E.stats.S.schedules;
+  Alcotest.(check int) "schedule count" 145256 res.E.stats.S.schedules;
   match res.E.counterexample with
   | None -> ()
   | Some ce -> Alcotest.failf "reconfig schedule not atomic: %s" ce.E.message
@@ -661,6 +690,8 @@ let suite =
     tc "hunt is deterministic in its seed" hunt_deterministic;
     tc "shrink + save: artifact replays to the violation"
       shrink_and_replay_file;
+    tc "skipped write-back: caught, shrunk, replayed"
+      skip_write_back_caught_shrunk_replayed;
     tc "ddmin minimizes" ddmin_minimizes;
     tc "sim: pending/fire/restart primitives" pending_fire_restart;
     tc "fate branch points stay clean" explore_with_fates_clean;

@@ -295,6 +295,126 @@ let replica_batch () =
   Alcotest.(check int) "two replies" 2 (List.length out)
 
 (* ------------------------------------------------------------------ *)
+(* Quorum: when a read writes back                                     *)
+
+(* Three volatile replicas behind a transport that holds every send
+   until [deliver] releases it, and a log of what the engine sent. *)
+type held = {
+  mutable queue : (int * int * W.msg) list;  (* oldest first *)
+  mutable from_engine : W.msg list;
+  reps : Net.Replica.t array;
+}
+
+let engine_node = Net.Transport.server
+
+let holding () =
+  {
+    queue = [];
+    from_engine = [];
+    reps = Array.init 3 (fun _ -> Net.Replica.create ~init:0 ());
+  }
+
+let quorum_over h =
+  let send ~src ~dst msg =
+    if src = engine_node then h.from_engine <- msg :: h.from_engine;
+    h.queue <- h.queue @ [ (src, dst, msg) ]
+  in
+  Net.Quorum.create
+    ~transport:{ Net.Transport.null with Net.Transport.send }
+    ~me:engine_node ~replicas:[ 0; 1; 2 ] ()
+
+(* the oldest element accepted by [p], and the list without it *)
+let rec take p = function
+  | [] -> None
+  | x :: xs when p x -> Some (x, xs)
+  | x :: xs -> Option.map (fun (y, ys) -> (y, x :: ys)) (take p xs)
+
+(* Deliver held messages accepted by [p], oldest first, including the
+   replies they cause, until none is left. *)
+let rec deliver ?(p = fun _ -> true) h q =
+  match take p h.queue with
+  | None -> ()
+  | Some ((src, dst, msg), rest) ->
+    h.queue <- rest;
+    if dst = engine_node then Net.Quorum.on_message q ~src msg
+    else
+      List.iter
+        (fun (d, m) -> h.queue <- h.queue @ [ (dst, d, m) ])
+        (Net.Replica.handle h.reps.(dst) ~src msg);
+    deliver ~p h q
+
+(* (queries, stores) the engine has sent since the last call *)
+let sent h =
+  let count f = List.length (List.filter f h.from_engine) in
+  let n =
+    ( count (function W.Query _ -> true | _ -> false),
+      count (function W.Store _ -> true | _ -> false) )
+  in
+  h.from_engine <- [];
+  n
+
+let read_value h q =
+  let got = ref None in
+  Net.Quorum.read q ~reg:0 ~k:(fun p -> got := Some (Registers.Tagged.v p));
+  deliver h q;
+  !got
+
+let write_value h q v =
+  let acked = ref false in
+  Net.Quorum.write q ~reg:0 ~value:(pl v false) ~k:(fun () -> acked := true);
+  deliver h q;
+  Alcotest.(check bool) "write acked" true !acked
+
+let counts = Alcotest.(pair int int)
+
+let quorum_read_of_stored_pair_skips_write_back () =
+  let h = holding () in
+  let q = quorum_over h in
+  write_value h q 5;
+  ignore (sent h);
+  Alcotest.(check (option int)) "reads the write" (Some 5) (read_value h q);
+  Alcotest.(check counts) "3 queries, no store" (3, 0) (sent h)
+
+let quorum_read_overlapping_write_writes_back () =
+  let h = holding () in
+  let q = quorum_over h in
+  write_value h q 5;
+  (* a second write reaches replica 0 only: its pair is not yet known
+     to be on a majority *)
+  Net.Quorum.write q ~reg:0 ~value:(pl 6 false) ~k:ignore;
+  deliver
+    ~p:(fun (_, dst, m) ->
+      match m with W.Store _ -> dst = 0 | _ -> false)
+    h q;
+  ignore (sent h);
+  let got = ref None in
+  Net.Quorum.read q ~reg:0 ~k:(fun p -> got := Some (Registers.Tagged.v p));
+  deliver
+    ~p:(fun (src, dst, m) ->
+      match m with
+      | W.Query _ -> dst = 0 || dst = 1
+      | W.Query_reply _ -> src = 0 || src = 1
+      | _ -> false)
+    h q;
+  Alcotest.(check (option int)) "k waits for the write-back" None !got;
+  Alcotest.(check counts) "the read writes back" (3, 3) (sent h);
+  deliver h q;
+  Alcotest.(check (option int)) "then returns the newer value" (Some 6) !got
+
+let quorum_fresh_engine_writes_back_once () =
+  (* a restarted engine recovers the timestamps it issued but not which
+     stores completed, so its first read of a stored register writes
+     back *)
+  let h = holding () in
+  write_value h (quorum_over h) 5;
+  let q = quorum_over h in
+  ignore (sent h);
+  Alcotest.(check (option int)) "first read" (Some 5) (read_value h q);
+  Alcotest.(check counts) "writes back once" (3, 3) (sent h);
+  Alcotest.(check (option int)) "second read" (Some 5) (read_value h q);
+  Alcotest.(check counts) "then skips" (3, 0) (sent h)
+
+(* ------------------------------------------------------------------ *)
 (* Simulated transport: fault-schedule sweeps                          *)
 
 let spec ~readers ~writes ~reads =
@@ -778,8 +898,11 @@ let socket_stats_over_wire () =
   Alcotest.(check int) "no decode errors" 0 (get "decode_errors");
   Alcotest.(check int) "one session" 1 (get "sessions");
   Alcotest.(check int) "no violation" 0 (get "audit_violation");
+  (* each write makes one real read and one store, and the read three
+     real reads; a read writes back only a pair the engine has not seen
+     stored on a majority, which here is none *)
   Alcotest.(check bool) "quorum counters live" true
-    (get "quorum_queries" >= 1 && get "quorum_stores" >= 3);
+    (get "quorum_queries" >= 5 && get "quorum_stores" >= 2);
   Alcotest.(check bool) "rtt histogram populated" true
     (get "client_rtt_count" >= 3);
   Net.Client.close c0;
@@ -1652,6 +1775,12 @@ let suite =
     tc "replica: monotone timestamps" replica_monotone;
     tc "replica: open keyspace" replica_open_keyspace;
     tc "replica: batches" replica_batch;
+    tc "quorum: a read of a stored pair skips the write-back"
+      quorum_read_of_stored_pair_skips_write_back;
+    tc "quorum: a read overlapping a write writes back"
+      quorum_read_overlapping_write_writes_back;
+    tc "quorum: a fresh engine writes back once, then skips"
+      quorum_fresh_engine_writes_back_once;
     tc "sim: reliable run" sim_reliable;
     tc "sim: pipelining windows" sim_windows;
     tc "sim: minority replica crash" sim_replica_crash;
