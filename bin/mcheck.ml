@@ -4,6 +4,7 @@
      mcheck --protocol tournament
      mcheck --protocol timestamp --writers 3
      mcheck --protocol bloom --invariant lemmas
+     mcheck --protocol bloom-cached-single-read --writer-reads 1
 
    The [net] subcommand turns the same idea on the message-passing
    service: enumerate (or randomly walk, or torture) delivery
@@ -14,6 +15,7 @@
        --hunt --expect-violation --dump ce.jsonl
      mcheck net --replicas 3 --skip-write-back --readers 1 --reads 2 \
        --hunt --expect-violation --dump ce.jsonl
+     mcheck net --replicas 1 --readers 0 --writer-reads 1 --expect-exhausted
      mcheck net --replay ce.jsonl --expect-violation
      mcheck net --torture --runs 200 *)
 
@@ -23,6 +25,7 @@ module E = Modelcheck.Explorer
 type protocol =
   | Bloom
   | Bloom_cached
+  | Bloom_cached_single_read
   | Tournament
   | Timestamp
   | Mod3
@@ -35,14 +38,16 @@ let ablations =
     ("split-tag-first", Core.Variants.split_write_tag_first);
     ("split-value-first", Core.Variants.split_write_value_first) ]
 
-let scripts ~writer_procs ~writes ~reader_procs ~reads =
+(* Each writer makes [writes] writes, then [writer_reads] reads. *)
+let scripts ~writer_procs ~writes ~writer_reads ~reader_procs ~reads =
   List.map
     (fun p ->
       {
         Vm.proc = p;
         script =
           List.init writes (fun k ->
-              Histories.Event.Write ((1000 * (p + 1)) + k));
+              Histories.Event.Write ((1000 * (p + 1)) + k))
+          @ List.init writer_reads (fun _ -> Histories.Event.Read);
       })
     writer_procs
   @ List.map
@@ -59,7 +64,8 @@ let check_invariants trace =
   | Core.Certifier.Certified _ -> ()
   | Core.Certifier.Failed m -> failwith m
 
-let run protocol writes reads writers readers invariant =
+let run protocol writes writer_reads reads writers readers invariant =
+  let scripts = scripts ~writer_reads in
   let t0 = Unix.gettimeofday () in
   let result =
     match protocol with
@@ -99,6 +105,17 @@ let run protocol writes reads writers readers invariant =
           ~reads
       in
       Fmt.pr "checking the local-copy optimisation (Section 5)@.";
+      E.find_violation ~init:0 reg procs
+    | Bloom_cached_single_read ->
+      let reg =
+        Core.Protocol.bloom_cached_single_read ~init:0 ~other_init:0 ()
+      in
+      let procs =
+        scripts ~writer_procs:[ 0; 1 ] ~writes
+          ~reader_procs:(List.init readers (fun i -> i + 2))
+          ~reads
+      in
+      Fmt.pr "checking the single-read local copy (an open question)@.";
       E.find_violation ~init:0 reg procs
     | Mod3 ->
       let reg = Core.Variants.mod3 ~init:0 ~others:(0, 0) () in
@@ -149,11 +166,12 @@ let run protocol writes reads writers readers invariant =
 module X = Net.Explore
 module S = Modelcheck.Schedule
 
-let run_net engine replicas shards keys window net_writers writes readers
-    reads txns snaps group_size reconfig_key reconfig_to skip_dual_write
-    broken skip_write_back broken_link torn_txn crashes amnesia no_durability
-    max_schedules max_depth no_prune fastcheck hunt walks seed torture runs
-    dump replay expect_violation expect_exhausted =
+let run_net engine replicas shards keys window net_writers writes
+    writer_reads readers reads txns snaps group_size reconfig_key reconfig_to
+    skip_dual_write broken skip_write_back broken_link torn_txn stale_copy
+    crashes amnesia no_durability max_schedules max_depth no_prune fastcheck
+    hunt walks seed torture runs dump replay expect_violation expect_exhausted
+    =
   let finish ~violated =
     if violated = expect_violation then 0
     else begin
@@ -207,7 +225,7 @@ let run_net engine replicas shards keys window net_writers writes readers
           let processes =
             scripts
               ~writer_procs:(List.init net_writers Fun.id)
-              ~writes
+              ~writes ~writer_reads
               ~reader_procs:(List.init readers (fun i -> i + net_writers))
               ~reads
             |> List.filter (fun p -> p.Vm.script <> [])
@@ -237,7 +255,9 @@ let run_net engine replicas shards keys window net_writers writes readers
                       Net.Sim_run.Txn_w
                         (List.map
                            (fun k -> (k, (100_000 * (p + 1)) + (i * keys) + k))
-                           all_keys));
+                           all_keys))
+                @ List.init writer_reads (fun _ ->
+                      Net.Sim_run.Single Histories.Event.Read);
             }
           in
           let reader p =
@@ -262,7 +282,7 @@ let run_net engine replicas shards keys window net_writers writes readers
              else None)
           ~skip_dual_write
           ?read_quorum:(if broken then Some 1 else None)
-          ~skip_write_back ~unordered:broken_link ~torn_txn
+          ~skip_write_back ~unordered:broken_link ~torn_txn ~stale_copy
           ~crashable:(if crashes > 0 then List.init replicas Fun.id else [])
           ~max_crashes:crashes
           ~amnesia:(if amnesia > 0 then List.init replicas Fun.id else [])
@@ -319,6 +339,7 @@ open Cmdliner
 let protocol_enum =
   Arg.enum
     ([ ("bloom", Bloom); ("bloom-cached", Bloom_cached);
+       ("bloom-cached-single-read", Bloom_cached_single_read);
        ("tournament", Tournament); ("timestamp", Timestamp); ("mod3", Mod3) ]
     @ List.map (fun (n, _) -> (n, Ablation n)) ablations)
 
@@ -328,6 +349,12 @@ let protocol =
 
 let writes = Arg.(value & opt int 1 & info [ "writes" ] ~doc:"Writes per writer.")
 let reads = Arg.(value & opt int 1 & info [ "reads" ] ~doc:"Reads per reader.")
+
+let writer_reads =
+  Arg.(value & opt int 0
+       & info [ "writer-reads" ]
+           ~doc:"Reads each writer makes after its writes (a writer's read \
+                 is what the local-copy protocols change).")
 
 let writers =
   Arg.(value & opt int 2 & info [ "writers" ] ~doc:"Writers (timestamp only).")
@@ -341,7 +368,8 @@ let invariant =
                  (bloom only).")
 
 let shm_term =
-  Term.(const run $ protocol $ writes $ reads $ writers $ readers $ invariant)
+  Term.(const run $ protocol $ writes $ writer_reads $ reads $ writers
+        $ readers $ invariant)
 
 let net_cmd =
   let replicas =
@@ -433,6 +461,14 @@ let net_cmd =
              ~doc:"Deliberately break the transaction coordinator: skip \
                    per-key locking, so a snapshot can observe a torn batch.")
   in
+  let stale_copy =
+    Arg.(value & flag
+         & info [ "stale-copy" ]
+             ~doc:"Deliberately break the server: a transaction's write \
+                   skips the writer's local copy of its register, so the \
+                   writer's next read can return the value the \
+                   transaction overwrote.")
+  in
   let crashes =
     Arg.(value & opt int 0
          & info [ "crashes" ]
@@ -514,10 +550,10 @@ let net_cmd =
     (Cmd.info "net"
        ~doc:"Explore delivery schedules of the simulated register service")
     Term.(const run_net $ Engine_cli.term $ replicas $ shards $ keys $ window
-          $ net_writers $ writes
+          $ net_writers $ writes $ writer_reads
           $ readers $ reads $ txns $ snaps
           $ group_size $ reconfig_key $ reconfig_to $ skip_dual_write
-          $ broken $ skip_write_back $ broken_link $ torn_txn
+          $ broken $ skip_write_back $ broken_link $ torn_txn $ stale_copy
           $ crashes $ amnesia
           $ no_durability $ max_schedules
           $ max_depth $ no_prune $ fastcheck $ hunt $ walks $ seed $ torture

@@ -17,6 +17,11 @@
       return v2
     v}
 
+    A simulated read costs 3 real reads and a write 1 real read + 1
+    real write.  A writer that keeps a copy of its own register reads
+    in 1 or 2 real reads ({!cached_read_prog}, the paper's Section 5);
+    the network service runs that version for its two writers.
+
     The programs are pure (no state outside the cells), so they may be
     explored exhaustively by the model checker as well as run randomly
     or on shared memory.
@@ -83,18 +88,56 @@ val real_accesses_per_write : int * int
     (cells 2 and 3), so the programs stay pure and the optimisation can
     be model-checked exhaustively — the paper states the claim without
     proof.  Private-cell accesses are not real-register traffic; filter
-    them with {!is_local_cell} when counting. *)
+    them with {!is_local_cell} when counting.
+
+    The message-passing service ([Net.Server]) runs {!cached_read_prog}
+    and {!cached_write_prog} for its writer sessions and keeps cells 2
+    and 3 as an in-memory table: a read by a writer costs 1 or 2
+    replicated real reads instead of 3. *)
+
+val cached_read_prog :
+  proc:Histories.Event.proc -> ('v Registers.Tagged.t, 'v) Registers.Vm.prog
+(** Writer [proc]'s read ([proc] is 0 or 1) through its copy of its own
+    register [Reg_i] (cell [2 + i]):
+    {v
+      own   := copy of Reg_i             (no real access)
+      read  t', v' from Reg_{-i}
+      if the tag sum of own and t' is i: return own's value
+      else read t2, v2 from Reg_{-i}; return v2
+    v}
+    1 real read when the tag sum points at its own register, 2 when it
+    points away.  Correct only while the copy holds [Reg_i]'s value,
+    i.e. every write to [Reg_i] is {!cached_write_prog}. *)
+
+val cached_write_prog :
+  proc:Histories.Event.proc ->
+  'v ->
+  ('v Registers.Tagged.t, unit) Registers.Vm.prog
+(** {!write_prog} at level 0, then the same tagged value stored into
+    the writer's copy (cell [2 + i]): 1 real read + 1 real write. *)
 
 val bloom_cached :
   init:'v ->
   other_init:'v ->
   unit ->
   ('v Registers.Tagged.t, 'v) Registers.Vm.built
-(** Like {!bloom} (level 0 only), but processors 0 and 1 read through
-    their local copies: a read by a writer costs 1 real read when the
-    tag sum points at its own register and 2 when it points away;
-    writes still cost 1 real read + 1 real write (plus one private
-    update).  Other processors read normally. *)
+(** Like {!bloom} (level 0 only), but built from {!cached_read_prog}
+    and {!cached_write_prog}: processors 0 and 1 read through their
+    local copies, which start at the registers' initial values.  Other
+    processors read with {!read_prog}. *)
+
+val bloom_cached_single_read :
+  init:'v ->
+  other_init:'v ->
+  unit ->
+  ('v Registers.Tagged.t, 'v) Registers.Vm.built
+(** An open question, not a proven protocol.  A writer's own register
+    cannot change while that writer reads, so when the tag sum points
+    away this variant returns the value of its one real read of
+    [Reg_{-i}] instead of reading [Reg_{-i}] again: every writer read
+    costs exactly 1 real read.  Small configurations check atomic
+    exhaustively ([mcheck --protocol bloom-cached-single-read]); no
+    proof exists, and the service does not run it. *)
 
 val is_local_cell : int -> bool
 (** Cells 2 and 3 are the writers' private copies. *)

@@ -4,6 +4,7 @@ type t = {
   unordered : bool;
   torn_txn : bool;
   skip_dual_write : bool;
+  stale_copy : bool;
 }
 
 let none =
@@ -13,6 +14,7 @@ let none =
     unordered = false;
     torn_txn = false;
     skip_dual_write = false;
+    stale_copy = false;
   }
 
 (* A weakened read quorum or a skipped write-back is meaningless to the
@@ -21,8 +23,8 @@ let none =
    already tolerate reordering), so a mismatched hook is an error, not
    a silent no-op. *)
 let make ?read_quorum ?(skip_write_back = false) ?(unordered = false)
-    ?(torn_txn = false) ?(skip_dual_write = false) ~engine ~replicas
-    ~migration () =
+    ?(torn_txn = false) ?(skip_dual_write = false) ?(stale_copy = false)
+    ~engine ~replicas ~migration () =
   (match read_quorum with
    | Some q when q < 1 || q > replicas ->
      invalid_arg
@@ -49,7 +51,14 @@ let make ?read_quorum ?(skip_write_back = false) ?(unordered = false)
     invalid_arg
       "Bug.make: skip_dual_write is the reconfiguration bug hook; it needs a \
        reconfig migration to skip dual writes of";
-  { read_quorum; skip_write_back; unordered; torn_txn; skip_dual_write }
+  {
+    read_quorum;
+    skip_write_back;
+    unordered;
+    torn_txn;
+    skip_dual_write;
+    stale_copy;
+  }
 
 let flag b = if b then 1 else 0
 
@@ -60,6 +69,7 @@ let fields t =
     ("torn_txn", flag t.torn_txn);
     ("skip_dual_write", flag t.skip_dual_write);
     ("skip_write_back", flag t.skip_write_back);
+    ("stale_copy", flag t.stale_copy);
   ]
 
 let of_fields get ~engine ~replicas ~migration =
@@ -67,4 +77,5 @@ let of_fields get ~engine ~replicas ~migration =
   let read_quorum = match get "read_quorum" with Some 0 -> None | q -> q in
   make ?read_quorum ~skip_write_back:(on "skip_write_back")
     ~unordered:(on "unordered") ~torn_txn:(on "torn_txn")
-    ~skip_dual_write:(on "skip_dual_write") ~engine ~replicas ~migration ()
+    ~skip_dual_write:(on "skip_dual_write") ~stale_copy:(on "stale_copy")
+    ~engine ~replicas ~migration ()

@@ -5,9 +5,10 @@
     takes effect in that layer's leaf argument: {!Quorum.create}'s
     [?read_quorum] and [?skip_write_back], {!Replica.create}'s
     [?unordered], {!Txn.create}'s [?torn] and {!Reconfig.create}'s
-    [?skip_dual_write].  Everything between {!Explore} and those
-    leaves ({!Sim_run}, {!Server}, {!Registry}, the engine factory)
-    carries one [Bug.t] instead of five arguments.
+    [?skip_dual_write] — except [stale_copy], whose leaf is
+    {!Server}'s transaction write.  Everything between {!Explore} and
+    those leaves ({!Sim_run}, {!Server}, {!Registry}, the engine
+    factory) carries one [Bug.t] instead of six arguments.
 
     The record is [private]: the only ways to build one are {!none}
     and the validating {!make} (or {!of_fields}, which calls it), so a
@@ -36,6 +37,11 @@ type t = private {
       (** the reconfiguration coordinator drops the incoming-group leg
           of every dual write, so a write acked during a migration can
           be lost at cutover *)
+  stale_copy : bool;
+      (** the server runs a transaction's per-key write with the plain
+          {!Core.Protocol.write_prog}, so the writer's local copy of
+          its register keeps the value before the transaction and a
+          later read through it can return that overwritten value *)
 }
 
 val none : t
@@ -47,6 +53,7 @@ val make :
   ?unordered:bool ->
   ?torn_txn:bool ->
   ?skip_dual_write:bool ->
+  ?stale_copy:bool ->
   engine:Engine.kind ->
   replicas:int ->
   migration:bool ->
@@ -62,8 +69,8 @@ val make :
 
 val fields : t -> (string * int) list
 (** The artifact encoding: [read_quorum] (0 = off), [unordered],
-    [torn_txn], [skip_dual_write] and [skip_write_back] (0/1), in that
-    order. *)
+    [torn_txn], [skip_dual_write], [skip_write_back] and [stale_copy]
+    (0/1), in that order. *)
 
 val of_fields :
   (string -> int option) ->

@@ -90,6 +90,7 @@ val config :
   ?torn_txn:bool ->
   ?reconfig:int * int ->
   ?skip_dual_write:bool ->
+  ?stale_copy:bool ->
   ?crashable:int list ->
   ?max_crashes:int ->
   ?amnesia:int list ->
@@ -109,8 +110,8 @@ val config :
     window 4, ABD engine with no bug hooks, no fates, durable
     replicas, [max_depth] 2000, unbounded schedules, pruning on,
     post-hoc check off.  [read_quorum], [skip_write_back],
-    [unordered], [torn_txn] and [skip_dual_write] choose the
-    deliberate bugs; they become the [bug] field through
+    [unordered], [torn_txn], [skip_dual_write] and [stale_copy]
+    choose the deliberate bugs; they become the [bug] field through
     {!Bug.make}.
 
     Validated at construction (fail fast rather than deep inside

@@ -16,15 +16,24 @@ type session = {
   lane : lane;
 }
 
-(* A client node's per-key execution lanes.  They belong to the node,
-   not the session: a reconnect ([Bye] then [Hello]) reuses them, so a
-   new session's op on a key waits behind the old session's op still
-   in flight there — the processor stays sequential per key. *)
+(* A processor's per-key execution lanes.  They belong to the
+   processor, not the session: a reconnect ([Bye] then [Hello]) reuses
+   them, so a new session's op on a key waits behind the old session's
+   op still in flight there — the processor stays sequential per key.
+   A writer role has one set however many client nodes claim it (two
+   concurrent writes by one role would break the protocol and the
+   writer's local copy); a reader's set belongs to its client node. *)
 and lane = {
   queues : (int, (session * int * Wire.op) Queue.t) Hashtbl.t;
       (* key -> admitted, not yet started *)
   busy : (int, unit) Hashtbl.t;  (* keys with an operation executing *)
 }
+
+type lane_owner =
+  | Role of E.proc  (* writer role 0 or 1 *)
+  | Node of Transport.node  (* a reader's client node *)
+
+let is_writer proc = proc = 0 || proc = 1
 
 type member = {
   worker : int;
@@ -53,7 +62,13 @@ type t = {
   txns : Txn.t;  (* shared across all cores of a pool *)
   post : (unit -> unit) -> unit;  (* how coordinator thunks re-enter *)
   sessions : (Transport.node, session) Hashtbl.t;
-  lanes : (Transport.node, lane) Hashtbl.t;
+  lanes : (lane_owner, lane) Hashtbl.t;
+  copies : (int, Wire.payload) Hashtbl.t;
+      (* writer [i]'s copy of its own register of a key, at that
+         register's global index: the protocol's cells 2 and 3.  Never
+         persisted — a restarted server reads plainly until the
+         writer's next write to the key *)
+  stale_copy : bool;  (* [Bug.stale_copy] *)
   audit : bool;
   init : int;
   monitors : (int, int Histories.Monitor.t) Hashtbl.t;  (* per key *)
@@ -70,6 +85,8 @@ type t = {
   trace : Trace.t option;
   m_served : Metrics.counter;
   m_rejected : Metrics.counter;
+  m_copy_reads : Metrics.counter;
+  m_copy_misses : Metrics.counter;
   h_op : Metrics.histogram;
   c_shard_ops : Metrics.counter array;
 }
@@ -122,16 +139,26 @@ let rec arm_timer t =
           arm_timer t)
   end
 
+(* Cell [2 + i] of the cached programs is writer [i]'s copy. *)
+let copy_slot key cell = Shard_map.global_reg key (cell land 1)
+
 (* Interpret a Bloom micro-step program for one key, mapping each
    primitive cell access to a quorum operation on the corresponding
    replicated real register of that key.  Access goes through the
    reconfiguration coordinator, which is the registry outside a
-   migration and the dual-quorum discipline during one. *)
+   migration and the dual-quorum discipline during one.  A writer's
+   local copy (a {!Core.Protocol.is_local_cell} cell) is the [copies]
+   table: no message. *)
 let rec exec :
   'a. t -> int -> (Wire.payload, 'a) Vm.prog -> ('a -> unit) -> unit =
   fun t key prog k ->
   match prog with
   | Vm.Ret a -> k a
+  | Vm.Read (cell, cont) when Core.Protocol.is_local_cell cell ->
+    exec t key (cont (Hashtbl.find t.copies (copy_slot key cell))) k
+  | Vm.Write (cell, pl, cont) when Core.Protocol.is_local_cell cell ->
+    Hashtbl.replace t.copies (copy_slot key cell) pl;
+    exec t key (cont ()) k
   | Vm.Read (reg, cont) ->
     Reconfig.read t.reconfig ~key ~reg ~k:(fun pl -> exec t key (cont pl) k)
   | Vm.Write (reg, pl, cont) ->
@@ -172,6 +199,20 @@ let kind_of_op = function
   | Wire.Txn_k { writes } -> Some (Txn.Writes writes)
   | Wire.Snap_k { keys } -> Some (Txn.Snap keys)
   | _ -> None
+
+(* A writer reads through its copy once it has one, i.e. once it has
+   written the key since this server started; everyone else, and a
+   writer without a copy, runs the plain three-read program. *)
+let read_prog t proc key =
+  if not (is_writer proc) then Core.Protocol.read_prog ()
+  else if Hashtbl.mem t.copies (Shard_map.global_reg key proc) then begin
+    Metrics.incr t.m_copy_reads;
+    Core.Protocol.cached_read_prog ~proc
+  end
+  else begin
+    Metrics.incr t.m_copy_misses;
+    Core.Protocol.read_prog ()
+  end
 
 let queue_of lane key =
   match Hashtbl.find_opt lane.queues key with
@@ -216,17 +257,15 @@ let rec start_next t lane key =
        | Wire.Read | Wire.Read_k _ when key < 0 -> reject ()
        | Wire.Read | Wire.Read_k _ ->
          record t key (E.Invoke (s.proc, E.Read));
-         exec t key
-           (Core.Protocol.read_prog ())
-           (fun v ->
+         exec t key (read_prog t s.proc key) (fun v ->
              record t key (E.Respond (s.proc, Some v));
              respond t s seq (Some v);
              finish ())
        | Wire.Write v | Wire.Write_k { value = v; _ }
-         when key >= 0 && (s.proc = 0 || s.proc = 1) ->
+         when key >= 0 && is_writer s.proc ->
          record t key (E.Invoke (s.proc, E.Write v));
          exec t key
-           (Core.Protocol.write_prog ~level:0 ~proc:s.proc v)
+           (Core.Protocol.cached_write_prog ~proc:s.proc v)
            (fun () ->
              record t key (E.Respond (s.proc, None));
              respond t s seq None;
@@ -256,7 +295,9 @@ and start_multi t s key seq op gen =
           let v = List.assoc key writes in
           record t key (E.Invoke (s.proc, E.Write v));
           exec t key
-            (Core.Protocol.write_prog ~level:0 ~proc:s.proc v)
+            (if t.stale_copy then
+               Core.Protocol.write_prog ~level:0 ~proc:s.proc v
+             else Core.Protocol.cached_write_prog ~proc:s.proc v)
             (fun () ->
               record t key (E.Respond (s.proc, None));
               Txn.key_done t.txns ~src:s.src ~seq ~key ())
@@ -350,6 +391,8 @@ let create ~transport ?(audit = true) ?(resend_every = 0.05) ?engine
       post;
       sessions = Hashtbl.create 16;
       lanes = Hashtbl.create 16;
+      copies = Hashtbl.create 16;
+      stale_copy = bug.Bug.stale_copy;
       audit;
       init;
       monitors = Hashtbl.create 8;
@@ -364,6 +407,8 @@ let create ~transport ?(audit = true) ?(resend_every = 0.05) ?engine
       trace;
       m_served = Metrics.counter metrics "ops_served";
       m_rejected = Metrics.counter metrics "ops_rejected";
+      m_copy_reads = Metrics.counter metrics "copy_reads";
+      m_copy_misses = Metrics.counter metrics "copy_misses";
       h_op = Metrics.histogram metrics "server_op";
       c_shard_ops =
         Array.init (Shard_map.shards map) (fun s ->
@@ -427,7 +472,7 @@ let enqueue_op t s seq op =
       Txn.valid_keys keys
       &&
       match op with
-      | Wire.Txn_k _ -> s.proc = 0 || s.proc = 1
+      | Wire.Txn_k _ -> is_writer s.proc
       | _ -> true
     in
     if not ok then begin
@@ -478,12 +523,13 @@ let admit t s =
 let rec on_message_inner t ~src msg =
   match msg with
   | Wire.Hello { proc } ->
+    let owner = if is_writer proc then Role proc else Node src in
     let lane =
-      match Hashtbl.find_opt t.lanes src with
+      match Hashtbl.find_opt t.lanes owner with
       | Some lane -> lane
       | None ->
         let lane = { queues = Hashtbl.create 4; busy = Hashtbl.create 4 } in
-        Hashtbl.replace t.lanes src lane;
+        Hashtbl.replace t.lanes owner lane;
         lane
     in
     Hashtbl.replace t.sessions src
@@ -509,13 +555,14 @@ let rec on_message_inner t ~src msg =
   | Wire.Batch msgs -> List.iter (fun m -> on_message_inner t ~src m) msgs
   | Wire.Bye ->
     Hashtbl.remove t.sessions src;
-    (* the lanes outlive the session only while they hold work *)
-    (match Hashtbl.find_opt t.lanes src with
+    (* a reader node's lanes outlive the session only while they hold
+       work; a writer role's stay, as another node may hold the role *)
+    (match Hashtbl.find_opt t.lanes (Node src) with
      | Some lane
        when Hashtbl.length lane.busy = 0
             && Hashtbl.fold (fun _ q idle -> idle && Queue.is_empty q)
                  lane.queues true ->
-       Hashtbl.remove t.lanes src
+       Hashtbl.remove t.lanes (Node src)
      | _ -> ())
   | Wire.Reconfig { rid; key; to_shard; epoch } ->
     (* migration control needs no session (like Stats_req); the ack is

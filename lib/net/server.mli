@@ -7,13 +7,23 @@
     (one {!Engine} instance per shard, via {!Registry} — ABD quorum or
     the Mostéfaoui–Raynal two-bit protocol) and executes
     Bloom's {e unchanged} protocol code on behalf of client sessions: a
-    session's read of [key] runs {!Core.Protocol.read_prog}, a writer
-    session's write runs {!Core.Protocol.write_prog}, with every
-    primitive cell access interpreted as a quorum operation on the
-    corresponding replicated real register of that key.  The
+    reader session's read of [key] runs {!Core.Protocol.read_prog}, a
+    writer session's write runs {!Core.Protocol.cached_write_prog},
+    with every primitive cell access interpreted as a quorum operation
+    on the corresponding replicated real register of that key.  The
     construction therefore runs end-to-end over messages, tolerating a
     minority of replica crashes and a lossy, reordering, duplicating
     network.
+
+    Writers read through a local copy of their own register, the
+    paper's Section 5 optimisation: the cached programs' private cells
+    ({!Core.Protocol.is_local_cell}) are an in-memory table of this
+    core, so a read by proc 0 or 1 runs {!Core.Protocol.cached_read_prog}
+    at 1 or 2 real reads instead of 3.  Every write by a writer —
+    single-key or a transaction's key — refreshes the copy.  The copy
+    is never persisted: a writer with no copy of a key (no write to it
+    since this server started) reads with {!Core.Protocol.read_prog}.
+    The [copy_reads] and [copy_misses] counters count the two cases.
 
     Sessions are per client ([Hello] opens one, declaring which
     processor of the history the client plays).  Requests carry
@@ -21,7 +31,8 @@
     strictly in sequence order, then executes them serially {e per key}
     (a processor is sequential — the paper's input-correctness
     assumption, which holds per register) while operations on different
-    keys — and different sessions — interleave freely.  A pipelined
+    keys — and different processors — interleave freely.  A writer
+    role is one processor however many client nodes claim it.  A pipelined
     session spreading ops over many keys therefore keeps many shards
     busy at once; that per-key concurrency is the sharded service's
     throughput lever.  The legacy unkeyed [Read]/[Write] ops address
@@ -81,8 +92,9 @@ val create :
     runs — see {!Engine} and {!Engines.create}.  [bug] (default
     {!Bug.none}) plants {!Explore}'s deliberate bugs: the read-quorum
     hook in every shard engine, the torn-batch hook in the private
-    {!Txn} coordinator (not in a [member]'s shared one) and the
-    skip-dual-write hook in the {!Reconfig} coordinator.  [storage]
+    {!Txn} coordinator (not in a [member]'s shared one), the
+    skip-dual-write hook in the {!Reconfig} coordinator and the
+    stale-copy hook in this server's transaction writes.  [storage]
     makes the write timestamps the
     server issues durable: shared across every shard engine (their
     register sets are disjoint), persisted before each store broadcast
@@ -126,15 +138,19 @@ val create :
     {!Reconfig.create}.  Multi-key ops use the member's shared
     coordinator, whose thunks re-enter this core through [post].
 
-    Per-key execution lanes belong to the client node, not the
-    session: a reconnect ([Bye], then [Hello] from the same node)
-    reuses them, so the new session's op on a key waits for the old
-    session's op still running there.  The old op completes and is
-    audited, but its reply is dropped — only the node's current
+    Per-key execution lanes belong to the processor, not the session:
+    writer roles 0 and 1 have one set each, shared by every client
+    node that says [Hello] with that role, and a reader's set belongs
+    to its client node.  A reconnect ([Bye], then [Hello] from the same
+    node) reuses them, so the new session's op on a key waits for the
+    old session's op still running there, as a second node's op in the
+    same writer role waits for the first's.  The old op completes and
+    is audited, but its reply is dropped — only the node's current
     session is answered.
 
     [metrics] (default: a fresh instance — pass the cluster-wide one)
-    receives [ops_served]/[ops_rejected] counters, the [server_op]
+    receives [ops_served]/[ops_rejected] counters, the
+    [copy_reads]/[copy_misses] counters of writer reads, the [server_op]
     invoke-to-respond histogram, one [shard<i>_ops] counter per shard,
     and (through the embedded {!Registry}) the quorum counters, phase
     histograms and per-shard [shard<i>_quorum_ops]; its

@@ -1,8 +1,9 @@
 (* The schedule explorer: exhaustive enumeration of small
    configurations must exhaust with every audit clean; the deliberate
-   broken-read-quorum and skipped-write-back variants must yield a
-   violation whose shrunk, saved trace replays to the same verdict; the
-   raw controlled-stepping API and the generic ddmin must behave. *)
+   broken-read-quorum, skipped-write-back and stale-copy variants must
+   yield a violation whose shrunk, saved trace replays to the same
+   verdict; the raw controlled-stepping API and the generic ddmin must
+   behave. *)
 
 module E = Net.Explore
 module S = Modelcheck.Schedule
@@ -158,6 +159,64 @@ let skip_write_back_caught_shrunk_replayed () =
         Alcotest.(check (list int)) "schedule survives" ce'.E.schedule sched;
         Alcotest.(check bool) "artifact replays to a violation" true
           (o'.Net.Sim_run.key_violations <> []))
+
+(* --- a writer's read through its local copy ------------------------ *)
+
+(* Each writer writes, then reads: the only workload shape where the
+   server runs the local-copy read.  Both engines' schedule counts are
+   pinned, like the plain two-writer exhaust's 76. *)
+let writers_read = [ proc 0 [ w 1000; r ]; proc 1 [ w 2000; r ] ]
+
+let exhaustive_writers_read engine expected () =
+  let res =
+    E.explore (E.config ~engine ~replicas:1 ~workload:writers_read ())
+  in
+  let s = res.E.stats in
+  Alcotest.(check bool) "exhausted" true s.S.exhausted;
+  Alcotest.(check int) "schedule count" expected s.S.schedules;
+  match res.E.counterexample with
+  | None -> ()
+  | Some ce -> Alcotest.failf "atomicity violation: %s" ce.E.message
+
+(* One writer: a write (which makes its copy), a one-key transaction
+   on the same key, then a read through the copy.  With the
+   stale-copy hook the transaction leaves the copy at the first write,
+   so the read returns an overwritten value on every schedule. *)
+let copy_xprocs =
+  [
+    { Net.Sim_run.xproc = 0;
+      xscript =
+        [ Net.Sim_run.Single (w 1000); Net.Sim_run.Txn_w [ (0, 100_000) ];
+          Net.Sim_run.Single r ] };
+  ]
+
+let stale_copy_caught_shrunk_replayed () =
+  let cfg = E.config ~replicas:3 ~stale_copy:true ~workload:copy_xprocs () in
+  match (E.hunt ~seed:42 cfg).E.counterexample with
+  | None -> Alcotest.fail "hunt missed the stale copy"
+  | Some ce ->
+    let cfg', ce' = E.shrink cfg ce in
+    let o = E.replay cfg' ce'.E.schedule in
+    Alcotest.(check bool) "shrunk schedule still violates" true
+      (o.Net.Sim_run.key_violations <> []);
+    let file = Filename.temp_file "explore-stale-copy" ".jsonl" in
+    Fun.protect
+      ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
+      (fun () ->
+        E.save ~file cfg' ce';
+        let cfg'', sched, o' = E.replay_file ~file in
+        Alcotest.(check bool) "bug hook survives the artifact" true
+          cfg''.E.bug.Net.Bug.stale_copy;
+        Alcotest.(check (list int)) "schedule survives" ce'.E.schedule sched;
+        Alcotest.(check bool) "artifact replays to a violation" true
+          (o'.Net.Sim_run.key_violations <> []))
+
+let honest_copy_exhausts_clean () =
+  let res = E.explore (E.config ~replicas:1 ~workload:copy_xprocs ()) in
+  Alcotest.(check bool) "exhausted" true res.E.stats.S.exhausted;
+  match res.E.counterexample with
+  | None -> ()
+  | Some ce -> Alcotest.failf "atomicity violation: %s" ce.E.message
 
 let ddmin_minimizes () =
   (* failure = contains both 3 and 7: ddmin must land on exactly that
@@ -422,7 +481,8 @@ let old_artifact_loads () =
      fields; (2) before every workload was saved as xproc lines, with
      plain proc lines and the retired init/max_timer_fires fields;
      (3) with both proc and xproc lines, as migration and txn dumps
-     were, where only the xproc lines hold the workload *)
+     were, where only the xproc lines hold the workload; (4) before
+     the stale_copy field *)
   let cfg = broken inversion_prone in
   match (E.hunt ~seed:42 cfg).E.counterexample with
   | None -> Alcotest.fail "hunt missed the broken-quorum violation"
@@ -451,6 +511,7 @@ let old_artifact_loads () =
             ("pre-txn", List.map pre_txn);
             ("proc lines", List.map pre_xproc);
             ("proc and xproc lines", List.concat_map both);
+            ("pre-local-copy", List.map (fun l -> strip_field l "stale_copy"));
           ]
         in
         List.iter
@@ -460,6 +521,8 @@ let old_artifact_loads () =
             Alcotest.(check int) (what ^ ": shards") 1 cfg'.E.shards;
             Alcotest.(check bool) (what ^ ": torn_txn off") false
               cfg'.E.bug.Net.Bug.torn_txn;
+            Alcotest.(check bool) (what ^ ": stale_copy off") false
+              cfg'.E.bug.Net.Bug.stale_copy;
             Alcotest.(check bool) (what ^ ": workload") true
               (cfg'.E.workload = cfg.E.workload);
             Alcotest.(check (list int))
@@ -542,6 +605,14 @@ let reconfig_write_read =
   [
     { Net.Sim_run.xproc = 0; xscript = [ Net.Sim_run.Keyed (3, w 7) ] };
     { Net.Sim_run.xproc = 2; xscript = [ Net.Sim_run.Keyed (3, r) ] };
+  ]
+
+(* the writer reads the migrating key back through its local copy,
+   which must survive the handoff *)
+let reconfig_writer_reads =
+  [
+    { Net.Sim_run.xproc = 0;
+      xscript = [ Net.Sim_run.Keyed (3, w 1000); Net.Sim_run.Keyed (3, r) ] };
   ]
 
 let reconfig_cfg ?engine ?skip_dual_write ?max_schedules ~workload () =
@@ -656,24 +727,10 @@ let pre_reconfig_artifact_loads () =
    single-write migration config (disjoint singleton groups, one keyed
    write racing the handoff) with every schedule atomic.  The twobit
    engine closes the space in seconds; ABD takes ~145k schedules. *)
-let reconfig_twobit_exhausts_clean () =
-  let res =
-    E.explore
-      (reconfig_cfg ~engine:Net.Engine.Twobit
-         ~workload:reconfig_write_only ())
-  in
+let reconfig_exhausts_clean engine workload expected () =
+  let res = E.explore (reconfig_cfg ~engine ~workload ()) in
   Alcotest.(check bool) "exhausted" true res.E.stats.S.exhausted;
-  Alcotest.(check int) "schedule count" 8560 res.E.stats.S.schedules;
-  match res.E.counterexample with
-  | None -> ()
-  | Some ce -> Alcotest.failf "reconfig schedule not atomic: %s" ce.E.message
-
-let reconfig_abd_exhausts_clean () =
-  let res =
-    E.explore (reconfig_cfg ~workload:reconfig_write_only ())
-  in
-  Alcotest.(check bool) "exhausted" true res.E.stats.S.exhausted;
-  Alcotest.(check int) "schedule count" 145256 res.E.stats.S.schedules;
+  Alcotest.(check int) "schedule count" expected res.E.stats.S.schedules;
   match res.E.counterexample with
   | None -> ()
   | Some ce -> Alcotest.failf "reconfig schedule not atomic: %s" ce.E.message
@@ -692,6 +749,14 @@ let suite =
       shrink_and_replay_file;
     tc "skipped write-back: caught, shrunk, replayed"
       skip_write_back_caught_shrunk_replayed;
+    tc "writers read: abd exhausts every schedule atomic"
+      (exhaustive_writers_read Net.Engine.Abd 8352);
+    tc "writers read: twobit exhausts every schedule atomic"
+      (exhaustive_writers_read Net.Engine.Twobit 2736);
+    tc "stale local copy: caught, shrunk, replayed"
+      stale_copy_caught_shrunk_replayed;
+    tc "honest local copy: same config exhausts clean"
+      honest_copy_exhausts_clean;
     tc "ddmin minimizes" ddmin_minimizes;
     tc "sim: pending/fire/restart primitives" pending_fire_restart;
     tc "fate branch points stay clean" explore_with_fates_clean;
@@ -728,7 +793,9 @@ let slow_suite =
     tc_slow "txn/snap config: torn hook found exhaustively"
       txn_twobit_torn_exhaustive_found;
     tc_slow "reconfig: twobit exhausts every schedule atomic"
-      reconfig_twobit_exhausts_clean;
+      (reconfig_exhausts_clean Net.Engine.Twobit reconfig_write_only 8560);
     tc_slow "reconfig: abd exhausts every schedule atomic"
-      reconfig_abd_exhausts_clean;
+      (reconfig_exhausts_clean Net.Engine.Abd reconfig_write_only 145256);
+    tc_slow "reconfig: writer reading through its copy, twobit exhausts"
+      (reconfig_exhausts_clean Net.Engine.Twobit reconfig_writer_reads 27234);
   ]

@@ -298,10 +298,11 @@ let replica_batch () =
 (* Quorum: when a read writes back                                     *)
 
 (* Three volatile replicas behind a transport that holds every send
-   until [deliver] releases it, and a log of what the engine sent. *)
+   until [deliver] releases it, and a log of what the engine's node (a
+   bare engine, or a server) sent. *)
 type held = {
   mutable queue : (int * int * W.msg) list;  (* oldest first *)
-  mutable from_engine : W.msg list;
+  mutable from_engine : (int * W.msg) list;  (* (dst, msg), newest first *)
   reps : Net.Replica.t array;
 }
 
@@ -314,14 +315,16 @@ let holding () =
     reps = Array.init 3 (fun _ -> Net.Replica.create ~init:0 ());
   }
 
-let quorum_over h =
+let held_transport h =
   let send ~src ~dst msg =
-    if src = engine_node then h.from_engine <- msg :: h.from_engine;
+    if src = engine_node then h.from_engine <- (dst, msg) :: h.from_engine;
     h.queue <- h.queue @ [ (src, dst, msg) ]
   in
-  Net.Quorum.create
-    ~transport:{ Net.Transport.null with Net.Transport.send }
-    ~me:engine_node ~replicas:[ 0; 1; 2 ] ()
+  { Net.Transport.null with Net.Transport.send }
+
+let quorum_over h =
+  Net.Quorum.create ~transport:(held_transport h) ~me:engine_node
+    ~replicas:[ 0; 1; 2 ] ()
 
 (* the oldest element accepted by [p], and the list without it *)
 let rec take p = function
@@ -330,22 +333,24 @@ let rec take p = function
   | x :: xs -> Option.map (fun (y, ys) -> (y, x :: ys)) (take p xs)
 
 (* Deliver held messages accepted by [p], oldest first, including the
-   replies they cause, until none is left. *)
-let rec deliver ?(p = fun _ -> true) h q =
+   replies they cause, until none is left.  The engine's node handles
+   its messages with [on_engine]; those to client nodes are only
+   logged. *)
+let rec deliver ?(p = fun _ -> true) h on_engine =
   match take p h.queue with
   | None -> ()
   | Some ((src, dst, msg), rest) ->
     h.queue <- rest;
-    if dst = engine_node then Net.Quorum.on_message q ~src msg
-    else
+    if dst = engine_node then on_engine ~src msg
+    else if dst < Array.length h.reps then
       List.iter
         (fun (d, m) -> h.queue <- h.queue @ [ (dst, d, m) ])
         (Net.Replica.handle h.reps.(dst) ~src msg);
-    deliver ~p h q
+    deliver ~p h on_engine
 
 (* (queries, stores) the engine has sent since the last call *)
 let sent h =
-  let count f = List.length (List.filter f h.from_engine) in
+  let count f = List.length (List.filter (fun (_, m) -> f m) h.from_engine) in
   let n =
     ( count (function W.Query _ -> true | _ -> false),
       count (function W.Store _ -> true | _ -> false) )
@@ -356,13 +361,13 @@ let sent h =
 let read_value h q =
   let got = ref None in
   Net.Quorum.read q ~reg:0 ~k:(fun p -> got := Some (Registers.Tagged.v p));
-  deliver h q;
+  deliver h (Net.Quorum.on_message q);
   !got
 
 let write_value h q v =
   let acked = ref false in
   Net.Quorum.write q ~reg:0 ~value:(pl v false) ~k:(fun () -> acked := true);
-  deliver h q;
+  deliver h (Net.Quorum.on_message q);
   Alcotest.(check bool) "write acked" true !acked
 
 let counts = Alcotest.(pair int int)
@@ -385,7 +390,7 @@ let quorum_read_overlapping_write_writes_back () =
   deliver
     ~p:(fun (_, dst, m) ->
       match m with W.Store _ -> dst = 0 | _ -> false)
-    h q;
+    h (Net.Quorum.on_message q);
   ignore (sent h);
   let got = ref None in
   Net.Quorum.read q ~reg:0 ~k:(fun p -> got := Some (Registers.Tagged.v p));
@@ -395,10 +400,10 @@ let quorum_read_overlapping_write_writes_back () =
       | W.Query _ -> dst = 0 || dst = 1
       | W.Query_reply _ -> src = 0 || src = 1
       | _ -> false)
-    h q;
+    h (Net.Quorum.on_message q);
   Alcotest.(check (option int)) "k waits for the write-back" None !got;
   Alcotest.(check counts) "the read writes back" (3, 3) (sent h);
-  deliver h q;
+  deliver h (Net.Quorum.on_message q);
   Alcotest.(check (option int)) "then returns the newer value" (Some 6) !got
 
 let quorum_fresh_engine_writes_back_once () =
@@ -898,11 +903,13 @@ let socket_stats_over_wire () =
   Alcotest.(check int) "no decode errors" 0 (get "decode_errors");
   Alcotest.(check int) "one session" 1 (get "sessions");
   Alcotest.(check int) "no violation" 0 (get "audit_violation");
-  (* each write makes one real read and one store, and the read three
-     real reads; a read writes back only a pair the engine has not seen
-     stored on a majority, which here is none *)
-  Alcotest.(check bool) "quorum counters live" true
-    (get "quorum_queries" >= 5 && get "quorum_stores" >= 2);
+  (* each write makes one real read and one store; the writer's read
+     goes through its copy of Reg0, and the tag sum points there, so it
+     makes one real read; a read writes back only a pair the engine has
+     not seen stored on a majority, which here is none *)
+  Alcotest.(check int) "quorum queries" 3 (get "quorum_queries");
+  Alcotest.(check int) "quorum stores" 2 (get "quorum_stores");
+  Alcotest.(check int) "copy reads" 1 (get "copy_reads");
   Alcotest.(check bool) "rtt histogram populated" true
     (get "client_rtt_count" >= 3);
   Net.Client.close c0;
@@ -1415,36 +1422,48 @@ let pool_soak_constant_memory () =
 let socket_pool_domains () =
   (* the pool over real sockets: two worker domains, sharded keyspace,
      concurrent keyed clients — audits must stay clean and every op
-     must be answered *)
+     must be answered.  Each writer reads back every key it writes, so
+     its reads go through its local copy on the key's owning domain. *)
   let nkeys = 8 in
   let net, pool = socket_pool ~shards:4 ~domains:2 () in
-  let processes = spec ~readers:2 ~writes:20 ~reads:20 in
+  let scripts =
+    List.map
+      (fun { Registers.Vm.proc; script } ->
+        ( proc,
+          List.concat
+            (List.mapi
+               (fun i op ->
+                 let key = i mod nkeys in
+                 if proc <= 1 then [ (key, op); (key, E.Read) ]
+                 else [ (key, op) ])
+               script) ))
+      (spec ~readers:2 ~writes:20 ~reads:20)
+  in
   let expected =
-    List.fold_left (fun n { Registers.Vm.script; _ } -> n + List.length script)
-      0 processes
+    List.fold_left (fun n (_, script) -> n + List.length script) 0 scripts
   in
   let threads =
     List.map
-      (fun { Registers.Vm.proc; script } ->
+      (fun (proc, script) ->
         Thread.create
           (fun () ->
             let c =
               Net.Client.connect ~net ~server:Net.Transport.server
                 ~batch_max:8 ~proc ()
             in
-            ignore
-              (Net.Client.run_keyed ~window:8 c
-                 (List.mapi (fun i op -> (i mod nkeys, op)) script));
+            ignore (Net.Client.run_keyed ~window:8 c script);
             Net.Client.close c)
           ())
-      processes
+      scripts
   in
   List.iter Thread.join threads;
   Net.Server_pool.stop pool;
   let served = Net.Server_pool.ops_served pool in
   let violations = Net.Server_pool.violations pool in
+  let copy_reads = Net.Metrics.get (Net.Socket_net.metrics net) "copy_reads" in
   Net.Socket_net.shutdown net;
   Alcotest.(check int) "all ops served" expected served;
+  Alcotest.(check int) "every writer read through its copy" 40 copy_reads;
   match violations with
   | [] -> ()
   | (key, v) :: _ ->
@@ -1508,6 +1527,30 @@ let socket_pool_txn_snap () =
     Alcotest.failf "monitor violation on key %d: %a" key
       (Histories.Fastcheck.pp_violation Fmt.int) v
 
+(* A standalone server on the [held] rig, in the engine's place; a
+   second call is a restart over the same replicas (and, given the
+   same store, the same disk). *)
+let held_server ?engine ?bug ?storage h =
+  Net.Server.create ~transport:(held_transport h) ~audit:true ?engine ?bug
+    ?storage ~me:engine_node ~replicas:[ 0; 1; 2 ] ~init:0 ()
+
+let pump h sv = deliver h (Net.Server.on_message sv)
+
+(* the responses the server has sent to client node [dst] *)
+let resps_to h dst =
+  List.filter_map
+    (fun (d, m) ->
+      match m with
+      | W.Resp { seq; result } when d = dst -> Some (seq, result)
+      | _ -> None)
+    h.from_engine
+
+let no_violation sv =
+  match Net.Server.violation sv with
+  | None -> ()
+  | Some v ->
+    Alcotest.failf "live audit: %a" (Histories.Fastcheck.pp_violation Fmt.int) v
+
 let reconnect_keeps_processor_sequential () =
   (* regression: [Bye] dropped the session together with its per-key
      lanes, so a [Hello] from the same node started a second op on a
@@ -1515,55 +1558,145 @@ let reconnect_keeps_processor_sequential () =
      raised "processor not sequential" out of [on_message].  Every
      send is held in a queue and delivered only by [pump], so the
      first write is provably in flight across the reconnect. *)
-  let held = Queue.create () in
-  let replies = ref [] in
-  let tr =
-    {
-      Net.Transport.send = (fun ~src ~dst msg -> Queue.add (src, dst, msg) held);
-      set_timer = (fun ~node:_ ~delay:_ _ -> ());
-      now = Unix.gettimeofday;
-    }
-  in
-  let server = Net.Transport.server and cl = Net.Transport.client 0 in
-  let sv =
-    Net.Server.create ~transport:tr ~audit:true ~me:server
-      ~replicas:[ 0; 1; 2 ] ~init:0 ()
-  in
-  let reps = Array.init 3 (fun _ -> Net.Replica.create ~init:0 ()) in
-  let rec pump () =
-    match Queue.take_opt held with
-    | None -> ()
-    | Some (src, dst, msg) ->
-      if dst = server then Net.Server.on_message sv ~src msg
-      else if dst = cl then replies := msg :: !replies
-      else
-        List.iter
-          (fun (d, m) -> Queue.add (dst, d, m) held)
-          (Net.Replica.handle reps.(dst) ~src msg);
-      pump ()
-  in
+  let h = holding () in
+  let sv = held_server h in
+  let cl = Net.Transport.client 0 in
   let from_client msg = Net.Server.on_message sv ~src:cl msg in
   from_client (W.Hello { proc = 0 });
   from_client (W.Req { seq = 0; op = W.Write_k { key = 0; value = 1 } });
   Alcotest.(check bool) "first write in flight" true
-    (Net.Server.ops_served sv = 0 && not (Queue.is_empty held));
+    (Net.Server.ops_served sv = 0 && h.queue <> []);
   from_client W.Bye;
   from_client (W.Hello { proc = 0 });
   from_client (W.Req { seq = 0; op = W.Write_k { key = 0; value = 2 } });
-  pump ();
+  pump h sv;
   Alcotest.(check int) "both writes served" 2 (Net.Server.ops_served sv);
   Alcotest.(check int) "only the live session is answered" 1
-    (List.length !replies);
+    (List.length (resps_to h cl));
   Alcotest.(check bool) "writes ran one after the other" true
     (Net.Server.history sv
     = [
         E.Invoke (0, E.Write 1); E.Respond (0, None);
         E.Invoke (0, E.Write 2); E.Respond (0, None);
       ]);
-  match Net.Server.violation sv with
-  | None -> ()
-  | Some v ->
-    Alcotest.failf "live audit: %a" (Histories.Fastcheck.pp_violation Fmt.int) v
+  no_violation sv
+
+let two_nodes_one_writer_role_sequential () =
+  (* two client nodes both claim writer role 0: the paper's writer is
+     sequential, so the second node's write to the key must not start
+     (send a query) before the first node's write has responded *)
+  let h = holding () in
+  let sv = held_server h in
+  let a = Net.Transport.client 0 and b = Net.Transport.client 1 in
+  Net.Server.on_message sv ~src:a (W.Hello { proc = 0 });
+  Net.Server.on_message sv ~src:b (W.Hello { proc = 0 });
+  Net.Server.on_message sv ~src:a
+    (W.Req { seq = 0; op = W.Write_k { key = 0; value = 1 } });
+  Net.Server.on_message sv ~src:b
+    (W.Req { seq = 0; op = W.Write_k { key = 0; value = 2 } });
+  pump h sv;
+  let rec queries_before_resp n = function
+    | [] -> None
+    | (_, W.Resp _) :: _ -> Some n
+    | (_, W.Query _) :: rest -> queries_before_resp (n + 1) rest
+    | _ :: rest -> queries_before_resp n rest
+  in
+  Alcotest.(check (option int)) "queries before the first response"
+    (Some 3) (queries_before_resp 0 (List.rev h.from_engine));
+  Alcotest.(check int) "both writes served" 2 (Net.Server.ops_served sv);
+  Alcotest.(check bool) "writes ran one after the other" true
+    (Net.Server.history sv
+    = [
+        E.Invoke (0, E.Write 1); E.Respond (0, None);
+        E.Invoke (0, E.Write 2); E.Respond (0, None);
+      ]);
+  no_violation sv
+
+(* A client of a [held_server]: each call runs one request to
+   completion and returns its result with the real reads it cost (the
+   engine's read count). *)
+let held_client h sv ~proc =
+  let node = Net.Transport.client proc in
+  let seq = ref 0 in
+  Net.Server.on_message !sv ~src:node (W.Hello { proc });
+  fun op ->
+    let reads () = (Net.Server.quorum_stats !sv).Net.Engine.reads in
+    let before = reads () in
+    h.from_engine <- [];
+    Net.Server.on_message !sv ~src:node (W.Req { seq = !seq; op });
+    pump h !sv;
+    let result =
+      match List.assoc_opt !seq (resps_to h node) with
+      | Some result -> result
+      | None -> Alcotest.failf "proc %d: op %d unanswered" proc !seq
+    in
+    incr seq;
+    (result, reads () - before)
+
+let read_k = W.Read_k { key = 0 }
+let write_k v = W.Write_k { key = 0; value = v }
+let cost = Alcotest.(pair (option int) int)
+
+let writer_reads_through_copy engine () =
+  (* Section 5's local copy at the service: a writer's read costs 1
+     real read when the tag sum points at its own register, 2 when it
+     points away; another processor's read still costs 3 *)
+  let h = holding () in
+  let sv = ref (held_server ~engine h) in
+  let w0 = held_client h sv ~proc:0 and w1 = held_client h sv ~proc:1 in
+  let rd = held_client h sv ~proc:2 in
+  Alcotest.(check cost) "read before any write: plain" (Some 0, 3) (w0 read_k);
+  Alcotest.(check cost) "write: 1 real read" (None, 1) (w0 (write_k 10));
+  Alcotest.(check cost) "home read" (Some 10, 1) (w0 read_k);
+  ignore (w1 (write_k 20));
+  Alcotest.(check cost) "away read" (Some 20, 2) (w0 read_k);
+  Alcotest.(check cost) "the other writer's home read" (Some 20, 1) (w1 read_k);
+  Alcotest.(check cost) "reader: 3 real reads" (Some 20, 3) (rd read_k);
+  let m = Net.Server.metrics !sv in
+  Alcotest.(check int) "copy reads" 3 (Net.Metrics.get m "copy_reads");
+  Alcotest.(check int) "copy misses" 1 (Net.Metrics.get m "copy_misses");
+  no_violation !sv
+
+let restarted_server_reads_plainly () =
+  (* the copy is never persisted: a restarted durable server's first
+     read by a writer runs the plain program and returns the last
+     acked write; the writer's next write makes a new copy *)
+  let h = holding () in
+  let disk = Net.Storage.Disk.create () in
+  let open_server () =
+    held_server ~storage:(Net.Storage.create (Net.Storage.Disk.backend disk)) h
+  in
+  let sv = ref (open_server ()) in
+  let w0 = held_client h sv ~proc:0 in
+  ignore (w0 (write_k 10));
+  Alcotest.(check cost) "home read" (Some 10, 1) (w0 read_k);
+  sv := open_server ();
+  let w0 = held_client h sv ~proc:0 in
+  Alcotest.(check cost) "first read after restart: plain" (Some 10, 3)
+    (w0 read_k);
+  ignore (w0 (write_k 11));
+  Alcotest.(check cost) "then through the new copy" (Some 11, 1) (w0 read_k);
+  no_violation !sv
+
+(* A writer's write, its one-key transaction on the same key, then its
+   read: what the read returns. *)
+let read_after_txn bug =
+  let h = holding () in
+  let sv = ref (held_server ~bug h) in
+  let w0 = held_client h sv ~proc:0 in
+  ignore (w0 (write_k 10));
+  ignore (w0 (W.Txn_k { writes = [ (0, 11) ] }));
+  fst (w0 read_k)
+
+let txn_write_refreshes_copy () =
+  Alcotest.(check (option int)) "read returns the txn's value" (Some 11)
+    (read_after_txn Net.Bug.none);
+  (* the same check catches the deliberate bug *)
+  Alcotest.(check (option int)) "stale copy returns the overwritten value"
+    (Some 10)
+    (read_after_txn
+       (Net.Bug.make ~stale_copy:true ~engine:Net.Engine.Abd ~replicas:3
+          ~migration:false ()))
 
 let socket_client_send_order () =
   (* regression: the deadline flusher and a batch-filling request each
@@ -1803,6 +1936,16 @@ let suite =
     tc "socket: timer for gone node dropped" socket_timer_unregistered_dropped;
     tc "socket: stale timer across re-listen dropped"
       socket_timer_stale_incarnation;
+    tc "server: two nodes in one writer role run one at a time"
+      two_nodes_one_writer_role_sequential;
+    tc "server: writer reads cost 1 or 2 real reads (abd)"
+      (writer_reads_through_copy Net.Engine.abd);
+    tc "server: writer reads cost 1 or 2 real reads (twobit)"
+      (writer_reads_through_copy Net.Engine.twobit);
+    tc "server: restarted server reads plainly, then through the copy"
+      restarted_server_reads_plainly;
+    tc "server: a txn write refreshes the writer's copy"
+      txn_write_refreshes_copy;
     tc "server: reconnect keeps a processor sequential"
       reconnect_keeps_processor_sequential;
     tc "cork: one frame per peer per turn" cork_coalesces;
