@@ -770,7 +770,7 @@ let bench_net_metrics () =
   pf
     "  (ABD: write = 1 quorum round; read = 1, plus a write-back round \
      when its pair is not yet known stored on a majority; 2 msgs per \
-     replica per round + client req/resp)@.@."
+     replica of the round's majority window + client req/resp)@.@."
 
 (* ------------------------------------------------------------------ *)
 (* Schedule exploration: how fast the adversary enumerates, how much   *)

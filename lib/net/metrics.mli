@@ -26,6 +26,9 @@
       discarded because their node was gone.
     - [quorum_queries] / [quorum_stores] / [quorum_retransmissions] —
       phase-1 and phase-2 rounds started, and per-replica resends.
+    - [quorum_widened] / [quorum_suspected] — ABD phases re-sent beyond
+      their first window, and replicas that became suspected for
+      missing a resend deadline ({!Quorum}).
     - [crashes] — nodes crashed (fault injection or real).
     - [ops_served] / [ops_rejected] — server-level operations.
 

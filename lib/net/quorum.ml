@@ -1,7 +1,11 @@
+(* [reached] is the set of replica indices (a bitmask over [reps]) the
+   phase has been sent to: its first window, then every replica once
+   {!resend_pending} widens it. *)
 type phase =
   | Collect of {
       reg : int;
       born : float;
+      mutable reached : int;
       mutable replies : (int * (int * Wire.payload)) list;
       finish : int * Wire.payload -> unit;
     }
@@ -10,6 +14,7 @@ type phase =
       born : float;
       ts : int;
       pl : Wire.payload;
+      mutable reached : int;
       mutable acks : int list;
       finish : unit -> unit;
     }
@@ -32,6 +37,8 @@ type ctrs = {
   m_queries : Metrics.counter;
   m_stores : Metrics.counter;
   m_retrans : Metrics.counter;
+  m_widened : Metrics.counter;
+  m_suspected : Metrics.counter;
   h_phase1 : Metrics.histogram;
   h_phase2 : Metrics.histogram;
 }
@@ -39,9 +46,12 @@ type ctrs = {
 type t = {
   tr : Transport.t;
   me : Transport.node;
-  replicas : Transport.node list;
+  reps : Transport.node array;
+  all : int;  (* every replica index, as a bitmask *)
   quorum : int;
   read_quorum : int;
+  need : int;  (* first-window size: enough replies for any phase *)
+  mutable suspected : int;  (* bitmask: missed a resend deadline *)
   skip_write_back : bool;
   pending : (int, phase) Hashtbl.t;
   regs : (int, reg_ts) Hashtbl.t;  (* global reg -> its timestamps *)
@@ -60,12 +70,14 @@ let create ~transport ~me ~replicas ?read_quorum ?(skip_write_back = false)
   if rid_stride < 1 || rid_base < 0 || rid_base >= rid_stride then
     invalid_arg "Quorum.create: rid_base/rid_stride out of range";
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
-  let majority = (List.length replicas / 2) + 1 in
+  let n = List.length replicas in
+  if n > Sys.int_size - 1 then invalid_arg "Quorum.create: too many replicas";
+  let majority = (n / 2) + 1 in
   let read_quorum =
     match read_quorum with
     | None -> majority
     | Some q ->
-      if q < 1 || q > List.length replicas then
+      if q < 1 || q > n then
         invalid_arg "Quorum.create: read_quorum out of range";
       q
   in
@@ -74,6 +86,8 @@ let create ~transport ~me ~replicas ?read_quorum ?(skip_write_back = false)
       m_queries = Metrics.counter metrics "quorum_queries";
       m_stores = Metrics.counter metrics "quorum_stores";
       m_retrans = Metrics.counter metrics "quorum_retransmissions";
+      m_widened = Metrics.counter metrics "quorum_widened";
+      m_suspected = Metrics.counter metrics "quorum_suspected";
       h_phase1 = Metrics.histogram metrics "quorum_phase1";
       h_phase2 = Metrics.histogram metrics "quorum_phase2";
     }
@@ -94,9 +108,12 @@ let create ~transport ~me ~replicas ?read_quorum ?(skip_write_back = false)
   {
     tr = transport;
     me;
-    replicas;
+    reps = Array.of_list replicas;
+    all = (1 lsl n) - 1;
     quorum = majority;
     read_quorum;
+    need = max majority read_quorum;
+    suspected = 0;
     skip_write_back;
     pending = Hashtbl.create 16;
     regs;
@@ -125,7 +142,50 @@ let send_to t dst msg =
   t.sent <- t.sent + 1;
   t.tr.Transport.send ~src:t.me ~dst msg
 
-let broadcast t msg = List.iter (fun r -> send_to t r msg) t.replicas
+(* Where phase [rid]'s rotation starts: one place further on for each
+   phase this engine issues, so every replica carries about [need/n]
+   of the load.  Always 0 when a phase needs the whole group. *)
+let turn t rid =
+  let n = Array.length t.reps in
+  if t.need >= n then 0 else rid / t.rid_stride mod n
+
+(* A phase's first window: the first [need] replicas of its rotation,
+   passing over suspected ones while enough others remain.  Majorities
+   intersect whichever ones are picked, and a window member that does
+   not answer costs one {!resend_pending}, which widens the phase to
+   every replica. *)
+let window t rid =
+  let n = Array.length t.reps and start = turn t rid in
+  let w = ref 0 and k = ref 0 in
+  for pass = 0 to 1 do
+    for i = 0 to n - 1 do
+      let b = 1 lsl ((start + i) mod n) in
+      if !k < t.need && (t.suspected land b = 0) = (pass = 0) then begin
+        w := !w lor b;
+        incr k
+      end
+    done
+  done;
+  !w
+
+(* Send phase [rid]'s [msg] to the replicas in [mask], in rotation
+   order. *)
+let send_mask t rid mask msg =
+  let n = Array.length t.reps and start = turn t rid in
+  for i = 0 to n - 1 do
+    let j = (start + i) mod n in
+    if mask land (1 lsl j) <> 0 then send_to t t.reps.(j) msg
+  done
+
+(* Bit of replica node [r] in [reps]; 0 for a node outside the group.
+   A loop, not a closure: it runs on every reply while a replica is
+   suspected. *)
+let bit t r =
+  let b = ref 0 in
+  for i = 0 to Array.length t.reps - 1 do
+    if t.reps.(i) = r then b := 1 lsl i
+  done;
+  !b
 
 (* [find], not [find_opt]: these run on every operation, and the
    exception path allocates no option *)
@@ -146,14 +206,22 @@ let start_store t ~reg ~ts ~pl ~finish =
   let rid = fresh_rid t in
   let born = t.tr.Transport.now () in
   Metrics.incr t.c.m_stores;
+  let reached = window t rid in
   Hashtbl.replace t.pending rid
-    (Store_p { reg; born; ts; pl; acks = []; finish });
-  broadcast t (Wire.Store { rid; reg; ts; pl })
+    (Store_p { reg; born; ts; pl; reached; acks = []; finish });
+  send_mask t rid reached (Wire.Store { rid; reg; ts; pl })
+
+let start_collect t ~reg ~finish =
+  let rid = fresh_rid t in
+  let born = t.tr.Transport.now () in
+  let reached = window t rid in
+  Hashtbl.replace t.pending rid
+    (Collect { reg; born; reached; replies = []; finish });
+  send_mask t rid reached (Wire.Query { rid; reg })
 
 let read t ~reg ~k =
   t.reads <- t.reads + 1;
   Metrics.incr t.c.m_queries;
-  let rid = fresh_rid t in
   let finish (ts, pl) =
     (* write-back phase: install the freshest pair on a majority before
        returning it, for reader-reader atomicity.  A pair whose store
@@ -162,9 +230,7 @@ let read t ~reg ~k =
     if ts = stable t reg || t.skip_write_back then k pl
     else start_store t ~reg ~ts ~pl ~finish:(fun () -> k pl)
   in
-  let born = t.tr.Transport.now () in
-  Hashtbl.replace t.pending rid (Collect { reg; born; replies = []; finish });
-  broadcast t (Wire.Query { rid; reg })
+  start_collect t ~reg ~finish
 
 (* A bare collect: the freshest (ts, payload) a read quorum holds,
    with no write-back phase.  The reconfiguration coordinator uses it
@@ -174,10 +240,7 @@ let read t ~reg ~k =
 let read_ts t ~reg ~k =
   t.reads <- t.reads + 1;
   Metrics.incr t.c.m_queries;
-  let rid = fresh_rid t in
-  let born = t.tr.Transport.now () in
-  Hashtbl.replace t.pending rid (Collect { reg; born; replies = []; finish = k });
-  broadcast t (Wire.Query { rid; reg })
+  start_collect t ~reg ~finish:k
 
 (* Install (ts, value) verbatim: the dual-write leg of a migration
    replays the primary engine's timestamp into the incoming group, so
@@ -225,9 +288,14 @@ let best replies =
     None replies
   |> Option.get
 
+(* Any reply, even to a finished phase, shows [src] is up again. *)
+let heard t src =
+  if t.suspected <> 0 then t.suspected <- t.suspected land lnot (bit t src)
+
 let on_message t ~src msg =
   let rec go = function
     | Wire.Query_reply { rid; ts; pl; _ } ->
+      heard t src;
       (match Hashtbl.find_opt t.pending rid with
        | Some (Collect c) when not (List.mem_assoc src c.replies) ->
          c.replies <- (src, (ts, pl)) :: c.replies;
@@ -238,6 +306,7 @@ let on_message t ~src msg =
          end
        | _ -> ())
     | Wire.Store_ack { rid; _ } ->
+      heard t src;
       (match Hashtbl.find_opt t.pending rid with
        | Some (Store_p s) when not (List.mem src s.acks) ->
          s.acks <- src :: s.acks;
@@ -254,25 +323,42 @@ let on_message t ~src msg =
   in
   go msg
 
+(* Re-send to every replica of the group that has not answered: a
+   window member that missed the deadline becomes suspected, and one
+   outside the window widens the phase, which reaches every replica
+   from then on. *)
+let resend t ~reached ~answered msg =
+  let missing = t.all land lnot answered in
+  if missing land lnot reached <> 0 then Metrics.incr t.c.m_widened;
+  for i = 0 to Array.length t.reps - 1 do
+    let b = 1 lsl i in
+    if missing land b <> 0 then begin
+      if reached land b <> 0 && t.suspected land b = 0 then begin
+        t.suspected <- t.suspected lor b;
+        Metrics.incr t.c.m_suspected
+      end;
+      t.retrans <- t.retrans + 1;
+      Metrics.incr t.c.m_retrans;
+      send_to t t.reps.(i) msg
+    end
+  done
+
 let resend_pending ?(older_than = 0.0) t =
   let cutoff = t.tr.Transport.now () -. older_than in
   Hashtbl.iter
     (fun rid phase ->
-      let resend answered msg =
-        List.iter
-          (fun r ->
-            if not (List.mem r answered) then begin
-              t.retrans <- t.retrans + 1;
-              Metrics.incr t.c.m_retrans;
-              send_to t r msg
-            end)
-          t.replicas
-      in
       match phase with
       | Collect c when c.born <= cutoff ->
-        resend (List.map fst c.replies) (Wire.Query { rid; reg = c.reg })
+        let answered =
+          List.fold_left (fun m (r, _) -> m lor bit t r) 0 c.replies
+        in
+        resend t ~reached:c.reached ~answered (Wire.Query { rid; reg = c.reg });
+        c.reached <- t.all
       | Store_p s when s.born <= cutoff ->
-        resend s.acks (Wire.Store { rid; reg = s.reg; ts = s.ts; pl = s.pl })
+        let answered = List.fold_left (fun m r -> m lor bit t r) 0 s.acks in
+        resend t ~reached:s.reached ~answered
+          (Wire.Store { rid; reg = s.reg; ts = s.ts; pl = s.pl });
+        s.reached <- t.all
       | Collect _ | Store_p _ -> ())
     t.pending;
   Hashtbl.length t.pending > 0

@@ -22,6 +22,21 @@
     {!resend_pending} (driven by a transport timer), and replicas are
     idempotent, so duplicates are harmless.
 
+    Atomicity needs only that any two majorities intersect, so a phase
+    is first sent to just enough replicas to complete it — [max
+    majority read_quorum] of them, its {e window} — not to the whole
+    group.  Windows rotate: phase [i] of the engine starts at replica
+    [i mod n] of the group, so each replica carries about [need/n] of
+    the load.  A phase still unanswered at a {!resend_pending}
+    deadline is re-sent to {e every} replica that has not answered, so
+    a dead or slow window member costs one resend interval.  A window
+    member that missed the deadline is {e suspected}: later windows
+    pass over it while enough unsuspected replicas remain, so a
+    crashed replica costs one resend round, not one per operation.
+    Any reply from a replica clears its suspicion.  In a group of one
+    or two replicas the majority is the whole group and every phase
+    goes to all of it.
+
     Registers are addressed by the flat index of
     {!Shard_map.global_reg}; timestamps are per-register counters
     owned by this engine, so the engine must be the only writer of its
@@ -62,7 +77,8 @@ val create :
     complete a read's collect phase — {e deliberately unsound} below a
     majority, provided so the schedule explorer can regression-test
     that it detects the resulting non-atomic schedules.  Raises
-    [Invalid_argument] outside [1 .. length replicas].  The store
+    [Invalid_argument] outside [1 .. length replicas], or for more than
+    [Sys.int_size - 1] replicas.  The store
     quorum is always a majority.  [skip_write_back] (default [false])
     is the other deliberate bug: every {!read} returns its freshest
     pair with no write-back, leaving the register regular.
@@ -84,7 +100,9 @@ val create :
     with pending phases for the same registers.  Raises
     [Invalid_argument] unless [0 <= rid_base < rid_stride].
     [metrics] (default: a fresh, private instance) receives
-    [quorum_queries]/[quorum_stores]/[quorum_retransmissions] counters
+    [quorum_queries]/[quorum_stores]/[quorum_retransmissions]
+    counters, [quorum_widened] (phases re-sent beyond their first
+    window) and [quorum_suspected] (replicas that became suspected),
     and the [quorum_phase1]/[quorum_phase2] round-latency histograms
     (transport clock units, measured from first transmission to quorum
     completion). *)
@@ -132,14 +150,17 @@ val write_at :
 val on_message : t -> src:Transport.node -> Wire.msg -> unit
 (** Feed [Query_reply]/[Store_ack] messages; replies from unknown
     request ids (stale retransmissions, duplicates, other engines'
-    rids) are ignored, other message kinds are no-ops.  May run
+    rids) only clear their sender's suspicion, other message kinds are
+    no-ops.  May run
     pending continuations reentrantly; never raises on well-typed
     input. *)
 
 val resend_pending : ?older_than:float -> t -> bool
 (** Retransmit every outstanding phase at least [older_than] (default
-    0) clock units old to the replicas that have not yet answered it;
-    returns whether anything is still outstanding.  The age filter
+    0) clock units old to every replica of the group that has not yet
+    answered it — widening a phase beyond its first window — and
+    suspect the window members among them; returns whether anything is
+    still outstanding.  The age filter
     keeps a periodic timer from re-sending phases whose first
     transmission is still legitimately in flight.  Does not block. *)
 

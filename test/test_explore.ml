@@ -273,6 +273,27 @@ let explore_with_fates_clean () =
   | None -> ()
   | Some ce -> Alcotest.failf "fate exploration flagged: %s" ce.E.message
 
+(* Three replicas, any one of which may crash: the only exhaustive
+   config at n = 3, so the only one in which a phase's window is a
+   strict subset of the group.  A crashed window member stalls its
+   phase until the retransmission timer widens it, and the crashed
+   replica is suspected from then on.  One writer writes, then reads
+   back: `mcheck net --replicas 3 --writers 1 --readers 0 --writes 1
+   --writer-reads 1 --crashes 1`.  The count is pinned like the
+   others. *)
+let exhaustive_three_replicas_one_crash () =
+  let res =
+    E.explore
+      (E.config ~replicas:3 ~crashable:[ 0; 1; 2 ] ~max_crashes:1
+         ~workload:[ proc 0 [ w 1000; r ] ] ())
+  in
+  let s = res.E.stats in
+  Alcotest.(check bool) "exhausted" true s.S.exhausted;
+  Alcotest.(check int) "schedule count" 776 s.S.schedules;
+  match res.E.counterexample with
+  | None -> ()
+  | Some ce -> Alcotest.failf "atomicity violation: %s" ce.E.message
+
 (* The amnesia bug: one replica, one writer, one reader, and one
    reboot budget on the replica.  Without durability the adversary can
    let the write commit (quorum-of-1), deliver the read's query AFTER
@@ -760,6 +781,8 @@ let suite =
     tc "ddmin minimizes" ddmin_minimizes;
     tc "sim: pending/fire/restart primitives" pending_fire_restart;
     tc "fate branch points stay clean" explore_with_fates_clean;
+    tc "three replicas, one crash: exhausts every schedule atomic"
+      exhaustive_three_replicas_one_crash;
     tc "amnesia without durability: caught, shrunk, replayed"
       amnesia_bug_found_and_replayable;
     tc "amnesia with durability: same hunt clean" amnesia_durable_hunt_clean;

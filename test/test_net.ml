@@ -297,9 +297,9 @@ let replica_batch () =
 (* ------------------------------------------------------------------ *)
 (* Quorum: when a read writes back                                     *)
 
-(* Three volatile replicas behind a transport that holds every send
-   until [deliver] releases it, and a log of what the engine's node (a
-   bare engine, or a server) sent. *)
+(* [n] (default 3) volatile replicas behind a transport that holds
+   every send until [deliver] releases it, and a log of what the
+   engine's node (a bare engine, or a server) sent. *)
 type held = {
   mutable queue : (int * int * W.msg) list;  (* oldest first *)
   mutable from_engine : (int * W.msg) list;  (* (dst, msg), newest first *)
@@ -308,11 +308,11 @@ type held = {
 
 let engine_node = Net.Transport.server
 
-let holding () =
+let holding ?(n = 3) () =
   {
     queue = [];
     from_engine = [];
-    reps = Array.init 3 (fun _ -> Net.Replica.create ~init:0 ());
+    reps = Array.init n (fun _ -> Net.Replica.create ~init:0 ());
   }
 
 let held_transport h =
@@ -322,9 +322,13 @@ let held_transport h =
   in
   { Net.Transport.null with Net.Transport.send }
 
-let quorum_over h =
+let quorum_over ?metrics h =
   Net.Quorum.create ~transport:(held_transport h) ~me:engine_node
-    ~replicas:[ 0; 1; 2 ] ()
+    ~replicas:(List.init (Array.length h.reps) Fun.id) ?metrics ()
+
+(* Messages one phase sends to the three held replicas: a majority,
+   the phase's first window. *)
+let q3 = Net.Quorum.quorum_size (quorum_over (holding ()))
 
 (* the oldest element accepted by [p], and the list without it *)
 let rec take p = function
@@ -378,31 +382,28 @@ let quorum_read_of_stored_pair_skips_write_back () =
   write_value h q 5;
   ignore (sent h);
   Alcotest.(check (option int)) "reads the write" (Some 5) (read_value h q);
-  Alcotest.(check counts) "3 queries, no store" (3, 0) (sent h)
+  Alcotest.(check counts) "one window of queries, no store" (q3, 0) (sent h)
 
 let quorum_read_overlapping_write_writes_back () =
   let h = holding () in
   let q = quorum_over h in
   write_value h q 5;
-  (* a second write reaches replica 0 only: its pair is not yet known
-     to be on a majority *)
+  (* a second write's store reaches its window, but no ack comes back:
+     its pair is not yet known to be on a majority.  The read's window
+     meets the store's, so the read sees the newer pair. *)
   Net.Quorum.write q ~reg:0 ~value:(pl 6 false) ~k:ignore;
   deliver
-    ~p:(fun (_, dst, m) ->
-      match m with W.Store _ -> dst = 0 | _ -> false)
+    ~p:(fun (_, _, m) -> match m with W.Store _ -> true | _ -> false)
     h (Net.Quorum.on_message q);
   ignore (sent h);
   let got = ref None in
   Net.Quorum.read q ~reg:0 ~k:(fun p -> got := Some (Registers.Tagged.v p));
   deliver
-    ~p:(fun (src, dst, m) ->
-      match m with
-      | W.Query _ -> dst = 0 || dst = 1
-      | W.Query_reply _ -> src = 0 || src = 1
-      | _ -> false)
+    ~p:(fun (_, _, m) ->
+      match m with W.Query _ | W.Query_reply _ -> true | _ -> false)
     h (Net.Quorum.on_message q);
   Alcotest.(check (option int)) "k waits for the write-back" None !got;
-  Alcotest.(check counts) "the read writes back" (3, 3) (sent h);
+  Alcotest.(check counts) "the read writes back" (q3, q3) (sent h);
   deliver h (Net.Quorum.on_message q);
   Alcotest.(check (option int)) "then returns the newer value" (Some 6) !got
 
@@ -415,9 +416,95 @@ let quorum_fresh_engine_writes_back_once () =
   let q = quorum_over h in
   ignore (sent h);
   Alcotest.(check (option int)) "first read" (Some 5) (read_value h q);
-  Alcotest.(check counts) "writes back once" (3, 3) (sent h);
+  Alcotest.(check counts) "writes back once" (q3, q3) (sent h);
   Alcotest.(check (option int)) "second read" (Some 5) (read_value h q);
-  Alcotest.(check counts) "then skips" (3, 0) (sent h)
+  Alcotest.(check counts) "then skips" (q3, 0) (sent h)
+
+(* ------------------------------------------------------------------ *)
+(* Quorum: each phase goes to one rotating window                      *)
+
+(* the replicas the engine sent to since the last call, with
+   multiplicity *)
+let sent_to h =
+  let dsts = List.rev_map fst h.from_engine in
+  h.from_engine <- [];
+  dsts
+
+let quorum_phase_reaches_one_majority () =
+  List.iter
+    (fun n ->
+      let h = holding ~n () in
+      let q = quorum_over h in
+      let need = Net.Quorum.quorum_size q in
+      for i = 1 to n do
+        write_value h q i;
+        Alcotest.(check counts) (Fmt.str "n=%d write %d: one window" n i)
+          (0, need) (sent h);
+        ignore (read_value h q);
+        Alcotest.(check counts) (Fmt.str "n=%d read %d: one window" n i)
+          (need, 0) (sent h)
+      done)
+    [ 3; 5 ]
+
+let quorum_windows_rotate_evenly () =
+  (* n consecutive phases hit every replica exactly q times: the
+     windows start one replica further on per phase *)
+  List.iter
+    (fun n ->
+      let h = holding ~n () in
+      let q = quorum_over h in
+      for i = 1 to n do
+        write_value h q i
+      done;
+      let dsts = sent_to h in
+      for r = 0 to n - 1 do
+        Alcotest.(check int)
+          (Fmt.str "n=%d: replica %d's share" n r)
+          (Net.Quorum.quorum_size q)
+          (List.length (List.filter (( = ) r) dsts))
+      done)
+    [ 3; 5 ]
+
+let quorum_dead_window_member () =
+  (* replica 0 is down: the first phase's window holds it, so the phase
+     completes only after one resend widens it; replica 0 is then
+     suspected, later windows pass over it, and its late replies clear
+     the suspicion *)
+  let h = holding () in
+  let metrics = Net.Metrics.create () in
+  let q = quorum_over ~metrics h in
+  let alive (src, dst, _) = src <> 0 && dst <> 0 in
+  let acked = ref false in
+  Net.Quorum.write q ~reg:0 ~value:(pl 1 false) ~k:(fun () -> acked := true);
+  deliver ~p:alive h (Net.Quorum.on_message q);
+  Alcotest.(check bool) "stalled on the dead member" false !acked;
+  Alcotest.(check bool) "still outstanding" true (Net.Quorum.resend_pending q);
+  deliver ~p:alive h (Net.Quorum.on_message q);
+  Alcotest.(check bool) "acked after one resend" true !acked;
+  let get = Net.Metrics.get metrics in
+  Alcotest.(check int) "widened once" 1 (get "quorum_widened");
+  Alcotest.(check int) "replica 0 suspected" 1 (get "quorum_suspected");
+  let retrans = (Net.Quorum.stats q).Net.Quorum.retransmissions in
+  ignore (sent_to h);
+  for i = 2 to 7 do
+    let acked = ref false in
+    Net.Quorum.write q ~reg:0 ~value:(pl i false) ~k:(fun () -> acked := true);
+    deliver ~p:alive h (Net.Quorum.on_message q);
+    Alcotest.(check bool) (Fmt.str "write %d acked without a resend" i) true
+      !acked
+  done;
+  Alcotest.(check bool) "no phase sent to the suspect" false
+    (List.mem 0 (sent_to h));
+  Alcotest.(check int) "no more retransmissions" retrans
+    (Net.Quorum.stats q).Net.Quorum.retransmissions;
+  (* replica 0 comes back and answers the stale phases it was sent *)
+  deliver h (Net.Quorum.on_message q);
+  for i = 8 to 10 do
+    write_value h q i
+  done;
+  Alcotest.(check bool) "a late reply clears the suspicion" true
+    (List.mem 0 (sent_to h));
+  Alcotest.(check int) "suspected once in all" 1 (get "quorum_suspected")
 
 (* ------------------------------------------------------------------ *)
 (* Simulated transport: fault-schedule sweeps                          *)
@@ -1275,8 +1362,12 @@ let batch_group_commit () =
      writes (distinct keys, so they run concurrently — same-key ops
      serialize per-key and commit one by one), the corked core of a
      1-domain pool, group-commit store — the K wts appends must reach
-     the backend as ceil(K/batch_max) commits, each a full batch, not
-     as K singleton writes *)
+     the backend in full batches, not as K singleton writes.  Each
+     write's collect completes on the reply turn of the second of its
+     window's two replicas, and windows rotate over the three replicas,
+     so the K appends arrive in at most n - q + 1 = 2 turns: at most
+     one partial batch per extra turn, ceil(K/batch_max) + n - q
+     commits in all. *)
   let k = 32 and gc = 8 in
   let st =
     Net.Storage.create
@@ -1297,11 +1388,12 @@ let batch_group_commit () =
   Alcotest.(check int) "all writes acknowledged" k
     (Net.Server_pool.ops_served p);
   let stats = Net.Storage.stats st in
+  let bound = ((k + gc - 1) / gc) + (3 - q3) in
   Alcotest.(check bool)
-    (Fmt.str "commits %d <= ceil(K/batch_max) %d" stats.Net.Storage.batch_commits
-       ((k + gc - 1) / gc))
+    (Fmt.str "commits %d <= ceil(K/batch_max) + n - q = %d"
+       stats.Net.Storage.batch_commits bound)
     true
-    (stats.Net.Storage.batch_commits <= (k + gc - 1) / gc);
+    (stats.Net.Storage.batch_commits <= bound);
   Alcotest.(check int) "commits are full batches" gc stats.Net.Storage.max_batch;
   match Net.Server_pool.violations p with
   | [] -> ()
@@ -1602,7 +1694,7 @@ let two_nodes_one_writer_role_sequential () =
     | _ :: rest -> queries_before_resp n rest
   in
   Alcotest.(check (option int)) "queries before the first response"
-    (Some 3) (queries_before_resp 0 (List.rev h.from_engine));
+    (Some q3) (queries_before_resp 0 (List.rev h.from_engine));
   Alcotest.(check int) "both writes served" 2 (Net.Server.ops_served sv);
   Alcotest.(check bool) "writes ran one after the other" true
     (Net.Server.history sv
@@ -1953,6 +2045,12 @@ let suite =
     tc "pool: mixed-shard batch over two domains" pool_mixed_shard_batch;
     tc "pool: keyed workload over sockets, two domains" socket_pool_domains;
     tc "pool: txn/snap workload over sockets, two domains" socket_pool_txn_snap;
+    tc "quorum: each phase reaches one majority"
+      quorum_phase_reaches_one_majority;
+    tc "quorum: windows rotate evenly over the group"
+      quorum_windows_rotate_evenly;
+    tc "quorum: a dead window member costs one resend"
+      quorum_dead_window_member;
   ]
 
 let slow_suite =
