@@ -773,6 +773,113 @@ let bench_net_metrics () =
      replica of the round's majority window + client req/resp)@.@."
 
 (* ------------------------------------------------------------------ *)
+(* Allocation attribution: minor words per op, split by the role that  *)
+(* received each simulator event and the message it carried.           *)
+
+let alloc_label = function
+  | Net.Wire.Req { op = Net.Wire.Read | Net.Wire.Read_k _; _ } -> "Req read"
+  | Net.Wire.Req { op = Net.Wire.Write _ | Net.Wire.Write_k _; _ } ->
+    "Req write"
+  | Net.Wire.Req _ -> "Req multi-key"
+  | Net.Wire.Resp _ -> "Resp"
+  | Net.Wire.Query _ -> "Query"
+  | Net.Wire.Query_reply _ -> "Query_reply"
+  | Net.Wire.Store _ -> "Store"
+  | Net.Wire.Store_ack _ -> "Store_ack"
+  | Net.Wire.Batch _ -> "Batch"
+  | _ -> "other"
+
+let alloc_role node =
+  if node = Net.Transport.server then "server"
+  else if node >= Net.Transport.client 0 then "client"
+  else if node >= 0 then "replica"
+  else "simulator"
+
+let bench_net_alloc () =
+  section "net-alloc - minor words per op by receiving role and message";
+  (* the shape of bench/e2e's sim-durable workload: ABD, 3 replicas,
+     8 shards over 4096 keys, durable group commit, two writer sessions
+     of 64 ops in flight, half reads on uniform keys, unique values *)
+  let n = 50_000 and nkeys = 4096 in
+  let xprocesses =
+    List.init 2 (fun proc ->
+        let rng = Random.State.make [| 1; proc |] in
+        {
+          Net.Sim_run.xproc = proc;
+          xscript =
+            List.init n (fun i ->
+                let key = Random.State.int rng nkeys in
+                Net.Sim_run.Keyed
+                  ( key,
+                    if Random.State.bool rng then Histories.Event.Read
+                    else
+                      Histories.Event.Write (((proc + 1) * 1_000_000_000) + i + 1)
+                  ));
+        })
+  in
+  let cl =
+    Net.Sim_run.build ~replicas:3 ~window:64 ~shards:8 ~keys:nkeys
+      ~engine:Net.Engine.abd ~durable:true ~snapshot_every:4096
+      ~group_commit:{ Net.Storage.batch_max = 32; flush_every = 0.5 }
+      ~xprocesses ~seed:1 ~init:0 ~processes:[] ()
+  in
+  let net = cl.Net.Sim_run.net in
+  (* (role, label) -> events, words; bookkept outside the measured
+     interval, which holds only [Sim_net.step] *)
+  let buckets = Hashtbl.create 32 in
+  let empty = Gc.minor_words () -. Gc.minor_words () in
+  let rec loop () =
+    match Net.Sim_net.peek net with
+    | None -> ()
+    | Some (node, msg) ->
+      let w0 = Gc.minor_words () in
+      ignore (Net.Sim_net.step net);
+      let w = Gc.minor_words () -. w0 in
+      let key =
+        ( alloc_role node,
+          match msg with Some m -> alloc_label m | None -> "timer" )
+      in
+      let events, words =
+        Option.value ~default:(0, 0.) (Hashtbl.find_opt buckets key)
+      in
+      Hashtbl.replace buckets key (events + 1, words +. w);
+      loop ()
+  in
+  loop ();
+  let completed =
+    List.length
+      (List.filter
+         (function Histories.Event.Respond _ -> true | _ -> false)
+         (Net.Server.history cl.Net.Sim_run.server))
+  in
+  if completed <> 2 * n then
+    Fmt.failwith "net-alloc: %d of %d ops completed" completed (2 * n);
+  let ops = float_of_int completed in
+  let rows =
+    Hashtbl.fold (fun k v acc -> (k, v) :: acc) buckets []
+    |> List.sort (fun (_, (_, a)) (_, (_, b)) -> Float.compare b a)
+  in
+  let total = List.fold_left (fun acc (_, (_, w)) -> acc +. w) 0. rows in
+  Fmt.pr "  %-9s %-13s %9s %12s %11s@." "role" "message" "events"
+    "words/event" "words/op";
+  List.iter
+    (fun ((role, label), (events, words)) ->
+      Fmt.pr "  %-9s %-13s %9d %12.1f %11.1f@." role label events
+        (words /. float_of_int events)
+        (words /. ops);
+      Json.metric ~section:"net-alloc"
+        (Fmt.str "%s %s words per op" role label)
+        (words /. ops))
+    rows;
+  Fmt.pr "  %-23s %9d %12s %11.1f@." "total (per op)" completed ""
+    (total /. ops);
+  Json.metric ~section:"net-alloc" "total words per op" (total /. ops);
+  Fmt.pr
+    "  (%d ops; an empty measured interval allocates %.0f words; the \
+     e2e sim-durable figure also counts its byte-accounting tap)@.@."
+    completed empty
+
+(* ------------------------------------------------------------------ *)
 (* Schedule exploration: how fast the adversary enumerates, how much   *)
 (* sleep-set pruning buys, how quickly the broken variant is caught    *)
 (* (BENCH_004.json tracks this).                                       *)
@@ -1585,6 +1692,7 @@ let all_sections =
     ("net-shard", bench_net_shard);
     ("net-socket", bench_net_socket_pool);
     ("net-metrics", bench_net_metrics);
+    ("net-alloc", bench_net_alloc);
     ("net-explore", bench_net_explore);
     ("net-recovery", bench_net_recovery);
     ("net-engine", bench_net_engine);

@@ -80,7 +80,9 @@ module Reservoir = struct
   let add r x =
     if r.n < r.cap then r.buf.(r.n) <- x
     else begin
-      let j = Random.State.int r.rng (r.n + 1) in
+      (* [full_int]: draws as [int] does below 2^30, and past it does
+         not raise, so [add] never raises (callers hold a lock) *)
+      let j = Random.State.full_int r.rng (r.n + 1) in
       if j < r.cap then r.buf.(j) <- x
     end;
     r.n <- r.n + 1;

@@ -45,7 +45,12 @@ let histogram t name =
         Hashtbl.replace t.hists name h;
         h)
 
-let observe h x = Mutex.protect h.hmu (fun () -> Harness.Stats.Reservoir.add h.res x)
+(* no [Mutex.protect]: its closure would cost every observation, and
+   [Reservoir.add] cannot raise *)
+let observe h x =
+  Mutex.lock h.hmu;
+  Harness.Stats.Reservoir.add h.res x;
+  Mutex.unlock h.hmu
 
 type summary = {
   count : int;

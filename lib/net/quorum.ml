@@ -292,36 +292,36 @@ let best replies =
 let heard t src =
   if t.suspected <> 0 then t.suspected <- t.suspected land lnot (bit t src)
 
-let on_message t ~src msg =
-  let rec go = function
-    | Wire.Query_reply { rid; ts; pl; _ } ->
-      heard t src;
-      (match Hashtbl.find_opt t.pending rid with
-       | Some (Collect c) when not (List.mem_assoc src c.replies) ->
-         c.replies <- (src, (ts, pl)) :: c.replies;
-         if List.length c.replies >= t.read_quorum then begin
-           Hashtbl.remove t.pending rid;
-           Metrics.observe t.c.h_phase1 (t.tr.Transport.now () -. c.born);
-           c.finish (best c.replies)
-         end
-       | _ -> ())
-    | Wire.Store_ack { rid; _ } ->
-      heard t src;
-      (match Hashtbl.find_opt t.pending rid with
-       | Some (Store_p s) when not (List.mem src s.acks) ->
-         s.acks <- src :: s.acks;
-         if List.length s.acks >= t.quorum then begin
-           Hashtbl.remove t.pending rid;
-           Metrics.observe t.c.h_phase2 (t.tr.Transport.now () -. s.born);
-           let e = entry t s.reg in
-           if s.ts > e.stable then e.stable <- s.ts;
-           s.finish ()
-         end
-       | _ -> ())
-    | Wire.Batch msgs -> List.iter go msgs
-    | _ -> ()
-  in
-  go msg
+(* Recursive with explicit arguments: a local helper would close over
+   [t] and [src], one closure per reply.  Only a [Batch] builds one. *)
+let rec on_message t ~src msg =
+  match msg with
+  | Wire.Query_reply { rid; ts; pl; _ } ->
+    heard t src;
+    (match Hashtbl.find_opt t.pending rid with
+     | Some (Collect c) when not (List.mem_assoc src c.replies) ->
+       c.replies <- (src, (ts, pl)) :: c.replies;
+       if List.length c.replies >= t.read_quorum then begin
+         Hashtbl.remove t.pending rid;
+         Metrics.observe t.c.h_phase1 (t.tr.Transport.now () -. c.born);
+         c.finish (best c.replies)
+       end
+     | _ -> ())
+  | Wire.Store_ack { rid; _ } ->
+    heard t src;
+    (match Hashtbl.find_opt t.pending rid with
+     | Some (Store_p s) when not (List.mem src s.acks) ->
+       s.acks <- src :: s.acks;
+       if List.length s.acks >= t.quorum then begin
+         Hashtbl.remove t.pending rid;
+         Metrics.observe t.c.h_phase2 (t.tr.Transport.now () -. s.born);
+         let e = entry t s.reg in
+         if s.ts > e.stable then e.stable <- s.ts;
+         s.finish ()
+       end
+     | _ -> ())
+  | Wire.Batch msgs -> List.iter (fun m -> on_message t ~src m) msgs
+  | _ -> ()
 
 (* Re-send to every replica of the group that has not answered: a
    window member that missed the deadline becomes suspected, and one

@@ -58,18 +58,17 @@ let write t ~key ~reg ~value ~k =
   Metrics.incr t.c_ops.(s);
   Engine.write t.engines.(s) ~reg:(Shard_map.global_reg key reg) ~value ~k
 
-let on_message t ~src msg =
+(* recursive with explicit arguments: no closure per reply, only per
+   [Batch] *)
+let rec on_message t ~src msg =
   let n = Array.length t.engines in
-  let rec go m =
-    match m with
-    | Wire.Query_reply { rid; _ } | Wire.Store_ack { rid; _ } ->
-      if rid >= 0 then Engine.on_message t.engines.(rid mod n) ~src m
-    | Wire.Ack2 { lid; _ } | Wire.Query2_reply { lid; _ } ->
-      if lid >= 0 && lid < n then Engine.on_message t.engines.(lid) ~src m
-    | Wire.Batch msgs -> List.iter go msgs
-    | _ -> ()
-  in
-  go msg
+  match msg with
+  | Wire.Query_reply { rid; _ } | Wire.Store_ack { rid; _ } ->
+    if rid >= 0 then Engine.on_message t.engines.(rid mod n) ~src msg
+  | Wire.Ack2 { lid; _ } | Wire.Query2_reply { lid; _ } ->
+    if lid >= 0 && lid < n then Engine.on_message t.engines.(lid) ~src msg
+  | Wire.Batch msgs -> List.iter (fun m -> on_message t ~src m) msgs
+  | _ -> ()
 
 let resend_pending ?older_than t =
   Array.fold_left

@@ -274,6 +274,12 @@ let rec start_next t lane key =
          (* only processors 0 and 1 hold the two writer roles *)
          reject ())
 
+and start_keys t lane = function
+  | [] -> ()
+  | key :: keys ->
+    start_next t lane key;
+    start_keys t lane keys
+
 (* Phase 1 of a multi-key op, entered once per owned key when that key
    reaches its session queue's head (the key is already marked busy by
    [start_next]).  Everything from here on is driven by the shared
@@ -518,7 +524,7 @@ let admit t s =
       s.next_seq <- s.next_seq + 1
     | None -> continue := false
   done;
-  List.iter (fun key -> start_next t s.lane key) (List.rev !touched)
+  start_keys t s.lane (List.rev !touched)
 
 let rec on_message_inner t ~src msg =
   match msg with
@@ -536,18 +542,21 @@ let rec on_message_inner t ~src msg =
       { src; proc; next_seq = 0; stash = Hashtbl.create 8; lane }
   | Wire.Req { seq; op } ->
     (match Hashtbl.find_opt t.sessions src with
-     | Some s when t.pooled ->
-       (* the router upstream already delivers each session's ops in
-          sequence order and sends us only the ops we own: queue
-          directly, no stash — sequence numbers may legitimately skip
-          over the ops other cores own *)
-       if seq >= s.next_seq then begin
-         s.next_seq <- seq + 1;
-         List.iter (fun key -> start_next t s.lane key) (enqueue_op t s seq op)
-       end
      | Some s when seq >= s.next_seq ->
-       Hashtbl.replace s.stash seq op;
-       admit t s
+       (* queue directly, no stash: in a pool the router upstream
+          already delivers each session's ops in sequence order and
+          sends us only the ops we own — sequence numbers may
+          legitimately skip over the ops other cores own; standalone,
+          when this op is the next in order and nothing is stashed *)
+       if t.pooled || (seq = s.next_seq && Hashtbl.length s.stash = 0)
+       then begin
+         s.next_seq <- seq + 1;
+         start_keys t s.lane (enqueue_op t s seq op)
+       end
+       else begin
+         Hashtbl.replace s.stash seq op;
+         admit t s
+       end
      | Some _ | None -> ())  (* duplicate or sessionless request *)
   | Wire.Query_reply _ | Wire.Store_ack _ | Wire.Ack2 _ | Wire.Query2_reply _
     ->
@@ -601,12 +610,16 @@ let rec on_message_inner t ~src msg =
 (* The server's own wts store is flushed by the shared driver.  The
    server node is never crash-faulted by the harnesses, so its armed
    flag cannot be wedged by a dead-node timer skip. *)
+let handle t ~src msg =
+  on_message_inner t ~src msg;
+  match t.storage with
+  | Some st -> Storage.drive st ~transport:t.tr ~node:t.me
+  | None -> ()
+
+(* only a pool member's turn does anything (it uncorks); a standalone
+   server skips it, and the closure it would take per message *)
 let on_message t ~src msg =
-  t.turn (fun () ->
-      on_message_inner t ~src msg;
-      match t.storage with
-      | Some st -> Storage.drive st ~transport:t.tr ~node:t.me
-      | None -> ())
+  if t.pooled then t.turn (fun () -> handle t ~src msg) else handle t ~src msg
 
 let keyed_history t = List.rev_map (fun (_, kev) -> kev) t.events_rev
 let history t = List.rev_map (fun (_, (_, ev)) -> ev) t.events_rev

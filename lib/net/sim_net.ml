@@ -159,13 +159,11 @@ let create ~seed ~faults ?metrics ?trace () =
 
 let metrics t = t.metrics
 
-(* take the event as a thunk: building a trace record often involves
-   pretty-printing the payload, which must cost nothing when tracing
-   is off *)
-let trace_ev t kind =
-  match t.trace with
-  | None -> ()
-  | Some tr -> Trace.record tr ~time:t.clock (kind ())
+(* Every trace point matches on [t.trace] itself and builds its record
+   only under [Some]: a record (or a thunk making one) allocated before
+   that test would cost every untraced send and delivery, and the
+   records pretty-print whole messages. *)
+let record tr t kind = Trace.record tr ~time:t.clock kind
 
 let now t = t.clock
 
@@ -187,7 +185,9 @@ let delay_of t =
 let drop t ~src ~dst reason =
   t.dropped <- t.dropped + 1;
   Metrics.incr t.c.m_dropped;
-  trace_ev t (fun () -> Trace.Drop { src; dst; reason })
+  match t.trace with
+  | None -> ()
+  | Some tr -> record tr t (Trace.Drop { src; dst; reason })
 
 let send t ~src ~dst msg =
   (* every frame offered to the network counts as sent, duplicates
@@ -198,7 +198,9 @@ let send t ~src ~dst msg =
   else if severed t src dst then begin
     t.blocked <- t.blocked + 1;
     Metrics.incr t.c.m_blocked;
-    trace_ev t (fun () -> Trace.Drop { src; dst; reason = "partition" })
+    match t.trace with
+    | None -> ()
+    | Some tr -> record tr t (Trace.Drop { src; dst; reason = "partition" })
   end
   else begin
     let f = t.faults in
@@ -207,8 +209,10 @@ let send t ~src ~dst msg =
     then drop t ~src ~dst "loss"
     else begin
       schedule t ~delay:(delay_of t) (Deliver { src; dst; msg });
-      trace_ev t (fun () ->
-          Trace.Send { src; dst; info = Fmt.str "%a" Wire.pp msg });
+      (match t.trace with
+       | None -> ()
+       | Some tr ->
+         record tr t (Trace.Send { src; dst; info = Fmt.str "%a" Wire.pp msg }));
       if
         (not immune) && f.duplicate > 0.0
         && Random.State.float t.rng 1.0 < f.duplicate
@@ -240,7 +244,9 @@ let crash_amnesia t node =
   crash t node;
   if not (Hashtbl.mem t.amnesiac node) then Metrics.incr t.c.m_amnesia;
   Hashtbl.replace t.amnesiac node ();
-  trace_ev t (fun () -> Trace.Note (Fmt.str "amnesia-crash node=%d" node))
+  match t.trace with
+  | None -> ()
+  | Some tr -> record tr t (Trace.Note (Fmt.str "amnesia-crash node=%d" node))
 
 let on_restart t node f = Hashtbl.replace t.recovery node f
 
@@ -271,8 +277,11 @@ let execute t { time; ev; _ } =
       | Some h ->
         t.delivered <- t.delivered + 1;
         Metrics.incr t.c.m_delivered;
-        trace_ev t (fun () ->
-            Trace.Deliver { src; dst; info = Fmt.str "%a" Wire.pp msg });
+        (match t.trace with
+         | None -> ()
+         | Some tr ->
+           record tr t
+             (Trace.Deliver { src; dst; info = Fmt.str "%a" Wire.pp msg }));
         h ~src msg
       | None -> drop t ~src ~dst "no-handler"
     end
@@ -280,9 +289,18 @@ let execute t { time; ev; _ } =
     if node = -1 || not (Hashtbl.mem t.dead node) then begin
       t.timer_fires <- t.timer_fires + 1;
       Metrics.incr t.c.m_timer_fires;
-      trace_ev t (fun () -> Trace.Timer_fire { node });
+      (match t.trace with
+       | None -> ()
+       | Some tr -> record tr t (Trace.Timer_fire { node }));
       f ()
     end
+
+let peek t =
+  if t.heap.Heap.n = 0 then None
+  else
+    match t.heap.Heap.a.(0).ev with
+    | Deliver { dst; msg; _ } -> Some (dst, Some msg)
+    | Timer { node; _ } -> Some (node, None)
 
 let step t =
   match Heap.pop t.heap with

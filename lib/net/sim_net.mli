@@ -112,6 +112,12 @@ val step : t -> bool
 (** Deliver the earliest pending event; [false] when the queue is
     empty (the system is quiescent). *)
 
+val peek : t -> (Transport.node * Wire.msg option) option
+(** The event {!step} would execute next: its destination node and,
+    for a delivery, the message ([None] for a timer, whose node is its
+    owner, [-1] for one set by {!at}); [None] when quiescent.  O(1) and
+    read-only — for tools that attribute each step's cost. *)
+
 val run : ?max_steps:int -> t -> int
 (** Step until quiescent or [max_steps] (default 1_000_000); returns
     the number of steps taken. *)

@@ -194,13 +194,11 @@ let dir t = t.dir
 let metrics t = t.metrics
 let path t node = Filename.concat t.dir (Fmt.str "n%d.sock" node)
 
-(* [mk] is forced only when tracing is on: the event payloads
-   pretty-print whole messages (a Batch formats every sub-message),
-   which must cost nothing on the untraced hot path. *)
-let trace_ev t mk =
-  match t.trace with
-  | None -> ()
-  | Some tr -> Trace.record tr ~time:(Unix.gettimeofday ()) (mk ())
+(* Every trace point matches on [t.trace] itself and builds its record
+   only under [Some]: the records pretty-print whole messages (a Batch
+   formats every sub-message), and even a thunk making one would cost
+   every untraced send and delivery. *)
+let record tr kind = Trace.record tr ~time:(Unix.gettimeofday ()) kind
 
 let le32 b off = Int32.to_int (Bytes.get_int32_le b off)
 
@@ -225,8 +223,11 @@ let close_rconn t rc =
 
 let deliver t rc ~src msg =
   let ep = rc.rep in
-  trace_ev t (fun () ->
-      Trace.Deliver { src; dst = ep.node; info = Fmt.str "%a" Wire.pp msg });
+  (match t.trace with
+   | None -> ()
+   | Some tr ->
+     record tr
+       (Trace.Deliver { src; dst = ep.node; info = Fmt.str "%a" Wire.pp msg }));
   if not (Atomic.get ep.stopped) then begin
     let t0 = Unix.gettimeofday () in
     ep.handler ~src msg;
@@ -591,38 +592,43 @@ let send t ~src ~dst msg =
     (* over [Wire.max_frame]: surfaced as a counted drop rather than a
        truncated header the receiver would choke on *)
     Metrics.incr t.c.frames_oversized;
-    trace_ev t (fun () -> Trace.Drop { src; dst; reason = "oversized" })
+    (match t.trace with
+     | None -> ()
+     | Some tr -> record tr (Trace.Drop { src; dst; reason = "oversized" }))
   | frame ->
     Metrics.incr t.c.frames_sent;
-    let dropped reason =
-      Metrics.incr t.c.frames_dropped;
-      trace_ev t (fun () -> Trace.Drop { src; dst; reason })
+    (* the drop reason, or "" once the frame is written *)
+    let outcome =
+      match get_conn t dst with
+      | None -> "no-conn"  (* dead or absent peer: lossy by contract *)
+      | Some c ->
+        (match conn_write t dst c frame with
+         | `Ok -> ""
+         | `Backpressure -> "backpressure"
+         | `Fail ->
+           (* the peer may have restarted behind our cached connection
+              (e.g. a client re-run with the same processor id): retry
+              once on a fresh connection before giving the frame up *)
+           drop_conn t dst;
+           Metrics.incr t.c.frames_retried;
+           (match get_conn t dst with
+            | None -> "no-conn"
+            | Some c ->
+              (match conn_write t dst c frame with
+               | `Ok -> ""
+               | `Backpressure -> "backpressure"
+               | `Fail ->
+                 drop_conn t dst;
+                 "write-failed")))
     in
-    let sent () =
-      trace_ev t (fun () ->
-          Trace.Send { src; dst; info = Fmt.str "%a" Wire.pp msg })
-    in
-    (match get_conn t dst with
-     | None -> dropped "no-conn"  (* dead or absent peer: lossy by contract *)
-     | Some c ->
-       (match conn_write t dst c frame with
-        | `Ok -> sent ()
-        | `Backpressure -> dropped "backpressure"
-        | `Fail ->
-          (* the peer may have restarted behind our cached connection
-             (e.g. a client re-run with the same processor id): retry
-             once on a fresh connection before giving the frame up *)
-          drop_conn t dst;
-          Metrics.incr t.c.frames_retried;
-          (match get_conn t dst with
-           | None -> dropped "no-conn"
-           | Some c ->
-             (match conn_write t dst c frame with
-              | `Ok -> sent ()
-              | `Backpressure -> dropped "backpressure"
-              | `Fail ->
-                drop_conn t dst;
-                dropped "write-failed"))))
+    if outcome <> "" then Metrics.incr t.c.frames_dropped;
+    (match t.trace with
+     | None -> ()
+     | Some tr ->
+       record tr
+         (if outcome = "" then
+            Trace.Send { src; dst; info = Fmt.str "%a" Wire.pp msg }
+          else Trace.Drop { src; dst; reason = outcome }))
 
 (* ------------------------------------------------------------------ *)
 (* Timers                                                              *)
@@ -646,7 +652,9 @@ let timer_fire t ~node ~armed f =
     in
     if live then begin
       Metrics.incr t.c.timer_fires;
-      trace_ev t (fun () -> Trace.Timer_fire { node });
+      (match t.trace with
+       | None -> ()
+       | Some tr -> record tr (Trace.Timer_fire { node }));
       f ()
     end
     else Metrics.incr t.c.timers_dropped

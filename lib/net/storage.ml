@@ -182,32 +182,29 @@ module Disk = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* CRC-32 (IEEE, the zlib polynomial) — table-driven, no dependencies  *)
+(* CRC-32 (IEEE, the zlib polynomial) — table-driven, no dependencies.
+   The register is an [int] (63 bits hold the 32): an [Int32] ref would
+   box one value per byte, about 629k words for a 205 KB snapshot. *)
 
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
-let crc32 s =
-  let tbl = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFFl in
-  String.iter
-    (fun ch ->
-      let i =
-        Int32.to_int
-          (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xFFl)
-      in
-      c := Int32.logxor tbl.(i) (Int32.shift_right_logical !c 8))
-    s;
-  Int32.logxor !c 0xFFFFFFFFl
+let crc32_bytes b off len =
+  let c = ref 0xFFFFFFFF in
+  for i = off to off + len - 1 do
+    c :=
+      Array.unsafe_get crc_table
+        ((!c lxor Char.code (Bytes.unsafe_get b i)) land 0xFF)
+      lxor (!c lsr 8)
+  done;
+  Int32.of_int (!c lxor 0xFFFFFFFF)
+
+let crc32 s = crc32_bytes (Bytes.unsafe_of_string s) 0 (String.length s)
 
 (* ------------------------------------------------------------------ *)
 (* Record framing                                                      *)
@@ -215,14 +212,20 @@ let crc32 s =
 let header_size = 8
 let max_record = Wire.max_frame
 
+(* Fill in the [len][crc] header of a record whose payload already
+   sits in [b] after [header_size] bytes. *)
+let seal b =
+  let n = Bytes.length b - header_size in
+  if n > max_record then invalid_arg "Storage.frame_record: payload too large";
+  Bytes.set_int32_le b 0 (Int32.of_int n);
+  Bytes.set_int32_le b 4 (crc32_bytes b header_size n);
+  Bytes.unsafe_to_string b
+
 let frame_record payload =
   let n = String.length payload in
-  if n > max_record then invalid_arg "Storage.frame_record: payload too large";
   let b = Bytes.create (header_size + n) in
-  Bytes.set_int32_le b 0 (Int32.of_int n);
-  Bytes.set_int32_le b 4 (crc32 payload);
   Bytes.blit_string payload 0 b header_size n;
-  Bytes.unsafe_to_string b
+  seal b
 
 type tail =
   | Clean
@@ -261,13 +264,22 @@ let scan s =
 
 let entry_size = 25
 
+let write_entry b off ~reg ~ts pl =
+  Bytes.set_int64_le b off (Int64.of_int reg);
+  Bytes.set_int64_le b (off + 8) (Int64.of_int ts);
+  Bytes.set_int64_le b (off + 16) (Int64.of_int (Registers.Tagged.v pl));
+  Bytes.set b (off + 24) (if Registers.Tagged.tag pl then '\001' else '\000')
+
 let encode_entry e =
   let b = Bytes.create entry_size in
-  Bytes.set_int64_le b 0 (Int64.of_int e.reg);
-  Bytes.set_int64_le b 8 (Int64.of_int e.ts);
-  Bytes.set_int64_le b 16 (Int64.of_int (Registers.Tagged.v e.pl));
-  Bytes.set b 24 (if Registers.Tagged.tag e.pl then '\001' else '\000');
+  write_entry b 0 ~reg:e.reg ~ts:e.ts e.pl;
   Bytes.unsafe_to_string b
+
+(* [frame_record (encode_entry e)], encoded in place *)
+let entry_record e =
+  let b = Bytes.create (header_size + entry_size) in
+  write_entry b header_size ~reg:e.reg ~ts:e.ts e.pl;
+  seal b
 
 let decode_entry_at s off =
   let reg = Int64.to_int (String.get_int64_le s off) in
@@ -427,8 +439,32 @@ let contents_locked t =
   Hashtbl.fold (fun reg p acc -> (reg, p) :: acc) t.tbl []
   |> List.sort compare
 
+(* [frame_record (encode_snapshot (contents_locked t))], encoded in
+   place: the registers sort as an [int array] and every entry is
+   written straight into the one record. *)
+let snapshot_record_locked t =
+  let n = Hashtbl.length t.tbl in
+  let regs = Array.make n 0 in
+  let i = ref 0 in
+  Hashtbl.iter
+    (fun reg _ ->
+      regs.(!i) <- reg;
+      incr i)
+    t.tbl;
+  Array.sort Int.compare regs;
+  let off = header_size + String.length snap_magic + 8 in
+  let b = Bytes.create (off + (entry_size * n)) in
+  Bytes.blit_string snap_magic 0 b header_size (String.length snap_magic);
+  Bytes.set_int64_le b (off - 8) (Int64.of_int n);
+  for i = 0 to n - 1 do
+    let reg = regs.(i) in
+    let ts, pl = Hashtbl.find t.tbl reg in
+    write_entry b (off + (entry_size * i)) ~reg ~ts pl
+  done;
+  seal b
+
 let snapshot_locked t =
-  t.be.install_snapshot (frame_record (encode_snapshot (contents_locked t)));
+  t.be.install_snapshot (snapshot_record_locked t);
   t.snapshots_taken <- t.snapshots_taken + 1;
   t.since_snapshot <- 0;
   t.wal_size <- 0
@@ -485,7 +521,7 @@ let flush t =
   run_completions ks
 
 let append_async t e ~k =
-  let rec_ = frame_record (encode_entry e) in
+  let rec_ = entry_record e in
   Mutex.lock t.mu;
   (* eager apply: reads served from the table may observe the entry
      before it is durable.  Safe for both engines — ABD reads write the

@@ -742,6 +742,36 @@ let sim_metrics_reconcile () =
       ("partitioned", Net.Sim_net.lossy ~drop:0.1 (), Some (20.0, 60.0));
     ]
 
+let sim_trace_counts () =
+  (* a trace record is built only when a trace is attached, at each of
+     the simulator's trace points: a traced faulty run must hold one
+     record per delivery, per drop (loss, dead node or partition) and
+     per timer fire *)
+  let trace = Net.Trace.create ~capacity:200_000 () in
+  let cl =
+    Net.Sim_run.build
+      ~faults:(Net.Sim_net.lossy ~drop:0.2 ~duplicate:0.1 ())
+      ~trace ~seed:5 ~init:0 ~processes:(spec ~readers:2 ~writes:3 ~reads:4)
+      ()
+  in
+  let o = Net.Sim_run.run ~fates:(crash 2 30.0 :: partition cl (20.0, 60.0)) cl in
+  Alcotest.(check int) "no wrap" 0 (Net.Trace.overwritten trace);
+  let count p =
+    List.length
+      (List.filter (fun e -> p e.Net.Trace.kind) (Net.Trace.events trace))
+  in
+  let s = o.Net.Sim_run.net in
+  Alcotest.(check bool) "every fate occurs" true
+    (s.Net.Sim_net.delivered > 0 && s.dropped > 0 && s.blocked > 0
+     && s.timer_fires > 0);
+  Alcotest.(check int) "Deliver records = delivered" s.delivered
+    (count (function Net.Trace.Deliver _ -> true | _ -> false));
+  Alcotest.(check int) "Drop records = dropped + blocked"
+    (s.dropped + s.blocked)
+    (count (function Net.Trace.Drop _ -> true | _ -> false));
+  Alcotest.(check int) "Timer_fire records = timer fires" s.timer_fires
+    (count (function Net.Trace.Timer_fire _ -> true | _ -> false))
+
 let trace_ring_wraps () =
   let tr = Net.Trace.create ~capacity:8 () in
   for k = 1 to 20 do
@@ -2051,6 +2081,7 @@ let suite =
       quorum_windows_rotate_evenly;
     tc "quorum: a dead window member costs one resend"
       quorum_dead_window_member;
+    tc "trace: one record per delivery, drop and timer fire" sim_trace_counts;
   ]
 
 let slow_suite =

@@ -70,6 +70,63 @@ let crc_known_answer () =
   Alcotest.(check int32) "crc32 check value" 0xCBF43926l (S.crc32 "123456789");
   Alcotest.(check int32) "crc32 of empty" 0l (S.crc32 "")
 
+(* The checksum by its definition, one bit at a time: the table-driven
+   [S.crc32] must agree with it on every input. *)
+let crc32_bitwise s =
+  let c = ref 0xFFFFFFFF in
+  String.iter
+    (fun ch ->
+      c := !c lxor Char.code ch;
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done)
+    s;
+  Int32.of_int (!c lxor 0xFFFFFFFF)
+
+let any_bytes rng n = String.init n (fun _ -> Char.chr (Random.State.int rng 256))
+
+let fuzz_crc_definition () =
+  let rng = Random.State.make [| 0x5706 |] in
+  for i = 1 to 300 do
+    let s = any_bytes rng (Random.State.int rng 300) in
+    if S.crc32 s <> crc32_bitwise s then
+      Alcotest.failf "iteration %d: crc32 differs from the bitwise definition" i
+  done
+
+let crc_allocation_free () =
+  (* the checksum runs over every WAL record and every snapshot: it
+     must not allocate per byte (an [Int32] accumulator boxes one value
+     per byte, ~196k words here) *)
+  let s = any_bytes (Random.State.make [| 0x5707 |]) 65536 in
+  let w0 = Gc.minor_words () in
+  let c = S.crc32 s in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int32) "value" (crc32_bitwise s) c;
+  if words >= 16. then
+    Alcotest.failf "crc32 over 64 KiB allocated %.0f minor words" words
+
+let fuzz_store_bytes_are_reference_codec () =
+  (* a durable store encodes its WAL records and snapshots in place;
+     the bytes must be exactly the reference codec's: each WAL record
+     [frame_record (encode_entry e)], the snapshot [frame_record
+     (encode_snapshot (contents st))] *)
+  let rng = Random.State.make [| 0x5708 |] in
+  for i = 1 to 100 do
+    let disk = S.Disk.create () in
+    let st = S.create (S.Disk.backend disk) in
+    let entries = List.init (Random.State.int rng 60) (fun _ -> any_entry rng) in
+    List.iter (S.append st) entries;
+    if S.Disk.wal_bytes disk <> wal_of entries then
+      Alcotest.failf "iteration %d: WAL bytes differ from the reference codec" i;
+    S.snapshot st;
+    if
+      S.Disk.snapshot_bytes disk
+      <> Some (S.frame_record (S.encode_snapshot (S.contents st)))
+    then
+      Alcotest.failf "iteration %d: snapshot bytes differ from the reference \
+                      codec" i
+  done
+
 let fuzz_entry_roundtrip () =
   let rng = Random.State.make [| 0x5701 |] in
   for i = 1 to 2_000 do
@@ -321,4 +378,8 @@ let suite =
       snapshot_truncations_fail_closed;
     tc "wal: undecodable checksummed record is Corrupt"
       wal_decode_failure_is_corrupt;
+    tc "fuzz: crc32 = the bitwise definition" fuzz_crc_definition;
+    tc "crc32 over 64 KiB allocates O(1) words" crc_allocation_free;
+    tc "fuzz: store bytes = the reference codec"
+      fuzz_store_bytes_are_reference_codec;
   ]
