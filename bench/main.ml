@@ -795,6 +795,64 @@ let alloc_role node =
   else if node >= 0 then "replica"
   else "simulator"
 
+(* The simulator above never encodes a message; the socket path frames
+   every send and decodes every delivery.  Minor words per message of
+   [Wire.frame] and of [Wire.decode_sub] over that frame, alone and
+   inside a 32-item [Batch] (an empty measured interval subtracted). *)
+let wire_alloc_table () =
+  let pl i = Registers.Tagged.make (1000 + i) (i land 1 = 1) in
+  let kinds =
+    [ ("Query", fun i -> Net.Wire.Query { rid = i; reg = 2 * i });
+      ( "Query_reply",
+        fun i ->
+          Net.Wire.Query_reply { rid = i; reg = 2 * i; ts = i; pl = pl i } );
+      ( "Store",
+        fun i -> Net.Wire.Store { rid = i; reg = 2 * i; ts = i; pl = pl i } );
+      ("Store_ack", fun i -> Net.Wire.Store_ack { rid = i; reg = 2 * i });
+      ( "Req",
+        fun i ->
+          Net.Wire.Req
+            { seq = i; op = Net.Wire.Write_k { key = i; value = 1000 + i } } );
+      ("Resp", fun i -> Net.Wire.Resp { seq = i; result = Some (1000 + i) }) ]
+  in
+  let measure f =
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. w0
+  in
+  let words f =
+    ignore (measure f);
+    measure f -. measure (fun () -> ())
+  in
+  let per_msg make n =
+    let m =
+      if n = 1 then make 1 else Net.Wire.Batch (List.init n make)
+    in
+    let f = Net.Wire.frame ~src:1 m in
+    let len = Bytes.length f - Net.Wire.header_size in
+    let dec () = Net.Wire.decode_sub f ~off:Net.Wire.header_size ~len in
+    if dec () <> Ok m then
+      Fmt.failwith "net-alloc: %a does not round-trip" Net.Wire.pp m;
+    let n = float_of_int n in
+    (words (fun () -> Net.Wire.frame ~src:1 m) /. n, words dec /. n)
+  in
+  Fmt.pr "  wire codec, minor words per message:@.";
+  Fmt.pr "  %-13s %9s %9s %10s %10s@." "message" "frame x1" "decode x1"
+    "frame x32" "decode x32";
+  List.iter
+    (fun (label, make) ->
+      let f1, d1 = per_msg make 1 and f32, d32 = per_msg make 32 in
+      Fmt.pr "  %-13s %9.1f %9.1f %10.1f %10.1f@." label f1 d1 f32 d32;
+      List.iter
+        (fun (what, v) ->
+          Json.metric ~section:"net-alloc"
+            (Fmt.str "wire %s %s words per msg" label what)
+            v)
+        [ ("frame x1", f1); ("decode x1", d1); ("frame x32", f32);
+          ("decode x32", d32) ])
+    kinds;
+  Fmt.pr "  (decode is [Wire.decode_sub] in place over the frame's body)@.@."
+
 let bench_net_alloc () =
   section "net-alloc - minor words per op by receiving role and message";
   (* the shape of bench/e2e's sim-durable workload: ABD, 3 replicas,
@@ -877,7 +935,8 @@ let bench_net_alloc () =
   Fmt.pr
     "  (%d ops; an empty measured interval allocates %.0f words; the \
      e2e sim-durable figure also counts its byte-accounting tap)@.@."
-    completed empty
+    completed empty;
+  wire_alloc_table ()
 
 (* ------------------------------------------------------------------ *)
 (* Schedule exploration: how fast the adversary enumerates, how much   *)

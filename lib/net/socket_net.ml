@@ -234,10 +234,12 @@ let deliver t rc ~src msg =
     Metrics.observe t.c.handler_service (Unix.gettimeofday () -. t0)
   end
 
-(* Peel every complete frame out of the reassembly buffer; the body is
-   copied exactly once (buffer → decode string).  A partial frame that
-   cannot fit in the remaining capacity compacts (and if needed grows)
-   the buffer so the read loop always has room to make progress.
+(* Peel every complete frame out of the reassembly buffer; each body is
+   decoded in place, never copied (a decoded message shares no storage
+   with the buffer, so the buffer may be compacted or reused at once).
+   A partial frame that cannot fit in the remaining capacity compacts
+   (and if needed grows) the buffer so the read loop always has room
+   to make progress.
 
    Consecutive frames from the same source that surface in one parse
    turn are handed to the handler as a single [Wire.Batch]: one
@@ -287,11 +289,9 @@ let parse_frames t rc =
       end
       else begin
         let src = le32 rc.rbuf (!off + 4) in
-        let body =
-          Bytes.sub_string rc.rbuf (!off + Wire.header_size) blen
-        in
-        off := !off + Wire.header_size + blen;
-        match Wire.decode body with
+        let body_off = !off + Wire.header_size in
+        off := body_off + blen;
+        match Wire.decode_sub rc.rbuf ~off:body_off ~len:blen with
         | Error _ ->
           Metrics.incr t.c.decode_errors;
           flush_turn ();
@@ -462,7 +462,13 @@ let try_connect t dst =
     None
 
 let get_conn t dst =
-  match Mutex.protect t.mu (fun () -> Hashtbl.find_opt t.conns dst) with
+  (* the lookup runs on every send: lock directly rather than through
+     [Mutex.protect], whose closure would cost an allocation per frame
+     ([Hashtbl.find_opt] on an int key cannot raise) *)
+  Mutex.lock t.mu;
+  let found = Hashtbl.find_opt t.conns dst in
+  Mutex.unlock t.mu;
+  match found with
   | Some c -> Some c
   | None ->
     (* connect OUTSIDE the table lock: a slow or unreachable peer must
@@ -550,41 +556,53 @@ and arm_write t dst c =
     Event_loop.set_write c.wloop c.fd (Some (drain_cb t dst c))
   end
 
+(* Write [frame] from [off] on ([wmu] held); on EAGAIN the remainder is
+   queued and the writability callback takes over.  Raises on a real
+   write error. *)
+let rec write_from t dst c frame off =
+  let len = Bytes.length frame in
+  if off >= len then `Ok
+  else
+    match write_nb c.fd frame off (len - off) with
+    | -1 ->
+      Queue.add (frame, ref off) c.outq;
+      c.outq_bytes <- c.outq_bytes + (len - off);
+      Metrics.incr t.c.write_queued;
+      arm_write t dst c;
+      `Ok
+    | n -> write_from t dst c frame (off + n)
+
 (* One frame out: inline non-blocking write when nothing is queued; on
    a short write the remainder is queued and the writability callback
    takes over.  The frame bytes are shared with the queue — never
-   copied. *)
+   copied.  Locked directly, not through [Mutex.protect], so that a
+   send allocates no closure: every path out of the body unlocks. *)
 let conn_write t dst c frame =
-  Mutex.protect c.wmu (fun () ->
-      if c.dead then `Fail
-      else begin
-        let len = Bytes.length frame in
-        if c.outq_bytes > 0 then
-          if c.outq_bytes + len > out_cap then `Backpressure
-          else begin
-            Queue.add (frame, ref 0) c.outq;
-            c.outq_bytes <- c.outq_bytes + len;
-            `Ok
-          end
+  Mutex.lock c.wmu;
+  match
+    if c.dead then `Fail
+    else begin
+      let len = Bytes.length frame in
+      if c.outq_bytes > 0 then
+        if c.outq_bytes + len > out_cap then `Backpressure
         else begin
-          let rec go off =
-            if off >= len then `Ok
-            else
-              match write_nb c.fd frame off (len - off) with
-              | -1 ->
-                Queue.add (frame, ref off) c.outq;
-                c.outq_bytes <- c.outq_bytes + (len - off);
-                Metrics.incr t.c.write_queued;
-                arm_write t dst c;
-                `Ok
-              | n -> go (off + n)
-          in
-          try go 0
-          with Unix.Unix_error _ | Sys_error _ ->
-            c.dead <- true;
-            `Fail
+          Queue.add (frame, ref 0) c.outq;
+          c.outq_bytes <- c.outq_bytes + len;
+          `Ok
         end
-      end)
+      else
+        try write_from t dst c frame 0
+        with Unix.Unix_error _ | Sys_error _ ->
+          c.dead <- true;
+          `Fail
+    end
+  with
+  | r ->
+    Mutex.unlock c.wmu;
+    r
+  | exception e ->
+    Mutex.unlock c.wmu;
+    raise e
 
 let send t ~src ~dst msg =
   match Wire.frame ~src msg with

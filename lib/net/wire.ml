@@ -42,356 +42,10 @@ let max_lid = 256
 let max_link_seq = 1 lsl 32
 let max_txn = 1024
 
-let add_int b n = Buffer.add_int64_le b (Int64.of_int n)
-let add_bool b v = Buffer.add_char b (if v then '\001' else '\000')
-
-let add_string b s =
-  add_int b (String.length s);
-  Buffer.add_string b s
-
-let add_payload b pl =
-  add_int b (Tagged.v pl);
-  add_bool b (Tagged.tag pl)
-
-(* The two-bit sublanguage keeps its link header deliberately small: a
-   one-byte link id and a four-byte sequence number.  Out-of-range
-   values would not survive a round-trip, so the encoder refuses them
-   outright instead of truncating silently. *)
-let add_lid b lid =
-  if lid < 0 || lid >= max_lid then
-    invalid_arg (Fmt.str "Wire.encode: link id %d out of range" lid);
-  Buffer.add_char b (Char.chr lid)
-
-let add_seq b seq =
-  if seq < 0 || seq >= max_link_seq then
-    invalid_arg (Fmt.str "Wire.encode: link seq %d out of range" seq);
-  Buffer.add_int32_le b (Int32.of_int seq)
-
-(* Multi-key ops are bounded like link fields: an over-long key list
-   would be rejected by every receiver, so refuse it at the encoder. *)
-let add_txn_count b n =
-  if n > max_txn then
-    invalid_arg (Fmt.str "Wire.encode: %d keys exceed max_txn (%d)" n max_txn);
-  add_int b n
-
-(* Reconfiguration fields are indices and epochs: never negative by
-   construction, and a negative value on the wire could only be a
-   forgery or corruption — refuse at both ends. *)
-let add_nonneg b what n =
-  if n < 0 then invalid_arg (Fmt.str "Wire.encode: negative %s %d" what n);
-  add_int b n
-
-let rec encode_into b = function
-  | Hello { proc } ->
-    Buffer.add_char b '\000';
-    add_int b proc
-  | Req { seq; op } ->
-    Buffer.add_char b '\001';
-    add_int b seq;
-    (match op with
-     | Read -> Buffer.add_char b '\000'
-     | Write v ->
-       Buffer.add_char b '\001';
-       add_int b v
-     | Read_k { key } ->
-       Buffer.add_char b '\002';
-       add_int b key
-     | Write_k { key; value } ->
-       Buffer.add_char b '\003';
-       add_int b key;
-       add_int b value
-     | Txn_k { writes } ->
-       Buffer.add_char b '\004';
-       add_txn_count b (List.length writes);
-       List.iter
-         (fun (key, value) ->
-           add_int b key;
-           add_int b value)
-         writes
-     | Snap_k { keys } ->
-       Buffer.add_char b '\005';
-       add_txn_count b (List.length keys);
-       List.iter (add_int b) keys)
-  | Resp { seq; result } ->
-    Buffer.add_char b '\002';
-    add_int b seq;
-    (match result with
-     | None -> Buffer.add_char b '\000'
-     | Some v ->
-       Buffer.add_char b '\001';
-       add_int b v)
-  | Query { rid; reg } ->
-    Buffer.add_char b '\003';
-    add_int b rid;
-    add_int b reg
-  | Query_reply { rid; reg; ts; pl } ->
-    Buffer.add_char b '\004';
-    add_int b rid;
-    add_int b reg;
-    add_int b ts;
-    add_payload b pl
-  | Store { rid; reg; ts; pl } ->
-    Buffer.add_char b '\005';
-    add_int b rid;
-    add_int b reg;
-    add_int b ts;
-    add_payload b pl
-  | Store_ack { rid; reg } ->
-    Buffer.add_char b '\006';
-    add_int b rid;
-    add_int b reg
-  | Batch msgs ->
-    Buffer.add_char b '\007';
-    add_int b (List.length msgs);
-    List.iter
-      (fun m ->
-        let sub = Buffer.create 32 in
-        encode_into sub m;
-        add_int b (Buffer.length sub);
-        Buffer.add_buffer b sub)
-      msgs
-  | Bye -> Buffer.add_char b '\008'
-  | Stats_req { rid } ->
-    Buffer.add_char b '\009';
-    add_int b rid
-  | Stats_reply { rid; stats } ->
-    Buffer.add_char b '\010';
-    add_int b rid;
-    add_int b (List.length stats);
-    List.iter
-      (fun (name, v) ->
-        add_string b name;
-        add_int b v)
-      stats
-  | Store2 { lid; seq; reg; pl } ->
-    Buffer.add_char b '\011';
-    add_lid b lid;
-    add_seq b seq;
-    add_int b reg;
-    add_payload b pl
-  | Ack2 { lid; seq } ->
-    Buffer.add_char b '\012';
-    add_lid b lid;
-    add_seq b seq
-  | Query2 { lid; seq; reg } ->
-    Buffer.add_char b '\013';
-    add_lid b lid;
-    add_seq b seq;
-    add_int b reg
-  | Query2_reply { lid; seq; pl } ->
-    Buffer.add_char b '\014';
-    add_lid b lid;
-    add_seq b seq;
-    add_payload b pl
-  | Engine_hello { engine } ->
-    if engine < 0 || engine > 255 then
-      invalid_arg (Fmt.str "Wire.encode: engine code %d out of range" engine);
-    Buffer.add_char b '\015';
-    Buffer.add_char b (Char.chr engine)
-  | Resp_snap { seq; values } ->
-    Buffer.add_char b '\016';
-    add_int b seq;
-    add_txn_count b (List.length values);
-    List.iter (add_int b) values
-  | Reconfig { rid; key; to_shard; epoch } ->
-    Buffer.add_char b '\017';
-    add_int b rid;
-    add_nonneg b "key" key;
-    add_nonneg b "shard" to_shard;
-    add_nonneg b "epoch" epoch
-  | Reconfig_ack { rid; epoch; ok } ->
-    Buffer.add_char b '\018';
-    add_int b rid;
-    add_nonneg b "epoch" epoch;
-    add_bool b ok
-  | Epoch_req { rid } ->
-    Buffer.add_char b '\019';
-    add_int b rid
-  | Epoch_reply { rid; epoch; shards } ->
-    Buffer.add_char b '\020';
-    add_int b rid;
-    add_nonneg b "epoch" epoch;
-    add_nonneg b "shards" shards
-
-let encode m =
-  let b = Buffer.create 32 in
-  encode_into b m;
-  Buffer.contents b
-
-exception Bad of string
-
-let decode s =
-  let pos = ref 0 in
-  let need n = if !pos + n > String.length s then raise (Bad "truncated") in
-  let int () =
-    need 8;
-    let v = Int64.to_int (String.get_int64_le s !pos) in
-    pos := !pos + 8;
-    v
-  in
-  let byte () =
-    need 1;
-    let c = Char.code s.[!pos] in
-    incr pos;
-    c
-  in
-  let payload () =
-    let v = int () in
-    let t = byte () <> 0 in
-    Tagged.make v t
-  in
-  let seq32 () =
-    need 4;
-    let v = Int32.to_int (String.get_int32_le s !pos) land 0xFFFFFFFF in
-    pos := !pos + 4;
-    v
-  in
-  let str () =
-    let len = int () in
-    if len < 0 || len > max_stat_name then raise (Bad "bad string length");
-    need len;
-    let s = String.sub s !pos len in
-    pos := !pos + len;
-    s
-  in
-  let nonneg what =
-    let v = int () in
-    if v < 0 then raise (Bad ("negative " ^ what));
-    v
-  in
-  let rec msg depth =
-    match byte () with
-    | 0 -> Hello { proc = int () }
-    | 1 ->
-      let seq = int () in
-      (match byte () with
-       | 0 -> Req { seq; op = Read }
-       | 1 -> Req { seq; op = Write (int ()) }
-       | 2 -> Req { seq; op = Read_k { key = int () } }
-       | 3 ->
-         let key = int () in
-         Req { seq; op = Write_k { key; value = int () } }
-       | 4 ->
-         let n = int () in
-         if n < 0 || n > max_txn then raise (Bad "bad txn size");
-         Req
-           { seq;
-             op =
-               Txn_k
-                 { writes =
-                     List.init n (fun _ ->
-                         let key = int () in
-                         (key, int ()))
-                 }
-           }
-       | 5 ->
-         let n = int () in
-         if n < 0 || n > max_txn then raise (Bad "bad snapshot size");
-         Req { seq; op = Snap_k { keys = List.init n (fun _ -> int ()) } }
-       | _ -> raise (Bad "bad op kind"))
-    | 2 ->
-      let seq = int () in
-      (match byte () with
-       | 0 -> Resp { seq; result = None }
-       | 1 -> Resp { seq; result = Some (int ()) }
-       | _ -> raise (Bad "bad result kind"))
-    | 3 ->
-      let rid = int () in
-      Query { rid; reg = int () }
-    | 4 ->
-      let rid = int () in
-      let reg = int () in
-      let ts = int () in
-      Query_reply { rid; reg; ts; pl = payload () }
-    | 5 ->
-      let rid = int () in
-      let reg = int () in
-      let ts = int () in
-      Store { rid; reg; ts; pl = payload () }
-    | 6 ->
-      let rid = int () in
-      Store_ack { rid; reg = int () }
-    | 7 ->
-      (* cap the nesting depth: an adversarial frame must not be able
-         to recurse the decoder arbitrarily deep *)
-      if depth >= max_batch_depth then raise (Bad "batch nested too deep");
-      let n = int () in
-      if n < 0 || n > max_batch then raise (Bad "bad batch size");
-      Batch
-        (List.init n (fun _ ->
-             let len = int () in
-             if len < 0 then raise (Bad "bad batch item length");
-             let stop = !pos + len in
-             let m = msg (depth + 1) in
-             if !pos <> stop then raise (Bad "batch item length mismatch");
-             m))
-    | 8 -> Bye
-    | 9 -> Stats_req { rid = int () }
-    | 11 ->
-      let lid = byte () in
-      let seq = seq32 () in
-      let reg = int () in
-      Store2 { lid; seq; reg; pl = payload () }
-    | 12 ->
-      let lid = byte () in
-      Ack2 { lid; seq = seq32 () }
-    | 13 ->
-      let lid = byte () in
-      let seq = seq32 () in
-      Query2 { lid; seq; reg = int () }
-    | 14 ->
-      let lid = byte () in
-      let seq = seq32 () in
-      Query2_reply { lid; seq; pl = payload () }
-    | 15 -> Engine_hello { engine = byte () }
-    | 16 ->
-      let seq = int () in
-      let n = int () in
-      if n < 0 || n > max_txn then raise (Bad "bad snapshot size");
-      Resp_snap { seq; values = List.init n (fun _ -> int ()) }
-    | 10 ->
-      let rid = int () in
-      let n = int () in
-      if n < 0 || n > max_stats then raise (Bad "bad stats size");
-      Stats_reply
-        { rid;
-          stats =
-            List.init n (fun _ ->
-                let name = str () in
-                (name, int ()))
-        }
-    | 17 ->
-      let rid = int () in
-      let key = nonneg "key" in
-      let to_shard = nonneg "shard" in
-      Reconfig { rid; key; to_shard; epoch = nonneg "epoch" }
-    | 18 ->
-      let rid = int () in
-      let epoch = nonneg "epoch" in
-      (match byte () with
-       | 0 -> Reconfig_ack { rid; epoch; ok = false }
-       | 1 -> Reconfig_ack { rid; epoch; ok = true }
-       | _ -> raise (Bad "bad reconfig-ack flag"))
-    | 19 -> Epoch_req { rid = int () }
-    | 20 ->
-      let rid = int () in
-      let epoch = nonneg "epoch" in
-      Epoch_reply { rid; epoch; shards = nonneg "shards" }
-    | c -> raise (Bad (Fmt.str "unknown tag %d" c))
-  in
-  try
-    let m = msg 0 in
-    if !pos <> String.length s then Error "trailing bytes" else Ok m
-  with Bad e -> Error e
-
-let decode_exn s =
-  match decode s with
-  | Ok m -> m
-  | Error e -> invalid_arg ("Wire.decode_exn: " ^ e)
-
 (* Encoded body size, computed without allocating the encoding — the
-   engine byte accounting calls this on every send.  Kept in lockstep
-   with [encode] by a fuzz invariant (test_wire_fuzz). *)
+   engine byte accounting calls this on every send, and the encoder
+   sizes its one [Bytes] with it and writes every [Batch] item's length
+   prefix from it, then checks that it ended exactly there. *)
 let rec encoded_size = function
   | Hello _ -> 9
   | Req { op = Read; _ } -> 10
@@ -425,6 +79,353 @@ let rec encoded_size = function
   | Epoch_req _ -> 9
   | Epoch_reply _ -> 25
 
+(* The encoder writes in place into one [Bytes] of exactly
+   [encoded_size] bytes: each [put_*] writes at [pos] and returns the
+   position after what it wrote.  Every write is bounds-checked. *)
+let put_byte b pos c =
+  Bytes.set b pos (Char.unsafe_chr c);
+  pos + 1
+
+let put_int b pos n =
+  Bytes.set_int64_le b pos (Int64.of_int n);
+  pos + 8
+
+let put_bool b pos v = put_byte b pos (if v then 1 else 0)
+
+let put_string b pos s =
+  let n = String.length s in
+  let pos = put_int b pos n in
+  Bytes.blit_string s 0 b pos n;
+  pos + n
+
+let put_payload b pos pl =
+  put_bool b (put_int b pos (Tagged.v pl)) (Tagged.tag pl)
+
+(* The two-bit sublanguage keeps its link header deliberately small: a
+   one-byte link id and a four-byte sequence number.  Out-of-range
+   values would not survive a round-trip, so the encoder refuses them
+   outright instead of truncating silently. *)
+let put_lid b pos lid =
+  if lid < 0 || lid >= max_lid then
+    invalid_arg (Fmt.str "Wire.encode: link id %d out of range" lid);
+  put_byte b pos lid
+
+let put_seq b pos seq =
+  if seq < 0 || seq >= max_link_seq then
+    invalid_arg (Fmt.str "Wire.encode: link seq %d out of range" seq);
+  Bytes.set_int32_le b pos (Int32.of_int seq);
+  pos + 4
+
+(* Multi-key ops are bounded like link fields: an over-long key list
+   would be rejected by every receiver, so refuse it at the encoder. *)
+let put_txn_count b pos n =
+  if n > max_txn then
+    invalid_arg (Fmt.str "Wire.encode: %d keys exceed max_txn (%d)" n max_txn);
+  put_int b pos n
+
+(* Reconfiguration fields are indices and epochs: never negative by
+   construction, and a negative value on the wire could only be a
+   forgery or corruption — refuse at both ends. *)
+let put_nonneg b pos what n =
+  if n < 0 then invalid_arg (Fmt.str "Wire.encode: negative %s %d" what n);
+  put_int b pos n
+
+let rec put_ints b pos = function
+  | [] -> pos
+  | v :: rest -> put_ints b (put_int b pos v) rest
+
+let rec put_pairs b pos = function
+  | [] -> pos
+  | (key, value) :: rest ->
+    put_pairs b (put_int b (put_int b pos key) value) rest
+
+let rec put_stats b pos = function
+  | [] -> pos
+  | (name, v) :: rest -> put_stats b (put_int b (put_string b pos name) v) rest
+
+(* The encoder's own consistency check: a body must end exactly where
+   [encoded_size] said it would (a [Batch] item's length prefix is that
+   size, written before the item). *)
+let check_end what ~expected pos =
+  if pos <> expected then
+    failwith
+      (Fmt.str "Wire.%s: wrote %d bytes where encoded_size promised %d" what
+         pos expected)
+
+let rec put_msg b pos = function
+  | Hello { proc } -> put_int b (put_byte b pos 0) proc
+  | Req { seq; op } ->
+    let pos = put_int b (put_byte b pos 1) seq in
+    (match op with
+     | Read -> put_byte b pos 0
+     | Write v -> put_int b (put_byte b pos 1) v
+     | Read_k { key } -> put_int b (put_byte b pos 2) key
+     | Write_k { key; value } ->
+       put_int b (put_int b (put_byte b pos 3) key) value
+     | Txn_k { writes } ->
+       let pos = put_txn_count b (put_byte b pos 4) (List.length writes) in
+       put_pairs b pos writes
+     | Snap_k { keys } ->
+       let pos = put_txn_count b (put_byte b pos 5) (List.length keys) in
+       put_ints b pos keys)
+  | Resp { seq; result } ->
+    let pos = put_int b (put_byte b pos 2) seq in
+    (match result with
+     | None -> put_byte b pos 0
+     | Some v -> put_int b (put_byte b pos 1) v)
+  | Query { rid; reg } -> put_int b (put_int b (put_byte b pos 3) rid) reg
+  | Query_reply { rid; reg; ts; pl } ->
+    let pos = put_int b (put_int b (put_byte b pos 4) rid) reg in
+    put_payload b (put_int b pos ts) pl
+  | Store { rid; reg; ts; pl } ->
+    let pos = put_int b (put_int b (put_byte b pos 5) rid) reg in
+    put_payload b (put_int b pos ts) pl
+  | Store_ack { rid; reg } -> put_int b (put_int b (put_byte b pos 6) rid) reg
+  | Batch msgs ->
+    let pos = put_int b (put_byte b pos 7) (List.length msgs) in
+    put_items b pos msgs
+  | Bye -> put_byte b pos 8
+  | Stats_req { rid } -> put_int b (put_byte b pos 9) rid
+  | Stats_reply { rid; stats } ->
+    let pos = put_int b (put_byte b pos 10) rid in
+    put_stats b (put_int b pos (List.length stats)) stats
+  | Store2 { lid; seq; reg; pl } ->
+    let pos = put_seq b (put_lid b (put_byte b pos 11) lid) seq in
+    put_payload b (put_int b pos reg) pl
+  | Ack2 { lid; seq } -> put_seq b (put_lid b (put_byte b pos 12) lid) seq
+  | Query2 { lid; seq; reg } ->
+    put_int b (put_seq b (put_lid b (put_byte b pos 13) lid) seq) reg
+  | Query2_reply { lid; seq; pl } ->
+    put_payload b (put_seq b (put_lid b (put_byte b pos 14) lid) seq) pl
+  | Engine_hello { engine } ->
+    if engine < 0 || engine > 255 then
+      invalid_arg (Fmt.str "Wire.encode: engine code %d out of range" engine);
+    put_byte b (put_byte b pos 15) engine
+  | Resp_snap { seq; values } ->
+    let pos = put_int b (put_byte b pos 16) seq in
+    put_ints b (put_txn_count b pos (List.length values)) values
+  | Reconfig { rid; key; to_shard; epoch } ->
+    let pos = put_int b (put_byte b pos 17) rid in
+    let pos = put_nonneg b pos "key" key in
+    put_nonneg b (put_nonneg b pos "shard" to_shard) "epoch" epoch
+  | Reconfig_ack { rid; epoch; ok } ->
+    let pos = put_int b (put_byte b pos 18) rid in
+    put_bool b (put_nonneg b pos "epoch" epoch) ok
+  | Epoch_req { rid } -> put_int b (put_byte b pos 19) rid
+  | Epoch_reply { rid; epoch; shards } ->
+    let pos = put_int b (put_byte b pos 20) rid in
+    put_nonneg b (put_nonneg b pos "epoch" epoch) "shards" shards
+
+(* Each item is prefixed by its length, written from [encoded_size]
+   before the item itself, with no sub-buffer. *)
+and put_items b pos = function
+  | [] -> pos
+  | m :: rest ->
+    let n = encoded_size m in
+    let start = put_int b pos n in
+    let stop = put_msg b start m in
+    check_end "encode (batch item)" ~expected:n (stop - start);
+    put_items b stop rest
+
+let encode m =
+  let n = encoded_size m in
+  let b = Bytes.create n in
+  check_end "encode" ~expected:n (put_msg b 0 m);
+  Bytes.unsafe_to_string b
+
+(* The decoder reads in place through a cursor over [buf.(pos..stop)]:
+   top-level readers, no closures, and an out-of-window read is the
+   [Bad "truncated"] error, never a read of the bytes around it. *)
+type cursor = { buf : Bytes.t; mutable pos : int; stop : int }
+
+exception Bad of string
+
+let need c n = if c.pos + n > c.stop then raise (Bad "truncated")
+
+let get_int c =
+  need c 8;
+  let v = Int64.to_int (Bytes.get_int64_le c.buf c.pos) in
+  c.pos <- c.pos + 8;
+  v
+
+let get_byte c =
+  need c 1;
+  let v = Char.code (Bytes.get c.buf c.pos) in
+  c.pos <- c.pos + 1;
+  v
+
+let get_payload c =
+  let v = get_int c in
+  let t = get_byte c <> 0 in
+  Tagged.make v t
+
+let get_seq32 c =
+  need c 4;
+  let v = Int32.to_int (Bytes.get_int32_le c.buf c.pos) land 0xFFFFFFFF in
+  c.pos <- c.pos + 4;
+  v
+
+(* stat names are copied out: a decoded message shares no storage with
+   the buffer it was read from *)
+let get_string c =
+  let len = get_int c in
+  if len < 0 || len > max_stat_name then raise (Bad "bad string length");
+  need c len;
+  let s = Bytes.sub_string c.buf c.pos len in
+  c.pos <- c.pos + len;
+  s
+
+let get_nonneg c what =
+  let v = get_int c in
+  if v < 0 then raise (Bad ("negative " ^ what));
+  v
+
+(* List fields by direct recursion (their lengths are capped first). *)
+let rec get_ints c n =
+  if n = 0 then []
+  else
+    let v = get_int c in
+    v :: get_ints c (n - 1)
+
+let rec get_pairs c n =
+  if n = 0 then []
+  else
+    let key = get_int c in
+    let value = get_int c in
+    (key, value) :: get_pairs c (n - 1)
+
+let rec get_stats c n =
+  if n = 0 then []
+  else
+    let name = get_string c in
+    let v = get_int c in
+    (name, v) :: get_stats c (n - 1)
+
+let rec get_msg c depth =
+  match get_byte c with
+  | 0 -> Hello { proc = get_int c }
+  | 1 ->
+    let seq = get_int c in
+    (match get_byte c with
+     | 0 -> Req { seq; op = Read }
+     | 1 -> Req { seq; op = Write (get_int c) }
+     | 2 -> Req { seq; op = Read_k { key = get_int c } }
+     | 3 ->
+       let key = get_int c in
+       Req { seq; op = Write_k { key; value = get_int c } }
+     | 4 ->
+       let n = get_int c in
+       if n < 0 || n > max_txn then raise (Bad "bad txn size");
+       Req { seq; op = Txn_k { writes = get_pairs c n } }
+     | 5 ->
+       let n = get_int c in
+       if n < 0 || n > max_txn then raise (Bad "bad snapshot size");
+       Req { seq; op = Snap_k { keys = get_ints c n } }
+     | _ -> raise (Bad "bad op kind"))
+  | 2 ->
+    let seq = get_int c in
+    (match get_byte c with
+     | 0 -> Resp { seq; result = None }
+     | 1 -> Resp { seq; result = Some (get_int c) }
+     | _ -> raise (Bad "bad result kind"))
+  | 3 ->
+    let rid = get_int c in
+    Query { rid; reg = get_int c }
+  | 4 ->
+    let rid = get_int c in
+    let reg = get_int c in
+    let ts = get_int c in
+    Query_reply { rid; reg; ts; pl = get_payload c }
+  | 5 ->
+    let rid = get_int c in
+    let reg = get_int c in
+    let ts = get_int c in
+    Store { rid; reg; ts; pl = get_payload c }
+  | 6 ->
+    let rid = get_int c in
+    Store_ack { rid; reg = get_int c }
+  | 7 ->
+    (* cap the nesting depth: an adversarial frame must not be able
+       to recurse the decoder arbitrarily deep *)
+    if depth >= max_batch_depth then raise (Bad "batch nested too deep");
+    let n = get_int c in
+    if n < 0 || n > max_batch then raise (Bad "bad batch size");
+    Batch (get_items c (depth + 1) n)
+  | 8 -> Bye
+  | 9 -> Stats_req { rid = get_int c }
+  | 10 ->
+    let rid = get_int c in
+    let n = get_int c in
+    if n < 0 || n > max_stats then raise (Bad "bad stats size");
+    Stats_reply { rid; stats = get_stats c n }
+  | 11 ->
+    let lid = get_byte c in
+    let seq = get_seq32 c in
+    let reg = get_int c in
+    Store2 { lid; seq; reg; pl = get_payload c }
+  | 12 ->
+    let lid = get_byte c in
+    Ack2 { lid; seq = get_seq32 c }
+  | 13 ->
+    let lid = get_byte c in
+    let seq = get_seq32 c in
+    Query2 { lid; seq; reg = get_int c }
+  | 14 ->
+    let lid = get_byte c in
+    let seq = get_seq32 c in
+    Query2_reply { lid; seq; pl = get_payload c }
+  | 15 -> Engine_hello { engine = get_byte c }
+  | 16 ->
+    let seq = get_int c in
+    let n = get_int c in
+    if n < 0 || n > max_txn then raise (Bad "bad snapshot size");
+    Resp_snap { seq; values = get_ints c n }
+  | 17 ->
+    let rid = get_int c in
+    let key = get_nonneg c "key" in
+    let to_shard = get_nonneg c "shard" in
+    Reconfig { rid; key; to_shard; epoch = get_nonneg c "epoch" }
+  | 18 ->
+    let rid = get_int c in
+    let epoch = get_nonneg c "epoch" in
+    (match get_byte c with
+     | 0 -> Reconfig_ack { rid; epoch; ok = false }
+     | 1 -> Reconfig_ack { rid; epoch; ok = true }
+     | _ -> raise (Bad "bad reconfig-ack flag"))
+  | 19 -> Epoch_req { rid = get_int c }
+  | 20 ->
+    let rid = get_int c in
+    let epoch = get_nonneg c "epoch" in
+    Epoch_reply { rid; epoch; shards = get_nonneg c "shards" }
+  | tag -> raise (Bad (Fmt.str "unknown tag %d" tag))
+
+and get_items c depth n =
+  if n = 0 then []
+  else begin
+    let len = get_int c in
+    if len < 0 then raise (Bad "bad batch item length");
+    let stop = c.pos + len in
+    let m = get_msg c depth in
+    if c.pos <> stop then raise (Bad "batch item length mismatch");
+    m :: get_items c depth (n - 1)
+  end
+
+let decode_sub buf ~off ~len =
+  if off < 0 || len < 0 || off > Bytes.length buf - len then
+    invalid_arg "Wire.decode_sub: window outside the buffer";
+  let c = { buf; pos = off; stop = off + len } in
+  match get_msg c 0 with
+  | m -> if c.pos <> c.stop then Error "trailing bytes" else Ok m
+  | exception Bad e -> Error e
+
+let decode s =
+  decode_sub (Bytes.unsafe_of_string s) ~off:0 ~len:(String.length s)
+
+let decode_exn s =
+  match decode s with
+  | Ok m -> m
+  | Error e -> invalid_arg ("Wire.decode_exn: " ^ e)
+
 (* Control metadata: the encoded bytes that are neither register index
    nor register payload — tags, request ids, timestamps, link headers,
    batching overhead.  This is the footprint the two-bit protocol
@@ -455,20 +456,23 @@ let rec control_bytes m =
 
 let header_size = 8
 
+(* The size is known before anything is written, so an oversized
+   message is refused before its frame is allocated (the refusal
+   builds only its message). *)
 let frame ~src m =
-  let body = encode m in
-  let n = String.length body in
+  let n = encoded_size m in
   (* the receiver enforces [max_frame] on read; enforcing it here too
      turns an oversized message into a clean error at the sender
      instead of a length that the receiver rejects — and keeps the
      32-bit header length field from ever silently truncating *)
   if n > max_frame then
     invalid_arg
-      (Fmt.str "Wire.frame: %d-byte message exceeds max_frame (%d)" n max_frame);
+      ("Wire.frame: " ^ string_of_int n ^ "-byte message exceeds max_frame ("
+     ^ string_of_int max_frame ^ ")");
   let b = Bytes.create (header_size + n) in
   Bytes.set_int32_le b 0 (Int32.of_int n);
   Bytes.set_int32_le b 4 (Int32.of_int src);
-  Bytes.blit_string body 0 b header_size n;
+  check_end "frame" ~expected:(header_size + n) (put_msg b header_size m);
   b
 
 let parse_header b =

@@ -147,8 +147,9 @@ val max_txn : int
     both encoder and decoder. *)
 
 val encode : msg -> string
-(** Serialize a message body (no frame header).  Never blocks; cost is
-    linear in the message size.  The encoder does {e not} enforce
+(** Serialize a message body (no frame header) into one string of
+    exactly {!encoded_size} bytes.  Never blocks; cost is linear in
+    the message size.  The encoder does {e not} enforce
     {!max_frame} or {!max_batch_depth} — those bite at {!frame} time
     and in the receiver.
     @raise Invalid_argument if a two-bit link header field ([lid],
@@ -158,8 +159,12 @@ val encode : msg -> string
 
 val encoded_size : msg -> int
 (** [String.length (encode m)], computed without allocating — for the
-    per-send byte accounting in the engines.  Total (field widths are
-    fixed, so it never needs to inspect values). *)
+    per-send byte accounting in the engines.  Total.  Field widths are
+    fixed, so it never inspects a field's value, but it does walk list
+    lengths ([Batch] items, multi-key ops, [Stats_reply] entries and
+    their names).  The encoder depends on it: {!encode} and {!frame}
+    allocate exactly this many body bytes, write each [Batch] item's
+    length prefix from it, and check that they ended exactly there. *)
 
 val control_bytes : msg -> int
 (** The control-metadata share of {!encoded_size}: everything that is
@@ -173,17 +178,30 @@ val decode : string -> (msg, string) result
     unknown-tag, over-long or over-deep input is an [Error] — never an
     exception.  Pure and non-blocking; safe to call from any thread. *)
 
+val decode_sub : bytes -> off:int -> len:int -> (msg, string) result
+(** [decode_sub buf ~off ~len] decodes the body held in
+    [buf.(off) .. buf.(off + len - 1)] in place: the same result as
+    [decode (Bytes.sub_string buf off len)] without the copy, and it
+    never reads a byte outside the window.  The decoded message shares
+    no storage with [buf] (strings are copied out), so the caller may
+    reuse the buffer at once.  Allocates only the message (plus a
+    four-word cursor).
+    @raise Invalid_argument if the window does not lie inside [buf]
+    (a caller bug, not a property of the bytes). *)
+
 val decode_exn : string -> msg
 (** Like {!decode} but raising.
     @raise Invalid_argument on undecodable input. *)
 
 val frame : src:int -> msg -> bytes
 (** A stream frame: an 8-byte header ([length, src] as two 32-bit
-    little-endian ints) followed by the encoded message.  Pure and
-    non-blocking.
+    little-endian ints) followed by the encoded message, written in
+    place into one [Bytes] of exactly [header_size + encoded_size m]
+    bytes, which is all it allocates.  Pure and non-blocking.
     @raise Invalid_argument if the body exceeds {!max_frame} (a body
     length must never overflow the 32-bit header field, and a frame
-    the receiver would reject should fail at the sender). *)
+    the receiver would reject should fail at the sender).  The size is
+    checked before anything is allocated or encoded. *)
 
 val header_size : int
 (** Bytes of the frame header ([8]). *)

@@ -475,6 +475,246 @@ let reconfig_forged_fields () =
       rejected (Fmt.str "ack with flag byte %d" flag) (forged_ack ~epoch:0 ~flag))
     [ 2; 255 ]
 
+(* Golden encodings: one message of every tag, every op kind, a nested
+   [Batch] and one frame header, as bytes produced by the [Buffer]-based
+   codec this in-place one replaced.  The wire format is frozen: any
+   difference here is a protocol change, not a refactor. *)
+let pl v t = Registers.Tagged.make v t
+
+let golden_msgs =
+  [
+    ( "hello", W.Hello { proc = 3 },
+      "000300000000000000" );
+    ( "req read", W.Req { seq = 1; op = W.Read },
+      "01010000000000000000" );
+    ( "req write", W.Req { seq = 2; op = W.Write (-42) },
+      "01020000000000000001d6ffffffffffffff" );
+    ( "req read_k", W.Req { seq = 3; op = W.Read_k { key = 4096 } },
+      "010300000000000000020010000000000000" );
+    ( "req write_k",
+      W.Req { seq = 4; op = W.Write_k { key = 7; value = max_int } },
+      "010400000000000000030700000000000000ffffffffffffff3f" );
+    ( "req txn_k",
+      W.Req { seq = 5; op = W.Txn_k { writes = [ (1, 10); (2, -20) ] } },
+      "01050000000000000004020000000000000001000000000000000a0000000000"
+      ^ "00000200000000000000ecffffffffffffff" );
+    ( "req snap_k", W.Req { seq = 6; op = W.Snap_k { keys = [ 4; 5; 6 ] } },
+      "0106000000000000000503000000000000000400000000000000050000000000"
+      ^ "00000600000000000000" );
+    ( "resp ack", W.Resp { seq = 7; result = None },
+      "02070000000000000000" );
+    ( "resp value", W.Resp { seq = 8; result = Some min_int },
+      "0208000000000000000100000000000000c0" );
+    ( "query", W.Query { rid = 258; reg = 17 },
+      "0302010000000000001100000000000000" );
+    ( "query_reply",
+      W.Query_reply { rid = 259; reg = 18; ts = 1 lsl 40; pl = pl (-2) true },
+      "04030100000000000012000000000000000000000000010000feffffffffffff"
+      ^ "ff01" );
+    ( "store", W.Store { rid = 260; reg = 19; ts = 5; pl = pl 99 false },
+      "0504010000000000001300000000000000050000000000000063000000000000"
+      ^ "0000" );
+    ( "store_ack", W.Store_ack { rid = 261; reg = 20 },
+      "0605010000000000001400000000000000" );
+    ( "batch",
+      W.Batch
+        [ W.Query { rid = 1; reg = 2 };
+          W.Batch [ W.Bye; W.Store_ack { rid = 3; reg = 4 } ];
+          W.Resp { seq = 9; result = Some 1 } ],
+      "0703000000000000001100000000000000030100000000000000020000000000"
+      ^ "00002b0000000000000007020000000000000001000000000000000811000000"
+      ^ "0000000006030000000000000004000000000000001200000000000000020900"
+      ^ "000000000000010100000000000000" );
+    ( "bye", W.Bye,
+      "08" );
+    ( "stats_req", W.Stats_req { rid = 11 },
+      "090b00000000000000" );
+    ( "stats_reply",
+      W.Stats_reply { rid = 12; stats = [ ("frames_sent", 12); ("", -1) ] },
+      "0a0c0000000000000002000000000000000b000000000000006672616d65735f"
+      ^ "73656e740c000000000000000000000000000000ffffffffffffffff" );
+    ( "store2",
+      W.Store2
+        { lid = 255; seq = W.max_link_seq - 1; reg = 21; pl = pl 7 true },
+      "0bffffffffff1500000000000000070000000000000001" );
+    ( "ack2", W.Ack2 { lid = 1; seq = 65536 },
+      "0c0100000100" );
+    ( "query2", W.Query2 { lid = 2; seq = 3; reg = 22 },
+      "0d02030000001600000000000000" );
+    ( "query2_reply", W.Query2_reply { lid = 4; seq = 5; pl = pl 0 false },
+      "0e0405000000000000000000000000" );
+    ( "engine_hello", W.Engine_hello { engine = 1 },
+      "0f01" );
+    ( "resp_snap", W.Resp_snap { seq = 13; values = [ -1; 0; 1 ] },
+      "100d000000000000000300000000000000ffffffffffffffff00000000000000"
+      ^ "000100000000000000" );
+    ( "reconfig",
+      W.Reconfig { rid = 14; key = 3; to_shard = 1; epoch = 2 },
+      "110e000000000000000300000000000000010000000000000002000000000000"
+      ^ "00" );
+    ( "reconfig_ack", W.Reconfig_ack { rid = 15; epoch = 3; ok = true },
+      "120f00000000000000030000000000000001" );
+    ( "epoch_req", W.Epoch_req { rid = 16 },
+      "131000000000000000" );
+    ( "epoch_reply", W.Epoch_reply { rid = 17; epoch = 4; shards = 8 },
+      "14110000000000000004000000000000000800000000000000" );
+  ]
+
+let hex s =
+  String.concat ""
+    (List.map (fun c -> Printf.sprintf "%02x" (Char.code c))
+       (List.of_seq (String.to_seq s)))
+
+let golden_encodings () =
+  let tags =
+    List.sort_uniq compare
+      (List.map (fun (_, m, _) -> (W.encode m).[0]) golden_msgs)
+  in
+  Alcotest.(check int) "every tag covered" 21 (List.length tags);
+  List.iter
+    (fun (name, m, expected) ->
+      Alcotest.(check string) name expected (hex (W.encode m));
+      match W.decode (W.encode m) with
+      | Ok m' when m' = m -> ()
+      | _ -> Alcotest.failf "%s: golden message does not round-trip" name)
+    golden_msgs
+
+let golden_frame () =
+  Alcotest.(check string) "frame ~src:5 (query)"
+    "11000000050000000302010000000000001100000000000000"
+    (hex (Bytes.to_string (W.frame ~src:5 (W.Query { rid = 258; reg = 17 }))))
+
+(* [frame] writes its body in place; it must be [encode]'s bytes
+   exactly, behind a header naming their length and the source. *)
+let fuzz_frame_body_is_encode () =
+  let rng = Random.State.make [| 0xf0a |] in
+  for i = 1 to 2_000 do
+    let m = any_msg rng 0 in
+    let src = Random.State.int rng 1_000_000 in
+    let f = W.frame ~src m in
+    let body = W.encode m in
+    let n = String.length body in
+    if W.parse_header f <> (n, src) then
+      Alcotest.failf "iteration %d: bad frame header for %a" i W.pp m;
+    if Bytes.length f <> W.header_size + n
+       || Bytes.sub_string f W.header_size n <> body
+    then Alcotest.failf "iteration %d: frame body <> encode for %a" i W.pp m
+  done
+
+(* [decode_sub] reads a window of a larger buffer in place: it must
+   agree with [decode] of the copied-out slice, never look outside the
+   window, and stay total when the window cuts a message short. *)
+let fuzz_decode_sub_window () =
+  let rng = Random.State.make [| 0xf0b |] in
+  let junk n = Bytes.init n (fun _ -> Char.chr (Random.State.int rng 256)) in
+  let decode_sub buf ~off ~len =
+    match W.decode_sub buf ~off ~len with
+    | r -> r
+    | exception e ->
+      Alcotest.failf "decode_sub raised %s" (Printexc.to_string e)
+  in
+  for i = 1 to 2_000 do
+    let m = any_msg rng 0 in
+    let body = W.encode m in
+    let len = String.length body in
+    let off = Random.State.int rng 32 in
+    let buf = junk (off + len + Random.State.int rng 32) in
+    Bytes.blit_string body 0 buf off len;
+    let r = decode_sub buf ~off ~len in
+    if r <> W.decode (Bytes.sub_string buf off len) then
+      Alcotest.failf "iteration %d: decode_sub <> decode of the slice" i;
+    if r <> Ok m then
+      Alcotest.failf "iteration %d: decode_sub does not round-trip %a" i W.pp m;
+    (* rewrite every byte outside the window: same answer *)
+    for j = 0 to Bytes.length buf - 1 do
+      if j < off || j >= off + len then
+        Bytes.set buf j (Char.chr (Random.State.int rng 256))
+    done;
+    if decode_sub buf ~off ~len <> r then
+      Alcotest.failf "iteration %d: bytes outside the window mattered" i;
+    (* a window cut short is an error, even when the bytes after it
+       would complete the message *)
+    let cut = Random.State.int rng len in
+    (match decode_sub buf ~off ~len:cut with
+     | Error _ -> ()
+     | Ok _ -> Alcotest.failf "iteration %d: truncated window accepted" i);
+    (* and a mutated window, like a mutated string, is never an
+       exception, and agrees with [decode] of its slice *)
+    Bytes.set buf (off + Random.State.int rng len)
+      (Char.chr (Random.State.int rng 256));
+    if decode_sub buf ~off ~len <> W.decode (Bytes.sub_string buf off len) then
+      Alcotest.failf "iteration %d: mutated window <> decode of the slice" i
+  done;
+  match W.decode_sub (Bytes.create 4) ~off:2 ~len:3 with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a window outside the buffer was accepted"
+
+(* Allocation pins.  [words f] is the minor heap words [f ()] allocates,
+   less what an empty measured interval costs. *)
+let words f =
+  let measure f =
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. w0
+  in
+  ignore (measure f);
+  measure f -. measure (fun () -> ())
+
+(* a [Bytes] of [n] bytes: a header word plus [n / 8 + 1] data words *)
+let bytes_words n = float_of_int (2 + (n / 8))
+
+let query_store_batch =
+  W.Batch
+    (List.init 32 (fun i ->
+         if i mod 2 = 0 then W.Query { rid = i; reg = 2 * i }
+         else
+           W.Store
+             { rid = i; reg = 2 * i; ts = i lsl 20;
+               pl = pl (1000 + i) (i mod 4 = 1) }))
+
+let frame_allocates_only_the_frame () =
+  let f = W.frame ~src:7 query_store_batch in
+  let w = words (fun () -> W.frame ~src:7 query_store_batch) in
+  let bound = bytes_words (Bytes.length f) +. 2. in
+  if w > bound then
+    Alcotest.failf
+      "frame of a 32-item batch allocated %.0f words (at most %.0f)" w bound
+
+let decode_sub_allocates_only_the_message () =
+  let f = W.frame ~src:7 query_store_batch in
+  let len = Bytes.length f - W.header_size in
+  (match W.decode_sub f ~off:W.header_size ~len with
+   | Ok m when m = query_store_batch -> ()
+   | _ -> Alcotest.fail "batch does not round-trip through decode_sub");
+  let w = words (fun () -> W.decode_sub f ~off:W.header_size ~len) in
+  let bound = (12. *. 32.) +. 16. in
+  if w > bound then
+    Alcotest.failf
+      "decode_sub of a 32-item batch allocated %.0f words (at most %.0f)" w
+      bound
+
+let oversize_refused_before_encoding () =
+  (* one item more than fits: [frame] must size the message and refuse
+     it without encoding a byte of it.  A 16 MiB encoding would go
+     straight to the major heap, so count every allocated word, not
+     just the minor ones. *)
+  let n = ((W.max_frame - 9) / item_sz) + 1 in
+  let over = W.Batch (List.init n (fun _ -> hello)) in
+  let refuse () =
+    match W.frame ~src:3 over with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.fail "frame over max_frame accepted"
+  in
+  let allocated f =
+    let b0 = Gc.allocated_bytes () in
+    f ();
+    (Gc.allocated_bytes () -. b0) /. float_of_int (Sys.word_size / 8)
+  in
+  ignore (allocated refuse);
+  let w = allocated refuse -. allocated ignore in
+  if w >= 64. then
+    Alcotest.failf "refusing an oversized message allocated %.0f words" w
+
 let suite =
   [
     tc "fuzz: random messages round-trip" fuzz_roundtrip;
@@ -490,4 +730,15 @@ let suite =
     tc "boundary: forged multi-key counts" multi_key_forged_counts;
     tc "boundary: reconfiguration fields" reconfig_field_boundaries;
     tc "boundary: forged reconfiguration fields" reconfig_forged_fields;
+    tc "golden: every tag and op kind encodes byte-identically"
+      golden_encodings;
+    tc "golden: frame header" golden_frame;
+    tc "fuzz: frame body equals encode" fuzz_frame_body_is_encode;
+    tc "fuzz: decode_sub inside a window" fuzz_decode_sub_window;
+    tc "alloc: frame of a 32-item batch is the frame"
+      frame_allocates_only_the_frame;
+    tc "alloc: decode_sub of a 32-item batch is the message"
+      decode_sub_allocates_only_the_message;
+    tc "alloc: oversize refused before encoding"
+      oversize_refused_before_encoding;
   ]
