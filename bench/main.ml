@@ -1114,7 +1114,9 @@ let bench_net_recovery () =
 (* workloads — bytes on the wire, control bytes, messages and virtual- *)
 (* time latency per operation (BENCH_006.json).  The twobit engine's   *)
 (* claim is wire economy: counting over FIFO links replaces request    *)
-(* ids and timestamps, and reads complete on a single reply.           *)
+(* ids and timestamps, and a read asks one replica and completes on    *)
+(* its reply.  CI pins the reliable leg's counts to                    *)
+(* bench/engine_counts.json.                                           *)
 
 let bench_net_engine () =
   section "net-engine - abd vs twobit: wire cost and latency per op";

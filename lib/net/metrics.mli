@@ -29,6 +29,13 @@
     - [quorum_widened] / [quorum_suspected] — ABD phases re-sent beyond
       their first window, and replicas that became suspected for
       missing a resend deadline ({!Quorum}).
+    - [twobit_queries] / [twobit_stores] / [twobit_retransmissions] —
+      twobit reads and writes started, and per-link frame resends.
+    - [twobit_widened] / [twobit_suspected] — twobit reads whose
+      [Query2] went out on every other link after missing their resend
+      deadline (first sends, not retransmissions), and links that
+      became suspected for holding an overdue frame
+      ({!Engine_twobit}).
     - [crashes] — nodes crashed (fault injection or real).
     - [ops_served] / [ops_rejected] — server-level operations.
 

@@ -134,12 +134,11 @@ let xconformance () =
     [ 1; 2; 3 ]
 
 (* The bench criterion, pinned as a test: on identical workloads the
-   twobit engine must put strictly fewer control bytes on the wire per
-   completed op than ABD.  Total bytes are not compared: ABD sends
-   each phase to one majority while twobit's write broadcasts, so ABD
-   can send fewer bytes in all.  ABD's fan-out is pinned exactly
-   instead: over a reliable network every phase reaches one window of
-   q replicas and nothing is re-sent. *)
+   twobit engine must put strictly fewer bytes, and fewer control
+   bytes, on the wire than ABD.  Both fan-outs are pinned exactly: over
+   a reliable network nothing is re-sent, every ABD phase reaches one
+   window of q replicas, and twobit broadcasts each [Store2] on all 3
+   links but sends each [Query2] on one. *)
 let twobit_cheaper_on_the_wire () =
   let processes = [ proc 0 [ w 1; r; w 2; r ]; proc 1 [ w 3; r; w 4; r ] ] in
   let run kind =
@@ -157,6 +156,11 @@ let twobit_cheaper_on_the_wire () =
   Alcotest.(check bool)
     (Fmt.str "control bytes: twobit %d < abd %d" tcb ac)
     true (tcb < ac);
+  let ab = a.Net.Sim_run.quorum.Net.Engine.bytes_sent
+  and tb = t.Net.Sim_run.quorum.Net.Engine.bytes_sent in
+  Alcotest.(check bool)
+    (Fmt.str "bytes: twobit %d < abd %d" tb ab)
+    true (tb < ab);
   let phases =
     Net.Metrics.get a.Net.Sim_run.metrics "quorum_queries"
     + Net.Metrics.get a.Net.Sim_run.metrics "quorum_stores"
@@ -167,7 +171,52 @@ let twobit_cheaper_on_the_wire () =
          ~me:Net.Transport.server ~replicas:[ 0; 1; 2 ] ())
   in
   Alcotest.(check int) "abd engine messages = q x phases" (q * phases)
-    a.Net.Sim_run.quorum.Net.Engine.messages_sent
+    a.Net.Sim_run.quorum.Net.Engine.messages_sent;
+  let get = Net.Metrics.get t.Net.Sim_run.metrics in
+  Alcotest.(check int) "twobit engine messages = queries + 3 x stores"
+    (get "twobit_queries" + (3 * get "twobit_stores"))
+    t.Net.Sim_run.quorum.Net.Engine.messages_sent
+
+(* One replica of three is down from the start.  A read that asks it
+   waits out one resend deadline and is then widened to the other two
+   links; at that same deadline its engine starts to suspect the dead
+   link and sends no later read there.  So a sequential process is
+   caught at most once per engine, and the widened reads are bounded
+   by engines x processes, however many reads follow (without
+   suspicion, about a third of the 72 engine reads here would widen).
+   Widened [Query2]s are first sends, not retransmissions. *)
+let twobit_crashed_replica () =
+  let shards = 2 in
+  let processes =
+    [ proc 0 [ w 10; w 11; w 12; w 13 ]; proc 2 (List.init 24 (fun _ -> r)) ]
+  in
+  let o =
+    Net.Sim_run.run
+      ~fates:[ (0.0, Harness.Failure.Crash 0) ]
+      (Net.Sim_run.build ~replicas:3 ~shards ~keys:2 ~window:1
+         ~engine:(espec Net.Engine.Twobit) ~seed:1 ~init:0 ~processes ())
+  in
+  Alcotest.(check int) "all ops complete" o.Net.Sim_run.expected
+    o.Net.Sim_run.completed;
+  (match o.Net.Sim_run.monitor_violation with
+   | None -> ()
+   | Some v -> Alcotest.failf "live audit: %s" v);
+  Alcotest.(check bool) "fastcheck atomic" true o.Net.Sim_run.fastcheck_ok;
+  let get = Net.Metrics.get o.Net.Sim_run.metrics in
+  let widened = get "twobit_widened" and reads = get "twobit_queries" in
+  Alcotest.(check int) "widened reads" 3 widened;
+  let bound = shards * List.length processes in
+  Alcotest.(check bool)
+    (Fmt.str "widened %d <= %d engines x processes, of %d reads" widened
+       bound reads)
+    true (widened <= bound);
+  Alcotest.(check int) "the dead link suspected once per engine" shards
+    (get "twobit_suspected");
+  let s = o.Net.Sim_run.quorum in
+  Alcotest.(check int) "messages = queries + 3 x stores + 2 x widened + resends"
+    (reads + (3 * get "twobit_stores") + (2 * widened)
+     + s.Net.Engine.retransmissions)
+    s.Net.Engine.messages_sent
 
 (* --- twobit under the explorer ------------------------------------ *)
 
@@ -423,6 +472,8 @@ let suite =
     tc "link receiver unordered bug applies arrival order"
       link_receiver_unordered_bug;
     tc "engine hello recorded" engine_hello_recorded;
+    tc "twobit crashed replica: reads widen once per engine"
+      twobit_crashed_replica;
   ]
 
 let slow_suite =
