@@ -10,7 +10,9 @@
      dune exec bench/main.exe -- [--sections a,b] [--json out.json]
 
    With --json, every numeric result also lands in a machine-readable
-   file (see the BENCH_*.json baselines at the repo root). *)
+   file.  Rows written with [Json.count] are host-independent and carry
+   "exact": true; bench/check_counts.sh gates them against the
+   committed reference bench/counts.json. *)
 
 open Bechamel
 open Toolkit
@@ -23,14 +25,23 @@ let section name =
   line ()
 
 (* ------------------------------------------------------------------ *)
-(* Machine-readable output: sections push (name, value) metrics here;  *)
+(* Machine-readable output: sections push (name, value) rows here;     *)
 (* --json dumps them all at exit.                                      *)
 
 module Json = struct
-  let metrics : (string * string * float) list ref = ref []
+  (* (section, name, value, exact) *)
+  let rows : (string * string * float * bool) list ref = ref []
 
+  (* a measurement that may differ between hosts: a clock, Gc, a
+     virtual-time figure, or anything drawn through libm (Zipf's
+     Float.pow may round differently on macOS) *)
   let metric ~section name value =
-    metrics := (section, name, value) :: !metrics
+    rows := (section, name, value, false) :: !rows
+
+  (* a count that repeats exactly on every host and compiler: gated
+     against bench/counts.json by bench/check_counts.sh *)
+  let count ~section name value =
+    rows := (section, name, value, true) :: !rows
 
   let escape s =
     let b = Buffer.create (String.length s) in
@@ -46,20 +57,27 @@ module Json = struct
       s;
     Buffer.contents b
 
-  let number v =
-    (* JSON has no nan/inf; benches that fail to estimate yield null *)
-    if Float.is_finite v then Printf.sprintf "%.6g" v else "null"
+  let number ~exact v =
+    (* JSON has no nan/inf; benches that fail to estimate yield null.
+       A count keeps enough digits that any move in it shows. *)
+    if Float.is_finite v then Printf.sprintf "%.*g" (if exact then 12 else 6) v
+    else "null"
 
   let write path =
     let oc = open_out path in
-    let rows = List.rev !metrics in
+    let rows = List.rev !rows in
     Printf.fprintf oc "{\n  \"schema\": \"bloom-register-bench/1\",\n";
+    Printf.fprintf oc
+      "  \"host\": {\"hardware_threads\": %d, \"ocaml\": \"%s\"},\n"
+      (Domain.recommended_domain_count ())
+      (escape Sys.ocaml_version);
     Printf.fprintf oc "  \"metrics\": [\n";
     List.iteri
-      (fun i (s, n, v) ->
+      (fun i (s, n, v, exact) ->
         Printf.fprintf oc
-          "    {\"section\": \"%s\", \"name\": \"%s\", \"value\": %s}%s\n"
-          (escape s) (escape n) (number v)
+          "    {\"section\": \"%s\", \"name\": \"%s\", \"value\": %s%s}%s\n"
+          (escape s) (escape n) (number ~exact v)
+          (if exact then ", \"exact\": true" else "")
           (if i = List.length rows - 1 then "" else ","))
       rows;
     Printf.fprintf oc "  ]\n}\n";
@@ -97,6 +115,16 @@ let entry i =
   { Net.Storage.reg = i mod 64; ts = i + 1;
     pl = Registers.Tagged.make i (i land 1 = 0) }
 
+(* a simulated run must complete every op with an atomic history *)
+let check_sim what o =
+  if o.Net.Sim_run.completed <> o.Net.Sim_run.expected then
+    Fmt.failwith "%s: %d of %d ops completed" what o.Net.Sim_run.completed
+      o.Net.Sim_run.expected;
+  if o.Net.Sim_run.monitor_violation <> None
+     || o.Net.Sim_run.key_violations <> []
+     || not o.Net.Sim_run.fastcheck_ok
+  then Fmt.failwith "%s: history is not atomic" what
+
 (* 2 writers + 2 readers, [n] ops each, every written value unique *)
 let two_by_two n =
   Harness.Workload.unique_scripts
@@ -113,19 +141,32 @@ let bench_access_counts () =
       (Core.Protocol.bloom ~init:0 ~other_init:0 ())
       (two_by_two 50)
   in
-  Fmt.pr "%a@." Harness.Stats.pp_access_summary
-    (Harness.Stats.summarise_accesses trace);
+  let s = Harness.Stats.summarise_accesses trace in
+  Fmt.pr "%a@." Harness.Stats.pp_access_summary s;
   Fmt.pr "paper claims: read = 3 reads + 0 writes; write = 1 read + 1 write@.";
-  Fmt.pr "space: %d extra bit(s) per real register (paper claims 1)@.@."
-    (Registers.Tagged.extra_bits (Registers.Tagged.initial 0));
+  let count name v = Json.count ~section:"access-counts" name (float_of_int v) in
+  let range name (lo, hi) =
+    count (name ^ " min") lo;
+    count (name ^ " max") hi
+  in
+  range "simulated read real reads" s.Harness.Stats.op_reads;
+  range "simulated read real writes" s.Harness.Stats.op_read_writes;
+  range "simulated write real reads" s.Harness.Stats.wr_reads;
+  range "simulated write real writes" s.Harness.Stats.wr_writes;
+  let bits = Registers.Tagged.extra_bits (Registers.Tagged.initial 0) in
+  count "extra bits per real register" bits;
+  Fmt.pr "space: %d extra bit(s) per real register (paper claims 1)@.@." bits;
   let w = 4 in
   let ts = Baselines.Timestamp_mwmr.build ~writers:w ~init:0 in
+  let steps p = Registers.Vm.steps ~probe:(0, 0, -1) p in
+  let ts_read = steps (ts.Registers.Vm.read ~proc:9)
+  and ts_write = steps (ts.Registers.Vm.write ~proc:0 1) in
+  count "timestamp MWMR 4 writers read accesses" ts_read;
+  count "timestamp MWMR 4 writers write accesses" ts_write;
   Fmt.pr
     "timestamp MWMR baseline (%d writers): read = %d reads, write = %d \
      accesses, and unbounded stamps@.@."
-    w
-    (Registers.Vm.steps ~probe:(0, 0, -1) (ts.Registers.Vm.read ~proc:9))
-    (Registers.Vm.steps ~probe:(0, 0, -1) (ts.Registers.Vm.write ~proc:0 1))
+    w ts_read ts_write
 
 (* ------------------------------------------------------------------ *)
 (* Figure 2: throughput of the simulated register under real           *)
@@ -299,7 +340,7 @@ let bench_modelcheck () =
    | Some v ->
      Fmt.pr "  fig5: tournament violation found after %d executions (%.3fs)@."
        v.Modelcheck.Explorer.executions_checked dt
-   | None -> Fmt.pr "  fig5: NO VIOLATION (unexpected)@.");
+   | None -> Fmt.failwith "modelcheck: fig5 tournament shows no violation");
   Fmt.pr "@."
 
 (* ------------------------------------------------------------------ *)
@@ -538,23 +579,20 @@ let bench_net () =
       Json.metric ~section:"net" (pre ^ " ops per vtime") ops_per_vt;
       Json.metric ~section:"net" (pre ^ " latency p50 vt") p50;
       Json.metric ~section:"net" (pre ^ " latency p99 vt") p99;
-      Json.metric ~section:"net" (pre ^ " msgs per op") msgs_per_op;
+      Json.count ~section:"net" (pre ^ " msgs per op") msgs_per_op;
       Fmt.pr
         "    drop %.2f dup %.2f: %3d/%d ops, %5.2f ops/vtime, latency p50 \
-         %5.1f p99 %5.1f vt, %5.1f msgs/op, %d retransmits%s@."
+         %5.1f p99 %5.1f vt, %5.1f msgs/op, %d retransmits@."
         drop (drop /. 2.0) o.Net.Sim_run.completed o.Net.Sim_run.expected
         ops_per_vt p50 p99 msgs_per_op
-        o.Net.Sim_run.quorum.Net.Engine.retransmissions
-        (if o.Net.Sim_run.monitor_violation = None && o.Net.Sim_run.fastcheck_ok
-         then ""
-         else "  [NOT ATOMIC!]"))
+        o.Net.Sim_run.quorum.Net.Engine.retransmissions;
+      check_sim ("net " ^ pre) o)
     [ 0.0; 0.1; 0.3 ];
   Fmt.pr "@."
 
 (* ------------------------------------------------------------------ *)
 (* net/shard: throughput scaling of the sharded keyspace — shard count *)
-(* x pipelining window on the simulator (deterministic, the baseline   *)
-(* BENCH_003.json tracks this).                                        *)
+(* x pipelining window on the simulator (deterministic).               *)
 
 let bench_net_shard () =
   section "net/shard - sharded keyspace scaling";
@@ -575,202 +613,19 @@ let bench_net_shard () =
           let ops_per_vt =
             float_of_int o.Net.Sim_run.completed /. o.Net.Sim_run.virtual_span
           in
-          let all_ok =
-            o.Net.Sim_run.key_violations = [] && o.Net.Sim_run.fastcheck_ok
-          in
           Json.metric ~section:"net-shard"
             (Fmt.str "sim shards %d window %d ops per vtime" shards window)
             ops_per_vt;
           Fmt.pr
             "    shards %d window %2d: %3d/%d ops in vt %7.1f -> %5.2f \
-             ops/vtime, %d keys%s@."
+             ops/vtime, %d keys@."
             shards window o.Net.Sim_run.completed o.Net.Sim_run.expected
             o.Net.Sim_run.virtual_span ops_per_vt
-            (List.length o.Net.Sim_run.key_fastcheck)
-            (if all_ok then "" else "  [NOT ATOMIC!]"))
+            (List.length o.Net.Sim_run.key_fastcheck);
+          check_sim (Fmt.str "net-shard shards %d window %d" shards window) o)
         [ 1; 2; 4; 8 ])
     [ 8; 16 ];
   Fmt.pr "@."
-
-(* ------------------------------------------------------------------ *)
-(* net-socket: the multicore epoll runtime — worker domains x shards x *)
-(* client batch over real sockets, served by a Server_pool with corked *)
-(* cores and emit-coalescing replicas.  BENCH_008.json tracks this;    *)
-(* the shards x batch points of BENCH_003.json (threads runtime, no    *)
-(* pool, no coalescing) are the baseline it is compared against.       *)
-
-let pool_run_once ?(nkeys = 0) ?(window = 32) ?group_commit ~domains ~shards
-    ~batch_max () =
-    let net = Net.Socket_net.create () in
-    let metrics = Net.Socket_net.metrics net in
-    let tr = Net.Socket_net.transport net in
-    let replica_nodes = [ 0; 1; 2 ] in
-    (* a corked quorum burst costs each replica one reply frame *)
-    List.iter
-      (fun r ->
-        Net.Socket_net.listen net r
-          (Net.Replica.serve (Net.Replica.create ~init:0 ()) ~transport:tr
-             ~me:r))
-      replica_nodes;
-    (* durable variant: each worker gets its own wts store on real
-       files with group commit — the fsync stalls are what worker
-       domains overlap with execution, even on one hardware thread *)
-    let data_dir = Option.map (fun _ -> fresh_dir "bench_pool") group_commit in
-    let storage d =
-      match (data_dir, group_commit) with
-      | Some dir, Some g ->
-        Some
-          (Net.Storage.create ~snapshot_every:4096
-             ~group_commit:
-               { Net.Storage.batch_max = g; flush_every = 0.0005 }
-             (Net.Storage.file_backend ~fsync:true
-                ~dir:(Filename.concat dir ("server-d" ^ string_of_int d))
-                ()))
-      | _ -> None
-    in
-    let pool =
-      Net.Server_pool.create ~transport:tr ~audit:true ~metrics ~storage
-        ~map:(Net.Shard_map.create ~shards ()) ~domains
-        ~me:Net.Transport.server ~replicas:replica_nodes ~init:0 ()
-    in
-    Net.Socket_net.listen net Net.Transport.server (fun ~src msg ->
-        Net.Server_pool.dispatch pool ~src msg);
-    let nkeys = if nkeys > 0 then nkeys else max shards 1 in
-    let processes = two_by_two 2400 in
-    let t0 = Unix.gettimeofday () in
-    let threads =
-      List.map
-        (fun { Registers.Vm.proc; script } ->
-          Thread.create
-            (fun () ->
-              let c =
-                Net.Client.connect ~net ~server:Net.Transport.server
-                  ~batch_max ~proc ()
-              in
-              ignore
-                (Net.Client.run_keyed ~window c
-                   (List.mapi (fun i op -> (i mod nkeys, op)) script));
-              Net.Client.close c)
-            ())
-        processes
-    in
-    List.iter Thread.join threads;
-    let dt = Unix.gettimeofday () -. t0 in
-    Net.Server_pool.stop pool;
-    let served = Net.Server_pool.ops_served pool in
-    let clean = Net.Server_pool.violations pool = [] in
-    let rtt = Net.Metrics.(summarise (histogram metrics "client_rtt")) in
-    Net.Socket_net.shutdown net;
-    Option.iter rm_dir data_dir;
-    (float_of_int served /. dt, served, clean, rtt)
-
-let bench_net_socket_pool () =
-  section "net-socket - multicore epoll runtime: domains x shards x batch";
-  Fmt.pr
-    "  socket transport (epoll runtime), 3 replicas, 4 clients, 9600 ops,@.";
-  Fmt.pr
-    "  window 64, 16 keys per shard, best of 3 (host: %d hardware thread%s):@."
-    (Domain.recommended_domain_count ())
-    (if Domain.recommended_domain_count () = 1 then "" else "s");
-  List.iter
-    (fun (domains, shards, batch_max, group_commit) ->
-      (* wall-clock runs on a shared machine are noisy: keep the best
-         of three — the least-interfered run is the honest cost *)
-      let best = ref None in
-      for _ = 1 to 3 do
-        let ((ops_s, _, _, _) as r) =
-          pool_run_once ~nkeys:(16 * shards) ~window:64 ?group_commit
-            ~domains ~shards ~batch_max ()
-        in
-        match !best with
-        | Some (b, _, _, _) when b >= ops_s -> ()
-        | _ -> best := Some r
-      done;
-      let ops_s, served, clean, rtt = Option.get !best in
-      let us x = x *. 1e6 in
-      let dur =
-        match group_commit with
-        | None -> ""
-        | Some g -> Fmt.str " fsync gc %d" g
-      in
-      let pre =
-        Fmt.str "socket domains %d shards %d batch %d%s" domains shards
-          batch_max dur
-      in
-      Json.metric ~section:"net-socket" (pre ^ " ops per s") ops_s;
-      Json.metric ~section:"net-socket" (pre ^ " rtt p50 us")
-        (us rtt.Net.Metrics.p50);
-      Json.metric ~section:"net-socket" (pre ^ " rtt p99 us")
-        (us rtt.Net.Metrics.p99);
-      Fmt.pr
-        "    domains %d shards %2d batch %2d%-12s: %5d ops -> %8.0f ops/s, \
-         rtt p50 %6.0f us p99 %6.0f us%s@."
-        domains shards batch_max dur served ops_s
-        (us rtt.Net.Metrics.p50) (us rtt.Net.Metrics.p99)
-        (if clean then "" else "  [AUDIT VIOLATION!]"))
-    [
-      (* in-memory series: the BENCH_003 socket section (threads
-         runtime, no pool, no coalescing) peaked at 3.7k ops/s *)
-      (1, 1, 1, None);
-      (1, 4, 1, None);
-      (1, 4, 32, None);
-      (1, 8, 32, None);
-      (2, 8, 32, None);
-      (4, 8, 32, None);
-      (* durable series: per-worker wts stores on real files with
-         fsync, group commit 32 — what the batch fast path feeds *)
-      (1, 8, 32, Some 32);
-      (4, 8, 32, Some 32);
-    ];
-  Json.metric ~section:"net-socket" "host hardware threads"
-    (float_of_int (Domain.recommended_domain_count ()));
-  Fmt.pr "@."
-
-(* ------------------------------------------------------------------ *)
-(* net/metrics: the observability layer's own view of the service —    *)
-(* per-op message complexity and per-phase latency percentiles, from   *)
-(* the Metrics registry rather than ad-hoc timing.                     *)
-
-let bench_net_metrics () =
-  section "net/metrics - message complexity and phase latencies";
-  let pf fmt = Fmt.pr fmt in
-  (* --- simulated transport: exact message counts, virtual-time phases --- *)
-  let sim_leg ~label ~faults =
-    let metrics = Net.Metrics.create () in
-    let o =
-      Net.Sim_run.run
-        (Net.Sim_run.build ~faults ~metrics ~seed:11 ~init:0
-           ~processes:(two_by_two 50) ())
-    in
-    let ops = max 1 o.Net.Sim_run.completed in
-    let msgs_per_op =
-      float_of_int (Net.Metrics.get metrics "frames_sent") /. float_of_int ops
-    in
-    let p1 = Net.Metrics.(summarise (histogram metrics "quorum_phase1")) in
-    let p2 = Net.Metrics.(summarise (histogram metrics "quorum_phase2")) in
-    let so = Net.Metrics.(summarise (histogram metrics "server_op")) in
-    let pre = Fmt.str "sim %s" label in
-    Json.metric ~section:"net-metrics" (pre ^ " msgs per op") msgs_per_op;
-    Json.metric ~section:"net-metrics" (pre ^ " phase1 p50 vt") p1.Net.Metrics.p50;
-    Json.metric ~section:"net-metrics" (pre ^ " phase1 p99 vt") p1.Net.Metrics.p99;
-    Json.metric ~section:"net-metrics" (pre ^ " phase2 p50 vt") p2.Net.Metrics.p50;
-    Json.metric ~section:"net-metrics" (pre ^ " phase2 p99 vt") p2.Net.Metrics.p99;
-    Json.metric ~section:"net-metrics" (pre ^ " op p50 vt") so.Net.Metrics.p50;
-    Json.metric ~section:"net-metrics" (pre ^ " op p99 vt") so.Net.Metrics.p99;
-    pf
-      "  sim %-9s %5.1f msgs/op; phase1 p50 %5.2f p99 %6.2f vt; phase2 p50 \
-       %5.2f p99 %6.2f vt; op p50 %6.2f p99 %7.2f vt@."
-      label msgs_per_op p1.Net.Metrics.p50 p1.Net.Metrics.p99
-      p2.Net.Metrics.p50 p2.Net.Metrics.p99 so.Net.Metrics.p50
-      so.Net.Metrics.p99
-  in
-  sim_leg ~label:"reliable" ~faults:Net.Sim_net.reliable;
-  sim_leg ~label:"drop 0.15"
-    ~faults:(Net.Sim_net.lossy ~drop:0.15 ~duplicate:0.075 ());
-  pf
-    "  (ABD: write = 1 quorum round; read = 1, plus a write-back round \
-     when its pair is not yet known stored on a majority; 2 msgs per \
-     replica of the round's majority window + client req/resp)@.@."
 
 (* ------------------------------------------------------------------ *)
 (* Allocation attribution: minor words per op, split by the role that  *)
@@ -940,8 +795,7 @@ let bench_net_alloc () =
 
 (* ------------------------------------------------------------------ *)
 (* Schedule exploration: how fast the adversary enumerates, how much   *)
-(* sleep-set pruning buys, how quickly the broken variant is caught    *)
-(* (BENCH_004.json tracks this).                                       *)
+(* sleep-set pruning buys, how quickly the broken variant is caught.   *)
 
 let bench_net_explore () =
   section "net/explore - systematic schedule exploration of the service";
@@ -958,7 +812,7 @@ let bench_net_explore () =
     let res, dt = timed (fun () -> Net.Explore.explore cfg) in
     let s = res.Net.Explore.stats in
     let rate = float_of_int s.Modelcheck.Schedule.schedules /. dt in
-    Json.metric ~section:"net-explore" (label ^ " schedules") 
+    Json.count ~section:"net-explore" (label ^ " schedules")
       (float_of_int s.Modelcheck.Schedule.schedules);
     Json.metric ~section:"net-explore" (label ^ " schedules per s") rate;
     pf "  %-28s %6d schedules %9.0f /s  depth <= %-3d %s@." label
@@ -970,7 +824,7 @@ let bench_net_explore () =
   let two_writers = [ proc 0 [ w 7 ]; proc 1 [ w 9 ] ] in
   let pruned = leg ~label:"2 writers, pruned" ~prune:true two_writers in
   let full = leg ~label:"2 writers, no pruning" ~prune:false two_writers in
-  Json.metric ~section:"net-explore" "pruning leverage x"
+  Json.count ~section:"net-explore" "pruning leverage x"
     (float_of_int full /. float_of_int (max 1 pruned));
   pf "  pruning leverage: %.2fx fewer schedules@."
     (float_of_int full /. float_of_int (max 1 pruned));
@@ -987,33 +841,42 @@ let bench_net_explore () =
   in
   let res, dt = timed (fun () -> Net.Explore.hunt ~seed:42 broken) in
   (match res.Net.Explore.counterexample with
-   | None -> pf "  broken read quorum: NOT caught (bug!)@."
+   | None -> Fmt.failwith "net-explore: broken read quorum not caught"
    | Some ce ->
      let walks = res.Net.Explore.stats.Modelcheck.Schedule.schedules in
-     Json.metric ~section:"net-explore" "broken-quorum walks to violation"
+     Json.count ~section:"net-explore" "broken-quorum walks to violation"
        (float_of_int walks);
      Json.metric ~section:"net-explore" "broken-quorum s to violation" dt;
      pf "  broken read quorum caught in %d walks (%.2fs)@." walks dt;
      let (_, ce'), sdt = timed (fun () -> Net.Explore.shrink broken ce) in
+     let shrunk = List.length ce'.Net.Explore.schedule in
+     Json.count ~section:"net-explore" "broken-quorum shrunk choices"
+       (float_of_int shrunk);
      Json.metric ~section:"net-explore" "shrink s" sdt;
      pf "  shrunk %d -> %d choices (%.2fs)@."
        (List.length ce.Net.Explore.schedule)
-       (List.length ce'.Net.Explore.schedule)
-       sdt);
+       shrunk sdt);
   (* --- torture throughput --- *)
   let rep, dt = timed (fun () -> Net.Explore.torture ~runs:300 ~seed:9 ()) in
   let rate = float_of_int rep.Net.Explore.runs /. dt in
   Json.metric ~section:"net-explore" "torture runs per s" rate;
   Json.metric ~section:"net-explore" "torture ops per s"
     (float_of_int rep.Net.Explore.ops_completed /. dt);
+  Json.count ~section:"net-explore" "torture ops"
+    (float_of_int rep.Net.Explore.ops_completed);
+  Json.count ~section:"net-explore" "torture violations"
+    (float_of_int rep.Net.Explore.violations);
+  Json.count ~section:"net-explore" "torture stalls"
+    (float_of_int rep.Net.Explore.stalled);
   pf "  torture: %d runs %6.0f runs/s, %d ops, %d violations, %d stalls@.@."
     rep.Net.Explore.runs rate rep.Net.Explore.ops_completed
     rep.Net.Explore.violations rep.Net.Explore.stalled
 
 (* ------------------------------------------------------------------ *)
 (* net/recovery: the durability layer — WAL append throughput on both  *)
-(* backends, recovery time as the log grows, and the snapshot-interval *)
-(* trade-off between log size and recovery work (BENCH_005.json).      *)
+(* backends and under group commit (N appends, one write+fsync), the   *)
+(* recovery time as the log grows, and the snapshot-interval trade-off *)
+(* between log size and recovery work.                                 *)
 
 let bench_net_recovery () =
   section "net-recovery - WAL appends, recovery time, snapshot intervals";
@@ -1026,22 +889,57 @@ let bench_net_recovery () =
    let rate = float_of_int n /. dt in
    Json.metric ~section:"net-recovery" "mem appends per s" rate;
    pf "  append  mem backend         %8.0f appends/s@." rate);
-  let file_leg ~fsync ~label =
+  (* every file leg goes through the async path plus one final flush
+     and must see every ack fire: persist-before-ack, not
+     fire-and-forget *)
+  let file_leg ?group_commit ~fsync ~label n =
     let dir = fresh_dir "bench_storage" in
     let st =
-      Net.Storage.create (Net.Storage.file_backend ~fsync ~dir ())
+      Net.Storage.create ?group_commit
+        (Net.Storage.file_backend ~fsync ~dir ())
     in
-    let n = if fsync then 500 else n in
-    let (), dt = timed (fun () -> fill st n) in
+    let acked = ref 0 in
+    let (), dt =
+      timed (fun () ->
+          for i = 0 to n - 1 do
+            Net.Storage.append_async st (entry i) ~k:(fun () -> incr acked)
+          done;
+          Net.Storage.flush st)
+    in
+    if !acked <> n then
+      Fmt.failwith "net-recovery: %s: %d of %d appends acked" label !acked n;
     let rate = float_of_int n /. dt in
     Json.metric ~section:"net-recovery"
       (Fmt.str "file appends per s (%s)" label) rate;
-    pf "  append  file backend %-7s %8.0f appends/s@." ("(" ^ label ^ ")")
-      rate;
-    rm_dir dir
+    pf "  append  file backend %-18s %8.0f appends/s (max batch %d)@."
+      ("(" ^ label ^ ")") rate (Net.Storage.stats st).Net.Storage.max_batch;
+    rm_dir dir;
+    rate
   in
-  file_leg ~fsync:false ~label:"no fsync";
-  file_leg ~fsync:true ~label:"fsync";
+  let ceil_rate = file_leg ~fsync:false ~label:"no fsync" n in
+  let sync_rate = file_leg ~fsync:true ~label:"fsync" 500 in
+  let best_rate =
+    List.fold_left
+      (fun best bm ->
+        Float.max best
+          (file_leg ~fsync:true
+             ~group_commit:{ Net.Storage.batch_max = bm; flush_every = 0.0005 }
+             ~label:(Fmt.str "fsync, batch %d" bm)
+             (if bm < 8 then 400 else 20_000)))
+      0.0 [ 1; 8; 64; 256 ]
+  in
+  (* the acceptance claim, checked where the numbers are made: batched
+     fsync must beat one fsync per append at least 5x *)
+  let speedup = best_rate /. sync_rate and frac = best_rate /. ceil_rate in
+  Json.metric ~section:"net-recovery" "best batch speedup over per-append"
+    speedup;
+  Json.metric ~section:"net-recovery" "best batch fraction of no-fsync" frac;
+  pf "  best batch: %5.1fx over per-append fsync, %4.2f of the no-fsync \
+      ceiling@."
+    speedup frac;
+  if speedup < 5.0 then
+    Fmt.failwith "net-recovery: best batch only %.1fx over per-append fsync"
+      speedup;
   (* --- recovery time vs log length: reopen a file store whose WAL
      holds L entries and no snapshot --- *)
   pf "  recovery time vs WAL length (file backend, no snapshot):@.";
@@ -1078,7 +976,7 @@ let bench_net_recovery () =
       in
       let live = Net.Storage.stats st and s = Net.Storage.stats st' in
       let label = if every = 0 then "never" else string_of_int every in
-      Json.metric ~section:"net-recovery"
+      Json.count ~section:"net-recovery"
         (Fmt.str "snapshot every %s wal bytes" label)
         (float_of_int s.Net.Storage.wal_size);
       Json.metric ~section:"net-recovery"
@@ -1112,11 +1010,9 @@ let bench_net_recovery () =
 (* ------------------------------------------------------------------ *)
 (* net/engine: the two replication protocols head to head on identical *)
 (* workloads — bytes on the wire, control bytes, messages and virtual- *)
-(* time latency per operation (BENCH_006.json).  The twobit engine's   *)
-(* claim is wire economy: counting over FIFO links replaces request    *)
-(* ids and timestamps, and a read asks one replica and completes on    *)
-(* its reply.  CI pins the reliable leg's counts to                    *)
-(* bench/engine_counts.json.                                           *)
+(* time latency per operation.  The twobit engine's claim is wire      *)
+(* economy: counting over FIFO links replaces request ids and          *)
+(* timestamps, and a read asks one replica and completes on its reply. *)
 
 let bench_net_engine () =
   section "net-engine - abd vs twobit: wire cost and latency per op";
@@ -1131,8 +1027,7 @@ let bench_net_engine () =
            ~engine:{ Net.Engine.kind }
            ~processes:workload ())
     in
-    assert (o.Net.Sim_run.monitor_violation = None);
-    assert (o.Net.Sim_run.fastcheck_ok);
+    check_sim ("net-engine " ^ Net.Engine.kind_name kind) o;
     o
   in
   List.iter
@@ -1159,14 +1054,14 @@ let bench_net_engine () =
               (Harness.Stats.percentile_opt lat p)
           in
           let pre = Fmt.str "%s drop %.2f" (Net.Engine.kind_name kind) drop in
-          Json.metric ~section:"net-engine" (pre ^ " bytes per op")
+          Json.count ~section:"net-engine" (pre ^ " bytes per op")
             bytes_per_op;
-          Json.metric ~section:"net-engine" (pre ^ " control bytes per op")
+          Json.count ~section:"net-engine" (pre ^ " control bytes per op")
             ctrl_per_op;
-          Json.metric ~section:"net-engine" (pre ^ " msgs per op") msgs_per_op;
+          Json.count ~section:"net-engine" (pre ^ " msgs per op") msgs_per_op;
           Json.metric ~section:"net-engine" (pre ^ " latency p50 vt") (pct 50.0);
           Json.metric ~section:"net-engine" (pre ^ " latency p99 vt") (pct 99.0);
-          Json.metric ~section:"net-engine" (pre ^ " retransmissions")
+          Json.count ~section:"net-engine" (pre ^ " retransmissions")
             (float_of_int q.Net.Engine.retransmissions);
           pf
             "    %-6s %3d/%d ops: %6.1f bytes/op (%5.1f control), %4.1f \
@@ -1195,87 +1090,15 @@ let bench_net_engine () =
   pf "@."
 
 (* ------------------------------------------------------------------ *)
-(* net/groupcommit: amortizing the fsync floor (BENCH_007.json).  The  *)
-(* claim: batching N appends into one write+fsync recovers most of the *)
-(* no-fsync throughput while keeping persist-before-ack — acks fire    *)
-(* only after the batch is on disk.                                    *)
-
-let bench_net_groupcommit () =
-  section "net-groupcommit - fsync amortization via batched WAL commits";
-  let pf = Fmt.pr in
-  (* every leg runs the same shape: n appends through the store, rate
-     out; group legs go through the async path + one final flush and
-     must see every ack fire (persist-before-ack, not fire-and-forget) *)
-  let leg ~fsync ~group_commit ~n =
-    let dir = fresh_dir "bench_gc" in
-    let st =
-      Net.Storage.create ?group_commit
-        (Net.Storage.file_backend ~fsync ~dir ())
-    in
-    let acked = ref 0 in
-    let (), dt =
-      timed (fun () ->
-          for i = 0 to n - 1 do
-            Net.Storage.append_async st (entry i) ~k:(fun () -> incr acked)
-          done;
-          Net.Storage.flush st)
-    in
-    if !acked <> n then
-      Fmt.failwith "net-groupcommit: %d of %d appends acked" !acked n;
-    let stats = Net.Storage.stats st in
-    rm_dir dir;
-    (float_of_int n /. dt, stats)
-  in
-  (* the fsync floor: one write+fsync per append (group commit off) *)
-  let sync_rate, _ = leg ~fsync:true ~group_commit:None ~n:400 in
-  Json.metric ~section:"net-groupcommit" "fsync per-append rate" sync_rate;
-  pf "  fsync per append            %8.0f appends/s@." sync_rate;
-  (* the ceiling: no fsync at all, same store machinery *)
-  let ceil_rate, _ = leg ~fsync:false ~group_commit:None ~n:50_000 in
-  Json.metric ~section:"net-groupcommit" "no-fsync rate" ceil_rate;
-  pf "  no fsync                    %8.0f appends/s@." ceil_rate;
-  (* batch sweep: one write+fsync per BATCH *)
-  let best_bm, best_rate =
-    List.fold_left
-      (fun ((_, best) as acc) bm ->
-        let rate, stats =
-          leg ~fsync:true
-            ~group_commit:
-              (Some { Net.Storage.batch_max = bm; flush_every = 0.0005 })
-            ~n:(if bm < 8 then 400 else 20_000)
-        in
-        Json.metric ~section:"net-groupcommit"
-          (Fmt.str "fsync batch %d rate" bm) rate;
-        pf "  fsync, batch %-4d           %8.0f appends/s (max batch %d)@."
-          bm rate stats.Net.Storage.max_batch;
-        if rate > best then (bm, rate) else acc)
-      (0, 0.0) [ 1; 8; 64; 256 ]
-  in
-  (* the acceptance claims, checked where the numbers are made: batched
-     fsync must close most of the gap to the no-fsync ceiling *)
-  let speedup = best_rate /. Float.max 1e-9 sync_rate in
-  let vs_ceiling = best_rate /. Float.max 1e-9 ceil_rate in
-  Json.metric ~section:"net-groupcommit" "best batch speedup over per-append"
-    speedup;
-  Json.metric ~section:"net-groupcommit" "best batch fraction of no-fsync"
-    vs_ceiling;
-  pf "  batch %d: %5.1fx over per-append fsync, %4.2f of the no-fsync \
-      ceiling@.@."
-    best_bm speedup vs_ceiling;
-  if speedup < 5.0 then
-    Fmt.failwith
-      "net-groupcommit: best batch only %.1fx over per-append fsync" speedup
-
-(* ------------------------------------------------------------------ *)
 (* net/txn: atomic multi-key batches, snapshot reads and the WAL GC    *)
-(* frontier (BENCH_009.json).  Two measurements: (1) the atomicity     *)
-(* premium — an atomic K-key batch moves the same engine work as K     *)
-(* plain writes but its locks serialize writers that touch the same    *)
-(* keyspan, so the bench quantifies what all-or-nothing actually       *)
-(* costs over independent writes; (2) under a sustained mixed          *)
-(* batch/snapshot workload the gc_bytes frontier keeps every replica   *)
-(* WAL bounded while the GC-off log grows with the workload, and every *)
-(* ack still fires (GC collects only durable, superseded entries).     *)
+(* frontier.  Two measurements: (1) the atomicity premium — an atomic  *)
+(* K-key batch moves the same engine work as K plain writes but its    *)
+(* locks serialize writers that touch the same keyspan, so the bench   *)
+(* quantifies what all-or-nothing actually costs over independent      *)
+(* writes; (2) under a sustained mixed batch/snapshot workload the     *)
+(* gc_bytes frontier keeps every replica WAL bounded while the GC-off  *)
+(* log grows with the workload, and every ack still fires (GC collects *)
+(* only durable, superseded entries).                                  *)
 
 let bench_net_txn () =
   section "net-txn - atomic batches vs plain writes, and the WAL GC frontier";
@@ -1410,13 +1233,13 @@ let bench_net_txn () =
   let o_on, wal_on =
     run_ok ~snapshot_every:0 ~gc_bytes:gc_threshold ~seed:17 mixed
   in
-  Json.metric ~section:"net-txn" "wal bytes gc off" (float_of_int wal_off);
-  Json.metric ~section:"net-txn" "wal bytes gc on" (float_of_int wal_on);
-  Json.metric ~section:"net-txn" "wal gc shrink factor"
+  Json.count ~section:"net-txn" "wal bytes gc off" (float_of_int wal_off);
+  Json.count ~section:"net-txn" "wal bytes gc on" (float_of_int wal_on);
+  Json.count ~section:"net-txn" "wal gc shrink factor"
     (float_of_int wal_off /. float_of_int (max 1 wal_on));
-  Json.metric ~section:"net-txn" "gc off acks"
+  Json.count ~section:"net-txn" "gc off acks"
     (float_of_int o_off.Net.Sim_run.completed);
-  Json.metric ~section:"net-txn" "gc on acks"
+  Json.count ~section:"net-txn" "gc on acks"
     (float_of_int o_on.Net.Sim_run.completed);
   pf
     "  mixed workload (2 writers x %d batches + 2 readers x %d snapshots), 3 \
@@ -1439,13 +1262,13 @@ let bench_net_txn () =
     (float_of_int wal_off /. float_of_int (max 1 wal_on))
 
 (* ------------------------------------------------------------------ *)
-(* net-reconfig: live resharding under a zipfian keyed workload        *)
-(* (BENCH_010.json).  A hot key soaks up most of a zipf(1.2) keyspace; *)
-(* mid-run the control client migrates it to the other shard while the *)
-(* clients keep hammering.  The claim the bench checks where the       *)
-(* numbers are made: the origin shard's share of completed operations  *)
-(* strictly decreases after the cutover, every ack fires, the epoch    *)
-(* advances, and every key's history stays atomic.                     *)
+(* net-reconfig: live resharding under a zipfian keyed workload.  A    *)
+(* hot key soaks up most of a zipf(1.2) keyspace; mid-run the control  *)
+(* client migrates it to the other shard while the clients keep        *)
+(* hammering.  The claim the bench checks where the numbers are made:  *)
+(* the origin shard's share of completed operations strictly decreases *)
+(* after the cutover, every ack fires, the epoch advances, and every   *)
+(* key's history stays atomic.                                         *)
 
 let bench_net_reconfig () =
   section "net-reconfig - live resharding under a zipfian keyed workload";
@@ -1751,13 +1574,10 @@ let all_sections =
     ("snapshot", bench_snapshot);
     ("net", bench_net);
     ("net-shard", bench_net_shard);
-    ("net-socket", bench_net_socket_pool);
-    ("net-metrics", bench_net_metrics);
     ("net-alloc", bench_net_alloc);
     ("net-explore", bench_net_explore);
     ("net-recovery", bench_net_recovery);
     ("net-engine", bench_net_engine);
-    ("net-groupcommit", bench_net_groupcommit);
     ("net-txn", bench_net_txn);
     ("net-reconfig", bench_net_reconfig);
     ("micro", run_micro);
