@@ -1,13 +1,13 @@
-(* The engine seam: everything the sharded service needs from a
-   replication protocol, as one first-class value.
+(* The engine vocabulary: what the sharded service and its callers
+   share about a replication protocol, with no engine code in it.
 
    An engine owns the client half of one replication protocol for one
    shard: it turns [read]/[write] on global register indices into
    messages to the replica set, consumes the replies routed back to it,
-   and drives retransmission.  The server/registry layers above and the
-   replica layer below are engine-polymorphic; a service instance picks
-   one [kind] at creation (shards stay engine-homogeneous) — see
-   DESIGN_NET.md §10. *)
+   and drives retransmission.  There are two, {!Quorum} (ABD) and
+   {!Engine_twobit}; {!Registry} holds one per shard as a two-case
+   value and dispatches on it.  A service instance picks one [kind] at
+   creation (shards stay engine-homogeneous) — see DESIGN_NET.md §10. *)
 
 type kind =
   | Abd  (* ABD-style quorum replication: rids + timestamps (Quorum) *)
@@ -63,52 +63,3 @@ let add_stats a b =
     bytes_sent = a.bytes_sent + b.bytes_sent;
     control_bytes_sent = a.control_bytes_sent + b.control_bytes_sent;
   }
-
-module type S = sig
-  type t
-
-  val read : t -> reg:int -> k:(Wire.payload -> unit) -> unit
-  val write : t -> reg:int -> value:Wire.payload -> k:(unit -> unit) -> unit
-
-  (* the migration pair (Reconfig): [read_ts] samples a register's
-     freshest (ts, payload) without a write-back; [write_at] installs a
-     pair verbatim under a caller-supplied timestamp.  Engines without
-     comparable timestamps (twobit) degrade: read_ts reports ts 0 and
-     write_at ignores ts (its apply counter orders stores by arrival). *)
-  val read_ts : t -> reg:int -> k:(int * Wire.payload -> unit) -> unit
-
-  val write_at :
-    t -> reg:int -> ts:int -> value:Wire.payload -> k:(unit -> unit) -> unit
-
-  (* [write] that reports the timestamp it chose, synchronously — the
-     dual-write leg replays it into the incoming group via [write_at] *)
-  val write_ts : t -> reg:int -> value:Wire.payload -> k:(unit -> unit) -> int
-
-  val on_message : t -> src:Transport.node -> Wire.msg -> unit
-  val resend_pending : ?older_than:float -> t -> bool
-  val stats : t -> stats
-end
-
-(* A packed engine: implementation module + its state, so the registry
-   can hold a heterogeneous-by-type, homogeneous-by-protocol array. *)
-type instance = Instance : (module S with type t = 'a) * 'a -> instance
-
-let read (Instance ((module M), t)) ~reg ~k = M.read t ~reg ~k
-
-let write (Instance ((module M), t)) ~reg ~value ~k =
-  M.write t ~reg ~value ~k
-
-let read_ts (Instance ((module M), t)) ~reg ~k = M.read_ts t ~reg ~k
-
-let write_at (Instance ((module M), t)) ~reg ~ts ~value ~k =
-  M.write_at t ~reg ~ts ~value ~k
-
-let write_ts (Instance ((module M), t)) ~reg ~value ~k =
-  M.write_ts t ~reg ~value ~k
-
-let on_message (Instance ((module M), t)) ~src msg = M.on_message t ~src msg
-
-let resend_pending ?older_than (Instance ((module M), t)) =
-  M.resend_pending ?older_than t
-
-let stats (Instance ((module M), t)) = M.stats t

@@ -341,20 +341,3 @@ let stats t =
     bytes_sent = t.bytes;
     control_bytes_sent = t.cbytes;
   }
-
-module Impl = struct
-  type nonrec t = t
-
-  let read = read
-  let write = write
-  let read_ts = read_ts
-  let write_at = write_at
-  let write_ts = write_ts
-  let on_message = on_message
-  let resend_pending = resend_pending
-  let stats = stats
-end
-
-let instance ~transport ~me ~replicas ~lid ?storage ?metrics () =
-  Engine.Instance
-    ((module Impl), create ~transport ~me ~replicas ~lid ?storage ?metrics ())

@@ -84,13 +84,12 @@ type t = {
   stopped : bool Atomic.t;
   mutable loop_tid : int;  (* Thread.id of the thread inside [run], or -1 *)
   mutable tseq : int;
-  on_error : exn -> unit;
 }
 
 (* Cap on one sleep so a lost wakeup can only ever delay, not hang. *)
 let max_sleep = 0.1
 
-let create ?(on_error = fun _ -> ()) () =
+let create () =
   let wake_r, wake_w = Unix.pipe () in
   Unix.set_nonblock wake_r;
   Unix.set_nonblock wake_w;
@@ -105,7 +104,6 @@ let create ?(on_error = fun _ -> ()) () =
     stopped = Atomic.make false;
     loop_tid = -1;
     tseq = 0;
-    on_error;
   }
 
 let in_loop t = t.loop_tid = Thread.id (Thread.self ())
@@ -187,7 +185,7 @@ let after t delay f =
 let fds t = Mutex.protect t.mu (fun () -> Hashtbl.length t.fds)
 let pending_timers t = Mutex.protect t.mu (fun () -> Theap.size t.timers)
 
-let guard t f = try f () with e -> t.on_error e
+let guard f = try f () with _ -> ()
 
 (* A closed-but-still-registered fd (a layering bug upstream) makes
    select raise EBADF; pruning the dead entries beats spinning. *)
@@ -213,7 +211,7 @@ let run t =
           Queue.clear t.posts;
           List.rev js)
     in
-    List.iter (guard t) jobs;
+    List.iter guard jobs;
     (* 2. due timers *)
     let now = Unix.gettimeofday () in
     let rec fire_due () =
@@ -225,7 +223,7 @@ let run t =
       in
       match due with
       | Some e ->
-        guard t e.Theap.f;
+        guard e.Theap.f;
         fire_due ()
       | None -> ()
     in
@@ -266,7 +264,7 @@ let run t =
                     Option.bind (Hashtbl.find_opt t.fds fd) (fun i ->
                         i.on_read))
               with
-              | Some cb -> guard t cb
+              | Some cb -> guard cb
               | None -> ())
           ready_r;
         List.iter
@@ -276,7 +274,7 @@ let run t =
                   Option.bind (Hashtbl.find_opt t.fds fd) (fun i ->
                       i.on_write))
             with
-            | Some cb -> guard t cb
+            | Some cb -> guard cb
             | None -> ())
           ready_w
     end

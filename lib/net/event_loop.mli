@@ -23,11 +23,11 @@
 
 type t
 
-val create : ?on_error:(exn -> unit) -> unit -> t
-(** A fresh loop (not yet running).  Allocates the wakeup pipe.
-    [on_error] (default: swallow) observes exceptions escaping a
-    callback — one broken handler must not tear down the transport
-    thread, so the loop catches, reports and keeps going. *)
+val create : unit -> t
+(** A fresh loop (not yet running).  Allocates the wakeup pipe.  An
+    exception escaping a callback is swallowed — one broken handler
+    must not tear down the transport thread, so the loop catches and
+    keeps going. *)
 
 val run : t -> unit
 (** Run the loop on the calling thread until {!stop}: drain posted

@@ -19,13 +19,6 @@ type phase =
       finish : unit -> unit;
     }
 
-type stats = {
-  reads : int;
-  writes : int;
-  messages_sent : int;
-  retransmissions : int;
-}
-
 (* Per register: the highest timestamp this engine has issued (the
    floor every later write must exceed) and the highest timestamp whose
    store phase — a write, a [write_at] or a write-back — it has seen
@@ -62,6 +55,8 @@ type t = {
   mutable writes : int;
   mutable sent : int;
   mutable retrans : int;
+  mutable bytes : int;
+  mutable cbytes : int;
   c : ctrs;
 }
 
@@ -124,6 +119,8 @@ let create ~transport ~me ~replicas ?read_quorum ?(skip_write_back = false)
     writes = 0;
     sent = 0;
     retrans = 0;
+    bytes = 0;
+    cbytes = 0;
     c;
   }
 
@@ -140,6 +137,8 @@ let fresh_rid t =
 
 let send_to t dst msg =
   t.sent <- t.sent + 1;
+  t.bytes <- t.bytes + Wire.encoded_size msg;
+  t.cbytes <- t.cbytes + Wire.control_bytes msg;
   t.tr.Transport.send ~src:t.me ~dst msg
 
 (* Where phase [rid]'s rotation starts: one place further on for each
@@ -365,8 +364,10 @@ let resend_pending ?(older_than = 0.0) t =
 
 let stats t =
   {
-    reads = t.reads;
+    Engine.reads = t.reads;
     writes = t.writes;
     messages_sent = t.sent;
     retransmissions = t.retrans;
+    bytes_sent = t.bytes;
+    control_bytes_sent = t.cbytes;
   }

@@ -164,14 +164,9 @@ val resend_pending : ?older_than:float -> t -> bool
     keeps a periodic timer from re-sending phases whose first
     transmission is still legitimately in flight.  Does not block. *)
 
-type stats = {
-  reads : int;
-  writes : int;
-  messages_sent : int;
-  retransmissions : int;
-}
-
-val stats : t -> stats
-(** Monotone operation/message counters since {!create}.  Reads
+val stats : t -> Engine.stats
+(** Monotone operation/message counters since {!create}; the byte
+    counters add up {!Wire.encoded_size} and {!Wire.control_bytes} of
+    every message this engine sends, resends included.  Reads
     mutable state without locking — call from the engine's driving
     thread, or accept a torn-but-monotone snapshot. *)

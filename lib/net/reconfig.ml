@@ -113,9 +113,6 @@ let admitting t key =
     false
   | _ -> true
 
-let old_engine t m = Registry.engine t.reg m.from_shard
-let new_engine t m = Registry.engine t.reg m.to_shard
-
 let cutover t m =
   Registry.set_map t.reg
     (Shard_map.advance (Registry.map t.reg) ~key:m.key ~to_shard:m.to_shard);
@@ -134,14 +131,15 @@ let sync_reg t m i ~done_one =
   end
   else
     let greg = Shard_map.global_reg m.key i in
-    Engine.read_ts (old_engine t m) ~reg:greg ~k:(fun (ts, pl) ->
+    Registry.read_ts t.reg ~shard:m.from_shard ~reg:greg ~k:(fun (ts, pl) ->
         if m.hot.(i) > 0 then begin
           t.sync_skips <- t.sync_skips + 1;
           done_one ()
         end
         else begin
           t.sync_installs <- t.sync_installs + 1;
-          Engine.write_at (new_engine t m) ~reg:greg ~ts ~value:pl ~k:done_one
+          Registry.write_at t.reg ~shard:m.to_shard ~reg:greg ~ts ~value:pl
+            ~k:done_one
         end)
 
 let rec start_sync t m =
@@ -238,8 +236,9 @@ let read t ~key ~reg ~k =
       (* no comparable timestamps: the outgoing group alone is current
          (every dual write broadcast there first, FIFO links deliver in
          issue order), so the migration read degrades to a plain read
-         of the old group *)
-      Engine.read (old_engine t m) ~reg:greg ~k
+         of the old group (a twobit [read_ts] is a plain read) *)
+      Registry.read_ts t.reg ~shard:m.from_shard ~reg:greg ~k:(fun (_, pl) ->
+          k pl)
     | Engine.Abd ->
       (* intersection read: collect from both groups, adopt the max
          timestamp, and write the winner back to the outgoing group —
@@ -250,14 +249,14 @@ let read t ~key ~reg ~k =
         match (!r_old, !r_new) with
         | Some (ts_o, pl_o), Some (ts_n, pl_n) ->
           let ts, pl = if ts_n > ts_o then (ts_n, pl_n) else (ts_o, pl_o) in
-          Engine.write_at (old_engine t m) ~reg:greg ~ts ~value:pl
-            ~k:(fun () -> k pl)
+          Registry.write_at t.reg ~shard:m.from_shard ~reg:greg ~ts
+            ~value:pl ~k:(fun () -> k pl)
         | _ -> ()
       in
-      Engine.read_ts (old_engine t m) ~reg:greg ~k:(fun r ->
+      Registry.read_ts t.reg ~shard:m.from_shard ~reg:greg ~k:(fun r ->
           r_old := Some r;
           try_finish ());
-      Engine.read_ts (new_engine t m) ~reg:greg ~k:(fun r ->
+      Registry.read_ts t.reg ~shard:m.to_shard ~reg:greg ~k:(fun r ->
           r_new := Some r;
           try_finish ()))
   | _ -> Registry.read t.reg ~key ~reg ~k
@@ -272,7 +271,7 @@ let write t ~key ~reg ~value ~k =
          acked during migration then lives only on the outgoing group,
          and a post-cutover read (new group only) misses it — the
          atomicity violation the explorer must find *)
-      Engine.write (old_engine t m) ~reg:greg ~value ~k
+      ignore (Registry.write_ts t.reg ~shard:m.from_shard ~reg:greg ~value ~k)
     else begin
       m.hot.(reg) <- m.hot.(reg) + 1;
       let pending = ref 2 in
@@ -285,9 +284,11 @@ let write t ~key ~reg ~value ~k =
          ts-comparable, and the ack waits for BOTH majorities — the
          dual-quorum write discipline *)
       let ts =
-        Engine.write_ts (old_engine t m) ~reg:greg ~value ~k:done_one
+        Registry.write_ts t.reg ~shard:m.from_shard ~reg:greg ~value
+          ~k:done_one
       in
-      Engine.write_at (new_engine t m) ~reg:greg ~ts ~value ~k:(fun () ->
+      Registry.write_at t.reg ~shard:m.to_shard ~reg:greg ~ts ~value
+        ~k:(fun () ->
           m.hot.(reg) <- m.hot.(reg) - 1;
           done_one ())
     end

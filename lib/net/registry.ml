@@ -10,15 +10,25 @@
    for the same registers, and only the rid stripe tells their replies
    apart. *)
 
+(* One shard's engine: a closed two-case value, and each engine
+   operation below is one [match] on it. *)
+type engine = Abd of Quorum.t | Twobit of Engine_twobit.t
+
 type t = {
   mutable map : Shard_map.t;
   spec : Engine.spec;
-  engines : Engine.instance array;
+  engines : engine array;
   c_ops : Metrics.counter array;  (* shard<i>_quorum_ops *)
 }
 
-let create ~transport ~me ~replicas ~map ?(engine = Engine.default) ?bug
-    ?storage ?metrics () =
+(* The [bug] hooks were validated against the engine kind when the
+   {!Bug.t} was made; only ABD's weakened read quorum and skipped
+   write-back reach an engine (twobit's hook lives in the replicas).
+   [rid_base]/[rid_stride] stripe the abd rid space per shard (see
+   Quorum); the twobit engine has no rids — its replies are matched by
+   link seq on the shard-indexed lid. *)
+let create ~transport ~me ~replicas ~map ?(engine = Engine.default)
+    ?(bug = Bug.none) ?storage ?metrics () =
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   let n = Shard_map.shards map in
   {
@@ -28,9 +38,18 @@ let create ~transport ~me ~replicas ~map ?(engine = Engine.default) ?bug
       (* the engines share one store safely: each is the exclusive
          writer of its shard's (disjoint) global registers *)
       Array.init n (fun s ->
-          Engines.create engine ?bug ~transport ~me
-            ~replicas:(Shard_map.group map ~replicas s)
-            ~lid:s ?storage ~metrics ~rid_base:s ~rid_stride:n ());
+          let replicas = Shard_map.group map ~replicas s in
+          match engine.Engine.kind with
+          | Engine.Abd ->
+            Abd
+              (Quorum.create ~transport ~me ~replicas
+                 ?read_quorum:bug.Bug.read_quorum
+                 ~skip_write_back:bug.Bug.skip_write_back ?storage ~metrics
+                 ~rid_base:s ~rid_stride:n ())
+          | Engine.Twobit ->
+            Twobit
+              (Engine_twobit.create ~transport ~me ~replicas ~lid:s ?storage
+                 ~metrics ()));
     c_ops =
       Array.init n (fun s ->
           Metrics.counter metrics (Fmt.str "shard%d_quorum_ops" s));
@@ -46,17 +65,42 @@ let set_map t map =
 let spec t = t.spec
 let shards t = Array.length t.engines
 let shard_of_key t key = Shard_map.shard_of_key t.map key
-let engine t shard = t.engines.(shard)
 
 let read t ~key ~reg ~k =
   let s = shard_of_key t key in
   Metrics.incr t.c_ops.(s);
-  Engine.read t.engines.(s) ~reg:(Shard_map.global_reg key reg) ~k
+  let reg = Shard_map.global_reg key reg in
+  match t.engines.(s) with
+  | Abd q -> Quorum.read q ~reg ~k
+  | Twobit e -> Engine_twobit.read e ~reg ~k
 
 let write t ~key ~reg ~value ~k =
   let s = shard_of_key t key in
   Metrics.incr t.c_ops.(s);
-  Engine.write t.engines.(s) ~reg:(Shard_map.global_reg key reg) ~value ~k
+  let reg = Shard_map.global_reg key reg in
+  match t.engines.(s) with
+  | Abd q -> Quorum.write q ~reg ~value ~k
+  | Twobit e -> Engine_twobit.write e ~reg ~value ~k
+
+let read_ts t ~shard ~reg ~k =
+  match t.engines.(shard) with
+  | Abd q -> Quorum.read_ts q ~reg ~k
+  | Twobit e -> Engine_twobit.read_ts e ~reg ~k
+
+let write_at t ~shard ~reg ~ts ~value ~k =
+  match t.engines.(shard) with
+  | Abd q -> Quorum.write_at q ~reg ~ts ~value ~k
+  | Twobit e -> Engine_twobit.write_at e ~reg ~ts ~value ~k
+
+let write_ts t ~shard ~reg ~value ~k =
+  match t.engines.(shard) with
+  | Abd q -> Quorum.write_ts q ~reg ~value ~k
+  | Twobit e -> Engine_twobit.write_ts e ~reg ~value ~k
+
+let deliver e ~src msg =
+  match e with
+  | Abd q -> Quorum.on_message q ~src msg
+  | Twobit e -> Engine_twobit.on_message e ~src msg
 
 (* recursive with explicit arguments: no closure per reply, only per
    [Batch] *)
@@ -64,18 +108,26 @@ let rec on_message t ~src msg =
   let n = Array.length t.engines in
   match msg with
   | Wire.Query_reply { rid; _ } | Wire.Store_ack { rid; _ } ->
-    if rid >= 0 then Engine.on_message t.engines.(rid mod n) ~src msg
+    if rid >= 0 then deliver t.engines.(rid mod n) ~src msg
   | Wire.Ack2 { lid; _ } | Wire.Query2_reply { lid; _ } ->
-    if lid >= 0 && lid < n then Engine.on_message t.engines.(lid) ~src msg
+    if lid >= 0 && lid < n then deliver t.engines.(lid) ~src msg
   | Wire.Batch msgs -> List.iter (fun m -> on_message t ~src m) msgs
   | _ -> ()
 
 let resend_pending ?older_than t =
   Array.fold_left
-    (fun still e -> Engine.resend_pending ?older_than e || still)
+    (fun still e ->
+      (match e with
+       | Abd q -> Quorum.resend_pending ?older_than q
+       | Twobit e -> Engine_twobit.resend_pending ?older_than e)
+      || still)
     false t.engines
 
 let stats t =
   Array.fold_left
-    (fun acc e -> Engine.add_stats acc (Engine.stats e))
+    (fun acc e ->
+      Engine.add_stats acc
+        (match e with
+         | Abd q -> Quorum.stats q
+         | Twobit e -> Engine_twobit.stats e))
     Engine.zero_stats t.engines

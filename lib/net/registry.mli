@@ -33,10 +33,10 @@ val create :
   unit ->
   t
 (** One engine per shard of [map], over
-    {!Shard_map.group}[ map ~replicas s], built by {!Engines.create}
-    from [engine] (default {!Engine.default}, i.e. ABD).  [bug]
-    (default {!Bug.none}) reaches each engine; only ABD's read-quorum
-    hook acts there.  [storage] is shared by every
+    {!Shard_map.group}[ map ~replicas s]: a {!Quorum} or an
+    {!Engine_twobit} as [engine] says (default {!Engine.default}, i.e.
+    ABD).  [bug] (default {!Bug.none}) reaches each engine; only ABD's
+    read-quorum and skip-write-back hooks act there.  [storage] is shared by every
     engine — safe because the shards partition the keyspace, so the
     engines' register sets are disjoint; it makes issued write
     timestamps durable across a server restart.  A [group_commit]
@@ -65,10 +65,6 @@ val shard_of_key : t -> int -> int
 val spec : t -> Engine.spec
 (** The engine spec every shard runs. *)
 
-val engine : t -> int -> Engine.instance
-(** The shard's engine — for tests and stats.
-    @raise Invalid_argument on an out-of-range shard. *)
-
 val read : t -> key:int -> reg:int -> k:(Wire.payload -> unit) -> unit
 (** Atomic read of register bit [reg] (the paper's Reg{_0}/Reg{_1}) of
     [key], routed to the owning shard's engine; continuation contract
@@ -83,8 +79,36 @@ val on_message : t -> src:Transport.node -> Wire.msg -> unit
     everything else is ignored. *)
 
 val resend_pending : ?older_than:float -> t -> bool
-(** {!Engine.resend_pending} on every engine; true if any engine still
-    has phases or link frames outstanding. *)
+(** {!Quorum.resend_pending} (or its twobit counterpart) on every
+    engine; true if any engine still has phases or link frames
+    outstanding. *)
 
 val stats : t -> Engine.stats
 (** Aggregate of every engine's counters. *)
+
+(** {2 One shard's engine}
+
+    The migration legs of {!Reconfig}, which address the outgoing and
+    the incoming shard of a key directly.  [reg] is a global register
+    index ({!Shard_map.global_reg}); contracts as
+    {!Quorum.read_ts}/{!Quorum.write_at}/{!Quorum.write_ts}.  A twobit
+    engine has no comparable timestamps: its [read_ts] is a plain read
+    reporting ts 0, and its [write_at] ignores [ts] (the replicas'
+    apply counter orders stores by arrival).  These calls do not count
+    towards [shard<i>_quorum_ops]; an out-of-range shard raises
+    [Invalid_argument]. *)
+
+val read_ts :
+  t -> shard:int -> reg:int -> k:(int * Wire.payload -> unit) -> unit
+
+val write_at :
+  t ->
+  shard:int ->
+  reg:int ->
+  ts:int ->
+  value:Wire.payload ->
+  k:(unit -> unit) ->
+  unit
+
+val write_ts :
+  t -> shard:int -> reg:int -> value:Wire.payload -> k:(unit -> unit) -> int

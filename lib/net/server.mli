@@ -89,7 +89,7 @@ val create :
     retransmission period in transport-clock units; it should exceed a
     round trip (for {!Sim_net}, a multiple of [max_delay]).
     [engine] (default ABD) picks the replication protocol every shard
-    runs — see {!Engine} and {!Engines.create}.  [bug] (default
+    runs — see {!Engine} and {!Registry.create}.  [bug] (default
     {!Bug.none}) plants {!Explore}'s deliberate bugs: the read-quorum
     hook in every shard engine, the torn-batch hook in the private
     {!Txn} coordinator (not in a [member]'s shared one), the

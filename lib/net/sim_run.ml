@@ -118,7 +118,7 @@ type cluster = {
 let build ?(faults = Sim_net.reliable) ?(replicas = 3) ?(window = 4)
     ?(shards = 1) ?group_size ?keys ?(engine = Engine.default)
     ?(bug = Bug.none) ?(durable = true) ?(snapshot_every = 32) ?gc_bytes
-    ?group_commit ?(audit = true) ?(xprocesses = []) ?reconfig ?reconfig_at
+    ?group_commit ?(xprocesses = []) ?reconfig ?reconfig_at
     ?metrics ?measure ?trace ~seed ~init ~processes () =
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   let nkeys = max 1 (match keys with Some k -> k | None -> shards) in
@@ -219,7 +219,7 @@ let build ?(faults = Sim_net.reliable) ?(replicas = 3) ?(window = 4)
   let resend_every = (4.0 *. faults.Sim_net.max_delay) +. 1.0 in
   let map = Shard_map.create ?group_size ~shards () in
   let server =
-    Server.create ~transport:tr ~audit ~resend_every ~engine ~bug ~metrics
+    Server.create ~transport:tr ~resend_every ~engine ~bug ~metrics
       ?trace ~map ~me:Transport.server ~replicas:replica_nodes ~init ()
   in
   Sim_net.register net Transport.server (Server.on_message server);

@@ -123,7 +123,6 @@ val build :
   ?snapshot_every:int ->
   ?gc_bytes:int ->
   ?group_commit:Storage.commit_config ->
-  ?audit:bool ->
   ?xprocesses:xprocess list ->
   ?reconfig:int * int ->
   ?reconfig_at:float ->
@@ -138,7 +137,7 @@ val build :
 (** Wire up the cluster and enqueue every client's opening batch; no
     event has fired yet.  Defaults: reliable network, 3 replicas,
     pipelining window 4, 1 shard (the unsharded single-register
-    service), audit on.
+    service).  The server always audits.
 
     [engine] picks the replication protocol (default ABD; see
     {!Engine}).  Note the twobit engine's link layer does not survive

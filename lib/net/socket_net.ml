@@ -1,11 +1,11 @@
-(* Unix-domain socket transport: non-blocking sockets driven by one or
-   more {!Event_loop}s.  Each endpoint (listening node) is pinned to
-   one loop; its accepts, reads, handler invocations and timer
-   callbacks all run on that loop's thread, which is what serializes a
-   node's handlers — no per-node lock on the hot path.  Outbound
-   connections write inline from the sending thread and fall back to a
-   per-connection pending queue drained on writability when the kernel
-   buffer fills (EAGAIN), so a slow peer never blocks a sender.
+(* Unix-domain socket transport: non-blocking sockets driven by one
+   {!Event_loop}.  Every endpoint's (listening node's) accepts, reads,
+   handler invocations and timer callbacks run on that loop's thread,
+   which is what serializes a node's handlers — no per-node lock on
+   the hot path.  Outbound connections write inline from the sending
+   thread and fall back to a per-connection pending queue drained on
+   writability when the kernel buffer fills (EAGAIN), so a slow peer
+   never blocks a sender.
 
    Sends are lossy by contract (drop rather than stall) and retry once
    on a fresh connection.  Timers carry an incarnation guard: a timer
@@ -19,12 +19,11 @@ type endpoint = {
   handler : src:int -> Wire.msg -> unit;
   stopped : bool Atomic.t;
   mutable lclosed : bool;  (* [lfd] closed; guarded by [t.mu] *)
-  ep_loop : Event_loop.t;  (* the owning loop *)
   mutable rconns : rconn list;  (* guarded by [t.mu] *)
 }
 
 (* One accepted inbound connection: a non-blocking fd plus its
-   frame-reassembly buffer.  Only the owning loop thread touches
+   frame-reassembly buffer.  Only the loop thread touches
    [rbuf]/[rlen]; [rclosed] transitions under [t.mu]. *)
 and rconn = {
   rfd : Unix.file_descr;
@@ -35,14 +34,13 @@ and rconn = {
 }
 
 (* Outbound connection.  [wmu] serializes writers and guards the
-   pending-output queue shared with the drain callback on [wloop]. *)
+   pending-output queue shared with the drain callback on the loop. *)
 type conn = {
   fd : Unix.file_descr;
   wmu : Mutex.t;
   outq : (Bytes.t * int ref) Queue.t;  (* (frame, bytes already sent) *)
   mutable outq_bytes : int;
   mutable warmed : bool;  (* writability callback armed *)
-  wloop : Event_loop.t;
   mutable dead : bool;
 }
 
@@ -100,12 +98,11 @@ end
 
 type t = {
   dir : string;
-  loops : Event_loop.t array;
-  mutable loop_threads : Thread.t list;
+  loop : Event_loop.t;
+  loop_thread : Thread.t;
   mu : Mutex.t;  (* guards the tables and the [rconns] lists *)
   eps : (int, endpoint) Hashtbl.t;
   conns : (int, conn) Hashtbl.t;  (* outbound, keyed by destination *)
-  mutable next_loop : int;  (* round-robin endpoint → loop assignment *)
   sndbuf : int option;
   pool : Bufpool.t;
   closed : bool Atomic.t;
@@ -123,7 +120,7 @@ let connect_timeout = 1.0
 let out_cap = 8 * 1024 * 1024
 
 (* Per-readability-callback read budget, so one firehose peer cannot
-   starve the other connections sharing its loop. *)
+   starve the other connections sharing the loop. *)
 let read_budget = 256 * 1024
 
 let fresh_dir () =
@@ -139,7 +136,7 @@ let fresh_dir () =
   in
   go 0
 
-let create ?(loops = 1) ?dir ?sndbuf ?metrics ?trace () =
+let create ?dir ?sndbuf ?metrics ?trace () =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let dir =
     match dir with
@@ -168,27 +165,21 @@ let create ?(loops = 1) ?dir ?sndbuf ?metrics ?trace () =
       handler_service = Metrics.histogram metrics "handler_service";
     }
   in
-  let loop_arr = Array.init (max 1 loops) (fun _ -> Event_loop.create ()) in
-  let t =
-    {
-      dir;
-      loops = loop_arr;
-      loop_threads = [];
-      mu = Mutex.create ();
-      eps = Hashtbl.create 8;
-      conns = Hashtbl.create 8;
-      next_loop = 0;
-      sndbuf;
-      pool = Bufpool.create ();
-      closed = Atomic.make false;
-      metrics;
-      trace;
-      c;
-    }
-  in
-  t.loop_threads <-
-    Array.to_list (Array.map (fun l -> Thread.create Event_loop.run l) loop_arr);
-  t
+  let loop = Event_loop.create () in
+  {
+    dir;
+    loop;
+    loop_thread = Thread.create Event_loop.run loop;
+    mu = Mutex.create ();
+    eps = Hashtbl.create 8;
+    conns = Hashtbl.create 8;
+    sndbuf;
+    pool = Bufpool.create ();
+    closed = Atomic.make false;
+    metrics;
+    trace;
+    c;
+  }
 
 let dir t = t.dir
 let metrics t = t.metrics
@@ -216,7 +207,7 @@ let close_rconn t rc =
         end)
   in
   if doit then begin
-    Event_loop.remove_fd rc.rep.ep_loop rc.rfd;
+    Event_loop.remove_fd t.loop rc.rfd;
     (try Unix.close rc.rfd with Unix.Unix_error _ -> ());
     Bufpool.give t.pool rc.rbuf
   end
@@ -363,7 +354,7 @@ let on_acceptable t ep () =
             end)
       in
       if stopped then (try Unix.close cfd with Unix.Unix_error _ -> ())
-      else Event_loop.add_read ep.ep_loop cfd (fun () -> on_readable t rc ())
+      else Event_loop.add_read t.loop cfd (fun () -> on_readable t rc ())
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
       continue := false
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
@@ -380,18 +371,12 @@ let listen t node handler =
   Unix.bind lfd (Unix.ADDR_UNIX p);
   Unix.listen lfd 64;
   Unix.set_nonblock lfd;
-  let loop =
-    Mutex.protect t.mu (fun () ->
-        let l = t.loops.(t.next_loop mod Array.length t.loops) in
-        t.next_loop <- t.next_loop + 1;
-        l)
-  in
   let ep =
     { node; lfd; handler; stopped = Atomic.make false; lclosed = false;
-      ep_loop = loop; rconns = [] }
+      rconns = [] }
   in
   Mutex.protect t.mu (fun () -> Hashtbl.replace t.eps node ep);
-  Event_loop.add_read loop lfd (on_acceptable t ep)
+  Event_loop.add_read t.loop lfd (on_acceptable t ep)
 
 (* ------------------------------------------------------------------ *)
 (* Outbound connections                                                *)
@@ -409,7 +394,7 @@ let drop_conn t dst =
   | None -> ()
   | Some c ->
     Mutex.protect c.wmu (fun () -> c.dead <- true);
-    Event_loop.remove_fd c.wloop c.fd;
+    Event_loop.remove_fd t.loop c.fd;
     (try Unix.close c.fd with Unix.Unix_error _ -> ())
 
 (* Connect without ever blocking the caller for long: the socket is
@@ -484,10 +469,9 @@ let get_conn t dst =
              (try Unix.close fd with Unix.Unix_error _ -> ());
              Some winner
            | None ->
-             let wloop = t.loops.(dst mod Array.length t.loops) in
              let c =
                { fd; wmu = Mutex.create (); outq = Queue.create ();
-                 outq_bytes = 0; warmed = false; wloop; dead = false }
+                 outq_bytes = 0; warmed = false; dead = false }
              in
              Hashtbl.replace t.conns dst c;
              Metrics.incr t.c.conn_opened;
@@ -505,11 +489,11 @@ let rec write_nb fd b off len =
 
 (* Drain the pending queue on writability (loop thread, [wmu] held).
    Raises on a real write error — the caller tears the conn down. *)
-let rec drain_locked c =
+let rec drain_locked t c =
   match Queue.peek_opt c.outq with
   | None ->
     if c.warmed then begin
-      Event_loop.set_write c.wloop c.fd None;
+      Event_loop.set_write t.loop c.fd None;
       c.warmed <- false
     end
   | Some (b, off) ->
@@ -519,7 +503,7 @@ let rec drain_locked c =
      | n when n = len ->
        ignore (Queue.pop c.outq);
        c.outq_bytes <- c.outq_bytes - n;
-       drain_locked c
+       drain_locked t c
      | n ->
        off := !off + n;
        c.outq_bytes <- c.outq_bytes - n)
@@ -530,7 +514,7 @@ let rec drain_cb t dst c () =
         if c.dead then false
         else
           try
-            drain_locked c;
+            drain_locked t c;
             false
           with Unix.Unix_error _ | Sys_error _ ->
             c.dead <- true;
@@ -538,14 +522,14 @@ let rec drain_cb t dst c () =
   in
   if failed then begin
     (* forget the route (next send reconnects) and release the fd —
-       we are on the owning loop thread, so closing here is safe *)
+       we are on the loop thread, so closing here is safe *)
     Mutex.protect t.mu (fun () ->
         match Hashtbl.find_opt t.conns dst with
         | Some cur when cur == c ->
           Hashtbl.remove t.conns dst;
           Metrics.incr t.c.conn_closed
         | _ -> ());
-    Event_loop.remove_fd c.wloop c.fd;
+    Event_loop.remove_fd t.loop c.fd;
     try Unix.close c.fd with Unix.Unix_error _ -> ()
   end
 
@@ -553,7 +537,7 @@ and arm_write t dst c =
   (* [wmu] held *)
   if not c.warmed then begin
     c.warmed <- true;
-    Event_loop.set_write c.wloop c.fd (Some (drain_cb t dst c))
+    Event_loop.set_write t.loop c.fd (Some (drain_cb t dst c))
   end
 
 (* Write [frame] from [off] on ([wmu] held); on EAGAIN the remainder is
@@ -679,12 +663,9 @@ let timer_fire t ~node ~armed f =
 
 let set_timer t ~node ~delay f =
   let armed = Mutex.protect t.mu (fun () -> Hashtbl.find_opt t.eps node) in
-  let loop =
-    match armed with Some ep -> ep.ep_loop | None -> t.loops.(0)
-  in
-  (* scheduled on the node's own loop: the callback is serialized with
-     the node's handlers structurally *)
-  Event_loop.after loop delay (fun () -> timer_fire t ~node ~armed f)
+  (* scheduled on the loop: the callback is serialized with the node's
+     handlers structurally *)
+  Event_loop.after t.loop delay (fun () -> timer_fire t ~node ~armed f)
 
 let transport t =
   {
@@ -707,7 +688,7 @@ let stop_endpoint t ep =
         end)
   in
   if close_lfd then begin
-    Event_loop.remove_fd ep.ep_loop ep.lfd;
+    Event_loop.remove_fd t.loop ep.lfd;
     try Unix.close ep.lfd with Unix.Unix_error _ -> ()
   end;
   let rcs = Mutex.protect t.mu (fun () -> ep.rconns) in
@@ -739,10 +720,9 @@ let shutdown t =
     Mutex.protect t.mu (fun () -> Hashtbl.fold (fun _ e acc -> e :: acc) t.eps [])
   in
   List.iter (fun ep -> Atomic.set ep.stopped true) eps;
-  (* stop the loops first so no callback races the closes below *)
-  Array.iter Event_loop.stop t.loops;
-  List.iter Thread.join t.loop_threads;
-  t.loop_threads <- [];
+  (* stop the loop first so no callback races the closes below *)
+  Event_loop.stop t.loop;
+  Thread.join t.loop_thread;
   List.iter
     (fun ep ->
       if not ep.lclosed then begin

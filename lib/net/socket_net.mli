@@ -1,5 +1,5 @@
 (** A real transport over Unix-domain sockets (stream, one socket per
-    node), driven by readiness event loops.
+    node), driven by one readiness event loop.
 
     Every node — replica, server, client — binds a listening socket
     [<dir>/n<id>.sock]; {!Transport.t}[.send] connects (with per-peer
@@ -9,18 +9,17 @@
     reorder, so the quorum engine's retransmission timer only matters
     when replicas crash.
 
-    {b Runtime.}  Non-blocking sockets are driven from one or more
-    {!Event_loop}s: each node is pinned to a loop whose single thread
-    runs its accepts, frame reassembly, handler invocations and timer
-    callbacks — the per-node handler serialization is structural, with
-    no lock on the hot path.  Inbound frames are reassembled in
-    per-connection buffers leased from a shared pool and a frame body
-    is copied exactly once (reassembly buffer → decode).  Outbound
-    frames are written inline from the sending thread; when the kernel
-    buffer fills ([EAGAIN]) the remainder is queued (bounded by a
-    backpressure cap, counted drops beyond it) and drained by the
-    owning loop on writability — a slow peer costs its own queue,
-    never a sender's thread.
+    {b Runtime.}  Non-blocking sockets are driven from one
+    {!Event_loop}, whose single thread runs every node's accepts, frame
+    reassembly, handler invocations and timer callbacks — the per-node
+    handler serialization is structural, with no lock on the hot
+    path.  Inbound frames are reassembled in per-connection buffers
+    leased from a shared pool and a frame body is copied exactly once
+    (reassembly buffer → decode).  Outbound frames are written inline
+    from the sending thread; when the kernel buffer fills ([EAGAIN])
+    the remainder is queued (bounded by a backpressure cap, counted
+    drops beyond it) and drained by the loop on writability — a slow
+    peer costs its own queue, never a sender's thread.
 
     Sending never blocks on a sick peer: outbound
     connects are non-blocking and bounded, run with no table lock
@@ -44,16 +43,13 @@
 type t
 
 val create :
-  ?loops:int ->
   ?dir:string ->
   ?sndbuf:int ->
   ?metrics:Metrics.t ->
   ?trace:Trace.t ->
   unit ->
   t
-(** [loops] (default 1) is the number of event-loop threads —
-    endpoints are assigned round-robin in {!listen} order, so
-    co-hosted replicas, server and clients spread across loops.  [dir] defaults to a fresh directory
+(** Starts the event-loop thread.  [dir] defaults to a fresh directory
     under the system temp dir.  Ignores [SIGPIPE] process-wide (a must
     for socket servers).  [sndbuf] (default: the kernel's) sets
     [SO_SNDBUF] on every outbound connection — a test hook: a tiny
@@ -85,8 +81,7 @@ val listen :
   t -> Transport.node -> (src:Transport.node -> Wire.msg -> unit) -> unit
 (** Bind the node's socket and start accepting.  The handler may
     reentrantly use the transport.  Handler invocations (and the
-    node's timer callbacks) are serialized on the endpoint's loop
-    thread. *)
+    node's timer callbacks) are serialized on the loop thread. *)
 
 val unlisten : t -> Transport.node -> unit
 (** Orderly stop of a node listened on this [t]: its descriptors are
@@ -102,5 +97,5 @@ val crash : t -> Transport.node -> unit
     the rest of the cluster. *)
 
 val shutdown : t -> unit
-(** Crash every node, stop and join the event loops, close outbound
+(** Crash every node, stop and join the event loop, close outbound
     connections and remove the socket files. *)

@@ -13,8 +13,9 @@
 
     {2 Group commit}
 
-    An fsync'd append costs a disk flush; BENCH_005 measured that floor
-    at ~7.5k appends/s against 877k/s without fsync.  Group commit
+    An fsync'd append costs a disk flush; the [net-recovery] bench
+    section measured that floor at ~7.5k appends/s against ~880k/s
+    without fsync (EXPERIMENTS.md § D).  Group commit
     amortizes it: with a {!commit_config}, {!append_async} queues the
     framed record (applying it to the in-memory table eagerly) and the
     whole queue is committed as {e one} backend append — one write, one

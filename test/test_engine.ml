@@ -218,6 +218,51 @@ let twobit_crashed_replica () =
      + s.Net.Engine.retransmissions)
     s.Net.Engine.messages_sent
 
+(* The engines meter their own sends: over every server-to-replica
+   frame the measure tap sees, the aggregated engine stats must equal
+   the encoded sizes, the control-byte shares and the frame count, on
+   a reliable run and on a lossy one (whose resends are sends too).
+   Every frame the server sends a replica is an engine's. *)
+let engines_meter_their_sends () =
+  let processes =
+    [ proc 0 [ w 1; r; w 2; r ]; proc 1 [ w 3; r; w 4 ]; proc 2 [ r; r; r ] ]
+  in
+  let replicas = 3 in
+  let leg kind (name, faults) =
+    let bytes = ref 0 and cbytes = ref 0 and msgs = ref 0 in
+    let measure ~src ~dst msg =
+      if src = Net.Transport.server && dst >= 0 && dst < replicas then begin
+        bytes := !bytes + Net.Wire.encoded_size msg;
+        cbytes := !cbytes + Net.Wire.control_bytes msg;
+        incr msgs
+      end
+    in
+    let o =
+      Net.Sim_run.run
+        (Net.Sim_run.build ~faults ~replicas ~shards:2 ~keys:4
+           ~engine:(espec kind) ~measure ~seed:11 ~init:0 ~processes ())
+    in
+    let what = Fmt.str "%s, %s" (Net.Engine.kind_name kind) name in
+    Alcotest.(check int) (what ^ ": all ops complete") o.Net.Sim_run.expected
+      o.Net.Sim_run.completed;
+    let q = o.Net.Sim_run.quorum in
+    Alcotest.(check int) (what ^ ": bytes_sent") !bytes q.Net.Engine.bytes_sent;
+    Alcotest.(check int)
+      (what ^ ": control_bytes_sent")
+      !cbytes q.Net.Engine.control_bytes_sent;
+    Alcotest.(check int)
+      (what ^ ": messages_sent")
+      !msgs q.Net.Engine.messages_sent
+  in
+  List.iter
+    (fun kind ->
+      List.iter (leg kind)
+        [
+          ("reliable", Net.Sim_net.reliable);
+          ("lossy", Net.Sim_net.lossy ~drop:0.1 ());
+        ])
+    Net.Engine.all_kinds
+
 (* --- twobit under the explorer ------------------------------------ *)
 
 let singles = Net.Sim_run.singles
@@ -474,6 +519,7 @@ let suite =
     tc "engine hello recorded" engine_hello_recorded;
     tc "twobit crashed replica: reads widen once per engine"
       twobit_crashed_replica;
+    tc "engines meter their own sends" engines_meter_their_sends;
   ]
 
 let slow_suite =

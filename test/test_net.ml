@@ -484,7 +484,7 @@ let quorum_dead_window_member () =
   let get = Net.Metrics.get metrics in
   Alcotest.(check int) "widened once" 1 (get "quorum_widened");
   Alcotest.(check int) "replica 0 suspected" 1 (get "quorum_suspected");
-  let retrans = (Net.Quorum.stats q).Net.Quorum.retransmissions in
+  let retrans = (Net.Quorum.stats q).Net.Engine.retransmissions in
   ignore (sent_to h);
   for i = 2 to 7 do
     let acked = ref false in
@@ -496,7 +496,7 @@ let quorum_dead_window_member () =
   Alcotest.(check bool) "no phase sent to the suspect" false
     (List.mem 0 (sent_to h));
   Alcotest.(check int) "no more retransmissions" retrans
-    (Net.Quorum.stats q).Net.Quorum.retransmissions;
+    (Net.Quorum.stats q).Net.Engine.retransmissions;
   (* replica 0 comes back and answers the stale phases it was sent *)
   deliver h (Net.Quorum.on_message q);
   for i = 8 to 10 do
