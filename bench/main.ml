@@ -1303,14 +1303,17 @@ let bench_net_reconfig () =
   List.iter
     (fun engine ->
       let name = Net.Engine.kind_name engine in
-      let run ?reconfig ?reconfig_at ?metrics ?before () =
+      let run ?reconfig ?reconfig_at ?before () =
         let cl =
           Net.Sim_run.build ~replicas:3 ~shards ~keys ~window:8
             ~engine:{ Net.Engine.kind = engine }
-            ?reconfig ?reconfig_at ?metrics ~seed:31 ~init:0 ~processes:[]
+            ?reconfig ?reconfig_at ~seed:31 ~init:0 ~processes:[]
             ~xprocesses ()
         in
-        Option.iter (fun (t, f) -> Net.Sim_net.at cl.Net.Sim_run.net t f)
+        Option.iter
+          (fun (t, f) ->
+            Net.Sim_net.at cl.Net.Sim_run.net t (fun () ->
+                f cl.Net.Sim_run.metrics))
           before;
         Net.Sim_run.run cl
       in
@@ -1318,15 +1321,14 @@ let bench_net_reconfig () =
          mid-run virtual time and gives the undisturbed baseline *)
       let probe = run () in
       let mid = probe.Net.Sim_run.virtual_span /. 2.0 in
-      let metrics = Net.Metrics.create () in
       let pre = Array.make shards 0 in
       let o =
         run
           ~reconfig:(hot, to_shard)
-          ~reconfig_at:mid ~metrics
+          ~reconfig_at:mid
           ~before:
             ( mid -. 1e-6,
-              fun () ->
+              fun metrics ->
                 (* per-shard completion counters the instant the
                    migration request lands: everything after is the
                    post-reshard leg *)
@@ -1337,7 +1339,9 @@ let bench_net_reconfig () =
       in
       let post = Array.make shards 0 in
       for s = 0 to shards - 1 do
-        post.(s) <- Net.Metrics.get metrics (Fmt.str "shard%d_ops" s) - pre.(s)
+        post.(s) <-
+          Net.Metrics.get o.Net.Sim_run.metrics (Fmt.str "shard%d_ops" s)
+          - pre.(s)
       done;
       let share a =
         let total = Array.fold_left ( + ) 0 a in

@@ -156,10 +156,8 @@ let run_socket_workload net ~window ~nkeys processes =
           (fun () ->
             let c = Net.Client.connect ~net ~server:Net.Transport.server ~proc () in
             let r =
-              if nkeys <= 1 then Net.Client.run_script ~window c script
-              else
-                Net.Client.run_keyed ~window c
-                  (List.mapi (fun i op -> (i mod nkeys, op)) script)
+              Net.Client.run_keyed ~window c
+                (List.mapi (fun i op -> (i mod nkeys, op)) script)
             in
             Net.Client.close c;
             r)

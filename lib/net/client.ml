@@ -8,15 +8,15 @@ type t = {
   smu : Mutex.t;  (* send order: held across detach + send, never by the
                      reply handler *)
   cond : Condition.t;
-  completed : (int, int option) Hashtbl.t;  (* seq -> result *)
-  snap_completed : (int, int list) Hashtbl.t;  (* seq -> snapshot values *)
-  stats_replies : (int, (string * int) list) Hashtbl.t;  (* rid -> stats *)
-  reconfig_acks : (int, int * bool) Hashtbl.t;  (* rid -> (epoch, ok) *)
-  epoch_replies : (int, int * int) Hashtbl.t;  (* rid -> (epoch, shards) *)
+  replies : (int, Wire.msg) Hashtbl.t;  (* seq or rid -> its reply *)
   sent_at : (int, float) Hashtbl.t;  (* seq -> send instant, for RTT *)
   h_rtt : Metrics.histogram;
   c_batches : Metrics.counter;
   mutable next_seq : int;
+  mutable next_rid : int;
+      (* control ids count down from -1: they never meet an op's seq,
+         and they leave no gap in the seqs a plain [Server] admits
+         strictly in order *)
   mutable epoch : int;  (* latest configuration epoch heard from acks *)
   batch_max : int;
   flush_every : float;
@@ -61,43 +61,23 @@ let connect ?metrics ?(batch_max = 32) ?(flush_every = 0.002) ~net ~server
   let me = Transport.client proc in
   let mu = Mutex.create () in
   let cond = Condition.create () in
-  let completed = Hashtbl.create 32 in
-  let snap_completed = Hashtbl.create 8 in
-  let stats_replies = Hashtbl.create 4 in
-  let reconfig_acks = Hashtbl.create 4 in
-  let epoch_replies = Hashtbl.create 4 in
+  let replies = Hashtbl.create 32 in
   let sent_at = Hashtbl.create 32 in
   let h_rtt = Metrics.histogram metrics "client_rtt" in
   let rec handler ~src:_ msg =
     match msg with
-    | Wire.Resp { seq; result } ->
+    | Wire.Resp { seq = id; _ }
+    | Wire.Resp_snap { seq = id; _ }
+    | Wire.Stats_reply { rid = id; _ }
+    | Wire.Reconfig_ack { rid = id; _ }
+    | Wire.Epoch_reply { rid = id; _ } ->
       Mutex.protect mu (fun () ->
-          (match Hashtbl.find_opt sent_at seq with
+          (match Hashtbl.find_opt sent_at id with
            | Some t0 ->
-             Hashtbl.remove sent_at seq;
+             Hashtbl.remove sent_at id;
              Metrics.observe h_rtt (Unix.gettimeofday () -. t0)
            | None -> ());
-          Hashtbl.replace completed seq result);
-      Condition.broadcast cond
-    | Wire.Resp_snap { seq; values } ->
-      Mutex.protect mu (fun () ->
-          (match Hashtbl.find_opt sent_at seq with
-           | Some t0 ->
-             Hashtbl.remove sent_at seq;
-             Metrics.observe h_rtt (Unix.gettimeofday () -. t0)
-           | None -> ());
-          Hashtbl.replace snap_completed seq values);
-      Condition.broadcast cond
-    | Wire.Stats_reply { rid; stats } ->
-      Mutex.protect mu (fun () -> Hashtbl.replace stats_replies rid stats);
-      Condition.broadcast cond
-    | Wire.Reconfig_ack { rid; epoch; ok } ->
-      Mutex.protect mu (fun () ->
-          Hashtbl.replace reconfig_acks rid (epoch, ok));
-      Condition.broadcast cond
-    | Wire.Epoch_reply { rid; epoch; shards } ->
-      Mutex.protect mu (fun () ->
-          Hashtbl.replace epoch_replies rid (epoch, shards));
+          Hashtbl.replace replies id msg);
       Condition.broadcast cond
     | Wire.Batch msgs -> List.iter (handler ~src:0) msgs
     | _ -> ()
@@ -115,15 +95,12 @@ let connect ?metrics ?(batch_max = 32) ?(flush_every = 0.002) ~net ~server
       mu;
       smu = Mutex.create ();
       cond;
-      completed;
-      snap_completed;
-      stats_replies;
-      reconfig_acks;
-      epoch_replies;
+      replies;
       sent_at;
       h_rtt;
       c_batches = Metrics.counter metrics "client_batches";
       next_seq = 0;
+      next_rid = -1;
       epoch = 0;
       batch_max = max 1 (min batch_max Wire.max_batch);
       flush_every;
@@ -147,14 +124,10 @@ let connect ?metrics ?(batch_max = 32) ?(flush_every = 0.002) ~net ~server
            ());
   t
 
-let fresh_seq t =
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  seq
-
 (* Queue an operation; ship the batch eagerly once it is full. *)
 let req t op =
-  let seq = fresh_seq t in
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
   let full =
     Mutex.protect t.mu (fun () ->
         (* fail deterministically rather than queue into a session
@@ -168,91 +141,50 @@ let req t op =
   if full then flush t;
   seq
 
-let await t seq =
-  (* fast path: a reply that already arrived costs no flush — ops
-     queued by a pipelining caller keep accumulating into one batch
-     frame instead of trickling out one Req per frame.  Only when we
-     actually have to block must everything queued (including [seq]'s
-     own Req) be on the wire first. *)
-  let done_already =
-    Mutex.protect t.mu (fun () ->
-        match Hashtbl.find_opt t.completed seq with
-        | Some r ->
-          Hashtbl.remove t.completed seq;
-          Some r
-        | None -> None)
+(* A reply that already arrived costs no flush: ops queued by a
+   pipelining caller keep accumulating into one batch frame instead of
+   trickling out one Req per frame.  Only when we actually have to block
+   must everything queued (including [id]'s own request) be on the wire
+   first. *)
+let await t id =
+  let take () =
+    match Hashtbl.find_opt t.replies id with
+    | Some _ as r ->
+      Hashtbl.remove t.replies id;
+      r
+    | None -> None
   in
-  match done_already with
-  | Some r -> r
+  match Mutex.protect t.mu take with
+  | Some m -> m
   | None ->
     flush t;
     Mutex.protect t.mu (fun () ->
-        while not (Hashtbl.mem t.completed seq || t.closed) do
+        while not (Hashtbl.mem t.replies id || t.closed) do
           Condition.wait t.cond t.mu
         done;
-        match Hashtbl.find_opt t.completed seq with
-        | Some r ->
-          Hashtbl.remove t.completed seq;
-          r
+        match take () with
+        | Some m -> m
         | None ->
           (* close sealed the session and tore the reply endpoint down
              while we were blocked: the answer can never arrive, so
              fail now instead of waiting forever *)
           invalid_arg "Client.await: closed with the request in flight")
 
-(* Like [await], but a snapshot completes through either table: a
-   [Resp_snap] carries the values, a plain [Resp] is a rejection. *)
-let await_snap t seq =
-  let check () =
-    match Hashtbl.find_opt t.snap_completed seq with
-    | Some vs ->
-      Hashtbl.remove t.snap_completed seq;
-      Some (Ok vs)
-    | None -> (
-      match Hashtbl.find_opt t.completed seq with
-      | Some _ ->
-        Hashtbl.remove t.completed seq;
-        Some (Error ())
-      | None -> None)
-  in
-  match Mutex.protect t.mu check with
-  | Some r -> r
-  | None ->
-    flush t;
-    Mutex.protect t.mu (fun () ->
-        let r = ref None in
-        while
-          r := check ();
-          !r = None && not t.closed
-        do
-          Condition.wait t.cond t.mu
-        done;
-        match !r with
-        | Some r -> r
-        | None ->
-          invalid_arg "Client.await_snap: closed with the request in flight")
+(* A write or transaction is acknowledged by an empty [Resp]; a
+   non-writer session gets the same empty [Resp] as its rejection. *)
+let ack t what = function
+  | Wire.Resp { result = None; _ } when t.proc = 0 || t.proc = 1 -> ()
+  | Wire.Resp { result = None; _ } ->
+    invalid_arg (what ^ ": rejected (not a writer session)")
+  | _ -> invalid_arg (what ^ ": unexpected reply")
 
 let read_k t ~key =
   match await t (req t (Wire.Read_k { key })) with
-  | Some v -> v
-  | None -> invalid_arg "Client.read_k: server rejected the read"
+  | Wire.Resp { result = Some v; _ } -> v
+  | _ -> invalid_arg "Client.read_k: server rejected the read"
 
 let write_k t ~key v =
-  match await t (req t (Wire.Write_k { key; value = v })) with
-  | None when t.proc = 0 || t.proc = 1 -> ()
-  | None -> invalid_arg "Client.write_k: rejected (not a writer session)"
-  | Some _ -> invalid_arg "Client.write_k: unexpected read result"
-
-let read t =
-  match await t (req t Wire.Read) with
-  | Some v -> v
-  | None -> invalid_arg "Client.read: server returned no value"
-
-let write t v =
-  match await t (req t (Wire.Write v)) with
-  | None when t.proc = 0 || t.proc = 1 -> ()
-  | None -> invalid_arg "Client.write: rejected (not a writer session)"
-  | Some _ -> invalid_arg "Client.write: unexpected read result"
+  ack t "Client.write_k" (await t (req t (Wire.Write_k { key; value = v })))
 
 (* Structural validity is checked here with the server's own
    predicate: the server answers an invalid multi-key op with the same
@@ -261,82 +193,75 @@ let write t v =
 let txn_k t writes =
   if not (Txn.valid_keys (List.map fst writes)) then
     invalid_arg "Client.txn_k: empty, duplicate, negative or oversize keys";
-  match await t (req t (Wire.Txn_k { writes })) with
-  | None when t.proc = 0 || t.proc = 1 -> ()
-  | None -> invalid_arg "Client.txn_k: rejected (not a writer session)"
-  | Some _ -> invalid_arg "Client.txn_k: unexpected read result"
+  ack t "Client.txn_k" (await t (req t (Wire.Txn_k { writes })))
 
 let snap_k t keys =
   if not (Txn.valid_keys keys) then
     invalid_arg "Client.snap_k: empty, duplicate, negative or oversize keys";
-  match await_snap t (req t (Wire.Snap_k { keys })) with
-  | Ok vs -> vs
-  | Error () -> invalid_arg "Client.snap_k: server rejected the snapshot"
+  match await t (req t (Wire.Snap_k { keys })) with
+  | Wire.Resp_snap { values; _ } -> values
+  | _ -> invalid_arg "Client.snap_k: server rejected the snapshot"
 
 let post t op = ignore (req t op)
 
-let stats t =
+(* A control request bypasses the batcher: everything queued goes out
+   first, then the request under a fresh rid, and the caller blocks for
+   its answer. *)
+let control t request =
+  if Mutex.protect t.mu (fun () -> t.closed) then
+    invalid_arg "Client: control request on a closed client";
   flush t;
-  let rid = fresh_seq t in
-  t.tr.Transport.send ~src:t.me ~dst:t.server (Wire.Stats_req { rid });
-  Mutex.protect t.mu (fun () ->
-      while not (Hashtbl.mem t.stats_replies rid) do
-        Condition.wait t.cond t.mu
-      done;
-      let r = Hashtbl.find t.stats_replies rid in
-      Hashtbl.remove t.stats_replies rid;
-      r)
+  let rid = t.next_rid in
+  t.next_rid <- rid - 1;
+  t.tr.Transport.send ~src:t.me ~dst:t.server (request rid);
+  await t rid
+
+let stats t =
+  match control t (fun rid -> Wire.Stats_req { rid }) with
+  | Wire.Stats_reply { stats; _ } -> stats
+  | _ -> invalid_arg "Client.stats: unexpected reply"
 
 let epoch t =
-  flush t;
-  let rid = fresh_seq t in
-  t.tr.Transport.send ~src:t.me ~dst:t.server (Wire.Epoch_req { rid });
-  let e, _shards =
-    Mutex.protect t.mu (fun () ->
-        while not (Hashtbl.mem t.epoch_replies rid) do
-          Condition.wait t.cond t.mu
-        done;
-        let r = Hashtbl.find t.epoch_replies rid in
-        Hashtbl.remove t.epoch_replies rid;
-        r)
-  in
-  t.epoch <- max t.epoch e;
-  t.epoch
+  match control t (fun rid -> Wire.Epoch_req { rid }) with
+  | Wire.Epoch_reply { epoch; _ } ->
+    t.epoch <- max t.epoch epoch;
+    t.epoch
+  | _ -> invalid_arg "Client.epoch: unexpected reply"
 
 let reshard ?(attempts = 8) t ~key ~to_shard =
   if key < 0 then invalid_arg "Client.reshard: negative key";
   if to_shard < 0 then invalid_arg "Client.reshard: negative shard";
   let rec go n believed =
-    flush t;
-    let rid = fresh_seq t in
-    t.tr.Transport.send ~src:t.me ~dst:t.server
-      (Wire.Reconfig { rid; key; to_shard; epoch = believed });
-    let e, ok =
-      Mutex.protect t.mu (fun () ->
-          while not (Hashtbl.mem t.reconfig_acks rid) do
-            Condition.wait t.cond t.mu
-          done;
-          let r = Hashtbl.find t.reconfig_acks rid in
-          Hashtbl.remove t.reconfig_acks rid;
-          r)
-    in
-    t.epoch <- max t.epoch e;
-    if ok then t.epoch
-    else if n > 1 then begin
-      (* a nack echoing OUR epoch means the coordinator was busy (or
-         the request invalid), not that we were stale: back off a beat
-         so an in-flight migration can cut over before the retry *)
-      if e = believed then Thread.delay 0.005;
-      go (n - 1) (max e believed)
-    end
-    else invalid_arg "Client.reshard: migration kept being refused"
+    match
+      control t (fun rid ->
+          Wire.Reconfig { rid; key; to_shard; epoch = believed })
+    with
+    | Wire.Reconfig_ack { epoch = e; ok; _ } ->
+      t.epoch <- max t.epoch e;
+      if ok then t.epoch
+      else if n > 1 then begin
+        (* a nack echoing OUR epoch means the coordinator was busy (or
+           the request invalid), not that we were stale: back off a beat
+           so an in-flight migration can cut over before the retry *)
+        if e = believed then Thread.delay 0.005;
+        go (n - 1) (max e believed)
+      end
+      else invalid_arg "Client.reshard: migration kept being refused"
+    | _ -> invalid_arg "Client.reshard: unexpected reply"
   in
   go (max 1 attempts) t.epoch
 
-(* Pipelined execution with a bounded number of outstanding ops; the
-   batcher under [req] coalesces whatever the window admits. *)
-let run_ops ?(window = 8) t ops =
-  let ops = Array.of_list ops in
+(* Pipelined keyed execution with a bounded number of outstanding ops;
+   the batcher under [req] coalesces whatever the window admits. *)
+let run_keyed ?(window = 8) t script =
+  let ops =
+    Array.of_list
+      (List.map
+         (function
+           | key, Histories.Event.Read -> Wire.Read_k { key }
+           | key, Histories.Event.Write v -> Wire.Write_k { key; value = v })
+         script)
+  in
   let n = Array.length ops in
   let seqs = Array.make n (-1) in
   let initial = min window n in
@@ -345,28 +270,14 @@ let run_ops ?(window = 8) t ops =
   done;
   let results = ref [] in
   for i = 0 to n - 1 do
-    results := await t seqs.(i) :: !results;
+    (match await t seqs.(i) with
+     | Wire.Resp { result; _ } -> results := result :: !results
+     | _ -> invalid_arg "Client.run_keyed: unexpected reply");
     (* completion of the i-th slides the window forward by one *)
     let j = i + initial in
     if j < n then seqs.(j) <- req t ops.(j)
   done;
   List.rev !results
-
-let run_script ?window t script =
-  run_ops ?window t
-    (List.map
-       (function
-         | Histories.Event.Read -> Wire.Read
-         | Histories.Event.Write v -> Wire.Write v)
-       script)
-
-let run_keyed ?window t script =
-  run_ops ?window t
-    (List.map
-       (function
-         | key, Histories.Event.Read -> Wire.Read_k { key }
-         | key, Histories.Event.Write v -> Wire.Write_k { key; value = v })
-       script)
 
 let close t =
   (* closing and detaching the last partial batch must be one atomic

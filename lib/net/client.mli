@@ -1,10 +1,9 @@
 (** Blocking client library for the socket-served keyspace.
 
     A client is itself a node: it listens on its own socket for
-    responses and speaks {!Wire} to the server.  [read]/[write] (and
-    their keyed forms [read_k]/[write_k]) are the synchronous
-    one-at-a-time API; [run_script]/[run_keyed] are the pipelined hot
-    path — they keep a window of requests in flight and top it up as
+    responses and speaks {!Wire} to the server.  [read_k]/[write_k] are
+    the synchronous one-at-a-time API; [run_keyed] is the pipelined hot
+    path — it keeps a window of requests in flight and tops it up as
     responses arrive.
 
     Underneath, every request goes through a {e batcher}: operations
@@ -22,7 +21,10 @@
     One [t] must be driven by one thread at a time (the paper's
     input-correctness assumption: a processor is sequential); the
     response handler and the flusher run on their own threads, and the
-    shared tables are mutex-protected. *)
+    reply table is mutex-protected.  One table holds every reply until
+    its caller collects it: operations are keyed by their sequence
+    number (counting up from 0) and control requests by their request
+    id (counting down from -1), so the two never meet. *)
 
 type t
 
@@ -50,15 +52,6 @@ val connect :
     wall-clock seconds from each request's {e queueing} to its
     response, as observed from this side of the wire — and the
     [client_batches] counter of multi-op frames shipped. *)
-
-val read : t -> int
-(** Blocking atomic read of key 0 (the legacy single-register API).
-    @raise Invalid_argument if the server rejects the read. *)
-
-val write : t -> int -> unit
-(** Blocking atomic write to key 0.
-    @raise Invalid_argument if the server rejects the write (only
-    processors 0 and 1 may write). *)
 
 val read_k : t -> key:int -> int
 (** Blocking atomic read of one key of the keyspace.  Keys are
@@ -88,19 +81,15 @@ val snap_k : t -> int list -> int list
     @raise Invalid_argument if the server rejects the snapshot or the
     client is already closed. *)
 
-val run_script :
-  ?window:int -> t -> int Histories.Event.op list -> int option list
-(** Run a whole script against key 0 with up to [window] (default 8)
-    requests in flight; returns the results in script order ([Some v]
-    per read, [None] per write acknowledgment).  Blocks until every op
-    has completed. *)
-
 val run_keyed :
   ?window:int -> t -> (int * int Histories.Event.op) list -> int option list
-(** [run_script] over keyed operations: each element names the key its
-    op addresses.  Ops on distinct keys may execute concurrently
-    server-side (per-key serialization only), which is what makes a
-    windowed keyed script scale with the shard count. *)
+(** Run a whole script with up to [window] (default 8) requests in
+    flight; each element names the key its op addresses.  Returns the
+    results in script order ([Some v] per read, [None] per write
+    acknowledgment) once every op has completed.  Ops on distinct keys
+    may execute concurrently server-side (per-key serialization only),
+    which is what makes a windowed keyed script scale with the shard
+    count. *)
 
 val post : t -> Wire.op -> unit
 (** Fire-and-forget: queue one operation through the batcher without
@@ -115,14 +104,18 @@ val stats : t -> (string * int) list
     snapshot ([Stats_req]/[Stats_reply]) and block for the answer.
     Counters come back verbatim; histograms as [name_count],
     [name_p50_us] and [name_p99_us].  The server appends [sessions],
-    [shards] and [audit_violation] (0/1). *)
+    [shards] and [audit_violation] (0/1).
+    @raise Invalid_argument if the client is closed, before or during
+    the wait. *)
 
 val epoch : t -> int
 (** Flush the batcher, ask the server which configuration epoch is
     current ([Epoch_req]/[Epoch_reply]) and block for the answer.
     Returns the newest epoch this client has heard of (the reply, or a
     later {!reshard} ack).  Epochs advance by one per completed
-    migration — see {!Reconfig}. *)
+    migration — see {!Reconfig}.
+    @raise Invalid_argument if the client is closed, before or during
+    the wait. *)
 
 val reshard : ?attempts:int -> t -> key:int -> to_shard:int -> int
 (** Blocking live migration: ask the server to move [key] onto
@@ -134,7 +127,8 @@ val reshard : ?attempts:int -> t -> key:int -> to_shard:int -> int
     most [attempts] (default 8) tries in total.
     @raise Invalid_argument on a negative key or shard, on a server
     that keeps refusing (e.g. reconfiguration disabled, or the shard
-    out of range), or if the client is closed mid-wait. *)
+    out of range), or if the client is closed before or during the
+    wait. *)
 
 val close : t -> unit
 (** Close the session: atomically seal the batcher (later queue

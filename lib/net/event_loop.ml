@@ -23,7 +23,6 @@ module Theap = struct
 
   let dummy = { deadline = 0.0; seq = 0; f = ignore }
   let create () = { a = Array.make 16 dummy; n = 0 }
-  let size h = h.n
 
   let lt x y =
     x.deadline < y.deadline || (x.deadline = y.deadline && x.seq < y.seq)
@@ -181,9 +180,6 @@ let after t delay f =
       t.tseq <- seq + 1;
       Theap.push t.timers { deadline; seq; f });
   wake t
-
-let fds t = Mutex.protect t.mu (fun () -> Hashtbl.length t.fds)
-let pending_timers t = Mutex.protect t.mu (fun () -> Theap.size t.timers)
 
 let guard f = try f () with _ -> ()
 

@@ -76,9 +76,3 @@ val after : t -> float -> (unit -> unit) -> unit
     before fd callbacks of the same iteration.  There is no cancel —
     layer guards (like {!Socket_net}'s endpoint-incarnation check) on
     top, which is also what a cancelling wrapper would do. *)
-
-val fds : t -> int
-(** Number of registered descriptors — observability for tests. *)
-
-val pending_timers : t -> int
-(** Number of armed timers — observability for tests. *)

@@ -60,8 +60,6 @@ val counter : t -> string -> counter
 (** Intern (find or create) the named counter. *)
 
 val incr : counter -> unit
-val add : counter -> int -> unit
-val value : counter -> int
 
 val get : t -> string -> int
 (** Current value by name; [0] if the counter was never interned. *)

@@ -94,10 +94,6 @@ let create ~registry ?(enabled = true) ?(skip_dual_write = false) () =
 
 let set_unpark t f = t.unpark <- f
 let epoch t = Shard_map.epoch (Registry.map t.reg)
-let active t = t.mig <> None
-
-let migrating_key t =
-  match t.mig with Some m -> Some m.key | None -> None
 
 let count tbl key = Option.value ~default:0 (Hashtbl.find_opt tbl key)
 

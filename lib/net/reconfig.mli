@@ -56,12 +56,6 @@ val epoch : t -> int
 (** The current configuration epoch, i.e. [Shard_map.epoch] of the
     registry's live map. *)
 
-val active : t -> bool
-(** Whether a migration is in flight. *)
-
-val migrating_key : t -> int option
-(** The key under migration, if any. *)
-
 val admitting : t -> int -> bool
 (** Whether the server may dispatch a new client op on this key now.
     [false] exactly while the key is in the drain phase — the server

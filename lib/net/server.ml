@@ -102,11 +102,9 @@ let monitor_of t key =
 let with_cork t f = t.turn f
 
 let metrics t = t.metrics
-let registry t = t.registry
 let reconfig t = t.reconfig
 let epoch t = Reconfig.epoch t.reconfig
 let shards t = Registry.shards t.registry
-let engine_spec t = Registry.spec t.registry
 
 let record t key ev =
   if not t.pooled then

@@ -176,9 +176,6 @@ val keys_of_op : Wire.op -> int list
     {!key_of_op} otherwise.  A multi-key op must be delivered to the
     owner of {e each} of these (see {!Server_pool.dispatch}). *)
 
-val registry : t -> Registry.t
-(** The shard engines — for tests and stats. *)
-
 val reconfig : t -> Reconfig.t
 (** The live-reconfiguration coordinator — for tests and stats. *)
 
@@ -187,9 +184,6 @@ val epoch : t -> int
 
 val shards : t -> int
 (** Shard count of the server's {!Shard_map}. *)
-
-val engine_spec : t -> Engine.spec
-(** The engine spec every shard runs (see {!Registry.spec}). *)
 
 val on_message : t -> src:Transport.node -> Wire.msg -> unit
 (** Feed one incoming message (possibly a [Batch]).  May execute

@@ -25,7 +25,6 @@ type t = {
   workers : worker array;
   map : Shard_map.t;
   nd : int;
-  metrics : Metrics.t;
 }
 
 let push w item =
@@ -104,13 +103,8 @@ let create ~transport ?audit ?engine ?storage ?metrics ?trace ?map
   Array.iter
     (fun w -> w.dom <- Some (Domain.spawn (fun () -> worker_loop w)))
     workers;
-  { workers; map; nd; metrics }
+  { workers; map; nd }
 
-let domains t = t.nd
-let cores t = Array.map (fun w -> w.core) t.workers
-let metrics t = t.metrics
-let shards t = Shard_map.shards t.map
-let engine_spec t = Server.engine_spec t.workers.(0).core
 let worker_of_key t key = Server.worker_of_key t.map ~domains:t.nd key
 
 (* Partition one inbound frame into at most one enqueue per worker: a

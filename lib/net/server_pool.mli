@@ -111,21 +111,6 @@ val stop : t -> unit
 (** Drain and join every worker domain.  In-flight bursts finish;
     idempotent. *)
 
-val domains : t -> int
-(** The worker count the pool was built with. *)
-
-val cores : t -> Server.t array
-(** The per-worker cores, index = worker — for tests. *)
-
-val metrics : t -> Metrics.t
-(** The shared metrics registry every core reports into. *)
-
-val shards : t -> int
-(** Shard count of the pool's {!Shard_map}. *)
-
-val engine_spec : t -> Engine.spec
-(** The engine spec every shard runs. *)
-
 val ops_served : t -> int
 (** Total operations answered, summed over workers. *)
 

@@ -81,13 +81,3 @@ let group t ~replicas shard =
        more replicas than a single quorum group needs *)
     let arr = Array.of_list replicas in
     List.init g (fun i -> arr.((shard + i) mod n))
-
-let pp ppf t =
-  Fmt.pf ppf "shard-map(%d shard%s%a, epoch %d%s)" t.shards
-    (if t.shards = 1 then "" else "s")
-    Fmt.(option (fun ppf g -> Fmt.pf ppf ", group %d" g))
-    t.group_size t.epoch
-    (match t.overrides with
-     | [] -> ""
-     | os -> Fmt.str ", %d override%s" (List.length os)
-               (if List.length os = 1 then "" else "s"))

@@ -73,5 +73,3 @@ val group : t -> replicas:Transport.node list -> int -> Transport.node list
 (** The quorum group of a shard, as a sublist of [replicas] (the whole
     pool when [group_size] is unset or not smaller than the pool).
     @raise Invalid_argument if the shard is out of range. *)
-
-val pp : t Fmt.t

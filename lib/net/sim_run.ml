@@ -119,8 +119,8 @@ let build ?(faults = Sim_net.reliable) ?(replicas = 3) ?(window = 4)
     ?(shards = 1) ?group_size ?keys ?(engine = Engine.default)
     ?(bug = Bug.none) ?(durable = true) ?(snapshot_every = 32) ?gc_bytes
     ?group_commit ?(xprocesses = []) ?reconfig ?reconfig_at
-    ?metrics ?measure ?trace ~seed ~init ~processes () =
-  let metrics = match metrics with Some m -> m | None -> Metrics.create () in
+    ?measure ?trace ~seed ~init ~processes () =
+  let metrics = Metrics.create () in
   let nkeys = max 1 (match keys with Some k -> k | None -> shards) in
   let xprocesses =
     match xprocesses with [] -> singles processes | xs -> xs

@@ -46,8 +46,8 @@ type outcome = {
   quorum : Engine.stats;  (** aggregated over every shard's engine *)
   metrics : Metrics.t;
       (** the cluster-wide metrics registry (transport counters, quorum
-          phase histograms, server op latencies, per-shard counters) —
-          the one passed in, or a fresh instance if none was *)
+          phase histograms, server op latencies, per-shard counters),
+          fresh for each {!build}; also the cluster's [metrics] *)
   epoch : int;
       (** configuration epoch at quiescence (advances by one per
           completed migration — see {!Reconfig}) *)
@@ -126,7 +126,6 @@ val build :
   ?xprocesses:xprocess list ->
   ?reconfig:int * int ->
   ?reconfig_at:float ->
-  ?metrics:Metrics.t ->
   ?measure:(src:int -> dst:int -> Wire.msg -> unit) ->
   ?trace:Trace.t ->
   seed:int ->
@@ -181,8 +180,8 @@ val build :
     virtual time [reconfig_at] via {!Sim_net.at}.  The ack's verdict
     and the final epoch land in the outcome.
 
-    [metrics] and [trace] are shared by the transport and the server:
-    the trace (virtual-time stamped) records sends, deliveries, drops,
+    The cluster's fresh [metrics] registry and [trace] are shared by
+    the transport and the server: the trace (virtual-time stamped) records sends, deliveries, drops,
     timer fires and every operation invoke/respond with its key, and
     can be dumped with {!Trace.dump} and replayed through the checker
     with {!Trace.keyed_history_of_file}. *)
@@ -192,7 +191,7 @@ val run :
   ?max_steps:int ->
   cluster ->
   outcome
-(** Schedule [fates] ({!schedule_fates}), run the simulator to
+(** Schedule [fates] (each via {!Sim_net.at}), run the simulator to
     quiescence or [max_steps] events (default 2_000_000), and
     {!collect}.  [fates] is a timed {!Harness.Failure.net_fate}
     schedule — crash, crash-amnesia, restart, partition, heal — e.g. a
@@ -200,13 +199,6 @@ val run :
     crashes replica [r] at virtual time [t]; a
     [Partition (cl.replica_nodes, [Transport.server])] at [t0] and a
     [Heal] at [t1] sever every replica from the server in between. *)
-
-val apply_fate : cluster -> Harness.Failure.net_fate -> unit
-(** Apply one fate to the cluster's network immediately. *)
-
-val schedule_fates :
-  cluster -> (float * Harness.Failure.net_fate) list -> unit
-(** Schedule a timed fate list via {!Sim_net.at}. *)
 
 val collect : cluster -> steps:int -> outcome
 (** Assemble the outcome from the cluster's current state; [steps] is

@@ -181,7 +181,6 @@ let create ?dir ?sndbuf ?metrics ?trace () =
     c;
   }
 
-let dir t = t.dir
 let metrics t = t.metrics
 let path t node = Filename.concat t.dir (Fmt.str "n%d.sock" node)
 

@@ -64,9 +64,6 @@ val create :
     send/deliver/drop/timer event is appended to the ring with its
     wall-clock time. *)
 
-val dir : t -> string
-(** The socket directory this transport binds and connects under. *)
-
 val metrics : t -> Metrics.t
 (** The metrics registry the transport's counters are interned in. *)
 

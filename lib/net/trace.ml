@@ -86,9 +86,6 @@ let line_of_event { time; kind } =
     Printf.sprintf "{%s,\"kind\":\"respond\",\"key\":%d,\"proc\":%d}" t key proc
   | Note s -> Printf.sprintf "{%s,\"kind\":\"note\",\"text\":\"%s\"}" t (escape s)
 
-let to_jsonl t =
-  String.concat "" (List.map (fun e -> line_of_event e ^ "\n") (events t))
-
 let dump t path =
   let oc = open_out path in
   List.iter (fun e -> output_string oc (line_of_event e ^ "\n")) (events t);

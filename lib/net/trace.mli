@@ -45,7 +45,6 @@ val overwritten : t -> int
 val events : t -> event list
 (** The retained window, oldest first. *)
 
-val to_jsonl : t -> string
 val dump : t -> string -> unit
 (** Write the window to a file as JSONL. *)
 

@@ -421,11 +421,6 @@ let decode_sub buf ~off ~len =
 let decode s =
   decode_sub (Bytes.unsafe_of_string s) ~off:0 ~len:(String.length s)
 
-let decode_exn s =
-  match decode s with
-  | Ok m -> m
-  | Error e -> invalid_arg ("Wire.decode_exn: " ^ e)
-
 (* Control metadata: the encoded bytes that are neither register index
    nor register payload — tags, request ids, timestamps, link headers,
    batching overhead.  This is the footprint the two-bit protocol

@@ -189,10 +189,6 @@ val decode_sub : bytes -> off:int -> len:int -> (msg, string) result
     @raise Invalid_argument if the window does not lie inside [buf]
     (a caller bug, not a property of the bytes). *)
 
-val decode_exn : string -> msg
-(** Like {!decode} but raising.
-    @raise Invalid_argument on undecodable input. *)
-
 val frame : src:int -> msg -> bytes
 (** A stream frame: an 8-byte header ([length, src] as two 32-bit
     little-endian ints) followed by the encoded message, written in

@@ -701,13 +701,12 @@ let sim_sharded_deterministic () =
 
 let sim_shard_metrics () =
   (* per-shard counters must account for exactly the served ops *)
-  let metrics = Net.Metrics.create () in
   let o =
     Net.Sim_run.run
-      (Net.Sim_run.build ~shards:4 ~metrics ~window:8 ~seed:3 ~init:0
+      (Net.Sim_run.build ~shards:4 ~window:8 ~seed:3 ~init:0
          ~processes:(spec ~readers:2 ~writes:4 ~reads:6) ())
   in
-  let g = Net.Metrics.get metrics in
+  let g = Net.Metrics.get o.Net.Sim_run.metrics in
   let per_shard = List.init 4 (fun s -> g (Fmt.str "shard%d_ops" s)) in
   Alcotest.(check int) "shard ops sum to served ops" o.Net.Sim_run.completed
     (List.fold_left ( + ) 0 per_shard);
@@ -723,14 +722,13 @@ let sim_metrics_reconcile () =
      extra sends and count on both sides) *)
   List.iter
     (fun (what, faults, cut) ->
-      let metrics = Net.Metrics.create () in
       let cl =
-        Net.Sim_run.build ~faults ~metrics ~seed:3 ~init:0
+        Net.Sim_run.build ~faults ~seed:3 ~init:0
           ~processes:(spec ~readers:2 ~writes:3 ~reads:4) ()
       in
       let fates = Option.fold ~none:[] ~some:(partition cl) cut in
       ignore (Net.Sim_run.run ~fates cl);
-      let g = Net.Metrics.get metrics in
+      let g = Net.Metrics.get cl.Net.Sim_run.metrics in
       Alcotest.(check int)
         (what ^ ": sent = delivered + dropped + blocked")
         (g "frames_sent")
@@ -871,7 +869,9 @@ let socket_smoke () =
         Thread.create
           (fun () ->
             let c = Net.Client.connect ~net ~server:Net.Transport.server ~proc () in
-            ignore (Net.Client.run_script ~window:4 c script);
+            ignore
+              (Net.Client.run_keyed ~window:4 c
+                 (List.map (fun op -> (0, op)) script));
             Net.Client.close c)
           ())
       processes
@@ -903,12 +903,12 @@ let socket_replica_crash () =
   let c0 = Net.Client.connect ~net ~server:Net.Transport.server ~proc:0 () in
   let c2 = Net.Client.connect ~net ~server:Net.Transport.server ~proc:2 () in
   for k = 1 to 10 do
-    Net.Client.write c0 k;
-    let v = Net.Client.read c2 in
+    Net.Client.write_k c0 ~key:0 k;
+    let v = Net.Client.read_k c2 ~key:0 in
     Alcotest.(check bool) (Fmt.str "read %d sane" k) true (v >= 0 && v <= k)
   done;
   Thread.join killer;
-  let v = Net.Client.read c2 in
+  let v = Net.Client.read_k c2 ~key:0 in
   Alcotest.(check int) "final value survives the crash" 10 v;
   (match Net.Server.violation server with
    | None -> ()
@@ -921,16 +921,19 @@ let socket_reconnect_same_proc () =
      route to it are torn down by [close] *)
   let net, _server = socket_cluster () in
   let c0 = Net.Client.connect ~net ~server:Net.Transport.server ~proc:0 () in
-  Net.Client.write c0 41;
+  Net.Client.write_k c0 ~key:0 41;
   Net.Client.close c0;
   let c2 = Net.Client.connect ~net ~server:Net.Transport.server ~proc:2 () in
-  Alcotest.(check int) "first session's write visible" 41 (Net.Client.read c2);
+  Alcotest.(check int) "first session's write visible" 41
+    (Net.Client.read_k c2 ~key:0);
   Net.Client.close c2;
   let c2' = Net.Client.connect ~net ~server:Net.Transport.server ~proc:2 () in
-  Alcotest.(check int) "reconnected reader works" 41 (Net.Client.read c2');
+  Alcotest.(check int) "reconnected reader works" 41
+    (Net.Client.read_k c2' ~key:0);
   let c0' = Net.Client.connect ~net ~server:Net.Transport.server ~proc:0 () in
-  Net.Client.write c0' 42;
-  Alcotest.(check int) "reconnected writer works" 42 (Net.Client.read c2');
+  Net.Client.write_k c0' ~key:0 42;
+  Alcotest.(check int) "reconnected writer works" 42
+    (Net.Client.read_k c2' ~key:0);
   Net.Client.close c0';
   Net.Client.close c2';
   Net.Socket_net.shutdown net
@@ -1007,9 +1010,9 @@ let socket_connect_stall_does_not_block () =
 let socket_stats_over_wire () =
   let net, _server = socket_cluster () in
   let c0 = Net.Client.connect ~net ~server:Net.Transport.server ~proc:0 () in
-  Net.Client.write c0 7;
-  Net.Client.write c0 8;
-  Alcotest.(check int) "read back" 8 (Net.Client.read c0);
+  Net.Client.write_k c0 ~key:0 7;
+  Net.Client.write_k c0 ~key:0 8;
+  Alcotest.(check int) "read back" 8 (Net.Client.read_k c0 ~key:0);
   let stats = Net.Client.stats c0 in
   let get name =
     match List.assoc_opt name stats with
@@ -1110,7 +1113,7 @@ let socket_rejects_rogue_writer () =
   let net, _server = socket_cluster () in
   let c5 = Net.Client.connect ~net ~server:Net.Transport.server ~proc:5 () in
   (try
-     Net.Client.write c5 99;
+     Net.Client.write_k c5 ~key:0 99;
      Net.Socket_net.shutdown net;
      Alcotest.fail "write by proc 5 accepted"
    with Invalid_argument _ -> Net.Socket_net.shutdown net)
@@ -1290,6 +1293,84 @@ let socket_close_seals_txn () =
   let tviol = Net.Server.txn_violations server in
   Net.Socket_net.shutdown net;
   Alcotest.(check (list string)) "no torn-batch verdicts" [] tviol
+
+(* Run [f] on its own thread and give it [secs] to finish: [None] if it
+   is still blocked then (the thread is left parked), else its result,
+   re-raising what it raised. *)
+let within secs f =
+  let result = Atomic.make None in
+  let th =
+    Thread.create
+      (fun () ->
+        Atomic.set result (Some (try Ok (f ()) with e -> Error e)))
+      ()
+  in
+  let deadline = Unix.gettimeofday () +. secs in
+  while Atomic.get result = None && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  match Atomic.get result with
+  | None -> None
+  | Some r ->
+    Thread.join th;
+    Some (Result.fold ~ok:Fun.id ~error:raise r)
+
+let socket_control_on_closed_client () =
+  (* a control request on a closed client must raise, not park on a
+     reply that can never arrive *)
+  let net, _server = socket_cluster () in
+  let c = Net.Client.connect ~net ~server:Net.Transport.server ~proc:2 () in
+  Net.Client.close c;
+  let raises call () =
+    try
+      call ();
+      false
+    with Invalid_argument _ -> true
+  in
+  let verdicts =
+    List.map
+      (fun (name, call) -> (name, within 2.0 (raises call)))
+      [
+        ("stats", fun () -> ignore (Net.Client.stats c));
+        ("epoch", fun () -> ignore (Net.Client.epoch c));
+        ("reshard", fun () -> ignore (Net.Client.reshard c ~key:0 ~to_shard:0));
+      ]
+  in
+  Net.Socket_net.shutdown net;
+  List.iter
+    (fun (name, verdict) ->
+      Alcotest.(check (option bool))
+        (name ^ " raised Invalid_argument within 2 s")
+        (Some true) verdict)
+    verdicts
+
+let socket_one_table_no_crossed_replies () =
+  (* operations and control requests share one reply table: the posted
+     writes' [Resp]s must satisfy neither the stats wait nor the read's,
+     and the stats request must leave no gap in the seqs the server
+     admits in order *)
+  let net, _server = socket_cluster () in
+  let c =
+    Net.Client.connect ~net ~server:Net.Transport.server ~proc:0
+      ~flush_every:0.0 ()
+  in
+  for v = 1 to 5 do
+    Net.Client.post c (W.Write_k { key = 0; value = v })
+  done;
+  match
+    within 10.0 (fun () ->
+        let stats = Net.Client.stats c in
+        (List.assoc_opt "sessions" stats, Net.Client.read_k c ~key:0))
+  with
+  | None ->
+    Net.Socket_net.shutdown net;
+    Alcotest.fail "stats then read still blocked after 10 s"
+  | Some (sessions, v) ->
+    Net.Client.close c;
+    Net.Socket_net.shutdown net;
+    Alcotest.(check (option int)) "stats answered by a Stats_reply" (Some 1)
+      sessions;
+    Alcotest.(check int) "read returns the last posted write" 5 v
 
 (* The tier-1 suite: pure wire/shard/replica units plus the fast
    simulator runs.  Everything that opens real sockets or sweeps many
@@ -2082,6 +2163,10 @@ let suite =
     tc "quorum: a dead window member costs one resend"
       quorum_dead_window_member;
     tc "trace: one record per delivery, drop and timer fire" sim_trace_counts;
+    tc "socket: control requests on a closed client raise"
+      socket_control_on_closed_client;
+    tc "socket: one reply table never crosses answers"
+      socket_one_table_no_crossed_replies;
   ]
 
 let slow_suite =

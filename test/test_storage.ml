@@ -686,7 +686,7 @@ let socket_durable_leg ?group_commit () =
       (fun () ->
         let c = Net.Client.connect ~net ~server:Net.Transport.server ~proc:0 () in
         for k = 1 to 12 do
-          Net.Client.write c k
+          Net.Client.write_k c ~key:0 k
         done;
         Net.Client.close c)
       ()
@@ -696,7 +696,7 @@ let socket_durable_leg ?group_commit () =
       (fun () ->
         let c = Net.Client.connect ~net ~server:Net.Transport.server ~proc:2 () in
         for _ = 1 to 12 do
-          ignore (Net.Client.read c)
+          ignore (Net.Client.read_k c ~key:0)
         done;
         Net.Client.close c)
       ()
