@@ -708,6 +708,90 @@ let wire_alloc_table () =
     kinds;
   Fmt.pr "  (decode is [Wire.decode_sub] in place over the frame's body)@.@."
 
+(* The socket runtime's two per-wake-up costs, measured from outside
+   while this thread waits, so the domain's minor-word counter sees only
+   the loop thread:
+   - one [Event_loop] turn with 16 registered read fds, one of them
+     always readable (a pipe holding an unread byte): its callback
+     counts turns and reads the counter 10k turns apart;
+   - one [Socket_net] parse turn: K [Query] frames written to a
+     listener in one write, counted until its handler has seen them all
+     (decode, the turn's [Batch], delivery; the wake-up amortized). *)
+let socket_alloc_table () =
+  let loop_words ~fds =
+    let pipes = List.init fds (fun _ -> Unix.pipe ()) in
+    ignore (Unix.write (snd (List.hd pipes)) (Bytes.make 1 'x') 0 1);
+    let loop = Net.Event_loop.create () in
+    let warmup = 1_000 and turns = 10_000 in
+    let n = ref 0 and w0 = ref 0.0 and w1 = ref 0.0 in
+    List.iteri
+      (fun i (r, _) ->
+        Net.Event_loop.add_read loop r
+          (if i > 0 then ignore
+           else fun () ->
+             incr n;
+             if !n = warmup then w0 := Gc.minor_words ()
+             else if !n = warmup + turns then begin
+               w1 := Gc.minor_words ();
+               Net.Event_loop.stop loop
+             end))
+      pipes;
+    Thread.join (Thread.create Net.Event_loop.run loop);
+    List.iter
+      (fun (r, w) ->
+        Unix.close r;
+        Unix.close w)
+      pipes;
+    (!w1 -. !w0) /. float_of_int turns
+  in
+  let parse_words ~frames =
+    let net = Net.Socket_net.create () in
+    let node = 7 in
+    let mu = Mutex.create () and cv = Condition.create () in
+    let got = ref 0 in
+    Net.Socket_net.listen net node (fun ~src:_ msg ->
+        let k = match msg with Net.Wire.Batch ms -> List.length ms | _ -> 1 in
+        Mutex.lock mu;
+        got := !got + k;
+        Condition.signal cv;
+        Mutex.unlock mu);
+    let burst =
+      Bytes.concat Bytes.empty
+        (List.init frames (fun i ->
+             Net.Wire.frame ~src:1 (Net.Wire.Query { rid = i; reg = 2 * i })))
+    in
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX (Net.Socket_net.path net node));
+    let round () =
+      Mutex.lock mu;
+      got := 0;
+      Mutex.unlock mu;
+      let w0 = Gc.minor_words () in
+      ignore (Unix.write fd burst 0 (Bytes.length burst));
+      Mutex.lock mu;
+      while !got < frames do
+        Condition.wait cv mu
+      done;
+      Mutex.unlock mu;
+      (Gc.minor_words () -. w0) /. float_of_int frames
+    in
+    ignore (round ());
+    let words = List.fold_left min infinity (List.init 5 (fun _ -> round ())) in
+    Unix.close fd;
+    Net.Socket_net.shutdown net;
+    words
+  in
+  let turn = loop_words ~fds:16 and frames = 256 in
+  let frame = parse_words ~frames in
+  Fmt.pr "  socket runtime, minor words:@.";
+  Fmt.pr "  %-40s %9.1f@." "event-loop turn (16 fds, 1 ready)" turn;
+  Fmt.pr "  %-40s %9.1f@."
+    (Fmt.str "Socket_net parsed frame (%d-frame burst)" frames)
+    frame;
+  Json.metric ~section:"net-alloc" "event-loop words per turn" turn;
+  Json.metric ~section:"net-alloc" "Socket_net words per parsed frame" frame;
+  Fmt.pr "  (Query frames; best of 5 bursts after one warm-up)@.@."
+
 let bench_net_alloc () =
   section "net-alloc - minor words per op by receiving role and message";
   (* the shape of bench/e2e's sim-durable workload: ABD, 3 replicas,
@@ -791,7 +875,8 @@ let bench_net_alloc () =
     "  (%d ops; an empty measured interval allocates %.0f words; the \
      e2e sim-durable figure also counts its byte-accounting tap)@.@."
     completed empty;
-  wire_alloc_table ()
+  wire_alloc_table ();
+  socket_alloc_table ()
 
 (* ------------------------------------------------------------------ *)
 (* Schedule exploration: how fast the adversary enumerates, how much   *)

@@ -44,14 +44,24 @@ let take_pending_locked t =
    in the order they were detached: a presequenced server core drops a
    sequence number lower than one it has already admitted.  The send
    itself happens outside [mu], so the reply handler (which takes only
-   [mu]) can never wedge behind a full socket buffer. *)
+   [mu]) can never wedge behind a full socket buffer.  Both locks are
+   taken directly, not through [Mutex.protect], so a flush allocates
+   no closure; every exit unlocks. *)
 let send_pending t take =
-  Mutex.protect t.smu (fun () ->
-      match Mutex.protect t.mu take with
-      | None -> ()
-      | Some msg -> t.tr.Transport.send ~src:t.me ~dst:t.server msg)
+  Mutex.lock t.smu;
+  Mutex.lock t.mu;
+  let msg = take t in
+  Mutex.unlock t.mu;
+  match msg with
+  | None -> Mutex.unlock t.smu
+  | Some msg ->
+    (match t.tr.Transport.send ~src:t.me ~dst:t.server msg with
+     | () -> Mutex.unlock t.smu
+     | exception e ->
+       Mutex.unlock t.smu;
+       raise e)
 
-let flush t = send_pending t (fun () -> take_pending_locked t)
+let flush t = send_pending t take_pending_locked
 
 let connect ?metrics ?(batch_max = 32) ?(flush_every = 0.002) ~net ~server
     ~proc () =
@@ -71,13 +81,14 @@ let connect ?metrics ?(batch_max = 32) ?(flush_every = 0.002) ~net ~server
     | Wire.Stats_reply { rid = id; _ }
     | Wire.Reconfig_ack { rid = id; _ }
     | Wire.Epoch_reply { rid = id; _ } ->
-      Mutex.protect mu (fun () ->
-          (match Hashtbl.find_opt sent_at id with
-           | Some t0 ->
-             Hashtbl.remove sent_at id;
-             Metrics.observe h_rtt (Unix.gettimeofday () -. t0)
-           | None -> ());
-          Hashtbl.replace replies id msg);
+      Mutex.lock mu;
+      (match Hashtbl.find sent_at id with
+       | t0 ->
+         Hashtbl.remove sent_at id;
+         Metrics.observe h_rtt (Unix.gettimeofday () -. t0)
+       | exception Not_found -> ());
+      Hashtbl.replace replies id msg;
+      Mutex.unlock mu;
       Condition.broadcast cond
     | Wire.Batch msgs -> List.iter (handler ~src:0) msgs
     | _ -> ()
@@ -128,16 +139,18 @@ let connect ?metrics ?(batch_max = 32) ?(flush_every = 0.002) ~net ~server
 let req t op =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  let full =
-    Mutex.protect t.mu (fun () ->
-        (* fail deterministically rather than queue into a session
-           whose final batch is already gone *)
-        if t.closed then invalid_arg "Client.req: client is closed";
-        Hashtbl.replace t.sent_at seq (Unix.gettimeofday ());
-        t.pending_rev <- Wire.Req { seq; op } :: t.pending_rev;
-        t.npending <- t.npending + 1;
-        t.npending >= t.batch_max)
-  in
+  Mutex.lock t.mu;
+  if t.closed then begin
+    (* fail deterministically rather than queue into a session whose
+       final batch is already gone *)
+    Mutex.unlock t.mu;
+    invalid_arg "Client.req: client is closed"
+  end;
+  Hashtbl.replace t.sent_at seq (Unix.gettimeofday ());
+  t.pending_rev <- Wire.Req { seq; op } :: t.pending_rev;
+  t.npending <- t.npending + 1;
+  let full = t.npending >= t.batch_max in
+  Mutex.unlock t.mu;
   if full then flush t;
   seq
 
@@ -147,28 +160,30 @@ let req t op =
    must everything queued (including [id]'s own request) be on the wire
    first. *)
 let await t id =
-  let take () =
-    match Hashtbl.find_opt t.replies id with
-    | Some _ as r ->
-      Hashtbl.remove t.replies id;
-      r
-    | None -> None
-  in
-  match Mutex.protect t.mu take with
-  | Some m -> m
-  | None ->
+  Mutex.lock t.mu;
+  match Hashtbl.find t.replies id with
+  | m ->
+    Hashtbl.remove t.replies id;
+    Mutex.unlock t.mu;
+    m
+  | exception Not_found ->
+    Mutex.unlock t.mu;
     flush t;
-    Mutex.protect t.mu (fun () ->
-        while not (Hashtbl.mem t.replies id || t.closed) do
-          Condition.wait t.cond t.mu
-        done;
-        match take () with
-        | Some m -> m
-        | None ->
-          (* close sealed the session and tore the reply endpoint down
-             while we were blocked: the answer can never arrive, so
-             fail now instead of waiting forever *)
-          invalid_arg "Client.await: closed with the request in flight")
+    Mutex.lock t.mu;
+    while not (Hashtbl.mem t.replies id || t.closed) do
+      Condition.wait t.cond t.mu
+    done;
+    (match Hashtbl.find t.replies id with
+     | m ->
+       Hashtbl.remove t.replies id;
+       Mutex.unlock t.mu;
+       m
+     | exception Not_found ->
+       (* close sealed the session and tore the reply endpoint down
+          while we were blocked: the answer can never arrive, so fail
+          now instead of waiting forever *)
+       Mutex.unlock t.mu;
+       invalid_arg "Client.await: closed with the request in flight")
 
 (* A write or transaction is acknowledged by an empty [Resp]; a
    non-writer session gets the same empty [Resp] as its rejection. *)
@@ -287,7 +302,7 @@ let close t =
      wire makes the server drop the ops of a then-dead session,
      silently.  After this section no new op can be queued (req fails
      closed) and whatever was pending is ours to send. *)
-  send_pending t (fun () ->
+  send_pending t (fun t ->
       t.closed <- true;
       (* wake every blocked await: their replies will never arrive
          once the endpoint below is gone, and they fail closed *)

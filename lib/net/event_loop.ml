@@ -7,7 +7,14 @@
      before each dispatch, so a callback removed (or replaced) by an
      earlier callback of the same iteration never fires stale;
    - the wakeup pipe makes every cross-thread mutation visible to a
-     sleeping select without waiting out its timeout. *)
+     sleeping select without waiting out its timeout;
+   - a turn allocates nothing the loop keeps: the fd lists handed to
+     [select] are cached and rebuilt only after the interest set
+     changed ([dirty]), posts move by [Queue.transfer], and timers,
+     dispatch and the wake pipe run through top-level functions and
+     preallocated buffers.  What is left per turn is [select]'s own
+     result and the float it sleeps for.  [mu] is locked directly, not
+     through [Mutex.protect], whose closure would cost every call. *)
 
 type fd_interest = {
   mutable on_read : (unit -> unit) option;
@@ -46,30 +53,31 @@ module Theap = struct
       i := (!i - 1) / 2
     done
 
-  let peek h = if h.n = 0 then None else Some h.a.(0)
+  (* The earliest deadline; the heap must be non-empty. *)
+  let earliest h = h.a.(0).deadline
 
+  let due h now = h.n > 0 && earliest h <= now
+
+  (* The earliest timer, removed; the heap must be non-empty. *)
   let pop h =
-    if h.n = 0 then None
-    else begin
-      let top = h.a.(0) in
-      h.n <- h.n - 1;
-      h.a.(0) <- h.a.(h.n);
-      h.a.(h.n) <- dummy;
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let m = ref !i in
-        if l < h.n && lt h.a.(l) h.a.(!m) then m := l;
-        if r < h.n && lt h.a.(r) h.a.(!m) then m := r;
-        if !m = !i then continue := false
-        else begin
-          swap h !i !m;
-          i := !m
-        end
-      done;
-      Some top
-    end
+    let top = h.a.(0) in
+    h.n <- h.n - 1;
+    h.a.(0) <- h.a.(h.n);
+    h.a.(h.n) <- dummy;
+    let i = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+      let m = ref !i in
+      if l < h.n && lt h.a.(l) h.a.(!m) then m := l;
+      if r < h.n && lt h.a.(r) h.a.(!m) then m := r;
+      if !m = !i then continue := false
+      else begin
+        swap h !i !m;
+        i := !m
+      end
+    done;
+    top
 end
 
 type t = {
@@ -77,9 +85,15 @@ type t = {
   fds : (Unix.file_descr, fd_interest) Hashtbl.t;
   timers : Theap.t;
   posts : (unit -> unit) Queue.t;
+  jobs : (unit -> unit) Queue.t;  (* loop thread only: this turn's posts *)
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
+  wake_byte : Bytes.t;  (* the one byte every [wake] writes *)
+  drain_buf : Bytes.t;  (* loop thread only: [drain_wake]'s read buffer *)
   mutable wake_armed : bool;  (* a wake byte is already in the pipe *)
+  mutable dirty : bool;  (* [fds] changed since [reads]/[writes] were built *)
+  mutable reads : Unix.file_descr list;  (* cached: [wake_r] + read interest *)
+  mutable writes : Unix.file_descr list;  (* cached: write interest *)
   stopped : bool Atomic.t;
   mutable loop_tid : int;  (* Thread.id of the thread inside [run], or -1 *)
   mutable tseq : int;
@@ -97,9 +111,15 @@ let create () =
     fds = Hashtbl.create 16;
     timers = Theap.create ();
     posts = Queue.create ();
+    jobs = Queue.create ();
     wake_r;
     wake_w;
+    wake_byte = Bytes.make 1 '!';
+    drain_buf = Bytes.create 64;
     wake_armed = false;
+    dirty = true;
+    reads = [];
+    writes = [];
     stopped = Atomic.make false;
     loop_tid = -1;
     tseq = 0;
@@ -114,71 +134,81 @@ let wake t =
      recomputes the interest set, timers and post queue before
      sleeping *)
   if not (in_loop t) then begin
-    let arm =
-      Mutex.protect t.mu (fun () ->
-          if t.wake_armed then false
-          else begin
-            t.wake_armed <- true;
-            true
-          end)
-    in
+    Mutex.lock t.mu;
+    let arm = not t.wake_armed in
+    t.wake_armed <- true;
+    Mutex.unlock t.mu;
     if arm then
-      try ignore (Unix.write t.wake_w (Bytes.make 1 '!') 0 1)
+      try ignore (Unix.write t.wake_w t.wake_byte 0 1)
       with
       | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EPIPE), _, _)
       -> ()
   end
 
+let rec drain_pipe t =
+  match Unix.read t.wake_r t.drain_buf 0 64 with
+  | 64 -> drain_pipe t
+  | _ -> ()
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain_pipe t
+
 let drain_wake t =
-  let buf = Bytes.create 64 in
-  let rec go () =
-    match Unix.read t.wake_r buf 0 64 with
-    | 64 -> go ()
-    | _ -> ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-  in
-  go ();
-  Mutex.protect t.mu (fun () -> t.wake_armed <- false)
+  drain_pipe t;
+  Mutex.lock t.mu;
+  t.wake_armed <- false;
+  Mutex.unlock t.mu
 
 let post t f =
-  Mutex.protect t.mu (fun () -> Queue.add f t.posts);
+  Mutex.lock t.mu;
+  Queue.add f t.posts;
+  Mutex.unlock t.mu;
   wake t
 
 let stop t =
   Atomic.set t.stopped true;
   wake t
 
+(* Callers hold [mu]. *)
 let interest_of t fd =
-  match Hashtbl.find_opt t.fds fd with
-  | Some i -> i
-  | None ->
+  match Hashtbl.find t.fds fd with
+  | i -> i
+  | exception Not_found ->
     let i = { on_read = None; on_write = None } in
     Hashtbl.replace t.fds fd i;
     i
 
 let add_read t fd cb =
-  Mutex.protect t.mu (fun () -> (interest_of t fd).on_read <- Some cb);
+  Mutex.lock t.mu;
+  (interest_of t fd).on_read <- Some cb;
+  t.dirty <- true;
+  Mutex.unlock t.mu;
   wake t
 
 let set_write t fd cb =
-  Mutex.protect t.mu (fun () ->
-      match (cb, Hashtbl.find_opt t.fds fd) with
-      | None, None -> ()  (* disarming an unknown fd: no-op *)
-      | _ -> (interest_of t fd).on_write <- cb);
+  Mutex.lock t.mu;
+  (match cb with
+   | None when not (Hashtbl.mem t.fds fd) -> ()  (* disarming an unknown fd *)
+   | _ ->
+     (interest_of t fd).on_write <- cb;
+     t.dirty <- true);
+  Mutex.unlock t.mu;
   wake t
 
 let remove_fd t fd =
-  Mutex.protect t.mu (fun () -> Hashtbl.remove t.fds fd);
+  Mutex.lock t.mu;
+  Hashtbl.remove t.fds fd;
+  t.dirty <- true;
+  Mutex.unlock t.mu;
   wake t
 
 let after t delay f =
   if delay < 0.0 then invalid_arg "Event_loop.after: negative delay";
   let deadline = Unix.gettimeofday () +. delay in
-  Mutex.protect t.mu (fun () ->
-      let seq = t.tseq in
-      t.tseq <- seq + 1;
-      Theap.push t.timers { deadline; seq; f });
+  Mutex.lock t.mu;
+  let seq = t.tseq in
+  t.tseq <- seq + 1;
+  Theap.push t.timers { deadline; seq; f };
+  Mutex.unlock t.mu;
   wake t
 
 let guard f = try f () with _ -> ()
@@ -186,93 +216,104 @@ let guard f = try f () with _ -> ()
 (* A closed-but-still-registered fd (a layering bug upstream) makes
    select raise EBADF; pruning the dead entries beats spinning. *)
 let prune_bad t =
+  Mutex.lock t.mu;
   let bad =
-    Mutex.protect t.mu (fun () ->
-        Hashtbl.fold
-          (fun fd _ acc ->
-            match Unix.fstat fd with
-            | _ -> acc
-            | exception Unix.Unix_error _ -> fd :: acc)
-          t.fds [])
+    Hashtbl.fold
+      (fun fd _ acc ->
+        match Unix.fstat fd with
+        | _ -> acc
+        | exception Unix.Unix_error _ -> fd :: acc)
+      t.fds []
   in
+  Mutex.unlock t.mu;
   List.iter (fun fd -> remove_fd t fd) bad
+
+(* Callers hold [mu].  Runs only after the interest set changed, so
+   its lists are the only allocation proportional to the fd count. *)
+let rebuild_locked t =
+  let r = ref [ t.wake_r ] and w = ref [] in
+  Hashtbl.iter
+    (fun fd i ->
+      if i.on_read <> None then r := fd :: !r;
+      if i.on_write <> None then w := fd :: !w)
+    t.fds;
+  t.reads <- !r;
+  t.writes <- !w;
+  t.dirty <- false
+
+let rec run_jobs t =
+  if not (Queue.is_empty t.jobs) then begin
+    guard (Queue.take t.jobs);
+    run_jobs t
+  end
+
+(* Pop and fire every timer due at [now], one at a time under [mu], so
+   a timer armed by a firing one is seen too if it is already due. *)
+let rec fire_due t now =
+  Mutex.lock t.mu;
+  if Theap.due t.timers now then begin
+    let e = Theap.pop t.timers in
+    Mutex.unlock t.mu;
+    guard e.Theap.f;
+    fire_due t now
+  end
+  else Mutex.unlock t.mu
+
+(* The fd's current callback of the given direction, fetched under the
+   lock: an earlier callback of this batch may have removed or
+   replaced it. *)
+let fire t fd ~write =
+  Mutex.lock t.mu;
+  let cb =
+    match Hashtbl.find t.fds fd with
+    | i -> if write then i.on_write else i.on_read
+    | exception Not_found -> None
+  in
+  Mutex.unlock t.mu;
+  match cb with Some cb -> guard cb | None -> ()
+
+let rec dispatch_reads t = function
+  | [] -> ()
+  | fd :: rest ->
+    if fd = t.wake_r then drain_wake t else fire t fd ~write:false;
+    dispatch_reads t rest
+
+let rec dispatch_writes t = function
+  | [] -> ()
+  | fd :: rest ->
+    fire t fd ~write:true;
+    dispatch_writes t rest
+
+(* Callers hold [mu]. *)
+let timeout_locked t now =
+  if not (Queue.is_empty t.posts) then 0.0
+  else if t.timers.Theap.n = 0 then max_sleep
+  else Float.max 0.0 (Float.min max_sleep (Theap.earliest t.timers -. now))
 
 let run t =
   t.loop_tid <- Thread.id (Thread.self ());
   while not (Atomic.get t.stopped) do
     (* 1. posted closures *)
-    let jobs =
-      Mutex.protect t.mu (fun () ->
-          let js = Queue.fold (fun acc j -> j :: acc) [] t.posts in
-          Queue.clear t.posts;
-          List.rev js)
-    in
-    List.iter guard jobs;
+    Mutex.lock t.mu;
+    Queue.transfer t.posts t.jobs;
+    Mutex.unlock t.mu;
+    run_jobs t;
     (* 2. due timers *)
     let now = Unix.gettimeofday () in
-    let rec fire_due () =
-      let due =
-        Mutex.protect t.mu (fun () ->
-            match Theap.peek t.timers with
-            | Some e when e.Theap.deadline <= now -> Theap.pop t.timers
-            | _ -> None)
-      in
-      match due with
-      | Some e ->
-        guard e.Theap.f;
-        fire_due ()
-      | None -> ()
-    in
-    fire_due ();
+    fire_due t now;
     if not (Atomic.get t.stopped) then begin
       (* 3. select on the current interest set *)
-      let reads, writes, timeout =
-        Mutex.protect t.mu (fun () ->
-            let r = ref [ t.wake_r ] and w = ref [] in
-            Hashtbl.iter
-              (fun fd i ->
-                if i.on_read <> None then r := fd :: !r;
-                if i.on_write <> None then w := fd :: !w)
-              t.fds;
-            let timeout =
-              if not (Queue.is_empty t.posts) then 0.0
-              else
-                match Theap.peek t.timers with
-                | None -> max_sleep
-                | Some e ->
-                  Float.max 0.0
-                    (Float.min max_sleep (e.Theap.deadline -. now))
-            in
-            (!r, !w, timeout))
-      in
+      Mutex.lock t.mu;
+      if t.dirty then rebuild_locked t;
+      let reads = t.reads and writes = t.writes in
+      let timeout = timeout_locked t now in
+      Mutex.unlock t.mu;
       match Unix.select reads writes [] timeout with
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
       | exception Unix.Unix_error (Unix.EBADF, _, _) -> prune_bad t
       | ready_r, ready_w, _ ->
-        List.iter
-          (fun fd ->
-            if fd = t.wake_r then drain_wake t
-            else
-              (* re-fetch under the lock: an earlier callback of this
-                 batch may have removed or replaced this fd's interest *)
-              match
-                Mutex.protect t.mu (fun () ->
-                    Option.bind (Hashtbl.find_opt t.fds fd) (fun i ->
-                        i.on_read))
-              with
-              | Some cb -> guard cb
-              | None -> ())
-          ready_r;
-        List.iter
-          (fun fd ->
-            match
-              Mutex.protect t.mu (fun () ->
-                  Option.bind (Hashtbl.find_opt t.fds fd) (fun i ->
-                      i.on_write))
-            with
-            | Some cb -> guard cb
-            | None -> ())
-          ready_w
+        dispatch_reads t ready_r;
+        dispatch_writes t ready_w
     end
   done;
   t.loop_tid <- -1

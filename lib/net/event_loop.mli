@@ -33,7 +33,10 @@ val run : t -> unit
 (** Run the loop on the calling thread until {!stop}: drain posted
     closures, fire due timers, [select] on the current interest set,
     dispatch ready callbacks.  Returns once stopped; at most one
-    {!run} may be active per loop. *)
+    {!run} may be active per loop.  The fd lists handed to [select]
+    are cached and rebuilt only on the first turn after {!add_read},
+    {!set_write} or {!remove_fd} changed the interest set, so a turn
+    costs no allocation proportional to the number of registered fds. *)
 
 val stop : t -> unit
 (** Ask the loop to exit; idempotent, callable from any thread (the

@@ -38,6 +38,8 @@
       ({!Engine_twobit}).
     - [crashes] — nodes crashed (fault injection or real).
     - [ops_served] / [ops_rejected] — server-level operations.
+    - [worker_exn] — exceptions that escaped a {!Server_pool} worker's
+      handler (the worker survives them; see {!Server_pool.stop}).
 
     Histogram names (values in transport clock units — seconds over
     sockets, virtual time in the simulator):

@@ -25,6 +25,9 @@ type t = {
   workers : worker array;
   map : Shard_map.t;
   nd : int;
+  worker_exn : Metrics.counter;
+  failed : (exn * Printexc.raw_backtrace) option Atomic.t;
+      (* the first exception a worker caught, re-raised by [stop] *)
 }
 
 let push w item =
@@ -33,8 +36,37 @@ let push w item =
   Condition.signal w.cv;
   Mutex.unlock w.mu
 
-let worker_loop w =
+(* A handler that raises must not end its worker's domain: that would
+   leave the worker's keys unserved with nothing reported.  Count every
+   exception, print the first one the pool sees, and let [stop] raise
+   it. *)
+let caught t e bt =
+  Metrics.incr t.worker_exn;
+  if Atomic.compare_and_set t.failed None (Some (e, bt)) then
+    Fmt.epr "Server_pool: a worker's handler raised %s@.%s@."
+      (Printexc.to_string e)
+      (Printexc.raw_backtrace_to_string bt)
+
+let worker_loop t w =
   let batch = Queue.create () in
+  let run_batch () =
+    while not (Queue.is_empty batch) do
+      match Queue.take batch with
+      | Msg (src, msg) -> Server.on_message w.core ~src msg
+      | Fn f -> f ()
+    done
+  in
+  (* one cork over the whole burst: every reply and quorum message this
+     drain produces leaves as one frame per destination.  An item that
+     raises ends its cork turn (which still ships); the rest of the
+     burst runs under a fresh one. *)
+  let rec drain () =
+    match Server.with_cork w.core run_batch with
+    | () -> ()
+    | exception e ->
+      caught t e (Printexc.get_raw_backtrace ());
+      drain ()
+  in
   let running = ref true in
   while !running do
     Mutex.lock w.mu;
@@ -44,17 +76,7 @@ let worker_loop w =
     Queue.transfer w.q batch;
     if Queue.is_empty batch && w.stopping then running := false;
     Mutex.unlock w.mu;
-    if not (Queue.is_empty batch) then begin
-      (* one cork over the whole burst: every reply and quorum message
-         this drain produces leaves as one frame per destination *)
-      Server.with_cork w.core (fun () ->
-          Queue.iter
-            (function
-              | Msg (src, msg) -> Server.on_message w.core ~src msg
-              | Fn f -> f ())
-            batch);
-      Queue.clear batch
-    end
+    if not (Queue.is_empty batch) then drain ()
   done
 
 let create ~transport ?audit ?engine ?storage ?metrics ?trace ?map
@@ -100,12 +122,65 @@ let create ~transport ?audit ?engine ?storage ?metrics ?trace ?map
     w
   in
   let workers = Array.init nd make in
+  let t =
+    { workers; map; nd; worker_exn = Metrics.counter metrics "worker_exn";
+      failed = Atomic.make None }
+  in
   Array.iter
-    (fun w -> w.dom <- Some (Domain.spawn (fun () -> worker_loop w)))
+    (fun w -> w.dom <- Some (Domain.spawn (fun () -> worker_loop t w)))
     workers;
-  { workers; map; nd }
+  t
 
 let worker_of_key t key = Server.worker_of_key t.map ~domains:t.nd key
+
+let add buckets w m = buckets.(w) <- m :: buckets.(w)
+
+(* Add [m] to the bucket of every worker that must see it. *)
+let rec route t buckets m =
+  match m with
+  | Wire.Batch msgs -> route_list t buckets msgs
+  | Wire.Hello _ | Wire.Bye ->
+    for w = 0 to t.nd - 1 do
+      add buckets w m
+    done
+  | Wire.Req { op = (Wire.Txn_k _ | Wire.Snap_k _) as op; _ } ->
+    (* a multi-key op goes to the owner of EACH touched key — every
+       one of them must queue it (phase 1 of the coordinator) — and
+       each worker exactly once.  An op with no keys still routes to
+       its routing-key owner, who rejects it. *)
+    (match
+       List.sort_uniq compare
+         (List.map (worker_of_key t) (Server.keys_of_op op))
+     with
+     | [] -> add buckets (worker_of_key t (Server.key_of_op op)) m
+     | ws -> List.iter (fun w -> add buckets w m) ws)
+  | Wire.Req { op; _ } ->
+    (* point-route by key owner: cores run presequenced (this thread
+       preserves each session's arrival order), so no other worker
+       needs to see the op at all *)
+    add buckets (worker_of_key t (Server.key_of_op op)) m
+  | Wire.Query_reply { reg; _ } | Wire.Store_ack { reg; _ } ->
+    if reg >= 0 then add buckets (worker_of_key t (Shard_map.key_of_reg reg)) m
+  | Wire.Ack2 { lid; _ } | Wire.Query2_reply { lid; _ } ->
+    if lid >= 0 then add buckets (lid mod t.nd) m
+  | Wire.Stats_req _ -> add buckets 0 m
+  | Wire.Reconfig { key; _ } ->
+    (* the migration runs entirely on the key's owner worker *)
+    if key >= 0 then add buckets (worker_of_key t key) m
+  | Wire.Epoch_req _ ->
+    (* workers' epochs advance independently; worker 0 answers as the
+       pool's representative (a stale answer only costs the client a
+       nack-and-retry) *)
+    add buckets 0 m
+  | Wire.Resp _ | Wire.Resp_snap _ | Wire.Query _ | Wire.Store _
+  | Wire.Stats_reply _ | Wire.Store2 _ | Wire.Query2 _ | Wire.Engine_hello _
+  | Wire.Reconfig_ack _ | Wire.Epoch_reply _ -> ()
+
+and route_list t buckets = function
+  | [] -> ()
+  | m :: rest ->
+    route t buckets m;
+    route_list t buckets rest
 
 (* Partition one inbound frame into at most one enqueue per worker: a
    Batch of K messages costs K pushes (and K worker wake-ups) if
@@ -114,57 +189,13 @@ let worker_of_key t key = Server.worker_of_key t.map ~domains:t.nd key
    sub-batch under a single cork turn. *)
 let dispatch t ~src msg =
   let buckets = Array.make t.nd [] in
-  let one w m = buckets.(w) <- m :: buckets.(w) in
-  let all m =
-    for w = 0 to t.nd - 1 do
-      one w m
-    done
-  in
-  let rec go m =
-    match m with
-    | Wire.Batch msgs -> List.iter go msgs
-    | Wire.Hello _ | Wire.Bye -> all m
-    | Wire.Req { op = (Wire.Txn_k _ | Wire.Snap_k _) as op; _ } ->
-      (* a multi-key op goes to the owner of EACH touched key — every
-         one of them must queue it (phase 1 of the coordinator) — and
-         each worker exactly once.  An op with no keys still routes to
-         its routing-key owner, who rejects it. *)
-      (match
-         List.sort_uniq compare
-           (List.map (worker_of_key t) (Server.keys_of_op op))
-       with
-       | [] -> one (worker_of_key t (Server.key_of_op op)) m
-       | ws -> List.iter (fun w -> one w m) ws)
-    | Wire.Req { op; _ } ->
-      (* point-route by key owner: cores run presequenced (this thread
-         preserves each session's arrival order), so no other worker
-         needs to see the op at all *)
-      one (worker_of_key t (Server.key_of_op op)) m
-    | Wire.Query_reply { reg; _ } | Wire.Store_ack { reg; _ } ->
-      if reg >= 0 then one (worker_of_key t (Shard_map.key_of_reg reg)) m
-    | Wire.Ack2 { lid; _ } | Wire.Query2_reply { lid; _ } ->
-      if lid >= 0 then one (lid mod t.nd) m
-    | Wire.Stats_req _ -> one 0 m
-    | Wire.Reconfig { key; _ } ->
-      (* the migration runs entirely on the key's owner worker *)
-      if key >= 0 then one (worker_of_key t key) m
-    | Wire.Epoch_req _ ->
-      (* workers' epochs advance independently; worker 0 answers as
-         the pool's representative (a stale answer only costs the
-         client a nack-and-retry) *)
-      one 0 m
-    | Wire.Resp _ | Wire.Resp_snap _ | Wire.Query _ | Wire.Store _
-    | Wire.Stats_reply _ | Wire.Store2 _ | Wire.Query2 _ | Wire.Engine_hello _
-    | Wire.Reconfig_ack _ | Wire.Epoch_reply _ -> ()
-  in
-  go msg;
-  Array.iteri
-    (fun w ms ->
-      match List.rev ms with
-      | [] -> ()
-      | [ m ] -> push t.workers.(w) (Msg (src, m))
-      | ms -> push t.workers.(w) (Msg (src, Wire.Batch ms)))
-    buckets
+  route t buckets msg;
+  for w = 0 to t.nd - 1 do
+    match buckets.(w) with
+    | [] -> ()
+    | [ m ] -> push t.workers.(w) (Msg (src, m))
+    | ms -> push t.workers.(w) (Msg (src, Wire.Batch (List.rev ms)))
+  done
 
 let stop t =
   Array.iter
@@ -181,7 +212,10 @@ let stop t =
         Domain.join d;
         w.dom <- None
       | None -> ())
-    t.workers
+    t.workers;
+  match Atomic.get t.failed with
+  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+  | None -> ()
 
 let sum f t = Array.fold_left (fun acc w -> acc + f w.core) 0 t.workers
 let ops_served t = sum Server.ops_served t

@@ -109,7 +109,12 @@ val dispatch : t -> src:Transport.node -> Wire.msg -> unit
 
 val stop : t -> unit
 (** Drain and join every worker domain.  In-flight bursts finish;
-    idempotent. *)
+    idempotent.  A worker survives an exception escaping its handler:
+    it counts it in the [worker_exn] counter of the pool's
+    {!Metrics.t} (so {!Wire.msg.Stats_reply} reports it), prints the
+    pool's first one with its backtrace to stderr, and keeps draining.
+    [stop] then re-raises that first exception, once every worker has
+    been joined. *)
 
 val ops_served : t -> int
 (** Total operations answered, summed over workers. *)

@@ -23,14 +23,25 @@ type endpoint = {
 }
 
 (* One accepted inbound connection: a non-blocking fd plus its
-   frame-reassembly buffer.  Only the loop thread touches
-   [rbuf]/[rlen]; [rclosed] transitions under [t.mu]. *)
+   frame-reassembly buffer and the parse turn's pending messages.
+   Only the loop thread touches [rbuf]/[rlen]/[turn]; [rclosed]
+   transitions under [t.mu]. *)
 and rconn = {
   rfd : Unix.file_descr;
   rep : endpoint;
   mutable rbuf : Bytes.t;
   mutable rlen : int;
   mutable rclosed : bool;
+  turn : turn;
+}
+
+(* The messages one parse turn has decoded but not yet delivered: all
+   from [pend_src], newest first.  Held per connection, so a turn
+   allocates no state of its own. *)
+and turn = {
+  mutable pend_rev : Wire.msg list;
+  mutable pend_n : int;
+  mutable pend_src : int;
 }
 
 (* Outbound connection.  [wmu] serializes writers and guards the
@@ -224,6 +235,18 @@ let deliver t rc ~src msg =
     Metrics.observe t.c.handler_service (Unix.gettimeofday () -. t0)
   end
 
+(* Hand the parse turn's pending messages to the handler: one message
+   as itself, several as one [Batch] in arrival order. *)
+let flush_turn t rc =
+  let tu = rc.turn in
+  let ms = tu.pend_rev in
+  tu.pend_rev <- [];
+  tu.pend_n <- 0;
+  match ms with
+  | [] -> ()
+  | [ m ] -> deliver t rc ~src:tu.pend_src m
+  | ms -> deliver t rc ~src:tu.pend_src (Wire.Batch (List.rev ms))
+
 (* Peel every complete frame out of the reassembly buffer; each body is
    decoded in place, never copied (a decoded message shares no storage
    with the buffer, so the buffer may be compacted or reused at once).
@@ -239,17 +262,7 @@ let deliver t rc ~src msg =
    of one per inbound frame.  With several worker domains multiplying
    the quorum frame count this is what keeps the syscall budget flat. *)
 let parse_frames t rc =
-  let pend_rev = ref [] (* decoded msgs of the current turn, newest first *)
-  and pend_n = ref 0
-  and pend_src = ref min_int in
-  let flush_turn () =
-    (match !pend_rev with
-     | [] -> ()
-     | [ m ] -> deliver t rc ~src:!pend_src m
-     | ms -> deliver t rc ~src:!pend_src (Wire.Batch (List.rev ms)));
-    pend_rev := [];
-    pend_n := 0
-  in
+  let tu = rc.turn in
   let off = ref 0 in
   let continue = ref true in
   while !continue && not rc.rclosed do
@@ -260,7 +273,7 @@ let parse_frames t rc =
       if blen < 0 || blen > max_frame then begin
         (* corrupt length: the stream can no longer be trusted *)
         Metrics.incr t.c.decode_errors;
-        flush_turn ();
+        flush_turn t rc;
         close_rconn t rc
       end
       else if avail < Wire.header_size + blen then begin
@@ -284,21 +297,21 @@ let parse_frames t rc =
         match Wire.decode_sub rc.rbuf ~off:body_off ~len:blen with
         | Error _ ->
           Metrics.incr t.c.decode_errors;
-          flush_turn ();
+          flush_turn t rc;
           close_rconn t rc
         | Ok msg ->
           Metrics.incr t.c.frames_delivered;
-          if src <> !pend_src then flush_turn ();
-          pend_src := src;
-          pend_rev := msg :: !pend_rev;
-          incr pend_n;
+          if src <> tu.pend_src then flush_turn t rc;
+          tu.pend_src <- src;
+          tu.pend_rev <- msg :: tu.pend_rev;
+          tu.pend_n <- tu.pend_n + 1;
           (* keep turn batches well under the wire batch cap, and the
              latency of the first op in a burst bounded *)
-          if !pend_n >= 1024 then flush_turn ()
+          if tu.pend_n >= 1024 then flush_turn t rc
       end
     end
   done;
-  flush_turn ();
+  flush_turn t rc;
   if (not rc.rclosed) && !off > 0 then begin
     let rest = rc.rlen - !off in
     if rest > 0 then Bytes.blit rc.rbuf !off rc.rbuf 0 rest;
@@ -342,7 +355,8 @@ let on_acceptable t ep () =
       Unix.set_nonblock cfd;
       let rc =
         { rfd = cfd; rep = ep; rbuf = Bufpool.take t.pool; rlen = 0;
-          rclosed = false }
+          rclosed = false;
+          turn = { pend_rev = []; pend_n = 0; pend_src = min_int } }
       in
       let stopped =
         Mutex.protect t.mu (fun () ->
@@ -642,12 +656,19 @@ let send t ~src ~dst msg =
    stale callback.  [armed = None] (the node was not registered at arm
    time) always drops: firing [f] would race it against a later
    listener's handlers. *)
+(* Locked directly, like [get_conn]: timers arm and fire per op. *)
+let find_ep t node =
+  Mutex.lock t.mu;
+  let ep = Hashtbl.find_opt t.eps node in
+  Mutex.unlock t.mu;
+  ep
+
 let timer_fire t ~node ~armed f =
   match armed with
   | None -> Metrics.incr t.c.timers_dropped
   | Some aep ->
     let live =
-      match Mutex.protect t.mu (fun () -> Hashtbl.find_opt t.eps node) with
+      match find_ep t node with
       | Some cur -> cur == aep && not (Atomic.get aep.stopped)
       | None -> false
     in
@@ -661,7 +682,7 @@ let timer_fire t ~node ~armed f =
     else Metrics.incr t.c.timers_dropped
 
 let set_timer t ~node ~delay f =
-  let armed = Mutex.protect t.mu (fun () -> Hashtbl.find_opt t.eps node) in
+  let armed = find_ep t node in
   (* scheduled on the loop: the callback is serialized with the node's
      handlers structurally *)
   Event_loop.after t.loop delay (fun () -> timer_fire t ~node ~armed f)
@@ -694,7 +715,7 @@ let stop_endpoint t ep =
   List.iter (fun rc -> close_rconn t rc) rcs
 
 let unlisten t node =
-  (match Mutex.protect t.mu (fun () -> Hashtbl.find_opt t.eps node) with
+  (match find_ep t node with
    | Some ep ->
      Atomic.set ep.stopped true;
      Mutex.protect t.mu (fun () -> Hashtbl.remove t.eps node);
@@ -706,7 +727,7 @@ let unlisten t node =
   try Unix.unlink (path t node) with Unix.Unix_error _ -> ()
 
 let crash t node =
-  (match Mutex.protect t.mu (fun () -> Hashtbl.find_opt t.eps node) with
+  (match find_ep t node with
    | Some ep ->
      Metrics.incr t.c.crashes;
      stop_endpoint t ep

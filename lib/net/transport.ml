@@ -51,13 +51,19 @@ let cork base =
         items
     end
   in
+  (* ships on both exits; matched rather than [Fun.protect]ed, whose
+     [finally] closure would cost every turn *)
   let turn f =
     incr depth;
-    Fun.protect
-      ~finally:(fun () ->
-        decr depth;
-        if !depth = 0 then ship ())
-      f
+    match f () with
+    | () ->
+      decr depth;
+      if !depth = 0 then ship ()
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      decr depth;
+      if !depth = 0 then ship ();
+      Printexc.raise_with_backtrace e bt
   in
   let send ~src ~dst msg =
     if !depth = 0 then base.send ~src ~dst msg

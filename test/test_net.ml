@@ -1512,6 +1512,57 @@ let batch_group_commit () =
     Alcotest.failf "audit, key %d: %a" key
       (Histories.Fastcheck.pp_violation Fmt.int) v
 
+let pool_worker_survives_raise () =
+  (* a worker whose handler raises keeps serving: the exception is
+     counted in [worker_exn], a later op on another key is answered,
+     and [stop] re-raises it.  It is raised here by the send of op 0's
+     reply, at the end of the worker's cork turn — the path an
+     exception from [Wire.frame] would take. *)
+  let metrics = Net.Metrics.create () in
+  let resps = Atomic.make 0 in
+  let pool = ref None in
+  let rec poisoned = function
+    | W.Resp { seq = 0; _ } -> true
+    | W.Batch ms -> List.exists poisoned ms
+    | _ -> false
+  in
+  let tr =
+    loopback_transport
+      ~on_server:(fun ~src msg ->
+        match !pool with
+        | Some p -> Net.Server_pool.dispatch p ~src msg
+        | None -> ())
+      ~on_client:(fun ~src:_ ~dst:_ msg ->
+        if poisoned msg then failwith "poisoned reply";
+        let count = function W.Resp _ -> Atomic.incr resps | _ -> () in
+        match msg with W.Batch ms -> List.iter count ms | m -> count m)
+  in
+  let p =
+    Net.Server_pool.create ~transport:tr ~metrics ~domains:1
+      ~me:Net.Transport.server ~replicas:[ 0; 1; 2 ] ~init:0 ()
+  in
+  pool := Some p;
+  let cl = Net.Transport.client 0 in
+  let send m = tr.Net.Transport.send ~src:cl ~dst:Net.Transport.server m in
+  send (W.Hello { proc = 0 });
+  send (W.Req { seq = 0; op = W.Write_k { key = 1; value = 5 } });
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while
+    Net.Metrics.get metrics "worker_exn" = 0 && Unix.gettimeofday () < deadline
+  do
+    Thread.yield ()
+  done;
+  Alcotest.(check int) "exception counted" 1
+    (Net.Metrics.get metrics "worker_exn");
+  send (W.Req { seq = 1; op = W.Read_k { key = 2 } });
+  await_resps resps 1;
+  Alcotest.(check int) "later op on another key answered" 1
+    (Atomic.get resps);
+  send W.Bye;
+  Alcotest.check_raises "stop re-raises the worker's exception"
+    (Failure "poisoned reply") (fun () -> Net.Server_pool.stop p);
+  Alcotest.(check int) "counted once" 1 (Net.Metrics.get metrics "worker_exn")
+
 let pool_mixed_shard_batch () =
   (* one client Batch interleaving keys on every shard, dispatched to a
      two-domain pool: every op must be served exactly once, per-session
@@ -2154,6 +2205,8 @@ let suite =
     tc "cork: one frame per peer per turn" cork_coalesces;
     tc "batch fast path: group commits, not singletons" batch_group_commit;
     tc "pool: mixed-shard batch over two domains" pool_mixed_shard_batch;
+    tc "pool: a worker whose handler raises keeps serving"
+      pool_worker_survives_raise;
     tc "pool: keyed workload over sockets, two domains" socket_pool_domains;
     tc "pool: txn/snap workload over sockets, two domains" socket_pool_txn_snap;
     tc "quorum: each phase reaches one majority"
