@@ -139,13 +139,6 @@ let start_cluster net ~engine ~replicas ~shards ~audit ?data_dir
   in
   Net.Socket_net.listen net Net.Transport.server (fun ~src msg ->
       Net.Server_pool.dispatch pool ~src msg);
-  (* engine negotiation: tell every replica which protocol this service
-     instance speaks (recorded, surfaced by stats/debugging) *)
-  List.iter
-    (fun r ->
-      tr.Net.Transport.send ~src:Net.Transport.server ~dst:r
-        (Net.Wire.Engine_hello { engine = Net.Engine.kind_code engine }))
-    replica_nodes;
   (pool, reps)
 
 let run_socket_workload net ~window ~nkeys processes =
@@ -322,6 +315,18 @@ let run_smoke engine shards readers writes reads seed data_dir group_commit
       result
     end
   in
+  (* each multi-key op is answered (and counted) once *)
+  let expected = expected + (4 * txn_rounds) + !reconfig_ops in
+  (* the operator's view, fetched over the wire as [service stats]
+     does: the pool's shared counters must count exactly the ops this
+     smoke's clients issued *)
+  let reply =
+    let c = Net.Client.connect ~net ~server:Net.Transport.server ~proc:8 () in
+    let r = Net.Client.stats c in
+    Net.Client.close c;
+    r
+  in
+  let stat name = Option.value ~default:(-1) (List.assoc_opt name reply) in
   (* drain every commit queue before the durability check below: the
      in-memory tables hold eagerly applied entries whose batches may
      still be pending (only their acks wait on durability), and the
@@ -351,10 +356,14 @@ let run_smoke engine shards readers writes reads seed data_dir group_commit
   let traced = Net.Trace.recorded trace in
   let trace_ok = Net.Trace.overwritten trace = 0 && traced >= 2 * served in
   let fc_ok = trace_ok && List.for_all (fun (_, v) -> v = "atomic") per_key in
-  (* each multi-key op is answered (and counted) once *)
-  let expected = expected + (4 * txn_rounds) + !reconfig_ops in
   Fmt.pr "  %d/%d ops served; live audit: %s; decode errors: %d@."
     served expected mon decode_errors;
+  let reply_ok = stat "ops_served" = expected in
+  Fmt.pr "  stats reply: %d ops served%s@." (stat "ops_served")
+    (if reply_ok then "" else " — MISMATCH");
+  if show_metrics then
+    Fmt.pr "  stats reply %a@." Net.Engine.pp_stats
+      (Net.Engine.stats_of engine stat);
   Fmt.pr "  trace: %d events%s@." traced
     (if trace_ok then "" else " — INCOMPLETE, the re-check is void");
   List.iter (fun (k, v) -> Fmt.pr "  key %d: %s@." k v) per_key;
@@ -408,7 +417,8 @@ let run_smoke engine shards readers writes reads seed data_dir group_commit
      key's history re-checked atomic, a byte-clean wire, and (with
      --data-dir) a lossless recovery round trip *)
   let socket_ok =
-    served = expected && violations = [] && fc_ok && decode_errors = 0
+    served = expected && reply_ok && violations = [] && fc_ok
+    && decode_errors = 0
     && durable_ok && reconfig_ok && txn_viol = []
     && txs.Net.Txn.txns_committed = 2 * txn_rounds
     && txs.Net.Txn.snaps_served = 2 * txn_rounds

@@ -44,22 +44,22 @@ type stats = {
   control_bytes_sent : int;  (* the Wire.control_bytes share of those *)
 }
 
-let zero_stats =
+(* The {!Metrics} counter behind each field, by kind: the engines count
+   into these names, and [stats_of kind get] reads them back through
+   [get] — {!Metrics.get} of the registry, or a [Stats_reply]'s pairs. *)
+let stats_of kind get =
+  let c abd twobit = get (match kind with Abd -> abd | Twobit -> twobit) in
   {
-    reads = 0;
-    writes = 0;
-    messages_sent = 0;
-    retransmissions = 0;
-    bytes_sent = 0;
-    control_bytes_sent = 0;
+    reads = c "quorum_queries" "twobit_queries";
+    writes = c "quorum_writes" "twobit_stores";
+    messages_sent = c "quorum_msgs" "twobit_msgs";
+    retransmissions = c "quorum_retransmissions" "twobit_retransmissions";
+    bytes_sent = c "quorum_bytes" "twobit_bytes";
+    control_bytes_sent = c "quorum_control_bytes" "twobit_control_bytes";
   }
 
-let add_stats a b =
-  {
-    reads = a.reads + b.reads;
-    writes = a.writes + b.writes;
-    messages_sent = a.messages_sent + b.messages_sent;
-    retransmissions = a.retransmissions + b.retransmissions;
-    bytes_sent = a.bytes_sent + b.bytes_sent;
-    control_bytes_sent = a.control_bytes_sent + b.control_bytes_sent;
-  }
+let pp_stats ppf s =
+  Fmt.pf ppf "engine: %d reads, %d writes, %d msgs, %d retransmissions, %d \
+              bytes (%d control)"
+    s.reads s.writes s.messages_sent s.retransmissions s.bytes_sent
+    s.control_bytes_sent

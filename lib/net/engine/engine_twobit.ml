@@ -59,7 +59,10 @@ type link = {
 type ctrs = {
   m_stores : Metrics.counter;
   m_queries : Metrics.counter;
+  m_msgs : Metrics.counter;
   m_retrans : Metrics.counter;
+  m_bytes : Metrics.counter;
+  m_cbytes : Metrics.counter;
   m_widened : Metrics.counter;
   m_suspected : Metrics.counter;
   h_op : Metrics.histogram;
@@ -75,12 +78,6 @@ type t = {
   mutable suspected : int;  (* bitmask over links: held an overdue frame *)
   wts : (int, int) Hashtbl.t;  (* engine-side write counter, per reg *)
   storage : Storage.t option;
-  mutable reads : int;
-  mutable writes : int;
-  mutable sent : int;
-  mutable retrans : int;
-  mutable bytes : int;
-  mutable cbytes : int;
   c : ctrs;
 }
 
@@ -117,17 +114,14 @@ let create ~transport ~me ~replicas ~lid ?storage ?metrics () =
     suspected = 0;
     wts;
     storage;
-    reads = 0;
-    writes = 0;
-    sent = 0;
-    retrans = 0;
-    bytes = 0;
-    cbytes = 0;
     c =
       {
         m_stores = Metrics.counter metrics "twobit_stores";
         m_queries = Metrics.counter metrics "twobit_queries";
+        m_msgs = Metrics.counter metrics "twobit_msgs";
         m_retrans = Metrics.counter metrics "twobit_retransmissions";
+        m_bytes = Metrics.counter metrics "twobit_bytes";
+        m_cbytes = Metrics.counter metrics "twobit_control_bytes";
         m_widened = Metrics.counter metrics "twobit_widened";
         m_suspected = Metrics.counter metrics "twobit_suspected";
         h_op = Metrics.histogram metrics "twobit_op";
@@ -135,9 +129,9 @@ let create ~transport ~me ~replicas ~lid ?storage ?metrics () =
   }
 
 let send t l msg =
-  t.sent <- t.sent + 1;
-  t.bytes <- t.bytes + Wire.encoded_size msg;
-  t.cbytes <- t.cbytes + Wire.control_bytes msg;
+  Metrics.incr t.c.m_msgs;
+  Metrics.add t.c.m_bytes (Wire.encoded_size msg);
+  Metrics.add t.c.m_cbytes (Wire.control_bytes msg);
   t.tr.Transport.send ~src:t.me ~dst:l.dst msg
 
 (* Push [op]'s [frame], which must carry [l.next_seq], onto link [l].
@@ -155,7 +149,6 @@ let query t l op reg =
   push t l op (Wire.Query2 { lid = t.lid; seq = l.next_seq; reg })
 
 let write_ts t ~reg ~value ~k =
-  t.writes <- t.writes + 1;
   Metrics.incr t.c.m_stores;
   let ts = 1 + Option.value ~default:0 (Hashtbl.find_opt t.wts reg) in
   Hashtbl.replace t.wts reg ts;
@@ -206,7 +199,6 @@ let pick t =
   i
 
 let read t ~reg ~k =
-  t.reads <- t.reads + 1;
   Metrics.incr t.c.m_queries;
   let op =
     {
@@ -309,7 +301,6 @@ let resend_pending ?(older_than = 0.0) t =
               t.suspected <- t.suspected lor (1 lsl i);
               Metrics.incr t.c.m_suspected
             end;
-            t.retrans <- t.retrans + 1;
             Metrics.incr t.c.m_retrans;
             send t l e.frame
           end)
@@ -331,13 +322,3 @@ let resend_pending ?(older_than = 0.0) t =
         l.outbox)
     t.links;
   !still
-
-let stats t =
-  {
-    Engine.reads = t.reads;
-    writes = t.writes;
-    messages_sent = t.sent;
-    retransmissions = t.retrans;
-    bytes_sent = t.bytes;
-    control_bytes_sent = t.cbytes;
-  }

@@ -10,7 +10,7 @@
      sleeping select without waiting out its timeout;
    - a turn allocates nothing the loop keeps: the fd lists handed to
      [select] are cached and rebuilt only after the interest set
-     changed ([dirty]), posts move by [Queue.transfer], and timers,
+     changed ([dirty]), and timers,
      dispatch and the wake pipe run through top-level functions and
      preallocated buffers.  What is left per turn is [select]'s own
      result and the float it sleeps for.  [mu] is locked directly, not
@@ -84,8 +84,6 @@ type t = {
   mu : Mutex.t;
   fds : (Unix.file_descr, fd_interest) Hashtbl.t;
   timers : Theap.t;
-  posts : (unit -> unit) Queue.t;
-  jobs : (unit -> unit) Queue.t;  (* loop thread only: this turn's posts *)
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
   wake_byte : Bytes.t;  (* the one byte every [wake] writes *)
@@ -110,8 +108,6 @@ let create () =
     mu = Mutex.create ();
     fds = Hashtbl.create 16;
     timers = Theap.create ();
-    posts = Queue.create ();
-    jobs = Queue.create ();
     wake_r;
     wake_w;
     wake_byte = Bytes.make 1 '!';
@@ -131,8 +127,7 @@ let in_loop t = t.loop_tid = Thread.id (Thread.self ())
    selects; [wake_armed] keeps redundant writers off the syscall. *)
 let wake t =
   (* from the loop thread itself no wake is needed: the next iteration
-     recomputes the interest set, timers and post queue before
-     sleeping *)
+     recomputes the interest set and timers before sleeping *)
   if not (in_loop t) then begin
     Mutex.lock t.mu;
     let arm = not t.wake_armed in
@@ -157,12 +152,6 @@ let drain_wake t =
   Mutex.lock t.mu;
   t.wake_armed <- false;
   Mutex.unlock t.mu
-
-let post t f =
-  Mutex.lock t.mu;
-  Queue.add f t.posts;
-  Mutex.unlock t.mu;
-  wake t
 
 let stop t =
   Atomic.set t.stopped true;
@@ -241,12 +230,6 @@ let rebuild_locked t =
   t.writes <- !w;
   t.dirty <- false
 
-let rec run_jobs t =
-  if not (Queue.is_empty t.jobs) then begin
-    guard (Queue.take t.jobs);
-    run_jobs t
-  end
-
 (* Pop and fire every timer due at [now], one at a time under [mu], so
    a timer armed by a firing one is seen too if it is already due. *)
 let rec fire_due t now =
@@ -286,23 +269,17 @@ let rec dispatch_writes t = function
 
 (* Callers hold [mu]. *)
 let timeout_locked t now =
-  if not (Queue.is_empty t.posts) then 0.0
-  else if t.timers.Theap.n = 0 then max_sleep
+  if t.timers.Theap.n = 0 then max_sleep
   else Float.max 0.0 (Float.min max_sleep (Theap.earliest t.timers -. now))
 
 let run t =
   t.loop_tid <- Thread.id (Thread.self ());
   while not (Atomic.get t.stopped) do
-    (* 1. posted closures *)
-    Mutex.lock t.mu;
-    Queue.transfer t.posts t.jobs;
-    Mutex.unlock t.mu;
-    run_jobs t;
-    (* 2. due timers *)
+    (* 1. due timers *)
     let now = Unix.gettimeofday () in
     fire_due t now;
     if not (Atomic.get t.stopped) then begin
-      (* 3. select on the current interest set *)
+      (* 2. select on the current interest set *)
       Mutex.lock t.mu;
       if t.dirty then rebuild_locked t;
       let reads = t.reads and writes = t.writes in

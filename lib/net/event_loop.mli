@@ -2,7 +2,7 @@
 
     One loop owns a set of file descriptors and a timer queue and runs
     on a single dedicated thread ({!run}); every callback — readability,
-    writability, timer expiry, {!post}ed closure — executes on that
+    writability, timer expiry — executes on that
     thread, so state touched only from callbacks of one loop needs no
     locking.  That structural serialization is what {!Socket_net}'s
     epoll runtime builds its per-node handler discipline on.
@@ -16,10 +16,11 @@
     process) are far below [select]'s limits.
 
     All mutating operations ({!add_read}, {!set_write}, {!remove_fd},
-    {!after}, {!post}, {!stop}) are thread-safe and may be called from
-    any thread, including from callbacks running on the loop itself; a
-    wakeup pipe nudges a sleeping [select] whenever the interest set,
-    the timer queue or the post queue changes. *)
+    {!after}, {!stop}) are thread-safe and may be called from any
+    thread, including from callbacks running on the loop itself; a
+    wakeup pipe nudges a sleeping [select] whenever the interest set
+    or the timer queue changes.  [after t 0. f] is how another thread
+    runs [f] on the loop thread. *)
 
 type t
 
@@ -30,8 +31,8 @@ val create : unit -> t
     keeps going. *)
 
 val run : t -> unit
-(** Run the loop on the calling thread until {!stop}: drain posted
-    closures, fire due timers, [select] on the current interest set,
+(** Run the loop on the calling thread until {!stop}: fire due
+    timers, [select] on the current interest set,
     dispatch ready callbacks.  Returns once stopped; at most one
     {!run} may be active per loop.  The fd lists handed to [select]
     are cached and rebuilt only on the first turn after {!add_read},
@@ -40,20 +41,9 @@ val run : t -> unit
 
 val stop : t -> unit
 (** Ask the loop to exit; idempotent, callable from any thread (the
-    wakeup pipe interrupts a sleeping [select]).  Closures already
-    posted but not yet drained are discarded; registered fds are left
-    open — the owner closes them after joining the loop thread. *)
-
-val post : t -> (unit -> unit) -> unit
-(** Enqueue a closure to run on the loop thread before the next
-    [select].  The cross-thread submission primitive: transports use
-    it to move fd teardown onto the loop, worker domains could use it
-    to hand results back. *)
-
-val in_loop : t -> bool
-(** Whether the calling thread is the one inside {!run} — lets an
-    operation run a cleanup inline when already on the loop instead of
-    posting it. *)
+    wakeup pipe interrupts a sleeping [select]).  Timers not yet
+    fired are discarded; registered fds are left open — the owner
+    closes them after joining the loop thread. *)
 
 val add_read : t -> Unix.file_descr -> (unit -> unit) -> unit
 (** Register (or replace) the readability callback of a descriptor.
@@ -69,7 +59,7 @@ val set_write : t -> Unix.file_descr -> (unit -> unit) option -> unit
 val remove_fd : t -> Unix.file_descr -> unit
 (** Forget both callbacks of a descriptor.  Does {e not} close it.
     Close a registered fd only from the loop thread (inline in a
-    callback or via {!post}) after removing it, or a concurrent
+    callback or in an {!after} timer) after removing it, or a concurrent
     [select] may see a stale descriptor. *)
 
 val after : t -> float -> (unit -> unit) -> unit

@@ -25,6 +25,8 @@ let counter t name =
         c)
 
 let incr c = Atomic.incr c.cell
+let add c n = ignore (Atomic.fetch_and_add c.cell n)
+let value c = Atomic.get c.cell
 
 (* Deterministic reservoir seed per name: metric output under the
    simulated transport stays a pure function of (seed, workload). *)

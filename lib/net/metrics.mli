@@ -7,6 +7,15 @@
     (counters) or a short mutex-protected reservoir insert
     (histograms, {!Harness.Stats.Reservoir}).
 
+    A count lives here and nowhere else.  Every layer's stats accessor
+    ({!Sim_net.stats}, {!Registry.stats} and so {!Server.quorum_stats}
+    and {!Server_pool.quorum_stats}, {!Server.ops_served},
+    {!Server_pool.ops_served}, …) reads the registry that layer was
+    created with, and {!Wire.msg.Stats_reply} ships the same counters
+    ({!wire_stats}).  So one registry serves one service instance: two
+    servers handed the same {!t} would each report both servers'
+    totals.
+
     Counter names used by the library (all monotonic):
 
     - [frames_sent] / [frames_delivered] / [frames_dropped] /
@@ -26,6 +35,11 @@
       discarded because their node was gone.
     - [quorum_queries] / [quorum_stores] / [quorum_retransmissions] —
       phase-1 and phase-2 rounds started, and per-replica resends.
+    - [quorum_writes] — ABD writes started ([write] and the migration's
+      [write_at]); [quorum_stores] also counts read write-backs.
+    - [quorum_msgs] / [quorum_bytes] / [quorum_control_bytes] — ABD
+      messages sent, resends included, and their {!Wire.encoded_size}
+      and {!Wire.control_bytes}.
     - [quorum_widened] / [quorum_suspected] — ABD phases re-sent beyond
       their first window, and replicas that became suspected for
       missing a resend deadline ({!Quorum}).
@@ -36,10 +50,33 @@
       deadline (first sends, not retransmissions), and links that
       became suspected for holding an overdue frame
       ({!Engine_twobit}).
+    - [twobit_msgs] / [twobit_bytes] / [twobit_control_bytes] — the
+      same for twobit link frames.
     - [crashes] — nodes crashed (fault injection or real).
     - [ops_served] / [ops_rejected] — server-level operations.
     - [worker_exn] — exceptions that escaped a {!Server_pool} worker's
       handler (the worker survives them; see {!Server_pool.stop}).
+    - [audit_violated_keys] — keys whose live audit latched a
+      violation ({!Server.violations}).
+    - [reconfig_started] / [reconfig_completed] / [reconfig_nacked] —
+      migrations begun, cut over and refused; [reconfig_dual_writes],
+      [reconfig_sync_installs] / [reconfig_sync_skips] and
+      [reconfig_parked] — dual-quorum writes, sync-phase installs and
+      hot-register skips, and admissions parked by a drain
+      ({!Reconfig}).
+
+    Which counter answers each stats field:
+
+    - {!Engine.stats} ({!Engine.stats_of}): [reads] is
+      [quorum_queries] / [twobit_queries]; [writes] is [quorum_writes] /
+      [twobit_stores]; [messages_sent], [retransmissions],
+      [bytes_sent] and [control_bytes_sent] are [quorum_msgs],
+      [quorum_retransmissions], [quorum_bytes] and
+      [quorum_control_bytes] (the [twobit_] ones for that engine).
+    - {!Sim_net.stats}: [delivered], [dropped], [duplicated] and
+      [blocked] are [frames_delivered], [frames_dropped],
+      [frames_duplicated] and [frames_blocked]; [timer_fires] is
+      [timer_fires].
 
     Histogram names (values in transport clock units — seconds over
     sockets, virtual time in the simulator):
@@ -62,6 +99,10 @@ val counter : t -> string -> counter
 (** Intern (find or create) the named counter. *)
 
 val incr : counter -> unit
+val add : counter -> int -> unit
+
+val value : counter -> int
+(** Current value; one [Atomic] read. *)
 
 val get : t -> string -> int
 (** Current value by name; [0] if the counter was never interned. *)

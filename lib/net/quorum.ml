@@ -28,8 +28,12 @@ type reg_ts = { mutable issued : int; mutable stable : int }
 
 type ctrs = {
   m_queries : Metrics.counter;
+  m_writes : Metrics.counter;
   m_stores : Metrics.counter;
+  m_msgs : Metrics.counter;
   m_retrans : Metrics.counter;
+  m_bytes : Metrics.counter;
+  m_cbytes : Metrics.counter;
   m_widened : Metrics.counter;
   m_suspected : Metrics.counter;
   h_phase1 : Metrics.histogram;
@@ -51,12 +55,6 @@ type t = {
   storage : Storage.t option;
   rid_stride : int;
   mutable next_rid : int;
-  mutable reads : int;
-  mutable writes : int;
-  mutable sent : int;
-  mutable retrans : int;
-  mutable bytes : int;
-  mutable cbytes : int;
   c : ctrs;
 }
 
@@ -79,8 +77,12 @@ let create ~transport ~me ~replicas ?read_quorum ?(skip_write_back = false)
   let c =
     {
       m_queries = Metrics.counter metrics "quorum_queries";
+      m_writes = Metrics.counter metrics "quorum_writes";
       m_stores = Metrics.counter metrics "quorum_stores";
+      m_msgs = Metrics.counter metrics "quorum_msgs";
       m_retrans = Metrics.counter metrics "quorum_retransmissions";
+      m_bytes = Metrics.counter metrics "quorum_bytes";
+      m_cbytes = Metrics.counter metrics "quorum_control_bytes";
       m_widened = Metrics.counter metrics "quorum_widened";
       m_suspected = Metrics.counter metrics "quorum_suspected";
       h_phase1 = Metrics.histogram metrics "quorum_phase1";
@@ -115,12 +117,6 @@ let create ~transport ~me ~replicas ?read_quorum ?(skip_write_back = false)
     storage;
     rid_stride;
     next_rid = rid_base;
-    reads = 0;
-    writes = 0;
-    sent = 0;
-    retrans = 0;
-    bytes = 0;
-    cbytes = 0;
     c;
   }
 
@@ -136,9 +132,9 @@ let fresh_rid t =
   rid
 
 let send_to t dst msg =
-  t.sent <- t.sent + 1;
-  t.bytes <- t.bytes + Wire.encoded_size msg;
-  t.cbytes <- t.cbytes + Wire.control_bytes msg;
+  Metrics.incr t.c.m_msgs;
+  Metrics.add t.c.m_bytes (Wire.encoded_size msg);
+  Metrics.add t.c.m_cbytes (Wire.control_bytes msg);
   t.tr.Transport.send ~src:t.me ~dst msg
 
 (* Where phase [rid]'s rotation starts: one place further on for each
@@ -219,7 +215,6 @@ let start_collect t ~reg ~finish =
   send_mask t rid reached (Wire.Query { rid; reg })
 
 let read t ~reg ~k =
-  t.reads <- t.reads + 1;
   Metrics.incr t.c.m_queries;
   let finish (ts, pl) =
     (* write-back phase: install the freshest pair on a majority before
@@ -237,7 +232,6 @@ let read t ~reg ~k =
    installing it on the incoming one — the install is the write-back,
    so doing another here would double the message cost. *)
 let read_ts t ~reg ~k =
-  t.reads <- t.reads + 1;
   Metrics.incr t.c.m_queries;
   start_collect t ~reg ~finish:k
 
@@ -249,13 +243,13 @@ let read_ts t ~reg ~k =
    [write] already made the same (reg, ts) durable in this node's log,
    which is what [create] recovers the floor from. *)
 let write_at t ~reg ~ts ~value ~k =
-  t.writes <- t.writes + 1;
+  Metrics.incr t.c.m_writes;
   let e = entry t reg in
   if ts > e.issued then e.issued <- ts;
   start_store t ~reg ~ts ~pl:value ~finish:k
 
 let write_ts t ~reg ~value ~k =
-  t.writes <- t.writes + 1;
+  Metrics.incr t.c.m_writes;
   let e = entry t reg in
   let ts = e.issued + 1 in
   e.issued <- ts;
@@ -336,7 +330,6 @@ let resend t ~reached ~answered msg =
         t.suspected <- t.suspected lor b;
         Metrics.incr t.c.m_suspected
       end;
-      t.retrans <- t.retrans + 1;
       Metrics.incr t.c.m_retrans;
       send_to t t.reps.(i) msg
     end
@@ -361,13 +354,3 @@ let resend_pending ?(older_than = 0.0) t =
       | Collect _ | Store_p _ -> ())
     t.pending;
   Hashtbl.length t.pending > 0
-
-let stats t =
-  {
-    Engine.reads = t.reads;
-    writes = t.writes;
-    messages_sent = t.sent;
-    retransmissions = t.retrans;
-    bytes_sent = t.bytes;
-    control_bytes_sent = t.cbytes;
-  }

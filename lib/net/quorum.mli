@@ -100,8 +100,10 @@ val create :
     with pending phases for the same registers.  Raises
     [Invalid_argument] unless [0 <= rid_base < rid_stride].
     [metrics] (default: a fresh, private instance) receives
-    [quorum_queries]/[quorum_stores]/[quorum_retransmissions]
-    counters, [quorum_widened] (phases re-sent beyond their first
+    [quorum_queries]/[quorum_writes]/[quorum_stores]/[quorum_msgs]/[quorum_retransmissions]
+    counters, [quorum_bytes]/[quorum_control_bytes] (the
+    {!Wire.encoded_size} and {!Wire.control_bytes} of every message
+    sent, resends included), [quorum_widened] (phases re-sent beyond their first
     window) and [quorum_suspected] (replicas that became suspected),
     and the [quorum_phase1]/[quorum_phase2] round-latency histograms
     (transport clock units, measured from first transmission to quorum
@@ -163,10 +165,3 @@ val resend_pending : ?older_than:float -> t -> bool
     still outstanding.  The age filter
     keeps a periodic timer from re-sending phases whose first
     transmission is still legitimately in flight.  Does not block. *)
-
-val stats : t -> Engine.stats
-(** Monotone operation/message counters since {!create}; the byte
-    counters add up {!Wire.encoded_size} and {!Wire.control_bytes} of
-    every message this engine sends, resends included.  Reads
-    mutable state without locking — call from the engine's driving
-    thread, or accept a torn-but-monotone snapshot. *)

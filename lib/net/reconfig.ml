@@ -65,16 +65,18 @@ type t = {
   infl_old : (int, int) Hashtbl.t;
   infl_new : (int, int) Hashtbl.t;
   mutable unpark : int -> unit;
-  mutable started : int;
-  mutable completed : int;
-  mutable nacked : int;
-  mutable dual_writes : int;
-  mutable sync_installs : int;
-  mutable sync_skips : int;
-  mutable parked : int;
+  started : Metrics.counter;
+  completed : Metrics.counter;
+  nacked : Metrics.counter;
+  dual_writes : Metrics.counter;
+  sync_installs : Metrics.counter;
+  sync_skips : Metrics.counter;
+  parked : Metrics.counter;
 }
 
-let create ~registry ?(enabled = true) ?(skip_dual_write = false) () =
+let create ~registry ~metrics ?(enabled = true) ?(skip_dual_write = false) ()
+    =
+  let c name = Metrics.counter metrics ("reconfig_" ^ name) in
   {
     reg = registry;
     enabled;
@@ -83,13 +85,13 @@ let create ~registry ?(enabled = true) ?(skip_dual_write = false) () =
     infl_old = Hashtbl.create 16;
     infl_new = Hashtbl.create 4;
     unpark = ignore;
-    started = 0;
-    completed = 0;
-    nacked = 0;
-    dual_writes = 0;
-    sync_installs = 0;
-    sync_skips = 0;
-    parked = 0;
+    started = c "started";
+    completed = c "completed";
+    nacked = c "nacked";
+    dual_writes = c "dual_writes";
+    sync_installs = c "sync_installs";
+    sync_skips = c "sync_skips";
+    parked = c "parked";
   }
 
 let set_unpark t f = t.unpark <- f
@@ -105,7 +107,7 @@ let bump tbl key d =
 let admitting t key =
   match t.mig with
   | Some m when m.key = key && m.phase = Drain ->
-    t.parked <- t.parked + 1;
+    Metrics.incr t.parked;
     false
   | _ -> true
 
@@ -113,7 +115,7 @@ let cutover t m =
   Registry.set_map t.reg
     (Shard_map.advance (Registry.map t.reg) ~key:m.key ~to_shard:m.to_shard);
   t.mig <- None;
-  t.completed <- t.completed + 1;
+  Metrics.incr t.completed;
   m.finish ~ok:true ~epoch:(epoch t);
   t.unpark m.key
 
@@ -122,18 +124,18 @@ let sync_reg t m i ~done_one =
      returns — a dual write that started in between would otherwise be
      overtaken by our (now stale) install on the twobit apply order *)
   if m.hot.(i) > 0 then begin
-    t.sync_skips <- t.sync_skips + 1;
+    Metrics.incr t.sync_skips;
     done_one ()
   end
   else
     let greg = Shard_map.global_reg m.key i in
     Registry.read_ts t.reg ~shard:m.from_shard ~reg:greg ~k:(fun (ts, pl) ->
         if m.hot.(i) > 0 then begin
-          t.sync_skips <- t.sync_skips + 1;
+          Metrics.incr t.sync_skips;
           done_one ()
         end
         else begin
-          t.sync_installs <- t.sync_installs + 1;
+          Metrics.incr t.sync_installs;
           Registry.write_at t.reg ~shard:m.to_shard ~reg:greg ~ts ~value:pl
             ~k:done_one
         end)
@@ -182,7 +184,7 @@ let op_finished t ~key ~gen =
 let start t ~key ~to_shard ~epoch:req_epoch ~finish =
   let cur = epoch t in
   let nack () =
-    t.nacked <- t.nacked + 1;
+    Metrics.incr t.nacked;
     finish ~ok:false ~epoch:cur
   in
   if
@@ -194,14 +196,14 @@ let start t ~key ~to_shard ~epoch:req_epoch ~finish =
     || to_shard >= Registry.shards t.reg
   then nack ()
   else begin
-    t.started <- t.started + 1;
+    Metrics.incr t.started;
     let from_shard = Registry.shard_of_key t.reg key in
     if from_shard = to_shard then begin
       (* already placed there: still a configuration change — advance
          the epoch so the requester observes a completed transition *)
       Registry.set_map t.reg
         (Shard_map.advance (Registry.map t.reg) ~key ~to_shard);
-      t.completed <- t.completed + 1;
+      Metrics.incr t.completed;
       finish ~ok:true ~epoch:(epoch t)
     end
     else begin
@@ -261,7 +263,7 @@ let write t ~key ~reg ~value ~k =
   match t.mig with
   | Some m when m.key = key ->
     let greg = Shard_map.global_reg key reg in
-    t.dual_writes <- t.dual_writes + 1;
+    Metrics.incr t.dual_writes;
     if t.skip_dual_write then
       (* deliberate bug hook: drop the incoming-group leg.  A write
          acked during migration then lives only on the outgoing group,
@@ -289,15 +291,3 @@ let write t ~key ~reg ~value ~k =
           done_one ())
     end
   | _ -> Registry.write t.reg ~key ~reg ~value ~k
-
-let stats t =
-  [
-    ("epoch", epoch t);
-    ("reconfig_started", t.started);
-    ("reconfig_completed", t.completed);
-    ("reconfig_nacked", t.nacked);
-    ("reconfig_dual_writes", t.dual_writes);
-    ("reconfig_sync_installs", t.sync_installs);
-    ("reconfig_sync_skips", t.sync_skips);
-    ("reconfig_parked", t.parked);
-  ]

@@ -34,8 +34,15 @@
 type t
 
 val create :
-  registry:Registry.t -> ?enabled:bool -> ?skip_dual_write:bool -> unit -> t
-(** A coordinator over [registry]'s engines and map.  At most one
+  registry:Registry.t ->
+  metrics:Metrics.t ->
+  ?enabled:bool ->
+  ?skip_dual_write:bool ->
+  unit ->
+  t
+(** A coordinator over [registry]'s engines and map, counting into
+    [metrics]' [reconfig_*] counters (see {!Metrics}).  The current
+    epoch is {!epoch}.  At most one
     migration is in flight at a time; further {!start}s are nacked
     until it completes.
 
@@ -101,8 +108,3 @@ val write :
     both groups store under one timestamp, and [k] runs only when both
     majorities have acked (single-group under the [skip_dual_write]
     bug hook).  Continuation contract as {!Quorum.write}. *)
-
-val stats : t -> (string * int) list
-(** Live counters for the server's stats surface: current epoch,
-    migrations started/completed/nacked, dual writes, sync
-    installs/skips, parked admissions. *)

@@ -18,6 +18,7 @@ type t = {
   mutable map : Shard_map.t;
   spec : Engine.spec;
   engines : engine array;
+  metrics : Metrics.t;
   c_ops : Metrics.counter array;  (* shard<i>_quorum_ops *)
 }
 
@@ -50,6 +51,7 @@ let create ~transport ~me ~replicas ~map ?(engine = Engine.default)
             Twobit
               (Engine_twobit.create ~transport ~me ~replicas ~lid:s ?storage
                  ~metrics ()));
+    metrics;
     c_ops =
       Array.init n (fun s ->
           Metrics.counter metrics (Fmt.str "shard%d_quorum_ops" s));
@@ -123,11 +125,4 @@ let resend_pending ?older_than t =
       || still)
     false t.engines
 
-let stats t =
-  Array.fold_left
-    (fun acc e ->
-      Engine.add_stats acc
-        (match e with
-         | Abd q -> Quorum.stats q
-         | Twobit e -> Engine_twobit.stats e))
-    Engine.zero_stats t.engines
+let stats t = Engine.stats_of t.spec.Engine.kind (Metrics.get t.metrics)

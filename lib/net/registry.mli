@@ -84,7 +84,9 @@ val resend_pending : ?older_than:float -> t -> bool
     outstanding. *)
 
 val stats : t -> Engine.stats
-(** Aggregate of every engine's counters. *)
+(** Every engine's counters, read from [metrics] by {!Engine.stats_of}:
+    the totals of every registry (and pool core) sharing that
+    instance. *)
 
 (** {2 One shard's engine}
 

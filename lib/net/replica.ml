@@ -25,7 +25,6 @@ type t = {
       (* deliberate-bug hook: apply link frames in arrival order,
          ignoring their sequence numbers — the twobit counterpart of
          Quorum's ?read_quorum (see Bug) *)
-  mutable engine : int option;  (* negotiated Engine.kind_code *)
   mutable handled : int;
 }
 
@@ -40,7 +39,6 @@ let create ~init ?storage ?(unordered = false) () =
     backing;
     links = Hashtbl.create 4;
     unordered;
-    engine = None;
     handled = 0;
   }
 
@@ -159,7 +157,6 @@ let rec handle_emit t ~src ~emit msg =
       after_durable t ack
   | Wire.Store2 { lid; seq; _ } | Wire.Query2 { lid; seq; _ } ->
     handle_link t ~src ~lid ~seq ~emit msg
-  | Wire.Engine_hello { engine } -> t.engine <- Some engine
   | Wire.Batch msgs -> List.iter (handle_emit t ~src ~emit) msgs
   | _ -> ()
 
@@ -191,4 +188,3 @@ let contents t =
 let storage t = match t.backing with Volatile _ -> None | Durable st -> Some st
 let lookup_reg t reg = lookup t reg
 let handled t = t.handled
-let engine t = t.engine

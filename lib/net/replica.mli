@@ -101,7 +101,3 @@ val storage : t -> Storage.t option
 
 val handled : t -> int
 (** Number of messages processed. *)
-
-val engine : t -> int option
-(** The {!Engine.kind_code} announced by the last [Engine_hello], if
-    any — the socket service's engine negotiation. *)

@@ -76,8 +76,6 @@ type t = {
       (* first violation per key, newest first *)
   mutable events_rev : (float * (int * int E.t)) list;
       (* (key, event); a pool member keeps none *)
-  mutable ops_served : int;
-  mutable rejected : int;
   mutable timer_armed : bool;
   resend_every : float;
   storage : Storage.t option;
@@ -87,6 +85,7 @@ type t = {
   m_rejected : Metrics.counter;
   m_copy_reads : Metrics.counter;
   m_copy_misses : Metrics.counter;
+  m_audit : Metrics.counter;  (* keys whose audit latched a violation *)
   h_op : Metrics.histogram;
   c_shard_ops : Metrics.counter array;
 }
@@ -102,7 +101,6 @@ let monitor_of t key =
 let with_cork t f = t.turn f
 
 let metrics t = t.metrics
-let reconfig t = t.reconfig
 let epoch t = Reconfig.epoch t.reconfig
 let shards t = Registry.shards t.registry
 
@@ -122,8 +120,10 @@ let record t key ev =
     match Histories.Monitor.observe (monitor_of t key) ev with
     | Histories.Monitor.Ok_so_far -> ()
     | Histories.Monitor.Violation v ->
-      if not (List.mem_assoc key t.violations_rev) then
-        t.violations_rev <- (key, v) :: t.violations_rev
+      if not (List.mem_assoc key t.violations_rev) then begin
+        t.violations_rev <- (key, v) :: t.violations_rev;
+        Metrics.incr t.m_audit
+      end
 
 (* Retransmission driver: armed while operations are in flight, quiet
    when the service is idle.  Re-armed from each operation start. *)
@@ -173,7 +173,6 @@ let reply t s msg =
   | _ | (exception Not_found) -> ()
 
 let respond t s seq result =
-  t.ops_served <- t.ops_served + 1;
   Metrics.incr t.m_served;
   reply t s (Wire.Resp { seq; result })
 
@@ -243,7 +242,6 @@ let rec start_next t lane key =
         start_next t s.lane key
       in
       let reject () =
-        t.rejected <- t.rejected + 1;
         Metrics.incr t.m_rejected;
         reply t s (Wire.Resp { seq; result = None });
         Hashtbl.remove s.lane.busy key;
@@ -335,7 +333,6 @@ and start_multi t s key seq op gen =
               match values with
               | None -> respond t s seq None
               | Some vs ->
-                t.ops_served <- t.ops_served + 1;
                 Metrics.incr t.m_served;
                 reply t s (Wire.Resp_snap { seq; values = vs })))
     else None
@@ -379,7 +376,7 @@ let create ~transport ?(audit = true) ?(resend_every = 0.05) ?engine
     | _ -> true
   in
   let reconfig =
-    Reconfig.create ~registry ~enabled
+    Reconfig.create ~registry ~metrics ~enabled
       ~skip_dual_write:bug.Bug.skip_dual_write ()
   in
   let t =
@@ -402,8 +399,6 @@ let create ~transport ?(audit = true) ?(resend_every = 0.05) ?engine
       monitors = Hashtbl.create 8;
       violations_rev = [];
       events_rev = [];
-      ops_served = 0;
-      rejected = 0;
       timer_armed = false;
       resend_every;
       storage;
@@ -413,6 +408,7 @@ let create ~transport ?(audit = true) ?(resend_every = 0.05) ?engine
       m_rejected = Metrics.counter metrics "ops_rejected";
       m_copy_reads = Metrics.counter metrics "copy_reads";
       m_copy_misses = Metrics.counter metrics "copy_misses";
+      m_audit = Metrics.counter metrics "audit_violated_keys";
       h_op = Metrics.histogram metrics "server_op";
       c_shard_ops =
         Array.init (Shard_map.shards map) (fun s ->
@@ -481,7 +477,6 @@ let enqueue_op t s seq op =
     in
     if not ok then begin
       if t.owns (key_of_op op) then begin
-        t.rejected <- t.rejected + 1;
         Metrics.incr t.m_rejected;
         reply t s (Wire.Resp { seq; result = None })
       end;
@@ -585,7 +580,8 @@ let rec on_message_inner t ~src msg =
          { rid; epoch = Reconfig.epoch t.reconfig; shards = shards t })
   | Wire.Stats_req { rid } ->
     (* live observability over the wire: no session needed, safe to
-       answer anyone who can reach the socket *)
+       answer anyone who can reach the socket.  The counters are the
+       registry's, which every core of a pool shares *)
     let tx = Txn.stats t.txns in
     let stats =
       Metrics.wire_stats t.metrics
@@ -593,12 +589,12 @@ let rec on_message_inner t ~src msg =
           ("sessions", Hashtbl.length t.sessions);
           ("shards", shards t);
           ("engine", Engine.kind_code (Registry.spec t.registry).Engine.kind);
-          ("audit_violation", if t.violations_rev = [] then 0 else 1);
+          ("audit_violation", min 1 (Metrics.value t.m_audit));
           ("txns_committed", tx.Txn.txns_committed);
           ("snaps_served", tx.Txn.snaps_served);
           ("txn_violation", if Txn.violations t.txns = [] then 0 else 1);
+          ("epoch", epoch t);
         ]
-      @ Reconfig.stats t.reconfig
     in
     t.tr.Transport.send ~src:t.me ~dst:src (Wire.Stats_reply { rid; stats })
   | Wire.Resp _ | Wire.Resp_snap _ | Wire.Query _ | Wire.Store _
@@ -631,8 +627,8 @@ let violations t = List.rev t.violations_rev
 let violation t =
   match List.rev t.violations_rev with [] -> None | (_, v) :: _ -> Some v
 
-let ops_served t = t.ops_served
-let rejected t = t.rejected
+let ops_served t = Metrics.value t.m_served
+let rejected t = Metrics.value t.m_rejected
 let quorum_stats t = Registry.stats t.registry
 let txns t = t.txns
 let txn_violations t = Txn.violations t.txns

@@ -150,10 +150,13 @@ val create :
 
     [metrics] (default: a fresh instance — pass the cluster-wide one)
     receives [ops_served]/[ops_rejected] counters, the
-    [copy_reads]/[copy_misses] counters of writer reads, the [server_op]
-    invoke-to-respond histogram, one [shard<i>_ops] counter per shard,
-    and (through the embedded {!Registry}) the quorum counters, phase
-    histograms and per-shard [shard<i>_quorum_ops]; its
+    [copy_reads]/[copy_misses] counters of writer reads,
+    [audit_violated_keys], the [server_op] invoke-to-respond
+    histogram, one [shard<i>_ops] counter per shard, (through the
+    embedded {!Registry}) the engine counters, phase histograms and
+    per-shard [shard<i>_quorum_ops], and (through the {!Reconfig}
+    coordinator) the [reconfig_*] counters.  {!ops_served},
+    {!rejected} and {!quorum_stats} read these counters back, and its
     {!Metrics.wire_stats} snapshot is what a {!Wire.msg.Stats_req} is
     answered with.  With [trace], every operation invoke/respond is
     appended to the ring, tagged with its key; that is how a pool
@@ -175,9 +178,6 @@ val keys_of_op : Wire.op -> int list
     of a [Txn_k], the read keys of a [Snap_k], the singleton
     {!key_of_op} otherwise.  A multi-key op must be delivered to the
     owner of {e each} of these (see {!Server_pool.dispatch}). *)
-
-val reconfig : t -> Reconfig.t
-(** The live-reconfiguration coordinator — for tests and stats. *)
 
 val epoch : t -> int
 (** Current configuration epoch (see {!Reconfig.epoch}). *)
@@ -224,6 +224,7 @@ val violations : t -> (int * int Histories.Fastcheck.violation) list
     were caught.  Empty iff every per-key audit accepts. *)
 
 val ops_served : t -> int
+(** Operations answered: the [ops_served] counter of [metrics]. *)
 
 val rejected : t -> int
 (** Operations refused without execution: writes attempted by
@@ -231,10 +232,11 @@ val rejected : t -> int
     negative key, and structurally invalid multi-key ops (empty,
     duplicate or negative keys, more than {!Wire.max_txn} of them, or
     a transaction from a non-writer).  Acknowledged with
-    [Resp { result = None }] but not recorded in any history. *)
+    [Resp { result = None }] but not recorded in any history.  The
+    [ops_rejected] counter of [metrics]. *)
 
 val quorum_stats : t -> Engine.stats
-(** Aggregate counters over every shard's engine. *)
+(** Counters over every shard's engine: {!Registry.stats}. *)
 
 val txns : t -> Txn.t
 (** The multi-key coordinator this core reports to (shared across a

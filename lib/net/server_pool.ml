@@ -217,19 +217,15 @@ let stop t =
   | Some (e, bt) -> Printexc.raise_with_backtrace e bt
   | None -> ()
 
-let sum f t = Array.fold_left (fun acc w -> acc + f w.core) 0 t.workers
-let ops_served t = sum Server.ops_served t
-let rejected t = sum Server.rejected t
-
 let violations t =
   Array.to_list t.workers
   |> List.concat_map (fun w -> Server.violations w.core)
 
-let quorum_stats t =
-  Array.fold_left
-    (fun acc w -> Engine.add_stats acc (Server.quorum_stats w.core))
-    Engine.zero_stats t.workers
-
-(* the coordinator is shared: any core's view is the pool's view *)
-let txns t = Server.txns t.workers.(0).core
-let txn_violations t = Server.txn_violations t.workers.(0).core
+(* the registry and the coordinator are shared: any core's view is the
+   pool's view *)
+let core0 t = t.workers.(0).core
+let ops_served t = Server.ops_served (core0 t)
+let rejected t = Server.rejected (core0 t)
+let quorum_stats t = Server.quorum_stats (core0 t)
+let txns t = Server.txns (core0 t)
+let txn_violations t = Server.txn_violations (core0 t)

@@ -97,7 +97,13 @@ val create :
     hash placement, so a migrated key stays on the worker holding its
     monitor and its engines simply re-route it.  Worker epochs advance
     independently; {!Wire.msg.Epoch_req} is answered by worker 0 (a
-    stale answer costs one nack-and-retry).  With the two-bit engine
+    stale answer costs one nack-and-retry).
+
+    {b Stats.}  A {!Wire.msg.Stats_req} is answered by worker 0 from
+    the shared [metrics] registry, which every core counts into, so
+    its counters — ops served, engine traffic, [reconfig_*],
+    [audit_violation] — are the whole pool's.  Only [epoch] is still
+    worker 0's, as for {!Wire.msg.Epoch_req}.  With the two-bit engine
     and [domains > 1] every core nacks reconfiguration: two-bit
     replies route by [lid mod domains] and a migration's second engine
     would misroute — see {!Reconfig.create}. *)
@@ -117,18 +123,20 @@ val stop : t -> unit
     been joined. *)
 
 val ops_served : t -> int
-(** Total operations answered, summed over workers. *)
+(** Total operations answered by every worker: the shared registry's
+    [ops_served]. *)
 
 val rejected : t -> int
-(** Total operations refused without execution, summed over
-    workers. *)
+(** Total operations refused without execution by every worker: the
+    shared registry's [ops_rejected]. *)
 
 val violations : t -> (int * int Histories.Fastcheck.violation) list
 (** First latched violation of each offending key across all workers.
     Empty iff every per-key audit accepts. *)
 
 val quorum_stats : t -> Engine.stats
-(** Aggregate engine counters over every worker's shards. *)
+(** Engine counters over every worker's shards, read from the shared
+    registry ({!Registry.stats}). *)
 
 val txns : t -> Txn.t
 (** The multi-key coordinator shared by every core. *)

@@ -112,11 +112,6 @@ type t = {
   mutable cut : (int list * int list) option;
   mutable clock : float;
   mutable seqno : int;
-  mutable delivered : int;
-  mutable dropped : int;
-  mutable duplicated : int;
-  mutable blocked : int;
-  mutable timer_fires : int;
   metrics : Metrics.t;
   trace : Trace.t option;
   c : ctrs;
@@ -147,11 +142,6 @@ let create ~seed ~faults ?metrics ?trace () =
     cut = None;
     clock = 0.0;
     seqno = 0;
-    delivered = 0;
-    dropped = 0;
-    duplicated = 0;
-    blocked = 0;
-    timer_fires = 0;
     metrics;
     trace;
     c;
@@ -183,7 +173,6 @@ let delay_of t =
   f.min_delay +. Random.State.float t.rng (f.max_delay -. f.min_delay +. epsilon_float)
 
 let drop t ~src ~dst reason =
-  t.dropped <- t.dropped + 1;
   Metrics.incr t.c.m_dropped;
   match t.trace with
   | None -> ()
@@ -196,7 +185,6 @@ let send t ~src ~dst msg =
   Metrics.incr t.c.m_sent;
   if Hashtbl.mem t.dead dst then drop t ~src ~dst "dead"
   else if severed t src dst then begin
-    t.blocked <- t.blocked + 1;
     Metrics.incr t.c.m_blocked;
     match t.trace with
     | None -> ()
@@ -217,7 +205,6 @@ let send t ~src ~dst msg =
         (not immune) && f.duplicate > 0.0
         && Random.State.float t.rng 1.0 < f.duplicate
       then begin
-        t.duplicated <- t.duplicated + 1;
         Metrics.incr t.c.m_duplicated;
         Metrics.incr t.c.m_sent;
         schedule t ~delay:(delay_of t) (Deliver { src; dst; msg })
@@ -275,7 +262,6 @@ let execute t { time; ev; _ } =
     else begin
       match Hashtbl.find_opt t.handlers dst with
       | Some h ->
-        t.delivered <- t.delivered + 1;
         Metrics.incr t.c.m_delivered;
         (match t.trace with
          | None -> ()
@@ -287,7 +273,6 @@ let execute t { time; ev; _ } =
     end
   | Timer { node; f } ->
     if node = -1 || not (Hashtbl.mem t.dead node) then begin
-      t.timer_fires <- t.timer_fires + 1;
       Metrics.incr t.c.m_timer_fires;
       (match t.trace with
        | None -> ()
@@ -376,10 +361,11 @@ let run ?(max_steps = 1_000_000) t =
   !steps
 
 let stats t =
+  let c = t.c in
   {
-    delivered = t.delivered;
-    dropped = t.dropped;
-    duplicated = t.duplicated;
-    blocked = t.blocked;
-    timer_fires = t.timer_fires;
+    delivered = Metrics.value c.m_delivered;
+    dropped = Metrics.value c.m_dropped;
+    duplicated = Metrics.value c.m_duplicated;
+    blocked = Metrics.value c.m_blocked;
+    timer_fires = Metrics.value c.m_timer_fires;
   }

@@ -154,3 +154,6 @@ val fire : t -> int -> bool
     out of range. *)
 
 val stats : t -> stats
+(** The [frames_delivered]/[frames_dropped]/[frames_duplicated]/
+    [frames_blocked]/[timer_fires] counters of the [metrics] given to
+    {!create} (see {!Metrics}). *)

@@ -376,8 +376,7 @@ let pp_outcome ppf o =
      txn audit:  %s@,\
      fastcheck:  %s (%d key%s)@,\
      network: %d delivered, %d dropped, %d duplicated, %d blocked@,\
-     engine: %d reads, %d writes, %d msgs, %d retransmissions, %d bytes \
-     (%d control)@]"
+     %a@]"
     o.completed o.expected o.steps o.virtual_span
     (match o.monitor_violation with
      | None -> "no violation"
@@ -389,6 +388,4 @@ let pp_outcome ppf o =
     (List.length o.key_fastcheck)
     (if List.length o.key_fastcheck = 1 then "" else "s")
     o.net.Sim_net.delivered o.net.Sim_net.dropped o.net.Sim_net.duplicated
-    o.net.Sim_net.blocked o.quorum.Engine.reads o.quorum.Engine.writes
-    o.quorum.Engine.messages_sent o.quorum.Engine.retransmissions
-    o.quorum.Engine.bytes_sent o.quorum.Engine.control_bytes_sent
+    o.net.Sim_net.blocked Engine.pp_stats o.quorum

@@ -105,8 +105,6 @@ let keyed_history t =
       | _ -> None)
     (events t)
 
-let history t = List.map snd (keyed_history t)
-
 (* A scanner for exactly the key/value shapes [line_of_event] emits —
    not a general JSON parser. *)
 let find_sub line pat =
@@ -161,17 +159,8 @@ let parse_line line =
       (int_field line "proc")
   | _ -> None
 
-let keyed_history_of_jsonl s =
-  String.split_on_char '\n' s |> List.filter_map parse_line
-
-let history_of_jsonl s = List.map snd (keyed_history_of_jsonl s)
-
-let read_file path =
+let keyed_history_of_file path =
   let ic = open_in path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
+  let s = really_input_string ic (in_channel_length ic) in
   close_in ic;
-  s
-
-let keyed_history_of_file path = keyed_history_of_jsonl (read_file path)
-let history_of_file path = history_of_jsonl (read_file path)
+  String.split_on_char '\n' s |> List.filter_map parse_line

@@ -48,23 +48,13 @@ val events : t -> event list
 val dump : t -> string -> unit
 (** Write the window to a file as JSONL. *)
 
-val history : t -> int Histories.Event.t list
-(** The operation events ([Invoke]/[Respond]) of the retained window,
-    ready for {!Histories.Operation.of_events}.  Mixes every key —
-    meaningful as a register history only for single-key runs; use
-    {!keyed_history} otherwise. *)
-
 val keyed_history : t -> (int * int Histories.Event.t) list
-(** Same window, each operation event tagged with the register id it
-    addressed — group by key before checking atomicity (each key is an
-    independent register). *)
+(** The operation events ([Invoke]/[Respond]) of the retained window,
+    each tagged with the register id it addressed — group by key
+    before checking atomicity (each key is an independent register);
+    [List.map snd] is the history of a single-key run. *)
 
-val history_of_jsonl : string -> int Histories.Event.t list
-val history_of_file : string -> int Histories.Event.t list
-(** Parse a dump back into operation events (non-operation lines and
-    unparseable lines are skipped). *)
-
-val keyed_history_of_jsonl : string -> (int * int Histories.Event.t) list
 val keyed_history_of_file : string -> (int * int Histories.Event.t) list
-(** Keyed variants of the parsers; dumps from before the keyspace
+(** Parse a dump back into keyed operation events (non-operation lines
+    and unparseable lines are skipped); dumps from before the keyspace
     carry no [key] field and parse as key 0. *)

@@ -89,9 +89,9 @@ type msg =
           the engine recovers the register from its outbox, and FIFO
           delivery replaces the timestamp comparison. *)
   | Engine_hello of { engine : int }
-      (** Engine negotiation, server -> replica, once per connection in
-          the socket service: the {!Engine.kind} code the service
-          instance speaks (shards of one instance are homogeneous). *)
+      (** An {!Engine.kind} code, server -> replica.  Replicas ignore
+          it and the service does not send it; it stays decodable for
+          senders that announce their engine. *)
   | Resp_snap of { seq : int; values : int list }
       (** Answers a [Req] carrying a {!Snap_k}: one value per requested
           key, in request order. *)

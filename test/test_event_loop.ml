@@ -37,11 +37,11 @@ let wait_for ?(limit = 2.0) cond =
   cond ()
 
 (* Return once an idle [loop] has slept in [select] for about 20 ms:
-   a posted closure runs just before the select that starts its 0.1 s
-   sleep, so at least 80 ms of that sleep are left. *)
+   a zero-delay timer fires just before the select that starts its
+   0.1 s sleep, so at least 80 ms of that sleep are left. *)
 let asleep loop =
   let ran = Atomic.make false in
-  L.post loop (fun () -> Atomic.set ran true);
+  L.after loop 0. (fun () -> Atomic.set ran true);
   ignore (wait_for (fun () -> Atomic.get ran));
   Thread.delay 0.02
 
@@ -159,35 +159,6 @@ let zero_timer_before_fds () =
     [ "first timer"; "fd"; "timer"; "fd" ]
     (List.rev !seen)
 
-let posts_run_before_next_select () =
-  (* a closure posted by a callback runs before the next select, hence
-     before the still-readable fd's callback fires again; one posted
-     from another thread runs without waiting out a sleep *)
-  let ((r, _) as p) = readable_pipe 1 in
-  let seen = ref [] in
-  let calls = ref 0 in
-  with_loop (fun loop ->
-      L.add_read loop r (fun () ->
-          incr calls;
-          seen := "fd" :: !seen;
-          if !calls = 1 then L.post loop (fun () -> seen := "post" :: !seen)
-          else L.remove_fd loop r);
-      Alcotest.(check bool) "fd fired twice" true
-        (wait_for (fun () -> !calls >= 2));
-      let ran = Atomic.make false in
-      let s =
-        latency loop
-          (fun () -> L.post loop (fun () -> Atomic.set ran true))
-          (fun () -> Atomic.get ran)
-      in
-      Alcotest.(check bool)
-        (Fmt.str "cross-thread post ran without waiting out the sleep (%.4f s)"
-           s)
-        true (s < 0.05));
-  close_pipes [ p ];
-  Alcotest.(check (list string)) "order" [ "fd"; "post"; "fd" ]
-    (List.rev !seen)
-
 (* Minor words one loop turn allocates with [fds] registered read fds,
    one of which always holds an unread byte: its callback counts turns
    and reads the domain's minor-word counter at turn [warmup] and again
@@ -230,7 +201,5 @@ let suite =
     tc "timers fire in deadline, then arming, order" timer_order;
     tc "a zero-delay timer fires before the turn's fd callbacks"
       zero_timer_before_fds;
-    tc "posted closures run before the next select"
-      posts_run_before_next_select;
     tc "one turn allocates at most 16 words with 16 fds" turn_cost_pinned;
   ]

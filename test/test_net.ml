@@ -484,7 +484,7 @@ let quorum_dead_window_member () =
   let get = Net.Metrics.get metrics in
   Alcotest.(check int) "widened once" 1 (get "quorum_widened");
   Alcotest.(check int) "replica 0 suspected" 1 (get "quorum_suspected");
-  let retrans = (Net.Quorum.stats q).Net.Engine.retransmissions in
+  let retrans = get "quorum_retransmissions" in
   ignore (sent_to h);
   for i = 2 to 7 do
     let acked = ref false in
@@ -496,7 +496,7 @@ let quorum_dead_window_member () =
   Alcotest.(check bool) "no phase sent to the suspect" false
     (List.mem 0 (sent_to h));
   Alcotest.(check int) "no more retransmissions" retrans
-    (Net.Quorum.stats q).Net.Engine.retransmissions;
+    (get "quorum_retransmissions");
   (* replica 0 comes back and answers the stale phases it was sent *)
   deliver h (Net.Quorum.on_message q);
   for i = 8 to 10 do
@@ -796,13 +796,13 @@ let sim_trace_replay () =
   in
   Alcotest.(check int) "no wrap" 0 (Net.Trace.overwritten trace);
   Alcotest.(check bool) "in-memory history matches served" true
-    (Net.Trace.history trace = o.Net.Sim_run.history);
+    (List.map snd (Net.Trace.keyed_history trace) = o.Net.Sim_run.history);
   let file = Filename.temp_file "bloom-trace" ".jsonl" in
   Fun.protect
     ~finally:(fun () -> Sys.remove file)
     (fun () ->
       Net.Trace.dump trace file;
-      let parsed = Net.Trace.history_of_file file in
+      let parsed = List.map snd (Net.Trace.keyed_history_of_file file) in
       Alcotest.(check bool) "parsed history round-trips" true
         (parsed = o.Net.Sim_run.history);
       let ops = Histories.Operation.of_events_exn parsed in
@@ -2147,6 +2147,48 @@ let cork_coalesces () =
   check "a timer callback runs as its own turn" [ (5, 4, W.Batch [ q 1; q 2 ]) ]
     (shipped ())
 
+(* Worker 0 answers a two-domain pool's [Stats_req], but every core
+   counts into the one shared registry: a reshard that worker 1 runs
+   shows in the reply, and the reply's op and engine counts are the
+   pool's own accessors'. *)
+let pool_stats_reply () =
+  let shards = 2 and domains = 2 in
+  let map = Net.Shard_map.create ~shards () in
+  let rec worker1_key k =
+    if Net.Server.worker_of_key map ~domains k = 1 then k
+    else worker1_key (k + 1)
+  in
+  let key = worker1_key 0 in
+  let to_shard = (Net.Shard_map.shard_of_key map key + 1) mod shards in
+  let net, pool = socket_pool ~shards ~domains () in
+  let c = Net.Client.connect ~net ~server:Net.Transport.server ~proc:0 () in
+  Net.Client.write_k c ~key 1;
+  Alcotest.(check int) "reshard acked" 1 (Net.Client.reshard c ~key ~to_shard);
+  Alcotest.(check int) "read after the handoff" 1 (Net.Client.read_k c ~key);
+  let stats = Net.Client.stats c in
+  Net.Client.close c;
+  Net.Server_pool.stop pool;
+  Net.Socket_net.shutdown net;
+  let get name =
+    match List.assoc_opt name stats with
+    | Some v -> v
+    | None -> Alcotest.failf "stat %s missing from the reply" name
+  in
+  Alcotest.(check int) "worker 1's migration completed" 1
+    (get "reconfig_completed");
+  Alcotest.(check int) "no violation" 0 (get "audit_violation");
+  Alcotest.(check int) "ops served" (Net.Server_pool.ops_served pool)
+    (get "ops_served");
+  let fields (s : Net.Engine.stats) =
+    [
+      s.reads; s.writes; s.messages_sent; s.retransmissions; s.bytes_sent;
+      s.control_bytes_sent;
+    ]
+  in
+  Alcotest.(check (list int)) "engine stats"
+    (fields (Net.Server_pool.quorum_stats pool))
+    (fields (Net.Engine.stats_of Net.Engine.Abd get))
+
 let suite =
   [
     tc "wire: reject garbage" wire_rejects_garbage;
@@ -2220,6 +2262,7 @@ let suite =
       socket_control_on_closed_client;
     tc "socket: one reply table never crosses answers"
       socket_one_table_no_crossed_replies;
+    tc "pool: stats reply reads the whole pool's counters" pool_stats_reply;
   ]
 
 let slow_suite =

@@ -101,8 +101,7 @@ let sim_migration_stats () =
   let o = R.collect cl ~steps in
   check_migrated ~what:"stats run" o;
   Alcotest.(check int) "server epoch agrees" 1 (Net.Server.epoch cl.R.server);
-  let stats = Net.Reconfig.stats (Net.Server.reconfig cl.R.server) in
-  let stat name = List.assoc name stats in
+  let stat = Net.Metrics.get cl.R.metrics in
   Alcotest.(check int) "one migration started" 1 (stat "reconfig_started");
   Alcotest.(check int) "one migration completed" 1 (stat "reconfig_completed");
   Alcotest.(check int) "no nacks" 0 (stat "reconfig_nacked");
@@ -207,11 +206,9 @@ let sim_nack_discipline () =
   ignore (Net.Sim_net.run net);
   Alcotest.(check (pair int int)) "epoch probe reflects both handoffs" (2, 2)
     (Option.get (Hashtbl.find_opt epochs 8));
-  let stats = Net.Reconfig.stats (Net.Server.reconfig cl.R.server) in
-  Alcotest.(check int) "four nacks on the ledger" 4
-    (List.assoc "reconfig_nacked" stats);
-  Alcotest.(check int) "two migrations completed" 2
-    (List.assoc "reconfig_completed" stats)
+  let stat = Net.Metrics.get cl.R.metrics in
+  Alcotest.(check int) "four nacks on the ledger" 4 (stat "reconfig_nacked");
+  Alcotest.(check int) "two migrations completed" 2 (stat "reconfig_completed")
 
 (* ------------------------------------------------------------------ *)
 (* Crash points mid-migration                                          *)
