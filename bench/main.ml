@@ -792,6 +792,40 @@ let socket_alloc_table () =
   Json.metric ~section:"net-alloc" "Socket_net words per parsed frame" frame;
   Fmt.pr "  (Query frames; best of 5 bursts after one warm-up)@.@."
 
+(* The simulator's own share of the table above: minor words of one
+   message (its send, which the sending handler pays, and its delivery)
+   and of one timer (arming and firing), both to a no-op handler, after
+   a warm-up. *)
+let sim_alloc_table () =
+  let net = Net.Sim_net.create ~seed:1 ~faults:Net.Sim_net.reliable () in
+  let tr = Net.Sim_net.transport net in
+  Net.Sim_net.register net 1 (fun ~src:_ _ -> ());
+  let msg = Net.Wire.Query { rid = 0; reg = 0 } and fire () = () in
+  let per_event schedule =
+    let round () =
+      schedule ();
+      ignore (Net.Sim_net.step net)
+    in
+    for _ = 1 to 1_000 do
+      round ()
+    done;
+    let n = 10_000 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      round ()
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  let message = per_event (fun () -> tr.Net.Transport.send ~src:0 ~dst:1 msg)
+  and timer =
+    per_event (fun () -> tr.Net.Transport.set_timer ~node:1 ~delay:1.0 fire)
+  in
+  Fmt.pr "  simulator, minor words per event to a no-op handler:@.";
+  Fmt.pr "  %-40s %9.1f@." "message (send + delivery)" message;
+  Fmt.pr "  %-40s %9.1f@.@." "timer (arm + fire)" timer;
+  Json.metric ~section:"net-alloc" "Sim_net words per message" message;
+  Json.metric ~section:"net-alloc" "Sim_net words per timer" timer
+
 let bench_net_alloc () =
   section "net-alloc - minor words per op by receiving role and message";
   (* the shape of bench/e2e's sim-durable workload: ABD, 3 replicas,
@@ -875,6 +909,7 @@ let bench_net_alloc () =
     "  (%d ops; an empty measured interval allocates %.0f words; the \
      e2e sim-durable figure also counts its byte-accounting tap)@.@."
     completed empty;
+  sim_alloc_table ();
   wire_alloc_table ();
   socket_alloc_table ()
 

@@ -53,13 +53,15 @@ let pp_access_summary ppf s =
     pp_range s.wr_writes s.n_writes
 
 module Reservoir = struct
+  (* [acc] holds the running sum and maximum: a float array stores
+     them unboxed, where a mutable float field of this mixed record
+     would box a fresh float on every [add] *)
   type t = {
     buf : float array;
     cap : int;
     rng : Random.State.t;
     mutable n : int;  (* total observations offered *)
-    mutable sum : float;
-    mutable maxv : float;
+    acc : float array;  (* [| sum; max |] *)
   }
 
   let create ?(capacity = 2048) ~seed () =
@@ -69,8 +71,7 @@ module Reservoir = struct
       cap = capacity;
       rng = Random.State.make [| seed; 0x7265731b |];
       n = 0;
-      sum = 0.0;
-      maxv = neg_infinity;
+      acc = [| 0.0; neg_infinity |];
     }
 
   (* Vitter's algorithm R: after n observations each one is retained
@@ -86,13 +87,13 @@ module Reservoir = struct
       if j < r.cap then r.buf.(j) <- x
     end;
     r.n <- r.n + 1;
-    r.sum <- r.sum +. x;
-    if x > r.maxv then r.maxv <- x
+    r.acc.(0) <- r.acc.(0) +. x;
+    if x > r.acc.(1) then r.acc.(1) <- x
 
   let count r = r.n
-  let sum r = r.sum
-  let max_value r = if r.n = 0 then nan else r.maxv
-  let mean r = if r.n = 0 then nan else r.sum /. float_of_int r.n
+  let sum r = r.acc.(0)
+  let max_value r = if r.n = 0 then nan else r.acc.(1)
+  let mean r = if r.n = 0 then nan else r.acc.(0) /. float_of_int r.n
   let samples r = Array.sub r.buf 0 (min r.n r.cap)
 end
 

@@ -1,12 +1,18 @@
 (* [reached] is the set of replica indices (a bitmask over [reps]) the
    phase has been sent to: its first window, then every replica once
-   {!resend_pending} widens it. *)
+   {!resend_pending} widens it.  [answered]/[acked] is the set that has
+   replied, [count] its size, so a duplicate reply is a bit test.  A
+   collect keeps only the freshest pair so far: a reply whose timestamp
+   ties it replaces it, so the newest reply wins a tie. *)
 type phase =
   | Collect of {
       reg : int;
       born : float;
       mutable reached : int;
-      mutable replies : (int * (int * Wire.payload)) list;
+      mutable answered : int;
+      mutable count : int;
+      mutable best_ts : int;
+      mutable best_pl : Wire.payload;
       finish : int * Wire.payload -> unit;
     }
   | Store_p of {
@@ -15,7 +21,8 @@ type phase =
       ts : int;
       pl : Wire.payload;
       mutable reached : int;
-      mutable acks : int list;
+      mutable acked : int;
+      mutable count : int;
       finish : unit -> unit;
     }
 
@@ -203,15 +210,28 @@ let start_store t ~reg ~ts ~pl ~finish =
   Metrics.incr t.c.m_stores;
   let reached = window t rid in
   Hashtbl.replace t.pending rid
-    (Store_p { reg; born; ts; pl; reached; acks = []; finish });
+    (Store_p { reg; born; ts; pl; reached; acked = 0; count = 0; finish });
   send_mask t rid reached (Wire.Store { rid; reg; ts; pl })
+
+(* a collect's [best_pl] until its first reply replaces it *)
+let no_payload = Registers.Tagged.initial 0
 
 let start_collect t ~reg ~finish =
   let rid = fresh_rid t in
   let born = t.tr.Transport.now () in
   let reached = window t rid in
   Hashtbl.replace t.pending rid
-    (Collect { reg; born; reached; replies = []; finish });
+    (Collect
+       {
+         reg;
+         born;
+         reached;
+         answered = 0;
+         count = 0;
+         best_ts = min_int;
+         best_pl = no_payload;
+         finish;
+       });
   send_mask t rid reached (Wire.Query { rid; reg })
 
 let read t ~reg ~k =
@@ -272,47 +292,54 @@ let write_ts t ~reg ~value ~k =
 
 let write t ~reg ~value ~k = ignore (write_ts t ~reg ~value ~k)
 
-let best replies =
-  List.fold_left
-    (fun acc (_, (ts, pl)) ->
-      match acc with
-      | Some (ts', _) when ts' >= ts -> acc
-      | _ -> Some (ts, pl))
-    None replies
-  |> Option.get
-
 (* Any reply, even to a finished phase, shows [src] is up again. *)
 let heard t src =
   if t.suspected <> 0 then t.suspected <- t.suspected land lnot (bit t src)
 
 (* Recursive with explicit arguments: a local helper would close over
-   [t] and [src], one closure per reply.  Only a [Batch] builds one. *)
+   [t] and [src], one closure per reply.  Only a [Batch] builds one.
+   [find], not [find_opt], for the same reason as {!entry}.  A reply
+   from outside the group (bit 0) never counts toward a quorum. *)
 let rec on_message t ~src msg =
   match msg with
   | Wire.Query_reply { rid; ts; pl; _ } ->
     heard t src;
-    (match Hashtbl.find_opt t.pending rid with
-     | Some (Collect c) when not (List.mem_assoc src c.replies) ->
-       c.replies <- (src, (ts, pl)) :: c.replies;
-       if List.length c.replies >= t.read_quorum then begin
-         Hashtbl.remove t.pending rid;
-         Metrics.observe t.c.h_phase1 (t.tr.Transport.now () -. c.born);
-         c.finish (best c.replies)
+    (match Hashtbl.find t.pending rid with
+     | Collect c ->
+       let b = bit t src in
+       if b <> 0 && c.answered land b = 0 then begin
+         c.answered <- c.answered lor b;
+         c.count <- c.count + 1;
+         if ts >= c.best_ts then begin
+           c.best_ts <- ts;
+           c.best_pl <- pl
+         end;
+         if c.count >= t.read_quorum then begin
+           Hashtbl.remove t.pending rid;
+           Metrics.observe t.c.h_phase1 (t.tr.Transport.now () -. c.born);
+           c.finish (c.best_ts, c.best_pl)
+         end
        end
-     | _ -> ())
+     | Store_p _ -> ()
+     | exception Not_found -> ())
   | Wire.Store_ack { rid; _ } ->
     heard t src;
-    (match Hashtbl.find_opt t.pending rid with
-     | Some (Store_p s) when not (List.mem src s.acks) ->
-       s.acks <- src :: s.acks;
-       if List.length s.acks >= t.quorum then begin
-         Hashtbl.remove t.pending rid;
-         Metrics.observe t.c.h_phase2 (t.tr.Transport.now () -. s.born);
-         let e = entry t s.reg in
-         if s.ts > e.stable then e.stable <- s.ts;
-         s.finish ()
+    (match Hashtbl.find t.pending rid with
+     | Store_p s ->
+       let b = bit t src in
+       if b <> 0 && s.acked land b = 0 then begin
+         s.acked <- s.acked lor b;
+         s.count <- s.count + 1;
+         if s.count >= t.quorum then begin
+           Hashtbl.remove t.pending rid;
+           Metrics.observe t.c.h_phase2 (t.tr.Transport.now () -. s.born);
+           let e = entry t s.reg in
+           if s.ts > e.stable then e.stable <- s.ts;
+           s.finish ()
+         end
        end
-     | _ -> ())
+     | Collect _ -> ()
+     | exception Not_found -> ())
   | Wire.Batch msgs -> List.iter (fun m -> on_message t ~src m) msgs
   | _ -> ()
 
@@ -341,14 +368,11 @@ let resend_pending ?(older_than = 0.0) t =
     (fun rid phase ->
       match phase with
       | Collect c when c.born <= cutoff ->
-        let answered =
-          List.fold_left (fun m (r, _) -> m lor bit t r) 0 c.replies
-        in
-        resend t ~reached:c.reached ~answered (Wire.Query { rid; reg = c.reg });
+        resend t ~reached:c.reached ~answered:c.answered
+          (Wire.Query { rid; reg = c.reg });
         c.reached <- t.all
       | Store_p s when s.born <= cutoff ->
-        let answered = List.fold_left (fun m r -> m lor bit t r) 0 s.acks in
-        resend t ~reached:s.reached ~answered
+        resend t ~reached:s.reached ~answered:s.acked
           (Wire.Store { rid; reg = s.reg; ts = s.ts; pl = s.pl });
         s.reached <- t.all
       | Collect _ | Store_p _ -> ())

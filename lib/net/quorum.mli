@@ -153,9 +153,12 @@ val on_message : t -> src:Transport.node -> Wire.msg -> unit
 (** Feed [Query_reply]/[Store_ack] messages; replies from unknown
     request ids (stale retransmissions, duplicates, other engines'
     rids) only clear their sender's suspicion, other message kinds are
-    no-ops.  May run
-    pending continuations reentrantly; never raises on well-typed
-    input. *)
+    no-ops.  A phase counts each replica of the group once, however
+    many copies of its reply arrive, and never counts a reply whose
+    [src] is not in [replicas]: such a reply is ignored.  A collect
+    keeps the reply with the highest timestamp, the latest one to
+    arrive on a tie.  May run pending continuations reentrantly; never
+    raises on well-typed input. *)
 
 val resend_pending : ?older_than:float -> t -> bool
 (** Retransmit every outstanding phase at least [older_than] (default

@@ -97,7 +97,9 @@ let create ~registry ~metrics ?(enabled = true) ?(skip_dual_write = false) ()
 let set_unpark t f = t.unpark <- f
 let epoch t = Shard_map.epoch (Registry.map t.reg)
 
-let count tbl key = Option.value ~default:0 (Hashtbl.find_opt tbl key)
+(* [find], not [find_opt]: runs once per op, and allocates no option *)
+let count tbl key =
+  match Hashtbl.find tbl key with n -> n | exception Not_found -> 0
 
 let bump tbl key d =
   match count tbl key + d with

@@ -16,7 +16,7 @@ type rlink = {
 }
 
 type t = {
-  init : Wire.payload;
+  unset : int * Wire.payload;  (* (0, initial): a never-stored register *)
   backing : backing;
       (* global reg index -> (timestamp, payload); absent = never
          stored, i.e. (0, initial) *)
@@ -35,22 +35,19 @@ let create ~init ?storage ?(unordered = false) () =
     | Some st -> Durable st
   in
   {
-    init = Registers.Tagged.initial init;
+    unset = (0, Registers.Tagged.initial init);
     backing;
     links = Hashtbl.create 4;
     unordered;
     handled = 0;
   }
 
+(* the stored pair itself, or [unset]: no option per lookup *)
 let lookup t reg =
-  let found =
-    match t.backing with
-    | Volatile regs -> Hashtbl.find_opt regs reg
-    | Durable st -> Storage.lookup st reg
-  in
-  match found with
-  | Some p -> p
-  | None -> (0, t.init)
+  match t.backing with
+  | Volatile regs -> (
+    match Hashtbl.find regs reg with p -> p | exception Not_found -> t.unset)
+  | Durable st -> Storage.find st reg ~default:t.unset
 
 (* Store an entry, then run [k] once it is durable: immediately for a
    volatile table, from the group-commit completion for a durable one

@@ -211,10 +211,12 @@ let read_prog t proc key =
     Core.Protocol.read_prog ()
   end
 
+(* [find], not [find_opt], here and at [sessions] and [take]: these
+   run once per op, and the exception path allocates no option *)
 let queue_of lane key =
-  match Hashtbl.find_opt lane.queues key with
-  | Some q -> q
-  | None ->
+  match Hashtbl.find lane.queues key with
+  | q -> q
+  | exception Not_found ->
     let q = Queue.create () in
     Hashtbl.replace lane.queues key q;
     q
@@ -225,9 +227,9 @@ let rec start_next t lane key =
      cutover has installed the new placement *)
   if (not (Hashtbl.mem lane.busy key)) && Reconfig.admitting t.reconfig key
   then
-    match Queue.take_opt (queue_of lane key) with
-    | None -> ()
-    | Some (s, seq, op) ->
+    match Queue.take (queue_of lane key) with
+    | exception Queue.Empty -> ()
+    | s, seq, op ->
       Hashtbl.replace lane.busy key ();
       arm_timer t;
       Metrics.incr t.c_shard_ops.(Registry.shard_of_key t.registry key);
@@ -534,8 +536,8 @@ let rec on_message_inner t ~src msg =
     Hashtbl.replace t.sessions src
       { src; proc; next_seq = 0; stash = Hashtbl.create 8; lane }
   | Wire.Req { seq; op } ->
-    (match Hashtbl.find_opt t.sessions src with
-     | Some s when seq >= s.next_seq ->
+    (match Hashtbl.find t.sessions src with
+     | s when seq >= s.next_seq ->
        (* queue directly, no stash: in a pool the router upstream
           already delivers each session's ops in sequence order and
           sends us only the ops we own — sequence numbers may
@@ -550,7 +552,7 @@ let rec on_message_inner t ~src msg =
          Hashtbl.replace s.stash seq op;
          admit t s
        end
-     | Some _ | None -> ())  (* duplicate or sessionless request *)
+     | _ | (exception Not_found) -> ())  (* duplicate or sessionless request *)
   | Wire.Query_reply _ | Wire.Store_ack _ | Wire.Ack2 _ | Wire.Query2_reply _
     ->
     Registry.on_message t.registry ~src msg

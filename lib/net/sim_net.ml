@@ -61,8 +61,9 @@ module Heap = struct
       i := p
     done
 
+  (* [dummy] when empty, not [None]: no option per event *)
   let pop h =
-    if h.n = 0 then None
+    if h.n = 0 then dummy
     else begin
       let top = h.a.(0) in
       h.n <- h.n - 1;
@@ -83,7 +84,7 @@ module Heap = struct
           i := !smallest
         end
       done;
-      Some top
+      top
     end
 end
 
@@ -260,8 +261,8 @@ let execute t { time; ev; _ } =
   | Deliver { src; dst; msg } ->
     if Hashtbl.mem t.dead dst then drop t ~src ~dst "dead"
     else begin
-      match Hashtbl.find_opt t.handlers dst with
-      | Some h ->
+      match Hashtbl.find t.handlers dst with
+      | h ->
         Metrics.incr t.c.m_delivered;
         (match t.trace with
          | None -> ()
@@ -269,7 +270,7 @@ let execute t { time; ev; _ } =
            record tr t
              (Trace.Deliver { src; dst; info = Fmt.str "%a" Wire.pp msg }));
         h ~src msg
-      | None -> drop t ~src ~dst "no-handler"
+      | exception Not_found -> drop t ~src ~dst "no-handler"
     end
   | Timer { node; f } ->
     if node = -1 || not (Hashtbl.mem t.dead node) then begin
@@ -288,11 +289,12 @@ let peek t =
     | Timer { node; _ } -> Some (node, None)
 
 let step t =
-  match Heap.pop t.heap with
-  | None -> false
-  | Some e ->
+  let e = Heap.pop t.heap in
+  if e == Heap.dummy then false
+  else begin
     execute t e;
     true
+  end
 
 (* Controlled stepping: a schedule explorer wants to pick *which*
    pending event fires next rather than always taking the earliest.

@@ -167,6 +167,17 @@ let build ?(faults = Sim_net.reliable) ?(replicas = 3) ?(window = 4)
     else Replica.create ~init ~unordered ()
   in
   let incarnations = Array.init replicas fresh_replica in
+  (* replies — including group-commit acks deferred past a turn — may
+     only leave a live, current incarnation: the handler may have been
+     killed mid-message by a disk crash hook (a store whose WAL append
+     was torn is never acked), and a stale incarnation must not speak
+     for, or flush the disk under, its replacement.  One [emit] per
+     incarnation, built with it, not one per delivery. *)
+  let emit_of r rep (dst, m) =
+    if Sim_net.alive net r && incarnations.(r) == rep then
+      tr.Transport.send ~src:r ~dst m
+  in
+  let emits = Array.init replicas (fun r -> emit_of r incarnations.(r)) in
   List.iter
     (fun r ->
       (* group-commit flush driver: a handler turn that leaves entries
@@ -195,17 +206,7 @@ let build ?(faults = Sim_net.reliable) ?(replicas = 3) ?(window = 4)
       in
       Sim_net.register net r (fun ~src msg ->
           let rep = incarnations.(r) in
-          (* replies — including group-commit acks deferred past this
-             turn — may only leave a live, current incarnation: the
-             handler may have been killed mid-message by a disk crash
-             hook (a store whose WAL append was torn is never acked),
-             and a stale incarnation must not speak for, or flush the
-             disk under, its replacement *)
-          let emit (dst, m) =
-            if Sim_net.alive net r && incarnations.(r) == rep then
-              tr.Transport.send ~src:r ~dst m
-          in
-          Replica.handle_emit rep ~src ~emit msg;
+          Replica.handle_emit rep ~src ~emit:emits.(r) msg;
           if Sim_net.alive net r then arm_flush rep);
       Sim_net.on_restart net r (fun () ->
           (* amnesia restart: the in-memory incarnation is gone.  With
@@ -213,7 +214,9 @@ let build ?(faults = Sim_net.reliable) ?(replicas = 3) ?(window = 4)
              replica's disk; without, it comes back empty — exactly
              the forgotten-acknowledgement bug the explorer hunts *)
           if durable then Storage.Disk.revive disks.(r);
-          incarnations.(r) <- fresh_replica r))
+          let rep = fresh_replica r in
+          incarnations.(r) <- rep;
+          emits.(r) <- emit_of r rep))
     replica_nodes;
   (* server; retransmission period must exceed a replica round trip *)
   let resend_every = (4.0 *. faults.Sim_net.max_delay) +. 1.0 in

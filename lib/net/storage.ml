@@ -359,9 +359,9 @@ type t = {
 }
 
 let apply tbl e =
-  match Hashtbl.find_opt tbl e.reg with
-  | Some (cur, _) when cur >= e.ts -> ()
-  | _ -> Hashtbl.replace tbl e.reg (e.ts, e.pl)
+  match Hashtbl.find tbl e.reg with
+  | cur, _ when cur >= e.ts -> ()
+  | _ | (exception Not_found) -> Hashtbl.replace tbl e.reg (e.ts, e.pl)
 
 let create ?(snapshot_every = 0) ?(gc_bytes = 0) ?group_commit be =
   let tbl = Hashtbl.create 16 in
@@ -593,6 +593,16 @@ let snapshot t =
 let lookup t reg =
   Mutex.lock t.mu;
   let r = Hashtbl.find_opt t.tbl reg in
+  Mutex.unlock t.mu;
+  r
+
+(* [find], not [find_opt]: a replica looks up on every message, and
+   the pair goes back as the table holds it, with no option around it *)
+let find t reg ~default =
+  Mutex.lock t.mu;
+  let r =
+    match Hashtbl.find t.tbl reg with p -> p | exception Not_found -> default
+  in
   Mutex.unlock t.mu;
   r
 

@@ -277,6 +277,11 @@ val pins : t -> int
 (** Pins currently held. *)
 
 val lookup : t -> int -> (int * Wire.payload) option
+
+val find : t -> int -> default:int * Wire.payload -> int * Wire.payload
+(** {!lookup} without the option: the stored pair, or [default] for a
+    register never stored.  Allocates nothing. *)
+
 val contents : t -> (int * (int * Wire.payload)) list
 (** Sorted by register index. *)
 

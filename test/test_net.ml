@@ -2189,6 +2189,169 @@ let pool_stats_reply () =
     (fields (Net.Server_pool.quorum_stats pool))
     (fields (Net.Engine.stats_of Net.Engine.Abd get))
 
+(* ------------------------------------------------------------------ *)
+(* Quorum: a phase keeps a reply mask and a running maximum            *)
+
+(* The tests below hand an engine its replies one at a time, through
+   [on_message], leaving [holding]'s queue undelivered. *)
+let query_reply ?(rid = 0) ?(ts = 0) ?(v = 0) () =
+  W.Query_reply { rid; reg = 0; ts; pl = pl v false }
+
+let store_ack ?(rid = 0) () = W.Store_ack { rid; reg = 0 }
+
+let quorum_duplicate_replies_count_once () =
+  let q = quorum_over (holding ()) in
+  let got = ref None in
+  Net.Quorum.read_ts q ~reg:0 ~k:(fun p -> got := Some p);
+  let reply = query_reply () in
+  Net.Quorum.on_message q ~src:0 reply;
+  Net.Quorum.on_message q ~src:0 reply;
+  Alcotest.(check bool) "a duplicate Query_reply does not complete" true
+    (!got = None);
+  Net.Quorum.on_message q ~src:1 reply;
+  Alcotest.(check bool) "a second replica completes the collect" true
+    (!got <> None);
+  let acked = ref false in
+  Net.Quorum.write q ~reg:0 ~value:(pl 1 false) ~k:(fun () -> acked := true);
+  let ack = store_ack ~rid:1 () in
+  Net.Quorum.on_message q ~src:2 ack;
+  Net.Quorum.on_message q ~src:2 ack;
+  Alcotest.(check bool) "a duplicate Store_ack does not complete" false !acked;
+  Net.Quorum.on_message q ~src:0 ack;
+  Alcotest.(check bool) "a second replica completes the store" true !acked
+
+let quorum_outsider_never_completes () =
+  let q = quorum_over (holding ()) in
+  let got = ref None in
+  Net.Quorum.read_ts q ~reg:0 ~k:(fun p -> got := Some p);
+  Net.Quorum.on_message q ~src:7 (query_reply ~ts:9 ~v:9 ());
+  Net.Quorum.on_message q ~src:0 (query_reply ());
+  Alcotest.(check bool) "an outsider's reply is not counted" true (!got = None);
+  Net.Quorum.on_message q ~src:1 (query_reply ());
+  (match !got with
+   | Some (ts, _) -> Alcotest.(check int) "nor its timestamp" 0 ts
+   | None -> Alcotest.fail "the group's replies did not complete");
+  let acked = ref false in
+  Net.Quorum.write q ~reg:0 ~value:(pl 1 false) ~k:(fun () -> acked := true);
+  let ack = store_ack ~rid:1 () in
+  Net.Quorum.on_message q ~src:7 ack;
+  Net.Quorum.on_message q ~src:8 ack;
+  Net.Quorum.on_message q ~src:0 ack;
+  Alcotest.(check bool) "outsiders' acks are not counted" false !acked;
+  Net.Quorum.on_message q ~src:1 ack;
+  Alcotest.(check bool) "the group's acks complete" true !acked
+
+let quorum_tie_newest_reply_wins () =
+  let q = quorum_over (holding ~n:5 ()) in
+  let got = ref None in
+  let collect replies =
+    got := None;
+    Net.Quorum.read_ts q ~reg:0 ~k:(fun (ts, p) ->
+        got := Some (ts, Registers.Tagged.v p));
+    List.iter (fun (src, m) -> Net.Quorum.on_message q ~src m) replies;
+    !got
+  in
+  Alcotest.(check (option (pair int int))) "equal timestamps: newest reply"
+    (Some (3, 30))
+    (collect
+       [ (0, query_reply ~ts:3 ~v:10 ()); (1, query_reply ~ts:3 ~v:20 ());
+         (2, query_reply ~ts:3 ~v:30 ()) ]);
+  Alcotest.(check (option (pair int int))) "a lower newer reply loses"
+    (Some (5, 10))
+    (collect
+       [ (0, query_reply ~rid:1 ~ts:5 ~v:10 ());
+         (1, query_reply ~rid:1 ~ts:3 ~v:20 ());
+         (2, query_reply ~rid:1 ~ts:5 ~v:10 ()) ])
+
+let quorum_resend_skips_answered () =
+  let h = holding ~n:5 () in
+  let q = quorum_over h in
+  let resent () =
+    ignore (sent_to h);
+    ignore (Net.Quorum.resend_pending q);
+    List.sort compare (sent_to h)
+  in
+  Net.Quorum.read_ts q ~reg:0 ~k:ignore;
+  Net.Quorum.on_message q ~src:3 (query_reply ());
+  Alcotest.(check (list int)) "collect: every replica but the one answered"
+    [ 0; 1; 2; 4 ] (resent ());
+  Net.Quorum.on_message q ~src:0 (query_reply ());
+  Alcotest.(check (list int)) "collect: then the three left" [ 1; 2; 4 ]
+    (resent ());
+  Net.Quorum.write q ~reg:1 ~value:(pl 1 false) ~k:ignore;
+  Net.Quorum.on_message q ~src:2 (store_ack ~rid:1 ());
+  Net.Quorum.on_message q ~src:4 (store_ack ~rid:1 ());
+  ignore (sent_to h);
+  ignore (Net.Quorum.resend_pending q);
+  let stores =
+    List.filter_map
+      (fun (dst, m) -> match m with W.Store _ -> Some dst | _ -> None)
+      h.from_engine
+  in
+  Alcotest.(check (list int)) "store: the replicas not yet acked" [ 0; 1; 3 ]
+    (List.sort compare stores)
+
+(* Minor words per call of [f i] for [i] in [warmup, n), after [f 0]
+   .. [f (warmup - 1)] ran unmeasured. *)
+let words_per_call ~warmup ~n f =
+  for i = 0 to warmup - 1 do
+    f i
+  done;
+  let w0 = Gc.minor_words () in
+  for i = warmup to n - 1 do
+    f i
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int (n - warmup)
+
+let quorum_partial_reply_allocates_nothing () =
+  let n = 2_000 in
+  let q =
+    Net.Quorum.create ~transport:Net.Transport.null ~me:engine_node
+      ~replicas:[ 0; 1; 2 ] ()
+  in
+  for _ = 1 to n do
+    Net.Quorum.read_ts q ~reg:0 ~k:ignore
+  done;
+  let replies = Array.init n (fun rid -> query_reply ~rid ()) in
+  let words =
+    words_per_call ~warmup:100 ~n (fun rid ->
+        Net.Quorum.on_message q ~src:1 replies.(rid))
+  in
+  Alcotest.(check (float 0.0)) "words per Query_reply short of a quorum" 0.0
+    words
+
+let sim_step_allocates_nothing () =
+  let n = 2_000 in
+  let net = Net.Sim_net.create ~seed:1 ~faults:Net.Sim_net.reliable () in
+  Net.Sim_net.register net 1 (fun ~src:_ _ -> ());
+  let msg = W.Query { rid = 0; reg = 0 } in
+  for _ = 1 to n do
+    (Net.Sim_net.transport net).Net.Transport.send ~src:0 ~dst:1 msg
+  done;
+  let words =
+    words_per_call ~warmup:100 ~n (fun _ -> ignore (Net.Sim_net.step net))
+  in
+  Alcotest.(check (float 0.0)) "words per delivery to a no-op handler" 0.0
+    words
+
+let durable_replica_query_words () =
+  let st = Net.Storage.create (Net.Storage.mem_backend ()) in
+  let r = Net.Replica.create ~init:0 ~storage:st () in
+  ignore
+    (Net.Replica.handle r ~src:9
+       (W.Store { rid = 0; reg = 1; ts = 1; pl = pl 5 false }));
+  let queries =
+    Array.init 2_000 (fun rid -> W.Query { rid; reg = rid mod 2 })
+  in
+  let words =
+    words_per_call ~warmup:100 ~n:2_000 (fun rid ->
+        Net.Replica.handle_emit r ~src:9 ~emit:ignore queries.(rid))
+  in
+  (* a [Query_reply] is 5 words with its header, the emit tuple 3 *)
+  Alcotest.(check bool)
+    (Fmt.str "%.1f words per Query <= 8" words)
+    true (words <= 8.0)
+
 let suite =
   [
     tc "wire: reject garbage" wire_rejects_garbage;
@@ -2263,6 +2426,20 @@ let suite =
     tc "socket: one reply table never crosses answers"
       socket_one_table_no_crossed_replies;
     tc "pool: stats reply reads the whole pool's counters" pool_stats_reply;
+    tc "quorum: duplicate replies count once"
+      quorum_duplicate_replies_count_once;
+    tc "quorum: a reply from outside the group never completes a phase"
+      quorum_outsider_never_completes;
+    tc "quorum: with equal timestamps the newest reply wins"
+      quorum_tie_newest_reply_wins;
+    tc "quorum: a resend reaches exactly the replicas not yet answered"
+      quorum_resend_skips_answered;
+    tc "quorum: a Query_reply short of a quorum allocates nothing"
+      quorum_partial_reply_allocates_nothing;
+    tc "sim: a delivery to a no-op handler allocates nothing"
+      sim_step_allocates_nothing;
+    tc "replica: a durable Query allocates only its reply"
+      durable_replica_query_words;
   ]
 
 let slow_suite =
