@@ -32,7 +32,8 @@
       not accepting) or timed out; each one is a send the caller did
       {e not} stall on.
     - [timer_fires] / [timers_dropped] — timer callbacks run /
-      discarded because their node was gone.
+      discarded because the node incarnation that armed them was gone
+      (over sockets) or ended by an amnesia restart (in {!Sim_net}).
     - [quorum_queries] / [quorum_stores] / [quorum_retransmissions] —
       phase-1 and phase-2 rounds started, and per-replica resends.
     - [quorum_writes] — ABD writes started ([write] and the migration's

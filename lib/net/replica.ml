@@ -162,6 +162,11 @@ let handle t ~src msg =
   handle_emit t ~src ~emit:(fun reply -> acc := reply :: !acc) msg;
   List.rev !acc
 
+let drive t ~transport ~node =
+  match t.backing with
+  | Durable st -> Storage.drive st ~transport ~node
+  | Volatile _ -> ()
+
 (* A socket replica node.  The flush timer is armed through the corked
    transport, so the acks a deadline flush releases leave as one frame
    per peer too. *)
@@ -171,9 +176,7 @@ let serve t ~transport ~me =
   fun ~src msg ->
     turn (fun () ->
         handle_emit t ~src ~emit msg;
-        match t.backing with
-        | Durable st -> Storage.drive st ~transport:tr ~node:me
-        | Volatile _ -> ())
+        drive t ~transport:tr ~node:me)
 
 let contents t =
   match t.backing with

@@ -70,6 +70,12 @@ val handle :
     (no [group_commit] config): a deferred ack would be lost with the
     collector.  Kept for tests and synchronous test transports. *)
 
+val drive : t -> transport:Transport.t -> node:Transport.node -> unit
+(** The end of one of [node]'s handler turns: a durable replica's store
+    is driven by {!Storage.drive} on [transport]; a volatile one has
+    nothing to flush.  Call it serialized with [node]'s handler, as
+    {!serve} and {!Sim_run} do. *)
+
 val serve :
   t ->
   transport:Transport.t ->
@@ -80,13 +86,11 @@ val serve :
 (** [serve rep ~transport ~me] is the replica node the socket service
     runs, as a handler for {!Socket_net.listen} at node [me].  Each
     handled message is one {!Transport.cork} turn: its replies leave
-    as one frame per peer.  After the turn's {!handle_emit}, a durable
-    replica's store is driven by {!Storage.drive}.  The flush timer is
-    armed through the corked transport, so the acks a deadline flush
+    as one frame per peer.  The turn's {!handle_emit} is followed by
+    {!drive} on the corked transport, so the acks a deadline flush
     releases are coalesced the same way.  Build one handler per
     replica and node; it must be called serialized with [me]'s timers,
-    as {!Socket_net} does.  {!Sim_run} keeps its own uncorked driver,
-    which guards against crashed and restarted incarnations. *)
+    as {!Socket_net} does. *)
 
 val contents : t -> (int * (int * Wire.payload)) list
 (** Materialized registers as [(global_reg, (timestamp, payload))],

@@ -603,9 +603,8 @@ let rec on_message_inner t ~src msg =
   | Wire.Stats_reply _ | Wire.Store2 _ | Wire.Query2 _ | Wire.Engine_hello _
   | Wire.Reconfig_ack _ | Wire.Epoch_reply _ -> ()
 
-(* The server's own wts store is flushed by the shared driver.  The
-   server node is never crash-faulted by the harnesses, so its armed
-   flag cannot be wedged by a dead-node timer skip. *)
+(* The server's own wts store is flushed by the shared driver, as
+   every replica's is. *)
 let handle t ~src msg =
   on_message_inner t ~src msg;
   match t.storage with

@@ -98,6 +98,7 @@ type ctrs = {
   m_duplicated : Metrics.counter;
   m_blocked : Metrics.counter;
   m_timer_fires : Metrics.counter;
+  m_timers_dropped : Metrics.counter;
   m_crashes : Metrics.counter;
   m_amnesia : Metrics.counter;
 }
@@ -110,6 +111,9 @@ type t = {
   dead : (int, unit) Hashtbl.t;
   amnesiac : (int, unit) Hashtbl.t;
   recovery : (int, unit -> unit) Hashtbl.t;
+  paused : (int, entry list) Hashtbl.t;
+      (* a dead node's timers that fell due, latest first: they wait
+         for its restart *)
   mutable cut : (int list * int list) option;
   mutable clock : float;
   mutable seqno : int;
@@ -128,6 +132,7 @@ let create ~seed ~faults ?metrics ?trace () =
       m_duplicated = Metrics.counter metrics "frames_duplicated";
       m_blocked = Metrics.counter metrics "frames_blocked";
       m_timer_fires = Metrics.counter metrics "timer_fires";
+      m_timers_dropped = Metrics.counter metrics "timers_dropped";
       m_crashes = Metrics.counter metrics "crashes";
       m_amnesia = Metrics.counter metrics "amnesia_crashes";
     }
@@ -140,6 +145,7 @@ let create ~seed ~faults ?metrics ?trace () =
     dead = Hashtbl.create 4;
     amnesiac = Hashtbl.create 4;
     recovery = Hashtbl.create 4;
+    paused = Hashtbl.create 4;
     cut = None;
     clock = 0.0;
     seqno = 0;
@@ -238,15 +244,57 @@ let crash_amnesia t node =
 
 let on_restart t node f = Hashtbl.replace t.recovery node f
 
+(* A due timer of a live node (or an [at] callback, node -1) runs now;
+   one of a paused node waits for its restart. *)
+let timer t e =
+  match e.ev with
+  | Deliver _ -> ()
+  | Timer { node; _ } when node <> -1 && Hashtbl.mem t.dead node ->
+    Hashtbl.replace t.paused node
+      (e :: Option.value ~default:[] (Hashtbl.find_opt t.paused node))
+  | Timer { node; f } ->
+    Metrics.incr t.c.m_timer_fires;
+    (match t.trace with
+     | None -> ()
+     | Some tr -> record tr t (Trace.Timer_fire { node }));
+    f ()
+
+(* Drop every timer [node] armed, still queued or already [due], and
+   count each in [timers_dropped]: the incarnation that armed it is
+   over. *)
+let drop_timers t node due =
+  let queued = Array.sub t.heap.Heap.a 0 t.heap.Heap.n in
+  t.heap.Heap.n <- 0;
+  Array.iter
+    (fun e ->
+      match e.ev with
+      | Timer { node = n; _ } when n = node ->
+        Metrics.incr t.c.m_timers_dropped
+      | _ -> Heap.push t.heap e)
+    queued;
+  Metrics.add t.c.m_timers_dropped (List.length due)
+
 let restart t node =
   Hashtbl.remove t.dead node;
-  (* an amnesiac node lost its volatile state: its recovery hook must
-     rebuild the handler's state (from stable storage, or empty) before
-     any further delivery *)
+  let due =
+    Option.value ~default:[] (Hashtbl.find_opt t.paused node)
+    |> List.sort (fun a b -> Int.compare a.seq b.seq)
+  in
+  Hashtbl.remove t.paused node;
   if Hashtbl.mem t.amnesiac node then begin
+    (* an amnesiac node lost its volatile state, so this is a new
+       incarnation: no timer the old one armed may fire on it, and the
+       recovery hook must rebuild the handler's state (from stable
+       storage, or empty) before any further delivery *)
     Hashtbl.remove t.amnesiac node;
+    drop_timers t node due;
     match Hashtbl.find_opt t.recovery node with Some f -> f () | None -> ()
   end
+  else
+    (* the end of a pause: what fell due meanwhile fires now, in
+       arming order (a callback that crashes the node again parks the
+       rest anew) *)
+    List.iter (timer t) due
 
 let alive t node = not (Hashtbl.mem t.dead node)
 let partition t a b = t.cut <- Some (a, b)
@@ -255,7 +303,7 @@ let heal t = t.cut <- None
 let at t time f =
   schedule t ~delay:(Float.max 0.0 (time -. t.clock)) (Timer { node = -1; f })
 
-let execute t { time; ev; _ } =
+let execute t ({ time; ev; _ } as e) =
   t.clock <- Float.max t.clock time;
   match ev with
   | Deliver { src; dst; msg } ->
@@ -272,14 +320,7 @@ let execute t { time; ev; _ } =
         h ~src msg
       | exception Not_found -> drop t ~src ~dst "no-handler"
     end
-  | Timer { node; f } ->
-    if node = -1 || not (Hashtbl.mem t.dead node) then begin
-      Metrics.incr t.c.m_timer_fires;
-      (match t.trace with
-       | None -> ()
-       | Some tr -> record tr t (Trace.Timer_fire { node }));
-      f ()
-    end
+  | Timer _ -> timer t e
 
 let peek t =
   if t.heap.Heap.n = 0 then None

@@ -11,9 +11,13 @@
 
     Faults modelled: message delay/reorder/drop/duplication per link
     ([faults]), network partition ({!partition}/{!heal}), and process
-    crash ({!crash} — the node stops receiving forever; messages
-    already sent by it still arrive, like packets in flight when a
-    process dies). *)
+    crash ({!crash} — the node stops receiving until {!restart};
+    messages already sent by it still arrive, like packets in flight
+    when a process dies).
+
+    Timers keep {!Transport.t}[.set_timer]'s incarnation rule: a
+    plain crash pauses a node's timers, and an amnesia restart drops
+    every timer of the old incarnation. *)
 
 type faults = {
   drop : float;  (** per-message drop probability *)
@@ -56,7 +60,8 @@ val create :
   seed:int -> faults:faults -> ?metrics:Metrics.t -> ?trace:Trace.t -> unit -> t
 (** [metrics] (default: a fresh, private instance) receives the
     transport counters under the same names as {!Socket_net}
-    ([frames_sent], [frames_delivered], …); at quiescence
+    ([frames_sent], [frames_delivered], …, [timer_fires],
+    [timers_dropped]); at quiescence
     [frames_sent = frames_delivered + frames_dropped + frames_blocked].
     With [trace], every send/deliver/drop/timer-fire is appended to
     the ring stamped with its virtual time. *)
@@ -75,14 +80,18 @@ val crash : t -> Transport.node -> unit
     in-memory state — is retained, so a plain crash+{!restart} models
     a pause (a long GC, a suspended VM), {e not} a process death: a
     real restart forgets everything volatile.  Use {!crash_amnesia}
-    for that. *)
+    for that.  A timer of the node that falls due while it is down
+    waits: it fires, in arming order with the others, when {!restart}
+    runs. *)
 
 val crash_amnesia : t -> Transport.node -> unit
 (** {!crash}, and additionally mark the node's volatile state as lost:
-    the next {!restart} runs the node's {!on_restart} recovery hook,
-    which must rebuild the handler state — from stable storage if the
-    node has any, or from nothing (the bug durability exists to
-    prevent). *)
+    the next {!restart} starts a new incarnation.  It drops every
+    timer the node armed before it — still queued or already due —
+    counting each in [timers_dropped], then runs the node's
+    {!on_restart} recovery hook, which must rebuild the handler state
+    — from stable storage if the node has any, or from nothing (the
+    bug durability exists to prevent). *)
 
 val on_restart : t -> Transport.node -> (unit -> unit) -> unit
 (** Install the node's recovery hook, run by {!restart} iff the
@@ -91,8 +100,10 @@ val on_restart : t -> Transport.node -> (unit -> unit) -> unit
 
 val restart : t -> Transport.node -> unit
 (** Undo a {!crash}: the node receives messages again.  After a plain
-    crash its state was retained; after a {!crash_amnesia} the
-    recovery hook (if any) is invoked first. *)
+    crash its state was retained, and the timers that fell due while
+    it was down fire now, in arming order, before [restart] returns.
+    After a {!crash_amnesia} its old timers are dropped and the
+    recovery hook (if any) is invoked. *)
 
 val alive : t -> Transport.node -> bool
 
@@ -104,7 +115,8 @@ val heal : t -> unit
 
 val at : t -> float -> (unit -> unit) -> unit
 (** Schedule a callback at an absolute virtual time — fault schedules
-    (crash this replica at t, heal at t') are built from this. *)
+    (crash this replica at t, heal at t') are built from this.  It
+    belongs to no node, so it fires whatever any node's state. *)
 
 val now : t -> float
 

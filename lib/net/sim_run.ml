@@ -180,34 +180,14 @@ let build ?(faults = Sim_net.reliable) ?(replicas = 3) ?(window = 4)
   let emits = Array.init replicas (fun r -> emit_of r incarnations.(r)) in
   List.iter
     (fun r ->
-      (* group-commit flush driver: a handler turn that leaves entries
-         pending arms a one-shot flush timer (zero deadline: flush
-         before the turn ends).  Armed unconditionally, no armed flag —
-         Sim_net silently skips timers for dead nodes, so a flag would
-         wedge across a crash; a duplicate timer just flushes an empty
-         queue.  Deterministic: fixed delay, same arming schedule. *)
-      let rec arm_flush rep =
-        match Replica.storage rep with
-        | Some st when Storage.pending st > 0 ->
-          let d = Storage.flush_deadline st in
-          if d <= 0.0 then Storage.flush st
-          else
-            tr.Transport.set_timer ~node:r ~delay:d (fun () ->
-                (* physical-equality incarnation guard: after an
-                   amnesia restart the cell holds a fresh replica and
-                   this timer must not flush the old one's queue.
-                   Socket_net applies the same guard to endpoint
-                   re-listens (Transport.set_timer's contract). *)
-                if incarnations.(r) == rep then begin
-                  Storage.flush st;
-                  arm_flush rep
-                end)
-        | _ -> ()
-      in
+      (* Storage.drive's one armed timer per store cannot wedge here:
+         Sim_net holds a paused node's timers until its restart and
+         drops a replaced incarnation's *)
       Sim_net.register net r (fun ~src msg ->
           let rep = incarnations.(r) in
           Replica.handle_emit rep ~src ~emit:emits.(r) msg;
-          if Sim_net.alive net r then arm_flush rep);
+          if Sim_net.alive net r then
+            Replica.drive rep ~transport:tr ~node:r);
       Sim_net.on_restart net r (fun () ->
           (* amnesia restart: the in-memory incarnation is gone.  With
              durability the replacement recovers snapshot+WAL from the

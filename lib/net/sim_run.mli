@@ -156,13 +156,15 @@ val build :
     what {!Explore}'s no-durability hunts catch.  [group_commit] opens
     each replica disk store with a commit queue
     ({!Storage.commit_config}): store acks are emitted from batch
-    durability completions, with a deterministic per-replica flush
-    timer arming whenever a handler turn leaves entries pending
-    ([flush_every] in virtual-time units; [0.] flushes at the end of
-    each turn).  Acks and flushes are guarded so a crashed node or a
-    stale (pre-amnesia) incarnation can neither speak nor write to the
-    disk of its replacement.  [gc_bytes] opens each replica store with
-    the WAL-size GC frontier (see {!Storage.create}).
+    durability completions, and each live replica's store is driven
+    by {!Storage.drive} (through {!Replica.drive}) at the end of every
+    handler turn, as a socket replica's is ([flush_every] in
+    virtual-time units; [0.] flushes at the end of each turn).  Acks
+    are guarded so a crashed node or a stale (pre-amnesia)
+    incarnation cannot speak for its replacement, and {!Sim_net}
+    drops a stale incarnation's flush timers.  [gc_bytes] opens each
+    replica store with the WAL-size GC frontier (see
+    {!Storage.create}).
 
     [xprocesses] (default: [singles processes]; when non-empty
     [processes] is ignored) runs an extended workload with multi-key

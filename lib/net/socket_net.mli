@@ -31,8 +31,8 @@
     {b Timer incarnation guard.}  A transport timer captures its
     node's endpoint registration when armed and fires only if that
     very endpoint value — compared physically, the counterpart of
-    {!Sim_run}'s incarnation check — is still the registered, live one
-    at expiry.  A node that was {!unlisten}ed, {!crash}ed or replaced
+    {!Sim_net}'s amnesia-restart rule — is still the registered, live
+    one at expiry.  A node that was {!unlisten}ed, {!crash}ed or replaced
     by a re-{!listen} in between can never observe the stale callback;
     such timers are counted as [timers_dropped].
 

@@ -590,12 +590,6 @@ let snapshot t =
   Mutex.unlock t.mu;
   run_completions ks
 
-let lookup t reg =
-  Mutex.lock t.mu;
-  let r = Hashtbl.find_opt t.tbl reg in
-  Mutex.unlock t.mu;
-  r
-
 (* [find], not [find_opt]: a replica looks up on every message, and
    the pair goes back as the table holds it, with no option around it *)
 let find t reg ~default =

@@ -44,9 +44,8 @@
 
     The store never arms timers by itself: [flush_every] is advisory,
     exposed via {!flush_deadline} for the driver that owns the
-    threading model.  A socket node's driver is {!drive}, which
-    {!Server} and {!Replica.serve} call after every handler turn;
-    {!Sim_run} keeps its own incarnation-guarded replica driver.  All
+    threading model.  That driver is {!drive}, which {!Server} and
+    {!Replica.drive} call after every handler turn.  All
     public operations are thread-safe behind one internal mutex;
     completions run outside it and may re-enter the store.
 
@@ -257,9 +256,7 @@ val drive : t -> transport:Transport.t -> node:Transport.node -> unit
     get their own deadline.  Acks therefore wait at most one deadline
     past their append.  The armed flag lives in the store, so each
     store must have exactly one driving node, and [drive] must run
-    serialized with that node's handler (as transport timers do).  A
-    crash-faulted node whose timers may be skipped would wedge the
-    flag; {!Sim_run} drives such replicas itself. *)
+    serialized with that node's handler (as transport timers do). *)
 
 val snapshot : t -> unit
 (** Force a snapshot now (flushes the pending batch first). *)
@@ -276,11 +273,9 @@ val unpin : t -> unit
 val pins : t -> int
 (** Pins currently held. *)
 
-val lookup : t -> int -> (int * Wire.payload) option
-
 val find : t -> int -> default:int * Wire.payload -> int * Wire.payload
-(** {!lookup} without the option: the stored pair, or [default] for a
-    register never stored.  Allocates nothing. *)
+(** The stored pair, or [default] for a register never stored.
+    Allocates nothing. *)
 
 val contents : t -> (int * (int * Wire.payload)) list
 (** Sorted by register index. *)

@@ -37,15 +37,20 @@ type t = {
       (** One-shot timer; the callback runs serialized with [node]'s
           message handler (virtual time under {!Sim_net}, wall-clock
           seconds under {!Socket_net}), so handler state needs no extra
-          locking.  If [node] is gone — or is no longer the {e same
-          incarnation} it was when the timer was armed (crashed,
-          unlistened, or replaced by a reconnect/restart in between) —
-          by the time the timer fires, the callback is dropped, not
-          run.  Both transports enforce this the same way: {!Sim_run}
-          guards replica callbacks with a physical-equality check on
-          the incarnation cell, {!Socket_net} with the
-          endpoint-incarnation check of its timer guard (dropped
-          firings count [timers_dropped]).  Does not block. *)
+          locking.  If [node] is no longer the {e same incarnation} it
+          was when the timer was armed (unlistened, or replaced by a
+          reconnect/restart in between) by the time the timer fires,
+          the callback is dropped, not run, and counted
+          [timers_dropped].  Each transport enforces this itself:
+          {!Socket_net} with the endpoint-incarnation check of its
+          timer guard (a crashed socket node is gone, so its timers
+          drop too), {!Sim_net} by dropping every timer an amnesia
+          restart's old incarnation armed.  A {!Sim_net.crash} is a
+          pause, not a new incarnation: a timer due while the node is
+          down waits and runs at its {!Sim_net.restart}.  So a live
+          incarnation never loses a timer it armed, and a one-timer
+          flag such as {!Storage.drive}'s cannot wedge.  Does not
+          block. *)
   now : unit -> float;
       (** The transport's clock: virtual time under {!Sim_net},
           [Unix.gettimeofday] under {!Socket_net}.  Monotone within a

@@ -2352,6 +2352,60 @@ let durable_replica_query_words () =
     (Fmt.str "%.1f words per Query <= 8" words)
     true (words <= 8.0)
 
+(* A fresh simulator, the names of the timers that fired (latest
+   first), and [arm name delay] setting one on node 1. *)
+let timer_probe () =
+  let net = Net.Sim_net.create ~seed:1 ~faults:Net.Sim_net.reliable () in
+  let fired = ref [] in
+  let arm name delay =
+    (Net.Sim_net.transport net).Net.Transport.set_timer ~node:1 ~delay
+      (fun () -> fired := name :: !fired)
+  in
+  (net, fired, arm)
+
+let sim_amnesia_drops_timers () =
+  let net, fired, arm = timer_probe () in
+  let dropped () = Net.Metrics.get (Net.Sim_net.metrics net) "timers_dropped" in
+  (* restarted before the timer is due: it is still queued *)
+  arm "queued" 5.0;
+  Net.Sim_net.crash_amnesia net 1;
+  Net.Sim_net.restart net 1;
+  ignore (Net.Sim_net.run net);
+  Alcotest.(check (list string)) "a queued timer never runs" [] !fired;
+  Alcotest.(check int) "and is counted dropped" 1 (dropped ());
+  (* restarted after the timer fell due: it waited, and is dropped *)
+  arm "due" 1.0;
+  Net.Sim_net.crash_amnesia net 1;
+  Net.Sim_net.at net (Net.Sim_net.now net +. 3.0) (fun () ->
+      Net.Sim_net.restart net 1);
+  ignore (Net.Sim_net.run net);
+  Alcotest.(check (list string)) "a due timer never runs" [] !fired;
+  Alcotest.(check int) "and is counted dropped" 2 (dropped ());
+  (* the new incarnation's own timers fire *)
+  arm "new" 1.0;
+  ignore (Net.Sim_net.run net);
+  Alcotest.(check (list string)) "new incarnation's timer" [ "new" ] !fired
+
+let sim_pause_defers_timers () =
+  let net, fired, arm = timer_probe () in
+  Net.Sim_net.crash net 1;
+  (* armed a then b, due b then a *)
+  arm "a" 2.0;
+  arm "b" 1.0;
+  Net.Sim_net.at net 1.5 (fun () -> fired := "at" :: !fired);
+  ignore (Net.Sim_net.run net);
+  Alcotest.(check (list string)) "only the at callback ran while paused"
+    [ "at" ] !fired;
+  Alcotest.(check bool) "held past both due times" true
+    (Net.Sim_net.now net >= 2.0);
+  Net.Sim_net.restart net 1;
+  Alcotest.(check (list string)) "both fire at restart, in arming order"
+    [ "b"; "a"; "at" ] !fired;
+  ignore (Net.Sim_net.run net);
+  Alcotest.(check int) "exactly once" 3 (List.length !fired);
+  Alcotest.(check int) "nothing dropped" 0
+    (Net.Metrics.get (Net.Sim_net.metrics net) "timers_dropped")
+
 let suite =
   [
     tc "wire: reject garbage" wire_rejects_garbage;
@@ -2440,6 +2494,10 @@ let suite =
       sim_step_allocates_nothing;
     tc "replica: a durable Query allocates only its reply"
       durable_replica_query_words;
+    tc "sim: an amnesia restart drops the old incarnation's timers"
+      sim_amnesia_drops_timers;
+    tc "sim: a paused node's due timers fire at its restart"
+      sim_pause_defers_timers;
   ]
 
 let slow_suite =

@@ -15,6 +15,11 @@ let pl v = Registers.Tagged.make v false
 
 let entry ~reg ~ts v = { S.reg; ts; pl = pl v }
 
+(* what [find] answers for a register never stored: no entry has a
+   negative timestamp *)
+let absent = (-1, pl 0)
+let find st reg = S.find st reg ~default:absent
+
 (* [n] entries over 4 registers with per-register increasing
    timestamps — the shape a real replica appends. *)
 let entries_n n =
@@ -35,10 +40,10 @@ let take k l = List.filteri (fun i _ -> i < k) l
 let basic_ops () =
   let st = S.create (S.mem_backend ()) in
   Alcotest.(check bool) "empty store" true (S.contents st = []);
-  Alcotest.(check bool) "empty lookup" true (S.lookup st 0 = None);
+  Alcotest.(check bool) "empty lookup" true (find st 0 = absent);
   S.append st (entry ~reg:0 ~ts:1 10);
   S.append st (entry ~reg:5 ~ts:3 20);
-  Alcotest.(check bool) "lookup hits" true (S.lookup st 5 = Some (3, pl 20));
+  Alcotest.(check bool) "lookup hits" true (find st 5 = (3, pl 20));
   Alcotest.(check bool) "contents sorted" true
     (S.contents st = [ (0, (1, pl 10)); (5, (3, pl 20)) ]);
   let s = S.stats st in
@@ -55,10 +60,10 @@ let ts_guard () =
   S.append st (entry ~reg:0 ~ts:5 50);
   S.append st (entry ~reg:0 ~ts:3 30);
   S.append st (entry ~reg:0 ~ts:5 99);
-  Alcotest.(check bool) "newest kept" true (S.lookup st 0 = Some (5, pl 50));
+  Alcotest.(check bool) "newest kept" true (find st 0 = (5, pl 50));
   let st' = S.create be in
   Alcotest.(check bool) "recovery re-applies the guard" true
-    (S.lookup st' 0 = Some (5, pl 50))
+    (find st' 0 = (5, pl 50))
 
 let reopen_recovers () =
   let be = S.mem_backend () in
@@ -280,9 +285,7 @@ let gc_crash_point_matrix () =
             what;
         List.iter
           (fun e ->
-            match S.lookup st' e.S.reg with
-            | Some (ts', _) when ts' >= e.S.ts -> ()
-            | _ ->
+            if fst (find st' e.S.reg) < e.S.ts then
               Alcotest.failf "%s: acked entry reg=%d ts=%d lost across GC"
                 what e.S.reg e.S.ts)
           !acked)
@@ -407,9 +410,7 @@ let group_commit_crash_matrix () =
                 what durable;
             List.iter
               (fun (reg, ts) ->
-                match S.lookup st' reg with
-                | Some (ts', _) when ts' >= ts -> ()
-                | _ ->
+                if fst (find st' reg) < ts then
                   Alcotest.failf
                     "%s: acked entry reg=%d ts=%d lost by the crash" what
                     reg ts)
@@ -563,6 +564,40 @@ let plain_crash_keeps_state () =
   Net.Sim_net.restart cl.R.net 0;
   Alcotest.(check bool) "state retained across a pause" true
     (Net.Replica.contents (cl.R.replica_of 0) = before)
+
+let pause_defers_flush_timer () =
+  (* a replica paused with a group-commit flush timer armed must flush
+     when it resumes: a timer dropped during the pause would leave the
+     store's armed flag set for good, so replica 0 would never ack
+     again and, with replica 1 then down, no store could finish *)
+  let processes =
+    [
+      proc 0 (List.init 20 (fun i -> w (i + 1)));
+      proc 1 (List.init 20 (fun i -> w (i + 101)));
+      proc 2 (List.init 40 (fun _ -> rd));
+    ]
+  in
+  let cl =
+    R.build ~replicas:3 ~window:1
+      ~group_commit:{ S.batch_max = 64; flush_every = 0.5 }
+      ~seed:3 ~init:0 ~processes ()
+  in
+  let net = cl.R.net in
+  let st = Option.get (Net.Replica.storage (cl.R.replica_of 0)) in
+  while S.pending st = 0 && Net.Sim_net.step net do
+    ()
+  done;
+  Alcotest.(check bool) "replica 0 holds a pending entry" true
+    (S.pending st > 0);
+  Net.Sim_net.crash net 0;
+  Net.Sim_net.at net
+    (Net.Sim_net.now net +. 3.0)
+    (fun () ->
+      Net.Sim_net.restart net 0;
+      Net.Sim_net.crash net 1);
+  let steps = Net.Sim_net.run ~max_steps:200_000 net in
+  check_clean ~what:"pause then crash" (R.collect cl ~steps);
+  Alcotest.(check int) "all 80 ops" 80 cl.R.expected
 
 (* ------------------------------------------------------------------ *)
 (* Slow: real files                                                    *)
@@ -769,6 +804,8 @@ let suite =
     tc "amnesia restart recovers from the WAL" durable_amnesia_recovers;
     tc "amnesia restart without durability forgets" volatile_amnesia_forgets;
     tc "plain crash is a pause" plain_crash_keeps_state;
+    tc "a paused replica's flush timer fires at its restart"
+      pause_defers_flush_timer;
   ]
 
 let slow_suite =
