@@ -1423,11 +1423,11 @@ let bench_net_reconfig () =
   List.iter
     (fun engine ->
       let name = Net.Engine.kind_name engine in
-      let run ?reconfig ?reconfig_at ?before () =
+      let run ?reconfig ?before () =
         let cl =
           Net.Sim_run.build ~replicas:3 ~shards ~keys ~window:8
             ~engine:{ Net.Engine.kind = engine }
-            ?reconfig ?reconfig_at ~seed:31 ~init:0 ~processes:[]
+            ?reconfig ~seed:31 ~init:0 ~processes:[]
             ~xprocesses ()
         in
         Option.iter
@@ -1444,8 +1444,7 @@ let bench_net_reconfig () =
       let pre = Array.make shards 0 in
       let o =
         run
-          ~reconfig:(hot, to_shard)
-          ~reconfig_at:mid
+          ~reconfig:{ Net.Sim_run.key = hot; to_shard; at = Some mid }
           ~before:
             ( mid -. 1e-6,
               fun metrics ->

@@ -128,7 +128,11 @@ let reset ?trace cfg =
     Sim_run.build ~faults:Sim_net.reliable ~replicas:cfg.replicas
       ~window:cfg.window ~shards:cfg.shards ?group_size:cfg.group_size
       ~keys:cfg.keys ~engine:{ Engine.kind = cfg.engine } ~bug:cfg.bug
-      ~durable:cfg.durable ~xprocesses:cfg.workload ?reconfig:cfg.reconfig
+      ~durable:cfg.durable ~xprocesses:cfg.workload
+      ?reconfig:
+        (Option.map
+           (fun (key, to_shard) -> { Sim_run.key; to_shard; at = None })
+           cfg.reconfig)
       ?trace ~seed:0 ~init ~processes:[] ()
   in
   {

@@ -10,7 +10,11 @@
     choice tree to {!Modelcheck.Schedule}'s sleep-set DFS.  Every leaf
     (quiescent or stalled state) is audited with the server's per-key
     live {!Histories.Monitor}; optionally each leaf history is also
-    re-checked post-hoc ([fastcheck]).
+    re-checked post-hoc ([fastcheck]).  The server is the corked,
+    presequenced core a 1-worker {!Server_pool} runs, and client
+    links are FIFO: the adversary reorders replica traffic, not a
+    client's requests or answers, and a corked frame is one
+    delivery.
 
     Determinism: exploration uses the reliable fault model (constant
     delay, no drops or duplicates), so the delivery order chosen by the

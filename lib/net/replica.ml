@@ -157,11 +157,6 @@ let rec handle_emit t ~src ~emit msg =
   | Wire.Batch msgs -> List.iter (handle_emit t ~src ~emit) msgs
   | _ -> ()
 
-let handle t ~src msg =
-  let acc = ref [] in
-  handle_emit t ~src ~emit:(fun reply -> acc := reply :: !acc) msg;
-  List.rev !acc
-
 let drive t ~transport ~node =
   match t.backing with
   | Durable st -> Storage.drive st ~transport ~node
@@ -171,12 +166,13 @@ let drive t ~transport ~node =
    transport, so the acks a deadline flush releases leave as one frame
    per peer too. *)
 let serve t ~transport ~me =
-  let tr, turn = Transport.cork transport in
+  let tr, cork = Transport.cork transport in
   let emit (dst, m) = tr.Transport.send ~src:me ~dst m in
-  fun ~src msg ->
-    turn (fun () ->
-        handle_emit t ~src ~emit msg;
-        drive t ~transport:tr ~node:me)
+  let step t ~src msg =
+    handle_emit t ~src ~emit msg;
+    drive t ~transport:tr ~node:me
+  in
+  Transport.handle cork step t
 
 let contents t =
   match t.backing with

@@ -63,13 +63,6 @@ val handle_emit :
     use an [emit] that stays valid across handler turns (and guard it
     against the replica having crashed or restarted in between). *)
 
-val handle :
-  t -> src:Transport.node -> Wire.msg -> (Transport.node * Wire.msg) list
-(** {!handle_emit} collecting the replies into a list.  Complete only
-    when the replica is volatile or its store commits synchronously
-    (no [group_commit] config): a deferred ack would be lost with the
-    collector.  Kept for tests and synchronous test transports. *)
-
 val drive : t -> transport:Transport.t -> node:Transport.node -> unit
 (** The end of one of [node]'s handler turns: a durable replica's store
     is driven by {!Storage.drive} on [transport]; a volatile one has
@@ -85,7 +78,7 @@ val serve :
   unit
 (** [serve rep ~transport ~me] is the replica node the socket service
     runs, as a handler for {!Socket_net.listen} at node [me].  Each
-    handled message is one {!Transport.cork} turn: its replies leave
+    handled message is one {!Transport.handle} turn: its replies leave
     as one frame per peer.  The turn's {!handle_emit} is followed by
     {!drive} on the corked transport, so the acks a deadline flush
     releases are coalesced the same way.  Build one handler per

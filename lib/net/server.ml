@@ -1,18 +1,18 @@
 module E = Histories.Event
 module Vm = Registers.Vm
 
-(* Per-session, per-key execution state.  A session's operations are
-   admitted strictly in sequence-number order, then queued per key:
-   operations on the same key (the same two-writer register) execute
-   one at a time — the paper's a-processor-is-sequential assumption,
-   which is per register — while operations on different keys proceed
-   concurrently.  That per-key independence is where the sharded
-   service's throughput comes from. *)
+(* Per-session, per-key execution state.  A session's operations
+   arrive in sequence-number order (client links keep order, and the
+   pool's router keeps it), and are queued per key: operations on the
+   same key (the same two-writer register) execute one at a time — the
+   paper's a-processor-is-sequential assumption, which is per register
+   — while operations on different keys proceed concurrently.  That
+   per-key independence is where the sharded service's throughput
+   comes from. *)
 type session = {
   src : Transport.node;
   proc : E.proc;
-  mutable next_seq : int;  (* next sequence number to admit *)
-  stash : (int, Wire.op) Hashtbl.t;  (* out-of-order arrivals *)
+  mutable next_seq : int;  (* lowest sequence number not yet seen *)
   lane : lane;
 }
 
@@ -25,7 +25,7 @@ type session = {
    writer's local copy); a reader's set belongs to its client node. *)
 and lane = {
   queues : (int, (session * int * Wire.op) Queue.t) Hashtbl.t;
-      (* key -> admitted, not yet started *)
+      (* key -> queued, not yet started *)
   busy : (int, unit) Hashtbl.t;  (* keys with an operation executing *)
 }
 
@@ -50,13 +50,10 @@ let worker_of_key map ~domains key =
   Shard_map.base_shard_of_key map key mod domains
 
 type t = {
-  tr : Transport.t;  (* corked ([Transport.cork]) when [pooled] *)
-  turn : (unit -> unit) -> unit;  (* the cork's turn runner *)
+  tr : Transport.t;  (* corked: one frame per peer per turn *)
+  cork : Transport.cork;
   me : Transport.node;
   owns : int -> bool;
-  pooled : bool;
-      (* a pool member: corked sends, presequenced point-routed admission,
-         no recorded history *)
   registry : Registry.t;
   reconfig : Reconfig.t;
   txns : Txn.t;  (* shared across all cores of a pool *)
@@ -74,8 +71,9 @@ type t = {
   monitors : (int, int Histories.Monitor.t) Hashtbl.t;  (* per key *)
   mutable violations_rev : (int * int Histories.Fastcheck.violation) list;
       (* first violation per key, newest first *)
+  keep_history : bool;
   mutable events_rev : (float * (int * int E.t)) list;
-      (* (key, event); a pool member keeps none *)
+      (* (key, event), only when [keep_history] *)
   mutable timer_armed : bool;
   resend_every : float;
   storage : Storage.t option;
@@ -98,14 +96,13 @@ let monitor_of t key =
     Hashtbl.replace t.monitors key m;
     m
 
-let with_cork t f = t.turn f
+let with_cork t f = Transport.turn t.cork f
 
-let metrics t = t.metrics
 let epoch t = Reconfig.epoch t.reconfig
 let shards t = Registry.shards t.registry
 
 let record t key ev =
-  if not t.pooled then
+  if t.keep_history then
     t.events_rev <- (t.tr.Transport.now (), (key, ev)) :: t.events_rev;
   (match t.trace with
    | None -> ()
@@ -192,11 +189,6 @@ let keys_of_op = function
   | Wire.Snap_k { keys } -> keys
   | op -> [ key_of_op op ]
 
-let kind_of_op = function
-  | Wire.Txn_k { writes } -> Some (Txn.Writes writes)
-  | Wire.Snap_k { keys } -> Some (Txn.Snap keys)
-  | _ -> None
-
 (* A writer reads through its copy once it has one, i.e. once it has
    written the key since this server started; everyone else, and a
    writer without a copy, runs the plain three-read program. *)
@@ -251,7 +243,9 @@ let rec start_next t lane key =
         start_next t s.lane key
       in
       (match op with
-       | Wire.Txn_k _ | Wire.Snap_k _ -> start_multi t s key seq op gen
+       | Wire.Txn_k { writes } ->
+         start_multi t s key seq (Txn.Writes writes) gen
+       | Wire.Snap_k { keys } -> start_multi t s key seq (Txn.Snap keys) gen
        | Wire.Read | Wire.Read_k _ when key < 0 -> reject ()
        | Wire.Read | Wire.Read_k _ ->
          record t key (E.Invoke (s.proc, E.Read));
@@ -272,24 +266,15 @@ let rec start_next t lane key =
          (* only processors 0 and 1 hold the two writer roles *)
          reject ())
 
-and start_keys t lane = function
-  | [] -> ()
-  | key :: keys ->
-    start_next t lane key;
-    start_keys t lane keys
-
 (* Phase 1 of a multi-key op, entered once per owned key when that key
    reaches its session queue's head (the key is already marked busy by
    [start_next]).  Everything from here on is driven by the shared
    coordinator; the thunks we hand it post back onto this core so
    engine operations, responses and queue pumps all run on the owning
    domain. *)
-and start_multi t s key seq op gen =
+and start_multi t s key seq kind gen =
   let post = t.post in
   let t0 = t.tr.Transport.now () in
-  let kind =
-    match kind_of_op op with Some k -> k | None -> assert false
-  in
   let min_key = List.fold_left min max_int (Txn.keys_of_kind kind) in
   let run_key () =
     post (fun () ->
@@ -343,26 +328,16 @@ and start_multi t s key seq op gen =
     ?respond:resp_thunk ()
 
 let create ~transport ?(audit = true) ?(resend_every = 0.05) ?engine
-    ?(bug = Bug.none) ?storage ?metrics ?trace ?map ?member ~me ~replicas
-    ~init () =
+    ?(bug = Bug.none) ?storage ?metrics ?trace ?map ?(history = false)
+    ~member ~me ~replicas ~init () =
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   let map =
     match map with Some m -> m | None -> Shard_map.create ~shards:1 ()
   in
-  let pooled = Option.is_some member in
-  let owns, txns, post =
-    match member with
-    | Some m ->
-      ((fun key -> worker_of_key map ~domains:m.domains key = m.worker),
-       m.txns, m.post)
-    | None ->
-      ((fun _ -> true), Txn.create ~torn:bug.Bug.torn_txn ~audit ~init (),
-       fun f -> f ())
+  let owns key =
+    worker_of_key map ~domains:member.domains key = member.worker
   in
-  (* a pool member's sends are corked: one frame per peer per turn *)
-  let tr, turn =
-    if pooled then Transport.cork transport else (transport, fun f -> f ())
-  in
+  let tr, cork = Transport.cork transport in
   let registry =
     Registry.create ~transport:tr ~me ~replicas ~map ?engine ~bug
       ?storage ~metrics ()
@@ -372,10 +347,8 @@ let create ~transport ?(audit = true) ?(resend_every = 0.05) ?engine
      replies may hash to other workers, so reconfiguration is only
      sound for that engine on a single domain — see Reconfig *)
   let enabled =
-    match member with
-    | Some m when (Registry.spec registry).Engine.kind = Engine.Twobit ->
-      m.domains = 1
-    | _ -> true
+    (Registry.spec registry).Engine.kind <> Engine.Twobit
+    || member.domains = 1
   in
   let reconfig =
     Reconfig.create ~registry ~metrics ~enabled
@@ -384,14 +357,13 @@ let create ~transport ?(audit = true) ?(resend_every = 0.05) ?engine
   let t =
     {
       tr;
-      turn;
+      cork;
       me;
       owns;
-      pooled;
       registry;
       reconfig;
-      txns;
-      post;
+      txns = member.txns;
+      post = member.post;
       sessions = Hashtbl.create 16;
       lanes = Hashtbl.create 16;
       copies = Hashtbl.create 16;
@@ -400,6 +372,7 @@ let create ~transport ?(audit = true) ?(resend_every = 0.05) ?engine
       init;
       monitors = Hashtbl.create 8;
       violations_rev = [];
+      keep_history = history;
       events_rev = [];
       timer_armed = false;
       resend_every;
@@ -460,8 +433,8 @@ let create ~transport ?(audit = true) ?(resend_every = 0.05) ?engine
          by_key);
   t
 
-(* Queue [op] into every owned touched key's session queue, returning
-   the touched (owned) keys.  A structurally invalid multi-key op —
+(* Queue [op] into every owned touched key's session queue, then
+   start each of those keys.  A structurally invalid multi-key op —
    empty, duplicate or negative keys, oversize, or a transaction from
    a non-writer processor — is rejected with an empty [Resp] by
    exactly one core, the owner of [key_of_op op], so a worker pool
@@ -477,49 +450,21 @@ let enqueue_op t s seq op =
       | Wire.Txn_k _ -> is_writer s.proc
       | _ -> true
     in
-    if not ok then begin
-      if t.owns (key_of_op op) then begin
-        Metrics.incr t.m_rejected;
-        reply t s (Wire.Resp { seq; result = None })
-      end;
-      []
+    if ok then begin
+      let owned = List.filter t.owns keys in
+      List.iter (fun key -> Queue.add (s, seq, op) (queue_of s.lane key)) owned;
+      List.iter (start_next t s.lane) owned
     end
-    else
-      List.filter
-        (fun key ->
-          if t.owns key then begin
-            Queue.add (s, seq, op) (queue_of s.lane key);
-            true
-          end
-          else false)
-        keys
+    else if t.owns (key_of_op op) then begin
+      Metrics.incr t.m_rejected;
+      reply t s (Wire.Resp { seq; result = None })
+    end
   | _ ->
     let key = key_of_op op in
     if t.owns key then begin
       Queue.add (s, seq, op) (queue_of s.lane key);
-      [ key ]
+      start_next t s.lane key
     end
-    else []
-
-let admit t s =
-  (* collect the newly in-order ops, then kick each touched key once.
-     Only a standalone core admits through the stash: a pool's router
-     point-routes each session's ops, in order, to their owning core,
-     which queues them directly (see [on_message_inner]) *)
-  let touched = ref [] in
-  let continue = ref true in
-  while !continue do
-    match Hashtbl.find_opt s.stash s.next_seq with
-    | Some op ->
-      Hashtbl.remove s.stash s.next_seq;
-      List.iter
-        (fun key ->
-          if not (List.mem key !touched) then touched := key :: !touched)
-        (enqueue_op t s s.next_seq op);
-      s.next_seq <- s.next_seq + 1
-    | None -> continue := false
-  done;
-  start_keys t s.lane (List.rev !touched)
 
 let rec on_message_inner t ~src msg =
   match msg with
@@ -533,25 +478,16 @@ let rec on_message_inner t ~src msg =
         Hashtbl.replace t.lanes owner lane;
         lane
     in
-    Hashtbl.replace t.sessions src
-      { src; proc; next_seq = 0; stash = Hashtbl.create 8; lane }
+    Hashtbl.replace t.sessions src { src; proc; next_seq = 0; lane }
   | Wire.Req { seq; op } ->
     (match Hashtbl.find t.sessions src with
      | s when seq >= s.next_seq ->
-       (* queue directly, no stash: in a pool the router upstream
-          already delivers each session's ops in sequence order and
-          sends us only the ops we own — sequence numbers may
-          legitimately skip over the ops other cores own; standalone,
-          when this op is the next in order and nothing is stashed *)
-       if t.pooled || (seq = s.next_seq && Hashtbl.length s.stash = 0)
-       then begin
-         s.next_seq <- seq + 1;
-         start_keys t s.lane (enqueue_op t s seq op)
-       end
-       else begin
-         Hashtbl.replace s.stash seq op;
-         admit t s
-       end
+       (* presequenced: the link (and a pool's router) delivers each
+          session's ops in sequence order, and only the ops this core
+          owns, so sequence numbers may skip over the ops other cores
+          own; each is queued directly *)
+       s.next_seq <- seq + 1;
+       enqueue_op t s seq op
      | _ | (exception Not_found) -> ())  (* duplicate or sessionless request *)
   | Wire.Query_reply _ | Wire.Store_ack _ | Wire.Ack2 _ | Wire.Query2_reply _
     ->
@@ -611,22 +547,13 @@ let handle t ~src msg =
   | Some st -> Storage.drive st ~transport:t.tr ~node:t.me
   | None -> ()
 
-(* only a pool member's turn does anything (it uncorks); a standalone
-   server skips it, and the closure it would take per message *)
-let on_message t ~src msg =
-  if t.pooled then t.turn (fun () -> handle t ~src msg) else handle t ~src msg
+let on_message t ~src msg = Transport.handle t.cork handle t ~src msg
 
 let keyed_history t = List.rev_map (fun (_, kev) -> kev) t.events_rev
 let history t = List.rev_map (fun (_, (_, ev)) -> ev) t.events_rev
 
-let keys t =
-  List.sort_uniq compare (List.rev_map (fun (_, (k, _)) -> k) t.events_rev)
-
 let timed_history t = List.rev_map (fun (time, (_, ev)) -> (time, ev)) t.events_rev
 let violations t = List.rev t.violations_rev
-
-let violation t =
-  match List.rev t.violations_rev with [] -> None | (_, v) :: _ -> Some v
 
 let ops_served t = Metrics.value t.m_served
 let rejected t = Metrics.value t.m_rejected

@@ -27,8 +27,11 @@
 
     Sessions are per client ([Hello] opens one, declaring which
     processor of the history the client plays).  Requests carry
-    sequence numbers; the server admits each session's operations
-    strictly in sequence order, then executes them serially {e per key}
+    sequence numbers and arrive in sequence order — client links are
+    FIFO, as TCP is, and a {!Server_pool}'s router keeps that order —
+    so the server queues each as it arrives (a request whose number
+    is below its session's last is a duplicate, and dropped), then
+    executes them serially {e per key}
     (a processor is sequential — the paper's input-correctness
     assumption, which holds per register) while operations on different
     keys — and different processors — interleave freely.  A writer
@@ -36,7 +39,7 @@
     session spreading ops over many keys therefore keeps many shards
     busy at once; that per-key concurrency is the sharded service's
     throughput lever.  The legacy unkeyed [Read]/[Write] ops address
-    key 0.  Out-of-order arrivals are buffered.
+    key 0.
 
     With [audit] on, every operation is fed to a live, {e per-key}
     {!Histories.Monitor} at its invocation and response: the serialized
@@ -45,16 +48,18 @@
     real-time precedence than any client view — if it is atomic, the
     clients' history is too).  The first violation per key is latched.
     Each monitor forgets superseded writes, so its memory stays
-    constant per key however long the server runs.  A standalone
-    server also records its history ({!history}), which can be
+    constant per key however long the server runs.  A core created
+    with [history] also records its history ({!history}), which can be
     re-checked post-hoc with {!Histories.Fastcheck} provided written
-    values are unique; a {!Server_pool} core records none and is
-    re-checked from a {!Trace} instead. *)
+    values are unique, as {!Sim_run} does; a {!Server_pool} core
+    records none and is re-checked from a {!Trace} instead. *)
 
 type t
 
-(** A core's place in a {!Server_pool}, which is the only builder of
-    this value.  Its fields are facts about the pool, not switches. *)
+(** A core's place in its pool.  Its fields are facts about the pool,
+    not switches.  {!Server_pool} builds one per worker; {!Sim_run}
+    builds the one of a 1-worker pool ([worker = 0], [domains = 1],
+    its own coordinator, [post] the identity). *)
 type member = {
   worker : int;  (** This core's worker index, in [[0, domains)]. *)
   domains : int;  (** The pool's worker count, at least 1. *)
@@ -79,7 +84,8 @@ val create :
   ?metrics:Metrics.t ->
   ?trace:Trace.t ->
   ?map:Shard_map.t ->
-  ?member:member ->
+  ?history:bool ->
+  member:member ->
   me:Transport.node ->
   replicas:Transport.node list ->
   init:int ->
@@ -91,8 +97,7 @@ val create :
     [engine] (default ABD) picks the replication protocol every shard
     runs — see {!Engine} and {!Registry.create}.  [bug] (default
     {!Bug.none}) plants {!Explore}'s deliberate bugs: the read-quorum
-    hook in every shard engine, the torn-batch hook in the private
-    {!Txn} coordinator (not in a [member]'s shared one), the
+    hook in every shard engine, the
     skip-dual-write hook in the {!Reconfig} coordinator and the
     stale-copy hook in this server's transaction writes.  [storage]
     makes the write timestamps the
@@ -116,27 +121,24 @@ val create :
     shard owning every key) fixes the key → shard → replica-group
     placement for the server's lifetime.
 
-    Without [member] the server is standalone, as {!Sim_run} and
-    {!Explore} drive it: it sees the raw client stream, reorders it
-    through a per-session stash, executes every key, sends each
-    message on its own (message granularity, hence the simulator's
-    schedules, is unchanged), runs multi-key ops through a private
-    {!Txn} coordinator and records its history ({!history}).  With
-    [member] it is one core of a {!Server_pool}, and four things
-    follow.  It records no history: the live monitors are its whole
-    audit state, and a caller that wants the events passes a
-    [trace].  Sends go through a
-    {!Transport.cork}: while a handler turn (an {!on_message} call, a
-    timer callback or a {!with_cork} section) is open, they are
-    buffered per destination and leave as one frame per peer.  Admission is
-    presequenced: {!Server_pool.dispatch} delivers each session's
-    requests in order and only those whose key this core owns
-    ({!worker_of_key}), so each is queued directly and sequence
-    numbers may skip the ops other cores own; monitor seeding from
-    recovered [storage] keeps owned keys only.  And a twobit pool of
-    more than one domain nacks every {!Wire.msg.Reconfig} — see
-    {!Reconfig.create}.  Multi-key ops use the member's shared
-    coordinator, whose thunks re-enter this core through [post].
+    [member] places the core in its pool, and four things follow.
+    Sends go through a {!type:Transport.cork}: while a handler turn (an
+    {!on_message} call, a timer callback or a {!with_cork} section) is
+    open, they are buffered per destination and leave as one frame
+    per peer.  Admission is presequenced: the core is delivered each
+    session's requests in order and only those whose key it owns
+    ({!worker_of_key}; every key, on one domain), so each is queued
+    directly and sequence numbers may skip the ops other cores own;
+    monitor seeding from recovered [storage] keeps owned keys only.
+    Multi-key ops go through the member's coordinator, whose thunks
+    re-enter this core through [post].  And a twobit pool of more than
+    one domain nacks every {!Wire.msg.Reconfig} — see
+    {!Reconfig.create}.  The torn-batch hook of [bug] is the
+    coordinator's ({!Txn.create}), set by whoever builds [member].
+
+    With [history] (default [false]) the core records every event
+    ({!history}); without it the live monitors are its whole audit
+    state, and a caller that wants the events passes a [trace].
 
     Per-key execution lanes belong to the processor, not the session:
     writer roles 0 and 1 have one set each, shared by every client
@@ -162,8 +164,6 @@ val create :
     appended to the ring, tagged with its key; that is how a pool
     member's history is kept.  Does not block. *)
 
-val metrics : t -> Metrics.t
-
 val key_of_op : Wire.op -> int
 (** The register key a client operation addresses — the legacy unkeyed
     [Read]/[Write] are the key-0 register.  For a multi-key op this is
@@ -182,42 +182,33 @@ val keys_of_op : Wire.op -> int list
 val epoch : t -> int
 (** Current configuration epoch (see {!Reconfig.epoch}). *)
 
-val shards : t -> int
-(** Shard count of the server's {!Shard_map}. *)
-
 val on_message : t -> src:Transport.node -> Wire.msg -> unit
-(** Feed one incoming message (possibly a [Batch]).  May execute
-    protocol steps and send replies reentrantly; never blocks, never
-    raises on well-typed input.  Not internally locked — drive from one
+(** Feed one incoming message (possibly a [Batch]), as one cork turn:
+    its sends leave when it returns, one frame per peer.  May execute
+    protocol steps; never blocks, never raises on well-typed input,
+    and allocates nothing for a reply that completes no phase.  Not
+    internally locked — drive from one
     transport handler (both transports serialize handler invocations
     per node). *)
 
 val history : t -> int Histories.Event.t list
 (** All recorded invocation/response events across all keys, oldest
-    first (the server-side serialization order).  Only a standalone
-    server records them: a pool member's history is always empty. *)
+    first (the server-side serialization order).  Only a core created
+    with [history] records them; any other's history is empty. *)
 
 val keyed_history : t -> (int * int Histories.Event.t) list
 (** Same, with each event tagged by its key. *)
-
-val keys : t -> int list
-(** Every key that has recorded at least one event, ascending. *)
 
 val timed_history : t -> (float * int Histories.Event.t) list
 (** All events with the transport-clock instant of each — latency
     distributions are derived from this. *)
 
 val with_cork : t -> (unit -> unit) -> unit
-(** Run [f] as one turn of a pool member's {!Transport.cork}: sends
+(** Run [f] as one turn of the core's {!type:Transport.cork}: sends
     buffered anywhere inside [f] (including nested {!on_message}
     calls) ship as one frame per destination when the outermost turn
     closes.  A worker draining its whole inbox under one cork is how a
-    multi-message burst becomes a single frame per peer.  In a
-    standalone server this is just [f ()]. *)
-
-val violation : t -> int Histories.Fastcheck.violation option
-(** First atomicity violation caught by any key's live audit, if
-    any. *)
+    multi-message burst becomes a single frame per peer. *)
 
 val violations : t -> (int * int Histories.Fastcheck.violation) list
 (** First latched violation of each offending key, in the order they

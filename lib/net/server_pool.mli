@@ -81,7 +81,8 @@ val create :
     timestamps.  Timer callbacks of each core are re-routed into its
     worker queue, so cores never execute on a transport thread.  A
     pool plants no deliberate bugs ({!Bug}): those are {!Explore}'s,
-    which drives a single simulated {!Server}.
+    which drives the same core, one worker's, in the simulator
+    ({!Sim_run}).
 
     With [trace], every core appends its operation invokes and
     responds to that one ring ({!Trace.record} is mutex-protected).

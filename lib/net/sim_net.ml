@@ -103,10 +103,15 @@ type ctrs = {
   m_amnesia : Metrics.counter;
 }
 
+(* The latest delivery time scheduled on an immune link: a float-only
+   record, so updating it boxes nothing. *)
+type link = { mutable last : float }
+
 type t = {
   rng : Random.State.t;
   faults : faults;
   heap : Heap.t;
+  links : (int, link) Hashtbl.t;  (* immune links, by [link_key] *)
   handlers : (int, src:int -> Wire.msg -> unit) Hashtbl.t;
   dead : (int, unit) Hashtbl.t;
   amnesiac : (int, unit) Hashtbl.t;
@@ -117,7 +122,6 @@ type t = {
   mutable cut : (int list * int list) option;
   mutable clock : float;
   mutable seqno : int;
-  metrics : Metrics.t;
   trace : Trace.t option;
   c : ctrs;
 }
@@ -141,6 +145,7 @@ let create ~seed ~faults ?metrics ?trace () =
     rng = Random.State.make [| seed; 0x6e657421 |];
     faults;
     heap = Heap.create ();
+    links = Hashtbl.create 16;
     handlers = Hashtbl.create 16;
     dead = Hashtbl.create 4;
     amnesiac = Hashtbl.create 4;
@@ -149,12 +154,9 @@ let create ~seed ~faults ?metrics ?trace () =
     cut = None;
     clock = 0.0;
     seqno = 0;
-    metrics;
     trace;
     c;
   }
-
-let metrics t = t.metrics
 
 (* Every trace point matches on [t.trace] itself and builds its record
    only under [Some]: a record (or a thunk making one) allocated before
@@ -164,10 +166,23 @@ let record tr t kind = Trace.record tr ~time:t.clock kind
 
 let now t = t.clock
 
-let schedule t ~delay ev =
+let schedule t time ev =
   let seq = t.seqno in
   t.seqno <- seq + 1;
-  Heap.push t.heap { time = t.clock +. delay; seq; ev }
+  Heap.push t.heap { time; seq; ev }
+
+let link_key src dst = (src lsl 32) lor (dst land 0xffff_ffff)
+
+(* An immune link is FIFO: a delivery is never scheduled before the
+   link's previous one (equal times keep send order by [seq]). *)
+let fifo t ~src ~dst time =
+  match Hashtbl.find t.links (link_key src dst) with
+  | l ->
+    l.last <- Float.max time l.last;
+    l.last
+  | exception Not_found ->
+    Hashtbl.replace t.links (link_key src dst) { last = time };
+    time
 
 let severed t src dst =
   match t.cut with
@@ -175,9 +190,13 @@ let severed t src dst =
   | Some (a, b) ->
     (List.mem src a && List.mem dst b) || (List.mem src b && List.mem dst a)
 
-let delay_of t =
+(* When a delivery sent now arrives.  Drawn for every link, immune or
+   not, so the RNG stream does not depend on which links are. *)
+let arrival t =
   let f = t.faults in
-  f.min_delay +. Random.State.float t.rng (f.max_delay -. f.min_delay +. epsilon_float)
+  t.clock
+  +. (f.min_delay
+     +. Random.State.float t.rng (f.max_delay -. f.min_delay +. epsilon_float))
 
 let drop t ~src ~dst reason =
   Metrics.incr t.c.m_dropped;
@@ -203,7 +222,10 @@ let send t ~src ~dst msg =
     if (not immune) && f.drop > 0.0 && Random.State.float t.rng 1.0 < f.drop
     then drop t ~src ~dst "loss"
     else begin
-      schedule t ~delay:(delay_of t) (Deliver { src; dst; msg });
+      let time = arrival t in
+      schedule t
+        (if immune then fifo t ~src ~dst time else time)
+        (Deliver { src; dst; msg });
       (match t.trace with
        | None -> ()
        | Some tr ->
@@ -214,12 +236,13 @@ let send t ~src ~dst msg =
       then begin
         Metrics.incr t.c.m_duplicated;
         Metrics.incr t.c.m_sent;
-        schedule t ~delay:(delay_of t) (Deliver { src; dst; msg })
+        schedule t (arrival t) (Deliver { src; dst; msg })
       end
     end
   end
 
-let set_timer t ~node ~delay f = schedule t ~delay (Timer { node; f })
+let set_timer t ~node ~delay f =
+  schedule t (t.clock +. delay) (Timer { node; f })
 
 let transport t =
   {
@@ -301,7 +324,9 @@ let partition t a b = t.cut <- Some (a, b)
 let heal t = t.cut <- None
 
 let at t time f =
-  schedule t ~delay:(Float.max 0.0 (time -. t.clock)) (Timer { node = -1; f })
+  schedule t
+    (t.clock +. Float.max 0.0 (time -. t.clock))
+    (Timer { node = -1; f })
 
 let execute t ({ time; ev; _ } as e) =
   t.clock <- Float.max t.clock time;
@@ -359,30 +384,27 @@ type pending_ev = {
   info : string Lazy.t;
 }
 
+(* Only the oldest delivery of each immune link is offered: the link
+   is FIFO, and in (time, seq) order its oldest comes first. *)
 let pending t =
+  let heads = Hashtbl.create 8 in
+  let offered p =
+    p.timer
+    || (not (t.faults.immune ~src:p.src ~dst:p.dst))
+    || (not (Hashtbl.mem heads (link_key p.src p.dst)))
+       && (Hashtbl.replace heads (link_key p.src p.dst) ();
+           true)
+  in
   sorted_entries t |> Array.to_list
-  |> List.mapi (fun i e ->
-         match e.ev with
-         | Deliver { src; dst; msg } ->
-           {
-             idx = i;
-             seq = e.seq;
-             time = e.time;
-             timer = false;
-             src;
-             dst;
-             info = lazy (Fmt.str "%a" Wire.pp msg);
-           }
-         | Timer { node; _ } ->
-           {
-             idx = i;
-             seq = e.seq;
-             time = e.time;
-             timer = true;
-             src = node;
-             dst = node;
-             info = lazy "timer";
-           })
+  |> List.mapi (fun idx e ->
+         let timer, src, dst, info =
+           match e.ev with
+           | Deliver { src; dst; msg } ->
+             (false, src, dst, lazy (Fmt.str "%a" Wire.pp msg))
+           | Timer { node; _ } -> (true, node, node, lazy "timer")
+         in
+         { idx; seq = e.seq; time = e.time; timer; src; dst; info })
+  |> List.filter offered
 
 let fire t i =
   let a = sorted_entries t in

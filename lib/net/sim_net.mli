@@ -27,10 +27,13 @@ type faults = {
       (** per-message delivery delay, uniform in
           [[min_delay, max_delay]]; jitter is what reorders messages *)
   immune : src:Transport.node -> dst:Transport.node -> bool;
-      (** links on which drop/duplicate are suppressed (delay still
-          applies).  Client/server sessions assume a reliable link —
-          TCP-like — so harnesses mark them immune; replica links are
-          the crash-prone, lossy medium. *)
+      (** TCP-like links: no drops, no duplicates, and FIFO — a
+          delivery is never scheduled before the link's previous one,
+          and {!pending} offers only the link's oldest.  Delay still
+          applies, and is still drawn, so marking a link immune does
+          not change the faults of the others.  Client/server sessions
+          assume a reliable link, so harnesses mark them immune;
+          replica links are the crash-prone, lossy medium. *)
 }
 
 val reliable : faults
@@ -65,8 +68,6 @@ val create :
     [frames_sent = frames_delivered + frames_dropped + frames_blocked].
     With [trace], every send/deliver/drop/timer-fire is appended to
     the ring stamped with its virtual time. *)
-
-val metrics : t -> Metrics.t
 
 val transport : t -> Transport.t
 
@@ -157,8 +158,9 @@ type pending_ev = {
 }
 
 val pending : t -> pending_ev list
-(** Snapshot of the event queue, earliest first.  Indices are valid
-    until the next mutation ([fire], [step], [send], …). *)
+(** Snapshot of the event queue, earliest first, less every delivery
+    of an immune link but its oldest (the link is FIFO).  Indices are
+    valid until the next mutation ([fire], [step], [send], …). *)
 
 val fire : t -> int -> bool
 (** Execute the [i]-th event of the current {!pending} snapshot out of

@@ -2,7 +2,6 @@ module E = Histories.Event
 
 type outcome = {
   history : int E.t list;
-  timed : (float * int E.t) list;
   monitor_violation : string option;
   txn_violations : string list;
   fastcheck_ok : bool;
@@ -102,6 +101,8 @@ let singles processes =
       { xproc = proc; xscript = List.map (fun op -> Single op) script })
     processes
 
+type reconfig = { key : int; to_shard : int; at : float option }
+
 type cluster = {
   net : Sim_net.t;
   server : Server.t;
@@ -118,8 +119,8 @@ type cluster = {
 let build ?(faults = Sim_net.reliable) ?(replicas = 3) ?(window = 4)
     ?(shards = 1) ?group_size ?keys ?(engine = Engine.default)
     ?(bug = Bug.none) ?(durable = true) ?(snapshot_every = 32) ?gc_bytes
-    ?group_commit ?(xprocesses = []) ?reconfig ?reconfig_at
-    ?measure ?trace ~seed ~init ~processes () =
+    ?group_commit ?(xprocesses = []) ?reconfig ?measure ?trace ~seed ~init
+    ~processes () =
   let metrics = Metrics.create () in
   let nkeys = max 1 (match keys with Some k -> k | None -> shards) in
   let xprocesses =
@@ -198,22 +199,33 @@ let build ?(faults = Sim_net.reliable) ?(replicas = 3) ?(window = 4)
           incarnations.(r) <- rep;
           emits.(r) <- emit_of r rep))
     replica_nodes;
-  (* server; retransmission period must exceed a replica round trip *)
+  (* server: the core of a 1-worker pool, as the service runs it, but
+     keeping its history; the retransmission period must exceed a
+     replica round trip *)
   let resend_every = (4.0 *. faults.Sim_net.max_delay) +. 1.0 in
   let map = Shard_map.create ?group_size ~shards () in
+  let member =
+    {
+      Server.worker = 0;
+      domains = 1;
+      txns = Txn.create ~torn:bug.Bug.torn_txn ~init ();
+      post = (fun f -> f ());
+    }
+  in
   let server =
     Server.create ~transport:tr ~resend_every ~engine ~bug ~metrics
-      ?trace ~map ~me:Transport.server ~replicas:replica_nodes ~init ()
+      ?trace ~map ~history:true ~member ~me:Transport.server
+      ~replicas:replica_nodes ~init ()
   in
   Sim_net.register net Transport.server (Server.on_message server);
   (* migration request: a dedicated control client whose frame is
      enqueued like any other message — under the explorer its delivery
      is a schedulable event, so the handoff interleaves freely with the
-     workload; [reconfig_at] instead fires it at a virtual time *)
+     workload; an [at] time instead fires it then *)
   let reconfig_ack = ref None in
   (match reconfig with
    | None -> ()
-   | Some (rkey, to_shard) ->
+   | Some { key = rkey; to_shard; at } ->
      let me = Transport.client control_proc in
      Sim_net.register net me (fun ~src:_ msg ->
          match msg with
@@ -223,7 +235,7 @@ let build ?(faults = Sim_net.reliable) ?(replicas = 3) ?(window = 4)
        tr.Transport.send ~src:me ~dst:Transport.server
          (Wire.Reconfig { rid = 0; key = rkey; to_shard; epoch = 0 })
      in
-     (match reconfig_at with
+     (match at with
       | None -> send ()
       | Some time -> Sim_net.at net time send));
   (* clients: send [Hello; first window] as one batch, then keep the
@@ -327,7 +339,6 @@ let collect cl ~steps =
   in
   {
     history;
-    timed;
     monitor_violation =
       (match key_violations with [] -> None | (k, v) :: _ ->
         Some (Fmt.str "key %d: %s" k v));

@@ -4,11 +4,14 @@
 
     Topology: [replicas] replica nodes ([0 .. r-1]), one server
     ({!Transport.server}), one client node per workload process
-    ({!Transport.client}[ proc]).  Client/server links are made immune
-    to drops and duplicates (they model a TCP-like session; delay
-    jitter — and hence reordering, which the server's sequence-number
-    buffering absorbs — still applies); replica links suffer the full
-    fault schedule.
+    ({!Transport.client}[ proc]).  Client/server links are made
+    immune ({!Sim_net.faults}): no drops, no duplicates and FIFO
+    delivery, a TCP-like session, which the server's presequenced
+    admission relies on; delay jitter still applies.  Replica links
+    suffer the full fault schedule.  The server is the core a
+    1-worker {!Server_pool} runs ({!Server.member}: corked sends,
+    presequenced admission), with its own {!Txn} coordinator, keeping
+    its history.
 
     With [shards] > 1 the server hosts a sharded keyspace and each
     process round-robins its script over [keys] (default: one key per
@@ -22,7 +25,6 @@
 
 type outcome = {
   history : int Histories.Event.t list;  (** as recorded by the server *)
-  timed : (float * int Histories.Event.t) list;
   monitor_violation : string option;
       (** first live-audit violation of any key ([None] = every
           per-key audit accepts) *)
@@ -91,6 +93,15 @@ val singles : int Registers.Vm.process list -> xprocess list
     {!Sim_net.run}.  [build] constructs the cluster without running it;
     [collect] computes the {!outcome} from wherever the run got to. *)
 
+type reconfig = {
+  key : int;  (** the key to migrate *)
+  to_shard : int;  (** its destination shard *)
+  at : float option;
+      (** when the request is sent: [None] at build time, [Some t] at
+          virtual time [t] (via {!Sim_net.at}) *)
+}
+(** A migration request ({!Wire.msg.Reconfig}, epoch 0). *)
+
 type cluster = {
   net : Sim_net.t;
   server : Server.t;
@@ -124,8 +135,7 @@ val build :
   ?gc_bytes:int ->
   ?group_commit:Storage.commit_config ->
   ?xprocesses:xprocess list ->
-  ?reconfig:int * int ->
-  ?reconfig_at:float ->
+  ?reconfig:reconfig ->
   ?measure:(src:int -> dst:int -> Wire.msg -> unit) ->
   ?trace:Trace.t ->
   seed:int ->
@@ -142,8 +152,9 @@ val build :
     {!Engine}).  Note the twobit engine's link layer does not survive
     amnesia fates — pair it with crash/restart only.  [bug] (default
     {!Bug.none}) plants the explorer's deliberate bugs: the server
-    gets every hook ({!Server.create}), the replicas the twobit
-    link-order one.  [measure] observes every send the server,
+    gets every hook ({!Server.create}) but the torn-batch one, which
+    is its coordinator's ({!Txn.create}), and the replicas get the
+    twobit link-order one.  [measure] observes every send the server,
     replicas and clients make (before fault injection — offered, not
     delivered, traffic), e.g. the bench's bytes-on-the-wire
     accounting.
@@ -174,13 +185,13 @@ val build :
     [group_size] restricts each shard to a rotating window of that
     many replicas (see {!Shard_map.group}) — with [group_size 1] and 2
     shards the two replica groups are disjoint, the sharpest
-    reconfiguration topology.  [reconfig (key, to_shard)] registers a
-    dedicated fault-immune control client ({!Transport.client}[ 99])
-    that asks the server to migrate [key] onto [to_shard] (epoch 0):
-    immediately at build time by default — under {!Explore} the
-    request's delivery is then an ordinary schedulable event — or at
-    virtual time [reconfig_at] via {!Sim_net.at}.  The ack's verdict
-    and the final epoch land in the outcome.
+    reconfiguration topology.  [reconfig] registers a dedicated
+    fault-immune control client ({!Transport.client}[ 99]) that asks
+    the server to migrate [key] onto [to_shard] (epoch 0): at build
+    time when [at] is [None] — under {!Explore} the request's
+    delivery is then an ordinary schedulable event — or at virtual
+    time [at].  The ack's verdict and the final epoch land in the
+    outcome.
 
     The cluster's fresh [metrics] registry and [trace] are shared by
     the transport and the server: the trace (virtual-time stamped) records sends, deliveries, drops,

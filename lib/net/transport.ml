@@ -16,63 +16,107 @@ let null =
     now = (fun () -> 0.0);
   }
 
-(* A corked destination's buffered messages, newest first. *)
-type corked = { src : node; mutable rev : Wire.msg list }
+(* One destination's messages in the open turn: [first], then [rest]
+   newest first.  A one-message destination conses nothing.  A slot
+   belongs to its destination for the cork's life.  The open turn's
+   slots form a ring through [next], from the cork's [root] back to
+   it, in first-send order; a slot outside the turn points to itself. *)
+type slot = {
+  dst : node;
+  mutable first : Wire.msg;
+  mutable rest : Wire.msg list;
+  mutable next : slot;
+}
+
+type cork = {
+  base : t;
+  mutable src : node;  (* the node every send names *)
+  mutable depth : int;
+  slots : (node, slot) Hashtbl.t;  (* every destination ever sent to *)
+  root : slot;  (* the ring's anchor, no destination's *)
+  mutable last : slot;  (* the turn's newest destination, or [root] *)
+}
 
 (* Chunked well under both the decoder's [Wire.max_batch] and
    [Wire.max_frame]. *)
 let cork_chunk = 2048
 
-let cork base =
-  let depth = ref 0 in
-  let buf : (node, corked) Hashtbl.t = Hashtbl.create 8 in
-  (* ship each destination's messages, batching whenever there is more
-     than one *)
-  let ship () =
-    if Hashtbl.length buf > 0 then begin
-      let items = Hashtbl.fold (fun dst c acc -> (dst, c) :: acc) buf [] in
-      Hashtbl.reset buf;
-      List.iter
-        (fun (dst, { src; rev }) ->
-          let rec go = function
-            | [] -> ()
-            | [ m ] -> base.send ~src ~dst m
-            | ms ->
-              let rec take n acc = function
-                | rest when n = 0 -> (List.rev acc, rest)
-                | [] -> (List.rev acc, [])
-                | m :: rest -> take (n - 1) (m :: acc) rest
-              in
-              let chunk, rest = take cork_chunk [] ms in
-              base.send ~src ~dst (Wire.Batch chunk);
-              go rest
-          in
-          go (List.rev rev))
-        items
+let rec take n acc = function
+  | m :: rest when n > 0 -> take (n - 1) (m :: acc) rest
+  | rest -> (List.rev acc, rest)
+
+let rec ship_chunks base ~src ~dst ms =
+  match take cork_chunk [] ms with
+  | [ m ], [] -> base.send ~src ~dst m
+  | chunk, rest ->
+    base.send ~src ~dst (Wire.Batch chunk);
+    if rest <> [] then ship_chunks base ~src ~dst rest
+
+let rec ship_from c s =
+  if s != c.root then begin
+    let { dst; first; rest; next } = s in
+    s.next <- s;
+    s.first <- Wire.Bye;
+    s.rest <- [];
+    if rest = [] then c.base.send ~src:c.src ~dst first
+    else ship_chunks c.base ~src:c.src ~dst (first :: List.rev rest);
+    ship_from c next
+  end
+
+let ship c =
+  let s = c.root.next in
+  c.root.next <- c.root;
+  c.last <- c.root;
+  ship_from c s
+
+let close c =
+  c.depth <- c.depth - 1;
+  if c.depth = 0 && c.root.next != c.root then ship c
+
+let close_raise c e =
+  let bt = Printexc.get_raw_backtrace () in
+  close c;
+  Printexc.raise_with_backtrace e bt
+
+(* [turn] and [handle] match rather than [Fun.protect], whose
+   [finally] closure would cost every turn; both ship on either exit *)
+let turn c f =
+  c.depth <- c.depth + 1;
+  match f () with () -> close c | exception e -> close_raise c e
+
+let handle c h x ~src msg =
+  c.depth <- c.depth + 1;
+  match h x ~src msg with () -> close c | exception e -> close_raise c e
+
+(* Found in constant time, and allocated once per destination: a pool
+   worker's turn can reach every replica and every client it answers. *)
+let slot c dst =
+  match Hashtbl.find c.slots dst with
+  | s -> s
+  | exception Not_found ->
+    let rec s = { dst; first = Wire.Bye; rest = []; next = s } in
+    Hashtbl.replace c.slots dst s;
+    s
+
+let corked_send c ~src ~dst msg =
+  if c.depth = 0 then c.base.send ~src ~dst msg
+  else
+    let s = slot c dst in
+    if s.next != s then s.rest <- msg :: s.rest
+    else begin
+      s.first <- msg;
+      s.next <- c.root;
+      c.last.next <- s;
+      c.last <- s;
+      c.src <- src
     end
-  in
-  (* ships on both exits; matched rather than [Fun.protect]ed, whose
-     [finally] closure would cost every turn *)
-  let turn f =
-    incr depth;
-    match f () with
-    | () ->
-      decr depth;
-      if !depth = 0 then ship ()
-    | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      decr depth;
-      if !depth = 0 then ship ();
-      Printexc.raise_with_backtrace e bt
-  in
-  let send ~src ~dst msg =
-    if !depth = 0 then base.send ~src ~dst msg
-    else
-      match Hashtbl.find_opt buf dst with
-      | Some c -> c.rev <- msg :: c.rev
-      | None -> Hashtbl.replace buf dst { src; rev = [ msg ] }
+
+let cork base =
+  let rec root = { dst = -1; first = Wire.Bye; rest = []; next = root } in
+  let c =
+    { base; src = -1; depth = 0; slots = Hashtbl.create 8; root; last = root }
   in
   let set_timer ~node ~delay f =
-    base.set_timer ~node ~delay (fun () -> turn f)
+    base.set_timer ~node ~delay (fun () -> turn c f)
   in
-  ({ base with send; set_timer }, turn)
+  ({ base with send = corked_send c; set_timer }, c)

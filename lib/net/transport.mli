@@ -62,18 +62,36 @@ val null : t
 (** Discards sends, never fires timers, clock pinned at 0; for
     unit-testing state machines in isolation. *)
 
-val cork : t -> t * ((unit -> unit) -> unit)
-(** [cork base] is one node's coalescing send path: the corked
-    transport and its turn runner.  While a turn ([turn f], nested or
-    not) is open, sends are buffered per destination; when the
-    outermost turn closes, each destination gets its messages in send
-    order as one frame — the message itself when there is one, a
-    {!Wire.msg.Batch} of at most 2048 otherwise (more are split into
-    successive batches).  One syscall per peer instead of one per
-    message.  Sends outside any turn pass straight through to [base].
-    Timer callbacks armed through the corked transport each run as
-    their own turn, so a resend fan-out or the acks a deadline flush
-    releases coalesce too.  The buffer is keyed by destination: every
-    send through one corked transport must name the same [src] (the
-    node it serves).  Not locked — drive it from that node's
-    serialized handler and timers. *)
+type cork
+(** One node's coalescing send path: a buffer of the sends of the open
+    turn, one slot per destination, found in constant time and reused
+    turn after turn.  A destination's slot lives as long as the cork
+    (a few words each). *)
+
+val cork : t -> t * cork
+(** [cork base] is the corked transport and its cork.  While a turn
+    ({!turn} or {!handle}, nested or not) is open, sends are buffered
+    per destination; when the outermost turn closes, each destination
+    gets its messages in send order as one frame — the message itself
+    when there is one, a {!Wire.msg.Batch} of at most 2048 otherwise
+    (more are split into successive batches).  Destinations ship in
+    the order of their first send in the turn.  One syscall per peer
+    instead of one per message; a turn whose destinations each get
+    one message allocates nothing.  Sends outside any turn pass
+    straight through to [base].  Timer callbacks armed through the
+    corked transport each run as their own turn, so a resend fan-out
+    or the acks a deadline flush releases coalesce too.  Every send
+    through one corked transport should name the same [src] (the node
+    it serves).  Not locked — drive it from that node's serialized
+    handler and timers. *)
+
+val turn : cork -> (unit -> unit) -> unit
+(** [turn c f] runs [f ()] as one turn; it ships when the outermost
+    turn closes, also when [f] raises (the exception is re-raised). *)
+
+val handle :
+  cork -> ('a -> src:node -> Wire.msg -> unit) -> 'a -> src:node ->
+  Wire.msg -> unit
+(** [handle c h x ~src msg] is [turn c (fun () -> h x ~src msg)]
+    without the closure: how a message handler runs each message as
+    one turn. *)

@@ -4,8 +4,9 @@
 
     - {e client <-> server}: [Hello] opens a session, [Req]/[Resp]
       carry register operations with per-session sequence numbers (the
-      sequence number lets the server reorder requests that a jittery
-      transport delivered out of order, and lets clients pipeline);
+      sequence number lets clients pipeline and the server drop a
+      duplicate; client links keep order, so the server never
+      reassembles);
     - {e server <-> replica}: the ABD-style quorum messages.  [Query]
       asks a replica for its current (timestamp, tagged value) pair for
       one global real-register index; [Store] installs a pair if its

@@ -40,3 +40,22 @@ module Astring_like = struct
     let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
     go 0
 end
+
+(* The place of a 1-worker pool's core, with its own coordinator: how
+   a test runs one [Net.Server] on a transport of its own. *)
+let solo_member () =
+  {
+    Net.Server.worker = 0;
+    domains = 1;
+    txns = Net.Txn.create ~init:0 ();
+    post = (fun f -> f ());
+  }
+
+(* A replica's replies to one message, as a list.  Complete only when
+   the replica is volatile or its store commits synchronously (no
+   [group_commit] config): a deferred ack would be lost with the
+   collector. *)
+let replica_handle r ~src msg =
+  let acc = ref [] in
+  Net.Replica.handle_emit r ~src ~emit:(fun reply -> acc := reply :: !acc) msg;
+  List.rev !acc

@@ -219,10 +219,12 @@ let twobit_crashed_replica () =
     s.Net.Engine.messages_sent
 
 (* The engines meter their own sends: over every server-to-replica
-   frame the measure tap sees, the aggregated engine stats must equal
-   the encoded sizes, the control-byte shares and the frame count, on
-   a reliable run and on a lossy one (whose resends are sends too).
-   Every frame the server sends a replica is an engine's. *)
+   message the measure tap sees, the aggregated engine stats must
+   equal the encoded sizes, the control-byte shares and the message
+   count, on a reliable run and on a lossy one (whose resends are
+   sends too).  Every message the server sends a replica is an
+   engine's; the server's cork may ship several as one [Batch]
+   frame, which the tap unfolds. *)
 let engines_meter_their_sends () =
   let processes =
     [ proc 0 [ w 1; r; w 2; r ]; proc 1 [ w 3; r; w 4 ]; proc 2 [ r; r; r ] ]
@@ -230,12 +232,14 @@ let engines_meter_their_sends () =
   let replicas = 3 in
   let leg kind (name, faults) =
     let bytes = ref 0 and cbytes = ref 0 and msgs = ref 0 in
-    let measure ~src ~dst msg =
-      if src = Net.Transport.server && dst >= 0 && dst < replicas then begin
+    let rec measure ~src ~dst msg =
+      match msg with
+      | Net.Wire.Batch ms -> List.iter (measure ~src ~dst) ms
+      | _ when src = Net.Transport.server && dst >= 0 && dst < replicas ->
         bytes := !bytes + Net.Wire.encoded_size msg;
         cbytes := !cbytes + Net.Wire.control_bytes msg;
         incr msgs
-      end
+      | _ -> ()
     in
     let o =
       Net.Sim_run.run
@@ -422,10 +426,10 @@ let link_receiver_parks_and_drains () =
   (* seq 1 before seq 0: parked, no reply, no state change *)
   Alcotest.(check (list (pair int (testable Net.Wire.pp ( = )))))
     "gap parked silently" []
-    (Net.Replica.handle rep ~src (store ~seq:1 22));
+    (Helpers.replica_handle rep ~src (store ~seq:1 22));
   Alcotest.(check int) "nothing applied yet" 0 (value_of rep);
   (* seq 0 arrives: both frames apply in order, both acks drain out *)
-  let replies = Net.Replica.handle rep ~src (store ~seq:0 11) in
+  let replies = Helpers.replica_handle rep ~src (store ~seq:0 11) in
   Alcotest.(check (list (pair int (testable Net.Wire.pp ( = )))))
     "both acks, in sequence order"
     [ (src, Net.Wire.Ack2 { lid; seq = 0 }); (src, Net.Wire.Ack2 { lid; seq = 1 }) ]
@@ -434,20 +438,20 @@ let link_receiver_parks_and_drains () =
 
 let link_receiver_reanswers_duplicates () =
   let rep = Net.Replica.create ~init:0 () in
-  ignore (Net.Replica.handle rep ~src (store ~seq:0 11));
-  ignore (Net.Replica.handle rep ~src (store ~seq:1 22));
+  ignore (Helpers.replica_handle rep ~src (store ~seq:0 11));
+  ignore (Helpers.replica_handle rep ~src (store ~seq:1 22));
   (* a retransmitted old store is re-acked but NOT re-applied *)
   Alcotest.(check (list (pair int (testable Net.Wire.pp ( = )))))
     "duplicate re-acked"
     [ (src, Net.Wire.Ack2 { lid; seq = 0 }) ]
-    (Net.Replica.handle rep ~src (store ~seq:0 11));
+    (Helpers.replica_handle rep ~src (store ~seq:0 11));
   Alcotest.(check int) "state unchanged by the duplicate" 22 (value_of rep);
   (* a duplicate query is answered from *current* state *)
-  (match Net.Replica.handle rep ~src (query ~seq:2) with
+  (match Helpers.replica_handle rep ~src (query ~seq:2) with
    | [ (_, Net.Wire.Query2_reply { seq = 2; pl; _ }) ] ->
      Alcotest.(check int) "query sees current value" 22 (Registers.Tagged.v pl)
    | _ -> Alcotest.fail "expected one Query2_reply");
-  match Net.Replica.handle rep ~src (query ~seq:2) with
+  match Helpers.replica_handle rep ~src (query ~seq:2) with
   | [ (_, Net.Wire.Query2_reply { seq = 2; pl; _ }) ] ->
     Alcotest.(check int) "re-answered from current state" 22
       (Registers.Tagged.v pl)
@@ -457,10 +461,10 @@ let link_receiver_unordered_bug () =
   (* the deliberate bug: arrival order IS apply order, so the stale
      frame overwrites the fresh one *)
   let rep = Net.Replica.create ~init:0 ~unordered:true () in
-  ignore (Net.Replica.handle rep ~src (store ~seq:1 22));
+  ignore (Helpers.replica_handle rep ~src (store ~seq:1 22));
   Alcotest.(check int) "out-of-order frame applied immediately" 22
     (value_of rep);
-  ignore (Net.Replica.handle rep ~src (store ~seq:0 11));
+  ignore (Helpers.replica_handle rep ~src (store ~seq:0 11));
   Alcotest.(check int) "stale frame clobbers the fresh value" 11
     (value_of rep)
 
@@ -470,7 +474,7 @@ let engine_hello_ignored () =
   let rep = Net.Replica.create ~init:0 () in
   Alcotest.(check (list (pair int (testable Net.Wire.pp ( = )))))
     "hello has no reply" []
-    (Net.Replica.handle rep ~src (Net.Wire.Engine_hello { engine = 1 }))
+    (Helpers.replica_handle rep ~src (Net.Wire.Engine_hello { engine = 1 }))
 
 (* --- slow --- *)
 

@@ -32,11 +32,16 @@ let writer_reader = [ proc 0 [ w 7 ]; proc 2 [ r ] ]
 let inversion_prone =
   [ proc 0 [ w 1001 ]; proc 1 [ w 2001 ]; proc 2 [ r; r ] ]
 
-let exhaustive_two_writers () =
-  let res = E.explore (E.config ~replicas:1 ~workload:two_writers ()) in
+(* Pinned for both engines: `mcheck net --replicas 1 --readers 0`,
+   with and without `--engine twobit`.  Each client has one op, so
+   FIFO client links removed no interleaving here. *)
+let exhaustive_two_writers engine expected () =
+  let res =
+    E.explore (E.config ~engine ~replicas:1 ~workload:two_writers ())
+  in
   let s = res.E.stats in
   Alcotest.(check bool) "exhausted" true s.S.exhausted;
-  Alcotest.(check int) "schedule count" 76 s.S.schedules;
+  Alcotest.(check int) "schedule count" expected s.S.schedules;
   Alcotest.(check bool) "pruning fired" true (s.S.pruned > 0);
   match res.E.counterexample with
   | None -> ()
@@ -164,7 +169,9 @@ let skip_write_back_caught_shrunk_replayed () =
 
 (* Each writer writes, then reads: the only workload shape where the
    server runs the local-copy read.  Both engines' schedule counts are
-   pinned, like the plain two-writer exhaust's 76. *)
+   pinned, like the plain two-writer exhaust's 76.  Each writer's two
+   answers can be in flight at once, and a FIFO client link delivers
+   them in send order only. *)
 let writers_read = [ proc 0 [ w 1000; r ]; proc 1 [ w 2000; r ] ]
 
 let exhaustive_writers_read engine expected () =
@@ -211,9 +218,13 @@ let stale_copy_caught_shrunk_replayed () =
         Alcotest.(check bool) "artifact replays to a violation" true
           (o'.Net.Sim_run.key_violations <> []))
 
+(* One schedule: the writer's three requests leave in one frame and
+   run one after another on one key, and its FIFO link delivers the
+   three answers in send order. *)
 let honest_copy_exhausts_clean () =
   let res = E.explore (E.config ~replicas:1 ~workload:copy_xprocs ()) in
   Alcotest.(check bool) "exhausted" true res.E.stats.S.exhausted;
+  Alcotest.(check int) "schedule count" 1 res.E.stats.S.schedules;
   match res.E.counterexample with
   | None -> ()
   | Some ce -> Alcotest.failf "atomicity violation: %s" ce.E.message
@@ -289,7 +300,7 @@ let exhaustive_three_replicas_one_crash () =
   in
   let s = res.E.stats in
   Alcotest.(check bool) "exhausted" true s.S.exhausted;
-  Alcotest.(check int) "schedule count" 776 s.S.schedules;
+  Alcotest.(check int) "schedule count" 490 s.S.schedules;
   match res.E.counterexample with
   | None -> ()
   | Some ce -> Alcotest.failf "atomicity violation: %s" ce.E.message
@@ -336,11 +347,14 @@ let amnesia_durable_hunt_clean () =
   | None -> ()
   | Some ce -> Alcotest.failf "durable config flagged: %s" ce.E.message
 
-(* slow: the payoff in full — durability on, the WHOLE schedule space
-   of the same config, every leaf atomic *)
+(* The payoff in full — durability on, the WHOLE schedule space of the
+   same config, every leaf atomic: `mcheck net --replicas 1 --writers
+   1 --readers 1 --writes 1 --reads 1 --amnesia 1`.  One op per
+   client, so FIFO client links left the count as it was. *)
 let amnesia_durable_exhausts_clean () =
   let res = E.explore (amnesia_cfg ~durable:true) in
   Alcotest.(check bool) "exhausted" true res.E.stats.S.exhausted;
+  Alcotest.(check int) "schedule count" 4418 res.E.stats.S.schedules;
   match res.E.counterexample with
   | None -> ()
   | Some ce -> Alcotest.failf "durable config flagged: %s" ce.E.message
@@ -587,12 +601,15 @@ let bounded_hunt_bigger_config () =
 
 (* slow: the acceptance criterion in full — the twobit engine halves
    the messages per op, which is what makes exhausting the 2-shard x
-   2-key batch/snapshot config feasible (~60k schedules, depth <= 24;
-   the ABD variant blows past any reasonable budget) *)
+   2-key batch/snapshot config feasible (8400 schedules, depth <= 22;
+   the ABD variant blows past any reasonable budget).  The batch and
+   the snapshot each send one query per key to the one replica in the
+   same turn, which the server's cork ships as one frame: one
+   delivery, not two to interleave. *)
 let txn_twobit_exhausts_clean () =
   let res = E.explore (txn_cfg ~engine:Net.Engine.Twobit ()) in
   Alcotest.(check bool) "exhausted" true res.E.stats.S.exhausted;
-  Alcotest.(check int) "schedule count" 59904 res.E.stats.S.schedules;
+  Alcotest.(check int) "schedule count" 8400 res.E.stats.S.schedules;
   match res.E.counterexample with
   | None -> ()
   | Some ce -> Alcotest.failf "txn/snap schedule not atomic: %s" ce.E.message
@@ -747,7 +764,10 @@ let pre_reconfig_artifact_loads () =
 (* slow: the acceptance criterion in full — both engines exhaust the
    single-write migration config (disjoint singleton groups, one keyed
    write racing the handoff) with every schedule atomic.  The twobit
-   engine closes the space in seconds; ABD takes ~145k schedules. *)
+   engine closes the space in seconds; ABD takes ~40k schedules.  The
+   migration's copy step reads the key's two registers from the old
+   group's one replica in one turn, which the server's cork ships as
+   one frame. *)
 let reconfig_exhausts_clean engine workload expected () =
   let res = E.explore (reconfig_cfg ~engine ~workload ()) in
   Alcotest.(check bool) "exhausted" true res.E.stats.S.exhausted;
@@ -758,7 +778,10 @@ let reconfig_exhausts_clean engine workload expected () =
 
 let suite =
   [
-    tc "exhaustive: two writers, all schedules atomic" exhaustive_two_writers;
+    tc "exhaustive: two writers, all schedules atomic"
+      (exhaustive_two_writers Net.Engine.Abd 76);
+    tc "exhaustive: two writers on twobit, all schedules atomic"
+      (exhaustive_two_writers Net.Engine.Twobit 60);
     tc "exhaustive: writer + reader, all schedules atomic"
       exhaustive_writer_reader;
     tc "pruning cuts the tree, same verdict" pruning_only_prunes;
@@ -771,9 +794,9 @@ let suite =
     tc "skipped write-back: caught, shrunk, replayed"
       skip_write_back_caught_shrunk_replayed;
     tc "writers read: abd exhausts every schedule atomic"
-      (exhaustive_writers_read Net.Engine.Abd 8352);
+      (exhaustive_writers_read Net.Engine.Abd 2088);
     tc "writers read: twobit exhausts every schedule atomic"
-      (exhaustive_writers_read Net.Engine.Twobit 2736);
+      (exhaustive_writers_read Net.Engine.Twobit 684);
     tc "stale local copy: caught, shrunk, replayed"
       stale_copy_caught_shrunk_replayed;
     tc "honest local copy: same config exhausts clean"
@@ -786,6 +809,8 @@ let suite =
     tc "amnesia without durability: caught, shrunk, replayed"
       amnesia_bug_found_and_replayable;
     tc "amnesia with durability: same hunt clean" amnesia_durable_hunt_clean;
+    tc "amnesia with durability: full schedule space exhausts clean"
+      amnesia_durable_exhausts_clean;
     tc "volatile but no reboot budget: exhausts clean"
       amnesia_without_reboot_budget_clean;
     tc "torn batch: caught, shrunk, replayed" torn_txn_caught_shrunk_replayed;
@@ -809,16 +834,14 @@ let slow_suite =
     tc_slow "torture: long run clean" torture_long;
     tc_slow "torture: deterministic in seed" torture_deterministic;
     tc_slow "hunt: bigger honest config clean" bounded_hunt_bigger_config;
-    tc_slow "amnesia with durability: full schedule space exhausts clean"
-      amnesia_durable_exhausts_clean;
     tc_slow "txn/snap config: twobit exhausts every schedule atomic"
       txn_twobit_exhausts_clean;
     tc_slow "txn/snap config: torn hook found exhaustively"
       txn_twobit_torn_exhaustive_found;
     tc_slow "reconfig: twobit exhausts every schedule atomic"
-      (reconfig_exhausts_clean Net.Engine.Twobit reconfig_write_only 8560);
+      (reconfig_exhausts_clean Net.Engine.Twobit reconfig_write_only 3122);
     tc_slow "reconfig: abd exhausts every schedule atomic"
-      (reconfig_exhausts_clean Net.Engine.Abd reconfig_write_only 145256);
+      (reconfig_exhausts_clean Net.Engine.Abd reconfig_write_only 40438);
     tc_slow "reconfig: writer reading through its copy, twobit exhausts"
-      (reconfig_exhausts_clean Net.Engine.Twobit reconfig_writer_reads 27234);
+      (reconfig_exhausts_clean Net.Engine.Twobit reconfig_writer_reads 9776);
   ]

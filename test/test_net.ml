@@ -255,13 +255,13 @@ let pl v t = Registers.Tagged.make v t
 let replica_monotone () =
   let r = Net.Replica.create ~init:0 () in
   let store rid ts v =
-    Net.Replica.handle r ~src:9 (W.Store { rid; reg = 0; ts; pl = pl v false })
+    replica_handle r ~src:9 (W.Store { rid; reg = 0; ts; pl = pl v false })
   in
   (match store 1 5 50 with
    | [ (9, W.Store_ack { rid = 1; reg = 0 }) ] -> ()
    | _ -> Alcotest.fail "store not acked");
   ignore (store 2 3 30);  (* stale: must not regress *)
-  (match Net.Replica.handle r ~src:9 (W.Query { rid = 3; reg = 0 }) with
+  (match replica_handle r ~src:9 (W.Query { rid = 3; reg = 0 }) with
    | [ (9, W.Query_reply { ts = 5; pl = p; _ }) ] ->
      Alcotest.(check int) "kept newest" 50 (Registers.Tagged.v p)
    | _ -> Alcotest.fail "bad query reply");
@@ -278,8 +278,8 @@ let replica_open_keyspace () =
   Alcotest.(check int) "untouched value" 7 (Registers.Tagged.v p);
   let g = Net.Shard_map.global_reg 617 0 in
   ignore
-    (Net.Replica.handle r ~src:1 (W.Store { rid = 1; reg = g; ts = 3; pl = pl 99 true }));
-  (match Net.Replica.handle r ~src:1 (W.Query { rid = 2; reg = g }) with
+    (replica_handle r ~src:1 (W.Store { rid = 1; reg = g; ts = 3; pl = pl 99 true }));
+  (match replica_handle r ~src:1 (W.Query { rid = 2; reg = g }) with
    | [ (1, W.Query_reply { ts = 3; pl = p; _ }) ] ->
      Alcotest.(check int) "stored far key" 99 (Registers.Tagged.v p)
    | _ -> Alcotest.fail "far key not served");
@@ -289,7 +289,7 @@ let replica_open_keyspace () =
 let replica_batch () =
   let r = Net.Replica.create ~init:0 () in
   let out =
-    Net.Replica.handle r ~src:2
+    replica_handle r ~src:2
       (W.Batch [ W.Query { rid = 1; reg = 0 }; W.Query { rid = 2; reg = 1 } ])
   in
   Alcotest.(check int) "two replies" 2 (List.length out)
@@ -349,7 +349,7 @@ let rec deliver ?(p = fun _ -> true) h on_engine =
     else if dst < Array.length h.reps then
       List.iter
         (fun (d, m) -> h.queue <- h.queue @ [ (dst, d, m) ])
-        (Net.Replica.handle h.reps.(dst) ~src msg);
+        (replica_handle h.reps.(dst) ~src msg);
     deliver ~p h on_engine
 
 (* (queries, stores) the engine has sent since the last call *)
@@ -844,13 +844,15 @@ let socket_replicas ?(storage = fun _ -> None) net =
       rep)
     [ 0; 1; 2 ]
 
-(* A standalone audited server over [socket_replicas]. *)
+(* An audited server core, keeping its history, over
+   [socket_replicas]. *)
 let socket_cluster ?map () =
   let net = Net.Socket_net.create () in
   ignore (socket_replicas net);
   let server =
     Net.Server.create ~transport:(Net.Socket_net.transport net) ~audit:true
-      ~metrics:(Net.Socket_net.metrics net) ?map ~me:Net.Transport.server
+      ~metrics:(Net.Socket_net.metrics net) ?map ~history:true
+      ~member:(solo_member ()) ~me:Net.Transport.server
       ~replicas:[ 0; 1; 2 ] ~init:0 ()
   in
   Net.Socket_net.listen net Net.Transport.server (Net.Server.on_message server);
@@ -878,11 +880,11 @@ let socket_smoke () =
   in
   List.iter Thread.join threads;
   let history = Net.Server.history server in
-  let violation = Net.Server.violation server in
+  let violation = Net.Server.violations server in
   Net.Socket_net.shutdown net;
   (match violation with
-   | None -> ()
-   | Some v ->
+   | [] -> ()
+   | (_, v) :: _ ->
      Alcotest.failf "live audit: %a" (Histories.Fastcheck.pp_violation Fmt.int) v);
   let ops = Histories.Operation.of_events_exn history in
   Alcotest.(check int) "all ops served" (2 * expected) (List.length history);
@@ -910,9 +912,9 @@ let socket_replica_crash () =
   Thread.join killer;
   let v = Net.Client.read_k c2 ~key:0 in
   Alcotest.(check int) "final value survives the crash" 10 v;
-  (match Net.Server.violation server with
-   | None -> ()
-   | Some _ -> Alcotest.fail "audit violation under replica crash");
+  (match Net.Server.violations server with
+   | [] -> ()
+   | _ :: _ -> Alcotest.fail "audit violation under replica crash");
   Net.Socket_net.shutdown net
 
 let socket_reconnect_same_proc () =
@@ -1066,8 +1068,8 @@ let socket_keyed_workload () =
   in
   List.iter Thread.join threads;
   let violations = Net.Server.violations server in
-  let keys = Net.Server.keys server in
   let keyed_history = Net.Server.keyed_history server in
+  let keys = List.sort_uniq compare (List.map fst keyed_history) in
   Net.Socket_net.shutdown net;
   (match violations with
    | [] -> ()
@@ -1179,9 +1181,9 @@ let socket_close_flushes_pending () =
     Net.Client.close c1;
     wait_served !mine
   done;
-  (match Net.Server.violation server with
-   | None -> ()
-   | Some v ->
+  (match Net.Server.violations server with
+   | [] -> ()
+   | (_, v) :: _ ->
      Alcotest.failf "live audit: %a" (Histories.Fastcheck.pp_violation Fmt.int) v);
   Net.Socket_net.shutdown net
 
@@ -1399,7 +1401,7 @@ let loopback_transport ~on_server ~on_client =
           r
       in
       let emits =
-        Mutex.protect mu (fun () -> Net.Replica.handle rep ~src msg)
+        Mutex.protect mu (fun () -> replica_handle rep ~src msg)
       in
       (* coalesce replies per destination, as the socket receivers do:
          a Batch of K queries answers as one Batch of K replies, so the
@@ -1781,12 +1783,13 @@ let socket_pool_txn_snap () =
     Alcotest.failf "monitor violation on key %d: %a" key
       (Histories.Fastcheck.pp_violation Fmt.int) v
 
-(* A standalone server on the [held] rig, in the engine's place; a
-   second call is a restart over the same replicas (and, given the
-   same store, the same disk). *)
-let held_server ?engine ?bug ?storage h =
+(* A server core keeping its history on the [held] rig, in the
+   engine's place; a second call is a restart over the same replicas
+   (and, given the same store, the same disk). *)
+let held_server ?engine ?bug ?storage ?metrics h =
   Net.Server.create ~transport:(held_transport h) ~audit:true ?engine ?bug
-    ?storage ~me:engine_node ~replicas:[ 0; 1; 2 ] ~init:0 ()
+    ?storage ?metrics ~history:true ~member:(solo_member ()) ~me:engine_node
+    ~replicas:[ 0; 1; 2 ] ~init:0 ()
 
 let pump h sv = deliver h (Net.Server.on_message sv)
 
@@ -1800,9 +1803,9 @@ let resps_to h dst =
     h.from_engine
 
 let no_violation sv =
-  match Net.Server.violation sv with
-  | None -> ()
-  | Some v ->
+  match Net.Server.violations sv with
+  | [] -> ()
+  | (_, v) :: _ ->
     Alcotest.failf "live audit: %a" (Histories.Fastcheck.pp_violation Fmt.int) v
 
 let reconnect_keeps_processor_sequential () =
@@ -1896,7 +1899,8 @@ let writer_reads_through_copy engine () =
      real read when the tag sum points at its own register, 2 when it
      points away; another processor's read still costs 3 *)
   let h = holding () in
-  let sv = ref (held_server ~engine h) in
+  let m = Net.Metrics.create () in
+  let sv = ref (held_server ~engine ~metrics:m h) in
   let w0 = held_client h sv ~proc:0 and w1 = held_client h sv ~proc:1 in
   let rd = held_client h sv ~proc:2 in
   Alcotest.(check cost) "read before any write: plain" (Some 0, 3) (w0 read_k);
@@ -1906,7 +1910,6 @@ let writer_reads_through_copy engine () =
   Alcotest.(check cost) "away read" (Some 20, 2) (w0 read_k);
   Alcotest.(check cost) "the other writer's home read" (Some 20, 1) (w1 read_k);
   Alcotest.(check cost) "reader: 3 real reads" (Some 20, 3) (rd read_k);
-  let m = Net.Server.metrics !sv in
   Alcotest.(check int) "copy reads" 3 (Net.Metrics.get m "copy_reads");
   Alcotest.(check int) "copy misses" 1 (Net.Metrics.get m "copy_misses");
   no_violation !sv
@@ -2100,7 +2103,8 @@ let cork_coalesces () =
       now = (fun () -> 0.0);
     }
   in
-  let tr, turn = Net.Transport.cork base in
+  let tr, cork = Net.Transport.cork base in
+  let turn = Net.Transport.turn cork in
   let shipped () =
     let l = List.rev !sent in
     sent := [];
@@ -2119,9 +2123,17 @@ let cork_coalesces () =
       send 2 2;
       turn (fun () -> send 1 3);
       check "nothing ships when an inner turn closes" [] (shipped ()));
-  check "one frame per destination, a Batch only for two or more, in order"
+  check
+    "one frame per destination, a Batch only for two or more, in order, \
+     destinations in first-send order"
     [ (5, 1, W.Batch [ q 1; q 3 ]); (5, 2, q 2) ]
-    (List.sort compare (shipped ()));
+    (shipped ());
+  turn (fun () ->
+      send 2 4;
+      send 1 5);
+  check "slots are reused, and ship in the new turn's order"
+    [ (5, 2, q 4); (5, 1, q 5) ]
+    (shipped ());
   let n = (2 * 2048) + 1 in
   turn (fun () ->
       for i = 1 to n do
@@ -2334,11 +2346,185 @@ let sim_step_allocates_nothing () =
   Alcotest.(check (float 0.0)) "words per delivery to a no-op handler" 0.0
     words
 
+(* A pool worker's turn reaches every replica and every client it
+   answers: finding a destination's slot must not cost a scan or an
+   allocation, however many peers there are. *)
+let cork_fan_out peers () =
+  let shipped = Array.make peers (-1) and k = ref 0 in
+  let base =
+    {
+      Net.Transport.null with
+      send =
+        (fun ~src:_ ~dst _ ->
+          shipped.(!k) <- dst;
+          incr k);
+    }
+  in
+  let tr, cork = Net.Transport.cork base in
+  let msgs = Array.init peers (fun rid -> W.Query { rid; reg = 0 }) in
+  (* 7 is coprime to [peers]: every peer once, not in id order *)
+  let fan_out () =
+    for i = 0 to peers - 1 do
+      tr.Net.Transport.send ~src:engine_node ~dst:(i * 7 mod peers) msgs.(i)
+    done
+  in
+  let words =
+    words_per_call ~warmup:10 ~n:2_000 (fun _ ->
+        k := 0;
+        Net.Transport.turn cork fan_out)
+  in
+  Alcotest.(check (list int)) "one frame per peer, in first-send order"
+    (List.init peers (fun i -> i * 7 mod peers))
+    (Array.to_list shipped);
+  Alcotest.(check (float 0.0))
+    (Fmt.str "words per turn sending one message to each of %d peers" peers)
+    0.0 words
+
+(* A server core with [n] reads in flight, one per key, each fed one
+   [Query_reply]: one answer short of its phase's quorum of 2. *)
+let server_partial_reply_allocates_nothing () =
+  let n = 2_000 in
+  let sent = ref [] in
+  let tr =
+    {
+      Net.Transport.null with
+      Net.Transport.send = (fun ~src:_ ~dst msg -> sent := (dst, msg) :: !sent);
+    }
+  in
+  let sv =
+    Net.Server.create ~transport:tr ~member:(solo_member ()) ~me:engine_node
+      ~replicas:[ 0; 1; 2 ] ~init:0 ()
+  in
+  let cl = Net.Transport.client 2 in
+  Net.Server.on_message sv ~src:cl (W.Hello { proc = 2 });
+  for key = 0 to n - 1 do
+    Net.Server.on_message sv ~src:cl
+      (W.Req { seq = key; op = W.Read_k { key } })
+  done;
+  (* each phase's query went to two replicas: answer it from one *)
+  let answered = Hashtbl.create n in
+  let replies =
+    List.rev !sent
+    |> List.filter_map (function
+         | dst, W.Query { rid; reg } when not (Hashtbl.mem answered rid) ->
+           Hashtbl.replace answered rid dst;
+           Some (dst, W.Query_reply { rid; reg; ts = 0; pl = pl 0 false })
+         | _ -> None)
+    |> Array.of_list
+  in
+  Alcotest.(check int) "one phase per read" n (Array.length replies);
+  let words =
+    words_per_call ~warmup:100 ~n (fun i ->
+        let src, reply = replies.(i) in
+        Net.Server.on_message sv ~src reply)
+  in
+  Alcotest.(check (float 0.0)) "words per Query_reply short of a quorum" 0.0
+    words;
+  (* the measured replies counted: a second one completes a phase *)
+  let before = List.length !sent in
+  (match !sent with
+   | (_, W.Query { rid; reg }) :: _ ->
+     let other =
+       List.find_map
+         (function
+           | dst, W.Query { rid = r; _ }
+             when r = rid && dst <> Hashtbl.find answered rid ->
+             Some dst
+           | _ -> None)
+         !sent
+     in
+     Net.Server.on_message sv ~src:(Option.get other)
+       (W.Query_reply { rid; reg; ts = 0; pl = pl 0 false })
+   | _ -> Alcotest.fail "no query sent");
+  Alcotest.(check bool) "a quorum moves the read on" true
+    (List.length !sent > before)
+
+(* Node 0's link to node 1 is immune; node 2's is not. *)
+let immune_0_to_1 faults =
+  Net.Sim_net.create ~seed:3
+    ~faults:
+      { faults with Net.Sim_net.immune = (fun ~src ~dst -> src = 0 && dst = 1) }
+    ()
+
+let req seq = W.Req { seq; op = W.Read }
+
+let sim_immune_link_is_fifo () =
+  let net = immune_0_to_1 (Net.Sim_net.lossy ()) in
+  let tr = Net.Sim_net.transport net in
+  let got = ref [] in
+  Net.Sim_net.register net 1 (fun ~src msg ->
+      match msg with W.Req { seq; _ } -> got := (src, seq) :: !got | _ -> ());
+  let n = 200 in
+  for seq = 0 to n - 1 do
+    tr.Net.Transport.send ~src:0 ~dst:1 (req seq);
+    tr.Net.Transport.send ~src:2 ~dst:1 (req seq);
+    (* let the clock move, so sends interleave with deliveries *)
+    if seq mod 10 = 9 then
+      for _ = 1 to 5 do
+        ignore (Net.Sim_net.step net)
+      done
+  done;
+  ignore (Net.Sim_net.run net);
+  let from src =
+    List.rev
+      (List.filter_map (fun (s, q) -> if s = src then Some q else None) !got)
+  in
+  Alcotest.(check (list int)) "immune link: every message once, in send order"
+    (List.init n Fun.id) (from 0);
+  let other = from 2 in
+  Alcotest.(check bool) "the other link still reorders" true
+    (other <> List.sort compare other)
+
+let sim_pending_offers_link_heads () =
+  let net = immune_0_to_1 Net.Sim_net.reliable in
+  let tr = Net.Sim_net.transport net in
+  let got = ref [] in
+  Net.Sim_net.register net 1 (fun ~src msg ->
+      match msg with W.Req { seq; _ } -> got := (src, seq) :: !got | _ -> ());
+  for seq = 0 to 2 do
+    tr.Net.Transport.send ~src:0 ~dst:1 (req seq)
+  done;
+  for seq = 0 to 1 do
+    tr.Net.Transport.send ~src:2 ~dst:1 (req seq)
+  done;
+  let srcs () =
+    List.sort compare
+      (List.map (fun p -> p.Net.Sim_net.src) (Net.Sim_net.pending net))
+  in
+  (* the newest pending delivery from [src] *)
+  let fire_last src =
+    let p =
+      List.fold_left
+        (fun acc p ->
+          if p.Net.Sim_net.src <> src then acc
+          else
+            match acc with
+            | Some q when q.Net.Sim_net.seq > p.Net.Sim_net.seq -> acc
+            | _ -> Some p)
+        None (Net.Sim_net.pending net)
+    in
+    Net.Sim_net.fire net (Option.get p).Net.Sim_net.idx
+  in
+  Alcotest.(check (list int)) "the immune link's head, all of the other's"
+    [ 0; 2; 2 ] (srcs ());
+  (* the other link's second message may go first; the immune link's
+     next is offered only once its head is delivered *)
+  Alcotest.(check bool) "fire the other link's newest" true (fire_last 2);
+  Alcotest.(check bool) "fire the immune link's only offer" true (fire_last 0);
+  Alcotest.(check (list (pair int int))) "delivered so far"
+    [ (2, 1); (0, 0) ] (List.rev !got);
+  Alcotest.(check (list int)) "then the immune link's next" [ 0; 2 ] (srcs ());
+  ignore (Net.Sim_net.run net);
+  Alcotest.(check (list int)) "the immune link delivered in send order"
+    [ 0; 1; 2 ]
+    (List.rev
+       (List.filter_map (fun (s, q) -> if s = 0 then Some q else None) !got))
+
 let durable_replica_query_words () =
   let st = Net.Storage.create (Net.Storage.mem_backend ()) in
   let r = Net.Replica.create ~init:0 ~storage:st () in
   ignore
-    (Net.Replica.handle r ~src:9
+    (replica_handle r ~src:9
        (W.Store { rid = 0; reg = 1; ts = 1; pl = pl 5 false }));
   let queries =
     Array.init 2_000 (fun rid -> W.Query { rid; reg = rid mod 2 })
@@ -2352,20 +2538,24 @@ let durable_replica_query_words () =
     (Fmt.str "%.1f words per Query <= 8" words)
     true (words <= 8.0)
 
-(* A fresh simulator, the names of the timers that fired (latest
-   first), and [arm name delay] setting one on node 1. *)
+(* A fresh simulator, the [timers_dropped] count of its metrics, the
+   names of the timers that fired (latest first), and [arm name delay]
+   setting one on node 1. *)
 let timer_probe () =
-  let net = Net.Sim_net.create ~seed:1 ~faults:Net.Sim_net.reliable () in
+  let metrics = Net.Metrics.create () in
+  let net =
+    Net.Sim_net.create ~seed:1 ~faults:Net.Sim_net.reliable ~metrics ()
+  in
+  let dropped () = Net.Metrics.get metrics "timers_dropped" in
   let fired = ref [] in
   let arm name delay =
     (Net.Sim_net.transport net).Net.Transport.set_timer ~node:1 ~delay
       (fun () -> fired := name :: !fired)
   in
-  (net, fired, arm)
+  (net, dropped, fired, arm)
 
 let sim_amnesia_drops_timers () =
-  let net, fired, arm = timer_probe () in
-  let dropped () = Net.Metrics.get (Net.Sim_net.metrics net) "timers_dropped" in
+  let net, dropped, fired, arm = timer_probe () in
   (* restarted before the timer is due: it is still queued *)
   arm "queued" 5.0;
   Net.Sim_net.crash_amnesia net 1;
@@ -2387,7 +2577,7 @@ let sim_amnesia_drops_timers () =
   Alcotest.(check (list string)) "new incarnation's timer" [ "new" ] !fired
 
 let sim_pause_defers_timers () =
-  let net, fired, arm = timer_probe () in
+  let net, dropped, fired, arm = timer_probe () in
   Net.Sim_net.crash net 1;
   (* armed a then b, due b then a *)
   arm "a" 2.0;
@@ -2404,7 +2594,7 @@ let sim_pause_defers_timers () =
   ignore (Net.Sim_net.run net);
   Alcotest.(check int) "exactly once" 3 (List.length !fired);
   Alcotest.(check int) "nothing dropped" 0
-    (Net.Metrics.get (Net.Sim_net.metrics net) "timers_dropped")
+    (dropped ())
 
 let suite =
   [
@@ -2492,12 +2682,21 @@ let suite =
       quorum_partial_reply_allocates_nothing;
     tc "sim: a delivery to a no-op handler allocates nothing"
       sim_step_allocates_nothing;
+    tc "cork: a turn of single messages to 3 peers allocates nothing"
+      (cork_fan_out 3);
+    tc "server: a Query_reply short of a quorum allocates nothing"
+      server_partial_reply_allocates_nothing;
+    tc "sim: an immune link delivers in send order" sim_immune_link_is_fifo;
+    tc "sim: pending offers only an immune link's oldest delivery"
+      sim_pending_offers_link_heads;
     tc "replica: a durable Query allocates only its reply"
       durable_replica_query_words;
     tc "sim: an amnesia restart drops the old incarnation's timers"
       sim_amnesia_drops_timers;
     tc "sim: a paused node's due timers fire at its restart"
       sim_pause_defers_timers;
+    tc "cork: a turn to 200 peers ships in order and allocates nothing"
+      (cork_fan_out 200);
   ]
 
 let slow_suite =

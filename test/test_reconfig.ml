@@ -26,6 +26,9 @@ let hot = 3
 let base_shard = Net.Shard_map.shard_of_key (Net.Shard_map.create ~shards:2 ()) hot
 let target_shard = 1 - base_shard
 
+(* a request to migrate [hot] onto [to_shard], sent at build time *)
+let move_hot to_shard = { R.key = hot; to_shard; at = None }
+
 (* two writers (procs 0, 1 — the two-writer register construction) and
    two readers hammering the migrating key, with side traffic on the
    other keys so the untouched shards stay busy; values are globally
@@ -65,7 +68,7 @@ let sim_migration_under_traffic () =
         let o =
           R.run
             (R.build ~replicas:2 ~shards:2 ~group_size:1 ~keys:4
-               ~engine:(espec kind) ~reconfig:(hot, target_shard)
+               ~engine:(espec kind) ~reconfig:(move_hot target_shard)
                ~xprocesses:traffic ~seed ~init:0 ~processes:[] ())
         in
         check_migrated ~what o
@@ -82,7 +85,7 @@ let sim_migration_full_group () =
       let o =
         R.run
           (R.build ~replicas:3 ~shards:2 ~keys:4 ~engine:(espec kind)
-             ~reconfig:(hot, target_shard) ~xprocesses:traffic ~seed:11
+             ~reconfig:(move_hot target_shard) ~xprocesses:traffic ~seed:11
              ~init:0 ~processes:[] ())
       in
       check_migrated ~what o)
@@ -94,7 +97,7 @@ let sim_migration_stats () =
      per-shard op counters must account for every completed op *)
   let cl =
     R.build ~replicas:2 ~shards:2 ~group_size:1 ~keys:4
-      ~reconfig:(hot, target_shard)
+      ~reconfig:(move_hot target_shard)
       ~xprocesses:traffic ~seed:3 ~init:0 ~processes:[] ()
   in
   let steps = Net.Sim_net.run cl.R.net in
@@ -118,7 +121,7 @@ let sim_same_shard_advance () =
   let o =
     R.run
       (R.build ~replicas:2 ~shards:2 ~group_size:1 ~keys:4
-         ~reconfig:(hot, base_shard) ~xprocesses:traffic ~seed:5 ~init:0
+         ~reconfig:(move_hot base_shard) ~xprocesses:traffic ~seed:5 ~init:0
          ~processes:[] ())
   in
   check_migrated ~what:"same-shard advance" o
@@ -128,7 +131,7 @@ let sim_out_of_range_nacked () =
      traffic unharmed *)
   let o =
     R.run
-      (R.build ~replicas:2 ~shards:2 ~group_size:1 ~keys:4 ~reconfig:(hot, 9)
+      (R.build ~replicas:2 ~shards:2 ~group_size:1 ~keys:4 ~reconfig:(move_hot 9)
          ~xprocesses:traffic ~seed:5 ~init:0 ~processes:[] ())
   in
   check_clean ~what:"out-of-range" o;
@@ -229,7 +232,7 @@ let sim_crash_points_mid_migration () =
   in
   let build () =
     R.build ~replicas:3 ~shards:2 ~keys:4 ~seed:7 ~init:0
-      ~reconfig:(hot, target_shard)
+      ~reconfig:(move_hot target_shard)
       ~xprocesses:mig_traffic ~processes:[] ()
   in
   let probe = build () in
@@ -292,11 +295,11 @@ let socket_reshard_under_hammer () =
     (Net.Client.epoch cc);
   List.iter Thread.join hammers;
   Net.Client.close cc;
-  let violation = Net.Server.violation server in
+  let violation = Net.Server.violations server in
   Net.Socket_net.shutdown net;
   (match violation with
-   | None -> ()
-   | Some v ->
+   | [] -> ()
+   | (_, v) :: _ ->
      Alcotest.failf "live audit: %a" (Histories.Fastcheck.pp_violation Fmt.int) v);
   Array.iteri
     (fun p n ->
@@ -353,11 +356,11 @@ let socket_close_seals_during_migration () =
     (seen >= Atomic.get acked);
   Net.Client.close c1;
   Net.Client.close cc;
-  let violation = Net.Server.violation server in
+  let violation = Net.Server.violations server in
   Net.Socket_net.shutdown net;
   match violation with
-  | None -> ()
-  | Some v ->
+  | [] -> ()
+  | (_, v) :: _ ->
     Alcotest.failf "live audit: %a" (Histories.Fastcheck.pp_violation Fmt.int) v
 
 let socket_pool_reshard kind ~domains ~expect_refusal () =

@@ -712,7 +712,8 @@ let socket_durable_leg ?group_commit () =
   in
   let server =
     Net.Server.create ~transport:(Net.Socket_net.transport net) ~audit:true
-      ~metrics:(Net.Socket_net.metrics net) ~me:Net.Transport.server
+      ~metrics:(Net.Socket_net.metrics net) ~member:(Helpers.solo_member ())
+      ~me:Net.Transport.server
       ~replicas:[ 0; 1; 2 ] ~init:0 ()
   in
   Net.Socket_net.listen net Net.Transport.server (Net.Server.on_message server);
@@ -738,14 +739,14 @@ let socket_durable_leg ?group_commit () =
   in
   Thread.join writer;
   Thread.join reader;
-  let violation = Net.Server.violation server in
+  let violation = Net.Server.violations server in
   Net.Socket_net.shutdown net;
   (* entries apply eagerly: commit what a replica still queues (a late
      Store past its quorum) before comparing against the disk *)
   List.iter (fun rep -> Option.iter S.flush (Net.Replica.storage rep)) reps;
   (match violation with
-   | None -> ()
-   | Some v ->
+   | [] -> ()
+   | (_, v) :: _ ->
      Alcotest.failf "live audit: %a"
        (Histories.Fastcheck.pp_violation Fmt.int)
        v);
