@@ -907,8 +907,33 @@ let bench_net_alloc () =
   Json.metric ~section:"net-alloc" "total words per op" (total /. ops);
   Fmt.pr
     "  (%d ops; an empty measured interval allocates %.0f words; the \
-     e2e sim-durable figure also counts its byte-accounting tap)@.@."
+     e2e sim-durable figure also counts its byte-accounting tap)@."
     completed empty;
+  (* the server rows above include its live audit; price it apart by
+     replaying the run's history through fresh per-key monitors, the
+     per-key table included, as the server builds them *)
+  let keyed = Net.Server.keyed_history cl.Net.Sim_run.server in
+  let monitors = Hashtbl.create 8 and violations = ref 0 in
+  let w0 = Gc.minor_words () in
+  List.iter
+    (fun (key, ev) ->
+      let m =
+        match Hashtbl.find monitors key with
+        | m -> m
+        | exception Not_found ->
+          let m = Histories.Monitor.create ~init:0 in
+          Hashtbl.replace monitors key m;
+          m
+      in
+      match Histories.Monitor.observe m ev with
+      | Histories.Monitor.Ok_so_far -> ()
+      | Histories.Monitor.Violation _ -> incr violations)
+    keyed;
+  let audit = (Gc.minor_words () -. w0) /. ops in
+  if !violations > 0 then
+    Fmt.failwith "net-alloc: the replayed audit flagged %d events" !violations;
+  Fmt.pr "  %-37s %11.1f@.@." "server audit words per op" audit;
+  Json.metric ~section:"net-alloc" "server audit words per op" audit;
   sim_alloc_table ();
   wire_alloc_table ();
   socket_alloc_table ()

@@ -89,9 +89,9 @@ type t = {
 }
 
 let monitor_of t key =
-  match Hashtbl.find_opt t.monitors key with
-  | Some m -> m
-  | None ->
+  match Hashtbl.find t.monitors key with
+  | m -> m
+  | exception Not_found ->
     let m = Histories.Monitor.create ~init:t.init in
     Hashtbl.replace t.monitors key m;
     m

@@ -25,7 +25,8 @@ type faults = {
   min_delay : float;
   max_delay : float;
       (** per-message delivery delay, uniform in
-          [[min_delay, max_delay]]; jitter is what reorders messages *)
+          [[min_delay, max_delay + epsilon_float)]; jitter is what
+          reorders messages *)
   immune : src:Transport.node -> dst:Transport.node -> bool;
       (** TCP-like links: no drops, no duplicates, and FIFO — a
           delivery is never scheduled before the link's previous one,
@@ -37,7 +38,12 @@ type faults = {
 }
 
 val reliable : faults
-(** No drops, no duplicates, constant delay 1.0. *)
+(** No drops, no duplicates, and a delay of 1.0 plus a random fraction
+    of an ulp: like every delay it is drawn uniformly, over a range
+    widened by [epsilon_float], so a delivery's time may come out one
+    ulp later.  Messages sent at one instant on links that are not
+    immune therefore arrive in an order drawn from the RNG, not in send
+    order. *)
 
 val lossy :
   ?drop:float ->

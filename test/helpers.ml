@@ -33,6 +33,18 @@ let qc ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count ~name gen prop)
 
+(* Minor words per call of [f i] for [i] in [warmup, n), after [f 0]
+   .. [f (warmup - 1)] ran unmeasured. *)
+let words_per_call ~warmup ~n f =
+  for i = 0 to warmup - 1 do
+    f i
+  done;
+  let w0 = Gc.minor_words () in
+  for i = warmup to n - 1 do
+    f i
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int (n - warmup)
+
 (* tiny substring check used by a few tests *)
 module Astring_like = struct
   let contains s sub =

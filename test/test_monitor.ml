@@ -183,6 +183,38 @@ let non_sequential_rejected () =
     (Invalid_argument "Monitor.observe: processor not sequential") (fun () ->
       ignore (M.observe m (ev_invoke 0 (write 2))))
 
+(* A single-key monitor, warmed up, serving a sequential write then a
+   read of it: every buffer has grown, so the four events allocate
+   nothing. *)
+let write_then_read_allocates_nothing () =
+  let n = 2_000 in
+  let events =
+    Array.init n (fun i ->
+        [| ev_invoke 0 (write (i + 1)); ev_respond 0 None; ev_invoke 2 read;
+           ev_respond 2 (Some (i + 1)) |])
+  in
+  let m = M.create ~init:0 in
+  let words =
+    words_per_call ~warmup:100 ~n (fun i ->
+        let evs = events.(i) in
+        ignore (M.observe m evs.(0));
+        ignore (M.observe m evs.(1));
+        ignore (M.observe m evs.(2));
+        ignore (M.observe m evs.(3)))
+  in
+  Alcotest.(check bool) "still ok" true (ok (M.verdict m));
+  Alcotest.(check (float 0.0)) "words per write then read" 0.0 words
+
+(* An idle key's monitor is one small record: its graph is built by the
+   first event. *)
+let create_is_small () =
+  let words =
+    words_per_call ~warmup:10 ~n:1_000 (fun _ ->
+        ignore (Sys.opaque_identity (M.create ~init:0)))
+  in
+  Alcotest.(check bool) (Fmt.str "%.1f words per create, at most 4" words)
+    true (words <= 4.0)
+
 let suite =
   [
     tc "sequential history ok" sequential_ok;
@@ -200,4 +232,7 @@ let suite =
     tc "non-sequential input rejected" non_sequential_rejected;
     tc "superseded write kept for reads" superseded_write_pruned;
     tc "live predecessor keeps a write" live_predecessor_keeps_write;
+    tc "a warm write then read allocates nothing (was 200 words)"
+      write_then_read_allocates_nothing;
+    tc "create allocates at most 4 words (was 157)" create_is_small;
   ]

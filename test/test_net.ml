@@ -2303,18 +2303,6 @@ let quorum_resend_skips_answered () =
   Alcotest.(check (list int)) "store: the replicas not yet acked" [ 0; 1; 3 ]
     (List.sort compare stores)
 
-(* Minor words per call of [f i] for [i] in [warmup, n), after [f 0]
-   .. [f (warmup - 1)] ran unmeasured. *)
-let words_per_call ~warmup ~n f =
-  for i = 0 to warmup - 1 do
-    f i
-  done;
-  let w0 = Gc.minor_words () in
-  for i = warmup to n - 1 do
-    f i
-  done;
-  (Gc.minor_words () -. w0) /. float_of_int (n - warmup)
-
 let quorum_partial_reply_allocates_nothing () =
   let n = 2_000 in
   let q =

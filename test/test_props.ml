@@ -242,12 +242,54 @@ let monitor_prefix_monotone =
             true)
         events)
 
+(* The slot-array monitor against the list-based one it replaced, after
+   every event: the same verdict, cycle payloads included, and the same
+   live node count. *)
+let monitor_equals_oracle_stepwise events =
+  let m = Histories.Monitor.create ~init:0 in
+  let o = Monitor_oracle.create ~init:0 in
+  let verdict = function
+    | Histories.Monitor.Ok_so_far -> None
+    | Histories.Monitor.Violation v -> Some v
+  and oracle = function
+    | Monitor_oracle.Ok_so_far -> None
+    | Monitor_oracle.Violation v -> Some v
+  in
+  let pp =
+    Fmt.(option ~none:(any "ok") (Histories.Fastcheck.pp_violation int))
+  in
+  List.iteri
+    (fun i ev ->
+      let got = verdict (Histories.Monitor.observe m ev)
+      and want = oracle (Monitor_oracle.observe o ev) in
+      let nodes = fst (Histories.Monitor.stats m)
+      and want_nodes = fst (Monitor_oracle.stats o) in
+      if got <> want || nodes <> want_nodes then
+        QCheck2.Test.fail_reportf
+          "after event %d: %a with %d nodes, oracle %a with %d nodes, on:@.%a" i
+          pp got nodes pp want want_nodes
+          (Histories.Event.pp_history Fmt.int)
+          events)
+    events;
+  true
+
+let monitor_equals_oracle =
+  qc ~count:2000 "monitor matches the list-based oracle after every event"
+    gen_history monitor_equals_oracle_stepwise
+
+let monitor_equals_oracle_long =
+  qc ~count:300
+    "monitor matches the list-based oracle after every event, longer histories"
+    gen_history_long monitor_equals_oracle_stepwise
+
 let suite =
   [
     fast_equals_brute;
     fast_equals_brute_long;
     monitor_equals_fastcheck;
     monitor_equals_fastcheck_long;
+    monitor_equals_oracle;
+    monitor_equals_oracle_long;
     monitor_prefix_monotone;
     fast_witness_legal;
     brute_witness_legal;
