@@ -1,124 +1,36 @@
 module Vm = Registers.Vm
+module M = Registers.Run_coarse
 
 exception Stop
 
-type ('c, 'v) pstate = {
-  proc : Histories.Event.proc;
-  script : 'v Histories.Event.op list;
-  cur : ('c, 'v option) Vm.prog option;  (* never [Some (Ret _)] *)
-  prims : int;  (* primitive accesses performed so far *)
-  crashed : bool;
-}
-
-let op_prog (built : ('c, 'v) Vm.built) ~proc op =
-  match op with
-  | Histories.Event.Read ->
-    Vm.bind (built.Vm.read ~proc) (fun v -> Vm.return (Some v))
-  | Histories.Event.Write v ->
-    Vm.bind (built.Vm.write ~proc v) (fun () -> Vm.return None)
-
-let explore ?(crash = []) (built : ('c, 'v) Vm.built) processes ~on_leaf =
-  Array.iter
-    (fun (s : 'c Vm.cell_spec) ->
-      match s.Vm.sem with
-      | Vm.Atomic -> ()
-      | Vm.Safe | Vm.Regular -> raise Registers.Run_coarse.Not_atomic_cells)
-    built.Vm.spec;
-  let cells = Array.map (fun (s : 'c Vm.cell_spec) -> s.Vm.init) built.Vm.spec in
-  let crash_limit p =
-    List.fold_left (fun acc (q, k) -> if q = p then Some k else acc) None crash
-  in
-  let procs =
-    Array.of_list
-      (List.map
-         (fun (p : 'v Vm.process) ->
-           {
-             proc = p.Vm.proc;
-             script = p.Vm.script;
-             cur = None;
-             prims = 0;
-             crashed = crash_limit p.Vm.proc = Some 0;
-           })
-         processes)
-  in
+(* Every schedule from the state [prefix] leads to, depth first, each
+   processor's step undone before its next sibling's.  The prefix's
+   events head every leaf's trace. *)
+let explore_from ?crash built processes ~prefix ~on_leaf =
+  let m = M.machine ?crash built processes in
+  let trace = List.fold_left (fun trace i -> fst (M.step m i) @ trace) [] prefix in
   let leaves = ref 0 in
-  (* One glued step of process [i]: start the next operation if idle,
-     perform one primitive access, acknowledge if that completed the
-     operation.  Returns the new pstate, the emitted events (reversed),
-     and an undo closure for the cell mutation. *)
-  let step i =
-    let st = procs.(i) in
-    let prog, pre, script =
-      match st.cur with
-      | Some p -> (p, [], st.script)
-      | None ->
-        (match st.script with
-         | [] -> assert false
-         | op :: rest ->
-           ( op_prog built ~proc:st.proc op,
-             [ Vm.Sim (Histories.Event.Invoke (st.proc, op)) ],
-             rest ))
-    in
-    let finish events next =
-      let prims = st.prims + 1 in
-      let crashed =
-        match crash_limit st.proc with
-        | Some limit -> prims >= limit
-        | None -> false
-      in
-      if crashed then ({ st with script; cur = None; prims; crashed }, events, None)
-      else
-        match next with
-        | Vm.Ret r ->
-          ( { st with script; cur = None; prims },
-            Vm.Sim (Histories.Event.Respond (st.proc, r)) :: events,
-            None )
-        | (Vm.Read _ | Vm.Write _) as p ->
-          ({ st with script; cur = Some p; prims }, events, None)
-    in
-    match prog with
-    | Vm.Ret r ->
-      ( { st with script; cur = None },
-        Vm.Sim (Histories.Event.Respond (st.proc, r)) :: pre,
-        None )
-    | Vm.Read (c, k) ->
-      let v = cells.(c) in
-      let st', events, _ =
-        finish (Vm.Prim_read (st.proc, c, v) :: pre) (k v)
-      in
-      (st', events, None)
-    | Vm.Write (c, v, k) ->
-      let old = cells.(c) in
-      cells.(c) <- v;
-      let st', events, _ =
-        finish (Vm.Prim_write (st.proc, c, v) :: pre) (k ())
-      in
-      (st', events, Some (c, old))
-  in
   let rec go trace_rev =
     let any = ref false in
-    Array.iteri
-      (fun i st ->
-        if (not st.crashed) && (st.cur <> None || st.script <> []) then begin
-          any := true;
-          let saved = st in
-          let st', events, undo = step i in
-          procs.(i) <- st';
-          (* [events] is newest-first, like [trace_rev] *)
-          go (events @ trace_rev);
-          procs.(i) <- saved;
-          match undo with
-          | Some (c, old) -> cells.(c) <- old
-          | None -> ()
-        end)
-      procs;
+    for i = 0 to M.size m - 1 do
+      if M.runnable m i then begin
+        any := true;
+        let events, undo = M.step m i in
+        (* [events] is newest-first, like [trace_rev] *)
+        go (events @ trace_rev);
+        M.undo m undo
+      end
+    done;
     if not !any then begin
       incr leaves;
       on_leaf (List.rev trace_rev)
     end
   in
-  (try go [] with Stop -> ());
+  (try go trace with Stop -> ());
   !leaves
+
+let explore ?crash built processes ~on_leaf =
+  explore_from ?crash built processes ~prefix:[] ~on_leaf
 
 let interleavings ks =
   let result = ref 1 and n = ref 0 in
@@ -194,219 +106,37 @@ let count_atomic ~init built processes =
 (* ------------------------------------------------------------------ *)
 (* Parallel exploration                                                 *)
 
-(* Replay a schedule of process indices on a fresh engine.  Returns
-   [`Invalid] if some step is not runnable, [`Finished trace] if the
-   execution completed within the schedule, [`Running] otherwise. *)
-let replay ?(crash = []) built processes schedule =
-  let cells = Array.map (fun (s : _ Vm.cell_spec) -> s.Vm.init) built.Vm.spec in
-  let crash_limit p =
-    List.fold_left (fun a (q, k) -> if q = p then Some k else a) None crash
-  in
-  let procs =
-    Array.of_list
-      (List.map
-         (fun (p : _ Vm.process) ->
-           {
-             proc = p.Vm.proc;
-             script = p.Vm.script;
-             cur = None;
-             prims = 0;
-             crashed = crash_limit p.Vm.proc = Some 0;
-           })
-         processes)
-  in
-  let trace = ref [] in
-  let runnable st = (not st.crashed) && (st.cur <> None || st.script <> []) in
-  let step i =
-    let st = procs.(i) in
-    let prog, pre, script =
-      match st.cur with
-      | Some p -> (p, [], st.script)
-      | None ->
-        (match st.script with
-         | [] -> assert false
-         | op :: rest ->
-           ( op_prog built ~proc:st.proc op,
-             [ Vm.Sim (Histories.Event.Invoke (st.proc, op)) ],
-             rest ))
-    in
-    let finish events next =
-      let prims = st.prims + 1 in
-      let crashed =
-        match crash_limit st.proc with
-        | Some limit -> prims >= limit
-        | None -> false
-      in
-      if crashed then begin
-        procs.(i) <- { st with script; cur = None; prims; crashed };
-        events
-      end
-      else
-        match next with
-        | Vm.Ret r ->
-          procs.(i) <- { st with script; cur = None; prims };
-          Vm.Sim (Histories.Event.Respond (st.proc, r)) :: events
-        | (Vm.Read _ | Vm.Write _) as p ->
-          procs.(i) <- { st with script; cur = Some p; prims };
-          events
-    in
-    let events =
-      match prog with
-      | Vm.Ret r ->
-        procs.(i) <- { st with script; cur = None };
-        Vm.Sim (Histories.Event.Respond (st.proc, r)) :: pre
-      | Vm.Read (c, k) ->
-        let v = cells.(c) in
-        finish (Vm.Prim_read (st.proc, c, v) :: pre) (k v)
-      | Vm.Write (c, v, k) ->
-        cells.(c) <- v;
-        finish (Vm.Prim_write (st.proc, c, v) :: pre) (k ())
-    in
-    trace := events @ !trace
-  in
-  let rec go = function
-    | [] ->
-      if Array.exists runnable procs then `Running
-      else `Finished (List.rev !trace)
-    | i :: rest ->
-      if i < Array.length procs && runnable procs.(i) then begin
-        step i;
-        go rest
-      end
-      else `Invalid
-  in
-  go schedule
-
-(* Enumerate the realizable schedules (sequences of process indices) of
-   length [depth]; executions that finish earlier are handed to
-   [on_short] with their trace. *)
-let prefixes ?crash built processes ~depth ~on_short =
+(* The realizable schedules (sequences of processor indices) of length
+   [depth], in the order a depth-first walk reaches them; executions
+   that finish earlier are handed to [on_short] with their trace. *)
+let prefixes built processes ~depth ~on_short =
+  let m = M.machine built processes in
+  let rec alive i = i < M.size m && (M.runnable m i || alive (i + 1)) in
   let acc = ref [] in
-  let n_procs = List.length processes in
-  let rec walk prefix d =
+  let rec walk prefix trace d =
     if d = 0 then acc := List.rev prefix :: !acc
     else
-      for i = 0 to n_procs - 1 do
-        match replay ?crash built processes (List.rev (i :: prefix)) with
-        | `Invalid -> ()
-        | `Running -> walk (i :: prefix) (d - 1)
-        | `Finished trace -> on_short trace
+      for i = 0 to M.size m - 1 do
+        if M.runnable m i then begin
+          let events, undo = M.step m i in
+          let trace = events @ trace in
+          if alive 0 then walk (i :: prefix) trace (d - 1)
+          else on_short (List.rev trace);
+          M.undo m undo
+        end
       done
   in
-  walk [] depth;
+  walk [] [] depth;
   !acc
-
-(* Continue a DFS from a replayed prefix: fresh engine per task. *)
-let explore_from ?crash built processes ~prefix ~on_leaf =
-  (* rebuild the engine state by replaying, then reuse the sequential
-     DFS on the remaining work by re-entering [explore]-like search *)
-  let cells = Array.map (fun (s : _ Vm.cell_spec) -> s.Vm.init) built.Vm.spec in
-  let crash_limit p =
-    match crash with
-    | None -> None
-    | Some l -> List.fold_left (fun a (q, k) -> if q = p then Some k else a) None l
-  in
-  let procs =
-    Array.of_list
-      (List.map
-         (fun (p : _ Vm.process) ->
-           {
-             proc = p.Vm.proc;
-             script = p.Vm.script;
-             cur = None;
-             prims = 0;
-             crashed = crash_limit p.Vm.proc = Some 0;
-           })
-         processes)
-  in
-  let leaves = ref 0 in
-  let step i =
-    let st = procs.(i) in
-    let prog, pre, script =
-      match st.cur with
-      | Some p -> (p, [], st.script)
-      | None ->
-        (match st.script with
-         | [] -> assert false
-         | op :: rest ->
-           ( op_prog built ~proc:st.proc op,
-             [ Vm.Sim (Histories.Event.Invoke (st.proc, op)) ],
-             rest ))
-    in
-    let finish events next =
-      let prims = st.prims + 1 in
-      let crashed =
-        match crash_limit st.proc with
-        | Some limit -> prims >= limit
-        | None -> false
-      in
-      if crashed then ({ st with script; cur = None; prims; crashed }, events, None)
-      else
-        match next with
-        | Vm.Ret r ->
-          ( { st with script; cur = None; prims },
-            Vm.Sim (Histories.Event.Respond (st.proc, r)) :: events,
-            None )
-        | (Vm.Read _ | Vm.Write _) as p ->
-          ({ st with script; cur = Some p; prims }, events, None)
-    in
-    match prog with
-    | Vm.Ret r ->
-      ( { st with script; cur = None },
-        Vm.Sim (Histories.Event.Respond (st.proc, r)) :: pre,
-        None )
-    | Vm.Read (c, k) ->
-      let v = cells.(c) in
-      let st', events, _ = finish (Vm.Prim_read (st.proc, c, v) :: pre) (k v) in
-      (st', events, None)
-    | Vm.Write (c, v, k) ->
-      let old = cells.(c) in
-      cells.(c) <- v;
-      let st', events, _ =
-        finish (Vm.Prim_write (st.proc, c, v) :: pre) (k ())
-      in
-      (st', events, Some (c, old))
-  in
-  (* replay the prefix destructively *)
-  let prefix_trace = ref [] in
-  List.iter
-    (fun i ->
-      let st', events, _undo = step i in
-      procs.(i) <- st';
-      prefix_trace := events @ !prefix_trace)
-    prefix;
-  let rec go trace_rev =
-    let any = ref false in
-    Array.iteri
-      (fun i st ->
-        if (not st.crashed) && (st.cur <> None || st.script <> []) then begin
-          any := true;
-          let saved = st in
-          let st', events, undo = step i in
-          procs.(i) <- st';
-          go (events @ trace_rev);
-          procs.(i) <- saved;
-          match undo with
-          | Some (c, old) -> cells.(c) <- old
-          | None -> ()
-        end)
-      procs;
-    if not !any then begin
-      incr leaves;
-      on_leaf (List.rev trace_rev)
-    end
-  in
-  (try go !prefix_trace with Stop -> ());
-  !leaves
 
 let default_domains () = max 1 (Domain.recommended_domain_count () - 1)
 
-let run_parallel ?crash ?domains ~init built processes ~keep_searching =
+let run_parallel ?domains ~init built processes ~keep_searching =
   let n_domains = match domains with Some d -> max 1 d | None -> default_domains () in
   let unique = values_unique ~init processes in
   let short_results = ref [] in
   let tasks =
-    prefixes ?crash built processes ~depth:3 ~on_short:(fun trace ->
+    prefixes built processes ~depth:3 ~on_short:(fun trace ->
         short_results := trace :: !short_results)
   in
   let checked = Atomic.make 0 in
@@ -444,7 +174,7 @@ let run_parallel ?crash ?domains ~init built processes ~keep_searching =
         if idx >= Array.length tasks_arr then continue := false
         else
           ignore
-            (explore_from ?crash built processes ~prefix:tasks_arr.(idx)
+            (explore_from built processes ~prefix:tasks_arr.(idx)
                ~on_leaf:check)
       end
     done

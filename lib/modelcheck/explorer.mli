@@ -4,7 +4,11 @@
     accesses over atomic cells, at the same glued granularity as
     {!Registers.Run_coarse} (which is sound and complete for atomicity
     violations — see that module's documentation), and hands each
-    complete execution's trace to a callback.
+    complete execution's trace to a callback.  The stepper is
+    {!Registers.Run_coarse.machine} itself: the search takes one of its
+    steps per edge and backtracks with {!Registers.Run_coarse.undo}, so
+    it takes exactly the steps {!Registers.Run_coarse.run} and
+    {!Registers.Run_coarse.run_scheduled} take.
 
     The number of interleavings of scripts with [k1 .. kp] accesses is
     the multinomial coefficient [(sum k)! / prod k!]; keep it under a
@@ -65,7 +69,8 @@ val find_violation :
     leaf with the unique-value fast checker when the written values are
     distinct and the brute-force checker otherwise.  [None] means the
     protocol is atomic on this workload — an exhaustive proof for the
-    bounded configuration. *)
+    bounded configuration.
+    @raise Registers.Run_coarse.Not_atomic_cells on weak cells. *)
 
 val count_atomic :
   init:'v ->
@@ -73,16 +78,21 @@ val count_atomic :
   'v Registers.Vm.process list ->
   int * int
 (** (atomic leaves, total leaves) — like {!find_violation} but without
-    early exit, for reporting. *)
+    early exit, for reporting.
+    @raise Registers.Run_coarse.Not_atomic_cells on weak cells. *)
 
 (** {1 Parallel exploration}
 
-    The search tree is split at a fixed depth into independent subtree
-    tasks, each explored by its own domain with its own copy of the
-    (pure) protocol state.  Verdicts are aggregated; an early violation
-    stops the other domains opportunistically.  Speedup is bounded by
-    the machine's core count (on the 2-core CI container it is nil;
-    the sequential functions remain the default everywhere). *)
+    The search tree is split at depth 3: one depth-first walk over a
+    {!Registers.Run_coarse.machine} lists every realizable schedule
+    prefix of that length (executions that finish sooner are checked
+    directly).  Worker domains take prefixes from a shared queue; each
+    replays its prefix on a fresh machine and runs the sequential
+    search below it, so the leaves are exactly the sequential ones, in
+    another order.  Verdicts are aggregated; an early violation stops
+    the other domains opportunistically.  Speedup is bounded by the
+    host's core count (on 2 hardware threads it is nil; the sequential
+    functions remain the default everywhere). *)
 
 val count_atomic_parallel :
   ?domains:int ->
@@ -92,7 +102,8 @@ val count_atomic_parallel :
   int * int
 (** As {!count_atomic}, on [domains] (default
     [Domain.recommended_domain_count () - 1], at least 1) worker
-    domains. *)
+    domains.
+    @raise Registers.Run_coarse.Not_atomic_cells on weak cells. *)
 
 val find_violation_parallel :
   ?domains:int ->
@@ -102,4 +113,5 @@ val find_violation_parallel :
   'v violation option
 (** As {!find_violation}; [executions_checked] reports the global
     number of executions checked when the violation was found (the
-    parallel visit order is not the sequential one). *)
+    parallel visit order is not the sequential one).
+    @raise Registers.Run_coarse.Not_atomic_cells on weak cells. *)

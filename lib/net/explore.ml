@@ -540,22 +540,6 @@ let save ~file cfg ce =
 
 (* -- parsing the artifact back ------------------------------------- *)
 
-let note_of_line line =
-  (* Trace note lines: {...,"kind":"note","text":"..."} with our texts
-     escape-free by construction *)
-  let pat = "\"kind\":\"note\",\"text\":\"" in
-  let n = String.length line and m = String.length pat in
-  let rec find i =
-    if i + m > n then None
-    else if String.sub line i m = pat then Some (i + m)
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some start ->
-    String.index_from_opt line start '"'
-    |> Option.map (fun stop -> String.sub line start (stop - start))
-
 let split_on sep s =
   List.filter (fun t -> t <> "") (String.split_on_char sep s)
 
@@ -609,7 +593,7 @@ let load ~file =
   let notes = ref [] in
   (try
      while true do
-       match note_of_line (input_line ic) with
+       match Trace.note_of_line (input_line ic) with
        | Some text -> notes := text :: !notes
        | None -> ()
      done

@@ -159,6 +159,11 @@ let parse_line line =
       (int_field line "proc")
   | _ -> None
 
+let note_of_line line =
+  match string_field line "kind" with
+  | Some "note" -> string_field line "text"
+  | _ -> None
+
 let keyed_history_of_file path =
   let ic = open_in path in
   let s = really_input_string ic (in_channel_length ic) in

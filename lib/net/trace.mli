@@ -58,3 +58,8 @@ val keyed_history_of_file : string -> (int * int Histories.Event.t) list
 (** Parse a dump back into keyed operation events (non-operation lines
     and unparseable lines are skipped); dumps from before the keyspace
     carry no [key] field and parse as key 0. *)
+
+val note_of_line : string -> string option
+(** The text of one dumped [Note] line, [None] for any other line.  The
+    text ends at its first quote: note texts meant to be read back keep
+    to characters {!dump} does not escape. *)

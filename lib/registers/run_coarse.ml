@@ -1,143 +1,127 @@
 exception Not_atomic_cells
 
-type ('c, 'v) proc_state = {
+(* A processor's state.  Immutable, so an undo restores it by value. *)
+type ('c, 'v) pstate = {
   proc : Histories.Event.proc;
-  mutable script : 'v Histories.Event.op list;
-  mutable cur : ('c, 'v option) Vm.prog option;
-      (* invariant: never [Some (Ret _)] *)
-  mutable prims : int;
-  mutable crashed : bool;
+  script : 'v Histories.Event.op list;
+  cur : ('c, 'v option) Vm.prog option;  (* never [Some (Ret _)] *)
+  prims : int;  (* primitive accesses performed so far *)
+  crashed : bool;
 }
 
-let check_atomic (built : ('c, 'v) Vm.built) =
+type ('c, 'v) machine = {
+  built : ('c, 'v) Vm.built;
+  cells : 'c array;
+  procs : ('c, 'v) pstate array;
+  limits : int array;  (* crash after this many accesses; [max_int]: never *)
+}
+
+type ('c, 'v) undo =
+  | Unstep of int * ('c, 'v) pstate
+  | Unwrite of int * ('c, 'v) pstate * int * 'c
+
+let machine ?(crash = []) (built : ('c, 'v) Vm.built) processes =
   Array.iter
     (fun (s : 'c Vm.cell_spec) ->
       match s.Vm.sem with
       | Vm.Atomic -> ()
       | Vm.Safe | Vm.Regular -> raise Not_atomic_cells)
-    built.Vm.spec
+    built.Vm.spec;
+  let limit p =
+    List.fold_left (fun acc (q, k) -> if q = p then k else acc) max_int crash
+  in
+  let procs = Array.of_list processes in
+  {
+    built;
+    cells = Array.map (fun (s : 'c Vm.cell_spec) -> s.Vm.init) built.Vm.spec;
+    procs =
+      Array.map
+        (fun (p : 'v Vm.process) ->
+          let proc = p.Vm.proc in
+          { proc; script = p.Vm.script; cur = None; prims = 0;
+            crashed = limit proc = 0 })
+        procs;
+    limits = Array.map (fun (p : 'v Vm.process) -> limit p.Vm.proc) procs;
+  }
 
-let op_prog (built : ('c, 'v) Vm.built) ~proc op =
-  match op with
-  | Histories.Event.Read ->
-    Vm.bind (built.Vm.read ~proc) (fun v -> Vm.return (Some v))
-  | Histories.Event.Write v ->
-    Vm.bind (built.Vm.write ~proc v) (fun () -> Vm.return None)
+let size m = Array.length m.procs
 
-(* Generic engine: [pick] chooses the next processor among the runnable
-   ones; [strict] makes an unrunnable pick an error (for replays). *)
-let exec ?(crash = []) ?(max_steps = max_int) ~pick ~strict built processes =
-  check_atomic built;
-  let cells = Array.map (fun (s : 'c Vm.cell_spec) -> s.Vm.init) built.Vm.spec in
-  let states =
-    List.map
-      (fun (p : 'v Vm.process) ->
-        {
-          proc = p.Vm.proc;
-          script = p.Vm.script;
-          cur = None;
-          prims = 0;
-          crashed = false;
-        })
-      processes
+let runnable m i =
+  match m.procs.(i) with
+  | { crashed = true; _ } | { cur = None; script = []; _ } -> false
+  | _ -> true
+
+(* One glued step of processor [i]: start its next operation if idle
+   (Invoke), perform one primitive access, acknowledge (Respond) if that
+   completed the operation. *)
+let step m i =
+  let st = m.procs.(i) in
+  let prog, pre, script =
+    match st with
+    | { crashed = false; cur = Some p; script; _ } -> (p, [], script)
+    | { crashed = false; cur = None; script = op :: script; _ } ->
+      ( Vm.op_prog m.built ~proc:st.proc op,
+        [ Vm.Sim (Histories.Event.Invoke (st.proc, op)) ],
+        script )
+    | _ ->
+      invalid_arg (Fmt.str "Run_coarse: processor %d cannot take a step" st.proc)
   in
-  let trace = ref [] in
-  let emit e = trace := e :: !trace in
-  let runnable st =
-    (not st.crashed) && (st.cur <> None || st.script <> [])
-  in
-  let crash_limit p =
-    List.fold_left
-      (fun acc (q, k) -> if q = p then Some k else acc)
-      None crash
-  in
-  List.iter
-    (fun st ->
-      if crash_limit st.proc = Some 0 then st.crashed <- true)
-    states;
-  (* One primitive access by [st], gluing Invoke to the first access
-     and Respond to the last. *)
-  let step st =
-    let prog =
-      match st.cur with
-      | Some p -> p
-      | None ->
-        (match st.script with
-         | [] -> assert false
-         | op :: rest ->
-           st.script <- rest;
-           emit (Vm.Sim (Histories.Event.Invoke (st.proc, op)));
-           op_prog built ~proc:st.proc op)
-    in
-    let continue k =
-      st.prims <- st.prims + 1;
-      (match crash_limit st.proc with
-       | Some limit when st.prims >= limit -> st.crashed <- true
-       | Some _ | None -> ());
-      if st.crashed then st.cur <- None
-      else
-        match k () with
-        | Vm.Ret r ->
-          st.cur <- None;
-          emit (Vm.Sim (Histories.Event.Respond (st.proc, r)))
-        | (Vm.Read _ | Vm.Write _) as p -> st.cur <- Some p
-    in
-    match prog with
-    | Vm.Ret r ->
-      (* operation with no primitive accesses *)
-      st.cur <- None;
-      emit (Vm.Sim (Histories.Event.Respond (st.proc, r)))
-    | Vm.Read (c, k) ->
-      let v = cells.(c) in
-      emit (Vm.Prim_read (st.proc, c, v));
-      continue (fun () -> k v)
-    | Vm.Write (c, v, k) ->
-      cells.(c) <- v;
-      emit (Vm.Prim_write (st.proc, c, v));
-      continue k
-  in
-  let rec loop n =
-    if n >= max_steps then ()
+  let respond r events = Vm.Sim (Histories.Event.Respond (st.proc, r)) :: events in
+  let finish events next =
+    let prims = st.prims + 1 in
+    if prims >= m.limits.(i) then begin
+      m.procs.(i) <- { st with script; cur = None; prims; crashed = true };
+      events
+    end
     else
-      let live = List.filter runnable states in
-      match pick live with
-      | None -> ()
-      | Some st ->
-        if runnable st then begin
-          step st;
-          loop (n + 1)
-        end
-        else if strict then
-          invalid_arg
-            (Fmt.str "Run_coarse: processor %d cannot take a step" st.proc)
-        else loop (n + 1)
+      match next with
+      | Vm.Ret r ->
+        m.procs.(i) <- { st with script; cur = None; prims };
+        respond r events
+      | (Vm.Read _ | Vm.Write _) as p ->
+        m.procs.(i) <- { st with script; cur = Some p; prims };
+        events
   in
-  loop 0;
-  List.rev !trace
+  match prog with
+  | Vm.Ret r ->
+    (* an operation with no primitive accesses *)
+    m.procs.(i) <- { st with script; cur = None };
+    (respond r pre, Unstep (i, st))
+  | Vm.Read (c, k) ->
+    let v = m.cells.(c) in
+    (finish (Vm.Prim_read (st.proc, c, v) :: pre) (k v), Unstep (i, st))
+  | Vm.Write (c, v, k) ->
+    let old = m.cells.(c) in
+    m.cells.(c) <- v;
+    (finish (Vm.Prim_write (st.proc, c, v) :: pre) (k ()), Unwrite (i, st, c, old))
 
-let run ?crash ?max_steps ~seed built processes =
+let undo m = function
+  | Unstep (i, st) -> m.procs.(i) <- st
+  | Unwrite (i, st, c, old) ->
+    m.procs.(i) <- st;
+    m.cells.(c) <- old
+
+let run ?crash ?(max_steps = max_int) ~seed built processes =
+  let m = machine ?crash built processes in
   let rng = Random.State.make [| seed |] in
-  let pick = function
-    | [] -> None
-    | live -> Some (List.nth live (Random.State.int rng (List.length live)))
+  let rec loop n trace =
+    match List.filter (runnable m) (List.init (size m) Fun.id) with
+    | live when n < max_steps && live <> [] ->
+      let i = List.nth live (Random.State.int rng (List.length live)) in
+      loop (n + 1) (fst (step m i) @ trace)
+    | _ -> trace
   in
-  exec ?crash ?max_steps ~pick ~strict:false built processes
+  List.rev (loop 0 [])
 
 let run_scheduled ~schedule built processes =
-  let remaining = ref schedule in
-  let states_by_proc = Hashtbl.create 8 in
-  let pick live =
-    List.iter (fun st -> Hashtbl.replace states_by_proc st.proc st) live;
-    match !remaining with
-    | [] -> None
-    | p :: rest ->
-      remaining := rest;
-      (match Hashtbl.find_opt states_by_proc p with
-       | Some st -> Some st
-       | None ->
-         invalid_arg (Fmt.str "Run_coarse: unknown or finished processor %d" p))
+  let m = machine built processes in
+  let index p =
+    match Array.find_index (fun st -> st.proc = p) m.procs with
+    | Some i -> i
+    | None -> invalid_arg (Fmt.str "Run_coarse: unknown or finished processor %d" p)
   in
-  exec ~pick ~strict:true built processes
+  List.rev
+    (List.fold_left (fun trace p -> fst (step m (index p)) @ trace) [] schedule)
 
 let cells_after (built : ('c, 'v) Vm.built) trace =
   let cells = Array.map (fun (s : 'c Vm.cell_spec) -> s.Vm.init) built.Vm.spec in

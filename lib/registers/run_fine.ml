@@ -23,13 +23,6 @@ type ('c, 'v) proc_state = {
   mutable phase : ('c, 'v) phase option;
 }
 
-let op_prog (built : ('c, 'v) Vm.built) ~proc op =
-  match op with
-  | Histories.Event.Read ->
-    Vm.bind (built.Vm.read ~proc) (fun v -> Vm.return (Some v))
-  | Histories.Event.Write v ->
-    Vm.bind (built.Vm.write ~proc v) (fun () -> Vm.return None)
-
 let exec ?(max_steps = max_int) ~pick ~choose (built : ('c, 'v) Vm.built)
     processes =
   let cells =
@@ -117,7 +110,7 @@ let exec ?(max_steps = max_int) ~pick ~choose (built : ('c, 'v) Vm.built)
          | op :: rest ->
            st.script <- rest;
            emit (Vm.Sim (Histories.Event.Invoke (st.proc, op)));
-           Ready (op_prog built ~proc:st.proc op))
+           Ready (Vm.op_prog built ~proc:st.proc op))
     in
     match phase with
     | Ready (Vm.Ret r) ->

@@ -89,6 +89,10 @@ type 'v process = {
   script : 'v Histories.Event.op list;
 }
 
+let op_prog built ~proc = function
+  | Histories.Event.Read -> bind (built.read ~proc) (fun v -> Ret (Some v))
+  | Histories.Event.Write v -> bind (built.write ~proc v) (fun () -> Ret None)
+
 type ('c, 'v) trace_event =
   | Sim of 'v Histories.Event.t
   | Prim_read of Histories.Event.proc * int * 'c

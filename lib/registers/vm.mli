@@ -87,6 +87,15 @@ type 'v process = {
   script : 'v Histories.Event.op list;  (** operations, run in order *)
 }
 
+val op_prog :
+  ('c, 'v) built ->
+  proc:Histories.Event.proc ->
+  'v Histories.Event.op ->
+  ('c, 'v option) prog
+(** One simulated operation of [proc] as a program: a read answers
+    [Some v], a write [None] — what the runners and the explorer step
+    through. *)
+
 (** One entry of the low-level trace: either a simulated-register event
     or a primitive cell access — the latter are exactly the paper's
     *-actions of the real registers, since every primitive access of

@@ -118,21 +118,22 @@ let tournament_violation_needs_three_writers () =
   | None -> ()
   | Some _ -> Alcotest.fail "two same-pair writers are just the 2-writer protocol"
 
+(* A Bloom variant whose writer always writes tag 0. *)
+let broken_tag () =
+  {
+    Vm.spec =
+      [| Vm.atomic_cell (Registers.Tagged.initial 0);
+         Vm.atomic_cell (Registers.Tagged.initial 0) |];
+    Vm.read = (fun ~proc:_ -> Core.Protocol.read_prog ());
+    write =
+      (fun ~proc v ->
+        Vm.bind (Vm.read (1 - proc)) (fun _ ->
+            Vm.write proc (Registers.Tagged.make v false)));
+  }
+
 let broken_tag_protocol_caught () =
-  (* writer always writes tag 0: model checking finds the bug *)
-  let broken =
-    {
-      Vm.spec =
-        [| Vm.atomic_cell (Registers.Tagged.initial 0);
-           Vm.atomic_cell (Registers.Tagged.initial 0) |];
-      Vm.read = (fun ~proc:_ -> Core.Protocol.read_prog ());
-      write =
-        (fun ~proc v ->
-          Vm.bind (Vm.read (1 - proc)) (fun _ ->
-              Vm.write proc (Registers.Tagged.make v false)));
-    }
-  in
-  match E.find_violation ~init:0 broken w2r2 with
+  (* model checking finds the bug *)
+  match E.find_violation ~init:0 (broken_tag ()) w2r2 with
   | None -> Alcotest.fail "broken protocol must be caught"
   | Some _ -> ()
 
@@ -280,6 +281,64 @@ let count_atomic_totals () =
   Alcotest.(check int) "all atomic" total good;
   Alcotest.(check int) "total = formula" (E.interleavings [ 2; 3 ]) total
 
+(* The parallel entry points build the same machine as the sequential
+   ones, so weak cells are refused there too. *)
+let parallel_refuses_weak_cells () =
+  let procs =
+    [ { Vm.proc = 0; script = [ write true ] };
+      { Vm.proc = 1; script = [ read ] } ]
+  in
+  let weak () = Registers.Regular_of_safe.build ~init:false in
+  let refused name f =
+    match f () with
+    | exception Registers.Run_coarse.Not_atomic_cells -> ()
+    | _ -> Alcotest.failf "%s explored weak cells" name
+  in
+  refused "count_atomic" (fun () ->
+      ignore (E.count_atomic ~init:false (weak ()) procs));
+  refused "count_atomic_parallel" (fun () ->
+      ignore (E.count_atomic_parallel ~domains:1 ~init:false (weak ()) procs));
+  refused "find_violation_parallel" (fun () ->
+      ignore (E.find_violation_parallel ~domains:1 ~init:false (weak ()) procs))
+
+(* Refactor guard: a digest of every leaf trace, in visit order.  A
+   change to any trace, to a leaf count or to the visit order moves
+   it. *)
+let leaf_string trace =
+  Fmt.str "%a"
+    (Fmt.list ~sep:Fmt.sp
+       (Vm.pp_trace_event (Registers.Tagged.pp Fmt.int) Fmt.int))
+    trace
+
+let visit_digest ?crash procs =
+  let d = ref "" in
+  let leaves =
+    E.explore ?crash (bloom ()) procs ~on_leaf:(fun trace ->
+        d := Digest.string (!d ^ leaf_string trace))
+  in
+  (leaves, Digest.to_hex !d)
+
+let explorer_visits_pinned () =
+  let check name ?crash (leaves, digest) =
+    Alcotest.(check (pair int string)) name (leaves, digest)
+      (visit_digest ?crash w2r2)
+  in
+  check "w2r2" (25200, "c9fd36c64f25d80485a35d6b5a53a799");
+  check "w2r2, writer 0 crashed after 1 access" ~crash:[ (0, 1) ]
+    (5040, "2b05de643afcbfcce84f21eddbe81948");
+  (* The parallel entry points report only verdict counts, so the
+     split's leaves are compared through those, on a workload where
+     some leaves are atomic and some are not. *)
+  let good, total = E.count_atomic ~init:0 (broken_tag ()) w2r2 in
+  Alcotest.(check bool) "mixed verdicts" true (0 < good && good < total);
+  List.iter
+    (fun domains ->
+      Alcotest.(check (pair int int))
+        (Fmt.str "parallel on %d domains" domains)
+        (good, total)
+        (E.count_atomic_parallel ~domains ~init:0 (broken_tag ()) w2r2))
+    [ 1; 2 ]
+
 let suite =
   [
     tc "interleavings formula" interleavings_formula;
@@ -315,4 +374,6 @@ let suite =
       parallel_none_on_correct_protocol;
     tc "early stop" early_stop_counts;
     tc "count_atomic totals" count_atomic_totals;
+    tc "parallel explorer refuses weak cells" parallel_refuses_weak_cells;
+    tc "explorer visits pinned by digest" explorer_visits_pinned;
   ]
