@@ -49,6 +49,16 @@ type member = {
 let worker_of_key map ~domains key =
   Shard_map.base_shard_of_key map key mod domains
 
+(* Event [i]'s time, key and event sit at index [i] of three arrays
+   that double when full: recording one allocates nothing but its
+   share of the growth. *)
+type log = {
+  mutable times : Float.Array.t;
+  mutable keys : int array;
+  mutable evs : int E.t array;
+  mutable len : int;
+}
+
 type t = {
   tr : Transport.t;  (* corked: one frame per peer per turn *)
   cork : Transport.cork;
@@ -71,9 +81,7 @@ type t = {
   monitors : (int, int Histories.Monitor.t) Hashtbl.t;  (* per key *)
   mutable violations_rev : (int * int Histories.Fastcheck.violation) list;
       (* first violation per key, newest first *)
-  keep_history : bool;
-  mutable events_rev : (float * (int * int E.t)) list;
-      (* (key, event), only when [keep_history] *)
+  log : log option;  (* the recorded history, with [?history] *)
   mutable timer_armed : bool;
   resend_every : float;
   storage : Storage.t option;
@@ -87,6 +95,33 @@ type t = {
   h_op : Metrics.histogram;
   c_shard_ops : Metrics.counter array;
 }
+
+let log_append l time key ev =
+  let cap = Array.length l.keys in
+  if l.len = cap then begin
+    let cap' = max 16 (2 * cap) in
+    let times = Float.Array.make cap' 0.0
+    and keys = Array.make cap' 0
+    and evs = Array.make cap' ev in
+    Float.Array.blit l.times 0 times 0 cap;
+    Array.blit l.keys 0 keys 0 cap;
+    Array.blit l.evs 0 evs 0 cap;
+    l.times <- times;
+    l.keys <- keys;
+    l.evs <- evs
+  end;
+  Float.Array.set l.times l.len time;
+  l.keys.(l.len) <- key;
+  l.evs.(l.len) <- ev;
+  l.len <- l.len + 1
+
+(* [f l i] for each event [i] of the log, in order. *)
+let log_map t f =
+  match t.log with
+  | None -> []
+  | Some l ->
+    let rec go i acc = if i < 0 then acc else go (i - 1) (f l i :: acc) in
+    go (l.len - 1) []
 
 let monitor_of t key =
   match Hashtbl.find t.monitors key with
@@ -102,8 +137,9 @@ let epoch t = Reconfig.epoch t.reconfig
 let shards t = Registry.shards t.registry
 
 let record t key ev =
-  if t.keep_history then
-    t.events_rev <- (t.tr.Transport.now (), (key, ev)) :: t.events_rev;
+  (match t.log with
+   | None -> ()
+   | Some l -> log_append l (t.tr.Transport.now ()) key ev);
   (match t.trace with
    | None -> ()
    | Some tr ->
@@ -372,8 +408,11 @@ let create ~transport ?(audit = true) ?(resend_every = 0.05) ?engine
       init;
       monitors = Hashtbl.create 8;
       violations_rev = [];
-      keep_history = history;
-      events_rev = [];
+      log =
+        (if history then
+           Some
+             { times = Float.Array.create 0; keys = [||]; evs = [||]; len = 0 }
+         else None);
       timer_armed = false;
       resend_every;
       storage;
@@ -549,10 +588,10 @@ let handle t ~src msg =
 
 let on_message t ~src msg = Transport.handle t.cork handle t ~src msg
 
-let keyed_history t = List.rev_map (fun (_, kev) -> kev) t.events_rev
-let history t = List.rev_map (fun (_, (_, ev)) -> ev) t.events_rev
-
-let timed_history t = List.rev_map (fun (time, (_, ev)) -> (time, ev)) t.events_rev
+let keyed_history t = log_map t (fun l i -> (l.keys.(i), l.evs.(i)))
+let history t = log_map t (fun l i -> l.evs.(i))
+let timed_history t =
+  log_map t (fun l i -> (Float.Array.get l.times i, l.evs.(i)))
 let violations t = List.rev t.violations_rev
 
 let ops_served t = Metrics.value t.m_served

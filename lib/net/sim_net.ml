@@ -29,63 +29,127 @@ type stats = {
   timer_fires : int;
 }
 
-type ev =
-  | Deliver of { src : int; dst : int; msg : Wire.msg }
-  | Timer of { node : int; f : unit -> unit }
+(* The event queue.  Each pending event owns a slot: its time in a
+   [Float.Array] and its [seq], [src] and [dst] in int arrays, so
+   queueing an event boxes nothing.  A delivery's message sits in
+   [msg]; a timer's callback in [fn], its [src] is [timer_src] and its
+   [dst] its owner ([-1] for {!at}).  Free slots wait on a stack, and
+   every array doubles when the slots run out.  [heap] is a plain
+   binary min-heap of slot indices on (time, seq); seq breaks ties so
+   the order of simultaneous events is the order they were scheduled
+   in. *)
+let timer_src = min_int
 
-type entry = { time : float; seq : int; ev : ev }
+module Q = struct
+  type t = {
+    mutable time : Float.Array.t;
+    mutable seq : int array;
+    mutable src : int array;
+    mutable dst : int array;
+    mutable msg : Wire.msg array;
+    mutable fn : (unit -> unit) array;
+    mutable free : int array;  (* the first [nfree] are free slots *)
+    mutable nfree : int;
+    mutable heap : int array;  (* the first [n] are the heap *)
+    mutable n : int;
+  }
 
-(* A plain binary min-heap on (time, seq); seq breaks ties so the order
-   of simultaneous events is the order they were scheduled in. *)
-module Heap = struct
-  type t = { mutable a : entry array; mutable n : int }
+  (* what a free slot holds, so that it keeps no payload alive *)
+  let no_msg = Wire.Query { rid = 0; reg = 0 }
+  let no_fn () = ()
 
-  let dummy = { time = 0.0; seq = 0; ev = Timer { node = -1; f = ignore } }
-  let create () = { a = Array.make 64 dummy; n = 0 }
-  let lt x y = x.time < y.time || (x.time = y.time && x.seq < y.seq)
+  let create () =
+    let cap = 16 in
+    {
+      time = Float.Array.make cap 0.0;
+      seq = Array.make cap 0;
+      src = Array.make cap 0;
+      dst = Array.make cap 0;
+      msg = Array.make cap no_msg;
+      fn = Array.make cap no_fn;
+      free = Array.init cap (fun i -> cap - 1 - i);
+      nfree = cap;
+      heap = Array.make cap 0;
+      n = 0;
+    }
 
-  let push h e =
-    if h.n = Array.length h.a then begin
-      let a' = Array.make (2 * h.n) dummy in
-      Array.blit h.a 0 a' 0 h.n;
-      h.a <- a'
-    end;
-    let i = ref h.n in
-    h.n <- h.n + 1;
-    h.a.(!i) <- e;
-    while !i > 0 && lt h.a.(!i) h.a.((!i - 1) / 2) do
+  (* Double every array.  Only called with no slot free, so the new
+     slots are the only free ones. *)
+  let grow q =
+    let cap = Array.length q.seq in
+    let cap' = 2 * cap in
+    let wider a x =
+      let a' = Array.make cap' x in
+      Array.blit a 0 a' 0 cap;
+      a'
+    in
+    let time = Float.Array.make cap' 0.0 in
+    Float.Array.blit q.time 0 time 0 cap;
+    q.time <- time;
+    q.seq <- wider q.seq 0;
+    q.src <- wider q.src 0;
+    q.dst <- wider q.dst 0;
+    q.msg <- wider q.msg no_msg;
+    q.fn <- wider q.fn no_fn;
+    q.heap <- wider q.heap 0;
+    q.free <- Array.init cap' (fun i -> cap' - 1 - i);
+    q.nfree <- cap
+
+  let[@inline] alloc q =
+    if q.nfree = 0 then grow q;
+    q.nfree <- q.nfree - 1;
+    q.free.(q.nfree)
+
+  let release q s =
+    q.msg.(s) <- no_msg;
+    q.fn.(s) <- no_fn;
+    q.free.(q.nfree) <- s;
+    q.nfree <- q.nfree + 1
+
+  let[@inline] lt q a b =
+    let ta = Float.Array.get q.time a and tb = Float.Array.get q.time b in
+    ta < tb || (ta = tb && q.seq.(a) < q.seq.(b))
+
+  let push q s =
+    let h = q.heap in
+    let i = ref q.n in
+    q.n <- q.n + 1;
+    while !i > 0 && lt q s h.((!i - 1) / 2) do
       let p = (!i - 1) / 2 in
-      let tmp = h.a.(p) in
-      h.a.(p) <- h.a.(!i);
-      h.a.(!i) <- tmp;
+      h.(!i) <- h.(p);
       i := p
-    done
+    done;
+    h.(!i) <- s
 
-  (* [dummy] when empty, not [None]: no option per event *)
-  let pop h =
-    if h.n = 0 then dummy
+  (* the earliest slot, or [-1] when empty *)
+  let pop q =
+    if q.n = 0 then -1
     else begin
-      let top = h.a.(0) in
-      h.n <- h.n - 1;
-      h.a.(0) <- h.a.(h.n);
-      h.a.(h.n) <- dummy;
-      let i = ref 0 in
-      let continue = ref true in
+      let h = q.heap in
+      let top = h.(0) in
+      q.n <- q.n - 1;
+      let last = h.(q.n) and n = q.n in
+      let i = ref 0 and continue = ref (n > 0) in
       while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < h.n && lt h.a.(l) h.a.(!smallest) then smallest := l;
-        if r < h.n && lt h.a.(r) h.a.(!smallest) then smallest := r;
-        if !smallest = !i then continue := false
-        else begin
-          let tmp = h.a.(!smallest) in
-          h.a.(!smallest) <- h.a.(!i);
-          h.a.(!i) <- tmp;
-          i := !smallest
+        let l = (2 * !i) + 1 in
+        let c = if l + 1 < n && lt q h.(l + 1) h.(l) then l + 1 else l in
+        if c < n && lt q h.(c) last then begin
+          h.(!i) <- h.(c);
+          i := c
         end
+        else continue := false
       done;
+      if n > 0 then h.(!i) <- last;
       top
     end
+
+  (* the queued slots, in (time, seq) order *)
+  let sorted q =
+    let a = Array.sub q.heap 0 q.n in
+    Array.sort
+      (fun x y -> if lt q x y then -1 else if lt q y x then 1 else 0)
+      a;
+    a
 end
 
 (* Metric handles interned once at [create]: the same counter names as
@@ -103,24 +167,30 @@ type ctrs = {
   m_amnesia : Metrics.counter;
 }
 
-(* The latest delivery time scheduled on an immune link: a float-only
-   record, so updating it boxes nothing. *)
-type link = { mutable last : float }
+(* A float-only record, so updating it boxes nothing: the clock, and
+   the latest delivery time scheduled on an immune link. *)
+type cell = { mutable v : float }
 
 type t = {
   rng : Random.State.t;
   faults : faults;
-  heap : Heap.t;
-  links : (int, link) Hashtbl.t;  (* immune links, by [link_key] *)
+  span : float;
+      (* the delay draw's range, boxed once here rather than at every
+         draw *)
+  q : Q.t;
+  links : (int, cell) Hashtbl.t;  (* immune links, by [link_key] *)
   handlers : (int, src:int -> Wire.msg -> unit) Hashtbl.t;
   dead : (int, unit) Hashtbl.t;
   amnesiac : (int, unit) Hashtbl.t;
   recovery : (int, unit -> unit) Hashtbl.t;
-  paused : (int, entry list) Hashtbl.t;
-      (* a dead node's timers that fell due, latest first: they wait
-         for its restart *)
+  paused : (int, int list) Hashtbl.t;
+      (* the slots of a dead node's timers that fell due, latest
+         first: they wait for its restart *)
   mutable cut : (int list * int list) option;
-  mutable clock : float;
+  clock : cell;
+  mutable boxed : float;
+      (* the clock as {!now} last returned it: boxed once per distinct
+         time that is read, not once per event *)
   mutable seqno : int;
   trace : Trace.t option;
   c : ctrs;
@@ -144,7 +214,8 @@ let create ~seed ~faults ?metrics ?trace () =
   {
     rng = Random.State.make [| seed; 0x6e657421 |];
     faults;
-    heap = Heap.create ();
+    span = faults.max_delay -. faults.min_delay +. epsilon_float;
+    q = Q.create ();
     links = Hashtbl.create 16;
     handlers = Hashtbl.create 16;
     dead = Hashtbl.create 4;
@@ -152,36 +223,49 @@ let create ~seed ~faults ?metrics ?trace () =
     recovery = Hashtbl.create 4;
     paused = Hashtbl.create 4;
     cut = None;
-    clock = 0.0;
+    clock = { v = 0.0 };
+    boxed = 0.0;
     seqno = 0;
     trace;
     c;
   }
 
+let now t =
+  let c = t.clock.v in
+  if c <> t.boxed then t.boxed <- c;
+  t.boxed
+
 (* Every trace point matches on [t.trace] itself and builds its record
    only under [Some]: a record (or a thunk making one) allocated before
    that test would cost every untraced send and delivery, and the
    records pretty-print whole messages. *)
-let record tr t kind = Trace.record tr ~time:t.clock kind
+let record tr t kind = Trace.record tr ~time:(now t) kind
 
-let now t = t.clock
-
-let schedule t time ev =
-  let seq = t.seqno in
-  t.seqno <- seq + 1;
-  Heap.push t.heap { time; seq; ev }
+(* Queue an event: a delivery of [msg] from [src] to [dst], or a timer
+   of node [dst] ([src] is [timer_src]) that runs [fn]. *)
+let[@inline] schedule t time ~src ~dst msg fn =
+  let q = t.q in
+  let s = Q.alloc q in
+  Float.Array.set q.Q.time s time;
+  q.Q.seq.(s) <- t.seqno;
+  t.seqno <- t.seqno + 1;
+  q.Q.src.(s) <- src;
+  q.Q.dst.(s) <- dst;
+  q.Q.msg.(s) <- msg;
+  q.Q.fn.(s) <- fn;
+  Q.push q s
 
 let link_key src dst = (src lsl 32) lor (dst land 0xffff_ffff)
 
 (* An immune link is FIFO: a delivery is never scheduled before the
    link's previous one (equal times keep send order by [seq]). *)
-let fifo t ~src ~dst time =
+let[@inline] fifo t ~src ~dst time =
   match Hashtbl.find t.links (link_key src dst) with
   | l ->
-    l.last <- Float.max time l.last;
-    l.last
+    if time > l.v then l.v <- time;
+    l.v
   | exception Not_found ->
-    Hashtbl.replace t.links (link_key src dst) { last = time };
+    Hashtbl.replace t.links (link_key src dst) { v = time };
     time
 
 let severed t src dst =
@@ -192,11 +276,8 @@ let severed t src dst =
 
 (* When a delivery sent now arrives.  Drawn for every link, immune or
    not, so the RNG stream does not depend on which links are. *)
-let arrival t =
-  let f = t.faults in
-  t.clock
-  +. (f.min_delay
-     +. Random.State.float t.rng (f.max_delay -. f.min_delay +. epsilon_float))
+let[@inline] arrival t =
+  t.clock.v +. (t.faults.min_delay +. Random.State.float t.rng t.span)
 
 let drop t ~src ~dst reason =
   Metrics.incr t.c.m_dropped;
@@ -225,7 +306,7 @@ let send t ~src ~dst msg =
       let time = arrival t in
       schedule t
         (if immune then fifo t ~src ~dst time else time)
-        (Deliver { src; dst; msg });
+        ~src ~dst msg Q.no_fn;
       (match t.trace with
        | None -> ()
        | Some tr ->
@@ -236,13 +317,13 @@ let send t ~src ~dst msg =
       then begin
         Metrics.incr t.c.m_duplicated;
         Metrics.incr t.c.m_sent;
-        schedule t (arrival t) (Deliver { src; dst; msg })
+        schedule t (arrival t) ~src ~dst msg Q.no_fn
       end
     end
   end
 
 let set_timer t ~node ~delay f =
-  schedule t (t.clock +. delay) (Timer { node; f })
+  schedule t (t.clock.v +. delay) ~src:timer_src ~dst:node Q.no_msg f
 
 let transport t =
   {
@@ -268,40 +349,47 @@ let crash_amnesia t node =
 let on_restart t node f = Hashtbl.replace t.recovery node f
 
 (* A due timer of a live node (or an [at] callback, node -1) runs now;
-   one of a paused node waits for its restart. *)
-let timer t e =
-  match e.ev with
-  | Deliver _ -> ()
-  | Timer { node; _ } when node <> -1 && Hashtbl.mem t.dead node ->
+   one of a paused node keeps its slot and waits for its restart. *)
+let timer t s =
+  let q = t.q in
+  let node = q.Q.dst.(s) in
+  if node <> -1 && Hashtbl.mem t.dead node then
     Hashtbl.replace t.paused node
-      (e :: Option.value ~default:[] (Hashtbl.find_opt t.paused node))
-  | Timer { node; f } ->
+      (s :: Option.value ~default:[] (Hashtbl.find_opt t.paused node))
+  else begin
+    let f = q.Q.fn.(s) in
+    Q.release q s;
     Metrics.incr t.c.m_timer_fires;
     (match t.trace with
      | None -> ()
      | Some tr -> record tr t (Trace.Timer_fire { node }));
     f ()
+  end
 
 (* Drop every timer [node] armed, still queued or already [due], and
    count each in [timers_dropped]: the incarnation that armed it is
    over. *)
 let drop_timers t node due =
-  let queued = Array.sub t.heap.Heap.a 0 t.heap.Heap.n in
-  t.heap.Heap.n <- 0;
+  let q = t.q in
+  let dropped s =
+    Metrics.incr t.c.m_timers_dropped;
+    Q.release q s
+  in
+  let queued = Array.sub q.Q.heap 0 q.Q.n in
+  q.Q.n <- 0;
   Array.iter
-    (fun e ->
-      match e.ev with
-      | Timer { node = n; _ } when n = node ->
-        Metrics.incr t.c.m_timers_dropped
-      | _ -> Heap.push t.heap e)
+    (fun s ->
+      if q.Q.src.(s) = timer_src && q.Q.dst.(s) = node then dropped s
+      else Q.push q s)
     queued;
-  Metrics.add t.c.m_timers_dropped (List.length due)
+  List.iter dropped due
 
 let restart t node =
   Hashtbl.remove t.dead node;
+  let seq = t.q.Q.seq in
   let due =
     Option.value ~default:[] (Hashtbl.find_opt t.paused node)
-    |> List.sort (fun a b -> Int.compare a.seq b.seq)
+    |> List.sort (fun a b -> Int.compare seq.(a) seq.(b))
   in
   Hashtbl.remove t.paused node;
   if Hashtbl.mem t.amnesiac node then begin
@@ -324,14 +412,22 @@ let partition t a b = t.cut <- Some (a, b)
 let heal t = t.cut <- None
 
 let at t time f =
+  let clock = t.clock.v in
   schedule t
-    (t.clock +. Float.max 0.0 (time -. t.clock))
-    (Timer { node = -1; f })
+    (clock +. Float.max 0.0 (time -. clock))
+    ~src:timer_src ~dst:(-1) Q.no_msg f
 
-let execute t ({ time; ev; _ } as e) =
-  t.clock <- Float.max t.clock time;
-  match ev with
-  | Deliver { src; dst; msg } ->
+(* Run the event in slot [s], which has left the heap.  A delivery's
+   slot is free again before its handler runs. *)
+let execute t s =
+  let q = t.q in
+  let time = Float.Array.get q.Q.time s in
+  if time > t.clock.v then t.clock.v <- time;
+  let src = q.Q.src.(s) in
+  if src = timer_src then timer t s
+  else begin
+    let dst = q.Q.dst.(s) and msg = q.Q.msg.(s) in
+    Q.release q s;
     if Hashtbl.mem t.dead dst then drop t ~src ~dst "dead"
     else begin
       match Hashtbl.find t.handlers dst with
@@ -345,34 +441,29 @@ let execute t ({ time; ev; _ } as e) =
         h ~src msg
       | exception Not_found -> drop t ~src ~dst "no-handler"
     end
-  | Timer _ -> timer t e
+  end
 
 let peek t =
-  if t.heap.Heap.n = 0 then None
+  let q = t.q in
+  if q.Q.n = 0 then None
   else
-    match t.heap.Heap.a.(0).ev with
-    | Deliver { dst; msg; _ } -> Some (dst, Some msg)
-    | Timer { node; _ } -> Some (node, None)
+    let s = q.Q.heap.(0) in
+    if q.Q.src.(s) = timer_src then Some (q.Q.dst.(s), None)
+    else Some (q.Q.dst.(s), Some q.Q.msg.(s))
 
 let step t =
-  let e = Heap.pop t.heap in
-  if e == Heap.dummy then false
+  let s = Q.pop t.q in
+  if s < 0 then false
   else begin
-    execute t e;
+    execute t s;
     true
   end
 
 (* Controlled stepping: a schedule explorer wants to pick *which*
    pending event fires next rather than always taking the earliest.
-   [sorted_entries] snapshots the queue in canonical (time, seq) order
-   — the same total order {!step} drains it in — so an index into the
+   [Q.sorted] snapshots the queue in canonical (time, seq) order — the
+   same total order {!step} drains it in — so an index into the
    snapshot names an event deterministically. *)
-let sorted_entries t =
-  let a = Array.sub t.heap.Heap.a 0 t.heap.Heap.n in
-  Array.sort
-    (fun x y -> if Heap.lt x y then -1 else if Heap.lt y x then 1 else 0)
-    a;
-  a
 
 type pending_ev = {
   idx : int;
@@ -387,6 +478,7 @@ type pending_ev = {
 (* Only the oldest delivery of each immune link is offered: the link
    is FIFO, and in (time, seq) order its oldest comes first. *)
 let pending t =
+  let q = t.q in
   let heads = Hashtbl.create 8 in
   let offered p =
     p.timer
@@ -395,25 +487,38 @@ let pending t =
        && (Hashtbl.replace heads (link_key p.src p.dst) ();
            true)
   in
-  sorted_entries t |> Array.to_list
-  |> List.mapi (fun idx e ->
-         let timer, src, dst, info =
-           match e.ev with
-           | Deliver { src; dst; msg } ->
-             (false, src, dst, lazy (Fmt.str "%a" Wire.pp msg))
-           | Timer { node; _ } -> (true, node, node, lazy "timer")
+  Q.sorted q |> Array.to_list
+  |> List.mapi (fun idx s ->
+         let timer = q.Q.src.(s) = timer_src and dst = q.Q.dst.(s) in
+         let src, info =
+           if timer then (dst, lazy "timer")
+           else
+             let msg = q.Q.msg.(s) in
+             (q.Q.src.(s), lazy (Fmt.str "%a" Wire.pp msg))
          in
-         { idx; seq = e.seq; time = e.time; timer; src; dst; info })
+         {
+           idx;
+           seq = q.Q.seq.(s);
+           time = Float.Array.get q.Q.time s;
+           timer;
+           src;
+           dst;
+           info;
+         })
   |> List.filter offered
 
 let fire t i =
-  let a = sorted_entries t in
-  if i < 0 || i >= Array.length a then false
+  let q = t.q in
+  let a = Q.sorted q in
+  let n = Array.length a in
+  if i < 0 || i >= n then false
   else begin
-    (* Rebuild the heap without the chosen entry, then execute it.
-       O(n log n), fine for the small configurations explorers use. *)
-    t.heap.Heap.n <- 0;
-    Array.iteri (fun j e -> if j <> i then Heap.push t.heap e) a;
+    (* The snapshot less the chosen event is sorted, hence a heap: it
+       becomes the queue, then the event runs.  O(n log n) for the
+       sort, fine for the small configurations explorers use. *)
+    Array.blit a 0 q.Q.heap 0 i;
+    Array.blit a (i + 1) q.Q.heap i (n - i - 1);
+    q.Q.n <- n - 1;
     execute t a.(i);
     true
   end

@@ -2584,6 +2584,403 @@ let sim_pause_defers_timers () =
   Alcotest.(check int) "nothing dropped" 0
     (dropped ())
 
+(* ------------------------------------------------------------------ *)
+(* The slot-array Sim_net against the entry-record one it replaced     *)
+(* (test/sim_net_oracle.ml), driven by one random script of sends,     *)
+(* timers, faults, steps and out-of-order fires.                       *)
+
+type sim_cmd =
+  | Send of int * int * int  (* src, dst, hops left to forward *)
+  | Set_timer of int * float * int  (* node, delay, id *)
+  | At of float * int  (* offset from now, id *)
+  | Crash of int
+  | Amnesia of int
+  | Restart of int
+  | Partition of int list * int list
+  | Heal
+  | Step
+  | Fire of int  (* a random index, of the snapshot or past its end *)
+
+let pp_sim_cmd ppf = function
+  | Send (s, d, h) -> Fmt.pf ppf "send %d->%d hops %d" s d h
+  | Set_timer (n, d, id) -> Fmt.pf ppf "timer node %d delay %g id %d" n d id
+  | At (o, id) -> Fmt.pf ppf "at now%+g id %d" o id
+  | Crash n -> Fmt.pf ppf "crash %d" n
+  | Amnesia n -> Fmt.pf ppf "crash_amnesia %d" n
+  | Restart n -> Fmt.pf ppf "restart %d" n
+  | Partition (a, b) ->
+    Fmt.pf ppf "partition %a | %a" Fmt.(Dump.list int) a Fmt.(Dump.list int) b
+  | Heal -> Fmt.pf ppf "heal"
+  | Step -> Fmt.pf ppf "step"
+  | Fire i -> Fmt.pf ppf "fire %d" i
+
+type sim_script = {
+  nodes : int;
+  lossy : (float * float) option;  (* drop, duplicate *)
+  immune_pairs : int;  (* bit [src * 6 + dst] marks the link immune *)
+  net_seed : int;
+  cmds : sim_cmd list;
+}
+
+let pp_sim_script ppf s =
+  Fmt.pf ppf "@[<v>%d nodes, %a, immune mask %#x, seed %d@,%a@]" s.nodes
+    Fmt.(
+      option ~none:(any "reliable") (fun ppf (d, u) ->
+          pf ppf "lossy drop %g dup %g" d u))
+    s.lossy s.immune_pairs s.net_seed
+    Fmt.(list ~sep:cut pp_sim_cmd)
+    s.cmds
+
+let build_sim_script seed =
+  let rng = Random.State.make [| seed; 0x51 |] in
+  let int n = Random.State.int rng n in
+  let nodes = 4 + int 3 in
+  let node () = int nodes in
+  let pick l = List.nth l (int (List.length l)) in
+  (* delays from a small set, so that many events tie on time *)
+  let delay () = pick [ 0.0; 0.5; 1.0; 1.0; 1.25; 2.0; 3.0 ] in
+  let id = ref 0 in
+  let next () =
+    incr id;
+    !id
+  in
+  let cmd () =
+    match int 100 with
+    | r when r < 30 -> Send (node (), node (), int 3)
+    | r when r < 52 -> Step
+    | r when r < 62 -> Fire (int 12)
+    | r when r < 72 -> Set_timer (node (), delay (), next ())
+    | r when r < 77 -> At (pick [ -1.0; 0.0; 0.5; 1.0; 2.5 ], next ())
+    | r when r < 82 -> Crash (node ())
+    | r when r < 86 -> Amnesia (node ())
+    | r when r < 93 -> Restart (node ())
+    | r when r < 97 ->
+      let side = List.init nodes (fun _ -> Random.State.bool rng) in
+      let group b =
+        List.filteri (fun i _ -> List.nth side i = b) (List.init nodes Fun.id)
+      in
+      Partition (group true, group false)
+    | _ -> Heal
+  in
+  {
+    nodes;
+    lossy =
+      (if Random.State.bool rng then None
+       else Some (pick [ 0.0; 0.1; 0.3 ], pick [ 0.0; 0.1; 0.3 ]));
+    immune_pairs =
+      (let bits () = Random.State.bits rng lor (Random.State.bits rng lsl 30) in
+       bits () land bits ());
+    net_seed = int 1000;
+    cmds = List.init (40 + int 60) (fun _ -> cmd ());
+  }
+
+(* What the nodes' handlers, timers and hooks saw. *)
+type sim_seen =
+  | Got of int * int * int * int  (* node, src, rid, hops *)
+  | Fired of int * int  (* node, timer id *)
+  | Called of int  (* [at] id *)
+  | Recovered of int
+
+(* One simulator behind the script's interface, and what is compared. *)
+type sim_face = {
+  f_send : src:int -> dst:int -> W.msg -> unit;
+  f_set_timer : node:int -> delay:float -> (unit -> unit) -> unit;
+  f_at : float -> (unit -> unit) -> unit;
+  f_now : unit -> float;
+  f_crash : int -> unit;
+  f_amnesia : int -> unit;
+  f_restart : int -> unit;
+  f_partition : int list -> int list -> unit;
+  f_heal : unit -> unit;
+  f_step : unit -> bool;
+  f_fire : int -> bool;
+  f_register : int -> (src:int -> W.msg -> unit) -> unit;
+  f_on_restart : int -> (unit -> unit) -> unit;
+  f_pending : unit -> (int * int * float * bool * int * int * string) list;
+  f_peek : unit -> (int * W.msg option) option;
+  f_stats : unit -> int * int * int * int * int;
+  f_alive : int -> bool;
+  f_counters : unit -> (string * int) list;
+}
+
+let immune_of s ~src ~dst = s.immune_pairs land (1 lsl ((src * 6) + dst)) <> 0
+
+(* What [sim_face] needs of a simulator; both have it. *)
+module type SIM = sig
+  type faults = {
+    drop : float;
+    duplicate : float;
+    min_delay : float;
+    max_delay : float;
+    immune : src:int -> dst:int -> bool;
+  }
+
+  type stats = {
+    delivered : int;
+    dropped : int;
+    duplicated : int;
+    blocked : int;
+    timer_fires : int;
+  }
+
+  type pending_ev = {
+    idx : int;
+    seq : int;
+    time : float;
+    timer : bool;
+    src : int;
+    dst : int;
+    info : string Lazy.t;
+  }
+
+  type t
+
+  val reliable : faults
+
+  val lossy :
+    ?drop:float ->
+    ?duplicate:float ->
+    ?min_delay:float ->
+    ?max_delay:float ->
+    unit ->
+    faults
+
+  val create :
+    seed:int -> faults:faults -> ?metrics:Net.Metrics.t -> ?trace:Net.Trace.t ->
+    unit -> t
+
+  val transport : t -> Net.Transport.t
+  val register : t -> int -> (src:int -> W.msg -> unit) -> unit
+  val crash : t -> int -> unit
+  val crash_amnesia : t -> int -> unit
+  val on_restart : t -> int -> (unit -> unit) -> unit
+  val restart : t -> int -> unit
+  val alive : t -> int -> bool
+  val partition : t -> int list -> int list -> unit
+  val heal : t -> unit
+  val at : t -> float -> (unit -> unit) -> unit
+  val step : t -> bool
+  val peek : t -> (int * W.msg option) option
+  val pending : t -> pending_ev list
+  val fire : t -> int -> bool
+  val stats : t -> stats
+end
+
+module Face (S : SIM) = struct
+  let make s =
+    let faults =
+      match s.lossy with
+      | None -> S.reliable
+      | Some (drop, duplicate) -> S.lossy ~drop ~duplicate ()
+    in
+    let metrics = Net.Metrics.create () in
+    let net =
+      S.create ~seed:s.net_seed ~faults:{ faults with S.immune = immune_of s }
+        ~metrics ()
+    in
+    let tr = S.transport net in
+    {
+      f_send = tr.Net.Transport.send;
+      f_set_timer = tr.Net.Transport.set_timer;
+      f_at = S.at net;
+      f_now = tr.Net.Transport.now;
+      f_crash = S.crash net;
+      f_amnesia = S.crash_amnesia net;
+      f_restart = S.restart net;
+      f_partition = S.partition net;
+      f_heal = (fun () -> S.heal net);
+      f_step = (fun () -> S.step net);
+      f_fire = S.fire net;
+      f_register = S.register net;
+      f_on_restart = S.on_restart net;
+      f_pending =
+        (fun () ->
+          List.map
+            (fun (p : S.pending_ev) ->
+              (p.idx, p.seq, p.time, p.timer, p.src, p.dst, Lazy.force p.info))
+            (S.pending net));
+      f_peek = (fun () -> S.peek net);
+      f_stats =
+        (fun () ->
+          let st = S.stats net in
+          ( st.delivered,
+            st.dropped,
+            st.duplicated,
+            st.blocked,
+            st.timer_fires ));
+      f_alive = S.alive net;
+      f_counters = (fun () -> Net.Metrics.counters metrics);
+    }
+end
+
+module Real_face = Face (Net.Sim_net)
+module Oracle_face = Face (Sim_net_oracle)
+
+(* Install the script's nodes on [f] and return its command runner and
+   its log of what the nodes saw, latest first.  A delivery with hops
+   left is forwarded to the next node, a timer whose id is a multiple
+   of 5 crashes its own node, and one whose id is a multiple of 3
+   re-arms once: handlers send, arm and crash reentrantly. *)
+let sim_drive s f =
+  let seen = ref [] in
+  let rec handler node ~src msg =
+    match msg with
+    | W.Query { rid; reg = hops } ->
+      seen := Got (node, src, rid, hops) :: !seen;
+      if hops > 0 then
+        f.f_send ~src:node ~dst:((node + 1) mod s.nodes)
+          (W.Query { rid; reg = hops - 1 })
+    | _ -> ()
+  and timer node id () =
+    seen := Fired (node, id) :: !seen;
+    if id mod 5 = 0 then f.f_crash node;
+    if id mod 3 = 0 then f.f_set_timer ~node ~delay:1.0 (timer node (id + 1))
+  in
+  for node = 0 to s.nodes - 1 do
+    f.f_register node (handler node);
+    f.f_on_restart node (fun () ->
+        seen := Recovered node :: !seen;
+        f.f_register node (handler node))
+  done;
+  let rid = ref 0 in
+  let run = function
+    | Send (src, dst, hops) ->
+      incr rid;
+      f.f_send ~src ~dst (W.Query { rid = !rid; reg = hops });
+      true
+    | Set_timer (node, delay, id) ->
+      f.f_set_timer ~node ~delay (timer node id);
+      true
+    | At (offset, id) ->
+      f.f_at (f.f_now () +. offset) (fun () -> seen := Called id :: !seen);
+      true
+    | Crash n -> f.f_crash n; true
+    | Amnesia n -> f.f_amnesia n; true
+    | Restart n -> f.f_restart n; true
+    | Partition (a, b) -> f.f_partition a b; true
+    | Heal -> f.f_heal (); true
+    | Step -> f.f_step ()
+    | Fire i ->
+      (* most picks name an offered event; index 10 may name a held-back
+         delivery of an immune link or fall past the queue, 11 is out of
+         range *)
+      let offered =
+        List.map (fun (idx, _, _, _, _, _, _) -> idx) (f.f_pending ())
+      in
+      let n = List.length offered in
+      f.f_fire
+        (if i < 10 && n > 0 then List.nth offered (i mod n)
+         else if i = 10 then n + 2
+         else -1)
+  in
+  (run, seen)
+
+let sim_observe s f seen =
+  ( !seen,
+    f.f_pending (),
+    f.f_peek (),
+    f.f_now (),
+    f.f_stats (),
+    List.init s.nodes f.f_alive,
+    f.f_counters () )
+
+let sim_matches_oracle seed =
+  let s = build_sim_script seed in
+  let real = Real_face.make s and oracle = Oracle_face.make s in
+  let run_real, seen_real = sim_drive s real
+  and run_oracle, seen_oracle = sim_drive s oracle in
+  let check what got want =
+    if
+      got <> want
+      || sim_observe s real seen_real <> sim_observe s oracle seen_oracle
+    then
+      QCheck2.Test.fail_reportf "differs from the oracle after %s on:@.%a" what
+        pp_sim_script s
+  in
+  List.iteri
+    (fun i c ->
+      let got = run_real c and want = run_oracle c in
+      check (Fmt.str "command %d (%a)" i pp_sim_cmd c) got want)
+    s.cmds;
+  (* then drain, so paused and partitioned leftovers are compared too *)
+  for n = 0 to s.nodes - 1 do
+    real.f_restart n;
+    oracle.f_restart n;
+    check (Fmt.str "restarting node %d" n) true true
+  done;
+  let steps = ref 0 and more = ref true in
+  while !more && !steps < 2_000 do
+    incr steps;
+    let got = real.f_step () and want = oracle.f_step () in
+    check (Fmt.str "drain step %d" !steps) got want;
+    more := got
+  done;
+  true
+
+let sim_oracle_property =
+  qc ~count:600 "sim: the slot queue matches the entry-record oracle"
+    Gen.int sim_matches_oracle
+
+(* The simulator's own share of a message: a send on a reliable link
+   allocates only the RNG's boxed delay draw (12 words while the queue
+   kept entry records). *)
+let sim_send_words () =
+  let n = 2_000 in
+  let net = Net.Sim_net.create ~seed:1 ~faults:Net.Sim_net.reliable () in
+  let tr = Net.Sim_net.transport net in
+  Net.Sim_net.register net 1 (fun ~src:_ _ -> ());
+  let msg = W.Query { rid = 0; reg = 0 } in
+  let send _ = tr.Net.Transport.send ~src:0 ~dst:1 msg in
+  (* grow the queue to [n] slots first, then free them *)
+  for i = 1 to n do
+    send i
+  done;
+  ignore (Net.Sim_net.run net);
+  let words = words_per_call ~warmup:100 ~n send in
+  Alcotest.(check bool)
+    (Fmt.str "words per send (%.2f) at most the draw's 2" words)
+    true (words <= 2.0)
+
+(* A timer costs its caller's closure and nothing else: arming it
+   fills a slot, firing it frees the slot (9 words with entry
+   records). *)
+let sim_timer_words () =
+  let net = Net.Sim_net.create ~seed:1 ~faults:Net.Sim_net.reliable () in
+  let tr = Net.Sim_net.transport net in
+  let fire () = () in
+  let words =
+    words_per_call ~warmup:100 ~n:2_000 (fun _ ->
+        tr.Net.Transport.set_timer ~node:1 ~delay:1.0 fire;
+        ignore (Net.Sim_net.step net))
+  in
+  Alcotest.(check (float 0.0)) "words per timer armed and fired" 0.0 words
+
+(* A [?history] server records each event into three flat arrays that
+   double when full; past a few hundred events every growth is one
+   major-heap block per array, so recording allocates no minor word
+   (9 per event while the history was a list of tuples). *)
+let server_history_words () =
+  let n = 2_000 in
+  let run history =
+    let sv =
+      Net.Server.create ~transport:Net.Transport.null ~member:(solo_member ())
+        ~me:engine_node ~replicas:[ 0; 1; 2 ] ~init:0 ~history ()
+    in
+    let cl = Net.Transport.client 2 in
+    Net.Server.on_message sv ~src:cl (W.Hello { proc = 2 });
+    let reqs =
+      Array.init n (fun key -> W.Req { seq = key; op = W.Read_k { key } })
+    in
+    let words =
+      words_per_call ~warmup:300 ~n (fun i ->
+          Net.Server.on_message sv ~src:cl reqs.(i))
+    in
+    (words, List.length (Net.Server.history sv))
+  in
+  let plain, _ = run false and kept, events = run true in
+  Alcotest.(check int) "one invocation recorded per read" n events;
+  Alcotest.(check (float 0.0)) "words per recorded event" 0.0 (kept -. plain)
+
 let suite =
   [
     tc "wire: reject garbage" wire_rejects_garbage;
@@ -2685,6 +3082,12 @@ let suite =
       sim_pause_defers_timers;
     tc "cork: a turn to 200 peers ships in order and allocates nothing"
       (cork_fan_out 200);
+    tc "sim: a send on a reliable link allocates only the delay draw"
+      sim_send_words;
+    tc "sim: a timer armed and fired allocates nothing" sim_timer_words;
+    tc "server: recording a history event allocates no minor word"
+      server_history_words;
+    sim_oracle_property;
   ]
 
 let slow_suite =
