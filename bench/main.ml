@@ -826,6 +826,140 @@ let sim_alloc_table () =
   Json.metric ~section:"net-alloc" "Sim_net words per message" message;
   Json.metric ~section:"net-alloc" "Sim_net words per timer" timer
 
+(* The per-op rows of the table above, taken apart: one op's program,
+   one ABD phase and the server's own bookkeeping, each measured alone
+   after a warm-up that fills every histogram's reservoir.
+   - program: a Bloom program stepped to its end in a bare loop that
+     feeds each read from a fixed array;
+   - phase: an engine over three replicas on a null transport, one
+     read (write) plus its window's two replies (acks), built
+     beforehand;
+   - server op: a reader's [Req] read of a key it read before, on an
+     unaudited core over a transport that hands the engine's queries
+     back, answered from replies built beforehand.  Its bookkeeping is
+     what is left once the program and its three read phases are taken
+     off: the op's events, its [Resp] and the core's own records. *)
+let op_path_alloc_table () =
+  let warmup = 3_000 and n = 13_000 in
+  let per_call f =
+    for i = 0 to warmup - 1 do
+      f i
+    done;
+    let w0 = Gc.minor_words () in
+    for i = warmup to n - 1 do
+      f i
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int (n - warmup)
+  in
+  let feed = Array.init 4 (fun i -> Registers.Tagged.make i (i land 1 = 1)) in
+  let rec drive i = function
+    | Registers.Vm.Ret _ -> ()
+    | Registers.Vm.Read (_, k) -> drive (i + 1) (k feed.(i land 3))
+    | Registers.Vm.Write (_, _, k) -> drive i (k ())
+  in
+  let programs =
+    [ ("cached_write_prog", per_call (fun i ->
+           drive i (Core.Protocol.cached_write_prog ~proc:(i land 1) i)));
+      ("cached_read_prog proc 0", per_call (fun i ->
+           drive i (Core.Protocol.cached_read_prog ~proc:0)));
+      ("cached_read_prog proc 1", per_call (fun i ->
+           drive i (Core.Protocol.cached_read_prog ~proc:1)));
+      ("read_prog", per_call (fun i -> drive i (Core.Protocol.read_prog ()))) ]
+  in
+  let phase start reply =
+    let q =
+      Net.Quorum.create ~transport:Net.Transport.null
+        ~me:Net.Transport.server ~replicas:[ 0; 1; 2 ] ()
+    in
+    let replies = Array.init n reply in
+    per_call (fun rid ->
+        start q;
+        Net.Quorum.on_message q ~src:(rid mod 3) replies.(rid);
+        Net.Quorum.on_message q ~src:((rid + 1) mod 3) replies.(rid))
+  in
+  let pl = Registers.Tagged.make 0 false in
+  let read_phase =
+    phase
+      (fun q -> Net.Quorum.read q ~reg:0 ~k:ignore)
+      (fun rid -> Net.Wire.Query_reply { rid; reg = 0; ts = 0; pl })
+  and write_phase =
+    phase
+      (fun q -> Net.Quorum.write q ~reg:1 ~value:pl ~k:ignore)
+      (fun rid -> Net.Wire.Store_ack { rid; reg = 1 })
+  in
+  let server_op =
+    let qdst = Array.make 8 0 and qrid = Array.make 8 0 and nq = ref 0 in
+    let tr =
+      {
+        Net.Transport.null with
+        Net.Transport.send =
+          (fun ~src:_ ~dst msg ->
+            match msg with
+            | Net.Wire.Query { rid; _ } ->
+              qdst.(!nq) <- dst;
+              qrid.(!nq) <- rid;
+              incr nq
+            | _ -> ());
+      }
+    in
+    let sv =
+      Net.Server.create ~transport:tr ~audit:false
+        ~member:
+          {
+            Net.Server.worker = 0;
+            domains = 1;
+            txns = Net.Txn.create ~init:0 ();
+            post = (fun f -> f ());
+          }
+        ~me:Net.Transport.server ~replicas:[ 0; 1; 2 ] ~init:0 ()
+    in
+    let cl = Net.Transport.client 2 in
+    Net.Server.on_message sv ~src:cl (Net.Wire.Hello { proc = 2 });
+    let reqs =
+      Array.init n (fun seq ->
+          Net.Wire.Req { seq; op = Net.Wire.Read_k { key = 0 } })
+    and replies =
+      Array.init (3 * n) (fun rid ->
+          Net.Wire.Query_reply { rid; reg = 0; ts = 0; pl })
+    in
+    let words =
+      per_call (fun seq ->
+          Net.Server.on_message sv ~src:cl reqs.(seq);
+          while !nq > 0 do
+            decr nq;
+            Net.Server.on_message sv ~src:qdst.(!nq) replies.(qrid.(!nq))
+          done)
+    in
+    if Net.Server.ops_served sv <> n then
+      Fmt.failwith "net-alloc: %d of %d server reads answered"
+        (Net.Server.ops_served sv) n;
+    words
+  in
+  let bookkeeping =
+    server_op -. List.assoc "read_prog" programs -. (3.0 *. read_phase)
+  in
+  Fmt.pr "  one op's layers, minor words:@.";
+  List.iter
+    (fun (name, w) ->
+      Fmt.pr "  %-40s %9.1f@." ("program " ^ name) w;
+      Json.metric ~section:"net-alloc"
+        (Fmt.str "program %s words per op" name)
+        w)
+    programs;
+  List.iter
+    (fun (label, name, w) ->
+      Fmt.pr "  %-40s %9.1f@." label w;
+      Json.metric ~section:"net-alloc" name w)
+    [ ("ABD read phase (2 replies)", "ABD read phase words per phase",
+       read_phase);
+      ("ABD write phase (2 acks)", "ABD write phase words per phase",
+       write_phase);
+      ("server Req read (3 phases, unaudited)", "server Req read words per op",
+       server_op);
+      ("server op bookkeeping", "server op bookkeeping words per op",
+       bookkeeping) ];
+  Fmt.pr "  (bookkeeping = server Req read - read_prog - 3 read phases)@.@."
+
 let bench_net_alloc () =
   section "net-alloc - minor words per op by receiving role and message";
   (* the shape of bench/e2e's sim-durable workload: ABD, 3 replicas,
@@ -934,6 +1068,7 @@ let bench_net_alloc () =
     Fmt.failwith "net-alloc: the replayed audit flagged %d events" !violations;
   Fmt.pr "  %-37s %11.1f@.@." "server audit words per op" audit;
   Json.metric ~section:"net-alloc" "server audit words per op" audit;
+  op_path_alloc_table ();
   sim_alloc_table ();
   wire_alloc_table ();
   socket_alloc_table ()

@@ -55,31 +55,44 @@ let pp_access_summary ppf s =
 module Reservoir = struct
   (* [acc] holds the running sum and maximum: a float array stores
      them unboxed, where a mutable float field of this mixed record
-     would box a fresh float on every [add] *)
+     would box a fresh float on every [add].  [buf] starts small and
+     doubles up to [cap] as observations arrive, so a reservoir that
+     sees few of them costs little: the simulator builds a dozen per
+     run, and the explorer one run per schedule. *)
   type t = {
-    buf : float array;
+    mutable buf : float array;
     cap : int;
     rng : Random.State.t;
     mutable n : int;  (* total observations offered *)
     acc : float array;  (* [| sum; max |] *)
   }
 
+  let initial = 16
+
   let create ?(capacity = 2048) ~seed () =
     if capacity <= 0 then invalid_arg "Stats.Reservoir.create: capacity";
     {
-      buf = Array.make capacity 0.0;
+      buf = Array.make (min capacity initial) 0.0;
       cap = capacity;
       rng = Random.State.make [| seed; 0x7265731b |];
       n = 0;
       acc = [| 0.0; neg_infinity |];
     }
 
+  let grow r =
+    let buf = Array.make (min r.cap (2 * Array.length r.buf)) 0.0 in
+    Array.blit r.buf 0 buf 0 r.n;
+    r.buf <- buf
+
   (* Vitter's algorithm R: after n observations each one is retained
      with probability cap/n, so the kept samples are a uniform sample
      of the whole stream and percentiles stay unbiased however long
      the run. *)
   let add r x =
-    if r.n < r.cap then r.buf.(r.n) <- x
+    if r.n < r.cap then begin
+      if r.n = Array.length r.buf then grow r;
+      r.buf.(r.n) <- x
+    end
     else begin
       (* [full_int]: draws as [int] does below 2^30, and past it does
          not raise, so [add] never raises (callers hold a lock) *)

@@ -1,30 +1,44 @@
-(* [reached] is the set of replica indices (a bitmask over [reps]) the
+(* Pending phases live in slot arrays: slot [i]'s fields sit at index
+   [i] of the arrays below, and a finished phase's slot goes back on a
+   free stack, so starting a phase allocates nothing once the arrays
+   have grown to the engine's peak of phases in flight.  [pending] maps
+   a phase's rid to its slot; [resend_pending] visits the phases in
+   its order.
+
+   [reached] is the set of replica indices (a bitmask over [reps]) the
    phase has been sent to: its first window, then every replica once
-   {!resend_pending} widens it.  [answered]/[acked] is the set that has
-   replied, [count] its size, so a duplicate reply is a bit test.  A
-   collect keeps only the freshest pair so far: a reply whose timestamp
-   ties it replaces it, so the newest reply wins a tie. *)
-type phase =
-  | Collect of {
-      reg : int;
-      born : float;
-      mutable reached : int;
-      mutable answered : int;
-      mutable count : int;
-      mutable best_ts : int;
-      mutable best_pl : Wire.payload;
-      finish : int * Wire.payload -> unit;
-    }
-  | Store_p of {
-      reg : int;
-      born : float;
-      ts : int;
-      pl : Wire.payload;
-      mutable reached : int;
-      mutable acked : int;
-      mutable count : int;
-      finish : unit -> unit;
-    }
+   {!resend_pending} widens it.  [got] is the set that has replied
+   (answered a collect, acked a store), [count] its size, so a
+   duplicate reply is a bit test.  A collect keeps only the freshest
+   pair so far in [ts]/[pl]: a reply whose timestamp ties it replaces
+   it, so the newest reply wins a tie.  A store's [ts]/[pl] is the pair
+   it installs.
+
+   What runs at completion is the slot's kind.  A read's collect keeps
+   the read's own continuation in [rk] and decides its write-back
+   inline; a write-back store hands its pair to the same [rk]. *)
+type kind =
+  | Free
+  | Read  (* a read's collect: [rk], after a write-back if needed *)
+  | Read_ts  (* a bare collect: [tk] *)
+  | Store  (* a write or [write_at]: [uk] *)
+  | Write_back  (* a read's write-back: [rk] *)
+
+type slots = {
+  mutable kind : kind array;
+  mutable reg : int array;
+  mutable born : Float.Array.t;
+  mutable reached : int array;
+  mutable got : int array;
+  mutable count : int array;
+  mutable ts : int array;
+  mutable pl : Wire.payload array;
+  mutable rk : (Wire.payload -> unit) array;
+  mutable uk : (unit -> unit) array;
+  mutable tk : (int * Wire.payload -> unit) array;
+  mutable free : int array;  (* a stack of free slots *)
+  mutable nfree : int;
+}
 
 (* Per register: the highest timestamp this engine has issued (the
    floor every later write must exceed) and the highest timestamp whose
@@ -57,13 +71,22 @@ type t = {
   need : int;  (* first-window size: enough replies for any phase *)
   mutable suspected : int;  (* bitmask: missed a resend deadline *)
   skip_write_back : bool;
-  pending : (int, phase) Hashtbl.t;
+  pending : (int, int) Hashtbl.t;  (* rid -> slot *)
+  ph : slots;
   regs : (int, reg_ts) Hashtbl.t;  (* global reg -> its timestamps *)
   storage : Storage.t option;
   rid_stride : int;
   mutable next_rid : int;
   c : ctrs;
 }
+
+(* a collect's [pl] until its first reply replaces it, and a free
+   slot's *)
+let no_payload = Registers.Tagged.initial 0
+
+let no_rk (_ : Wire.payload) = ()
+let no_uk () = ()
+let no_tk (_ : int * Wire.payload) = ()
 
 let create ~transport ~me ~replicas ?read_quorum ?(skip_write_back = false)
     ?storage ?metrics ?(rid_base = 0) ?(rid_stride = 1) () =
@@ -120,6 +143,22 @@ let create ~transport ~me ~replicas ?read_quorum ?(skip_write_back = false)
     suspected = 0;
     skip_write_back;
     pending = Hashtbl.create 16;
+    ph =
+      {
+        kind = [||];
+        reg = [||];
+        born = Float.Array.create 0;
+        reached = [||];
+        got = [||];
+        count = [||];
+        ts = [||];
+        pl = [||];
+        rk = [||];
+        uk = [||];
+        tk = [||];
+        free = [||];
+        nfree = 0;
+      };
     regs;
     storage;
     rid_stride;
@@ -204,47 +243,97 @@ let entry t reg =
 let stable t reg =
   match Hashtbl.find t.regs reg with e -> e.stable | exception Not_found -> 0
 
-let start_store t ~reg ~ts ~pl ~finish =
-  let rid = fresh_rid t in
-  let born = t.tr.Transport.now () in
+(* Double every slot array, pushing the new slots on the free stack
+   (highest first, so the lowest is taken next). *)
+let grow p =
+  let n = Array.length p.kind in
+  let n' = max 4 (2 * n) in
+  let ext a fill =
+    let a' = Array.make n' fill in
+    Array.blit a 0 a' 0 n;
+    a'
+  in
+  p.kind <- ext p.kind Free;
+  p.reg <- ext p.reg 0;
+  let born = Float.Array.make n' 0.0 in
+  Float.Array.blit p.born 0 born 0 n;
+  p.born <- born;
+  p.reached <- ext p.reached 0;
+  p.got <- ext p.got 0;
+  p.count <- ext p.count 0;
+  p.ts <- ext p.ts 0;
+  p.pl <- ext p.pl no_payload;
+  p.rk <- ext p.rk no_rk;
+  p.uk <- ext p.uk no_uk;
+  p.tk <- ext p.tk no_tk;
+  p.free <- ext p.free 0;
+  for i = n' - 1 downto n do
+    p.free.(p.nfree) <- i;
+    p.nfree <- p.nfree + 1
+  done
+
+(* A slot for fresh phase [rid] of [kind] on [reg], with its first
+   window.  The caller sets the slot's continuation, then sends: a
+   zero-delay transport may complete the phase inside the send. *)
+let open_phase t kind ~rid ~reg ~ts ~pl =
+  let p = t.ph in
+  if p.nfree = 0 then grow p;
+  p.nfree <- p.nfree - 1;
+  let i = p.free.(p.nfree) in
+  p.kind.(i) <- kind;
+  p.reg.(i) <- reg;
+  Float.Array.set p.born i (t.tr.Transport.now ());
+  p.reached.(i) <- window t rid;
+  p.got.(i) <- 0;
+  p.count.(i) <- 0;
+  p.ts.(i) <- ts;
+  p.pl.(i) <- pl;
+  Hashtbl.replace t.pending rid i;
+  i
+
+(* Retire phase [rid] in slot [i]: its continuations and payload are
+   dropped, so a free slot keeps nothing alive. *)
+let close_phase t rid i =
+  let p = t.ph in
+  Hashtbl.remove t.pending rid;
+  p.kind.(i) <- Free;
+  p.pl.(i) <- no_payload;
+  p.rk.(i) <- no_rk;
+  p.uk.(i) <- no_uk;
+  p.tk.(i) <- no_tk;
+  p.free.(p.nfree) <- i;
+  p.nfree <- p.nfree + 1
+
+let send_store t ~rid i ~reg ~ts ~pl =
   Metrics.incr t.c.m_stores;
-  let reached = window t rid in
-  Hashtbl.replace t.pending rid
-    (Store_p { reg; born; ts; pl; reached; acked = 0; count = 0; finish });
-  send_mask t rid reached (Wire.Store { rid; reg; ts; pl })
+  send_mask t rid t.ph.reached.(i) (Wire.Store { rid; reg; ts; pl })
 
-(* a collect's [best_pl] until its first reply replaces it *)
-let no_payload = Registers.Tagged.initial 0
-
-let start_collect t ~reg ~finish =
+let start_store t ~reg ~ts ~pl ~k =
   let rid = fresh_rid t in
-  let born = t.tr.Transport.now () in
-  let reached = window t rid in
-  Hashtbl.replace t.pending rid
-    (Collect
-       {
-         reg;
-         born;
-         reached;
-         answered = 0;
-         count = 0;
-         best_ts = min_int;
-         best_pl = no_payload;
-         finish;
-       });
-  send_mask t rid reached (Wire.Query { rid; reg })
+  let i = open_phase t Store ~rid ~reg ~ts ~pl in
+  t.ph.uk.(i) <- k;
+  send_store t ~rid i ~reg ~ts ~pl
+
+(* Write-back phase: install the freshest pair on a majority before the
+   read returns it, for reader-reader atomicity. *)
+let start_write_back t ~reg ~ts ~pl ~k =
+  let rid = fresh_rid t in
+  let i = open_phase t Write_back ~rid ~reg ~ts ~pl in
+  t.ph.rk.(i) <- k;
+  send_store t ~rid i ~reg ~ts ~pl
+
+let open_collect t kind ~rid ~reg =
+  open_phase t kind ~rid ~reg ~ts:min_int ~pl:no_payload
+
+let send_query t ~rid i ~reg =
+  send_mask t rid t.ph.reached.(i) (Wire.Query { rid; reg })
 
 let read t ~reg ~k =
   Metrics.incr t.c.m_queries;
-  let finish (ts, pl) =
-    (* write-back phase: install the freshest pair on a majority before
-       returning it, for reader-reader atomicity.  A pair whose store
-       this engine already saw complete is on a majority, so every later
-       collect sees it (or a newer one) without another round. *)
-    if ts = stable t reg || t.skip_write_back then k pl
-    else start_store t ~reg ~ts ~pl ~finish:(fun () -> k pl)
-  in
-  start_collect t ~reg ~finish
+  let rid = fresh_rid t in
+  let i = open_collect t Read ~rid ~reg in
+  t.ph.rk.(i) <- k;
+  send_query t ~rid i ~reg
 
 (* A bare collect: the freshest (ts, payload) a read quorum holds,
    with no write-back phase.  The reconfiguration coordinator uses it
@@ -253,7 +342,10 @@ let read t ~reg ~k =
    so doing another here would double the message cost. *)
 let read_ts t ~reg ~k =
   Metrics.incr t.c.m_queries;
-  start_collect t ~reg ~finish:k
+  let rid = fresh_rid t in
+  let i = open_collect t Read_ts ~rid ~reg in
+  t.ph.tk.(i) <- k;
+  send_query t ~rid i ~reg
 
 (* Install (ts, value) verbatim: the dual-write leg of a migration
    replays the primary engine's timestamp into the incoming group, so
@@ -266,7 +358,7 @@ let write_at t ~reg ~ts ~value ~k =
   Metrics.incr t.c.m_writes;
   let e = entry t reg in
   if ts > e.issued then e.issued <- ts;
-  start_store t ~reg ~ts ~pl:value ~finish:k
+  start_store t ~reg ~ts ~pl:value ~k
 
 let write_ts t ~reg ~value ~k =
   Metrics.incr t.c.m_writes;
@@ -283,11 +375,11 @@ let write_ts t ~reg ~value ~k =
   (* the write timestamp dominates every write-back of an earlier read
      (those reuse timestamps <= issued, by SWMR ownership) *)
   (match t.storage with
-   | None -> start_store t ~reg ~ts ~pl:value ~finish:k
+   | None -> start_store t ~reg ~ts ~pl:value ~k
    | Some st ->
      Storage.append_async st
        { Storage.reg; ts; pl = value }
-       ~k:(fun () -> start_store t ~reg ~ts ~pl:value ~finish:k));
+       ~k:(fun () -> start_store t ~reg ~ts ~pl:value ~k));
   ts
 
 let write t ~reg ~value ~k = ignore (write_ts t ~reg ~value ~k)
@@ -295,6 +387,48 @@ let write t ~reg ~value ~k = ignore (write_ts t ~reg ~value ~k)
 (* Any reply, even to a finished phase, shows [src] is up again. *)
 let heard t src =
   if t.suspected <> 0 then t.suspected <- t.suspected land lnot (bit t src)
+
+(* A collect's completion.  A read returns at once when its pair's
+   store is one this engine already saw complete (that pair is on a
+   majority, so every later collect sees it or a newer one), and
+   writes it back first otherwise. *)
+let collected t rid i =
+  let p = t.ph in
+  let reg = p.reg.(i) and ts = p.ts.(i) and pl = p.pl.(i) in
+  let kind = p.kind.(i) and rk = p.rk.(i) and tk = p.tk.(i) in
+  Metrics.observe t.c.h_phase1
+    (t.tr.Transport.now () -. Float.Array.get p.born i);
+  close_phase t rid i;
+  match kind with
+  | Read_ts -> tk (ts, pl)
+  | _ ->
+    if ts = stable t reg || t.skip_write_back then rk pl
+    else start_write_back t ~reg ~ts ~pl ~k:rk
+
+let stored t rid i =
+  let p = t.ph in
+  let reg = p.reg.(i) and ts = p.ts.(i) and pl = p.pl.(i) in
+  let kind = p.kind.(i) and rk = p.rk.(i) and uk = p.uk.(i) in
+  Metrics.observe t.c.h_phase2
+    (t.tr.Transport.now () -. Float.Array.get p.born i);
+  close_phase t rid i;
+  let e = entry t reg in
+  if ts > e.stable then e.stable <- ts;
+  match kind with Write_back -> rk pl | _ -> uk ()
+
+(* Count [src]'s reply to the phase in slot [i]: whether it is new and
+   from the group. *)
+let count_reply t i src =
+  let p = t.ph in
+  let b = bit t src in
+  if b <> 0 && p.got.(i) land b = 0 then begin
+    p.got.(i) <- p.got.(i) lor b;
+    p.count.(i) <- p.count.(i) + 1;
+    true
+  end
+  else false
+
+let is_collect = function Read | Read_ts -> true | Free | Store | Write_back -> false
 
 (* Recursive with explicit arguments: a local helper would close over
    [t] and [src], one closure per reply.  Only a [Batch] builds one.
@@ -305,41 +439,20 @@ let rec on_message t ~src msg =
   | Wire.Query_reply { rid; ts; pl; _ } ->
     heard t src;
     (match Hashtbl.find t.pending rid with
-     | Collect c ->
-       let b = bit t src in
-       if b <> 0 && c.answered land b = 0 then begin
-         c.answered <- c.answered lor b;
-         c.count <- c.count + 1;
-         if ts >= c.best_ts then begin
-           c.best_ts <- ts;
-           c.best_pl <- pl
-         end;
-         if c.count >= t.read_quorum then begin
-           Hashtbl.remove t.pending rid;
-           Metrics.observe t.c.h_phase1 (t.tr.Transport.now () -. c.born);
-           c.finish (c.best_ts, c.best_pl)
-         end
-       end
-     | Store_p _ -> ()
-     | exception Not_found -> ())
+     | i when is_collect t.ph.kind.(i) && count_reply t i src ->
+       let p = t.ph in
+       if ts >= p.ts.(i) then begin
+         p.ts.(i) <- ts;
+         p.pl.(i) <- pl
+       end;
+       if p.count.(i) >= t.read_quorum then collected t rid i
+     | _ | (exception Not_found) -> ())
   | Wire.Store_ack { rid; _ } ->
     heard t src;
     (match Hashtbl.find t.pending rid with
-     | Store_p s ->
-       let b = bit t src in
-       if b <> 0 && s.acked land b = 0 then begin
-         s.acked <- s.acked lor b;
-         s.count <- s.count + 1;
-         if s.count >= t.quorum then begin
-           Hashtbl.remove t.pending rid;
-           Metrics.observe t.c.h_phase2 (t.tr.Transport.now () -. s.born);
-           let e = entry t s.reg in
-           if s.ts > e.stable then e.stable <- s.ts;
-           s.finish ()
-         end
-       end
-     | Collect _ -> ()
-     | exception Not_found -> ())
+     | i when (not (is_collect t.ph.kind.(i))) && count_reply t i src ->
+       if t.ph.count.(i) >= t.quorum then stored t rid i
+     | _ | (exception Not_found) -> ())
   | Wire.Batch msgs -> List.iter (fun m -> on_message t ~src m) msgs
   | _ -> ()
 
@@ -364,17 +477,15 @@ let resend t ~reached ~answered msg =
 
 let resend_pending ?(older_than = 0.0) t =
   let cutoff = t.tr.Transport.now () -. older_than in
+  let p = t.ph in
   Hashtbl.iter
-    (fun rid phase ->
-      match phase with
-      | Collect c when c.born <= cutoff ->
-        resend t ~reached:c.reached ~answered:c.answered
-          (Wire.Query { rid; reg = c.reg });
-        c.reached <- t.all
-      | Store_p s when s.born <= cutoff ->
-        resend t ~reached:s.reached ~answered:s.acked
-          (Wire.Store { rid; reg = s.reg; ts = s.ts; pl = s.pl });
-        s.reached <- t.all
-      | Collect _ | Store_p _ -> ())
+    (fun rid i ->
+      if Float.Array.get p.born i <= cutoff then begin
+        let reg = p.reg.(i) in
+        resend t ~reached:p.reached.(i) ~answered:p.got.(i)
+          (if is_collect p.kind.(i) then Wire.Query { rid; reg }
+           else Wire.Store { rid; reg; ts = p.ts.(i); pl = p.pl.(i) });
+        p.reached.(i) <- t.all
+      end)
     t.pending;
   Hashtbl.length t.pending > 0

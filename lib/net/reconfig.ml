@@ -101,10 +101,10 @@ let epoch t = Shard_map.epoch (Registry.map t.reg)
 let count tbl key =
   match Hashtbl.find tbl key with n -> n | exception Not_found -> 0
 
-let bump tbl key d =
-  match count tbl key + d with
-  | 0 -> Hashtbl.remove tbl key
-  | n -> Hashtbl.replace tbl key n
+(* A key's entry stays, at 0, once its ops are done: removing it and
+   adding it back would allocate a bucket per op.  The tables hold one
+   entry per key this core has run an op on. *)
+let bump tbl key d = Hashtbl.replace tbl key (count tbl key + d)
 
 let admitting t key =
   match t.mig with

@@ -23,10 +23,45 @@ type session = {
    A writer role has one set however many client nodes claim it (two
    concurrent writes by one role would break the protocol and the
    writer's local copy); a reader's set belongs to its client node. *)
-and lane = {
-  queues : (int, (session * int * Wire.op) Queue.t) Hashtbl.t;
-      (* key -> queued, not yet started *)
-  busy : (int, unit) Hashtbl.t;  (* keys with an operation executing *)
+and lane = (int, keyq) Hashtbl.t  (* key -> its queue *)
+
+(* One key of a lane: its queued ops, not yet started, in a ring that
+   doubles when full, and whether an op of the key is executing. *)
+and keyq = {
+  mutable ring : op array;
+  mutable first : int;
+  mutable len : int;
+  mutable busy : bool;
+}
+
+(* One client op on one key (a multi-key op has one per owned key),
+   from its admission to its answer: the op's only record.  A finished
+   op's record goes back on the core's spare stack and serves a later
+   op, so admitting, queueing and running an op allocate nothing of
+   the core's own once the stack has grown to the peak of ops in
+   flight. *)
+and op = {
+  mutable s : session;
+  mutable seq : int;
+  mutable wop : Wire.op;
+  mutable key : int;
+  mutable kq : keyq;
+  mutable gen : bool;  (* {!Reconfig.op_started}'s generation *)
+  t0 : Float.Array.t;  (* [| start time |], unboxed *)
+  rd : int cursor;  (* a read program's place *)
+  wr : unit cursor;  (* a write program's place *)
+}
+
+(* Where an op's program stands while the engine serves one of its
+   real accesses: the program's continuation for that access, and the
+   op's fixed engine callbacks that resume it.  One per result type,
+   so resuming allocates nothing but the program's own next node. *)
+and 'a cursor = {
+  mutable on_read : Wire.payload -> (Wire.payload, 'a) Vm.prog;
+  mutable on_write : unit -> (Wire.payload, 'a) Vm.prog;
+  read_k : Wire.payload -> unit;
+  write_k : unit -> unit;
+  done_ : 'a -> unit;  (* the program returned *)
 }
 
 type lane_owner =
@@ -70,6 +105,8 @@ type t = {
   post : (unit -> unit) -> unit;  (* how coordinator thunks re-enter *)
   sessions : (Transport.node, session) Hashtbl.t;
   lanes : (lane_owner, lane) Hashtbl.t;
+  mutable spare : op array;  (* a stack of finished ops' records *)
+  mutable nspare : int;
   copies : (int, Wire.payload) Hashtbl.t;
       (* writer [i]'s copy of its own register of a key, at that
          register's global index: the protocol's cells 2 and 3.  Never
@@ -173,28 +210,31 @@ let rec arm_timer t =
 (* Cell [2 + i] of the cached programs is writer [i]'s copy. *)
 let copy_slot key cell = Shard_map.global_reg key (cell land 1)
 
-(* Interpret a Bloom micro-step program for one key, mapping each
-   primitive cell access to a quorum operation on the corresponding
-   replicated real register of that key.  Access goes through the
-   reconfiguration coordinator, which is the registry outside a
-   migration and the dual-quorum discipline during one.  A writer's
-   local copy (a {!Core.Protocol.is_local_cell} cell) is the [copies]
-   table: no message. *)
-let rec exec :
-  'a. t -> int -> (Wire.payload, 'a) Vm.prog -> ('a -> unit) -> unit =
-  fun t key prog k ->
+(* Interpret a Bloom micro-step program for op [o]'s key, mapping
+   each primitive cell access to a quorum operation on the
+   corresponding replicated real register of that key.  Access goes
+   through the reconfiguration coordinator, which is the registry
+   outside a migration and the dual-quorum discipline during one.  A
+   writer's local copy (a {!Core.Protocol.is_local_cell} cell) is the
+   [copies] table: no message.  A real access parks the program's
+   continuation in cursor [c] and hands the engine [c]'s fixed
+   callback. *)
+let rec step : 'a. t -> op -> 'a cursor -> (Wire.payload, 'a) Vm.prog -> unit
+    =
+ fun t o c prog ->
   match prog with
-  | Vm.Ret a -> k a
+  | Vm.Ret a -> c.done_ a
   | Vm.Read (cell, cont) when Core.Protocol.is_local_cell cell ->
-    exec t key (cont (Hashtbl.find t.copies (copy_slot key cell))) k
+    step t o c (cont (Hashtbl.find t.copies (copy_slot o.key cell)))
   | Vm.Write (cell, pl, cont) when Core.Protocol.is_local_cell cell ->
-    Hashtbl.replace t.copies (copy_slot key cell) pl;
-    exec t key (cont ()) k
+    Hashtbl.replace t.copies (copy_slot o.key cell) pl;
+    step t o c (cont ())
   | Vm.Read (reg, cont) ->
-    Reconfig.read t.reconfig ~key ~reg ~k:(fun pl -> exec t key (cont pl) k)
+    c.on_read <- cont;
+    Reconfig.read t.reconfig ~key:o.key ~reg ~k:c.read_k
   | Vm.Write (reg, pl, cont) ->
-    Reconfig.write t.reconfig ~key ~reg ~value:pl ~k:(fun () ->
-        exec t key (cont ()) k)
+    c.on_write <- cont;
+    Reconfig.write t.reconfig ~key:o.key ~reg ~value:pl ~k:c.write_k
 
 (* A reply goes out only while [s] is still its node's current session:
    the op of a closed session still runs (and is audited) on the
@@ -239,68 +279,121 @@ let read_prog t proc key =
     Core.Protocol.read_prog ()
   end
 
-(* [find], not [find_opt], here and at [sessions] and [take]: these
-   run once per op, and the exception path allocates no option *)
+(* [find], not [find_opt], here and at [sessions]: these run once per
+   op, and the exception path allocates no option *)
 let queue_of lane key =
-  match Hashtbl.find lane.queues key with
+  match Hashtbl.find lane key with
   | q -> q
   | exception Not_found ->
-    let q = Queue.create () in
-    Hashtbl.replace lane.queues key q;
+    let q = { ring = [||]; first = 0; len = 0; busy = false } in
+    Hashtbl.replace lane key q;
     q
+
+let push q o =
+  let cap = Array.length q.ring in
+  if q.len = cap then begin
+    let ring = Array.make (max 4 (2 * cap)) o in
+    for i = 0 to q.len - 1 do
+      ring.(i) <- q.ring.((q.first + i) mod cap)
+    done;
+    q.ring <- ring;
+    q.first <- 0
+  end;
+  q.ring.((q.first + q.len) mod Array.length q.ring) <- o;
+  q.len <- q.len + 1
+
+let pop q =
+  let o = q.ring.(q.first) in
+  q.first <- (q.first + 1) mod Array.length q.ring;
+  q.len <- q.len - 1;
+  o
+
+(* Put a finished op's record on the spare stack.  Nothing may touch
+   [o] afterwards: the next admission reuses it. *)
+let release t o =
+  if t.nspare = Array.length t.spare then begin
+    let spare = Array.make (max 4 (2 * t.nspare)) o in
+    Array.blit t.spare 0 spare 0 t.nspare;
+    t.spare <- spare
+  end;
+  t.spare.(t.nspare) <- o;
+  t.nspare <- t.nspare + 1
 
 let rec start_next t lane key =
   (* a key in a migration's drain phase parks here: the op stays
      queued, and the coordinator's unpark hook re-enters once the
      cutover has installed the new placement *)
-  if (not (Hashtbl.mem lane.busy key)) && Reconfig.admitting t.reconfig key
-  then
-    match Queue.take (queue_of lane key) with
-    | exception Queue.Empty -> ()
-    | s, seq, op ->
-      Hashtbl.replace lane.busy key ();
-      arm_timer t;
-      Metrics.incr t.c_shard_ops.(Registry.shard_of_key t.registry key);
-      (* the generation token gates the migration's settle (pre-entry
-         ops) and drain (their dual-writing successors) phases *)
-      let gen = Reconfig.op_started t.reconfig ~key in
-      let t0 = t.tr.Transport.now () in
-      let finish () =
-        Metrics.observe t.h_op (t.tr.Transport.now () -. t0);
-        Hashtbl.remove s.lane.busy key;
-        Reconfig.op_finished t.reconfig ~key ~gen;
-        start_next t s.lane key
-      in
-      let reject () =
-        Metrics.incr t.m_rejected;
-        reply t s (Wire.Resp { seq; result = None });
-        Hashtbl.remove s.lane.busy key;
-        Reconfig.op_finished t.reconfig ~key ~gen;
-        start_next t s.lane key
-      in
-      (match op with
-       | Wire.Txn_k { writes } ->
-         start_multi t s key seq (Txn.Writes writes) gen
-       | Wire.Snap_k { keys } -> start_multi t s key seq (Txn.Snap keys) gen
-       | Wire.Read | Wire.Read_k _ when key < 0 -> reject ()
-       | Wire.Read | Wire.Read_k _ ->
-         record t key (E.Invoke (s.proc, E.Read));
-         exec t key (read_prog t s.proc key) (fun v ->
-             record t key (E.Respond (s.proc, Some v));
-             respond t s seq (Some v);
-             finish ())
-       | Wire.Write v | Wire.Write_k { value = v; _ }
-         when key >= 0 && is_writer s.proc ->
-         record t key (E.Invoke (s.proc, E.Write v));
-         exec t key
-           (Core.Protocol.cached_write_prog ~proc:s.proc v)
-           (fun () ->
-             record t key (E.Respond (s.proc, None));
-             respond t s seq None;
-             finish ())
-       | Wire.Write _ | Wire.Write_k _ ->
-         (* only processors 0 and 1 hold the two writer roles *)
-         reject ())
+  let q = queue_of lane key in
+  if (not q.busy) && Reconfig.admitting t.reconfig key && q.len > 0 then begin
+    let o = pop q in
+    q.busy <- true;
+    arm_timer t;
+    Metrics.incr t.c_shard_ops.(Registry.shard_of_key t.registry key);
+    (* the generation token gates the migration's settle (pre-entry
+       ops) and drain (their dual-writing successors) phases *)
+    o.gen <- Reconfig.op_started t.reconfig ~key;
+    Float.Array.set o.t0 0 (t.tr.Transport.now ());
+    match o.wop with
+    | Wire.Txn_k { writes } -> start_multi t o (Txn.Writes writes)
+    | Wire.Snap_k { keys } -> start_multi t o (Txn.Snap keys)
+    | Wire.Read | Wire.Read_k _ when key < 0 -> reject t o
+    | Wire.Read | Wire.Read_k _ ->
+      record t key (E.Invoke (o.s.proc, E.Read));
+      step t o o.rd (read_prog t o.s.proc key)
+    | Wire.Write v | Wire.Write_k { value = v; _ }
+      when key >= 0 && is_writer o.s.proc ->
+      record t key (E.Invoke (o.s.proc, E.Write v));
+      step t o o.wr (Core.Protocol.cached_write_prog ~proc:o.s.proc v)
+    | Wire.Write _ | Wire.Write_k _ ->
+      (* only processors 0 and 1 hold the two writer roles *)
+      reject t o
+  end
+
+(* The end of a single-key op on its lane: the key runs its next
+   queued op. *)
+and finish t o =
+  let s = o.s and key = o.key and q = o.kq and gen = o.gen in
+  Metrics.observe t.h_op (t.tr.Transport.now () -. Float.Array.get o.t0 0);
+  release t o;
+  q.busy <- false;
+  Reconfig.op_finished t.reconfig ~key ~gen;
+  start_next t s.lane key
+
+and reject t o =
+  Metrics.incr t.m_rejected;
+  reply t o.s (Wire.Resp { seq = o.seq; result = None });
+  let s = o.s and key = o.key and q = o.kq and gen = o.gen in
+  release t o;
+  q.busy <- false;
+  Reconfig.op_finished t.reconfig ~key ~gen;
+  start_next t s.lane key
+
+(* A program's end.  A single-key op answers its client and frees its
+   key; a multi-key op's key reports to the coordinator, whose own
+   [finish] frees the key later. *)
+and read_done t o v =
+  let r = Some v in
+  record t o.key (E.Respond (o.s.proc, r));
+  match o.wop with
+  | Wire.Snap_k _ ->
+    let src = o.s.src and seq = o.seq and key = o.key in
+    release t o;
+    (match t.storage with Some st -> Storage.unpin st | None -> ());
+    Txn.key_done t.txns ~src ~seq ~key ~value:v ()
+  | _ ->
+    respond t o.s o.seq r;
+    finish t o
+
+and write_done t o () =
+  record t o.key (E.Respond (o.s.proc, None));
+  match o.wop with
+  | Wire.Txn_k _ ->
+    let src = o.s.src and seq = o.seq and key = o.key in
+    release t o;
+    Txn.key_done t.txns ~src ~seq ~key ()
+  | _ ->
+    respond t o.s o.seq None;
+    finish t o
 
 (* Phase 1 of a multi-key op, entered once per owned key when that key
    reaches its session queue's head (the key is already marked busy by
@@ -308,8 +401,9 @@ let rec start_next t lane key =
    coordinator; the thunks we hand it post back onto this core so
    engine operations, responses and queue pumps all run on the owning
    domain. *)
-and start_multi t s key seq kind gen =
+and start_multi t o kind =
   let post = t.post in
+  let s = o.s and key = o.key and seq = o.seq and q = o.kq and gen = o.gen in
   let t0 = t.tr.Transport.now () in
   let min_key = List.fold_left min max_int (Txn.keys_of_kind kind) in
   let run_key () =
@@ -319,31 +413,21 @@ and start_multi t s key seq kind gen =
         | Txn.Writes writes ->
           let v = List.assoc key writes in
           record t key (E.Invoke (s.proc, E.Write v));
-          exec t key
+          step t o o.wr
             (if t.stale_copy then
                Core.Protocol.write_prog ~level:0 ~proc:s.proc v
              else Core.Protocol.cached_write_prog ~proc:s.proc v)
-            (fun () ->
-              record t key (E.Respond (s.proc, None));
-              Txn.key_done t.txns ~src:s.src ~seq ~key ())
         | Txn.Snap _ ->
           (* pin the core's store: GC must not reorganize the log under
              a snapshot read's consistent cut *)
           (match t.storage with Some st -> Storage.pin st | None -> ());
           record t key (E.Invoke (s.proc, E.Read));
-          exec t key
-            (Core.Protocol.read_prog ())
-            (fun v ->
-              record t key (E.Respond (s.proc, Some v));
-              (match t.storage with
-               | Some st -> Storage.unpin st
-               | None -> ());
-              Txn.key_done t.txns ~src:s.src ~seq ~key ~value:v ()))
+          step t o o.rd (Core.Protocol.read_prog ()))
   in
   let finish () =
     post (fun () ->
         Metrics.observe t.h_op (t.tr.Transport.now () -. t0);
-        Hashtbl.remove s.lane.busy key;
+        q.busy <- false;
         Reconfig.op_finished t.reconfig ~key ~gen;
         start_next t s.lane key)
   in
@@ -362,6 +446,43 @@ and start_multi t s key seq kind gen =
   in
   Txn.key_ready t.txns ~src:s.src ~seq ~kind ~key ~exec:run_key ~finish
     ?respond:resp_thunk ()
+
+let no_access _ = invalid_arg "Server: no real access pending"
+
+(* A record for op [wop] of session [s] on [key], queued on [kq]: a
+   spare one, or a new one with its cursors. *)
+let take_op t s seq wop key kq =
+  if t.nspare > 0 then begin
+    t.nspare <- t.nspare - 1;
+    let o = t.spare.(t.nspare) in
+    o.s <- s;
+    o.seq <- seq;
+    o.wop <- wop;
+    o.key <- key;
+    o.kq <- kq;
+    o
+  end
+  else
+    let t0 = Float.Array.make 1 0.0 in
+    let rec o = { s; seq; wop; key; kq; gen = false; t0; rd; wr }
+    and rd =
+      {
+        on_read = no_access;
+        on_write = no_access;
+        read_k = (fun pl -> step t o rd (rd.on_read pl));
+        write_k = (fun () -> step t o rd (rd.on_write ()));
+        done_ = (fun v -> read_done t o v);
+      }
+    and wr =
+      {
+        on_read = no_access;
+        on_write = no_access;
+        read_k = (fun pl -> step t o wr (wr.on_read pl));
+        write_k = (fun () -> step t o wr (wr.on_write ()));
+        done_ = (fun () -> write_done t o ());
+      }
+    in
+    o
 
 let create ~transport ?(audit = true) ?(resend_every = 0.05) ?engine
     ?(bug = Bug.none) ?storage ?metrics ?trace ?map ?(history = false)
@@ -402,6 +523,8 @@ let create ~transport ?(audit = true) ?(resend_every = 0.05) ?engine
       post = member.post;
       sessions = Hashtbl.create 16;
       lanes = Hashtbl.create 16;
+      spare = [||];
+      nspare = 0;
       copies = Hashtbl.create 16;
       stale_copy = bug.Bug.stale_copy;
       audit;
@@ -491,7 +614,11 @@ let enqueue_op t s seq op =
     in
     if ok then begin
       let owned = List.filter t.owns keys in
-      List.iter (fun key -> Queue.add (s, seq, op) (queue_of s.lane key)) owned;
+      List.iter
+        (fun key ->
+          let q = queue_of s.lane key in
+          push q (take_op t s seq op key q))
+        owned;
       List.iter (start_next t s.lane) owned
     end
     else if t.owns (key_of_op op) then begin
@@ -501,7 +628,8 @@ let enqueue_op t s seq op =
   | _ ->
     let key = key_of_op op in
     if t.owns key then begin
-      Queue.add (s, seq, op) (queue_of s.lane key);
+      let q = queue_of s.lane key in
+      push q (take_op t s seq op key q);
       start_next t s.lane key
     end
 
@@ -513,7 +641,7 @@ let rec on_message_inner t ~src msg =
       match Hashtbl.find_opt t.lanes owner with
       | Some lane -> lane
       | None ->
-        let lane = { queues = Hashtbl.create 4; busy = Hashtbl.create 4 } in
+        let lane = Hashtbl.create 4 in
         Hashtbl.replace t.lanes owner lane;
         lane
     in
@@ -538,9 +666,9 @@ let rec on_message_inner t ~src msg =
        work; a writer role's stay, as another node may hold the role *)
     (match Hashtbl.find_opt t.lanes (Node src) with
      | Some lane
-       when Hashtbl.length lane.busy = 0
-            && Hashtbl.fold (fun _ q idle -> idle && Queue.is_empty q)
-                 lane.queues true ->
+       when Hashtbl.fold
+              (fun _ q idle -> idle && (not q.busy) && q.len = 0)
+              lane true ->
        Hashtbl.remove t.lanes (Node src)
      | _ -> ())
   | Wire.Reconfig { rid; key; to_shard; epoch } ->

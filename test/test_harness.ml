@@ -203,6 +203,70 @@ let trace_io_rejects_garbage () =
        (Helpers.Astring_like.contains msg "line 1")
    | _ -> Alcotest.fail "expected Failure")
 
+(* The reservoir as it was before its buffer grew on demand: the whole
+   [capacity] allocated up front.  Same RNG, same algorithm. *)
+module Fixed_reservoir = struct
+  type t = {
+    buf : float array;
+    cap : int;
+    rng : Random.State.t;
+    mutable n : int;
+  }
+
+  let create ~capacity ~seed =
+    {
+      buf = Array.make capacity 0.0;
+      cap = capacity;
+      rng = Random.State.make [| seed; 0x7265731b |];
+      n = 0;
+    }
+
+  let add r x =
+    if r.n < r.cap then r.buf.(r.n) <- x
+    else begin
+      let j = Random.State.full_int r.rng (r.n + 1) in
+      if j < r.cap then r.buf.(j) <- x
+    end;
+    r.n <- r.n + 1
+
+  let samples r = Array.sub r.buf 0 (min r.n r.cap)
+end
+
+(* Below, at and above capacity, the growing buffer keeps the samples
+   the fixed one keeps (past capacity, which sample each draw replaces
+   shows the two draw alike), and summarises alike. *)
+let reservoir_matches_fixed_oracle () =
+  List.iter
+    (fun (capacity, n) ->
+      let what = Fmt.str "capacity %d, %d observations" capacity n in
+      let r = S.Reservoir.create ~capacity ~seed:7 () in
+      let o = Fixed_reservoir.create ~capacity ~seed:7 in
+      let rng = Random.State.make [| capacity; n |] in
+      let sum = ref 0.0 and max_x = ref neg_infinity in
+      for _ = 1 to n do
+        let x = Random.State.float rng 1000.0 in
+        sum := !sum +. x;
+        max_x := Float.max !max_x x;
+        S.Reservoir.add r x;
+        Fixed_reservoir.add o x
+      done;
+      let got = S.Reservoir.samples r and want = Fixed_reservoir.samples o in
+      Alcotest.(check (array (float 0.0))) (what ^ ": samples") want got;
+      Alcotest.(check int) (what ^ ": count") n (S.Reservoir.count r);
+      List.iter
+        (fun p ->
+          Alcotest.(check (option (float 0.0)))
+            (Fmt.str "%s: p%.0f" what p)
+            (S.percentile_opt want p) (S.percentile_opt got p))
+        [ 50.0; 90.0; 99.0 ];
+      Alcotest.(check (float 0.0)) (what ^ ": sum") !sum (S.Reservoir.sum r);
+      Alcotest.(check (float 0.0)) (what ^ ": max")
+        (if n = 0 then nan else !max_x)
+        (S.Reservoir.max_value r))
+    [ (100, 0); (100, 1); (100, 16); (100, 17); (100, 99); (100, 100);
+      (100, 101); (100, 5_000); (2048, 2047); (2048, 2049); (2048, 20_000);
+      (5, 3); (5, 50) ]
+
 let suite =
   [
     tc "unique workloads really are unique" unique_scripts_are_unique;
@@ -224,4 +288,6 @@ let suite =
     tc "trace file round-trip" trace_io_roundtrip;
     tc "trace parser skips comments and blanks" trace_io_comments_and_blanks;
     tc "trace parser reports bad lines" trace_io_rejects_garbage;
+    tc "reservoir: growing buffer keeps the fixed one's samples"
+      reservoir_matches_fixed_oracle;
   ]

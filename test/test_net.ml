@@ -2320,6 +2320,91 @@ let quorum_partial_reply_allocates_nothing () =
   Alcotest.(check (float 0.0)) "words per Query_reply short of a quorum" 0.0
     words
 
+(* A warm engine over three replicas: phase [rid]'s window is replicas
+   [rid mod 3] and [(rid + 1) mod 3].  Minor words of [start q] plus
+   that window's two replies (built beforehand), after 100 unmeasured
+   phases; [start]'s continuation counts into [completed]. *)
+let words_per_phase ~completed start reply =
+  let n = 2_000 in
+  let q =
+    Net.Quorum.create ~transport:Net.Transport.null ~me:engine_node
+      ~replicas:[ 0; 1; 2 ] ()
+  in
+  let replies = Array.init n reply in
+  let words =
+    words_per_call ~warmup:100 ~n (fun rid ->
+        start q;
+        Net.Quorum.on_message q ~src:(rid mod 3) replies.(rid);
+        Net.Quorum.on_message q ~src:((rid + 1) mod 3) replies.(rid))
+  in
+  Alcotest.(check int) "every phase completed" n !completed;
+  words
+
+let abd_read_phase_words () =
+  let completed = ref 0 in
+  let k _ = incr completed in
+  let words =
+    words_per_phase ~completed
+      (fun q -> Net.Quorum.read q ~reg:0 ~k)
+      (fun rid -> query_reply ~rid ())
+  in
+  Alcotest.(check bool)
+    (Fmt.str "%.1f words per read phase <= 10" words)
+    true (words <= 10.0)
+
+let abd_write_phase_words () =
+  let completed = ref 0 and value = pl 1 false in
+  let k () = incr completed in
+  let words =
+    words_per_phase ~completed
+      (fun q -> Net.Quorum.write q ~reg:1 ~value ~k)
+      (fun rid -> store_ack ~rid ())
+  in
+  Alcotest.(check bool)
+    (Fmt.str "%.1f words per write phase <= 12" words)
+    true (words <= 12.0)
+
+(* A reader's [Req] read of a key it has read before, on a core over
+   three replicas with its audit off: the minor words from the [Req]
+   to its [Resp], its three phases' replies built beforehand. *)
+let server_read_op_words () =
+  let n = 2_000 in
+  (* the turn's queries, as (replica, rid) *)
+  let qdst = Array.make 8 0 and qrid = Array.make 8 0 and nq = ref 0 in
+  let tr =
+    {
+      Net.Transport.null with
+      Net.Transport.send =
+        (fun ~src:_ ~dst msg ->
+          match msg with
+          | W.Query { rid; _ } ->
+            qdst.(!nq) <- dst;
+            qrid.(!nq) <- rid;
+            incr nq
+          | _ -> ());
+    }
+  in
+  let sv =
+    Net.Server.create ~transport:tr ~audit:false ~member:(solo_member ())
+      ~me:engine_node ~replicas:[ 0; 1; 2 ] ~init:0 ()
+  in
+  let cl = Net.Transport.client 2 in
+  Net.Server.on_message sv ~src:cl (W.Hello { proc = 2 });
+  let reqs = Array.init n (fun seq -> W.Req { seq; op = W.Read_k { key = 0 } })
+  and replies = Array.init (3 * n) (fun rid -> query_reply ~rid ()) in
+  let words =
+    words_per_call ~warmup:100 ~n (fun seq ->
+        Net.Server.on_message sv ~src:cl reqs.(seq);
+        while !nq > 0 do
+          decr nq;
+          Net.Server.on_message sv ~src:qdst.(!nq) replies.(qrid.(!nq))
+        done)
+  in
+  Alcotest.(check int) "every read answered" n (Net.Server.ops_served sv);
+  Alcotest.(check bool)
+    (Fmt.str "%.1f words per read op <= 53" words)
+    true (words <= 53.0)
+
 let sim_step_allocates_nothing () =
   let n = 2_000 in
   let net = Net.Sim_net.create ~seed:1 ~faults:Net.Sim_net.reliable () in
@@ -3088,6 +3173,12 @@ let suite =
     tc "server: recording a history event allocates no minor word"
       server_history_words;
     sim_oracle_property;
+    tc "quorum: a warm read phase with two replies: <= 10 words (28 with closures)"
+      abd_read_phase_words;
+    tc "quorum: a warm write phase with two acks: <= 12 words (20 with records)"
+      abd_write_phase_words;
+    tc "server: a Req read on a warm key: <= 53 words (203 with closures)"
+      server_read_op_words;
   ]
 
 let slow_suite =

@@ -137,6 +137,69 @@ let alternating_writers_alternate_sum () =
         true w.Core.Gamma.potent)
     g.Core.Gamma.writes
 
+(* The direct-chain programs against the [bind]-built ones they
+   replaced ({!Protocol_oracle}): fed the same tagged cell values, both
+   make the same accesses (cell, and value written) in the same order
+   and return the same result. *)
+type access = R of int | W of int * int Tagged.t
+
+let run_prog feed prog =
+  let rec go i acc = function
+    | Vm.Ret a -> (List.rev acc, a)
+    | Vm.Read (c, k) ->
+      go (i + 1) (R c :: acc) (k (List.nth feed (i mod List.length feed)))
+    | Vm.Write (c, v, k) -> go i (W (c, v) :: acc) (k ())
+  in
+  go 0 [] prog
+
+let same_accesses () =
+  let gen =
+    QCheck2.Gen.(
+      tup4 (int_range 0 3) (int_range 0 1) small_nat
+        (list_size (int_range 1 4) (pair small_nat bool)))
+  in
+  qc ~count:500 "direct chains = bind-built programs, access by access" gen
+    (fun (proc, level, w, cells) ->
+      let feed = List.map (fun (v, t) -> Tagged.make v t) cells in
+      let same name a b =
+        if run_prog feed a <> run_prog feed b then
+          QCheck2.Test.fail_reportf "%s differs (proc %d, level %d)" name proc
+            level;
+        true
+      in
+      let single = P.bloom_cached_single_read ~init:0 ~other_init:0 () in
+      same "write_prog"
+        (P.write_prog ~level ~proc w)
+        (Protocol_oracle.write_prog ~level ~proc w)
+      && same "read_prog" (P.read_prog ()) (Protocol_oracle.read_prog ())
+      && same "cached_write_prog"
+           (P.cached_write_prog ~proc w)
+           (Protocol_oracle.cached_write_prog ~proc w)
+      && same "cached_read_prog"
+           (P.cached_read_prog ~proc)
+           (Protocol_oracle.cached_read_prog ~proc)
+      && same "single-read variant"
+           (single.Vm.read ~proc)
+           (if proc < 2 then Protocol_oracle.single_read_prog ~proc
+            else Protocol_oracle.read_prog ()))
+
+(* Minor words to step a program to its end in a bare loop that feeds
+   each read from a fixed array. *)
+let stepping_words prog =
+  let feed = Array.init 4 (fun i -> Tagged.make i (i land 1 = 1)) in
+  let rec go i = function
+    | Vm.Ret _ -> ()
+    | Vm.Read (_, k) -> go (i + 1) (k feed.(i land 3))
+    | Vm.Write (_, _, k) -> go i (k ())
+  in
+  words_per_call ~warmup:100 ~n:2_000 (fun i -> go i (prog i))
+
+let cached_write_words () =
+  let words = stepping_words (fun i -> P.cached_write_prog ~proc:(i land 1) i) in
+  Alcotest.(check bool)
+    (Fmt.str "%.1f words per cached_write_prog <= 24" words)
+    true (words <= 24.0)
+
 let suite =
   [
     tc "writer register assignment per level" writer_index_levels;
@@ -150,4 +213,7 @@ let suite =
     tc "a quiescent-peer write sets the tag sum to its index"
       quiescent_writer_sets_tag_sum;
     tc "non-overlapping writes are all potent" alternating_writers_alternate_sum;
+    same_accesses ();
+    tc "stepping cached_write_prog: <= 24 words (45 with bind)"
+      cached_write_words;
   ]
