@@ -960,6 +960,105 @@ let op_path_alloc_table () =
        bookkeeping) ];
   Fmt.pr "  (bookkeeping = server Req read - read_prog - 3 read phases)@.@."
 
+(* The replica side of the table above, taken apart, each part measured
+   alone after a warm-up on a store with a 32-entry batch cap whose
+   backend drops its writes, so only the store's own words count
+   (commits outside the measured part):
+   - a group-commit append on a store holding 64 registers, rising
+     timestamps, six per measured part;
+   - the commit of six queued appends, their completions included;
+   - a durable replica's [Store] of a newer timestamp to one of four
+     registers it holds, its ack left queued;
+   - the acks of six queued [Store]s, released by their commit. *)
+let replica_alloc_table () =
+  let warmup = 1_000 and rounds = 5_000 in
+  (* minor words of [f i], with [before i] run first, unmeasured *)
+  let per_round ~before f =
+    let run i =
+      before i;
+      let w0 = Gc.minor_words () in
+      f i;
+      Gc.minor_words () -. w0
+    in
+    for i = 0 to warmup - 1 do
+      ignore (run i)
+    done;
+    let words = ref 0.0 in
+    for i = warmup to warmup + rounds - 1 do
+      words := !words +. run i
+    done;
+    !words /. float_of_int rounds
+  in
+  let store () =
+    Net.Storage.create
+      ~group_commit:{ Net.Storage.batch_max = 32; flush_every = 0.5 }
+      { (Net.Storage.mem_backend ()) with
+        Net.Storage.append_wal = (fun _ _ -> ()) }
+  in
+  let pls = Array.init 64 (fun i -> Registers.Tagged.make i (i land 1 = 0)) in
+  let fired = ref 0 in
+  let k () = incr fired in
+  let six st i =
+    for j = 0 to 5 do
+      let x = (6 * i) + j in
+      Net.Storage.append_async st ~reg:(x land 63) ~ts:(x + 1) pls.(x land 63)
+        ~k
+    done
+  in
+  let append =
+    let st = store () in
+    let w = per_round ~before:(fun _ -> Net.Storage.flush st) (six st) in
+    Net.Storage.flush st;
+    w /. 6.0
+  and commit =
+    let st = store () in
+    per_round ~before:(six st) (fun _ -> Net.Storage.flush st)
+  in
+  let replica () =
+    let st = store () in
+    (st, Net.Replica.create ~init:0 ~storage:st ())
+  in
+  let stores =
+    Array.init (6 * (warmup + rounds)) (fun i ->
+        Net.Wire.Store
+          { rid = i; reg = i land 3; ts = i + 1; pl = pls.(i land 63) })
+  in
+  let emit _ = incr fired in
+  let replica_store =
+    let st, r = replica () in
+    let w =
+      per_round
+        ~before:(fun _ -> Net.Storage.flush st)
+        (fun i -> Net.Replica.handle_emit r ~src:9 ~emit stores.(i))
+    in
+    Net.Storage.flush st;
+    w
+  and replica_ack =
+    let st, r = replica () in
+    per_round
+      ~before:(fun i ->
+        for j = 0 to 5 do
+          Net.Replica.handle_emit r ~src:9 ~emit stores.((6 * i) + j)
+        done)
+      (fun _ -> Net.Storage.flush st)
+    /. 6.0
+  in
+  (* every append's completion and every Store's ack fired *)
+  if !fired <> 19 * (warmup + rounds) then
+    Fmt.failwith "net-alloc: %d completions and acks fired" !fired;
+  Fmt.pr "  replica side, minor words:@.";
+  List.iter
+    (fun (label, name, w) ->
+      Fmt.pr "  %-40s %9.1f@." label w;
+      Json.metric ~section:"net-alloc" name w)
+    [ ("storage append (per entry)", "storage append words per entry", append);
+      ("storage commit (batch of 6)", "storage commit words per batch of 6",
+       commit);
+      ("replica durable Store (warm register)",
+       "replica Store words on a warm register", replica_store);
+      ("replica ack (per ack)", "replica ack words per ack", replica_ack) ];
+  Fmt.pr "  (a null backend, 32-entry batch cap, commits unmeasured)@.@."
+
 let bench_net_alloc () =
   section "net-alloc - minor words per op by receiving role and message";
   (* the shape of bench/e2e's sim-durable workload: ABD, 3 replicas,
@@ -1068,6 +1167,7 @@ let bench_net_alloc () =
     Fmt.failwith "net-alloc: the replayed audit flagged %d events" !violations;
   Fmt.pr "  %-37s %11.1f@.@." "server audit words per op" audit;
   Json.metric ~section:"net-alloc" "server audit words per op" audit;
+  replica_alloc_table ();
   op_path_alloc_table ();
   sim_alloc_table ();
   wire_alloc_table ();
@@ -1182,7 +1282,8 @@ let bench_net_recovery () =
     let (), dt =
       timed (fun () ->
           for i = 0 to n - 1 do
-            Net.Storage.append_async st (entry i) ~k:(fun () -> incr acked)
+            let { Net.Storage.reg; ts; pl } = entry i in
+            Net.Storage.append_async st ~reg ~ts pl ~k:(fun () -> incr acked)
           done;
           Net.Storage.flush st)
     in

@@ -175,7 +175,7 @@ let write_ts t ~reg ~value ~k =
   in
   (match t.storage with
    | None -> go ()
-   | Some st -> Storage.append_async st { Storage.reg; ts; pl = value } ~k:go);
+   | Some st -> Storage.append_async st ~reg ~ts value ~k:go);
   ts
 
 let write t ~reg ~value ~k = ignore (write_ts t ~reg ~value ~k)

@@ -377,9 +377,8 @@ let write_ts t ~reg ~value ~k =
   (match t.storage with
    | None -> start_store t ~reg ~ts ~pl:value ~k
    | Some st ->
-     Storage.append_async st
-       { Storage.reg; ts; pl = value }
-       ~k:(fun () -> start_store t ~reg ~ts ~pl:value ~k));
+     Storage.append_async st ~reg ~ts value ~k:(fun () ->
+         start_store t ~reg ~ts ~pl:value ~k));
   ts
 
 let write t ~reg ~value ~k = ignore (write_ts t ~reg ~value ~k)

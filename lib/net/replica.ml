@@ -26,7 +26,67 @@ type t = {
          ignoring their sequence numbers — the twobit counterpart of
          Quorum's ?read_quorum (see Bug) *)
   mutable handled : int;
+  (* Acks waiting on the durable store, a FIFO ring of parallel slots
+     (capacity a power of two), oldest at [ack_head]: the ack's kind,
+     its destination and its two fields (rid and reg of a [Store_ack],
+     lid and seq of an [Ack2]), and the [emit] it leaves through.  The
+     store fires completions in the order they were queued, so the one
+     completion [fire] handed to every append and marker pops the
+     oldest slot. *)
+  mutable ack_kind : int array;
+  mutable ack_src : int array;
+  mutable ack_a : int array;
+  mutable ack_b : int array;
+  mutable ack_emit : (Transport.node * Wire.msg -> unit) array;
+  mutable ack_head : int;
+  mutable ack_count : int;
+  mutable fire : unit -> unit;
 }
+
+let store_ack = 0
+let ack2 = 1
+
+let ack_msg kind a b =
+  if kind = store_ack then Wire.Store_ack { rid = a; reg = b }
+  else Wire.Ack2 { lid = a; seq = b }
+
+(* Emit the oldest waiting ack, its fields read before [emit] runs. *)
+let pop_ack t =
+  let i = t.ack_head in
+  let emit = t.ack_emit.(i) in
+  let src = t.ack_src.(i) in
+  let m = ack_msg t.ack_kind.(i) t.ack_a.(i) t.ack_b.(i) in
+  t.ack_emit.(i) <- ignore;
+  t.ack_head <- (i + 1) land (Array.length t.ack_src - 1);
+  t.ack_count <- t.ack_count - 1;
+  emit (src, m)
+
+(* Double the ring, its slots re-laid from the oldest at index 0. *)
+let grow_acks t =
+  let n = Array.length t.ack_src in
+  let move a fill =
+    let b = Array.make (2 * n) fill in
+    for j = 0 to n - 1 do
+      b.(j) <- a.((t.ack_head + j) land (n - 1))
+    done;
+    b
+  in
+  t.ack_kind <- move t.ack_kind 0;
+  t.ack_src <- move t.ack_src 0;
+  t.ack_a <- move t.ack_a 0;
+  t.ack_b <- move t.ack_b 0;
+  t.ack_emit <- move t.ack_emit ignore;
+  t.ack_head <- 0
+
+let push_ack t ~emit ~src kind a b =
+  if t.ack_count = Array.length t.ack_src then grow_acks t;
+  let i = (t.ack_head + t.ack_count) land (Array.length t.ack_src - 1) in
+  t.ack_kind.(i) <- kind;
+  t.ack_src.(i) <- src;
+  t.ack_a.(i) <- a;
+  t.ack_b.(i) <- b;
+  t.ack_emit.(i) <- emit;
+  t.ack_count <- t.ack_count + 1
 
 let create ~init ?storage ?(unordered = false) () =
   let backing =
@@ -34,13 +94,25 @@ let create ~init ?storage ?(unordered = false) () =
     | None -> Volatile (Hashtbl.create 16)
     | Some st -> Durable st
   in
-  {
-    unset = (0, Registers.Tagged.initial init);
-    backing;
-    links = Hashtbl.create 4;
-    unordered;
-    handled = 0;
-  }
+  let t =
+    {
+      unset = (0, Registers.Tagged.initial init);
+      backing;
+      links = Hashtbl.create 4;
+      unordered;
+      handled = 0;
+      ack_kind = Array.make 16 0;
+      ack_src = Array.make 16 0;
+      ack_a = Array.make 16 0;
+      ack_b = Array.make 16 0;
+      ack_emit = Array.make 16 ignore;
+      ack_head = 0;
+      ack_count = 0;
+      fire = ignore;
+    }
+  in
+  t.fire <- (fun () -> pop_ack t);
+  t
 
 (* the stored pair itself, or [unset]: no option per lookup *)
 let lookup t reg =
@@ -49,22 +121,28 @@ let lookup t reg =
     match Hashtbl.find regs reg with p -> p | exception Not_found -> t.unset)
   | Durable st -> Storage.find st reg ~default:t.unset
 
-(* Store an entry, then run [k] once it is durable: immediately for a
-   volatile table, from the group-commit completion for a durable one
-   (inline when the store has no commit queue — the sync case). *)
-let store_async t reg ts pl ~k =
+(* Store an entry, then emit its ack (of [kind], fields [a] and [b]) to
+   [src] once it is durable: at once for a volatile table, from the
+   group-commit completion for a durable one (inline when the store has
+   no commit queue — the sync case). *)
+let store t ~emit ~src kind a b reg ts pl =
   match t.backing with
   | Volatile regs ->
     Hashtbl.replace regs reg (ts, pl);
-    k ()
-  | Durable st -> Storage.append_async st { Storage.reg; ts; pl } ~k
+    emit (src, ack_msg kind a b)
+  | Durable st ->
+    push_ack t ~emit ~src kind a b;
+    Storage.append_async st ~reg ~ts pl ~k:t.fire
 
-(* Run [k] once everything already accepted is durable — the ack path
-   for duplicates, whose original may still sit in the commit queue. *)
-let after_durable t k =
+(* Emit an ack once everything already accepted is durable — the ack
+   path for duplicates, whose original may still sit in the commit
+   queue. *)
+let after_durable t ~emit ~src kind a b =
   match t.backing with
-  | Volatile _ -> k ()
-  | Durable st -> Storage.on_durable st k
+  | Volatile _ -> emit (src, ack_msg kind a b)
+  | Durable st ->
+    push_ack t ~emit ~src kind a b;
+    Storage.on_durable st t.fire
 
 (* Deliver one in-sequence (or, under the unordered bug, any) two-bit
    frame: apply it and emit its reply.  The apply counter is the
@@ -77,8 +155,7 @@ let deliver2 t ~src ~emit msg =
     let cur, _ = lookup t reg in
     (* persist before ack, like the ABD arm below: the Ack2 leaves the
        replica only once the entry's batch is durable *)
-    store_async t reg (cur + 1) pl ~k:(fun () ->
-        emit (src, Wire.Ack2 { lid; seq }))
+    store t ~emit ~src ack2 lid seq reg (cur + 1) pl
   | Wire.Query2 { lid; seq; reg } when reg >= 0 ->
     let _, pl = lookup t reg in
     emit (src, Wire.Query2_reply { lid; seq; pl })
@@ -93,8 +170,7 @@ let deliver2 t ~src ~emit msg =
    not be durable yet. *)
 let reanswer2 t ~src ~emit msg =
   match msg with
-  | Wire.Store2 { lid; seq; _ } ->
-    after_durable t (fun () -> emit (src, Wire.Ack2 { lid; seq }))
+  | Wire.Store2 { lid; seq; _ } -> after_durable t ~emit ~src ack2 lid seq
   | Wire.Query2 { lid; seq; reg } when reg >= 0 ->
     let _, pl = lookup t reg in
     emit (src, Wire.Query2_reply { lid; seq; pl })
@@ -146,12 +222,11 @@ let rec handle_emit t ~src ~emit msg =
        store's completion — inline for a sync store, from the group
        commit for a batched one — so an acknowledged timestamp can
        never be forgotten by a (recovering) restart *)
-    let ack () = emit (src, Wire.Store_ack { rid; reg }) in
-    if ts > cur then store_async t reg ts pl ~k:ack
+    if ts > cur then store t ~emit ~src store_ack rid reg reg ts pl
     else
       (* duplicate or stale: nothing to apply, but the original entry
          may still be in the commit queue — ack only after it commits *)
-      after_durable t ack
+      after_durable t ~emit ~src store_ack rid reg
   | Wire.Store2 { lid; seq; _ } | Wire.Query2 { lid; seq; _ } ->
     handle_link t ~src ~lid ~seq ~emit msg
   | Wire.Batch msgs -> List.iter (handle_emit t ~src ~emit) msgs

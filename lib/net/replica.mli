@@ -59,9 +59,12 @@ val handle_emit :
     [Store]/[Store2] ack is emitted from the backing store's
     durability completion, which with a group-commit store may happen
     {e after} this call returns — on a later [Storage.flush] or on the
-    batch-filling append of another message.  The driver must therefore
-    use an [emit] that stays valid across handler turns (and guard it
-    against the replica having crashed or restarted in between). *)
+    batch-filling append of another message.  A waiting ack is kept as
+    int slots plus the [emit] it was given (no closure per message),
+    and waiting acks leave in the order their stores were accepted.
+    The driver must therefore use an [emit] that stays valid across
+    handler turns (and guard it against the replica having crashed or
+    restarted in between). *)
 
 val drive : t -> transport:Transport.t -> node:Transport.node -> unit
 (** The end of one of [node]'s handler turns: a durable replica's store

@@ -16,17 +16,23 @@
     An fsync'd append costs a disk flush; the [net-recovery] bench
     section measured that floor at ~7.5k appends/s against ~880k/s
     without fsync (EXPERIMENTS.md § D).  Group commit
-    amortizes it: with a {!commit_config}, {!append_async} queues the
-    framed record (applying it to the in-memory table eagerly) and the
-    whole queue is committed as {e one} backend append — one write, one
-    fsync — when it reaches [batch_max] entries or a driver calls
-    {!flush} on the [flush_every] deadline.  Every completion callback
-    fires only after its batch is durable, so persist-before-ack holds
-    per batch: an op whose batch never commits is never acknowledged.
-    Eagerly applying queued entries is safe for both engines — an ABD
-    read writes its value back through a persist-before-ack majority
-    before returning, and the twobit engine's fault model is crash-stop
-    — while the entry's own ack still waits for durability.
+    amortizes it: with a {!commit_config}, {!append_async} frames its
+    record in place at the end of one growable byte buffer (applying
+    the entry to the in-memory table eagerly) and queues its completion
+    in an array, and the whole queue is committed as {e one} backend
+    append — one write, one fsync, of one byte slice — when it reaches
+    [batch_max] entries or a driver calls {!flush} on the [flush_every]
+    deadline.  Every completion callback fires only after its batch is
+    durable, and completions (and {!on_durable} markers) fire in the
+    order they were queued, so persist-before-ack holds per batch: an
+    op whose batch never commits is never acknowledged.  A commit hands
+    its completion array to the caller and swaps in a spare; only a
+    commit nested in (or racing) the run of an earlier batch finds the
+    spare in use and takes a fresh array.  Eagerly applying queued
+    entries is safe for both engines — an ABD read writes its value
+    back through a persist-before-ack majority before returning, and
+    the twobit engine's fault model is crash-stop — while the entry's
+    own ack still waits for durability.
 
     {2 Garbage collection}
 
@@ -85,7 +91,10 @@ type backend = {
   load_snapshot : unit -> string option;
       (** raw snapshot file bytes, [None] if never installed *)
   load_wal : unit -> string;  (** raw WAL bytes (empty if none) *)
-  append_wal : string -> unit;  (** durable before return *)
+  append_wal : Bytes.t -> int -> unit;
+      (** [append_wal b n] appends the first [n] bytes of [b], durable
+          before return.  [b] is the store's batch buffer, reused by
+          the next batch: copy what must outlive the call. *)
   truncate_wal : int -> unit;  (** keep only the first [n] bytes *)
   install_snapshot : string -> unit;
       (** atomically replace the snapshot, then truncate the WAL to
@@ -101,7 +110,9 @@ val mem_backend : unit -> backend
 
 val file_backend : ?fsync:bool -> dir:string -> unit -> backend
 (** Real files [wal] and [snapshot] under [dir] (created, parents
-    included, if missing).
+    included, if missing).  The WAL is opened [O_APPEND], so every
+    append lands at the file's end (after a torn-tail repair, right
+    after the valid prefix) without a seek.
     Snapshot installs write [snapshot.tmp] and rename over, so a
     half-written snapshot can never be observed.  With [fsync] (default
     [false]) every append and install is fsync'd: durable against power
@@ -118,8 +129,8 @@ module Disk : sig
   type write_fate =
     | Persist  (** append lands in full *)
     | Torn of int
-        (** only the first [n] bytes of the record land; the disk then
-            plays dead until {!revive} *)
+        (** only the first [min n len] bytes of the append land; the
+            disk then plays dead until {!revive} *)
 
   val create : unit -> t
   val backend : t -> backend
@@ -218,13 +229,17 @@ val append : t -> entry -> unit
     barrier); prefer {!append_async} on hot paths.  May trigger a
     snapshot + truncation. *)
 
-val append_async : t -> entry -> k:(unit -> unit) -> unit
-(** Queue one entry and apply it to the in-memory table now; [k] fires
-    exactly once, after the batch containing the entry is durable —
-    inline if the enqueue itself fills the batch, else from whichever
-    call commits it ({!flush}, a filling {!append_async}, {!snapshot}
-    or {!append}).  Without a [group_commit] config the batch size is
-    one and [k] always fires before this returns. *)
+val append_async :
+  t -> reg:int -> ts:int -> Wire.payload -> k:(unit -> unit) -> unit
+(** Queue the entry [{reg; ts; pl}] and apply it to the in-memory table
+    now; [k] fires exactly once, after the batch containing the entry
+    is durable — inline if the enqueue itself fills the batch, else
+    from whichever call commits it ({!flush}, a filling
+    {!append_async}, {!snapshot} or {!append}).  Completions fire in
+    the order they were queued.  Without a [group_commit] config the
+    batch size is one and [k] always fires before this returns.  On a
+    warm store (its buffers grown) this allocates only the table's
+    pair, and a bucket for a register never stored. *)
 
 val flush : t -> unit
 (** Commit the pending batch now (one backend append), firing its
@@ -256,7 +271,10 @@ val drive : t -> transport:Transport.t -> node:Transport.node -> unit
     get their own deadline.  Acks therefore wait at most one deadline
     past their append.  The armed flag lives in the store, so each
     store must have exactly one driving node, and [drive] must run
-    serialized with that node's handler (as transport timers do). *)
+    serialized with that node's handler (as transport timers do).
+    The timer's closure is built by the first arming and kept for the
+    store's life, over that call's [transport] and [node]: one driver
+    per store is a rule, not a convention. *)
 
 val snapshot : t -> unit
 (** Force a snapshot now (flushes the pending batch first). *)
@@ -283,6 +301,13 @@ val contents : t -> (int * (int * Wire.payload)) list
 type stats = {
   appends : int;  (** entries appended since open *)
   batch_commits : int;  (** backend appends, i.e. write+fsync rounds *)
+  cap_commits : int;  (** commits made by an append filling the batch *)
+  deadline_commits : int;
+      (** commits made by {!drive}: its timer, or at once under a zero
+          deadline *)
+  forced_commits : int;
+      (** commits forced by {!flush}, {!snapshot} or a sync {!append};
+          the three causes sum to [batch_commits] *)
   max_batch : int;  (** largest batch committed since open *)
   snapshots_taken : int;  (** snapshots since open *)
   gc_runs : int;  (** snapshots forced by the [gc_bytes] frontier *)

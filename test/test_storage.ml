@@ -15,6 +15,8 @@ let pl v = Registers.Tagged.make v false
 
 let entry ~reg ~ts v = { S.reg; ts; pl = pl v }
 
+let append_async st e ~k = S.append_async st ~reg:e.S.reg ~ts:e.S.ts e.S.pl ~k
+
 (* what [find] answers for a register never stored: no entry has a
    negative timestamp *)
 let absent = (-1, pl 0)
@@ -116,7 +118,7 @@ let stale_wal_harmless () =
     {
       S.load_snapshot = (fun () -> snap);
       load_wal = (fun () -> wal_before);  (* the un-truncated log *)
-      append_wal = ignore;
+      append_wal = (fun _ _ -> ());
       truncate_wal = ignore;
       install_snapshot = ignore;
     }
@@ -307,7 +309,7 @@ let group_commit_batches () =
     (S.flush_deadline st = 0.01);
   let entries = entries_n 6 in
   let acked = ref 0 in
-  List.iter (fun e -> S.append_async st e ~k:(fun () -> incr acked)) entries;
+  List.iter (fun e -> append_async st e ~k:(fun () -> incr acked)) entries;
   (* the 4th append filled a batch and committed it; two entries wait *)
   Alcotest.(check int) "batch boundary acked" 4 !acked;
   Alcotest.(check int) "tail still pending" 2 (S.pending st);
@@ -345,7 +347,7 @@ let group_commit_on_durable () =
   S.on_durable st (fun () -> fired := "empty" :: !fired);
   Alcotest.(check bool) "inline when nothing pending" true
     (!fired = [ "empty" ]);
-  S.append_async st (entry ~reg:0 ~ts:1 10) ~k:ignore;
+  append_async st (entry ~reg:0 ~ts:1 10) ~k:ignore;
   S.on_durable st (fun () -> fired := "after" :: !fired);
   Alcotest.(check bool) "deferred behind the pending batch" true
     (!fired = [ "empty" ]);
@@ -386,7 +388,7 @@ let group_commit_crash_matrix () =
             let acked = ref [] in
             List.iter
               (fun e ->
-                S.append_async st e ~k:(fun () ->
+                append_async st e ~k:(fun () ->
                     (* an ack that fires after the crash went to a dead
                        process; only pre-crash acks bind durability *)
                     if not (S.Disk.is_dead d) then
@@ -774,6 +776,471 @@ let socket_durable () =
     ~group_commit:{ S.batch_max = 8; flush_every = 0.0005 }
     ()
 
+(* ------------------------------------------------------------------ *)
+(* Differential: the in-place commit queue against the list-based one  *)
+(* it replaced ([Storage_oracle]), call by call, over random mixes of  *)
+(* async and sync appends, durability markers, flushes, snapshots and  *)
+(* pins, with completions that re-enter their store and a disk that    *)
+(* may tear one batch.                                                 *)
+
+module O = Storage_oracle
+
+(* what a completion does after logging itself *)
+type reenter =
+  | Stay
+  | Reappend of int * int * int  (* reg, ts, value *)
+  | Reflush
+
+type dop =
+  | Async of int * int * int * reenter
+  | Durable of reenter
+  | Flush
+  | Snapshot
+  | Pin
+  | Unpin
+  | Sync of int * int * int
+
+(* One store behind the calls the property makes, whichever module it
+   comes from; [log] holds the ids of fired completions, newest first. *)
+type side = {
+  async : int -> int -> int -> k:(unit -> unit) -> unit;
+  durable : (unit -> unit) -> unit;
+  flush : unit -> unit;
+  snap : unit -> unit;
+  pin : unit -> unit;
+  unpin : unit -> unit;
+  sync : int -> int -> int -> unit;
+  pending : unit -> int;
+  stats : unit -> int list;
+  contents : unit -> (int * (int * Net.Wire.payload)) list;
+  disk : unit -> string * string option * int * bool;
+  log : int list ref;
+}
+
+let pl_of v = Registers.Tagged.make v (v land 1 = 1)
+
+(* the stats both stores keep, in one order *)
+let new_stats (s : S.stats) =
+  [ s.S.appends; s.S.batch_commits; s.S.max_batch; s.S.snapshots_taken;
+    s.S.gc_runs; s.S.gc_deferrals; s.S.recovered_snapshot;
+    s.S.recovered_wal; s.S.torn_bytes; s.S.wal_size ]
+
+let oracle_stats (s : O.stats) =
+  [ s.O.appends; s.O.batch_commits; s.O.max_batch; s.O.snapshots_taken;
+    s.O.gc_runs; s.O.gc_deferrals; s.O.recovered_snapshot;
+    s.O.recovered_wal; s.O.torn_bytes; s.O.wal_size ]
+
+let new_side st d =
+  {
+    async = (fun reg ts v ~k -> S.append_async st ~reg ~ts (pl_of v) ~k);
+    durable = S.on_durable st;
+    flush = (fun () -> S.flush st);
+    snap = (fun () -> S.snapshot st);
+    pin = (fun () -> S.pin st);
+    unpin = (fun () -> S.unpin st);
+    sync = (fun reg ts v -> S.append st { S.reg; ts; pl = pl_of v });
+    pending = (fun () -> S.pending st);
+    stats = (fun () -> new_stats (S.stats st));
+    contents = (fun () -> S.contents st);
+    disk =
+      (fun () ->
+        ( S.Disk.wal_bytes d, S.Disk.snapshot_bytes d, S.Disk.appends d,
+          S.Disk.is_dead d ));
+    log = ref [];
+  }
+
+let oracle_side st d =
+  {
+    async =
+      (fun reg ts v ~k -> O.append_async st { O.reg; ts; pl = pl_of v } ~k);
+    durable = O.on_durable st;
+    flush = (fun () -> O.flush st);
+    snap = (fun () -> O.snapshot st);
+    pin = (fun () -> O.pin st);
+    unpin = (fun () -> O.unpin st);
+    sync = (fun reg ts v -> O.append st { O.reg; ts; pl = pl_of v });
+    pending = (fun () -> O.pending st);
+    stats = (fun () -> oracle_stats (O.stats st));
+    contents = (fun () -> O.contents st);
+    disk =
+      (fun () ->
+        ( O.Disk.wal_bytes d, O.Disk.snapshot_bytes d, O.Disk.appends d,
+          O.Disk.is_dead d ));
+    log = ref [];
+  }
+
+(* Op [i]'s completion: log [i], then re-enter the store; a re-entered
+   append's own completion logs [1000 + i] and stays put. *)
+let completion s i re () =
+  s.log := i :: !(s.log);
+  match re with
+  | Stay -> ()
+  | Reappend (reg, ts, v) ->
+    s.async reg ts v ~k:(fun () -> s.log := (1000 + i) :: !(s.log))
+  | Reflush -> s.flush ()
+
+let run_dop s i = function
+  | Async (reg, ts, v, re) -> s.async reg ts v ~k:(completion s i re)
+  | Durable re -> s.durable (completion s i re)
+  | Flush -> s.flush ()
+  | Snapshot -> s.snap ()
+  | Pin -> s.pin ()
+  | Unpin -> s.unpin ()
+  | Sync (reg, ts, v) -> s.sync reg ts v
+
+(* everything the two stores must agree on after a call *)
+let observe s =
+  (List.rev !(s.log), s.pending (), s.stats (), s.contents (), s.disk ())
+
+let pp_reenter = function
+  | Stay -> ""
+  | Reappend (r, t, v) -> Fmt.str "+(%d,%d,%d)" r t v
+  | Reflush -> "+flush"
+
+let pp_dop = function
+  | Async (r, t, v, re) -> Fmt.str "async(%d,%d,%d)%s" r t v (pp_reenter re)
+  | Durable re -> "durable" ^ pp_reenter re
+  | Flush -> "flush"
+  | Snapshot -> "snapshot"
+  | Pin -> "pin"
+  | Unpin -> "unpin"
+  | Sync (r, t, v) -> Fmt.str "sync(%d,%d,%d)" r t v
+
+let gen_store_case =
+  let open QCheck2.Gen in
+  let ent = triple (int_range 0 3) (int_range 1 12) (int_range 0 99) in
+  let re =
+    frequency
+      [ (6, pure Stay);
+        (2, map (fun (r, t, v) -> Reappend (r, t, v)) ent);
+        (1, pure Reflush) ]
+  in
+  let dop =
+    frequency
+      [ (8, map2 (fun (r, t, v) re -> Async (r, t, v, re)) ent re);
+        (2, map (fun re -> Durable re) re);
+        (2, pure Flush);
+        (1, pure Snapshot);
+        (1, pure Pin);
+        (1, pure Unpin);
+        (2, map (fun (r, t, v) -> Sync (r, t, v)) ent) ]
+  in
+  let tear = opt (pair (int_range 1 8) (int_range 0 120)) in
+  map
+    (fun ((bm, se, gcb), (tear, ops)) -> (bm, se, gcb, tear, ops))
+    (pair
+       (triple (int_range 1 8) (oneofl [ 0; 3; 7 ]) (oneofl [ 0; 120; 400 ]))
+       (pair tear (list_size (int_range 0 40) dop)))
+
+let print_store_case (bm, se, gcb, tear, ops) =
+  Fmt.str "batch_max=%d snapshot_every=%d gc_bytes=%d tear=%s ops=[%s]" bm se
+    gcb
+    (match tear with
+     | None -> "none"
+     | Some (k, keep) -> Fmt.str "%d@%d" k keep)
+    (String.concat "; " (List.map pp_dop ops))
+
+let storage_matches_oracle (bm, se, gcb, tear, ops) =
+  let fate i =
+    match tear with Some (k, keep) when i = k -> `Torn keep | _ -> `Persist
+  in
+  let d = S.Disk.create () and od = O.Disk.create () in
+  S.Disk.set_hook d (fun i ->
+      match fate i with `Torn n -> S.Disk.Torn n | `Persist -> S.Disk.Persist);
+  O.Disk.set_hook od (fun i ->
+      match fate i with `Torn n -> O.Disk.Torn n | `Persist -> O.Disk.Persist);
+  let cfg = { S.batch_max = bm; flush_every = 0.0 } in
+  let a =
+    new_side
+      (S.create ~snapshot_every:se ~gc_bytes:gcb ~group_commit:cfg
+         (S.Disk.backend d))
+      d
+  and b =
+    oracle_side
+      (O.create ~snapshot_every:se ~gc_bytes:gcb
+         ~group_commit:{ O.batch_max = bm; flush_every = 0.0 }
+         (O.Disk.backend od))
+      od
+  in
+  let agree what =
+    if observe a <> observe b then
+      QCheck2.Test.fail_reportf "stores differ after %s" what
+  in
+  List.iteri
+    (fun i op ->
+      run_dop a i op;
+      run_dop b i op;
+      agree (pp_dop op))
+    ops;
+  a.flush ();
+  b.flush ();
+  agree "the final flush";
+  S.Disk.clear_hook d;
+  O.Disk.clear_hook od;
+  S.Disk.revive d;
+  O.Disk.revive od;
+  let a' = new_side (S.create ~snapshot_every:se (S.Disk.backend d)) d
+  and b' = oracle_side (O.create ~snapshot_every:se (O.Disk.backend od)) od in
+  if observe a' <> observe b' then
+    QCheck2.Test.fail_reportf "recovered stores differ";
+  true
+
+let oracle_differential =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:400 ~print:print_store_case
+       ~name:"group commit: in-place queue = list-based oracle, call by call"
+       gen_store_case storage_matches_oracle)
+
+(* ------------------------------------------------------------------ *)
+(* Commit causes: every batch commit is counted under exactly one of a *)
+(* filling append, [drive]'s deadline, or a forced flush.              *)
+
+let causes st =
+  let s = S.stats st in
+  (s.S.cap_commits, s.S.deadline_commits, s.S.forced_commits)
+
+let commit_causes () =
+  let net = Net.Sim_net.create ~seed:1 ~faults:Net.Sim_net.reliable () in
+  let transport = Net.Sim_net.transport net in
+  let st =
+    S.create ~group_commit:{ S.batch_max = 4; flush_every = 1.0 }
+      (S.mem_backend ())
+  in
+  let es = Array.of_list (entries_n 20) in
+  let put i = append_async st es.(i) ~k:ignore in
+  (* three queued, then the deadline timer commits them *)
+  for i = 0 to 2 do
+    put i
+  done;
+  S.drive st ~transport ~node:0;
+  ignore (Net.Sim_net.run net);
+  Alcotest.(check (triple int int int)) "deadline" (0, 1, 0) (causes st);
+  (* four queued: the fourth fills the batch *)
+  for i = 3 to 6 do
+    put i
+  done;
+  Alcotest.(check (triple int int int)) "size cap" (1, 1, 0) (causes st);
+  (* flush, snapshot and a sync append each force the queue out *)
+  put 7;
+  S.flush st;
+  put 8;
+  S.snapshot st;
+  put 9;
+  S.append st es.(10);
+  Alcotest.(check (triple int int int)) "forced" (1, 1, 3) (causes st);
+  (* nothing pending: no commit, no count *)
+  S.flush st;
+  S.snapshot st;
+  Alcotest.(check (triple int int int)) "empty flushes" (1, 1, 3) (causes st);
+  (* a zero deadline commits inside [drive] *)
+  let st0 = S.create ~group_commit:(gc 4) (S.mem_backend ()) in
+  append_async st0 es.(0) ~k:ignore;
+  S.drive st0 ~transport ~node:0;
+  Alcotest.(check (triple int int int)) "zero deadline" (0, 1, 0) (causes st0);
+  List.iter
+    (fun st ->
+      let c, d, f = causes st in
+      Alcotest.(check int) "the causes sum to batch_commits"
+        (S.stats st).S.batch_commits (c + d + f))
+    [ st; st0 ]
+
+let commit_causes_cluster () =
+  (* on a durable group-commit cluster every replica's commits come
+     from the size cap or [drive]'s deadline (nothing forces a
+     replica's queue), and every commit is counted once *)
+  let cl =
+    R.build ~replicas:3 ~window:4
+      ~group_commit:{ S.batch_max = 4; flush_every = 0.5 }
+      ~seed:5 ~init:0
+      ~processes:
+        [ proc 0 (List.init 30 (fun i -> w (i + 1)));
+          proc 1 (List.init 30 (fun i -> w (i + 101)));
+          proc 2 (List.init 30 (fun _ -> rd)) ]
+      ()
+  in
+  let steps = Net.Sim_net.run ~max_steps:200_000 cl.R.net in
+  check_clean ~what:"cluster" (R.collect cl ~steps);
+  List.iter
+    (fun r ->
+      let st = Option.get (Net.Replica.storage (cl.R.replica_of r)) in
+      let c, d, f = causes st in
+      let s = S.stats st in
+      Alcotest.(check int)
+        (Fmt.str "replica %d: causes sum to batch_commits" r)
+        s.S.batch_commits (c + d + f);
+      Alcotest.(check bool) (Fmt.str "replica %d: committed, none forced" r)
+        true
+        (s.S.batch_commits > 0 && f = 0))
+    [ 0; 1; 2 ]
+
+(* ------------------------------------------------------------------ *)
+(* Allocation pins, each test named with the list-based queue's figure *)
+(* under the same harness.                                             *)
+
+(* A store whose backend drops every write: only the store's own
+   words are counted. *)
+let null_store ~batch_max =
+  S.create ~group_commit:{ S.batch_max; flush_every = 0.0 }
+    { (S.mem_backend ()) with S.append_wal = (fun _ _ -> ()) }
+
+let pl_cycle = Array.init 64 pl
+
+(* [words_per_call] over calls [2n, 3n) after two warm-up rounds of
+   [n] calls, each ended by [settle] (a commit): both of the store's
+   alternating completion arrays, and every other buffer, have grown to
+   a round's size before the measured round. *)
+let words_settled ~n ~settle f =
+  Helpers.words_per_call ~warmup:(2 * n) ~n:(3 * n) (fun i ->
+      f i;
+      if i = n - 1 || i = (2 * n) - 1 then settle ())
+
+let append_async_words () =
+  (* rising timestamps over 64 registers: every append applies, into a
+     bucket the warm-up made; nothing commits in the window *)
+  let st = null_store ~batch_max:1_000_000 in
+  let k () = () in
+  let words =
+    words_settled ~n:2_000
+      ~settle:(fun () -> S.flush st)
+      (fun i ->
+        S.append_async st ~reg:(i land 63) ~ts:(i + 1) pl_cycle.(i land 63) ~k)
+  in
+  (* the table's (ts, payload) pair *)
+  Alcotest.(check (float 0.0)) "words per append_async" 3.0 words
+
+let flush_six_words () =
+  (* six stale appends (the table keeps its pairs) and their flush, on
+     the simulated disk; the warm-up's snapshot empties the disk's WAL
+     but keeps its capacity *)
+  let d = S.Disk.create () in
+  let st =
+    S.create ~group_commit:{ S.batch_max = 64; flush_every = 0.0 }
+      (S.Disk.backend d)
+  in
+  for reg = 0 to 5 do
+    S.append st { S.reg; ts = 1_000_000; pl = pl reg }
+  done;
+  let fired = ref 0 in
+  let k () = incr fired in
+  let n = 2_000 in
+  let words =
+    words_settled ~n
+      ~settle:(fun () -> S.snapshot st)
+      (fun i ->
+        for reg = 0 to 5 do
+          S.append_async st ~reg ~ts:(1 + (i land 7)) pl_cycle.(reg) ~k
+        done;
+        S.flush st)
+  in
+  Alcotest.(check int) "every completion fired" (6 * 3 * n) !fired;
+  Alcotest.(check int) "one Disk append per flush" (6 + (3 * n))
+    (S.Disk.appends d);
+  Alcotest.(check (float 0.0)) "words per 6 appends + flush" 0.0 words
+
+let replica_store_words () =
+  (* a durable replica's [Store] of a newer timestamp to a register it
+     holds, its ack left queued *)
+  let st = null_store ~batch_max:1_000_000 in
+  let r = Net.Replica.create ~init:0 ~storage:st () in
+  let acks = ref 0 in
+  let emit _ = incr acks in
+  let n = 2_000 in
+  let stores =
+    Array.init (3 * n) (fun i ->
+        Net.Wire.Store { rid = i; reg = i land 3; ts = i + 1; pl = pl i })
+  in
+  let words =
+    words_settled ~n
+      ~settle:(fun () -> S.flush st)
+      (fun i -> Net.Replica.handle_emit r ~src:9 ~emit stores.(i))
+  in
+  S.flush st;
+  Alcotest.(check int) "every Store acked after its flush" (3 * n) !acks;
+  (* the table's (ts, payload) pair *)
+  Alcotest.(check (float 0.0)) "words per durable Store" 3.0 words
+
+(* ------------------------------------------------------------------ *)
+(* The WAL is opened O_APPEND: after a torn-tail repair truncates it,  *)
+(* the next append lands right after the valid prefix.                 *)
+
+let file_append_after_repair () =
+  with_dir @@ fun dir ->
+  let entries = entries_n 8 in
+  let st = S.create (S.file_backend ~dir ()) in
+  List.iter (S.append st) (take 5 entries);
+  let wal_file = Filename.concat dir "wal" in
+  let rec_size = (Unix.stat wal_file).Unix.st_size / 5 in
+  Unix.truncate wal_file ((3 * rec_size) + 11);
+  (* the repairing open truncates to the 3-record prefix; its own
+     appends must follow that prefix, not the torn length *)
+  let st' = S.create (S.file_backend ~dir ()) in
+  Alcotest.(check int) "tail dropped" 11 (S.stats st').S.torn_bytes;
+  List.iter (S.append st') (List.filteri (fun i _ -> i >= 3) entries);
+  Alcotest.(check int) "appends follow the valid prefix" (8 * rec_size)
+    (Unix.stat wal_file).Unix.st_size;
+  let st'' = S.create (S.file_backend ~dir ()) in
+  Alcotest.(check int) "second recovery: clean" 0 (S.stats st'').S.torn_bytes;
+  Alcotest.(check int) "second recovery: every record" 8
+    (S.stats st'').S.recovered_wal;
+  Alcotest.(check bool) "second recovery: the full workload" true
+    (S.contents st'' = reference_contents entries)
+
+(* ------------------------------------------------------------------ *)
+(* A durable replica's acks wait in a ring of slots and leave in the   *)
+(* order their stores (or duplicate markers) were queued, each once    *)
+(* its batch commits.                                                  *)
+
+let replica_acks_in_order () =
+  let module W = Net.Wire in
+  let st = S.create ~group_commit:(gc 3) (S.mem_backend ()) in
+  let r = Net.Replica.create ~init:0 ~storage:st () in
+  let out = ref [] in
+  let emit reply = out := reply :: !out in
+  let send src m = Net.Replica.handle_emit r ~src ~emit m in
+  let took what expect =
+    Alcotest.(check bool) what true (List.rev !out = expect);
+    out := []
+  in
+  send 7 (W.Store { rid = 0; reg = 0; ts = 1; pl = pl 10 });
+  send 7 (W.Store { rid = 1; reg = 0; ts = 1; pl = pl 10 });
+  took "a store and its duplicate wait" [];
+  send 7 (W.Query { rid = 2; reg = 0 });
+  took "a query answers at once"
+    [ (7, W.Query_reply { rid = 2; reg = 0; ts = 1; pl = pl 10 }) ];
+  send 8 (W.Store2 { lid = 0; seq = 0; reg = 1; pl = pl 11 });
+  send 7 (W.Store { rid = 3; reg = 2; ts = 5; pl = pl 12 });
+  took "the filling store releases the batch, in queue order"
+    [ (7, W.Store_ack { rid = 0; reg = 0 });
+      (7, W.Store_ack { rid = 1; reg = 0 });
+      (8, W.Ack2 { lid = 0; seq = 0 });
+      (7, W.Store_ack { rid = 3; reg = 2 }) ];
+  send 7 (W.Store { rid = 4; reg = 2; ts = 5; pl = pl 12 });
+  send 8 (W.Store2 { lid = 0; seq = 0; reg = 1; pl = pl 11 });
+  took "duplicates with nothing queued ack at once"
+    [ (7, W.Store_ack { rid = 4; reg = 2 }); (8, W.Ack2 { lid = 0; seq = 0 }) ];
+  (* the ring wraps and grows: 2 acks, then 40 queued from a moved head *)
+  let st = S.create ~group_commit:(gc 64) (S.mem_backend ()) in
+  let r = Net.Replica.create ~init:0 ~storage:st () in
+  let store rid =
+    Net.Replica.handle_emit r ~src:(rid land 1) ~emit
+      (W.Store { rid; reg = rid; ts = 1; pl = pl rid })
+  in
+  let acks rids =
+    List.map (fun rid -> (rid land 1, W.Store_ack { rid; reg = rid })) rids
+  in
+  for rid = 0 to 9 do
+    store rid
+  done;
+  S.flush st;
+  took "ten acks" (acks (List.init 10 Fun.id));
+  for rid = 10 to 49 do
+    store rid
+  done;
+  took "nothing before the flush" [];
+  S.flush st;
+  took "forty acks, in order, across the grown ring"
+    (acks (List.init 40 (fun i -> i + 10)))
+
 let suite =
   [
     tc "store: basic ops" basic_ops;
@@ -807,6 +1274,19 @@ let suite =
     tc "plain crash is a pause" plain_crash_keeps_state;
     tc "a paused replica's flush timer fires at its restart"
       pause_defers_flush_timer;
+    oracle_differential;
+    tc "group commit: commit causes sum to batch_commits" commit_causes;
+    tc "group commit: a cluster's commits split by cause"
+      commit_causes_cluster;
+    tc "alloc: a warm append_async: 3 words (23 with a list queue)"
+      append_async_words;
+    tc "alloc: 6 queued entries and their flush: 0 words (200 with a list queue)"
+      flush_six_words;
+    tc "alloc: a durable replica Store: 3 words (30 with closures)"
+      replica_store_words;
+    tc "file backend: an append after a tail repair follows the prefix"
+      file_append_after_repair;
+    tc "replica: durable acks leave in queue order" replica_acks_in_order;
   ]
 
 let slow_suite =

@@ -59,7 +59,7 @@ let backend_of_bytes ?snap wal0 =
   ( {
       S.load_snapshot = (fun () -> snap);
       load_wal = (fun () -> !wal);
-      append_wal = (fun s -> wal := !wal ^ s);
+      append_wal = (fun b n -> wal := !wal ^ Bytes.sub_string b 0 n);
       truncate_wal = (fun n -> wal := String.sub !wal 0 n);
       install_snapshot = (fun _ -> ());
     },
@@ -316,16 +316,20 @@ let fuzz_group_commit_prefix () =
       {
         be0 with
         S.append_wal =
-          (fun s ->
+          (fun b n ->
             incr writes;
-            be0.S.append_wal s);
+            be0.S.append_wal b n);
       }
     in
     let st =
       S.create ~group_commit:{ S.batch_max = bm; flush_every = 0.0 } be
     in
     let acked = ref 0 in
-    List.iter (fun e -> S.append_async st e ~k:(fun () -> incr acked)) entries;
+    List.iter
+      (fun e ->
+        S.append_async st ~reg:e.S.reg ~ts:e.S.ts e.S.pl ~k:(fun () ->
+            incr acked))
+      entries;
     S.flush st;
     if !acked <> n then
       Alcotest.failf "iteration %d: %d of %d ops acked" i !acked n;
