@@ -910,6 +910,7 @@ let op_path_alloc_table () =
             domains = 1;
             txns = Net.Txn.create ~init:0 ();
             post = (fun f -> f ());
+            peer_stores = [];
           }
         ~me:Net.Transport.server ~replicas:[ 0; 1; 2 ] ~init:0 ()
     in
@@ -1059,6 +1060,112 @@ let replica_alloc_table () =
       ("replica ack (per ack)", "replica ack words per ack", replica_ack) ];
   Fmt.pr "  (a null backend, 32-entry batch cap, commits unmeasured)@.@."
 
+(* One reader's lanes on a fresh core over three replicas, audit off:
+   the words freed when, after reading [keys] keys once each, it says
+   [Bye], then [Hello] again and reads key 0.  [Bye] drops the lanes,
+   and that read points the core's one spare op record, the last
+   reference to the old session and so to its lanes, at the new one.
+   The rest (the sessions, the new lane) is the same for every [keys],
+   so a difference of two calls is lanes alone. *)
+let lane_words keys =
+  let qdst = Array.make 8 0 and qrid = Array.make 8 0 and nq = ref 0 in
+  let tr =
+    {
+      Net.Transport.null with
+      Net.Transport.send =
+        (fun ~src:_ ~dst msg ->
+          match msg with
+          | Net.Wire.Query { rid; _ } ->
+            qdst.(!nq) <- dst;
+            qrid.(!nq) <- rid;
+            incr nq
+          | _ -> ());
+    }
+  in
+  let sv =
+    Net.Server.create ~transport:tr ~audit:false
+      ~member:
+        {
+          Net.Server.worker = 0;
+          domains = 1;
+          txns = Net.Txn.create ~init:0 ();
+          post = (fun f -> f ());
+          peer_stores = [];
+        }
+      ~me:Net.Transport.server ~replicas:[ 0; 1; 2 ] ~init:0 ()
+  in
+  let cl = Net.Transport.client 2 and pl = Registers.Tagged.make 0 false in
+  let read seq key =
+    Net.Server.on_message sv ~src:cl
+      (Net.Wire.Req { seq; op = Net.Wire.Read_k { key } });
+    while !nq > 0 do
+      decr nq;
+      Net.Server.on_message sv ~src:qdst.(!nq)
+        (Net.Wire.Query_reply
+           {
+             rid = qrid.(!nq);
+             reg = Net.Shard_map.global_reg key 0;
+             ts = 0;
+             pl;
+           })
+    done
+  in
+  Net.Server.on_message sv ~src:cl (Net.Wire.Hello { proc = 2 });
+  for key = 0 to keys - 1 do
+    read key key
+  done;
+  let before = Obj.reachable_words (Obj.repr sv) in
+  Net.Server.on_message sv ~src:cl Net.Wire.Bye;
+  Net.Server.on_message sv ~src:cl (Net.Wire.Hello { proc = 2 });
+  read 0 0;
+  if Net.Server.ops_served sv <> keys + 1 then
+    Fmt.failwith "net-alloc: %d of %d lane reads answered"
+      (Net.Server.ops_served sv) (keys + 1);
+  before - Obj.reachable_words (Obj.repr sv)
+
+(* What the server keeps per key and per event at the end of the run,
+   in words reachable ([Obj.reachable_words]): exact counts.  The audit
+   row measures the replay's monitors, which saw the server's events
+   key by key; the spare cores a domain keeps for monitors that unfold
+   are not theirs and are left out.  The log row measures a log rebuilt
+   from the server's history: the events are the server's own values,
+   shared as it shares them.  The lane row is [lane_words] per key.
+   The engine's and the replicas' per-register tables are left out:
+   they reach closures and a transport shared with the whole cluster,
+   so their own words cannot be told apart by reachability. *)
+let resident_table server monitors =
+  let ms = Array.of_seq (Hashtbl.to_seq_values monitors) in
+  let keys = Array.length ms in
+  let resident =
+    Array.fold_left
+      (fun n m -> if Histories.Monitor.resident m then n + 1 else n)
+      0 ms
+  in
+  let audit =
+    float_of_int (Obj.reachable_words (Obj.repr ms) - (keys + 1))
+    /. float_of_int keys
+  in
+  let log = Net.History_log.create () in
+  List.iter2
+    (fun (time, ev) (key, _) -> Net.History_log.append log time key ev)
+    (Net.Server.timed_history server)
+    (Net.Server.keyed_history server);
+  let events = Net.History_log.length log in
+  let per_event =
+    float_of_int (Obj.reachable_words (Obj.repr log)) /. float_of_int events
+  in
+  let lane = float_of_int (lane_words 4096 - lane_words 1) /. 4095.0 in
+  Fmt.pr "  resident set at the run's end (words reachable):@.";
+  List.iter
+    (fun (name, w, note) ->
+      Fmt.pr "  %-37s %11.1f  %s@." name w note;
+      Json.count ~section:"net-alloc" name w)
+    [ ("audit retained words per idle key", audit,
+       Fmt.str "(%d keys, %d resident)" keys resident);
+      ("history log words per event", per_event, Fmt.str "(%d events)" events);
+      ("lane words per idle key", lane, "(one reader's, 4096 keys)") ];
+  Fmt.pr "@."
+
 let bench_net_alloc () =
   section "net-alloc - minor words per op by receiving role and message";
   (* the shape of bench/e2e's sim-durable workload: ABD, 3 replicas,
@@ -1167,6 +1274,7 @@ let bench_net_alloc () =
     Fmt.failwith "net-alloc: the replayed audit flagged %d events" !violations;
   Fmt.pr "  %-37s %11.1f@.@." "server audit words per op" audit;
   Json.metric ~section:"net-alloc" "server audit words per op" audit;
+  resident_table cl.Net.Sim_run.server monitors;
   replica_alloc_table ();
   op_path_alloc_table ();
   sim_alloc_table ();

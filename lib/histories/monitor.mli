@@ -15,8 +15,26 @@
     - cycles are detected online with the Pearce–Kelly dynamic
       topological-order algorithm, so each new edge costs amortized
       far less than a full recheck;
-    - superseded writes are forgotten, so memory stays bounded by the
-      concurrency, not by the history's length.
+    - superseded writes are forgotten, and a quiescent monitor folds
+      its graph away (below), so memory follows the concurrency, not
+      the history's length.
+
+    {b Folding.}  When an event leaves every processor idle and the
+    graph holding only the initial value's node and at most one write,
+    the monitor folds: it keeps that write's value, node and completion
+    clock, its processors' ids, its read-frontier and live obligation
+    rows as (node, number) pairs, and a few counters — eleven ints plus
+    one per processor and two per row.  On a key with three processors
+    that array is about twenty words, and the whole folded key (the
+    monitor record, its memory of the write's value and that array)
+    about 35 words reachable, where a key with a working graph holds
+    about 180.  Its graph
+    goes on a stack of spare graphs, one per domain, and the next event
+    of any folded monitor on that domain takes one and rebuilds the
+    state from those words.  Folding prunes nothing and changes no
+    verdict; once the domain's stack holds a spare, a fold and the
+    unfold that follows allocate nothing.  {!resident} tells the two
+    states apart.
 
     {b Pruning.}  Atomicity lets no read that begins after a write has
     been overwritten return that write.  The monitor therefore drops a
@@ -70,6 +88,11 @@ val observe : 'v t -> 'v Event.t -> 'v verdict
 val observe_all : 'v t -> 'v Event.t list -> 'v verdict
 
 val verdict : 'v t -> 'v verdict
+
+val resident : 'v t -> bool
+(** Whether the monitor holds a working graph: from its first event
+    until it folds, and again from the next event.  A monitor that
+    latched a violation keeps its graph. *)
 
 val stats : 'v t -> int * int
 (** (nodes, edges) of the live constraint graph, the initial value's

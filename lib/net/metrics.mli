@@ -16,7 +16,7 @@
     servers handed the same {!t} would each report both servers'
     totals.
 
-    Counter names used by the library (all monotonic):
+    Counter names used by the library (all monotonic but one):
 
     - [frames_sent] / [frames_delivered] / [frames_dropped] /
       [frames_blocked] / [frames_duplicated] — per-frame fates at the
@@ -59,6 +59,10 @@
       handler (the worker survives them; see {!Server_pool.stop}).
     - [audit_violated_keys] — keys whose live audit latched a
       violation ({!Server.violations}).
+    - [audit_keys] — keys with a live monitor; [audit_resident] — of
+      those, the monitors holding a working graph
+      ({!Histories.Monitor.resident}).  [audit_resident] is the one
+      counter that also falls: a monitor that folds takes 1 off.
     - [reconfig_started] / [reconfig_completed] / [reconfig_nacked] —
       migrations begun, cut over and refused; [reconfig_dual_writes],
       [reconfig_sync_installs] / [reconfig_sync_skips] and

@@ -14,6 +14,10 @@ type session = {
   proc : E.proc;
   mutable next_seq : int;  (* lowest sequence number not yet seen *)
   lane : lane;
+  invoke_read : int E.t;
+  respond_write : int E.t;
+      (* the session's two events that carry no value, built once: the
+         log and the monitor share them *)
 }
 
 (* A processor's per-key execution lanes.  They belong to the
@@ -75,6 +79,7 @@ type member = {
   domains : int;
   txns : Txn.t;
   post : (unit -> unit) -> unit;
+  peer_stores : Storage.t list;
 }
 
 (* Worker ownership by the epoch-0 hash placement, NOT the live map: a
@@ -83,16 +88,6 @@ type member = {
    engine after cutover — and reply frames keep routing there too. *)
 let worker_of_key map ~domains key =
   Shard_map.base_shard_of_key map key mod domains
-
-(* Event [i]'s time, key and event sit at index [i] of three arrays
-   that double when full: recording one allocates nothing but its
-   share of the growth. *)
-type log = {
-  mutable times : Float.Array.t;
-  mutable keys : int array;
-  mutable evs : int E.t array;
-  mutable len : int;
-}
 
 type t = {
   tr : Transport.t;  (* corked: one frame per peer per turn *)
@@ -118,10 +113,14 @@ type t = {
   monitors : (int, int Histories.Monitor.t) Hashtbl.t;  (* per key *)
   mutable violations_rev : (int * int Histories.Fastcheck.violation) list;
       (* first violation per key, newest first *)
-  log : log option;  (* the recorded history, with [?history] *)
+  log : History_log.t option;
+      (* the recorded history, with [?history]: chunks of at most 4096
+         events, so it grows with no copy and its memory follows its
+         length *)
   mutable timer_armed : bool;
   resend_every : float;
   storage : Storage.t option;
+  stores : Storage.t list;  (* [storage] and the pool's other cores' *)
   metrics : Metrics.t;
   trace : Trace.t option;
   m_served : Metrics.counter;
@@ -129,36 +128,13 @@ type t = {
   m_copy_reads : Metrics.counter;
   m_copy_misses : Metrics.counter;
   m_audit : Metrics.counter;  (* keys whose audit latched a violation *)
+  m_audit_keys : Metrics.counter;  (* keys with a monitor *)
+  m_audit_resident : Metrics.counter;
+      (* monitors holding a working graph: +1 and -1 as one unfolds and
+         folds *)
   h_op : Metrics.histogram;
   c_shard_ops : Metrics.counter array;
 }
-
-let log_append l time key ev =
-  let cap = Array.length l.keys in
-  if l.len = cap then begin
-    let cap' = max 16 (2 * cap) in
-    let times = Float.Array.make cap' 0.0
-    and keys = Array.make cap' 0
-    and evs = Array.make cap' ev in
-    Float.Array.blit l.times 0 times 0 cap;
-    Array.blit l.keys 0 keys 0 cap;
-    Array.blit l.evs 0 evs 0 cap;
-    l.times <- times;
-    l.keys <- keys;
-    l.evs <- evs
-  end;
-  Float.Array.set l.times l.len time;
-  l.keys.(l.len) <- key;
-  l.evs.(l.len) <- ev;
-  l.len <- l.len + 1
-
-(* [f l i] for each event [i] of the log, in order. *)
-let log_map t f =
-  match t.log with
-  | None -> []
-  | Some l ->
-    let rec go i acc = if i < 0 then acc else go (i - 1) (f l i :: acc) in
-    go (l.len - 1) []
 
 let monitor_of t key =
   match Hashtbl.find t.monitors key with
@@ -166,7 +142,18 @@ let monitor_of t key =
   | exception Not_found ->
     let m = Histories.Monitor.create ~init:t.init in
     Hashtbl.replace t.monitors key m;
+    Metrics.incr t.m_audit_keys;
     m
+
+(* Feed [key]'s monitor, keeping the resident count. *)
+let observe t key ev =
+  let m = monitor_of t key in
+  let before = Histories.Monitor.resident m in
+  let v = Histories.Monitor.observe m ev in
+  let after = Histories.Monitor.resident m in
+  if after <> before then
+    Metrics.add t.m_audit_resident (if after then 1 else -1);
+  v
 
 let with_cork t f = Transport.turn t.cork f
 
@@ -176,7 +163,7 @@ let shards t = Registry.shards t.registry
 let record t key ev =
   (match t.log with
    | None -> ()
-   | Some l -> log_append l (t.tr.Transport.now ()) key ev);
+   | Some l -> History_log.append l (t.tr.Transport.now ()) key ev);
   (match t.trace with
    | None -> ()
    | Some tr ->
@@ -187,7 +174,7 @@ let record t key ev =
      in
      Trace.record tr ~time:(t.tr.Transport.now ()) kind);
   if t.audit then
-    match Histories.Monitor.observe (monitor_of t key) ev with
+    match observe t key ev with
     | Histories.Monitor.Ok_so_far -> ()
     | Histories.Monitor.Violation v ->
       if not (List.mem_assoc key t.violations_rev) then begin
@@ -338,7 +325,7 @@ let rec start_next t lane key =
     | Wire.Snap_k { keys } -> start_multi t o (Txn.Snap keys)
     | Wire.Read | Wire.Read_k _ when key < 0 -> reject t o
     | Wire.Read | Wire.Read_k _ ->
-      record t key (E.Invoke (o.s.proc, E.Read));
+      record t key o.s.invoke_read;
       step t o o.rd (read_prog t o.s.proc key)
     | Wire.Write v | Wire.Write_k { value = v; _ }
       when key >= 0 && is_writer o.s.proc ->
@@ -385,7 +372,7 @@ and read_done t o v =
     finish t o
 
 and write_done t o () =
-  record t o.key (E.Respond (o.s.proc, None));
+  record t o.key o.s.respond_write;
   match o.wop with
   | Wire.Txn_k _ ->
     let src = o.s.src and seq = o.seq and key = o.key in
@@ -421,7 +408,7 @@ and start_multi t o kind =
           (* pin the core's store: GC must not reorganize the log under
              a snapshot read's consistent cut *)
           (match t.storage with Some st -> Storage.pin st | None -> ());
-          record t key (E.Invoke (s.proc, E.Read));
+          record t key s.invoke_read;
           step t o o.rd (Core.Protocol.read_prog ()))
   in
   let finish () =
@@ -531,14 +518,11 @@ let create ~transport ?(audit = true) ?(resend_every = 0.05) ?engine
       init;
       monitors = Hashtbl.create 8;
       violations_rev = [];
-      log =
-        (if history then
-           Some
-             { times = Float.Array.create 0; keys = [||]; evs = [||]; len = 0 }
-         else None);
+      log = (if history then Some (History_log.create ()) else None);
       timer_armed = false;
       resend_every;
       storage;
+      stores = Option.to_list storage @ member.peer_stores;
       metrics;
       trace;
       m_served = Metrics.counter metrics "ops_served";
@@ -546,6 +530,8 @@ let create ~transport ?(audit = true) ?(resend_every = 0.05) ?engine
       m_copy_reads = Metrics.counter metrics "copy_reads";
       m_copy_misses = Metrics.counter metrics "copy_misses";
       m_audit = Metrics.counter metrics "audit_violated_keys";
+      m_audit_keys = Metrics.counter metrics "audit_keys";
+      m_audit_resident = Metrics.counter metrics "audit_resident";
       h_op = Metrics.histogram metrics "server_op";
       c_shard_ops =
         Array.init (Shard_map.shards map) (fun s ->
@@ -586,8 +572,7 @@ let create ~transport ?(audit = true) ?(resend_every = 0.05) ?engine
          (Storage.contents st);
        Hashtbl.iter
          (fun key writes ->
-           let m = monitor_of t key in
-           let observe ev = ignore (Histories.Monitor.observe m ev) in
+           let observe ev = ignore (observe t key ev) in
            List.iter
              (fun (role, v) -> observe (E.Invoke (role, E.Write v)))
              writes;
@@ -645,7 +630,15 @@ let rec on_message_inner t ~src msg =
         Hashtbl.replace t.lanes owner lane;
         lane
     in
-    Hashtbl.replace t.sessions src { src; proc; next_seq = 0; lane }
+    Hashtbl.replace t.sessions src
+      {
+        src;
+        proc;
+        next_seq = 0;
+        lane;
+        invoke_read = E.Invoke (proc, E.Read);
+        respond_write = E.Respond (proc, None);
+      }
   | Wire.Req { seq; op } ->
     (match Hashtbl.find t.sessions src with
      | s when seq >= s.next_seq ->
@@ -688,6 +681,16 @@ let rec on_message_inner t ~src msg =
        answer anyone who can reach the socket.  The counters are the
        registry's, which every core of a pool shares *)
     let tx = Txn.stats t.txns in
+    (* the commit causes of the pool's wts stores, read here so the
+       commit path counts nothing more; [Storage.stats] locks each *)
+    let cap, deadline, forced =
+      List.fold_left
+        (fun (c, d, f) st ->
+          let s = Storage.stats st in
+          Storage.(c + s.cap_commits, d + s.deadline_commits,
+                   f + s.forced_commits))
+        (0, 0, 0) t.stores
+    in
     let stats =
       Metrics.wire_stats t.metrics
       @ [
@@ -699,6 +702,9 @@ let rec on_message_inner t ~src msg =
           ("snaps_served", tx.Txn.snaps_served);
           ("txn_violation", if Txn.violations t.txns = [] then 0 else 1);
           ("epoch", epoch t);
+          ("store_cap_commits", cap);
+          ("store_deadline_commits", deadline);
+          ("store_forced_commits", forced);
         ]
     in
     t.tr.Transport.send ~src:t.me ~dst:src (Wire.Stats_reply { rid; stats })
@@ -716,10 +722,10 @@ let handle t ~src msg =
 
 let on_message t ~src msg = Transport.handle t.cork handle t ~src msg
 
-let keyed_history t = log_map t (fun l i -> (l.keys.(i), l.evs.(i)))
-let history t = log_map t (fun l i -> l.evs.(i))
-let timed_history t =
-  log_map t (fun l i -> (Float.Array.get l.times i, l.evs.(i)))
+let view f t = match t.log with None -> [] | Some l -> f l
+let keyed_history = view History_log.keyed
+let history = view History_log.events
+let timed_history = view History_log.timed
 let violations t = List.rev t.violations_rev
 
 let ops_served t = Metrics.value t.m_served

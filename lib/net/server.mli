@@ -59,13 +59,17 @@ type t
 (** A core's place in its pool.  Its fields are facts about the pool,
     not switches.  {!Server_pool} builds one per worker; {!Sim_run}
     builds the one of a 1-worker pool ([worker = 0], [domains = 1],
-    its own coordinator, [post] the identity). *)
+    its own coordinator, [post] the identity, no [peer_stores]). *)
 type member = {
   worker : int;  (** This core's worker index, in [[0, domains)]. *)
   domains : int;  (** The pool's worker count, at least 1. *)
   txns : Txn.t;  (** The multi-key coordinator every core shares. *)
   post : (unit -> unit) -> unit;
       (** Runs a thunk on this core's worker domain. *)
+  peer_stores : Storage.t list;
+      (** The wts stores of the pool's other cores: a
+          {!Wire.msg.Stats_req} reports their commit causes together
+          with this core's own. *)
 }
 
 val worker_of_key : Shard_map.t -> domains:int -> int -> int
@@ -153,14 +157,19 @@ val create :
     [metrics] (default: a fresh instance — pass the cluster-wide one)
     receives [ops_served]/[ops_rejected] counters, the
     [copy_reads]/[copy_misses] counters of writer reads,
-    [audit_violated_keys], the [server_op] invoke-to-respond
+    [audit_violated_keys], the audit's resident set ([audit_keys], the
+    keys with a monitor, and [audit_resident], the monitors not folded
+    — see {!Histories.Monitor.resident}), the [server_op] invoke-to-respond
     histogram, one [shard<i>_ops] counter per shard, (through the
     embedded {!Registry}) the engine counters, phase histograms and
     per-shard [shard<i>_quorum_ops], and (through the {!Reconfig}
     coordinator) the [reconfig_*] counters.  {!ops_served},
     {!rejected} and {!quorum_stats} read these counters back, and its
     {!Metrics.wire_stats} snapshot is what a {!Wire.msg.Stats_req} is
-    answered with.  With [trace], every operation invoke/respond is
+    answered with, followed by rows of this core's own: among them
+    [store_cap_commits], [store_deadline_commits] and
+    [store_forced_commits], the commit causes ({!Storage.stats}) of its
+    [storage] and the member's [peer_stores], summed (0 without any).  With [trace], every operation invoke/respond is
     appended to the ring, tagged with its key; that is how a pool
     member's history is kept.  Does not block. *)
 

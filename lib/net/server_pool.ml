@@ -87,6 +87,7 @@ let create ~transport ?audit ?engine ?storage ?metrics ?trace ?map
   in
   let nd = max 1 domains in
   let storage = match storage with Some f -> f | None -> fun _ -> None in
+  let stores = Array.init nd storage in
   (* ONE multi-key coordinator shared by every core: a cross-domain
      batch is atomic because all its keys' cores lock through the same
      table, whichever domains own them *)
@@ -109,10 +110,16 @@ let create ~transport ?audit ?engine ?storage ?metrics ?trace ?map
        whichever domain committed the multi-key op: inject them
        through the worker queue like timer callbacks *)
     let post f = match !wref with Some w -> push w (Fn f) | None -> f () in
+    let peer_stores =
+      List.concat
+        (List.init nd (fun i ->
+             if i = d then [] else Option.to_list stores.(i)))
+    in
     let core =
-      Server.create ~transport:wt ?audit ?engine ?storage:(storage d) ~metrics
-        ?trace ~map ~member:{ Server.worker = d; domains = nd; txns; post } ~me
-        ~replicas ~init ()
+      Server.create ~transport:wt ?audit ?engine ?storage:stores.(d) ~metrics
+        ?trace ~map
+        ~member:{ Server.worker = d; domains = nd; txns; post; peer_stores }
+        ~me ~replicas ~init ()
     in
     let w =
       { core; mu = Mutex.create (); cv = Condition.create ();

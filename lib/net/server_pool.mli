@@ -103,8 +103,11 @@ val create :
     {b Stats.}  A {!Wire.msg.Stats_req} is answered by worker 0 from
     the shared [metrics] registry, which every core counts into, so
     its counters — ops served, engine traffic, [reconfig_*],
-    [audit_violation] — are the whole pool's.  Only [epoch] is still
-    worker 0's, as for {!Wire.msg.Epoch_req}.  With the two-bit engine
+    [audit_violation], [audit_keys], [audit_resident] — are the whole
+    pool's.  The [store_*_commits] rows sum every worker's store
+    (worker 0 reads the others' as its [peer_stores]).  Only [epoch]
+    is still worker 0's, as for {!Wire.msg.Epoch_req}.  With the
+    two-bit engine
     and [domains > 1] every core nacks reconfiguration: two-bit
     replies route by [lid mod domains] and a migration's second engine
     would misroute — see {!Reconfig.create}. *)

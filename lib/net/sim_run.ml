@@ -210,6 +210,7 @@ let build ?(faults = Sim_net.reliable) ?(replicas = 3) ?(window = 4)
       domains = 1;
       txns = Txn.create ~torn:bug.Bug.torn_txn ~init ();
       post = (fun f -> f ());
+      peer_stores = [];
     }
   in
   let server =

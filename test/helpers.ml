@@ -61,6 +61,7 @@ let solo_member () =
     domains = 1;
     txns = Net.Txn.create ~init:0 ();
     post = (fun f -> f ());
+    peer_stores = [];
   }
 
 (* A replica's replies to one message, as a list.  Complete only when

@@ -215,6 +215,29 @@ let create_is_small () =
   Alcotest.(check bool) (Fmt.str "%.1f words per create, at most 4" words)
     true (words <= 4.0)
 
+(* A sequential writer on one key: each write's response folds the
+   monitor and the next invocation unfolds it, on a domain whose stack
+   holds the spare core from the first fold. *)
+let fold_unfold_allocates_nothing () =
+  let n = 2_000 in
+  let writes = Array.init n (fun i -> ev_invoke 0 (write (i + 1)))
+  and ack = ev_respond 0 None in
+  let m = M.create ~init:0 in
+  let folds = ref 0 in
+  let words =
+    words_per_call ~warmup:100 ~n (fun i ->
+        ignore (M.observe m writes.(i));
+        if M.resident m then begin
+          ignore (M.observe m ack);
+          if not (M.resident m) then incr folds
+        end)
+  in
+  Alcotest.(check bool) "still ok" true (ok (M.verdict m));
+  Alcotest.(check int) "every write's response folded" n !folds;
+  Alcotest.(check (pair int int)) "folded: node 0 and the last write" (2, 0)
+    (M.stats m);
+  Alcotest.(check (float 0.0)) "words per fold and unfold" 0.0 words
+
 let suite =
   [
     tc "sequential history ok" sequential_ok;
@@ -235,4 +258,6 @@ let suite =
     tc "a warm write then read allocates nothing (was 200 words)"
       write_then_read_allocates_nothing;
     tc "create allocates at most 4 words (was 157)" create_is_small;
+    tc "a fold and an unfold allocate nothing once a spare core is warm"
+      fold_unfold_allocates_nothing;
   ]

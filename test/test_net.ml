@@ -3066,6 +3066,262 @@ let server_history_words () =
   Alcotest.(check int) "one invocation recorded per read" n events;
   Alcotest.(check (float 0.0)) "words per recorded event" 0.0 (kept -. plain)
 
+(* The log against a list built beside it, at lengths around every
+   chunk boundary up to three chunks of 4096: the three views, in
+   order, with each event the very value appended.  One log grows
+   through every length checked. *)
+let history_log_views () =
+  let module L = Net.History_log in
+  (* the chunk sizes' running sums: 16, 48, ..., 8176, 12272, 16368 *)
+  let rec bounds size total acc =
+    if total > 3 * 4096 then List.rev acc
+    else bounds (min 4096 (2 * size)) (total + size) ((total + size) :: acc)
+  in
+  let checked =
+    0 :: 1 :: List.concat_map (fun b -> [ b - 1; b; b + 1 ]) (bounds 16 0 [])
+  in
+  let l = L.create () and want = ref [] in
+  let same a b = List.length a = List.length b && List.for_all2 ( == ) a b in
+  let check len =
+    let want = List.rev !want in
+    let what = Fmt.str "%d events" len in
+    let evs = List.map (fun (_, _, e) -> e) want in
+    Alcotest.(check int) (what ^ ": length") len (L.length l);
+    Alcotest.(check bool) (what ^ ": events") true (same evs (L.events l));
+    Alcotest.(check (list int)) (what ^ ": keys")
+      (List.map (fun (_, k, _) -> k) want)
+      (List.map fst (L.keyed l));
+    Alcotest.(check bool) (what ^ ": keyed events") true
+      (same evs (List.map snd (L.keyed l)));
+    Alcotest.(check (list (float 0.0))) (what ^ ": times")
+      (List.map (fun (t, _, _) -> t) want)
+      (List.map fst (L.timed l));
+    Alcotest.(check bool) (what ^ ": timed events") true
+      (same evs (List.map snd (L.timed l)))
+  in
+  let last = List.fold_left max 0 checked in
+  for i = 0 to last do
+    if List.mem i checked then check i;
+    if i < last then begin
+      let ev =
+        if i mod 2 = 0 then E.Invoke (i mod 3, E.Write i)
+        else E.Respond (i mod 3, None)
+      in
+      let time = float_of_int i /. 4. and key = i * 7 mod 13 in
+      L.append l time key ev;
+      want := (time, key, ev) :: !want
+    end
+  done
+
+(* A session's read invocations and write responses carry no value:
+   the server builds each once, at [Hello], and records that one value
+   for every op. *)
+let server_shares_constant_events () =
+  let cl =
+    Net.Sim_run.build ~seed:1 ~init:0
+      ~processes:(spec ~readers:2 ~writes:4 ~reads:6) ()
+  in
+  check_outcome ~what:"shared events" (Net.Sim_run.run cl);
+  let shared = Hashtbl.create 8 and count = ref 0 in
+  List.iter
+    (fun ev ->
+      match ev with
+      | E.Invoke (p, E.Read) | E.Respond (p, None) ->
+        incr count;
+        let k = (p, E.is_invoke ev) in
+        (match Hashtbl.find_opt shared k with
+         | None -> Hashtbl.replace shared k ev
+         | Some first ->
+           if first != ev then
+             Alcotest.failf "proc %d: two values for one constant event" p)
+      | _ -> ())
+    (Net.Server.history cl.Net.Sim_run.server);
+  Alcotest.(check bool)
+    (Fmt.str "%d constant events, %d values" !count (Hashtbl.length shared))
+    true
+    (!count > 2 * Hashtbl.length shared)
+
+(* What [Server.record] does with an event, alone: append it to the log
+   and feed the key's monitor.  A writer and a reader take turns on one
+   key; a write's [Respond] folds the monitor and a read's [Invoke]
+   unfolds it, and both are a session's shared values. *)
+let record_words () =
+  let n = 1_000 in
+  let log = Net.History_log.create ()
+  and m = Histories.Monitor.create ~init:0 in
+  let record ev =
+    Net.History_log.append log 0.0 7 ev;
+    ignore (Histories.Monitor.observe m ev)
+  in
+  let writes = Array.init n (fun i -> E.Invoke (0, E.Write (i + 1)))
+  and reads = Array.init n (fun i -> E.Respond (2, Some (i + 1)))
+  and invoke_read = E.Invoke (2, E.Read)
+  and respond_write = E.Respond (0, None) in
+  (* the log's chunks fill at 16, 48, ..., 8176 and 12272 events:
+     round [i] appends events [7776 + 4i] to [7779 + 4i], so the rounds
+     measured (100 and on) start a chunk of 4096 and stay inside it *)
+  for _ = 1 to 7776 do
+    Net.History_log.append log 0.0 0 invoke_read
+  done;
+  let words = Float.Array.make 2 0.0 in
+  let measured i j ev =
+    let w0 = Gc.minor_words () in
+    record ev;
+    let w = Gc.minor_words () -. w0 in
+    if i >= 100 then Float.Array.set words j (Float.Array.get words j +. w)
+  in
+  for i = 0 to n - 1 do
+    record writes.(i);
+    measured i 0 respond_write;
+    measured i 1 invoke_read;
+    record reads.(i)
+  done;
+  (match Histories.Monitor.verdict m with
+   | Histories.Monitor.Ok_so_far -> ()
+   | Histories.Monitor.Violation _ ->
+     Alcotest.fail "the audit flagged the run");
+  let per i = Float.Array.get words i /. float_of_int (n - 100) in
+  Alcotest.(check (float 0.0)) "words to record a write's Respond (a fold)" 0.0
+    (per 0);
+  Alcotest.(check (float 0.0)) "words to record a read's Invoke (an unfold)"
+    0.0 (per 1)
+
+(* A [Stats_reply] shows the audit's resident set (a key whose one
+   write completed has folded) and the server's own store's commit
+   causes, as [Storage.stats] counts them. *)
+let stats_reply_resident_set_and_commits () =
+  let h = holding () in
+  let st =
+    Net.Storage.create
+      ~group_commit:{ Net.Storage.batch_max = 2; flush_every = 0.0 }
+      (Net.Storage.mem_backend ())
+  in
+  let sv = held_server ~storage:st h in
+  let cl = Net.Transport.client 0 in
+  let from_client msg = Net.Server.on_message sv ~src:cl msg in
+  from_client (W.Hello { proc = 0 });
+  from_client
+    (W.Batch
+       (List.init 6 (fun key ->
+            W.Req { seq = key; op = W.Write_k { key; value = key + 1 } })));
+  pump h sv;
+  Alcotest.(check int) "every write served" 6 (Net.Server.ops_served sv);
+  from_client (W.Stats_req { rid = 9 });
+  let stats =
+    match
+      List.find_map
+        (function
+          | d, W.Stats_reply { rid = 9; stats } when d = cl -> Some stats
+          | _ -> None)
+        h.from_engine
+    with
+    | Some stats -> stats
+    | None -> Alcotest.fail "no Stats_reply"
+  in
+  let get name =
+    match List.assoc_opt name stats with
+    | Some v -> v
+    | None -> Alcotest.failf "stat %s missing from the reply" name
+  in
+  Alcotest.(check int) "keys audited" 6 (get "audit_keys");
+  Alcotest.(check int) "monitors resident: every key folded" 0
+    (get "audit_resident");
+  let s = Net.Storage.stats st in
+  Alcotest.(check bool) "the store committed" true
+    (s.Net.Storage.batch_commits > 0);
+  Alcotest.(check (list int)) "commit causes, as the store counts them"
+    Net.Storage.[ s.cap_commits; s.deadline_commits; s.forced_commits ]
+    (List.map get
+       [
+         "store_cap_commits"; "store_deadline_commits"; "store_forced_commits";
+       ]);
+  Alcotest.(check int) "causes sum to the commits" s.Net.Storage.batch_commits
+    (get "store_cap_commits" + get "store_deadline_commits"
+   + get "store_forced_commits");
+  (* a write in flight holds its key's monitor resident *)
+  from_client (W.Req { seq = 6; op = W.Write_k { key = 0; value = 7 } });
+  from_client (W.Stats_req { rid = 10 });
+  let resident =
+    List.find_map
+      (function
+        | d, W.Stats_reply { rid = 10; stats } when d = cl ->
+          List.assoc_opt "audit_resident" stats
+        | _ -> None)
+      h.from_engine
+  in
+  Alcotest.(check (option int)) "one monitor resident" (Some 1) resident
+
+(* In a two-domain pool each worker has its own store; worker 0
+   answers a [Stats_req] with the commit causes of both, summed. *)
+let pool_stats_reply_sums_stores () =
+  let domains = 2 and n = 8 in
+  let stores =
+    Array.init domains (fun _ ->
+        Net.Storage.create
+          ~group_commit:{ Net.Storage.batch_max = 2; flush_every = 0.0 }
+          (Net.Storage.mem_backend ()))
+  in
+  let resps = Atomic.make 0 and reply = Atomic.make None in
+  let pool = ref None in
+  let tr =
+    loopback_transport
+      ~on_server:(fun ~src msg ->
+        match !pool with
+        | Some p -> Net.Server_pool.dispatch p ~src msg
+        | None -> ())
+      ~on_client:(fun ~src:_ ~dst:_ msg ->
+        let note = function
+          | W.Resp _ -> Atomic.incr resps
+          | W.Stats_reply { stats; _ } -> Atomic.set reply (Some stats)
+          | _ -> ()
+        in
+        match msg with W.Batch ms -> List.iter note ms | m -> note m)
+  in
+  let p =
+    Net.Server_pool.create ~transport:tr ~audit:true
+      ~storage:(fun d -> Some stores.(d))
+      ~map:(Net.Shard_map.create ~shards:domains ())
+      ~domains ~me:Net.Transport.server ~replicas:[ 0; 1; 2 ] ~init:0 ()
+  in
+  pool := Some p;
+  let cl = Net.Transport.client 0 in
+  let send m = tr.Net.Transport.send ~src:cl ~dst:Net.Transport.server m in
+  send (W.Hello { proc = 0 });
+  send
+    (W.Batch
+       (List.init n (fun key ->
+            W.Req { seq = key; op = W.Write_k { key; value = key + 1 } })));
+  await_resps resps n;
+  send (W.Stats_req { rid = 1 });
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while Atomic.get reply = None && Unix.gettimeofday () < deadline do
+    Thread.yield ()
+  done;
+  send W.Bye;
+  Net.Server_pool.stop p;
+  let stats =
+    match Atomic.get reply with
+    | Some stats -> stats
+    | None -> Alcotest.fail "no Stats_reply"
+  in
+  let causes (s : Net.Storage.stats) =
+    [ s.cap_commits; s.deadline_commits; s.forced_commits ]
+  in
+  let per_store = Array.map (fun st -> causes (Net.Storage.stats st)) stores in
+  Array.iteri
+    (fun d c ->
+      Alcotest.(check bool) (Fmt.str "worker %d's store committed" d) true
+        (List.fold_left ( + ) 0 c > 0))
+    per_store;
+  Alcotest.(check (list int)) "commit causes, summed over the pool's stores"
+    (List.map2 ( + ) per_store.(0) per_store.(1))
+    (List.map
+       (fun name ->
+         match List.assoc_opt name stats with
+         | Some v -> v
+         | None -> Alcotest.failf "stat %s missing from the reply" name)
+       [ "store_cap_commits"; "store_deadline_commits"; "store_forced_commits" ])
+
 let suite =
   [
     tc "wire: reject garbage" wire_rejects_garbage;
@@ -3179,6 +3435,16 @@ let suite =
       abd_write_phase_words;
     tc "server: a Req read on a warm key: <= 53 words (203 with closures)"
       server_read_op_words;
+    tc "history log: views equal a list at every chunk boundary"
+      history_log_views;
+    tc "server: a session's Invoke read and Respond write are shared"
+      server_shares_constant_events;
+    tc "server: recording a write's Respond or a read's Invoke: 0 words"
+      record_words;
+    tc "server: Stats_reply shows the resident set and store commit causes"
+      stats_reply_resident_set_and_commits;
+    tc "pool: Stats_reply sums every worker's store commit causes"
+      pool_stats_reply_sums_stores;
   ]
 
 let slow_suite =

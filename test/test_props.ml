@@ -282,6 +282,150 @@ let monitor_equals_oracle_long =
     "monitor matches the list-based oracle after every event, longer histories"
     gen_history_long monitor_equals_oracle_stepwise
 
+(* Histories in rounds, the monitor quiescent between them: each round
+   a random set of processors runs one op each, invocations and
+   responses interleaved at random, and the first round is a write
+   alone, which leaves the monitor foldable.  A read mostly returns the
+   newest value a completed op wrote or read, sometimes the value of a
+   write still in flight (which then counts as read), and with
+   probability [wild] / 1000 the value that was newest before (a
+   new-old inversion, if a read saw the newer), any value written so
+   far, or one never written. *)
+let build_quiescent_history ~procs ~rounds ~wild seed =
+  let rng = Random.State.make [| seed |] in
+  let next_value = ref 1 and pool = ref [ 0 ] and latest = ref 0 in
+  let previous = ref 0 in
+  let set_latest v =
+    if v <> !latest then begin
+      previous := !latest;
+      latest := v
+    end
+  in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let events = ref [] in
+  for round = 0 to rounds - 1 do
+    let active =
+      if round = 0 then [ 0 ]
+      else
+        List.filter
+          (fun _ -> Random.State.int rng 3 = 0)
+          (List.init procs Fun.id)
+    in
+    (* per active processor: its op, and whether it was invoked *)
+    let ops =
+      List.map
+        (fun p ->
+          let op =
+            if p < 2 && (round = 0 || Random.State.bool rng) then begin
+              let v = !next_value in
+              incr next_value;
+              Histories.Event.Write v
+            end
+            else Histories.Event.Read
+          in
+          (p, op, ref false))
+        active
+    in
+    let in_flight = ref [] and left = ref ops in
+    while !left <> [] do
+      let i = Random.State.int rng (List.length !left) in
+      let p, op, invoked = List.nth !left i in
+      if not !invoked then begin
+        invoked := true;
+        (match op with
+         | Histories.Event.Write v ->
+           pool := v :: !pool;
+           in_flight := v :: !in_flight
+         | Histories.Event.Read -> ());
+        events := ev_invoke p op :: !events
+      end
+      else begin
+        left := List.filteri (fun j _ -> j <> i) !left;
+        let resp =
+          match op with
+          | Histories.Event.Write v ->
+            in_flight := List.filter (( <> ) v) !in_flight;
+            set_latest v;
+            None
+          | Histories.Event.Read ->
+            let k = Random.State.int rng 1000 in
+            if k < wild / 2 then Some !previous
+            else if k < 3 * wild / 4 then Some (pick !pool)
+            else if k < wild then Some 999_999
+            else if !in_flight <> [] && k < wild + 200 then begin
+              set_latest (pick !in_flight);
+              Some !latest
+            end
+            else Some !latest
+        in
+        events := ev_respond p resp :: !events
+      end
+    done
+  done;
+  List.rev !events
+
+(* The folding monitor after every event: against the list-based
+   oracle, the same verdict, cycle payloads included, and the same live
+   node count (that oracle keeps an obligation edge per read where the
+   monitor keeps one per source, so its edge counts differ); against
+   the slot-array monitor that never folds, the same verdict and the
+   same (nodes, edges); no edge while folded; and it did fold. *)
+let folding_monitor_equals_oracle events =
+  let m = Histories.Monitor.create ~init:0 in
+  let o = Monitor_oracle.create ~init:0 in
+  let u = Monitor_slots_oracle.create ~init:0 in
+  let verdict = function
+    | Histories.Monitor.Ok_so_far -> None
+    | Histories.Monitor.Violation v -> Some v
+  and oracle = function
+    | Monitor_oracle.Ok_so_far -> None
+    | Monitor_oracle.Violation v -> Some v
+  and unfolded = function
+    | Monitor_slots_oracle.Ok_so_far -> None
+    | Monitor_slots_oracle.Violation v -> Some v
+  in
+  let pp =
+    Fmt.(option ~none:(any "ok") (Histories.Fastcheck.pp_violation int))
+  in
+  let folds = ref 0 in
+  List.iteri
+    (fun i ev ->
+      let got = verdict (Histories.Monitor.observe m ev)
+      and want = oracle (Monitor_oracle.observe o ev)
+      and want_u = unfolded (Monitor_slots_oracle.observe u ev) in
+      let nodes, edges = Histories.Monitor.stats m
+      and want_nodes = fst (Monitor_oracle.stats o)
+      and want_nodes_u, want_edges_u = Monitor_slots_oracle.stats u in
+      let folded = not (Histories.Monitor.resident m) in
+      if folded then incr folds;
+      if
+        got <> want || nodes <> want_nodes || got <> want_u
+        || (nodes, edges) <> (want_nodes_u, want_edges_u)
+        || (folded && edges <> 0)
+      then
+        QCheck2.Test.fail_reportf
+          "after event %d: %a with (%d, %d)%s; oracle %a with %d nodes; \
+           unfolded %a with (%d, %d); on:@.%a"
+          i pp got nodes edges
+          (if folded then " folded" else "")
+          pp want want_nodes pp want_u want_nodes_u want_edges_u
+          (Histories.Event.pp_history Fmt.int)
+          events)
+    events;
+  if !folds = 0 then QCheck2.Test.fail_report "the monitor never folded";
+  true
+
+let folding_monitor_matches_oracle =
+  qc ~count:2000 "folding monitor matches the oracle after every event"
+    (Gen.map (build_quiescent_history ~procs:4 ~rounds:12 ~wild:60) Gen.int)
+    folding_monitor_equals_oracle
+
+let folding_monitor_matches_oracle_long =
+  qc ~count:300
+    "folding monitor matches the oracle after every event, longer histories"
+    (Gen.map (build_quiescent_history ~procs:6 ~rounds:60 ~wild:6) Gen.int)
+    folding_monitor_equals_oracle
+
 let suite =
   [
     fast_equals_brute;
@@ -299,4 +443,6 @@ let suite =
     crash_injection_certifies;
     atomic_implies_regular_implies_safe;
     regular_cell_always_regular;
+    folding_monitor_matches_oracle;
+    folding_monitor_matches_oracle_long;
   ]
