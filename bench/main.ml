@@ -1062,11 +1062,8 @@ let replica_alloc_table () =
 
 (* One reader's lanes on a fresh core over three replicas, audit off:
    the words freed when, after reading [keys] keys once each, it says
-   [Bye], then [Hello] again and reads key 0.  [Bye] drops the lanes,
-   and that read points the core's one spare op record, the last
-   reference to the old session and so to its lanes, at the new one.
-   The rest (the sessions, the new lane) is the same for every [keys],
-   so a difference of two calls is lanes alone. *)
+   [Bye].  The rest (the session) is the same for every [keys], so a
+   difference of two calls is lanes alone. *)
 let lane_words keys =
   let qdst = Array.make 8 0 and qrid = Array.make 8 0 and nq = ref 0 in
   let tr =
@@ -1095,9 +1092,9 @@ let lane_words keys =
       ~me:Net.Transport.server ~replicas:[ 0; 1; 2 ] ~init:0 ()
   in
   let cl = Net.Transport.client 2 and pl = Registers.Tagged.make 0 false in
-  let read seq key =
+  let read key =
     Net.Server.on_message sv ~src:cl
-      (Net.Wire.Req { seq; op = Net.Wire.Read_k { key } });
+      (Net.Wire.Req { seq = key; op = Net.Wire.Read_k { key } });
     while !nq > 0 do
       decr nq;
       Net.Server.on_message sv ~src:qdst.(!nq)
@@ -1112,15 +1109,13 @@ let lane_words keys =
   in
   Net.Server.on_message sv ~src:cl (Net.Wire.Hello { proc = 2 });
   for key = 0 to keys - 1 do
-    read key key
+    read key
   done;
   let before = Obj.reachable_words (Obj.repr sv) in
   Net.Server.on_message sv ~src:cl Net.Wire.Bye;
-  Net.Server.on_message sv ~src:cl (Net.Wire.Hello { proc = 2 });
-  read 0 0;
-  if Net.Server.ops_served sv <> keys + 1 then
+  if Net.Server.ops_served sv <> keys then
     Fmt.failwith "net-alloc: %d of %d lane reads answered"
-      (Net.Server.ops_served sv) (keys + 1);
+      (Net.Server.ops_served sv) keys;
   before - Obj.reachable_words (Obj.repr sv)
 
 (* What the server keeps per key and per event at the end of the run,

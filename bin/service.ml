@@ -563,18 +563,25 @@ let run_client dir proc ops =
       | Some v -> v
       | None -> Fmt.failwith "cannot parse %s in %S" what s
     in
+    (* [start_cluster] starts every register at 0, and the server's
+       audit takes a write of 0 for a second write of that initial
+       value, so refuse it here: the server would ack it either way *)
+    let value v =
+      match int_or_fail "value" v with
+      | 0 -> Fmt.failwith "cannot write 0 in %S: it is the initial value" s
+      | v -> v
+    in
     match String.split_on_char ':' s with
     | [ "read" ] -> `Key (0, E.Read)
-    | [ "write"; v ] -> `Key (0, E.Write (int_or_fail "value" v))
+    | [ "write"; v ] -> `Key (0, E.Write (value v))
     | [ "get"; k ] -> `Key (int_or_fail "key" k, E.Read)
-    | [ "put"; k; v ] ->
-      `Key (int_or_fail "key" k, E.Write (int_or_fail "value" v))
+    | [ "put"; k; v ] -> `Key (int_or_fail "key" k, E.Write (value v))
     | [ "txn"; spec ] ->
       `Txn
         (List.map
            (fun pair ->
              match String.split_on_char '=' pair with
-             | [ k; v ] -> (int_or_fail "key" k, int_or_fail "value" v)
+             | [ k; v ] -> (int_or_fail "key" k, value v)
              | _ -> Fmt.failwith "cannot parse pair %S in %S" pair s)
            (String.split_on_char ',' spec))
     | [ "snap"; spec ] ->
@@ -801,7 +808,8 @@ let client_cmd =
                    txn:K=V,K=V (atomic multi-key batch), snap:K,K \
                    (consistent snapshot), epoch (current configuration \
                    epoch), reshard:K=S (live-migrate key K onto shard \
-                   S).")
+                   S).  A written value N or V must not be 0, every \
+                   register's initial value.")
   in
   Cmd.v
     (Cmd.info "client" ~doc:"Run operations against a served keyspace")

@@ -7,6 +7,7 @@ type net_fate =
   | Crash of int
   | Crash_amnesia of int
   | Restart of int
+  | Reboot of int
   | Partition of int list * int list
   | Heal
 
@@ -14,6 +15,7 @@ let pp_net_fate ppf = function
   | Crash r -> Fmt.pf ppf "crash %d" r
   | Crash_amnesia r -> Fmt.pf ppf "crash-amnesia %d" r
   | Restart r -> Fmt.pf ppf "restart %d" r
+  | Reboot r -> Fmt.pf ppf "reboot %d" r
   | Partition (a, b) ->
     Fmt.pf ppf "partition [%a|%a]" Fmt.(list ~sep:comma int) a
       Fmt.(list ~sep:comma int) b

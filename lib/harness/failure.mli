@@ -21,6 +21,10 @@ type net_fate =
           must recover from stable storage — or come back empty when
           the harness runs without durability *)
   | Restart of int  (** undo a crash; amnesiac nodes recover first *)
+  | Reboot of int
+      (** [Crash_amnesia] then [Restart] at the same instant: the node
+          forgets its volatile state and recovers (from stable storage,
+          or empty without durability) without ever being unreachable *)
   | Partition of int list * int list  (** sever links between groups *)
   | Heal  (** remove the active partition *)
 

@@ -60,9 +60,12 @@ val read_k : t -> key:int -> int
     @raise Invalid_argument if the server rejects (negative key). *)
 
 val write_k : t -> key:int -> int -> unit
-(** Blocking atomic write to one key.
-    @raise Invalid_argument if the server rejects the write (non-writer
-    session or negative key). *)
+(** Blocking atomic write to one key.  The server answers a rejected
+    write with the same empty [Resp] as an acknowledged one, so only a
+    non-writer session can tell: a writer's write to a negative key
+    returns as if acked.
+    @raise Invalid_argument if the server rejects the write of a
+    non-writer session. *)
 
 val txn_k : t -> (int * int) list -> unit
 (** Blocking atomic multi-key transaction: write every [(key, value)]

@@ -1,5 +1,6 @@
 module E = Histories.Event
 module Sched = Modelcheck.Schedule
+module F = Harness.Failure
 
 (* ------------------------------------------------------------------ *)
 (* Configuration                                                       *)
@@ -107,10 +108,7 @@ let max_timer_fires = 64
 
 type action =
   | Fire of int  (* index into the Sim_net.pending snapshot *)
-  | Crash_r of int
-  | Reboot of int  (* amnesia-crash + immediate restart (recovery) *)
-  | Cut of int  (* index into cfg.cuts *)
-  | Heal_cut
+  | Fate of F.net_fate
 
 type st = {
   cfg : config;
@@ -188,6 +186,8 @@ let enabled st =
     acts := a :: !acts;
     keys := k :: !keys
   in
+  let fate f tag = push (Fate f) { Sched.node = -1; tag } in
+  let alive r = Sim_net.alive st.cl.Sim_run.net r in
   List.iter
     (fun p ->
       (* seq is a stable, replay-deterministic identity for the message
@@ -199,9 +199,7 @@ let enabled st =
   if deliveries <> [] then begin
     if st.crashes_left > 0 then
       List.iter
-        (fun r ->
-          if Sim_net.alive st.cl.Sim_run.net r then
-            push (Crash_r r) { Sched.node = -1; tag = Fmt.str "crash%d" r })
+        (fun r -> if alive r then fate (F.Crash r) (Fmt.str "crash%d" r))
         st.cfg.crashable;
     (* a reboot is atomic (amnesia-crash + restart-with-recovery), so
        the node is alive again before the next choice: runs stay
@@ -209,39 +207,33 @@ let enabled st =
        forget here" — harmless when durable, a bug source when not *)
     if st.amnesia_left > 0 then
       List.iter
-        (fun r ->
-          if Sim_net.alive st.cl.Sim_run.net r then
-            push (Reboot r) { Sched.node = -1; tag = Fmt.str "amnesia%d" r })
+        (fun r -> if alive r then fate (F.Reboot r) (Fmt.str "amnesia%d" r))
         st.cfg.amnesia;
     if (not st.cut_active) && st.cuts_left > 0 then
       List.iteri
-        (fun i _ -> push (Cut i) { Sched.node = -1; tag = Fmt.str "cut%d" i })
+        (fun i (a, b) -> fate (F.Partition (a, b)) (Fmt.str "cut%d" i))
         st.cfg.cuts
   end;
   (* a heal is offered even when stalled — it is the only way a
      partitioned run resumes *)
-  if st.cut_active then push Heal_cut { Sched.node = -1; tag = "heal" };
+  if st.cut_active then fate F.Heal "heal";
   st.actions <- Array.of_list (List.rev !acts);
   List.rev !keys
 
+(* A fate spends its budget; [Sim_run.apply_fate] plays it. *)
 let apply st i =
   match st.actions.(i) with
   | Fire idx -> ignore (Sim_net.fire st.cl.Sim_run.net idx)
-  | Crash_r r ->
-    st.crashes_left <- st.crashes_left - 1;
-    Sim_net.crash st.cl.Sim_run.net r
-  | Reboot r ->
-    st.amnesia_left <- st.amnesia_left - 1;
-    Sim_net.crash_amnesia st.cl.Sim_run.net r;
-    Sim_net.restart st.cl.Sim_run.net r
-  | Cut c ->
-    st.cuts_left <- st.cuts_left - 1;
-    st.cut_active <- true;
-    let a, b = List.nth st.cfg.cuts c in
-    Sim_net.partition st.cl.Sim_run.net a b
-  | Heal_cut ->
-    st.cut_active <- false;
-    Sim_net.heal st.cl.Sim_run.net
+  | Fate f ->
+    (match f with
+     | F.Crash _ -> st.crashes_left <- st.crashes_left - 1
+     | F.Reboot _ -> st.amnesia_left <- st.amnesia_left - 1
+     | F.Partition _ ->
+       st.cuts_left <- st.cuts_left - 1;
+       st.cut_active <- true
+     | F.Heal -> st.cut_active <- false
+     | F.Crash_amnesia _ | F.Restart _ -> ());
+    Sim_run.apply_fate st.cl f
 
 let system ?trace cfg =
   { Sched.reset = (fun () -> reset ?trace cfg); enabled; apply }
@@ -701,7 +693,7 @@ let torture_run ?(engine = Engine.Abd) ~seed ~run ?trace () =
   in
   let span = 50.0 +. Random.State.float rng 150.0 in
   let fates =
-    Harness.Failure.random_net_fates ~rng
+    F.random_net_fates ~rng
       ~replicas:(List.init replicas Fun.id)
       ~server:Transport.server ~span ()
   in
@@ -715,7 +707,7 @@ let torture_run ?(engine = Engine.Abd) ~seed ~run ?trace () =
       List.map
         (fun (t, f) ->
           match f with
-          | Harness.Failure.Crash_amnesia r -> (t, Harness.Failure.Crash r)
+          | F.Crash_amnesia r -> (t, F.Crash r)
           | f -> (t, f))
         fates
   in
@@ -806,7 +798,7 @@ let torture ?engine ?(runs = 100) ?dump ?progress ~seed () =
         List.iter
           (fun (t, f) ->
             Trace.record tr ~time:t
-              (Trace.Note (Fmt.str "fate %a" Harness.Failure.pp_net_fate f)))
+              (Trace.Note (Fmt.str "fate %a" F.pp_net_fate f)))
           fates;
         Trace.record tr ~time:o'.Sim_run.virtual_span
           (Trace.Note (describe_failure run o'));

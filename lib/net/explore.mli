@@ -6,7 +6,9 @@
     drives a {!Sim_run.build} cluster through
     {!Sim_net.pending}/{!Sim_net.fire} — the adversary picks which
     in-flight message is delivered next, and may additionally spend
-    budgeted crash and partition fates — and hands the resulting
+    budgeted fates: {!Harness.Failure.net_fate}s ([Crash], [Reboot],
+    [Partition], [Heal]) played by {!Sim_run.apply_fate}, as every
+    other simulated run plays its fates — and hands the resulting
     choice tree to {!Modelcheck.Schedule}'s sleep-set DFS.  Every leaf
     (quiescent or stalled state) is audited with the server's per-key
     live {!Histories.Monitor}; optionally each leaf history is also
@@ -60,7 +62,7 @@ type config = {
   crashable : int list;  (** replicas the adversary may crash *)
   max_crashes : int;  (** crash budget per run *)
   amnesia : int list;
-      (** replicas the adversary may amnesia-reboot: an atomic
+      (** replicas the adversary may [Reboot]: an atomic
           crash-amnesia + restart, so volatile state is dropped and
           the node recovers (from its WAL when [durable], from nothing
           otherwise) without ever going unreachable — runs stay

@@ -102,6 +102,10 @@ type t = {
   lanes : (lane_owner, lane) Hashtbl.t;
   mutable spare : op array;  (* a stack of finished ops' records *)
   mutable nspare : int;
+  idle_s : session;
+  idle_q : keyq;
+      (* what a spare record points at, so that it keeps no session,
+         and through it no lane table, reachable *)
   copies : (int, Wire.payload) Hashtbl.t;
       (* writer [i]'s copy of its own register of a key, at that
          register's global index: the protocol's cells 2 and 3.  Never
@@ -298,6 +302,8 @@ let pop q =
 (* Put a finished op's record on the spare stack.  Nothing may touch
    [o] afterwards: the next admission reuses it. *)
 let release t o =
+  o.s <- t.idle_s;
+  o.kq <- t.idle_q;
   if t.nspare = Array.length t.spare then begin
     let spare = Array.make (max 4 (2 * t.nspare)) o in
     Array.blit t.spare 0 spare 0 t.nspare;
@@ -512,6 +518,16 @@ let create ~transport ?(audit = true) ?(resend_every = 0.05) ?engine
       lanes = Hashtbl.create 16;
       spare = [||];
       nspare = 0;
+      idle_s =
+        {
+          src = -1;
+          proc = -1;
+          next_seq = 0;
+          lane = Hashtbl.create 1;
+          invoke_read = E.Invoke (-1, E.Read);
+          respond_write = E.Respond (-1, None);
+        };
+      idle_q = { ring = [||]; first = 0; len = 0; busy = false };
       copies = Hashtbl.create 16;
       stale_copy = bug.Bug.stale_copy;
       audit;

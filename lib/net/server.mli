@@ -48,8 +48,15 @@
     real-time precedence than any client view — if it is atomic, the
     clients' history is too).  The first violation per key is latched.
     Each monitor forgets superseded writes, so its memory stays
-    constant per key however long the server runs.  A core created
-    with [history] also records its history ({!history}), which can be
+    constant per key however long the server runs.  The monitor's
+    precondition is the clients' to keep: no write (single-key or in a
+    transaction) of the initial value [init], and no value written to
+    a key again while an earlier write of it is live there (not yet
+    superseded).  The core executes such a write like any other, and
+    its monitor latches
+    {!Histories.Fastcheck.violation.Duplicate_write}: a broken
+    precondition, not a non-atomic history.  A core created with
+    [history] also records its history ({!history}), which can be
     re-checked post-hoc with {!Histories.Fastcheck} provided written
     values are unique, as {!Sim_run} does; a {!Server_pool} core
     records none and is re-checked from a {!Trace} instead. *)

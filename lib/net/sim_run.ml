@@ -311,13 +311,11 @@ let apply_fate cl = function
   | Harness.Failure.Crash r -> Sim_net.crash cl.net r
   | Harness.Failure.Crash_amnesia r -> Sim_net.crash_amnesia cl.net r
   | Harness.Failure.Restart r -> Sim_net.restart cl.net r
+  | Harness.Failure.Reboot r ->
+    Sim_net.crash_amnesia cl.net r;
+    Sim_net.restart cl.net r
   | Harness.Failure.Partition (a, b) -> Sim_net.partition cl.net a b
   | Harness.Failure.Heal -> Sim_net.heal cl.net
-
-let schedule_fates cl fates =
-  List.iter
-    (fun (time, f) -> Sim_net.at cl.net time (fun () -> apply_fate cl f))
-    fates
 
 let collect cl ~steps =
   let server = cl.server in
@@ -360,7 +358,9 @@ let collect cl ~steps =
   }
 
 let run ?(fates = []) ?(max_steps = 2_000_000) cl =
-  schedule_fates cl fates;
+  List.iter
+    (fun (time, f) -> Sim_net.at cl.net time (fun () -> apply_fate cl f))
+    fates;
   let steps = Sim_net.run ~max_steps cl.net in
   collect cl ~steps
 

@@ -204,14 +204,25 @@ val run :
   ?max_steps:int ->
   cluster ->
   outcome
-(** Schedule [fates] (each via {!Sim_net.at}), run the simulator to
-    quiescence or [max_steps] events (default 2_000_000), and
-    {!collect}.  [fates] is a timed {!Harness.Failure.net_fate}
-    schedule — crash, crash-amnesia, restart, partition, heal — e.g. a
-    draw from {!Harness.Failure.random_net_fates}.  [(t, Crash r)]
-    crashes replica [r] at virtual time [t]; a
+(** Schedule [fates] (each played by {!apply_fate} at its time, via
+    {!Sim_net.at}), run the simulator to quiescence or [max_steps]
+    events (default 2_000_000), and {!collect}.  [fates] is a timed
+    {!Harness.Failure.net_fate} schedule — e.g. a draw from
+    {!Harness.Failure.random_net_fates}.  [(t, Crash r)] crashes
+    replica [r] at virtual time [t]; a
     [Partition (cl.replica_nodes, [Transport.server])] at [t0] and a
     [Heal] at [t1] sever every replica from the server in between. *)
+
+val apply_fate : cluster -> Harness.Failure.net_fate -> unit
+(** Play one fate on the cluster's simulator now: the only mapping
+    from a {!Harness.Failure.net_fate} to {!Sim_net} calls, shared by
+    {!run}'s timed schedules and {!Explore}'s adversary.  [Crash],
+    [Crash_amnesia], [Restart], [Partition] and [Heal] are
+    {!Sim_net.crash}, {!Sim_net.crash_amnesia}, {!Sim_net.restart},
+    {!Sim_net.partition} and {!Sim_net.heal}; [Reboot r] is
+    {!Sim_net.crash_amnesia} then {!Sim_net.restart} of [r], so the
+    replica recovers (from its disk when [durable], empty otherwise)
+    before the next event. *)
 
 val collect : cluster -> steps:int -> outcome
 (** Assemble the outcome from the cluster's current state; [steps] is

@@ -271,20 +271,41 @@ let pending_fire_restart () =
   Alcotest.(check bool) "fire after restart" true (Net.Sim_net.fire net 0);
   Alcotest.(check int) "restarted node receives again" 2 (List.length !got)
 
-let explore_with_fates_clean () =
-  (* give the adversary a crash and a partition on a 1-replica... a
-     crash budget on replica 0 of a 3-replica cluster: exploration with
-     fate branch points must stay clean under a bounded budget *)
+(* Fate branch points, exhausted around one write, each schedule count
+   pinned: the fate paths of the explorer. *)
+let fates_exhaust_clean expected ?crashable ?amnesia ~replicas ~cuts () =
   let res =
     E.explore
-      (E.config ~replicas:3 ~crashable:[ 0 ] ~max_crashes:1
-         ~cuts:[ ([ 0 ], [ 1; 2 ]) ]
-         ~max_partitions:1 ~max_schedules:300
+      (E.config ~replicas ?crashable ~max_crashes:1 ?amnesia ~max_amnesia:1
+         ~cuts ~max_partitions:1
          ~workload:[ proc 0 [ w 7 ] ] ())
   in
+  let s = res.E.stats in
+  Alcotest.(check bool) "exhausted" true s.S.exhausted;
+  Alcotest.(check int) "schedule count" expected s.S.schedules;
   match res.E.counterexample with
   | None -> ()
   | Some ce -> Alcotest.failf "fate exploration flagged: %s" ce.E.message
+
+(* 3 replicas: replica 0 may crash once and be cut off from the other
+   two once (then heal). *)
+let explore_with_fates_clean () =
+  fates_exhaust_clean 6200 ~replicas:3 ~crashable:[ 0 ]
+    ~cuts:[ ([ 0 ], [ 1; 2 ]) ]
+    ()
+
+(* 1 replica: it may reboot once, and a cut may sever it from the
+   server (node 100) until a heal. *)
+let explore_reboot_and_cut () =
+  fates_exhaust_clean 104 ~replicas:1 ~amnesia:[ 0 ] ~cuts:[ ([ 0 ], [ 100 ]) ]
+    ()
+
+(* slow: every fate kind — on 3 replicas replica 0 may crash, replica
+   1 may reboot, and a cut may sever replica 0 from the others. *)
+let explore_every_fate_kind () =
+  fates_exhaust_clean 98344 ~replicas:3 ~crashable:[ 0 ] ~amnesia:[ 1 ]
+    ~cuts:[ ([ 0 ], [ 1; 2 ]) ]
+    ()
 
 (* Three replicas, any one of which may crash: the only exhaustive
    config at n = 3, so the only one in which a phase's window is a
@@ -763,6 +784,39 @@ let pre_reconfig_artifact_loads () =
           true
           (o'.Net.Sim_run.key_violations <> []))
 
+let fates_artifact_round_trip () =
+  (* a config's fate sets travel in the artifact's [crashable],
+     [amnesia] and [cut] note lines and load back unchanged *)
+  let cfg =
+    E.config ~replicas:3 ~crashable:[ 0; 2 ] ~max_crashes:1 ~amnesia:[ 1 ]
+      ~max_amnesia:1
+      ~cuts:[ ([ 0 ], [ 1; 2 ]); ([ 1; 2 ], [ 0; 100 ]) ]
+      ~max_partitions:2
+      ~workload:[ proc 0 [ w 7 ] ] ()
+  in
+  let ce = { E.schedule = [ 1; 0; 2 ]; key = 0; message = "" } in
+  let file = Filename.temp_file "explore-fates" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
+    (fun () ->
+      E.save ~file cfg ce;
+      let notes =
+        List.filter_map Net.Trace.note_of_line (read_lines file)
+      in
+      List.iter
+        (fun line ->
+          Alcotest.(check bool) ("note " ^ line) true (List.mem line notes))
+        [ "crashable 0,2"; "amnesia 1"; "cut 0|1,2"; "cut 1,2|0,100" ];
+      let cfg', sched = E.load ~file in
+      Alcotest.(check (list int)) "schedule" ce.E.schedule sched;
+      Alcotest.(check bool) "cuts" true (cfg'.E.cuts = cfg.E.cuts);
+      Alcotest.(check (list int)) "crashable" cfg.E.crashable
+        cfg'.E.crashable;
+      Alcotest.(check (list int)) "amnesia" cfg.E.amnesia cfg'.E.amnesia;
+      Alcotest.(check (list int)) "budgets"
+        [ cfg.E.max_crashes; cfg.E.max_amnesia; cfg.E.max_partitions ]
+        [ cfg'.E.max_crashes; cfg'.E.max_amnesia; cfg'.E.max_partitions ])
+
 (* slow: the acceptance criterion in full — both engines exhaust the
    single-write migration config (disjoint singleton groups, one keyed
    write racing the handoff) with every schedule atomic.  The twobit
@@ -806,6 +860,10 @@ let suite =
     tc "ddmin minimizes" ddmin_minimizes;
     tc "sim: pending/fire/restart primitives" pending_fire_restart;
     tc "fate branch points stay clean" explore_with_fates_clean;
+    tc "fate branch points: reboot and cut exhaust clean"
+      explore_reboot_and_cut;
+    tc "fate notes: save then load keeps the fate sets"
+      fates_artifact_round_trip;
     tc "three replicas, one crash: exhausts every schedule atomic"
       exhaustive_three_replicas_one_crash;
     tc "amnesia without durability: caught, shrunk, replayed"
@@ -846,4 +904,6 @@ let slow_suite =
       (reconfig_exhausts_clean Net.Engine.Abd reconfig_write_only 40438);
     tc_slow "reconfig: writer reading through its copy, twobit exhausts"
       (reconfig_exhausts_clean Net.Engine.Twobit reconfig_writer_reads 9776);
+    tc_slow "fate branch points: every fate kind exhausts clean"
+      explore_every_fate_kind;
   ]

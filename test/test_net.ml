@@ -1427,8 +1427,10 @@ let loopback_transport ~on_server ~on_client =
   }
 
 (* A [domains]-worker pool behind [loopback_transport], and the count
-   of responses the client has seen. *)
-let loopback_pool ?storage ?map ?trace ~domains () =
+   of responses the client has seen.  The last [Stats_reply]'s rows go
+   into [stats]. *)
+let loopback_pool ?storage ?map ?trace ?(stats = Atomic.make None) ~domains
+    () =
   let resps = Atomic.make 0 in
   let pool = ref None in
   let tr =
@@ -1438,8 +1440,12 @@ let loopback_pool ?storage ?map ?trace ~domains () =
         | Some p -> Net.Server_pool.dispatch p ~src msg
         | None -> ())
       ~on_client:(fun ~src:_ ~dst:_ msg ->
-        let count = function W.Resp _ -> Atomic.incr resps | _ -> () in
-        match msg with W.Batch ms -> List.iter count ms | m -> count m)
+        let note = function
+          | W.Resp _ -> Atomic.incr resps
+          | W.Stats_reply { stats = rows; _ } -> Atomic.set stats (Some rows)
+          | _ -> ()
+        in
+        match msg with W.Batch ms -> List.iter note ms | m -> note m)
   in
   let p =
     Net.Server_pool.create ~transport:tr ~audit:true ?storage ?map ?trace
@@ -1467,6 +1473,13 @@ let socket_pool ?engine ~shards ~domains () =
 let await_resps resps n =
   let deadline = Unix.gettimeofday () +. 10.0 in
   while Atomic.get resps < n && Unix.gettimeofday () < deadline do
+    Thread.yield ()
+  done
+
+(* Poll until a [Stats_reply] lands in [stats] or 10 s pass. *)
+let await_stats stats =
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while Atomic.get stats = None && Unix.gettimeofday () < deadline do
     Thread.yield ()
   done
 
@@ -2364,12 +2377,10 @@ let abd_write_phase_words () =
     (Fmt.str "%.1f words per write phase <= 12" words)
     true (words <= 12.0)
 
-(* A reader's [Req] read of a key it has read before, on a core over
-   three replicas with its audit off: the minor words from the [Req]
-   to its [Resp], its three phases' replies built beforehand. *)
-let server_read_op_words () =
-  let n = 2_000 in
-  (* the turn's queries, as (replica, rid) *)
+(* An unaudited core over three replicas whose transport keeps the
+   turn's queries, as (replica, rid), and [answer reply], which hands
+   the core [reply rid] from each of those replicas. *)
+let query_catching_server () =
   let qdst = Array.make 8 0 and qrid = Array.make 8 0 and nq = ref 0 in
   let tr =
     {
@@ -2388,17 +2399,29 @@ let server_read_op_words () =
     Net.Server.create ~transport:tr ~audit:false ~member:(solo_member ())
       ~me:engine_node ~replicas:[ 0; 1; 2 ] ~init:0 ()
   in
+  let answer reply =
+    while !nq > 0 do
+      decr nq;
+      Net.Server.on_message sv ~src:qdst.(!nq) (reply qrid.(!nq))
+    done
+  in
+  (sv, answer)
+
+(* A reader's [Req] read of a key it has read before, on a core over
+   three replicas with its audit off: the minor words from the [Req]
+   to its [Resp], its three phases' replies built beforehand. *)
+let server_read_op_words () =
+  let n = 2_000 in
+  let sv, answer = query_catching_server () in
   let cl = Net.Transport.client 2 in
   Net.Server.on_message sv ~src:cl (W.Hello { proc = 2 });
   let reqs = Array.init n (fun seq -> W.Req { seq; op = W.Read_k { key = 0 } })
   and replies = Array.init (3 * n) (fun rid -> query_reply ~rid ()) in
+  let reply rid = replies.(rid) in
   let words =
     words_per_call ~warmup:100 ~n (fun seq ->
         Net.Server.on_message sv ~src:cl reqs.(seq);
-        while !nq > 0 do
-          decr nq;
-          Net.Server.on_message sv ~src:qdst.(!nq) replies.(qrid.(!nq))
-        done)
+        answer reply)
   in
   Alcotest.(check int) "every read answered" n (Net.Server.ops_served sv);
   Alcotest.(check bool)
@@ -3261,29 +3284,13 @@ let pool_stats_reply_sums_stores () =
           ~group_commit:{ Net.Storage.batch_max = 2; flush_every = 0.0 }
           (Net.Storage.mem_backend ()))
   in
-  let resps = Atomic.make 0 and reply = Atomic.make None in
-  let pool = ref None in
-  let tr =
-    loopback_transport
-      ~on_server:(fun ~src msg ->
-        match !pool with
-        | Some p -> Net.Server_pool.dispatch p ~src msg
-        | None -> ())
-      ~on_client:(fun ~src:_ ~dst:_ msg ->
-        let note = function
-          | W.Resp _ -> Atomic.incr resps
-          | W.Stats_reply { stats; _ } -> Atomic.set reply (Some stats)
-          | _ -> ()
-        in
-        match msg with W.Batch ms -> List.iter note ms | m -> note m)
-  in
-  let p =
-    Net.Server_pool.create ~transport:tr ~audit:true
+  let reply = Atomic.make None in
+  let tr, p, resps =
+    loopback_pool ~stats:reply
       ~storage:(fun d -> Some stores.(d))
       ~map:(Net.Shard_map.create ~shards:domains ())
-      ~domains ~me:Net.Transport.server ~replicas:[ 0; 1; 2 ] ~init:0 ()
+      ~domains ()
   in
-  pool := Some p;
   let cl = Net.Transport.client 0 in
   let send m = tr.Net.Transport.send ~src:cl ~dst:Net.Transport.server m in
   send (W.Hello { proc = 0 });
@@ -3293,10 +3300,7 @@ let pool_stats_reply_sums_stores () =
             W.Req { seq = key; op = W.Write_k { key; value = key + 1 } })));
   await_resps resps n;
   send (W.Stats_req { rid = 1 });
-  let deadline = Unix.gettimeofday () +. 10.0 in
-  while Atomic.get reply = None && Unix.gettimeofday () < deadline do
-    Thread.yield ()
-  done;
+  await_stats reply;
   send W.Bye;
   Net.Server_pool.stop p;
   let stats =
@@ -3321,6 +3325,30 @@ let pool_stats_reply_sums_stores () =
          | Some v -> v
          | None -> Alcotest.failf "stat %s missing from the reply" name)
        [ "store_cap_commits"; "store_deadline_commits"; "store_forced_commits" ])
+
+(* A reader's lanes hold about 14.5 words per key it touched.  Once
+   it says [Bye] they must become unreachable from the core: no spare
+   op record may keep the closed session, and through it the lanes. *)
+let bye_frees_reader_lanes () =
+  let keys = 512 in
+  let sv, answer = query_catching_server () in
+  let cl = Net.Transport.client 2 in
+  Net.Server.on_message sv ~src:cl (W.Hello { proc = 2 });
+  for key = 0 to keys - 1 do
+    Net.Server.on_message sv ~src:cl
+      (W.Req { seq = key; op = W.Read_k { key } });
+    answer (fun rid ->
+        W.Query_reply
+          { rid; reg = Net.Shard_map.global_reg key 0; ts = 0; pl = pl 0 false })
+  done;
+  Alcotest.(check int) "every read answered" keys (Net.Server.ops_served sv);
+  let before = Obj.reachable_words (Obj.repr sv) in
+  Net.Server.on_message sv ~src:cl W.Bye;
+  let freed = before - Obj.reachable_words (Obj.repr sv) in
+  Alcotest.(check bool)
+    (Fmt.str "%d words freed for %d keys' lanes" freed keys)
+    true
+    (freed >= 14 * keys)
 
 let suite =
   [
@@ -3445,6 +3473,8 @@ let suite =
       stats_reply_resident_set_and_commits;
     tc "pool: Stats_reply sums every worker's store commit causes"
       pool_stats_reply_sums_stores;
+    tc "server: Bye leaves a reader's lanes unreachable"
+      bye_frees_reader_lanes;
   ]
 
 let slow_suite =
