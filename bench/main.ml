@@ -781,16 +781,132 @@ let socket_alloc_table () =
     Net.Socket_net.shutdown net;
     words
   in
+  (* [Socket_net.send] alone: Query frames to a raw sink that a domain
+     of its own drains, so only the sender's words are counted.  The
+     sender waits for the sink after every 32 frames, so the socket
+     never fills and no write takes the queued path. *)
+  let sent_words ~frames =
+    let net = Net.Socket_net.create () in
+    let node = 9 in
+    let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.bind lfd (Unix.ADDR_UNIX (Net.Socket_net.path net node));
+    Unix.listen lfd 1;
+    let m = Net.Wire.Query { rid = 1; reg = 2 } in
+    let flen = Net.Wire.header_size + Net.Wire.encoded_size m in
+    let warmup = 1_024 and chunk = 32 in
+    let total = (warmup + frames) * flen in
+    let drained = Atomic.make 0 in
+    let sink =
+      Domain.spawn (fun () ->
+          let fd, _ = Unix.accept lfd in
+          let buf = Bytes.create 65536 in
+          while Atomic.get drained < total do
+            let n = Unix.read fd buf 0 65536 in
+            ignore (Atomic.fetch_and_add drained n)
+          done;
+          Unix.close fd)
+    in
+    let tr = Net.Socket_net.transport net in
+    let sent = ref 0 in
+    let send_chunk () =
+      for _ = 1 to chunk do
+        tr.Net.Transport.send ~src:1 ~dst:node m
+      done;
+      sent := !sent + chunk;
+      while Atomic.get drained < !sent * flen do
+        Domain.cpu_relax ()
+      done
+    in
+    for _ = 1 to warmup / chunk do
+      send_chunk ()
+    done;
+    let w0 = Gc.minor_words () in
+    for _ = 1 to frames / chunk do
+      send_chunk ()
+    done;
+    let w = (Gc.minor_words () -. w0) /. float_of_int frames in
+    Domain.join sink;
+    Unix.close lfd;
+    Net.Socket_net.shutdown net;
+    w
+  in
+  (* one frame per wake-up, as a lone op's replies arrive: written, read,
+     parsed and handed to a handler before the next is written *)
+  let one_frame_turn_words ~rounds =
+    let net = Net.Socket_net.create () in
+    let node = 8 in
+    let mu = Mutex.create () and cv = Condition.create () in
+    let got = ref 0 in
+    Net.Socket_net.listen net node (fun ~src:_ _ ->
+        Mutex.lock mu;
+        incr got;
+        Condition.signal cv;
+        Mutex.unlock mu);
+    let f = Net.Wire.frame ~src:1 (Net.Wire.Query { rid = 1; reg = 2 }) in
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX (Net.Socket_net.path net node));
+    let round i =
+      ignore (Unix.write fd f 0 (Bytes.length f));
+      Mutex.lock mu;
+      while !got < i do
+        Condition.wait cv mu
+      done;
+      Mutex.unlock mu
+    in
+    let warmup = 200 in
+    for i = 1 to warmup do
+      round i
+    done;
+    let w0 = Gc.minor_words () in
+    for i = warmup + 1 to warmup + rounds do
+      round i
+    done;
+    let w = (Gc.minor_words () -. w0) /. float_of_int rounds in
+    Unix.close fd;
+    Net.Socket_net.shutdown net;
+    w
+  in
+  (* a 1-domain pool's [dispatch] of one [Req], on the calling domain
+     (the worker's share is the server rows above) *)
+  let dispatch_words ~calls =
+    let p =
+      Net.Server_pool.create ~transport:Net.Transport.null ~domains:1
+        ~me:Net.Transport.server ~replicas:[ 0; 1; 2 ] ~init:0 ()
+    in
+    let req = Net.Wire.Req { seq = 0; op = Net.Wire.Read_k { key = 3 } } in
+    let src = Net.Transport.client 2 in
+    for _ = 1 to 1_000 do
+      Net.Server_pool.dispatch p ~src req
+    done;
+    let w0 = Gc.minor_words () in
+    for _ = 1 to calls do
+      Net.Server_pool.dispatch p ~src req
+    done;
+    let w = (Gc.minor_words () -. w0) /. float_of_int calls in
+    Net.Server_pool.stop p;
+    w
+  in
   let turn = loop_words ~fds:16 and frames = 256 in
   let frame = parse_words ~frames in
+  let sent = sent_words ~frames:8_192 in
+  let lone = one_frame_turn_words ~rounds:2_000 in
+  let dispatch = dispatch_words ~calls:10_000 in
   Fmt.pr "  socket runtime, minor words:@.";
   Fmt.pr "  %-40s %9.1f@." "event-loop turn (16 fds, 1 ready)" turn;
   Fmt.pr "  %-40s %9.1f@."
     (Fmt.str "Socket_net parsed frame (%d-frame burst)" frames)
     frame;
+  Fmt.pr "  %-40s %9.1f@." "Socket_net sent frame" sent;
+  Fmt.pr "  %-40s %9.1f@." "Socket_net 1-frame turn (read to handler)" lone;
+  Fmt.pr "  %-40s %9.1f@." "Server_pool dispatch (1 domain, caller)" dispatch;
   Json.metric ~section:"net-alloc" "event-loop words per turn" turn;
   Json.metric ~section:"net-alloc" "Socket_net words per parsed frame" frame;
-  Fmt.pr "  (Query frames; best of 5 bursts after one warm-up)@.@."
+  Json.metric ~section:"net-alloc" "Socket_net words per sent frame" sent;
+  Json.metric ~section:"net-alloc" "Socket_net words per 1-frame turn" lone;
+  Json.metric ~section:"net-alloc" "Server_pool words per dispatch" dispatch;
+  Fmt.pr
+    "  (Query frames; parsed: best of 5 bursts after one warm-up; sent: to a \
+     sink on its own domain; 1-frame turn: the writer waits for each)@.@."
 
 (* The simulator's own share of the table above: minor words of one
    message (its send, which the sending handler pays, and its delivery)

@@ -630,7 +630,9 @@ let run_client dir proc ops =
           | () -> Fmt.pr "write %a%d -> ack@." (pk key) () v
           | exception Invalid_argument _ ->
             rejected := true;
-            Fmt.pr "write %a%d -> rejected (only processors 0 and 1 write)@."
+            Fmt.pr
+              "write %a%d -> rejected (only processors 0 and 1 write, to \
+               keys >= 0)@."
               (pk key) () v)
         | `Txn writes -> (
           let spec =

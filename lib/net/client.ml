@@ -77,6 +77,7 @@ let connect ?metrics ?(batch_max = 32) ?(flush_every = 0.002) ~net ~server
   let rec handler ~src:_ msg =
     match msg with
     | Wire.Resp { seq = id; _ }
+    | Wire.Nack { seq = id }
     | Wire.Resp_snap { seq = id; _ }
     | Wire.Stats_reply { rid = id; _ }
     | Wire.Reconfig_ack { rid = id; _ }
@@ -185,37 +186,37 @@ let await t id =
        Mutex.unlock t.mu;
        invalid_arg "Client.await: closed with the request in flight")
 
-(* A write or transaction is acknowledged by an empty [Resp]; a
-   non-writer session gets the same empty [Resp] as its rejection. *)
-let ack t what = function
-  | Wire.Resp { result = None; _ } when t.proc = 0 || t.proc = 1 -> ()
-  | Wire.Resp { result = None; _ } ->
-    invalid_arg (what ^ ": rejected (not a writer session)")
+(* A write or transaction is acknowledged by an empty [Resp]; the
+   server refuses an op with a [Nack]. *)
+let answer what = function
+  | Wire.Nack _ -> invalid_arg (what ^ ": rejected")
   | _ -> invalid_arg (what ^ ": unexpected reply")
+
+let ack what = function
+  | Wire.Resp { result = None; _ } -> ()
+  | m -> answer what m
 
 let read_k t ~key =
   match await t (req t (Wire.Read_k { key })) with
   | Wire.Resp { result = Some v; _ } -> v
-  | _ -> invalid_arg "Client.read_k: server rejected the read"
+  | m -> answer "Client.read_k" m
 
 let write_k t ~key v =
-  ack t "Client.write_k" (await t (req t (Wire.Write_k { key; value = v })))
+  ack "Client.write_k" (await t (req t (Wire.Write_k { key; value = v })))
 
 (* Structural validity is checked here with the server's own
-   predicate: the server answers an invalid multi-key op with the same
-   empty [Resp] it uses for a committed write, so a writer session
-   could not tell the rejection apart after the fact. *)
+   predicate, so an invalid op fails before it is sent. *)
 let txn_k t writes =
   if not (Txn.valid_keys (List.map fst writes)) then
     invalid_arg "Client.txn_k: empty, duplicate, negative or oversize keys";
-  ack t "Client.txn_k" (await t (req t (Wire.Txn_k { writes })))
+  ack "Client.txn_k" (await t (req t (Wire.Txn_k { writes })))
 
 let snap_k t keys =
   if not (Txn.valid_keys keys) then
     invalid_arg "Client.snap_k: empty, duplicate, negative or oversize keys";
   match await t (req t (Wire.Snap_k { keys })) with
   | Wire.Resp_snap { values; _ } -> values
-  | _ -> invalid_arg "Client.snap_k: server rejected the snapshot"
+  | m -> answer "Client.snap_k" m
 
 let post t op = ignore (req t op)
 
@@ -287,7 +288,7 @@ let run_keyed ?(window = 8) t script =
   for i = 0 to n - 1 do
     (match await t seqs.(i) with
      | Wire.Resp { result; _ } -> results := result :: !results
-     | _ -> invalid_arg "Client.run_keyed: unexpected reply");
+     | m -> answer "Client.run_keyed" m);
     (* completion of the i-th slides the window forward by one *)
     let j = i + initial in
     if j < n then seqs.(j) <- req t ops.(j)

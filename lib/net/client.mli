@@ -60,12 +60,9 @@ val read_k : t -> key:int -> int
     @raise Invalid_argument if the server rejects (negative key). *)
 
 val write_k : t -> key:int -> int -> unit
-(** Blocking atomic write to one key.  The server answers a rejected
-    write with the same empty [Resp] as an acknowledged one, so only a
-    non-writer session can tell: a writer's write to a negative key
-    returns as if acked.
-    @raise Invalid_argument if the server rejects the write of a
-    non-writer session. *)
+(** Blocking atomic write to one key.
+    @raise Invalid_argument if the server rejects the write with a
+    {!Wire.msg.Nack} (a non-writer session, or a negative key). *)
 
 val txn_k : t -> (int * int) list -> unit
 (** Blocking atomic multi-key transaction: write every [(key, value)]
@@ -92,7 +89,8 @@ val run_keyed :
     acknowledgment) once every op has completed.  Ops on distinct keys
     may execute concurrently server-side (per-key serialization only),
     which is what makes a windowed keyed script scale with the shard
-    count. *)
+    count.
+    @raise Invalid_argument if the server rejects an op. *)
 
 val post : t -> Wire.op -> unit
 (** Fire-and-forget: queue one operation through the batcher without

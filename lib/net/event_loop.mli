@@ -47,8 +47,10 @@ val stop : t -> unit
 
 val add_read : t -> Unix.file_descr -> (unit -> unit) -> unit
 (** Register (or replace) the readability callback of a descriptor.
-    Level-triggered: the callback keeps firing while the fd stays
-    readable, so it must read to [EAGAIN] (or remove itself). *)
+    Level-triggered: the callback fires again on every turn while the
+    fd stays readable, so it may return before the fd is drained (a
+    socket reader stops at a short read), but it must read something
+    or remove itself, or the loop spins. *)
 
 val set_write : t -> Unix.file_descr -> (unit -> unit) option -> unit
 (** Arm ([Some cb]) or disarm ([None]) the writability callback of a

@@ -28,6 +28,12 @@ let incr c = Atomic.incr c.cell
 let add c n = ignore (Atomic.fetch_and_add c.cell n)
 let value c = Atomic.get c.cell
 
+(* A high-water mark: racing writers each retry until the cell holds at
+   least their value. *)
+let rec raise_to c n =
+  let v = Atomic.get c.cell in
+  if n > v && not (Atomic.compare_and_set c.cell v n) then raise_to c n
+
 (* Deterministic reservoir seed per name: metric output under the
    simulated transport stays a pure function of (seed, workload). *)
 let histogram t name =

@@ -24,7 +24,11 @@
       [frames_sent = frames_delivered + frames_dropped + frames_blocked]
       (duplicated frames count as sent).
     - [frames_retried] — socket sends retried on a fresh connection.
-    - [frames_oversized] — sends rejected by the {!Wire.frame} bound.
+    - [frames_oversized] — sends whose body exceeds {!Wire.max_frame}.
+    - [frames_unencodable] — sends with a field outside its encoding
+      range (a twobit [lid] or [seq], an engine code, a negative
+      reconfiguration field, an over-long multi-key op): each is
+      dropped, and {!Socket_net.send} still returns normally.
     - [decode_errors] — undecodable frame bodies received.
     - [conn_opened] / [conn_closed] / [conn_failed] — outbound
       connection churn ({!Socket_net} only).
@@ -57,6 +61,9 @@
     - [ops_served] / [ops_rejected] — server-level operations.
     - [worker_exn] — exceptions that escaped a {!Server_pool} worker's
       handler (the worker survives them; see {!Server_pool.stop}).
+    - [pool_queue_hwm] — the deepest any {!Server_pool} worker's queue
+      has been: items dispatched to it and not yet taken, counted at
+      each push.  A high-water mark ({!raise_to}), not a sum.
     - [audit_violated_keys] — keys whose live audit latched a
       violation ({!Server.violations}).
     - [audit_keys] — keys with a live monitor; [audit_resident] — of
@@ -105,6 +112,11 @@ val counter : t -> string -> counter
 
 val incr : counter -> unit
 val add : counter -> int -> unit
+
+val raise_to : counter -> int -> unit
+(** [raise_to c n] sets [c] to [n] if [n] is larger: a high-water mark
+    that writers on several domains may raise at once (a
+    compare-and-set loop, never a lost update). *)
 
 val value : counter -> int
 (** Current value; one [Atomic] read. *)

@@ -354,7 +354,7 @@ and finish t o =
 
 and reject t o =
   Metrics.incr t.m_rejected;
-  reply t o.s (Wire.Resp { seq = o.seq; result = None });
+  reply t o.s (Wire.Nack { seq = o.seq });
   let s = o.s and key = o.key and q = o.kq and gen = o.gen in
   release t o;
   q.busy <- false;
@@ -599,7 +599,7 @@ let create ~transport ?(audit = true) ?(resend_every = 0.05) ?engine
 (* Queue [op] into every owned touched key's session queue, then
    start each of those keys.  A structurally invalid multi-key op —
    empty, duplicate or negative keys, oversize, or a transaction from
-   a non-writer processor — is rejected with an empty [Resp] by
+   a non-writer processor — is rejected with a [Nack] by
    exactly one core, the owner of [key_of_op op], so a worker pool
    answers once. *)
 let enqueue_op t s seq op =
@@ -624,7 +624,7 @@ let enqueue_op t s seq op =
     end
     else if t.owns (key_of_op op) then begin
       Metrics.incr t.m_rejected;
-      reply t s (Wire.Resp { seq; result = None })
+      reply t s (Wire.Nack { seq })
     end
   | _ ->
     let key = key_of_op op in
@@ -726,7 +726,7 @@ let rec on_message_inner t ~src msg =
     t.tr.Transport.send ~src:t.me ~dst:src (Wire.Stats_reply { rid; stats })
   | Wire.Resp _ | Wire.Resp_snap _ | Wire.Query _ | Wire.Store _
   | Wire.Stats_reply _ | Wire.Store2 _ | Wire.Query2 _ | Wire.Engine_hello _
-  | Wire.Reconfig_ack _ | Wire.Epoch_reply _ -> ()
+  | Wire.Reconfig_ack _ | Wire.Epoch_reply _ | Wire.Nack _ -> ()
 
 (* The server's own wts store is flushed by the shared driver, as
    every replica's is. *)

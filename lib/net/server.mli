@@ -238,8 +238,8 @@ val rejected : t -> int
     non-writer sessions (procs other than 0 and 1), ops naming a
     negative key, and structurally invalid multi-key ops (empty,
     duplicate or negative keys, more than {!Wire.max_txn} of them, or
-    a transaction from a non-writer).  Acknowledged with
-    [Resp { result = None }] but not recorded in any history.  The
+    a transaction from a non-writer).  Answered with a
+    {!Wire.msg.Nack} and not recorded in any history.  The
     [ops_rejected] counter of [metrics]. *)
 
 val quorum_stats : t -> Engine.stats

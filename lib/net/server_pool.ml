@@ -10,13 +10,35 @@
    - each worker drains its queue in bursts under one cork so the
      whole burst's sends coalesce into per-destination batches. *)
 
-type item = Msg of Transport.node * Wire.msg | Fn of (unit -> unit)
+(* A worker's queue: parallel slot arrays, filled in push order.  Slot
+   [i] is the frame [msg.(i)] from [src.(i)], or the thunk [fn.(i)]
+   when that is not [no_fn].  A push writes three slots and allocates
+   nothing; the worker takes the whole queue at once by swapping it
+   for its spare. *)
+type slots = {
+  mutable src : Transport.node array;
+  mutable msg : Wire.msg array;
+  mutable fn : (unit -> unit) array;
+  mutable n : int;
+}
+
+let no_fn () = ()
+
+(* The largest array the minor heap takes ([Max_young_wosize]): a
+   queue that grows past it grows on the major heap, so a push never
+   allocates a minor word. *)
+let slots_init = 256
+
+let slots () =
+  { src = Array.make slots_init 0; msg = Array.make slots_init Wire.Bye;
+    fn = Array.make slots_init no_fn; n = 0 }
 
 type worker = {
   core : Server.t;
   mu : Mutex.t;
   cv : Condition.t;
-  q : item Queue.t;
+  mutable q : slots;  (* guarded by [mu] *)
+  hwm : Metrics.counter;
   mutable stopping : bool;
   mutable dom : unit Domain.t option;
 }
@@ -30,11 +52,49 @@ type t = {
       (* the first exception a worker caught, re-raised by [stop] *)
 }
 
-let push w item =
+let grow q =
+  let cap = 2 * Array.length q.src in
+  let extend a fill =
+    let b = Array.make cap fill in
+    Array.blit a 0 b 0 q.n;
+    b
+  in
+  q.src <- extend q.src 0;
+  q.msg <- extend q.msg Wire.Bye;
+  q.fn <- extend q.fn no_fn
+
+(* Locked directly, not through [Mutex.protect]: a push allocates no
+   closure.  Nothing between the lock and the unlock raises but an
+   out-of-memory from [grow]. *)
+let push w ~src msg fn =
   Mutex.lock w.mu;
-  Queue.add item w.q;
+  let q = w.q in
+  if q.n = Array.length q.src then grow q;
+  let i = q.n in
+  q.src.(i) <- src;
+  q.msg.(i) <- msg;
+  q.fn.(i) <- fn;
+  q.n <- i + 1;
+  Metrics.raise_to w.hwm q.n;
   Condition.signal w.cv;
   Mutex.unlock w.mu
+
+let push_fn w f = push w ~src:0 Wire.Bye f
+
+(* Empty a drained queue for its next turn as the spare, dropping the
+   references it held; one that a burst grew goes back to its first
+   size, so a burst's arrays do not stay resident. *)
+let reset q =
+  if Array.length q.src > 16 * slots_init then begin
+    q.src <- Array.make slots_init 0;
+    q.msg <- Array.make slots_init Wire.Bye;
+    q.fn <- Array.make slots_init no_fn
+  end
+  else begin
+    Array.fill q.msg 0 q.n Wire.Bye;
+    Array.fill q.fn 0 q.n no_fn
+  end;
+  q.n <- 0
 
 (* A handler that raises must not end its worker's domain: that would
    leave the worker's keys unserved with nothing reported.  Count every
@@ -48,12 +108,15 @@ let caught t e bt =
       (Printexc.raw_backtrace_to_string bt)
 
 let worker_loop t w =
-  let batch = Queue.create () in
+  let mine = ref (slots ()) and next = ref 0 in
   let run_batch () =
-    while not (Queue.is_empty batch) do
-      match Queue.take batch with
-      | Msg (src, msg) -> Server.on_message w.core ~src msg
-      | Fn f -> f ()
+    let q = !mine in
+    while !next < q.n do
+      let i = !next in
+      next := i + 1;
+      let f = q.fn.(i) in
+      if f == no_fn then Server.on_message w.core ~src:q.src.(i) q.msg.(i)
+      else f ()
     done
   in
   (* one cork over the whole burst: every reply and quorum message this
@@ -70,13 +133,21 @@ let worker_loop t w =
   let running = ref true in
   while !running do
     Mutex.lock w.mu;
-    while Queue.is_empty w.q && not w.stopping do
+    while w.q.n = 0 && not w.stopping do
       Condition.wait w.cv w.mu
     done;
-    Queue.transfer w.q batch;
-    if Queue.is_empty batch && w.stopping then running := false;
+    let q = w.q in
+    if q.n = 0 then running := false
+    else begin
+      w.q <- !mine;
+      mine := q
+    end;
     Mutex.unlock w.mu;
-    if not (Queue.is_empty batch) then drain ()
+    if q.n > 0 then begin
+      next := 0;
+      drain ();
+      reset q
+    end
   done
 
 let create ~transport ?audit ?engine ?storage ?metrics ?trace ?map
@@ -92,6 +163,7 @@ let create ~transport ?audit ?engine ?storage ?metrics ?trace ?map
      batch is atomic because all its keys' cores lock through the same
      table, whichever domains own them *)
   let txns = Txn.create ?audit ~init () in
+  let hwm = Metrics.counter metrics "pool_queue_hwm" in
   let make d =
     (* the core's timers must run on its own domain, not on the
        transport's timer thread: re-route each callback through the
@@ -103,13 +175,13 @@ let create ~transport ?audit ?engine ?storage ?metrics ?trace ?map
         Transport.set_timer =
           (fun ~node ~delay f ->
             transport.Transport.set_timer ~node ~delay (fun () ->
-                match !wref with Some w -> push w (Fn f) | None -> f ()));
+                match !wref with Some w -> push_fn w f | None -> f ()));
       }
     in
     (* coordinator thunks must run on the owning domain, not on
        whichever domain committed the multi-key op: inject them
        through the worker queue like timer callbacks *)
-    let post f = match !wref with Some w -> push w (Fn f) | None -> f () in
+    let post f = match !wref with Some w -> push_fn w f | None -> f () in
     let peer_stores =
       List.concat
         (List.init nd (fun i ->
@@ -122,8 +194,8 @@ let create ~transport ?audit ?engine ?storage ?metrics ?trace ?map
         ~me ~replicas ~init ()
     in
     let w =
-      { core; mu = Mutex.create (); cv = Condition.create ();
-        q = Queue.create (); stopping = false; dom = None }
+      { core; mu = Mutex.create (); cv = Condition.create (); q = slots ();
+        hwm; stopping = false; dom = None }
     in
     wref := Some w;
     w
@@ -140,48 +212,68 @@ let create ~transport ?audit ?engine ?storage ?metrics ?trace ?map
 
 let worker_of_key t key = Server.worker_of_key t.map ~domains:t.nd key
 
+(* What [target] answers for a message no worker takes, and for one
+   that more than one worker may have to see. *)
+let nobody = -1
+let several = -2
+
+(* The one worker that must see [m] (not a [Batch]), [nobody], or
+   [several]. *)
+let target t = function
+  | Wire.Hello _ | Wire.Bye | Wire.Req { op = Wire.Txn_k _ | Wire.Snap_k _; _ }
+    ->
+    if t.nd = 1 then 0 else several
+  | Wire.Req { op; _ } ->
+    (* point-route by key owner: cores run presequenced (this thread
+       preserves each session's arrival order), so no other worker
+       needs to see the op at all *)
+    worker_of_key t (Server.key_of_op op)
+  | Wire.Query_reply { reg; _ } | Wire.Store_ack { reg; _ } ->
+    if reg >= 0 then worker_of_key t (Shard_map.key_of_reg reg) else nobody
+  | Wire.Ack2 { lid; _ } | Wire.Query2_reply { lid; _ } ->
+    if lid >= 0 then lid mod t.nd else nobody
+  | Wire.Stats_req _ -> 0
+  | Wire.Reconfig { key; _ } ->
+    (* the migration runs entirely on the key's owner worker *)
+    if key >= 0 then worker_of_key t key else nobody
+  | Wire.Epoch_req _ ->
+    (* workers' epochs advance independently; worker 0 answers as the
+       pool's representative (a stale answer only costs the client a
+       nack-and-retry) *)
+    0
+  | Wire.Batch _ | Wire.Resp _ | Wire.Resp_snap _ | Wire.Query _
+  | Wire.Store _ | Wire.Stats_reply _ | Wire.Store2 _ | Wire.Query2 _
+  | Wire.Engine_hello _ | Wire.Reconfig_ack _ | Wire.Epoch_reply _
+  | Wire.Nack _ ->
+    nobody
+
 let add buckets w m = buckets.(w) <- m :: buckets.(w)
 
 (* Add [m] to the bucket of every worker that must see it. *)
 let rec route t buckets m =
   match m with
   | Wire.Batch msgs -> route_list t buckets msgs
-  | Wire.Hello _ | Wire.Bye ->
-    for w = 0 to t.nd - 1 do
-      add buckets w m
-    done
-  | Wire.Req { op = (Wire.Txn_k _ | Wire.Snap_k _) as op; _ } ->
-    (* a multi-key op goes to the owner of EACH touched key — every
-       one of them must queue it (phase 1 of the coordinator) — and
-       each worker exactly once.  An op with no keys still routes to
-       its routing-key owner, who rejects it. *)
-    (match
-       List.sort_uniq compare
-         (List.map (worker_of_key t) (Server.keys_of_op op))
-     with
-     | [] -> add buckets (worker_of_key t (Server.key_of_op op)) m
-     | ws -> List.iter (fun w -> add buckets w m) ws)
-  | Wire.Req { op; _ } ->
-    (* point-route by key owner: cores run presequenced (this thread
-       preserves each session's arrival order), so no other worker
-       needs to see the op at all *)
-    add buckets (worker_of_key t (Server.key_of_op op)) m
-  | Wire.Query_reply { reg; _ } | Wire.Store_ack { reg; _ } ->
-    if reg >= 0 then add buckets (worker_of_key t (Shard_map.key_of_reg reg)) m
-  | Wire.Ack2 { lid; _ } | Wire.Query2_reply { lid; _ } ->
-    if lid >= 0 then add buckets (lid mod t.nd) m
-  | Wire.Stats_req _ -> add buckets 0 m
-  | Wire.Reconfig { key; _ } ->
-    (* the migration runs entirely on the key's owner worker *)
-    if key >= 0 then add buckets (worker_of_key t key) m
-  | Wire.Epoch_req _ ->
-    (* workers' epochs advance independently; worker 0 answers as the
-       pool's representative (a stale answer only costs the client a
-       nack-and-retry) *)
-    add buckets 0 m
-  | Wire.Resp _ | Wire.Resp_snap _ | Wire.Query _ | Wire.Store _
-  | Wire.Stats_reply _ | Wire.Store2 _ | Wire.Query2 _ | Wire.Engine_hello _
-  | Wire.Reconfig_ack _ | Wire.Epoch_reply _ -> ()
+  | _ ->
+    let w = target t m in
+    if w >= 0 then add buckets w m
+    else if w = several then
+      match m with
+      | Wire.Req { op; _ } ->
+        (* a multi-key op goes to the owner of EACH touched key — every
+           one of them must queue it (phase 1 of the coordinator) — and
+           each worker exactly once.  An op with no keys still routes
+           to its routing-key owner, who rejects it. *)
+        (match
+           List.sort_uniq compare
+             (List.map (worker_of_key t) (Server.keys_of_op op))
+         with
+         | [] -> add buckets (worker_of_key t (Server.key_of_op op)) m
+         | ws -> List.iter (fun w -> add buckets w m) ws)
+      | _ ->
+        (* session open and close are per-core state *)
+        for w = 0 to t.nd - 1 do
+          add buckets w m
+        done
 
 and route_list t buckets = function
   | [] -> ()
@@ -189,20 +281,46 @@ and route_list t buckets = function
     route t buckets m;
     route_list t buckets rest
 
-(* Partition one inbound frame into at most one enqueue per worker: a
-   Batch of K messages costs K pushes (and K worker wake-ups) if
-   forwarded item by item, but one re-wrapped Batch per worker if
-   partitioned here — and the receiving core then runs the whole
-   sub-batch under a single cork turn. *)
+(* The one worker that every message of a frame goes to, and goes to
+   alone, or [nobody]; a multi-key op over several domains answers
+   [nobody] unread, which is always safe: such a frame goes through
+   [route]. *)
+let rec sole t m =
+  match m with
+  | Wire.Batch msgs -> sole_list t nobody msgs
+  | _ ->
+    let w = target t m in
+    if w >= 0 then w else nobody
+
+(* [w] is the worker of the messages so far, [nobody] before the
+   first *)
+and sole_list t w = function
+  | [] -> w
+  | m :: rest ->
+    let v = sole t m in
+    if v < 0 || (w >= 0 && v <> w) then nobody else sole_list t v rest
+
+(* One inbound frame costs at most one enqueue per worker.  A frame
+   whose messages all go to one worker (every frame, with one domain)
+   is queued as it arrived; the worker's core walks its batches.  Any
+   other frame is partitioned: a Batch of K messages would cost K
+   pushes (and K worker wake-ups) if forwarded item by item, but costs
+   one re-wrapped Batch per worker partitioned here — and the
+   receiving core then runs the whole sub-batch under a single cork
+   turn. *)
 let dispatch t ~src msg =
-  let buckets = Array.make t.nd [] in
-  route t buckets msg;
-  for w = 0 to t.nd - 1 do
-    match buckets.(w) with
-    | [] -> ()
-    | [ m ] -> push t.workers.(w) (Msg (src, m))
-    | ms -> push t.workers.(w) (Msg (src, Wire.Batch (List.rev ms)))
-  done
+  let w = sole t msg in
+  if w >= 0 then push t.workers.(w) ~src msg no_fn
+  else begin
+    let buckets = Array.make t.nd [] in
+    route t buckets msg;
+    for w = 0 to t.nd - 1 do
+      match buckets.(w) with
+      | [] -> ()
+      | [ m ] -> push t.workers.(w) ~src m no_fn
+      | ms -> push t.workers.(w) ~src (Wire.Batch (List.rev ms)) no_fn
+    done
+  end
 
 let stop t =
   Array.iter

@@ -25,9 +25,13 @@
     Quorum replies are point-routed by their register
     ([Query_reply]/[Store_ack]) or link id ([Ack2]/[Query2_reply]) to
     the owning worker; [Stats_req] is answered by worker 0 out of the
-    shared metrics registry.  A [Batch] frame is partitioned into at
-    most one (re-batched) enqueue per worker, so a K-message frame
-    costs O(workers) queue handoffs, not O(K).
+    shared metrics registry.  A frame whose messages all go to one
+    worker, and to it alone (every frame, with one domain), is queued
+    as it arrived; any other [Batch] frame is partitioned into at most
+    one (re-batched) enqueue per worker, so a K-message frame costs
+    O(workers) queue handoffs, not O(K).  A worker's queue is slot
+    arrays, so an enqueue allocates nothing; the deepest any queue has
+    been is the [pool_queue_hwm] counter of the pool's {!Metrics.t}.
 
     {b Multi-key ops.}  A {!Wire.op.Txn_k} or {!Wire.op.Snap_k} is
     delivered to the owner of {e each} touched key (each worker once):

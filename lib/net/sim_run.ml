@@ -273,7 +273,7 @@ let build ?(faults = Sim_net.reliable) ?(replicas = 3) ?(window = 4)
       in
       Sim_net.register net me (fun ~src:_ msg ->
           match msg with
-          | Wire.Resp _ | Wire.Resp_snap _ ->
+          | Wire.Resp _ | Wire.Resp_snap _ | Wire.Nack _ ->
             (match next_req () with
              | Some req ->
                tr.Transport.send ~src:me ~dst:Transport.server req

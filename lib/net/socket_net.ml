@@ -23,32 +23,39 @@ type endpoint = {
 }
 
 (* One accepted inbound connection: a non-blocking fd plus its
-   frame-reassembly buffer and the parse turn's pending messages.
-   Only the loop thread touches [rbuf]/[rlen]/[turn]; [rclosed]
-   transitions under [t.mu]. *)
+   frame-reassembly buffer, the reader that decodes its frames and the
+   parse turn's pending messages.  Only the loop thread touches
+   [rbuf]/[rlen]/[reader]/[turn]; [rclosed] transitions under [t.mu]. *)
 and rconn = {
   rfd : Unix.file_descr;
   rep : endpoint;
   mutable rbuf : Bytes.t;
   mutable rlen : int;
   mutable rclosed : bool;
+  reader : Wire.reader;
   turn : turn;
 }
 
-(* The messages one parse turn has decoded but not yet delivered: all
-   from [pend_src], newest first.  Held per connection, so a turn
-   allocates no state of its own. *)
+(* The messages one parse turn has decoded but not yet delivered, all
+   from [pend_src]: [pend_first], then [pend_rev] newest first.  Held
+   per connection, so a turn allocates no state of its own, and a turn
+   of one frame conses nothing. *)
 and turn = {
+  mutable pend_first : Wire.msg;
   mutable pend_rev : Wire.msg list;
   mutable pend_n : int;
   mutable pend_src : int;
 }
 
 (* Outbound connection.  [wmu] serializes writers and guards the
-   pending-output queue shared with the drain callback on the loop. *)
+   frame buffer and the pending-output queue shared with the drain
+   callback on the loop.  A frame is encoded into [wbuf], which the
+   connection reuses; only bytes that must wait get a [Bytes] of their
+   own on [outq]. *)
 type conn = {
   fd : Unix.file_descr;
   wmu : Mutex.t;
+  mutable wbuf : Bytes.t;
   outq : (Bytes.t * int ref) Queue.t;  (* (frame, bytes already sent) *)
   mutable outq_bytes : int;
   mutable warmed : bool;  (* writability callback armed *)
@@ -63,6 +70,7 @@ type ctrs = {
   frames_dropped : Metrics.counter;
   frames_retried : Metrics.counter;
   frames_oversized : Metrics.counter;
+  frames_unencodable : Metrics.counter;
   decode_errors : Metrics.counter;
   conn_opened : Metrics.counter;
   conn_closed : Metrics.counter;
@@ -164,6 +172,7 @@ let create ?dir ?sndbuf ?metrics ?trace () =
       frames_dropped = Metrics.counter metrics "frames_dropped";
       frames_retried = Metrics.counter metrics "frames_retried";
       frames_oversized = Metrics.counter metrics "frames_oversized";
+      frames_unencodable = Metrics.counter metrics "frames_unencodable";
       decode_errors = Metrics.counter metrics "decode_errors";
       conn_opened = Metrics.counter metrics "conn_opened";
       conn_closed = Metrics.counter metrics "conn_closed";
@@ -239,17 +248,18 @@ let deliver t rc ~src msg =
    as itself, several as one [Batch] in arrival order. *)
 let flush_turn t rc =
   let tu = rc.turn in
-  let ms = tu.pend_rev in
+  let n = tu.pend_n and first = tu.pend_first and rest = tu.pend_rev in
+  tu.pend_first <- Wire.Bye;
   tu.pend_rev <- [];
   tu.pend_n <- 0;
-  match ms with
-  | [] -> ()
-  | [ m ] -> deliver t rc ~src:tu.pend_src m
-  | ms -> deliver t rc ~src:tu.pend_src (Wire.Batch (List.rev ms))
+  if n = 1 then deliver t rc ~src:tu.pend_src first
+  else if n > 1 then
+    deliver t rc ~src:tu.pend_src (Wire.Batch (first :: List.rev rest))
 
 (* Peel every complete frame out of the reassembly buffer; each body is
-   decoded in place, never copied (a decoded message shares no storage
-   with the buffer, so the buffer may be compacted or reused at once).
+   decoded in place through the connection's reader, never copied (a
+   decoded message shares no storage with the buffer, so the buffer may
+   be compacted or reused at once).
    A partial frame that cannot fit in the remaining capacity compacts
    (and if needed grows) the buffer so the read loop always has room
    to make progress.
@@ -294,16 +304,17 @@ let parse_frames t rc =
         let src = le32 rc.rbuf (!off + 4) in
         let body_off = !off + Wire.header_size in
         off := body_off + blen;
-        match Wire.decode_sub rc.rbuf ~off:body_off ~len:blen with
-        | Error _ ->
+        match Wire.read rc.reader rc.rbuf ~off:body_off ~len:blen with
+        | exception Wire.Malformed _ ->
           Metrics.incr t.c.decode_errors;
           flush_turn t rc;
           close_rconn t rc
-        | Ok msg ->
+        | msg ->
           Metrics.incr t.c.frames_delivered;
           if src <> tu.pend_src then flush_turn t rc;
           tu.pend_src <- src;
-          tu.pend_rev <- msg :: tu.pend_rev;
+          if tu.pend_n = 0 then tu.pend_first <- msg
+          else tu.pend_rev <- msg :: tu.pend_rev;
           tu.pend_n <- tu.pend_n + 1;
           (* keep turn batches well under the wire batch cap, and the
              latency of the first op in a burst bounded *)
@@ -318,6 +329,11 @@ let parse_frames t rc =
     rc.rlen <- rest
   end
 
+(* Read and parse until a read comes back short or the budget is
+   spent.  A read that returns less than the room it offered found the
+   socket empty, so the turn ends there instead of paying one more read
+   that fails with EAGAIN: [select] is level-triggered, so bytes that
+   arrive later mark the fd readable on the next turn. *)
 let on_readable t rc () =
   let budget = ref read_budget in
   let continue = ref true in
@@ -328,9 +344,8 @@ let on_readable t rc () =
       Bytes.blit rc.rbuf 0 nb 0 rc.rlen;
       rc.rbuf <- nb
     end;
-    match
-      Unix.read rc.rfd rc.rbuf rc.rlen (Bytes.length rc.rbuf - rc.rlen)
-    with
+    let room = Bytes.length rc.rbuf - rc.rlen in
+    match Unix.read rc.rfd rc.rbuf rc.rlen room with
     | 0 ->
       close_rconn t rc;
       continue := false
@@ -338,7 +353,7 @@ let on_readable t rc () =
       rc.rlen <- rc.rlen + n;
       budget := !budget - n;
       parse_frames t rc;
-      if !budget <= 0 then continue := false
+      if n < room || !budget <= 0 then continue := false
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
       continue := false
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
@@ -355,8 +370,10 @@ let on_acceptable t ep () =
       Unix.set_nonblock cfd;
       let rc =
         { rfd = cfd; rep = ep; rbuf = Bufpool.take t.pool; rlen = 0;
-          rclosed = false;
-          turn = { pend_rev = []; pend_n = 0; pend_src = min_int } }
+          rclosed = false; reader = Wire.reader ();
+          turn =
+            { pend_first = Wire.Bye; pend_rev = []; pend_n = 0;
+              pend_src = min_int } }
       in
       let stopped =
         Mutex.protect t.mu (fun () ->
@@ -459,36 +476,41 @@ let try_connect t dst =
     Metrics.incr t.c.conn_failed;
     None
 
+(* The connection to [dst], made if there is none.  The lookup runs on
+   every send, so it allocates nothing: the table is locked directly
+   rather than through [Mutex.protect], whose closure would cost every
+   frame ([Hashtbl.find] on an int key raises only [Not_found]), and
+   the result is not wrapped in an option.
+   @raise Not_found if [dst] cannot be reached. *)
 let get_conn t dst =
-  (* the lookup runs on every send: lock directly rather than through
-     [Mutex.protect], whose closure would cost an allocation per frame
-     ([Hashtbl.find_opt] on an int key cannot raise) *)
   Mutex.lock t.mu;
-  let found = Hashtbl.find_opt t.conns dst in
-  Mutex.unlock t.mu;
-  match found with
-  | Some c -> Some c
-  | None ->
+  match Hashtbl.find t.conns dst with
+  | c ->
+    Mutex.unlock t.mu;
+    c
+  | exception Not_found ->
+    Mutex.unlock t.mu;
     (* connect OUTSIDE the table lock: a slow or unreachable peer must
        not stall sends to every other destination (the lock is only
        retaken to install the result, tolerating a racing winner) *)
     (match try_connect t dst with
-     | None -> None
+     | None -> raise Not_found
      | Some fd ->
        Mutex.protect t.mu (fun () ->
            match Hashtbl.find_opt t.conns dst with
            | Some winner ->
              (* another sender connected while we did; keep theirs *)
              (try Unix.close fd with Unix.Unix_error _ -> ());
-             Some winner
+             winner
            | None ->
              let c =
-               { fd; wmu = Mutex.create (); outq = Queue.create ();
+               { fd; wmu = Mutex.create (); wbuf = Bytes.empty;
+                 outq = Queue.create ();
                  outq_bytes = 0; warmed = false; dead = false }
              in
              Hashtbl.replace t.conns dst c;
              Metrics.incr t.c.conn_opened;
-             Some c))
+             c))
 
 (* ------------------------------------------------------------------ *)
 (* Writing                                                             *)
@@ -553,45 +575,66 @@ and arm_write t dst c =
     Event_loop.set_write t.loop c.fd (Some (drain_cb t dst c))
   end
 
-(* Write [frame] from [off] on ([wmu] held); on EAGAIN the remainder is
-   queued and the writability callback takes over.  Raises on a real
+(* Write [b.(off) .. b.(len - 1)] ([wmu] held).  On EAGAIN the unsent
+   rest is copied onto the queue, as [b] is the connection's reused
+   buffer, and the writability callback takes over.  Raises on a real
    write error. *)
-let rec write_from t dst c frame off =
-  let len = Bytes.length frame in
+let rec write_from t dst c b off len =
   if off >= len then `Ok
   else
-    match write_nb c.fd frame off (len - off) with
+    match write_nb c.fd b off (len - off) with
     | -1 ->
-      Queue.add (frame, ref off) c.outq;
-      c.outq_bytes <- c.outq_bytes + (len - off);
+      let rest = len - off in
+      Queue.add (Bytes.sub b off rest, ref 0) c.outq;
+      c.outq_bytes <- c.outq_bytes + rest;
       Metrics.incr t.c.write_queued;
       arm_write t dst c;
       `Ok
-    | n -> write_from t dst c frame (off + n)
+    | n -> write_from t dst c b (off + n) len
 
-(* One frame out: inline non-blocking write when nothing is queued; on
-   a short write the remainder is queued and the writability callback
-   takes over.  The frame bytes are shared with the queue — never
-   copied.  Locked directly, not through [Mutex.protect], so that a
-   send allocates no closure: every path out of the body unlocks. *)
-let conn_write t dst c frame =
+(* The smallest frame buffer a connection allocates; one grown past
+   [Bufpool.chunk] is dropped once its frame is written, so one big
+   frame does not stay resident. *)
+let wbuf_min = 4096
+
+(* One frame out, encoded under [wmu] ([size] is its body's
+   [Wire.encoded_size], already checked against [max_frame]).  With
+   nothing queued it is encoded into the connection's buffer and
+   written inline; a short write queues a copy of the rest.  Behind
+   queued bytes it is encoded into a [Bytes] of its own and queued.
+   Locked directly, not through [Mutex.protect], so that a send
+   allocates no closure: every path out of the body unlocks. *)
+let conn_write t dst c ~src ~size msg =
+  let len = Wire.header_size + size in
   Mutex.lock c.wmu;
   match
     if c.dead then `Fail
-    else begin
-      let len = Bytes.length frame in
-      if c.outq_bytes > 0 then
-        if c.outq_bytes + len > out_cap then `Backpressure
-        else begin
-          Queue.add (frame, ref 0) c.outq;
+    else if c.outq_bytes > 0 then
+      if c.outq_bytes + len > out_cap then `Backpressure
+      else begin
+        let b = Bytes.create len in
+        match Wire.write_frame b ~pos:0 ~src ~size msg with
+        | exception Invalid_argument _ -> `Unencodable
+        | () ->
+          Queue.add (b, ref 0) c.outq;
           c.outq_bytes <- c.outq_bytes + len;
           `Ok
-        end
-      else
-        try write_from t dst c frame 0
-        with Unix.Unix_error _ | Sys_error _ ->
-          c.dead <- true;
-          `Fail
+      end
+    else begin
+      if Bytes.length c.wbuf < len then
+        c.wbuf <-
+          Bytes.create (max len (max wbuf_min (2 * Bytes.length c.wbuf)));
+      match Wire.write_frame c.wbuf ~pos:0 ~src ~size msg with
+      | exception Invalid_argument _ -> `Unencodable
+      | () ->
+        let r =
+          try write_from t dst c c.wbuf 0 len
+          with Unix.Unix_error _ | Sys_error _ ->
+            c.dead <- true;
+            `Fail
+        in
+        if Bytes.length c.wbuf > Bufpool.chunk then c.wbuf <- Bytes.empty;
+        r
     end
   with
   | r ->
@@ -601,25 +644,26 @@ let conn_write t dst c frame =
     Mutex.unlock c.wmu;
     raise e
 
+let reason = function
+  | `Ok -> ""
+  | `Oversized -> "oversized"
+  | `Unencodable -> "unencodable"
+  | `No_conn -> "no-conn"
+  | `Backpressure -> "backpressure"
+  | `Fail -> "write-failed"
+
+(* A frame that cannot be framed (a body over [max_frame], or a field
+   outside its encoding range) is counted apart and never sent; any
+   other frame is sent, and dropped if it cannot be written. *)
 let send t ~src ~dst msg =
-  match Wire.frame ~src msg with
-  | exception Invalid_argument _ ->
-    (* over [Wire.max_frame]: surfaced as a counted drop rather than a
-       truncated header the receiver would choke on *)
-    Metrics.incr t.c.frames_oversized;
-    (match t.trace with
-     | None -> ()
-     | Some tr -> record tr (Trace.Drop { src; dst; reason = "oversized" }))
-  | frame ->
-    Metrics.incr t.c.frames_sent;
-    (* the drop reason, or "" once the frame is written *)
-    let outcome =
+  let size = Wire.encoded_size msg in
+  let r =
+    if size > max_frame then `Oversized
+    else
       match get_conn t dst with
-      | None -> "no-conn"  (* dead or absent peer: lossy by contract *)
-      | Some c ->
-        (match conn_write t dst c frame with
-         | `Ok -> ""
-         | `Backpressure -> "backpressure"
+      | exception Not_found -> `No_conn  (* dead or absent peer: lossy *)
+      | c ->
+        (match conn_write t dst c ~src ~size msg with
          | `Fail ->
            (* the peer may have restarted behind our cached connection
               (e.g. a client re-run with the same processor id): retry
@@ -627,23 +671,27 @@ let send t ~src ~dst msg =
            drop_conn t dst;
            Metrics.incr t.c.frames_retried;
            (match get_conn t dst with
-            | None -> "no-conn"
-            | Some c ->
-              (match conn_write t dst c frame with
-               | `Ok -> ""
-               | `Backpressure -> "backpressure"
-               | `Fail ->
-                 drop_conn t dst;
-                 "write-failed")))
-    in
-    if outcome <> "" then Metrics.incr t.c.frames_dropped;
-    (match t.trace with
-     | None -> ()
-     | Some tr ->
-       record tr
-         (if outcome = "" then
-            Trace.Send { src; dst; info = Fmt.str "%a" Wire.pp msg }
-          else Trace.Drop { src; dst; reason = outcome }))
+            | exception Not_found -> `No_conn
+            | c ->
+              let r = conn_write t dst c ~src ~size msg in
+              if r = `Fail then drop_conn t dst;
+              r)
+         | r -> r)
+  in
+  (match r with
+   | `Ok -> Metrics.incr t.c.frames_sent
+   | `Oversized -> Metrics.incr t.c.frames_oversized
+   | `Unencodable -> Metrics.incr t.c.frames_unencodable
+   | `No_conn | `Backpressure | `Fail ->
+     Metrics.incr t.c.frames_sent;
+     Metrics.incr t.c.frames_dropped);
+  match t.trace with
+  | None -> ()
+  | Some tr ->
+    record tr
+      (match r with
+       | `Ok -> Trace.Send { src; dst; info = Fmt.str "%a" Wire.pp msg }
+       | r -> Trace.Drop { src; dst; reason = reason r })
 
 (* ------------------------------------------------------------------ *)
 (* Timers                                                              *)

@@ -14,12 +14,19 @@
     reassembly, handler invocations and timer callbacks — the per-node
     handler serialization is structural, with no lock on the hot
     path.  Inbound frames are reassembled in per-connection buffers
-    leased from a shared pool and a frame body is copied exactly once
-    (reassembly buffer → decode).  Outbound frames are written inline
-    from the sending thread; when the kernel buffer fills ([EAGAIN])
+    leased from a shared pool and decoded in place through one reader
+    per connection; a readiness callback reads until a read comes back
+    short (or a 256 KiB budget is spent).  Outbound frames are encoded
+    into a buffer the connection reuses and written inline from the
+    sending thread; when the kernel buffer fills ([EAGAIN]) a copy of
     the remainder is queued (bounded by a backpressure cap, counted
     drops beyond it) and drained by the loop on writability — a slow
     peer costs its own queue, never a sender's thread.
+
+    A send never raises.  A message whose body exceeds
+    {!Wire.max_frame} is counted in [frames_oversized], one with a
+    field outside its encoding range in [frames_unencodable]; neither
+    is sent, and the trace records a drop with that reason.
 
     Sending never blocks on a sick peer: outbound
     connects are non-blocking and bounded, run with no table lock

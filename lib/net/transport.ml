@@ -52,14 +52,34 @@ let rec ship_chunks base ~src ~dst ms =
     base.send ~src ~dst (Wire.Batch chunk);
     if rest <> [] then ship_chunks base ~src ~dst rest
 
+let unlink s =
+  s.next <- s;
+  s.first <- Wire.Bye;
+  s.rest <- []
+
+let rec unlink_from c s =
+  if s != c.root then begin
+    let next = s.next in
+    unlink s;
+    unlink_from c next
+  end
+
+(* Each slot leaves the turn as it ships.  A send that raises ends the
+   turn: the slots after it are unlinked unsent, so that their
+   destinations start the next turn afresh. *)
 let rec ship_from c s =
   if s != c.root then begin
     let { dst; first; rest; next } = s in
-    s.next <- s;
-    s.first <- Wire.Bye;
-    s.rest <- [];
-    if rest = [] then c.base.send ~src:c.src ~dst first
-    else ship_chunks c.base ~src:c.src ~dst (first :: List.rev rest);
+    unlink s;
+    (match
+       if rest = [] then c.base.send ~src:c.src ~dst first
+       else ship_chunks c.base ~src:c.src ~dst (first :: List.rev rest)
+     with
+     | () -> ()
+     | exception e ->
+       let bt = Printexc.get_raw_backtrace () in
+       unlink_from c next;
+       Printexc.raise_with_backtrace e bt);
     ship_from c next
   end
 

@@ -32,6 +32,7 @@ type msg =
   | Reconfig_ack of { rid : int; epoch : int; ok : bool }
   | Epoch_req of { rid : int }
   | Epoch_reply of { rid : int; epoch : int; shards : int }
+  | Nack of { seq : int }
 
 let max_frame = 16 * 1024 * 1024
 let max_batch_depth = 8
@@ -78,6 +79,7 @@ let rec encoded_size = function
   | Reconfig_ack _ -> 18
   | Epoch_req _ -> 9
   | Epoch_reply _ -> 25
+  | Nack _ -> 9
 
 (* The encoder writes in place into one [Bytes] of exactly
    [encoded_size] bytes: each [put_*] writes at [pos] and returns the
@@ -215,6 +217,7 @@ let rec put_msg b pos = function
   | Epoch_reply { rid; epoch; shards } ->
     let pos = put_int b (put_byte b pos 20) rid in
     put_nonneg b (put_nonneg b pos "epoch" epoch) "shards" shards
+  | Nack { seq } -> put_int b (put_byte b pos 21) seq
 
 (* Each item is prefixed by its length, written from [encoded_size]
    before the item itself, with no sub-buffer. *)
@@ -235,12 +238,13 @@ let encode m =
 
 (* The decoder reads in place through a cursor over [buf.(pos..stop)]:
    top-level readers, no closures, and an out-of-window read is the
-   [Bad "truncated"] error, never a read of the bytes around it. *)
-type cursor = { buf : Bytes.t; mutable pos : int; stop : int }
+   [Malformed "truncated"] error, never a read of the bytes around it.
+   A connection keeps one cursor and re-points it at each frame. *)
+type reader = { mutable buf : Bytes.t; mutable pos : int; mutable stop : int }
 
-exception Bad of string
+exception Malformed of string
 
-let need c n = if c.pos + n > c.stop then raise (Bad "truncated")
+let need c n = if c.pos + n > c.stop then raise (Malformed "truncated")
 
 let get_int c =
   need c 8;
@@ -269,7 +273,7 @@ let get_seq32 c =
    the buffer it was read from *)
 let get_string c =
   let len = get_int c in
-  if len < 0 || len > max_stat_name then raise (Bad "bad string length");
+  if len < 0 || len > max_stat_name then raise (Malformed "bad string length");
   need c len;
   let s = Bytes.sub_string c.buf c.pos len in
   c.pos <- c.pos + len;
@@ -277,7 +281,7 @@ let get_string c =
 
 let get_nonneg c what =
   let v = get_int c in
-  if v < 0 then raise (Bad ("negative " ^ what));
+  if v < 0 then raise (Malformed ("negative " ^ what));
   v
 
 (* List fields by direct recursion (their lengths are capped first). *)
@@ -315,19 +319,19 @@ let rec get_msg c depth =
        Req { seq; op = Write_k { key; value = get_int c } }
      | 4 ->
        let n = get_int c in
-       if n < 0 || n > max_txn then raise (Bad "bad txn size");
+       if n < 0 || n > max_txn then raise (Malformed "bad txn size");
        Req { seq; op = Txn_k { writes = get_pairs c n } }
      | 5 ->
        let n = get_int c in
-       if n < 0 || n > max_txn then raise (Bad "bad snapshot size");
+       if n < 0 || n > max_txn then raise (Malformed "bad snapshot size");
        Req { seq; op = Snap_k { keys = get_ints c n } }
-     | _ -> raise (Bad "bad op kind"))
+     | _ -> raise (Malformed "bad op kind"))
   | 2 ->
     let seq = get_int c in
     (match get_byte c with
      | 0 -> Resp { seq; result = None }
      | 1 -> Resp { seq; result = Some (get_int c) }
-     | _ -> raise (Bad "bad result kind"))
+     | _ -> raise (Malformed "bad result kind"))
   | 3 ->
     let rid = get_int c in
     Query { rid; reg = get_int c }
@@ -347,16 +351,16 @@ let rec get_msg c depth =
   | 7 ->
     (* cap the nesting depth: an adversarial frame must not be able
        to recurse the decoder arbitrarily deep *)
-    if depth >= max_batch_depth then raise (Bad "batch nested too deep");
+    if depth >= max_batch_depth then raise (Malformed "batch nested too deep");
     let n = get_int c in
-    if n < 0 || n > max_batch then raise (Bad "bad batch size");
+    if n < 0 || n > max_batch then raise (Malformed "bad batch size");
     Batch (get_items c (depth + 1) n)
   | 8 -> Bye
   | 9 -> Stats_req { rid = get_int c }
   | 10 ->
     let rid = get_int c in
     let n = get_int c in
-    if n < 0 || n > max_stats then raise (Bad "bad stats size");
+    if n < 0 || n > max_stats then raise (Malformed "bad stats size");
     Stats_reply { rid; stats = get_stats c n }
   | 11 ->
     let lid = get_byte c in
@@ -378,7 +382,7 @@ let rec get_msg c depth =
   | 16 ->
     let seq = get_int c in
     let n = get_int c in
-    if n < 0 || n > max_txn then raise (Bad "bad snapshot size");
+    if n < 0 || n > max_txn then raise (Malformed "bad snapshot size");
     Resp_snap { seq; values = get_ints c n }
   | 17 ->
     let rid = get_int c in
@@ -391,32 +395,42 @@ let rec get_msg c depth =
     (match get_byte c with
      | 0 -> Reconfig_ack { rid; epoch; ok = false }
      | 1 -> Reconfig_ack { rid; epoch; ok = true }
-     | _ -> raise (Bad "bad reconfig-ack flag"))
+     | _ -> raise (Malformed "bad reconfig-ack flag"))
   | 19 -> Epoch_req { rid = get_int c }
   | 20 ->
     let rid = get_int c in
     let epoch = get_nonneg c "epoch" in
     Epoch_reply { rid; epoch; shards = get_nonneg c "shards" }
-  | tag -> raise (Bad (Fmt.str "unknown tag %d" tag))
+  | 21 -> Nack { seq = get_int c }
+  | tag -> raise (Malformed (Fmt.str "unknown tag %d" tag))
 
 and get_items c depth n =
   if n = 0 then []
   else begin
     let len = get_int c in
-    if len < 0 then raise (Bad "bad batch item length");
+    if len < 0 then raise (Malformed "bad batch item length");
     let stop = c.pos + len in
     let m = get_msg c depth in
-    if c.pos <> stop then raise (Bad "batch item length mismatch");
+    if c.pos <> stop then raise (Malformed "batch item length mismatch");
     m :: get_items c depth (n - 1)
   end
 
-let decode_sub buf ~off ~len =
+let reader () = { buf = Bytes.empty; pos = 0; stop = 0 }
+
+let read r buf ~off ~len =
   if off < 0 || len < 0 || off > Bytes.length buf - len then
-    invalid_arg "Wire.decode_sub: window outside the buffer";
-  let c = { buf; pos = off; stop = off + len } in
-  match get_msg c 0 with
-  | m -> if c.pos <> c.stop then Error "trailing bytes" else Ok m
-  | exception Bad e -> Error e
+    invalid_arg "Wire.read: window outside the buffer";
+  r.buf <- buf;
+  r.pos <- off;
+  r.stop <- off + len;
+  let m = get_msg r 0 in
+  if r.pos <> r.stop then raise (Malformed "trailing bytes");
+  m
+
+let decode_sub buf ~off ~len =
+  match read (reader ()) buf ~off ~len with
+  | m -> Ok m
+  | exception Malformed e -> Error e
 
 let decode s =
   decode_sub (Bytes.unsafe_of_string s) ~off:0 ~len:(String.length s)
@@ -430,7 +444,7 @@ let rec control_bytes m =
   let data =
     match m with
     | Hello _ | Bye | Stats_req _ | Stats_reply _ | Ack2 _ | Engine_hello _
-    | Reconfig _ | Reconfig_ack _ | Epoch_req _ | Epoch_reply _ ->
+    | Reconfig _ | Reconfig_ack _ | Epoch_req _ | Epoch_reply _ | Nack _ ->
       (* migration control frames carry no register data at all *)
       0
     | Req { op = Read; _ } | Resp { result = None; _ } -> 0
@@ -451,6 +465,12 @@ let rec control_bytes m =
 
 let header_size = 8
 
+let write_frame b ~pos ~src ~size m =
+  Bytes.set_int32_le b pos (Int32.of_int size);
+  Bytes.set_int32_le b (pos + 4) (Int32.of_int src);
+  let body = pos + header_size in
+  check_end "frame" ~expected:size (put_msg b body m - body)
+
 (* The size is known before anything is written, so an oversized
    message is refused before its frame is allocated (the refusal
    builds only its message). *)
@@ -465,9 +485,7 @@ let frame ~src m =
       ("Wire.frame: " ^ string_of_int n ^ "-byte message exceeds max_frame ("
      ^ string_of_int max_frame ^ ")");
   let b = Bytes.create (header_size + n) in
-  Bytes.set_int32_le b 0 (Int32.of_int n);
-  Bytes.set_int32_le b 4 (Int32.of_int src);
-  check_end "frame" ~expected:(header_size + n) (put_msg b header_size m);
+  write_frame b ~pos:0 ~src ~size:n m;
   b
 
 let parse_header b =
@@ -519,3 +537,4 @@ let rec pp ppf = function
   | Epoch_req { rid } -> Fmt.pf ppf "epoch-req#%d" rid
   | Epoch_reply { rid; epoch; shards } ->
     Fmt.pf ppf "epoch-reply#%d epoch=%d shards=%d" rid epoch shards
+  | Nack { seq } -> Fmt.pf ppf "nack#%d" seq

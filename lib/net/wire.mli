@@ -31,7 +31,9 @@
 
     Everything in this module is pure (no blocking, no I/O) and
     thread-safe by virtue of sharing no mutable state; any thread may
-    encode/decode concurrently.  See DESIGN_NET.md for the
+    encode/decode concurrently.  The exceptions are the buffers a
+    caller hands {!write_frame} and a {!reader}, which belong to one
+    thread at a time.  See DESIGN_NET.md for the
     byte-by-byte frame layout. *)
 
 type payload = int Registers.Tagged.t
@@ -112,6 +114,11 @@ type msg =
       (** Ask the server for its current configuration epoch. *)
   | Epoch_reply of { rid : int; epoch : int; shards : int }
       (** Answers [Epoch_req] with the server's epoch and shard count. *)
+  | Nack of { seq : int }
+      (** The server refused the [Req] that carried [seq] without
+          running it: a write from a processor that holds no writer
+          role, a negative key, or a structurally invalid multi-key op.
+          A refused op is in no history. *)
 
 val max_frame : int
 (** Upper bound on an encoded message body (16 MiB), enforced
@@ -185,16 +192,44 @@ val decode_sub : bytes -> off:int -> len:int -> (msg, string) result
     [decode (Bytes.sub_string buf off len)] without the copy, and it
     never reads a byte outside the window.  The decoded message shares
     no storage with [buf] (strings are copied out), so the caller may
-    reuse the buffer at once.  Allocates only the message (plus a
-    four-word cursor).
+    reuse the buffer at once.  Allocates only the message, a
+    four-word {!reader} and the [Ok].
     @raise Invalid_argument if the window does not lie inside [buf]
     (a caller bug, not a property of the bytes). *)
 
+exception Malformed of string
+(** Why {!read} refused a body (truncated, trailing bytes, unknown
+    tag, a bound exceeded, ...). *)
+
+type reader
+(** A reusable decoding cursor: a stream receiver keeps one per
+    connection, so a frame costs only its message. *)
+
+val reader : unit -> reader
+
+val read : reader -> bytes -> off:int -> len:int -> msg
+(** [read r buf ~off ~len] is {!decode_sub} through [r]: the same
+    message, or [Malformed] with the same reason that {!decode_sub}
+    returns as [Error].  Allocates only the message.  [r] may be
+    reused after either outcome.
+    @raise Malformed if the window does not hold one valid body.
+    @raise Invalid_argument if the window does not lie inside [buf]. *)
+
+val write_frame : bytes -> pos:int -> src:int -> size:int -> msg -> unit
+(** [write_frame b ~pos ~src ~size m] writes {!frame}'s bytes for [m]
+    at [b.(pos)], where [size] is [encoded_size m]: the caller sized
+    [b] (at least [pos + header_size + size] bytes) and checked [size]
+    against {!max_frame}.  Allocates nothing.  On an exception the
+    bytes from [pos] on are unspecified.
+    @raise Invalid_argument if a field is out of its encoding range,
+    as {!encode} does. *)
+
 val frame : src:int -> msg -> bytes
 (** A stream frame: an 8-byte header ([length, src] as two 32-bit
-    little-endian ints) followed by the encoded message, written in
-    place into one [Bytes] of exactly [header_size + encoded_size m]
-    bytes, which is all it allocates.  Pure and non-blocking.
+    little-endian ints) followed by the encoded message, written by
+    {!write_frame} into one [Bytes] of exactly
+    [header_size + encoded_size m] bytes, which is all it allocates.
+    Pure and non-blocking.
     @raise Invalid_argument if the body exceeds {!max_frame} (a body
     length must never overflow the 32-bit header field, and a frame
     the receiver would reject should fail at the sender).  The size is

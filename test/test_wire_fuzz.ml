@@ -71,7 +71,7 @@ let any_nonneg rng =
 (* [depth] counts enclosing batches: the decoder rejects a [Batch] tag
    at depth >= max_batch_depth, so generation stops nesting there. *)
 let rec any_msg rng depth =
-  let n_kinds = if depth < W.max_batch_depth then 21 else 20 in
+  let n_kinds = if depth < W.max_batch_depth then 22 else 21 in
   match Random.State.int rng n_kinds with
   | 0 -> W.Hello { proc = any_int rng }
   | 1 -> W.Req { seq = any_int rng; op = any_op rng }
@@ -121,6 +121,7 @@ let rec any_msg rng depth =
   | 19 ->
     W.Epoch_reply
       { rid = any_int rng; epoch = any_nonneg rng; shards = any_nonneg rng }
+  | 20 -> W.Nack { seq = any_int rng }
   | _ ->
     let n = Random.State.int rng 4 in
     W.Batch (List.init n (fun _ -> any_msg rng (depth + 1)))
@@ -558,6 +559,8 @@ let golden_msgs =
       "131000000000000000" );
     ( "epoch_reply", W.Epoch_reply { rid = 17; epoch = 4; shards = 8 },
       "14110000000000000004000000000000000800000000000000" );
+    ( "nack", W.Nack { seq = 18 },
+      "151200000000000000" );
   ]
 
 let hex s =
@@ -570,7 +573,7 @@ let golden_encodings () =
     List.sort_uniq compare
       (List.map (fun (_, m, _) -> (W.encode m).[0]) golden_msgs)
   in
-  Alcotest.(check int) "every tag covered" 21 (List.length tags);
+  Alcotest.(check int) "every tag covered" 22 (List.length tags);
   List.iter
     (fun (name, m, expected) ->
       Alcotest.(check string) name expected (hex (W.encode m));
@@ -715,6 +718,122 @@ let oversize_refused_before_encoding () =
   if w >= 64. then
     Alcotest.failf "refusing an oversized message allocated %.0f words" w
 
+(* The reader is [decode_sub] without the per-frame cursor and [Ok]:
+   one reader, reused across every body below, accepted or not, must
+   give [decode_sub]'s verdict and message on each. *)
+let read_result r buf ~off ~len =
+  match W.read r buf ~off ~len with
+  | m -> Ok m
+  | exception W.Malformed e -> Error e
+
+(* A message's encoding, each of its truncations, and mutants made as
+   [fuzz_mutations_total] makes them. *)
+let bodies_of rng m =
+  let s = W.encode m in
+  let n = String.length s in
+  let cuts = List.init n (fun j -> String.sub s 0 j) in
+  let mutants =
+    List.init 8 (fun _ ->
+        let b = Bytes.of_string s in
+        match Random.State.int rng 3 with
+        | 0 ->
+          Bytes.set b (Random.State.int rng n)
+            (Char.chr (Random.State.int rng 256));
+          Bytes.to_string b
+        | 1 -> s ^ String.sub s 0 (Random.State.int rng n)
+        | _ -> String.sub s 0 (n - 1 - Random.State.int rng n))
+  in
+  (s :: cuts) @ mutants
+
+let reader_agrees_with_decode_sub =
+  let r = W.reader () in
+  Helpers.qc ~count:500 "reader: agrees with decode_sub on every body"
+    QCheck2.Gen.int
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let m = any_msg rng 0 in
+      List.for_all
+        (fun body ->
+          let off = Random.State.int rng 8 in
+          let len = String.length body in
+          let buf =
+            Bytes.init (off + len + Random.State.int rng 8) (fun _ ->
+                Char.chr (Random.State.int rng 256))
+          in
+          Bytes.blit_string body 0 buf off len;
+          let expected = W.decode_sub buf ~off ~len in
+          read_result r buf ~off ~len = expected
+          && (body != W.encode m || expected = Ok m))
+        (bodies_of rng m))
+
+let reader_reused_after_reject () =
+  let r = W.reader () in
+  let good = W.frame ~src:1 (W.Query { rid = 5; reg = 6 }) in
+  let len = Bytes.length good - W.header_size in
+  (match W.read r good ~off:W.header_size ~len:(len - 1) with
+   | exception W.Malformed _ -> ()
+   | _ -> Alcotest.fail "a truncated body was accepted");
+  let junk = Bytes.of_string "\xff\x00\x01" in
+  (match W.read r junk ~off:0 ~len:3 with
+   | exception W.Malformed _ -> ()
+   | _ -> Alcotest.fail "an unknown tag was accepted");
+  Alcotest.(check bool) "the next frame decodes" true
+    (W.read r good ~off:W.header_size ~len = W.Query { rid = 5; reg = 6 })
+
+let reader_stays_in_window () =
+  let rng = Random.State.make [| 0xf0c |] in
+  let r = W.reader () in
+  for i = 1 to 1_000 do
+    let m = any_msg rng 0 in
+    let f = W.frame ~src:i m in
+    let n = Bytes.length f and pre = 1 + Random.State.int rng 16 in
+    let buf = Bytes.create (pre + n + 1 + Random.State.int rng 16) in
+    let garble () =
+      for j = 0 to Bytes.length buf - 1 do
+        if j < pre || j >= pre + n then
+          Bytes.set buf j (Char.chr (Random.State.int rng 256))
+      done
+    in
+    Bytes.blit f 0 buf pre n;
+    garble ();
+    let off = pre + W.header_size and len = n - W.header_size in
+    if W.read r buf ~off ~len <> m then
+      Alcotest.failf "iteration %d: a framed body inside garbage: %a" i W.pp m;
+    garble ();
+    if W.read r buf ~off ~len <> m then
+      Alcotest.failf "iteration %d: the bytes around the window mattered" i;
+    (* a window one byte short is refused even though the byte after
+       it would complete the body *)
+    match W.read r buf ~off ~len:(len - 1) with
+    | exception W.Malformed _ -> ()
+    | _ -> Alcotest.failf "iteration %d: read past its window" i
+  done
+
+let warm_reader_query_words () =
+  let f = W.frame ~src:1 (W.Query { rid = 5; reg = 6 }) in
+  let len = Bytes.length f - W.header_size in
+  let r = W.reader () in
+  let w =
+    Helpers.words_per_call ~warmup:10 ~n:10_000 (fun _ ->
+        ignore (Sys.opaque_identity (W.read r f ~off:W.header_size ~len)))
+  in
+  if w > 3.0 then
+    Alcotest.failf "a Query body through a warm reader: %.1f words (at most 3)"
+      w
+
+let write_frame_query_words () =
+  let m = W.Query { rid = 5; reg = 6 } in
+  let size = W.encoded_size m in
+  let b = Bytes.create 64 in
+  let w =
+    Helpers.words_per_call ~warmup:10 ~n:10_000 (fun _ ->
+        W.write_frame b ~pos:0 ~src:1 ~size m)
+  in
+  Alcotest.(check string) "the frame's bytes"
+    (Bytes.to_string (W.frame ~src:1 m))
+    (Bytes.sub_string b 0 (W.header_size + size));
+  Alcotest.(check (float 0.0)) "words per Query frame written in place" 0.0 w
+
 let suite =
   [
     tc "fuzz: random messages round-trip" fuzz_roundtrip;
@@ -741,4 +860,13 @@ let suite =
       decode_sub_allocates_only_the_message;
     tc "alloc: oversize refused before encoding"
       oversize_refused_before_encoding;
+    reader_agrees_with_decode_sub;
+    tc "reader: reused after a rejected body, decodes the next"
+      reader_reused_after_reject;
+    tc "reader: a frame inside garbage is never read past its window"
+      reader_stays_in_window;
+    tc "alloc: a Query body through a warm reader: <= 3 words (parent 9)"
+      warm_reader_query_words;
+    tc "alloc: a Query frame written in place: 0 words (parent 5)"
+      write_frame_query_words;
   ]
