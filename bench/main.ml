@@ -632,8 +632,8 @@ let bench_net_shard () =
 (* received each simulator event and the message it carried.           *)
 
 let alloc_label = function
-  | Net.Wire.Req { op = Net.Wire.Read | Net.Wire.Read_k _; _ } -> "Req read"
-  | Net.Wire.Req { op = Net.Wire.Write _ | Net.Wire.Write_k _; _ } ->
+  | Net.Wire.Req { op = Net.Wire.Read_k _; _ } -> "Req read"
+  | Net.Wire.Req { op = Net.Wire.Write_k _; _ } ->
     "Req write"
   | Net.Wire.Req _ -> "Req multi-key"
   | Net.Wire.Resp _ -> "Resp"
@@ -1000,7 +1000,7 @@ let op_path_alloc_table () =
       (fun rid -> Net.Wire.Query_reply { rid; reg = 0; ts = 0; pl })
   and write_phase =
     phase
-      (fun q -> Net.Quorum.write q ~reg:1 ~value:pl ~k:ignore)
+      (fun q -> Net.Quorum.store q ~reg:1 ~ts:1 ~value:pl ~k:ignore)
       (fun rid -> Net.Wire.Store_ack { rid; reg = 1 })
   in
   let server_op =

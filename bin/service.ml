@@ -107,7 +107,8 @@ let start_cluster net ~engine ~replicas ~shards ~audit ?data_dir
     Option.map
       (fun dir ->
         Net.Storage.create ~snapshot_every:1024 ~gc_bytes ?group_commit:gc
-          (Net.Storage.file_backend ~dir:(Filename.concat dir name) ()))
+          (Net.Storage.file_backend ~fsync:true
+             ~dir:(Filename.concat dir name) ()))
       data_dir
   in
   let reps =

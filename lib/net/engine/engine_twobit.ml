@@ -76,12 +76,10 @@ type t = {
   majority : int;
   mutable turn : int;  (* the link the next read tries first *)
   mutable suspected : int;  (* bitmask over links: held an overdue frame *)
-  wts : (int, int) Hashtbl.t;  (* engine-side write counter, per reg *)
-  storage : Storage.t option;
   c : ctrs;
 }
 
-let create ~transport ~me ~replicas ~lid ?storage ?metrics () =
+let create ~transport ~me ~replicas ~lid ?metrics () =
   if lid < 0 || lid >= Wire.max_lid then
     invalid_arg
       (Fmt.str
@@ -90,16 +88,6 @@ let create ~transport ~me ~replicas ~lid ?storage ?metrics () =
   if List.length replicas > Sys.int_size - 1 then
     invalid_arg "Engine_twobit.create: too many replicas";
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
-  let wts = Hashtbl.create 16 in
-  (* recover the write counter like Quorum recovers wts: a restarted
-     engine must keep persisting entries with advancing timestamps, or
-     server-side monitor recovery would read stale values back *)
-  (match storage with
-   | None -> ()
-   | Some st ->
-     List.iter
-       (fun (reg, (ts, _)) -> Hashtbl.replace wts reg ts)
-       (Storage.contents st));
   {
     tr = transport;
     me;
@@ -112,8 +100,6 @@ let create ~transport ~me ~replicas ~lid ?storage ?metrics () =
     majority = (List.length replicas / 2) + 1;
     turn = 0;
     suspected = 0;
-    wts;
-    storage;
     c =
       {
         m_stores = Metrics.counter metrics "twobit_stores";
@@ -148,37 +134,25 @@ let push t l op frame =
 let query t l op reg =
   push t l op (Wire.Query2 { lid = t.lid; seq = l.next_seq; reg })
 
-let write_ts t ~reg ~value ~k =
+(* A write broadcasts its [Store2] on every link at once: that is what
+   makes any single read reply current.  [ts] is {!Registry}'s, already
+   durable; the replicas' apply counter orders stores instead. *)
+let store t ~reg ~ts:_ ~value ~k =
   Metrics.incr t.c.m_stores;
-  let ts = 1 + Option.value ~default:0 (Hashtbl.find_opt t.wts reg) in
-  Hashtbl.replace t.wts reg ts;
-  (* engine-side persistence mirrors Quorum.write: the server recovers
-     its monitors (and a restarted engine its counter) from this log.
-     With a group-commit store the broadcast waits for the batch to
-     commit; the wts bump above already ordered concurrent writes.
-     The broadcast is what makes any single read reply current. *)
-  let go () =
-    let op =
-      {
-        k = Wr k;
-        born = t.tr.Transport.now ();
-        acks = 0;
-        done_ = false;
-        wide = false;
-      }
-    in
-    for i = 0 to Array.length t.links - 1 do
-      let l = t.links.(i) in
-      push t l op
-        (Wire.Store2 { lid = t.lid; seq = l.next_seq; reg; pl = value })
-    done
+  let op =
+    {
+      k = Wr k;
+      born = t.tr.Transport.now ();
+      acks = 0;
+      done_ = false;
+      wide = false;
+    }
   in
-  (match t.storage with
-   | None -> go ()
-   | Some st -> Storage.append_async st ~reg ~ts value ~k:go);
-  ts
-
-let write t ~reg ~value ~k = ignore (write_ts t ~reg ~value ~k)
+  for i = 0 to Array.length t.links - 1 do
+    let l = t.links.(i) in
+    push t l op
+      (Wire.Store2 { lid = t.lid; seq = l.next_seq; reg; pl = value })
+  done
 
 (* The first link from [i] on, over at most [left] links, that is not
    suspected; [-1] if there is none.  Top-level, so a read builds no
@@ -210,16 +184,6 @@ let read t ~reg ~k =
     }
   in
   query t t.links.(pick t) op reg
-
-(* Migration pair, degraded: the two-bit protocol carries no
-   comparable timestamp on the wire, so a sync sample reports ts 0 and
-   an install discards the caller's ts — the replica's per-register
-   apply counter orders the store like any other.  Sound because the
-   reconfiguration coordinator never starts a sync for a register with
-   a dual-write in flight (the "hot" skip), so installs cannot overtake
-   a newer value on the apply counter. *)
-let read_ts t ~reg ~k = read t ~reg ~k:(fun pl -> k (0, pl))
-let write_at t ~reg ~ts:_ ~value ~k = write t ~reg ~value ~k
 
 (* Index of the link to replica node [dst], from [i] on; [-1] for a
    node outside the group.  A loop, not a closure: it runs on every

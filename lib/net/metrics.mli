@@ -40,8 +40,9 @@
       (over sockets) or ended by an amnesia restart (in {!Sim_net}).
     - [quorum_queries] / [quorum_stores] / [quorum_retransmissions] —
       phase-1 and phase-2 rounds started, and per-replica resends.
-    - [quorum_writes] — ABD writes started ([write] and the migration's
-      [write_at]); [quorum_stores] also counts read write-backs.
+    - [quorum_writes] — ABD store phases started for a write or a
+      migration's install ({!Quorum.store}); [quorum_stores] also
+      counts read write-backs.
     - [quorum_msgs] / [quorum_bytes] / [quorum_control_bytes] — ABD
       messages sent, resends included, and their {!Wire.encoded_size}
       and {!Wire.control_bytes}.

@@ -21,7 +21,7 @@ type kind =
   | Free
   | Read  (* a read's collect: [rk], after a write-back if needed *)
   | Read_ts  (* a bare collect: [tk] *)
-  | Store  (* a write or [write_at]: [uk] *)
+  | Store  (* a {!store}: [uk] *)
   | Write_back  (* a read's write-back: [rk] *)
 
 type slots = {
@@ -39,13 +39,6 @@ type slots = {
   mutable free : int array;  (* a stack of free slots *)
   mutable nfree : int;
 }
-
-(* Per register: the highest timestamp this engine has issued (the
-   floor every later write must exceed) and the highest timestamp whose
-   store phase — a write, a [write_at] or a write-back — it has seen
-   complete.  Replicas ack a store only once it is durable and never
-   lower a timestamp, so a majority holds [stable] or newer for good. *)
-type reg_ts = { mutable issued : int; mutable stable : int }
 
 type ctrs = {
   m_queries : Metrics.counter;
@@ -73,8 +66,11 @@ type t = {
   skip_write_back : bool;
   pending : (int, int) Hashtbl.t;  (* rid -> slot *)
   ph : slots;
-  regs : (int, reg_ts) Hashtbl.t;  (* global reg -> its timestamps *)
-  storage : Storage.t option;
+  (* global reg -> the highest timestamp whose store phase — a {!store}
+     or a write-back — this engine has seen complete.  Replicas ack a
+     store only once it is durable and never lower a timestamp, so a
+     majority holds it or newer for good. *)
+  stable : (int, int) Hashtbl.t;
   rid_stride : int;
   mutable next_rid : int;
   c : ctrs;
@@ -89,7 +85,7 @@ let no_uk () = ()
 let no_tk (_ : int * Wire.payload) = ()
 
 let create ~transport ~me ~replicas ?read_quorum ?(skip_write_back = false)
-    ?storage ?metrics ?(rid_base = 0) ?(rid_stride = 1) () =
+    ?metrics ?(rid_base = 0) ?(rid_stride = 1) () =
   if rid_stride < 1 || rid_base < 0 || rid_base >= rid_stride then
     invalid_arg "Quorum.create: rid_base/rid_stride out of range";
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
@@ -119,19 +115,6 @@ let create ~transport ~me ~replicas ?read_quorum ?(skip_write_back = false)
       h_phase2 = Metrics.histogram metrics "quorum_phase2";
     }
   in
-  let regs = Hashtbl.create 16 in
-  (* recover issued write timestamps: a restarted engine must never
-     reuse a timestamp it already handed to the replicas, or a newer
-     value would lose to an older one under the ts-monotone apply.  No
-     store is known complete yet: the last write may have reached only
-     a minority before the restart. *)
-  (match storage with
-   | None -> ()
-   | Some st ->
-     List.iter
-       (fun (reg, (ts, _)) ->
-         Hashtbl.replace regs reg { issued = ts; stable = 0 })
-       (Storage.contents st));
   {
     tr = transport;
     me;
@@ -159,8 +142,7 @@ let create ~transport ~me ~replicas ?read_quorum ?(skip_write_back = false)
         free = [||];
         nfree = 0;
       };
-    regs;
-    storage;
+    stable = Hashtbl.create 16;
     rid_stride;
     next_rid = rid_base;
     c;
@@ -228,20 +210,11 @@ let bit t r =
   done;
   !b
 
-(* [find], not [find_opt]: these run on every operation, and the
-   exception path allocates no option *)
-let entry t reg =
-  match Hashtbl.find t.regs reg with
-  | e -> e
-  | exception Not_found ->
-    let e = { issued = 0; stable = 0 } in
-    Hashtbl.replace t.regs reg e;
-    e
-
 (* 0 for a register this engine never stored: the initial pair every
-   replica holds *)
+   replica holds.  [find], not [find_opt]: this runs on every
+   operation, and the exception path allocates no option. *)
 let stable t reg =
-  match Hashtbl.find t.regs reg with e -> e.stable | exception Not_found -> 0
+  match Hashtbl.find t.stable reg with ts -> ts | exception Not_found -> 0
 
 (* Double every slot array, pushing the new slots on the free stack
    (highest first, so the lowest is taken next). *)
@@ -308,12 +281,6 @@ let send_store t ~rid i ~reg ~ts ~pl =
   Metrics.incr t.c.m_stores;
   send_mask t rid t.ph.reached.(i) (Wire.Store { rid; reg; ts; pl })
 
-let start_store t ~reg ~ts ~pl ~k =
-  let rid = fresh_rid t in
-  let i = open_phase t Store ~rid ~reg ~ts ~pl in
-  t.ph.uk.(i) <- k;
-  send_store t ~rid i ~reg ~ts ~pl
-
 (* Write-back phase: install the freshest pair on a majority before the
    read returns it, for reader-reader atomicity. *)
 let start_write_back t ~reg ~ts ~pl ~k =
@@ -347,41 +314,14 @@ let read_ts t ~reg ~k =
   t.ph.tk.(i) <- k;
   send_query t ~rid i ~reg
 
-(* Install (ts, value) verbatim: the dual-write leg of a migration
-   replays the primary engine's timestamp into the incoming group, so
-   the pair stays comparable across the handoff.  The issued floor
-   is raised (never lowered) so a post-cutover write through this
-   engine still dominates.  No storage append: the primary engine's
-   [write] already made the same (reg, ts) durable in this node's log,
-   which is what [create] recovers the floor from. *)
-let write_at t ~reg ~ts ~value ~k =
+(* A store phase installs the caller's pair verbatim: {!Registry}
+   issued [ts] and made it durable before this call. *)
+let store t ~reg ~ts ~value ~k =
   Metrics.incr t.c.m_writes;
-  let e = entry t reg in
-  if ts > e.issued then e.issued <- ts;
-  start_store t ~reg ~ts ~pl:value ~k
-
-let write_ts t ~reg ~value ~k =
-  Metrics.incr t.c.m_writes;
-  let e = entry t reg in
-  let ts = e.issued + 1 in
-  e.issued <- ts;
-  (* persist the timestamp bump before the Store leaves this node, so
-     a restarted engine recovers an issued floor at least as high as
-     any timestamp a replica may already hold from us.  With a
-     group-commit store the broadcast is deferred to the batch's
-     durability completion — the in-memory floor above is already
-     bumped, so concurrent writes to other shards keep their
-     timestamps ordered. *)
-  (* the write timestamp dominates every write-back of an earlier read
-     (those reuse timestamps <= issued, by SWMR ownership) *)
-  (match t.storage with
-   | None -> start_store t ~reg ~ts ~pl:value ~k
-   | Some st ->
-     Storage.append_async st ~reg ~ts value ~k:(fun () ->
-         start_store t ~reg ~ts ~pl:value ~k));
-  ts
-
-let write t ~reg ~value ~k = ignore (write_ts t ~reg ~value ~k)
+  let rid = fresh_rid t in
+  let i = open_phase t Store ~rid ~reg ~ts ~pl:value in
+  t.ph.uk.(i) <- k;
+  send_store t ~rid i ~reg ~ts ~pl:value
 
 (* Any reply, even to a finished phase, shows [src] is up again. *)
 let heard t src =
@@ -411,8 +351,7 @@ let stored t rid i =
   Metrics.observe t.c.h_phase2
     (t.tr.Transport.now () -. Float.Array.get p.born i);
   close_phase t rid i;
-  let e = entry t reg in
-  if ts > e.stable then e.stable <- ts;
+  if ts > stable t reg then Hashtbl.replace t.stable reg ts;
   match kind with Write_back -> rk pl | _ -> uk ()
 
 (* Count [src]'s reply to the phase in slot [i]: whether it is new and
@@ -431,7 +370,7 @@ let is_collect = function Read | Read_ts -> true | Free | Store | Write_back -> 
 
 (* Recursive with explicit arguments: a local helper would close over
    [t] and [src], one closure per reply.  Only a [Batch] builds one.
-   [find], not [find_opt], for the same reason as {!entry}.  A reply
+   [find], not [find_opt], for the same reason as {!stable}.  A reply
    from outside the group (bit 0) never counts toward a quorum. *)
 let rec on_message t ~src msg =
   match msg with

@@ -2,14 +2,15 @@
     register of the keyspace as an atomic SWMR register over
     crash-prone replicas.
 
-    A {e write} of global register [reg] takes the next
-    write-timestamp for [reg] and stores the pair on a majority.  A {e
-    read} queries a majority and picks the pair with the highest
-    timestamp.  Before returning it, the read must know that pair is
+    A {e store} of global register [reg] installs a (timestamp, value)
+    pair on a majority; the timestamp is the caller's, issued by
+    {!Registry}, which also makes it durable before the store is
+    called.  A {e read} queries a majority and picks the pair with the
+    highest timestamp.  Before returning it, the read must know that pair is
     on a majority, or two reader sessions could see a new–old
     inversion (the register would be regular, not atomic).  The engine
     records, per register, the highest timestamp whose store phase —
-    a write, a {!write_at} or a write-back — it has seen complete;
+    a {!store} or a write-back — it has seen complete;
     replicas ack a store only once durable and never lower a
     timestamp, so that pair stays on a majority.  A read whose
     freshest timestamp equals that record (0, the initial pair, for a
@@ -38,15 +39,15 @@
     goes to all of it.
 
     Registers are addressed by the flat index of
-    {!Shard_map.global_reg}; timestamps are per-register counters
-    owned by this engine, so the engine must be the only writer of its
-    registers (exactly the paper's SWMR architecture — Wr{_i} is the
-    sole writer of Reg{_i}, and one front-end server hosts both writer
-    sessions of every key).  In the sharded service, the {!Registry}
-    owns one engine per shard, each the exclusive writer of its
-    shard's keys.
+    {!Shard_map.global_reg}.  Timestamps are per-register counters
+    that {!Registry} issues from one floor per register, shared by
+    every shard's engine: the registry is each register's single
+    writer (the paper's SWMR architecture — Wr{_i} is the sole writer
+    of Reg{_i}, and one front-end server hosts both writer sessions of
+    every key), and this engine only replicates the pairs it is
+    given.
 
-    Operations are asynchronous: [read]/[write] send the first phase
+    Operations are asynchronous: [read]/[store] send the first phase
     and return; the continuation runs (possibly reentrantly from
     {!on_message}) once a quorum has answered.  This continuation
     style is what lets the unchanged {!Core.Protocol} micro-step
@@ -65,7 +66,6 @@ val create :
   replicas:Transport.node list ->
   ?read_quorum:int ->
   ?skip_write_back:bool ->
-  ?storage:Storage.t ->
   ?metrics:Metrics.t ->
   ?rid_base:int ->
   ?rid_stride:int ->
@@ -82,15 +82,6 @@ val create :
     quorum is always a majority.  [skip_write_back] (default [false])
     is the other deliberate bug: every {!read} returns its freshest
     pair with no write-back, leaving the register regular.
-
-    [storage] makes the engine's write timestamps durable: each
-    {!write} appends its (register, timestamp, value) to the store
-    before the [Store] broadcast leaves this node, and {!create}
-    recovers the per-register timestamps from it — so a restarted
-    engine never re-issues a timestamp a replica may already hold.
-    Several engines may share one store as long as their register sets
-    are disjoint (which shards guarantee) — or, during a migration,
-    overlap only through {!write_at}, which appends nothing.
 
     [rid_base]/[rid_stride] (defaults [0]/[1]) stripe the request-id
     space: this engine issues rids congruent to [rid_base] modulo
@@ -120,34 +111,22 @@ val read : t -> reg:int -> k:(Wire.payload -> unit) -> unit
     (reentrantly, under a zero-delay transport) or never (if a
     majority is permanently unreachable).  Does not block. *)
 
-val write : t -> reg:int -> value:Wire.payload -> k:(unit -> unit) -> unit
-(** Start an atomic write; same continuation contract as {!read}.
-    Must only be called by the register's owning engine (SWMR). *)
-
-val write_ts :
-  t -> reg:int -> value:Wire.payload -> k:(unit -> unit) -> int
-(** {!write}, additionally returning the timestamp it chose — decided
-    synchronously, before any message leaves.  The migration dual
-    write replays this timestamp into the incoming group with
-    {!write_at} so the two groups stay comparable. *)
-
 val read_ts : t -> reg:int -> k:(int * Wire.payload -> unit) -> unit
 (** Collect phase only: [k] receives the freshest (timestamp, payload)
     a read quorum holds, with {e no} write-back — so on its own this
     is not an atomic read.  The reconfiguration coordinator's sync
     step uses it to sample a register from the outgoing group; the
-    subsequent {!write_at} into the incoming group plays the
-    write-back role.  Same continuation contract as {!read}. *)
+    subsequent {!store} into the incoming group plays the write-back
+    role.  Same continuation contract as {!read}. *)
 
-val write_at :
+val store :
   t -> reg:int -> ts:int -> value:Wire.payload -> k:(unit -> unit) -> unit
-(** Store phase with a caller-supplied timestamp: installs (ts, value)
-    on a majority verbatim, raising (never lowering) the engine's
-    local timestamp floor for [reg] so later {!write}s still dominate.
-    Appends nothing to [storage] — the caller must ensure the pair is
-    already durable (the migration dual-write replays a timestamp the
-    primary engine's {!write} just logged).  Same continuation
-    contract as {!read}. *)
+(** Store phase: install (ts, value) on a majority verbatim; same
+    continuation contract as {!read}.  The caller issues [ts] and makes
+    it durable first — {!Registry} does both, so a restarted server
+    never re-issues a timestamp a replica may already hold.  A write,
+    a migration's install and its intersection read's write-back all
+    reach the replicas through here. *)
 
 val on_message : t -> src:Transport.node -> Wire.msg -> unit
 (** Feed [Query_reply]/[Store_ack] messages; replies from unknown

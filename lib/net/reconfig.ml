@@ -9,8 +9,9 @@
 
    - {e Entry}: on an accepted [Wire.Reconfig] the key enters the
      dual-write discipline — every write micro-op is installed on both
-     the outgoing and the incoming group (same timestamp, via
-     [write_ts]/[write_at]) and acks only when both majorities ack;
+     the outgoing and the incoming group (one timestamp, issued and
+     appended once by [Registry.write_ts], both legs sent only once it
+     is durable) and acks only when both majorities ack;
      reads satisfy the stricter intersection (ABD: collect from both
      groups, take the max timestamp, write the winner back to the
      outgoing group; twobit: the outgoing group alone is current, by
@@ -265,13 +266,16 @@ let write t ~key ~reg ~value ~k =
   match t.mig with
   | Some m when m.key = key ->
     let greg = Shard_map.global_reg key reg in
+    let leg shard k ts =
+      Registry.write_at t.reg ~shard ~reg:greg ~ts ~value ~k
+    in
     Metrics.incr t.dual_writes;
     if t.skip_dual_write then
       (* deliberate bug hook: drop the incoming-group leg.  A write
          acked during migration then lives only on the outgoing group,
          and a post-cutover read (new group only) misses it — the
          atomicity violation the explorer must find *)
-      ignore (Registry.write_ts t.reg ~shard:m.from_shard ~reg:greg ~value ~k)
+      Registry.write_ts t.reg ~reg:greg ~value ~k:(leg m.from_shard k)
     else begin
       m.hot.(reg) <- m.hot.(reg) + 1;
       let pending = ref 2 in
@@ -279,17 +283,16 @@ let write t ~key ~reg ~value ~k =
         decr pending;
         if !pending = 0 then k ()
       in
-      (* both legs carry the same timestamp, chosen by the outgoing
-         engine (the register's SWMR owner): the groups stay
-         ts-comparable, and the ack waits for BOTH majorities — the
+      (* one timestamp, issued and appended once: the groups stay
+         ts-comparable, neither leg leaves before the append is
+         durable, and the ack waits for BOTH majorities — the
          dual-quorum write discipline *)
-      let ts =
-        Registry.write_ts t.reg ~shard:m.from_shard ~reg:greg ~value
-          ~k:done_one
-      in
-      Registry.write_at t.reg ~shard:m.to_shard ~reg:greg ~ts ~value
-        ~k:(fun () ->
-          m.hot.(reg) <- m.hot.(reg) - 1;
-          done_one ())
+      Registry.write_ts t.reg ~reg:greg ~value ~k:(fun ts ->
+          leg m.from_shard done_one ts;
+          leg m.to_shard
+            (fun () ->
+              m.hot.(reg) <- m.hot.(reg) - 1;
+              done_one ())
+            ts)
     end
   | _ -> Registry.write t.reg ~key ~reg ~value ~k

@@ -16,6 +16,16 @@
     {!Reconfig} migration, when two engines hold pending phases for
     the same registers.
 
+    The registry is the only issuer of write timestamps.  It keeps one
+    floor per global register — the highest timestamp issued — for all
+    its engines, recovered once from [storage] at {!create}; {!write},
+    {!write_at} and {!write_ts} are the only calls that raise it.  A
+    timestamp is appended to [storage] before any [Store] of it leaves
+    this node, so a restarted registry never re-issues a timestamp a
+    replica may already hold — the single-writer rule that makes each
+    replicated register atomic.  The engines only replicate the
+    (register, timestamp, value) they are given.
+
     Same threading contract as {!Quorum}: not internally locked, drive
     from one transport handler; nothing here blocks. *)
 
@@ -36,14 +46,14 @@ val create :
     {!Shard_map.group}[ map ~replicas s]: a {!Quorum} or an
     {!Engine_twobit} as [engine] says (default {!Engine.default}, i.e.
     ABD).  [bug] (default {!Bug.none}) reaches each engine; only ABD's
-    read-quorum and skip-write-back hooks act there.  [storage] is shared by every
-    engine — safe because the shards partition the keyspace, so the
-    engines' register sets are disjoint; it makes issued write
-    timestamps durable across a server restart.  A [group_commit]
-    store batches the wts appends of {e all} shards into shared
-    write+fsync rounds (each engine's store broadcast waits for its
-    own timestamp's batch); whoever owns the transport loop must
-    drive {!Storage.flush} — {!Server} does this for its own store.  [metrics] receives
+    read-quorum and skip-write-back hooks act there.  [storage] makes
+    issued write timestamps durable across a server restart: each
+    issue appends (register, timestamp, value), and {!create}
+    recovers the floors from it.  A [group_commit] store batches the
+    appends of {e all} shards into shared write+fsync rounds, and each
+    write's stores wait for its own timestamp's batch; whoever owns
+    the transport loop must drive {!Storage.flush} — {!Server} does
+    this for its own store.  [metrics] receives
     the engine counters/histograms plus one [shard<i>_quorum_ops]
     counter per shard — the per-shard load (and skew) signal.
     @raise Invalid_argument on a read quorum larger than a shard's
@@ -72,6 +82,11 @@ val read : t -> key:int -> reg:int -> k:(Wire.payload -> unit) -> unit
 
 val write :
   t -> key:int -> reg:int -> value:Wire.payload -> k:(unit -> unit) -> unit
+(** Atomic write of register bit [reg] of [key]: issue the register's
+    next timestamp, append it, and once that append is durable store
+    the pair through the owning shard's engine ({!Quorum.store});
+    continuation contract as {!Quorum.read}.  Must only be called by
+    the register's writer role (SWMR). *)
 
 val on_message : t -> src:Transport.node -> Wire.msg -> unit
 (** Route [Query_reply]/[Store_ack]/[Ack2]/[Query2_reply] (possibly
@@ -92,16 +107,15 @@ val stats : t -> Engine.stats
 
     The migration legs of {!Reconfig}, which address the outgoing and
     the incoming shard of a key directly.  [reg] is a global register
-    index ({!Shard_map.global_reg}); contracts as
-    {!Quorum.read_ts}/{!Quorum.write_at}/{!Quorum.write_ts}.  A twobit
-    engine has no comparable timestamps: its [read_ts] is a plain read
-    reporting ts 0, and its [write_at] ignores [ts] (the replicas'
-    apply counter orders stores by arrival).  These calls do not count
-    towards [shard<i>_quorum_ops]; an out-of-range shard raises
+    index ({!Shard_map.global_reg}).  These calls do not count towards
+    [shard<i>_quorum_ops]; an out-of-range shard raises
     [Invalid_argument]. *)
 
 val read_ts :
   t -> shard:int -> reg:int -> k:(int * Wire.payload -> unit) -> unit
+(** {!Quorum.read_ts} on [shard]'s engine.  A twobit engine has no
+    comparable timestamps: there this is a plain read reporting ts
+    0. *)
 
 val write_at :
   t ->
@@ -111,6 +125,16 @@ val write_at :
   value:Wire.payload ->
   k:(unit -> unit) ->
   unit
+(** Store (ts, value) through [shard]'s engine verbatim.  A [ts] at or
+    below the register's floor was issued before and is stored at
+    once; one above it raises the floor and is appended first, as
+    {!write} does.  A twobit engine ignores [ts] (the replicas' apply
+    counter orders stores by arrival). *)
 
 val write_ts :
-  t -> shard:int -> reg:int -> value:Wire.payload -> k:(unit -> unit) -> int
+  t -> reg:int -> value:Wire.payload -> k:(int -> unit) -> unit
+(** Issue [reg]'s next timestamp and append it, like {!write}, but
+    hand it to [k] once the append is durable instead of storing it:
+    the migration's dual write sends both of its legs from [k] with
+    {!write_at}, so neither leaves before its timestamp is durable and
+    one append covers both. *)

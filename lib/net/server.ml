@@ -240,12 +240,11 @@ let respond t s seq result =
   Metrics.incr t.m_served;
   reply t s (Wire.Resp { seq; result })
 
-(* Every client-visible operation, keyed: the legacy unkeyed ops are
-   the key-0 register.  For a multi-key op this is its *routing* key —
-   the first listed key (or 0 when the list is empty, so even an
-   invalid frame has a well-defined core that will reject it). *)
+(* Every client-visible operation's key.  For a multi-key op this is
+   its *routing* key — the first listed key (or 0 when the list is
+   empty, so even an invalid frame has a well-defined core that will
+   reject it). *)
 let key_of_op = function
-  | Wire.Read | Wire.Write _ -> 0
   | Wire.Read_k { key } | Wire.Write_k { key; _ } -> key
   | Wire.Txn_k { writes = (key, _) :: _ } | Wire.Snap_k { keys = key :: _ } ->
     key
@@ -329,15 +328,14 @@ let rec start_next t lane key =
     match o.wop with
     | Wire.Txn_k { writes } -> start_multi t o (Txn.Writes writes)
     | Wire.Snap_k { keys } -> start_multi t o (Txn.Snap keys)
-    | Wire.Read | Wire.Read_k _ when key < 0 -> reject t o
-    | Wire.Read | Wire.Read_k _ ->
+    | Wire.Read_k _ when key < 0 -> reject t o
+    | Wire.Read_k _ ->
       record t key o.s.invoke_read;
       step t o o.rd (read_prog t o.s.proc key)
-    | Wire.Write v | Wire.Write_k { value = v; _ }
-      when key >= 0 && is_writer o.s.proc ->
+    | Wire.Write_k { value = v; _ } when key >= 0 && is_writer o.s.proc ->
       record t key (E.Invoke (o.s.proc, E.Write v));
       step t o o.wr (Core.Protocol.cached_write_prog ~proc:o.s.proc v)
-    | Wire.Write _ | Wire.Write_k _ ->
+    | Wire.Write_k _ ->
       (* only processors 0 and 1 hold the two writer roles *)
       reject t o
   end

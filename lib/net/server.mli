@@ -111,17 +111,19 @@ val create :
     hook in every shard engine, the
     skip-dual-write hook in the {!Reconfig} coordinator and the
     stale-copy hook in this server's transaction writes.  [storage]
-    makes the write timestamps the
-    server issues durable: shared across every shard engine (their
-    register sets are disjoint), persisted before each store broadcast
-    and recovered by a restarted server, so it never re-issues a
-    timestamp a replica may already hold.  When the store was opened
-    with a [group_commit] config the server drives it with
-    {!Storage.drive} after every handled message: a positive
-    {!Storage.flush_deadline} arms a transport timer that flushes the
-    pending batch (coalescing wts appends across messages), a zero
-    deadline flushes at the end of the message — either way each
-    store broadcast waits for its timestamp's batch to be durable.  A restarted server with
+    makes the write timestamps the server issues durable: the
+    server's {!Registry}, their only issuer, appends each one before
+    any store of it leaves and recovers one floor per register from
+    it at restart, so a restarted server never re-issues a timestamp a
+    replica may already hold.  A migration's dual write appends its
+    one timestamp once, and both of its legs wait for that append.
+    When the store was opened with a [group_commit] config the server
+    drives it with {!Storage.drive} after every handled message: a
+    positive {!Storage.flush_deadline} arms a transport timer that
+    flushes the pending batch (coalescing timestamp appends across
+    messages), a zero deadline flushes at the end of the message —
+    either way each store waits for its timestamp's batch to be
+    durable.  A restarted server with
     [audit] on also seeds each recovered key's monitor with the writer
     roles' recovered values as completed concurrent writes, so a read
     of recovered state audits clean — exact when no write was in

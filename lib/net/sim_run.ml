@@ -257,13 +257,10 @@ let build ?(faults = Sim_net.reliable) ?(replicas = 3) ?(window = 4)
           let op =
             match xop with
             | Single op ->
-              if nkeys = 1 then
-                match op with E.Read -> Wire.Read | E.Write v -> Wire.Write v
-              else
-                let key = seq mod nkeys in
-                (match op with
-                 | E.Read -> Wire.Read_k { key }
-                 | E.Write v -> Wire.Write_k { key; value = v })
+              let key = seq mod nkeys in
+              (match op with
+               | E.Read -> Wire.Read_k { key }
+               | E.Write v -> Wire.Write_k { key; value = v })
             | Keyed (key, E.Read) -> Wire.Read_k { key }
             | Keyed (key, E.Write v) -> Wire.Write_k { key; value = v }
             | Txn_w writes -> Wire.Txn_k { writes }

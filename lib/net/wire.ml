@@ -3,8 +3,6 @@ module Tagged = Registers.Tagged
 type payload = int Tagged.t
 
 type op =
-  | Read
-  | Write of int
   | Read_k of { key : int }
   | Write_k of { key : int; value : int }
   | Txn_k of { writes : (int * int) list }
@@ -49,8 +47,6 @@ let max_txn = 1024
    prefix from it, then checks that it ended exactly there. *)
 let rec encoded_size = function
   | Hello _ -> 9
-  | Req { op = Read; _ } -> 10
-  | Req { op = Write _; _ } -> 18
   | Req { op = Read_k _; _ } -> 18
   | Req { op = Write_k _; _ } -> 26
   | Req { op = Txn_k { writes }; _ } -> 18 + (16 * List.length writes)
@@ -159,8 +155,6 @@ let rec put_msg b pos = function
   | Req { seq; op } ->
     let pos = put_int b (put_byte b pos 1) seq in
     (match op with
-     | Read -> put_byte b pos 0
-     | Write v -> put_int b (put_byte b pos 1) v
      | Read_k { key } -> put_int b (put_byte b pos 2) key
      | Write_k { key; value } ->
        put_int b (put_int b (put_byte b pos 3) key) value
@@ -311,8 +305,6 @@ let rec get_msg c depth =
   | 1 ->
     let seq = get_int c in
     (match get_byte c with
-     | 0 -> Req { seq; op = Read }
-     | 1 -> Req { seq; op = Write (get_int c) }
      | 2 -> Req { seq; op = Read_k { key = get_int c } }
      | 3 ->
        let key = get_int c in
@@ -447,8 +439,8 @@ let rec control_bytes m =
     | Reconfig _ | Reconfig_ack _ | Epoch_req _ | Epoch_reply _ | Nack _ ->
       (* migration control frames carry no register data at all *)
       0
-    | Req { op = Read; _ } | Resp { result = None; _ } -> 0
-    | Req { op = (Write _ | Read_k _); _ } | Resp { result = Some _; _ } -> 8
+    | Resp { result = None; _ } -> 0
+    | Req { op = Read_k _; _ } | Resp { result = Some _; _ } -> 8
     | Req { op = Write_k _; _ } -> 16
     | Req { op = Txn_k { writes }; _ } -> 16 * List.length writes
     | Req { op = Snap_k { keys }; _ } -> 8 * List.length keys
@@ -495,8 +487,6 @@ let pp_payload ppf pl = Registers.Tagged.pp Fmt.int ppf pl
 
 let rec pp ppf = function
   | Hello { proc } -> Fmt.pf ppf "hello(proc=%d)" proc
-  | Req { seq; op = Read } -> Fmt.pf ppf "req#%d read" seq
-  | Req { seq; op = Write v } -> Fmt.pf ppf "req#%d write(%d)" seq v
   | Req { seq; op = Read_k { key } } -> Fmt.pf ppf "req#%d read[%d]" seq key
   | Req { seq; op = Write_k { key; value } } ->
     Fmt.pf ppf "req#%d write[%d](%d)" seq key value

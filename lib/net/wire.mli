@@ -15,8 +15,9 @@
 
     {b Keyed operations.}  The service hosts a whole keyspace of
     independent two-writer registers.  [Read_k]/[Write_k] carry the
-    register id ([key]) they address; the legacy [Read]/[Write] are
-    synonyms for key 0.  On the replica sublanguage a key is flattened
+    register id ([key]) they address (op tags 0 and 1, once an
+    unkeyed read and write of key 0, are retired: they decode as
+    malformed).  On the replica sublanguage a key is flattened
     into the global register index [reg = key * regs_per_key + i]
     where [i] is the paper's Reg{_0}/Reg{_1} bit (see
     {!Shard_map.global_reg}).
@@ -39,9 +40,6 @@
 type payload = int Registers.Tagged.t
 
 type op =
-  | Read  (** Read register 0 (legacy synonym of [Read_k {key = 0}]). *)
-  | Write of int
-      (** Write register 0 (legacy synonym of [Write_k {key = 0; _}]). *)
   | Read_k of { key : int }  (** Read the register named [key]. *)
   | Write_k of { key : int; value : int }
       (** Write [value] to the register named [key]. *)

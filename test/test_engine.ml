@@ -494,6 +494,86 @@ let twobit_bigger_hunt_clean () =
   | None -> ()
   | Some ce -> Alcotest.failf "honest twobit config flagged: %s" ce.Ex.message
 
+(* --- the registry: one timestamp authority -------------------------- *)
+
+let tagged v = Registers.Tagged.make v false
+let batched = Some { Net.Storage.batch_max = 64; flush_every = 0.0 }
+
+(* A registry of two shards over one 3-replica group and [store], whose
+   transport keeps the (reg, ts) of every ABD [Store] sent. *)
+let registry_over kind store =
+  let stamps = ref [] in
+  let send ~src:_ ~dst:_ = function
+    | Net.Wire.Store { reg; ts; _ } -> stamps := (reg, ts) :: !stamps
+    | _ -> ()
+  in
+  let r =
+    Net.Registry.create
+      ~transport:{ Net.Transport.null with Net.Transport.send }
+      ~me:Net.Transport.server ~replicas:[ 0; 1; 2 ]
+      ~map:(Net.Shard_map.create ~shards:2 ())
+      ~engine:(espec kind) ~storage:store ()
+  in
+  (r, stamps)
+
+(* A registry reopened on its store's files writes above every
+   timestamp the first one issued — by a write, or by a [write_at]
+   that raised the floor. *)
+let registry_restart kind group_commit () =
+  Test_storage.with_dir @@ fun dir ->
+  let open_store () =
+    Net.Storage.create ?group_commit (Net.Storage.file_backend ~dir ())
+  in
+  let reg0 = Net.Shard_map.global_reg 0 0
+  and reg1 = Net.Shard_map.global_reg 1 0 in
+  let st = open_store () in
+  let r, _ = registry_over kind st in
+  List.iter
+    (fun v -> Net.Registry.write r ~key:0 ~reg:0 ~value:(tagged v) ~k:ignore)
+    [ 1; 2; 3 ];
+  Net.Registry.write_at r ~shard:(Net.Registry.shard_of_key r 1) ~reg:reg1
+    ~ts:50 ~value:(tagged 9) ~k:ignore;
+  Net.Storage.flush st;
+  let st = open_store () in
+  let r, stamps = registry_over kind st in
+  Net.Registry.write r ~key:0 ~reg:0 ~value:(tagged 4) ~k:ignore;
+  Net.Registry.write r ~key:1 ~reg:0 ~value:(tagged 10) ~k:ignore;
+  Net.Storage.flush st;
+  let ts reg = fst (Net.Storage.find st reg ~default:(0, tagged 0)) in
+  Alcotest.(check int) "above the recovered writes" 4 (ts reg0);
+  Alcotest.(check int) "above the raised floor" 51 (ts reg1);
+  if kind = Net.Engine.Abd then
+    Alcotest.(check (list (pair int int))) "the Stores carry them"
+      [ (reg0, 4); (reg1, 51) ]
+      (List.sort_uniq compare !stamps)
+
+(* Words reachable from a registry of 8 shards, less its store's, per
+   register its store recovers (8192 of them) over an empty store: one
+   table of floors for all shards, not one per shard's engine (60.0
+   words for ABD and 36.0 for twobit while each engine recovered its
+   own). *)
+let registry_floor_words kind () =
+  let n = 8192 in
+  let kept entries =
+    let st = Net.Storage.create (Net.Storage.mem_backend ()) in
+    List.iter (Net.Storage.append st) entries;
+    let r =
+      Net.Registry.create ~transport:Net.Transport.null
+        ~me:Net.Transport.server ~replicas:[ 0; 1; 2 ]
+        ~map:(Net.Shard_map.create ~shards:8 ())
+        ~engine:(espec kind) ~storage:st ()
+    in
+    Obj.reachable_words (Obj.repr r) - Obj.reachable_words (Obj.repr st)
+  in
+  let entries =
+    List.init n (fun reg ->
+        { Net.Storage.reg; ts = 1 + (reg mod 5); pl = tagged reg })
+  in
+  let words = float_of_int (kept entries - kept []) /. float_of_int n in
+  Alcotest.(check bool)
+    (Fmt.str "%.1f words per recovered register <= 12" words)
+    true (words <= 12.0)
+
 let suite =
   [
     tc "conformance: abd serves the keyed workload" (conformance Net.Engine.Abd);
@@ -522,6 +602,18 @@ let suite =
     tc "twobit crashed replica: reads widen once per engine"
       twobit_crashed_replica;
     tc "engines meter their own sends" engines_meter_their_sends;
+    tc "registry restart: abd writes above recovered floors"
+      (registry_restart Net.Engine.Abd None);
+    tc "registry restart: abd, group commit"
+      (registry_restart Net.Engine.Abd batched);
+    tc "registry restart: twobit writes above recovered floors"
+      (registry_restart Net.Engine.Twobit None);
+    tc "registry restart: twobit, group commit"
+      (registry_restart Net.Engine.Twobit batched);
+    tc "registry floors: abd holds them once, not per shard"
+      (registry_floor_words Net.Engine.Abd);
+    tc "registry floors: twobit holds them once, not per shard"
+      (registry_floor_words Net.Engine.Twobit);
   ]
 
 let slow_suite =

@@ -30,7 +30,13 @@ let msg_gen =
         Gen.map (fun proc -> W.Hello { proc }) Gen.small_nat;
         Gen.map2
           (fun seq v ->
-            W.Req { seq; op = (if v < 0 then W.Read else W.Write v) })
+            W.Req
+              {
+                seq;
+                op =
+                  (if v < 0 then W.Read_k { key = 0 }
+                   else W.Write_k { key = 0; value = v });
+              })
           Gen.small_nat
           (Gen.int_range (-10) 1000000);
         Gen.map3
@@ -94,7 +100,9 @@ let wire_rejects_garbage () =
   (match W.decode "\255garbage" with
    | Error _ -> ()
    | Ok _ -> Alcotest.fail "unknown tag decoded");
-  let whole = W.encode (W.Req { seq = 3; op = W.Write 9 }) in
+  let whole =
+    W.encode (W.Req { seq = 3; op = W.Write_k { key = 0; value = 9 } })
+  in
   for cut = 0 to String.length whole - 1 do
     match W.decode (String.sub whole 0 cut) with
     | Error _ -> ()
@@ -122,7 +130,9 @@ let wire_oversized_frame () =
   (match W.frame ~src:0 huge with
    | exception Invalid_argument _ -> ()
    | _ -> Alcotest.fail "oversized frame accepted");
-  ignore (W.frame ~src:0 (W.Req { seq = 0; op = W.Write max_int }))
+  ignore
+    (W.frame ~src:0
+       (W.Req { seq = 0; op = W.Write_k { key = 0; value = max_int } }))
 
 let wire_batch_depth () =
   let m = deep_batch W.max_batch_depth in
@@ -140,7 +150,7 @@ let wire_boundary_values () =
         true
         (W.decode (W.encode m) = Ok m))
     [
-      W.Req { seq = max_int; op = W.Write min_int };
+      W.Req { seq = max_int; op = W.Write_k { key = 0; value = min_int } };
       W.Resp { seq = 0; result = Some max_int };
       W.Query_reply
         { rid = max_int; reg = 1; ts = max_int;
@@ -369,9 +379,11 @@ let read_value h q =
   deliver h (Net.Quorum.on_message q);
   !got
 
+(* Store [v] at timestamp [v]: every test writes increasing values. *)
 let write_value h q v =
   let acked = ref false in
-  Net.Quorum.write q ~reg:0 ~value:(pl v false) ~k:(fun () -> acked := true);
+  Net.Quorum.store q ~reg:0 ~ts:v ~value:(pl v false) ~k:(fun () ->
+      acked := true);
   deliver h (Net.Quorum.on_message q);
   Alcotest.(check bool) "write acked" true !acked
 
@@ -392,7 +404,7 @@ let quorum_read_overlapping_write_writes_back () =
   (* a second write's store reaches its window, but no ack comes back:
      its pair is not yet known to be on a majority.  The read's window
      meets the store's, so the read sees the newer pair. *)
-  Net.Quorum.write q ~reg:0 ~value:(pl 6 false) ~k:ignore;
+  Net.Quorum.store q ~reg:0 ~ts:6 ~value:(pl 6 false) ~k:ignore;
   deliver
     ~p:(fun (_, _, m) -> match m with W.Store _ -> true | _ -> false)
     h (Net.Quorum.on_message q);
@@ -409,9 +421,8 @@ let quorum_read_overlapping_write_writes_back () =
   Alcotest.(check (option int)) "then returns the newer value" (Some 6) !got
 
 let quorum_fresh_engine_writes_back_once () =
-  (* a restarted engine recovers the timestamps it issued but not which
-     stores completed, so its first read of a stored register writes
-     back *)
+  (* a restarted engine does not know which stores completed, so its
+     first read of a stored register writes back *)
   let h = holding () in
   write_value h (quorum_over h) 5;
   let q = quorum_over h in
@@ -476,7 +487,8 @@ let quorum_dead_window_member () =
   let q = quorum_over ~metrics h in
   let alive (src, dst, _) = src <> 0 && dst <> 0 in
   let acked = ref false in
-  Net.Quorum.write q ~reg:0 ~value:(pl 1 false) ~k:(fun () -> acked := true);
+  Net.Quorum.store q ~reg:0 ~ts:1 ~value:(pl 1 false) ~k:(fun () ->
+      acked := true);
   deliver ~p:alive h (Net.Quorum.on_message q);
   Alcotest.(check bool) "stalled on the dead member" false !acked;
   Alcotest.(check bool) "still outstanding" true (Net.Quorum.resend_pending q);
@@ -489,7 +501,8 @@ let quorum_dead_window_member () =
   ignore (sent_to h);
   for i = 2 to 7 do
     let acked = ref false in
-    Net.Quorum.write q ~reg:0 ~value:(pl i false) ~k:(fun () -> acked := true);
+    Net.Quorum.store q ~reg:0 ~ts:i ~value:(pl i false) ~k:(fun () ->
+        acked := true);
     deliver ~p:alive h (Net.Quorum.on_message q);
     Alcotest.(check bool) (Fmt.str "write %d acked without a resend" i) true
       !acked
@@ -1159,9 +1172,11 @@ let socket_close_flushes_pending () =
     Net.Client.connect ~net ~server:Net.Transport.server ~proc:0 ~batch_max:8
       ~flush_every:0.0 ()
   in
-  for v = 1 to 7 do Net.Client.post c0 (W.Write v) done;
+  for v = 1 to 7 do
+    Net.Client.post c0 (W.Write_k { key = 0; value = v })
+  done;
   Net.Client.close c0;
-  (match Net.Client.post c0 (W.Write 99) with
+  (match Net.Client.post c0 (W.Write_k { key = 0; value = 99 }) with
    | () -> Alcotest.fail "post after close should raise"
    | exception Invalid_argument _ -> ());
   wait_served [ 1; 2; 3; 4; 5; 6; 7 ];
@@ -1177,7 +1192,7 @@ let socket_close_flushes_pending () =
     for _ = 1 to 5 do
       incr next;
       mine := !next :: !mine;
-      Net.Client.post c1 (W.Write !next)
+      Net.Client.post c1 (W.Write_k { key = 0; value = !next })
     done;
     Net.Client.close c1;
     wait_served !mine
@@ -2238,7 +2253,8 @@ let quorum_duplicate_replies_count_once () =
   Alcotest.(check bool) "a second replica completes the collect" true
     (!got <> None);
   let acked = ref false in
-  Net.Quorum.write q ~reg:0 ~value:(pl 1 false) ~k:(fun () -> acked := true);
+  Net.Quorum.store q ~reg:0 ~ts:1 ~value:(pl 1 false) ~k:(fun () ->
+      acked := true);
   let ack = store_ack ~rid:1 () in
   Net.Quorum.on_message q ~src:2 ack;
   Net.Quorum.on_message q ~src:2 ack;
@@ -2258,7 +2274,8 @@ let quorum_outsider_never_completes () =
    | Some (ts, _) -> Alcotest.(check int) "nor its timestamp" 0 ts
    | None -> Alcotest.fail "the group's replies did not complete");
   let acked = ref false in
-  Net.Quorum.write q ~reg:0 ~value:(pl 1 false) ~k:(fun () -> acked := true);
+  Net.Quorum.store q ~reg:0 ~ts:1 ~value:(pl 1 false) ~k:(fun () ->
+      acked := true);
   let ack = store_ack ~rid:1 () in
   Net.Quorum.on_message q ~src:7 ack;
   Net.Quorum.on_message q ~src:8 ack;
@@ -2304,7 +2321,7 @@ let quorum_resend_skips_answered () =
   Net.Quorum.on_message q ~src:0 (query_reply ());
   Alcotest.(check (list int)) "collect: then the three left" [ 1; 2; 4 ]
     (resent ());
-  Net.Quorum.write q ~reg:1 ~value:(pl 1 false) ~k:ignore;
+  Net.Quorum.store q ~reg:1 ~ts:1 ~value:(pl 1 false) ~k:ignore;
   Net.Quorum.on_message q ~src:2 (store_ack ~rid:1 ());
   Net.Quorum.on_message q ~src:4 (store_ack ~rid:1 ());
   ignore (sent_to h);
@@ -2371,7 +2388,7 @@ let abd_write_phase_words () =
   let k () = incr completed in
   let words =
     words_per_phase ~completed
-      (fun q -> Net.Quorum.write q ~reg:1 ~value ~k)
+      (fun q -> Net.Quorum.store q ~reg:1 ~ts:1 ~value ~k)
       (fun rid -> store_ack ~rid ())
   in
   Alcotest.(check bool)
@@ -2543,7 +2560,7 @@ let immune_0_to_1 faults =
       { faults with Net.Sim_net.immune = (fun ~src ~dst -> src = 0 && dst = 1) }
     ()
 
-let req seq = W.Req { seq; op = W.Read }
+let req seq = W.Req { seq; op = W.Read_k { key = 0 } }
 
 let sim_immune_link_is_fifo () =
   let net = immune_0_to_1 (Net.Sim_net.lossy ()) in

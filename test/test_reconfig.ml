@@ -402,6 +402,62 @@ let socket_pool_reshard kind ~domains ~expect_refusal () =
     Alcotest.failf "monitor violation on key %d: %a" key
       (Histories.Fastcheck.pp_violation Fmt.int) v
 
+(* ------------------------------------------------------------------ *)
+(* The dual write's durability                                         *)
+
+(* A coordinator whose registry runs two singleton groups (shard [s]
+   on replica [s]) over a transport that keeps every send and delivers
+   none, with a group-commit server store: [hot]'s migration starts,
+   settles at once and stays in its sync step. *)
+let migrating kind =
+  let sent = ref [] in
+  let send ~src:_ ~dst msg = sent := (dst, msg) :: !sent in
+  let store =
+    S.create
+      ~group_commit:{ S.batch_max = 64; flush_every = 0.0 }
+      (S.mem_backend ())
+  in
+  let registry =
+    Net.Registry.create
+      ~transport:{ Net.Transport.null with Net.Transport.send }
+      ~me:Net.Transport.server ~replicas:[ 0; 1 ]
+      ~map:(Net.Shard_map.create ~group_size:1 ~shards:2 ())
+      ~engine:(espec kind) ~storage:store ()
+  in
+  let rc = Net.Reconfig.create ~registry ~metrics:(Net.Metrics.create ()) () in
+  Net.Reconfig.start rc ~key:hot ~to_shard:target_shard ~epoch:0
+    ~finish:(fun ~ok:_ ~epoch:_ -> ());
+  (rc, store, sent)
+
+(* A dual write issues one timestamp and appends it once; neither leg
+   leaves before that append is durable, and its commit releases
+   both. *)
+let dual_write_waits_for_its_append () =
+  List.iter
+    (fun kind ->
+      let what = Net.Engine.kind_name kind in
+      let rc, store, sent = migrating kind in
+      sent := [];
+      Net.Reconfig.write rc ~key:hot ~reg:0
+        ~value:(Registers.Tagged.make 7 false) ~k:ignore;
+      let legs () =
+        List.sort_uniq compare
+          (List.filter_map
+             (fun (dst, m) ->
+               match m with W.Store _ | W.Store2 _ -> Some dst | _ -> None)
+             !sent)
+      in
+      Alcotest.(check (list int)) (what ^ ": no leg before the flush") []
+        (legs ());
+      Alcotest.(check int) (what ^ ": one append queued") 1 (S.pending store);
+      S.flush store;
+      Alcotest.(check (list int)) (what ^ ": the flush releases both legs")
+        [ 0; 1 ] (legs ());
+      let st = S.stats store in
+      Alcotest.(check (pair int int)) (what ^ ": one WAL append, one commit")
+        (1, 1) (st.S.appends, st.S.batch_commits))
+    engines
+
 let suite =
   [
     tc "sim: migration under traffic, both engines"
@@ -412,6 +468,8 @@ let suite =
     tc "sim: out-of-range target nacked" sim_out_of_range_nacked;
     tc "sim: stale / busy / range nack discipline" sim_nack_discipline;
     tc "sim: crash points mid-migration" sim_crash_points_mid_migration;
+    tc "dual write: both legs wait for one append"
+      dual_write_waits_for_its_append;
   ]
 
 let slow_suite =

@@ -30,12 +30,10 @@ let any_name rng =
 (* Multi-key ops: the encoder caps only the key {e count} ([max_txn]),
    keys and values themselves are arbitrary ints. *)
 let any_op rng =
-  match Random.State.int rng 6 with
-  | 0 -> W.Read
-  | 1 -> W.Write (any_int rng)
-  | 2 -> W.Read_k { key = any_int rng }
-  | 3 -> W.Write_k { key = any_int rng; value = any_int rng }
-  | 4 ->
+  match Random.State.int rng 4 with
+  | 0 -> W.Read_k { key = any_int rng }
+  | 1 -> W.Write_k { key = any_int rng; value = any_int rng }
+  | 2 ->
     let n = Random.State.int rng 8 in
     W.Txn_k { writes = List.init n (fun _ -> (any_int rng, any_int rng)) }
   | _ ->
@@ -486,10 +484,6 @@ let golden_msgs =
   [
     ( "hello", W.Hello { proc = 3 },
       "000300000000000000" );
-    ( "req read", W.Req { seq = 1; op = W.Read },
-      "01010000000000000000" );
-    ( "req write", W.Req { seq = 2; op = W.Write (-42) },
-      "01020000000000000001d6ffffffffffffff" );
     ( "req read_k", W.Req { seq = 3; op = W.Read_k { key = 4096 } },
       "010300000000000000020010000000000000" );
     ( "req write_k",
@@ -581,6 +575,24 @@ let golden_encodings () =
       | Ok m' when m' = m -> ()
       | _ -> Alcotest.failf "%s: golden message does not round-trip" name)
     golden_msgs
+
+(* Op tags 0 and 1 were an unkeyed read and write of key 0, retired
+   for [Read_k]/[Write_k]: their old encodings must now be refused. *)
+let retired_op_tags () =
+  let unhex h =
+    String.init (String.length h / 2) (fun i ->
+        Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+  in
+  List.iter
+    (fun (name, h) ->
+      match W.decode (unhex h) with
+      | Error "bad op kind" -> ()
+      | Error e -> Alcotest.failf "%s: refused as %S, not as an op kind" name e
+      | Ok m -> Alcotest.failf "%s decoded as %a" name W.pp m)
+    [
+      ("op tag 0 (req read)", "01010000000000000000");
+      ("op tag 1 (req write)", "01020000000000000001d6ffffffffffffff");
+    ]
 
 let golden_frame () =
   Alcotest.(check string) "frame ~src:5 (query)"
@@ -852,6 +864,7 @@ let suite =
     tc "golden: every tag and op kind encodes byte-identically"
       golden_encodings;
     tc "golden: frame header" golden_frame;
+    tc "golden: retired op tags 0 and 1 decode as malformed" retired_op_tags;
     tc "fuzz: frame body equals encode" fuzz_frame_body_is_encode;
     tc "fuzz: decode_sub inside a window" fuzz_decode_sub_window;
     tc "alloc: frame of a 32-item batch is the frame"
