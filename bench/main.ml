@@ -554,9 +554,10 @@ let bench_net () =
     (fun drop ->
       let o =
         Net.Sim_run.run
-          (Net.Sim_run.build
+          (Net.Sim_run.create
              ~faults:(Net.Sim_net.lossy ~drop ~duplicate:(drop /. 2.0) ())
-             ~seed:5 ~init:0 ~processes:(two_by_two 40) ())
+             Net.Sim_run.default ~seed:5
+             ~workload:(Net.Sim_run.singles (two_by_two 40)))
       in
       let lat =
         Array.of_list (List.map (fun (_, _, l) -> l) o.Net.Sim_run.latencies)
@@ -607,8 +608,10 @@ let bench_net_shard () =
         (fun shards ->
           let o =
             Net.Sim_run.run
-              (Net.Sim_run.build ~shards ~window ~seed:21 ~init:0
-                 ~processes:(two_by_two 60) ())
+              (Net.Sim_run.create
+                 { Net.Sim_run.default with shards; keys = shards; window }
+                 ~seed:21
+                 ~workload:(Net.Sim_run.singles (two_by_two 60)))
           in
           let ops_per_vt =
             float_of_int o.Net.Sim_run.completed /. o.Net.Sim_run.virtual_span
@@ -1299,11 +1302,14 @@ let bench_net_alloc () =
                   ));
         })
   in
+  let group_commit = Some { Net.Storage.batch_max = 32; flush_every = 0.5 } in
+  let store =
+    Some { Net.Sim_run.default_store with snapshot_every = 4096; group_commit }
+  in
   let cl =
-    Net.Sim_run.build ~replicas:3 ~window:64 ~shards:8 ~keys:nkeys
-      ~engine:Net.Engine.abd ~durable:true ~snapshot_every:4096
-      ~group_commit:{ Net.Storage.batch_max = 32; flush_every = 0.5 }
-      ~xprocesses ~seed:1 ~init:0 ~processes:[] ()
+    Net.Sim_run.create
+      { Net.Sim_run.default with window = 64; shards = 8; keys = nkeys; store }
+      ~seed:1 ~workload:xprocesses
   in
   let net = cl.Net.Sim_run.net in
   (* (role, label) -> events, words; bookkept outside the measured
@@ -1405,8 +1411,9 @@ let bench_net_explore () =
   (* --- exhaustive enumeration rate, with and without pruning --- *)
   let leg ~label ~prune processes =
     let cfg =
-      Net.Explore.config ~replicas:1 ~prune
-        ~workload:(Net.Sim_run.singles processes) ()
+      Net.Explore.config
+        ~spec:{ Net.Sim_run.default with replicas = 1 }
+        ~prune ~workload:(Net.Sim_run.singles processes) ()
     in
     let res, dt = timed (fun () -> Net.Explore.explore cfg) in
     let s = res.Net.Explore.stats in
@@ -1432,7 +1439,12 @@ let bench_net_explore () =
        [ proc 0 [ w 7 ]; proc 2 [ r ] ]);
   (* --- broken read quorum: time to find + shrink the violation --- *)
   let broken =
-    Net.Explore.config ~replicas:3 ~read_quorum:1
+    Net.Explore.config
+      ~spec:
+        {
+          Net.Sim_run.default with
+          bug = { Net.Bug.none with read_quorum = Some 1 };
+        }
       ~workload:
         (Net.Sim_run.singles
            [ proc 0 [ w 1001 ]; proc 1 [ w 2001 ]; proc 2 [ r; r ] ])
@@ -1595,8 +1607,13 @@ let bench_net_recovery () =
   let sim ~durable =
     let o =
       Net.Sim_run.run
-        (Net.Sim_run.build ~durable ~seed:13 ~init:0
-           ~processes:(two_by_two 50) ())
+        (Net.Sim_run.create
+           {
+             Net.Sim_run.default with
+             store = (if durable then Some Net.Sim_run.default_store else None);
+           }
+           ~seed:13
+           ~workload:(Net.Sim_run.singles (two_by_two 50)))
     in
     (o, float_of_int o.Net.Sim_run.completed /. o.Net.Sim_run.virtual_span)
   in
@@ -1621,11 +1638,11 @@ let bench_net_engine () =
   let leg kind ~drop =
     let o =
       Net.Sim_run.run
-        (Net.Sim_run.build
+        (Net.Sim_run.create
            ~faults:(Net.Sim_net.lossy ~drop ~duplicate:(drop /. 2.0) ())
-           ~replicas:3 ~seed:6 ~init:0
-           ~engine:{ Net.Engine.kind }
-           ~processes:workload ())
+           { Net.Sim_run.default with engine = kind }
+           ~seed:6
+           ~workload:(Net.Sim_run.singles workload))
     in
     check_sim ("net-engine " ^ Net.Engine.kind_name kind) o;
     o
@@ -1706,10 +1723,18 @@ let bench_net_txn () =
   let keys = 4 in
   let shards = 4 in
   let wv p i k = (100_000 * (p + 1)) + (i * keys) + k in
-  let run_ok ?snapshot_every ?gc_bytes ~seed xprocesses =
+  let run_ok ?(snapshot_every = 32) ?gc_bytes ~seed workload =
     let cl =
-      Net.Sim_run.build ~replicas:3 ~shards ~keys ~window:8 ?snapshot_every
-        ?gc_bytes ~seed ~init:0 ~processes:[] ~xprocesses ()
+      Net.Sim_run.create
+        {
+          Net.Sim_run.default with
+          shards;
+          keys;
+          window = 8;
+          store =
+            Some { Net.Sim_run.default_store with snapshot_every; gc_bytes };
+        }
+        ~seed ~workload
     in
     let o = Net.Sim_run.run cl in
     if o.Net.Sim_run.completed <> o.Net.Sim_run.expected then
@@ -1905,10 +1930,9 @@ let bench_net_reconfig () =
       let name = Net.Engine.kind_name engine in
       let run ?reconfig ?before () =
         let cl =
-          Net.Sim_run.build ~replicas:3 ~shards ~keys ~window:8
-            ~engine:{ Net.Engine.kind = engine }
-            ?reconfig ~seed:31 ~init:0 ~processes:[]
-            ~xprocesses ()
+          Net.Sim_run.create ?reconfig
+            { Net.Sim_run.default with shards; keys; window = 8; engine }
+            ~seed:31 ~workload:xprocesses
         in
         Option.iter
           (fun (t, f) ->

@@ -37,12 +37,18 @@ let run_sim engine seed replicas shards readers writes reads drop dup window
     (* sized for a whole CLI run: no wrap, so the dump is replayable *)
     Option.map (fun _ -> Net.Trace.create ~capacity:1_000_000 ()) trace_file
   in
-  let cl =
-    Net.Sim_run.build ~faults ~replicas ~shards ~window
-      ~engine:{ Net.Engine.kind = engine } ?trace ~seed ~init:0
-      ~processes:(workload ~readers ~writes ~reads)
-      ()
+  let spec =
+    { Net.Sim_run.default with replicas; shards; keys = shards; window; engine }
   in
+  let processes = workload ~readers ~writes ~reads in
+  match
+    Net.Sim_run.create ~faults ?trace spec ~seed
+      ~workload:(Net.Sim_run.singles processes)
+  with
+  | exception Invalid_argument msg ->
+    Fmt.epr "service sim: %s@." msg;
+    2
+  | cl ->
   let fates =
     (if crash then [ (40.0, Harness.Failure.Crash (replicas - 1)) ] else [])
     @
@@ -394,7 +400,9 @@ let run_smoke engine shards readers writes reads seed data_dir group_commit
                    ~dir:(Filename.concat dir ("replica" ^ string_of_int r))
                    ())
             in
-            Net.Storage.contents st = Net.Replica.contents rep)
+            let recovered = Net.Storage.contents st in
+            Net.Storage.close st;
+            recovered = Net.Replica.contents rep)
           reps
       in
       Fmt.pr "  durability: %d replica stores reopened from %s: %s@."
@@ -429,18 +437,20 @@ let run_smoke engine shards readers writes reads seed data_dir group_commit
     "== simulated transport (drop 15%%, dup 10%%, jitter, %s engine, replica \
      crash) ==@."
     (Engine_cli.name engine);
+  (* same batching discipline under the simulator: deferred acks must
+     survive drops, duplication and a replica crash too (flush deadline
+     in virtual-time units) *)
+  let group_commit =
+    if group_commit > 1 then
+      Some { Net.Storage.batch_max = group_commit; flush_every = 0.5 }
+    else None
+  in
+  let store = Some { Net.Sim_run.default_store with group_commit } in
   let cl =
-    Net.Sim_run.build
+    Net.Sim_run.create
       ~faults:(Net.Sim_net.lossy ~drop:0.15 ~duplicate:0.1 ())
-      ~engine:{ Net.Engine.kind = engine }
-      ?group_commit:
-        (* same batching discipline under the simulator: deferred acks
-           must survive drops, duplication and a replica crash too
-           (flush deadline in virtual-time units) *)
-        (if group_commit > 1 then
-           Some { Net.Storage.batch_max = group_commit; flush_every = 0.5 }
-         else None)
-      ~replicas:3 ~shards ~seed ~init:0 ~processes ()
+      { Net.Sim_run.default with shards; keys = shards; engine; store }
+      ~seed ~workload:(Net.Sim_run.singles processes)
   in
   let o = Net.Sim_run.run ~fates:[ (40.0, Harness.Failure.Crash 2) ] cl in
   Fmt.pr "%a@." Net.Sim_run.pp_outcome o;

@@ -13,7 +13,8 @@ let () =
   let processes = Harness.Workload.unique_scripts spec in
   let faults = Net.Sim_net.lossy ~drop:0.15 ~duplicate:0.1 () in
   let cl =
-    Net.Sim_run.build ~faults ~replicas:3 ~seed:42 ~init:0 ~processes ()
+    Net.Sim_run.create ~faults Net.Sim_run.default ~seed:42
+      ~workload:(Net.Sim_run.singles processes)
   in
   (* replica 2 crashes at virtual time 40 *)
   let o = Net.Sim_run.run ~fates:[ (40.0, Harness.Failure.Crash 2) ] cl in

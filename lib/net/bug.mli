@@ -1,4 +1,4 @@
-(** The deliberate-bug hooks, as one validated value.
+(** The deliberate-bug hooks, as one value.
 
     The explorer is trusted because it catches, shrinks and replays
     bugs planted on purpose.  Each hook breaks exactly one layer and
@@ -10,17 +10,18 @@
     those leaves ({!Sim_run}, {!Server}, {!Registry}, the engine
     factory) carries one [Bug.t] instead of six arguments.
 
-    The record is [private]: the only ways to build one are {!none}
-    and the validating {!make} (or {!of_fields}, which calls it), so a
-    [Bug.t] never carries an out-of-range read quorum, a hook aimed at
-    the wrong engine, or a reconfiguration hook with no migration to
-    break.
+    A [Bug.t] is checked only as part of the cluster it breaks:
+    {!Sim_run.validate} (run by {!Sim_run.create} and
+    {!Explore.config}) rejects an out-of-range read quorum, a hook
+    aimed at the wrong engine, and a reconfiguration hook with no
+    migration to break.  Build one from {!none}:
+    [{ Bug.none with skip_write_back = true }].
 
-    Replica durability ([durable:false] in {!Sim_run} and
-    {!Explore}) is not a hook here: it is a storage mode that
-    benchmarks and storage tests select for reasons of their own. *)
+    Replica durability (the [store] of a {!Sim_run.spec}) is not a
+    hook here: it is a storage mode that benchmarks and storage tests
+    select for reasons of their own. *)
 
-type t = private {
+type t = {
   read_quorum : int option;
       (** ABD: a read's collect phase completes on this many replies
           instead of a majority *)
@@ -46,38 +47,3 @@ type t = private {
 
 val none : t
 (** No hook set: the correct system. *)
-
-val make :
-  ?read_quorum:int ->
-  ?skip_write_back:bool ->
-  ?unordered:bool ->
-  ?torn_txn:bool ->
-  ?skip_dual_write:bool ->
-  ?stale_copy:bool ->
-  engine:Engine.kind ->
-  replicas:int ->
-  migration:bool ->
-  unit ->
-  t
-(** The hooks for a service running [engine] over [replicas] replicas;
-    [migration] says whether a live reconfiguration is requested.
-    Every hook defaults to off.
-    @raise Invalid_argument if [read_quorum] is outside [1..replicas],
-    if a hook names the wrong engine ([read_quorum] or
-    [skip_write_back] with twobit, [unordered] with ABD), or if
-    [skip_dual_write] is set without a migration. *)
-
-val fields : t -> (string * int) list
-(** The artifact encoding: [read_quorum] (0 = off), [unordered],
-    [torn_txn], [skip_dual_write], [skip_write_back] and [stale_copy]
-    (0/1), in that order. *)
-
-val of_fields :
-  (string -> int option) ->
-  engine:Engine.kind ->
-  replicas:int ->
-  migration:bool ->
-  t
-(** Decode {!fields} through a lookup; an absent field is off, so
-    artifacts written before a hook existed still load.  Validated as
-    {!make}. *)

@@ -6,20 +6,13 @@ module F = Harness.Failure
 (* Configuration                                                       *)
 
 type config = {
-  replicas : int;
+  spec : Sim_run.spec;
   workload : Sim_run.xprocess list;
-  keys : int;
-  shards : int;
-  group_size : int option;
-  window : int;
-  engine : Engine.kind;
-  bug : Bug.t;
   reconfig : (int * int) option;
   crashable : int list;
   max_crashes : int;
   amnesia : int list;
   max_amnesia : int;
-  durable : bool;
   cuts : (int list * int list) list;
   max_partitions : int;
   max_depth : int;
@@ -28,82 +21,60 @@ type config = {
   fastcheck : bool;
 }
 
-let config ?(replicas = 3) ?(keys = 1) ?(shards = 1) ?group_size
-    ?(window = 4) ?(engine = Engine.Abd) ?read_quorum ?skip_write_back
-    ?unordered ?torn_txn ?reconfig ?skip_dual_write ?stale_copy
-    ?(crashable = []) ?(max_crashes = 0) ?(amnesia = []) ?(max_amnesia = 0) ?(durable = true)
-    ?(cuts = []) ?(max_partitions = 0) ?(max_depth = 2_000)
-    ?(max_schedules = max_int) ?(prune = true) ?(fastcheck = false) ~workload
-    () =
-  (* Fail fast, at configuration time, on requests no run could honour:
-     a deep [invalid_arg] out of [reset] would only surface once the
-     explorer starts (or worse, from inside every walk). *)
-  let bug =
-    Bug.make ?read_quorum ?skip_write_back ?unordered ?torn_txn
-      ?skip_dual_write ?stale_copy ~engine ~replicas
-      ~migration:(reconfig <> None) ()
-  in
-  if engine = Engine.Twobit && amnesia <> [] && max_amnesia > 0 then
+let migration (key, to_shard) = { Sim_run.key; to_shard; at = None }
+
+(* Fail fast, at configuration time, on requests no run could honour:
+   a deep [invalid_arg] out of [reset] would only surface once the
+   explorer starts (or worse, from inside every walk).  A budget with
+   no set to spend it on is zeroed. *)
+let validated cfg =
+  Sim_run.validate ?reconfig:(Option.map migration cfg.reconfig) cfg.spec;
+  (match cfg.reconfig with
+   | Some (key, to_shard) ->
+     if key < 0 then invalid_arg "Explore.config: negative reconfig key";
+     if to_shard < 0 || to_shard >= cfg.spec.shards then
+       invalid_arg "Explore.config: reconfig target shard out of range"
+   | None -> ());
+  (* an artifact records only [durable=], so a store it cannot name
+     would not replay *)
+  if not (List.mem cfg.spec.store [ None; Some Sim_run.default_store ]) then
+    invalid_arg "Explore.config: a store must be Sim_run.default_store";
+  if cfg.spec.engine = Engine.Twobit && cfg.amnesia <> [] && cfg.max_amnesia > 0
+  then
     invalid_arg
       "Explore.config: the twobit engine is crash-stop only — its link \
        sequence state is volatile, so an amnesia reboot deadlocks the \
        links; use crashable instead";
-  (match group_size with
-   | Some g when g <= 0 ->
-     invalid_arg "Explore.config: group_size must be positive"
-   | _ -> ());
-  (match reconfig with
-   | Some (key, to_shard) ->
-     if key < 0 then invalid_arg "Explore.config: negative reconfig key";
-     if to_shard < 0 || to_shard >= shards then
-       invalid_arg "Explore.config: reconfig target shard out of range"
-   | None -> ());
-  List.iter
-    (fun (xp : Sim_run.xprocess) ->
-      List.iter
-        (fun xop ->
-          match xop with
-          | Sim_run.Single _ -> ()
-          | Sim_run.Keyed (k, _) ->
-            if k < 0 then
-              invalid_arg "Explore.config: negative Keyed key"
-          | Sim_run.Txn_w ws ->
-            if not (Txn.valid_keys (List.map fst ws)) then
-              invalid_arg "Explore.config: structurally invalid Txn_w keys"
-          | Sim_run.Snap ks ->
-            if not (Txn.valid_keys ks) then
-              invalid_arg "Explore.config: structurally invalid Snap keys")
-        xp.Sim_run.xscript)
-    workload;
+  let invalid_keys = function
+    | Sim_run.Single _ -> false
+    | Sim_run.Keyed (k, _) -> k < 0
+    | Sim_run.Txn_w ws -> not (Txn.valid_keys (List.map fst ws))
+    | Sim_run.Snap ks -> not (Txn.valid_keys ks)
+  in
+  if
+    List.exists
+      (fun xp -> List.exists invalid_keys xp.Sim_run.xscript)
+      cfg.workload
+  then invalid_arg "Explore.config: a workload op names invalid keys";
   {
-    replicas;
-    workload;
-    keys;
-    shards;
-    group_size;
-    window;
-    engine;
-    bug;
-    reconfig;
-    crashable;
-    max_crashes = (if crashable = [] then 0 else max_crashes);
-    amnesia;
-    max_amnesia = (if amnesia = [] then 0 else max_amnesia);
-    durable;
-    cuts;
-    max_partitions = (if cuts = [] then 0 else max_partitions);
-    max_depth;
-    max_schedules;
-    prune;
-    fastcheck;
+    cfg with
+    max_crashes = (if cfg.crashable = [] then 0 else cfg.max_crashes);
+    max_amnesia = (if cfg.amnesia = [] then 0 else cfg.max_amnesia);
+    max_partitions = (if cfg.cuts = [] then 0 else cfg.max_partitions);
   }
+
+let config ?(spec = Sim_run.default) ?reconfig ?(crashable = [])
+    ?(max_crashes = 0) ?(amnesia = []) ?(max_amnesia = 0) ?(cuts = [])
+    ?(max_partitions = 0) ?(max_depth = 2_000) ?(max_schedules = max_int)
+    ?(prune = true) ?(fastcheck = false) ~workload () =
+  validated
+    { spec; workload; reconfig; crashable; max_crashes; amnesia; max_amnesia;
+      cuts; max_partitions; max_depth; max_schedules; prune; fastcheck }
 
 (* ------------------------------------------------------------------ *)
 (* The system presented to the generic explorer                        *)
 
-(* Every explored run starts its registers at 0, and may fire at most
-   this many timers (see [pump]). *)
-let init = 0
+(* Every explored run may fire at most this many timers (see [pump]). *)
 let max_timer_fires = 64
 
 type action =
@@ -123,15 +94,9 @@ type st = {
 
 let reset ?trace cfg =
   let cl =
-    Sim_run.build ~faults:Sim_net.reliable ~replicas:cfg.replicas
-      ~window:cfg.window ~shards:cfg.shards ?group_size:cfg.group_size
-      ~keys:cfg.keys ~engine:{ Engine.kind = cfg.engine } ~bug:cfg.bug
-      ~durable:cfg.durable ~xprocesses:cfg.workload
-      ?reconfig:
-        (Option.map
-           (fun (key, to_shard) -> { Sim_run.key; to_shard; at = None })
-           cfg.reconfig)
-      ?trace ~seed:0 ~init ~processes:[] ()
+    Sim_run.create ~faults:Sim_net.reliable
+      ?reconfig:(Option.map migration cfg.reconfig)
+      ?trace cfg.spec ~seed:0 ~workload:cfg.workload
   in
   {
     cfg;
@@ -257,7 +222,7 @@ let verdict st =
       match
         List.find_opt
           (fun (_, v) -> Result.is_error v)
-          (Sim_run.fastcheck_by_key ~init keyed)
+          (Sim_run.fastcheck_by_key ~init:0 keyed)
       with
       | Some (key, _) -> Some (key, "post-hoc fastcheck rejects")
       | None -> None
@@ -468,27 +433,83 @@ let xscript_tokens xscript =
            "s" ^ String.concat "," (List.map string_of_int ks))
        xscript)
 
+(* The config note's fields, in note order: how each prints from a
+   config, and how its value parses back into one.  Flags print as 0/1
+   and [None] as 0 (-1 for the absent migration); a field missing from
+   an older artifact keeps {!config}'s default. *)
+let note_fields =
+  let flag b = if b then 1 else 0 and opt v = if v = 0 then None else Some v in
+  let field name get set = (name, (get, set)) in
+  let spec name get set =
+    field name (fun c -> get c.spec) (fun c v -> { c with spec = set c.spec v })
+  in
+  let hook name get set =
+    spec name
+      (fun s -> flag (get s.Sim_run.bug))
+      (fun s v -> { s with bug = set s.bug (v = 1) })
+  in
+  let engine v =
+    match Engine.kind_of_code v with
+    | Some k -> k
+    | None -> failwith "explore: unknown engine code"
+  in
+  let reconfig_key c = match c.reconfig with Some (k, _) -> k | None -> -1 in
+  let reconfig_to c = match c.reconfig with Some (_, s) -> s | None -> -1 in
+  [
+    spec "replicas" (fun s -> s.replicas) (fun s replicas ->
+        { s with replicas });
+    spec "keys" (fun s -> s.keys) (fun s keys -> { s with keys });
+    spec "shards" (fun s -> s.shards) (fun s shards -> { s with shards });
+    spec "group_size"
+      (fun s -> Option.value ~default:0 s.group_size)
+      (fun s v -> { s with group_size = opt v });
+    spec "window" (fun s -> s.window) (fun s window -> { s with window });
+    spec "engine"
+      (fun s -> Engine.kind_code s.engine)
+      (fun s v -> { s with engine = engine v });
+    spec "read_quorum"
+      (fun s -> Option.value ~default:0 s.bug.read_quorum)
+      (fun s v -> { s with bug = { s.bug with read_quorum = opt v } });
+    hook "unordered" (fun b -> b.unordered) (fun b unordered ->
+        { b with unordered });
+    hook "torn_txn" (fun b -> b.torn_txn) (fun b torn_txn ->
+        { b with torn_txn });
+    field "reconfig_key" reconfig_key (fun c v ->
+        { c with reconfig = (if v < 0 then None else Some (v, 0)) });
+    field "reconfig_to" reconfig_to (fun c v ->
+        { c with reconfig = Option.map (fun (k, _) -> (k, v)) c.reconfig });
+    hook "skip_dual_write"
+      (fun b -> b.skip_dual_write)
+      (fun b skip_dual_write -> { b with skip_dual_write });
+    hook "skip_write_back"
+      (fun b -> b.skip_write_back)
+      (fun b skip_write_back -> { b with skip_write_back });
+    hook "stale_copy" (fun b -> b.stale_copy) (fun b stale_copy ->
+        { b with stale_copy });
+    field "max_crashes" (fun c -> c.max_crashes) (fun c max_crashes ->
+        { c with max_crashes });
+    field "max_amnesia" (fun c -> c.max_amnesia) (fun c max_amnesia ->
+        { c with max_amnesia });
+    spec "durable"
+      (fun s -> flag (s.store <> None))
+      (fun s v ->
+        let store = if v = 1 then Some Sim_run.default_store else None in
+        { s with store });
+    field "max_partitions" (fun c -> c.max_partitions) (fun c max_partitions ->
+        { c with max_partitions });
+    field "max_depth" (fun c -> c.max_depth) (fun c max_depth ->
+        { c with max_depth });
+    field "prune" (fun c -> flag c.prune) (fun c v -> { c with prune = v = 1 });
+    field "fastcheck" (fun c -> flag c.fastcheck) (fun c v ->
+        { c with fastcheck = v = 1 });
+  ]
+
 let config_note cfg =
-  let hook name = List.assoc name (Bug.fields cfg.bug) in
-  Fmt.str
-    "config replicas=%d keys=%d shards=%d group_size=%d window=%d engine=%d \
-     read_quorum=%d unordered=%d torn_txn=%d reconfig_key=%d reconfig_to=%d \
-     skip_dual_write=%d skip_write_back=%d stale_copy=%d max_crashes=%d \
-     max_amnesia=%d durable=%d max_partitions=%d max_depth=%d prune=%d \
-     fastcheck=%d"
-    cfg.replicas cfg.keys cfg.shards
-    (Option.value ~default:0 cfg.group_size)
-    cfg.window
-    (Engine.kind_code cfg.engine)
-    (hook "read_quorum") (hook "unordered") (hook "torn_txn")
-    (match cfg.reconfig with Some (k, _) -> k | None -> -1)
-    (match cfg.reconfig with Some (_, s) -> s | None -> -1)
-    (hook "skip_dual_write") (hook "skip_write_back") (hook "stale_copy")
-    cfg.max_crashes cfg.max_amnesia
-    (if cfg.durable then 1 else 0)
-    cfg.max_partitions cfg.max_depth
-    (if cfg.prune then 1 else 0)
-    (if cfg.fastcheck then 1 else 0)
+  String.concat " "
+    ("config"
+    :: List.map
+         (fun (name, (get, _)) -> Fmt.str "%s=%d" name (get cfg))
+         note_fields)
 
 let group_note (a, b) =
   Fmt.str "%s|%s"
@@ -621,44 +642,27 @@ let load ~file =
       | [ "schedule"; l ] -> schedule := List.map int_of_string (split_on ',' l)
       | _ -> ())
     notes;
-  let get k d = Option.value ~default:d (Hashtbl.find_opt assoc k) in
-  (* engine defaults to abd so pre-engine artifacts load; group_size,
-     reconfig and the bug hooks default to off so artifacts written
-     before them load.  Old artifacts' init and max_timer_fires fields
-     only ever held the constants, and are ignored.  Like
-     [Sim_run.build], any [xproc] line overrides the [proc] lines. *)
-  let engine =
-    match Engine.kind_of_code (get "engine" 0) with
-    | Some k -> k
-    | None -> failwith "explore: unknown engine code"
+  (* Any [xproc] line overrides the [proc] lines.  Old artifacts' init
+     and max_timer_fires fields only ever held the constants, and are
+     ignored. *)
+  let base =
+    {
+      (config ~workload:[] ()) with
+      workload = (if !xprocs <> [] then !xprocs else !procs);
+      crashable = !crashable;
+      amnesia = !amnesia;
+      cuts = !cuts;
+    }
   in
-  let gs = get "group_size" 0 in
-  let rkey = get "reconfig_key" (-1) in
   let cfg =
-    config ~replicas:(get "replicas" 3) ~keys:(get "keys" 1)
-      ~shards:(get "shards" 1)
-      ?group_size:(if gs = 0 then None else Some gs)
-      ~window:(get "window" 4) ~engine
-      ?reconfig:
-        (if rkey < 0 then None else Some (rkey, get "reconfig_to" 0))
-      ~crashable:!crashable
-      ~max_crashes:(get "max_crashes" 0)
-      ~amnesia:!amnesia
-      ~max_amnesia:(get "max_amnesia" 0)
-      ~durable:(get "durable" 1 = 1)
-      ~cuts:!cuts
-      ~max_partitions:(get "max_partitions" 0)
-      ~max_depth:(get "max_depth" 2_000)
-      ~prune:(get "prune" 1 = 1)
-      ~fastcheck:(get "fastcheck" 0 = 1)
-      ~workload:(if !xprocs <> [] then !xprocs else !procs)
-      ()
+    List.fold_left
+      (fun cfg (name, (_, set)) ->
+        match Hashtbl.find_opt assoc name with
+        | Some v -> set cfg v
+        | None -> cfg)
+      base note_fields
   in
-  let bug =
-    Bug.of_fields (Hashtbl.find_opt assoc) ~engine ~replicas:cfg.replicas
-      ~migration:(cfg.reconfig <> None)
-  in
-  ({ cfg with bug }, !schedule)
+  (validated cfg, !schedule)
 
 let replay_file ~file =
   let cfg, schedule = load ~file in
@@ -681,8 +685,9 @@ let torture_run ?(engine = Engine.Abd) ~seed ~run ?trace () =
   let shards = 1 lsl Random.State.int rng 3 in
   let keys = shards * (1 + Random.State.int rng 3) in
   let window = 1 + Random.State.int rng 8 in
-  let spec = Harness.Workload.random_spec ~rng () in
-  let processes = Harness.Workload.unique_scripts spec in
+  let processes =
+    Harness.Workload.unique_scripts (Harness.Workload.random_spec ~rng ())
+  in
   let faults =
     Sim_net.lossy
       ~drop:(Random.State.float rng 0.25)
@@ -711,18 +716,19 @@ let torture_run ?(engine = Engine.Abd) ~seed ~run ?trace () =
           | f -> (t, f))
         fates
   in
-  let espec = { Engine.kind = engine } in
   (* A third of the runs swap the plain register scripts for a mixed
      batch/snapshot workload (half of those with the WAL GC frontier
      on), exercising the cross-key coordinator under the same faults.
      Values are globally unique — per (proc, op index, key) — which
      both the per-key fastcheck and the torn-batch audit require. *)
   let use_txn = Random.State.int rng 3 = 0 in
-  let gc_bytes =
-    if use_txn && Random.State.bool rng then Some 512 else None
+  let gc_bytes = if use_txn && Random.State.bool rng then Some 512 else None in
+  let store = Some { Sim_run.default_store with gc_bytes } in
+  let spec =
+    { Sim_run.default with replicas; shards; keys; window; engine; store }
   in
-  let xprocesses =
-    if not use_txn then []
+  let workload =
+    if not use_txn then Sim_run.singles processes
     else begin
       let nops = 2 + Random.State.int rng 6 in
       let writer p =
@@ -754,9 +760,7 @@ let torture_run ?(engine = Engine.Abd) ~seed ~run ?trace () =
     end
   in
   let cl =
-    Sim_run.build ~faults ~replicas ~window ~shards ~keys ~engine:espec
-      ?gc_bytes ~xprocesses
-      ~seed:(Random.State.bits rng) ~init:0 ~processes ?trace ()
+    Sim_run.create ~faults ?trace spec ~seed:(Random.State.bits rng) ~workload
   in
   (Sim_run.run ~fates cl, fates)
 

@@ -3,7 +3,7 @@
     The paper's claim is per-interleaving: {e every} schedule of the
     construction yields an atomic history.  {!Sim_run} samples
     schedules (one per seed); this module {e enumerates} them.  It
-    drives a {!Sim_run.build} cluster through
+    drives a {!Sim_run.create} cluster through
     {!Sim_net.pending}/{!Sim_net.fire} — the adversary picks which
     in-flight message is delivered next, and may additionally spend
     budgeted fates: {!Harness.Failure.net_fate}s ([Crash], [Reboot],
@@ -38,22 +38,14 @@
 (** {2 Configuration} *)
 
 type config = {
-  replicas : int;
+  spec : Sim_run.spec;
+      (** the cluster under test, deliberate bugs included; its
+          [store] is [None] or {!Sim_run.default_store}, the two an
+          artifact can name *)
   workload : Sim_run.xprocess list;
       (** the client processes and their scripts: plain register ops
           ({!Sim_run.singles}), keyed ops, multi-key transactions and
           snapshot reads *)
-  keys : int;  (** scripts round-robin over this many keys *)
-  shards : int;  (** server shard count (keys hash across them) *)
-  group_size : int option;
-      (** replicas per shard group (see {!Shard_map.group}); with 2
-          shards and [group_size 1] the groups are disjoint — the
-          sharpest migration topology *)
-  window : int;  (** client pipelining window *)
-  engine : Engine.kind;  (** replication protocol every shard runs *)
-  bug : Bug.t;
-      (** the deliberate bugs planted in the run — the targets the
-          audits must catch *)
   reconfig : (int * int) option;
       (** [(key, to_shard)]: a fault-immune control client requests a
           live migration of [key] onto [to_shard]; its delivery is one
@@ -64,15 +56,11 @@ type config = {
   amnesia : int list;
       (** replicas the adversary may [Reboot]: an atomic
           crash-amnesia + restart, so volatile state is dropped and
-          the node recovers (from its WAL when [durable], from nothing
-          otherwise) without ever going unreachable — runs stay
-          complete, the branch point is purely whether the replica
-          forgets *)
+          the node recovers (from its WAL when the spec has a store,
+          from nothing otherwise) without ever going unreachable —
+          runs stay complete, the branch point is purely whether the
+          replica forgets *)
   max_amnesia : int;  (** reboot budget per run *)
-  durable : bool;
-      (** replicas persist stores to a simulated disk before acking
-          (the default); with [false] an acked store can be forgotten
-          by a reboot — the violation the amnesia hunts catch *)
   cuts : (int list * int list) list;
       (** candidate partitions the adversary may impose (one active at
           a time, must heal before the next) *)
@@ -84,24 +72,12 @@ type config = {
 }
 
 val config :
-  ?replicas:int ->
-  ?keys:int ->
-  ?shards:int ->
-  ?group_size:int ->
-  ?window:int ->
-  ?engine:Engine.kind ->
-  ?read_quorum:int ->
-  ?skip_write_back:bool ->
-  ?unordered:bool ->
-  ?torn_txn:bool ->
+  ?spec:Sim_run.spec ->
   ?reconfig:int * int ->
-  ?skip_dual_write:bool ->
-  ?stale_copy:bool ->
   ?crashable:int list ->
   ?max_crashes:int ->
   ?amnesia:int list ->
   ?max_amnesia:int ->
-  ?durable:bool ->
   ?cuts:(int list * int list) list ->
   ?max_partitions:int ->
   ?max_depth:int ->
@@ -112,22 +88,20 @@ val config :
   unit ->
   config
 (** [workload] is required; a plain register workload is
-    [Sim_run.singles processes].  Defaults: 3 replicas, 1 key, 1 shard,
-    window 4, ABD engine with no bug hooks, no fates, durable
-    replicas, [max_depth] 2000, unbounded schedules, pruning on,
-    post-hoc check off.  [read_quorum], [skip_write_back],
-    [unordered], [torn_txn], [skip_dual_write] and [stale_copy]
-    choose the deliberate bugs; they become the [bug] field through
-    {!Bug.make}.
+    [Sim_run.singles processes].  Defaults: {!Sim_run.default} (3
+    replicas, 1 key, 1 shard, window 4, ABD with no bug hooks, durable
+    replicas), no fates, [max_depth] 2000, unbounded schedules, pruning
+    on, post-hoc check off.  A fate budget with an empty set is zeroed.
 
     Validated at construction (fail fast rather than deep inside
     [reset]):
-    @raise Invalid_argument if {!Bug.make} rejects the hooks, if the
-    twobit engine is paired with amnesia fates (its link-sequence
-    state is volatile — crash-stop only), if a [reconfig] target is
-    out of range, if [group_size] is non-positive, or if a
-    [workload] op carries structurally invalid keys (see
-    {!Txn.valid_keys}; [Keyed] keys must be non-negative). *)
+    @raise Invalid_argument if {!Sim_run.validate} rejects the spec
+    and [reconfig], if a [reconfig] key is negative or its shard out
+    of range, if the spec's store is neither [None] nor
+    {!Sim_run.default_store}, if the twobit engine is paired with
+    amnesia fates (its link-sequence state is volatile — crash-stop
+    only), or if a [workload] op carries structurally invalid keys
+    (see {!Txn.valid_keys}; [Keyed] keys must be non-negative). *)
 
 (** {2 Exploration} *)
 
@@ -190,7 +164,8 @@ val load : file:string -> config * int list
     the retired [init] and [max_timer_fires] fields are ignored, and
     plain [proc] script lines are read as [Single] scripts unless the
     file also has [xproc] lines, which then hold the whole workload.
-    @raise Failure on files {!save} did not produce. *)
+    @raise Failure on files {!save} did not produce.
+    @raise Invalid_argument as {!config}, on a config it rejects. *)
 
 val replay_file : file:string -> config * int list * Sim_run.outcome
 (** [load] + [replay]: the outcome's [key_violations] says whether the
@@ -216,9 +191,10 @@ val torture :
   seed:int ->
   unit ->
   torture_report
-(** Seeded randomized long-run hammering: each run draws a topology
-    (3 or 5 replicas, 1–4 shards, multi-key keyspace), a keyed batch
-    workload, a lossy/duplicating/reordering fault model and a timed
+(** Seeded randomized long-run hammering: each run draws a
+    {!Sim_run.spec} (3 or 5 replicas, 1–4 shards, multi-key keyspace,
+    window 1–8), a keyed batch workload, a
+    lossy/duplicating/reordering fault model and a timed
     crash/restart/partition fate schedule
     ({!Harness.Failure.random_net_fates}), executes it to quiescence
     and asserts per-key atomicity {e and} completion.  A third of the

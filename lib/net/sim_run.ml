@@ -103,29 +103,89 @@ let singles processes =
 
 type reconfig = { key : int; to_shard : int; at : float option }
 
+type store = {
+  snapshot_every : int;
+  gc_bytes : int option;
+  group_commit : Storage.commit_config option;
+}
+
+type spec = {
+  replicas : int;
+  shards : int;
+  group_size : int option;
+  keys : int;
+  window : int;
+  engine : Engine.kind;
+  bug : Bug.t;
+  store : store option;
+}
+
+let default_store =
+  { snapshot_every = 32; gc_bytes = None; group_commit = None }
+
+let default =
+  { replicas = 3; shards = 1; group_size = None; keys = 1; window = 4;
+    engine = Engine.Abd; bug = Bug.none; store = Some default_store }
+
+(* The one place a cluster description is checked.  A count below 1
+   would build a cluster in which no op can run, so every verdict on it
+   would be vacuous.  A weakened read quorum or a skipped write-back is
+   meaningless to the twobit protocol (reads take one reply and write
+   nothing back by design) and unordered links are meaningless to ABD
+   (timestamps already tolerate reordering), so a mismatched hook is an
+   error, not a silent no-op. *)
+let validate ?reconfig s =
+  let fail fmt = Fmt.kstr invalid_arg ("Sim_run.spec: " ^^ fmt) in
+  let positive name n = if n < 1 then fail "%s is %d, want at least 1" name n in
+  positive "replicas" s.replicas;
+  positive "shards" s.shards;
+  positive "keys" s.keys;
+  positive "window" s.window;
+  Option.iter (positive "group_size") s.group_size;
+  let b = s.bug in
+  (match b.Bug.read_quorum with
+   | Some q when q < 1 || q > s.replicas ->
+     fail "read_quorum %d out of range for %d replicas (want 1..%d)" q
+       s.replicas s.replicas
+   | _ -> ());
+  (match s.engine with
+   | Engine.Abd ->
+     if b.unordered then
+       fail
+         "unordered is a twobit-engine bug hook; the abd engine has no link \
+          layer to disorder"
+   | Engine.Twobit ->
+     if b.read_quorum <> None then
+       fail
+         "read_quorum is an abd-engine bug hook; the twobit engine reads from \
+          a single reply by design";
+     if b.skip_write_back then
+       fail
+         "skip_write_back is an abd-engine bug hook; twobit reads have no \
+          write-back to skip");
+  if b.skip_dual_write && reconfig = None then
+    fail
+      "skip_dual_write is the reconfiguration bug hook; it needs a reconfig \
+       migration to skip dual writes of"
+
 type cluster = {
   net : Sim_net.t;
   server : Server.t;
   replica_nodes : int list;
-  init : int;
   expected : int;
   metrics : Metrics.t;
-  durable : bool;
   disks : Storage.Disk.t array;
   replica_of : int -> Replica.t;
   reconfig_ack : bool option ref;
 }
 
-let build ?(faults = Sim_net.reliable) ?(replicas = 3) ?(window = 4)
-    ?(shards = 1) ?group_size ?keys ?(engine = Engine.default)
-    ?(bug = Bug.none) ?(durable = true) ?(snapshot_every = 32) ?gc_bytes
-    ?group_commit ?(xprocesses = []) ?reconfig ?measure ?trace ~seed ~init
-    ~processes () =
+(* Every simulated register starts at 0. *)
+let init = 0
+
+let create ?(faults = Sim_net.reliable) ?reconfig ?measure ?trace spec ~seed
+    ~workload =
+  validate ?reconfig spec;
   let metrics = Metrics.create () in
-  let nkeys = max 1 (match keys with Some k -> k | None -> shards) in
-  let xprocesses =
-    match xprocesses with [] -> singles processes | xs -> xs
-  in
   let faults =
     {
       faults with
@@ -150,22 +210,25 @@ let build ?(faults = Sim_net.reliable) ?(replicas = 3) ?(window = 4)
             tr.Transport.send ~src ~dst msg);
       }
   in
+  let replicas = spec.replicas in
   let replica_nodes = List.init replicas Fun.id in
   (* replicas: each owns a simulated disk (when durable) and an
      incarnation cell, swapped by the amnesia recovery hook *)
   let disks =
-    if durable then Array.init replicas (fun _ -> Storage.Disk.create ())
+    if Option.is_some spec.store then
+      Array.init replicas (fun _ -> Storage.Disk.create ())
     else [||]
   in
-  let unordered = bug.Bug.unordered in
+  let unordered = spec.bug.Bug.unordered in
   let fresh_replica r =
-    if durable then
+    match spec.store with
+    | Some { snapshot_every; gc_bytes; group_commit } ->
       Replica.create ~init
         ~storage:
           (Storage.create ~snapshot_every ?gc_bytes ?group_commit
              (Storage.Disk.backend disks.(r)))
         ~unordered ()
-    else Replica.create ~init ~unordered ()
+    | None -> Replica.create ~init ~unordered ()
   in
   let incarnations = Array.init replicas fresh_replica in
   (* replies — including group-commit acks deferred past a turn — may
@@ -194,7 +257,7 @@ let build ?(faults = Sim_net.reliable) ?(replicas = 3) ?(window = 4)
              durability the replacement recovers snapshot+WAL from the
              replica's disk; without, it comes back empty — exactly
              the forgotten-acknowledgement bug the explorer hunts *)
-          if durable then Storage.Disk.revive disks.(r);
+          if Option.is_some spec.store then Storage.Disk.revive disks.(r);
           let rep = fresh_replica r in
           incarnations.(r) <- rep;
           emits.(r) <- emit_of r rep))
@@ -203,18 +266,21 @@ let build ?(faults = Sim_net.reliable) ?(replicas = 3) ?(window = 4)
      keeping its history; the retransmission period must exceed a
      replica round trip *)
   let resend_every = (4.0 *. faults.Sim_net.max_delay) +. 1.0 in
-  let map = Shard_map.create ?group_size ~shards () in
+  let map =
+    Shard_map.create ?group_size:spec.group_size ~shards:spec.shards ()
+  in
   let member =
     {
       Server.worker = 0;
       domains = 1;
-      txns = Txn.create ~torn:bug.Bug.torn_txn ~init ();
+      txns = Txn.create ~torn:spec.bug.Bug.torn_txn ~init ();
       post = (fun f -> f ());
       peer_stores = [];
     }
   in
   let server =
-    Server.create ~transport:tr ~resend_every ~engine ~bug ~metrics
+    Server.create ~transport:tr ~resend_every
+      ~engine:{ Engine.kind = spec.engine } ~bug:spec.bug ~metrics
       ?trace ~map ~history:true ~member ~me:Transport.server
       ~replicas:replica_nodes ~init ()
   in
@@ -257,7 +323,7 @@ let build ?(faults = Sim_net.reliable) ?(replicas = 3) ?(window = 4)
           let op =
             match xop with
             | Single op ->
-              let key = seq mod nkeys in
+              let key = seq mod spec.keys in
               (match op with
                | E.Read -> Wire.Read_k { key }
                | E.Write v -> Wire.Write_k { key; value = v })
@@ -277,32 +343,46 @@ let build ?(faults = Sim_net.reliable) ?(replicas = 3) ?(window = 4)
              | None -> ())
           | _ -> ());
       let first = ref [ Wire.Hello { proc } ] in
-      for _ = 1 to window do
+      for _ = 1 to spec.window do
         match next_req () with
         | Some req -> first := req :: !first
         | None -> ()
       done;
       tr.Transport.send ~src:me ~dst:Transport.server
         (Wire.Batch (List.rev !first)))
-    xprocesses;
+    workload;
   let expected =
     List.fold_left
       (fun n { xscript; _ } ->
         List.fold_left (fun n xop -> n + xop_weight xop) n xscript)
-      0 xprocesses
+      0 workload
   in
   {
     net;
     server;
     replica_nodes;
-    init;
     expected;
     metrics;
-    durable;
     disks;
     replica_of = (fun r -> incarnations.(r));
     reconfig_ack;
   }
+
+(* The labels the frozen end-to-end simulator leg passes, filled into a
+   spec: a non-empty [xprocesses] replaces [processes], and registers
+   start at 0 whatever [init] says. *)
+let build ~replicas ~window ~shards ~keys ~engine ~durable ~snapshot_every
+    ~group_commit ~measure ~xprocesses ~seed ~init:_ ~processes () =
+  let store =
+    if durable then
+      Some { snapshot_every; gc_bytes = None; group_commit = Some group_commit }
+    else None
+  in
+  let engine = engine.Engine.kind in
+  create ~measure
+    { default with replicas; shards; keys; window; engine; store }
+    ~seed
+    ~workload:(match xprocesses with [] -> singles processes | xs -> xs)
 
 let apply_fate cl = function
   | Harness.Failure.Crash r -> Sim_net.crash cl.net r
@@ -325,7 +405,7 @@ let collect cl ~steps =
   let key_fastcheck =
     List.map
       (fun (k, v) -> (k, Result.is_ok v))
-      (fastcheck_by_key ~init:cl.init keyed)
+      (fastcheck_by_key ~init keyed)
   in
   let key_violations =
     List.map

@@ -1,6 +1,7 @@
 (** Run a register workload over a simulated cluster under a seeded
     fault schedule, audit it live, and re-check the served history:
-    {!build} wires the cluster up, {!run} drives it to quiescence.
+    {!create} wires a {!spec}'s cluster up, {!run} drives it to
+    quiescence.
 
     Topology: [replicas] replica nodes ([0 .. r-1]), one server
     ({!Transport.server}), one client node per workload process
@@ -14,11 +15,11 @@
     its history.
 
     With [shards] > 1 the server hosts a sharded keyspace and each
-    process round-robins its script over [keys] (default: one key per
-    shard) distinct keys, so a pipelining window keeps several per-key
-    engines busy at once; every key is audited independently.
+    process round-robins its script over [keys] distinct keys, so a
+    pipelining window keeps several per-key engines busy at once;
+    every key is audited independently.
 
-    The whole run is deterministic in [(seed, faults, shards, workload,
+    The whole run is deterministic in [(seed, faults, spec, workload,
     schedule)]: sweeping seeds and fault parameters model-checks the
     transport + quorum + server stack, which is exactly what
     [test/test_net.ml] does. *)
@@ -49,7 +50,7 @@ type outcome = {
   metrics : Metrics.t;
       (** the cluster-wide metrics registry (transport counters, quorum
           phase histograms, server op latencies, per-shard counters),
-          fresh for each {!build}; also the cluster's [metrics] *)
+          fresh for each {!create}; also the cluster's [metrics] *)
   epoch : int;
       (** configuration epoch at quiescence (advances by one per
           completed migration — see {!Reconfig}) *)
@@ -87,29 +88,81 @@ val singles : int Registers.Vm.process list -> xprocess list
 
 (** {2 Clusters}
 
-    {!Explore} needs the same topology {!run} drives — replicas,
-    server, window-pipelining clients — but with the event loop driven
-    externally ({!Sim_net.pending}/{!Sim_net.fire}) instead of by
-    {!Sim_net.run}.  [build] constructs the cluster without running it;
-    [collect] computes the {!outcome} from wherever the run got to. *)
+    One {!spec} describes the cluster under test; {!create} builds it
+    without running it, {!run} drives it to quiescence, and {!Explore}
+    drives the same cluster externally
+    ({!Sim_net.pending}/{!Sim_net.fire}) instead.  [collect] computes
+    the {!outcome} from wherever the run got to. *)
+
+type store = {
+  snapshot_every : int;  (** appends between snapshots *)
+  gc_bytes : int option;
+      (** the WAL-size GC frontier ({!Storage.create}); [None] = off *)
+  group_commit : Storage.commit_config option;
+      (** a commit queue ({!Storage.commit_config}), [flush_every] in
+          virtual-time units ([0.] flushes at the end of each turn) *)
+}
+(** How each replica persists its stores to its private
+    {!Storage.Disk}. *)
+
+type spec = {
+  replicas : int;  (** replica nodes *)
+  shards : int;  (** server shards (keys hash across them) *)
+  group_size : int option;
+      (** replicas per shard group (see {!Shard_map.group}) — with
+          [Some 1] and 2 shards the two replica groups are disjoint,
+          the sharpest reconfiguration topology; [None]: every replica *)
+  keys : int;  (** registers the [Single] scripts round-robin over *)
+  window : int;  (** client pipelining window *)
+  engine : Engine.kind;
+      (** the replication protocol every shard runs.  The twobit
+          engine's link layer does not survive amnesia fates: pair it
+          with crash/restart only *)
+  bug : Bug.t;
+      (** the deliberate bugs planted: the server gets every hook but
+          the torn-batch one, which is its coordinator's
+          ({!Txn.create}), and the replicas get the twobit link-order
+          one *)
+  store : store option;
+      (** [Some]: each replica persists every accepted store before
+          acking, and an amnesia restart recovers from its disk.
+          [None]: volatile replicas, so an amnesia restart comes back
+          empty and an acked store can be forgotten — what
+          {!Explore}'s no-durability hunts catch *)
+}
+(** The cluster under test. *)
+
+val default_store : store
+(** Snapshot every 32 appends, no GC frontier, no group commit. *)
+
+val default : spec
+(** 3 replicas, 1 shard (the unsharded single-register service), every
+    replica in it, 1 key, window 4, ABD, no bug, {!default_store}. *)
 
 type reconfig = {
   key : int;  (** the key to migrate *)
   to_shard : int;  (** its destination shard *)
   at : float option;
-      (** when the request is sent: [None] at build time, [Some t] at
+      (** when the request is sent: [None] at creation, [Some t] at
           virtual time [t] (via {!Sim_net.at}) *)
 }
 (** A migration request ({!Wire.msg.Reconfig}, epoch 0). *)
+
+val validate : ?reconfig:reconfig -> spec -> unit
+(** Check a spec, as {!create} and {!Explore.config} do.
+    @raise Invalid_argument if [replicas], [shards], [keys], [window]
+    or [group_size] is below 1, if the bug's [read_quorum] is outside
+    [1..replicas], if a hook names the wrong engine ([read_quorum] or
+    [skip_write_back] with twobit, [unordered] with ABD), if
+    [skip_dual_write] is set without a [reconfig].  A [reconfig] to a
+    shard outside the map is legal: the server nacks it. *)
 
 type cluster = {
   net : Sim_net.t;
   server : Server.t;
   replica_nodes : int list;
-  init : int;
   expected : int;  (** operations in the workload *)
   metrics : Metrics.t;
-  durable : bool;
   disks : Storage.Disk.t array;
       (** one simulated disk per replica node ([[||]] when not
           durable) — tests reach in to install crash-point hooks and
@@ -121,83 +174,69 @@ type cluster = {
       (** verdict of the [?reconfig] request's ack, once it arrives *)
 }
 
-val build :
+val create :
   ?faults:Sim_net.faults ->
-  ?replicas:int ->
-  ?window:int ->
-  ?shards:int ->
-  ?group_size:int ->
-  ?keys:int ->
-  ?engine:Engine.spec ->
-  ?bug:Bug.t ->
-  ?durable:bool ->
-  ?snapshot_every:int ->
-  ?gc_bytes:int ->
-  ?group_commit:Storage.commit_config ->
-  ?xprocesses:xprocess list ->
   ?reconfig:reconfig ->
   ?measure:(src:int -> dst:int -> Wire.msg -> unit) ->
   ?trace:Trace.t ->
+  spec ->
   seed:int ->
-  init:int ->
-  processes:int Registers.Vm.process list ->
-  unit ->
+  workload:xprocess list ->
   cluster
 (** Wire up the cluster and enqueue every client's opening batch; no
-    event has fired yet.  Defaults: reliable network, 3 replicas,
-    pipelining window 4, 1 shard (the unsharded single-register
-    service).  The server always audits.
+    event has fired yet.  Registers start at 0, and the server always
+    audits.  [faults] defaults to a reliable network.  [measure]
+    observes every send the server, replicas and clients make (before
+    fault injection — offered, not delivered, traffic), e.g. the
+    bench's bytes-on-the-wire accounting.
 
-    [engine] picks the replication protocol (default ABD; see
-    {!Engine}).  Note the twobit engine's link layer does not survive
-    amnesia fates — pair it with crash/restart only.  [bug] (default
-    {!Bug.none}) plants the explorer's deliberate bugs: the server
-    gets every hook ({!Server.create}) but the torn-batch one, which
-    is its coordinator's ({!Txn.create}), and the replicas get the
-    twobit link-order one.  [measure] observes every send the server,
-    replicas and clients make (before fault injection — offered, not
-    delivered, traffic), e.g. the bench's bytes-on-the-wire
-    accounting.
+    With a [store], each live replica's store is driven by
+    {!Storage.drive} (through {!Replica.drive}) at the end of every
+    handler turn, as a socket replica's is, and group-commit acks are
+    emitted from batch durability completions.  Acks are guarded so a
+    crashed node or a stale (pre-amnesia) incarnation cannot speak for
+    its replacement, and {!Sim_net} drops a stale incarnation's flush
+    timers.
 
-    With [durable] (the default) each replica persists every accepted
-    store to a private {!Storage.Disk} (WAL + snapshot every
-    [snapshot_every] appends, default 32) before acking, and an
-    amnesia restart recovers from it; with [durable:false] an amnesia
-    restart comes back empty, so an acked store can be forgotten —
-    what {!Explore}'s no-durability hunts catch.  [group_commit] opens
-    each replica disk store with a commit queue
-    ({!Storage.commit_config}): store acks are emitted from batch
-    durability completions, and each live replica's store is driven
-    by {!Storage.drive} (through {!Replica.drive}) at the end of every
-    handler turn, as a socket replica's is ([flush_every] in
-    virtual-time units; [0.] flushes at the end of each turn).  Acks
-    are guarded so a crashed node or a stale (pre-amnesia)
-    incarnation cannot speak for its replacement, and {!Sim_net}
-    drops a stale incarnation's flush timers.  [gc_bytes] opens each
-    replica store with the WAL-size GC frontier (see
-    {!Storage.create}).
-
-    [xprocesses] (default: [singles processes]; when non-empty
-    [processes] is ignored) runs an extended workload with multi-key
-    transactions and snapshot reads, audited by the server's shared
-    {!Txn} coordinator.
-
-    [group_size] restricts each shard to a rotating window of that
-    many replicas (see {!Shard_map.group}) — with [group_size 1] and 2
-    shards the two replica groups are disjoint, the sharpest
-    reconfiguration topology.  [reconfig] registers a dedicated
-    fault-immune control client ({!Transport.client}[ 99]) that asks
-    the server to migrate [key] onto [to_shard] (epoch 0): at build
-    time when [at] is [None] — under {!Explore} the request's
+    [workload] is an extended workload (see {!singles}) with
+    multi-key transactions and snapshot reads, audited by the
+    server's shared {!Txn} coordinator.  [reconfig] registers a
+    dedicated fault-immune control client ({!Transport.client}[ 99])
+    that asks the server to migrate [key] onto [to_shard] (epoch 0):
+    at creation when [at] is [None] — under {!Explore} the request's
     delivery is then an ordinary schedulable event — or at virtual
     time [at].  The ack's verdict and the final epoch land in the
     outcome.
 
     The cluster's fresh [metrics] registry and [trace] are shared by
-    the transport and the server: the trace (virtual-time stamped) records sends, deliveries, drops,
-    timer fires and every operation invoke/respond with its key, and
-    can be dumped with {!Trace.dump} and replayed through the checker
-    with {!Trace.keyed_history_of_file}. *)
+    the transport and the server: the trace (virtual-time stamped)
+    records sends, deliveries, drops, timer fires and every operation
+    invoke/respond with its key, and can be dumped with {!Trace.dump}
+    and replayed through the checker with
+    {!Trace.keyed_history_of_file}.
+    @raise Invalid_argument as {!validate}. *)
+
+val build :
+  replicas:int ->
+  window:int ->
+  shards:int ->
+  keys:int ->
+  engine:Engine.spec ->
+  durable:bool ->
+  snapshot_every:int ->
+  group_commit:Storage.commit_config ->
+  measure:(src:int -> dst:int -> Wire.msg -> unit) ->
+  xprocesses:xprocess list ->
+  seed:int ->
+  init:int ->
+  processes:int Registers.Vm.process list ->
+  unit ->
+  cluster
+(** {!create} under the labels the end-to-end benchmark's simulator
+    leg passes: [durable] with its [snapshot_every] and
+    [group_commit] is the [store], a non-empty [xprocesses] replaces
+    [singles processes], and [init] is ignored (registers start at
+    0).  New callers use {!create}. *)
 
 val run :
   ?fates:(float * Harness.Failure.net_fate) list ->

@@ -102,6 +102,9 @@ type backend = {
           then truncate), a crash between them must leave the {e new}
           snapshot and the old WAL — safe under the recovery
           invariant. *)
+  close : unit -> unit;
+      (** release what the backend holds open (the file backend's WAL
+          descriptor); called once, by {!close} *)
 }
 
 val mem_backend : unit -> backend
@@ -278,6 +281,13 @@ val drive : t -> transport:Transport.t -> node:Transport.node -> unit
 
 val snapshot : t -> unit
 (** Force a snapshot now (flushes the pending batch first). *)
+
+val close : t -> unit
+(** Commit the pending batch (its completions fire), then release the
+    backend: a store over {!file_backend} holds its WAL descriptor
+    open until then, so each reopen of a directory in one process
+    needs the previous store closed.  Closing twice is a no-op; an
+    append after close raises [Invalid_argument]. *)
 
 val pin : t -> unit
 (** Hold the GC frontier: while any pin is held, a [gc_bytes] trigger

@@ -41,8 +41,9 @@ let conformance kind () =
     (fun seed ->
       let o =
         Net.Sim_run.run
-          (Net.Sim_run.build ~faults ~replicas:3 ~shards:2 ~keys:4 ~window:4
-             ~engine:(espec kind) ~seed ~init:0 ~processes ())
+          (Net.Sim_run.create ~faults
+             { Net.Sim_run.default with shards = 2; keys = 4; engine = kind }
+             ~seed ~workload:(Net.Sim_run.singles processes))
       in
       Alcotest.(check int)
         (Fmt.str "seed %d: all ops complete" seed)
@@ -104,9 +105,9 @@ let xconformance () =
     (fun seed ->
       let leg kind =
         let cl =
-          Net.Sim_run.build ~faults ~replicas:3 ~shards:2 ~keys:xkeys
-            ~window:4 ~engine:(espec kind) ~seed ~init:0 ~processes:[]
-            ~xprocesses:xconformance_workload ()
+          Net.Sim_run.create ~faults
+            { Net.Sim_run.default with shards = 2; keys = xkeys; engine = kind }
+            ~seed ~workload:xconformance_workload
         in
         let o = Net.Sim_run.run cl in
         let what = Fmt.str "seed %d %s" seed (Net.Engine.kind_name kind) in
@@ -143,8 +144,9 @@ let twobit_cheaper_on_the_wire () =
   let processes = [ proc 0 [ w 1; r; w 2; r ]; proc 1 [ w 3; r; w 4; r ] ] in
   let run kind =
     Net.Sim_run.run
-      (Net.Sim_run.build ~replicas:3 ~engine:(espec kind) ~seed:7 ~init:0
-         ~processes ())
+      (Net.Sim_run.create
+         { Net.Sim_run.default with engine = kind } ~seed:7
+         ~workload:(Net.Sim_run.singles processes))
   in
   let a = run Net.Engine.Abd and t = run Net.Engine.Twobit in
   Alcotest.(check int) "abd completes" a.Net.Sim_run.expected
@@ -193,8 +195,15 @@ let twobit_crashed_replica () =
   let o =
     Net.Sim_run.run
       ~fates:[ (0.0, Harness.Failure.Crash 0) ]
-      (Net.Sim_run.build ~replicas:3 ~shards ~keys:2 ~window:1
-         ~engine:(espec Net.Engine.Twobit) ~seed:1 ~init:0 ~processes ())
+      (Net.Sim_run.create
+         {
+           Net.Sim_run.default with
+           shards;
+           keys = 2;
+           window = 1;
+           engine = Net.Engine.Twobit;
+         }
+         ~seed:1 ~workload:(Net.Sim_run.singles processes))
   in
   Alcotest.(check int) "all ops complete" o.Net.Sim_run.expected
     o.Net.Sim_run.completed;
@@ -243,8 +252,15 @@ let engines_meter_their_sends () =
     in
     let o =
       Net.Sim_run.run
-        (Net.Sim_run.build ~faults ~replicas ~shards:2 ~keys:4
-           ~engine:(espec kind) ~measure ~seed:11 ~init:0 ~processes ())
+        (Net.Sim_run.create ~faults ~measure
+           {
+             Net.Sim_run.default with
+             replicas;
+             shards = 2;
+             keys = 4;
+             engine = kind;
+           }
+           ~seed:11 ~workload:(Net.Sim_run.singles processes))
     in
     let what = Fmt.str "%s, %s" (Net.Engine.kind_name kind) name in
     Alcotest.(check int) (what ^ ": all ops complete") o.Net.Sim_run.expected
@@ -270,13 +286,15 @@ let engines_meter_their_sends () =
 (* --- twobit under the explorer ------------------------------------ *)
 
 let singles = Net.Sim_run.singles
+let twobit = { Net.Sim_run.default with engine = Net.Engine.Twobit }
+let twobit1 = { twobit with replicas = 1 }
 let two_writers = singles [ proc 0 [ w 7 ]; proc 1 [ w 9 ] ]
 let writer_reader = singles [ proc 0 [ w 7 ]; proc 2 [ r ] ]
 
 let twobit_exhaustive_two_writers () =
   let res =
     Ex.explore
-      (Ex.config ~engine:Net.Engine.Twobit ~replicas:1 ~workload:two_writers ())
+      (Ex.config ~spec:twobit1 ~workload:two_writers ())
   in
   Alcotest.(check bool) "exhausted" true res.Ex.stats.S.exhausted;
   match res.Ex.counterexample with
@@ -286,8 +304,7 @@ let twobit_exhaustive_two_writers () =
 let twobit_exhaustive_writer_reader () =
   let res =
     Ex.explore
-      (Ex.config ~engine:Net.Engine.Twobit ~replicas:1 ~fastcheck:true
-         ~workload:writer_reader ())
+      (Ex.config ~spec:twobit1 ~fastcheck:true ~workload:writer_reader ())
   in
   Alcotest.(check bool) "exhausted" true res.Ex.stats.S.exhausted;
   match res.Ex.counterexample with
@@ -307,7 +324,8 @@ let inversion_prone =
 
 let twobit_unordered_caught_shrunk_replayed () =
   let cfg =
-    Ex.config ~engine:Net.Engine.Twobit ~unordered:true ~replicas:3
+    Ex.config
+      ~spec:{ twobit with bug = { Net.Bug.none with unordered = true } }
       ~workload:inversion_prone ()
   in
   match (Ex.hunt ~walks:2000 ~seed:3 cfg).Ex.counterexample with
@@ -326,9 +344,9 @@ let twobit_unordered_caught_shrunk_replayed () =
         Ex.save ~file cfg' ce';
         let cfg'', sched, o' = Ex.replay_file ~file in
         Alcotest.(check bool) "engine survives the artifact" true
-          (cfg''.Ex.engine = Net.Engine.Twobit);
+          (cfg''.Ex.spec.engine = Net.Engine.Twobit);
         Alcotest.(check bool) "bug hook survives the artifact" true
-          cfg''.Ex.bug.Net.Bug.unordered;
+          cfg''.Ex.spec.bug.unordered;
         Alcotest.(check (list int)) "schedule survives" ce'.Ex.schedule sched;
         Alcotest.(check bool) "artifact replays to a violation" true
           (o'.Net.Sim_run.key_violations <> []))
@@ -338,8 +356,7 @@ let twobit_ordered_hunt_clean () =
      nails the unordered bug must come up empty *)
   match
     (Ex.hunt ~walks:2000 ~seed:3
-       (Ex.config ~engine:Net.Engine.Twobit ~replicas:3
-          ~workload:inversion_prone ()))
+       (Ex.config ~spec:twobit ~workload:inversion_prone ()))
       .Ex.counterexample
   with
   | None -> ()
@@ -362,52 +379,70 @@ let invalid_arg_raised name f =
 let config_validation () =
   (* satellite: a read quorum larger than the replica set (or below 1)
      must be refused up front, not hang or fail deep inside a run *)
+  let hooked ?(spec = Net.Sim_run.default) bug =
+    Ex.config ~spec:{ spec with bug } ~workload:two_writers ()
+  in
+  let none = Net.Bug.none in
   invalid_arg_raised "read_quorum > replicas" (fun () ->
-      Ex.config ~replicas:3 ~read_quorum:4 ~workload:two_writers ());
+      hooked { none with read_quorum = Some 4 });
   invalid_arg_raised "read_quorum < 1" (fun () ->
-      Ex.config ~replicas:3 ~read_quorum:0 ~workload:two_writers ());
+      hooked { none with read_quorum = Some 0 });
   invalid_arg_raised "read_quorum is not a twobit hook" (fun () ->
-      Ex.config ~engine:Net.Engine.Twobit ~replicas:3 ~read_quorum:1
-        ~workload:two_writers ());
+      hooked ~spec:twobit { none with read_quorum = Some 1 });
   invalid_arg_raised "unordered is not an abd hook" (fun () ->
-      Ex.config ~replicas:3 ~unordered:true ~workload:two_writers ());
+      hooked { none with unordered = true });
   invalid_arg_raised "twobit is crash-stop only" (fun () ->
-      Ex.config ~engine:Net.Engine.Twobit ~replicas:3 ~amnesia:[ 0 ]
-        ~max_amnesia:1 ~workload:two_writers ());
+      Ex.config ~spec:twobit ~amnesia:[ 0 ] ~max_amnesia:1
+        ~workload:two_writers ());
   (* boundary cases stay legal *)
-  ignore (Ex.config ~replicas:3 ~read_quorum:3 ~workload:two_writers ());
+  ignore (hooked { none with read_quorum = Some 3 });
   ignore
-    (Ex.config ~engine:Net.Engine.Twobit ~replicas:3 ~crashable:[ 0 ]
-       ~max_crashes:1 ~workload:two_writers ())
+    (Ex.config ~spec:twobit ~crashable:[ 0 ] ~max_crashes:1
+       ~workload:two_writers ())
 
-(* [Bug.make] is the one place hooks are validated: every layer below
-   takes the value it returns as given. *)
+(* [Sim_run.validate] is the one place hooks are checked, against the
+   cluster they break: every layer below takes the [Bug.t] as given. *)
 let engines_reject_mismatched_hooks () =
-  let mk ?read_quorum ?skip_write_back ?unordered ?skip_dual_write
-      ?(migration = false) engine =
-    Net.Bug.make ?read_quorum ?skip_write_back ?unordered ?skip_dual_write
-      ~engine ~replicas:3 ~migration ()
+  let check ?(migration = false) engine bug =
+    Net.Sim_run.validate
+      ?reconfig:
+        (if migration then
+           Some { Net.Sim_run.key = 0; to_shard = 0; at = None }
+         else None)
+      { Net.Sim_run.default with engine; bug }
   in
+  let none = Net.Bug.none in
   invalid_arg_raised "abd + unordered" (fun () ->
-      mk ~unordered:true Net.Engine.Abd);
+      check Net.Engine.Abd { none with unordered = true });
   invalid_arg_raised "twobit + read_quorum" (fun () ->
-      mk ~read_quorum:1 Net.Engine.Twobit);
+      check Net.Engine.Twobit { none with read_quorum = Some 1 });
   invalid_arg_raised "twobit + skip_write_back" (fun () ->
-      mk ~skip_write_back:true Net.Engine.Twobit);
+      check Net.Engine.Twobit { none with skip_write_back = true });
   invalid_arg_raised "skip_dual_write without a migration" (fun () ->
-      mk ~skip_dual_write:true Net.Engine.Abd);
-  ignore (mk ~read_quorum:1 Net.Engine.Abd);
-  ignore (mk ~unordered:true Net.Engine.Twobit);
-  ignore (mk ~skip_dual_write:true ~migration:true Net.Engine.Twobit);
+      check Net.Engine.Abd { none with skip_dual_write = true });
+  check Net.Engine.Abd { none with read_quorum = Some 1 };
+  check Net.Engine.Twobit { none with unordered = true };
+  check ~migration:true Net.Engine.Twobit { none with skip_dual_write = true };
   (* the artifact encoding round-trips, and an absent field is off *)
-  let b = mk ~read_quorum:2 ~skip_write_back:true Net.Engine.Abd in
-  let decode fields =
-    Net.Bug.of_fields
-      (fun k -> List.assoc_opt k fields)
-      ~engine:Net.Engine.Abd ~replicas:3 ~migration:false
+  let bug = { none with read_quorum = Some 2; skip_write_back = true } in
+  let cfg =
+    Ex.config ~spec:{ Net.Sim_run.default with bug } ~workload:two_writers ()
   in
-  Alcotest.(check bool) "fields round-trip" true (decode (Net.Bug.fields b) = b);
-  Alcotest.(check bool) "no fields, no bug" true (decode [] = Net.Bug.none)
+  let file = Filename.temp_file "explore-hooks" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      Ex.save ~file cfg { Ex.schedule = []; key = 0; message = "" };
+      Alcotest.(check bool) "fields round-trip" true
+        ((fst (Ex.load ~file)).Ex.spec.bug = bug);
+      let strip line =
+        List.fold_left Test_explore.strip_field line
+          [ "read_quorum"; "unordered"; "torn_txn"; "skip_dual_write";
+            "skip_write_back"; "stale_copy" ]
+      in
+      Test_explore.(write_lines file (List.map strip (read_lines file)));
+      Alcotest.(check bool) "no fields, no bug" true
+        ((fst (Ex.load ~file)).Ex.spec.bug = none))
 
 (* --- the replica's link receiver ---------------------------------- *)
 
@@ -485,7 +520,7 @@ let twobit_torture_long () =
 
 let twobit_bigger_hunt_clean () =
   let cfg =
-    Ex.config ~engine:Net.Engine.Twobit ~replicas:3 ~keys:2
+    Ex.config ~spec:{ twobit with keys = 2 }
       ~workload:
         (singles [ proc 0 [ w 1; w 2 ]; proc 1 [ w 3 ]; proc 2 [ r; r; r ] ])
       ()
@@ -533,12 +568,12 @@ let registry_restart kind group_commit () =
     [ 1; 2; 3 ];
   Net.Registry.write_at r ~shard:(Net.Registry.shard_of_key r 1) ~reg:reg1
     ~ts:50 ~value:(tagged 9) ~k:ignore;
-  Net.Storage.flush st;
+  Net.Storage.close st;
   let st = open_store () in
   let r, stamps = registry_over kind st in
   Net.Registry.write r ~key:0 ~reg:0 ~value:(tagged 4) ~k:ignore;
   Net.Registry.write r ~key:1 ~reg:0 ~value:(tagged 10) ~k:ignore;
-  Net.Storage.flush st;
+  Net.Storage.close st;
   let ts reg = fst (Net.Storage.find st reg ~default:(0, tagged 0)) in
   Alcotest.(check int) "above the recovered writes" 4 (ts reg0);
   Alcotest.(check int) "above the raised floor" 51 (ts reg1);

@@ -11,6 +11,10 @@ module S = Modelcheck.Schedule
 let tc = Helpers.tc
 let tc_slow = Helpers.tc_slow
 
+(* the default cluster; every config below names only what it changes *)
+let default = Net.Sim_run.default
+let no_bug = Net.Bug.none
+
 let w v = Histories.Event.Write v
 let r = Histories.Event.Read
 let proc p script =
@@ -37,7 +41,9 @@ let inversion_prone =
    FIFO client links removed no interleaving here. *)
 let exhaustive_two_writers engine expected () =
   let res =
-    E.explore (E.config ~engine ~replicas:1 ~workload:two_writers ())
+    E.explore
+      (E.config ~spec:{ default with replicas = 1; engine }
+         ~workload:two_writers ())
   in
   let s = res.E.stats in
   Alcotest.(check bool) "exhausted" true s.S.exhausted;
@@ -49,7 +55,9 @@ let exhaustive_two_writers engine expected () =
 
 let exhaustive_writer_reader () =
   let res =
-    E.explore (E.config ~replicas:1 ~fastcheck:true ~workload:writer_reader ())
+    E.explore
+      (E.config ~spec:{ default with replicas = 1 } ~fastcheck:true
+         ~workload:writer_reader ())
   in
   Alcotest.(check bool) "exhausted" true res.E.stats.S.exhausted;
   match res.E.counterexample with
@@ -58,7 +66,9 @@ let exhaustive_writer_reader () =
 
 let pruning_only_prunes () =
   (* sleep sets must cut the tree, not change its verdict *)
-  let cfg prune = E.config ~replicas:1 ~prune ~workload:two_writers () in
+  let cfg prune =
+    E.config ~spec:{ default with replicas = 1 } ~prune ~workload:two_writers ()
+  in
   let pruned = E.explore (cfg true) in
   let full = E.explore (cfg false) in
   Alcotest.(check bool) "both exhausted" true
@@ -71,12 +81,16 @@ let pruning_only_prunes () =
 let budget_respected () =
   let res =
     E.explore
-      (E.config ~replicas:1 ~max_schedules:50 ~workload:inversion_prone ())
+      (E.config ~spec:{ default with replicas = 1 } ~max_schedules:50
+         ~workload:inversion_prone ())
   in
   Alcotest.(check bool) "not exhausted" false res.E.stats.S.exhausted;
   Alcotest.(check int) "stopped at the budget" 50 res.E.stats.S.schedules
 
-let broken workload = E.config ~replicas:3 ~read_quorum:1 ~workload ()
+let broken workload =
+  E.config
+    ~spec:{ default with bug = { no_bug with read_quorum = Some 1 } }
+    ~workload ()
 
 let broken_quorum_found () =
   (* the regression this module exists for: a read quorum of 1 with 3
@@ -91,7 +105,7 @@ let broken_quorum_found () =
 let honest_quorum_clean () =
   (* same workload, honest majority quorum: the same hunt must stay
      clean *)
-  let cfg = E.config ~replicas:3 ~workload:inversion_prone () in
+  let cfg = E.config ~workload:inversion_prone () in
   let res = E.hunt ~walks:500 ~seed:42 cfg in
   match res.E.counterexample with
   | None -> ()
@@ -142,7 +156,9 @@ let shrink_and_replay_file () =
    that replica — the same new-old inversion, with an honest quorum. *)
 let skip_write_back_caught_shrunk_replayed () =
   let cfg =
-    E.config ~replicas:3 ~skip_write_back:true ~workload:inversion_prone ()
+    E.config
+      ~spec:{ default with bug = { no_bug with skip_write_back = true } }
+      ~workload:inversion_prone ()
   in
   (* seed 42 finds it on walk 1864; 10000 walks cover the worst of
      seeds 1-20 (6758, EXPERIMENTS) *)
@@ -162,7 +178,7 @@ let skip_write_back_caught_shrunk_replayed () =
         E.save ~file cfg' ce';
         let cfg'', sched, o' = E.replay_file ~file in
         Alcotest.(check bool) "bug hook survives the artifact" true
-          cfg''.E.bug.Net.Bug.skip_write_back;
+          cfg''.E.spec.bug.skip_write_back;
         Alcotest.(check (list int)) "schedule survives" ce'.E.schedule sched;
         Alcotest.(check bool) "artifact replays to a violation" true
           (o'.Net.Sim_run.key_violations <> []))
@@ -178,7 +194,9 @@ let writers_read = [ proc 0 [ w 1000; r ]; proc 1 [ w 2000; r ] ]
 
 let exhaustive_writers_read engine expected () =
   let res =
-    E.explore (E.config ~engine ~replicas:1 ~workload:writers_read ())
+    E.explore
+      (E.config ~spec:{ default with replicas = 1; engine }
+         ~workload:writers_read ())
   in
   let s = res.E.stats in
   Alcotest.(check bool) "exhausted" true s.S.exhausted;
@@ -200,7 +218,11 @@ let copy_xprocs =
   ]
 
 let stale_copy_caught_shrunk_replayed () =
-  let cfg = E.config ~replicas:3 ~stale_copy:true ~workload:copy_xprocs () in
+  let cfg =
+    E.config
+      ~spec:{ default with bug = { no_bug with stale_copy = true } }
+      ~workload:copy_xprocs ()
+  in
   match (E.hunt ~seed:42 cfg).E.counterexample with
   | None -> Alcotest.fail "hunt missed the stale copy"
   | Some ce ->
@@ -215,7 +237,7 @@ let stale_copy_caught_shrunk_replayed () =
         E.save ~file cfg' ce';
         let cfg'', sched, o' = E.replay_file ~file in
         Alcotest.(check bool) "bug hook survives the artifact" true
-          cfg''.E.bug.Net.Bug.stale_copy;
+          cfg''.E.spec.bug.stale_copy;
         Alcotest.(check (list int)) "schedule survives" ce'.E.schedule sched;
         Alcotest.(check bool) "artifact replays to a violation" true
           (o'.Net.Sim_run.key_violations <> []))
@@ -224,7 +246,10 @@ let stale_copy_caught_shrunk_replayed () =
    run one after another on one key, and its FIFO link delivers the
    three answers in send order. *)
 let honest_copy_exhausts_clean () =
-  let res = E.explore (E.config ~replicas:1 ~workload:copy_xprocs ()) in
+  let res =
+    E.explore
+      (E.config ~spec:{ default with replicas = 1 } ~workload:copy_xprocs ())
+  in
   Alcotest.(check bool) "exhausted" true res.E.stats.S.exhausted;
   Alcotest.(check int) "schedule count" 1 res.E.stats.S.schedules;
   match res.E.counterexample with
@@ -276,7 +301,8 @@ let pending_fire_restart () =
 let fates_exhaust_clean expected ?crashable ?amnesia ~replicas ~cuts () =
   let res =
     E.explore
-      (E.config ~replicas ?crashable ~max_crashes:1 ?amnesia ~max_amnesia:1
+      (E.config ~spec:{ default with replicas } ?crashable ~max_crashes:1
+         ?amnesia ~max_amnesia:1
          ~cuts ~max_partitions:1
          ~workload:[ proc 0 [ w 7 ] ] ())
   in
@@ -318,7 +344,7 @@ let explore_every_fate_kind () =
 let exhaustive_three_replicas_one_crash () =
   let res =
     E.explore
-      (E.config ~replicas:3 ~crashable:[ 0; 1; 2 ] ~max_crashes:1
+      (E.config ~crashable:[ 0; 1; 2 ] ~max_crashes:1
          ~workload:[ proc 0 [ w 1000; r ] ] ())
   in
   let s = res.E.stats in
@@ -336,7 +362,14 @@ let exhaustive_three_replicas_one_crash () =
    sequential read.  With durability the reboot recovers from the WAL
    and the very same bounded exploration exhausts clean. *)
 let amnesia_cfg ~durable =
-  E.config ~replicas:1 ~amnesia:[ 0 ] ~max_amnesia:1 ~durable
+  E.config
+    ~spec:
+      {
+        default with
+        replicas = 1;
+        store = (if durable then default.store else None);
+      }
+    ~amnesia:[ 0 ] ~max_amnesia:1
     ~workload:[ proc 0 [ w 7 ]; proc 2 [ r ] ]
     ()
 
@@ -387,7 +420,7 @@ let amnesia_without_reboot_budget_clean () =
      is just the honest single-replica service — must exhaust clean *)
   let res =
     E.explore
-      (E.config ~replicas:1 ~durable:false
+      (E.config ~spec:{ default with replicas = 1; store = None }
          ~workload:[ proc 0 [ w 7 ]; proc 2 [ r ] ]
          ())
   in
@@ -408,9 +441,18 @@ let txn_xprocs =
     { Net.Sim_run.xproc = 2; xscript = [ Net.Sim_run.Snap [ 0; 1 ] ] };
   ]
 
-let txn_cfg ?engine ?torn_txn ?max_schedules () =
-  E.config ?engine ?torn_txn ?max_schedules ~replicas:1 ~shards:2 ~keys:2
-    ~workload:txn_xprocs ()
+let txn_cfg ?(engine = Net.Engine.Abd) ?(torn_txn = false) ?max_schedules () =
+  E.config
+    ~spec:
+      {
+        default with
+        replicas = 1;
+        shards = 2;
+        keys = 2;
+        engine;
+        bug = { no_bug with torn_txn };
+      }
+    ?max_schedules ~workload:txn_xprocs ()
 
 let torn_txn_caught_shrunk_replayed () =
   let cfg = txn_cfg ~torn_txn:true () in
@@ -438,7 +480,7 @@ let torn_txn_caught_shrunk_replayed () =
         E.save ~file cfg' ce';
         let cfg'', sched, o' = E.replay_file ~file in
         Alcotest.(check bool) "bug hook survives the artifact" true
-          cfg''.E.bug.Net.Bug.torn_txn;
+          cfg''.E.spec.bug.torn_txn;
         Alcotest.(check int) "extended workload survives" (xops cfg')
           (xops cfg'');
         Alcotest.(check (list int)) "schedule survives" ce'.E.schedule sched;
@@ -465,7 +507,7 @@ let txn_bounded_explore_clean () =
 let xworkload_validation () =
   let bad name xscript =
     match
-      E.config ~shards:2 ~keys:2
+      E.config ~spec:{ default with shards = 2; keys = 2 }
         ~workload:[ { Net.Sim_run.xproc = 0; xscript } ]
         ()
     with
@@ -576,11 +618,11 @@ let old_artifact_loads () =
           (fun (what, rewrite) ->
             write_lines file (rewrite saved);
             let cfg', sched, o' = E.replay_file ~file in
-            Alcotest.(check int) (what ^ ": shards") 1 cfg'.E.shards;
+            Alcotest.(check int) (what ^ ": shards") 1 cfg'.E.spec.shards;
             Alcotest.(check bool) (what ^ ": torn_txn off") false
-              cfg'.E.bug.Net.Bug.torn_txn;
+              cfg'.E.spec.bug.torn_txn;
             Alcotest.(check bool) (what ^ ": stale_copy off") false
-              cfg'.E.bug.Net.Bug.stale_copy;
+              cfg'.E.spec.bug.stale_copy;
             Alcotest.(check bool) (what ^ ": workload") true
               (cfg'.E.workload = cfg.E.workload);
             Alcotest.(check (list int))
@@ -614,7 +656,7 @@ let bounded_hunt_bigger_config () =
   (* honest 3-replica cluster with a writer pair and a two-read reader
      under random walks: no schedule may fail the audit *)
   let cfg =
-    E.config ~replicas:3 ~keys:2
+    E.config ~spec:{ default with keys = 2 }
       ~workload:[ proc 0 [ w 1; w 2 ]; proc 1 [ w 3 ]; proc 2 [ r; r; r ] ]
       ()
   in
@@ -676,9 +718,21 @@ let reconfig_writer_reads =
       xscript = [ Net.Sim_run.Keyed (3, w 1000); Net.Sim_run.Keyed (3, r) ] };
   ]
 
-let reconfig_cfg ?engine ?skip_dual_write ?max_schedules ~workload () =
-  E.config ?engine ?skip_dual_write ?max_schedules ~replicas:2 ~shards:2
-    ~group_size:1 ~keys:4 ~window:1 ~reconfig:(3, 1) ~workload ()
+let reconfig_cfg ?(engine = Net.Engine.Abd) ?(skip_dual_write = false)
+    ?max_schedules ~workload () =
+  E.config
+    ~spec:
+      {
+        default with
+        replicas = 2;
+        shards = 2;
+        group_size = Some 1;
+        keys = 4;
+        window = 1;
+        engine;
+        bug = { no_bug with skip_dual_write };
+      }
+    ?max_schedules ~reconfig:(3, 1) ~workload ()
 
 let reconfig_bounded_explore_clean () =
   (* a budgeted slice of the write+read enumeration on both engines;
@@ -721,7 +775,7 @@ let reconfig_skip_dual_write_caught_shrunk_replayed () =
         E.save ~file cfg' ce';
         let cfg'', sched, o' = E.replay_file ~file in
         Alcotest.(check bool) "bug hook survives the artifact" true
-          cfg''.E.bug.Net.Bug.skip_dual_write;
+          cfg''.E.spec.bug.skip_dual_write;
         Alcotest.(check bool) "migration survives the artifact" true
           (cfg''.E.reconfig = Some (3, 1));
         Alcotest.(check (list int)) "schedule survives" ce'.E.schedule sched;
@@ -745,15 +799,71 @@ let reconfig_validation () =
     | _ -> Alcotest.failf "%s: expected Invalid_argument" name
   in
   bad "hook without a migration" (fun () ->
-      E.config ~shards:2 ~skip_dual_write:true ~workload:two_writers ());
+      E.config
+        ~spec:
+          {
+            default with
+            shards = 2;
+            bug = { no_bug with skip_dual_write = true };
+          }
+        ~workload:two_writers ());
   bad "migration target out of range" (fun () ->
-      E.config ~shards:2 ~reconfig:(0, 2) ~workload:two_writers ());
+      E.config ~spec:{ default with shards = 2 } ~reconfig:(0, 2)
+        ~workload:two_writers ());
   bad "negative migration key" (fun () ->
-      E.config ~shards:2 ~reconfig:(-1, 0) ~workload:two_writers ());
+      E.config ~spec:{ default with shards = 2 } ~reconfig:(-1, 0)
+        ~workload:two_writers ());
   bad "non-positive group size" (fun () ->
-      E.config ~shards:2 ~group_size:0 ~workload:two_writers ());
+      E.config ~spec:{ default with shards = 2; group_size = Some 0 }
+        ~workload:two_writers ());
   (* the boundary stays legal *)
   ignore (reconfig_cfg ~workload:reconfig_write_only ())
+
+(* A spec with no replica, shard, key or window slot can run no op,
+   so every verdict on it would hold vacuously: the spec validator
+   refuses it, for the explorer and the simulator alike. *)
+let degenerate_clusters_refused () =
+  List.iter
+    (fun (what, spec) ->
+      (match E.config ~spec ~workload:two_writers () with
+       | exception Invalid_argument _ -> ()
+       | _ -> Alcotest.failf "Explore.config accepted %s" what);
+      match Net.Sim_run.create spec ~seed:0 ~workload:two_writers with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "Sim_run.create accepted %s" what)
+    [
+      ("0 replicas", { default with replicas = 0 });
+      ("0 shards", { default with shards = 0 });
+      ("0 keys", { default with keys = 0 });
+      ("window 0", { default with window = 0 });
+      ("group size 0", { default with group_size = Some 0 });
+    ]
+
+(* Counterexamples dumped by an earlier build and committed under
+   test/golden (the CI amnesia, torn-txn and reshard hunts): each must
+   still replay to its violation, and saving the loaded config and
+   schedule again must rewrite the file byte for byte.  Found from the
+   test directory (as dune runs the suite) or the repository root. *)
+let committed_artifacts_replay () =
+  List.iter
+    (fun name ->
+      let file =
+        List.find Sys.file_exists
+          [ Filename.concat "golden" name; Filename.concat "test/golden" name ]
+      in
+      let cfg, schedule, o = E.replay_file ~file in
+      Alcotest.(check bool) (name ^ ": replays to its violation") true
+        (o.Net.Sim_run.key_violations <> []
+        || o.Net.Sim_run.txn_violations <> []);
+      let copy = Filename.temp_file "explore-golden" ".jsonl" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove copy)
+        (fun () ->
+          E.save ~file:copy cfg { E.schedule; key = 0; message = "" };
+          let bytes f = In_channel.with_open_bin f In_channel.input_all in
+          Alcotest.(check string) (name ^ ": rewritten byte for byte")
+            (bytes file) (bytes copy)))
+    [ "amnesia-ce.jsonl"; "txn-ce.jsonl"; "reshard-ce.jsonl" ]
 
 let pre_reconfig_artifact_loads () =
   (* artifacts written before this layer carry no group_size/reconfig/
@@ -775,11 +885,11 @@ let pre_reconfig_artifact_loads () =
         write_lines file (List.map strip (read_lines file));
         let cfg', _, o' = E.replay_file ~file in
         Alcotest.(check bool) "group_size defaulted" true
-          (cfg'.E.group_size = None);
+          (cfg'.E.spec.group_size = None);
         Alcotest.(check bool) "reconfig defaulted" true
           (cfg'.E.reconfig = None);
         Alcotest.(check bool) "skip_dual_write defaulted" false
-          cfg'.E.bug.Net.Bug.skip_dual_write;
+          cfg'.E.spec.bug.skip_dual_write;
         Alcotest.(check bool) "old artifact still replays to its verdict"
           true
           (o'.Net.Sim_run.key_violations <> []))
@@ -788,7 +898,7 @@ let fates_artifact_round_trip () =
   (* a config's fate sets travel in the artifact's [crashable],
      [amnesia] and [cut] note lines and load back unchanged *)
   let cfg =
-    E.config ~replicas:3 ~crashable:[ 0; 2 ] ~max_crashes:1 ~amnesia:[ 1 ]
+    E.config ~crashable:[ 0; 2 ] ~max_crashes:1 ~amnesia:[ 1 ]
       ~max_amnesia:1
       ~cuts:[ ([ 0 ], [ 1; 2 ]); ([ 1; 2 ], [ 0; 100 ]) ]
       ~max_partitions:2
@@ -885,6 +995,9 @@ let suite =
     tc "reconfig: honest dual writes, same hunt stays clean"
       reconfig_honest_hunt_clean;
     tc "reconfig: bug hooks validated at config time" reconfig_validation;
+    tc "degenerate clusters are refused" degenerate_clusters_refused;
+    tc "committed artifacts replay and rewrite byte for byte"
+      committed_artifacts_replay;
     tc "pre-reconfig artifacts load with defaults" pre_reconfig_artifact_loads;
     tc "torture: small seeded batch clean" torture_small;
   ]

@@ -548,8 +548,8 @@ let check_outcome ~what (o : Net.Sim_run.outcome) =
 let sim_reliable () =
   let o =
     Net.Sim_run.run
-      (Net.Sim_run.build ~seed:1 ~init:0
-         ~processes:(spec ~readers:2 ~writes:4 ~reads:6) ())
+      (Net.Sim_run.create Net.Sim_run.default ~seed:1
+         ~workload:(Net.Sim_run.singles (spec ~readers:2 ~writes:4 ~reads:6)))
   in
   check_outcome ~what:"reliable" o;
   (* over a fault-free network nothing should ever be retransmitted *)
@@ -570,8 +570,9 @@ let sim_fault_sweep () =
       for seed = 0 to 9 do
         let o =
           Net.Sim_run.run
-            (Net.Sim_run.build ~faults ~seed ~init:0
-               ~processes:(spec ~readers:2 ~writes:3 ~reads:5) ())
+            (Net.Sim_run.create ~faults Net.Sim_run.default ~seed
+               ~workload:
+                 (Net.Sim_run.singles (spec ~readers:2 ~writes:3 ~reads:5)))
         in
         check_outcome ~what:(Fmt.str "schedule %d seed %d" i seed) o
       done)
@@ -583,8 +584,10 @@ let sim_windows () =
     (fun window ->
       let o =
         Net.Sim_run.run
-          (Net.Sim_run.build ~faults:(Net.Sim_net.lossy ()) ~window ~seed:5
-             ~init:0 ~processes:(spec ~readers:3 ~writes:3 ~reads:4) ())
+          (Net.Sim_run.create ~faults:(Net.Sim_net.lossy ())
+             { Net.Sim_run.default with window } ~seed:5
+             ~workload:
+               (Net.Sim_run.singles (spec ~readers:3 ~writes:3 ~reads:4)))
       in
       check_outcome ~what:(Fmt.str "window %d" window) o)
     [ 1; 2; 8; 32 ]
@@ -593,8 +596,9 @@ let sim_replica_crash () =
   for seed = 0 to 4 do
     let o =
       Net.Sim_run.run ~fates:[ crash 2 30.0 ]
-        (Net.Sim_run.build ~faults:(Net.Sim_net.lossy ~drop:0.1 ()) ~replicas:3
-           ~seed ~init:0 ~processes:(spec ~readers:2 ~writes:4 ~reads:6) ())
+        (Net.Sim_run.create ~faults:(Net.Sim_net.lossy ~drop:0.1 ())
+           { Net.Sim_run.default with replicas = 3 } ~seed
+           ~workload:(Net.Sim_run.singles (spec ~readers:2 ~writes:4 ~reads:6)))
     in
     check_outcome ~what:(Fmt.str "crash seed %d" seed) o
   done
@@ -604,12 +608,13 @@ let sim_majority_crash_stalls () =
      must stall (liveness lost) but never lie (safety kept) *)
   let o =
     Net.Sim_run.run ~fates:[ crash 1 10.0; crash 2 12.0 ] ~max_steps:30_000
-      (Net.Sim_run.build ~replicas:3 ~seed:3 ~init:0
-         ~processes:
-           [ { Registers.Vm.proc = 0;
-               script = List.init 4 (fun k -> E.Write (k + 1)) };
-             { Registers.Vm.proc = 2; script = List.init 6 (fun _ -> E.Read) } ]
-         ())
+      (Net.Sim_run.create Net.Sim_run.default ~seed:3
+         ~workload:
+           (Net.Sim_run.singles
+              [ { Registers.Vm.proc = 0;
+                  script = List.init 4 (fun k -> E.Write (k + 1)) };
+                { Registers.Vm.proc = 2;
+                  script = List.init 6 (fun _ -> E.Read) } ]))
   in
   Alcotest.(check bool) "stalled, not completed" true
     (o.completed < o.expected);
@@ -622,8 +627,9 @@ let sim_partition_heals () =
   (* sever all replicas from the server mid-run, then heal: the
      retransmission layer must finish every operation *)
   let cl =
-    Net.Sim_run.build ~faults:(Net.Sim_net.lossy ~drop:0.1 ()) ~seed:7 ~init:0
-      ~processes:(spec ~readers:2 ~writes:3 ~reads:4) ()
+    Net.Sim_run.create ~faults:(Net.Sim_net.lossy ~drop:0.1 ())
+      Net.Sim_run.default ~seed:7
+      ~workload:(Net.Sim_run.singles (spec ~readers:2 ~writes:3 ~reads:4))
   in
   let o = Net.Sim_run.run ~fates:(partition cl (25.0, 120.0)) cl in
   check_outcome ~what:"partition+heal" o;
@@ -633,9 +639,10 @@ let sim_partition_heals () =
 let sim_deterministic () =
   let go () =
     Net.Sim_run.run ~fates:[ crash 0 35.0 ]
-      (Net.Sim_run.build
+      (Net.Sim_run.create
          ~faults:(Net.Sim_net.lossy ~drop:0.2 ~duplicate:0.1 ())
-         ~seed:11 ~init:0 ~processes:(spec ~readers:2 ~writes:3 ~reads:4) ())
+         Net.Sim_run.default ~seed:11
+         ~workload:(Net.Sim_run.singles (spec ~readers:2 ~writes:3 ~reads:4)))
   in
   let a = go () and b = go () in
   Alcotest.(check bool) "same history" true
@@ -652,8 +659,10 @@ let sim_random_schedules =
     (fun (seed, drop, duplicate) ->
       let o =
         Net.Sim_run.run
-          (Net.Sim_run.build ~faults:(Net.Sim_net.lossy ~drop ~duplicate ())
-             ~seed ~init:0 ~processes:(spec ~readers:2 ~writes:2 ~reads:3) ())
+          (Net.Sim_run.create ~faults:(Net.Sim_net.lossy ~drop ~duplicate ())
+             Net.Sim_run.default ~seed
+             ~workload:
+               (Net.Sim_run.singles (spec ~readers:2 ~writes:2 ~reads:3)))
       in
       o.Net.Sim_run.monitor_violation = None
       && o.Net.Sim_run.fastcheck_ok
@@ -679,8 +688,11 @@ let sim_sharded () =
     (fun shards ->
       let o =
         Net.Sim_run.run
-          (Net.Sim_run.build ~shards ~window:8 ~seed:13 ~init:0
-             ~processes:(spec ~readers:2 ~writes:6 ~reads:9) ())
+          (Net.Sim_run.create
+             { Net.Sim_run.default with shards; window = 8; keys = shards }
+             ~seed:13
+             ~workload:
+               (Net.Sim_run.singles (spec ~readers:2 ~writes:6 ~reads:9)))
       in
       check_sharded ~what:(Fmt.str "shards %d" shards) o;
       Alcotest.(check int)
@@ -694,9 +706,10 @@ let sim_sharded_faults () =
   for seed = 0 to 4 do
     let o =
       Net.Sim_run.run ~fates:[ crash 2 40.0 ]
-        (Net.Sim_run.build ~shards:4 ~window:8
+        (Net.Sim_run.create
            ~faults:(Net.Sim_net.lossy ~drop:0.15 ~duplicate:0.1 ())
-           ~seed ~init:0 ~processes:(spec ~readers:2 ~writes:4 ~reads:6) ())
+           { Net.Sim_run.default with shards = 4; window = 8; keys = 4 } ~seed
+           ~workload:(Net.Sim_run.singles (spec ~readers:2 ~writes:4 ~reads:6)))
     in
     check_sharded ~what:(Fmt.str "sharded faults seed %d" seed) o
   done
@@ -704,9 +717,10 @@ let sim_sharded_faults () =
 let sim_sharded_deterministic () =
   let go () =
     Net.Sim_run.run
-      (Net.Sim_run.build ~shards:4
+      (Net.Sim_run.create
          ~faults:(Net.Sim_net.lossy ~drop:0.2 ~duplicate:0.1 ())
-         ~seed:17 ~init:0 ~processes:(spec ~readers:2 ~writes:3 ~reads:4) ())
+         { Net.Sim_run.default with shards = 4; keys = 4 } ~seed:17
+         ~workload:(Net.Sim_run.singles (spec ~readers:2 ~writes:3 ~reads:4)))
   in
   let a = go () and b = go () in
   Alcotest.(check bool) "same history" true
@@ -717,8 +731,9 @@ let sim_shard_metrics () =
   (* per-shard counters must account for exactly the served ops *)
   let o =
     Net.Sim_run.run
-      (Net.Sim_run.build ~shards:4 ~window:8 ~seed:3 ~init:0
-         ~processes:(spec ~readers:2 ~writes:4 ~reads:6) ())
+      (Net.Sim_run.create
+         { Net.Sim_run.default with shards = 4; window = 8; keys = 4 } ~seed:3
+         ~workload:(Net.Sim_run.singles (spec ~readers:2 ~writes:4 ~reads:6)))
   in
   let g = Net.Metrics.get o.Net.Sim_run.metrics in
   let per_shard = List.init 4 (fun s -> g (Fmt.str "shard%d_ops" s)) in
@@ -737,8 +752,8 @@ let sim_metrics_reconcile () =
   List.iter
     (fun (what, faults, cut) ->
       let cl =
-        Net.Sim_run.build ~faults ~seed:3 ~init:0
-          ~processes:(spec ~readers:2 ~writes:3 ~reads:4) ()
+        Net.Sim_run.create ~faults Net.Sim_run.default ~seed:3
+          ~workload:(Net.Sim_run.singles (spec ~readers:2 ~writes:3 ~reads:4))
       in
       let fates = Option.fold ~none:[] ~some:(partition cl) cut in
       ignore (Net.Sim_run.run ~fates cl);
@@ -761,10 +776,10 @@ let sim_trace_counts () =
      per timer fire *)
   let trace = Net.Trace.create ~capacity:200_000 () in
   let cl =
-    Net.Sim_run.build
-      ~faults:(Net.Sim_net.lossy ~drop:0.2 ~duplicate:0.1 ())
-      ~trace ~seed:5 ~init:0 ~processes:(spec ~readers:2 ~writes:3 ~reads:4)
-      ()
+    Net.Sim_run.create
+      ~faults:(Net.Sim_net.lossy ~drop:0.2 ~duplicate:0.1 ()) ~trace
+      Net.Sim_run.default ~seed:5
+      ~workload:(Net.Sim_run.singles (spec ~readers:2 ~writes:3 ~reads:4))
   in
   let o = Net.Sim_run.run ~fates:(crash 2 30.0 :: partition cl (20.0, 60.0)) cl in
   Alcotest.(check int) "no wrap" 0 (Net.Trace.overwritten trace);
@@ -803,10 +818,10 @@ let sim_trace_replay () =
   let trace = Net.Trace.create ~capacity:200_000 () in
   let o =
     Net.Sim_run.run
-      (Net.Sim_run.build
-         ~faults:(Net.Sim_net.lossy ~drop:0.15 ~duplicate:0.1 ())
-         ~trace ~seed:2 ~init:0 ~processes:(spec ~readers:2 ~writes:3 ~reads:4)
-         ())
+      (Net.Sim_run.create
+         ~faults:(Net.Sim_net.lossy ~drop:0.15 ~duplicate:0.1 ()) ~trace
+         Net.Sim_run.default ~seed:2
+         ~workload:(Net.Sim_run.singles (spec ~readers:2 ~writes:3 ~reads:4)))
   in
   Alcotest.(check int) "no wrap" 0 (Net.Trace.overwritten trace);
   Alcotest.(check bool) "in-memory history matches served" true
@@ -1980,9 +1995,7 @@ let txn_write_refreshes_copy () =
   (* the same check catches the deliberate bug *)
   Alcotest.(check (option int)) "stale copy returns the overwritten value"
     (Some 10)
-    (read_after_txn
-       (Net.Bug.make ~stale_copy:true ~engine:Net.Engine.Abd ~replicas:3
-          ~migration:false ()))
+    (read_after_txn { Net.Bug.none with stale_copy = true })
 
 let socket_client_send_order () =
   (* regression: the deadline flusher and a batch-filling request each
@@ -3159,8 +3172,8 @@ let history_log_views () =
    for every op. *)
 let server_shares_constant_events () =
   let cl =
-    Net.Sim_run.build ~seed:1 ~init:0
-      ~processes:(spec ~readers:2 ~writes:4 ~reads:6) ()
+    Net.Sim_run.create Net.Sim_run.default ~seed:1
+      ~workload:(Net.Sim_run.singles (spec ~readers:2 ~writes:4 ~reads:6))
   in
   check_outcome ~what:"shared events" (Net.Sim_run.run cl);
   let shared = Hashtbl.create 8 and count = ref 0 in

@@ -67,9 +67,16 @@ let sim_migration_under_traffic () =
         let what = Fmt.str "%s seed %d" (Net.Engine.kind_name kind) seed in
         let o =
           R.run
-            (R.build ~replicas:2 ~shards:2 ~group_size:1 ~keys:4
-               ~engine:(espec kind) ~reconfig:(move_hot target_shard)
-               ~xprocesses:traffic ~seed ~init:0 ~processes:[] ())
+            (R.create ~reconfig:(move_hot target_shard)
+               {
+                 R.default with
+                 replicas = 2;
+                 shards = 2;
+                 keys = 4;
+                 engine = kind;
+                 group_size = Some 1;
+               }
+               ~seed ~workload:traffic)
         in
         check_migrated ~what o
       done)
@@ -84,9 +91,15 @@ let sim_migration_full_group () =
       let what = Fmt.str "full group %s" (Net.Engine.kind_name kind) in
       let o =
         R.run
-          (R.build ~replicas:3 ~shards:2 ~keys:4 ~engine:(espec kind)
-             ~reconfig:(move_hot target_shard) ~xprocesses:traffic ~seed:11
-             ~init:0 ~processes:[] ())
+          (R.create ~reconfig:(move_hot target_shard)
+             {
+               R.default with
+               replicas = 3;
+               shards = 2;
+               keys = 4;
+               engine = kind;
+             }
+             ~seed:11 ~workload:traffic)
       in
       check_migrated ~what o)
     engines
@@ -96,9 +109,9 @@ let sim_migration_stats () =
      must show exactly one started-and-completed migration, and the
      per-shard op counters must account for every completed op *)
   let cl =
-    R.build ~replicas:2 ~shards:2 ~group_size:1 ~keys:4
-      ~reconfig:(move_hot target_shard)
-      ~xprocesses:traffic ~seed:3 ~init:0 ~processes:[] ()
+    R.create ~reconfig:(move_hot target_shard)
+      { R.default with replicas = 2; shards = 2; keys = 4; group_size = Some 1 }
+      ~seed:3 ~workload:traffic
   in
   let steps = Net.Sim_net.run cl.R.net in
   let o = R.collect cl ~steps in
@@ -120,9 +133,15 @@ let sim_same_shard_advance () =
      configuration change: acked ok, epoch advances, nothing moves *)
   let o =
     R.run
-      (R.build ~replicas:2 ~shards:2 ~group_size:1 ~keys:4
-         ~reconfig:(move_hot base_shard) ~xprocesses:traffic ~seed:5 ~init:0
-         ~processes:[] ())
+      (R.create ~reconfig:(move_hot base_shard)
+         {
+           R.default with
+           replicas = 2;
+           shards = 2;
+           keys = 4;
+           group_size = Some 1;
+         }
+         ~seed:5 ~workload:traffic)
   in
   check_migrated ~what:"same-shard advance" o
 
@@ -131,8 +150,15 @@ let sim_out_of_range_nacked () =
      traffic unharmed *)
   let o =
     R.run
-      (R.build ~replicas:2 ~shards:2 ~group_size:1 ~keys:4 ~reconfig:(move_hot 9)
-         ~xprocesses:traffic ~seed:5 ~init:0 ~processes:[] ())
+      (R.create ~reconfig:(move_hot 9)
+         {
+           R.default with
+           replicas = 2;
+           shards = 2;
+           keys = 4;
+           group_size = Some 1;
+         }
+         ~seed:5 ~workload:traffic)
   in
   check_clean ~what:"out-of-range" o;
   Alcotest.(check int) "epoch unmoved" 0 o.R.epoch;
@@ -149,10 +175,9 @@ let sim_nack_discipline () =
      and after cutover the old epoch is fenced while the new one is
      accepted *)
   let cl =
-    R.build ~faults:Net.Sim_net.reliable ~replicas:2 ~shards:2 ~group_size:1
-      ~keys:4
-      ~xprocesses:[ xp 0 [ k hot (w 41) ] ]
-      ~seed:1 ~init:0 ~processes:[] ()
+    R.create ~faults:Net.Sim_net.reliable
+      { R.default with replicas = 2; shards = 2; keys = 4; group_size = Some 1 }
+      ~seed:1 ~workload:[ xp 0 [ k hot (w 41) ] ]
   in
   let net = cl.R.net in
   let tr = Net.Sim_net.transport net in
@@ -231,9 +256,9 @@ let sim_crash_points_mid_migration () =
     ]
   in
   let build () =
-    R.build ~replicas:3 ~shards:2 ~keys:4 ~seed:7 ~init:0
-      ~reconfig:(move_hot target_shard)
-      ~xprocesses:mig_traffic ~processes:[] ()
+    R.create ~reconfig:(move_hot target_shard)
+      { R.default with shards = 2; keys = 4 } ~seed:7
+      ~workload:mig_traffic
   in
   let probe = build () in
   let steps = Net.Sim_net.run probe.R.net in

@@ -121,6 +121,7 @@ let stale_wal_harmless () =
       append_wal = (fun _ _ -> ());
       truncate_wal = ignore;
       install_snapshot = ignore;
+      close = ignore;
     }
   in
   let st' = S.create grafted in
@@ -470,11 +471,12 @@ let check_clean ~what (o : R.outcome) =
   Alcotest.(check bool) (what ^ ": fastcheck atomic") true o.R.fastcheck_ok;
   Alcotest.(check int) (what ^ ": all ops completed") o.R.expected o.R.completed
 
-let sim_crash_point_matrix ?snapshot_every ?gc_bytes ?group_commit () =
+let sim_crash_point_matrix ?(snapshot_every = 32) ?gc_bytes ?group_commit () =
   (* probe: how many appends does replica 0's disk see crash-free? *)
   let build () =
-    R.build ?snapshot_every ?gc_bytes ?group_commit ~replicas:3 ~seed:7
-      ~init:0 ~processes:matrix_processes ()
+    R.create
+      { R.default with store = Some { snapshot_every; gc_bytes; group_commit } }
+      ~seed:7 ~workload:(R.singles matrix_processes)
   in
   let probe = build () in
   let steps = Net.Sim_net.run probe.R.net in
@@ -532,7 +534,7 @@ let sim_crash_points_group_commit () =
 (* Amnesia semantics of the cluster                                    *)
 
 let durable_amnesia_recovers () =
-  let cl = R.build ~seed:3 ~init:0 ~processes:matrix_processes () in
+  let cl = R.create R.default ~seed:3 ~workload:(R.singles matrix_processes) in
   let steps = Net.Sim_net.run cl.R.net in
   check_clean ~what:"durable run" (R.collect cl ~steps);
   let before = Net.Replica.contents (cl.R.replica_of 0) in
@@ -544,7 +546,8 @@ let durable_amnesia_recovers () =
 
 let volatile_amnesia_forgets () =
   let cl =
-    R.build ~durable:false ~seed:3 ~init:0 ~processes:matrix_processes ()
+    R.create { R.default with store = None } ~seed:3
+      ~workload:(R.singles matrix_processes)
   in
   Alcotest.(check int) "no disks when volatile" 0 (Array.length cl.R.disks);
   let steps = Net.Sim_net.run cl.R.net in
@@ -558,7 +561,7 @@ let volatile_amnesia_forgets () =
 
 let plain_crash_keeps_state () =
   (* a plain crash is a pause, not a death: no recovery, no amnesia *)
-  let cl = R.build ~seed:3 ~init:0 ~processes:matrix_processes () in
+  let cl = R.create R.default ~seed:3 ~workload:(R.singles matrix_processes) in
   let steps = Net.Sim_net.run cl.R.net in
   check_clean ~what:"run" (R.collect cl ~steps);
   let before = Net.Replica.contents (cl.R.replica_of 0) in
@@ -580,9 +583,18 @@ let pause_defers_flush_timer () =
     ]
   in
   let cl =
-    R.build ~replicas:3 ~window:1
-      ~group_commit:{ S.batch_max = 64; flush_every = 0.5 }
-      ~seed:3 ~init:0 ~processes ()
+    R.create
+      {
+        R.default with
+        window = 1;
+        store =
+          Some
+            {
+              R.default_store with
+              group_commit = Some { S.batch_max = 64; flush_every = 0.5 };
+            };
+      }
+      ~seed:3 ~workload:(R.singles processes)
   in
   let net = cl.R.net in
   let st = Option.get (Net.Replica.storage (cl.R.replica_of 0)) in
@@ -668,6 +680,28 @@ let file_fsync_append () =
   let st' = S.create (S.file_backend ~dir ()) in
   Alcotest.(check bool) "fsync'd store reopens" true
     (S.contents st' = S.contents st)
+
+(* A store closes once and then refuses appends; reopening one
+   directory 1000 times in one process, closing each store, leaves the
+   process's descriptor count where it was. *)
+let file_close_releases_fd () =
+  with_dir @@ fun dir ->
+  let e = List.hd (entries_n 1) in
+  let st = S.create (S.file_backend ~dir ()) in
+  S.append st e;
+  S.close st;
+  S.close st;
+  (match S.append st e with
+   | exception Invalid_argument _ -> ()
+   | () -> Alcotest.fail "an append after close was accepted");
+  let fd_dir = "/proc/self/fd" in
+  if not (Sys.file_exists fd_dir) then Alcotest.skip ();
+  let fds () = Array.length (Sys.readdir fd_dir) in
+  let before = fds () in
+  for _ = 1 to 1000 do
+    S.close (S.create (S.file_backend ~dir ()))
+  done;
+  Alcotest.(check int) "descriptors after 1000 reopens" before (fds ())
 
 let recovery_torture () =
   (* randomized crash points over real files: random workload length,
@@ -1049,14 +1083,22 @@ let commit_causes_cluster () =
      from the size cap or [drive]'s deadline (nothing forces a
      replica's queue), and every commit is counted once *)
   let cl =
-    R.build ~replicas:3 ~window:4
-      ~group_commit:{ S.batch_max = 4; flush_every = 0.5 }
-      ~seed:5 ~init:0
-      ~processes:
-        [ proc 0 (List.init 30 (fun i -> w (i + 1)));
-          proc 1 (List.init 30 (fun i -> w (i + 101)));
-          proc 2 (List.init 30 (fun _ -> rd)) ]
-      ()
+    R.create
+      {
+        R.default with
+        store =
+          Some
+            {
+              R.default_store with
+              group_commit = Some { S.batch_max = 4; flush_every = 0.5 };
+            };
+      }
+      ~seed:5
+      ~workload:
+        (R.singles
+           [ proc 0 (List.init 30 (fun i -> w (i + 1)));
+             proc 1 (List.init 30 (fun i -> w (i + 101)));
+             proc 2 (List.init 30 (fun _ -> rd)) ])
   in
   let steps = Net.Sim_net.run ~max_steps:200_000 cl.R.net in
   check_clean ~what:"cluster" (R.collect cl ~steps);
@@ -1286,6 +1328,8 @@ let suite =
       replica_store_words;
     tc "file backend: an append after a tail repair follows the prefix"
       file_append_after_repair;
+    tc "file backend: close releases the WAL descriptor"
+      file_close_releases_fd;
     tc "replica: durable acks leave in queue order" replica_acks_in_order;
   ]
 

@@ -62,6 +62,7 @@ let backend_of_bytes ?snap wal0 =
       append_wal = (fun b n -> wal := !wal ^ Bytes.sub_string b 0 n);
       truncate_wal = (fun n -> wal := String.sub !wal 0 n);
       install_snapshot = (fun _ -> ());
+      close = ignore;
     },
     wal )
 
