@@ -411,6 +411,7 @@ let spec_term =
   {
     Net.Sim_run.replicas;
     shards;
+    domains = 1;
     group_size;
     keys;
     window;

@@ -84,6 +84,7 @@ type action =
 type st = {
   cfg : config;
   cl : Sim_run.cluster;
+  one_server : bool;  (* every server event takes the server's node *)
   mutable crashes_left : int;
   mutable amnesia_left : int;
   mutable cuts_left : int;
@@ -98,9 +99,18 @@ let reset ?trace cfg =
       ?reconfig:(Option.map migration cfg.reconfig)
       ?trace cfg.spec ~seed:0 ~workload:cfg.workload
   in
+  let multi_key = function
+    | Sim_run.Txn_w _ | Sim_run.Snap _ -> true
+    | Sim_run.Single _ | Sim_run.Keyed _ -> false
+  in
   {
     cfg;
     cl;
+    one_server =
+      cfg.spec.domains = 1
+      || List.exists
+           (fun xp -> List.exists multi_key xp.Sim_run.xscript)
+           cfg.workload;
     crashes_left = cfg.max_crashes;
     amnesia_left = cfg.max_amnesia;
     cuts_left = cfg.max_partitions;
@@ -141,6 +151,24 @@ let rec pump st =
       | _ -> []
     end
 
+(* The sleep-set node of a pending delivery or worker turn.  A pool
+   worker's turn touches its own queue and core alone, and so does a
+   server delivery whose frame the pool queues to that worker alone:
+   both take the worker's node, so two workers' events commute, as two
+   replicas' do.  A frame for several workers touches several queues:
+   node -1.  With one worker, or with multi-key ops in the workload
+   (a turn then posts to other workers' queues and shares the
+   coordinator's table), every server event takes the server's node
+   instead. *)
+let node st (p : Sim_net.pending_ev) =
+  match p.msg with
+  | Some m when p.dst = Transport.server && not st.one_server ->
+    (match Server_pool.worker_of_frame st.cl.Sim_run.pool m with
+     | Some w -> Sim_run.worker_node w
+     | None -> -1)
+  | None when st.one_server -> Transport.server
+  | _ -> p.dst
+
 (* Fates are conservatively dependent on everything (node -1): a crash
    or cut changes which sends get through globally, so we never prune
    across them. *)
@@ -159,7 +187,7 @@ let enabled st =
          — cheap, and exactly as precise as the payload for sleep-set
          membership *)
       push (Fire p.Sim_net.idx)
-        { Sched.node = p.Sim_net.dst; tag = string_of_int p.Sim_net.seq })
+        { Sched.node = node st p; tag = string_of_int p.Sim_net.seq })
     deliveries;
   if deliveries <> [] then begin
     if st.crashes_left > 0 then
@@ -209,16 +237,16 @@ let system ?trace cfg =
 (* Torn-batch verdicts are cross-key, so they carry the sentinel key
    [-1] in a counterexample. *)
 let verdict st =
-  let server = st.cl.Sim_run.server in
-  match Server.txn_violations server with
+  let pool = st.cl.Sim_run.pool in
+  match Server_pool.txn_violations pool with
   | m :: _ -> Some (-1, m)
   | [] ->
-  match Server.violations server with
+  match Server_pool.violations pool with
   | (key, v) :: _ ->
     Some (key, Fmt.str "%a" (Histories.Fastcheck.pp_violation Fmt.int) v)
   | [] ->
     if st.cfg.fastcheck then
-      let keyed = Server.keyed_history server in
+      let keyed = Sim_run.keyed_history st.cl in
       match
         List.find_opt
           (fun (_, v) -> Result.is_error v)
@@ -529,6 +557,7 @@ let save ~file cfg ce =
     note
       (Fmt.str "amnesia %s"
          (String.concat "," (List.map string_of_int cfg.amnesia)));
+  if cfg.spec.domains <> 1 then note (Fmt.str "domains %d" cfg.spec.domains);
   List.iter (fun cut -> note (Fmt.str "cut %s" (group_note cut))) cfg.cuts;
   List.iter
     (fun (p : Sim_run.xprocess) ->
@@ -616,7 +645,7 @@ let load ~file =
     failwith "explore: not a counterexample file";
   let assoc = Hashtbl.create 16 in
   let procs = ref [] and cuts = ref [] and crashable = ref [] in
-  let amnesia = ref [] and xprocs = ref [] in
+  let amnesia = ref [] and xprocs = ref [] and domains = ref 1 in
   let schedule = ref [] in
   let xprocess p script =
     { Sim_run.xproc = int_of_string p; xscript = parse_xscript script }
@@ -633,6 +662,7 @@ let load ~file =
           fields
       | [ "crashable"; l ] -> crashable := List.map int_of_string (split_on ',' l)
       | [ "amnesia"; l ] -> amnesia := List.map int_of_string (split_on ',' l)
+      | [ "domains"; n ] -> domains := int_of_string n
       | [ "cut"; g ] -> cuts := !cuts @ [ parse_group g ]
       (* a [proc] line is a plain script, written before every
          workload was saved as [xproc] lines; its [r]/[wV] tokens are
@@ -648,6 +678,7 @@ let load ~file =
   let base =
     {
       (config ~workload:[] ()) with
+      spec = { Sim_run.default with domains = !domains };
       workload = (if !xprocs <> [] then !xprocs else !procs);
       crashable = !crashable;
       amnesia = !amnesia;
@@ -759,9 +790,11 @@ let torture_run ?(engine = Engine.Abd) ~seed ~run ?trace () =
       [ writer 0; writer 1; reader 2; reader 3 ]
     end
   in
-  let cl =
-    Sim_run.create ~faults ?trace spec ~seed:(Random.State.bits rng) ~workload
-  in
+  let seed = Random.State.bits rng in
+  (* the worker count is drawn last, so a run keeps the spec, workload
+     and fates it drew before *)
+  let spec = { spec with domains = 1 + Random.State.int rng 2 } in
+  let cl = Sim_run.create ~faults ?trace spec ~seed ~workload in
   (Sim_run.run ~fates cl, fates)
 
 let describe_failure run (o : Sim_run.outcome) =

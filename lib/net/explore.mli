@@ -12,11 +12,16 @@
     choice tree to {!Modelcheck.Schedule}'s sleep-set DFS.  Every leaf
     (quiescent or stalled state) is audited with the server's per-key
     live {!Histories.Monitor}; optionally each leaf history is also
-    re-checked post-hoc ([fastcheck]).  The server is the corked,
-    presequenced core a 1-worker {!Server_pool} runs, and client
-    links are FIFO: the adversary reorders replica traffic, not a
-    client's requests or answers, and a corked frame is one
-    delivery.
+    re-checked post-hoc ([fastcheck]).  The server is the
+    {!Server_pool} the service runs, with the spec's [domains]
+    workers, and client links are FIFO: the adversary reorders replica
+    traffic, not a client's requests or answers, and a corked frame is
+    one delivery.  With more than one worker, each worker's turn is
+    one more choice ({!Sim_net.task}): which worker runs next, and how
+    many queued frames one turn drains.  A worker's turn and a server
+    delivery the pool queues to that worker alone are independent of
+    the other workers' events for the sleep sets, unless the workload
+    has multi-key ops, whose coordinator the workers share.
 
     Determinism: exploration uses the reliable fault model (constant
     delay, no drops or duplicates), so the delivery order chosen by the
@@ -153,7 +158,8 @@ val shrink : config -> counterexample -> config * counterexample
 
 val save : file:string -> config -> counterexample -> unit
 (** Dump a counterexample as Trace JSONL: note lines carrying the
-    config, the workload (one [xproc] line per process) and the
+    config (a worker count other than 1 on a [domains] line of its
+    own), the workload (one [xproc] line per process) and the
     schedule; the fully traced replay (sends, deliveries, operation
     invokes/responds); and the verdict.  Self-contained — {!load}
     needs nothing else. *)
@@ -163,7 +169,8 @@ val load : file:string -> config * int list
     artifacts load too: missing config fields take their defaults,
     the retired [init] and [max_timer_fires] fields are ignored, and
     plain [proc] script lines are read as [Single] scripts unless the
-    file also has [xproc] lines, which then hold the whole workload.
+    file also has [xproc] lines, which then hold the whole workload,
+    and an artifact with no [domains] line runs one worker.
     @raise Failure on files {!save} did not produce.
     @raise Invalid_argument as {!config}, on a config it rejects. *)
 
@@ -193,7 +200,8 @@ val torture :
   torture_report
 (** Seeded randomized long-run hammering: each run draws a
     {!Sim_run.spec} (3 or 5 replicas, 1–4 shards, multi-key keyspace,
-    window 1–8), a keyed batch workload, a
+    window 1–8, and last 1 or 2 server workers), a keyed batch
+    workload, a
     lossy/duplicating/reordering fault model and a timed
     crash/restart/partition fate schedule
     ({!Harness.Failure.random_net_fates}), executes it to quiescence

@@ -56,7 +56,6 @@ type mig = {
 
 type t = {
   reg : Registry.t;
-  enabled : bool;
   skip_dual_write : bool;
   mutable mig : mig option;
   (* in-flight client ops per key, split by admission generation:
@@ -75,12 +74,10 @@ type t = {
   parked : Metrics.counter;
 }
 
-let create ~registry ~metrics ?(enabled = true) ?(skip_dual_write = false) ()
-    =
+let create ~registry ~metrics ?(skip_dual_write = false) () =
   let c name = Metrics.counter metrics ("reconfig_" ^ name) in
   {
     reg = registry;
-    enabled;
     skip_dual_write;
     mig = None;
     infl_old = Hashtbl.create 16;
@@ -191,8 +188,7 @@ let start t ~key ~to_shard ~epoch:req_epoch ~finish =
     finish ~ok:false ~epoch:cur
   in
   if
-    (not t.enabled)
-    || req_epoch <> cur
+    req_epoch <> cur
     || t.mig <> None
     || key < 0
     || to_shard < 0

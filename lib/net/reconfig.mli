@@ -36,7 +36,6 @@ type t
 val create :
   registry:Registry.t ->
   metrics:Metrics.t ->
-  ?enabled:bool ->
   ?skip_dual_write:bool ->
   unit ->
   t
@@ -46,10 +45,7 @@ val create :
     migration is in flight at a time; further {!start}s are nacked
     until it completes.
 
-    [enabled] (default [true]): when [false] every {!start} is nacked
-    — deployments whose reply routing cannot support a second engine
-    per key (the twobit engine across multiple worker domains) set
-    this.  [skip_dual_write] (default [false]) is the deliberate bug
+    [skip_dual_write] (default [false]) is the deliberate bug
     hook: the incoming-group leg of every dual write is dropped, so a
     write acked during a migration can be lost at cutover — the
     violation {!Explore} must catch, shrink and replay. *)
@@ -90,8 +86,8 @@ val start :
   unit
 (** Begin migrating [key] to [to_shard].  [epoch] is the epoch the
     requester believes current: a mismatch is nacked with the real one
-    (stale-epoch fencing), as are a busy coordinator, a disabled one,
-    and an out-of-range key or shard.  [finish] runs exactly once —
+    (stale-epoch fencing), as are a busy coordinator and an
+    out-of-range key or shard.  [finish] runs exactly once —
     with the {e new} epoch on success, the current epoch on a nack;
     possibly before [start] returns (a nack, a same-shard request, or
     a fully quiescent key completes synchronously). *)

@@ -4,8 +4,11 @@
    protocol is chosen once per registry ({!Engine.spec}) — shards stay
    engine-homogeneous.  Replies are routed to the owning engine by the
    request-id residue (ABD messages: engine [s] issues rids congruent
-   to [s] modulo the shard count) or the link id (two-bit messages,
-   whose link id is the shard index).  Routing must not depend on the
+   to [s] modulo the shard count) or the link id (two-bit messages:
+   engine [s] of worker [w] of a [d]-worker pool speaks link id
+   [s * d + w], so the pool routes a reply home by [lid mod d] and the
+   worker's registry to its engine by [lid / d]; with one worker the
+   link id is the shard index).  Routing must not depend on the
    register index: during a migration two engines carry pending phases
    for the same registers, and only the rid stripe tells their replies
    apart.
@@ -24,6 +27,8 @@ type t = {
   mutable map : Shard_map.t;
   spec : Engine.spec;
   engines : engine array;
+  worker : int;
+  domains : int;  (* a twobit engine's link id is [s * domains + worker] *)
   floors : (int, int) Hashtbl.t;  (* global reg -> highest ts issued *)
   storage : Storage.t option;
   metrics : Metrics.t;
@@ -35,10 +40,11 @@ type t = {
    write-back reach an engine (twobit's hook lives in the replicas).
    [rid_base]/[rid_stride] stripe the abd rid space per shard (see
    Quorum); the twobit engine has no rids — its replies are matched by
-   link seq on the shard-indexed lid. *)
+   link seq on the striped lid. *)
 let create ~transport ~me ~replicas ~map ?(engine = Engine.default)
-    ?(bug = Bug.none) ?storage ?metrics () =
+    ?(bug = Bug.none) ?storage ?metrics ?(worker = (0, 1)) () =
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
+  let worker, domains = worker in
   let n = Shard_map.shards map in
   (* a restarted registry must never reuse a timestamp it already
      handed to the replicas, or a newer value would lose to an older
@@ -65,8 +71,10 @@ let create ~transport ~me ~replicas ~map ?(engine = Engine.default)
                  ~rid_base:s ~rid_stride:n ())
           | Engine.Twobit ->
             Twobit
-              (Engine_twobit.create ~transport ~me ~replicas ~lid:s ~metrics
-                 ()));
+              (Engine_twobit.create ~transport ~me ~replicas
+                 ~lid:((s * domains) + worker) ~metrics ()));
+    worker;
+    domains;
     floors;
     storage;
     metrics;
@@ -163,7 +171,8 @@ let rec on_message t ~src msg =
   | Wire.Query_reply { rid; _ } | Wire.Store_ack { rid; _ } ->
     if rid >= 0 then deliver t.engines.(rid mod n) ~src msg
   | Wire.Ack2 { lid; _ } | Wire.Query2_reply { lid; _ } ->
-    if lid >= 0 && lid < n then deliver t.engines.(lid) ~src msg
+    if lid >= 0 && lid mod t.domains = t.worker && lid / t.domains < n then
+      deliver t.engines.(lid / t.domains) ~src msg
   | Wire.Batch msgs -> List.iter (fun m -> on_message t ~src m) msgs
   | _ -> ()
 

@@ -11,8 +11,8 @@
     the same transport node; incoming replies are routed to the owning
     engine by the request-id stripe they carry (ABD: engine [s] issues
     rids congruent to [s] modulo the shard count — see
-    {!Quorum.create}) or by their link id, which is the shard index
-    (two-bit).  Register-index routing would be ambiguous during a
+    {!Quorum.create}) or by their link id (two-bit: see [worker] at
+    {!create}).  Register-index routing would be ambiguous during a
     {!Reconfig} migration, when two engines hold pending phases for
     the same registers.
 
@@ -40,6 +40,7 @@ val create :
   ?bug:Bug.t ->
   ?storage:Storage.t ->
   ?metrics:Metrics.t ->
+  ?worker:int * int ->
   unit ->
   t
 (** One engine per shard of [map], over
@@ -56,8 +57,18 @@ val create :
     this for its own store.  [metrics] receives
     the engine counters/histograms plus one [shard<i>_quorum_ops]
     counter per shard — the per-shard load (and skew) signal.
+
+    [worker] (default [(0, 1)]) is [(w, d)] for the core of worker [w]
+    of a [d]-worker {!Server_pool}: shard [s]'s twobit engine speaks
+    link id [s × d + w].  So [lid mod d = w] routes every reply back to
+    the worker that sent the request, also while a migration has that
+    worker drive a shard another worker owns; no two engines of the
+    pool share a link to a replica; and with one worker the link id is
+    the shard index.  {!on_message} ignores a link id of another
+    worker.  Link ids stay below {!Wire.max_lid} iff
+    [shards × d ≤ Wire.max_lid].
     @raise Invalid_argument on a read quorum larger than a shard's
-    replica group, or a twobit shard count beyond {!Wire.max_lid}. *)
+    replica group, or a twobit link id of [Wire.max_lid] or more. *)
 
 val map : t -> Shard_map.t
 (** The current placement.  Mutable across epochs — see {!set_map}. *)

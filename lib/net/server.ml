@@ -488,18 +488,10 @@ let create ~transport ?(audit = true) ?(resend_every = 0.05) ?engine
   let tr, cork = Transport.cork transport in
   let registry =
     Registry.create ~transport:tr ~me ~replicas ~map ?engine ~bug
-      ?storage ~metrics ()
-  in
-  (* two-bit replies are routed to workers by [lid mod domains]; during
-     a migration the owner worker drives TWO engines (two lids) whose
-     replies may hash to other workers, so reconfiguration is only
-     sound for that engine on a single domain — see Reconfig *)
-  let enabled =
-    (Registry.spec registry).Engine.kind <> Engine.Twobit
-    || member.domains = 1
+      ?storage ~metrics ~worker:(member.worker, member.domains) ()
   in
   let reconfig =
-    Reconfig.create ~registry ~metrics ~enabled
+    Reconfig.create ~registry ~metrics
       ~skip_dual_write:bug.Bug.skip_dual_write ()
   in
   let t =

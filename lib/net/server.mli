@@ -64,15 +64,14 @@
 type t
 
 (** A core's place in its pool.  Its fields are facts about the pool,
-    not switches.  {!Server_pool} builds one per worker; {!Sim_run}
-    builds the one of a 1-worker pool ([worker = 0], [domains = 1],
-    its own coordinator, [post] the identity, no [peer_stores]). *)
+    not switches.  {!Server_pool} builds one per worker, in the service
+    and in the simulator alike. *)
 type member = {
   worker : int;  (** This core's worker index, in [[0, domains)]. *)
   domains : int;  (** The pool's worker count, at least 1. *)
   txns : Txn.t;  (** The multi-key coordinator every core shares. *)
   post : (unit -> unit) -> unit;
-      (** Runs a thunk on this core's worker domain. *)
+      (** Runs a thunk on this core's worker, in a later turn. *)
   peer_stores : Storage.t list;
       (** The wts stores of the pool's other cores: a
           {!Wire.msg.Stats_req} reports their commit causes together
@@ -144,10 +143,12 @@ val create :
     directly and sequence numbers may skip the ops other cores own;
     monitor seeding from recovered [storage] keeps owned keys only.
     Multi-key ops go through the member's coordinator, whose thunks
-    re-enter this core through [post].  And a twobit pool of more than
-    one domain nacks every {!Wire.msg.Reconfig} — see
-    {!Reconfig.create}.  The torn-batch hook of [bug] is the
-    coordinator's ({!Txn.create}), set by whoever builds [member].
+    re-enter this core through [post].  And the core's twobit engines
+    speak link ids striped by [worker] and [domains]
+    ({!Registry.create}), so every reply comes back to this core, a
+    migration's second engine's too.  The torn-batch hook of [bug] is
+    the coordinator's ({!Txn.create}), set by whoever builds
+    [member].
 
     With [history] (default [false]) the core records every event
     ({!history}); without it the live monitors are its whole audit

@@ -13,9 +13,10 @@
 (* A worker's queue: parallel slot arrays, filled in push order.  Slot
    [i] is the frame [msg.(i)] from [src.(i)], or the thunk [fn.(i)]
    when that is not [no_fn].  A push writes three slots and allocates
-   nothing; the worker takes the whole queue at once by swapping it
-   for its spare. *)
+   nothing once the queue is as deep as it gets; the worker takes the
+   whole queue at once by swapping it for its spare. *)
 type slots = {
+  init : int;  (* the first size *)
   mutable src : Transport.node array;
   mutable msg : Wire.msg array;
   mutable fn : (unit -> unit) array;
@@ -24,20 +25,21 @@ type slots = {
 
 let no_fn () = ()
 
-(* The largest array the minor heap takes ([Max_young_wosize]): a
-   queue that grows past it grows on the major heap, so a push never
-   allocates a minor word. *)
-let slots_init = 256
+let slots init =
+  { init; src = Array.make init 0; msg = Array.make init Wire.Bye;
+    fn = Array.make init no_fn; n = 0 }
 
-let slots () =
-  { src = Array.make slots_init 0; msg = Array.make slots_init Wire.Bye;
-    fn = Array.make slots_init no_fn; n = 0 }
+type runner = Domains | Events of (int -> (unit -> unit) -> unit)
 
 type worker = {
   core : Server.t;
   mu : Mutex.t;
   cv : Condition.t;
   mutable q : slots;  (* guarded by [mu] *)
+  mutable mine : slots;  (* the queue a turn drains, [q]'s spare *)
+  mutable next : int;  (* [mine]'s next item *)
+  mutable batch : unit -> unit;  (* drains [mine]: {!run_batch} *)
+  mutable wake : unit -> unit;  (* runs after a push onto an empty [q] *)
   hwm : Metrics.counter;
   mutable stopping : bool;
   mutable dom : unit Domain.t option;
@@ -77,7 +79,8 @@ let push w ~src msg fn =
   q.n <- i + 1;
   Metrics.raise_to w.hwm q.n;
   Condition.signal w.cv;
-  Mutex.unlock w.mu
+  Mutex.unlock w.mu;
+  if i = 0 then w.wake ()
 
 let push_fn w f = push w ~src:0 Wire.Bye f
 
@@ -85,10 +88,10 @@ let push_fn w f = push w ~src:0 Wire.Bye f
    references it held; one that a burst grew goes back to its first
    size, so a burst's arrays do not stay resident. *)
 let reset q =
-  if Array.length q.src > 16 * slots_init then begin
-    q.src <- Array.make slots_init 0;
-    q.msg <- Array.make slots_init Wire.Bye;
-    q.fn <- Array.make slots_init no_fn
+  if Array.length q.src > 16 * q.init then begin
+    q.src <- Array.make q.init 0;
+    q.msg <- Array.make q.init Wire.Bye;
+    q.fn <- Array.make q.init no_fn
   end
   else begin
     Array.fill q.msg 0 q.n Wire.Bye;
@@ -107,65 +110,90 @@ let caught t e bt =
       (Printexc.to_string e)
       (Printexc.raw_backtrace_to_string bt)
 
+let run_batch w () =
+  let q = w.mine in
+  while w.next < q.n do
+    let i = w.next in
+    w.next <- i + 1;
+    let f = q.fn.(i) in
+    if f == no_fn then Server.on_message w.core ~src:q.src.(i) q.msg.(i)
+    else f ()
+  done
+
+(* Swap the queue for its spare: the turn drains what was queued. *)
+let take w =
+  let q = w.q in
+  w.q <- w.mine;
+  w.mine <- q;
+  w.next <- 0
+
+(* One turn: drain [mine] under one cork, so every reply and quorum
+   message the burst produces leaves as one frame per destination.  An
+   item that raises ends its cork turn (which still ships) and goes to
+   [failed]; if that returns, the rest of the burst runs under a fresh
+   one. *)
+let rec drain failed w =
+  match Server.with_cork w.core w.batch with
+  | () -> reset w.mine
+  | exception e ->
+    failed e (Printexc.get_raw_backtrace ());
+    drain failed w
+
 let worker_loop t w =
-  let mine = ref (slots ()) and next = ref 0 in
-  let run_batch () =
-    let q = !mine in
-    while !next < q.n do
-      let i = !next in
-      next := i + 1;
-      let f = q.fn.(i) in
-      if f == no_fn then Server.on_message w.core ~src:q.src.(i) q.msg.(i)
-      else f ()
-    done
-  in
-  (* one cork over the whole burst: every reply and quorum message this
-     drain produces leaves as one frame per destination.  An item that
-     raises ends its cork turn (which still ships); the rest of the
-     burst runs under a fresh one. *)
-  let rec drain () =
-    match Server.with_cork w.core run_batch with
-    | () -> ()
-    | exception e ->
-      caught t e (Printexc.get_raw_backtrace ());
-      drain ()
-  in
+  let failed = caught t in
   let running = ref true in
   while !running do
     Mutex.lock w.mu;
     while w.q.n = 0 && not w.stopping do
       Condition.wait w.cv w.mu
     done;
-    let q = w.q in
-    if q.n = 0 then running := false
-    else begin
-      w.q <- !mine;
-      mine := q
-    end;
+    let work = w.q.n > 0 in
+    if work then take w;
     Mutex.unlock w.mu;
-    if q.n > 0 then begin
-      next := 0;
-      drain ();
-      reset q
-    end
+    if work then drain failed w else running := false
   done
 
-let create ~transport ?audit ?engine ?storage ?metrics ?trace ?map
-    ?(domains = 1) ~me ~replicas ~init () =
+(* A turn of a worker under [Events]: its whole queue, as one cork
+   turn. *)
+let turn failed w =
+  Mutex.lock w.mu;
+  take w;
+  Mutex.unlock w.mu;
+  drain failed w
+
+(* A one-worker pool under [Events] has nothing to choose: the push
+   that fills its empty queue drains it, one turn per queue swap until
+   it stays empty.  A push from inside a turn ([mine] not yet empty)
+   only queues: its item runs in the next turn. *)
+let rec drain_all failed w =
+  if w.q.n > 0 then begin
+    turn failed w;
+    drain_all failed w
+  end
+
+let create ~transport ?audit ?resend_every ?engine ?(bug = Bug.none) ?storage
+    ?metrics ?trace ?map ?history ?(run = Domains) ?domains:(nd = 1) ~me
+    ~replicas ~init () =
+  if nd < 1 then
+    invalid_arg (Fmt.str "Server_pool.create: %d domains, want at least 1" nd);
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   let map =
     match map with Some m -> m | None -> Shard_map.create ~shards:1 ()
   in
-  let nd = max 1 domains in
   let storage = match storage with Some f -> f | None -> fun _ -> None in
   let stores = Array.init nd storage in
   (* ONE multi-key coordinator shared by every core: a cross-domain
      batch is atomic because all its keys' cores lock through the same
      table, whichever domains own them *)
-  let txns = Txn.create ?audit ~init () in
+  let txns = Txn.create ~torn:bug.Bug.torn_txn ?audit ~init () in
   let hwm = Metrics.counter metrics "pool_queue_hwm" in
+  (* A domain's queue starts at the largest array the minor heap takes
+     ([Max_young_wosize]), so a queue that grows does so on the major
+     heap and a push never allocates a minor word.  A simulated pool is
+     built for every explored schedule: its queues start small. *)
+  let cap = match run with Domains -> 256 | Events _ -> 16 in
   let make d =
-    (* the core's timers must run on its own domain, not on the
+    (* the core's timers must run on its own worker, not on the
        transport's timer thread: re-route each callback through the
        worker queue ([wref] ties the knot) *)
     let wref = ref None in
@@ -178,8 +206,8 @@ let create ~transport ?audit ?engine ?storage ?metrics ?trace ?map
                 match !wref with Some w -> push_fn w f | None -> f ()));
       }
     in
-    (* coordinator thunks must run on the owning domain, not on
-       whichever domain committed the multi-key op: inject them
+    (* coordinator thunks must run on the owning worker, not on
+       whichever worker committed the multi-key op: inject them
        through the worker queue like timer callbacks *)
     let post f = match !wref with Some w -> push_fn w f | None -> f () in
     let peer_stores =
@@ -188,15 +216,17 @@ let create ~transport ?audit ?engine ?storage ?metrics ?trace ?map
              if i = d then [] else Option.to_list stores.(i)))
     in
     let core =
-      Server.create ~transport:wt ?audit ?engine ?storage:stores.(d) ~metrics
-        ?trace ~map
+      Server.create ~transport:wt ?audit ?resend_every ?engine ~bug
+        ?storage:stores.(d) ~metrics ?trace ~map ?history
         ~member:{ Server.worker = d; domains = nd; txns; post; peer_stores }
         ~me ~replicas ~init ()
     in
     let w =
-      { core; mu = Mutex.create (); cv = Condition.create (); q = slots ();
-        hwm; stopping = false; dom = None }
+      { core; mu = Mutex.create (); cv = Condition.create (); q = slots cap;
+        mine = slots cap; next = 0; batch = ignore; wake = ignore; hwm;
+        stopping = false; dom = None }
     in
+    w.batch <- run_batch w;
     wref := Some w;
     w
   in
@@ -205,8 +235,21 @@ let create ~transport ?audit ?engine ?storage ?metrics ?trace ?map
     { workers; map; nd; worker_exn = Metrics.counter metrics "worker_exn";
       failed = Atomic.make None }
   in
-  Array.iter
-    (fun w -> w.dom <- Some (Domain.spawn (fun () -> worker_loop t w)))
+  Array.iteri
+    (fun i w ->
+      (* under [Events] a raising item ends the run that drives the
+         pool, as a raising handler ends a simulation *)
+      let failed e bt =
+        reset w.mine;
+        Printexc.raise_with_backtrace e bt
+      in
+      match run with
+      | Domains -> w.dom <- Some (Domain.spawn (fun () -> worker_loop t w))
+      | Events _ when nd = 1 ->
+        w.wake <- (fun () -> if w.mine.n = 0 then drain_all failed w)
+      | Events schedule ->
+        let turn () = turn failed w in
+        w.wake <- (fun () -> schedule i turn))
     workers;
   t
 
@@ -309,7 +352,7 @@ and sole_list t w = function
    receiving core then runs the whole sub-batch under a single cork
    turn. *)
 let dispatch t ~src msg =
-  let w = sole t msg in
+  let w = if t.nd = 1 then 0 else sole t msg in
   if w >= 0 then push t.workers.(w) ~src msg no_fn
   else begin
     let buckets = Array.make t.nd [] in
@@ -321,6 +364,10 @@ let dispatch t ~src msg =
       | ms -> push t.workers.(w) ~src (Wire.Batch (List.rev ms)) no_fn
     done
   end
+
+let worker_of_frame t msg =
+  let w = if t.nd = 1 then 0 else sole t msg in
+  if w >= 0 then Some w else None
 
 let stop t =
   Array.iter
@@ -342,9 +389,8 @@ let stop t =
   | Some (e, bt) -> Printexc.raise_with_backtrace e bt
   | None -> ()
 
-let violations t =
-  Array.to_list t.workers
-  |> List.concat_map (fun w -> Server.violations w.core)
+let cores t = Array.to_list (Array.map (fun w -> w.core) t.workers)
+let violations t = List.concat_map Server.violations (cores t)
 
 (* the registry and the coordinator are shared: any core's view is the
    pool's view *)

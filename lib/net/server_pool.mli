@@ -55,38 +55,69 @@
 
     Aggregate accessors read worker state without stopping the pool;
     call them on a quiescent pool (workload drained, or after
-    {!stop}) for exact numbers. *)
+    {!stop}) for exact numbers.
+
+    {b Runners.}  How the workers run is a parameter: the service
+    gives each worker a domain of its own ({!Domains}); the simulator
+    ({!Sim_run}) runs every worker's turns on its own thread as
+    simulator events ({!Events}), so {!Explore} chooses which worker
+    runs next and explores the same routing, queues and [post] the
+    service runs. *)
 
 type t
+
+(** How the workers run.  Either way a worker's {e turn} takes its
+    whole queue and drains it under one cork, and an item pushed
+    during a turn (a [post]ed {!Txn} thunk, say) runs in a later
+    turn. *)
+type runner =
+  | Domains
+      (** Each worker on a domain of its own, blocking on its queue
+          between turns. *)
+  | Events of (int -> (unit -> unit) -> unit)
+      (** No domain: [Events schedule] runs every turn on the thread
+          that drives the pool.  When a push finds worker [w]'s queue
+          empty the pool calls [schedule w turn], and [turn ()] must
+          run once, later, on that thread (a simulator queues it as an
+          event: {!Sim_net.task}).  A one-worker
+          pool has nothing to choose and never calls [schedule]: the
+          push that fills its empty queue drains it, one turn per
+          queue swap, until it stays empty.  An exception out of an
+          item ends the turn and reaches whoever ran it. *)
 
 val create :
   transport:Transport.t ->
   ?audit:bool ->
+  ?resend_every:float ->
   ?engine:Engine.spec ->
+  ?bug:Bug.t ->
   ?storage:(int -> Storage.t option) ->
   ?metrics:Metrics.t ->
   ?trace:Trace.t ->
   ?map:Shard_map.t ->
+  ?history:bool ->
+  ?run:runner ->
   ?domains:int ->
   me:Transport.node ->
   replicas:Transport.node list ->
   init:int ->
   unit ->
   t
-(** Build the cores and spawn the worker domains.  [audit], [engine],
-    [metrics] and [map] are {!Server.create}'s, passed to every core;
-    each core is built with a {!Server.member} value, which makes it
-    corked and presequenced and shares one {!Txn} coordinator.
+(** Build the cores and start the workers as [run] (default
+    {!Domains}) says.  [audit], [resend_every], [engine], [bug],
+    [metrics], [map] and [history] are {!Server.create}'s, passed to
+    every core; [bug]'s torn-batch hook is the shared coordinator's
+    ({!Txn.create}).  Each core is built with a {!Server.member}
+    value, which makes it corked and presequenced, stripes its twobit
+    link ids ({!Registry.create}) and shares one {!Txn} coordinator.
     [domains] (default 1) is the worker count.  [storage] maps a
     worker index to that worker's private store — stores must be
     {e per-domain} (the group-commit queue completes on the appending
     domain), so a durable pool persists under [dir/server-d<i>] and
     must be restarted with the same [domains] to recover every shard's
     timestamps.  Timer callbacks of each core are re-routed into its
-    worker queue, so cores never execute on a transport thread.  A
-    pool plants no deliberate bugs ({!Bug}): those are {!Explore}'s,
-    which drives the same core, one worker's, in the simulator
-    ({!Sim_run}).
+    worker queue, so cores never execute on a transport thread.
+    @raise Invalid_argument if [domains] is below 1.
 
     With [trace], every core appends its operation invokes and
     responds to that one ring ({!Trace.record} is mutex-protected).
@@ -110,16 +141,16 @@ val create :
     [audit_violation], [audit_keys], [audit_resident] — are the whole
     pool's.  The [store_*_commits] rows sum every worker's store
     (worker 0 reads the others' as its [peer_stores]).  Only [epoch]
-    is still worker 0's, as for {!Wire.msg.Epoch_req}.  With the
-    two-bit engine
-    and [domains > 1] every core nacks reconfiguration: two-bit
-    replies route by [lid mod domains] and a migration's second engine
-    would misroute — see {!Reconfig.create}. *)
+    is still worker 0's, as for {!Wire.msg.Epoch_req}. *)
 
 val dispatch : t -> src:Transport.node -> Wire.msg -> unit
 (** Feed one incoming frame (possibly a [Batch]).  Thread-safe; called
     from the transport's handler.  Enqueues and returns — execution
     happens on the worker domains. *)
+
+val worker_of_frame : t -> Wire.msg -> int option
+(** The one worker {!dispatch} queues a frame to, whole, or [None]
+    when the frame goes to several workers (or to none). *)
 
 val stop : t -> unit
 (** Drain and join every worker domain.  In-flight bursts finish;
@@ -137,6 +168,9 @@ val ops_served : t -> int
 val rejected : t -> int
 (** Total operations refused without execution by every worker: the
     shared registry's [ops_rejected]. *)
+
+val cores : t -> Server.t list
+(** Every worker's core, worker 0's first. *)
 
 val violations : t -> (int * int Histories.Fastcheck.violation) list
 (** First latched violation of each offending key across all workers.

@@ -33,12 +33,14 @@ type stats = {
    [Float.Array] and its [seq], [src] and [dst] in int arrays, so
    queueing an event boxes nothing.  A delivery's message sits in
    [msg]; a timer's callback in [fn], its [src] is [timer_src] and its
-   [dst] its owner ([-1] for {!at}).  Free slots wait on a stack, and
+   [dst] its owner ([-1] for {!at}); a task's callback in [fn] too, its
+   [src] [task_src] and its [dst] its node.  Free slots wait on a stack, and
    every array doubles when the slots run out.  [heap] is a plain
    binary min-heap of slot indices on (time, seq); seq breaks ties so
    the order of simultaneous events is the order they were scheduled
    in. *)
 let timer_src = min_int
+let task_src = min_int + 1
 
 module Q = struct
   type t = {
@@ -325,6 +327,8 @@ let send t ~src ~dst msg =
 let set_timer t ~node ~delay f =
   schedule t (t.clock.v +. delay) ~src:timer_src ~dst:node Q.no_msg f
 
+let task t node f = schedule t t.clock.v ~src:task_src ~dst:node Q.no_msg f
+
 let transport t =
   {
     Transport.send = (fun ~src ~dst msg -> send t ~src ~dst msg);
@@ -425,6 +429,11 @@ let execute t s =
   if time > t.clock.v then t.clock.v <- time;
   let src = q.Q.src.(s) in
   if src = timer_src then timer t s
+  else if src = task_src then begin
+    let f = q.Q.fn.(s) in
+    Q.release q s;
+    f ()
+  end
   else begin
     let dst = q.Q.dst.(s) and msg = q.Q.msg.(s) in
     Q.release q s;
@@ -448,7 +457,7 @@ let peek t =
   if q.Q.n = 0 then None
   else
     let s = q.Q.heap.(0) in
-    if q.Q.src.(s) = timer_src then Some (q.Q.dst.(s), None)
+    if q.Q.src.(s) < 0 then Some (q.Q.dst.(s), None)
     else Some (q.Q.dst.(s), Some q.Q.msg.(s))
 
 let step t =
@@ -472,29 +481,35 @@ type pending_ev = {
   timer : bool;
   src : int;
   dst : int;
+  msg : Wire.msg option;
   info : string Lazy.t;
 }
 
 (* Only the oldest delivery of each immune link is offered: the link
-   is FIFO, and in (time, seq) order its oldest comes first. *)
+   is FIFO, and in (time, seq) order its oldest comes first.  Timers
+   and tasks are always offered. *)
 let pending t =
   let q = t.q in
   let heads = Hashtbl.create 8 in
-  let offered p =
-    p.timer
-    || (not (t.faults.immune ~src:p.src ~dst:p.dst))
-    || (not (Hashtbl.mem heads (link_key p.src p.dst)))
-       && (Hashtbl.replace heads (link_key p.src p.dst) ();
+  let offered s =
+    let src = q.Q.src.(s) and dst = q.Q.dst.(s) in
+    src < 0
+    || (not (t.faults.immune ~src ~dst))
+    || (not (Hashtbl.mem heads (link_key src dst)))
+       && (Hashtbl.replace heads (link_key src dst) ();
            true)
   in
   Q.sorted q |> Array.to_list
-  |> List.mapi (fun idx s ->
+  |> List.mapi (fun idx s -> (idx, s))
+  |> List.filter (fun (_, s) -> offered s)
+  |> List.map (fun (idx, s) ->
          let timer = q.Q.src.(s) = timer_src and dst = q.Q.dst.(s) in
-         let src, info =
-           if timer then (dst, lazy "timer")
+         let src, msg, info =
+           if timer then (dst, None, lazy "timer")
+           else if q.Q.src.(s) = task_src then (dst, None, lazy "task")
            else
              let msg = q.Q.msg.(s) in
-             (q.Q.src.(s), lazy (Fmt.str "%a" Wire.pp msg))
+             (q.Q.src.(s), Some msg, lazy (Fmt.str "%a" Wire.pp msg))
          in
          {
            idx;
@@ -503,9 +518,9 @@ let pending t =
            timer;
            src;
            dst;
+           msg;
            info;
          })
-  |> List.filter offered
 
 let fire t i =
   let q = t.q in

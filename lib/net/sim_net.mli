@@ -125,6 +125,14 @@ val at : t -> float -> (unit -> unit) -> unit
     (crash this replica at t, heal at t') are built from this.  It
     belongs to no node, so it fires whatever any node's state. *)
 
+val task : t -> Transport.node -> (unit -> unit) -> unit
+(** [task t node f] queues [f] as an event of [node]'s own, due now:
+    {!step} runs it in its (time, seq) turn, whatever the node's state,
+    and {!pending} offers it as it offers a delivery to [node], not as
+    a timer, so an explorer chooses when it runs.  It is no frame: no
+    frame counter moves and nothing is traced.  A simulated
+    {!Server_pool} worker's turn is one. *)
+
 val now : t -> float
 
 val step : t -> bool
@@ -133,9 +141,10 @@ val step : t -> bool
 
 val peek : t -> (Transport.node * Wire.msg option) option
 (** The event {!step} would execute next: its destination node and,
-    for a delivery, the message ([None] for a timer, whose node is its
-    owner, [-1] for one set by {!at}); [None] when quiescent.  O(1) and
-    read-only — for tools that attribute each step's cost. *)
+    for a delivery, the message ([None] for a timer or a {!task},
+    whose node is its owner, [-1] for one set by {!at}); [None] when
+    quiescent.  O(1) and read-only — for tools that attribute each
+    step's cost. *)
 
 val run : ?max_steps:int -> t -> int
 (** Step until quiescent or [max_steps] (default 1_000_000); returns
@@ -157,15 +166,19 @@ type pending_ev = {
           it follows the entry while it sits in the queue, and replays
           of the same choice prefix reproduce it exactly *)
   time : float;  (** scheduled virtual delivery time *)
-  timer : bool;  (** [true] for timers; [src]/[dst] are the owner *)
+  timer : bool;
+      (** [true] for timers; [src]/[dst] are the owner, as for a
+          {!task} *)
   src : int;
   dst : int;
+  msg : Wire.msg option;  (** a delivery's message *)
   info : string Lazy.t;  (** pretty-printed payload, forced on demand *)
 }
 
 val pending : t -> pending_ev list
 (** Snapshot of the event queue, earliest first, less every delivery
-    of an immune link but its oldest (the link is FIFO).  Indices are
+    of an immune link but its oldest (the link is FIFO); every timer
+    and {!task} is offered.  Indices are
     valid until the next mutation ([fire], [step], [send], …). *)
 
 val fire : t -> int -> bool

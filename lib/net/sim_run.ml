@@ -112,6 +112,7 @@ type store = {
 type spec = {
   replicas : int;
   shards : int;
+  domains : int;
   group_size : int option;
   keys : int;
   window : int;
@@ -124,8 +125,9 @@ let default_store =
   { snapshot_every = 32; gc_bytes = None; group_commit = None }
 
 let default =
-  { replicas = 3; shards = 1; group_size = None; keys = 1; window = 4;
-    engine = Engine.Abd; bug = Bug.none; store = Some default_store }
+  { replicas = 3; shards = 1; domains = 1; group_size = None; keys = 1;
+    window = 4; engine = Engine.Abd; bug = Bug.none;
+    store = Some default_store }
 
 (* The one place a cluster description is checked.  A count below 1
    would build a cluster in which no op can run, so every verdict on it
@@ -139,6 +141,7 @@ let validate ?reconfig s =
   let positive name n = if n < 1 then fail "%s is %d, want at least 1" name n in
   positive "replicas" s.replicas;
   positive "shards" s.shards;
+  positive "domains" s.domains;
   positive "keys" s.keys;
   positive "window" s.window;
   Option.iter (positive "group_size") s.group_size;
@@ -155,6 +158,9 @@ let validate ?reconfig s =
          "unordered is a twobit-engine bug hook; the abd engine has no link \
           layer to disorder"
    | Engine.Twobit ->
+     if s.shards * s.domains > Wire.max_lid then
+       fail "%d shards times %d domains is %d twobit link ids, want at most %d"
+         s.shards s.domains (s.shards * s.domains) Wire.max_lid;
      if b.read_quorum <> None then
        fail
          "read_quorum is an abd-engine bug hook; the twobit engine reads from \
@@ -170,6 +176,7 @@ let validate ?reconfig s =
 
 type cluster = {
   net : Sim_net.t;
+  pool : Server_pool.t;
   server : Server.t;
   replica_nodes : int list;
   expected : int;
@@ -181,6 +188,9 @@ type cluster = {
 
 (* Every simulated register starts at 0. *)
 let init = 0
+
+(* above every replica, server and client node *)
+let worker_node w = (1 lsl 30) + w
 
 let create ?(faults = Sim_net.reliable) ?reconfig ?measure ?trace spec ~seed
     ~workload =
@@ -262,29 +272,24 @@ let create ?(faults = Sim_net.reliable) ?reconfig ?measure ?trace spec ~seed
           incarnations.(r) <- rep;
           emits.(r) <- emit_of r rep))
     replica_nodes;
-  (* server: the core of a 1-worker pool, as the service runs it, but
-     keeping its history; the retransmission period must exceed a
-     replica round trip *)
+  (* server: the pool the service runs, its cores keeping their
+     history, each worker's turn an event of the server's node; the
+     retransmission period must exceed a replica round trip *)
   let resend_every = (4.0 *. faults.Sim_net.max_delay) +. 1.0 in
   let map =
     Shard_map.create ?group_size:spec.group_size ~shards:spec.shards ()
   in
-  let member =
-    {
-      Server.worker = 0;
-      domains = 1;
-      txns = Txn.create ~torn:spec.bug.Bug.torn_txn ~init ();
-      post = (fun f -> f ());
-      peer_stores = [];
-    }
+  let pool =
+    Server_pool.create ~transport:tr ~resend_every
+      ~engine:{ Engine.kind = spec.engine } ~bug:spec.bug ~metrics ?trace ~map
+      ~history:true
+      ~run:
+        (Server_pool.Events
+           (fun w turn -> Sim_net.task net (worker_node w) turn))
+      ~domains:spec.domains ~me:Transport.server ~replicas:replica_nodes ~init
+      ()
   in
-  let server =
-    Server.create ~transport:tr ~resend_every
-      ~engine:{ Engine.kind = spec.engine } ~bug:spec.bug ~metrics
-      ?trace ~map ~history:true ~member ~me:Transport.server
-      ~replicas:replica_nodes ~init ()
-  in
-  Sim_net.register net Transport.server (Server.on_message server);
+  Sim_net.register net Transport.server (Server_pool.dispatch pool);
   (* migration request: a dedicated control client whose frame is
      enqueued like any other message — under the explorer its delivery
      is a schedulable event, so the handoff interleaves freely with the
@@ -359,7 +364,8 @@ let create ?(faults = Sim_net.reliable) ?reconfig ?measure ?trace spec ~seed
   in
   {
     net;
-    server;
+    pool;
+    server = List.hd (Server_pool.cores pool);
     replica_nodes;
     expected;
     metrics;
@@ -394,11 +400,29 @@ let apply_fate cl = function
   | Harness.Failure.Partition (a, b) -> Sim_net.partition cl.net a b
   | Harness.Failure.Heal -> Sim_net.heal cl.net
 
+(* The pool's history: every core's, merged in virtual time.  A key's
+   events all come from its one owning core, and the sort is stable,
+   so each key's events keep their order. *)
+let merged cl =
+  let entries c =
+    List.map2
+      (fun (time, ev) (key, _) -> (time, key, ev))
+      (Server.timed_history c) (Server.keyed_history c)
+  in
+  let all =
+    List.stable_sort
+      (fun (a, _, _) (b, _, _) -> Float.compare a b)
+      (List.concat_map entries (Server_pool.cores cl.pool))
+  in
+  ( List.map (fun (time, _, ev) -> (time, ev)) all,
+    List.map (fun (_, key, ev) -> (key, ev)) all )
+
+let keyed_history cl = snd (merged cl)
+
 let collect cl ~steps =
-  let server = cl.server in
-  let timed = Server.timed_history server in
+  let pool = cl.pool in
+  let timed, keyed = merged cl in
   let history = List.map snd timed in
-  let keyed = Server.keyed_history server in
   let completed =
     List.length (List.filter (function E.Respond _ -> true | _ -> false) history)
   in
@@ -411,14 +435,14 @@ let collect cl ~steps =
     List.map
       (fun (k, v) ->
         (k, Fmt.str "%a" (Histories.Fastcheck.pp_violation Fmt.int) v))
-      (Server.violations server)
+      (Server_pool.violations pool)
   in
   {
     history;
     monitor_violation =
       (match key_violations with [] -> None | (k, v) :: _ ->
         Some (Fmt.str "key %d: %s" k v));
-    txn_violations = Server.txn_violations server;
+    txn_violations = Server_pool.txn_violations pool;
     fastcheck_ok = List.for_all snd key_fastcheck;
     key_fastcheck;
     key_violations;
@@ -428,9 +452,12 @@ let collect cl ~steps =
     virtual_span = Sim_net.now cl.net;
     latencies = latencies_of timed;
     net = Sim_net.stats cl.net;
-    quorum = Server.quorum_stats server;
+    quorum = Server_pool.quorum_stats pool;
     metrics = cl.metrics;
-    epoch = Server.epoch server;
+    epoch =
+      List.fold_left
+        (fun e c -> max e (Server.epoch c))
+        0 (Server_pool.cores pool);
     reconfig_acked = !(cl.reconfig_ack);
   }
 

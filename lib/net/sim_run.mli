@@ -9,10 +9,13 @@
     immune ({!Sim_net.faults}): no drops, no duplicates and FIFO
     delivery, a TCP-like session, which the server's presequenced
     admission relies on; delay jitter still applies.  Replica links
-    suffer the full fault schedule.  The server is the core a
-    1-worker {!Server_pool} runs ({!Server.member}: corked sends,
-    presequenced admission), with its own {!Txn} coordinator, keeping
-    its history.
+    suffer the full fault schedule.  The server is the
+    {!Server_pool} the service runs, with [domains] workers whose cores
+    keep their history; each worker's turn is a {!Sim_net.task} of
+    the worker's own node ({!worker_node}), so with more than one
+    worker the order of their turns is one more choice of the
+    schedule.  With one worker no event is added: its queue drains
+    as each frame or timer arrives.
 
     With [shards] > 1 the server hosts a sharded keyspace and each
     process round-robins its script over [keys] distinct keys, so a
@@ -108,6 +111,9 @@ type store = {
 type spec = {
   replicas : int;  (** replica nodes *)
   shards : int;  (** server shards (keys hash across them) *)
+  domains : int;
+      (** server pool workers; a key's worker is its shard's index
+          modulo [domains] ({!Server.worker_of_key}) *)
   group_size : int option;
       (** replicas per shard group (see {!Shard_map.group}) — with
           [Some 1] and 2 shards the two replica groups are disjoint,
@@ -136,8 +142,9 @@ val default_store : store
 (** Snapshot every 32 appends, no GC frontier, no group commit. *)
 
 val default : spec
-(** 3 replicas, 1 shard (the unsharded single-register service), every
-    replica in it, 1 key, window 4, ABD, no bug, {!default_store}. *)
+(** 3 replicas, 1 shard (the unsharded single-register service), 1
+    worker, every replica in it, 1 key, window 4, ABD, no bug,
+    {!default_store}. *)
 
 type reconfig = {
   key : int;  (** the key to migrate *)
@@ -150,8 +157,10 @@ type reconfig = {
 
 val validate : ?reconfig:reconfig -> spec -> unit
 (** Check a spec, as {!create} and {!Explore.config} do.
-    @raise Invalid_argument if [replicas], [shards], [keys], [window]
-    or [group_size] is below 1, if the bug's [read_quorum] is outside
+    @raise Invalid_argument if [replicas], [shards], [domains],
+    [keys], [window] or [group_size] is below 1, if a twobit spec's
+    [shards × domains] exceeds {!Wire.max_lid} (its link ids would not
+    fit: {!Registry.create}), if the bug's [read_quorum] is outside
     [1..replicas], if a hook names the wrong engine ([read_quorum] or
     [skip_write_back] with twobit, [unordered] with ABD), if
     [skip_dual_write] is set without a [reconfig].  A [reconfig] to a
@@ -159,7 +168,10 @@ val validate : ?reconfig:reconfig -> spec -> unit
 
 type cluster = {
   net : Sim_net.t;
+  pool : Server_pool.t;
   server : Server.t;
+      (** worker 0's core: the whole server at one worker; read the
+          pool's views through [pool] and {!collect} *)
   replica_nodes : int list;
   expected : int;  (** operations in the workload *)
   metrics : Metrics.t;
@@ -173,6 +185,10 @@ type cluster = {
   reconfig_ack : bool option ref;
       (** verdict of the [?reconfig] request's ack, once it arrives *)
 }
+
+val worker_node : int -> Transport.node
+(** The node a pool worker's turns belong to ({!Sim_net.task}): one per
+    worker, above every replica, server and client node. *)
 
 val create :
   ?faults:Sim_net.faults ->
@@ -264,10 +280,17 @@ val apply_fate : cluster -> Harness.Failure.net_fate -> unit
     before the next event. *)
 
 val collect : cluster -> steps:int -> outcome
-(** Assemble the outcome from the cluster's current state; [steps] is
-    reported verbatim.  Safe to call on a partially-run (stalled or
-    explorer-truncated) cluster — per-key audits then cover the prefix
-    history. *)
+(** Assemble the outcome from the whole pool's current state: every
+    core's violations, the coordinator's torn batches, the cores'
+    histories merged in virtual time ({!keyed_history}), and the
+    highest worker epoch.  [steps] is reported verbatim.  Safe to call
+    on a partially-run (stalled or explorer-truncated) cluster —
+    per-key audits then cover the prefix history. *)
+
+val keyed_history : cluster -> (int * int Histories.Event.t) list
+(** The pool's history with each event's key: every core's, merged in
+    virtual time.  A key's events all come from its owning core, in
+    their order. *)
 
 val fastcheck_by_key :
   init:int ->

@@ -387,6 +387,7 @@ type pending_ev = {
   timer : bool;
   src : int;
   dst : int;
+  msg : Wire.msg option;
   info : string Lazy.t;
 }
 
@@ -403,13 +404,13 @@ let pending t =
   in
   sorted_entries t |> Array.to_list
   |> List.mapi (fun idx e ->
-         let timer, src, dst, info =
+         let timer, src, dst, msg, info =
            match e.ev with
            | Deliver { src; dst; msg } ->
-             (false, src, dst, lazy (Fmt.str "%a" Wire.pp msg))
-           | Timer { node; _ } -> (true, node, node, lazy "timer")
+             (false, src, dst, Some msg, lazy (Fmt.str "%a" Wire.pp msg))
+           | Timer { node; _ } -> (true, node, node, None, lazy "timer")
          in
-         { idx; seq = e.seq; time = e.time; timer; src; dst; info })
+         { idx; seq = e.seq; time = e.time; timer; src; dst; msg; info })
   |> List.filter offered
 
 let fire t i =

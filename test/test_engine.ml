@@ -8,6 +8,7 @@
 
 module Ex = Net.Explore
 module S = Modelcheck.Schedule
+module W = Net.Wire
 
 let tc = Helpers.tc
 let tc_slow = Helpers.tc_slow
@@ -609,6 +610,74 @@ let registry_floor_words kind () =
     (Fmt.str "%.1f words per recovered register <= 12" words)
     true (words <= 12.0)
 
+(* The twobit link id of shard [s] on worker [w] of a [d]-worker pool
+   is [s * d + w]: for every domain count 1-4 and shard counts up to
+   [d * shards = Wire.max_lid], each (worker, shard) engine's writes
+   carry a link id that routes home by [lid mod d], no two engines of
+   the pool share one, and the registry acks a write by the [Ack2] of
+   its own link id only.  One replica, so one ack is a quorum. *)
+let twobit_link_ids_route_home () =
+  List.iter
+    (fun d ->
+      List.iter
+        (fun shards ->
+          let map = Net.Shard_map.create ~shards () in
+          (* a key in each shard *)
+          let key_of = Array.make shards (-1) in
+          let k = ref 0 in
+          while Array.exists (fun key -> key < 0) key_of do
+            let s = Net.Shard_map.shard_of_key map !k in
+            if key_of.(s) < 0 then key_of.(s) <- !k;
+            incr k
+          done;
+          let seen = Hashtbl.create 64 in
+          for worker = 0 to d - 1 do
+            let sent = ref [] in
+            let send ~src:_ ~dst:_ msg = sent := msg :: !sent in
+            let registry =
+              Net.Registry.create
+                ~transport:{ Net.Transport.null with Net.Transport.send }
+                ~me:Net.Transport.server ~replicas:[ 0 ] ~map
+                ~engine:(espec Net.Engine.Twobit) ~worker:(worker, d) ()
+            in
+            for s = 0 to shards - 1 do
+              let what =
+                Fmt.str "%d domains, %d shards, worker %d, shard %d" d shards
+                  worker s
+              in
+              sent := [];
+              let acked = ref false in
+              Net.Registry.write registry ~key:key_of.(s) ~reg:0
+                ~value:(Registers.Tagged.make (s + 1) false)
+                ~k:(fun () -> acked := true);
+              match !sent with
+              | [ W.Store2 { lid; seq; _ } ] ->
+                Alcotest.(check int) (what ^ ": lid mod domains") worker
+                  (lid mod d);
+                if d = 1 then Alcotest.(check int) (what ^ ": lid") s lid;
+                if Hashtbl.mem seen lid then
+                  Alcotest.failf "%s: lid %d shared" what lid;
+                Hashtbl.replace seen lid ();
+                (* another worker's engine on this shard *)
+                let foreign = (s * d) + ((worker + 1) mod d) in
+                if foreign <> lid then begin
+                  Net.Registry.on_message registry ~src:0
+                    (W.Ack2 { lid = foreign; seq });
+                  Alcotest.(check bool) (what ^ ": foreign ack ignored") false
+                    !acked
+                end;
+                Net.Registry.on_message registry ~src:0 (W.Ack2 { lid; seq });
+                Alcotest.(check bool) (what ^ ": own ack delivered") true
+                  !acked
+              | _ -> Alcotest.failf "%s: expected one Store2" what
+            done
+          done;
+          Alcotest.(check int)
+            (Fmt.str "%d domains, %d shards: one lid per engine" d shards)
+            (d * shards) (Hashtbl.length seen))
+        (List.sort_uniq compare [ 1; 2; 3; W.max_lid / d ]))
+    [ 1; 2; 3; 4 ]
+
 let suite =
   [
     tc "conformance: abd serves the keyed workload" (conformance Net.Engine.Abd);
@@ -649,6 +718,7 @@ let suite =
       (registry_floor_words Net.Engine.Abd);
     tc "registry floors: twobit holds them once, not per shard"
       (registry_floor_words Net.Engine.Twobit);
+    tc "twobit link ids route home" twobit_link_ids_route_home;
   ]
 
 let slow_suite =

@@ -836,6 +836,10 @@ let degenerate_clusters_refused () =
       ("0 shards", { default with shards = 0 });
       ("0 keys", { default with keys = 0 });
       ("window 0", { default with window = 0 });
+      ("0 domains", { default with domains = 0 });
+      ( "twobit link ids past the wire's",
+        { default with engine = Net.Engine.Twobit; shards = 129; domains = 2 }
+      );
       ("group size 0", { default with group_size = Some 0 });
     ]
 
@@ -942,6 +946,120 @@ let reconfig_exhausts_clean engine workload expected () =
   | None -> ()
   | Some ce -> Alcotest.failf "reconfig schedule not atomic: %s" ce.E.message
 
+(* --- a pool of two workers -------------------------------------------
+   The simulator runs the service's pool: at two workers each worker's
+   turn is a schedulable event, so the explorer also chooses which
+   worker runs next and how many queued frames one turn drains.  Under
+   2 shards keys 0 and 1 sit on shards 0 and 1, hence on workers 0 and
+   1; key 3 sits on shard 0.  Each config must exhaust clean, and its
+   default schedule must complete every op. *)
+
+let pool_exhausts ?reconfig ~what spec workload expected =
+  let cfg = E.config ~spec:{ spec with domains = 2 } ?reconfig ~workload () in
+  let res = E.explore cfg in
+  Alcotest.(check bool) (what ^ ": exhausted") true res.E.stats.S.exhausted;
+  Alcotest.(check int) (what ^ ": schedule count") expected
+    res.E.stats.S.schedules;
+  (match res.E.counterexample with
+   | None -> ()
+   | Some ce -> Alcotest.failf "%s: %s" what ce.E.message);
+  let o = E.replay cfg [] in
+  Alcotest.(check int) (what ^ ": the default schedule completes every op")
+    o.Net.Sim_run.expected o.Net.Sim_run.completed;
+  o
+
+let keyed p key op =
+  { Net.Sim_run.xproc = p; xscript = [ Net.Sim_run.Keyed (key, op) ] }
+
+(* two writers, one on each worker's key *)
+let pool_writers_exhaust engine expected () =
+  ignore
+    (pool_exhausts ~what:"writers on two workers"
+       { default with replicas = 1; shards = 2; keys = 2; engine }
+       [ keyed 0 0 (w 7); keyed 1 1 (w 9) ]
+       expected)
+
+(* one batch over both workers' keys: each owner runs its key, the
+   shared coordinator posts across workers *)
+let pool_txn_exhausts engine expected () =
+  ignore
+    (pool_exhausts ~what:"a batch across two workers"
+       { default with replicas = 1; shards = 2; keys = 2; engine }
+       [
+         { Net.Sim_run.xproc = 0;
+           xscript = [ Net.Sim_run.Txn_w [ (0, 1); (1, 2) ] ] };
+       ]
+       expected)
+
+(* worker 0 migrates key 3 onto shard 1 while worker 1 writes key 1 on
+   shard 1: worker 0 drives an engine of a shard worker 1 owns, over the
+   same replica, and every reply must come back to the worker that
+   sent the request *)
+let pool_reshard_exhausts engine expected () =
+  let o =
+    pool_exhausts ~what:"a reshard onto the other worker's shard"
+      ~reconfig:(3, 1)
+      { default with replicas = 2; shards = 2; group_size = Some 1; keys = 4;
+        window = 1; engine }
+      [ keyed 1 1 (w 9) ]
+      expected
+  in
+  Alcotest.(check (option bool)) "the default schedule acks the migration"
+    (Some true) o.Net.Sim_run.reconfig_acked;
+  Alcotest.(check int) "epoch advanced once" 1 o.Net.Sim_run.epoch
+
+(* The per-worker sleep-set nodes prune without hiding a bug: with the
+   read quorum broken, the exhaustive search of a two-worker config
+   finds the new-old inversion on key 0 (worker 0) while worker 1
+   serves a write of key 1, and the schedule replays to it. *)
+let pool_pruning_keeps_a_bug () =
+  let cfg =
+    E.config
+      ~spec:
+        { default with replicas = 3; shards = 2; keys = 2; domains = 2;
+          bug = { no_bug with read_quorum = Some 1 } }
+      ~workload:
+        [
+          keyed 0 0 (w 7);
+          { Net.Sim_run.xproc = 2;
+            xscript = [ Net.Sim_run.Keyed (0, r); Net.Sim_run.Keyed (0, r) ] };
+          keyed 1 1 (w 9);
+        ]
+      ()
+  in
+  match (E.explore cfg).E.counterexample with
+  | None -> Alcotest.fail "the pruned search missed the broken read quorum"
+  | Some ce ->
+    Alcotest.(check int) "violation on key 0" 0 ce.E.key;
+    Alcotest.(check bool) "its schedule replays to it" true
+      ((E.replay cfg ce.E.schedule).Net.Sim_run.key_violations <> [])
+
+(* An artifact names its worker count on a [domains] note line, only
+   when it is not 1, and loads it back; an artifact without one loads
+   as one worker. *)
+let domains_note_round_trip () =
+  let notes cfg =
+    let file = Filename.temp_file "explore-domains" ".jsonl" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove file)
+      (fun () ->
+        E.save ~file cfg { E.schedule = []; key = 0; message = "" };
+        let cfg', _ = E.load ~file in
+        ( List.filter_map Net.Trace.note_of_line (read_lines file),
+          cfg'.E.spec.domains ))
+  in
+  let spec = { default with shards = 2; keys = 2 } in
+  let one, d1 = notes (E.config ~spec ~workload:two_writers ()) in
+  Alcotest.(check int) "one worker loads as one" 1 d1;
+  Alcotest.(check bool) "no domains note at one worker" false
+    (List.exists (fun n -> find_sub n "domains" = Some 0) one);
+  let two, d2 =
+    notes (E.config ~spec:{ spec with domains = 2 } ~workload:two_writers ())
+  in
+  Alcotest.(check int) "two workers load as two" 2 d2;
+  Alcotest.(check bool) "a domains note at two workers" true
+    (List.mem "domains 2" two)
+
 let suite =
   [
     tc "exhaustive: two writers, all schedules atomic"
@@ -1000,6 +1118,22 @@ let suite =
       committed_artifacts_replay;
     tc "pre-reconfig artifacts load with defaults" pre_reconfig_artifact_loads;
     tc "torture: small seeded batch clean" torture_small;
+    tc "two workers: writers on both exhaust clean, abd"
+      (pool_writers_exhaust Net.Engine.Abd 152);
+    tc "two workers: writers on both exhaust clean, twobit"
+      (pool_writers_exhaust Net.Engine.Twobit 152);
+    tc "two workers: a batch across both exhausts clean, abd"
+      (pool_txn_exhausts Net.Engine.Abd 2816);
+    tc "two workers: a batch across both exhausts clean, twobit"
+      (pool_txn_exhausts Net.Engine.Twobit 2816);
+    tc "two workers: reshard onto the other's shard exhausts clean, abd"
+      (pool_reshard_exhausts Net.Engine.Abd 2418);
+    tc "two workers: reshard onto the other's shard exhausts clean, twobit"
+      (pool_reshard_exhausts Net.Engine.Twobit 2394);
+    tc "domains note: written at two workers, loaded back"
+      domains_note_round_trip;
+    tc "two workers: the pruned search still finds a broken read quorum"
+      pool_pruning_keeps_a_bug;
   ]
 
 let slow_suite =

@@ -2408,10 +2408,11 @@ let abd_write_phase_words () =
     (Fmt.str "%.1f words per write phase <= 12" words)
     true (words <= 12.0)
 
-(* An unaudited core over three replicas whose transport keeps the
-   turn's queries, as (replica, rid), and [answer reply], which hands
-   the core [reply rid] from each of those replicas. *)
-let query_catching_server () =
+(* An unaudited core over three replicas, built by [make] over a
+   transport that keeps the turn's queries, as (replica, rid), and
+   [answer reply], which hands the core [reply rid] from each of those
+   replicas through [deliver]. *)
+let query_catching make deliver =
   let qdst = Array.make 8 0 and qrid = Array.make 8 0 and nq = ref 0 in
   let tr =
     {
@@ -2426,38 +2427,85 @@ let query_catching_server () =
           | _ -> ());
     }
   in
-  let sv =
-    Net.Server.create ~transport:tr ~audit:false ~member:(solo_member ())
-      ~me:engine_node ~replicas:[ 0; 1; 2 ] ~init:0 ()
-  in
+  let sv = make tr in
   let answer reply =
     while !nq > 0 do
       decr nq;
-      Net.Server.on_message sv ~src:qdst.(!nq) (reply qrid.(!nq))
+      deliver sv ~src:qdst.(!nq) (reply qrid.(!nq))
     done
   in
   (sv, answer)
 
-(* A reader's [Req] read of a key it has read before, on a core over
-   three replicas with its audit off: the minor words from the [Req]
-   to its [Resp], its three phases' replies built beforehand. *)
-let server_read_op_words () =
+let query_catching_server () =
+  query_catching
+    (fun tr ->
+      Net.Server.create ~transport:tr ~audit:false ~member:(solo_member ())
+        ~me:engine_node ~replicas:[ 0; 1; 2 ] ~init:0 ())
+    Net.Server.on_message
+
+(* A reader's [Req] read of a key it has read before, with its three
+   phases' replies built beforehand, through [deliver]: the minor
+   words from the [Req] to its [Resp], and the ops served. *)
+let read_op_words (sv, answer) deliver served =
   let n = 2_000 in
-  let sv, answer = query_catching_server () in
   let cl = Net.Transport.client 2 in
-  Net.Server.on_message sv ~src:cl (W.Hello { proc = 2 });
+  deliver sv ~src:cl (W.Hello { proc = 2 });
   let reqs = Array.init n (fun seq -> W.Req { seq; op = W.Read_k { key = 0 } })
   and replies = Array.init (3 * n) (fun rid -> query_reply ~rid ()) in
   let reply rid = replies.(rid) in
   let words =
     words_per_call ~warmup:100 ~n (fun seq ->
-        Net.Server.on_message sv ~src:cl reqs.(seq);
+        deliver sv ~src:cl reqs.(seq);
         answer reply)
   in
-  Alcotest.(check int) "every read answered" n (Net.Server.ops_served sv);
+  Alcotest.(check int) "every read answered" n (served sv);
+  words
+
+(* ... on a core over three replicas with its audit off *)
+let server_read_op_words () =
+  let words =
+    read_op_words (query_catching_server ()) Net.Server.on_message
+      Net.Server.ops_served
+  in
   Alcotest.(check bool)
     (Fmt.str "%.1f words per read op <= 53" words)
     true (words <= 53.0)
+
+(* A pool of no worker would serve nothing: [create] refuses it rather
+   than run one worker under a banner that says otherwise. *)
+let pool_refuses_no_domain () =
+  List.iter
+    (fun domains ->
+      match
+        Net.Server_pool.create ~transport:Net.Transport.null ~domains
+          ~me:engine_node ~replicas:[ 0 ] ~init:0 ()
+      with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "a pool of %d domains was built" domains)
+    [ 0; -3 ]
+
+(* The same read through a 1-worker pool as the simulator runs it: the
+   pool's queue and its turn add no word to the core's. *)
+let sim_pool_read_op_words () =
+  let core =
+    read_op_words (query_catching_server ()) Net.Server.on_message
+      Net.Server.ops_served
+  in
+  let pool =
+    query_catching
+      (fun tr ->
+        Net.Server_pool.create ~transport:tr ~audit:false
+          ~run:(Net.Server_pool.Events (fun _ -> assert false))
+          ~me:engine_node ~replicas:[ 0; 1; 2 ] ~init:0 ())
+      Net.Server_pool.dispatch
+  in
+  let pooled =
+    read_op_words pool Net.Server_pool.dispatch Net.Server_pool.ops_served
+  in
+  Alcotest.(check bool)
+    (Fmt.str "%.1f words per pooled read op <= %.1f on the bare core" pooled
+       core)
+    true (pooled <= core)
 
 let sim_step_allocates_nothing () =
   let n = 2_000 in
@@ -2601,6 +2649,32 @@ let sim_immune_link_is_fifo () =
   let other = from 2 in
   Alcotest.(check bool) "the other link still reorders" true
     (other <> List.sort compare other)
+
+(* A task is one more choice: [pending] offers it as a delivery of its
+   node (no timer, no message), it runs when fired or stepped, whatever
+   the node's state, and it is no frame: no frame counter moves. *)
+let sim_task_is_a_choice () =
+  let metrics = Net.Metrics.create () in
+  let net =
+    Net.Sim_net.create ~seed:1 ~faults:Net.Sim_net.reliable ~metrics ()
+  in
+  let ran = ref 0 in
+  Net.Sim_net.crash net 7;
+  Net.Sim_net.task net 7 (fun () -> incr ran);
+  Net.Sim_net.task net 7 (fun () -> incr ran);
+  (match Net.Sim_net.pending net with
+   | [ p; _ ] ->
+     Alcotest.(check bool) "not a timer" false p.Net.Sim_net.timer;
+     Alcotest.(check bool) "no message" true (p.Net.Sim_net.msg = None);
+     Alcotest.(check (pair int int)) "its node" (7, 7)
+       (p.Net.Sim_net.src, p.Net.Sim_net.dst);
+     Alcotest.(check bool) "fired" true (Net.Sim_net.fire net p.Net.Sim_net.idx)
+   | ps -> Alcotest.failf "%d pending, want 2" (List.length ps));
+  ignore (Net.Sim_net.run net);
+  Alcotest.(check int) "both ran on a crashed node" 2 !ran;
+  List.iter
+    (fun name -> Alcotest.(check int) name 0 (Net.Metrics.get metrics name))
+    [ "frames_sent"; "frames_delivered"; "frames_dropped"; "timer_fires" ]
 
 let sim_pending_offers_link_heads () =
   let net = immune_0_to_1 Net.Sim_net.reliable in
@@ -2869,6 +2943,7 @@ module type SIM = sig
     timer : bool;
     src : int;
     dst : int;
+    msg : W.msg option;
     info : string Lazy.t;
   }
 
@@ -3744,6 +3819,7 @@ let suite =
     tc "sim: an immune link delivers in send order" sim_immune_link_is_fifo;
     tc "sim: pending offers only an immune link's oldest delivery"
       sim_pending_offers_link_heads;
+    tc "sim: a task is a choice, not a frame or a timer" sim_task_is_a_choice;
     tc "replica: a durable Query allocates only its reply"
       durable_replica_query_words;
     tc "sim: an amnesia restart drops the old incarnation's timers"
@@ -3790,6 +3866,9 @@ let suite =
     tc "socket: small frames through a tiny SO_SNDBUF arrive whole, in order"
       socket_tiny_sndbuf_small_frames;
     tc "socket: a refused op is answered with a Nack" socket_refused_op_nacked;
+    tc "sim: a 1-worker pool's read op costs no word more than its core's"
+      sim_pool_read_op_words;
+    tc "pool: fewer than one domain is refused" pool_refuses_no_domain;
   ]
 
 let slow_suite =

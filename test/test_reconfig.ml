@@ -1,11 +1,11 @@
 (* Live reconfiguration under traffic: the {!Net.Reconfig} dual-quorum
    handoff driven through the simulator.  Tier-1 covers migrations with
-   clients mid-flight on both engines, the trivial and refused request
+   clients mid-flight on both engines, the trivial and out-of-range request
    shapes, the raw wire-level nack discipline (stale epoch, busy, range)
    via a hand-rolled control client, and a crash-point matrix that tears
    a replica disk at every append ordinal while a migration is in
    flight.  The socket legs (reshard under live threads, close-seal
-   during a migration, the multi-domain pool verdicts) sweep in
+   during a migration, pools of one, two and four domains) sweep in
    [slow_suite]. *)
 
 module R = Net.Sim_run
@@ -388,36 +388,49 @@ let socket_close_seals_during_migration () =
   | (_, v) :: _ ->
     Alcotest.failf "live audit: %a" (Histories.Fastcheck.pp_violation Fmt.int) v
 
-let socket_pool_reshard kind ~domains ~expect_refusal () =
-  (* the worker-domain pool: static key ownership means a migration is
-     only honoured when the pool can serve both shards from one worker
-     — ABD pools accept at any domain count, a twobit pool on one
-     domain accepts, and a multi-domain twobit pool must refuse rather
-     than wedge *)
+let socket_pool_reshard kind ~domains () =
+  (* the worker-domain pool: the key's owner worker runs the whole
+     migration, driving the engine of a shard another worker may own,
+     while writer and reader threads hammer the key; every reply must
+     come back to the worker that sent the request (twobit link ids are
+     striped per worker), or the handoff wedges *)
   let net, pool =
-    Test_net.socket_pool ~engine:(espec kind) ~shards:2 ~domains ()
+    (* a shard per worker; [hot] sits on shard 0 under 2 and 4 shards *)
+    Test_net.socket_pool ~engine:(espec kind) ~shards:(max 2 domains) ~domains
+      ()
   in
-  let c = Net.Client.connect ~net ~server:Net.Transport.server ~proc:0 () in
-  for i = 1 to 10 do
-    Net.Client.write_k c ~key:hot i
-  done;
-  let verdict =
-    match Net.Client.reshard c ~key:hot ~to_shard:target_shard with
-    | e -> Ok e
-    | exception Invalid_argument msg -> Error msg
+  let rounds = 30 in
+  let counts = Array.make 3 0 in
+  let hammer p =
+    Thread.create
+      (fun () ->
+        let c =
+          Net.Client.connect ~net ~server:Net.Transport.server ~proc:p ()
+        in
+        for i = 1 to rounds do
+          if p <= 1 then Net.Client.write_k c ~key:hot ((1000 * (p + 1)) + i)
+          else ignore (Net.Client.read_k c ~key:hot);
+          counts.(p) <- i
+        done;
+        Net.Client.close c)
+      ()
   in
-  (match verdict with
-   | Ok e when not expect_refusal ->
-     Alcotest.(check int) "pool acked the advanced epoch" 1 e
-   | Error _ when expect_refusal -> ()
-   | Ok e ->
-     Alcotest.failf "multi-domain %s pool accepted a migration (epoch %d)"
-       (Net.Engine.kind_name kind) e
-   | Error msg -> Alcotest.failf "pool refused the migration: %s" msg);
-  (* traffic keeps flowing either way *)
-  Alcotest.(check int) "post-verdict read serves the last ack" 10
-    (Net.Client.read_k c ~key:hot);
-  Net.Client.close c;
+  let hammers = List.map hammer [ 0; 1; 2 ] in
+  let cc = Net.Client.connect ~net ~server:Net.Transport.server ~proc:9 () in
+  Alcotest.(check int) "pool acked the advanced epoch" 1
+    (Net.Client.reshard cc ~key:hot ~to_shard:target_shard);
+  List.iter Thread.join hammers;
+  Array.iteri
+    (fun p n ->
+      Alcotest.(check int) (Fmt.str "proc %d finished its rounds" p) rounds n)
+    counts;
+  (* the last acked write of either writer is what a read now serves *)
+  let last = Net.Client.read_k cc ~key:hot in
+  Alcotest.(check bool)
+    (Fmt.str "post-handoff read serves a last write (%d)" last)
+    true
+    (last = 1000 + rounds || last = 2000 + rounds);
+  Net.Client.close cc;
   Net.Server_pool.stop pool;
   let violations = Net.Server_pool.violations pool in
   Net.Socket_net.shutdown net;
@@ -504,11 +517,13 @@ let slow_suite =
     tc_slow "socket: close seals a session racing the handoff"
       socket_close_seals_during_migration;
     tc_slow "socket: single-domain pool reshards"
-      (socket_pool_reshard Net.Engine.Abd ~domains:1 ~expect_refusal:false);
+      (socket_pool_reshard Net.Engine.Abd ~domains:1);
     tc_slow "socket: two-domain abd pool reshards"
-      (socket_pool_reshard Net.Engine.Abd ~domains:2 ~expect_refusal:false);
+      (socket_pool_reshard Net.Engine.Abd ~domains:2);
     tc_slow "socket: single-domain twobit pool reshards"
-      (socket_pool_reshard Net.Engine.Twobit ~domains:1 ~expect_refusal:false);
-    tc_slow "socket: two-domain twobit pool refuses"
-      (socket_pool_reshard Net.Engine.Twobit ~domains:2 ~expect_refusal:true);
+      (socket_pool_reshard Net.Engine.Twobit ~domains:1);
+    tc_slow "socket: two-domain twobit pool reshards"
+      (socket_pool_reshard Net.Engine.Twobit ~domains:2);
+    tc_slow "socket: four-domain twobit pool reshards"
+      (socket_pool_reshard Net.Engine.Twobit ~domains:4);
   ]
