@@ -90,7 +90,7 @@ let run_sim engine seed replicas shards readers writes reads drop dup window
 (* socket-cluster plumbing shared by smoke/serve                       *)
 
 let start_cluster net ~engine ~replicas ~shards ~audit ?data_dir
-    ?(group_commit = 0) ?(flush_us = 500) ?(domains = 1) ?(gc_bytes = 0) ?trace
+    ?(group_commit = 0) ?(flush_us = 500) ?(domains = 1) ~snapshot_every ?trace
     () =
   let tr = Net.Socket_net.transport net in
   let metrics = Net.Socket_net.metrics net in
@@ -112,7 +112,7 @@ let start_cluster net ~engine ~replicas ~shards ~audit ?data_dir
   let storage_for name =
     Option.map
       (fun dir ->
-        Net.Storage.create ~snapshot_every:1024 ~gc_bytes ?group_commit:gc
+        Net.Storage.create ~snapshot_every ?group_commit:gc
           (Net.Storage.file_backend ~fsync:true
              ~dir:(Filename.concat dir name) ()))
       data_dir
@@ -182,7 +182,7 @@ let cluster_shape ~engine ~replicas ~shards ~domains =
   | exception Invalid_argument msg -> Error msg
 
 let run_smoke engine shards readers writes reads seed data_dir group_commit
-    flush_us domains gc_bytes reconfig show_metrics =
+    flush_us domains snapshot_every reconfig show_metrics =
   match cluster_shape ~engine ~replicas:3 ~shards ~domains with
   | Error msg ->
     Fmt.epr "service smoke: %s@." msg;
@@ -213,7 +213,7 @@ let run_smoke engine shards readers writes reads seed data_dir group_commit
   let trace = Net.Trace.create ~capacity:1_000_000 () in
   let pool, reps =
     start_cluster net ~engine ~replicas:3 ~shards ~audit:true ?data_dir
-      ~group_commit ~flush_us ~domains ~gc_bytes ~trace ()
+      ~group_commit ~flush_us ~domains ~snapshot_every ~trace ()
   in
   let killer =
     Thread.create
@@ -420,17 +420,15 @@ let run_smoke engine shards readers writes reads seed data_dir group_commit
         (if ok then "recovered state = live state" else "RECOVERY MISMATCH");
       ok
   in
-  if gc_bytes > 0 && data_dir <> None then
-    List.iter
-      (fun (r, rep) ->
-        match Net.Replica.storage rep with
-        | None -> ()
-        | Some st ->
-          let s = Net.Storage.stats st in
-          Fmt.pr "  replica %d gc: %d runs, %d deferrals, wal %d bytes@." r
-            s.Net.Storage.gc_runs s.Net.Storage.gc_deferrals
-            s.Net.Storage.wal_size)
-      reps;
+  List.iter
+    (fun (r, rep) ->
+      match Net.Replica.storage rep with
+      | None -> ()
+      | Some st ->
+        let s = Net.Storage.stats st in
+        Fmt.pr "  replica %d store: %d snapshots, wal %d bytes@." r
+          s.Net.Storage.snapshots_taken s.Net.Storage.wal_size)
+    reps;
   if show_metrics then Fmt.pr "-- socket metrics --@.%a@." Net.Metrics.pp metrics;
   (* the gate: every op served, every shard's audit accepting, every
      key's history re-checked atomic, a byte-clean wire, and (with
@@ -477,7 +475,7 @@ let run_smoke engine shards readers writes reads seed data_dir group_commit
 (* serve / client                                                      *)
 
 let run_serve dir engine replicas shards audit data_dir group_commit flush_us
-    domains gc_bytes show_metrics =
+    domains snapshot_every show_metrics =
   match cluster_shape ~engine ~replicas ~shards ~domains with
   | Error msg ->
     Fmt.epr "service serve: %s@." msg;
@@ -486,7 +484,7 @@ let run_serve dir engine replicas shards audit data_dir group_commit flush_us
   let net = Net.Socket_net.create ~dir () in
   let _pool, reps =
     start_cluster net ~engine ~replicas ~shards ~audit ?data_dir ~group_commit
-      ~flush_us ~domains ~gc_bytes ()
+      ~flush_us ~domains ~snapshot_every ()
   in
   Fmt.pr
     "serving the two-writer keyspace in %s (%d replicas, %d shard%s, %d \
@@ -736,13 +734,12 @@ let flush_us_arg =
                  after its first append.  0 commits at the end of \
                  every handled message.")
 
-let gc_bytes_arg =
-  Arg.(value & opt int 0
-       & info [ "gc-bytes" ] ~docv:"N"
-           ~doc:"WAL garbage collection: once a store's log exceeds \
-                 $(docv) bytes, fold it into a snapshot and truncate \
-                 (deferred while snapshot reads pin the store).  0 \
-                 disables.  Only meaningful with --data-dir.")
+let snapshot_every_arg =
+  Arg.(value & opt int 1024
+       & info [ "snapshot-every" ] ~docv:"N"
+           ~doc:"Store compaction: every $(docv) appends a store \
+                 snapshots its table and truncates its log.  0 never \
+                 compacts.  Only meaningful with --data-dir.")
 
 let domains_arg =
   Arg.(value & opt int 1
@@ -804,7 +801,7 @@ let smoke_cmd =
        ~doc:"Serve a workload over both transports; audit + re-check")
     Term.(const run_smoke $ Engine_cli.term $ shards $ readers $ writes
           $ reads $ seed $ data_dir $ group_commit_arg $ flush_us_arg
-          $ domains_arg $ gc_bytes_arg $ reconfig_arg $ metrics_flag)
+          $ domains_arg $ snapshot_every_arg $ reconfig_arg $ metrics_flag)
 
 let dir_arg =
   Arg.(required
@@ -822,7 +819,7 @@ let serve_cmd =
     (Cmd.info "serve" ~doc:"Serve the keyspace over Unix-domain sockets")
     Term.(const run_serve $ dir_arg $ Engine_cli.term $ replicas $ shards
           $ audit $ data_dir $ group_commit_arg $ flush_us_arg $ domains_arg
-          $ gc_bytes_arg $ metrics_flag)
+          $ snapshot_every_arg $ metrics_flag)
 
 let client_cmd =
   let proc =

@@ -748,13 +748,14 @@ let torture_run ?(engine = Engine.Abd) ~seed ~run ?trace () =
         fates
   in
   (* A third of the runs swap the plain register scripts for a mixed
-     batch/snapshot workload (half of those with the WAL GC frontier
-     on), exercising the cross-key coordinator under the same faults.
-     Values are globally unique — per (proc, op index, key) — which
-     both the per-key fastcheck and the torn-batch audit require. *)
+     batch/snapshot workload (half of those compacting every 16
+     appends, not the default 32), exercising the cross-key
+     coordinator under the same faults.  Values are globally unique —
+     per (proc, op index, key) — which both the per-key fastcheck and
+     the torn-batch audit require. *)
   let use_txn = Random.State.int rng 3 = 0 in
-  let gc_bytes = if use_txn && Random.State.bool rng then Some 512 else None in
-  let store = Some { Sim_run.default_store with gc_bytes } in
+  let snapshot_every = if use_txn && Random.State.bool rng then 16 else 32 in
+  let store = Some { Sim_run.default_store with snapshot_every } in
   let spec =
     { Sim_run.default with replicas; shards; keys; window; engine; store }
   in

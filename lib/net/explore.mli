@@ -207,7 +207,8 @@ val torture :
     ({!Harness.Failure.random_net_fates}), executes it to quiescence
     and asserts per-key atomicity {e and} completion.  A third of the
     runs swap the plain scripts for a mixed transaction/snapshot
-    workload (half of those with the {!Storage} WAL GC frontier on),
+    workload (half of those with every replica {!Storage} compacting
+    every 16 appends instead of 32),
     so the cross-key {!Txn} audit is hammered under the same faults.
     Deterministic in [seed]: a failing run index reproduces alone.  With [dump], the
     first failing run is re-executed with a trace and written to the

@@ -369,7 +369,6 @@ and read_done t o v =
   | Wire.Snap_k _ ->
     let src = o.s.src and seq = o.seq and key = o.key in
     release t o;
-    (match t.storage with Some st -> Storage.unpin st | None -> ());
     Txn.key_done t.txns ~src ~seq ~key ~value:v ()
   | _ ->
     respond t o.s o.seq r;
@@ -409,9 +408,6 @@ and start_multi t o kind =
                Core.Protocol.write_prog ~level:0 ~proc:s.proc v
              else Core.Protocol.cached_write_prog ~proc:s.proc v)
         | Txn.Snap _ ->
-          (* pin the core's store: GC must not reorganize the log under
-             a snapshot read's consistent cut *)
-          (match t.storage with Some st -> Storage.pin st | None -> ());
           record t key s.invoke_read;
           step t o o.rd (Core.Protocol.read_prog ()))
   in

@@ -38,8 +38,7 @@
     role is one processor however many client nodes claim it.  A pipelined
     session spreading ops over many keys therefore keeps many shards
     busy at once; that per-key concurrency is the sharded service's
-    throughput lever.  The legacy unkeyed [Read]/[Write] ops address
-    key 0.
+    throughput lever.
 
     With [audit] on, every operation is fed to a live, {e per-key}
     {!Histories.Monitor} at its invocation and response: the serialized
@@ -184,8 +183,8 @@ val create :
     member's history is kept.  Does not block. *)
 
 val key_of_op : Wire.op -> int
-(** The register key a client operation addresses — the legacy unkeyed
-    [Read]/[Write] are the key-0 register.  For a multi-key op this is
+(** The register key a client operation addresses: a [Read_k] or
+    [Write_k]'s [key].  For a multi-key op this is
     its {e routing} key: the first listed key (0 when the list is
     empty, so even an invalid frame has a well-defined core that
     rejects it).  This is the op → key mapping admission and execution

@@ -105,7 +105,6 @@ type reconfig = { key : int; to_shard : int; at : float option }
 
 type store = {
   snapshot_every : int;
-  gc_bytes : int option;
   group_commit : Storage.commit_config option;
 }
 
@@ -121,8 +120,7 @@ type spec = {
   store : store option;
 }
 
-let default_store =
-  { snapshot_every = 32; gc_bytes = None; group_commit = None }
+let default_store = { snapshot_every = 32; group_commit = None }
 
 let default =
   { replicas = 3; shards = 1; domains = 1; group_size = None; keys = 1;
@@ -232,10 +230,10 @@ let create ?(faults = Sim_net.reliable) ?reconfig ?measure ?trace spec ~seed
   let unordered = spec.bug.Bug.unordered in
   let fresh_replica r =
     match spec.store with
-    | Some { snapshot_every; gc_bytes; group_commit } ->
+    | Some { snapshot_every; group_commit } ->
       Replica.create ~init
         ~storage:
-          (Storage.create ~snapshot_every ?gc_bytes ?group_commit
+          (Storage.create ~snapshot_every ?group_commit
              (Storage.Disk.backend disks.(r)))
         ~unordered ()
     | None -> Replica.create ~init ~unordered ()
@@ -339,14 +337,18 @@ let create ?(faults = Sim_net.reliable) ?reconfig ?measure ?trace spec ~seed
           in
           Some (Wire.Req { seq; op })
       in
-      Sim_net.register net me (fun ~src:_ msg ->
-          match msg with
-          | Wire.Resp _ | Wire.Resp_snap _ | Wire.Nack _ ->
-            (match next_req () with
-             | Some req ->
-               tr.Transport.send ~src:me ~dst:Transport.server req
-             | None -> ())
-          | _ -> ());
+      (* a pool turn that answers two of this client's ops under one
+         cork ships them as one [Batch]: each answer in it refills one
+         request, as a lone answer does *)
+      let rec on_reply = function
+        | Wire.Resp _ | Wire.Resp_snap _ | Wire.Nack _ ->
+          (match next_req () with
+           | Some req -> tr.Transport.send ~src:me ~dst:Transport.server req
+           | None -> ())
+        | Wire.Batch msgs -> List.iter on_reply msgs
+        | _ -> ()
+      in
+      Sim_net.register net me (fun ~src:_ msg -> on_reply msg);
       let first = ref [ Wire.Hello { proc } ] in
       for _ = 1 to spec.window do
         match next_req () with
@@ -381,7 +383,7 @@ let build ~replicas ~window ~shards ~keys ~engine ~durable ~snapshot_every
     ~group_commit ~measure ~xprocesses ~seed ~init:_ ~processes () =
   let store =
     if durable then
-      Some { snapshot_every; gc_bytes = None; group_commit = Some group_commit }
+      Some { snapshot_every; group_commit = Some group_commit }
     else None
   in
   let engine = engine.Engine.kind in

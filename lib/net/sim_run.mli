@@ -98,9 +98,9 @@ val singles : int Registers.Vm.process list -> xprocess list
     the {!outcome} from wherever the run got to. *)
 
 type store = {
-  snapshot_every : int;  (** appends between snapshots *)
-  gc_bytes : int option;
-      (** the WAL-size GC frontier ({!Storage.create}); [None] = off *)
+  snapshot_every : int;
+      (** appends between snapshots, the store's one compaction rule
+          ({!Storage.create}); [0] = never *)
   group_commit : Storage.commit_config option;
       (** a commit queue ({!Storage.commit_config}), [flush_every] in
           virtual-time units ([0.] flushes at the end of each turn) *)
@@ -139,7 +139,7 @@ type spec = {
 (** The cluster under test. *)
 
 val default_store : store
-(** Snapshot every 32 appends, no GC frontier, no group commit. *)
+(** Snapshot every 32 appends, no group commit. *)
 
 val default : spec
 (** 3 replicas, 1 shard (the unsharded single-register service), 1

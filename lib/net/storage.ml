@@ -14,21 +14,6 @@ type backend = {
   close : unit -> unit;
 }
 
-let mem_backend () =
-  let wal = Buffer.create 256 in
-  let snap = ref None in
-  {
-    load_snapshot = (fun () -> !snap);
-    load_wal = (fun () -> Buffer.contents wal);
-    append_wal = (fun b n -> Buffer.add_subbytes wal b 0 n);
-    truncate_wal = (fun n -> Buffer.truncate wal n);
-    install_snapshot =
-      (fun s ->
-        snap := Some s;
-        Buffer.clear wal);
-    close = ignore;
-  }
-
 (* mkdir -p: a --data-dir like data/replica0 needs its parents too *)
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
@@ -338,8 +323,7 @@ let none () = ()
 
 type t = {
   be : backend;
-  snapshot_every : int;
-  gc_bytes : int;  (* WAL size threshold for GC; 0 = GC off *)
+  snapshot_every : int;  (* appends between snapshots; 0 = never *)
   batch_max : int;  (* 1 = group commit off: every append commits *)
   flush_deadline : float;  (* advisory deadline for drivers; 0 = none *)
   mu : Mutex.t;
@@ -360,10 +344,6 @@ type t = {
   mutable forced_commits : int;
   mutable max_batch : int;
   mutable snapshots_taken : int;
-  mutable pins : int;  (* in-flight snapshot reads holding the frontier *)
-  mutable gc_pending : bool;  (* GC wanted but deferred by a pin *)
-  mutable gc_runs : int;
-  mutable gc_deferrals : int;
   recovered_snapshot : int;
   recovered_wal : int;
   torn_bytes : int;
@@ -378,7 +358,7 @@ let apply tbl reg ts pl =
   | cur, _ when cur >= ts -> ()
   | _ | (exception Not_found) -> Hashtbl.replace tbl reg (ts, pl)
 
-let create ?(snapshot_every = 0) ?(gc_bytes = 0) ?group_commit be =
+let create ?(snapshot_every = 0) ?group_commit be =
   let tbl = Hashtbl.create 16 in
   let recovered_snapshot =
     match be.load_snapshot () with
@@ -424,7 +404,6 @@ let create ?(snapshot_every = 0) ?(gc_bytes = 0) ?group_commit be =
   {
     be;
     snapshot_every;
-    gc_bytes;
     batch_max;
     flush_deadline;
     mu = Mutex.create ();
@@ -443,10 +422,6 @@ let create ?(snapshot_every = 0) ?(gc_bytes = 0) ?group_commit be =
     forced_commits = 0;
     max_batch = 0;
     snapshots_taken = 0;
-    pins = 0;
-    gc_pending = false;
-    gc_runs = 0;
-    gc_deferrals = 0;
     recovered_snapshot;
     recovered_wal;
     torn_bytes;
@@ -522,25 +497,6 @@ let snapshot_locked t =
   t.since_snapshot <- 0;
   t.wal_size <- 0
 
-(* The GC frontier: once the durable WAL outgrows [gc_bytes], every
-   entry in it is superseded by the live table — snapshot the table
-   and truncate the log.  Runs only on the committing path (so only
-   durable entries are ever collected) and never while a snapshot read
-   holds a pin; a pinned trigger is latched and discharged by the last
-   unpin. *)
-let maybe_gc_locked t =
-  if t.gc_bytes > 0 && t.wal_size > t.gc_bytes then begin
-    if t.pins = 0 then begin
-      snapshot_locked t;
-      t.gc_runs <- t.gc_runs + 1;
-      t.gc_pending <- false
-    end
-    else begin
-      if not t.gc_pending then t.gc_deferrals <- t.gc_deferrals + 1;
-      t.gc_pending <- true
-    end
-  end
-
 (* Queue one completion, doubling the array when it is full. *)
 let push_locked t k =
   if t.nks = Array.length t.ks then begin
@@ -583,9 +539,9 @@ let commit_locked t cause =
      | Deadline -> t.deadline_commits <- t.deadline_commits + 1
      | Forced -> t.forced_commits <- t.forced_commits + 1);
     if entries > t.max_batch then t.max_batch <- entries;
+    (* the one compaction rule, taken with the whole queue durable *)
     if t.snapshot_every > 0 && t.since_snapshot >= t.snapshot_every then
       snapshot_locked t;
-    maybe_gc_locked t;
     ks
   end
 
@@ -682,24 +638,6 @@ let rec drive t ~(transport : Transport.t) ~node =
       transport.set_timer ~node ~delay:t.flush_deadline fire
     end
 
-let pin t =
-  Mutex.lock t.mu;
-  t.pins <- t.pins + 1;
-  Mutex.unlock t.mu
-
-let unpin t =
-  Mutex.lock t.mu;
-  if t.pins > 0 then t.pins <- t.pins - 1;
-  (* the last unpin discharges a GC the pin deferred *)
-  if t.pins = 0 && t.gc_pending then maybe_gc_locked t;
-  Mutex.unlock t.mu
-
-let pins t =
-  Mutex.lock t.mu;
-  let n = t.pins in
-  Mutex.unlock t.mu;
-  n
-
 let snapshot t =
   Mutex.lock t.mu;
   let ks = commit_locked t Forced in
@@ -743,8 +681,6 @@ type stats = {
   forced_commits : int;
   max_batch : int;
   snapshots_taken : int;
-  gc_runs : int;
-  gc_deferrals : int;
   recovered_snapshot : int;
   recovered_wal : int;
   torn_bytes : int;
@@ -762,8 +698,6 @@ let stats (t : t) =
       forced_commits = t.forced_commits;
       max_batch = t.max_batch;
       snapshots_taken = t.snapshots_taken;
-      gc_runs = t.gc_runs;
-      gc_deferrals = t.gc_deferrals;
       recovered_snapshot = t.recovered_snapshot;
       recovered_wal = t.recovered_wal;
       torn_bytes = t.torn_bytes;

@@ -34,19 +34,19 @@
     the twobit engine's fault model is crash-stop — while the entry's
     own ack still waits for durability.
 
-    {2 Garbage collection}
+    {2 Compaction}
 
-    A snapshot already {e is} the store's GC: every WAL entry is
-    superseded by the table the snapshot persists, so installing one
-    truncates the log.  [snapshot_every] bounds the WAL in {e appends};
-    [gc_bytes] bounds it in {e bytes} — whenever a commit leaves the
-    durable WAL larger than the threshold, the GC frontier advances
-    (snapshot + truncate) right there on the committing path, so only
-    durable entries are ever collected and recovery can never lose an
-    acknowledged write to GC.  In-flight snapshot reads {!pin} the
-    store; a GC that triggers while pins are held is deferred (counted
-    in [gc_deferrals]) and discharged by the last {!unpin}, so the log
-    is never reorganized under a consistent multi-key read.
+    A store has one compaction rule: once [snapshot_every] appends
+    have committed since the last snapshot, the committing call
+    snapshots the table and truncates the log.  Every WAL entry is
+    superseded by the table the snapshot persists, and a snapshot is
+    taken only on the committing path, right after the whole queue is
+    durable, so the table it persists holds no entry that is not yet
+    durable and snapshot + WAL recovers every acknowledged entry.  Every
+    WAL record is 33 bytes, so the cadence also bounds the log in
+    bytes.  Compaction never changes the in-memory table, and every
+    read ({!find}, {!contents}) is served from that table, so no read
+    needs to hold compaction off.
 
     The store never arms timers by itself: [flush_every] is advisory,
     exposed via {!flush_deadline} for the driver that owns the
@@ -107,10 +107,6 @@ type backend = {
           descriptor); called once, by {!close} *)
 }
 
-val mem_backend : unit -> backend
-(** Volatile in-process backend — the unit-test backend, and the
-    no-op-cost baseline for benches. *)
-
 val file_backend : ?fsync:bool -> dir:string -> unit -> backend
 (** Real files [wal] and [snapshot] under [dir] (created, parents
     included, if missing).  The WAL is opened [O_APPEND], so every
@@ -121,11 +117,13 @@ val file_backend : ?fsync:bool -> dir:string -> unit -> backend
     [false]) every append and install is fsync'd: durable against power
     loss, not just process crash, at a large throughput cost. *)
 
-(** A simulated disk for crash testing: an in-memory backend whose
-    appends can be torn mid-record by an injected hook, modelling a
-    process dying inside [write(2)].  After a torn append the disk
-    plays dead — all writes are ignored until {!Disk.revive} — because
-    the process that issued them no longer exists. *)
+(** A simulated disk: the in-memory backend.  Without a hook it is a
+    plain volatile backend (tests, and the no-op-cost baseline for
+    benches); for crash testing its appends can be torn mid-record by
+    an injected hook, modelling a process dying inside [write(2)].
+    After a torn append the disk plays dead — all writes are ignored
+    until {!Disk.revive} — because the process that issued them no
+    longer exists. *)
 module Disk : sig
   type t
 
@@ -211,17 +209,12 @@ type commit_config = {
 (** Group-commit tuning, mirroring the client batcher in
     [lib/net/client.ml] (size cap + flush deadline). *)
 
-val create :
-  ?snapshot_every:int ->
-  ?gc_bytes:int ->
-  ?group_commit:commit_config ->
-  backend ->
-  t
+val create : ?snapshot_every:int -> ?group_commit:commit_config -> backend -> t
 (** Open the store: load the snapshot, replay the WAL's valid prefix,
     repair (truncate) a torn tail.  [snapshot_every] (default [0] =
-    never) is the number of appends between automatic snapshots.
-    [gc_bytes] (default [0] = off) is the WAL-size threshold of the GC
-    frontier documented above.  [group_commit] (default off) enables
+    never) is the compaction cadence documented above: the number of
+    appends between automatic snapshots, the replayed WAL records
+    counting towards the first.  [group_commit] (default off) enables
     the commit queue documented above.  Raises {!Corrupt} on an
     unreadable snapshot. *)
 
@@ -289,18 +282,6 @@ val close : t -> unit
     needs the previous store closed.  Closing twice is a no-op; an
     append after close raises [Invalid_argument]. *)
 
-val pin : t -> unit
-(** Hold the GC frontier: while any pin is held, a [gc_bytes] trigger
-    is deferred instead of truncating the log.  Taken by a server for
-    each in-flight snapshot-read key. *)
-
-val unpin : t -> unit
-(** Release one pin; the last release discharges a deferred GC.
-    Excess unpins are ignored. *)
-
-val pins : t -> int
-(** Pins currently held. *)
-
 val find : t -> int -> default:int * Wire.payload -> int * Wire.payload
 (** The stored pair, or [default] for a register never stored.
     Allocates nothing. *)
@@ -319,9 +300,8 @@ type stats = {
       (** commits forced by {!flush}, {!snapshot} or a sync {!append};
           the three causes sum to [batch_commits] *)
   max_batch : int;  (** largest batch committed since open *)
-  snapshots_taken : int;  (** snapshots since open *)
-  gc_runs : int;  (** snapshots forced by the [gc_bytes] frontier *)
-  gc_deferrals : int;  (** GC triggers deferred by held pins *)
+  snapshots_taken : int;
+      (** snapshots since open, by the cadence or by {!snapshot} *)
   recovered_snapshot : int;  (** registers loaded from the snapshot *)
   recovered_wal : int;  (** WAL records replayed at open *)
   torn_bytes : int;  (** tail bytes discarded (and truncated) at open *)

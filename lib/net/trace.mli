@@ -21,8 +21,8 @@ type kind =
   | Drop of { src : int; dst : int; reason : string }
   | Timer_fire of { node : int }
   | Invoke of { key : int; proc : int; op : int Histories.Event.op }
-      (** Operation invocation on the register named [key] (0 for the
-          legacy single-register service). *)
+      (** Operation invocation on the register named [key] (0 for
+          every op of a one-key service). *)
   | Respond of { key : int; proc : int; result : int option }
   | Note of string
 

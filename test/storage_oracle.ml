@@ -1,8 +1,10 @@
 (* A test-only oracle: the list-based Storage that the in-place
    group-commit queue replaced (its queue a list of framed-record
-   strings, each commit one [String.concat]), kept verbatim apart from
-   the real-file backend, so a property can run both stores side by
-   side and compare them after every call.  Only the tests use it. *)
+   strings, each commit one [String.concat]), kept as it was but for
+   its backends (the simulated disk alone) and its compaction (the
+   snapshot cadence alone, as in Storage), so a property can run both
+   stores side by side and compare them after every call.  Only the
+   tests use it. *)
 
 open Net
 
@@ -20,21 +22,6 @@ type backend = {
   truncate_wal : int -> unit;
   install_snapshot : string -> unit;
 }
-
-let mem_backend () =
-  let wal = Buffer.create 256 in
-  let snap = ref None in
-  {
-    load_snapshot = (fun () -> !snap);
-    load_wal = (fun () -> Buffer.contents wal);
-    append_wal = (fun s -> Buffer.add_string wal s);
-    truncate_wal = (fun n -> Buffer.truncate wal n);
-    install_snapshot =
-      (fun s ->
-        snap := Some s;
-        Buffer.clear wal);
-  }
-
 
 module Disk = struct
   type write_fate =
@@ -253,7 +240,6 @@ type pending_item = string * int * (unit -> unit)
 type t = {
   be : backend;
   snapshot_every : int;
-  gc_bytes : int;  (* WAL size threshold for GC; 0 = GC off *)
   batch_max : int;  (* 1 = group commit off: every append commits *)
   flush_deadline : float;  (* advisory deadline for drivers; 0 = none *)
   mu : Mutex.t;
@@ -265,10 +251,6 @@ type t = {
   mutable batch_commits : int;
   mutable max_batch : int;
   mutable snapshots_taken : int;
-  mutable pins : int;  (* in-flight snapshot reads holding the frontier *)
-  mutable gc_pending : bool;  (* GC wanted but deferred by a pin *)
-  mutable gc_runs : int;
-  mutable gc_deferrals : int;
   recovered_snapshot : int;
   recovered_wal : int;
   torn_bytes : int;
@@ -281,7 +263,7 @@ let apply tbl e =
   | cur, _ when cur >= e.ts -> ()
   | _ | (exception Not_found) -> Hashtbl.replace tbl e.reg (e.ts, e.pl)
 
-let create ?(snapshot_every = 0) ?(gc_bytes = 0) ?group_commit be =
+let create ?(snapshot_every = 0) ?group_commit be =
   let tbl = Hashtbl.create 16 in
   let recovered_snapshot =
     match be.load_snapshot () with
@@ -327,7 +309,6 @@ let create ?(snapshot_every = 0) ?(gc_bytes = 0) ?group_commit be =
   {
     be;
     snapshot_every;
-    gc_bytes;
     batch_max;
     flush_deadline;
     mu = Mutex.create ();
@@ -339,10 +320,6 @@ let create ?(snapshot_every = 0) ?(gc_bytes = 0) ?group_commit be =
     batch_commits = 0;
     max_batch = 0;
     snapshots_taken = 0;
-    pins = 0;
-    gc_pending = false;
-    gc_runs = 0;
-    gc_deferrals = 0;
     recovered_snapshot;
     recovered_wal;
     torn_bytes;
@@ -387,25 +364,6 @@ let snapshot_locked t =
   t.since_snapshot <- 0;
   t.wal_size <- 0
 
-(* The GC frontier: once the durable WAL outgrows [gc_bytes], every
-   entry in it is superseded by the live table — snapshot the table
-   and truncate the log.  Runs only on the committing path (so only
-   durable entries are ever collected) and never while a snapshot read
-   holds a pin; a pinned trigger is latched and discharged by the last
-   unpin. *)
-let maybe_gc_locked t =
-  if t.gc_bytes > 0 && t.wal_size > t.gc_bytes then begin
-    if t.pins = 0 then begin
-      snapshot_locked t;
-      t.gc_runs <- t.gc_runs + 1;
-      t.gc_pending <- false
-    end
-    else begin
-      if not t.gc_pending then t.gc_deferrals <- t.gc_deferrals + 1;
-      t.gc_pending <- true
-    end
-  end
-
 (* Drain the queue as ONE backend append (one write + one fsync), then
    hand back the completions to fire — outside the lock, so a
    completion may re-enter the store.  Snapshot install + WAL truncate
@@ -427,7 +385,6 @@ let commit_locked t =
     if entries > t.max_batch then t.max_batch <- entries;
     if t.snapshot_every > 0 && t.since_snapshot >= t.snapshot_every then
       snapshot_locked t;
-    maybe_gc_locked t;
     List.map (fun (_, _, k) -> k) items
 
 let run_completions ks = List.iter (fun k -> k ()) ks
@@ -483,24 +440,6 @@ let rec drive t ~(transport : Transport.t) ~node =
           drive t ~transport ~node)
     end
 
-let pin t =
-  Mutex.lock t.mu;
-  t.pins <- t.pins + 1;
-  Mutex.unlock t.mu
-
-let unpin t =
-  Mutex.lock t.mu;
-  if t.pins > 0 then t.pins <- t.pins - 1;
-  (* the last unpin discharges a GC the pin deferred *)
-  if t.pins = 0 && t.gc_pending then maybe_gc_locked t;
-  Mutex.unlock t.mu
-
-let pins t =
-  Mutex.lock t.mu;
-  let n = t.pins in
-  Mutex.unlock t.mu;
-  n
-
 let snapshot t =
   Mutex.lock t.mu;
   let ks = commit_locked t in
@@ -529,8 +468,6 @@ type stats = {
   batch_commits : int;
   max_batch : int;
   snapshots_taken : int;
-  gc_runs : int;
-  gc_deferrals : int;
   recovered_snapshot : int;
   recovered_wal : int;
   torn_bytes : int;
@@ -545,8 +482,6 @@ let stats (t : t) =
       batch_commits = t.batch_commits;
       max_batch = t.max_batch;
       snapshots_taken = t.snapshots_taken;
-      gc_runs = t.gc_runs;
-      gc_deferrals = t.gc_deferrals;
       recovered_snapshot = t.recovered_snapshot;
       recovered_wal = t.recovered_wal;
       torn_bytes = t.torn_bytes;

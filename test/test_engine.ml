@@ -591,7 +591,10 @@ let registry_restart kind group_commit () =
 let registry_floor_words kind () =
   let n = 8192 in
   let kept entries =
-    let st = Net.Storage.create (Net.Storage.mem_backend ()) in
+    let st =
+      Net.Storage.create
+        (Net.Storage.Disk.backend (Net.Storage.Disk.create ()))
+    in
     List.iter (Net.Storage.append st) entries;
     let r =
       Net.Registry.create ~transport:Net.Transport.null

@@ -1060,6 +1060,34 @@ let domains_note_round_trip () =
   Alcotest.(check bool) "a domains note at two workers" true
     (List.mem "domains 2" two)
 
+(* A two-worker pool's turn may answer two ops of one client under one
+   cork, as one [Batch] frame: the simulated client must take each
+   answer in it as one answered op and send its next request, or its
+   script stalls with ops never sent. *)
+let pool_batched_answers_complete () =
+  let script p =
+    List.init 20 (fun i ->
+        Net.Sim_run.Single (if p < 2 then w ((1000 * (p + 1)) + i) else r))
+  in
+  let workload =
+    List.map
+      (fun p -> { Net.Sim_run.xproc = p; xscript = script p })
+      [ 0; 1; 2; 3 ]
+  in
+  for seed = 1 to 20 do
+    let cl =
+      Net.Sim_run.create
+        { default with domains = 2; shards = 4; keys = 4; window = 4 }
+        ~seed ~workload
+    in
+    let o = Net.Sim_run.run cl in
+    Alcotest.(check int)
+      (Fmt.str "seed %d: every op completes" seed)
+      o.Net.Sim_run.expected o.Net.Sim_run.completed;
+    Alcotest.(check bool) (Fmt.str "seed %d: atomic" seed) true
+      (o.Net.Sim_run.key_violations = [] && o.Net.Sim_run.fastcheck_ok)
+  done
+
 let suite =
   [
     tc "exhaustive: two writers, all schedules atomic"
@@ -1134,6 +1162,8 @@ let suite =
       domains_note_round_trip;
     tc "two workers: the pruned search still finds a broken read quorum"
       pool_pruning_keeps_a_bug;
+    tc "two workers: batched answers refill every client's window"
+      pool_batched_answers_complete;
   ]
 
 let slow_suite =

@@ -1529,7 +1529,7 @@ let batch_group_commit () =
   let st =
     Net.Storage.create
       ~group_commit:{ Net.Storage.batch_max = gc; flush_every = 0.0 }
-      (Net.Storage.mem_backend ())
+      (Net.Storage.Disk.backend (Net.Storage.Disk.create ()))
   in
   let tr, p, resps = loopback_pool ~storage:(fun _ -> Some st) ~domains:1 () in
   let cl = Net.Transport.client 0 in
@@ -1996,6 +1996,135 @@ let txn_write_refreshes_copy () =
   Alcotest.(check (option int)) "stale copy returns the overwritten value"
     (Some 10)
     (read_after_txn { Net.Bug.none with stale_copy = true })
+
+(* Compaction under in-flight snapshot reads: a held server whose own
+   store snapshots after every append, both writers' [Txn_k] batches
+   racing two readers' [Snap_k] reads over the same two key sets,
+   every held message delivered in a seeded random order.  The
+   coordinator's locks keep a batch and a snapshot on one key set
+   apart, so a compaction under a running snapshot comes from a batch
+   on the other set.  No read holds compaction off, and none needs to:
+   every [Storage.find] after a step answers what the table held
+   before it, updated only by the entries the step appended, whatever
+   the step compacted. *)
+let compaction_under_snapshot_reads () =
+  let sets = [| [ 0; 1; 2 ]; [ 3; 4 ] |] and rounds = 6 in
+  let regs =
+    List.concat_map
+      (fun k -> [ Net.Shard_map.global_reg k 0; Net.Shard_map.global_reg k 1 ])
+      (List.concat (Array.to_list sets))
+  in
+  for seed = 1 to 5 do
+    let rng = Random.State.make [| seed |] in
+    let h = holding () in
+    let disk = Net.Storage.Disk.create () in
+    (* the entries each step commits, read back from the bytes the
+       store hands its backend *)
+    let appended = ref [] in
+    let be = Net.Storage.Disk.backend disk in
+    let be =
+      { be with
+        Net.Storage.append_wal =
+          (fun b n ->
+            let records, _ = Net.Storage.scan (Bytes.sub_string b 0 n) in
+            List.iter
+              (fun p ->
+                appended := Option.get (Net.Storage.decode_entry p) :: !appended)
+              records;
+            be.Net.Storage.append_wal b n) }
+    in
+    let st = Net.Storage.create ~snapshot_every:1 be in
+    let sv = held_server ~storage:st h in
+    let absent = (-1, Registers.Tagged.make 0 false) in
+    let find reg = Net.Storage.find st reg ~default:absent in
+    let send p op seq =
+      Net.Server.on_message sv ~src:(Net.Transport.client p)
+        (W.Req { seq; op })
+    in
+    List.iter
+      (fun p ->
+        Net.Server.on_message sv ~src:(Net.Transport.client p)
+          (W.Hello { proc = p }))
+      [ 0; 1; 2; 3 ];
+    for i = 0 to rounds - 1 do
+      List.iter
+        (fun p ->
+          let writes =
+            List.map
+              (fun k -> (k, (1000 * (p + 1)) + (10 * i) + k + 1))
+              sets.(i mod 2)
+          in
+          send p (W.Txn_k { writes }) i)
+        [ 0; 1 ];
+      List.iter
+        (fun p -> send p (W.Snap_k { keys = sets.((i + p) mod 2) }) i)
+        [ 2; 3 ]
+    done;
+    (* a reader's key read is in flight between its invoke and its
+       respond in the server's history *)
+    let reads_in_flight () =
+      List.fold_left
+        (fun n -> function
+          | E.Invoke (p, E.Read) when p >= 2 -> n + 1
+          | E.Respond (p, _) when p >= 2 -> n - 1
+          | _ -> n)
+        0 (Net.Server.history sv)
+    in
+    let compactions_under_reads = ref 0 in
+    while h.queue <> [] do
+      let i = Random.State.int rng (List.length h.queue) in
+      let src, dst, msg = List.nth h.queue i in
+      h.queue <- List.filteri (fun j _ -> j <> i) h.queue;
+      let before = List.map find regs in
+      let snaps = Net.Storage.Disk.snapshots disk in
+      let in_flight = reads_in_flight () > 0 in
+      appended := [];
+      if dst = engine_node then Net.Server.on_message sv ~src msg
+      else if dst < Array.length h.reps then
+        List.iter
+          (fun (d, m) -> h.queue <- h.queue @ [ (dst, d, m) ])
+          (replica_handle h.reps.(dst) ~src msg);
+      let compacted = Net.Storage.Disk.snapshots disk > snaps in
+      if compacted && in_flight then incr compactions_under_reads;
+      List.iter2
+        (fun reg (ts, pl) ->
+          let want =
+            List.fold_left
+              (fun (ts, pl) e ->
+                if e.Net.Storage.reg = reg && e.Net.Storage.ts > ts then
+                  (e.Net.Storage.ts, e.Net.Storage.pl)
+                else (ts, pl))
+              (ts, pl) (List.rev !appended)
+          in
+          if find reg <> want then
+            Alcotest.failf "seed %d: reg %d moved across a compaction" seed
+              reg)
+        regs before
+    done;
+    let answered p =
+      List.length
+        (List.filter
+           (fun (d, m) ->
+             d = Net.Transport.client p
+             && match m with W.Resp _ | W.Resp_snap _ -> true | _ -> false)
+           h.from_engine)
+    in
+    List.iter
+      (fun p ->
+        Alcotest.(check int) (Fmt.str "seed %d: proc %d answered" seed p)
+          rounds (answered p))
+      [ 0; 1; 2; 3 ];
+    Alcotest.(check bool)
+      (Fmt.str "seed %d: compactions while a snapshot read ran" seed)
+      true
+      (!compactions_under_reads > 0);
+    Alcotest.(check (list string)) (Fmt.str "seed %d: no torn batch" seed) []
+      (Net.Server.txn_violations sv);
+    no_violation sv;
+    let reopened = Net.Storage.create (Net.Storage.Disk.backend disk) in
+    Alcotest.(check bool) (Fmt.str "seed %d: reopened = live" seed) true
+      (Net.Storage.contents reopened = Net.Storage.contents st)
+  done
 
 let socket_client_send_order () =
   (* regression: the deadline flusher and a batch-filling request each
@@ -2722,7 +2851,9 @@ let sim_pending_offers_link_heads () =
        (List.filter_map (fun (s, q) -> if s = 0 then Some q else None) !got))
 
 let durable_replica_query_words () =
-  let st = Net.Storage.create (Net.Storage.mem_backend ()) in
+  let st =
+    Net.Storage.create (Net.Storage.Disk.backend (Net.Storage.Disk.create ()))
+  in
   let r = Net.Replica.create ~init:0 ~storage:st () in
   ignore
     (replica_handle r ~src:9
@@ -3323,7 +3454,7 @@ let stats_reply_resident_set_and_commits () =
   let st =
     Net.Storage.create
       ~group_commit:{ Net.Storage.batch_max = 2; flush_every = 0.0 }
-      (Net.Storage.mem_backend ())
+      (Net.Storage.Disk.backend (Net.Storage.Disk.create ()))
   in
   let sv = held_server ~storage:st h in
   let cl = Net.Transport.client 0 in
@@ -3388,7 +3519,7 @@ let pool_stats_reply_sums_stores () =
     Array.init domains (fun _ ->
         Net.Storage.create
           ~group_commit:{ Net.Storage.batch_max = 2; flush_every = 0.0 }
-          (Net.Storage.mem_backend ()))
+          (Net.Storage.Disk.backend (Net.Storage.Disk.create ())))
   in
   let reply = Atomic.make None in
   let tr, p, resps =
@@ -3779,6 +3910,8 @@ let suite =
       restarted_server_reads_plainly;
     tc "server: a txn write refreshes the writer's copy"
       txn_write_refreshes_copy;
+    tc "server store: compaction under in-flight snapshot reads"
+      compaction_under_snapshot_reads;
     tc "server: reconnect keeps a processor sequential"
       reconnect_keeps_processor_sequential;
     tc "cork: one frame per peer per turn" cork_coalesces;

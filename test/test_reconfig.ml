@@ -453,7 +453,7 @@ let migrating kind =
   let store =
     S.create
       ~group_commit:{ S.batch_max = 64; flush_every = 0.0 }
-      (S.mem_backend ())
+      (S.Disk.backend (S.Disk.create ()))
   in
   let registry =
     Net.Registry.create
