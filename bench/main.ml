@@ -117,13 +117,9 @@ let entry i =
 
 (* a simulated run must complete every op with an atomic history *)
 let check_sim what o =
-  if o.Net.Sim_run.completed <> o.Net.Sim_run.expected then
-    Fmt.failwith "%s: %d of %d ops completed" what o.Net.Sim_run.completed
-      o.Net.Sim_run.expected;
-  if o.Net.Sim_run.monitor_violation <> None
-     || o.Net.Sim_run.key_violations <> []
-     || not o.Net.Sim_run.fastcheck_ok
-  then Fmt.failwith "%s: history is not atomic" what
+  match o.Net.Sim_run.verdict with
+  | Net.Sim_run.Clean -> ()
+  | v -> Fmt.failwith "%s: %a" what Net.Sim_run.pp_verdict v
 
 (* 2 writers + 2 readers, [n] ops each, every written value unique *)
 let two_by_two n =
@@ -1739,15 +1735,7 @@ let bench_net_txn () =
         ~seed ~workload
     in
     let o = Net.Sim_run.run cl in
-    if o.Net.Sim_run.completed <> o.Net.Sim_run.expected then
-      Fmt.failwith "net-txn: %d of %d acks fired" o.Net.Sim_run.completed
-        o.Net.Sim_run.expected;
-    (match o.Net.Sim_run.monitor_violation with
-    | Some m -> Fmt.failwith "net-txn: per-key audit: %s" m
-    | None -> ());
-    (match o.Net.Sim_run.txn_violations with
-    | m :: _ -> Fmt.failwith "net-txn: torn-batch audit: %s" m
-    | [] -> ());
+    check_sim "net-txn" o;
     let wal =
       Array.fold_left
         (fun n d -> n + Net.Storage.Disk.wal_size d)
@@ -1835,9 +1823,7 @@ let bench_net_txn () =
   pf "    snapshot leg    %6.2f keyed ops/vt (vs %6.2f with point reads)@."
     r_snap r_point;
   (* --- WAL footprint: sustained mixed workload, compacting every 63
-     appends vs never.  The rows keep their "gc" names: a 63-append
-     cadence is the 2048-byte WAL budget this leg first measured, as
-     every record is 33 bytes. *)
+     appends vs never *)
   let gc_rounds = 120 in
   let mixed =
     List.map
@@ -1859,13 +1845,15 @@ let bench_net_txn () =
   let cadence = 63 in
   let o_off, wal_off = run_ok ~snapshot_every:0 ~seed:17 mixed in
   let o_on, wal_on = run_ok ~snapshot_every:cadence ~seed:17 mixed in
-  Json.count ~section:"net-txn" "wal bytes gc off" (float_of_int wal_off);
-  Json.count ~section:"net-txn" "wal bytes gc on" (float_of_int wal_on);
-  Json.count ~section:"net-txn" "wal gc shrink factor"
+  let every = Fmt.str "snapshot every %d" cadence in
+  Json.count ~section:"net-txn" "wal bytes never compacted"
+    (float_of_int wal_off);
+  Json.count ~section:"net-txn" ("wal bytes " ^ every) (float_of_int wal_on);
+  Json.count ~section:"net-txn" ("wal shrink factor " ^ every)
     (float_of_int wal_off /. float_of_int (max 1 wal_on));
-  Json.count ~section:"net-txn" "gc off acks"
+  Json.count ~section:"net-txn" "acks never compacted"
     (float_of_int o_off.Net.Sim_run.completed);
-  Json.count ~section:"net-txn" "gc on acks"
+  Json.count ~section:"net-txn" ("acks " ^ every)
     (float_of_int o_on.Net.Sim_run.completed);
   pf
     "  mixed workload (2 writers x %d batches + 2 readers x %d snapshots), 3 \
@@ -1972,12 +1960,8 @@ let bench_net_reconfig () =
         float_of_int a.(from_shard) /. float_of_int (max 1 total)
       in
       let pre_share = share pre and post_share = share post in
-      let all_acked = o.Net.Sim_run.completed = o.Net.Sim_run.expected in
-      let atomic =
-        o.Net.Sim_run.key_violations = [] && o.Net.Sim_run.fastcheck_ok
-      in
       let ok =
-        all_acked && atomic
+        o.Net.Sim_run.verdict = Net.Sim_run.Clean
         && o.Net.Sim_run.epoch = 1
         && o.Net.Sim_run.reconfig_acked = Some true
         && post_share < pre_share
@@ -2006,9 +1990,9 @@ let bench_net_reconfig () =
         (if ok then "" else "  [RESHARD DID NOT REBALANCE!]");
       if not ok then
         Fmt.failwith
-          "net-reconfig (%s): acked=%b atomic=%b epoch=%d acked-verdict=%s \
-           share %.2f -> %.2f"
-          name all_acked atomic o.Net.Sim_run.epoch
+          "net-reconfig (%s): %a, epoch=%d acked-verdict=%s share %.2f -> \
+           %.2f"
+          name Net.Sim_run.pp_verdict o.Net.Sim_run.verdict o.Net.Sim_run.epoch
           (match o.Net.Sim_run.reconfig_acked with
            | Some true -> "ok"
            | Some false -> "nack"

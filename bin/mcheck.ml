@@ -176,18 +176,19 @@ let finish ~expect_violation ~violated =
 
 let replay_net ~expect_violation file =
   let cfg, sched, o = X.replay_file ~file in
-  let violated =
-    o.Net.Sim_run.key_violations <> [] || o.Net.Sim_run.txn_violations <> []
-  in
   Fmt.pr "replayed %s: %s engine, %d choices, %d/%d ops completed, %s@." file
     (Engine_cli.name cfg.X.spec.Net.Sim_run.engine)
     (List.length sched) o.Net.Sim_run.completed o.Net.Sim_run.expected
-    (if violated then "violation reproduced" else "no violation");
+    (match o.Net.Sim_run.verdict with
+     | Net.Sim_run.Clean -> "no violation"
+     | Net.Sim_run.Violation _ -> "violation reproduced"
+     | Net.Sim_run.Stalled _ -> "stall reproduced");
   List.iter
     (fun (k, m) -> Fmt.pr "  key %d: %s@." k m)
     o.Net.Sim_run.key_violations;
   List.iter (fun m -> Fmt.pr "  %s@." m) o.Net.Sim_run.txn_violations;
-  finish ~expect_violation ~violated
+  finish ~expect_violation
+    ~violated:(o.Net.Sim_run.verdict <> Net.Sim_run.Clean)
 
 let torture_net ~expect_violation ~engine ~runs ~dump ~seed =
   let t0 = Unix.gettimeofday () in
@@ -229,8 +230,15 @@ let explore_net ~expect_violation ~expect_exhausted ~hunt ~walks ~seed ~dump
       Fmt.pr "every explored schedule is atomic@.";
       finish ~expect_violation ~violated:false
     | Some ce ->
-      Fmt.pr "VIOLATION (schedule of %d choices): key %d: %s@."
-        (List.length ce.X.schedule) ce.X.key ce.X.message;
+      let choices = List.length ce.X.schedule in
+      (match ce.X.verdict with
+       | Net.Sim_run.Violation { key; message } ->
+         (* a cross-key torn batch prints as key -1 *)
+         Fmt.pr "VIOLATION (schedule of %d choices): key %d: %s@." choices
+           (Option.value ~default:(-1) key) message
+       | v ->
+         Fmt.pr "FAILURE (schedule of %d choices): %a@." choices
+           Net.Sim_run.pp_verdict v);
       (match dump with
        | None -> ()
        | Some file ->

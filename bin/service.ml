@@ -20,12 +20,10 @@ let workload ~readers ~writes ~reads =
   Harness.Workload.unique_scripts
     { Harness.Workload.writers = 2; readers; writes_each = writes; reads_each = reads }
 
-(* per-key verdicts over a keyed history: each key is an independent
-   two-writer register and must certify on its own *)
-let keyed_verdicts ~init keyed =
-  List.map
-    (fun (k, v) -> (k, match v with Ok () -> "atomic" | Error m -> m))
-    (Net.Sim_run.fastcheck_by_key ~init keyed)
+(* a key's post-hoc verdict ({!Net.Sim_run.fastcheck_by_key}: each key
+   is an independent two-writer register and must certify on its own),
+   as printed *)
+let atomic_or = function Ok () -> "atomic" | Error m -> m
 
 (* ------------------------------------------------------------------ *)
 (* sim                                                                 *)
@@ -79,12 +77,7 @@ let run_sim engine seed replicas shards readers writes reads drop dup window
      Fmt.pr "trace: %d events -> %s (replay: service replay %s)@."
        (Net.Trace.recorded tr) path path
    | _ -> ());
-  if
-    o.Net.Sim_run.key_violations = []
-    && o.Net.Sim_run.fastcheck_ok
-    && o.Net.Sim_run.completed = o.Net.Sim_run.expected
-  then 0
-  else 1
+  if o.Net.Sim_run.verdict = Net.Sim_run.Clean then 0 else 1
 
 (* ------------------------------------------------------------------ *)
 (* socket-cluster plumbing shared by smoke/serve                       *)
@@ -355,9 +348,14 @@ let run_smoke engine shards readers writes reads seed data_dir group_commit
   (* join the worker domains before reading the trace: the pool's
      aggregate accessors want a quiescent pool *)
   Net.Server_pool.stop pool;
-  let keyed = Net.Trace.keyed_history trace in
+  let per_key =
+    Net.Sim_run.fastcheck_by_key ~init:0 (Net.Trace.keyed_history trace)
+  in
   let violations = Net.Server_pool.violations pool in
   let served = Net.Server_pool.ops_served pool in
+  let verdict =
+    Net.Sim_run.judge ~fastcheck:per_key ~answered:(served, expected) pool
+  in
   Net.Socket_net.shutdown net;
   let decode_errors = Net.Metrics.get metrics "decode_errors" in
   let mon =
@@ -367,12 +365,10 @@ let run_smoke engine shards readers writes reads seed data_dir group_commit
       Fmt.str "VIOLATION on key %d: %a" k
         (Histories.Fastcheck.pp_violation Fmt.int) v
   in
-  let per_key = keyed_verdicts ~init:0 keyed in
   (* every served op records an invoke and a respond; a wrapped or
      short trace would let the re-check pass on a partial history *)
   let traced = Net.Trace.recorded trace in
   let trace_ok = Net.Trace.overwritten trace = 0 && traced >= 2 * served in
-  let fc_ok = trace_ok && List.for_all (fun (_, v) -> v = "atomic") per_key in
   Fmt.pr "  %d/%d ops served; live audit: %s; decode errors: %d@."
     served expected mon decode_errors;
   let reply_ok = stat "ops_served" = expected in
@@ -383,7 +379,7 @@ let run_smoke engine shards readers writes reads seed data_dir group_commit
       (Net.Engine.stats_of engine stat);
   Fmt.pr "  trace: %d events%s@." traced
     (if trace_ok then "" else " — INCOMPLETE, the re-check is void");
-  List.iter (fun (k, v) -> Fmt.pr "  key %d: %s@." k v) per_key;
+  List.iter (fun (k, v) -> Fmt.pr "  key %d: %s@." k (atomic_or v)) per_key;
   let txn_viol = Net.Server_pool.txn_violations pool in
   let txs = Net.Txn.stats (Net.Server_pool.txns pool) in
   Fmt.pr "  txn phase: %d batches committed, %d snapshots served; txn audit: \
@@ -430,13 +426,14 @@ let run_smoke engine shards readers writes reads seed data_dir group_commit
           s.Net.Storage.snapshots_taken s.Net.Storage.wal_size)
     reps;
   if show_metrics then Fmt.pr "-- socket metrics --@.%a@." Net.Metrics.pp metrics;
-  (* the gate: every op served, every shard's audit accepting, every
-     key's history re-checked atomic, a byte-clean wire, and (with
-     --data-dir) a lossless recovery round trip *)
+  (* the gate: a clean verdict (every op served, every audit accepting,
+     every key's history re-checked atomic) over a whole trace, a
+     byte-clean wire, and (with --data-dir) a lossless recovery round
+     trip *)
   let socket_ok =
-    served = expected && reply_ok && violations = [] && fc_ok
+    verdict = Net.Sim_run.Clean && trace_ok && reply_ok
     && decode_errors = 0
-    && durable_ok && reconfig_ok && txn_viol = []
+    && durable_ok && reconfig_ok
     && txs.Net.Txn.txns_committed = 2 * txn_rounds
     && txs.Net.Txn.snaps_served = 2 * txn_rounds
   in
@@ -463,11 +460,7 @@ let run_smoke engine shards readers writes reads seed data_dir group_commit
   Fmt.pr "%a@." Net.Sim_run.pp_outcome o;
   if show_metrics then
     Fmt.pr "-- sim metrics --@.%a@." Net.Metrics.pp o.Net.Sim_run.metrics;
-  let sim_ok =
-    o.Net.Sim_run.key_violations = []
-    && o.Net.Sim_run.fastcheck_ok
-    && o.Net.Sim_run.completed = o.Net.Sim_run.expected
-  in
+  let sim_ok = o.Net.Sim_run.verdict = Net.Sim_run.Clean in
   Fmt.pr "smoke: %s@." (if socket_ok && sim_ok then "PASS" else "FAIL");
   if socket_ok && sim_ok then 0 else 1
 
@@ -569,9 +562,11 @@ let run_replay file init =
     2
   | keyed ->
     let n = List.length keyed in
-    let per_key = keyed_verdicts ~init keyed in
-    List.iter (fun (k, v) -> Fmt.pr "replay: key %d: %s@." k v) per_key;
-    let ok = List.for_all (fun (_, v) -> v = "atomic") per_key in
+    let per_key = Net.Sim_run.fastcheck_by_key ~init keyed in
+    List.iter
+      (fun (k, v) -> Fmt.pr "replay: key %d: %s@." k (atomic_or v))
+      per_key;
+    let ok = List.for_all (fun (_, v) -> Result.is_ok v) per_key in
     Fmt.pr "replay: %d events over %d key%s: %s@." n (List.length per_key)
       (if List.length per_key = 1 then "" else "s")
       (if ok then "atomic" else "NOT ATOMIC");

@@ -21,6 +21,7 @@ let () =
   Fmt.pr "served history (server-side order):@.";
   Fmt.pr "%a@." (Histories.Event.pp_history Fmt.int) o.Net.Sim_run.history;
   Fmt.pr "%a@." Net.Sim_run.pp_outcome o;
-  match (o.Net.Sim_run.monitor_violation, o.Net.Sim_run.fastcheck_ok) with
-  | None, true -> Fmt.pr "atomic over a faulty network, as the paper promises.@."
-  | _ -> failwith "atomicity violation — this should be impossible"
+  match o.Net.Sim_run.verdict with
+  | Net.Sim_run.Clean ->
+    Fmt.pr "atomic over a faulty network, as the paper promises.@."
+  | v -> Fmt.failwith "%a — this should be impossible" Net.Sim_run.pp_verdict v

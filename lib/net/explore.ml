@@ -234,32 +234,18 @@ let system ?trace cfg =
 (* ------------------------------------------------------------------ *)
 (* Verdicts                                                            *)
 
-(* Torn-batch verdicts are cross-key, so they carry the sentinel key
-   [-1] in a counterexample. *)
+(* A leaf that ended — no delivery, worker turn or timer left — must
+   have answered every op; a leaf cut off by [max_depth] or the timer
+   budget is judged on the audits alone. *)
+let ended cl = Sim_net.peek cl.Sim_run.net = None
+
 let verdict st =
-  let pool = st.cl.Sim_run.pool in
-  match Server_pool.txn_violations pool with
-  | m :: _ -> Some (-1, m)
-  | [] ->
-  match Server_pool.violations pool with
-  | (key, v) :: _ ->
-    Some (key, Fmt.str "%a" (Histories.Fastcheck.pp_violation Fmt.int) v)
-  | [] ->
-    if st.cfg.fastcheck then
-      let keyed = Sim_run.keyed_history st.cl in
-      match
-        List.find_opt
-          (fun (_, v) -> Result.is_error v)
-          (Sim_run.fastcheck_by_key ~init:0 keyed)
-      with
-      | Some (key, _) -> Some (key, "post-hoc fastcheck rejects")
-      | None -> None
-    else None
+  Sim_run.verdict ~fastcheck:st.cfg.fastcheck ~ended:(ended st.cl) st.cl
 
 (* ------------------------------------------------------------------ *)
 (* Exploration                                                         *)
 
-type counterexample = { schedule : int list; key : int; message : string }
+type counterexample = { schedule : int list; verdict : Sim_run.verdict }
 
 type result = { stats : Sched.stats; counterexample : counterexample option }
 
@@ -270,10 +256,10 @@ let explore cfg =
       ~prune:cfg.prune (system cfg)
       ~on_leaf:(fun st schedule ->
         match verdict st with
-        | Some (key, message) ->
-          found := Some { schedule; key; message };
-          `Stop
-        | None -> `Continue)
+        | Sim_run.Clean -> `Continue
+        | verdict ->
+          found := Some { schedule; verdict };
+          `Stop)
   in
   { stats; counterexample = !found }
 
@@ -309,10 +295,10 @@ let hunt ?(walks = 2_000) ~seed cfg =
        done;
        if !depth > !deepest then deepest := !depth;
        match verdict st with
-       | Some (key, message) ->
-         found := Some { schedule = List.rev !sched_rev; key; message };
+       | Sim_run.Clean -> ()
+       | verdict ->
+         found := Some { schedule = List.rev !sched_rev; verdict };
          raise Exit
-       | None -> ()
      done
    with Exit -> ());
   {
@@ -353,12 +339,11 @@ let replay ?trace ?(tail = true) cfg schedule =
         incr steps
     done
   end;
-  Sim_run.collect st.cl ~steps:!steps
+  Sim_run.collect ~fastcheck:cfg.fastcheck ~ended:(ended st.cl) st.cl
+    ~steps:!steps
 
-let violating cfg (o : Sim_run.outcome) =
-  o.Sim_run.key_violations <> []
-  || o.Sim_run.txn_violations <> []
-  || (cfg.fastcheck && not o.Sim_run.fastcheck_ok)
+let failing cfg schedule =
+  (replay cfg schedule).Sim_run.verdict <> Sim_run.Clean
 
 (* ------------------------------------------------------------------ *)
 (* Shrinking                                                           *)
@@ -390,14 +375,14 @@ let smaller_workloads workload =
 let shrink cfg ce =
   let minimize cfg schedule =
     Sched.ddmin
-      ~test:(fun s -> violating cfg (replay cfg s))
+      ~test:(failing cfg)
       schedule
   in
   (* Re-find a violation on a reduced workload: the old schedule often
      still triggers it under loose replay (cheap, try first); otherwise
      a bounded hunt. *)
   let refind cfg schedule =
-    if violating cfg (replay cfg schedule) then Some schedule
+    if failing cfg schedule then Some schedule
     else
       match (hunt ~walks:shrink_walks ~seed:0 cfg).counterexample with
       | Some ce -> Some ce.schedule
@@ -425,13 +410,8 @@ let shrink cfg ce =
   let schedule = minimize cfg ce.schedule in
   let cfg', schedule = fix cfg schedule in
   let schedule = minimize cfg' schedule in
-  let o = replay cfg' schedule in
-  match (o.Sim_run.txn_violations, o.Sim_run.key_violations) with
-  | m :: _, _ -> (cfg', { schedule; key = -1; message = m })
-  | [], (key, message) :: _ -> (cfg', { schedule; key; message })
-  | [], [] ->
-    (* can't happen: fix/minimize only accept violating candidates *)
-    (cfg', { ce with schedule })
+  (* fix/minimize only accept failing candidates *)
+  (cfg', { schedule; verdict = (replay cfg' schedule).Sim_run.verdict })
 
 (* ------------------------------------------------------------------ *)
 (* Counterexample artifacts                                            *)
@@ -569,15 +549,15 @@ let save ~file cfg ce =
     (Fmt.str "schedule %s"
        (String.concat "," (List.map string_of_int ce.schedule)));
   let o = replay ~trace:tr cfg ce.schedule in
-  (match (o.Sim_run.txn_violations, o.Sim_run.key_violations) with
-   | m :: _, _ ->
-     Trace.record tr ~time:o.Sim_run.virtual_span
-       (Trace.Note (Fmt.str "verdict torn %s" m))
-   | [], (k, m) :: _ ->
-     Trace.record tr ~time:o.Sim_run.virtual_span
-       (Trace.Note (Fmt.str "verdict key=%d %s" k m))
-   | [], [] ->
-     Trace.record tr ~time:o.Sim_run.virtual_span (Trace.Note "verdict atomic"));
+  Trace.record tr ~time:o.Sim_run.virtual_span
+    (Trace.Note
+       (match o.Sim_run.verdict with
+        | Sim_run.Clean -> "verdict atomic"
+        | Sim_run.Violation { key = None; message } -> "verdict torn " ^ message
+        | Sim_run.Violation { key = Some k; message } ->
+          Fmt.str "verdict key=%d %s" k message
+        | Sim_run.Stalled { completed; expected } ->
+          Fmt.str "verdict stalled %d/%d" completed expected));
   Trace.dump tr file
 
 (* -- parsing the artifact back ------------------------------------- *)
@@ -799,14 +779,7 @@ let torture_run ?(engine = Engine.Abd) ~seed ~run ?trace () =
   (Sim_run.run ~fates cl, fates)
 
 let describe_failure run (o : Sim_run.outcome) =
-  match (o.Sim_run.txn_violations, o.Sim_run.key_violations) with
-  | m :: _, _ -> Fmt.str "run %d: %s" run m
-  | [], (k, m) :: _ -> Fmt.str "run %d: key %d: %s" run k m
-  | [], [] ->
-    if not o.Sim_run.fastcheck_ok then Fmt.str "run %d: fastcheck rejects" run
-    else
-      Fmt.str "run %d: stalled at %d/%d ops" run o.Sim_run.completed
-        o.Sim_run.expected
+  Fmt.str "run %d: %a" run Sim_run.pp_verdict o.Sim_run.verdict
 
 let torture ?engine ?(runs = 100) ?dump ?progress ~seed () =
   let violations = ref 0 and stalled = ref 0 and ops = ref 0 in
@@ -815,15 +788,11 @@ let torture ?engine ?(runs = 100) ?dump ?progress ~seed () =
     (match progress with Some f -> f run | None -> ());
     let o, _ = torture_run ?engine ~seed ~run () in
     ops := !ops + o.Sim_run.completed;
-    let bad_history =
-      o.Sim_run.key_violations <> []
-      || o.Sim_run.txn_violations <> []
-      || not o.Sim_run.fastcheck_ok
-    in
-    let incomplete = o.Sim_run.completed < o.Sim_run.expected in
-    if bad_history then incr violations;
-    if incomplete && not bad_history then incr stalled;
-    if (bad_history || incomplete) && !first_failure = None then begin
+    (match o.Sim_run.verdict with
+     | Sim_run.Clean -> ()
+     | Sim_run.Violation _ -> incr violations
+     | Sim_run.Stalled _ -> incr stalled);
+    if o.Sim_run.verdict <> Sim_run.Clean && !first_failure = None then begin
       first_failure := Some (run, describe_failure run o);
       match dump with
       | None -> ()

@@ -10,9 +10,13 @@
     [Partition], [Heal]) played by {!Sim_run.apply_fate}, as every
     other simulated run plays its fates — and hands the resulting
     choice tree to {!Modelcheck.Schedule}'s sleep-set DFS.  Every leaf
-    (quiescent or stalled state) is audited with the server's per-key
-    live {!Histories.Monitor}; optionally each leaf history is also
-    re-checked post-hoc ([fastcheck]).  The server is the
+    gets {!Sim_run.verdict}: the torn-batch audit, the server's
+    per-key live {!Histories.Monitor}, optionally a post-hoc re-check
+    of the leaf's history ([fastcheck]), and completion.  A leaf that
+    ended — no delivery, worker turn or timer pending — must have
+    answered every op, or it is [Stalled]; a leaf cut off by
+    [max_depth] or the timer budget is truncated, not ended, and is
+    judged on the audits alone.  The server is the
     {!Server_pool} the service runs, with the spec's [domains]
     workers, and client links are FIFO: the adversary reorders replica
     traffic, not a client's requests or answers, and a corked frame is
@@ -112,27 +116,26 @@ val config :
 
 type counterexample = {
   schedule : int list;  (** choice indices, replayable *)
-  key : int;
-      (** offending register; [-1] for a cross-key torn-batch verdict
-          of the {!Txn} audit *)
-  message : string;  (** rendered violation *)
+  verdict : Sim_run.verdict;
+      (** the leaf's verdict: a [Violation] or a [Stalled], never
+          [Clean] *)
 }
 
 type result = {
   stats : Modelcheck.Schedule.stats;
   counterexample : counterexample option;
-      (** first non-atomic schedule found, if any (the search stops on
+      (** first failing schedule found, if any (the search stops on
           it) *)
 }
 
 val explore : config -> result
 (** Enumerate schedules depth-first until exhaustion (see
     [stats.exhausted]), the [max_schedules] budget, or the first
-    audited violation. *)
+    leaf whose verdict is not [Clean]. *)
 
 val hunt : ?walks:int -> seed:int -> config -> result
 (** Seeded uniform random schedule walks (default 2000), stopping at
-    the first audited violation.  The exhaustive DFS varies the tail
+    the first leaf whose verdict is not [Clean].  The exhaustive DFS varies the tail
     of the schedule first, so bugs that need an early message starved
     past a much later one are exponentially far from its first leaf;
     random walks perturb the whole schedule at once and find such
@@ -146,13 +149,15 @@ val replay : ?trace:Trace.t -> ?tail:bool -> config -> int list -> Sim_run.outco
     [tail] (default [true]) the run continues past the explicit prefix
     taking the default (earliest-event) choice until quiescence — so
     any prefix/sublist of a schedule is itself replayable.  With
-    [trace], the full run is recorded. *)
+    [trace], the full run is recorded.  The outcome's verdict is a
+    leaf's: a stall counts only if the run ended. *)
 
 val shrink : config -> counterexample -> config * counterexample
 (** Minimize a counterexample: ddmin the schedule, then greedily drop
     workload operations (re-exploring each candidate under a bounded
-    budget), then ddmin again.  The result replays to a violation of
-    the returned (possibly smaller) config. *)
+    budget), then ddmin again.  The result replays to a failing
+    verdict (a violation or a stall) of the returned (possibly
+    smaller) config. *)
 
 (** {2 Replayable artifacts} *)
 
@@ -161,8 +166,10 @@ val save : file:string -> config -> counterexample -> unit
     config (a worker count other than 1 on a [domains] line of its
     own), the workload (one [xproc] line per process) and the
     schedule; the fully traced replay (sends, deliveries, operation
-    invokes/responds); and the verdict.  Self-contained — {!load}
-    needs nothing else. *)
+    invokes/responds); and the replay's verdict on one note line:
+    [verdict torn M], [verdict key=K M], [verdict stalled C/E] or
+    [verdict atomic].  Self-contained — {!load} needs nothing
+    else. *)
 
 val load : file:string -> config * int list
 (** Parse an artifact back into its config and schedule.  Older
@@ -175,7 +182,7 @@ val load : file:string -> config * int list
     @raise Invalid_argument as {!config}, on a config it rejects. *)
 
 val replay_file : file:string -> config * int list * Sim_run.outcome
-(** [load] + [replay]: the outcome's [key_violations] says whether the
+(** [load] + [replay]: the outcome's [verdict] says whether the
     artifact still reproduces. *)
 
 (** {2 Torture mode} *)
@@ -183,11 +190,12 @@ val replay_file : file:string -> config * int list * Sim_run.outcome
 type torture_report = {
   runs : int;
   ops_completed : int;
-  violations : int;  (** runs whose history failed an audit *)
-  stalled : int;  (** runs that did not complete (liveness failure —
-                      the generated fate schedules preserve quorum
-                      liveness, so any stall is a bug) *)
-  first_failure : (int * string) option;  (** run index + description *)
+  violations : int;  (** runs whose verdict is a [Violation] *)
+  stalled : int;  (** runs whose verdict is [Stalled] (liveness
+                      failure — the generated fate schedules preserve
+                      quorum liveness, so any stall is a bug) *)
+  first_failure : (int * string) option;
+      (** run index + its verdict ({!Sim_run.pp_verdict}) *)
 }
 
 val torture :
@@ -205,7 +213,8 @@ val torture :
     lossy/duplicating/reordering fault model and a timed
     crash/restart/partition fate schedule
     ({!Harness.Failure.random_net_fates}), executes it to quiescence
-    and asserts per-key atomicity {e and} completion.  A third of the
+    and counts its {!Sim_run.run} verdict: per-key atomicity {e and}
+    completion.  A third of the
     runs swap the plain scripts for a mixed transaction/snapshot
     workload (half of those with every replica {!Storage} compacting
     every 16 appends instead of 32),

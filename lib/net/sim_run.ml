@@ -1,10 +1,14 @@
 module E = Histories.Event
 
+type verdict =
+  | Clean
+  | Violation of { key : int option; message : string }
+  | Stalled of { completed : int; expected : int }
+
 type outcome = {
   history : int E.t list;
-  monitor_violation : string option;
+  verdict : verdict;
   txn_violations : string list;
-  fastcheck_ok : bool;
   key_fastcheck : (int * bool) list;
   key_violations : (int * string) list;
   completed : int;
@@ -93,6 +97,36 @@ let fastcheck_by_key ~init keyed =
                      (Histories.Fastcheck.pp_violation Fmt.int) v))
          in
          (key, verdict))
+
+(* The one decision whether a run kept its promises, in a fixed order:
+   a torn batch, a key's latched live violation, a key the post-hoc
+   fastcheck rejects (given its per-key verdicts), then a stall (given
+   the answered and expected op counts of a run that ended). *)
+let judge ?fastcheck ?answered pool =
+  match Server_pool.txn_violations pool with
+  | message :: _ -> Violation { key = None; message }
+  | [] ->
+  match Server_pool.violations pool with
+  | (k, v) :: _ ->
+    Violation
+      { key = Some k;
+        message = Fmt.str "%a" (Histories.Fastcheck.pp_violation Fmt.int) v }
+  | [] ->
+  let rejected = function k, Error m -> Some (k, m) | _, Ok () -> None in
+  match List.find_map rejected (Option.value ~default:[] fastcheck) with
+  | Some (k, message) -> Violation { key = Some k; message }
+  | None ->
+  match answered with
+  | Some (completed, expected) when completed < expected ->
+    Stalled { completed; expected }
+  | _ -> Clean
+
+let pp_verdict ppf = function
+  | Clean -> Fmt.string ppf "clean"
+  | Violation { key = None; message } -> Fmt.string ppf message
+  | Violation { key = Some k; message } -> Fmt.pf ppf "key %d: %s" k message
+  | Stalled { completed; expected } ->
+    Fmt.pf ppf "stalled at %d/%d ops" completed expected
 
 (* plain register processes are the [Single]-only special case *)
 let singles processes =
@@ -421,33 +455,44 @@ let merged cl =
 
 let keyed_history cl = snd (merged cl)
 
-let collect cl ~steps =
+(* ops answered: a multi-key op counts once per key, as [expected] does *)
+let answered events =
+  List.length (List.filter (function E.Respond _ -> true | _ -> false) events)
+
+let verdict ~fastcheck ~ended cl =
+  let cores = Server_pool.cores cl.pool in
+  judge
+    ?fastcheck:
+      (if fastcheck then Some (fastcheck_by_key ~init (keyed_history cl))
+       else None)
+    ?answered:
+      (if ended then
+         Some
+           ( List.fold_left (fun n c -> n + answered (Server.history c)) 0 cores,
+             cl.expected )
+       else None)
+    cl.pool
+
+let collect ~fastcheck ~ended cl ~steps =
   let pool = cl.pool in
   let timed, keyed = merged cl in
   let history = List.map snd timed in
-  let completed =
-    List.length (List.filter (function E.Respond _ -> true | _ -> false) history)
-  in
-  let key_fastcheck =
-    List.map
-      (fun (k, v) -> (k, Result.is_ok v))
-      (fastcheck_by_key ~init keyed)
-  in
-  let key_violations =
-    List.map
-      (fun (k, v) ->
-        (k, Fmt.str "%a" (Histories.Fastcheck.pp_violation Fmt.int) v))
-      (Server_pool.violations pool)
-  in
+  let completed = answered history in
+  let per_key = fastcheck_by_key ~init keyed in
   {
     history;
-    monitor_violation =
-      (match key_violations with [] -> None | (k, v) :: _ ->
-        Some (Fmt.str "key %d: %s" k v));
+    verdict =
+      judge
+        ?fastcheck:(if fastcheck then Some per_key else None)
+        ?answered:(if ended then Some (completed, cl.expected) else None)
+        pool;
     txn_violations = Server_pool.txn_violations pool;
-    fastcheck_ok = List.for_all snd key_fastcheck;
-    key_fastcheck;
-    key_violations;
+    key_fastcheck = List.map (fun (k, v) -> (k, Result.is_ok v)) per_key;
+    key_violations =
+      List.map
+        (fun (k, v) ->
+          (k, Fmt.str "%a" (Histories.Fastcheck.pp_violation Fmt.int) v))
+        (Server_pool.violations pool);
     completed;
     expected = cl.expected;
     steps;
@@ -468,7 +513,7 @@ let run ?(fates = []) ?(max_steps = 2_000_000) cl =
     (fun (time, f) -> Sim_net.at cl.net time (fun () -> apply_fate cl f))
     fates;
   let steps = Sim_net.run ~max_steps cl.net in
-  collect cl ~steps
+  collect ~fastcheck:true ~ended:true cl ~steps
 
 let pp_outcome ppf o =
   Fmt.pf ppf
@@ -479,13 +524,13 @@ let pp_outcome ppf o =
      network: %d delivered, %d dropped, %d duplicated, %d blocked@,\
      %a@]"
     o.completed o.expected o.steps o.virtual_span
-    (match o.monitor_violation with
-     | None -> "no violation"
-     | Some v -> "VIOLATION: " ^ v)
+    (match o.key_violations with
+     | [] -> "no violation"
+     | (k, v) :: _ -> Fmt.str "VIOLATION: key %d: %s" k v)
     (match o.txn_violations with
      | [] -> "no torn batch"
      | v :: _ -> "TORN: " ^ v)
-    (if o.fastcheck_ok then "atomic" else "NOT ATOMIC")
+    (if List.for_all snd o.key_fastcheck then "atomic" else "NOT ATOMIC")
     (List.length o.key_fastcheck)
     (if List.length o.key_fastcheck = 1 then "" else "s")
     o.net.Sim_net.delivered o.net.Sim_net.dropped o.net.Sim_net.duplicated

@@ -27,19 +27,49 @@
     transport + quorum + server stack, which is exactly what
     [test/test_net.ml] does. *)
 
+(** {2 Verdicts}
+
+    Bloom's register is atomic and wait-free: every history it serves
+    is atomic, and every op a live processor invokes is answered.  A
+    run keeps both promises or it does not, and {!judge} is the one
+    place that decides which. *)
+
+type verdict =
+  | Clean  (** every audit accepts, and the run answered every op *)
+  | Violation of { key : int option; message : string }
+      (** an audit rejects: [key] is the offending register, [None]
+          for a cross-key torn batch of the {!Txn} audit *)
+  | Stalled of { completed : int; expected : int }
+      (** every audit accepts, but a run that ended answered only
+          [completed] of its [expected] ops *)
+
+val judge :
+  ?fastcheck:(int * (unit, string) result) list ->
+  ?answered:int * int ->
+  Server_pool.t ->
+  verdict
+(** The verdict on a run served by [pool], first failure first:
+    the coordinator's first torn batch ({!Server_pool.txn_violations});
+    the first key whose live audit latched a violation
+    ({!Server_pool.violations}); with [fastcheck] (per-key post-hoc
+    verdicts, as {!fastcheck_by_key} returns them) the first key it
+    rejects; with [answered = (completed, expected)], given only for a
+    run that ended, a stall when [completed < expected].  Otherwise
+    [Clean]. *)
+
+val pp_verdict : verdict Fmt.t
+(** [clean], the violation's message (prefixed [key K: ] for a
+    register's), or [stalled at C/E ops]. *)
+
 type outcome = {
   history : int Histories.Event.t list;  (** as recorded by the server *)
-  monitor_violation : string option;
-      (** first live-audit violation of any key ([None] = every
-          per-key audit accepts) *)
+  verdict : verdict;  (** {!judge}'s, as {!collect} was asked for it *)
   txn_violations : string list;
       (** torn-batch verdicts of the cross-key {!Txn} audit (empty =
           every committed snapshot observed an atomic cut) *)
-  fastcheck_ok : bool;
-      (** conjunction of the per-key post-hoc {!Histories.Fastcheck}
-          verdicts (requires written values to be unique) *)
   key_fastcheck : (int * bool) list;
-      (** post-hoc verdict per key, ascending key order *)
+      (** post-hoc {!Histories.Fastcheck} verdict per key, ascending
+          key order (requires written values to be unique) *)
   key_violations : (int * string) list;
       (** rendered first live violation per offending key *)
   completed : int;  (** operations that received a response *)
@@ -94,8 +124,9 @@ val singles : int Registers.Vm.process list -> xprocess list
     One {!spec} describes the cluster under test; {!create} builds it
     without running it, {!run} drives it to quiescence, and {!Explore}
     drives the same cluster externally
-    ({!Sim_net.pending}/{!Sim_net.fire}) instead.  [collect] computes
-    the {!outcome} from wherever the run got to. *)
+    ({!Sim_net.pending}/{!Sim_net.fire}) instead.  {!collect} computes
+    the {!outcome} from wherever the run got to, and {!verdict} its
+    verdict alone. *)
 
 type store = {
   snapshot_every : int;
@@ -261,7 +292,9 @@ val run :
   outcome
 (** Schedule [fates] (each played by {!apply_fate} at its time, via
     {!Sim_net.at}), run the simulator to quiescence or [max_steps]
-    events (default 2_000_000), and {!collect}.  [fates] is a timed
+    events (default 2_000_000), and {!collect} with the post-hoc
+    fastcheck and as a run that ended: whichever way it stopped, fewer
+    ops answered than expected is [Stalled].  [fates] is a timed
     {!Harness.Failure.net_fate} schedule — e.g. a draw from
     {!Harness.Failure.random_net_fates}.  [(t, Crash r)] crashes
     replica [r] at virtual time [t]; a
@@ -279,13 +312,21 @@ val apply_fate : cluster -> Harness.Failure.net_fate -> unit
     replica recovers (from its disk when [durable], empty otherwise)
     before the next event. *)
 
-val collect : cluster -> steps:int -> outcome
+val collect : fastcheck:bool -> ended:bool -> cluster -> steps:int -> outcome
 (** Assemble the outcome from the whole pool's current state: every
     core's violations, the coordinator's torn batches, the cores'
-    histories merged in virtual time ({!keyed_history}), and the
-    highest worker epoch.  [steps] is reported verbatim.  Safe to call
-    on a partially-run (stalled or explorer-truncated) cluster —
-    per-key audits then cover the prefix history. *)
+    histories merged in virtual time ({!keyed_history}), the highest
+    worker epoch, and {!verdict}'s verdict.  [steps] is reported
+    verbatim.  Safe to call on a partially-run (stalled or
+    explorer-truncated) cluster — per-key audits then cover the prefix
+    history. *)
+
+val verdict : fastcheck:bool -> ended:bool -> cluster -> verdict
+(** {!judge} on the cluster's pool, without building an outcome: with
+    [fastcheck], over the post-hoc verdicts of its {!keyed_history};
+    with [ended] (nothing is left to run), over its answered and
+    expected op counts, a multi-key op counting once per key.  A run
+    cut short is judged with [ended = false], on its audits alone. *)
 
 val keyed_history : cluster -> (int * int Histories.Event.t) list
 (** The pool's history with each event's key: every core's, merged in
@@ -304,4 +345,5 @@ val fastcheck_by_key :
     ["NOT ATOMIC: ..."]. *)
 
 val pp_outcome : outcome Fmt.t
-(** One-paragraph summary (completion, verdicts, network stats). *)
+(** One-paragraph summary (completion, each audit's first finding,
+    network stats). *)

@@ -206,7 +206,7 @@ let max_record = Wire.max_frame
 (* Fill in the [len][crc] header at [off] of a record whose [n]-byte
    payload already sits in [b] after it. *)
 let seal_at b off n =
-  if n > max_record then invalid_arg "Storage.frame_record: payload too large";
+  if n > max_record then invalid_arg "Storage: record payload too large";
   Bytes.set_int32_le b off (Int32.of_int n);
   Bytes.set_int32_le b (off + 4)
     (Int32.of_int (crc_bits b (off + header_size) n))
@@ -214,12 +214,6 @@ let seal_at b off n =
 let seal b =
   seal_at b 0 (Bytes.length b - header_size);
   Bytes.unsafe_to_string b
-
-let frame_record payload =
-  let n = String.length payload in
-  let b = Bytes.create (header_size + n) in
-  Bytes.blit_string payload 0 b header_size n;
-  seal b
 
 type tail =
   | Clean
@@ -264,11 +258,6 @@ let write_entry b off ~reg ~ts pl =
   Bytes.set_int64_le b (off + 16) (Int64.of_int (Registers.Tagged.v pl));
   Bytes.set b (off + 24) (if Registers.Tagged.tag pl then '\001' else '\000')
 
-let encode_entry e =
-  let b = Bytes.create entry_size in
-  write_entry b 0 ~reg:e.reg ~ts:e.ts e.pl;
-  Bytes.unsafe_to_string b
-
 let decode_entry_at s off =
   let reg = Int64.to_int (String.get_int64_le s off) in
   let ts = Int64.to_int (String.get_int64_le s (off + 8)) in
@@ -282,15 +271,6 @@ let decode_entry s =
   if String.length s <> entry_size then None else decode_entry_at s 0
 
 let snap_magic = "SNP1"
-
-let encode_snapshot contents =
-  let b = Buffer.create (12 + (entry_size * List.length contents)) in
-  Buffer.add_string b snap_magic;
-  Buffer.add_int64_le b (Int64.of_int (List.length contents));
-  List.iter
-    (fun (reg, (ts, pl)) -> Buffer.add_string b (encode_entry { reg; ts; pl }))
-    contents;
-  Buffer.contents b
 
 let decode_snapshot s =
   let hdr = 4 + 8 in
@@ -467,9 +447,9 @@ let sort_ints a =
     sift a 0 last
   done
 
-(* [frame_record (encode_snapshot (contents_locked t))], encoded in
-   place: the registers sort as an [int array] and every entry is
-   written straight into the one record. *)
+(* The snapshot record of [contents_locked t], encoded in place: the
+   registers sort as an [int array] and every entry is written straight
+   into the one record. *)
 let snapshot_record_locked t =
   let n = Hashtbl.length t.tbl in
   let regs = Array.make n 0 in

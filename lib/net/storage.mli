@@ -162,25 +162,20 @@ module Disk : sig
   val snapshot_bytes : t -> string option
 end
 
-(** {2 Codec — exposed for fuzzing} *)
+(** {2 Decoding — what recovery runs, exposed for fuzzing} *)
 
 val crc32 : string -> int32
 (** IEEE CRC-32 (the zlib/PNG polynomial). *)
 
-val frame_record : string -> string
-(** [len][crc][payload] framing of one payload. *)
-
-val encode_entry : entry -> string
-(** One WAL entry as the byte payload of a record. *)
-
 val decode_entry : string -> entry option
-(** Total inverse of {!encode_entry}: [None] on any malformation. *)
-
-val encode_snapshot : (int * (int * Wire.payload)) list -> string
-(** A whole register state as one snapshot payload. *)
+(** One WAL entry from the byte payload of a record (25 bytes: [reg],
+    [ts] and value as little-endian int64s, then the tag byte): total,
+    [None] on any malformation. *)
 
 val decode_snapshot : string -> (int * (int * Wire.payload)) list option
-(** Total inverse of {!encode_snapshot}: [None] on any malformation. *)
+(** A whole register state from one snapshot payload (["SNP1"], an
+    int64 count, then that many entries ascending by register): total,
+    [None] on any malformation. *)
 
 type tail =
   | Clean

@@ -72,3 +72,16 @@ let replica_handle r ~src msg =
   let acc = ref [] in
   Net.Replica.handle_emit r ~src ~emit:(fun reply -> acc := reply :: !acc) msg;
   List.rev !acc
+
+(* A simulated run's verdict ({!Net.Sim_run.judge}), for Alcotest. *)
+let verdict = Alcotest.testable Net.Sim_run.pp_verdict ( = )
+
+(* Every audit accepts and every op was answered. *)
+let check_clean what (o : Net.Sim_run.outcome) =
+  Alcotest.check verdict (what ^ ": clean") Net.Sim_run.Clean
+    o.Net.Sim_run.verdict
+
+(* The outcome of a simulated cluster run to its end by hand, judged as
+   {!Net.Sim_run.run} judges one. *)
+let collect cl ~steps =
+  Net.Sim_run.collect ~fastcheck:true ~ended:true cl ~steps

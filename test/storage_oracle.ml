@@ -8,7 +8,8 @@
 
 open Net
 
-type entry = { reg : int; ts : int; pl : Wire.payload }
+(* the store's own entry, so its codec encodes what Storage appends *)
+type entry = Storage.entry = { reg : int; ts : int; pl : Wire.payload }
 
 exception Corrupt of string
 
@@ -121,7 +122,7 @@ let max_record = Wire.max_frame
    sits in [b] after [header_size] bytes. *)
 let seal b =
   let n = Bytes.length b - header_size in
-  if n > max_record then invalid_arg "Storage.frame_record: payload too large";
+  if n > max_record then invalid_arg "Storage: record payload too large";
   Bytes.set_int32_le b 0 (Int32.of_int n);
   Bytes.set_int32_le b 4 (crc32_bytes b header_size n);
   Bytes.unsafe_to_string b

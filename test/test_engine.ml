@@ -46,15 +46,7 @@ let conformance kind () =
              { Net.Sim_run.default with shards = 2; keys = 4; engine = kind }
              ~seed ~workload:(Net.Sim_run.singles processes))
       in
-      Alcotest.(check int)
-        (Fmt.str "seed %d: all ops complete" seed)
-        o.Net.Sim_run.expected o.Net.Sim_run.completed;
-      (match o.Net.Sim_run.monitor_violation with
-       | None -> ()
-       | Some v -> Alcotest.failf "seed %d: live audit: %s" seed v);
-      Alcotest.(check bool)
-        (Fmt.str "seed %d: fastcheck atomic" seed)
-        true o.Net.Sim_run.fastcheck_ok)
+      Helpers.check_clean (Fmt.str "seed %d" seed) o)
     [ 1; 2; 3; 4; 5 ]
 
 (* Multi-key conformance: the same transaction/snapshot workload
@@ -112,16 +104,7 @@ let xconformance () =
         in
         let o = Net.Sim_run.run cl in
         let what = Fmt.str "seed %d %s" seed (Net.Engine.kind_name kind) in
-        Alcotest.(check int) (what ^ ": all ops complete")
-          o.Net.Sim_run.expected o.Net.Sim_run.completed;
-        (match o.Net.Sim_run.monitor_violation with
-         | None -> ()
-         | Some v -> Alcotest.failf "%s: live audit: %s" what v);
-        (match o.Net.Sim_run.txn_violations with
-         | [] -> ()
-         | v :: _ -> Alcotest.failf "%s: torn-batch audit: %s" what v);
-        Alcotest.(check bool) (what ^ ": fastcheck atomic") true
-          o.Net.Sim_run.fastcheck_ok;
+        Helpers.check_clean what o;
         let ts = Net.Txn.stats (Net.Server.txns cl.Net.Sim_run.server) in
         Alcotest.(check int) (what ^ ": txns committed") 12
           ts.Net.Txn.txns_committed;
@@ -206,12 +189,7 @@ let twobit_crashed_replica () =
          }
          ~seed:1 ~workload:(Net.Sim_run.singles processes))
   in
-  Alcotest.(check int) "all ops complete" o.Net.Sim_run.expected
-    o.Net.Sim_run.completed;
-  (match o.Net.Sim_run.monitor_violation with
-   | None -> ()
-   | Some v -> Alcotest.failf "live audit: %s" v);
-  Alcotest.(check bool) "fastcheck atomic" true o.Net.Sim_run.fastcheck_ok;
+  Helpers.check_clean "one replica down" o;
   let get = Net.Metrics.get o.Net.Sim_run.metrics in
   let widened = get "twobit_widened" and reads = get "twobit_queries" in
   Alcotest.(check int) "widened reads" 3 widened;
@@ -300,7 +278,8 @@ let twobit_exhaustive_two_writers () =
   Alcotest.(check bool) "exhausted" true res.Ex.stats.S.exhausted;
   match res.Ex.counterexample with
   | None -> ()
-  | Some ce -> Alcotest.failf "atomicity violation: %s" ce.Ex.message
+  | Some ce -> Alcotest.failf "atomicity violation: %a"
+      Net.Sim_run.pp_verdict ce.Ex.verdict
 
 let twobit_exhaustive_writer_reader () =
   let res =
@@ -310,7 +289,8 @@ let twobit_exhaustive_writer_reader () =
   Alcotest.(check bool) "exhausted" true res.Ex.stats.S.exhausted;
   match res.Ex.counterexample with
   | None -> ()
-  | Some ce -> Alcotest.failf "atomicity violation: %s" ce.Ex.message
+  | Some ce -> Alcotest.failf "atomicity violation: %a"
+      Net.Sim_run.pp_verdict ce.Ex.verdict
 
 (* The unordered-link bug needs >= 3 replicas to show: a write
    completes on a majority of acks while the third link's [Store2] is
@@ -361,7 +341,8 @@ let twobit_ordered_hunt_clean () =
       .Ex.counterexample
   with
   | None -> ()
-  | Some ce -> Alcotest.failf "honest twobit config flagged: %s" ce.Ex.message
+  | Some ce -> Alcotest.failf "honest twobit config flagged: %a"
+      Net.Sim_run.pp_verdict ce.Ex.verdict
 
 let twobit_torture_small () =
   let rep = Ex.torture ~engine:Net.Engine.Twobit ~runs:20 ~seed:11 () in
@@ -433,7 +414,7 @@ let engines_reject_mismatched_hooks () =
   Fun.protect
     ~finally:(fun () -> Sys.remove file)
     (fun () ->
-      Ex.save ~file cfg { Ex.schedule = []; key = 0; message = "" };
+      Ex.save ~file cfg { Ex.schedule = []; verdict = Net.Sim_run.Clean };
       Alcotest.(check bool) "fields round-trip" true
         ((fst (Ex.load ~file)).Ex.spec.bug = bug);
       let strip line =
@@ -528,7 +509,8 @@ let twobit_bigger_hunt_clean () =
   in
   match (Ex.hunt ~walks:300 ~seed:5 cfg).Ex.counterexample with
   | None -> ()
-  | Some ce -> Alcotest.failf "honest twobit config flagged: %s" ce.Ex.message
+  | Some ce -> Alcotest.failf "honest twobit config flagged: %a"
+      Net.Sim_run.pp_verdict ce.Ex.verdict
 
 (* --- the registry: one timestamp authority -------------------------- *)
 

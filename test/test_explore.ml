@@ -15,6 +15,18 @@ let tc_slow = Helpers.tc_slow
 let default = Net.Sim_run.default
 let no_bug = Net.Bug.none
 
+(* the register a counterexample's violation names ([None] for a
+   cross-key torn batch or a stall) *)
+let violation_key ce =
+  match ce.E.verdict with
+  | Net.Sim_run.Violation { key; _ } -> key
+  | Net.Sim_run.Clean | Net.Sim_run.Stalled _ -> None
+
+let cross_key ce =
+  match ce.E.verdict with
+  | Net.Sim_run.Violation { key = None; _ } -> true
+  | _ -> false
+
 let w v = Histories.Event.Write v
 let r = Histories.Event.Read
 let proc p script =
@@ -51,7 +63,8 @@ let exhaustive_two_writers engine expected () =
   Alcotest.(check bool) "pruning fired" true (s.S.pruned > 0);
   match res.E.counterexample with
   | None -> ()
-  | Some ce -> Alcotest.failf "atomicity violation: %s" ce.E.message
+  | Some ce -> Alcotest.failf "atomicity violation: %a"
+      Net.Sim_run.pp_verdict ce.E.verdict
 
 let exhaustive_writer_reader () =
   let res =
@@ -62,7 +75,8 @@ let exhaustive_writer_reader () =
   Alcotest.(check bool) "exhausted" true res.E.stats.S.exhausted;
   match res.E.counterexample with
   | None -> ()
-  | Some ce -> Alcotest.failf "atomicity violation: %s" ce.E.message
+  | Some ce -> Alcotest.failf "atomicity violation: %a"
+      Net.Sim_run.pp_verdict ce.E.verdict
 
 let pruning_only_prunes () =
   (* sleep sets must cut the tree, not change its verdict *)
@@ -100,7 +114,7 @@ let broken_quorum_found () =
   | None -> Alcotest.fail "hunt missed the broken-quorum violation"
   | Some ce ->
     Alcotest.(check bool) "non-empty schedule" true (ce.E.schedule <> []);
-    Alcotest.(check bool) "names a key" true (ce.E.key >= 0)
+    Alcotest.(check bool) "names a key" true (violation_key ce <> None)
 
 let honest_quorum_clean () =
   (* same workload, honest majority quorum: the same hunt must stay
@@ -109,14 +123,15 @@ let honest_quorum_clean () =
   let res = E.hunt ~walks:500 ~seed:42 cfg in
   match res.E.counterexample with
   | None -> ()
-  | Some ce -> Alcotest.failf "honest config flagged: %s" ce.E.message
+  | Some ce -> Alcotest.failf "honest config flagged: %a"
+      Net.Sim_run.pp_verdict ce.E.verdict
 
 let hunt_deterministic () =
   let go () = E.hunt ~seed:42 (broken inversion_prone) in
   match ((go ()).E.counterexample, (go ()).E.counterexample) with
   | Some a, Some b ->
     Alcotest.(check (list int)) "same schedule" a.E.schedule b.E.schedule;
-    Alcotest.(check string) "same message" a.E.message b.E.message
+    Alcotest.check Helpers.verdict "same verdict" a.E.verdict b.E.verdict
   | _ -> Alcotest.fail "hunt missed the violation"
 
 let shrink_and_replay_file () =
@@ -203,7 +218,8 @@ let exhaustive_writers_read engine expected () =
   Alcotest.(check int) "schedule count" expected s.S.schedules;
   match res.E.counterexample with
   | None -> ()
-  | Some ce -> Alcotest.failf "atomicity violation: %s" ce.E.message
+  | Some ce -> Alcotest.failf "atomicity violation: %a"
+      Net.Sim_run.pp_verdict ce.E.verdict
 
 (* One writer: a write (which makes its copy), a one-key transaction
    on the same key, then a read through the copy.  With the
@@ -254,7 +270,8 @@ let honest_copy_exhausts_clean () =
   Alcotest.(check int) "schedule count" 1 res.E.stats.S.schedules;
   match res.E.counterexample with
   | None -> ()
-  | Some ce -> Alcotest.failf "atomicity violation: %s" ce.E.message
+  | Some ce -> Alcotest.failf "atomicity violation: %a"
+      Net.Sim_run.pp_verdict ce.E.verdict
 
 let ddmin_minimizes () =
   (* failure = contains both 3 and 7: ddmin must land on exactly that
@@ -311,7 +328,8 @@ let fates_exhaust_clean expected ?crashable ?amnesia ~replicas ~cuts () =
   Alcotest.(check int) "schedule count" expected s.S.schedules;
   match res.E.counterexample with
   | None -> ()
-  | Some ce -> Alcotest.failf "fate exploration flagged: %s" ce.E.message
+  | Some ce -> Alcotest.failf "fate exploration flagged: %a"
+      Net.Sim_run.pp_verdict ce.E.verdict
 
 (* 3 replicas: replica 0 may crash once and be cut off from the other
    two once (then heal). *)
@@ -352,7 +370,8 @@ let exhaustive_three_replicas_one_crash () =
   Alcotest.(check int) "schedule count" 490 s.S.schedules;
   match res.E.counterexample with
   | None -> ()
-  | Some ce -> Alcotest.failf "atomicity violation: %s" ce.E.message
+  | Some ce -> Alcotest.failf "atomicity violation: %a"
+      Net.Sim_run.pp_verdict ce.E.verdict
 
 (* The amnesia bug: one replica, one writer, one reader, and one
    reboot budget on the replica.  Without durability the adversary can
@@ -401,7 +420,8 @@ let amnesia_durable_hunt_clean () =
     (E.hunt ~walks:2000 ~seed:1 (amnesia_cfg ~durable:true)).E.counterexample
   with
   | None -> ()
-  | Some ce -> Alcotest.failf "durable config flagged: %s" ce.E.message
+  | Some ce -> Alcotest.failf "durable config flagged: %a"
+      Net.Sim_run.pp_verdict ce.E.verdict
 
 (* The payoff in full — durability on, the WHOLE schedule space of the
    same config, every leaf atomic: `mcheck net --replicas 1 --writers
@@ -413,7 +433,8 @@ let amnesia_durable_exhausts_clean () =
   Alcotest.(check int) "schedule count" 4418 res.E.stats.S.schedules;
   match res.E.counterexample with
   | None -> ()
-  | Some ce -> Alcotest.failf "durable config flagged: %s" ce.E.message
+  | Some ce -> Alcotest.failf "durable config flagged: %a"
+      Net.Sim_run.pp_verdict ce.E.verdict
 
 let amnesia_without_reboot_budget_clean () =
   (* sanity: with durability off but no reboot budget the same config
@@ -459,7 +480,7 @@ let torn_txn_caught_shrunk_replayed () =
   match (E.hunt ~walks:2000 ~seed:3 cfg).E.counterexample with
   | None -> Alcotest.fail "hunt missed the torn-batch violation"
   | Some ce ->
-    Alcotest.(check int) "cross-key sentinel key" (-1) ce.E.key;
+    Alcotest.(check bool) "a cross-key violation" true (cross_key ce);
     let cfg', ce' = E.shrink cfg ce in
     Alcotest.(check bool) "schedule no longer" true
       (List.length ce'.E.schedule <= List.length ce.E.schedule);
@@ -493,7 +514,8 @@ let txn_honest_hunt_clean () =
      come up empty *)
   match (E.hunt ~walks:500 ~seed:3 (txn_cfg ())).E.counterexample with
   | None -> ()
-  | Some ce -> Alcotest.failf "honest txn config flagged: %s" ce.E.message
+  | Some ce -> Alcotest.failf "honest txn config flagged: %a"
+      Net.Sim_run.pp_verdict ce.E.verdict
 
 let txn_bounded_explore_clean () =
   (* a budgeted slice of the exhaustive enumeration stays atomic (the
@@ -502,7 +524,8 @@ let txn_bounded_explore_clean () =
   Alcotest.(check int) "budget consumed" 500 res.E.stats.S.schedules;
   match res.E.counterexample with
   | None -> ()
-  | Some ce -> Alcotest.failf "bounded txn exploration flagged: %s" ce.E.message
+  | Some ce -> Alcotest.failf "bounded txn exploration flagged: %a"
+      Net.Sim_run.pp_verdict ce.E.verdict
 
 let xworkload_validation () =
   let bad name xscript =
@@ -662,7 +685,8 @@ let bounded_hunt_bigger_config () =
   in
   match (E.hunt ~walks:300 ~seed:3 cfg).E.counterexample with
   | None -> ()
-  | Some ce -> Alcotest.failf "honest config flagged: %s" ce.E.message
+  | Some ce -> Alcotest.failf "honest config flagged: %a"
+      Net.Sim_run.pp_verdict ce.E.verdict
 
 (* slow: the acceptance criterion in full — the twobit engine halves
    the messages per op, which is what makes exhausting the 2-shard x
@@ -677,7 +701,8 @@ let txn_twobit_exhausts_clean () =
   Alcotest.(check int) "schedule count" 8400 res.E.stats.S.schedules;
   match res.E.counterexample with
   | None -> ()
-  | Some ce -> Alcotest.failf "txn/snap schedule not atomic: %s" ce.E.message
+  | Some ce -> Alcotest.failf "txn/snap schedule not atomic: %a"
+      Net.Sim_run.pp_verdict ce.E.verdict
 
 let txn_twobit_torn_exhaustive_found () =
   (* the same exhaustive search with the torn hook on must find the
@@ -689,7 +714,7 @@ let txn_twobit_torn_exhaustive_found () =
   match res.E.counterexample with
   | None -> Alcotest.fail "exhaustive search missed the torn-batch bug"
   | Some ce ->
-    Alcotest.(check int) "cross-key sentinel key" (-1) ce.E.key;
+    Alcotest.(check bool) "a cross-key violation" true (cross_key ce);
     Alcotest.(check bool) "the violating schedule is recorded" true
       (ce.E.schedule <> [])
 
@@ -750,8 +775,8 @@ let reconfig_bounded_explore_clean () =
       match res.E.counterexample with
       | None -> ()
       | Some ce ->
-        Alcotest.failf "bounded %s reconfig exploration flagged: %s"
-          (Net.Engine.kind_name engine) ce.E.message)
+        Alcotest.failf "bounded %s reconfig exploration flagged: %a"
+          (Net.Engine.kind_name engine) Net.Sim_run.pp_verdict ce.E.verdict)
     [ Net.Engine.Abd; Net.Engine.Twobit ]
 
 let reconfig_skip_dual_write_caught_shrunk_replayed () =
@@ -761,7 +786,8 @@ let reconfig_skip_dual_write_caught_shrunk_replayed () =
   match (E.hunt ~walks:2000 ~seed:3 cfg).E.counterexample with
   | None -> Alcotest.fail "hunt missed the dropped dual-write leg"
   | Some ce ->
-    Alcotest.(check int) "violation lands on the migrating key" 3 ce.E.key;
+    Alcotest.(check (option int)) "violation lands on the migrating key"
+      (Some 3) (violation_key ce);
     let cfg', ce' = E.shrink cfg ce in
     Alcotest.(check bool) "schedule no longer" true
       (List.length ce'.E.schedule <= List.length ce.E.schedule);
@@ -790,7 +816,8 @@ let reconfig_honest_hunt_clean () =
       .E.counterexample
   with
   | None -> ()
-  | Some ce -> Alcotest.failf "honest reconfig config flagged: %s" ce.E.message
+  | Some ce -> Alcotest.failf "honest reconfig config flagged: %a"
+      Net.Sim_run.pp_verdict ce.E.verdict
 
 let reconfig_validation () =
   let bad name f =
@@ -863,7 +890,7 @@ let committed_artifacts_replay () =
       Fun.protect
         ~finally:(fun () -> Sys.remove copy)
         (fun () ->
-          E.save ~file:copy cfg { E.schedule; key = 0; message = "" };
+          E.save ~file:copy cfg { E.schedule; verdict = Net.Sim_run.Clean };
           let bytes f = In_channel.with_open_bin f In_channel.input_all in
           Alcotest.(check string) (name ^ ": rewritten byte for byte")
             (bytes file) (bytes copy)))
@@ -908,7 +935,7 @@ let fates_artifact_round_trip () =
       ~max_partitions:2
       ~workload:[ proc 0 [ w 7 ] ] ()
   in
-  let ce = { E.schedule = [ 1; 0; 2 ]; key = 0; message = "" } in
+  let ce = { E.schedule = [ 1; 0; 2 ]; verdict = Net.Sim_run.Clean } in
   let file = Filename.temp_file "explore-fates" ".jsonl" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
@@ -944,7 +971,8 @@ let reconfig_exhausts_clean engine workload expected () =
   Alcotest.(check int) "schedule count" expected res.E.stats.S.schedules;
   match res.E.counterexample with
   | None -> ()
-  | Some ce -> Alcotest.failf "reconfig schedule not atomic: %s" ce.E.message
+  | Some ce -> Alcotest.failf "reconfig schedule not atomic: %a"
+      Net.Sim_run.pp_verdict ce.E.verdict
 
 (* --- a pool of two workers -------------------------------------------
    The simulator runs the service's pool: at two workers each worker's
@@ -962,7 +990,8 @@ let pool_exhausts ?reconfig ~what spec workload expected =
     res.E.stats.S.schedules;
   (match res.E.counterexample with
    | None -> ()
-   | Some ce -> Alcotest.failf "%s: %s" what ce.E.message);
+   | Some ce -> Alcotest.failf "%s: %a" what
+       Net.Sim_run.pp_verdict ce.E.verdict);
   let o = E.replay cfg [] in
   Alcotest.(check int) (what ^ ": the default schedule completes every op")
     o.Net.Sim_run.expected o.Net.Sim_run.completed;
@@ -1030,7 +1059,8 @@ let pool_pruning_keeps_a_bug () =
   match (E.explore cfg).E.counterexample with
   | None -> Alcotest.fail "the pruned search missed the broken read quorum"
   | Some ce ->
-    Alcotest.(check int) "violation on key 0" 0 ce.E.key;
+    Alcotest.(check (option int)) "violation on key 0" (Some 0)
+      (violation_key ce);
     Alcotest.(check bool) "its schedule replays to it" true
       ((E.replay cfg ce.E.schedule).Net.Sim_run.key_violations <> [])
 
@@ -1043,7 +1073,7 @@ let domains_note_round_trip () =
     Fun.protect
       ~finally:(fun () -> Sys.remove file)
       (fun () ->
-        E.save ~file cfg { E.schedule = []; key = 0; message = "" };
+        E.save ~file cfg { E.schedule = []; verdict = Net.Sim_run.Clean };
         let cfg', _ = E.load ~file in
         ( List.filter_map Net.Trace.note_of_line (read_lines file),
           cfg'.E.spec.domains ))
@@ -1080,13 +1110,42 @@ let pool_batched_answers_complete () =
         { default with domains = 2; shards = 4; keys = 4; window = 4 }
         ~seed ~workload
     in
-    let o = Net.Sim_run.run cl in
-    Alcotest.(check int)
-      (Fmt.str "seed %d: every op completes" seed)
-      o.Net.Sim_run.expected o.Net.Sim_run.completed;
-    Alcotest.(check bool) (Fmt.str "seed %d: atomic" seed) true
-      (o.Net.Sim_run.key_violations = [] && o.Net.Sim_run.fastcheck_ok)
+    Helpers.check_clean (Fmt.str "seed %d" seed) (Net.Sim_run.run cl)
   done
+
+(* One turn of a two-worker pool can answer two ops of one client as
+   one [Batch] frame: keys 0 and 3 both sit on shard 0, hence on worker
+   0, and a window of 2 has both writes in flight.  Each answer in the
+   frame must refill the window, or the third op is never sent; a leaf
+   that ended with it unanswered is a stall, so every schedule must end
+   with all three answered. *)
+let pool_batch_answers_exhaust () =
+  let spec =
+    { default with replicas = 1; shards = 2; keys = 4; domains = 2;
+      window = 2 }
+  in
+  let workload =
+    [
+      { Net.Sim_run.xproc = 0;
+        xscript =
+          [ Net.Sim_run.Keyed (0, w 5); Net.Sim_run.Keyed (3, w 6);
+            Net.Sim_run.Keyed (0, w 7) ] };
+    ]
+  in
+  let two_answers = ref 0 in
+  let measure ~src:_ ~dst msg =
+    match msg with
+    | Net.Wire.Batch msgs when dst = Net.Transport.client 0 ->
+      let answer = function Net.Wire.Resp _ -> true | _ -> false in
+      if List.length (List.filter answer msgs) = 2 then incr two_answers
+    | _ -> ()
+  in
+  Helpers.check_clean "default run"
+    (Net.Sim_run.run
+       (Net.Sim_run.create ~measure { spec with domains = 2 } ~seed:0
+          ~workload));
+  Alcotest.(check int) "one turn answers two ops as one Batch" 1 !two_answers;
+  ignore (pool_exhausts ~what:"a Batch of two answers" spec workload 247)
 
 let suite =
   [
@@ -1164,6 +1223,8 @@ let suite =
       pool_pruning_keeps_a_bug;
     tc "two workers: batched answers refill every client's window"
       pool_batched_answers_complete;
+    tc "two workers: a Batch of two answers exhausts clean"
+      pool_batch_answers_exhaust;
   ]
 
 let slow_suite =

@@ -538,20 +538,13 @@ let partition (cl : Net.Sim_run.cluster) (t0, t1) =
     (t1, Harness.Failure.Heal);
   ]
 
-let check_outcome ~what (o : Net.Sim_run.outcome) =
-  (match o.monitor_violation with
-   | None -> ()
-   | Some v -> Alcotest.failf "%s: live audit violation: %s" what v);
-  Alcotest.(check bool) (what ^ ": fastcheck atomic") true o.fastcheck_ok;
-  Alcotest.(check int) (what ^ ": all ops completed") o.expected o.completed
-
 let sim_reliable () =
   let o =
     Net.Sim_run.run
       (Net.Sim_run.create Net.Sim_run.default ~seed:1
          ~workload:(Net.Sim_run.singles (spec ~readers:2 ~writes:4 ~reads:6)))
   in
-  check_outcome ~what:"reliable" o;
+  check_clean "reliable" o;
   (* over a fault-free network nothing should ever be retransmitted *)
   Alcotest.(check int) "no retransmissions" 0
     o.quorum.Net.Engine.retransmissions
@@ -574,7 +567,7 @@ let sim_fault_sweep () =
                ~workload:
                  (Net.Sim_run.singles (spec ~readers:2 ~writes:3 ~reads:5)))
         in
-        check_outcome ~what:(Fmt.str "schedule %d seed %d" i seed) o
+        check_clean (Fmt.str "schedule %d seed %d" i seed) o
       done)
     schedules
 
@@ -589,7 +582,7 @@ let sim_windows () =
              ~workload:
                (Net.Sim_run.singles (spec ~readers:3 ~writes:3 ~reads:4)))
       in
-      check_outcome ~what:(Fmt.str "window %d" window) o)
+      check_clean (Fmt.str "window %d" window) o)
     [ 1; 2; 8; 32 ]
 
 let sim_replica_crash () =
@@ -600,7 +593,7 @@ let sim_replica_crash () =
            { Net.Sim_run.default with replicas = 3 } ~seed
            ~workload:(Net.Sim_run.singles (spec ~readers:2 ~writes:4 ~reads:6)))
     in
-    check_outcome ~what:(Fmt.str "crash seed %d" seed) o
+    check_clean (Fmt.str "crash seed %d" seed) o
   done
 
 let sim_majority_crash_stalls () =
@@ -616,12 +609,69 @@ let sim_majority_crash_stalls () =
                 { Registers.Vm.proc = 2;
                   script = List.init 6 (fun _ -> E.Read) } ]))
   in
-  Alcotest.(check bool) "stalled, not completed" true
-    (o.completed < o.expected);
-  (match o.monitor_violation with
-   | None -> ()
-   | Some v -> Alcotest.failf "stall must not violate atomicity: %s" v);
-  Alcotest.(check bool) "history prefix still atomic" true o.fastcheck_ok
+  (* stalled, not completed; and the history prefix still atomic, as
+     the verdict's audits and fastcheck come before its stall *)
+  match o.verdict with
+  | Net.Sim_run.Stalled { completed; expected } ->
+    Alcotest.(check int) "the counts are the outcome's" o.expected expected;
+    Alcotest.(check int) "answered so far" o.completed completed
+  | v -> Alcotest.failf "want a stall, got %a" Net.Sim_run.pp_verdict v
+
+(* One run can fail every way at once, and its verdict names the first
+   failure in a fixed order: a torn batch, a key's live violation, a
+   key the post-hoc fastcheck rejects, a stall.  The runs: a batch, a
+   snapshot and racing writes and reads of key 0 over a lossy network,
+   with two of three replicas crashed at time 30 (a stall), under the
+   torn-batch and broken-read-quorum hooks, one of them, or none. *)
+let sim_verdict_order () =
+  let run bug seed =
+    let cl =
+      Net.Sim_run.create
+        ~faults:(Net.Sim_net.lossy ~min_delay:0.1 ~max_delay:3.0 ())
+        { Net.Sim_run.default with shards = 2; keys = 2; bug }
+        ~seed
+        ~workload:
+          (let k key op = Net.Sim_run.Keyed (key, op) in
+           [
+             { Net.Sim_run.xproc = 0;
+               xscript =
+                 [ Net.Sim_run.Txn_w [ (0, 1001); (1, 1002) ];
+                   k 0 (E.Write 1003); k 0 (E.Write 1004) ] };
+             { Net.Sim_run.xproc = 1;
+               xscript = [ k 0 (E.Write 2001); k 0 (E.Write 2002) ] };
+             { Net.Sim_run.xproc = 2;
+               xscript =
+                 Net.Sim_run.Snap [ 0; 1 ] :: List.init 4 (fun _ -> k 0 E.Read)
+             };
+           ])
+    in
+    (Net.Sim_run.run ~fates:[ crash 1 30.0; crash 2 30.0 ] ~max_steps:30_000 cl,
+     cl)
+  in
+  let stalled (o : Net.Sim_run.outcome) = o.completed < o.expected in
+  let quorum_1 = { Net.Bug.none with read_quorum = Some 1 } in
+  let o, _ = run { quorum_1 with torn_txn = true } 1 in
+  Alcotest.(check bool) "torn, violated and stalled at once" true
+    (o.txn_violations <> [] && o.key_violations <> [] && stalled o);
+  Alcotest.check verdict "the torn batch first"
+    (Net.Sim_run.Violation { key = None; message = List.hd o.txn_violations })
+    o.verdict;
+  let o, _ = run quorum_1 38 in
+  Alcotest.(check bool) "violated and stalled at once" true
+    (o.key_violations <> [] && stalled o);
+  let key, message = List.hd o.key_violations in
+  Alcotest.check verdict "then the live violation"
+    (Net.Sim_run.Violation { key = Some key; message })
+    o.verdict;
+  let o, cl = run Net.Bug.none 38 in
+  Alcotest.check verdict "then the stall"
+    (Net.Sim_run.Stalled { completed = o.completed; expected = o.expected })
+    o.verdict;
+  let rejects = [ (1, Error "NOT ATOMIC: pinned") ] in
+  Alcotest.check verdict "a post-hoc rejection comes before the stall"
+    (Net.Sim_run.Violation { key = Some 1; message = "NOT ATOMIC: pinned" })
+    (Net.Sim_run.judge ~fastcheck:rejects ~answered:(o.completed, o.expected)
+       cl.Net.Sim_run.pool)
 
 let sim_partition_heals () =
   (* sever all replicas from the server mid-run, then heal: the
@@ -632,7 +682,7 @@ let sim_partition_heals () =
       ~workload:(Net.Sim_run.singles (spec ~readers:2 ~writes:3 ~reads:4))
   in
   let o = Net.Sim_run.run ~fates:(partition cl (25.0, 120.0)) cl in
-  check_outcome ~what:"partition+heal" o;
+  check_clean "partition+heal" o;
   Alcotest.(check bool) "partition actually bit" true
     (o.net.Net.Sim_net.blocked > 0)
 
@@ -664,23 +714,17 @@ let sim_random_schedules =
              ~workload:
                (Net.Sim_run.singles (spec ~readers:2 ~writes:2 ~reads:3)))
       in
-      o.Net.Sim_run.monitor_violation = None
-      && o.Net.Sim_run.fastcheck_ok
-      && o.Net.Sim_run.completed = o.Net.Sim_run.expected)
+      o.Net.Sim_run.verdict = Net.Sim_run.Clean)
 
 (* ------------------------------------------------------------------ *)
 (* Sharded keyspace                                                    *)
 
 let check_sharded ~what (o : Net.Sim_run.outcome) =
-  (match o.key_violations with
-   | [] -> ()
-   | (k, v) :: _ ->
-     Alcotest.failf "%s: live audit violation on key %d: %s" what k v);
+  check_clean what o;
   List.iter
     (fun (k, ok) ->
       Alcotest.(check bool) (Fmt.str "%s: key %d atomic" what k) true ok)
-    o.key_fastcheck;
-  Alcotest.(check int) (what ^ ": all ops completed") o.expected o.completed
+    o.key_fastcheck
 
 let sim_sharded () =
   (* every key's history must be atomic, for each shard count *)
@@ -3381,7 +3425,7 @@ let server_shares_constant_events () =
     Net.Sim_run.create Net.Sim_run.default ~seed:1
       ~workload:(Net.Sim_run.singles (spec ~readers:2 ~writes:4 ~reads:6))
   in
-  check_outcome ~what:"shared events" (Net.Sim_run.run cl);
+  check_clean "shared events" (Net.Sim_run.run cl);
   let shared = Hashtbl.create 8 and count = ref 0 in
   List.iter
     (fun ev ->
@@ -3882,6 +3926,7 @@ let suite =
     tc "sim: pipelining windows" sim_windows;
     tc "sim: minority replica crash" sim_replica_crash;
     tc "sim: majority loss stalls safely" sim_majority_crash_stalls;
+    tc "sim: the verdict names the first failure" sim_verdict_order;
     tc "sim: partition then heal" sim_partition_heals;
     tc "sim: deterministic replay" sim_deterministic;
     QCheck_alcotest.to_alcotest sim_random_schedules;

@@ -41,15 +41,8 @@ let traffic =
     xp 3 [ k hot rd; k 0 rd; k hot rd; k 1 rd; k hot rd ];
   ]
 
-let check_clean ~what (o : R.outcome) =
-  (match o.R.key_violations with
-   | [] -> ()
-   | (key, v) :: _ -> Alcotest.failf "%s: key %d audit: %s" what key v);
-  Alcotest.(check bool) (what ^ ": fastcheck atomic") true o.R.fastcheck_ok;
-  Alcotest.(check int) (what ^ ": all ops completed") o.R.expected o.R.completed
-
 let check_migrated ~what (o : R.outcome) =
-  check_clean ~what o;
+  Helpers.check_clean what o;
   Alcotest.(check int) (what ^ ": epoch advanced exactly once") 1 o.R.epoch;
   Alcotest.(check (option bool)) (what ^ ": migration acked ok") (Some true)
     o.R.reconfig_acked
@@ -114,7 +107,7 @@ let sim_migration_stats () =
       ~seed:3 ~workload:traffic
   in
   let steps = Net.Sim_net.run cl.R.net in
-  let o = R.collect cl ~steps in
+  let o = Helpers.collect cl ~steps in
   check_migrated ~what:"stats run" o;
   Alcotest.(check int) "server epoch agrees" 1 (Net.Server.epoch cl.R.server);
   let stat = Net.Metrics.get cl.R.metrics in
@@ -160,7 +153,7 @@ let sim_out_of_range_nacked () =
          }
          ~seed:5 ~workload:traffic)
   in
-  check_clean ~what:"out-of-range" o;
+  Helpers.check_clean "out-of-range" o;
   Alcotest.(check int) "epoch unmoved" 0 o.R.epoch;
   Alcotest.(check (option bool)) "request nacked" (Some false) o.R.reconfig_acked
 
@@ -211,8 +204,8 @@ let sim_nack_discipline () =
   Net.Sim_net.at net 2.5 (fun () -> send 4 hot target_shard 0);
   Net.Sim_net.at net 4.2 (fun () -> send 5 hot base_shard 0);
   let steps = Net.Sim_net.run net in
-  let o = R.collect cl ~steps in
-  check_clean ~what:"nack run" o;
+  let o = Helpers.collect cl ~steps in
+  Helpers.check_clean "nack run" o;
   Alcotest.(check int) "nack run: epoch advanced exactly once" 1 o.R.epoch;
   Alcotest.(check (option bool))
     "nack run: no built-in requester, no built-in verdict" None
@@ -262,7 +255,7 @@ let sim_crash_points_mid_migration () =
   in
   let probe = build () in
   let steps = Net.Sim_net.run probe.R.net in
-  check_migrated ~what:"probe" (R.collect probe ~steps);
+  check_migrated ~what:"probe" (Helpers.collect probe ~steps);
   let n = S.Disk.appends probe.R.disks.(0) in
   Alcotest.(check bool) "probe run stored something" true (n > 0);
   for point = 1 to n do
@@ -276,7 +269,7 @@ let sim_crash_points_mid_migration () =
         end
         else S.Disk.Persist);
     let steps = Net.Sim_net.run cl.R.net in
-    check_migrated ~what (R.collect cl ~steps);
+    check_migrated ~what (Helpers.collect cl ~steps);
     let wal = S.Disk.wal_bytes d in
     let snap = S.Disk.snapshot_bytes d in
     Net.Sim_net.restart cl.R.net 0;

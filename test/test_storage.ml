@@ -7,6 +7,7 @@
 
 module S = Net.Storage
 module R = Net.Sim_run
+module O = Storage_oracle
 
 let tc = Helpers.tc
 let tc_slow = Helpers.tc_slow
@@ -32,7 +33,7 @@ let mem () = S.Disk.backend (S.Disk.create ())
 
 (* bytes one WAL record takes: every record has the same size *)
 let rec_size =
-  String.length (S.frame_record (S.encode_entry (entry ~reg:0 ~ts:1 100)))
+  String.length (O.frame_record (O.encode_entry (entry ~reg:0 ~ts:1 100)))
 
 (* The state a never-crashed store reaches on a prefix of the
    workload: just feed the prefix to a fresh in-memory store. *)
@@ -308,7 +309,7 @@ let group_commit_crash_matrix () =
   let n = 22 in
   let entries = entries_n n in
   let rec_size =
-    String.length (S.frame_record (S.encode_entry (List.hd entries)))
+    String.length (O.frame_record (O.encode_entry (List.hd entries)))
   in
   List.iter
     (fun (bm, snapshot_every) ->
@@ -404,13 +405,6 @@ let fold_disk ~snap ~wal =
   Hashtbl.fold (fun reg tp acc -> (reg, tp) :: acc) tbl []
   |> List.sort compare
 
-let check_clean ~what (o : R.outcome) =
-  (match o.R.key_violations with
-   | [] -> ()
-   | (k, v) :: _ -> Alcotest.failf "%s: key %d audit: %s" what k v);
-  Alcotest.(check bool) (what ^ ": fastcheck atomic") true o.R.fastcheck_ok;
-  Alcotest.(check int) (what ^ ": all ops completed") o.R.expected o.R.completed
-
 let sim_crash_point_matrix ?(snapshot_every = 32) ?group_commit () =
   (* probe: how many appends does replica 0's disk see crash-free? *)
   let build () =
@@ -420,7 +414,7 @@ let sim_crash_point_matrix ?(snapshot_every = 32) ?group_commit () =
   in
   let probe = build () in
   let steps = Net.Sim_net.run probe.R.net in
-  check_clean ~what:"probe" (R.collect probe ~steps);
+  Helpers.check_clean "probe" (Helpers.collect probe ~steps);
   let n = S.Disk.appends probe.R.disks.(0) in
   Alcotest.(check bool) "probe run stored something" true (n > 0);
   for k = 1 to n do
@@ -436,7 +430,7 @@ let sim_crash_point_matrix ?(snapshot_every = 32) ?group_commit () =
         else S.Disk.Persist);
     let steps = Net.Sim_net.run cl.R.net in
     (* the surviving majority must finish the workload, atomically *)
-    check_clean ~what (R.collect cl ~steps);
+    Helpers.check_clean what (Helpers.collect cl ~steps);
     (* capture the durable bytes as of the crash, then recover *)
     let wal = S.Disk.wal_bytes d in
     let snap = S.Disk.snapshot_bytes d in
@@ -470,7 +464,7 @@ let sim_crash_points_group_commit () =
 let durable_amnesia_recovers () =
   let cl = R.create R.default ~seed:3 ~workload:(R.singles matrix_processes) in
   let steps = Net.Sim_net.run cl.R.net in
-  check_clean ~what:"durable run" (R.collect cl ~steps);
+  Helpers.check_clean "durable run" (Helpers.collect cl ~steps);
   let before = Net.Replica.contents (cl.R.replica_of 0) in
   Alcotest.(check bool) "replica holds state" true (before <> []);
   Net.Sim_net.crash_amnesia cl.R.net 0;
@@ -485,7 +479,7 @@ let volatile_amnesia_forgets () =
   in
   Alcotest.(check int) "no disks when volatile" 0 (Array.length cl.R.disks);
   let steps = Net.Sim_net.run cl.R.net in
-  check_clean ~what:"volatile run" (R.collect cl ~steps);
+  Helpers.check_clean "volatile run" (Helpers.collect cl ~steps);
   Alcotest.(check bool) "replica holds state" true
     (Net.Replica.contents (cl.R.replica_of 0) <> []);
   Net.Sim_net.crash_amnesia cl.R.net 0;
@@ -497,7 +491,7 @@ let plain_crash_keeps_state () =
   (* a plain crash is a pause, not a death: no recovery, no amnesia *)
   let cl = R.create R.default ~seed:3 ~workload:(R.singles matrix_processes) in
   let steps = Net.Sim_net.run cl.R.net in
-  check_clean ~what:"run" (R.collect cl ~steps);
+  Helpers.check_clean "run" (Helpers.collect cl ~steps);
   let before = Net.Replica.contents (cl.R.replica_of 0) in
   Net.Sim_net.crash cl.R.net 0;
   Net.Sim_net.restart cl.R.net 0;
@@ -544,7 +538,7 @@ let pause_defers_flush_timer () =
       Net.Sim_net.restart net 0;
       Net.Sim_net.crash net 1);
   let steps = Net.Sim_net.run ~max_steps:200_000 net in
-  check_clean ~what:"pause then crash" (R.collect cl ~steps);
+  Helpers.check_clean "pause then crash" (Helpers.collect cl ~steps);
   Alcotest.(check int) "all 80 ops" 80 cl.R.expected
 
 (* ------------------------------------------------------------------ *)
@@ -654,7 +648,7 @@ let recovery_torture () =
     (* crash inside the write(2) of append k: only [keep] bytes of its
        record reach the file, and nothing after the write — no apply,
        no snapshot — happened *)
-    let torn = S.frame_record (S.encode_entry (List.nth entries (k - 1))) in
+    let torn = O.frame_record (O.encode_entry (List.nth entries (k - 1))) in
     let oc =
       open_out_gen
         [ Open_append; Open_creat; Open_binary ]
@@ -750,8 +744,6 @@ let socket_durable () =
 (* async and sync appends, durability markers, flushes and snapshots,  *)
 (* with completions that re-enter their store and a disk that may tear *)
 (* one batch.                                                          *)
-
-module O = Storage_oracle
 
 (* what a completion does after logging itself *)
 type reenter =
@@ -1019,7 +1011,7 @@ let commit_causes_cluster () =
              proc 2 (List.init 30 (fun _ -> rd)) ])
   in
   let steps = Net.Sim_net.run ~max_steps:200_000 cl.R.net in
-  check_clean ~what:"cluster" (R.collect cl ~steps);
+  Helpers.check_clean "cluster" (Helpers.collect cl ~steps);
   List.iter
     (fun r ->
       let st = Option.get (Net.Replica.storage (cl.R.replica_of r)) in

@@ -7,6 +7,7 @@
    with [Corrupt]. *)
 
 module S = Net.Storage
+module O = Storage_oracle
 
 let tc = Helpers.tc
 
@@ -50,7 +51,7 @@ let fold_entries entries =
   Hashtbl.fold (fun reg p acc -> (reg, p) :: acc) tbl [] |> List.sort compare
 
 let wal_of entries =
-  String.concat "" (List.map (fun e -> S.frame_record (S.encode_entry e)) entries)
+  String.concat "" (List.map (fun e -> O.frame_record (O.encode_entry e)) entries)
 
 (* A raw in-memory backend over explicit bytes, so tests can hand the
    store arbitrarily corrupted files and watch what it does to them. *)
@@ -122,7 +123,7 @@ let fuzz_store_bytes_are_reference_codec () =
     S.snapshot st;
     if
       S.Disk.snapshot_bytes disk
-      <> Some (S.frame_record (S.encode_snapshot (S.contents st)))
+      <> Some (O.frame_record (O.encode_snapshot (S.contents st)))
     then
       Alcotest.failf "iteration %d: snapshot bytes differ from the reference \
                       codec" i
@@ -132,7 +133,7 @@ let fuzz_entry_roundtrip () =
   let rng = Random.State.make [| 0x5701 |] in
   for i = 1 to 2_000 do
     let e = any_entry rng in
-    match S.decode_entry (S.encode_entry e) with
+    match S.decode_entry (O.encode_entry e) with
     | Some e' when e' = e -> ()
     | _ -> Alcotest.failf "iteration %d: entry did not round-trip" i
   done
@@ -144,7 +145,7 @@ let fuzz_snapshot_roundtrip () =
     let contents =
       List.init n (fun r -> (r, (any_int rng, any_payload rng)))
     in
-    match S.decode_snapshot (S.encode_snapshot contents) with
+    match S.decode_snapshot (O.encode_snapshot contents) with
     | Some c when c = contents -> ()
     | _ -> Alcotest.failf "iteration %d: snapshot did not round-trip" i
   done
@@ -161,7 +162,7 @@ let fuzz_scan_roundtrip () =
               Char.chr (Random.State.int rng 256)))
     in
     let records, tail =
-      S.scan (String.concat "" (List.map S.frame_record payloads))
+      S.scan (String.concat "" (List.map O.frame_record payloads))
     in
     if records <> payloads || tail <> S.Clean then
       Alcotest.failf "iteration %d: scan did not round-trip" i
@@ -265,7 +266,7 @@ let snapshot_bitflips_fail_closed () =
   let contents =
     List.init 5 (fun r -> (r, (r + 1, Registers.Tagged.make (100 + r) (r mod 2 = 0))))
   in
-  let snap = S.frame_record (S.encode_snapshot contents) in
+  let snap = O.frame_record (O.encode_snapshot contents) in
   (* sanity: the uncorrupted snapshot opens and recovers *)
   let st = S.create (fst (backend_of_bytes ~snap "")) in
   Alcotest.(check int) "pristine snapshot recovers" 5
@@ -284,7 +285,7 @@ let snapshot_bitflips_fail_closed () =
 
 let snapshot_truncations_fail_closed () =
   let contents = List.init 4 (fun r -> (r, (1, Registers.Tagged.make r false))) in
-  let snap = S.frame_record (S.encode_snapshot contents) in
+  let snap = O.frame_record (O.encode_snapshot contents) in
   for cut = 0 to String.length snap - 1 do
     match S.create (fst (backend_of_bytes ~snap:(String.sub snap 0 cut) "")) with
     | exception S.Corrupt _ -> ()
@@ -296,7 +297,7 @@ let snapshot_truncations_fail_closed () =
    | _ -> Alcotest.fail "snapshot with trailing garbage opened");
   (* well-framed but undecodable payload: checksum fine, magic wrong *)
   match
-    S.create (fst (backend_of_bytes ~snap:(S.frame_record "XXXXXXXXXXXX") ""))
+    S.create (fst (backend_of_bytes ~snap:(O.frame_record "XXXXXXXXXXXX") ""))
   with
   | exception S.Corrupt _ -> ()
   | _ -> Alcotest.fail "well-framed junk snapshot opened"
@@ -360,7 +361,7 @@ let wal_decode_failure_is_corrupt () =
   (* a checksummed WAL record that is not an entry means the file was
      written by something else entirely: that is Corrupt, not a torn
      tail to shrug off *)
-  let wal = S.frame_record "not an entry" in
+  let wal = O.frame_record "not an entry" in
   match S.create (fst (backend_of_bytes wal)) with
   | exception S.Corrupt _ -> ()
   | _ -> Alcotest.fail "undecodable checksummed record accepted"
