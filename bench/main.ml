@@ -910,7 +910,7 @@ let socket_alloc_table () =
 (* The simulator's own share of the table above: minor words of one
    message (its send, which the sending handler pays, and its delivery)
    and of one timer (arming and firing), both to a no-op handler, after
-   a warm-up. *)
+   a warm-up; then the send cork's share of a corked message. *)
 let sim_alloc_table () =
   let net = Net.Sim_net.create ~seed:1 ~faults:Net.Sim_net.reliable () in
   let tr = Net.Sim_net.transport net in
@@ -939,7 +939,30 @@ let sim_alloc_table () =
   Fmt.pr "  %-40s %9.1f@." "message (send + delivery)" message;
   Fmt.pr "  %-40s %9.1f@.@." "timer (arm + fire)" timer;
   Json.metric ~section:"net-alloc" "Sim_net words per message" message;
-  Json.metric ~section:"net-alloc" "Sim_net words per timer" timer
+  Json.metric ~section:"net-alloc" "Sim_net words per timer" timer;
+  (* the send cork's own share: turns of 32 messages to one peer over a
+     null base, each shipped as one [Batch] *)
+  let per_turn = 32 and turns = 10_000 in
+  let tr, cork = Net.Transport.cork Net.Transport.null in
+  let fill () =
+    for _ = 1 to per_turn do
+      tr.Net.Transport.send ~src:0 ~dst:1 msg
+    done
+  in
+  for _ = 1 to 1_000 do
+    Net.Transport.turn cork fill
+  done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to turns do
+    Net.Transport.turn cork fill
+  done;
+  let corked = (Gc.minor_words () -. w0) /. float_of_int (turns * per_turn) in
+  Fmt.pr "  send cork, minor words per message:@.";
+  Fmt.pr "  %-40s %9.1f@.@."
+    (Fmt.str "corked turn (%d messages to one peer)" per_turn)
+    corked;
+  Json.metric ~section:"net-alloc" "Transport.cork words per corked message"
+    corked
 
 (* The per-op rows of the table above, taken apart: one op's program,
    one ABD phase and the server's own bookkeeping, each measured alone
@@ -1613,10 +1636,13 @@ let bench_net_recovery () =
            ~seed:13
            ~workload:(Net.Sim_run.singles (two_by_two 50)))
     in
-    (o, float_of_int o.Net.Sim_run.completed /. o.Net.Sim_run.virtual_span)
+    check_sim
+      ("net-recovery sim " ^ if durable then "durable" else "volatile")
+      o;
+    float_of_int o.Net.Sim_run.completed /. o.Net.Sim_run.virtual_span
   in
-  let _, on_rate = sim ~durable:true in
-  let _, off_rate = sim ~durable:false in
+  let on_rate = sim ~durable:true in
+  let off_rate = sim ~durable:false in
   Json.metric ~section:"net-recovery" "sim ops per vtime durable" on_rate;
   Json.metric ~section:"net-recovery" "sim ops per vtime volatile" off_rate;
   pf "  sim cluster: %5.2f ops/vtime durable vs %5.2f volatile@.@." on_rate

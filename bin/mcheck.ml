@@ -243,7 +243,7 @@ let explore_net ~expect_violation ~expect_exhausted ~hunt ~walks ~seed ~dump
        | None -> ()
        | Some file ->
          let cfg', ce' = X.shrink cfg ce in
-         X.save ~file cfg' ce';
+         X.save ~file ~schedule:ce'.X.schedule cfg';
          let ops =
            List.fold_left
              (fun n p -> n + List.length p.Net.Sim_run.xscript)

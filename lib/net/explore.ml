@@ -524,7 +524,7 @@ let group_note (a, b) =
     (String.concat "," (List.map string_of_int a))
     (String.concat "," (List.map string_of_int b))
 
-let save ~file cfg ce =
+let save ~file ~schedule cfg =
   let tr = Trace.create ~capacity:(1 lsl 16) () in
   let note s = Trace.record tr ~time:0.0 (Trace.Note s) in
   note "explore-counterexample v1";
@@ -547,8 +547,8 @@ let save ~file cfg ce =
     cfg.workload;
   note
     (Fmt.str "schedule %s"
-       (String.concat "," (List.map string_of_int ce.schedule)));
-  let o = replay ~trace:tr cfg ce.schedule in
+       (String.concat "," (List.map string_of_int schedule)));
+  let o = replay ~trace:tr cfg schedule in
   Trace.record tr ~time:o.Sim_run.virtual_span
     (Trace.Note
        (match o.Sim_run.verdict with

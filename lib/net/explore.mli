@@ -161,15 +161,15 @@ val shrink : config -> counterexample -> config * counterexample
 
 (** {2 Replayable artifacts} *)
 
-val save : file:string -> config -> counterexample -> unit
-(** Dump a counterexample as Trace JSONL: note lines carrying the
-    config (a worker count other than 1 on a [domains] line of its
-    own), the workload (one [xproc] line per process) and the
-    schedule; the fully traced replay (sends, deliveries, operation
-    invokes/responds); and the replay's verdict on one note line:
-    [verdict torn M], [verdict key=K M], [verdict stalled C/E] or
-    [verdict atomic].  Self-contained — {!load} needs nothing
-    else. *)
+val save : file:string -> schedule:int list -> config -> unit
+(** Dump the counterexample [schedule] of a config as Trace JSONL:
+    note lines carrying the config (a worker count other than 1 on a
+    [domains] line of its own), the workload (one [xproc] line per
+    process) and the schedule; the fully traced replay (sends,
+    deliveries, operation invokes/responds); and the replay's verdict
+    on one note line: [verdict torn M], [verdict key=K M], [verdict
+    stalled C/E] or [verdict atomic].  Self-contained — {!load} needs
+    nothing else. *)
 
 val load : file:string -> config * int list
 (** Parse an artifact back into its config and schedule.  Older

@@ -37,14 +37,19 @@ type t = {
   mutable ack_src : int array;
   mutable ack_a : int array;
   mutable ack_b : int array;
-  mutable ack_emit : (Transport.node * Wire.msg -> unit) array;
+  mutable ack_emit : (Transport.node -> Wire.msg -> unit) array;
   mutable ack_head : int;
   mutable ack_count : int;
   mutable fire : unit -> unit;
+  (* [handle_emit]'s last tupled [emit] and its curried wrapper, built
+     once per distinct [emit] rather than once per call *)
+  mutable tupled : Transport.node * Wire.msg -> unit;
+  mutable curried : Transport.node -> Wire.msg -> unit;
 }
 
 let store_ack = 0
 let ack2 = 1
+let no_emit _ _ = ()
 
 let ack_msg kind a b =
   if kind = store_ack then Wire.Store_ack { rid = a; reg = b }
@@ -56,10 +61,10 @@ let pop_ack t =
   let emit = t.ack_emit.(i) in
   let src = t.ack_src.(i) in
   let m = ack_msg t.ack_kind.(i) t.ack_a.(i) t.ack_b.(i) in
-  t.ack_emit.(i) <- ignore;
+  t.ack_emit.(i) <- no_emit;
   t.ack_head <- (i + 1) land (Array.length t.ack_src - 1);
   t.ack_count <- t.ack_count - 1;
-  emit (src, m)
+  emit src m
 
 (* Double the ring, its slots re-laid from the oldest at index 0. *)
 let grow_acks t =
@@ -75,7 +80,7 @@ let grow_acks t =
   t.ack_src <- move t.ack_src 0;
   t.ack_a <- move t.ack_a 0;
   t.ack_b <- move t.ack_b 0;
-  t.ack_emit <- move t.ack_emit ignore;
+  t.ack_emit <- move t.ack_emit no_emit;
   t.ack_head <- 0
 
 let push_ack t ~emit ~src kind a b =
@@ -105,10 +110,12 @@ let create ~init ?storage ?(unordered = false) () =
       ack_src = Array.make 16 0;
       ack_a = Array.make 16 0;
       ack_b = Array.make 16 0;
-      ack_emit = Array.make 16 ignore;
+      ack_emit = Array.make 16 no_emit;
       ack_head = 0;
       ack_count = 0;
       fire = ignore;
+      tupled = ignore;
+      curried = no_emit;
     }
   in
   t.fire <- (fun () -> pop_ack t);
@@ -129,7 +136,7 @@ let store t ~emit ~src kind a b reg ts pl =
   match t.backing with
   | Volatile regs ->
     Hashtbl.replace regs reg (ts, pl);
-    emit (src, ack_msg kind a b)
+    emit src (ack_msg kind a b)
   | Durable st ->
     push_ack t ~emit ~src kind a b;
     Storage.append_async st ~reg ~ts pl ~k:t.fire
@@ -139,7 +146,7 @@ let store t ~emit ~src kind a b reg ts pl =
    queue. *)
 let after_durable t ~emit ~src kind a b =
   match t.backing with
-  | Volatile _ -> emit (src, ack_msg kind a b)
+  | Volatile _ -> emit src (ack_msg kind a b)
   | Durable st ->
     push_ack t ~emit ~src kind a b;
     Storage.on_durable st t.fire
@@ -158,7 +165,7 @@ let deliver2 t ~src ~emit msg =
     store t ~emit ~src ack2 lid seq reg (cur + 1) pl
   | Wire.Query2 { lid; seq; reg } when reg >= 0 ->
     let _, pl = lookup t reg in
-    emit (src, Wire.Query2_reply { lid; seq; pl })
+    emit src (Wire.Query2_reply { lid; seq; pl })
   | _ -> ()
 
 (* Re-answer a frame the link already delivered (the engine's
@@ -173,7 +180,7 @@ let reanswer2 t ~src ~emit msg =
   | Wire.Store2 { lid; seq; _ } -> after_durable t ~emit ~src ack2 lid seq
   | Wire.Query2 { lid; seq; reg } when reg >= 0 ->
     let _, pl = lookup t reg in
-    emit (src, Wire.Query2_reply { lid; seq; pl })
+    emit src (Wire.Query2_reply { lid; seq; pl })
   | _ -> ()
 
 let rlink_of t key =
@@ -210,12 +217,12 @@ let handle_link t ~src ~lid ~seq ~emit msg =
     end
   end
 
-let rec handle_emit t ~src ~emit msg =
+let rec handle t ~src ~emit msg =
   t.handled <- t.handled + 1;
   match msg with
   | Wire.Query { rid; reg } when reg >= 0 ->
     let ts, pl = lookup t reg in
-    emit (src, Wire.Query_reply { rid; reg; ts; pl })
+    emit src (Wire.Query_reply { rid; reg; ts; pl })
   | Wire.Store { rid; reg; ts; pl } when reg >= 0 ->
     let cur, _ = lookup t reg in
     (* persist before ack: the Store_ack is emitted from the durable
@@ -229,8 +236,15 @@ let rec handle_emit t ~src ~emit msg =
       after_durable t ~emit ~src store_ack rid reg
   | Wire.Store2 { lid; seq; _ } | Wire.Query2 { lid; seq; _ } ->
     handle_link t ~src ~lid ~seq ~emit msg
-  | Wire.Batch msgs -> List.iter (handle_emit t ~src ~emit) msgs
+  | Wire.Batch msgs -> List.iter (handle t ~src ~emit) msgs
   | _ -> ()
+
+let handle_emit t ~src ~emit msg =
+  if t.tupled != emit then begin
+    t.tupled <- emit;
+    t.curried <- (fun dst m -> emit (dst, m))
+  end;
+  handle t ~src ~emit:t.curried msg
 
 let drive t ~transport ~node =
   match t.backing with
@@ -242,9 +256,9 @@ let drive t ~transport ~node =
    per peer too. *)
 let serve t ~transport ~me =
   let tr, cork = Transport.cork transport in
-  let emit (dst, m) = tr.Transport.send ~src:me ~dst m in
+  let emit dst m = tr.Transport.send ~src:me ~dst m in
   let step t ~src msg =
-    handle_emit t ~src ~emit msg;
+    handle t ~src ~emit msg;
     drive t ~transport:tr ~node:me
   in
   Transport.handle cork step t

@@ -47,15 +47,15 @@ val create : init:int -> ?storage:Storage.t -> ?unordered:bool -> unit -> t
     delayed retransmitted [Store2] can regress a register — the
     new/old inversion {!Explore} demonstrates. *)
 
-val handle_emit :
+val handle :
   t ->
   src:Transport.node ->
-  emit:(Transport.node * Wire.msg -> unit) ->
+  emit:(Transport.node -> Wire.msg -> unit) ->
   Wire.msg ->
   unit
-(** Process one message, passing each reply to [emit].  Unknown message
-    kinds (and negative register indices) are ignored; [Batch] is
-    flattened.  This is the group-commit-aware entry point: a
+(** Process one message, passing each reply to [emit dst msg].  Unknown
+    message kinds (and negative register indices) are ignored; [Batch]
+    is flattened.  This is the group-commit-aware entry point: a
     [Store]/[Store2] ack is emitted from the backing store's
     durability completion, which with a group-commit store may happen
     {e after} this call returns — on a later [Storage.flush] or on the
@@ -64,7 +64,20 @@ val handle_emit :
     and waiting acks leave in the order their stores were accepted.
     The driver must therefore use an [emit] that stays valid across
     handler turns (and guard it against the replica having crashed or
-    restarted in between). *)
+    restarted in between).  A handled [Query] allocates its reply and
+    nothing else. *)
+
+val handle_emit :
+  t ->
+  src:Transport.node ->
+  emit:(Transport.node * Wire.msg -> unit) ->
+  Wire.msg ->
+  unit
+(** {!handle} with a tupled [emit], which gets each reply as one
+    [(dst, msg)] pair.  The curried wrapper {!handle} needs is built
+    when [emit] differs (physically) from the previous call's, so a
+    driver that passes one [emit] every time pays only the pair per
+    reply. *)
 
 val drive : t -> transport:Transport.t -> node:Transport.node -> unit
 (** The end of one of [node]'s handler turns: a durable replica's store
@@ -82,7 +95,7 @@ val serve :
 (** [serve rep ~transport ~me] is the replica node the socket service
     runs, as a handler for {!Socket_net.listen} at node [me].  Each
     handled message is one {!Transport.handle} turn: its replies leave
-    as one frame per peer.  The turn's {!handle_emit} is followed by
+    as one frame per peer.  The turn's {!handle} is followed by
     {!drive} on the corked transport, so the acks a deadline flush
     releases are coalesced the same way.  Build one handler per
     replica and node; it must be called serialized with [me]'s timers,

@@ -276,10 +276,20 @@ let severed t src dst =
   | Some (a, b) ->
     (List.mem src a && List.mem dst b) || (List.mem src b && List.mem dst a)
 
+(* [Random.State.float rng span], bit for bit and drawing the same
+   bits: the 53-bit float in (0, 1) it forms from [bits64], redrawn on
+   0, times [span].  Inlined, so the draw is never boxed. *)
+let[@inline] uniform rng span =
+  let n = ref (Int64.shift_right_logical (Random.State.bits64 rng) 11) in
+  while Int64.equal !n 0L do
+    n := Int64.shift_right_logical (Random.State.bits64 rng) 11
+  done;
+  Int64.to_float !n *. 0x1.p-53 *. span
+
 (* When a delivery sent now arrives.  Drawn for every link, immune or
    not, so the RNG stream does not depend on which links are. *)
 let[@inline] arrival t =
-  t.clock.v +. (t.faults.min_delay +. Random.State.float t.rng t.span)
+  t.clock.v +. (t.faults.min_delay +. uniform t.rng t.span)
 
 let drop t ~src ~dst reason =
   Metrics.incr t.c.m_dropped;
@@ -302,7 +312,7 @@ let send t ~src ~dst msg =
   else begin
     let f = t.faults in
     let immune = f.immune ~src ~dst in
-    if (not immune) && f.drop > 0.0 && Random.State.float t.rng 1.0 < f.drop
+    if (not immune) && f.drop > 0.0 && uniform t.rng 1.0 < f.drop
     then drop t ~src ~dst "loss"
     else begin
       let time = arrival t in
@@ -315,7 +325,7 @@ let send t ~src ~dst msg =
          record tr t (Trace.Send { src; dst; info = Fmt.str "%a" Wire.pp msg }));
       if
         (not immune) && f.duplicate > 0.0
-        && Random.State.float t.rng 1.0 < f.duplicate
+        && uniform t.rng 1.0 < f.duplicate
       then begin
         Metrics.incr t.c.m_duplicated;
         Metrics.incr t.c.m_sent;

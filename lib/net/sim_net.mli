@@ -75,6 +75,11 @@ val create :
     With [trace], every send/deliver/drop/timer-fire is appended to
     the ring stamped with its virtual time. *)
 
+val uniform : Random.State.t -> float -> float
+(** [uniform rng span] is [Random.State.float rng span] bit for bit,
+    drawing the same bits from [rng]; inlined where the simulator
+    draws a delay, a drop or a duplicate, it boxes no float. *)
+
 val transport : t -> Transport.t
 
 val register :

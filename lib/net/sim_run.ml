@@ -279,7 +279,7 @@ let create ?(faults = Sim_net.reliable) ?reconfig ?measure ?trace spec ~seed
      was torn is never acked), and a stale incarnation must not speak
      for, or flush the disk under, its replacement.  One [emit] per
      incarnation, built with it, not one per delivery. *)
-  let emit_of r rep (dst, m) =
+  let emit_of r rep dst m =
     if Sim_net.alive net r && incarnations.(r) == rep then
       tr.Transport.send ~src:r ~dst m
   in
@@ -291,7 +291,7 @@ let create ?(faults = Sim_net.reliable) ?reconfig ?measure ?trace spec ~seed
          drops a replaced incarnation's *)
       Sim_net.register net r (fun ~src msg ->
           let rep = incarnations.(r) in
-          Replica.handle_emit rep ~src ~emit:emits.(r) msg;
+          Replica.handle rep ~src ~emit:emits.(r) msg;
           if Sim_net.alive net r then
             Replica.drive rep ~transport:tr ~node:r);
       Sim_net.on_restart net r (fun () ->

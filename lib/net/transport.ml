@@ -16,15 +16,17 @@ let null =
     now = (fun () -> 0.0);
   }
 
-(* One destination's messages in the open turn: [first], then [rest]
-   newest first.  A one-message destination conses nothing.  A slot
-   belongs to its destination for the cork's life.  The open turn's
-   slots form a ring through [next], from the cork's [root] back to
-   it, in first-send order; a slot outside the turn points to itself. *)
+(* One destination's messages in the open turn, in send order: the
+   first [n] of [msgs], an array that doubles when full and is reused
+   turn after turn, so a send conses nothing.  A slot belongs to its
+   destination for the cork's life.  The open turn's slots form a ring
+   through [next], from the cork's [root] back to it, in first-send
+   order; a slot outside the turn points to itself and holds no
+   message. *)
 type slot = {
   dst : node;
-  mutable first : Wire.msg;
-  mutable rest : Wire.msg list;
+  mutable msgs : Wire.msg array;
+  mutable n : int;
   mutable next : slot;
 }
 
@@ -41,27 +43,42 @@ type cork = {
    [Wire.max_frame]. *)
 let cork_chunk = 2048
 
-let rec take n acc = function
-  | m :: rest when n > 0 -> take (n - 1) (m :: acc) rest
-  | rest -> (List.rev acc, rest)
+let new_slot dst =
+  let rec s = { dst; msgs = Array.make 4 Wire.Bye; n = 0; next = s } in
+  s
 
-let rec ship_chunks base ~src ~dst ms =
-  match take cork_chunk [] ms with
-  | [ m ], [] -> base.send ~src ~dst m
-  | chunk, rest ->
-    base.send ~src ~dst (Wire.Batch chunk);
-    if rest <> [] then ship_chunks base ~src ~dst rest
-
-let unlink s =
-  s.next <- s;
-  s.first <- Wire.Bye;
-  s.rest <- []
+(* Empty a slot, so that it keeps no shipped or unsent message alive. *)
+let clear s =
+  Array.fill s.msgs 0 s.n Wire.Bye;
+  s.n <- 0
 
 let rec unlink_from c s =
   if s != c.root then begin
     let next = s.next in
-    unlink s;
+    s.next <- s;
+    clear s;
     unlink_from c next
+  end
+
+(* Ship [s]'s messages from [i] on, [cork_chunk] at a time: a chunk of
+   one as itself, a longer one as a [Batch] whose list is built once,
+   back to front, clearing each entry it takes. *)
+let rec ship_chunks c s i =
+  let len = Int.min cork_chunk (s.n - i) in
+  let msgs = s.msgs in
+  if len = 1 then begin
+    let m = msgs.(i) in
+    msgs.(i) <- Wire.Bye;
+    c.base.send ~src:c.src ~dst:s.dst m
+  end
+  else begin
+    let l = ref [] in
+    for j = i + len - 1 downto i do
+      l := msgs.(j) :: !l;
+      msgs.(j) <- Wire.Bye
+    done;
+    c.base.send ~src:c.src ~dst:s.dst (Wire.Batch !l);
+    if i + len < s.n then ship_chunks c s (i + len)
   end
 
 (* Each slot leaves the turn as it ships.  A send that raises ends the
@@ -69,15 +86,13 @@ let rec unlink_from c s =
    destinations start the next turn afresh. *)
 let rec ship_from c s =
   if s != c.root then begin
-    let { dst; first; rest; next } = s in
-    unlink s;
-    (match
-       if rest = [] then c.base.send ~src:c.src ~dst first
-       else ship_chunks c.base ~src:c.src ~dst (first :: List.rev rest)
-     with
-     | () -> ()
+    let next = s.next in
+    s.next <- s;
+    (match ship_chunks c s 0 with
+     | () -> s.n <- 0
      | exception e ->
        let bt = Printexc.get_raw_backtrace () in
+       clear s;
        unlink_from c next;
        Printexc.raise_with_backtrace e bt);
     ship_from c next
@@ -114,25 +129,33 @@ let slot c dst =
   match Hashtbl.find c.slots dst with
   | s -> s
   | exception Not_found ->
-    let rec s = { dst; first = Wire.Bye; rest = []; next = s } in
+    let s = new_slot dst in
     Hashtbl.replace c.slots dst s;
     s
+
+let push s msg =
+  if s.n = Array.length s.msgs then begin
+    let a = Array.make (2 * s.n) Wire.Bye in
+    Array.blit s.msgs 0 a 0 s.n;
+    s.msgs <- a
+  end;
+  s.msgs.(s.n) <- msg;
+  s.n <- s.n + 1
 
 let corked_send c ~src ~dst msg =
   if c.depth = 0 then c.base.send ~src ~dst msg
   else
     let s = slot c dst in
-    if s.next != s then s.rest <- msg :: s.rest
-    else begin
-      s.first <- msg;
+    if s.next == s then begin
       s.next <- c.root;
       c.last.next <- s;
       c.last <- s;
       c.src <- src
-    end
+    end;
+    push s msg
 
 let cork base =
-  let rec root = { dst = -1; first = Wire.Bye; rest = []; next = root } in
+  let root = new_slot (-1) in
   let c =
     { base; src = -1; depth = 0; slots = Hashtbl.create 8; root; last = root }
   in

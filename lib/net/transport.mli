@@ -65,8 +65,10 @@ val null : t
 type cork
 (** One node's coalescing send path: a buffer of the sends of the open
     turn, one slot per destination, found in constant time and reused
-    turn after turn.  A destination's slot lives as long as the cork
-    (a few words each). *)
+    turn after turn.  A destination's slot lives as long as the cork:
+    a few words plus an array as long as the most messages one turn
+    has sent it (rounded up to a power of two).  A shipped slot holds
+    no message. *)
 
 val cork : t -> t * cork
 (** [cork base] is the corked transport and its cork.  While a turn
@@ -77,7 +79,8 @@ val cork : t -> t * cork
     (more are split into successive batches).  Destinations ship in
     the order of their first send in the turn.  One syscall per peer
     instead of one per message; a turn whose destinations each get
-    one message allocates nothing.  Sends outside any turn pass
+    one message allocates nothing, and a longer turn allocates only
+    its [Batch] frames and their lists.  Sends outside any turn pass
     straight through to [base].  Timer callbacks armed through the
     corked transport each run as their own turn, so a resend fan-out
     or the acks a deadline flush releases coalesce too.  Every send

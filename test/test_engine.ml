@@ -322,7 +322,7 @@ let twobit_unordered_caught_shrunk_replayed () =
     Fun.protect
       ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
       (fun () ->
-        Ex.save ~file cfg' ce';
+        Ex.save ~file ~schedule:ce'.Ex.schedule cfg';
         let cfg'', sched, o' = Ex.replay_file ~file in
         Alcotest.(check bool) "engine survives the artifact" true
           (cfg''.Ex.spec.engine = Net.Engine.Twobit);
@@ -414,7 +414,7 @@ let engines_reject_mismatched_hooks () =
   Fun.protect
     ~finally:(fun () -> Sys.remove file)
     (fun () ->
-      Ex.save ~file cfg { Ex.schedule = []; verdict = Net.Sim_run.Clean };
+      Ex.save ~file ~schedule:[] cfg;
       Alcotest.(check bool) "fields round-trip" true
         ((fst (Ex.load ~file)).Ex.spec.bug = bug);
       let strip line =

@@ -157,7 +157,7 @@ let shrink_and_replay_file () =
     Fun.protect
       ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
       (fun () ->
-        E.save ~file cfg' ce';
+        E.save ~file ~schedule:ce'.E.schedule cfg';
         let cfg'', sched, o' = E.replay_file ~file in
         Alcotest.(check (list int)) "schedule survives" ce'.E.schedule sched;
         Alcotest.(check bool) "workload survives" true
@@ -190,7 +190,7 @@ let skip_write_back_caught_shrunk_replayed () =
     Fun.protect
       ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
       (fun () ->
-        E.save ~file cfg' ce';
+        E.save ~file ~schedule:ce'.E.schedule cfg';
         let cfg'', sched, o' = E.replay_file ~file in
         Alcotest.(check bool) "bug hook survives the artifact" true
           cfg''.E.spec.bug.skip_write_back;
@@ -250,7 +250,7 @@ let stale_copy_caught_shrunk_replayed () =
     Fun.protect
       ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
       (fun () ->
-        E.save ~file cfg' ce';
+        E.save ~file ~schedule:ce'.E.schedule cfg';
         let cfg'', sched, o' = E.replay_file ~file in
         Alcotest.(check bool) "bug hook survives the artifact" true
           cfg''.E.spec.bug.stale_copy;
@@ -407,7 +407,7 @@ let amnesia_bug_found_and_replayable () =
     Fun.protect
       ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
       (fun () ->
-        E.save ~file cfg' ce';
+        E.save ~file ~schedule:ce'.E.schedule cfg';
         let _, sched, o' = E.replay_file ~file in
         Alcotest.(check (list int)) "schedule survives" ce'.E.schedule sched;
         Alcotest.(check bool) "artifact replays to a violation" true
@@ -498,7 +498,7 @@ let torn_txn_caught_shrunk_replayed () =
     Fun.protect
       ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
       (fun () ->
-        E.save ~file cfg' ce';
+        E.save ~file ~schedule:ce'.E.schedule cfg';
         let cfg'', sched, o' = E.replay_file ~file in
         Alcotest.(check bool) "bug hook survives the artifact" true
           cfg''.E.spec.bug.torn_txn;
@@ -614,7 +614,7 @@ let old_artifact_loads () =
     Fun.protect
       ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
       (fun () ->
-        E.save ~file cfg ce;
+        E.save ~file ~schedule:ce.E.schedule cfg;
         let saved = read_lines file in
         let is_xproc l = find_sub l xproc_note <> None in
         let xprocs = List.filter is_xproc saved in
@@ -798,7 +798,7 @@ let reconfig_skip_dual_write_caught_shrunk_replayed () =
     Fun.protect
       ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
       (fun () ->
-        E.save ~file cfg' ce';
+        E.save ~file ~schedule:ce'.E.schedule cfg';
         let cfg'', sched, o' = E.replay_file ~file in
         Alcotest.(check bool) "bug hook survives the artifact" true
           cfg''.E.spec.bug.skip_dual_write;
@@ -890,7 +890,7 @@ let committed_artifacts_replay () =
       Fun.protect
         ~finally:(fun () -> Sys.remove copy)
         (fun () ->
-          E.save ~file:copy cfg { E.schedule; verdict = Net.Sim_run.Clean };
+          E.save ~file:copy ~schedule cfg;
           let bytes f = In_channel.with_open_bin f In_channel.input_all in
           Alcotest.(check string) (name ^ ": rewritten byte for byte")
             (bytes file) (bytes copy)))
@@ -907,7 +907,7 @@ let pre_reconfig_artifact_loads () =
     Fun.protect
       ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
       (fun () ->
-        E.save ~file cfg ce;
+        E.save ~file ~schedule:ce.E.schedule cfg;
         (* rewrite the artifact into the pre-reconfig config grammar *)
         let strip s =
           List.fold_left strip_field s
@@ -935,12 +935,12 @@ let fates_artifact_round_trip () =
       ~max_partitions:2
       ~workload:[ proc 0 [ w 7 ] ] ()
   in
-  let ce = { E.schedule = [ 1; 0; 2 ]; verdict = Net.Sim_run.Clean } in
+  let schedule = [ 1; 0; 2 ] in
   let file = Filename.temp_file "explore-fates" ".jsonl" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
     (fun () ->
-      E.save ~file cfg ce;
+      E.save ~file ~schedule cfg;
       let notes =
         List.filter_map Net.Trace.note_of_line (read_lines file)
       in
@@ -949,7 +949,7 @@ let fates_artifact_round_trip () =
           Alcotest.(check bool) ("note " ^ line) true (List.mem line notes))
         [ "crashable 0,2"; "amnesia 1"; "cut 0|1,2"; "cut 1,2|0,100" ];
       let cfg', sched = E.load ~file in
-      Alcotest.(check (list int)) "schedule" ce.E.schedule sched;
+      Alcotest.(check (list int)) "schedule" schedule sched;
       Alcotest.(check bool) "cuts" true (cfg'.E.cuts = cfg.E.cuts);
       Alcotest.(check (list int)) "crashable" cfg.E.crashable
         cfg'.E.crashable;
@@ -1073,7 +1073,7 @@ let domains_note_round_trip () =
     Fun.protect
       ~finally:(fun () -> Sys.remove file)
       (fun () ->
-        E.save ~file cfg { E.schedule = []; verdict = Net.Sim_run.Clean };
+        E.save ~file ~schedule:[] cfg;
         let cfg', _ = E.load ~file in
         ( List.filter_map Net.Trace.note_of_line (read_lines file),
           cfg'.E.spec.domains ))

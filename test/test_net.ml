@@ -2909,10 +2909,19 @@ let durable_replica_query_words () =
     words_per_call ~warmup:100 ~n:2_000 (fun rid ->
         Net.Replica.handle_emit r ~src:9 ~emit:ignore queries.(rid))
   in
-  (* a [Query_reply] is 5 words with its header, the emit tuple 3 *)
+  (* a [Query_reply] is 5 words with its header, the emit tuple 3:
+     [handle_emit] builds its curried wrapper once for one [emit], not
+     a closure per call *)
   Alcotest.(check bool)
     (Fmt.str "%.1f words per Query <= 8" words)
-    true (words <= 8.0)
+    true (words <= 8.0);
+  let emit _ _ = () in
+  let curried =
+    words_per_call ~warmup:100 ~n:2_000 (fun rid ->
+        Net.Replica.handle r ~src:9 ~emit queries.(rid))
+  in
+  Alcotest.(check (float 0.0)) "words per Query through handle: the reply"
+    5.0 curried
 
 (* A fresh simulator, the [timers_dropped] count of its metrics, the
    names of the timers that fired (latest first), and [arm name delay]
@@ -3330,6 +3339,50 @@ let sim_send_words () =
     (Fmt.str "words per send (%.2f) at most the draw's 2" words)
     true (words <= 2.0)
 
+(* The simulator's draw is [Random.State.float] re-formed from
+   [bits64] so that it boxes nothing: every draw must equal the
+   stdlib's bit for bit and consume the same bits, or every seeded run
+   would move.  Spans: the drop and duplicate draws' 1.0, the reliable
+   and lossy delay ranges, and a wide one. *)
+let sim_uniform_is_stdlib_float () =
+  let spans = [ 1.0; epsilon_float; 1.5 +. epsilon_float; 1e6 ] in
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun span ->
+          let a = Random.State.make [| seed; 0x6e657421 |] in
+          let b = Random.State.copy a in
+          for i = 1 to 100_000 do
+            let x = Net.Sim_net.uniform a span
+            and y = Random.State.float b span in
+            if Int64.bits_of_float x <> Int64.bits_of_float y then
+              Alcotest.failf "seed %d span %h draw %d: %h <> %h" seed span i
+                x y
+          done;
+          Alcotest.(check int64)
+            (Fmt.str "seed %d span %h: the streams stay in step" seed span)
+            (Random.State.bits64 b) (Random.State.bits64 a))
+        spans)
+    [ 1; 2; 3; 42 ]
+
+(* A lossy link's drop, delay and duplicate draws box nothing either:
+   a warm send costs no minor word, whatever it draws. *)
+let sim_lossy_send_words () =
+  let n = 2_000 in
+  let faults = Net.Sim_net.lossy ~drop:0.3 ~duplicate:0.3 () in
+  let net = Net.Sim_net.create ~seed:1 ~faults () in
+  let tr = Net.Sim_net.transport net in
+  Net.Sim_net.register net 1 (fun ~src:_ _ -> ());
+  let msg = W.Query { rid = 0; reg = 0 } in
+  let send _ = tr.Net.Transport.send ~src:0 ~dst:1 msg in
+  (* grow the queue past what [n] sends and their duplicates fill *)
+  for i = 1 to 2 * n do
+    send i
+  done;
+  ignore (Net.Sim_net.run net);
+  let words = words_per_call ~warmup:100 ~n send in
+  Alcotest.(check (float 0.0)) "words per lossy send" 0.0 words
+
 (* A timer costs its caller's closure and nothing else: arming it
    fills a slot, firing it frees the slot (9 words with entry
    records). *)
@@ -3663,6 +3716,32 @@ let cork_raise_mid_turn () =
   Net.Transport.turn cork fan_out;
   Alcotest.(check (list int)) "the next turn reaches all three peers"
     [ 0; 1; 2 ] (List.rev !got)
+
+(* A shipped turn leaves nothing in its slots: once the turn closes,
+   the messages it sent are garbage, whether they left alone or in a
+   [Batch].  They are built and sent by a function of their own, so
+   that no register or stack slot of the test still holds one. *)
+let[@inline never] corked_probe_turn tr cork probe =
+  Net.Transport.turn cork (fun () ->
+      for i = 0 to Weak.length probe - 1 do
+        let m = W.Query { rid = i; reg = i } in
+        Weak.set probe i (Some m);
+        (* two messages to peer 1, one to peer 2 *)
+        tr.Net.Transport.send ~src:engine_node ~dst:(1 + (i / 2)) m
+      done)
+
+let cork_frees_shipped_messages () =
+  let tr, cork = Net.Transport.cork Net.Transport.null in
+  let probe = Weak.create 3 in
+  corked_probe_turn tr cork probe;
+  Gc.full_major ();
+  for i = 0 to Weak.length probe - 1 do
+    Alcotest.(check bool)
+      (Fmt.str "message %d collectable once its turn shipped" i)
+      false (Weak.check probe i)
+  done;
+  (* the cork itself stays reachable through the collection *)
+  ignore (Sys.opaque_identity (tr, cork))
 
 (* Everything a socket endpoint's handler receives, flattened, in
    arrival order; [wait n] polls until [n] messages are in or 10 s
@@ -4031,6 +4110,11 @@ let suite =
     tc "server: Bye leaves a reader's lanes unreachable"
       bye_frees_reader_lanes;
     tc "cork: a send that raises mid-turn strands no slot" cork_raise_mid_turn;
+    tc "cork: a shipped turn keeps no message alive"
+      cork_frees_shipped_messages;
+    tc "sim: the delay draw is Random.State.float bit for bit"
+      sim_uniform_is_stdlib_float;
+    tc "sim: a lossy send boxes no draw" sim_lossy_send_words;
     tc "socket: an unencodable frame is counted apart, the next delivered"
       socket_unencodable_counted_apart;
     tc "pool: dispatch of one Req on one domain: 0 words (parent about 11)"
