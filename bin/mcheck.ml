@@ -410,6 +410,13 @@ let spec_term =
                    skips the writer's local copy of its register, so the \
                    writer's next read can return the value the \
                    transaction overwrote.")
+  and+ no_widen =
+    Arg.(value & flag
+         & info [ "no-widen" ]
+             ~doc:"Deliberately break the abd engine: a phase's \
+                   retransmission goes to its first window only, so a \
+                   phase whose window holds a crashed replica resends \
+                   forever and its op is never answered.")
   and+ no_durability =
     Arg.(value & flag
          & info [ "no-durability" ]
@@ -432,6 +439,7 @@ let spec_term =
         torn_txn;
         skip_dual_write;
         stale_copy;
+        no_widen;
       };
     store = (if no_durability then None else Some Net.Sim_run.default_store);
   }

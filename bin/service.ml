@@ -325,8 +325,11 @@ let run_smoke engine shards readers writes reads seed data_dir group_commit
       result
     end
   in
-  (* each multi-key op is answered (and counted) once *)
-  let expected = expected + (4 * txn_rounds) + !reconfig_ops in
+  (* the pool answers and counts each multi-key op once; the verdict
+     counts it once per key it spans, as every simulated run does *)
+  let multi_key = 4 * txn_rounds in
+  let expected = expected + multi_key + !reconfig_ops in
+  let expected_per_key = expected + (multi_key * (nkeys - 1)) in
   (* the operator's view, fetched over the wire as [service stats]
      does: the pool's shared counters must count exactly the ops this
      smoke's clients issued *)
@@ -348,13 +351,19 @@ let run_smoke engine shards readers writes reads seed data_dir group_commit
   (* join the worker domains before reading the trace: the pool's
      aggregate accessors want a quiescent pool *)
   Net.Server_pool.stop pool;
-  let per_key =
-    Net.Sim_run.fastcheck_by_key ~init:0 (Net.Trace.keyed_history trace)
-  in
+  let keyed = Net.Trace.keyed_history trace in
+  let per_key = Net.Sim_run.fastcheck_by_key ~init:0 keyed in
   let violations = Net.Server_pool.violations pool in
   let served = Net.Server_pool.ops_served pool in
+  let responded =
+    List.length
+      (List.filter
+         (function _, Histories.Event.Respond _ -> true | _ -> false)
+         keyed)
+  in
   let verdict =
-    Net.Sim_run.judge ~fastcheck:per_key ~answered:(served, expected) pool
+    Net.Sim_run.judge ~fastcheck:per_key
+      ~answered:(responded, expected_per_key) pool
   in
   Net.Socket_net.shutdown net;
   let decode_errors = Net.Metrics.get metrics "decode_errors" in

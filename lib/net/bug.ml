@@ -5,6 +5,7 @@ type t = {
   torn_txn : bool;
   skip_dual_write : bool;
   stale_copy : bool;
+  no_widen : bool;
 }
 
 let none =
@@ -15,4 +16,5 @@ let none =
     torn_txn = false;
     skip_dual_write = false;
     stale_copy = false;
+    no_widen = false;
   }

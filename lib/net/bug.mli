@@ -3,12 +3,13 @@
     The explorer is trusted because it catches, shrinks and replays
     bugs planted on purpose.  Each hook breaks exactly one layer and
     takes effect in that layer's leaf argument: {!Quorum.create}'s
-    [?read_quorum] and [?skip_write_back], {!Replica.create}'s
-    [?unordered], {!Txn.create}'s [?torn] and {!Reconfig.create}'s
-    [?skip_dual_write] — except [stale_copy], whose leaf is
-    {!Server}'s transaction write.  Everything between {!Explore} and
-    those leaves ({!Sim_run}, {!Server}, {!Registry}, the engine
-    factory) carries one [Bug.t] instead of six arguments.
+    [?read_quorum], [?skip_write_back] and [?no_widen],
+    {!Replica.create}'s [?unordered], {!Txn.create}'s [?torn] and
+    {!Reconfig.create}'s [?skip_dual_write] — except [stale_copy],
+    whose leaf is {!Server}'s transaction write.  Everything between
+    {!Explore} and those leaves ({!Sim_run}, {!Server}, {!Registry},
+    the engine factory) carries one [Bug.t] instead of seven
+    arguments.
 
     A [Bug.t] is checked only as part of the cluster it breaks:
     {!Sim_run.validate} (run by {!Sim_run.create} and
@@ -43,6 +44,11 @@ type t = {
           {!Core.Protocol.write_prog}, so the writer's local copy of
           its register keeps the value before the transaction and a
           later read through it can return that overwritten value *)
+  no_widen : bool;
+      (** ABD: a phase's retransmission goes to its first window only,
+          never widening to the whole group, so a phase whose window
+          holds a crashed replica resends forever and its op is never
+          answered *)
 }
 
 val none : t

@@ -124,11 +124,11 @@ let reset ?trace cfg =
    when no delivery is pending — "a timeout happens only when the
    system is stalled".  [max_timer_fires] bounds retransmission loops
    (a partitioned server would otherwise re-arm forever); when the
-   budget runs out a stalled state becomes a leaf, whose prefix history
-   the audits still cover.  Deliveries to crashed nodes (crashes are
-   permanent within an exploration — restart is a torture-mode fate)
-   and dead nodes' timers are no-ops, so they are drained off the queue
-   without branching. *)
+   budget runs out a stalled state becomes a leaf, which still owes
+   its ops to the completion tail ([finish]).  Deliveries to crashed
+   nodes (crashes are permanent within an exploration — restart is a
+   torture-mode fate) and dead nodes' timers are no-ops, so they are
+   drained off the queue without branching. *)
 let rec pump st =
   let net = st.cl.Sim_run.net in
   let pend = Sim_net.pending net in
@@ -232,15 +232,37 @@ let system ?trace cfg =
   { Sched.reset = (fun () -> reset ?trace cfg); enabled; apply }
 
 (* ------------------------------------------------------------------ *)
-(* Verdicts                                                            *)
+(* Leaves                                                              *)
 
-(* A leaf that ended — no delivery, worker turn or timer left — must
-   have answered every op; a leaf cut off by [max_depth] or the timer
-   budget is judged on the audits alone. *)
-let ended cl = Sim_net.peek cl.Sim_run.net = None
+(* The completion tail's event bound (DESIGN_NET § 8): each op, and a
+   migration, × 6 quorum phases × [replicas + 1] rounds × a round's
+   timer fire and, per replica, message, reply and worker turn. *)
+let tail_steps st =
+  let r = st.cfg.spec.replicas in
+  let ops = st.cl.Sim_run.expected + if st.cfg.reconfig = None then 0 else 1 in
+  ops * 6 * (r + 1) * ((3 * r) + 1)
+
+(* Every explored run ends as every simulated run does, through
+   {!Sim_run.finish}.  Only a [max_depth] cut can leave a cut active,
+   and a heal is then all the explorer would offer, so it plays first. *)
+let finish st =
+  if st.cut_active then Sim_run.apply_fate st.cl F.Heal;
+  Sim_run.finish ~max_steps:(tail_steps st) st.cl
 
 let verdict st =
-  Sim_run.verdict ~fastcheck:st.cfg.fastcheck ~ended:(ended st.cl) st.cl
+  ignore (finish st);
+  Sim_run.verdict ~fastcheck:st.cfg.fastcheck st.cl
+
+(* Walk on from [depth], taking [choose n] of the [n] enabled choices,
+   until none is enabled or [max_depth]: the choices, last first, and
+   the depth reached. *)
+let rec walk st ~choose taken depth =
+  match if depth < st.cfg.max_depth then enabled st else [] with
+  | [] -> (taken, depth)
+  | keys ->
+    let i = choose (List.length keys) in
+    apply st i;
+    walk st ~choose (i :: taken) (depth + 1)
 
 (* ------------------------------------------------------------------ *)
 (* Exploration                                                         *)
@@ -280,24 +302,13 @@ let hunt ?(walks = 2_000) ~seed cfg =
        incr walks_done;
        let rng = Random.State.make [| seed; w; 0x68756e74 |] in
        let st = reset cfg in
-       let sched_rev = ref [] in
-       let continue = ref true in
-       let depth = ref 0 in
-       while !continue && !depth < cfg.max_depth do
-         match enabled st with
-         | [] -> continue := false
-         | keys ->
-           let i = Random.State.int rng (List.length keys) in
-           apply st i;
-           sched_rev := i :: !sched_rev;
-           incr transitions;
-           incr depth
-       done;
-       if !depth > !deepest then deepest := !depth;
+       let taken, depth = walk st ~choose:(Random.State.int rng) [] 0 in
+       transitions := !transitions + depth;
+       if depth > !deepest then deepest := depth;
        match verdict st with
        | Sim_run.Clean -> ()
        | verdict ->
-         found := Some { schedule = List.rev !sched_rev; verdict };
+         found := Some { schedule = List.rev taken; verdict };
          raise Exit
      done
    with Exit -> ());
@@ -315,32 +326,22 @@ let hunt ?(walks = 2_000) ~seed cfg =
 
 (* Loose replay: out-of-range indices are skipped, so any int list is a
    valid (deterministic) schedule — that totality is what lets ddmin
-   chop schedules freely.  After the explicit prefix the run is driven
-   to quiescence with the default choice (earliest event), bounded by
-   [max_depth]. *)
-let replay ?trace ?(tail = true) cfg schedule =
+   chop schedules freely.  After the explicit prefix the run walks on
+   with the default choice (earliest event) and ends as a leaf does. *)
+let replay ?trace cfg schedule =
   let st = reset ?trace cfg in
-  let steps = ref 0 in
+  let depth = ref 0 in
   List.iter
     (fun i ->
       let n = List.length (enabled st) in
       if i >= 0 && i < n then begin
         apply st i;
-        incr steps
+        incr depth
       end)
     schedule;
-  if tail then begin
-    let continue = ref true in
-    while !continue && !steps < cfg.max_depth do
-      match enabled st with
-      | [] -> continue := false
-      | _ ->
-        apply st 0;
-        incr steps
-    done
-  end;
-  Sim_run.collect ~fastcheck:cfg.fastcheck ~ended:(ended st.cl) st.cl
-    ~steps:!steps
+  let _, depth = walk st ~choose:(fun _ -> 0) [] !depth in
+  let tail = finish st in
+  Sim_run.collect ~fastcheck:cfg.fastcheck st.cl ~steps:(depth + tail)
 
 let failing cfg schedule =
   (replay cfg schedule).Sim_run.verdict <> Sim_run.Clean
@@ -444,7 +445,9 @@ let xscript_tokens xscript =
 (* The config note's fields, in note order: how each prints from a
    config, and how its value parses back into one.  Flags print as 0/1
    and [None] as 0 (-1 for the absent migration); a field missing from
-   an older artifact keeps {!config}'s default. *)
+   an older artifact keeps {!config}'s default.  A field in [sparse]
+   prints only when it is not 0, so an artifact that does not use it
+   reads as it did before the field existed. *)
 let note_fields =
   let flag b = if b then 1 else 0 and opt v = if v = 0 then None else Some v in
   let field name get set = (name, (get, set)) in
@@ -510,13 +513,20 @@ let note_fields =
     field "prune" (fun c -> flag c.prune) (fun c v -> { c with prune = v = 1 });
     field "fastcheck" (fun c -> flag c.fastcheck) (fun c v ->
         { c with fastcheck = v = 1 });
+    hook "no_widen" (fun b -> b.no_widen) (fun b no_widen ->
+        { b with no_widen });
   ]
+
+let sparse = [ "no_widen" ]
 
 let config_note cfg =
   String.concat " "
     ("config"
-    :: List.map
-         (fun (name, (get, _)) -> Fmt.str "%s=%d" name (get cfg))
+    :: List.filter_map
+         (fun (name, (get, _)) ->
+           let v = get cfg in
+           if v = 0 && List.mem name sparse then None
+           else Some (Fmt.str "%s=%d" name v))
          note_fields)
 
 let group_note (a, b) =

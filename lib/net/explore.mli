@@ -10,18 +10,21 @@
     [Partition], [Heal]) played by {!Sim_run.apply_fate}, as every
     other simulated run plays its fates — and hands the resulting
     choice tree to {!Modelcheck.Schedule}'s sleep-set DFS.  Every leaf
-    gets {!Sim_run.verdict}: the torn-batch audit, the server's
-    per-key live {!Histories.Monitor}, optionally a post-hoc re-check
-    of the leaf's history ([fastcheck]), and completion.  A leaf that
-    ended — no delivery, worker turn or timer pending — must have
-    answered every op, or it is [Stalled]; a leaf cut off by
-    [max_depth] or the timer budget is truncated, not ended, and is
-    judged on the audits alone.  The server is the
-    {!Server_pool} the service runs, with the spec's [domains]
-    workers, and client links are FIFO: the adversary reorders replica
-    traffic, not a client's requests or answers, and a corked frame is
-    one delivery.  With more than one worker, each worker's turn is
-    one more choice ({!Sim_net.task}): which worker runs next, and how
+    ends as every simulated run does, through {!Sim_run.finish}: no
+    more fates (a cut still active at [max_depth] is healed first),
+    timers and deliveries in time order, for at most a bound the
+    config fixes (ops × quorum phases × resend rounds to a full group
+    × events per round); the tail adds no branch point.  Then it gets
+    {!Sim_run.verdict}: the torn-batch audit, the server's per-key
+    live {!Histories.Monitor}, optionally a post-hoc re-check of the
+    leaf's history ([fastcheck]), and completion: an op still
+    unanswered after the tail is [Stalled], whether its run went
+    quiet or spun to the bound, and whether or not a group lost its
+    majority.  The server is the {!Server_pool} the service runs,
+    with the spec's [domains] workers, and client links are FIFO: the
+    adversary reorders replica traffic, not a client's requests or
+    answers, and a corked frame is one delivery.  With more than one
+    worker, each worker's turn is one more choice ({!Sim_net.task}): which worker runs next, and how
     many queued frames one turn drains.  A worker's turn and a server
     delivery the pool queues to that worker alone are independent of
     the other workers' events for the sleep sets, unless the workload
@@ -34,8 +37,9 @@
     points: they fire deterministically, earliest first, and only when
     no delivery is pending — the classic "timeouts happen only when
     the system stalls" abstraction — with a budget of 64 timer fires
-    per run so partition-retransmission loops terminate.  Registers
-    start at 0.
+    per run so partition-retransmission loops terminate; a leaf the
+    budget cuts off still owes its ops to the completion tail.
+    Registers start at 0.
 
     On a violation, {!shrink} minimizes first the schedule (ddmin over
     choice indices, using loose replay: out-of-range indices are
@@ -143,14 +147,14 @@ val hunt : ?walks:int -> seed:int -> config -> result
     indices are exact (strict replay).  [stats.exhausted] is always
     [false]. *)
 
-val replay : ?trace:Trace.t -> ?tail:bool -> config -> int list -> Sim_run.outcome
+val replay : ?trace:Trace.t -> config -> int list -> Sim_run.outcome
 (** Re-run one schedule deterministically.  Loose semantics: indices
-    out of range for the current choice set are skipped, and with
-    [tail] (default [true]) the run continues past the explicit prefix
-    taking the default (earliest-event) choice until quiescence — so
-    any prefix/sublist of a schedule is itself replayable.  With
-    [trace], the full run is recorded.  The outcome's verdict is a
-    leaf's: a stall counts only if the run ended. *)
+    out of range for the current choice set are skipped, and the run
+    continues past the explicit prefix taking the default
+    (earliest-event) choice until none is left or [max_depth] — so any
+    prefix/sublist of a schedule is itself replayable — then ends as a
+    leaf does, through {!Sim_run.finish}.  With [trace], the full run
+    is recorded.  The outcome's verdict is the leaf's. *)
 
 val shrink : config -> counterexample -> config * counterexample
 (** Minimize a counterexample: ddmin the schedule, then greedily drop

@@ -64,6 +64,7 @@ type t = {
   need : int;  (* first-window size: enough replies for any phase *)
   mutable suspected : int;  (* bitmask: missed a resend deadline *)
   skip_write_back : bool;
+  no_widen : bool;  (* [Bug.no_widen] *)
   pending : (int, int) Hashtbl.t;  (* rid -> slot *)
   ph : slots;
   (* global reg -> the highest timestamp whose store phase — a {!store}
@@ -85,7 +86,7 @@ let no_uk () = ()
 let no_tk (_ : int * Wire.payload) = ()
 
 let create ~transport ~me ~replicas ?read_quorum ?(skip_write_back = false)
-    ?metrics ?(rid_base = 0) ?(rid_stride = 1) () =
+    ?(no_widen = false) ?metrics ?(rid_base = 0) ?(rid_stride = 1) () =
   if rid_stride < 1 || rid_base < 0 || rid_base >= rid_stride then
     invalid_arg "Quorum.create: rid_base/rid_stride out of range";
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
@@ -125,6 +126,7 @@ let create ~transport ~me ~replicas ?read_quorum ?(skip_write_back = false)
     need = max majority read_quorum;
     suspected = 0;
     skip_write_back;
+    no_widen;
     pending = Hashtbl.create 16;
     ph =
       {
@@ -397,9 +399,9 @@ let rec on_message t ~src msg =
 (* Re-send to every replica of the group that has not answered: a
    window member that missed the deadline becomes suspected, and one
    outside the window widens the phase, which reaches every replica
-   from then on. *)
+   from then on.  With [no_widen] only the window is re-sent to. *)
 let resend t ~reached ~answered msg =
-  let missing = t.all land lnot answered in
+  let missing = (if t.no_widen then reached else t.all) land lnot answered in
   if missing land lnot reached <> 0 then Metrics.incr t.c.m_widened;
   for i = 0 to Array.length t.reps - 1 do
     let b = 1 lsl i in
@@ -423,7 +425,7 @@ let resend_pending ?(older_than = 0.0) t =
         resend t ~reached:p.reached.(i) ~answered:p.got.(i)
           (if is_collect p.kind.(i) then Wire.Query { rid; reg }
            else Wire.Store { rid; reg; ts = p.ts.(i); pl = p.pl.(i) });
-        p.reached.(i) <- t.all
+        if not t.no_widen then p.reached.(i) <- t.all
       end)
     t.pending;
   Hashtbl.length t.pending > 0

@@ -66,6 +66,7 @@ val create :
   replicas:Transport.node list ->
   ?read_quorum:int ->
   ?skip_write_back:bool ->
+  ?no_widen:bool ->
   ?metrics:Metrics.t ->
   ?rid_base:int ->
   ?rid_stride:int ->
@@ -82,6 +83,9 @@ val create :
     quorum is always a majority.  [skip_write_back] (default [false])
     is the other deliberate bug: every {!read} returns its freshest
     pair with no write-back, leaving the register regular.
+    [no_widen] (default [false]) is a third: {!resend_pending} re-sends
+    a phase to its first window only, so a window member that never
+    answers stalls the phase for good.
 
     [rid_base]/[rid_stride] (defaults [0]/[1]) stripe the request-id
     space: this engine issues rids congruent to [rid_base] modulo

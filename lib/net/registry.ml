@@ -67,7 +67,8 @@ let create ~transport ~me ~replicas ~map ?(engine = Engine.default)
             Abd
               (Quorum.create ~transport ~me ~replicas
                  ?read_quorum:bug.Bug.read_quorum
-                 ~skip_write_back:bug.Bug.skip_write_back ~metrics
+                 ~skip_write_back:bug.Bug.skip_write_back
+                 ~no_widen:bug.Bug.no_widen ~metrics
                  ~rid_base:s ~rid_stride:n ())
           | Engine.Twobit ->
             Twobit

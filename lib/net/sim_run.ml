@@ -100,9 +100,9 @@ let fastcheck_by_key ~init keyed =
 
 (* The one decision whether a run kept its promises, in a fixed order:
    a torn batch, a key's latched live violation, a key the post-hoc
-   fastcheck rejects (given its per-key verdicts), then a stall (given
-   the answered and expected op counts of a run that ended). *)
-let judge ?fastcheck ?answered pool =
+   fastcheck rejects (given its per-key verdicts), then a stall (fewer
+   ops answered than expected). *)
+let judge ?fastcheck ~answered:(completed, expected) pool =
   match Server_pool.txn_violations pool with
   | message :: _ -> Violation { key = None; message }
   | [] ->
@@ -116,10 +116,7 @@ let judge ?fastcheck ?answered pool =
   match List.find_map rejected (Option.value ~default:[] fastcheck) with
   | Some (k, message) -> Violation { key = Some k; message }
   | None ->
-  match answered with
-  | Some (completed, expected) when completed < expected ->
-    Stalled { completed; expected }
-  | _ -> Clean
+  if completed < expected then Stalled { completed; expected } else Clean
 
 let pp_verdict ppf = function
   | Clean -> Fmt.string ppf "clean"
@@ -200,7 +197,11 @@ let validate ?reconfig s =
      if b.skip_write_back then
        fail
          "skip_write_back is an abd-engine bug hook; twobit reads have no \
-          write-back to skip");
+          write-back to skip";
+     if b.no_widen then
+       fail
+         "no_widen is an abd-engine bug hook; twobit links do not resend \
+          through Quorum");
   if b.skip_dual_write && reconfig = None then
     fail
       "skip_dual_write is the reconfiguration bug hook; it needs a reconfig \
@@ -459,21 +460,18 @@ let keyed_history cl = snd (merged cl)
 let answered events =
   List.length (List.filter (function E.Respond _ -> true | _ -> false) events)
 
-let verdict ~fastcheck ~ended cl =
+let verdict ~fastcheck cl =
   let cores = Server_pool.cores cl.pool in
   judge
     ?fastcheck:
       (if fastcheck then Some (fastcheck_by_key ~init (keyed_history cl))
        else None)
-    ?answered:
-      (if ended then
-         Some
-           ( List.fold_left (fun n c -> n + answered (Server.history c)) 0 cores,
-             cl.expected )
-       else None)
+    ~answered:
+      ( List.fold_left (fun n c -> n + answered (Server.history c)) 0 cores,
+        cl.expected )
     cl.pool
 
-let collect ~fastcheck ~ended cl ~steps =
+let collect ~fastcheck cl ~steps =
   let pool = cl.pool in
   let timed, keyed = merged cl in
   let history = List.map snd timed in
@@ -484,8 +482,7 @@ let collect ~fastcheck ~ended cl ~steps =
     verdict =
       judge
         ?fastcheck:(if fastcheck then Some per_key else None)
-        ?answered:(if ended then Some (completed, cl.expected) else None)
-        pool;
+        ~answered:(completed, cl.expected) pool;
     txn_violations = Server_pool.txn_violations pool;
     key_fastcheck = List.map (fun (k, v) -> (k, Result.is_ok v)) per_key;
     key_violations =
@@ -508,12 +505,17 @@ let collect ~fastcheck ~ended cl ~steps =
     reconfig_acked = !(cl.reconfig_ack);
   }
 
+(* The one termination rule: no new fate, timers and deliveries in
+   time order until nothing is pending or [max_steps] events have run.
+   Whatever op is still unanswered then is a stall to every verdict. *)
+let finish ~max_steps cl = Sim_net.run ~max_steps cl.net
+
 let run ?(fates = []) ?(max_steps = 2_000_000) cl =
   List.iter
     (fun (time, f) -> Sim_net.at cl.net time (fun () -> apply_fate cl f))
     fates;
-  let steps = Sim_net.run ~max_steps cl.net in
-  collect ~fastcheck:true ~ended:true cl ~steps
+  let steps = finish ~max_steps cl in
+  collect ~fastcheck:true cl ~steps
 
 let pp_outcome ppf o =
   Fmt.pf ppf

@@ -32,7 +32,10 @@
     Bloom's register is atomic and wait-free: every history it serves
     is atomic, and every op a live processor invokes is answered.  A
     run keeps both promises or it does not, and {!judge} is the one
-    place that decides which. *)
+    place that decides which.  Every simulated run, explored or not,
+    ends through {!finish}, so the second promise is judged the same
+    way everywhere: an op still unanswered once {!finish} stops is a
+    stall. *)
 
 type verdict =
   | Clean  (** every audit accepts, and the run answered every op *)
@@ -40,12 +43,13 @@ type verdict =
       (** an audit rejects: [key] is the offending register, [None]
           for a cross-key torn batch of the {!Txn} audit *)
   | Stalled of { completed : int; expected : int }
-      (** every audit accepts, but a run that ended answered only
-          [completed] of its [expected] ops *)
+      (** every audit accepts, but the run answered only [completed]
+          of its [expected] ops, a multi-key op counting once per
+          key *)
 
 val judge :
   ?fastcheck:(int * (unit, string) result) list ->
-  ?answered:int * int ->
+  answered:int * int ->
   Server_pool.t ->
   verdict
 (** The verdict on a run served by [pool], first failure first:
@@ -53,9 +57,9 @@ val judge :
     the first key whose live audit latched a violation
     ({!Server_pool.violations}); with [fastcheck] (per-key post-hoc
     verdicts, as {!fastcheck_by_key} returns them) the first key it
-    rejects; with [answered = (completed, expected)], given only for a
-    run that ended, a stall when [completed < expected].  Otherwise
-    [Clean]. *)
+    rejects; with [answered = (completed, expected)], both counting a
+    multi-key op once per key, a stall when [completed < expected].
+    Otherwise [Clean]. *)
 
 val pp_verdict : verdict Fmt.t
 (** [clean], the violation's message (prefixed [key K: ] for a
@@ -126,7 +130,7 @@ val singles : int Registers.Vm.process list -> xprocess list
     drives the same cluster externally
     ({!Sim_net.pending}/{!Sim_net.fire}) instead.  {!collect} computes
     the {!outcome} from wherever the run got to, and {!verdict} its
-    verdict alone. *)
+    verdict alone; both are meant for a run {!finish} ended. *)
 
 type store = {
   snapshot_every : int;
@@ -192,8 +196,9 @@ val validate : ?reconfig:reconfig -> spec -> unit
     [keys], [window] or [group_size] is below 1, if a twobit spec's
     [shards × domains] exceeds {!Wire.max_lid} (its link ids would not
     fit: {!Registry.create}), if the bug's [read_quorum] is outside
-    [1..replicas], if a hook names the wrong engine ([read_quorum] or
-    [skip_write_back] with twobit, [unordered] with ABD), if
+    [1..replicas], if a hook names the wrong engine ([read_quorum],
+    [skip_write_back] or [no_widen] with twobit, [unordered] with
+    ABD), if
     [skip_dual_write] is set without a [reconfig].  A [reconfig] to a
     shard outside the map is legal: the server nacks it. *)
 
@@ -285,16 +290,24 @@ val build :
     [singles processes], and [init] is ignored (registers start at
     0).  New callers use {!create}. *)
 
+val finish : max_steps:int -> cluster -> int
+(** The one termination rule: drive [cl], playing no fate of its own,
+    until nothing is pending or [max_steps] events have run
+    ({!Sim_net.run}: timers and deliveries in time order); returns the
+    events run.  An op still unanswered after it is [Stalled] to
+    {!verdict} and {!collect}, whichever way it stopped: at quiescence
+    (a lost message, an op never sent) or at the bound (a phase that
+    resends forever).  {!run} and every {!Explore} leaf end here; a run
+    whose group lost its majority stalls like any other. *)
+
 val run :
   ?fates:(float * Harness.Failure.net_fate) list ->
   ?max_steps:int ->
   cluster ->
   outcome
 (** Schedule [fates] (each played by {!apply_fate} at its time, via
-    {!Sim_net.at}), run the simulator to quiescence or [max_steps]
-    events (default 2_000_000), and {!collect} with the post-hoc
-    fastcheck and as a run that ended: whichever way it stopped, fewer
-    ops answered than expected is [Stalled].  [fates] is a timed
+    {!Sim_net.at}), {!finish} with [max_steps] (default 2_000_000),
+    and {!collect} with the post-hoc fastcheck.  [fates] is a timed
     {!Harness.Failure.net_fate} schedule — e.g. a draw from
     {!Harness.Failure.random_net_fates}.  [(t, Crash r)] crashes
     replica [r] at virtual time [t]; a
@@ -312,21 +325,20 @@ val apply_fate : cluster -> Harness.Failure.net_fate -> unit
     replica recovers (from its disk when [durable], empty otherwise)
     before the next event. *)
 
-val collect : fastcheck:bool -> ended:bool -> cluster -> steps:int -> outcome
+val collect : fastcheck:bool -> cluster -> steps:int -> outcome
 (** Assemble the outcome from the whole pool's current state: every
     core's violations, the coordinator's torn batches, the cores'
     histories merged in virtual time ({!keyed_history}), the highest
     worker epoch, and {!verdict}'s verdict.  [steps] is reported
-    verbatim.  Safe to call on a partially-run (stalled or
-    explorer-truncated) cluster — per-key audits then cover the prefix
-    history. *)
+    verbatim.  On a run that {!finish} stopped at its bound, the
+    per-key audits cover the history so far and every op still
+    unanswered counts as a stall. *)
 
-val verdict : fastcheck:bool -> ended:bool -> cluster -> verdict
+val verdict : fastcheck:bool -> cluster -> verdict
 (** {!judge} on the cluster's pool, without building an outcome: with
     [fastcheck], over the post-hoc verdicts of its {!keyed_history};
-    with [ended] (nothing is left to run), over its answered and
-    expected op counts, a multi-key op counting once per key.  A run
-    cut short is judged with [ended = false], on its audits alone. *)
+    always over its answered and expected op counts, a multi-key op
+    counting once per key. *)
 
 val keyed_history : cluster -> (int * int Histories.Event.t) list
 (** The pool's history with each event's key: every core's, merged in

@@ -84,4 +84,4 @@ let check_clean what (o : Net.Sim_run.outcome) =
 (* The outcome of a simulated cluster run to its end by hand, judged as
    {!Net.Sim_run.run} judges one. *)
 let collect cl ~steps =
-  Net.Sim_run.collect ~fastcheck:true ~ended:true cl ~steps
+  Net.Sim_run.collect ~fastcheck:true cl ~steps

@@ -400,6 +400,8 @@ let engines_reject_mismatched_hooks () =
       check Net.Engine.Twobit { none with read_quorum = Some 1 });
   invalid_arg_raised "twobit + skip_write_back" (fun () ->
       check Net.Engine.Twobit { none with skip_write_back = true });
+  invalid_arg_raised "twobit + no_widen" (fun () ->
+      check Net.Engine.Twobit { none with no_widen = true });
   invalid_arg_raised "skip_dual_write without a migration" (fun () ->
       check Net.Engine.Abd { none with skip_dual_write = true });
   check Net.Engine.Abd { none with read_quorum = Some 1 };

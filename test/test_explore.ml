@@ -373,6 +373,62 @@ let exhaustive_three_replicas_one_crash () =
   | Some ce -> Alcotest.failf "atomicity violation: %a"
       Net.Sim_run.pp_verdict ce.E.verdict
 
+(* A phase that resends forever: with [no_widen] a phase's resends
+   stay in its first window, so once a window member crashes the phase
+   never completes.  Every leaf owes its ops to the completion tail, so
+   the spinning leaf is a stall; without the tail it was cut off by the
+   timer budget and passed.  Three volatile replicas, one write, window
+   1, any one replica may crash: `mcheck net --replicas 3 --writers 1
+   --readers 0 --writes 1 --reads 0 --crashes 1 --window 1
+   --no-durability`, with and without `--no-widen`. *)
+let no_widen_cfg no_widen =
+  E.config
+    ~spec:
+      { default with store = None; window = 1; bug = { no_bug with no_widen } }
+    ~crashable:[ 0; 1; 2 ] ~max_crashes:1
+    ~workload:[ proc 0 [ w 1000 ] ]
+    ()
+
+let stalled = function Net.Sim_run.Stalled _ -> true | _ -> false
+
+let no_widen_stall_caught_shrunk_replayed () =
+  let cfg = no_widen_cfg true in
+  (match (E.hunt ~seed:42 cfg).E.counterexample with
+   | Some ce ->
+     Alcotest.(check bool) "the hunt stalls" true (stalled ce.E.verdict)
+   | None -> Alcotest.fail "hunt passed the spinning phase");
+  match (E.explore cfg).E.counterexample with
+  | None -> Alcotest.fail "exhaust passed the spinning phase"
+  | Some ce ->
+    Alcotest.check Helpers.verdict "stalled before the write"
+      (Net.Sim_run.Stalled { completed = 0; expected = 1 })
+      ce.E.verdict;
+    let cfg', ce' = E.shrink cfg ce in
+    Alcotest.(check bool) "schedule no longer" true
+      (List.length ce'.E.schedule <= List.length ce.E.schedule);
+    Alcotest.(check bool) "shrunk schedule still stalls" true
+      (stalled (E.replay cfg' ce'.E.schedule).Net.Sim_run.verdict);
+    let file = Filename.temp_file "explore-no-widen" ".jsonl" in
+    Fun.protect
+      ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
+      (fun () ->
+        E.save ~file ~schedule:ce'.E.schedule cfg';
+        let cfg'', sched, o' = E.replay_file ~file in
+        Alcotest.(check bool) "bug hook survives the artifact" true
+          cfg''.E.spec.bug.no_widen;
+        Alcotest.(check (list int)) "schedule survives" ce'.E.schedule sched;
+        Alcotest.(check bool) "artifact replays to the stall" true
+          (stalled o'.Net.Sim_run.verdict))
+
+let no_widen_honest_exhausts_clean () =
+  let res = E.explore (no_widen_cfg false) in
+  Alcotest.(check bool) "exhausted" true res.E.stats.S.exhausted;
+  Alcotest.(check int) "schedule count" 131 res.E.stats.S.schedules;
+  match res.E.counterexample with
+  | None -> ()
+  | Some ce -> Alcotest.failf "honest config flagged: %a"
+      Net.Sim_run.pp_verdict ce.E.verdict
+
 (* The amnesia bug: one replica, one writer, one reader, and one
    reboot budget on the replica.  Without durability the adversary can
    let the write commit (quorum-of-1), deliver the read's query AFTER
@@ -1181,6 +1237,10 @@ let suite =
       fates_artifact_round_trip;
     tc "three replicas, one crash: exhausts every schedule atomic"
       exhaustive_three_replicas_one_crash;
+    tc "no widen: a spinning phase is a stall, shrunk and replayed"
+      no_widen_stall_caught_shrunk_replayed;
+    tc "no widen: the honest config exhausts clean"
+      no_widen_honest_exhausts_clean;
     tc "amnesia without durability: caught, shrunk, replayed"
       amnesia_bug_found_and_replayable;
     tc "amnesia with durability: same hunt clean" amnesia_durable_hunt_clean;
