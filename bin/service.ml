@@ -31,10 +31,7 @@ let atomic_or = function Ok () -> "atomic" | Error m -> m
 let run_sim engine seed replicas shards readers writes reads drop dup window
     crash partition show_history show_metrics trace_file =
   let faults = Net.Sim_net.lossy ~drop ~duplicate:dup () in
-  let trace =
-    (* sized for a whole CLI run: no wrap, so the dump is replayable *)
-    Option.map (fun _ -> Net.Trace.create ~capacity:1_000_000 ()) trace_file
-  in
+  let trace = Option.map (fun _ -> Net.Trace.create ()) trace_file in
   let spec =
     { Net.Sim_run.default with replicas; shards; keys = shards; window; engine }
   in
@@ -83,8 +80,8 @@ let run_sim engine seed replicas shards readers writes reads drop dup window
 (* socket-cluster plumbing shared by smoke/serve                       *)
 
 let start_cluster net ~engine ~replicas ~shards ~audit ?data_dir
-    ?(group_commit = 0) ?(flush_us = 500) ?(domains = 1) ~snapshot_every ?trace
-    () =
+    ?(group_commit = 0) ?(flush_us = 500) ?(domains = 1) ~snapshot_every
+    ?history () =
   let tr = Net.Socket_net.transport net in
   let metrics = Net.Socket_net.metrics net in
   let replica_nodes = List.init replicas Fun.id in
@@ -131,7 +128,7 @@ let start_cluster net ~engine ~replicas ~shards ~audit ?data_dir
       (if domains <= 1 then "server" else "server-d" ^ string_of_int d)
   in
   let pool =
-    Net.Server_pool.create ~transport:tr ~audit ~metrics ?trace
+    Net.Server_pool.create ~transport:tr ~audit ~metrics ?history
       ~engine:{ Net.Engine.kind = engine }
       ~storage:server_store
       ~map:(Net.Shard_map.create ~shards ())
@@ -201,12 +198,10 @@ let run_smoke engine shards readers writes reads seed data_dir group_commit
      else "");
   let net = Net.Socket_net.create () in
   let metrics = Net.Socket_net.metrics net in
-  (* the pool's cores keep no history: the per-key re-check below
-     reads it back from this ring, sized so the run cannot wrap it *)
-  let trace = Net.Trace.create ~capacity:1_000_000 () in
+  (* the pool's cores keep their history for the per-key re-check *)
   let pool, reps =
     start_cluster net ~engine ~replicas:3 ~shards ~audit:true ?data_dir
-      ~group_commit ~flush_us ~domains ~snapshot_every ~trace ()
+      ~group_commit ~flush_us ~domains ~snapshot_every ~history:true ()
   in
   let killer =
     Thread.create
@@ -348,19 +343,12 @@ let run_smoke engine shards readers writes reads seed data_dir group_commit
     (fun (_, rep) ->
       Option.iter Net.Storage.flush (Net.Replica.storage rep))
     reps;
-  (* join the worker domains before reading the trace: the pool's
+  (* join the worker domains before reading the histories: the pool's
      aggregate accessors want a quiescent pool *)
   Net.Server_pool.stop pool;
-  let keyed = Net.Trace.keyed_history trace in
-  let per_key = Net.Sim_run.fastcheck_by_key ~init:0 keyed in
+  let per_key, responded = Net.Sim_run.recheck ~init:0 pool in
   let violations = Net.Server_pool.violations pool in
   let served = Net.Server_pool.ops_served pool in
-  let responded =
-    List.length
-      (List.filter
-         (function _, Histories.Event.Respond _ -> true | _ -> false)
-         keyed)
-  in
   let verdict =
     Net.Sim_run.judge ~fastcheck:per_key
       ~answered:(responded, expected_per_key) pool
@@ -374,10 +362,6 @@ let run_smoke engine shards readers writes reads seed data_dir group_commit
       Fmt.str "VIOLATION on key %d: %a" k
         (Histories.Fastcheck.pp_violation Fmt.int) v
   in
-  (* every served op records an invoke and a respond; a wrapped or
-     short trace would let the re-check pass on a partial history *)
-  let traced = Net.Trace.recorded trace in
-  let trace_ok = Net.Trace.overwritten trace = 0 && traced >= 2 * served in
   Fmt.pr "  %d/%d ops served; live audit: %s; decode errors: %d@."
     served expected mon decode_errors;
   let reply_ok = stat "ops_served" = expected in
@@ -386,9 +370,9 @@ let run_smoke engine shards readers writes reads seed data_dir group_commit
   if show_metrics then
     Fmt.pr "  stats reply %a@." Net.Engine.pp_stats
       (Net.Engine.stats_of engine stat);
-  Fmt.pr "  trace: %d events%s@." traced
-    (if trace_ok then "" else " — INCOMPLETE, the re-check is void");
   List.iter (fun (k, v) -> Fmt.pr "  key %d: %s@." k (atomic_or v)) per_key;
+  if verdict <> Net.Sim_run.Clean then
+    Fmt.pr "  verdict: %a@." Net.Sim_run.pp_verdict verdict;
   let txn_viol = Net.Server_pool.txn_violations pool in
   let txs = Net.Txn.stats (Net.Server_pool.txns pool) in
   Fmt.pr "  txn phase: %d batches committed, %d snapshots served; txn audit: \
@@ -435,12 +419,12 @@ let run_smoke engine shards readers writes reads seed data_dir group_commit
           s.Net.Storage.snapshots_taken s.Net.Storage.wal_size)
     reps;
   if show_metrics then Fmt.pr "-- socket metrics --@.%a@." Net.Metrics.pp metrics;
-  (* the gate: a clean verdict (every op served, every audit accepting,
-     every key's history re-checked atomic) over a whole trace, a
+  (* the gate: a clean verdict (every op served and in the history,
+     every audit accepting, every key's history re-checked atomic), a
      byte-clean wire, and (with --data-dir) a lossless recovery round
      trip *)
   let socket_ok =
-    verdict = Net.Sim_run.Clean && trace_ok && reply_ok
+    verdict = Net.Sim_run.Clean && reply_ok
     && decode_errors = 0
     && durable_ok && reconfig_ok
     && txs.Net.Txn.txns_committed = 2 * txn_rounds

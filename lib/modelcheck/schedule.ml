@@ -59,10 +59,7 @@ let explore ?(max_schedules = max_int) ?(max_depth = 1_000_000)
         (match on_leaf st (List.rev path_rev) with
          | `Stop -> stopped := true
          | `Continue -> ());
-        if !schedules >= max_schedules then begin
-          if not !stopped then truncated := true;
-          stopped := true
-        end
+        if !schedules >= max_schedules then stopped := true
       end
       else begin
         let consumed = ref false in
@@ -104,7 +101,7 @@ let explore ?(max_schedules = max_int) ?(max_depth = 1_000_000)
     transitions = !transitions;
     pruned = !pruned;
     max_depth_seen = !deepest;
-    exhausted = not !truncated;
+    exhausted = not (!truncated || !stopped);
   }
 
 (* Zeller–Hildebrandt delta debugging on lists: greedily remove chunks

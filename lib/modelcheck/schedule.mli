@@ -45,8 +45,11 @@ type stats = {
   pruned : int;  (** choices skipped by sleep sets *)
   max_depth_seen : int;
   exhausted : bool;
-      (** no leaf was cut off by [max_depth] and the schedule budget
-          did not run out: modulo pruning, the whole space was seen *)
+      (** the search ran to its end: no leaf was cut off by
+          [max_depth], the schedule budget did not run out and no
+          [on_leaf] stopped it, so modulo pruning the whole space was
+          seen (a search stopped at its first failure is not
+          exhausted) *)
 }
 
 val explore :

@@ -535,7 +535,7 @@ let group_note (a, b) =
     (String.concat "," (List.map string_of_int b))
 
 let save ~file ~schedule cfg =
-  let tr = Trace.create ~capacity:(1 lsl 16) () in
+  let tr = Trace.create () in
   let note s = Trace.record tr ~time:0.0 (Trace.Note s) in
   note "explore-counterexample v1";
   note (config_note cfg);
@@ -808,7 +808,7 @@ let torture ?engine ?(runs = 100) ?dump ?progress ~seed () =
       | None -> ()
       | Some file ->
         (* re-run the failing iteration with a trace attached *)
-        let tr = Trace.create ~capacity:(1 lsl 18) () in
+        let tr = Trace.create () in
         Trace.record tr ~time:0.0
           (Trace.Note (Fmt.str "torture-failure seed=%d run=%d" seed run));
         let o', fates = torture_run ?engine ~seed ~run ~trace:tr () in

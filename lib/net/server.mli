@@ -151,7 +151,7 @@ val create :
 
     With [history] (default [false]) the core records every event
     ({!history}); without it the live monitors are its whole audit
-    state, and a caller that wants the events passes a [trace].
+    state.
 
     Per-key execution lanes belong to the processor, not the session:
     writer roles 0 and 1 have one set each, shared by every client
@@ -178,9 +178,9 @@ val create :
     answered with, followed by rows of this core's own: among them
     [store_cap_commits], [store_deadline_commits] and
     [store_forced_commits], the commit causes ({!Storage.stats}) of its
-    [storage] and the member's [peer_stores], summed (0 without any).  With [trace], every operation invoke/respond is
-    appended to the ring, tagged with its key; that is how a pool
-    member's history is kept.  Does not block. *)
+    [storage] and the member's [peer_stores], summed (0 without any).
+    With [trace], every operation invoke/respond is appended to the
+    log, tagged with its key.  Does not block. *)
 
 val key_of_op : Wire.op -> int
 (** The register key a client operation addresses: a [Read_k] or

@@ -48,10 +48,12 @@
     construction (atomic counters, locked histograms).  The per-key
     monitors therefore audit exactly as in the single-core server —
     a key's whole history lives on one worker — and {!violations}
-    concatenates the per-worker views.  The cores record no history,
-    so the audit's memory is constant per key: each key's live
-    {!Histories.Monitor} forgets superseded writes.  A caller that
-    wants the events for an offline re-check passes a [trace].
+    concatenates the per-worker views.  Unless created with
+    [history], the cores record no history, so the audit's memory is
+    constant per key: each key's live {!Histories.Monitor} forgets
+    superseded writes.  A caller that wants the events for an offline
+    re-check passes [~history:true] and reads them back through
+    {!Sim_run.recheck}.
 
     Aggregate accessors read worker state without stopping the pool;
     call them on a quiescent pool (workload drained, or after
@@ -120,12 +122,8 @@ val create :
     @raise Invalid_argument if [domains] is below 1.
 
     With [trace], every core appends its operation invokes and
-    responds to that one ring ({!Trace.record} is mutex-protected).
-    Each key's events come from its one owning worker, so a key's
-    events keep their order: {!Trace.keyed_history}, grouped by key,
-    is what an offline per-key re-check consumes.  Size the ring to
-    the run and check {!Trace.overwritten}: a wrapped ring is a suffix
-    window, not the history.
+    responds to that one log ({!Trace.record} is mutex-protected), as
+    a simulated pool does.
 
     {b Reconfiguration.}  A {!Wire.msg.Reconfig} routes to the key's
     owner worker ({!Server.worker_of_key}), which runs the whole

@@ -238,9 +238,8 @@ let now t =
   t.boxed
 
 (* Every trace point matches on [t.trace] itself and builds its record
-   only under [Some]: a record (or a thunk making one) allocated before
-   that test would cost every untraced send and delivery, and the
-   records pretty-print whole messages. *)
+   only under [Some]: a record allocated before that test would cost
+   every untraced send and delivery. *)
 let record tr t kind = Trace.record tr ~time:(now t) kind
 
 (* Queue an event: a delivery of [msg] from [src] to [dst], or a timer
@@ -302,18 +301,19 @@ let send t ~src ~dst msg =
      included, so that at quiescence
      sent = delivered + dropped + blocked *)
   Metrics.incr t.c.m_sent;
-  if Hashtbl.mem t.dead dst then drop t ~src ~dst "dead"
+  if Hashtbl.mem t.dead dst then drop t ~src ~dst Trace.Dead
   else if severed t src dst then begin
     Metrics.incr t.c.m_blocked;
     match t.trace with
     | None -> ()
-    | Some tr -> record tr t (Trace.Drop { src; dst; reason = "partition" })
+    | Some tr ->
+      record tr t (Trace.Drop { src; dst; reason = Trace.Partition })
   end
   else begin
     let f = t.faults in
     let immune = f.immune ~src ~dst in
     if (not immune) && f.drop > 0.0 && uniform t.rng 1.0 < f.drop
-    then drop t ~src ~dst "loss"
+    then drop t ~src ~dst Trace.Loss
     else begin
       let time = arrival t in
       schedule t
@@ -321,8 +321,7 @@ let send t ~src ~dst msg =
         ~src ~dst msg Q.no_fn;
       (match t.trace with
        | None -> ()
-       | Some tr ->
-         record tr t (Trace.Send { src; dst; info = Fmt.str "%a" Wire.pp msg }));
+       | Some tr -> record tr t (Trace.Send { src; dst; msg }));
       if
         (not immune) && f.duplicate > 0.0
         && uniform t.rng 1.0 < f.duplicate
@@ -447,18 +446,16 @@ let execute t s =
   else begin
     let dst = q.Q.dst.(s) and msg = q.Q.msg.(s) in
     Q.release q s;
-    if Hashtbl.mem t.dead dst then drop t ~src ~dst "dead"
+    if Hashtbl.mem t.dead dst then drop t ~src ~dst Trace.Dead
     else begin
       match Hashtbl.find t.handlers dst with
       | h ->
         Metrics.incr t.c.m_delivered;
         (match t.trace with
          | None -> ()
-         | Some tr ->
-           record tr t
-             (Trace.Deliver { src; dst; info = Fmt.str "%a" Wire.pp msg }));
+         | Some tr -> record tr t (Trace.Deliver { src; dst; msg }));
         h ~src msg
-      | exception Not_found -> drop t ~src ~dst "no-handler"
+      | exception Not_found -> drop t ~src ~dst Trace.No_handler
     end
   end
 
@@ -492,7 +489,6 @@ type pending_ev = {
   src : int;
   dst : int;
   msg : Wire.msg option;
-  info : string Lazy.t;
 }
 
 (* Only the oldest delivery of each immune link is offered: the link
@@ -514,12 +510,9 @@ let pending t =
   |> List.filter (fun (_, s) -> offered s)
   |> List.map (fun (idx, s) ->
          let timer = q.Q.src.(s) = timer_src and dst = q.Q.dst.(s) in
-         let src, msg, info =
-           if timer then (dst, None, lazy "timer")
-           else if q.Q.src.(s) = task_src then (dst, None, lazy "task")
-           else
-             let msg = q.Q.msg.(s) in
-             (q.Q.src.(s), Some msg, lazy (Fmt.str "%a" Wire.pp msg))
+         let src, msg =
+           if q.Q.src.(s) < 0 then (dst, None)
+           else (q.Q.src.(s), Some q.Q.msg.(s))
          in
          {
            idx;
@@ -529,7 +522,6 @@ let pending t =
            src;
            dst;
            msg;
-           info;
          })
 
 let fire t i =

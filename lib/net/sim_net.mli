@@ -73,7 +73,8 @@ val create :
     [timers_dropped]); at quiescence
     [frames_sent = frames_delivered + frames_dropped + frames_blocked].
     With [trace], every send/deliver/drop/timer-fire is appended to
-    the ring stamped with its virtual time. *)
+    the log stamped with its virtual time, a send or delivery with the
+    message itself. *)
 
 val uniform : Random.State.t -> float -> float
 (** [uniform rng span] is [Random.State.float rng span] bit for bit,
@@ -177,7 +178,6 @@ type pending_ev = {
   src : int;
   dst : int;
   msg : Wire.msg option;  (** a delivery's message *)
-  info : string Lazy.t;  (** pretty-printed payload, forced on demand *)
 }
 
 val pending : t -> pending_ev list

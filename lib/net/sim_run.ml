@@ -454,22 +454,26 @@ let merged cl =
   ( List.map (fun (time, _, ev) -> (time, ev)) all,
     List.map (fun (_, key, ev) -> (key, ev)) all )
 
-let keyed_history cl = snd (merged cl)
-
 (* ops answered: a multi-key op counts once per key, as [expected] does *)
 let answered events =
   List.length (List.filter (function E.Respond _ -> true | _ -> false) events)
 
+(* Every core's keyed history, core after core: a key's events all live
+   on its owning core, in their order, and [fastcheck_by_key] groups by
+   key, so the re-check needs no merge. *)
+let pool_history pool =
+  List.concat_map Server.keyed_history (Server_pool.cores pool)
+
+let recheck ~init pool =
+  let keyed = pool_history pool in
+  (fastcheck_by_key ~init keyed, answered (List.map snd keyed))
+
 let verdict ~fastcheck cl =
-  let cores = Server_pool.cores cl.pool in
-  judge
-    ?fastcheck:
-      (if fastcheck then Some (fastcheck_by_key ~init (keyed_history cl))
-       else None)
-    ~answered:
-      ( List.fold_left (fun n c -> n + answered (Server.history c)) 0 cores,
-        cl.expected )
-    cl.pool
+  let per_key, completed =
+    if fastcheck then recheck ~init cl.pool
+    else ([], answered (List.map snd (pool_history cl.pool)))
+  in
+  judge ~fastcheck:per_key ~answered:(completed, cl.expected) cl.pool
 
 let collect ~fastcheck cl ~steps =
   let pool = cl.pool in

@@ -262,10 +262,10 @@ val create :
 
     The cluster's fresh [metrics] registry and [trace] are shared by
     the transport and the server: the trace (virtual-time stamped)
-    records sends, deliveries, drops, timer fires and every operation
-    invoke/respond with its key, and can be dumped with {!Trace.dump}
-    and replayed through the checker with
-    {!Trace.keyed_history_of_file}.
+    records sends and deliveries with their message, drops with their
+    cause, timer fires and every operation invoke/respond with its
+    key, and can be dumped with {!Trace.dump} and replayed through the
+    checker with {!Trace.keyed_history_of_file}.
     @raise Invalid_argument as {!validate}. *)
 
 val build :
@@ -328,22 +328,26 @@ val apply_fate : cluster -> Harness.Failure.net_fate -> unit
 val collect : fastcheck:bool -> cluster -> steps:int -> outcome
 (** Assemble the outcome from the whole pool's current state: every
     core's violations, the coordinator's torn batches, the cores'
-    histories merged in virtual time ({!keyed_history}), the highest
-    worker epoch, and {!verdict}'s verdict.  [steps] is reported
-    verbatim.  On a run that {!finish} stopped at its bound, the
-    per-key audits cover the history so far and every op still
-    unanswered counts as a stall. *)
+    histories merged in virtual time, the highest worker epoch, and
+    {!verdict}'s verdict.  [steps] is reported verbatim.  On a run
+    that {!finish} stopped at its bound, the per-key audits cover the
+    history so far and every op still unanswered counts as a stall. *)
 
 val verdict : fastcheck:bool -> cluster -> verdict
 (** {!judge} on the cluster's pool, without building an outcome: with
-    [fastcheck], over the post-hoc verdicts of its {!keyed_history};
-    always over its answered and expected op counts, a multi-key op
-    counting once per key. *)
+    [fastcheck], over {!recheck}'s post-hoc verdicts; always over its
+    answered and expected op counts, a multi-key op counting once per
+    key. *)
 
-val keyed_history : cluster -> (int * int Histories.Event.t) list
-(** The pool's history with each event's key: every core's, merged in
-    virtual time.  A key's events all come from its owning core, in
-    their order. *)
+val recheck :
+  init:int -> Server_pool.t -> (int * (unit, string) result) list * int
+(** The post-hoc re-check of a pool whose cores keep their history
+    ([~history:true]): {!fastcheck_by_key} over every core's keyed
+    history, and the ops those histories answer (a multi-key op once
+    per key), the two inputs {!judge} takes.  A key's events all live
+    on its owning core, in their order, so the cores' histories are
+    concatenated, not merged in time.  The simulator's {!verdict} and
+    the socket smoke re-check through it. *)
 
 val fastcheck_by_key :
   init:int ->

@@ -126,7 +126,6 @@ type t = {
   pool : Bufpool.t;
   closed : bool Atomic.t;
   metrics : Metrics.t;
-  trace : Trace.t option;
   c : ctrs;
 }
 
@@ -155,7 +154,7 @@ let fresh_dir () =
   in
   go 0
 
-let create ?dir ?sndbuf ?metrics ?trace () =
+let create ?dir ?sndbuf ?metrics () =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let dir =
     match dir with
@@ -197,18 +196,11 @@ let create ?dir ?sndbuf ?metrics ?trace () =
     pool = Bufpool.create ();
     closed = Atomic.make false;
     metrics;
-    trace;
     c;
   }
 
 let metrics t = t.metrics
 let path t node = Filename.concat t.dir (Fmt.str "n%d.sock" node)
-
-(* Every trace point matches on [t.trace] itself and builds its record
-   only under [Some]: the records pretty-print whole messages (a Batch
-   formats every sub-message), and even a thunk making one would cost
-   every untraced send and delivery. *)
-let record tr kind = Trace.record tr ~time:(Unix.gettimeofday ()) kind
 
 let le32 b off = Int32.to_int (Bytes.get_int32_le b off)
 
@@ -233,11 +225,6 @@ let close_rconn t rc =
 
 let deliver t rc ~src msg =
   let ep = rc.rep in
-  (match t.trace with
-   | None -> ()
-   | Some tr ->
-     record tr
-       (Trace.Deliver { src; dst = ep.node; info = Fmt.str "%a" Wire.pp msg }));
   if not (Atomic.get ep.stopped) then begin
     let t0 = Unix.gettimeofday () in
     ep.handler ~src msg;
@@ -644,14 +631,6 @@ let conn_write t dst c ~src ~size msg =
     Mutex.unlock c.wmu;
     raise e
 
-let reason = function
-  | `Ok -> ""
-  | `Oversized -> "oversized"
-  | `Unencodable -> "unencodable"
-  | `No_conn -> "no-conn"
-  | `Backpressure -> "backpressure"
-  | `Fail -> "write-failed"
-
 (* A frame that cannot be framed (a body over [max_frame], or a field
    outside its encoding range) is counted apart and never sent; any
    other frame is sent, and dropped if it cannot be written. *)
@@ -678,20 +657,13 @@ let send t ~src ~dst msg =
               r)
          | r -> r)
   in
-  (match r with
-   | `Ok -> Metrics.incr t.c.frames_sent
-   | `Oversized -> Metrics.incr t.c.frames_oversized
-   | `Unencodable -> Metrics.incr t.c.frames_unencodable
-   | `No_conn | `Backpressure | `Fail ->
-     Metrics.incr t.c.frames_sent;
-     Metrics.incr t.c.frames_dropped);
-  match t.trace with
-  | None -> ()
-  | Some tr ->
-    record tr
-      (match r with
-       | `Ok -> Trace.Send { src; dst; info = Fmt.str "%a" Wire.pp msg }
-       | r -> Trace.Drop { src; dst; reason = reason r })
+  match r with
+  | `Ok -> Metrics.incr t.c.frames_sent
+  | `Oversized -> Metrics.incr t.c.frames_oversized
+  | `Unencodable -> Metrics.incr t.c.frames_unencodable
+  | `No_conn | `Backpressure | `Fail ->
+    Metrics.incr t.c.frames_sent;
+    Metrics.incr t.c.frames_dropped
 
 (* ------------------------------------------------------------------ *)
 (* Timers                                                              *)
@@ -722,9 +694,6 @@ let timer_fire t ~node ~armed f =
     in
     if live then begin
       Metrics.incr t.c.timer_fires;
-      (match t.trace with
-       | None -> ()
-       | Some tr -> record tr (Trace.Timer_fire { node }));
       f ()
     end
     else Metrics.incr t.c.timers_dropped

@@ -26,7 +26,7 @@
     A send never raises.  A message whose body exceeds
     {!Wire.max_frame} is counted in [frames_oversized], one with a
     field outside its encoding range in [frames_unencodable]; neither
-    is sent, and the trace records a drop with that reason.
+    is sent.
 
     Sending never blocks on a sick peer: outbound
     connects are non-blocking and bounded, run with no table lock
@@ -53,7 +53,6 @@ val create :
   ?dir:string ->
   ?sndbuf:int ->
   ?metrics:Metrics.t ->
-  ?trace:Trace.t ->
   unit ->
   t
 (** Starts the event-loop thread.  [dir] defaults to a fresh directory
@@ -67,9 +66,7 @@ val create :
     connection and timer accounting, including [write_queued]
     (short writes parked for writability) and [decode_errors] — and
     its handler-service histogram; pass the cluster-wide instance so
-    one snapshot covers every layer.  With [trace], every
-    send/deliver/drop/timer event is appended to the ring with its
-    wall-clock time. *)
+    one snapshot covers every layer. *)
 
 val metrics : t -> Metrics.t
 (** The metrics registry the transport's counters are interned in. *)

@@ -1,9 +1,11 @@
 module E = Histories.Event
 
+type drop = Dead | Partition | Loss | No_handler
+
 type kind =
-  | Send of { src : int; dst : int; info : string }
-  | Deliver of { src : int; dst : int; info : string }
-  | Drop of { src : int; dst : int; reason : string }
+  | Send of { src : int; dst : int; msg : Wire.msg }
+  | Deliver of { src : int; dst : int; msg : Wire.msg }
+  | Drop of { src : int; dst : int; reason : drop }
   | Timer_fire of { node : int }
   | Invoke of { key : int; proc : int; op : int E.op }
   | Respond of { key : int; proc : int; result : int option }
@@ -13,30 +15,19 @@ type event = { time : float; kind : kind }
 
 type t = {
   mu : Mutex.t;
-  buf : event array;
-  cap : int;
-  mutable n : int;  (* total events recorded over the whole run *)
+  mutable rev : event list;  (* newest first *)
+  mutable n : int;
 }
 
-let dummy = { time = 0.0; kind = Note "" }
-
-let create ?(capacity = 4096) () =
-  if capacity <= 0 then invalid_arg "Trace.create: capacity";
-  { mu = Mutex.create (); buf = Array.make capacity dummy; cap = capacity; n = 0 }
+let create () = { mu = Mutex.create (); rev = []; n = 0 }
 
 let record t ~time kind =
   Mutex.protect t.mu (fun () ->
-      t.buf.(t.n mod t.cap) <- { time; kind };
+      t.rev <- { time; kind } :: t.rev;
       t.n <- t.n + 1)
 
 let recorded t = Mutex.protect t.mu (fun () -> t.n)
-let overwritten t = Mutex.protect t.mu (fun () -> max 0 (t.n - t.cap))
-
-let events t =
-  Mutex.protect t.mu (fun () ->
-      if t.n <= t.cap then Array.to_list (Array.sub t.buf 0 t.n)
-      else
-        List.init t.cap (fun i -> t.buf.((t.n + i) mod t.cap)))
+let events t = List.rev (Mutex.protect t.mu (fun () -> t.rev))
 
 (* ------------------------------------------------------------------ *)
 (* JSONL                                                               *)
@@ -55,20 +46,26 @@ let escape s =
     s;
   Buffer.contents b
 
+let string_of_drop = function
+  | Dead -> "dead"
+  | Partition -> "partition"
+  | Loss -> "loss"
+  | No_handler -> "no-handler"
+
 let line_of_event { time; kind } =
   let t = Printf.sprintf "\"t\":%.6f" time in
   match kind with
-  | Send { src; dst; info } ->
+  | Send { src; dst; msg } ->
     Printf.sprintf "{%s,\"kind\":\"send\",\"src\":%d,\"dst\":%d,\"msg\":\"%s\"}"
-      t src dst (escape info)
-  | Deliver { src; dst; info } ->
+      t src dst (escape (Fmt.str "%a" Wire.pp msg))
+  | Deliver { src; dst; msg } ->
     Printf.sprintf
       "{%s,\"kind\":\"deliver\",\"src\":%d,\"dst\":%d,\"msg\":\"%s\"}" t src dst
-      (escape info)
+      (escape (Fmt.str "%a" Wire.pp msg))
   | Drop { src; dst; reason } ->
     Printf.sprintf
       "{%s,\"kind\":\"drop\",\"src\":%d,\"dst\":%d,\"reason\":\"%s\"}" t src dst
-      (escape reason)
+      (string_of_drop reason)
   | Timer_fire { node } ->
     Printf.sprintf "{%s,\"kind\":\"timer\",\"node\":%d}" t node
   | Invoke { key; proc; op = E.Read } ->
@@ -92,18 +89,8 @@ let dump t path =
   close_out oc
 
 (* ------------------------------------------------------------------ *)
-(* Replay: recover the operation history from a trace (in memory or    *)
-(* from a dumped JSONL file) so it can be re-run through the           *)
-(* atomicity checkers offline.                                         *)
-
-let keyed_history t =
-  List.filter_map
-    (fun { kind; _ } ->
-      match kind with
-      | Invoke { key; proc; op } -> Some (key, E.Invoke (proc, op))
-      | Respond { key; proc; result } -> Some (key, E.Respond (proc, result))
-      | _ -> None)
-    (events t)
+(* Replay: recover the operation history from a dumped JSONL file so  *)
+(* it can be re-run through the atomicity checkers offline.           *)
 
 (* A scanner for exactly the key/value shapes [line_of_event] emits —
    not a general JSON parser. *)

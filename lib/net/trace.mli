@@ -1,24 +1,28 @@
-(** A bounded ring-buffer event trace for the service.
+(** A typed, append-only event log of a simulated run.
 
-    Both transports (and the server, for operation invoke/respond
-    marks) append events; the buffer keeps the most recent [capacity]
-    of them, so tracing a long-lived server costs O(capacity) memory
-    and an O(1) mutex-protected write per event.  Timestamps are
-    whatever the recording transport's clock says: virtual time under
-    {!Sim_net}, wall-clock seconds under {!Socket_net}.
+    {!Sim_net} appends its transport events and the server appends
+    operation invoke/respond marks; a record holds the values it is
+    about (the message sent or delivered, the cause of a drop), and
+    {!dump} is the one place that turns them into text.  Timestamps
+    are {!Sim_net}'s virtual time.  The log keeps every event from
+    {!create} on: it is sized by the run, not by a capacity.
 
     A trace dumps as JSONL (one JSON object per line) and the
     operation events can be parsed back out of a dump — offline replay
     of a served history through the atomicity checkers
-    ([bin/service.exe replay]).  Mind the window: replay needs every
-    [invoke]/[respond] of the history, so size [capacity] to the run
-    (a ring that wrapped mid-operation yields a history that is not
-    input-correct). *)
+    ([bin/service.exe replay]). *)
+
+(** Why the simulator lost a frame. *)
+type drop =
+  | Dead  (** the destination had crashed *)
+  | Partition  (** the link crossed a partition's cut *)
+  | Loss  (** fault injection dropped it *)
+  | No_handler  (** the destination had no handler registered *)
 
 type kind =
-  | Send of { src : int; dst : int; info : string }
-  | Deliver of { src : int; dst : int; info : string }
-  | Drop of { src : int; dst : int; reason : string }
+  | Send of { src : int; dst : int; msg : Wire.msg }
+  | Deliver of { src : int; dst : int; msg : Wire.msg }
+  | Drop of { src : int; dst : int; reason : drop }
   | Timer_fire of { node : int }
   | Invoke of { key : int; proc : int; op : int Histories.Event.op }
       (** Operation invocation on the register named [key] (0 for
@@ -30,29 +34,23 @@ type event = { time : float; kind : kind }
 
 type t
 
-val create : ?capacity:int -> unit -> t
-(** [capacity] defaults to 4096 events. *)
+val create : unit -> t
+(** An empty log. *)
 
 val record : t -> time:float -> kind -> unit
+(** Append one event; mutex-protected, so the cores of a multi-domain
+    {!Server_pool} may share one log. *)
 
 val recorded : t -> int
-(** Total events recorded over the trace's lifetime. *)
-
-val overwritten : t -> int
-(** Events lost to ring wrap-around ([recorded - capacity], floored
-    at 0) — nonzero means the dump is a suffix window, not the run. *)
+(** Events recorded so far: the log's length. *)
 
 val events : t -> event list
-(** The retained window, oldest first. *)
+(** Every recorded event, oldest first. *)
 
 val dump : t -> string -> unit
-(** Write the window to a file as JSONL. *)
-
-val keyed_history : t -> (int * int Histories.Event.t) list
-(** The operation events ([Invoke]/[Respond]) of the retained window,
-    each tagged with the register id it addressed — group by key
-    before checking atomicity (each key is an independent register);
-    [List.map snd] is the history of a single-key run. *)
+(** Write the log to a file as JSONL: a message prints as {!Wire.pp}
+    formats it, a drop's cause as ["dead"], ["partition"], ["loss"] or
+    ["no-handler"]. *)
 
 val keyed_history_of_file : string -> (int * int Histories.Event.t) list
 (** Parse a dump back into keyed operation events (non-operation lines

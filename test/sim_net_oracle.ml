@@ -1,6 +1,7 @@
 (* A test-only oracle: the entry-record Sim_net that the slot-array one
-   replaced, kept verbatim so a property can compare the two after every
-   command.  Only the tests use it. *)
+   replaced, kept verbatim but for its trace points (no property reads a
+   trace) so a property can compare the two after every command.  Only
+   the tests use it. *)
 
 open Net
 
@@ -128,11 +129,10 @@ type t = {
   mutable cut : (int list * int list) option;
   mutable clock : float;
   mutable seqno : int;
-  trace : Trace.t option;
   c : ctrs;
 }
 
-let create ~seed ~faults ?metrics ?trace () =
+let create ~seed ~faults ?metrics () =
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   let c =
     {
@@ -160,15 +160,8 @@ let create ~seed ~faults ?metrics ?trace () =
     cut = None;
     clock = 0.0;
     seqno = 0;
-    trace;
     c;
   }
-
-(* Every trace point matches on [t.trace] itself and builds its record
-   only under [Some]: a record (or a thunk making one) allocated before
-   that test would cost every untraced send and delivery, and the
-   records pretty-print whole messages. *)
-let record tr t kind = Trace.record tr ~time:t.clock kind
 
 let now t = t.clock
 
@@ -204,38 +197,25 @@ let arrival t =
   +. (f.min_delay
      +. Random.State.float t.rng (f.max_delay -. f.min_delay +. epsilon_float))
 
-let drop t ~src ~dst reason =
-  Metrics.incr t.c.m_dropped;
-  match t.trace with
-  | None -> ()
-  | Some tr -> record tr t (Trace.Drop { src; dst; reason })
+let drop t = Metrics.incr t.c.m_dropped
 
 let send t ~src ~dst msg =
   (* every frame offered to the network counts as sent, duplicates
      included, so that at quiescence
      sent = delivered + dropped + blocked *)
   Metrics.incr t.c.m_sent;
-  if Hashtbl.mem t.dead dst then drop t ~src ~dst "dead"
-  else if severed t src dst then begin
-    Metrics.incr t.c.m_blocked;
-    match t.trace with
-    | None -> ()
-    | Some tr -> record tr t (Trace.Drop { src; dst; reason = "partition" })
-  end
+  if Hashtbl.mem t.dead dst then drop t
+  else if severed t src dst then Metrics.incr t.c.m_blocked
   else begin
     let f = t.faults in
     let immune = f.immune ~src ~dst in
     if (not immune) && f.drop > 0.0 && Random.State.float t.rng 1.0 < f.drop
-    then drop t ~src ~dst "loss"
+    then drop t
     else begin
       let time = arrival t in
       schedule t
         (if immune then fifo t ~src ~dst time else time)
         (Deliver { src; dst; msg });
-      (match t.trace with
-       | None -> ()
-       | Some tr ->
-         record tr t (Trace.Send { src; dst; info = Fmt.str "%a" Wire.pp msg }));
       if
         (not immune) && f.duplicate > 0.0
         && Random.State.float t.rng 1.0 < f.duplicate
@@ -266,10 +246,7 @@ let crash t node =
 let crash_amnesia t node =
   crash t node;
   if not (Hashtbl.mem t.amnesiac node) then Metrics.incr t.c.m_amnesia;
-  Hashtbl.replace t.amnesiac node ();
-  match t.trace with
-  | None -> ()
-  | Some tr -> record tr t (Trace.Note (Fmt.str "amnesia-crash node=%d" node))
+  Hashtbl.replace t.amnesiac node ()
 
 let on_restart t node f = Hashtbl.replace t.recovery node f
 
@@ -281,11 +258,8 @@ let timer t e =
   | Timer { node; _ } when node <> -1 && Hashtbl.mem t.dead node ->
     Hashtbl.replace t.paused node
       (e :: Option.value ~default:[] (Hashtbl.find_opt t.paused node))
-  | Timer { node; f } ->
+  | Timer { f; _ } ->
     Metrics.incr t.c.m_timer_fires;
-    (match t.trace with
-     | None -> ()
-     | Some tr -> record tr t (Trace.Timer_fire { node }));
     f ()
 
 (* Drop every timer [node] armed, still queued or already [due], and
@@ -338,18 +312,13 @@ let execute t ({ time; ev; _ } as e) =
   t.clock <- Float.max t.clock time;
   match ev with
   | Deliver { src; dst; msg } ->
-    if Hashtbl.mem t.dead dst then drop t ~src ~dst "dead"
+    if Hashtbl.mem t.dead dst then drop t
     else begin
       match Hashtbl.find t.handlers dst with
       | h ->
         Metrics.incr t.c.m_delivered;
-        (match t.trace with
-         | None -> ()
-         | Some tr ->
-           record tr t
-             (Trace.Deliver { src; dst; info = Fmt.str "%a" Wire.pp msg }));
         h ~src msg
-      | exception Not_found -> drop t ~src ~dst "no-handler"
+      | exception Not_found -> drop t
     end
   | Timer _ -> timer t e
 
@@ -388,7 +357,6 @@ type pending_ev = {
   src : int;
   dst : int;
   msg : Wire.msg option;
-  info : string Lazy.t;
 }
 
 (* Only the oldest delivery of each immune link is offered: the link
@@ -404,13 +372,12 @@ let pending t =
   in
   sorted_entries t |> Array.to_list
   |> List.mapi (fun idx e ->
-         let timer, src, dst, msg, info =
+         let timer, src, dst, msg =
            match e.ev with
-           | Deliver { src; dst; msg } ->
-             (false, src, dst, Some msg, lazy (Fmt.str "%a" Wire.pp msg))
-           | Timer { node; _ } -> (true, node, node, None, lazy "timer")
+           | Deliver { src; dst; msg } -> (false, src, dst, Some msg)
+           | Timer { node; _ } -> (true, node, node, None)
          in
-         { idx; seq = e.seq; time = e.time; timer; src; dst; msg; info })
+         { idx; seq = e.seq; time = e.time; timer; src; dst; msg })
   |> List.filter offered
 
 let fire t i =

@@ -397,7 +397,13 @@ let no_widen_stall_caught_shrunk_replayed () =
    | Some ce ->
      Alcotest.(check bool) "the hunt stalls" true (stalled ce.E.verdict)
    | None -> Alcotest.fail "hunt passed the spinning phase");
-  match (E.explore cfg).E.counterexample with
+  let res = E.explore cfg in
+  (* the search stops at its first failing leaf, so it saw part of the
+     space only *)
+  Alcotest.(check bool) "a stopped search is not exhausted" false
+    res.E.stats.S.exhausted;
+  Alcotest.(check int) "stopped at schedule" 23 res.E.stats.S.schedules;
+  match res.E.counterexample with
   | None -> Alcotest.fail "exhaust passed the spinning phase"
   | Some ce ->
     Alcotest.check Helpers.verdict "stalled before the write"
@@ -762,11 +768,10 @@ let txn_twobit_exhausts_clean () =
 
 let txn_twobit_torn_exhaustive_found () =
   (* the same exhaustive search with the torn hook on must find the
-     counterexample.  [exhausted] is not asserted either way: the
-     flag records depth/budget truncation only, and a search stopped
-     by its first violating schedule may well have been cut by
-     neither. *)
+     counterexample; stopped by its first violating schedule, it did
+     not see the whole space *)
   let res = E.explore (txn_cfg ~engine:Net.Engine.Twobit ~torn_txn:true ()) in
+  Alcotest.(check bool) "not exhausted" false res.E.stats.S.exhausted;
   match res.E.counterexample with
   | None -> Alcotest.fail "exhaustive search missed the torn-batch bug"
   | Some ce ->
@@ -1014,6 +1019,30 @@ let fates_artifact_round_trip () =
         [ cfg.E.max_crashes; cfg.E.max_amnesia; cfg.E.max_partitions ]
         [ cfg'.E.max_crashes; cfg'.E.max_amnesia; cfg'.E.max_partitions ])
 
+(* An artifact whose replay traces more events than any fixed window
+   would hold: its header notes come first, so the whole log must be
+   dumped for [load] to find them.  One writer, 3500 writes, three
+   replicas: about 79 000 lines. *)
+let long_artifact_round_trip () =
+  let writes = List.init 3500 (fun i -> w (i + 1)) in
+  let cfg =
+    E.config ~max_depth:5_000 ~workload:[ proc 0 writes ] ()
+  in
+  let file = Filename.temp_file "explore-long" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
+    (fun () ->
+      E.save ~file ~schedule:[] cfg;
+      Alcotest.(check bool) "more lines than a 64 Ki window" true
+        (List.length (read_lines file) > 1 lsl 16);
+      let cfg', sched, o = E.replay_file ~file in
+      Alcotest.(check (list int)) "schedule" [] sched;
+      Alcotest.(check int) "max depth" cfg.E.max_depth cfg'.E.max_depth;
+      Alcotest.(check int) "every write in the workload" 3500
+        (List.length (List.hd cfg'.E.workload).Net.Sim_run.xscript);
+      Alcotest.check Helpers.verdict "replays clean" Net.Sim_run.Clean
+        o.Net.Sim_run.verdict)
+
 (* slow: the acceptance criterion in full — both engines exhaust the
    single-write migration config (disjoint singleton groups, one keyed
    write racing the handoff) with every schedule atomic.  The twobit
@@ -1235,6 +1264,8 @@ let suite =
       explore_reboot_and_cut;
     tc "fate notes: save then load keeps the fate sets"
       fates_artifact_round_trip;
+    tc "artifact: a replay longer than 64 Ki events saves and loads"
+      long_artifact_round_trip;
     tc "three replicas, one crash: exhausts every schedule atomic"
       exhaustive_three_replicas_one_crash;
     tc "no widen: a spinning phase is a stall, shrunk and replayed"

@@ -813,12 +813,36 @@ let sim_metrics_reconcile () =
       ("partitioned", Net.Sim_net.lossy ~drop:0.1 (), Some (20.0, 60.0));
     ]
 
+(* The lines of a dumped trace, read back. *)
+let dumped trace =
+  let file = Filename.temp_file "bloom-trace" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      Net.Trace.dump trace file;
+      In_channel.with_open_text file In_channel.input_all
+      |> String.split_on_char '\n'
+      |> List.filter (fun l -> l <> ""))
+
+(* The [reason] field of a dumped drop line, verbatim. *)
+let dumped_reason line =
+  let pat = "\"reason\":\"" in
+  let n = String.length line and m = String.length pat in
+  let rec at i =
+    if i + m > n then None
+    else if String.sub line i m = pat then
+      Some
+        (String.sub line (i + m) (String.index_from line (i + m) '"' - i - m))
+    else at (i + 1)
+  in
+  at 0
+
 let sim_trace_counts () =
   (* a trace record is built only when a trace is attached, at each of
      the simulator's trace points: a traced faulty run must hold one
      record per delivery, per drop (loss, dead node or partition) and
      per timer fire *)
-  let trace = Net.Trace.create ~capacity:200_000 () in
+  let trace = Net.Trace.create () in
   let cl =
     Net.Sim_run.create
       ~faults:(Net.Sim_net.lossy ~drop:0.2 ~duplicate:0.1 ()) ~trace
@@ -826,7 +850,6 @@ let sim_trace_counts () =
       ~workload:(Net.Sim_run.singles (spec ~readers:2 ~writes:3 ~reads:4))
   in
   let o = Net.Sim_run.run ~fates:(crash 2 30.0 :: partition cl (20.0, 60.0)) cl in
-  Alcotest.(check int) "no wrap" 0 (Net.Trace.overwritten trace);
   let count p =
     List.length
       (List.filter (fun e -> p e.Net.Trace.kind) (Net.Trace.events trace))
@@ -841,25 +864,41 @@ let sim_trace_counts () =
     (s.dropped + s.blocked)
     (count (function Net.Trace.Drop _ -> true | _ -> false));
   Alcotest.(check int) "Timer_fire records = timer fires" s.timer_fires
-    (count (function Net.Trace.Timer_fire _ -> true | _ -> false))
+    (count (function Net.Trace.Timer_fire _ -> true | _ -> false));
+  (* the causes dump as the strings an untyped trace carried *)
+  Alcotest.(check (list string)) "dumped drop reasons"
+    [ "dead"; "loss"; "partition" ]
+    (List.sort_uniq compare (List.filter_map dumped_reason (dumped trace)))
 
-let trace_ring_wraps () =
-  let tr = Net.Trace.create ~capacity:8 () in
-  for k = 1 to 20 do
-    Net.Trace.record tr ~time:(float_of_int k) (Net.Trace.Note (string_of_int k))
-  done;
-  Alcotest.(check int) "recorded" 20 (Net.Trace.recorded tr);
-  Alcotest.(check int) "overwritten" 12 (Net.Trace.overwritten tr);
-  match Net.Trace.events tr with
-  | { Net.Trace.time = t0; _ } :: _ as evs ->
-    Alcotest.(check int) "window size" 8 (List.length evs);
-    Alcotest.(check (float 0.0)) "oldest survivor" 13.0 t0
-  | [] -> Alcotest.fail "empty window"
+let trace_carries_message () =
+  (* a record holds the message itself: the [msg] given to
+     [Transport.send] is, physically, the one its Send and its Deliver
+     carry; a frame to a node without a handler drops as "no-handler" *)
+  let trace = Net.Trace.create () in
+  let net =
+    Net.Sim_net.create ~seed:1 ~faults:Net.Sim_net.reliable ~trace ()
+  in
+  Net.Sim_net.register net 1 (fun ~src:_ _ -> ());
+  let msg = W.Store_ack { rid = 7; reg = 3 } in
+  let tr = Net.Sim_net.transport net in
+  tr.Net.Transport.send ~src:0 ~dst:1 msg;
+  tr.Net.Transport.send ~src:0 ~dst:2 msg;
+  ignore (Net.Sim_net.run net);
+  match List.map (fun e -> e.Net.Trace.kind) (Net.Trace.events trace) with
+  | [ Net.Trace.Send { msg = sent; _ }; Net.Trace.Send _;
+      Net.Trace.Deliver { msg = got; _ };
+      Net.Trace.Drop { reason = Net.Trace.No_handler; _ } ] ->
+    Alcotest.(check bool) "Send carries the message sent" true (sent == msg);
+    Alcotest.(check bool) "Deliver carries the message sent" true (got == msg);
+    Alcotest.(check (list (option string))) "dumped drop reason"
+      [ Some "no-handler" ]
+      (List.filter Option.is_some (List.map dumped_reason (dumped trace)))
+  | _ -> Alcotest.fail "expected two sends, a delivery and a drop"
 
 let sim_trace_replay () =
   (* a faulty run's trace, dumped to JSONL and parsed back, must yield
      the exact served history — and re-check atomic offline *)
-  let trace = Net.Trace.create ~capacity:200_000 () in
+  let trace = Net.Trace.create () in
   let o =
     Net.Sim_run.run
       (Net.Sim_run.create
@@ -867,9 +906,6 @@ let sim_trace_replay () =
          Net.Sim_run.default ~seed:2
          ~workload:(Net.Sim_run.singles (spec ~readers:2 ~writes:3 ~reads:4)))
   in
-  Alcotest.(check int) "no wrap" 0 (Net.Trace.overwritten trace);
-  Alcotest.(check bool) "in-memory history matches served" true
-    (List.map snd (Net.Trace.keyed_history trace) = o.Net.Sim_run.history);
   let file = Filename.temp_file "bloom-trace" ".jsonl" in
   Fun.protect
     ~finally:(fun () -> Sys.remove file)
@@ -1504,7 +1540,7 @@ let loopback_transport ~on_server ~on_client =
 (* A [domains]-worker pool behind [loopback_transport], and the count
    of responses the client has seen.  The last [Stats_reply]'s rows go
    into [stats]. *)
-let loopback_pool ?storage ?map ?trace ?(stats = Atomic.make None) ~domains
+let loopback_pool ?storage ?map ?history ?(stats = Atomic.make None) ~domains
     () =
   let resps = Atomic.make 0 in
   let pool = ref None in
@@ -1523,7 +1559,7 @@ let loopback_pool ?storage ?map ?trace ?(stats = Atomic.make None) ~domains
         match msg with W.Batch ms -> List.iter note ms | m -> note m)
   in
   let p =
-    Net.Server_pool.create ~transport:tr ~audit:true ?storage ?map ?trace
+    Net.Server_pool.create ~transport:tr ~audit:true ?storage ?map ?history
       ~domains ~me:Net.Transport.server ~replicas:[ 0; 1; 2 ] ~init:0 ()
   in
   pool := Some p;
@@ -1658,9 +1694,9 @@ let pool_mixed_shard_batch () =
      two-domain pool: every op must be served exactly once, per-session
      per-key order must hold, and every per-key Monitor must stay clean *)
   let shards = 4 and domains = 2 and nkeys = 8 and per_key = 6 in
-  let trace = Net.Trace.create () in
   let tr, p, resps =
-    loopback_pool ~map:(Net.Shard_map.create ~shards ()) ~trace ~domains ()
+    loopback_pool ~map:(Net.Shard_map.create ~shards ()) ~history:true
+      ~domains ()
   in
   let cl = Net.Transport.client 0 in
   tr.Net.Transport.send ~src:cl ~dst:Net.Transport.server (W.Hello { proc = 0 });
@@ -1686,27 +1722,17 @@ let pool_mixed_shard_batch () =
    | (key, v) :: _ ->
      Alcotest.failf "monitor violation on key %d: %a" key
        (Histories.Fastcheck.pp_violation Fmt.int) v);
-  (* cross-check the per-key histories offline, from the shared trace;
-     an empty or wrapped one would pass vacuously *)
-  Alcotest.(check int) "trace kept whole" 0 (Net.Trace.overwritten trace);
-  Alcotest.(check bool) "two trace events per op" true
-    (Net.Trace.recorded trace >= 2 * n);
+  (* re-check the cores' per-key histories offline; every op must be in
+     them, or the re-check would pass on a partial history *)
+  let verdicts, answered = Net.Sim_run.recheck ~init:0 p in
+  Alcotest.(check int) "every op in the history" n answered;
+  Alcotest.(check (list int)) "every key re-checked" (List.init nkeys Fun.id)
+    (List.map fst verdicts);
   List.iter
-    (fun key ->
-      let evs =
-        List.filter_map
-          (fun (k, ev) -> if k = key then Some ev else None)
-          (Net.Trace.keyed_history trace)
-      in
-      match
-        Histories.Fastcheck.check_unique ~init:0
-          (Histories.Operation.of_events_exn evs)
-      with
-      | Histories.Fastcheck.Atomic _ -> ()
-      | Histories.Fastcheck.Violation v ->
-        Alcotest.failf "offline check, key %d: %a" key
-          (Histories.Fastcheck.pp_violation Fmt.int) v)
-    (List.init nkeys Fun.id)
+    (function
+      | _, Ok () -> ()
+      | key, Error m -> Alcotest.failf "offline check, key %d: %s" key m)
+    verdicts
 
 let pool_soak_constant_memory () =
   (* the deployed pool's audit memory is constant per key: run N ops on
@@ -3093,7 +3119,8 @@ type sim_face = {
   f_fire : int -> bool;
   f_register : int -> (src:int -> W.msg -> unit) -> unit;
   f_on_restart : int -> (unit -> unit) -> unit;
-  f_pending : unit -> (int * int * float * bool * int * int * string) list;
+  f_pending :
+    unit -> (int * int * float * bool * int * int * W.msg option) list;
   f_peek : unit -> (int * W.msg option) option;
   f_stats : unit -> int * int * int * int * int;
   f_alive : int -> bool;
@@ -3128,7 +3155,6 @@ module type SIM = sig
     src : int;
     dst : int;
     msg : W.msg option;
-    info : string Lazy.t;
   }
 
   type t
@@ -3144,8 +3170,7 @@ module type SIM = sig
     faults
 
   val create :
-    seed:int -> faults:faults -> ?metrics:Net.Metrics.t -> ?trace:Net.Trace.t ->
-    unit -> t
+    seed:int -> faults:faults -> ?metrics:Net.Metrics.t -> unit -> t
 
   val transport : t -> Net.Transport.t
   val register : t -> int -> (src:int -> W.msg -> unit) -> unit
@@ -3195,7 +3220,7 @@ module Face (S : SIM) = struct
         (fun () ->
           List.map
             (fun (p : S.pending_ev) ->
-              (p.idx, p.seq, p.time, p.timer, p.src, p.dst, Lazy.force p.info))
+              (p.idx, p.seq, p.time, p.timer, p.src, p.dst, p.msg))
             (S.pending net));
       f_peek = (fun () -> S.peek net);
       f_stats =
@@ -3211,7 +3236,12 @@ module Face (S : SIM) = struct
     }
 end
 
-module Real_face = Face (Net.Sim_net)
+(* the oracle keeps no trace, so the faces create both untraced *)
+module Real_face = Face (struct
+  include Net.Sim_net
+
+  let create ~seed ~faults ?metrics () = create ~seed ~faults ?metrics ()
+end)
 module Oracle_face = Face (Sim_net_oracle)
 
 (* Install the script's nodes on [f] and return its command runner and
@@ -4013,7 +4043,8 @@ let suite =
     tc "sim: sharded deterministic" sim_sharded_deterministic;
     tc "sim: per-shard counters reconcile" sim_shard_metrics;
     tc "metrics: sim frame fates reconcile" sim_metrics_reconcile;
-    tc "trace: ring wraps" trace_ring_wraps;
+    tc "trace: a Send and its Deliver carry the message sent"
+      trace_carries_message;
     tc "trace: dump, parse back, re-check" sim_trace_replay;
     tc "audit plumbing catches inversions" audit_catches_corruption;
     tc "socket: keyed single ops" socket_keyed_single_ops;
