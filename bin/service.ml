@@ -553,6 +553,9 @@ let run_replay file init =
   | exception Sys_error msg ->
     Fmt.epr "service: %s@." msg;
     2
+  | [] ->
+    Fmt.epr "replay: no operation events in %s@." file;
+    1
   | keyed ->
     let n = List.length keyed in
     let per_key = Net.Sim_run.fastcheck_by_key ~init keyed in
@@ -719,8 +722,10 @@ let flush_us_arg =
        & info [ "flush-us" ] ~docv:"US"
            ~doc:"Group-commit flush deadline in microseconds: a \
                  partially filled batch is committed at most this long \
-                 after its first append.  0 commits at the end of \
-                 every handled message.")
+                 after its first append.  A server worker commits its \
+                 store sooner, as soon as it has no work queued; a \
+                 replica waits for the deadline.  0 commits at the end \
+                 of every handled message.")
 
 let snapshot_every_arg =
   Arg.(value & opt int 1024

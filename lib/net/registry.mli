@@ -52,11 +52,12 @@ val create :
     issue appends (register, timestamp, value), and {!create}
     recovers the floors from it.  A [group_commit] store batches the
     appends of {e all} shards into shared write+fsync rounds, and each
-    write's stores wait for its own timestamp's batch; whoever owns
-    the transport loop must drive {!Storage.flush} — {!Server} does
-    this for its own store.  [metrics] receives
-    the engine counters/histograms plus one [shard<i>_quorum_ops]
-    counter per shard — the per-shard load (and skew) signal.
+    write's stores wait for its own timestamp's batch; whoever runs
+    the registry's turns must commit that batch — a {!Server_pool}
+    worker does, through {!Server.settle}, at the end of each turn.
+    [metrics] receives the engine counters/histograms plus one
+    [shard<i>_quorum_ops] counter per shard — the per-shard load (and
+    skew) signal.
 
     [worker] (default [(0, 1)]) is [(w, d)] for the core of worker [w]
     of a [d]-worker {!Server_pool}: shard [s]'s twobit engine speaks

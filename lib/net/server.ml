@@ -685,13 +685,13 @@ let rec on_message_inner t ~src msg =
     let tx = Txn.stats t.txns in
     (* the commit causes of the pool's wts stores, read here so the
        commit path counts nothing more; [Storage.stats] locks each *)
-    let cap, deadline, forced =
+    let cap, deadline, forced, idle =
       List.fold_left
-        (fun (c, d, f) st ->
+        (fun (c, d, f, i) st ->
           let s = Storage.stats st in
           Storage.(c + s.cap_commits, d + s.deadline_commits,
-                   f + s.forced_commits))
-        (0, 0, 0) t.stores
+                   f + s.forced_commits, i + s.idle_commits))
+        (0, 0, 0, 0) t.stores
     in
     let stats =
       Metrics.wire_stats t.metrics
@@ -707,6 +707,7 @@ let rec on_message_inner t ~src msg =
           ("store_cap_commits", cap);
           ("store_deadline_commits", deadline);
           ("store_forced_commits", forced);
+          ("store_idle_commits", idle);
         ]
     in
     t.tr.Transport.send ~src:t.me ~dst:src (Wire.Stats_reply { rid; stats })
@@ -714,15 +715,23 @@ let rec on_message_inner t ~src msg =
   | Wire.Stats_reply _ | Wire.Store2 _ | Wire.Query2 _ | Wire.Engine_hello _
   | Wire.Reconfig_ack _ | Wire.Epoch_reply _ | Wire.Nack _ -> ()
 
-(* The server's own wts store is flushed by the shared driver, as
-   every replica's is. *)
-let handle t ~src msg =
-  on_message_inner t ~src msg;
-  match t.storage with
-  | Some st -> Storage.drive st ~transport:t.tr ~node:t.me
-  | None -> ()
+let on_message t ~src msg = Transport.handle t.cork on_message_inner t ~src msg
 
-let on_message t ~src msg = Transport.handle t.cork handle t ~src msg
+(* The end of a worker's turn, for the core's wts store.  An idle
+   worker commits the pending batch now, as one cork turn, so the
+   [Store]s its completions release leave as one frame per replica; a
+   completion may append again, so it commits until nothing is pending
+   or work arrives.  A busy worker leaves the batch open for the
+   appends its queued work makes, under [Storage.drive]'s deadline. *)
+let rec settle t ~idle w =
+  match t.storage with
+  | Some st when Storage.pending st > 0 ->
+    if idle w then begin
+      Transport.turn_on t.cork Storage.flush_idle st;
+      settle t ~idle w
+    end
+    else Storage.drive st ~transport:t.tr ~node:t.me
+  | Some _ | None -> ()
 
 let view f t = match t.log with None -> [] | Some l -> f l
 let keyed_history = view History_log.keyed

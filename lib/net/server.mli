@@ -115,13 +115,11 @@ val create :
     it at restart, so a restarted server never re-issues a timestamp a
     replica may already hold.  A migration's dual write appends its
     one timestamp once, and both of its legs wait for that append.
-    When the store was opened with a [group_commit] config the server
-    drives it with {!Storage.drive} after every handled message: a
-    positive {!Storage.flush_deadline} arms a transport timer that
-    flushes the pending batch (coalescing timestamp appends across
-    messages), a zero deadline flushes at the end of the message —
-    either way each store waits for its timestamp's batch to be
-    durable.  A restarted server with
+    When the store was opened with a [group_commit] config its batch
+    commits when it fills, or when {!settle} ends a turn of the
+    core's worker: at once if the worker is idle, else by
+    {!Storage.drive}'s deadline — either way each store waits for its
+    timestamp's batch to be durable.  A restarted server with
     [audit] on also seeds each recovered key's monitor with the writer
     roles' recovered values as completed concurrent writes, so a read
     of recovered state audits clean — exact when no write was in
@@ -176,9 +174,10 @@ val create :
     {!rejected} and {!quorum_stats} read these counters back, and its
     {!Metrics.wire_stats} snapshot is what a {!Wire.msg.Stats_req} is
     answered with, followed by rows of this core's own: among them
-    [store_cap_commits], [store_deadline_commits] and
-    [store_forced_commits], the commit causes ({!Storage.stats}) of its
-    [storage] and the member's [peer_stores], summed (0 without any).
+    [store_cap_commits], [store_deadline_commits],
+    [store_forced_commits] and [store_idle_commits], the commit causes
+    ({!Storage.stats}) of its [storage] and the member's
+    [peer_stores], summed (0 without any).
     With [trace], every operation invoke/respond is appended to the
     log, tagged with its key.  Does not block. *)
 
@@ -208,6 +207,19 @@ val on_message : t -> src:Transport.node -> Wire.msg -> unit
     internally locked — drive from one
     transport handler (both transports serialize handler invocations
     per node). *)
+
+val settle : t -> idle:('a -> bool) -> 'a -> unit
+(** [settle t ~idle w] ends a turn of the core's worker [w] for its
+    [storage], which {!on_message} never commits but when an append
+    fills the batch.
+    With entries pending and [idle w] (the worker has nothing queued)
+    the batch commits now ({!Storage.flush_idle}), as one cork turn, so
+    the [Store]s its completions release leave as one frame per
+    replica; then [settle] starts over, as a completion may append
+    again.  With entries pending and work queued it calls
+    {!Storage.drive}, whose one deadline timer bounds the wait of a
+    worker that never goes idle.  No-op without [storage] or with
+    nothing pending.  {!Server_pool} calls it after every turn. *)
 
 val history : t -> int Histories.Event.t list
 (** All recorded invocation/response events across all keys, oldest

@@ -8,7 +8,9 @@
      op's key — cores run presequenced, so nobody else needs to see
      them — and quorum replies point-route to the owning worker;
    - each worker drains its queue in bursts under one cork so the
-     whole burst's sends coalesce into per-destination batches. *)
+     whole burst's sends coalesce into per-destination batches;
+   - each burst ends by settling the core's store: an idle worker
+     commits it, a busy one leaves it to the deadline. *)
 
 (* A worker's queue: parallel slot arrays, filled in push order.  Slot
    [i] is the frame [msg.(i)] from [src.(i)], or the thunk [fn.(i)]
@@ -139,6 +141,22 @@ let rec drain failed w =
     failed e (Printexc.get_raw_backtrace ());
     drain failed w
 
+let is_idle w =
+  Mutex.lock w.mu;
+  let idle = w.q.n = 0 in
+  Mutex.unlock w.mu;
+  idle
+
+(* The end of a turn: the core's store commits now if the queue is
+   empty, else by its deadline ([Server.settle]).  So a worker never
+   waits for work with an append pending. *)
+let rec settle failed w =
+  match Server.settle w.core ~idle:is_idle w with
+  | () -> ()
+  | exception e ->
+    failed e (Printexc.get_raw_backtrace ());
+    settle failed w
+
 let worker_loop t w =
   let failed = caught t in
   let running = ref true in
@@ -150,16 +168,21 @@ let worker_loop t w =
     let work = w.q.n > 0 in
     if work then take w;
     Mutex.unlock w.mu;
-    if work then drain failed w else running := false
+    if work then begin
+      drain failed w;
+      settle failed w
+    end
+    else running := false
   done
 
 (* A turn of a worker under [Events]: its whole queue, as one cork
-   turn. *)
+   turn, then the store's settling. *)
 let turn failed w =
   Mutex.lock w.mu;
   take w;
   Mutex.unlock w.mu;
-  drain failed w
+  drain failed w;
+  settle failed w
 
 (* A one-worker pool under [Events] has nothing to choose: the push
    that fills its empty queue drains it, one turn per queue swap until

@@ -71,7 +71,13 @@ type t
 (** How the workers run.  Either way a worker's {e turn} takes its
     whole queue and drains it under one cork, and an item pushed
     during a turn (a [post]ed {!Txn} thunk, say) runs in a later
-    turn. *)
+    turn.  A turn ends by settling the core's store
+    ({!Server.settle}): if the queue is empty the pending batch
+    commits at once, in a cork turn of its own, and again while its
+    completions append more and nothing is queued; if work is queued
+    the batch stays open under {!Storage.drive}'s deadline.  So a
+    worker never waits for work with an append pending, and a lone
+    write waits for one fsync, not for [flush_every]. *)
 type runner =
   | Domains
       (** Each worker on a domain of its own, blocking on its queue
@@ -113,7 +119,8 @@ val create :
     value, which makes it corked and presequenced, stripes its twobit
     link ids ({!Registry.create}) and shares one {!Txn} coordinator.
     [domains] (default 1) is the worker count.  [storage] maps a
-    worker index to that worker's private store — stores must be
+    worker index to that worker's private store, which the worker
+    settles after each turn (see {!runner}) — stores must be
     {e per-domain} (the group-commit queue completes on the appending
     domain), so a durable pool persists under [dir/server-d<i>] and
     must be restarted with the same [domains] to recover every shard's
@@ -137,7 +144,8 @@ val create :
     the shared [metrics] registry, which every core counts into, so
     its counters — ops served, engine traffic, [reconfig_*],
     [audit_violation], [audit_keys], [audit_resident] — are the whole
-    pool's.  The [store_*_commits] rows sum every worker's store
+    pool's.  The [store_*_commits] rows (cap, deadline, forced and
+    idle) sum every worker's store
     (worker 0 reads the others' as its [peer_stores]).  Only [epoch]
     is still worker 0's, as for {!Wire.msg.Epoch_req}. *)
 

@@ -322,6 +322,7 @@ type t = {
   mutable cap_commits : int;
   mutable deadline_commits : int;
   mutable forced_commits : int;
+  mutable idle_commits : int;
   mutable max_batch : int;
   mutable snapshots_taken : int;
   recovered_snapshot : int;
@@ -400,6 +401,7 @@ let create ?(snapshot_every = 0) ?group_commit be =
     cap_commits = 0;
     deadline_commits = 0;
     forced_commits = 0;
+    idle_commits = 0;
     max_batch = 0;
     snapshots_taken = 0;
     recovered_snapshot;
@@ -488,7 +490,7 @@ let push_locked t k =
   t.nks <- t.nks + 1
 
 (* What started a commit, for the [stats] counters. *)
-type cause = Cap | Deadline | Forced
+type cause = Cap | Deadline | Forced | Idle
 
 (* Drain the queue as ONE backend append (one write + one fsync), then
    hand back the completions to fire — outside the lock, so a
@@ -517,7 +519,8 @@ let commit_locked t cause =
     (match cause with
      | Cap -> t.cap_commits <- t.cap_commits + 1
      | Deadline -> t.deadline_commits <- t.deadline_commits + 1
-     | Forced -> t.forced_commits <- t.forced_commits + 1);
+     | Forced -> t.forced_commits <- t.forced_commits + 1
+     | Idle -> t.idle_commits <- t.idle_commits + 1);
     if entries > t.max_batch then t.max_batch <- entries;
     (* the one compaction rule, taken with the whole queue durable *)
     if t.snapshot_every > 0 && t.since_snapshot >= t.snapshot_every then
@@ -548,6 +551,7 @@ let commit t cause =
   run_completions t ks
 
 let flush t = commit t Forced
+let flush_idle t = commit t Idle
 
 let append_async t ~reg ~ts pl ~k =
   Mutex.lock t.mu;
@@ -659,6 +663,7 @@ type stats = {
   cap_commits : int;
   deadline_commits : int;
   forced_commits : int;
+  idle_commits : int;
   max_batch : int;
   snapshots_taken : int;
   recovered_snapshot : int;
@@ -676,6 +681,7 @@ let stats (t : t) =
       cap_commits = t.cap_commits;
       deadline_commits = t.deadline_commits;
       forced_commits = t.forced_commits;
+      idle_commits = t.idle_commits;
       max_batch = t.max_batch;
       snapshots_taken = t.snapshots_taken;
       recovered_snapshot = t.recovered_snapshot;

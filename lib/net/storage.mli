@@ -50,8 +50,13 @@
 
     The store never arms timers by itself: [flush_every] is advisory,
     exposed via {!flush_deadline} for the driver that owns the
-    threading model.  That driver is {!drive}, which {!Server} and
-    {!Replica.drive} call after every handler turn.  All
+    threading model.  Two drivers use it.  A replica's store is driven
+    by {!drive} after every handler turn ({!Replica.drive}).  A
+    {!Server_pool} worker settles its core's store at the end of each
+    turn ({!Server.settle}): a worker whose queue is empty commits the
+    batch at once ({!flush_idle}), since nothing is left to batch with
+    it, and a worker with work still queued calls {!drive}, so the
+    deadline bounds the wait of a worker that never goes idle.  All
     public operations are thread-safe behind one internal mutex;
     completions run outside it and may re-enter the store.
 
@@ -198,8 +203,9 @@ type commit_config = {
           entries; [<= 1] degenerates to sync appends *)
   flush_every : float;
       (** advisory flush deadline in seconds for the driver (see
-          {!flush_deadline}); [0.] means flush at the end of every
-          message/handler turn *)
+          {!flush_deadline}): the longest a pending entry waits, [0.]
+          meaning the end of the handler turn that queued it; a
+          driver may commit sooner ({!flush_idle}) *)
 }
 (** Group-commit tuning, mirroring the client batcher in
     [lib/net/client.ml] (size cap + flush deadline). *)
@@ -236,6 +242,11 @@ val flush : t -> unit
 (** Commit the pending batch now (one backend append), firing its
     completions.  No-op when nothing is pending. *)
 
+val flush_idle : t -> unit
+(** {!flush}, counted as an idle commit: the driver commits because
+    it has no other work queued, so no later append could join the
+    batch before its deadline. *)
+
 val on_durable : t -> (unit -> unit) -> unit
 (** Run a callback once everything currently pending is durable —
     inline when nothing is pending.  This is the ack path for
@@ -251,11 +262,15 @@ val batch_max : t -> int
 
 val flush_deadline : t -> float
 (** The [flush_every] this store was opened with ([0.] when group
-    commit is off) — advisory, for the driver that arms flush timers. *)
+    commit is off) — advisory, for the driver that arms flush timers:
+    a replica's {!drive}, and a server worker's that still has work
+    queued. *)
 
 val drive : t -> transport:Transport.t -> node:Transport.node -> unit
-(** The group-commit flush policy, called at the end of each of
-    [node]'s handler turns.  Nothing pending: no-op.  A zero
+(** The group-commit deadline policy, called at the end of a handler
+    turn of [node]: every turn of a replica, and each turn of a server
+    worker that ends with work still queued (an idle worker commits
+    with {!flush_idle} instead).  Nothing pending: no-op.  A zero
     {!flush_deadline} flushes now.  A positive one arms a single
     [transport] timer on [node] unless one is already armed; the timer
     flushes the batch and drives again, so entries queued meanwhile
@@ -292,8 +307,11 @@ type stats = {
       (** commits made by {!drive}: its timer, or at once under a zero
           deadline *)
   forced_commits : int;
-      (** commits forced by {!flush}, {!snapshot} or a sync {!append};
-          the three causes sum to [batch_commits] *)
+      (** commits forced by {!flush}, {!snapshot}, {!close} or a sync
+          {!append} *)
+  idle_commits : int;
+      (** commits by {!flush_idle}: a driver with nothing else queued;
+          the four causes sum to [batch_commits] *)
   max_batch : int;  (** largest batch committed since open *)
   snapshots_taken : int;
       (** snapshots since open, by the cadence or by {!snapshot} *)

@@ -115,9 +115,11 @@ let close_raise c e =
 
 (* [turn] and [handle] match rather than [Fun.protect], whose
    [finally] closure would cost every turn; both ship on either exit *)
-let turn c f =
+let turn_on c f x =
   c.depth <- c.depth + 1;
-  match f () with () -> close c | exception e -> close_raise c e
+  match f x with () -> close c | exception e -> close_raise c e
+
+let turn c f = turn_on c f ()
 
 let handle c h x ~src msg =
   c.depth <- c.depth + 1;

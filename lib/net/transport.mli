@@ -92,6 +92,9 @@ val turn : cork -> (unit -> unit) -> unit
 (** [turn c f] runs [f ()] as one turn; it ships when the outermost
     turn closes, also when [f] raises (the exception is re-raised). *)
 
+val turn_on : cork -> ('a -> unit) -> 'a -> unit
+(** [turn_on c f x] is [turn c (fun () -> f x)] without the closure. *)
+
 val handle :
   cork -> ('a -> src:node -> Wire.msg -> unit) -> 'a -> src:node ->
   Wire.msg -> unit

@@ -250,6 +250,10 @@ type t = {
   mutable since_snapshot : int;
   mutable appends : int;
   mutable batch_commits : int;
+  mutable cap_commits : int;
+  mutable deadline_commits : int;
+  mutable forced_commits : int;
+  mutable idle_commits : int;
   mutable max_batch : int;
   mutable snapshots_taken : int;
   recovered_snapshot : int;
@@ -319,6 +323,10 @@ let create ?(snapshot_every = 0) ?group_commit be =
     since_snapshot = recovered_wal;
     appends = 0;
     batch_commits = 0;
+    cap_commits = 0;
+    deadline_commits = 0;
+    forced_commits = 0;
+    idle_commits = 0;
     max_batch = 0;
     snapshots_taken = 0;
     recovered_snapshot;
@@ -365,11 +373,14 @@ let snapshot_locked t =
   t.since_snapshot <- 0;
   t.wal_size <- 0
 
+(* What started a commit, for the [stats] counters. *)
+type cause = Cap | Deadline | Forced | Idle
+
 (* Drain the queue as ONE backend append (one write + one fsync), then
    hand back the completions to fire — outside the lock, so a
    completion may re-enter the store.  Snapshot install + WAL truncate
    happen here too, on the committing path, never on an enqueue. *)
-let commit_locked t =
+let commit_locked t cause =
   match t.pending_rev with
   | [] -> []
   | items_rev ->
@@ -383,6 +394,11 @@ let commit_locked t =
     t.wal_size <- t.wal_size + String.length data;
     t.since_snapshot <- t.since_snapshot + entries;
     t.batch_commits <- t.batch_commits + 1;
+    (match cause with
+     | Cap -> t.cap_commits <- t.cap_commits + 1
+     | Deadline -> t.deadline_commits <- t.deadline_commits + 1
+     | Forced -> t.forced_commits <- t.forced_commits + 1
+     | Idle -> t.idle_commits <- t.idle_commits + 1);
     if entries > t.max_batch then t.max_batch <- entries;
     if t.snapshot_every > 0 && t.since_snapshot >= t.snapshot_every then
       snapshot_locked t;
@@ -390,11 +406,14 @@ let commit_locked t =
 
 let run_completions ks = List.iter (fun k -> k ()) ks
 
-let flush t =
+let commit t cause =
   Mutex.lock t.mu;
-  let ks = commit_locked t in
+  let ks = commit_locked t cause in
   Mutex.unlock t.mu;
   run_completions ks
+
+let flush t = commit t Forced
+let flush_idle t = commit t Idle
 
 let append_async t e ~k =
   let rec_ = entry_record e in
@@ -407,7 +426,7 @@ let append_async t e ~k =
   apply t.tbl e;
   t.pending_rev <- (rec_, 1, k) :: t.pending_rev;
   t.npending <- t.npending + 1;
-  let ks = if t.npending >= t.batch_max then commit_locked t else [] in
+  let ks = if t.npending >= t.batch_max then commit_locked t Cap else [] in
   Mutex.unlock t.mu;
   run_completions ks
 
@@ -432,18 +451,18 @@ let pending t =
 
 let rec drive t ~(transport : Transport.t) ~node =
   if pending t > 0 then
-    if t.flush_deadline <= 0.0 then flush t
+    if t.flush_deadline <= 0.0 then commit t Deadline
     else if not t.flush_armed then begin
       t.flush_armed <- true;
       transport.set_timer ~node ~delay:t.flush_deadline (fun () ->
           t.flush_armed <- false;
-          flush t;
+          commit t Deadline;
           drive t ~transport ~node)
     end
 
 let snapshot t =
   Mutex.lock t.mu;
-  let ks = commit_locked t in
+  let ks = commit_locked t Forced in
   snapshot_locked t;
   Mutex.unlock t.mu;
   run_completions ks
@@ -467,6 +486,10 @@ let contents t =
 type stats = {
   appends : int;
   batch_commits : int;
+  cap_commits : int;
+  deadline_commits : int;
+  forced_commits : int;
+  idle_commits : int;
   max_batch : int;
   snapshots_taken : int;
   recovered_snapshot : int;
@@ -481,6 +504,10 @@ let stats (t : t) =
     {
       appends = t.appends;
       batch_commits = t.batch_commits;
+      cap_commits = t.cap_commits;
+      deadline_commits = t.deadline_commits;
+      forced_commits = t.forced_commits;
+      idle_commits = t.idle_commits;
       max_batch = t.max_batch;
       snapshots_taken = t.snapshots_taken;
       recovered_snapshot = t.recovered_snapshot;

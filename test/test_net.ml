@@ -1540,8 +1540,8 @@ let loopback_transport ~on_server ~on_client =
 (* A [domains]-worker pool behind [loopback_transport], and the count
    of responses the client has seen.  The last [Stats_reply]'s rows go
    into [stats]. *)
-let loopback_pool ?storage ?map ?history ?(stats = Atomic.make None) ~domains
-    () =
+let loopback_pool ?storage ?map ?history ?metrics ?(stats = Atomic.make None)
+    ?(note = ignore) ?(on_send = fun ~dst:_ _ -> ()) ~domains () =
   let resps = Atomic.make 0 in
   let pool = ref None in
   let tr =
@@ -1551,16 +1551,27 @@ let loopback_pool ?storage ?map ?history ?(stats = Atomic.make None) ~domains
         | Some p -> Net.Server_pool.dispatch p ~src msg
         | None -> ())
       ~on_client:(fun ~src:_ ~dst:_ msg ->
-        let note = function
+        let note m =
+          note m;
+          match m with
           | W.Resp _ -> Atomic.incr resps
           | W.Stats_reply { stats = rows; _ } -> Atomic.set stats (Some rows)
           | _ -> ()
         in
         match msg with W.Batch ms -> List.iter note ms | m -> note m)
   in
+  (* [on_send] sees every frame the pool's cores send *)
+  let pool_tr =
+    { tr with
+      Net.Transport.send =
+        (fun ~src ~dst msg ->
+          on_send ~dst msg;
+          tr.Net.Transport.send ~src ~dst msg) }
+  in
   let p =
-    Net.Server_pool.create ~transport:tr ~audit:true ?storage ?map ?history
-      ~domains ~me:Net.Transport.server ~replicas:[ 0; 1; 2 ] ~init:0 ()
+    Net.Server_pool.create ~transport:pool_tr ~audit:true ?storage ?map
+      ?history ?metrics ~domains ~me:Net.Transport.server
+      ~replicas:[ 0; 1; 2 ] ~init:0 ()
   in
   pool := Some p;
   (tr, p, resps)
@@ -1579,10 +1590,10 @@ let socket_pool ?engine ~shards ~domains () =
   Net.Socket_net.listen net Net.Transport.server (Net.Server_pool.dispatch pool);
   (net, pool)
 
-(* Poll until [resps] reaches [n] or 10 s pass: the workers answer on
-   their own domains. *)
-let await_resps resps n =
-  let deadline = Unix.gettimeofday () +. 10.0 in
+(* Poll until [resps] reaches [n] or [within] seconds (default 10)
+   pass: the workers answer on their own domains. *)
+let await_resps ?(within = 10.0) resps n =
+  let deadline = Unix.gettimeofday () +. within in
   while Atomic.get resps < n && Unix.gettimeofday () < deadline do
     Thread.yield ()
   done
@@ -3573,6 +3584,15 @@ let record_words () =
   Alcotest.(check (float 0.0)) "words to record a read's Invoke (an unfold)"
     0.0 (per 1)
 
+(* The four commit causes as [Storage.stats] counts them, and as a
+   [Stats_reply] names them. *)
+let causes (s : Net.Storage.stats) =
+  [ s.cap_commits; s.deadline_commits; s.forced_commits; s.idle_commits ]
+
+let cause_rows =
+  [ "store_cap_commits"; "store_deadline_commits"; "store_forced_commits";
+    "store_idle_commits" ]
+
 (* A [Stats_reply] shows the audit's resident set (a key whose one
    write completed has folded) and the server's own store's commit
    causes, as [Storage.stats] counts them. *)
@@ -3589,10 +3609,16 @@ let stats_reply_resident_set_and_commits () =
   from_client (W.Hello { proc = 0 });
   from_client
     (W.Batch
-       (List.init 6 (fun key ->
+       (List.init 7 (fun key ->
             W.Req { seq = key; op = W.Write_k { key; value = key + 1 } })));
   pump h sv;
-  Alcotest.(check int) "every write served" 6 (Net.Server.ops_served sv);
+  (* seven appends fill three batches of two; the seventh waits for
+     the end of a turn, here an idle one *)
+  Alcotest.(check int) "one write waits for its batch" 6
+    (Net.Server.ops_served sv);
+  Net.Server.settle sv ~idle:(fun () -> true) ();
+  pump h sv;
+  Alcotest.(check int) "every write served" 7 (Net.Server.ops_served sv);
   from_client (W.Stats_req { rid = 9 });
   let stats =
     match
@@ -3610,23 +3636,18 @@ let stats_reply_resident_set_and_commits () =
     | Some v -> v
     | None -> Alcotest.failf "stat %s missing from the reply" name
   in
-  Alcotest.(check int) "keys audited" 6 (get "audit_keys");
+  Alcotest.(check int) "keys audited" 7 (get "audit_keys");
   Alcotest.(check int) "monitors resident: every key folded" 0
     (get "audit_resident");
   let s = Net.Storage.stats st in
-  Alcotest.(check bool) "the store committed" true
-    (s.Net.Storage.batch_commits > 0);
   Alcotest.(check (list int)) "commit causes, as the store counts them"
-    Net.Storage.[ s.cap_commits; s.deadline_commits; s.forced_commits ]
-    (List.map get
-       [
-         "store_cap_commits"; "store_deadline_commits"; "store_forced_commits";
-       ]);
+    [ 3; 0; 0; 1 ] (causes s);
+  Alcotest.(check (list int)) "commit causes, as the reply names them"
+    (causes s) (List.map get cause_rows);
   Alcotest.(check int) "causes sum to the commits" s.Net.Storage.batch_commits
-    (get "store_cap_commits" + get "store_deadline_commits"
-   + get "store_forced_commits");
+    (List.fold_left ( + ) 0 (List.map get cause_rows));
   (* a write in flight holds its key's monitor resident *)
-  from_client (W.Req { seq = 6; op = W.Write_k { key = 0; value = 7 } });
+  from_client (W.Req { seq = 7; op = W.Write_k { key = 0; value = 8 } });
   from_client (W.Stats_req { rid = 10 });
   let resident =
     List.find_map
@@ -3672,9 +3693,6 @@ let pool_stats_reply_sums_stores () =
     | Some stats -> stats
     | None -> Alcotest.fail "no Stats_reply"
   in
-  let causes (s : Net.Storage.stats) =
-    [ s.cap_commits; s.deadline_commits; s.forced_commits ]
-  in
   let per_store = Array.map (fun st -> causes (Net.Storage.stats st)) stores in
   Array.iteri
     (fun d c ->
@@ -3688,7 +3706,206 @@ let pool_stats_reply_sums_stores () =
          match List.assoc_opt name stats with
          | Some v -> v
          | None -> Alcotest.failf "stat %s missing from the reply" name)
-       [ "store_cap_commits"; "store_deadline_commits"; "store_forced_commits" ])
+       cause_rows);
+  Array.iteri
+    (fun d st ->
+      Alcotest.(check int)
+        (Fmt.str "worker %d's causes sum to its commits" d)
+        (Net.Storage.stats st).batch_commits
+        (List.fold_left ( + ) 0 per_store.(d)))
+    stores
+
+(* ------------------------------------------------------------------ *)
+(* A worker commits its store when it runs out of work                 *)
+
+(* A group-commit store whose deadline no test waits for (and which
+   [loopback_transport], with no timers, never fires): a batch that
+   fills no cap commits only when its worker goes idle. *)
+let idle_store ?(batch_max = 32) ?be () =
+  Net.Storage.create
+    ~group_commit:{ Net.Storage.batch_max; flush_every = 30.0 }
+    (match be with
+     | Some be -> be
+     | None -> Net.Storage.Disk.backend (Net.Storage.Disk.create ()))
+
+(* A lone write on a 1-worker pool: the worker runs out of work with
+   the write's timestamp pending, and commits it then. *)
+let idle_worker_commits_lone_write () =
+  let st = idle_store () in
+  let tr, p, resps = loopback_pool ~storage:(fun _ -> Some st) ~domains:1 () in
+  let cl = Net.Transport.client 0 in
+  let send m = tr.Net.Transport.send ~src:cl ~dst:Net.Transport.server m in
+  send (W.Hello { proc = 0 });
+  send (W.Req { seq = 0; op = W.Write_k { key = 0; value = 1 } });
+  await_resps ~within:5.0 resps 1;
+  send W.Bye;
+  Net.Server_pool.stop p;
+  Alcotest.(check int) "the write is answered within 5 s" 1 (Atomic.get resps);
+  Alcotest.(check (list int)) "one idle commit, no deadline commit"
+    [ 0; 0; 0; 1 ]
+    (causes (Net.Storage.stats st))
+
+(* A turn that ends with work queued leaves its batch open under the
+   deadline; the next turn that ends idle commits it, once, and its
+   [Store]s leave as one frame per replica.  [settle] is called here
+   as a worker calls it at the end of each turn. *)
+let busy_turn_leaves_batch_open () =
+  let h = holding () in
+  let arms = ref 0 in
+  let st = idle_store () in
+  let sv =
+    Net.Server.create
+      ~transport:
+        { (held_transport h) with
+          Net.Transport.set_timer =
+            (fun ~node:_ ~delay _ ->
+              (* the store's deadline, not the resend timer *)
+              if delay = Net.Storage.flush_deadline st then incr arms) }
+      ~storage:st ~member:(solo_member ()) ~me:engine_node
+      ~replicas:[ 0; 1; 2 ] ~init:0 ()
+  in
+  let cl = Net.Transport.client 0 in
+  let from_client msg = Net.Server.on_message sv ~src:cl msg in
+  let busy () = Net.Server.settle sv ~idle:(fun () -> false) () in
+  let idle () = Net.Server.settle sv ~idle:(fun () -> true) () in
+  from_client (W.Hello { proc = 0 });
+  from_client (W.Req { seq = 0; op = W.Write_k { key = 0; value = 1 } });
+  pump h sv;
+  busy ();
+  Alcotest.(check int) "a busy turn leaves the timestamp pending" 1
+    (Net.Storage.pending st);
+  Alcotest.(check int) "and arms the deadline" 1 !arms;
+  from_client (W.Req { seq = 1; op = W.Write_k { key = 1; value = 2 } });
+  pump h sv;
+  busy ();
+  Alcotest.(check int) "the next write joins the open batch" 2
+    (Net.Storage.pending st);
+  Alcotest.(check int) "under the one armed deadline" 1 !arms;
+  Alcotest.(check int) "no write is answered before its batch commits" 0
+    (Net.Server.ops_served sv);
+  h.from_engine <- [];
+  idle ();
+  let frames = List.map fst h.from_engine in
+  Alcotest.(check int) "the idle commit's stores: one frame per replica"
+    (List.length (List.sort_uniq compare frames))
+    (List.length frames);
+  idle ();
+  let s = Net.Storage.stats st in
+  Alcotest.(check (list int)) "one idle commit" [ 0; 0; 0; 1 ] (causes s);
+  Alcotest.(check int) "of both timestamps" 2 s.Net.Storage.max_batch;
+  pump h sv;
+  Alcotest.(check int) "both writes answered" 2 (Net.Server.ops_served sv);
+  no_violation sv
+
+(* A migration's dual write appends its timestamp in the turn that
+   admits the write; the idle worker commits it, so the migration
+   drains and is acked with no deadline ever firing. *)
+let idle_worker_acks_migration () =
+  let st = idle_store () in
+  let map = Net.Shard_map.create ~shards:2 () in
+  let metrics = Net.Metrics.create () in
+  let key = 0 in
+  let to_shard = 1 - Net.Shard_map.base_shard_of_key map key in
+  let acked = Atomic.make None in
+  let note = function
+    | W.Reconfig_ack { ok; epoch; _ } -> Atomic.set acked (Some (ok, epoch))
+    | _ -> ()
+  in
+  let tr, p, resps =
+    loopback_pool ~storage:(fun _ -> Some st) ~map ~metrics ~note ~domains:1 ()
+  in
+  let cl = Net.Transport.client 0 in
+  let send m = tr.Net.Transport.send ~src:cl ~dst:Net.Transport.server m in
+  send (W.Hello { proc = 0 });
+  send
+    (W.Batch
+       [ W.Reconfig { rid = 1; key; to_shard; epoch = 0 };
+         W.Req { seq = 0; op = W.Write_k { key; value = 1 } } ]);
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while
+    (Atomic.get acked = None || Atomic.get resps < 1)
+    && Unix.gettimeofday () < deadline
+  do
+    Thread.yield ()
+  done;
+  send W.Bye;
+  Net.Server_pool.stop p;
+  Alcotest.(check (option (pair bool int))) "the migration is acked within 5 s"
+    (Some (true, 1)) (Atomic.get acked);
+  Alcotest.(check int) "its write is answered" 1 (Atomic.get resps);
+  Alcotest.(check int) "as a dual write" 1
+    (Net.Metrics.get metrics "reconfig_dual_writes");
+  Alcotest.(check int) "committed by the idle worker, no deadline" 0
+    (Net.Storage.stats st).Net.Storage.deadline_commits;
+  match Net.Server_pool.violations p with
+  | [] -> ()
+  | (key, v) :: _ ->
+    Alcotest.failf "audit, key %d: %a" key
+      (Histories.Fastcheck.pp_violation Fmt.int) v
+
+(* Persist before store: every [Store] a pool core sends carries a
+   timestamp that a batch of its store had committed, by the cap or
+   by an idle worker, before the frame left. *)
+let stores_leave_after_their_batch () =
+  let mu = Mutex.create () in
+  let committed = Hashtbl.create 64 in
+  let stores = ref 0 and early = ref [] in
+  let disk = Net.Storage.Disk.backend (Net.Storage.Disk.create ()) in
+  let be =
+    { disk with
+      Net.Storage.append_wal =
+        (fun b n ->
+          disk.Net.Storage.append_wal b n;
+          let records, _ = Net.Storage.scan (Bytes.sub_string b 0 n) in
+          Mutex.protect mu (fun () ->
+              List.iter
+                (fun r ->
+                  let e = Option.get (Net.Storage.decode_entry r) in
+                  Hashtbl.replace committed (e.Net.Storage.reg, e.ts) ())
+                records)) }
+  in
+  let st = idle_store ~batch_max:4 ~be () in
+  let rec watch = function
+    | W.Batch ms -> List.iter watch ms
+    | W.Store { reg; ts; _ } when ts > 0 ->
+      Mutex.protect mu (fun () ->
+          incr stores;
+          if not (Hashtbl.mem committed (reg, ts)) then
+            early := (reg, ts) :: !early)
+    | _ -> ()
+  in
+  let tr, p, resps =
+    loopback_pool ~storage:(fun _ -> Some st)
+      ~on_send:(fun ~dst msg -> if dst < 3 then watch msg)
+      ~domains:1 ()
+  in
+  let k = 10 in
+  List.iter
+    (fun proc ->
+      let cl = Net.Transport.client proc in
+      let send m = tr.Net.Transport.send ~src:cl ~dst:Net.Transport.server m in
+      send (W.Hello { proc });
+      send
+        (W.Batch
+           (List.init k (fun key ->
+                W.Req
+                  { seq = key;
+                    op = W.Write_k { key; value = (100 * proc) + key + 1 } })));
+      send
+        (W.Req
+           { seq = k; op = W.Write_k { key = 0; value = 100 * (proc + 1) } }))
+    [ 0; 1 ];
+  await_resps resps (2 * (k + 1));
+  Net.Server_pool.stop p;
+  Alcotest.(check int) "every write answered" (2 * (k + 1)) (Atomic.get resps);
+  let s = Net.Storage.stats st in
+  Alcotest.(check bool) "by the cap and by the idle worker" true
+    (s.Net.Storage.cap_commits > 0 && s.idle_commits > 0);
+  Alcotest.(check int) "every timestamp stored" (2 * (k + 1))
+    s.Net.Storage.appends;
+  Alcotest.(check bool) "the stores were watched" true (!stores >= 2 * (k + 1));
+  Alcotest.(check (list (pair int int))) "no store left before its batch" []
+    !early
 
 (* A reader's lanes hold about 14.5 words per key it touched.  Once
    it says [Bye] they must become unreachable from the core: no spare
@@ -4138,6 +4355,14 @@ let suite =
       stats_reply_resident_set_and_commits;
     tc "pool: Stats_reply sums every worker's store commit causes"
       pool_stats_reply_sums_stores;
+    tc "pool: an idle worker commits a lone write's timestamp"
+      idle_worker_commits_lone_write;
+    tc "server: a busy turn leaves the batch open, an idle one commits it"
+      busy_turn_leaves_batch_open;
+    tc "pool: an idle worker commits a migration's dual write"
+      idle_worker_acks_migration;
+    tc "pool: no Store leaves before its timestamp's batch commits"
+      stores_leave_after_their_batch;
     tc "server: Bye leaves a reader's lanes unreachable"
       bye_frees_reader_lanes;
     tc "cork: a send that raises mid-turn strands no slot" cork_raise_mid_turn;

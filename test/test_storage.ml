@@ -755,6 +755,7 @@ type dop =
   | Async of int * int * int * reenter
   | Durable of reenter
   | Flush
+  | Idle_flush
   | Snapshot
   | Sync of int * int * int
 
@@ -764,6 +765,7 @@ type side = {
   async : int -> int -> int -> k:(unit -> unit) -> unit;
   durable : (unit -> unit) -> unit;
   flush : unit -> unit;
+  flush_idle : unit -> unit;
   snap : unit -> unit;
   sync : int -> int -> int -> unit;
   pending : unit -> int;
@@ -777,11 +779,13 @@ let pl_of v = Registers.Tagged.make v (v land 1 = 1)
 
 (* the stats both stores keep, in one order *)
 let new_stats (s : S.stats) =
-  [ s.S.appends; s.S.batch_commits; s.S.max_batch; s.S.snapshots_taken;
+  [ s.S.appends; s.S.batch_commits; s.S.cap_commits; s.S.deadline_commits;
+    s.S.forced_commits; s.S.idle_commits; s.S.max_batch; s.S.snapshots_taken;
     s.S.recovered_snapshot; s.S.recovered_wal; s.S.torn_bytes; s.S.wal_size ]
 
 let oracle_stats (s : O.stats) =
-  [ s.O.appends; s.O.batch_commits; s.O.max_batch; s.O.snapshots_taken;
+  [ s.O.appends; s.O.batch_commits; s.O.cap_commits; s.O.deadline_commits;
+    s.O.forced_commits; s.O.idle_commits; s.O.max_batch; s.O.snapshots_taken;
     s.O.recovered_snapshot; s.O.recovered_wal; s.O.torn_bytes; s.O.wal_size ]
 
 let new_side st d =
@@ -789,6 +793,7 @@ let new_side st d =
     async = (fun reg ts v ~k -> S.append_async st ~reg ~ts (pl_of v) ~k);
     durable = S.on_durable st;
     flush = (fun () -> S.flush st);
+    flush_idle = (fun () -> S.flush_idle st);
     snap = (fun () -> S.snapshot st);
     sync = (fun reg ts v -> S.append st { S.reg; ts; pl = pl_of v });
     pending = (fun () -> S.pending st);
@@ -807,6 +812,7 @@ let oracle_side st d =
       (fun reg ts v ~k -> O.append_async st { O.reg; ts; pl = pl_of v } ~k);
     durable = O.on_durable st;
     flush = (fun () -> O.flush st);
+    flush_idle = (fun () -> O.flush_idle st);
     snap = (fun () -> O.snapshot st);
     sync = (fun reg ts v -> O.append st { O.reg; ts; pl = pl_of v });
     pending = (fun () -> O.pending st);
@@ -833,6 +839,7 @@ let run_dop s i = function
   | Async (reg, ts, v, re) -> s.async reg ts v ~k:(completion s i re)
   | Durable re -> s.durable (completion s i re)
   | Flush -> s.flush ()
+  | Idle_flush -> s.flush_idle ()
   | Snapshot -> s.snap ()
   | Sync (reg, ts, v) -> s.sync reg ts v
 
@@ -849,6 +856,7 @@ let pp_dop = function
   | Async (r, t, v, re) -> Fmt.str "async(%d,%d,%d)%s" r t v (pp_reenter re)
   | Durable re -> "durable" ^ pp_reenter re
   | Flush -> "flush"
+  | Idle_flush -> "idle-flush"
   | Snapshot -> "snapshot"
   | Sync (r, t, v) -> Fmt.str "sync(%d,%d,%d)" r t v
 
@@ -866,6 +874,7 @@ let gen_store_case =
       [ (8, map2 (fun (r, t, v) re -> Async (r, t, v, re)) ent re);
         (2, map (fun re -> Durable re) re);
         (2, pure Flush);
+        (2, pure Idle_flush);
         (1, pure Snapshot);
         (2, map (fun (r, t, v) -> Sync (r, t, v)) ent) ]
   in
@@ -937,11 +946,12 @@ let oracle_differential =
 
 (* ------------------------------------------------------------------ *)
 (* Commit causes: every batch commit is counted under exactly one of a *)
-(* filling append, [drive]'s deadline, or a forced flush.              *)
+(* filling append, [drive]'s deadline, a forced flush, or an idle one. *)
 
 let causes st =
   let s = S.stats st in
-  (s.S.cap_commits, s.S.deadline_commits, s.S.forced_commits)
+  [ s.S.cap_commits; s.S.deadline_commits; s.S.forced_commits;
+    s.S.idle_commits ]
 
 let commit_causes () =
   let net = Net.Sim_net.create ~seed:1 ~faults:Net.Sim_net.reliable () in
@@ -958,12 +968,12 @@ let commit_causes () =
   done;
   S.drive st ~transport ~node:0;
   ignore (Net.Sim_net.run net);
-  Alcotest.(check (triple int int int)) "deadline" (0, 1, 0) (causes st);
+  Alcotest.(check (list int)) "deadline" [ 0; 1; 0; 0 ] (causes st);
   (* four queued: the fourth fills the batch *)
   for i = 3 to 6 do
     put i
   done;
-  Alcotest.(check (triple int int int)) "size cap" (1, 1, 0) (causes st);
+  Alcotest.(check (list int)) "size cap" [ 1; 1; 0; 0 ] (causes st);
   (* flush, snapshot and a sync append each force the queue out *)
   put 7;
   S.flush st;
@@ -971,27 +981,34 @@ let commit_causes () =
   S.snapshot st;
   put 9;
   S.append st es.(10);
-  Alcotest.(check (triple int int int)) "forced" (1, 1, 3) (causes st);
+  Alcotest.(check (list int)) "forced" [ 1; 1; 3; 0 ] (causes st);
   (* nothing pending: no commit, no count *)
   S.flush st;
   S.snapshot st;
-  Alcotest.(check (triple int int int)) "empty flushes" (1, 1, 3) (causes st);
+  S.flush_idle st;
+  Alcotest.(check (list int)) "empty flushes" [ 1; 1; 3; 0 ] (causes st);
+  (* a driver with nothing else queued commits at once *)
+  put 11;
+  put 12;
+  S.flush_idle st;
+  Alcotest.(check (list int)) "idle" [ 1; 1; 3; 1 ] (causes st);
   (* a zero deadline commits inside [drive] *)
   let st0 = S.create ~group_commit:(gc 4) (mem ()) in
   append_async st0 es.(0) ~k:ignore;
   S.drive st0 ~transport ~node:0;
-  Alcotest.(check (triple int int int)) "zero deadline" (0, 1, 0) (causes st0);
+  Alcotest.(check (list int)) "zero deadline" [ 0; 1; 0; 0 ] (causes st0);
   List.iter
     (fun st ->
-      let c, d, f = causes st in
       Alcotest.(check int) "the causes sum to batch_commits"
-        (S.stats st).S.batch_commits (c + d + f))
+        (S.stats st).S.batch_commits
+        (List.fold_left ( + ) 0 (causes st)))
     [ st; st0 ]
 
 let commit_causes_cluster () =
   (* on a durable group-commit cluster every replica's commits come
      from the size cap or [drive]'s deadline (nothing forces a
-     replica's queue), and every commit is counted once *)
+     replica's queue, and no replica commits when idle), and every
+     commit is counted once *)
   let cl =
     R.create
       {
@@ -1015,14 +1032,16 @@ let commit_causes_cluster () =
   List.iter
     (fun r ->
       let st = Option.get (Net.Replica.storage (cl.R.replica_of r)) in
-      let c, d, f = causes st in
       let s = S.stats st in
       Alcotest.(check int)
         (Fmt.str "replica %d: causes sum to batch_commits" r)
-        s.S.batch_commits (c + d + f);
-      Alcotest.(check bool) (Fmt.str "replica %d: committed, none forced" r)
+        s.S.batch_commits
+        (List.fold_left ( + ) 0 (causes st));
+      Alcotest.(check bool)
+        (Fmt.str "replica %d: committed, none forced or idle" r)
         true
-        (s.S.batch_commits > 0 && f = 0))
+        (s.S.batch_commits > 0 && s.S.forced_commits = 0
+       && s.S.idle_commits = 0))
     [ 0; 1; 2 ]
 
 (* ------------------------------------------------------------------ *)
